@@ -12,9 +12,19 @@
 //
 // The pool is keyed by element type and chunk capacity, so a chunk only
 // ever comes back as what it was — a []Leaf chunk can never resurface as
-// node slots. Chunks are zeroed when they enter the pool (dropping any
-// payload references they held), which makes a recycled chunk
-// indistinguishable from a fresh make.
+// node slots.
+//
+// The zero invariant: every chunk, fresh from make or parked in a pool, is
+// zero over [len, cap). Owners only ever write below a chunk's length
+// (arenas append, slabs bump an offset), so PutChunk clears exactly the
+// written prefix c[:len(c)] — dropping the payload references it held —
+// and the chunk is all-zero again, indistinguishable from a fresh make.
+// The cost of dropping an index is therefore proportional to what was
+// written into it, not to the chunk sizes it reserved. An owner that
+// scribbles over a chunk in some other pattern (scratch buffers truncated
+// and refilled, the sparse KISS-Tree root pages) restores the invariant
+// itself: it hands the chunk over at its high-water length, or zeroes the
+// span it wrote and hands it over empty.
 //
 // A Recycler is safe for concurrent use: every pool worker building a
 // partial index draws from (and releases to) the same pool — and, when the
@@ -33,6 +43,7 @@ package arena
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -166,15 +177,17 @@ func classOf[T any](capElems int) chunkClass {
 	return chunkClass{elem: reflect.TypeOf((*T)(nil)).Elem(), cap: capElems}
 }
 
-// PutChunk clears c and parks it for reuse. The caller must not touch c
-// afterwards; a later GetChunk may hand it out again. Chunks that alias
-// memory the caller does not own outright — e.g. mmap-adopted spill pages —
-// must never be put. A nil recycler (or a zero-capacity chunk) is a no-op.
+// PutChunk clears the written prefix c[:len(c)] and parks the chunk for
+// reuse. By the zero invariant (package comment) the caller guarantees
+// that c[len(c):cap(c)] is still zero, so the parked chunk is zero
+// throughout. The caller must not touch c afterwards; a later GetChunk may
+// hand it out again. Chunks that alias memory the caller does not own
+// outright — e.g. mmap-adopted spill pages — must never be put. A nil
+// recycler (or a zero-capacity chunk) is a no-op.
 func PutChunk[T any](r *Recycler, c []T) {
 	if r == nil || cap(c) == 0 {
 		return
 	}
-	c = c[:cap(c)]
 	clear(c) // drop payload references; a recycled chunk reads as fresh
 	var zero T
 	bytes := int64(cap(c)) * int64(unsafe.Sizeof(zero))
@@ -240,10 +253,42 @@ func GetChunk[T any](r *Recycler, capElems int) ([]T, bool) {
 	c := pool[n-1].([]T)
 	pool[n-1] = nil
 	r.boxes[k] = pool[:n-1]
+	if chk := handoutCheck.Load(); chk != nil {
+		(*chk)(k.elem.String(), firstNonZeroByte(c[:capElems]))
+	}
 	r.stats.Reused++
 	var zero T
 	bytes := int64(capElems) * int64(unsafe.Sizeof(zero))
 	r.stats.SavedBytes += bytes
 	r.pooled -= bytes
 	return c, true
+}
+
+// handoutCheck is the test hook behind CheckHandouts.
+var handoutCheck atomic.Pointer[func(elem string, dirtyAt int)]
+
+// CheckHandouts installs a test-only observer of the zero invariant: every
+// chunk a pool hands out is scanned over its full capacity and reported to
+// check with its element type and the byte offset of the first non-zero
+// byte (-1 for a clean chunk). The returned func uninstalls the observer.
+// Production code never calls this.
+func CheckHandouts(check func(elem string, dirtyAt int)) (restore func()) {
+	prev := handoutCheck.Swap(&check)
+	return func() { handoutCheck.Store(prev) }
+}
+
+// firstNonZeroByte returns the offset of the first non-zero byte of c's
+// memory, or -1 when c is all zero.
+func firstNonZeroByte[T any](c []T) int {
+	if len(c) == 0 {
+		return -1
+	}
+	var zero T
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(c))), len(c)*int(unsafe.Sizeof(zero)))
+	for i, v := range b {
+		if v != 0 {
+			return i
+		}
+	}
+	return -1
 }

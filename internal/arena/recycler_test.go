@@ -175,3 +175,40 @@ func TestRecyclerTrimCap(t *testing.T) {
 		t.Fatalf("uncapped pool trimmed: %d evictions", got)
 	}
 }
+
+// PutChunk clears exactly the written prefix: what lies beyond len is the
+// owner's to keep zero (the zero invariant), and the handout check is what
+// catches an owner that did not.
+func TestRecyclePrefixClearAndHandoutCheck(t *testing.T) {
+	var dirty []int
+	restore := CheckHandouts(func(elem string, at int) {
+		if at >= 0 {
+			dirty = append(dirty, at)
+		}
+	})
+	defer restore()
+
+	r := NewRecycler()
+	c := make([]uint64, 0, 64)
+	c = append(c, 1, 2, 3)
+	PutChunk(r, c)
+	if got, _ := GetChunk[uint64](r, 64); firstNonZeroByte(got[:64]) >= 0 || len(dirty) != 0 {
+		t.Fatalf("written prefix survived the put (check saw %v)", dirty)
+	}
+
+	// An owner that wrote past the length it hands over breaks the
+	// invariant; PutChunk does not paper over it, the check reports it.
+	c = make([]uint64, 0, 64)
+	c = append(c, 1, 2, 3)
+	PutChunk(r, c[:1])
+	if _, ok := GetChunk[uint64](r, 64); !ok || len(dirty) != 1 || dirty[0] != 8 {
+		t.Fatalf("handout check saw %v, want one dirty chunk at byte 8", dirty)
+	}
+
+	// A worker-local miss that falls through to the parent is checked too.
+	dirty = nil
+	PutChunk(r, c[:2])
+	if _, ok := GetChunk[uint64](r.Local(), 64); !ok || len(dirty) != 1 || dirty[0] != 16 {
+		t.Fatalf("parent fallback: check saw %v, want one dirty chunk at byte 16", dirty)
+	}
+}

@@ -453,7 +453,8 @@ func (pl *Plan) Run(opts Options) (*IndexedTable, *PlanStats, error) {
 // the env carries a manager; a spill-less env honors opts.MemBudget with
 // a plan-private manager). The plan's result is detached from a shared
 // manager before returning, so it stays valid however long it outlives
-// the plan.
+// the plan; a caller that is done with it hands its chunks back to the
+// pool with IndexedTable.Release.
 //
 // Cancelling ctx unwinds the plan promptly: morsel loops, merge tasks and
 // operator scans stop at the next batch boundary, waits on spill
@@ -747,11 +748,7 @@ func (ex *executor) releaseInput(op Operator, t *IndexedTable) {
 	if h != nil {
 		h.Drop()
 	}
-	if ex.rec != nil {
-		if rc, ok := t.Idx.(chunkRecycler); ok {
-			rc.Recycle()
-		}
-	}
+	t.Release()
 }
 
 type memoEntry struct {
@@ -984,26 +981,53 @@ type Result struct {
 
 // Extract materializes an indexed table into a Result in key order.
 func Extract(t *IndexedTable) *Result {
-	r := &Result{Attrs: append(append([]string{}, t.Key.Attrs...), t.Cols...)}
+	sel := make([]int, len(t.Key.Attrs)+len(t.Cols))
+	for i := range sel {
+		sel[i] = i
+	}
+	return &Result{
+		Attrs: append(append([]string{}, t.Key.Attrs...), t.Cols...),
+		Rows:  Project(t, sel),
+	}
+}
+
+// Project materializes an indexed table in key order, one row per tuple,
+// in a single index walk. sel picks each output row's values by position
+// in the tuple — the key fields first, the payload columns after, the
+// layout of Result — so a caller that wants another column order (SQL's
+// SELECT-item order) gets it without a second pass. The rows are caller-
+// owned copies carved from one flat backing array: two allocations for the
+// whole result instead of one per row, and nothing aliases the index, so
+// the table may be released right after.
+func Project(t *IndexedTable, sel []int) [][]uint64 {
+	n, w := t.Rows(), len(sel)
+	flat := make([]uint64, 0, n*w)
+	rows := make([][]uint64, 0, n)
 	comp := t.Key.Composer()
 	nk := len(t.Key.Attrs)
+	var fields []uint64
 	//qpptvet:ignore ctxpoll client-side materialization of a finished plan's result; there is no query context here
 	t.Idx.Iterate(func(k uint64, vals *duplist.List) bool {
+		if nk > 1 {
+			fields = comp.Split(k, fields[:0])
+		}
 		emit := func(payload []uint64) bool {
-			row := make([]uint64, 0, nk+len(t.Cols))
-			switch nk {
-			case 0:
-			case 1:
-				row = append(row, k)
-			default:
-				row = comp.Split(k, row)
+			start := len(flat)
+			for _, c := range sel {
+				switch {
+				case c >= nk:
+					flat = append(flat, payload[c-nk])
+				case nk == 1:
+					flat = append(flat, k)
+				default:
+					flat = append(flat, fields[c])
+				}
 			}
-			row = append(row, payload...)
-			r.Rows = append(r.Rows, row)
+			rows = append(rows, flat[start:len(flat):len(flat)])
 			return true
 		}
 		if len(t.Cols) == 0 {
-			for n := 0; n < vals.Len(); n++ {
+			for i := 0; i < vals.Len(); i++ {
 				emit(nil)
 			}
 			return true
@@ -1011,7 +1035,7 @@ func Extract(t *IndexedTable) *Result {
 		vals.Scan(emit)
 		return true
 	})
-	return r
+	return rows
 }
 
 // OrderBy sorts the result rows by the given column positions; negative

@@ -189,9 +189,10 @@ func chainAt(top Operator, uses map[Operator]int) *fuseChain {
 
 // buildChains walks the plan once and returns every fused chain, keyed by
 // its top link — the operator the executor resolves; the links below it
-// are bypassed and never resolved on their own.
+// are bypassed and never resolved on their own. A plan with nothing to
+// fuse gets a nil map.
 func buildChains(root Operator, uses map[Operator]int) map[Operator]*fuseChain {
-	chains := make(map[Operator]*fuseChain)
+	var chains map[Operator]*fuseChain
 	seen := make(map[Operator]bool)
 	var walk func(op Operator)
 	walk = func(op Operator) {
@@ -200,6 +201,9 @@ func buildChains(root Operator, uses map[Operator]int) map[Operator]*fuseChain {
 		}
 		seen[op] = true
 		if ch := chainAt(op, uses); ch != nil {
+			if chains == nil {
+				chains = make(map[Operator]*fuseChain)
+			}
 			chains[op] = ch
 			// Recurse only into the inputs that stay materialized; the
 			// fused links belong to this chain.
@@ -696,9 +700,8 @@ func (ex *executor) driveChain(ch *fuseChain, ecs []*ExecContext, inputsOf [][]*
 	}
 	finish := func(pipes []*pipeline) {
 		for i, p := range pipes { // bottom → top: buffered combinations cascade upward
-			p.finish()
+			p.finish() // also parks the probe buffers for the next worker/plan
 			ecs[i].noteSink(p)
-			p.release() // park the probe buffers for the next worker/plan
 		}
 	}
 	topEC := ecs[n-1]
@@ -787,12 +790,8 @@ func (ex *executor) driveChain(ch *fuseChain, ecs []*ExecContext, inputsOf [][]*
 	if err != nil {
 		return nil, err
 	}
-	if topEC.rec != nil {
-		for _, p := range partials {
-			if rc, ok := p.Idx.(chunkRecycler); ok {
-				rc.Recycle()
-			}
-		}
+	for _, p := range partials {
+		p.Release()
 	}
 	return out, nil
 }

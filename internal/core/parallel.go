@@ -250,12 +250,8 @@ func runMorsels(ec *ExecContext, spec *OutputSpec,
 	// The per-worker partials are dead the moment the merge re-inserted
 	// their rows (the output owns copies); with a recycler their chunks
 	// immediately feed the next allocations instead of the GC.
-	if ec.rec != nil {
-		for _, p := range partials {
-			if rc, ok := p.Idx.(chunkRecycler); ok {
-				rc.Recycle()
-			}
-		}
+	for _, p := range partials {
+		p.Release()
 	}
 	return out, nil
 }
@@ -351,7 +347,7 @@ func mergePartials(ec *ExecContext, spec *OutputSpec, partials []*IndexedTable, 
 	if err := mergeRangeInto(ec, idx, spec, partials, 0, keySpaceMax(spec.Key.TotalBits())); err != nil {
 		return nil, err
 	}
-	return NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx), nil
+	return newOutputTable(spec, idx, rec), nil
 }
 
 // parallelMergeMinKeys gates the parallel merge: below this many output
@@ -474,5 +470,5 @@ func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*Indexe
 	los[0] = 0
 	his[len(his)-1] = keySpaceMax(spec.Key.TotalBits())
 	sh := newShardedIndex(shards, los, his, spec.Key.TotalBits())
-	return NewIndexedTable(spec.Name, spec.Key, spec.Cols, sh), nil
+	return newOutputTable(spec, sh, ec.rec), nil
 }

@@ -150,10 +150,18 @@ type sink struct {
 	fwMask     []uint64
 	fwSel      []uint32
 
+	// keys/rows/arena are the insert buffer of a materializing sink: up to
+	// bufSize assembled (key, row) pairs, the rows carved from arena. Like
+	// the probe buffers they come from the pipeline's chunk pool.
 	keys      []uint64
 	rows      [][]uint64
 	arena     []uint64
 	fieldsBuf []uint64
+
+	// high is the most combinations any one flush found buffered: the
+	// written prefix of every buffer above, which is all release hands the
+	// pool to clear.
+	high int
 
 	insertTime time.Duration
 	inserted   int
@@ -298,8 +306,11 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 		return nil, err
 	}
 	s.out = newOutputIndex(spec, p.rec)
+	s.keys = arena.NewChunk[uint64](p.rec, p.bufSize)
+	s.rows = arena.NewChunk[[]uint64](p.rec, p.bufSize)
+	s.arena = arena.NewChunk[uint64](p.rec, p.bufSize*s.rowWidth)
 	p.snk = s
-	return NewIndexedTable(spec.Name, spec.Key, spec.Cols, s.out), nil
+	return newOutputTable(spec, s.out, p.rec), nil
 }
 
 // setForward compiles the output spec like setSink but skips the output
@@ -326,7 +337,7 @@ func (p *pipeline) setForward(spec *OutputSpec, fw func(k uint64, row []uint64))
 // the consumer can amortize sorted probes. The buffers come from the
 // pipeline's chunk recycler when one is active — per-worker probe
 // buffers then cycle through the pool instead of the heap — and go back
-// to it through release.
+// to it when the pipeline finishes.
 func (p *pipeline) setForwardBatch(spec *OutputSpec, batch int, sorted bool, fw func(keys, rows []uint64, perm []uint32)) error {
 	s, err := p.compileSink(spec)
 	if err != nil {
@@ -373,22 +384,34 @@ func (p *pipeline) setForwardFilter(pred KeyPred) {
 	s.fwSel = arena.NewChunk[uint32](p.rec, s.fwBatch)
 }
 
-// release parks the sink's recycler-backed probe buffers back in the
-// pipeline's chunk pool. Call after finish; a non-batching pipeline (or
-// one without a recycler) is a no-op.
+// release parks the sink's recycler-backed buffers — the insert buffer of
+// a materializing sink, the probe buffers of a batch-forwarding one — back
+// in the pipeline's chunk pool. The buffers are scratch, truncated and
+// refilled per flush, so each goes back at the high-water length any flush
+// left in it: that prefix is all the pool has to clear.
 func (p *pipeline) release() {
 	s := p.snk
-	if s == nil || s.forwardBatch == nil {
-		return
-	}
-	arena.PutChunk(p.rec, s.fwKeys)
-	arena.PutChunk(p.rec, s.fwPerm)
-	arena.PutChunk(p.rec, s.fwSort)
-	arena.PutChunk(p.rec, s.fwRows)
-	arena.PutChunk(p.rec, s.fwMask)
-	arena.PutChunk(p.rec, s.fwSel)
+	n := s.high
+	putScratch(p.rec, s.keys, n)
+	putScratch(p.rec, s.rows, n)
+	putScratch(p.rec, s.arena, n*s.rowWidth)
+	putScratch(p.rec, s.fwKeys, n)
+	putScratch(p.rec, s.fwRows, n*s.rowWidth)
+	putScratch(p.rec, s.fwPerm, n)
+	putScratch(p.rec, s.fwSort, n)
+	putScratch(p.rec, s.fwMask, kernel.MaskWords(n))
+	putScratch(p.rec, s.fwSel, n)
+	s.keys, s.rows, s.arena = nil, nil, nil
 	s.fwKeys, s.fwPerm, s.fwSort, s.fwRows = nil, nil, nil, nil
 	s.fwMask, s.fwSel = nil, nil
+}
+
+// putScratch parks one scratch buffer at its high-water length n; nil
+// means this kind of sink never had the buffer.
+func putScratch[T any](rec *arena.Recycler, c []T, n int) {
+	if c != nil {
+		arena.PutChunk(rec, c[:n])
+	}
 }
 
 // feed pushes a completed base combination into the pipeline. The ctx slice
@@ -510,9 +533,6 @@ func (s *sink) feed(ctx []uint64, bufSize int) {
 		s.forward(k, s.rowBuf)
 		return
 	}
-	if cap(s.arena) == 0 {
-		s.arena = make([]uint64, 0, bufSize*s.rowWidth)
-	}
 	start := len(s.arena)
 	for _, e := range s.exprs {
 		if e.fn != nil {
@@ -544,6 +564,7 @@ func (s *sink) flushForward() {
 	if n == 0 {
 		return
 	}
+	s.high = max(s.high, n)
 	// Batch accounting happens before the filter: AvgBatchFill keeps
 	// meaning "combinations assembled per handoff", whether or not the
 	// consumer's predicate then thins the batch.
@@ -660,6 +681,7 @@ func (s *sink) flush() {
 	if s.forward != nil || len(s.keys) == 0 {
 		return
 	}
+	s.high = max(s.high, len(s.keys))
 	t0 := time.Now()
 	if s.rowWidth == 0 {
 		s.out.InsertBatch(s.keys, nil)
@@ -671,10 +693,12 @@ func (s *sink) flush() {
 	s.keys, s.rows, s.arena = s.keys[:0], s.rows[:0], s.arena[:0]
 }
 
-// finish drains every buffer in stage order.
+// finish drains every buffer in stage order and gives the sink's pooled
+// buffers back; the pipeline is done afterwards.
 func (p *pipeline) finish() {
 	for i := range p.stages {
 		p.flushStage(i)
 	}
 	p.snk.flush()
+	p.release()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"qppt/internal/arena"
 	"qppt/internal/key"
 )
 
@@ -81,6 +82,37 @@ type IndexedTable struct {
 	Idx Index
 
 	byName map[string]int
+	// pooled marks an operator output whose index draws its chunks from a
+	// recycler; it is what arms Release. Base indexes never set it.
+	pooled bool
+}
+
+// Release returns the table's index storage to the chunk pool it was built
+// from: the caller is done reading the table and nothing may touch Idx
+// afterwards. The executor releases every intermediate this way when its
+// last consumer finishes, and whoever ran the plan does the same for the
+// result once the rows are extracted, so a query's result index is
+// recycled like any other. Release is idempotent, and a no-op for anything
+// that is not a pool-backed operator output: catalog base indexes, runs
+// without a recycler, a nil table (a failed or cancelled plan has none).
+// Frozen trees and mmap-adopted chunks are skipped by the index kinds
+// themselves.
+func (t *IndexedTable) Release() {
+	if t == nil || !t.pooled {
+		return
+	}
+	t.pooled = false
+	if rc, ok := t.Idx.(chunkRecycler); ok {
+		rc.Recycle()
+	}
+}
+
+// newOutputTable wraps an operator's output index built against rec (nil:
+// plain heap allocation, nothing to release).
+func newOutputTable(spec *OutputSpec, idx Index, rec *arena.Recycler) *IndexedTable {
+	t := NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx)
+	t.pooled = rec != nil
+	return t
 }
 
 // NewIndexedTable wraps an index with its attribute layout. The payload

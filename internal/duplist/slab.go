@@ -86,12 +86,19 @@ func (s *Slab) alloc(n int) []uint64 {
 // anymore: Release is meant for the moment the owning index is dropped or
 // frozen. Without a recycler it merely drops the references for the
 // garbage collector. Oversized blocks (wider than a row of slabBlockWords)
-// are never pooled.
+// are never pooled. The current block goes back at the length carved from
+// it — nothing beyond off was ever written (arena's zero invariant), so a
+// slab that held one row clears one row; earlier blocks are full but for a
+// tail too small for the request that closed them.
 func (s *Slab) Release() {
 	for _, b := range s.blocks {
-		if cap(b) == slabBlockWords {
-			arena.PutChunk(s.rec, b)
+		if cap(b) != slabBlockWords {
+			continue
 		}
+		if len(s.cur) > 0 && &b[0] == &s.cur[0] {
+			b = b[:s.off]
+		}
+		arena.PutChunk(s.rec, b)
 	}
 	s.blocks, s.cur, s.off = nil, nil, 0
 	s.segs.Reset()

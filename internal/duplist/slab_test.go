@@ -3,6 +3,9 @@ package duplist
 import (
 	"reflect"
 	"testing"
+
+	"qppt/internal/arena"
+	"qppt/internal/arena/arenatest"
 )
 
 // TestSlabListMatchesPlainList: a slab-backed list must behave exactly
@@ -106,5 +109,29 @@ func TestSlabWideRows(t *testing.T) {
 	rows := l.Rows()
 	if len(rows) != 2 || rows[0][0] != 1 || rows[0][width-1] != 2 || rows[1][0] != 3 || rows[1][width-1] != 4 {
 		t.Fatalf("wide rows corrupted")
+	}
+}
+
+// TestSlabReleaseKeepsBlocksZero: Release hands the current block back at
+// the offset carved from it (a slab that held one row clears one row) and
+// the earlier blocks in full; either way every block must come out of the
+// pool all-zero again — for a slab that wrote one row and for one that
+// filled several blocks.
+func TestSlabReleaseKeepsBlocksZero(t *testing.T) {
+	arenatest.CheckZeroHandouts(t)
+	rec := arena.NewRecycler()
+	for _, rows := range []int{1, 40000, 1, 40000} {
+		slab := NewSlabIn(rec)
+		l := Make(3)
+		for i := 0; i < rows; i++ {
+			l.AppendIn(slab, []uint64{^uint64(0), uint64(i), 7})
+		}
+		if l.Len() != rows {
+			t.Fatalf("list holds %d rows, want %d", l.Len(), rows)
+		}
+		slab.Release()
+	}
+	if st := rec.Stats(); st.Reused == 0 {
+		t.Fatalf("slabs never reused a block: %+v", st)
 	}
 }

@@ -88,8 +88,12 @@ type Tree struct {
 	// this tree, replacing per-key allocations with a few large blocks.
 	slab *duplist.Slab
 
-	keys, rows       int
-	minKey, maxKey   uint32
+	keys, rows     int
+	minKey, maxKey uint32
+	// rootLo/rootHi bound the root buckets rootSet ever wrote (lo > hi:
+	// none). Unlike minKey/maxKey the span never shrinks on Delete, so it
+	// is exactly what Release must zero to hand the root pages back clean.
+	rootLo, rootHi   uint32
 	copies           int // RCU node copies performed (compression cost metric)
 	touchedRootPages int // root pages written at least once (memory metric)
 
@@ -131,12 +135,13 @@ func New(cfg Config) (*Tree, error) {
 	}
 	t := &Tree{
 		cfg:    cfg,
-		root:   make([][]uint32, rootChunks),
 		nodes:  arena.MakeSlots(nodeSlots),
 		leaves: arena.Make[Leaf](leafChunkBits),
 		slab:   duplist.NewSlabIn(cfg.Recycler),
 		minKey: ^uint32(0),
+		rootLo: ^uint32(0),
 	}
+	t.root = t.newRootDir()
 	t.nodes.SetRecycler(cfg.Recycler)
 	t.leaves.SetRecycler(cfg.Recycler)
 	return t, nil
@@ -193,6 +198,14 @@ func (t *Tree) rootSet(idx, v uint32) {
 		t.root[idx>>rootChunkBits] = c
 	}
 	c[idx&rootChunkMask] = v
+	t.rootLo, t.rootHi = min(t.rootLo, idx), max(t.rootHi, idx)
+}
+
+// newRootDir returns an empty page directory, recycled when the plan pool
+// has one: at 24 KiB it would otherwise be the largest fixed allocation of
+// a small index.
+func (t *Tree) newRootDir() [][]uint32 {
+	return arena.NewChunk[[]uint32](t.cfg.Recycler, rootChunks)[:rootChunks]
 }
 
 // newRootChunk returns a zeroed root page chunk, recycled when the plan

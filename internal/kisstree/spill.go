@@ -160,16 +160,36 @@ func (t *Tree) WriteSnapshot(w io.Writer) error {
 // chunks in the configured recycler (mmap-adopted chunks are simply
 // dropped). The tree keeps its counters and bounds but must not be
 // queried or mutated until thawed. Only call after the snapshot is safely
-// persisted.
+// persisted. Release allocates nothing: a thaw draws a new directory when
+// (and only if) the tree comes back.
 func (t *Tree) Release() {
-	if !t.rootMapped {
-		for _, c := range t.root {
-			if c != nil {
-				arena.PutChunk(t.cfg.Recycler, c)
+	if rec := t.cfg.Recycler; rec != nil && t.root != nil {
+		// Root pages are written sparsely, so the tree zeroes the bucket
+		// span it wrote and hands each page over empty (arena's zero
+		// invariant); the directory goes back at its touched length.
+		touched := 0
+		if t.rootLo <= t.rootHi {
+			loC, hiC := t.rootLo>>rootChunkBits, t.rootHi>>rootChunkBits
+			for ci := loC; ci <= hiC; ci++ {
+				c := t.root[ci]
+				if c == nil || t.rootMapped {
+					continue // never written, or a view of the spill file mapping
+				}
+				lo, hi := uint32(0), uint32(rootChunkMask)
+				if ci == loC {
+					lo = t.rootLo & rootChunkMask
+				}
+				if ci == hiC {
+					hi = t.rootHi & rootChunkMask
+				}
+				clear(c[lo : hi+1])
+				arena.PutChunk(rec, c[:0])
 			}
+			touched = int(hiC) + 1
 		}
+		arena.PutChunk(rec, t.root[:touched])
 	}
-	t.root = make([][]uint32, rootChunks)
+	t.root = nil
 	t.rootMapped = false
 	t.nodes.Detach()
 	t.cnodes = nil
@@ -237,7 +257,7 @@ func (t *Tree) ThawMapped(mr *arena.MapReader) error {
 		// before the caller unmaps it (the frozen flag only flips on
 		// success, so the tree reads as frozen already).
 		t.nodes.Detach()
-		t.root = make([][]uint32, rootChunks)
+		t.root = nil
 		t.rootMapped = false
 		return err
 	}
@@ -290,7 +310,7 @@ func (t *Tree) readRootSection(r io.Reader, mr *arena.MapReader) error {
 	if err != nil {
 		return err
 	}
-	t.root = make([][]uint32, rootChunks)
+	t.root = t.newRootDir()
 	t.rootMapped = false
 	for i := uint64(0); i < touched; i++ {
 		ci, err := arena.ReadU64(r)

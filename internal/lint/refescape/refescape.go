@@ -13,7 +13,8 @@
 //     copy payloads out instead.
 //
 //  2. Reading a Ref-typed local after a call to Reset / Detach / Recycle
-//     on an arena (or tree Recycle / slab Release) that can reach the
+//     on an arena (or tree Recycle / slab Release / core.IndexedTable
+//     Release, which recycles the table's whole index) that can reach the
 //     read. The check is receiver-agnostic — any invalidation kills every
 //     live Ref in the function — because the Ref carries no link to its
 //     backing arena; a reassignment of the Ref revives it.
@@ -138,7 +139,8 @@ func isInvalidator(pass *qlint.Pass, call *ast.CallExpr) bool {
 			qlint.FromPkg(tv.Type, "internal/prefixtree") ||
 			qlint.FromPkg(tv.Type, "internal/kisstree")
 	case "Release":
-		return qlint.FromPkg(tv.Type, "internal/duplist")
+		return qlint.FromPkg(tv.Type, "internal/duplist") ||
+			qlint.NamedFrom(tv.Type, "internal/core", "IndexedTable")
 	}
 	return false
 }

@@ -3,7 +3,10 @@
 // packages nor read after their backing storage is invalidated.
 package refs
 
-import "qppt/internal/arena"
+import (
+	"qppt/internal/arena"
+	"qppt/internal/core"
+)
 
 // holder is NOT an arena-owned type, so persisting a Ref in it dangles.
 type holder struct {
@@ -79,6 +82,21 @@ func freshAfterDetach(a *arena.Arena) int {
 func useParamAfterRecycle(a *arena.Arena, rec *arena.Recycler, r arena.Ref) int {
 	a.Recycle(rec)
 	return a.At(r) // want `arena.Ref r is read after a.Recycle\(\)`
+}
+
+// Flagged: releasing an indexed table recycles its index's chunks, which
+// kills compact pointers like an arena Reset.
+func useAfterTableRelease(a *arena.Arena, t *core.IndexedTable) int {
+	r := a.Alloc()
+	t.Release()
+	return a.At(r) // want `arena.Ref r is read after t.Release\(\)`
+}
+
+// Clean: other core types' Release methods recycle nothing.
+func useAfterPlanRelease(a *arena.Arena, p *core.Plan) int {
+	r := a.Alloc()
+	p.Release()
+	return a.At(r)
 }
 
 // Suppressed: audited exception.

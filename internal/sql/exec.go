@@ -271,15 +271,11 @@ func (s *Statement) RunExec(ctx context.Context, env *core.Env, exec core.Option
 	if err != nil {
 		return nil, nil, err
 	}
-	res := core.Extract(out)
-	rows := make([][]uint64, len(res.Rows))
-	for i, r := range res.Rows {
-		nr := make([]uint64, len(s.selOrder))
-		for j, c := range s.selOrder {
-			nr[j] = r[c]
-		}
-		rows[i] = nr
-	}
+	// The rows are copied out in SELECT order in one walk; the result index
+	// is dead after it and goes back to the chunk pool like every
+	// intermediate (a no-op without a recycler).
+	rows := core.Project(out, s.selOrder)
+	out.Release()
 	if len(s.orderSpec) > 0 {
 		spec := s.orderSpec
 		sort.SliceStable(rows, func(a, c int) bool {

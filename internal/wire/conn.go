@@ -35,6 +35,11 @@ type srvConn struct {
 	stmts   map[string]*qppt.Stmt
 	portals map[string]portal
 
+	// out is the payload buffer every answer frame is built in: one per
+	// connection, reused frame after frame (WriteFrame copies it into bw),
+	// instead of one grown from nothing per row batch.
+	out Payload
+
 	// inflight is the cancel func of the currently executing command,
 	// armed by the serve loop and fired by the read loop on Cancel.
 	inflight atomic.Pointer[context.CancelFunc]
@@ -311,7 +316,8 @@ func (c *srvConn) run(qctx context.Context, stmt *qppt.Stmt, flags byte) error {
 }
 
 func (c *srvConn) stream(rows *sql.Rows, flags byte, elapsed time.Duration) error {
-	var pl Payload
+	pl := &c.out
+	pl.Buf = pl.Buf[:0]
 	pl.Uvarint(uint64(len(rows.Attrs)))
 	for _, a := range rows.Attrs {
 		pl.Str(a)
@@ -325,32 +331,32 @@ func (c *srvConn) stream(rows *sql.Rows, flags byte, elapsed time.Duration) erro
 		if n > RowBatchSize {
 			n = RowBatchSize
 		}
-		var bp Payload
-		bp.Uvarint(uint64(n))
-		bp.Uvarint(uint64(ncols))
+		pl.Buf = pl.Buf[:0]
+		pl.Uvarint(uint64(n))
+		pl.Uvarint(uint64(ncols))
 		ftype := FrameRowBatch
 		if flags&FlagDecode != 0 {
 			ftype = FrameRowBatchStr
 			for i := 0; i < n; i++ {
 				for j := 0; j < ncols; j++ {
-					bp.Str(rows.Decode(base+i, j))
+					pl.Str(rows.Decode(base+i, j))
 				}
 			}
 		} else {
 			for i := 0; i < n; i++ {
 				for _, v := range rows.Rows[base+i] {
-					bp.Uvarint(v)
+					pl.Uvarint(v)
 				}
 			}
 		}
-		if err := WriteFrame(c.bw, ftype, bp.Buf); err != nil {
+		if err := WriteFrame(c.bw, ftype, pl.Buf); err != nil {
 			return err
 		}
 	}
-	var dp Payload
-	dp.Uvarint(uint64(len(rows.Rows)))
-	dp.Uvarint(uint64(elapsed.Nanoseconds()))
-	return WriteFrame(c.bw, FrameDone, dp.Buf)
+	pl.Buf = pl.Buf[:0]
+	pl.Uvarint(uint64(len(rows.Rows)))
+	pl.Uvarint(uint64(elapsed.Nanoseconds()))
+	return WriteFrame(c.bw, FrameDone, pl.Buf)
 }
 
 func (c *srvConn) writeErr(class Class, msg string) error {

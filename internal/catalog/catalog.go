@@ -165,14 +165,13 @@ func (ti *TableInfo) Code(col, s string) uint64 {
 	return d.MustCode(s)
 }
 
+// Encoder returns the cell encoder of a column: its dictionary for a
+// string column, numbers for any other.
+func (ti *TableInfo) Encoder(col string) CellEncoder { return CellEncoder{Dict: ti.dicts[col]} }
+
 // Decode renders a column value for output: dictionary strings decoded,
 // integers printed as numbers.
-func (ti *TableInfo) Decode(col string, v uint64) string {
-	if d := ti.dicts[col]; d != nil {
-		return d.String(v)
-	}
-	return fmt.Sprintf("%d", v)
-}
+func (ti *TableInfo) Decode(col string, v uint64) string { return ti.Encoder(col).String(v) }
 
 // Bits reports the minimal key width of a column (RIDCol for the record
 // identifier).

@@ -3,6 +3,7 @@ package catalog
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -76,7 +77,7 @@ func TestDictRangeHelpers(t *testing.T) {
 	}
 }
 
-func loadMini(t *testing.T) (*Catalog, *TableInfo) {
+func loadMini(t testing.TB) (*Catalog, *TableInfo) {
 	t.Helper()
 	c := New()
 	ti, err := c.Load("parts", []ColumnData{
@@ -348,5 +349,67 @@ func TestBuildIndexCtxCancelled(t *testing.T) {
 	}
 	if idx.Rows() != n {
 		t.Fatalf("rebuilt index has %d rows, want %d", idx.Rows(), n)
+	}
+}
+
+// TestCellEncoder: the three ways to render a cell — TableInfo.Decode,
+// CellEncoder.String and CellEncoder.AppendText — are one encoder and
+// agree with fmt, for numbers, dictionary strings and codes outside the
+// dictionary.
+func TestCellEncoder(t *testing.T) {
+	_, ti := loadMini(t)
+	for _, col := range []string{"brand", "size"} {
+		enc := ti.Encoder(col)
+		for _, v := range []uint64{0, 1, 2, 3, 9, 99, 100, 1 << 32, 1<<64 - 1} {
+			want := fmt.Sprintf("%d", v)
+			if d := ti.Dict(col); d != nil && v < uint64(d.Len()) {
+				want = d.strs[v]
+			} else if d != nil {
+				want = fmt.Sprintf("<code %d>", v)
+			}
+			if got := ti.Decode(col, v); got != want {
+				t.Errorf("Decode(%s, %d) = %q, want %q", col, v, got, want)
+			}
+			if got := enc.String(v); got != want {
+				t.Errorf("Encoder(%s).String(%d) = %q, want %q", col, v, got, want)
+			}
+			if got := string(enc.AppendText([]byte("x"), v)); got != "x"+want {
+				t.Errorf("Encoder(%s).AppendText(x, %d) = %q, want %q", col, v, got, "x"+want)
+			}
+		}
+	}
+}
+
+// TestDecodeCellAllocs: decoding allocates the string it returns and
+// nothing else — and not even that for a dictionary string — and appending
+// into a buffer with room allocates nothing.
+func TestDecodeCellAllocs(t *testing.T) {
+	_, ti := loadMini(t)
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = ti.Decode("size", 123456789) }); n > 1 {
+		t.Errorf("Decode of a numeric cell allocates %.0f objects, want at most the string", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = ti.Decode("brand", 1) }); n != 0 {
+		t.Errorf("Decode of a dictionary cell allocates %.0f objects, want 0", n)
+	}
+	buf := make([]byte, 0, 64)
+	brand, size := ti.Encoder("brand"), ti.Encoder("size")
+	if n := testing.AllocsPerRun(100, func() {
+		buf = size.AppendText(brand.AppendText(brand.AppendText(buf[:0], 1), 1<<40), 1<<64-1)
+	}); n != 0 {
+		t.Errorf("AppendText into a buffer with room allocates %.0f objects, want 0", n)
+	}
+	_ = sink
+}
+
+// BenchmarkDecodeCell is the result path's unit of work: one dictionary
+// cell and one numeric cell appended to a reused buffer.
+func BenchmarkDecodeCell(b *testing.B) {
+	_, ti := loadMini(b)
+	brand, size := ti.Encoder("brand"), ti.Encoder("size")
+	buf := make([]byte, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = size.AppendText(brand.AppendText(buf[:0], uint64(i)&1), uint64(i))
 	}
 }

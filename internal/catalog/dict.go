@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // A Dict is an order-preserving string dictionary: codes are assigned in
@@ -74,9 +75,44 @@ func (d *Dict) MustCode(s string) uint64 {
 // String returns the string for a code.
 func (d *Dict) String(code uint64) string {
 	if code >= uint64(len(d.strs)) {
-		return fmt.Sprintf("<code %d>", code)
+		return string(d.AppendString(nil, code))
 	}
 	return d.strs[code]
+}
+
+// AppendString appends the string for a code to dst. A code outside the
+// dictionary renders as "<code N>".
+func (d *Dict) AppendString(dst []byte, code uint64) []byte {
+	if code >= uint64(len(d.strs)) {
+		dst = append(dst, "<code "...)
+		dst = strconv.AppendUint(dst, code, 10)
+		return append(dst, '>')
+	}
+	return append(dst, d.strs[code]...)
+}
+
+// A CellEncoder renders the values of one column as text: dictionary
+// strings for a string column, decimal numbers otherwise. It is resolved
+// once per column (TableInfo.Encoder), so rendering a cell looks nothing
+// up. The zero value renders numbers.
+type CellEncoder struct {
+	Dict *Dict // nil: a numeric column
+}
+
+// AppendText appends v's text to dst.
+func (e CellEncoder) AppendText(dst []byte, v uint64) []byte {
+	if e.Dict != nil {
+		return e.Dict.AppendString(dst, v)
+	}
+	return strconv.AppendUint(dst, v, 10)
+}
+
+// String returns v's text.
+func (e CellEncoder) String(v uint64) string {
+	if e.Dict != nil {
+		return e.Dict.String(v)
+	}
+	return strconv.FormatUint(v, 10)
 }
 
 // CeilCode returns the smallest code whose string is >= s, and ok == false

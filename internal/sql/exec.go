@@ -193,8 +193,7 @@ func (b *builder) finish(plan *core.Plan) (*Statement, error) {
 		if it.Agg != nil {
 			s.Attrs = append(s.Attrs, b.aggNames[aggIdx])
 			s.selOrder = append(s.selOrder, s.nGroup+aggIdx)
-			s.decodeTis = append(s.decodeTis, nil)
-			s.decodeCol = append(s.decodeCol, "")
+			s.cells = append(s.cells, catalog.CellEncoder{})
 			aggIdx++
 			continue
 		}
@@ -208,9 +207,7 @@ func (b *builder) finish(plan *core.Plan) (*Statement, error) {
 		}
 		s.Attrs = append(s.Attrs, name)
 		s.selOrder = append(s.selOrder, gp)
-		owner := b.tis[b.groupOwner[gp]]
-		s.decodeTis = append(s.decodeTis, owner)
-		s.decodeCol = append(s.decodeCol, it.Col.Name)
+		s.cells = append(s.cells, b.tis[b.groupOwner[gp]].Encoder(it.Col.Name))
 	}
 	for _, o := range b.stmt.OrderBy {
 		pos := -1
@@ -295,5 +292,5 @@ func (s *Statement) RunExec(ctx context.Context, env *core.Env, exec core.Option
 			return false
 		})
 	}
-	return &Rows{Attrs: s.Attrs, Rows: rows, stmt: s}, stats, nil
+	return &Rows{Attrs: s.Attrs, Rows: rows, Cells: s.cells}, stats, nil
 }

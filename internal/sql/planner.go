@@ -38,27 +38,23 @@ type Statement struct {
 	opts  Options
 	// extraction state
 	nGroup    int
-	selOrder  []int                // result column positions in SELECT order
-	orderSpec []int                // orderRows-style sort spec over output rows
-	decodeTis []*catalog.TableInfo // per output column; nil = numeric
-	decodeCol []string
+	selOrder  []int                 // result column positions in SELECT order
+	orderSpec []int                 // orderRows-style sort spec over output rows
+	cells     []catalog.CellEncoder // per output column, resolved at plan time
 }
 
 // Rows is a materialized, ordered query result.
 type Rows struct {
 	Attrs []string
 	Rows  [][]uint64
-
-	stmt *Statement
+	// Cells are the columns' text encoders in SELECT order, resolved when
+	// the statement was planned: every reader of a result — Decode here,
+	// the wire server's decoded row batches — renders cells through them.
+	Cells []catalog.CellEncoder
 }
 
 // Decode renders one cell human-readably (dictionary strings decoded).
-func (r *Rows) Decode(row, col int) string {
-	if ti := r.stmt.decodeTis[col]; ti != nil {
-		return ti.Decode(r.stmt.decodeCol[col], r.Rows[row][col])
-	}
-	return fmt.Sprintf("%d", r.Rows[row][col])
-}
+func (r *Rows) Decode(row, col int) string { return r.Cells[col].String(r.Rows[row][col]) }
 
 // PlanSQL parses and plans a query in one step.
 func (p *Planner) PlanSQL(src string, opt Options) (*Statement, error) {

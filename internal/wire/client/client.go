@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,6 +24,15 @@ import (
 // in-process Session.Query results; decoded-mode queries fill Strs with
 // the catalog-decoded cell texts. Elapsed is the server-side execution
 // time reported by the Done frame.
+//
+// A Result owns its memory: it stays valid, and may be modified, after
+// later queries on the same connection. Its rows are not allocated one by
+// one, though. The rows of one row-batch frame (wire.RowBatchSize rows)
+// are cut from one backing slice, each with its capacity clipped to its
+// length, so appending to a row reallocates it instead of running into the
+// next. The cells of one decoded frame are substrings of one string: a
+// caller that keeps a single cell keeps its whole frame (a few KiB) alive —
+// strings.Clone the cell to keep less.
 type Result struct {
 	Attrs   []string
 	Rows    [][]uint64
@@ -36,6 +46,9 @@ type Result struct {
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
+	// frame holds the payload of the frame being decoded, reused frame
+	// after frame: everything a Result keeps is copied out of it.
+	frame []byte
 
 	// reqMu serializes request/response cycles; wmu serializes raw frame
 	// writes beneath them, so Cancel can cut in while a Query holds reqMu
@@ -60,7 +73,7 @@ func New(addr string) (*Conn, error) {
 // NewConn performs the handshake over an established connection, taking
 // ownership of nc.
 func NewConn(nc net.Conn) (*Conn, error) {
-	c := &Conn{nc: nc, br: bufio.NewReader(nc)}
+	c := &Conn{nc: nc, br: bufio.NewReaderSize(nc, wire.BufSize)}
 	var pl wire.Payload
 	pl.Str(wire.Magic)
 	pl.Uvarint(wire.Version)
@@ -68,7 +81,7 @@ func NewConn(nc net.Conn) (*Conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	t, p, err := wire.ReadFrame(c.br, wire.MaxServerFrame)
+	t, p, err := c.readFrame()
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -150,15 +163,10 @@ func (c *Conn) Prepare(name, text string) ([]string, error) {
 	if t == wire.FrameErr {
 		return nil, decodeErr(p)
 	}
-	r := wire.NewPayloadReader(p)
-	attrs := make([]string, r.Uvarint())
-	for i := range attrs {
-		attrs[i] = r.Str()
-	}
-	if t != wire.FramePrepareOK || r.Err() != nil {
+	if t != wire.FramePrepareOK {
 		return nil, fmt.Errorf("qppt wire client: unexpected reply to Prepare (frame 0x%02x)", byte(t))
 	}
-	return attrs, nil
+	return readAttrs(wire.NewPayloadReader(p))
 }
 
 // Bind points a portal at a prepared statement.
@@ -212,8 +220,14 @@ func (c *Conn) writeFrame(t wire.FrameType, payload []byte) error {
 	return wire.WriteFrame(c.nc, t, payload)
 }
 
+// readFrame reads the next frame into the connection's frame buffer; the
+// payload is valid until the next readFrame.
 func (c *Conn) readFrame() (wire.FrameType, []byte, error) {
-	return wire.ReadFrame(c.br, wire.MaxServerFrame)
+	t, p, err := wire.ReadFrameInto(c.br, wire.MaxServerFrame, c.frame)
+	if err == nil {
+		c.frame = p
+	}
+	return t, p, err
 }
 
 func (c *Conn) readAck(want wire.FrameType, op string) error {
@@ -245,36 +259,33 @@ func (c *Conn) readResult() (*Result, error) {
 		case wire.FrameErr:
 			return nil, decodeErr(p)
 		case wire.FrameRowHeader:
-			res.Attrs = make([]string, r.Uvarint())
-			for i := range res.Attrs {
-				res.Attrs[i] = r.Str()
+			if res.Attrs, err = readAttrs(r); err != nil {
+				return nil, err
 			}
 			sawHeader = true
 		case wire.FrameRowBatch:
-			nrows, ncols := r.Uvarint(), r.Uvarint()
-			for i := uint64(0); i < nrows; i++ {
-				row := make([]uint64, ncols)
-				for j := range row {
-					row[j] = r.Uvarint()
-				}
-				res.Rows = append(res.Rows, row)
+			nrows, ncols, err := batchShape(r, res.Attrs)
+			if err != nil {
+				return nil, err
 			}
+			cells := make([]uint64, nrows*ncols)
+			r.Uvarints(cells)
+			res.Rows = appendRows(res.Rows, cells, nrows, ncols)
 		case wire.FrameRowBatchStr:
-			nrows, ncols := r.Uvarint(), r.Uvarint()
-			for i := uint64(0); i < nrows; i++ {
-				row := make([]string, ncols)
-				for j := range row {
-					row[j] = r.Str()
-				}
-				res.Strs = append(res.Strs, row)
+			nrows, ncols, err := batchShape(r, res.Attrs)
+			if err != nil {
+				return nil, err
 			}
+			cells := make([]string, nrows*ncols)
+			r.Strs(cells)
+			res.Strs = appendRows(res.Strs, cells, nrows, ncols)
 		case wire.FrameDone:
 			nrows := r.Uvarint()
 			res.Elapsed = time.Duration(r.Uvarint())
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if !sawHeader || (uint64(len(res.Rows)) != nrows && uint64(len(res.Strs)) != nrows) {
+			if !sawHeader || (res.Rows != nil && res.Strs != nil) || uint64(len(res.Rows)+len(res.Strs)) != nrows {
 				return nil, fmt.Errorf("qppt wire client: Done reports %d rows, received %d", nrows, len(res.Rows)+len(res.Strs))
 			}
 			return res, nil
@@ -285,6 +296,53 @@ func (c *Conn) readResult() (*Result, error) {
 			return nil, err
 		}
 	}
+}
+
+// A count read off the wire is a claim: before anything is sized by it, it
+// is checked against the payload bytes left to back it, so a corrupt or
+// hostile stream gets a protocol error, not a huge allocation or a
+// makeslice panic.
+
+// readAttrs reads a count and that many attribute names, each of which
+// takes at least one byte.
+func readAttrs(r *wire.PayloadReader) ([]string, error) {
+	n := r.Uvarint()
+	if n > uint64(r.Len()) {
+		return nil, fmt.Errorf("qppt wire client: %d attributes declared in %d bytes", n, r.Len())
+	}
+	attrs := make([]string, n)
+	for i := range attrs {
+		attrs[i] = r.Str()
+	}
+	return attrs, r.Err()
+}
+
+// batchShape reads a row batch's row and column counts. The rows must be
+// as wide as the answer's header said, and every cell takes at least one
+// byte; rows of no cells would take none, so nothing bounds their number
+// and they are refused.
+func batchShape(r *wire.PayloadReader, attrs []string) (nrows, ncols int, err error) {
+	nr, nc := r.Uvarint(), r.Uvarint()
+	if nc != uint64(len(attrs)) || (nr > 0 && (nc == 0 || nr > uint64(r.Len())/nc)) {
+		return 0, 0, fmt.Errorf("qppt wire client: row batch declares %d x %d cells in %d bytes under %d attributes", nr, nc, r.Len(), len(attrs))
+	}
+	return int(nr), int(nc), r.Err()
+}
+
+// appendRows cuts one frame's cells into nrows rows of ncols and appends
+// them. Each row's capacity is clipped to its length, so an append to one
+// row cannot run into the next. The row list at least doubles when it is
+// full: growing it by a frame's worth at a time would copy a long answer's
+// list more often than appending row by row did.
+func appendRows[T any](rows [][]T, cells []T, nrows, ncols int) [][]T {
+	if cap(rows)-len(rows) < nrows {
+		rows = slices.Grow(rows, max(nrows, cap(rows)))
+	}
+	for ; nrows > 0; nrows-- {
+		rows = append(rows, cells[:ncols:ncols])
+		cells = cells[ncols:]
+	}
+	return rows
 }
 
 func decodeErr(p []byte) error {

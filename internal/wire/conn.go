@@ -1,9 +1,10 @@
 package wire
 
 import (
-	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,7 @@ const handshakeTimeout = 10 * time.Second
 type srvConn struct {
 	srv *Server
 	nc  net.Conn
-	bw  *bufio.Writer
+	out frameWriter
 
 	// ctx is the connection's lifetime: cancelled on client disconnect,
 	// protocol failure, or Server.Close, which aborts any in-flight plan.
@@ -34,11 +35,6 @@ type srvConn struct {
 	sess    *qppt.Conn
 	stmts   map[string]*qppt.Stmt
 	portals map[string]portal
-
-	// out is the payload buffer every answer frame is built in: one per
-	// connection, reused frame after frame (WriteFrame copies it into bw),
-	// instead of one grown from nothing per row batch.
-	out Payload
 
 	// inflight is the cancel func of the currently executing command,
 	// armed by the serve loop and fired by the read loop on Cancel.
@@ -69,7 +65,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	c := &srvConn{
 		srv:     s,
 		nc:      nc,
-		bw:      bufio.NewWriter(nc),
+		out:     frameWriter{w: nc},
 		ctx:     ctx,
 		cancel:  cancel,
 		sess:    s.eng.Conn(s.cat),
@@ -142,7 +138,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			err = c.writeErr(ClassBadRequest, fmt.Sprintf("unexpected frame 0x%02x", byte(f.t)))
 		}
 		if err == nil {
-			err = c.bw.Flush()
+			err = c.out.flush()
 		}
 		if err != nil {
 			return // connection write failure: nothing left to say
@@ -178,25 +174,25 @@ func (c *srvConn) handshake() error {
 	magic, version := r.Str(), r.Uvarint()
 	if t != FrameHello || r.Err() != nil || magic != Magic {
 		c.writeErr(ClassBadRequest, "malformed handshake")
-		c.bw.Flush()
+		c.out.flush()
 		return fmt.Errorf("qppt wire: malformed handshake")
 	}
 	if version < 1 {
 		c.writeErr(ClassBadRequest, fmt.Sprintf("unsupported protocol version %d", version))
-		c.bw.Flush()
+		c.out.flush()
 		return fmt.Errorf("qppt wire: unsupported version %d", version)
 	}
 	negotiated := uint64(Version)
 	if version < negotiated {
 		negotiated = version
 	}
-	var pl Payload
-	pl.Uvarint(negotiated)
-	pl.Str(c.srv.banner)
-	if err := WriteFrame(c.bw, FrameHelloOK, pl.Buf); err != nil {
+	c.out.begin(FrameHelloOK)
+	c.out.Uvarint(negotiated)
+	c.out.Str(c.srv.banner)
+	if err := c.out.end(); err != nil {
 		return err
 	}
-	return c.bw.Flush()
+	return c.out.flush()
 }
 
 // doQuery plans (through the statement cache) and runs one statement,
@@ -238,13 +234,9 @@ func (c *srvConn) doPrepare(p []byte) error {
 		return c.writeErr(Classify(err, ClassBadRequest), err.Error())
 	}
 	c.stmts[name] = stmt
-	var pl Payload
-	attrs := stmt.Attrs()
-	pl.Uvarint(uint64(len(attrs)))
-	for _, a := range attrs {
-		pl.Str(a)
-	}
-	return WriteFrame(c.bw, FramePrepareOK, pl.Buf)
+	c.out.begin(FramePrepareOK)
+	c.out.attrs(stmt.Attrs())
+	return c.out.end()
 }
 
 // doBind points a portal at a prepared statement. QPPT statements have
@@ -261,7 +253,8 @@ func (c *srvConn) doBind(p []byte) error {
 		return c.writeErr(ClassBadRequest, fmt.Sprintf("unknown prepared statement %q", name))
 	}
 	c.portals[portalName] = portal{stmt: stmt, src: name}
-	return WriteFrame(c.bw, FrameBindOK, nil)
+	c.out.begin(FrameBindOK)
+	return c.out.end()
 }
 
 // doExecute runs a bound portal, streaming the result.
@@ -299,7 +292,8 @@ func (c *srvConn) doCloseStmt(p []byte) error {
 			delete(c.portals, portalName)
 		}
 	}
-	return WriteFrame(c.bw, FrameCloseOK, nil)
+	c.out.begin(FrameCloseOK)
+	return c.out.end()
 }
 
 // run executes a statement under the engine's admission gate and
@@ -312,56 +306,89 @@ func (c *srvConn) run(qctx context.Context, stmt *qppt.Stmt, flags byte) error {
 	if err != nil {
 		return c.writeErr(Classify(err, ClassInternal), err.Error())
 	}
-	return c.stream(rows, flags, time.Since(t0))
-}
-
-func (c *srvConn) stream(rows *sql.Rows, flags byte, elapsed time.Duration) error {
-	pl := &c.out
-	pl.Buf = pl.Buf[:0]
-	pl.Uvarint(uint64(len(rows.Attrs)))
-	for _, a := range rows.Attrs {
-		pl.Str(a)
-	}
-	if err := WriteFrame(c.bw, FrameRowHeader, pl.Buf); err != nil {
-		return err
-	}
-	ncols := len(rows.Attrs)
-	for base := 0; base < len(rows.Rows); base += RowBatchSize {
-		n := len(rows.Rows) - base
-		if n > RowBatchSize {
-			n = RowBatchSize
-		}
-		pl.Buf = pl.Buf[:0]
-		pl.Uvarint(uint64(n))
-		pl.Uvarint(uint64(ncols))
-		ftype := FrameRowBatch
-		if flags&FlagDecode != 0 {
-			ftype = FrameRowBatchStr
-			for i := 0; i < n; i++ {
-				for j := 0; j < ncols; j++ {
-					pl.Str(rows.Decode(base+i, j))
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				for _, v := range rows.Rows[base+i] {
-					pl.Uvarint(v)
-				}
-			}
-		}
-		if err := WriteFrame(c.bw, ftype, pl.Buf); err != nil {
-			return err
-		}
-	}
-	pl.Buf = pl.Buf[:0]
-	pl.Uvarint(uint64(len(rows.Rows)))
-	pl.Uvarint(uint64(elapsed.Nanoseconds()))
-	return WriteFrame(c.bw, FrameDone, pl.Buf)
+	return c.out.stream(rows, flags, time.Since(t0))
 }
 
 func (c *srvConn) writeErr(class Class, msg string) error {
-	var pl Payload
-	pl.U8(byte(class))
-	pl.Str(msg)
-	return WriteFrame(c.bw, FrameErr, pl.Buf)
+	c.out.begin(FrameErr)
+	c.out.U8(byte(class))
+	c.out.Str(msg)
+	return c.out.end()
+}
+
+// A frameWriter is a connection's way out. Frames are built where they are
+// sent from: begin opens one behind what is already pending, the embedded
+// Payload's methods append to it, end seals it. Nothing copies a finished
+// frame again — the pending bytes go to the connection in one Write, when
+// BufSize of them have gathered or the command is over (flush).
+type frameWriter struct {
+	w       io.Writer
+	Payload     // pending frames, the last one possibly still open
+	open    int // where the open frame's header starts
+}
+
+func (fw *frameWriter) begin(t FrameType) {
+	fw.open = len(fw.Buf)
+	fw.Buf = append(fw.Buf, byte(t), 0, 0, 0, 0)
+}
+
+func (fw *frameWriter) end() error {
+	binary.BigEndian.PutUint32(fw.Buf[fw.open+1:], uint32(len(fw.Buf)-fw.open-5))
+	if len(fw.Buf) >= BufSize {
+		return fw.flush()
+	}
+	return nil
+}
+
+func (fw *frameWriter) flush() error {
+	if len(fw.Buf) == 0 {
+		return nil
+	}
+	_, err := fw.w.Write(fw.Buf)
+	fw.Buf = fw.Buf[:0]
+	return err
+}
+
+func (fw *frameWriter) attrs(attrs []string) {
+	fw.Uvarint(uint64(len(attrs)))
+	for _, a := range attrs {
+		fw.Str(a)
+	}
+}
+
+// stream writes one answer: RowHeader, a row batch per RowBatchSize rows
+// (decoded through the result's cell encoders under FlagDecode, raw codes
+// otherwise), Done.
+func (fw *frameWriter) stream(rows *sql.Rows, flags byte, elapsed time.Duration) error {
+	fw.begin(FrameRowHeader)
+	fw.attrs(rows.Attrs)
+	if err := fw.end(); err != nil {
+		return err
+	}
+	ncols, decode, batchType := len(rows.Attrs), flags&FlagDecode != 0, FrameRowBatch
+	if decode {
+		batchType = FrameRowBatchStr
+	}
+	for base := 0; base < len(rows.Rows); base += RowBatchSize {
+		fw.begin(batchType)
+		batch := rows.Rows[base:min(base+RowBatchSize, len(rows.Rows))]
+		fw.Uvarint(uint64(len(batch)))
+		fw.Uvarint(uint64(ncols))
+		for _, row := range batch {
+			for j, v := range row {
+				if decode {
+					fw.cell(rows.Cells[j], v)
+				} else {
+					fw.Uvarint(v)
+				}
+			}
+		}
+		if err := fw.end(); err != nil {
+			return err
+		}
+	}
+	fw.begin(FrameDone)
+	fw.Uvarint(uint64(len(rows.Rows)))
+	fw.Uvarint(uint64(elapsed.Nanoseconds()))
+	return fw.end()
 }

@@ -33,8 +33,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"qppt"
+	"qppt/internal/catalog"
 )
 
 // Magic opens every Hello frame; Version is the protocol revision the
@@ -192,21 +194,49 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, rejecting payloads beyond max.
-func ReadFrame(r io.Reader, max int) (FrameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// BufSize sizes both ends' connection buffers: the server writes an
+// answer out whenever this many bytes of frames are pending (so a ~6 KiB
+// row batch is never split across writes), and the client reads the socket
+// through a buffer of the same size.
+const BufSize = 64 << 10
+
+// ReadFrame reads one frame, rejecting payloads beyond limit.
+func ReadFrame(r io.Reader, limit int) (FrameType, []byte, error) {
+	return ReadFrameInto(r, limit, nil)
+}
+
+// ReadFrameInto is ReadFrame reading the payload into buf's storage
+// (growing it as needed): a reader that is done with one frame's payload
+// before it reads the next hands the same buffer back and allocates
+// nothing per frame.
+func ReadFrameInto(r io.Reader, limit int, buf []byte) (FrameType, []byte, error) {
+	// The header is read into buf too (a local array would escape through
+	// r and cost an allocation per frame); the payload then overwrites it.
+	buf = slices.Grow(buf[:0], 5)
+	hdr := buf[:5]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if int(n) > max {
-		return 0, nil, fmt.Errorf("qppt wire: frame of %d bytes exceeds limit %d", n, max)
+	t, n := FrameType(hdr[0]), int(binary.BigEndian.Uint32(hdr[1:]))
+	if n > limit {
+		return 0, nil, fmt.Errorf("qppt wire: frame of %d bytes exceeds limit %d", n, limit)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	// The declared length is a claim until the bytes arrive: beyond what buf
+	// already holds, storage grows only as fast as the stream delivers, so
+	// five hostile bytes cannot make the reader allocate MaxServerFrame.
+	for len(buf) < n {
+		step := min(n-len(buf), max(cap(buf)-len(buf), len(buf), BufSize))
+		buf = slices.Grow(buf, step)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
 	}
-	return FrameType(hdr[0]), payload, nil
+	return t, buf, nil
 }
 
 // A Payload builds a frame payload: uvarint scalars, length-prefixed
@@ -220,6 +250,25 @@ func (p *Payload) Uvarint(v uint64) { p.Buf = binary.AppendUvarint(p.Buf, v) }
 func (p *Payload) Str(s string) {
 	p.Buf = binary.AppendUvarint(p.Buf, uint64(len(s)))
 	p.Buf = append(p.Buf, s...)
+}
+
+// cell appends v's text as a Str without building the string: the text is
+// rendered in place behind a one-byte length, all that a number or a
+// dictionary string under 128 bytes needs; a longer text is moved up to
+// make room for the rest of its length.
+func (p *Payload) cell(enc catalog.CellEncoder, v uint64) {
+	at := len(p.Buf)
+	p.Buf = enc.AppendText(append(p.Buf, 0), v)
+	n := len(p.Buf) - at - 1
+	if n < 0x80 {
+		p.Buf[at] = byte(n)
+		return
+	}
+	var length [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(length[:], uint64(n))
+	p.Buf = append(p.Buf, length[1:k]...)
+	copy(p.Buf[at+k:], p.Buf[at+1:at+1+n])
+	copy(p.Buf[at:], length[:k])
 }
 
 // A PayloadReader decodes a frame payload. Decoding errors stick: check
@@ -273,6 +322,48 @@ func (r *PayloadReader) Str() string {
 	r.buf = r.buf[n:]
 	return s
 }
+
+// Uvarints fills dst with the next len(dst) scalars.
+func (r *PayloadReader) Uvarints(dst []uint64) {
+	if r.err != nil {
+		return
+	}
+	buf := r.buf
+	for i := range dst {
+		v, n := binary.Uvarint(buf)
+		if n <= 0 {
+			r.err = errTruncated
+			return
+		}
+		dst[i], buf = v, buf[n:]
+	}
+	r.buf = buf
+}
+
+// Strs fills dst with the next len(dst) strings, carved out of one copy
+// of the unread payload instead of one copy per string: the strings share
+// that copy's storage, and any one of them keeps all of it alive.
+func (r *PayloadReader) Strs(dst []string) {
+	if r.err != nil {
+		return
+	}
+	all, at := string(r.buf), 0
+	for i := range dst {
+		n, k := binary.Uvarint(r.buf[at:])
+		if k <= 0 || uint64(len(all)-at-k) < n {
+			r.err = errTruncated
+			return
+		}
+		at += k
+		dst[i] = all[at : at+int(n)]
+		at += int(n)
+	}
+	r.buf = r.buf[at:]
+}
+
+// Len reports how many payload bytes are unread. Every scalar and every
+// string takes at least one, which bounds any count a payload declares.
+func (r *PayloadReader) Len() int { return len(r.buf) }
 
 // Err reports the first decoding failure, or nil.
 func (r *PayloadReader) Err() error { return r.err }

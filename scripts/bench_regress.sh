@@ -14,7 +14,9 @@
 # and pointer layouts), the synchronous index scan, the fused-chain
 # plan execution (fused vs materialized, serial and parallel), and the
 # SWAR batch kernels (level-synchronous probe descent kernel vs scalar,
-# and the range-stream selection-vector path). Benchmarks
+# and the range-stream selection-vector path), and the serving tier's
+# result path (the cell encoder, and a 10 k-row answer from server encode
+# over loopback to client decode, raw and decoded). Benchmarks
 # run with -benchmem, so cmd/benchdiff gates allocs/op next to ns/op —
 # allocation regressions on the hot kernels fail CI even when wall time
 # hides them in runner noise.
@@ -31,8 +33,8 @@ cd "$(dirname "$0")/.."
 
 COUNT=${COUNT:-6}
 BENCHTIME=${BENCHTIME:-0.3s}
-PATTERN='BenchmarkMergePartials|BenchmarkInsertBatch|BenchmarkLookupBatch|BenchmarkSyncScan|BenchmarkKissLookupBatch|BenchmarkKissInsertBatch|BenchmarkFusedChain|BenchmarkBatchedProbe|BenchmarkProbeKernel|BenchmarkRangeStreamKernel'
-PKGS="./internal/core ./internal/prefixtree ./internal/kisstree ./internal/kernel"
+PATTERN='BenchmarkMergePartials|BenchmarkInsertBatch|BenchmarkLookupBatch|BenchmarkSyncScan|BenchmarkKissLookupBatch|BenchmarkKissInsertBatch|BenchmarkFusedChain|BenchmarkBatchedProbe|BenchmarkProbeKernel|BenchmarkRangeStreamKernel|BenchmarkStreamDecoded|BenchmarkStreamRaw|BenchmarkDecodeCell'
+PKGS="./internal/core ./internal/prefixtree ./internal/kisstree ./internal/kernel ./internal/wire ./internal/catalog"
 
 run_benches() { # $1 = count
   go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$1" $PKGS

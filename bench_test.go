@@ -14,12 +14,14 @@
 package qppt_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
 	"sync"
 	"testing"
 
+	"qppt"
 	"qppt/internal/bench"
 	"qppt/internal/core"
 	"qppt/internal/ssb"
@@ -52,7 +54,7 @@ func dataset(b *testing.B) *ssb.Dataset {
 	b.Helper()
 	dsOnce.Do(func() {
 		dsSSB = ssb.MustLoad(ssb.GenConfig{SF: benchSF(), Seed: 42})
-		if err := bench.WarmupQueries(dsSSB); err != nil {
+		if err := bench.WarmupQueries(dsSSB, benchEngine(b).Env()); err != nil {
 			panic(err)
 		}
 	})
@@ -85,13 +87,25 @@ func BenchmarkFigure3b(b *testing.B) {
 	}
 }
 
+// benchEngine is a default-configured engine, closed when the benchmark
+// ends; the hand-built plans run on its Env.
+func benchEngine(b *testing.B) *qppt.Engine {
+	eng, err := qppt.New(qppt.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Close() })
+	return eng
+}
+
 // BenchmarkFigure7 regenerates Figure 7: every SSB query on every engine.
 func BenchmarkFigure7(b *testing.B) {
 	ds := dataset(b)
+	env := benchEngine(b).Env()
 	for _, qid := range ssb.QueryIDs {
 		b.Run("Q"+qid+"/qppt", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ds.RunQPPT(qid, ssb.DefaultPlanOptions()); err != nil {
+				if _, _, err := ds.RunQPPT(context.Background(), env, qid, ssb.DefaultPlanOptions(), core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -117,13 +131,14 @@ func BenchmarkFigure7(b *testing.B) {
 // composed select-join-group operator.
 func BenchmarkFigure8(b *testing.B) {
 	ds := dataset(b)
+	env := benchEngine(b).Env()
 	for _, cfg := range []struct {
 		name string
 		sj   bool
 	}{{"with-select-join", true}, {"without-select-join", false}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ds.RunQPPT("1.1", ssb.PlanOptions{UseSelectJoin: cfg.sj}); err != nil {
+				if _, _, err := ds.RunQPPT(context.Background(), env, "1.1", ssb.PlanOptions{UseSelectJoin: cfg.sj}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -134,10 +149,11 @@ func BenchmarkFigure8(b *testing.B) {
 // BenchmarkFigure9 regenerates Figure 9: Q4.1 under join-arity caps.
 func BenchmarkFigure9(b *testing.B) {
 	ds := dataset(b)
+	env := benchEngine(b).Env()
 	for arity := 2; arity <= 5; arity++ {
 		b.Run(fmt.Sprintf("%d-way", arity), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ds.RunQPPT("4.1", ssb.PlanOptions{JoinArity: arity}); err != nil {
+				if _, _, err := ds.RunQPPT(context.Background(), env, "4.1", ssb.PlanOptions{JoinArity: arity}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -148,11 +164,12 @@ func BenchmarkFigure9(b *testing.B) {
 // BenchmarkAblationJoinBuffer sweeps the demonstrator's joinbuffer size.
 func BenchmarkAblationJoinBuffer(b *testing.B) {
 	ds := dataset(b)
+	env := benchEngine(b).Env()
 	for _, size := range []int{1, 64, 512, 2048} {
 		b.Run(fmt.Sprintf("buffer=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := ssb.PlanOptions{UseSelectJoin: true, Exec: core.Options{BufferSize: size}}
-				if _, _, err := ds.RunQPPT("2.3", opt); err != nil {
+				exec := core.Options{BufferSize: size}
+				if _, _, err := ds.RunQPPT(context.Background(), env, "2.3", ssb.PlanOptions{UseSelectJoin: true}, exec); err != nil {
 					b.Fatal(err)
 				}
 			}

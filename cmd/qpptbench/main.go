@@ -2,55 +2,49 @@
 //
 // Usage:
 //
-//	qpptbench -fig 3a|3b|7|8|9|joinbuffer|workers|kprime|compression|duplicates|batch|memlife|fusion|probe|kernel|engine|serve|all
+//	qpptbench -fig 3a|3b|7|8|9|joinbuffer|workers|kprime|compression|duplicates|batch|memlife|fusion|probe|kernel|all
 //	          [-sf 0.5] [-reps 3] [-sizes 1000000,4000000,16000000]
-//	          [-workers N] [-morsels M] [-buffer B] [-membudget 256MiB]
-//	          [-recycle] [-mmapthaw]
+//	          [-workers N] [-membudget 256MiB] [-mmapthaw]
+//	          [-norecycle] [-recyclecap 256MiB] [-nofuse] [-nokernel]
+//	          [-max-plans N] [-queue-depth D] [-stmtcache C]
 //	          [-benchjson BENCH_qppt.json] [-benchlabel PR-5]
+//
+// The engine flags are the ones cmd/qpptsql takes (internal/cliflags):
+// the QPPT rows of figures 7, 8 and 9 run on one qppt.Engine configured
+// from them, exactly as a server's queries would (-max-plans, -queue-depth
+// and -stmtcache are accepted for that symmetry; nothing here queues or
+// prepares).
 //
 // -benchjson appends a machine-readable perf snapshot (per-query ms, the
 // memory-lifecycle ablation) to the snapshot history in the given file,
 // so the perf trajectory accumulates across PRs; -benchlabel names the
 // snapshot. A pre-history file holding a single snapshot object is
-// absorbed as the first history entry, and the retired arena-vs-pointer
-// layout rows of older snapshots are preserved verbatim.
+// absorbed as the first history entry, and older snapshots are carried
+// over byte for byte, including fields this version no longer writes.
 //
-// -membudget runs the figure-7 QPPT rows a second time under that
-// intermediate-index memory budget (index spilling enabled) and records
-// them with a membudget= config label — the spill-enabled configuration of
-// the perf trajectory. Accepts plain bytes or K/M/G suffixes. -recycle and
-// -mmapthaw enable the plan-scoped chunk recycler and the zero-copy mmap
-// restore for the QPPT engine rows (and are recorded in the config
-// labels); -fig memlife runs the dedicated memory-lifecycle ablation
-// (allocs, GC pause, thaw bytes read) across those configurations;
-// -fig fusion compares fused and materialized execution of the suite on
-// the decomposed plans (fused-edge counts, streamed combinations, and a
-// bit-identity check per query); -fig probe isolates the batched probe
-// forwarding inside fused chains (batched vs scalar vs materialized, with
-// batch counts and average fill); -fig kernel isolates the SWAR batch
-// kernels inside the batched pipeline (kernel vs scalar fallback vs
-// materialized, with descent-strategy counts and a three-way bit-identity
-// check). -nofuse turns pipeline fusion off for
-// every other figure's QPPT rows; -probebatch sets the probe-forward
-// batch size they run with (1 = scalar); -nokernel forces the scalar
-// kernel fallback everywhere.
+// -membudget runs the figure-7 QPPT rows a second time on an engine with
+// that intermediate-index memory budget (index spilling enabled) and
+// records them with a membudget= config label — the spill-enabled
+// configuration of the perf trajectory. Accepts plain bytes or K/M/G
+// suffixes. -mmapthaw selects the zero-copy mmap restore and -norecycle
+// turns the chunk recycler off for the QPPT engine rows (both are
+// recorded in the config labels); -fig memlife runs the dedicated
+// memory-lifecycle ablation (allocs, GC pause, thaw bytes read) across
+// those configurations; -fig fusion compares fused and materialized
+// execution of the suite on the decomposed plans (fused-edge counts,
+// streamed combinations, and a bit-identity check per query); -fig probe
+// isolates the batched probe forwarding inside fused chains (batched vs
+// scalar vs materialized, with batch counts and average fill); -fig
+// kernel isolates the SWAR batch kernels inside the batched pipeline
+// (kernel vs scalar fallback vs materialized, with descent-strategy
+// counts and a three-way bit-identity check). -nofuse turns pipeline
+// fusion off for every other figure's QPPT rows; -nokernel forces the
+// scalar kernel fallback everywhere.
 //
 // -workers > 1 runs the QPPT engine rows of figures 7, 8 and 9 on a
-// shared worker pool of that size (morsel-driven parallelism); -morsels
-// tunes the per-worker morsel fan-out. The baselines always run
-// single-threaded, and the ablations control their own configuration
-// (the workers ablation sweeps the pool size itself).
-//
-// -fig engine times the thirteen-query suite one-shot (per-plan pools)
-// against engine-reused execution (one core.Env across the suite, the
-// qppt.Engine configuration) and records both row sets in the snapshot —
-// the cross-plan resource-reuse trajectory of the Engine/Session API.
-//
-// -fig serve drives the serving tier: sweeps of concurrent wire-protocol
-// clients (in-process pipes, full handshake/framing) running the suite
-// through one engine, reporting throughput, admission-queue waits and
-// statement-cache hits. -max-plans enables the admission gate for the
-// sweep; -reps sets the passes per client.
+// shared worker pool of that size (morsel-driven parallelism). The
+// baselines always run single-threaded, and the ablations control their
+// own configuration (the workers ablation sweeps the pool size itself).
 //
 // Absolute numbers will differ from the paper's C/C++ system; the point
 // is to reproduce the shapes: who wins, by roughly what factor, and where
@@ -70,6 +64,7 @@ import (
 	"qppt"
 	"qppt/internal/bench"
 	"qppt/internal/cliflags"
+	"qppt/internal/core"
 	"qppt/internal/spill"
 	"qppt/internal/ssb"
 )
@@ -83,22 +78,22 @@ type benchSnapshot struct {
 	Workers   int               `json:"workers"`
 	GoMaxP    int               `json:"gomaxprocs"`
 	MemBudget int64             `json:"membudget,omitempty"`
-	Recycle   bool              `json:"recycle,omitempty"`
 	MmapThaw  bool              `json:"mmapthaw,omitempty"`
 	Queries   []bench.QueryTime `json:"queries,omitempty"`
-	// Layout carries the retired arena-vs-pointer ablation of older
-	// snapshots verbatim, so appending never rewrites recorded history.
+	// Layout is the retired arena-vs-pointer ablation; never written, read
+	// only to recognize a pre-history file that recorded nothing else.
 	Layout  json.RawMessage    `json:"layout,omitempty"`
 	MemLife []bench.MemLifeRow `json:"memlife,omitempty"`
 	Fusion  []bench.FusionRow  `json:"fusion,omitempty"`
 	Probe   []bench.ProbeRow   `json:"probe,omitempty"`
 	Kernel  []bench.KernelRow  `json:"kernel,omitempty"`
-	Serve   []bench.ServeRow   `json:"serve,omitempty"`
 }
 
 // benchHistory is the BENCH_qppt.json layout: snapshots in append order.
+// Recorded snapshots stay raw: rewriting them through benchSnapshot would
+// drop every field a later version stopped writing (recycle, serve).
 type benchHistory struct {
-	Snapshots []benchSnapshot `json:"snapshots"`
+	Snapshots []json.RawMessage `json:"snapshots"`
 }
 
 // appendSnapshot loads the history at path (absorbing a legacy single-
@@ -117,13 +112,17 @@ func appendSnapshot(path string, snap benchSnapshot) error {
 		if jerr := json.Unmarshal(data, &hist); jerr != nil || len(hist.Snapshots) == 0 {
 			var legacy benchSnapshot
 			if jerr2 := json.Unmarshal(data, &legacy); jerr2 == nil && (legacy.Queries != nil || len(legacy.Layout) > 0) {
-				hist.Snapshots = []benchSnapshot{legacy}
+				hist.Snapshots = []json.RawMessage{data}
 			} else if jerr != nil {
 				return fmt.Errorf("parse %s (refusing to overwrite history): %w", path, jerr)
 			}
 		}
 	}
-	hist.Snapshots = append(hist.Snapshots, snap)
+	raw, err := json.Marshal(&snap)
+	if err != nil {
+		return err
+	}
+	hist.Snapshots = append(hist.Snapshots, raw)
 	out, err := json.MarshalIndent(&hist, "", "  ")
 	if err != nil {
 		return err
@@ -132,7 +131,7 @@ func appendSnapshot(path string, snap benchSnapshot) error {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3a, 3b, 7, 8, 9, joinbuffer, workers, kprime, compression, duplicates, batch, memlife, fusion, probe, kernel, engine, serve, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3a, 3b, 7, 8, 9, joinbuffer, workers, kprime, compression, duplicates, batch, memlife, fusion, probe, kernel, all")
 	sf := flag.Float64("sf", 0.5, "SSB scale factor for figures 7-9 (the paper uses 15)")
 	reps := flag.Int("reps", 3, "repetitions per query timing (best-of)")
 	sizesFlag := flag.String("sizes", "1000000,4000000,16000000", "index sizes for figure 3")
@@ -142,20 +141,25 @@ func main() {
 	benchlabel := flag.String("benchlabel", "", "label for the appended perf snapshot (e.g. the PR number)")
 	flag.Parse()
 	execFlags.ApplyRuntime()
-	execAll, err := execFlags.ExecOptions()
+	cfg, err := execFlags.EngineConfig()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad flags: %v\n", err)
 		os.Exit(2)
 	}
 	// The unbudgeted figure rows run without spilling; the -membudget
 	// configuration is timed as its own row set where a figure asks for it.
-	budget := execAll.MemBudget
-	exec := execAll
-	exec.MemBudget = 0
+	budget := cfg.MemBudget
+	cfg.MemBudget = 0
+	eng, err := qppt.New(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	defer eng.Close()
+	env, exec := eng.Env(), core.Options{NoFuse: cfg.DisableFusion}
 	snap := benchSnapshot{
 		Label: *benchlabel, When: time.Now().UTC().Format(time.RFC3339),
-		SF: *sf, Workers: exec.Workers, GoMaxP: runtime.GOMAXPROCS(0), MemBudget: budget,
-		Recycle: exec.Recycle, MmapThaw: exec.MmapThaw,
+		SF: *sf, Workers: cfg.Workers, GoMaxP: runtime.GOMAXPROCS(0), MemBudget: budget,
+		MmapThaw: cfg.MmapThaw,
 	}
 
 	var sizes []int
@@ -183,7 +187,7 @@ func main() {
 		if ds == nil {
 			fmt.Printf("loading SSB SF=%g (seed %d)...\n", *sf, *seed)
 			ds = ssb.MustLoad(ssb.GenConfig{SF: *sf, Seed: *seed})
-			if err := bench.WarmupQueries(ds); err != nil {
+			if err := bench.WarmupQueries(ds, env); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("loaded: %d lineorder rows\n\n", ds.Lineorder.Rows())
@@ -201,7 +205,7 @@ func main() {
 	}
 	if wants("7") {
 		fmt.Printf("=== Figure 7: SSB query performance, SF=%g [ms] ===\n", *sf)
-		rows, err := bench.Figure7Exec(dataset(), *reps, exec)
+		rows, err := bench.Figure7(dataset(), *reps, env, exec)
 		if err != nil {
 			fatal(err)
 		}
@@ -209,16 +213,23 @@ func main() {
 		snap.Queries = append(snap.Queries, rows...)
 		if budget > 0 {
 			fmt.Printf("=== Figure 7 (QPPT rows) under -membudget %s (index spilling) [ms] ===\n", execFlags.MemBudget)
-			spillExec := exec
-			spillExec.MemBudget = budget
+			spillCfg := cfg
+			spillCfg.MemBudget = budget
 			cfgLabel := fmt.Sprintf("membudget=%s", execFlags.MemBudget)
-			if exec.Recycle {
-				cfgLabel += ",recycle"
+			if cfg.DisableRecycle {
+				cfgLabel += ",norecycle"
 			}
-			if exec.MmapThaw {
+			if cfg.MmapThaw {
 				cfgLabel += ",mmapthaw"
 			}
-			srows, err := bench.QPPTTimes(dataset(), *reps, spillExec, cfgLabel)
+			spillEng, err := qppt.New(spillCfg)
+			if err != nil {
+				fatal(err)
+			}
+			srows, err := bench.QPPTTimes(dataset(), *reps, spillEng.Env(), exec, cfgLabel)
+			if cerr := spillEng.Close(); err == nil {
+				err = cerr
+			}
 			if err != nil {
 				fatal(err)
 			}
@@ -228,12 +239,12 @@ func main() {
 	}
 	if wants("8") {
 		fmt.Println("=== Figure 8: SSB Q1.1 with and without select-join [ms] ===")
-		rows, err := bench.Figure8Exec(dataset(), *reps, exec)
+		rows, err := bench.Figure8(dataset(), *reps, env, exec)
 		if err != nil {
 			fatal(err)
 		}
 		printQueryTimes(rows)
-		share, err := bench.Figure8SelectionShare(dataset())
+		share, err := bench.Figure8SelectionShare(dataset(), env)
 		if err != nil {
 			fatal(err)
 		}
@@ -241,7 +252,7 @@ func main() {
 	}
 	if wants("9") {
 		fmt.Println("=== Figure 9: SSB Q4.1 multi-way join configurations [ms] ===")
-		rows, err := bench.Figure9Exec(dataset(), *reps, exec)
+		rows, err := bench.Figure9(dataset(), *reps, env, exec)
 		if err != nil {
 			fatal(err)
 		}
@@ -296,46 +307,6 @@ func main() {
 			fmt.Printf("  batch %5d  lookup %7.1f ns/key\n", r.BatchSize, r.LookupNs)
 		}
 		fmt.Println()
-	}
-	if wants("engine") {
-		fmt.Println("=== Engine reuse: 13-query suite, one-shot vs engine-reused (shared pool + cross-plan recycler) [ms] ===")
-		recycleCap, err := execFlags.RecycleCapBytes()
-		if err != nil {
-			fatal(err)
-		}
-		if recycleCap == 0 {
-			// Match a default-configured qppt.Engine, whose session pool is
-			// capped — an unbounded pool would overstate reuse at scale.
-			recycleCap = qppt.DefaultRecycleCap
-		}
-		// Unlike the fig-7 rows, the engine comparison honors -membudget
-		// directly: the point is the full engine configuration, and the
-		// row labels record the budgeted runs.
-		rows, reuse, err := bench.EngineReuseCompare(dataset(), *reps, execAll, recycleCap)
-		if err != nil {
-			fatal(err)
-		}
-		printQueryTimes(rows)
-		fmt.Printf("  engine recycler after the suite: %d chunks reused across plans, %s of allocation avoided\n\n",
-			reuse.Reused, spill.FormatBytes(reuse.SavedBytes))
-		snap.Queries = append(snap.Queries, rows...)
-	}
-	if wants("serve") {
-		fmt.Println("=== Serving tier: concurrent wire-protocol clients over one engine (13-query suite) ===")
-		rows, err := bench.ServeBench(dataset(), execAll, execFlags.MaxPlans, []int{1, 2, 4, 8}, *reps)
-		if err != nil {
-			fatal(err)
-		}
-		for _, r := range rows {
-			gate := "gate off"
-			if r.MaxPlans > 0 {
-				gate = fmt.Sprintf("max-plans %d", r.MaxPlans)
-			}
-			fmt.Printf("  %2d clients  %-12s %9.1f ms  %8.1f q/s  avg queue wait %8.1f µs  stmt-cache hits %5d  shed %d\n",
-				r.Clients, gate, r.Millis, r.QPS, r.AvgWaitMicros, r.StmtHits, r.Shed)
-		}
-		fmt.Println()
-		snap.Serve = rows
 	}
 	if wants("memlife") {
 		fmt.Println("=== Ablation: plan memory lifecycle (recycler, mmap/partial thaw) over the SSB suite ===")

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	qpptsql [-sf 0.05] [-stats] [-no-select-join] [-buffer 512]
-//	        [-workers N] [-morsels M] [-membudget 256MiB]
-//	        [-norecycle] [-recyclecap 256MiB] [-mmapthaw]
+//	qpptsql [-sf 0.05] [-stats] [-no-select-join]
+//	        [-workers N] [-membudget 256MiB] [-mmapthaw]
+//	        [-norecycle] [-recyclecap 256MiB] [-nofuse] [-nokernel]
 //	        [-max-plans N] [-queue-depth D] [-stmtcache C]
 //	        [-listen :5477] [-serve :8080]
 //

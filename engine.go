@@ -15,8 +15,8 @@
 //	rows, _, err := sess.Query(ctx, "select d_year, sum(lo_revenue) ...")
 //
 // Plans built directly against internal/core run through the same engine
-// with RunPlan. Everything an Engine does is also reachable one-shot
-// (core.Plan.Run, sql.Statement.Run); the Engine is what a server keeps.
+// with RunPlan. There is no other way to run a plan: the Engine's core.Env
+// is the one place worker pool, chunk pool and spill budget are created.
 package qppt
 
 import (
@@ -50,12 +50,6 @@ type Config struct {
 	// (core.WorkersAuto sizes it to GOMAXPROCS; 0 or 1 is serial). The
 	// pool is an engine property: per-query options cannot resize it.
 	Workers int
-	// MorselsPerWorker is the default morsel fan-out of parallel
-	// operators (0 = core default).
-	MorselsPerWorker int
-	// BufferSize is the default joinbuffer/selectionbuffer size
-	// (0 = core default).
-	BufferSize int
 	// MemBudget caps the resident bytes of intermediate indexes across
 	// all concurrent plans; cold intermediates spill to SpillDir and thaw
 	// on access (0 = no spilling). MmapThaw selects the zero-copy restore
@@ -64,8 +58,9 @@ type Config struct {
 	SpillDir  string
 	MmapThaw  bool
 	// DisableRecycle turns the session chunk recycler off. By default the
-	// engine recycles: cross-plan chunk reuse is most of why a long-lived
-	// engine beats one-shot execution on steady query traffic.
+	// engine recycles: cross-plan chunk reuse is most of what a long-lived
+	// engine gains on steady query traffic. The switch exists as the
+	// reference the zero-invariant and equivalence tests compare against.
 	DisableRecycle bool
 	// RecycleCap bounds the bytes the session chunk pool may retain;
 	// chunks beyond it go to the garbage collector and are counted as
@@ -74,12 +69,9 @@ type Config struct {
 	RecycleCap int64
 	// DisableFusion turns off pipeline fusion engine-wide: every
 	// single-consumer intermediate index is materialized as in the paper's
-	// decomposed-plan model. Per-query, WithoutFusion does the same.
+	// decomposed-plan model. Results are identical either way; the
+	// materialized engine is the oracle fused execution is checked against.
 	DisableFusion bool
-	// ProbeBatch is the default probe-forward batch size inside fused
-	// chains (core.Options.ProbeBatch): 0 = core default, 1 = scalar
-	// forwarding. Per-query, WithProbeBatch overrides it.
-	ProbeBatch int
 	// MaxPlans caps the plans executing concurrently: an admission gate
 	// in front of RunPlan/Stmt.Run queues later arrivals per session
 	// (round-robin across sessions, FIFO within) and answers
@@ -162,7 +154,7 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Env exposes the engine's execution environment for callers that drive
-// core.Plan.RunCtx (or ssb.RunQPPTCtx, bench harnesses, tests) directly.
+// core.Env.Run (or ssb.RunQPPT, bench harnesses, tests) directly.
 func (e *Engine) Env() *core.Env { return e.env }
 
 // Workers reports the shared pool size.
@@ -340,18 +332,14 @@ func (e *Engine) RunPlan(ctx context.Context, plan *core.Plan, opts ...QueryOpti
 	e.queries.Add(1)
 	exec := e.execOptions(opts)
 	exec.AdmissionWait = wait
-	return plan.RunCtx(ctx, e.env, exec)
+	return e.env.Run(ctx, plan, exec)
 }
 
 // execOptions folds the engine defaults and the per-query overrides into
-// the core execution options for one run.
+// the core execution options for one run. Joinbuffer size, probe batch
+// and morsel fan-out run at the core defaults.
 func (e *Engine) execOptions(opts []QueryOption) core.Options {
-	q := queryConfig{exec: core.Options{
-		BufferSize:       e.cfg.BufferSize,
-		MorselsPerWorker: e.cfg.MorselsPerWorker,
-		NoFuse:           e.cfg.DisableFusion,
-		ProbeBatch:       e.cfg.ProbeBatch,
-	}}
+	q := queryConfig{exec: core.Options{NoFuse: e.cfg.DisableFusion}}
 	for _, o := range opts {
 		o(&q)
 	}

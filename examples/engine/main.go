@@ -34,9 +34,9 @@ func main() {
 	ds := ssb.MustLoad(ssb.GenConfig{SF: *sf, Seed: 42})
 
 	// 1. One Engine for the whole process. Recycling is on by default —
-	// cross-plan chunk reuse is most of why an engine beats one-shot
-	// execution — and a memory budget makes cold intermediates spill
-	// instead of growing the heap without bound.
+	// cross-plan chunk reuse is most of what a long-lived engine gains —
+	// and a memory budget makes cold intermediates spill instead of
+	// growing the heap without bound.
 	eng, err := qppt.New(qppt.Config{
 		Workers:   *workers,
 		MemBudget: 512 << 20,

@@ -65,10 +65,8 @@ func main() {
 	}
 
 	// 4. Execute through an Engine with statistics (the demonstrator's
-	// view of a plan). One-shot execution works too — (&core.Plan{Root:
-	// sj}).Run(...) — but the Engine is what a real embedder keeps: its
-	// worker pool and chunk pool serve every later plan (see
-	// examples/engine).
+	// view of a plan). The Engine is what an embedder keeps: its worker
+	// pool and chunk pool serve every later plan (see examples/engine).
 	eng, err := qppt.New(qppt.Config{})
 	if err != nil {
 		log.Fatal(err)

@@ -46,21 +46,19 @@ func main() {
 	configs := []struct {
 		name string
 		opt  ssb.PlanOptions
+		exec core.Options
 	}{
-		{"select-join ON, joinbuffer 512 (default)", ssb.PlanOptions{
-			UseSelectJoin: true,
-			Exec:          core.Options{BufferSize: 512, CollectStats: true}}},
-		{"select-join OFF (separate σ_part)", ssb.PlanOptions{
-			UseSelectJoin: false,
-			Exec:          core.Options{BufferSize: 512, CollectStats: true}}},
-		{"select-join ON, joinbuffer 1 (no batching)", ssb.PlanOptions{
-			UseSelectJoin: true,
-			Exec:          core.Options{BufferSize: 1, CollectStats: true}}},
+		{"select-join ON, joinbuffer 512 (default)",
+			ssb.PlanOptions{UseSelectJoin: true}, core.Options{BufferSize: 512, CollectStats: true}},
+		{"select-join OFF (separate σ_part)",
+			ssb.PlanOptions{UseSelectJoin: false}, core.Options{BufferSize: 512, CollectStats: true}},
+		{"select-join ON, joinbuffer 1 (no batching)",
+			ssb.PlanOptions{UseSelectJoin: true}, core.Options{BufferSize: 1, CollectStats: true}},
 	}
 
 	var ref *ssb.QueryResult
 	for _, cfg := range configs {
-		res, stats, err := ds.RunQPPTCtx(context.Background(), "2.3", cfg.opt, eng.Env())
+		res, stats, err := ds.RunQPPT(context.Background(), eng.Env(), "2.3", cfg.opt, cfg.exec)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,17 +27,14 @@
 // span it wrote and hands it over empty.
 //
 // A Recycler is safe for concurrent use: every pool worker building a
-// partial index draws from (and releases to) the same pool — and, when the
-// pool is session-scoped (core.Env / the qppt.Engine), every concurrent
-// plan does too.
+// partial index draws from (and releases to) the same pool, and so does
+// every concurrent plan of the core.Env (the qppt.Engine) that owns it.
 //
-// A plan-scoped pool holds whatever peak chunk population the plan reaches
-// and is dropped wholesale with the plan, so it needs no trimming. A
-// session-scoped pool outlives every plan; SetCap bounds the bytes it may
-// retain — a PutChunk that would push the pooled bytes over the cap drops
-// the chunk to the garbage collector instead (a *trim eviction*, counted
-// in RecyclerStats), so one freak plan cannot pin its peak footprint for
-// the session's lifetime.
+// The pool outlives every plan; SetCap bounds the bytes it may retain — a
+// PutChunk that would push the pooled bytes over the cap drops the chunk
+// to the garbage collector instead (a *trim eviction*, counted in
+// RecyclerStats), so one freak plan cannot pin its peak footprint for the
+// environment's lifetime.
 package arena
 
 import (
@@ -48,7 +45,7 @@ import (
 )
 
 // A Recycler pools dropped arena chunks and slab blocks for reuse within
-// one plan execution or across the plans of one engine session. The zero
+// and across the plans of one execution environment. The zero
 // value is not ready; create with NewRecycler. A nil *Recycler is accepted
 // everywhere and disables recycling.
 type Recycler struct {
@@ -146,8 +143,6 @@ func (r *Recycler) Drain() {
 // SetCap bounds the bytes the pool may retain: a PutChunk that would push
 // the pooled bytes past capBytes drops its chunk to the garbage collector
 // instead and counts a trim eviction. capBytes <= 0 removes the bound.
-// Session-scoped pools set a cap; plan-scoped pools die with the plan and
-// do not need one.
 func (r *Recycler) SetCap(capBytes int64) {
 	if r == nil {
 		return

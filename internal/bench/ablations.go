@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -18,21 +19,14 @@ import (
 // query 2.3 — the knob the paper's demonstrator exposes (Appendix A):
 // size 1 disables batching; too-small and too-large buffers both hurt.
 func AblationJoinBuffer(ds *ssb.Dataset, reps int) ([]QueryTime, error) {
+	env, err := core.NewEnv(core.EnvConfig{})
+	if err != nil {
+		return nil, err
+	}
+	defer env.Close()
 	var out []QueryTime
 	for _, size := range []int{1, 64, 512, 2048} {
-		size := size
-		var err error
-		ms, rows := timeIt(reps, func() int {
-			r, _, e := ds.RunQPPT("2.3", ssb.PlanOptions{
-				UseSelectJoin: true,
-				Exec:          core.Options{BufferSize: size},
-			})
-			if e != nil {
-				err = e
-				return 0
-			}
-			return len(r.Rows)
-		})
+		ms, rows, err := timeQPPT(ds, reps, env, "2.3", ssb.PlanOptions{UseSelectJoin: true}, core.Options{BufferSize: size})
 		if err != nil {
 			return nil, err
 		}
@@ -55,19 +49,12 @@ func AblationWorkers(ds *ssb.Dataset, reps int) ([]QueryTime, error) {
 	var out []QueryTime
 	for _, qid := range []string{"1.1", "4.1"} {
 		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
-			var err error
-			ms, rows := timeIt(reps, func() int {
-				r, _, e := ds.RunQPPT(qid, ssb.PlanOptions{
-					UseSelectJoin: true,
-					Exec:          core.Options{Workers: workers},
-				})
-				if e != nil {
-					err = e
-					return 0
-				}
-				return len(r.Rows)
-			})
+			env, err := core.NewEnv(core.EnvConfig{Workers: workers})
+			if err != nil {
+				return nil, err
+			}
+			ms, rows, err := timeQPPT(ds, reps, env, qid, ssb.PlanOptions{UseSelectJoin: true}, core.Options{})
+			env.Close()
 			if err != nil {
 				return nil, err
 			}
@@ -197,14 +184,12 @@ type MemLifeRow struct {
 	SavedBytes    int64   `json:"recycleSavedBytes"` // heap allocation the reuses avoided
 }
 
-// memLifeSuite runs the thirteen SSB queries once under exec and sums the
+// memLifeSuite runs the thirteen SSB queries once on env and sums the
 // spill/recycler counters from the plan statistics.
-func memLifeSuite(ds *ssb.Dataset, exec core.Options) (thawRead int64, reused int, saved int64, err error) {
+func memLifeSuite(ds *ssb.Dataset, env *core.Env, exec core.Options) (thawRead int64, reused int, saved int64, err error) {
 	exec.CollectStats = true
 	for _, qid := range ssb.QueryIDs {
-		opt := ssb.DefaultPlanOptions()
-		opt.Exec = exec
-		_, stats, e := ds.RunQPPT(qid, opt)
+		_, stats, e := ds.RunQPPT(context.Background(), env, qid, ssb.DefaultPlanOptions(), exec)
 		if e != nil {
 			return 0, 0, 0, fmt.Errorf("bench: Q%s (%+v): %w", qid, exec, e)
 		}
@@ -216,8 +201,8 @@ func memLifeSuite(ds *ssb.Dataset, exec core.Options) (thawRead int64, reused in
 }
 
 // AblationMemLifecycle compares the plan memory-lifecycle configurations
-// on the whole SSB suite: the GC baseline, the plan-scoped chunk
-// recycler, and spilling with the copying, mmap (zero-copy), and
+// on the whole SSB suite, one Env per configuration: the GC baseline, the
+// chunk recycler, and spilling with the copying, mmap (zero-copy), and
 // mmap+recycler restore paths. The spill rows run under a 1-byte budget —
 // every cold intermediate spills and every re-read restores — because
 // that is the configuration that isolates the restore-path difference:
@@ -227,65 +212,74 @@ func memLifeSuite(ds *ssb.Dataset, exec core.Options) (thawRead int64, reused in
 // bytes read (the mmap restore adopts the tree interior instead of
 // copying it).
 func AblationMemLifecycle(ds *ssb.Dataset, reps int) ([]MemLifeRow, error) {
-	type cfg struct {
+	cfgs := []struct {
 		name string
-		exec core.Options
+		env  core.EnvConfig
+	}{
+		{"baseline", core.EnvConfig{}},
+		{"recycle", core.EnvConfig{Recycle: true}},
+		{"spill-all", core.EnvConfig{MemBudget: 1}},
+		{"spill-all+mmap", core.EnvConfig{MemBudget: 1, MmapThaw: true}},
+		{"spill-all+mmap+recycle", core.EnvConfig{MemBudget: 1, MmapThaw: true, Recycle: true}},
 	}
-	cfgs := []cfg{
-		{"baseline", core.Options{}},
-		{"recycle", core.Options{Recycle: true}},
-		{"spill-all", core.Options{MemBudget: 1}},
-		{"spill-all+mmap", core.Options{MemBudget: 1, MmapThaw: true}},
-		{"spill-all+mmap+recycle", core.Options{MemBudget: 1, MmapThaw: true, Recycle: true}},
-	}
-	for i := range cfgs {
-		// The lifecycle under measurement is allocate → spill → thaw →
-		// recycle of the intermediate indexes; fusion would skip building
-		// the very intermediates the configurations differ on (the fused
-		// path has its own ablation, AblationFusion).
-		cfgs[i].exec.NoFuse = true
-	}
+	// The lifecycle under measurement is allocate → spill → thaw →
+	// recycle of the intermediate indexes; fusion would skip building
+	// the very intermediates the configurations differ on (the fused
+	// path has its own ablation, AblationFusion).
+	exec := core.Options{NoFuse: true}
 	var out []MemLifeRow
 	for _, c := range cfgs {
-		var err error
-		ms, _ := timeIt(reps, func() int {
-			n := 0
-			for _, qid := range ssb.QueryIDs {
-				opt := ssb.DefaultPlanOptions()
-				opt.Exec = c.exec
-				r, _, e := ds.RunQPPT(qid, opt)
-				if e != nil {
-					err = e
-					return 0
-				}
-				n += len(r.Rows)
-			}
-			return n
-		})
+		row, err := memLifeRow(ds, reps, c.name, c.env, exec)
 		if err != nil {
 			return nil, err
 		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		thawRead, reused, saved, err := memLifeSuite(ds, c.exec)
-		if err != nil {
-			return nil, err
-		}
-		runtime.ReadMemStats(&after)
-		out = append(out, MemLifeRow{
-			Config:        c.name,
-			Millis:        ms,
-			AllocBytes:    after.TotalAlloc - before.TotalAlloc,
-			Allocs:        after.Mallocs - before.Mallocs,
-			GCPauseNs:     after.PauseTotalNs - before.PauseTotalNs,
-			NumGC:         after.NumGC - before.NumGC,
-			ThawBytesRead: thawRead,
-			ChunksReused:  reused,
-			SavedBytes:    saved,
-		})
+		out = append(out, row)
 	}
 	return out, nil
+}
+
+// memLifeRow measures one configuration in its own Env: the suite timed
+// best-of-reps, then one more pass between two memory-statistics reads.
+func memLifeRow(ds *ssb.Dataset, reps int, name string, cfg core.EnvConfig, exec core.Options) (MemLifeRow, error) {
+	env, err := core.NewEnv(cfg)
+	if err != nil {
+		return MemLifeRow{}, err
+	}
+	defer env.Close()
+	ms, _ := timeIt(reps, func() int {
+		n := 0
+		for _, qid := range ssb.QueryIDs {
+			r, _, e := ds.RunQPPT(context.Background(), env, qid, ssb.DefaultPlanOptions(), exec)
+			if e != nil {
+				err = e
+				return 0
+			}
+			n += len(r.Rows)
+		}
+		return n
+	})
+	if err != nil {
+		return MemLifeRow{}, err
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	thawRead, reused, saved, err := memLifeSuite(ds, env, exec)
+	if err != nil {
+		return MemLifeRow{}, err
+	}
+	runtime.ReadMemStats(&after)
+	return MemLifeRow{
+		Config:        name,
+		Millis:        ms,
+		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
+		Allocs:        after.Mallocs - before.Mallocs,
+		GCPauseNs:     after.PauseTotalNs - before.PauseTotalNs,
+		NumGC:         after.NumGC - before.NumGC,
+		ThawBytesRead: thawRead,
+		ChunksReused:  reused,
+		SavedBytes:    saved,
+	}, nil
 }
 
 // A FusionRow is one SSB query of the pipeline-fusion ablation: the query
@@ -309,12 +303,17 @@ type FusionRow struct {
 // indexed, and whether the fused result was bit-identical to the
 // materialized one.
 func AblationFusion(ds *ssb.Dataset, reps int) ([]FusionRow, error) {
+	env, err := core.NewEnv(core.EnvConfig{})
+	if err != nil {
+		return nil, err
+	}
+	defer env.Close()
 	var out []FusionRow
 	for _, qid := range ssb.QueryIDs {
 		// Zero-value PlanOptions is the decomposed plan shape
-		// (UseSelectJoin false); only Exec.NoFuse varies between the rows.
+		// (UseSelectJoin false); only exec.NoFuse varies between the rows.
 		run := func(exec core.Options) (rows [][]uint64, stats *core.PlanStats, err error) {
-			r, st, e := ds.RunQPPT(qid, ssb.PlanOptions{Exec: exec})
+			r, st, e := ds.RunQPPT(context.Background(), env, qid, ssb.PlanOptions{}, exec)
 			if e != nil {
 				return nil, nil, fmt.Errorf("bench: Q%s (%+v): %w", qid, exec, e)
 			}
@@ -394,10 +393,15 @@ type ProbeRow struct {
 // all. The join-heavy flights 2–4 are where batching should win; flight 1
 // chains are selection-only and mostly shrug.
 func AblationProbe(ds *ssb.Dataset, reps int) ([]ProbeRow, error) {
+	env, err := core.NewEnv(core.EnvConfig{})
+	if err != nil {
+		return nil, err
+	}
+	defer env.Close()
 	var out []ProbeRow
 	for _, qid := range ssb.QueryIDs {
 		run := func(exec core.Options) (rows [][]uint64, stats *core.PlanStats, err error) {
-			r, st, e := ds.RunQPPT(qid, ssb.PlanOptions{Exec: exec})
+			r, st, e := ds.RunQPPT(context.Background(), env, qid, ssb.PlanOptions{}, exec)
 			if e != nil {
 				return nil, nil, fmt.Errorf("bench: Q%s (%+v): %w", qid, exec, e)
 			}
@@ -476,10 +480,15 @@ type KernelRow struct {
 // bit-transparent); kernel <= scalar on the probe-heavy flights 2-4 is
 // the performance claim.
 func AblationKernel(ds *ssb.Dataset, reps int) ([]KernelRow, error) {
+	env, err := core.NewEnv(core.EnvConfig{})
+	if err != nil {
+		return nil, err
+	}
+	defer env.Close()
 	var out []KernelRow
 	for _, qid := range ssb.QueryIDs {
 		run := func(exec core.Options) (rows [][]uint64, stats *core.PlanStats, err error) {
-			r, st, e := ds.RunQPPT(qid, ssb.PlanOptions{Exec: exec})
+			r, st, e := ds.RunQPPT(context.Background(), env, qid, ssb.PlanOptions{}, exec)
 			if e != nil {
 				return nil, nil, fmt.Errorf("bench: Q%s (%+v): %w", qid, exec, e)
 			}
@@ -619,9 +628,9 @@ func AblationBatchSize(n int) []BatchRow {
 
 // WarmupQueries runs each query once per engine so that Figure 7 timings
 // exclude one-time costs (lazy index builds).
-func WarmupQueries(ds *ssb.Dataset) error {
+func WarmupQueries(ds *ssb.Dataset, env *core.Env) error {
 	for _, qid := range ssb.QueryIDs {
-		if _, _, err := ds.RunQPPT(qid, ssb.DefaultPlanOptions()); err != nil {
+		if _, _, err := ds.RunQPPT(context.Background(), env, qid, ssb.DefaultPlanOptions(), core.Options{}); err != nil {
 			return err
 		}
 		if _, err := ds.RunColumn(qid); err != nil {

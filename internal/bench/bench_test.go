@@ -11,6 +11,21 @@ import (
 // (every figure function runs, returns the right rows, errors propagate),
 // not the numbers.
 
+// testEnv builds an Env that is closed when the test ends.
+func testEnv(t *testing.T, cfg core.EnvConfig) *core.Env {
+	t.Helper()
+	env, err := core.NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := env.Close(); err != nil {
+			t.Errorf("env.Close: %v", err)
+		}
+	})
+	return env
+}
+
 func TestFigure3Harness(t *testing.T) {
 	sizes := []int{20000}
 	for _, rows := range [][]Fig3Row{Figure3a(sizes), Figure3b(sizes)} {
@@ -33,10 +48,11 @@ func TestFigure3Harness(t *testing.T) {
 
 func TestQueryFigureHarness(t *testing.T) {
 	ds := ssb.MustLoad(ssb.GenConfig{SF: 0.005, Seed: 3})
-	if err := WarmupQueries(ds); err != nil {
+	env := testEnv(t, core.EnvConfig{})
+	if err := WarmupQueries(ds, env); err != nil {
 		t.Fatal(err)
 	}
-	f7, err := Figure7(ds, 1)
+	f7, err := Figure7(ds, 1, env, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,21 +67,21 @@ func TestQueryFigureHarness(t *testing.T) {
 		}
 		byQuery[r.Query] = r.Rows
 	}
-	f8, err := Figure8(ds, 1)
+	f8, err := Figure8(ds, 1, env, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f8) != 4 {
 		t.Fatalf("figure 8 has %d rows", len(f8))
 	}
-	share, err := Figure8SelectionShare(ds)
+	share, err := Figure8SelectionShare(ds, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if share < 0 || share > 1 {
 		t.Fatalf("selection share = %f", share)
 	}
-	f9, err := Figure9(ds, 1)
+	f9, err := Figure9(ds, 1, env, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +111,7 @@ func TestQueryFigureHarness(t *testing.T) {
 		awRows[r.Query] = r.Rows
 	}
 	// A parallel Figure 7 run must agree with the serial engines row for row.
-	f7w, err := Figure7Exec(ds, 1, core.Options{Workers: 4})
+	f7w, err := Figure7(ds, 1, testEnv(t, core.EnvConfig{Workers: 4}), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +152,7 @@ func TestAblationHarness(t *testing.T) {
 // counter moving on well over half the decomposed suite.
 func TestFusionAblationHarness(t *testing.T) {
 	ds := ssb.MustLoad(ssb.GenConfig{SF: 0.005, Seed: 7})
-	if err := WarmupQueries(ds); err != nil {
+	if err := WarmupQueries(ds, testEnv(t, core.EnvConfig{})); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := AblationFusion(ds, 1)
@@ -174,7 +190,7 @@ func TestFusionAblationHarness(t *testing.T) {
 // configuration enables them.
 func TestMemLifecycleHarness(t *testing.T) {
 	ds := ssb.MustLoad(ssb.GenConfig{SF: 0.005, Seed: 5})
-	if err := WarmupQueries(ds); err != nil {
+	if err := WarmupQueries(ds, testEnv(t, core.EnvConfig{})); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := AblationMemLifecycle(ds, 1)

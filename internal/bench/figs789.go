@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"qppt/internal/arena"
 	"qppt/internal/core"
 	"qppt/internal/ssb"
 )
@@ -44,35 +43,32 @@ func timeIt(reps int, fn func() int) (float64, int) {
 	return float64(best.Microseconds()) / 1000, rows
 }
 
-// Figure7 reruns the paper's headline experiment: all thirteen SSB
-// queries on the three engines, single-threaded, with QPPT in its default
-// configuration (composed select-joins, unlimited join arity).
-func Figure7(ds *ssb.Dataset, reps int) ([]QueryTime, error) {
-	return Figure7Exec(ds, reps, core.Options{})
+// timeQPPT times one hand-built SSB plan on env, best of reps.
+func timeQPPT(ds *ssb.Dataset, reps int, env *core.Env, qid string, opt ssb.PlanOptions, exec core.Options) (ms float64, rows int, err error) {
+	ms, rows = timeIt(reps, func() int {
+		res, _, e := ds.RunQPPT(context.Background(), env, qid, opt, exec)
+		if e != nil {
+			err = e
+			return 0
+		}
+		return len(res.Rows)
+	})
+	return ms, rows, err
 }
 
-// Figure7Exec is Figure7 with explicit execution options for the QPPT
-// engine, so the figure can also be regenerated with the morsel-driven
-// worker pool enabled (the baselines stay single-threaded either way);
-// the QPPT rows record the pool size in their Config.
-func Figure7Exec(ds *ssb.Dataset, reps int, exec core.Options) ([]QueryTime, error) {
+// Figure7 reruns the paper's headline experiment: all thirteen SSB
+// queries on the three engines, with QPPT in its default plan
+// configuration (composed select-joins, unlimited join arity) executing on
+// env. The baselines stay single-threaded whatever env's pool size is; the
+// QPPT rows record a parallel pool in their Config.
+func Figure7(ds *ssb.Dataset, reps int, env *core.Env, exec core.Options) ([]QueryTime, error) {
 	var out []QueryTime
 	qpptConfig := ""
-	if w := exec.Workers; w > 1 {
+	if w := env.Workers(); w > 1 {
 		qpptConfig = fmt.Sprintf("workers=%d", w)
 	}
 	for _, qid := range ssb.QueryIDs {
-		qppt := ssb.DefaultPlanOptions()
-		qppt.Exec = exec
-		var err error
-		ms, rows := timeIt(reps, func() int {
-			res, _, e := ds.RunQPPT(qid, qppt)
-			if e != nil {
-				err = e
-				return 0
-			}
-			return len(res.Rows)
-		})
+		ms, rows, err := timeQPPT(ds, reps, env, qid, ssb.DefaultPlanOptions(), exec)
 		if err != nil {
 			return nil, fmt.Errorf("bench: Q%s qppt: %w", qid, err)
 		}
@@ -108,108 +104,26 @@ func Figure7Exec(ds *ssb.Dataset, reps int, exec core.Options) ([]QueryTime, err
 }
 
 // QPPTTimes times the thirteen SSB queries on the QPPT engine alone (no
-// baselines) under the given execution options, labeling every row with
-// config. The perf snapshot uses it to record extra engine configurations
-// — e.g. a spill-enabled run under a memory budget — without re-timing
-// the baseline engines.
-func QPPTTimes(ds *ssb.Dataset, reps int, exec core.Options, config string) ([]QueryTime, error) {
+// baselines) on env, labeling every row with config. The perf snapshot
+// uses it to record extra engine configurations — e.g. a spill-enabled run
+// under a memory budget — without re-timing the baseline engines.
+func QPPTTimes(ds *ssb.Dataset, reps int, env *core.Env, exec core.Options, config string) ([]QueryTime, error) {
 	var out []QueryTime
 	for _, qid := range ssb.QueryIDs {
-		qppt := ssb.DefaultPlanOptions()
-		qppt.Exec = exec
-		var err error
-		ms, rows := timeIt(reps, func() int {
-			res, _, e := ds.RunQPPT(qid, qppt)
-			if e != nil {
-				err = e
-				return 0
-			}
-			return len(res.Rows)
-		})
+		ms, rows, err := timeQPPT(ds, reps, env, qid, ssb.DefaultPlanOptions(), exec)
 		if err != nil {
 			return nil, fmt.Errorf("bench: Q%s qppt (%s): %w", qid, config, err)
 		}
 		out = append(out, QueryTime{Query: qid, Engine: EngineQPPT, Config: config, Millis: ms, Rows: rows})
 	}
 	return out, nil
-}
-
-// QPPTTimesEnv is QPPTTimes against a long-lived execution environment:
-// every query runs through env, so the worker pool, session chunk pool
-// and spill budget carry across the suite exactly as they do under a
-// qppt.Engine. The engine-vs-one-shot comparison of the perf snapshot
-// uses it for the reused side.
-func QPPTTimesEnv(ds *ssb.Dataset, reps int, exec core.Options, env *core.Env, config string) ([]QueryTime, error) {
-	var out []QueryTime
-	for _, qid := range ssb.QueryIDs {
-		qppt := ssb.DefaultPlanOptions()
-		qppt.Exec = exec
-		var err error
-		ms, rows := timeIt(reps, func() int {
-			res, _, e := ds.RunQPPTCtx(context.Background(), qid, qppt, env)
-			if e != nil {
-				err = e
-				return 0
-			}
-			return len(res.Rows)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench: Q%s qppt (%s): %w", qid, config, err)
-		}
-		out = append(out, QueryTime{Query: qid, Engine: EngineQPPT, Config: config, Millis: ms, Rows: rows})
-	}
-	return out, nil
-}
-
-// EngineReuseCompare runs the thirteen-query suite twice — one-shot
-// (every plan builds and drops its own pool, recycler and spill state)
-// and through one shared environment with cross-plan chunk recycling —
-// and returns both sets of rows plus the reuse the shared environment
-// accumulated. It is the benchmark form of the engine's reason to exist:
-// identical queries, identical results, steady-state allocation behavior.
-// exec applies to both sides — a MemBudget spills per-plan on the
-// one-shot side and engine-wide on the reused side, and the row labels
-// record it; recycleCap bounds the shared pool (0 = unbounded).
-func EngineReuseCompare(ds *ssb.Dataset, reps int, exec core.Options, recycleCap int64) ([]QueryTime, arena.RecyclerStats, error) {
-	suffix := ""
-	if exec.MemBudget > 0 {
-		suffix = ",membudget"
-	}
-	oneShot := exec
-	oneShot.Recycle = true // per-plan pool: the strongest one-shot config
-	rows, err := QPPTTimes(ds, reps, oneShot, "one-shot"+suffix)
-	if err != nil {
-		return nil, arena.RecyclerStats{}, err
-	}
-	env, err := core.NewEnv(core.EnvConfig{
-		Workers:    exec.Workers,
-		Recycle:    true,
-		RecycleCap: recycleCap,
-		MemBudget:  exec.MemBudget,
-		MmapThaw:   exec.MmapThaw,
-	})
-	if err != nil {
-		return nil, arena.RecyclerStats{}, err
-	}
-	defer env.Close()
-	reused, err := QPPTTimesEnv(ds, reps, exec, env, "engine-reuse"+suffix)
-	if err != nil {
-		return nil, arena.RecyclerStats{}, err
-	}
-	return append(rows, reused...), env.RecyclerStats(), nil
 }
 
 // Figure8 reruns the select-join ablation on query 1.1: both baselines
-// plus QPPT with the composed select-join-group operator and with a
-// separate selection + join-group plan. The paper reports 151 ms vs
+// plus QPPT (on env) with the composed select-join-group operator and with
+// a separate selection + join-group plan. The paper reports 151 ms vs
 // 1709 ms (~11×) with ~95 % of the separate plan inside the selection.
-func Figure8(ds *ssb.Dataset, reps int) ([]QueryTime, error) {
-	return Figure8Exec(ds, reps, core.Options{})
-}
-
-// Figure8Exec is Figure8 with explicit execution options for the QPPT
-// engine rows (the baselines stay single-threaded).
-func Figure8Exec(ds *ssb.Dataset, reps int, exec core.Options) ([]QueryTime, error) {
+func Figure8(ds *ssb.Dataset, reps int, env *core.Env, exec core.Options) ([]QueryTime, error) {
 	var out []QueryTime
 	add := func(engine, config string, fn func() (int, error)) error {
 		var err error
@@ -239,13 +153,13 @@ func Figure8Exec(ds *ssb.Dataset, reps int, exec core.Options) ([]QueryTime, err
 		return nil, err
 	}
 	if err := add(EngineQPPT, "w/ Select-Join", func() (int, error) {
-		r, _, e := ds.RunQPPT("1.1", ssb.PlanOptions{UseSelectJoin: true, Exec: exec})
+		r, _, e := ds.RunQPPT(context.Background(), env, "1.1", ssb.PlanOptions{UseSelectJoin: true}, exec)
 		return len(r.Rows), e
 	}); err != nil {
 		return nil, err
 	}
 	if err := add(EngineQPPT, "w/o Select-Join", func() (int, error) {
-		r, _, e := ds.RunQPPT("1.1", ssb.PlanOptions{UseSelectJoin: false, Exec: exec})
+		r, _, e := ds.RunQPPT(context.Background(), env, "1.1", ssb.PlanOptions{UseSelectJoin: false}, exec)
 		return len(r.Rows), e
 	}); err != nil {
 		return nil, err
@@ -255,11 +169,9 @@ func Figure8Exec(ds *ssb.Dataset, reps int, exec core.Options) ([]QueryTime, err
 
 // Figure8SelectionShare reports the share of the separate plan's time
 // spent in the lineorder selection operator (the paper: ~95 %).
-func Figure8SelectionShare(ds *ssb.Dataset) (float64, error) {
-	_, stats, err := ds.RunQPPT("1.1", ssb.PlanOptions{
-		UseSelectJoin: false,
-		Exec:          core.Options{CollectStats: true},
-	})
+func Figure8SelectionShare(ds *ssb.Dataset, env *core.Env) (float64, error) {
+	_, stats, err := ds.RunQPPT(context.Background(), env, "1.1",
+		ssb.PlanOptions{UseSelectJoin: false}, core.Options{CollectStats: true})
 	if err != nil {
 		return 0, err
 	}
@@ -277,16 +189,10 @@ func Figure8SelectionShare(ds *ssb.Dataset) (float64, error) {
 }
 
 // Figure9 reruns the multi-way join arity ablation on query 4.1: both
-// baselines plus QPPT plans capped at 2-, 3-, 4- and 5-way composed
-// joins. The paper reports monotone improvement with the 2→3-way step
-// the largest (4939 → 1595 → 1091 → 842 ms).
-func Figure9(ds *ssb.Dataset, reps int) ([]QueryTime, error) {
-	return Figure9Exec(ds, reps, core.Options{})
-}
-
-// Figure9Exec is Figure9 with explicit execution options for the QPPT
-// engine rows (the baselines stay single-threaded).
-func Figure9Exec(ds *ssb.Dataset, reps int, exec core.Options) ([]QueryTime, error) {
+// baselines plus QPPT plans (on env) capped at 2-, 3-, 4- and 5-way
+// composed joins. The paper reports monotone improvement with the 2→3-way
+// step the largest (4939 → 1595 → 1091 → 842 ms).
+func Figure9(ds *ssb.Dataset, reps int, env *core.Env, exec core.Options) ([]QueryTime, error) {
 	var out []QueryTime
 	var err error
 	ms, rows := timeIt(reps, func() int {
@@ -314,16 +220,7 @@ func Figure9Exec(ds *ssb.Dataset, reps int, exec core.Options) ([]QueryTime, err
 	}
 	out = append(out, QueryTime{Query: "4.1", Engine: EngineVector, Millis: ms, Rows: rows})
 	for arity := 5; arity >= 2; arity-- {
-		arity := arity
-		ms, rows = timeIt(reps, func() int {
-			r, _, e := ds.RunQPPT("4.1", ssb.PlanOptions{JoinArity: arity, Exec: exec})
-			if e != nil {
-				err = e
-				return 0
-			}
-			return len(r.Rows)
-		})
-		if err != nil {
+		if ms, rows, err = timeQPPT(ds, reps, env, "4.1", ssb.PlanOptions{JoinArity: arity}, exec); err != nil {
 			return nil, err
 		}
 		out = append(out, QueryTime{

@@ -313,7 +313,12 @@ func TestIndexUsableInPlan(t *testing.T) {
 			ColExprs: []core.RowExpr{core.Attr(0, RIDCol)},
 		},
 	}
-	out, _, err := (&core.Plan{Root: sel}).Run(core.Options{})
+	env, err := core.NewEnv(core.EnvConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	out, _, err := env.Run(context.Background(), &core.Plan{Root: sel}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

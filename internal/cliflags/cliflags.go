@@ -1,32 +1,28 @@
-// Package cliflags is the single home of the execution knobs both CLIs
-// (cmd/qpptbench, cmd/qpptsql) expose: worker pool size, morsel fan-out,
-// joinbuffer size, memory budget, chunk recycling and mmap thaw. Register
-// once, then resolve the parsed values into per-query core.Options or a
-// long-lived qppt.Config — future knobs are added here and appear in both
-// commands with identical names, defaults and help texts.
+// Package cliflags is the single home of the engine flags both CLIs
+// (cmd/qpptbench, cmd/qpptsql) expose: worker pool size, memory budget,
+// chunk-pool cap, mmap thaw, the fusion/recycler/kernel oracle switches,
+// admission control and the statement cache. Register once, then resolve
+// the parsed values into a qppt.Config — future flags are added here and
+// appear in both commands with identical names, defaults and help texts.
 package cliflags
 
 import (
+	"errors"
 	"flag"
 
 	"qppt"
-	"qppt/internal/core"
 	"qppt/internal/kernel"
 	"qppt/internal/spill"
 )
 
-// Exec holds the shared execution flags after parsing.
+// Exec holds the shared engine flags after parsing.
 type Exec struct {
 	Workers    int
-	Morsels    int
-	Buffer     int
 	MemBudget  string
 	RecycleCap string
-	Recycle    bool
 	NoRecycle  bool
 	MmapThaw   bool
 	NoFuse     bool
-	ProbeBatch int
 	NoKernel   bool
 	MaxPlans   int
 	QueueDepth int
@@ -38,15 +34,11 @@ type Exec struct {
 func Register(fs *flag.FlagSet) *Exec {
 	e := &Exec{}
 	fs.IntVar(&e.Workers, "workers", 1, "shared worker pool size for morsel-driven parallel execution (1 = serial, -1 = GOMAXPROCS)")
-	fs.IntVar(&e.Morsels, "morsels", 0, "morsels per worker (0 = default fan-out)")
-	fs.IntVar(&e.Buffer, "buffer", 0, "joinbuffer/selectionbuffer size (1 disables batching, 0 = default)")
 	fs.StringVar(&e.MemBudget, "membudget", "", "intermediate-index memory budget (e.g. 256MiB); empty = unlimited, no spilling")
-	fs.BoolVar(&e.Recycle, "recycle", false, "recycle dropped intermediates' chunks within each one-shot plan (engine mode recycles across plans by default; see -norecycle)")
-	fs.BoolVar(&e.NoRecycle, "norecycle", false, "disable the engine's cross-plan chunk recycler (on by default in engine mode)")
+	fs.BoolVar(&e.NoRecycle, "norecycle", false, "disable the engine's cross-plan chunk recycler (on by default)")
 	fs.StringVar(&e.RecycleCap, "recyclecap", "", "byte cap on the engine chunk pool (e.g. 256MiB); empty = engine default")
 	fs.BoolVar(&e.MmapThaw, "mmapthaw", false, "restore spilled intermediates via zero-copy mmap instead of copying")
 	fs.BoolVar(&e.NoFuse, "nofuse", false, "disable pipeline fusion: materialize every single-consumer intermediate index (fusion is on by default)")
-	fs.IntVar(&e.ProbeBatch, "probebatch", 0, "probe-forward batch size inside fused chains (1 = scalar forwarding, 0 = default; ignored under -nofuse)")
 	fs.BoolVar(&e.NoKernel, "nokernel", false, "disable the SWAR batch kernels: route tree descents and range-stream predicates through the scalar fallback")
 	fs.IntVar(&e.MaxPlans, "max-plans", 0, "admission cap on concurrently executing plans (0 = unlimited, no admission control)")
 	fs.IntVar(&e.QueueDepth, "queue-depth", 0, "per-session admission queue depth before queries are shed with ErrOverloaded (0 = default; needs -max-plans)")
@@ -74,76 +66,40 @@ func RegisterServe(fs *flag.FlagSet) *Serve {
 func (s *Serve) Serving() bool { return s.Listen != "" || s.HTTP != "" }
 
 // ApplyRuntime applies the process-global knobs that live outside
-// core.Options / qppt.Config — currently the batch-kernel dispatch
-// switch. Call once after flag parsing, before running queries.
+// qppt.Config — currently the batch-kernel dispatch switch. Call once
+// after flag parsing, before running queries.
 func (e *Exec) ApplyRuntime() {
 	if e.NoKernel {
 		kernel.ForceGeneric()
 	}
 }
 
-// budget parses the -membudget value (0 when empty).
-func (e *Exec) budget() (int64, error) {
-	if e.MemBudget == "" {
-		return 0, nil
-	}
-	return spill.ParseBytes(e.MemBudget)
-}
-
-// RecycleCapBytes parses the -recyclecap value (0 when empty).
-func (e *Exec) RecycleCapBytes() (int64, error) {
-	if e.RecycleCap == "" {
-		return 0, nil
-	}
-	return spill.ParseBytes(e.RecycleCap)
-}
-
-// ExecOptions resolves the flags into one-shot execution options
-// (core.Plan.Run / bench harness configuration).
-func (e *Exec) ExecOptions() (core.Options, error) {
-	budget, err := e.budget()
-	if err != nil {
-		return core.Options{}, err
-	}
-	return core.Options{
-		Workers:          e.Workers,
-		MorselsPerWorker: e.Morsels,
-		BufferSize:       e.Buffer,
-		MemBudget:        budget,
-		Recycle:          e.Recycle,
-		MmapThaw:         e.MmapThaw,
-		NoFuse:           e.NoFuse,
-		ProbeBatch:       e.ProbeBatch,
-	}, nil
-}
-
-// EngineConfig resolves the flags into a long-lived engine configuration:
-// the same knobs, but worker pool, chunk pool and spill budget become
-// engine-scoped so they carry across queries. Matching qppt.Config's
-// default, the cross-plan recycler stays ON unless -norecycle is given —
-// -recycle only opts one-shot plans in and is implied here.
+// EngineConfig resolves the flags into the engine configuration. A flag
+// combination the engine would silently ignore is an error here: the
+// command line is where a typo should surface.
 func (e *Exec) EngineConfig() (qppt.Config, error) {
-	budget, err := e.budget()
-	if err != nil {
-		return qppt.Config{}, err
+	if e.QueueDepth > 0 && e.MaxPlans == 0 {
+		return qppt.Config{}, errors.New("-queue-depth needs -max-plans")
 	}
 	cfg := qppt.Config{
-		Workers:          e.Workers,
-		MorselsPerWorker: e.Morsels,
-		BufferSize:       e.Buffer,
-		MemBudget:        budget,
-		MmapThaw:         e.MmapThaw,
-		DisableRecycle:   e.NoRecycle,
-		DisableFusion:    e.NoFuse,
-		ProbeBatch:       e.ProbeBatch,
-		MaxPlans:         e.MaxPlans,
-		QueueDepth:       e.QueueDepth,
-		StmtCache:        e.StmtCache,
+		Workers:        e.Workers,
+		MmapThaw:       e.MmapThaw,
+		DisableRecycle: e.NoRecycle,
+		DisableFusion:  e.NoFuse,
+		MaxPlans:       e.MaxPlans,
+		QueueDepth:     e.QueueDepth,
+		StmtCache:      e.StmtCache,
 	}
-	cap, err := e.RecycleCapBytes()
-	if err != nil {
-		return qppt.Config{}, err
+	var err error
+	if e.MemBudget != "" {
+		if cfg.MemBudget, err = spill.ParseBytes(e.MemBudget); err != nil {
+			return qppt.Config{}, err
+		}
 	}
-	cfg.RecycleCap = cap
+	if e.RecycleCap != "" {
+		if cfg.RecycleCap, err = spill.ParseBytes(e.RecycleCap); err != nil {
+			return qppt.Config{}, err
+		}
+	}
 	return cfg, nil
 }

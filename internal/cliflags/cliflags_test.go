@@ -1,0 +1,189 @@
+package cliflags
+
+import (
+	"flag"
+	"io"
+	"os"
+	"reflect"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+
+	"qppt"
+	"qppt/internal/kernel"
+)
+
+// parse registers the shared flags on a fresh set and parses args.
+func parse(t *testing.T, args ...string) (*Exec, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	e := Register(fs)
+	return e, fs.Parse(args)
+}
+
+// Every flag must land in the qppt.Config field its help text names, and
+// nowhere else: each case sets one flag and expects exactly one field to
+// leave the zero Config (-workers defaults to 1, the serial engine).
+func TestFlagsLandInConfig(t *testing.T) {
+	base := qppt.Config{Workers: 1}
+	for _, tc := range []struct {
+		args []string
+		want func(*qppt.Config)
+	}{
+		{nil, func(*qppt.Config) {}},
+		{[]string{"-workers", "6"}, func(c *qppt.Config) { c.Workers = 6 }},
+		{[]string{"-workers", "-1"}, func(c *qppt.Config) { c.Workers = -1 }},
+		{[]string{"-membudget", "64MiB"}, func(c *qppt.Config) { c.MemBudget = 64 << 20 }},
+		{[]string{"-recyclecap", "1G"}, func(c *qppt.Config) { c.RecycleCap = 1 << 30 }},
+		{[]string{"-norecycle"}, func(c *qppt.Config) { c.DisableRecycle = true }},
+		{[]string{"-mmapthaw"}, func(c *qppt.Config) { c.MmapThaw = true }},
+		{[]string{"-nofuse"}, func(c *qppt.Config) { c.DisableFusion = true }},
+		{[]string{"-nokernel"}, func(*qppt.Config) {}}, // process-global, see TestNoKernel
+		{[]string{"-max-plans", "3"}, func(c *qppt.Config) { c.MaxPlans = 3 }},
+		{[]string{"-max-plans", "3", "-queue-depth", "9"}, func(c *qppt.Config) { c.MaxPlans, c.QueueDepth = 3, 9 }},
+		{[]string{"-stmtcache", "-1"}, func(c *qppt.Config) { c.StmtCache = -1 }},
+	} {
+		e, err := parse(t, tc.args...)
+		if err != nil {
+			t.Errorf("%v: parse: %v", tc.args, err)
+			continue
+		}
+		got, err := e.EngineConfig()
+		if err != nil {
+			t.Errorf("%v: EngineConfig: %v", tc.args, err)
+			continue
+		}
+		want := base
+		tc.want(&want)
+		if got != want {
+			t.Errorf("%v: config %+v, want %+v", tc.args, got, want)
+		}
+	}
+}
+
+// Flag values the engine would silently ignore or misread are errors.
+func TestEngineConfigRejects(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		errLike string
+	}{
+		{[]string{"-queue-depth", "4"}, "needs -max-plans"},
+		{[]string{"-membudget", "lots"}, "bad byte size"},
+		{[]string{"-membudget", "8388608T"}, "out of range"},
+		{[]string{"-recyclecap", "NaN"}, "out of range"},
+	} {
+		e, err := parse(t, tc.args...)
+		if err != nil {
+			t.Errorf("%v: parse: %v", tc.args, err)
+			continue
+		}
+		if cfg, err := e.EngineConfig(); err == nil || !strings.Contains(err.Error(), tc.errLike) {
+			t.Errorf("%v: EngineConfig = %+v, %v; want an error mentioning %q", tc.args, cfg, err, tc.errLike)
+		}
+	}
+}
+
+// The flags of the removed one-shot mode and of the knobs that became
+// constants must be gone, not silently accepted.
+func TestRemovedFlagsAreUndefined(t *testing.T) {
+	for _, args := range [][]string{{"-recycle"}, {"-buffer", "64"}, {"-morsels", "2"}, {"-probebatch", "1"}} {
+		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: parse error %v, want \"flag provided but not defined\"", args, err)
+		}
+	}
+}
+
+func TestNoKernel(t *testing.T) {
+	restore := kernel.ForceGeneric() // capture the starting state...
+	restore()                        // ...and return to it
+	t.Cleanup(restore)
+	e, err := parse(t, "-nokernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ApplyRuntime()
+	if kernel.Enabled() {
+		t.Error("-nokernel left the batch kernels enabled")
+	}
+}
+
+// flagNames lists the flags a register function declares.
+func flagNames(register func(*flag.FlagSet)) []string {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	register(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	return names // VisitAll is sorted
+}
+
+var flagToken = regexp.MustCompile("(?:^|[ `\\[])-([a-z][a-z-]*)")
+
+// flagsIn extracts the distinct -flag tokens of a text, minus own (the
+// flags the text's command defines itself), sorted.
+func flagsIn(text string, own ...string) []string {
+	seen := map[string]bool{}
+	for _, o := range own {
+		seen[o] = true
+	}
+	var names []string
+	for _, m := range flagToken.FindAllStringSubmatch(text, -1) {
+		if !seen[m[1]] {
+			seen[m[1]] = true
+			names = append(names, m[1])
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// The three places that list the shared flags for a reader — README's
+// package table and the usage headers of both commands — must name
+// exactly the set Register declares.
+func TestDocumentedFlagsMatchRegister(t *testing.T) {
+	shared := flagNames(func(fs *flag.FlagSet) { Register(fs) })
+	serve := flagNames(func(fs *flag.FlagSet) { RegisterServe(fs) })
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := ""
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "| `internal/cliflags`") {
+			row = line
+		}
+	}
+	if got := flagsIn(row); !reflect.DeepEqual(got, shared) {
+		t.Errorf("README internal/cliflags row lists %v, Register declares %v", got, shared)
+	}
+
+	for _, cmd := range []struct {
+		path string
+		own  []string
+	}{
+		{"../../cmd/qpptsql/main.go", append([]string{"sf", "stats", "no-select-join"}, serve...)},
+		{"../../cmd/qpptbench/main.go", []string{"fig", "sf", "reps", "sizes", "benchjson", "benchlabel"}},
+	} {
+		src, err := os.ReadFile(cmd.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The usage synopsis: the tab-indented comment lines after "Usage:".
+		_, after, _ := strings.Cut(string(src), "// Usage:\n")
+		var usage []string
+		for _, line := range strings.Split(after, "\n") {
+			if line == "//" && len(usage) == 0 {
+				continue
+			}
+			if !strings.HasPrefix(line, "//\t") {
+				break
+			}
+			usage = append(usage, line)
+		}
+		if got := flagsIn(strings.Join(usage, "\n"), cmd.own...); !reflect.DeepEqual(got, shared) {
+			t.Errorf("%s usage header lists %v, Register declares %v", cmd.path, got, shared)
+		}
+	}
+}

@@ -132,7 +132,7 @@ func resultAsMap(t *testing.T, res *Result) map[uint64]uint64 {
 func TestStarJoinGroupMatchesOracle(t *testing.T) {
 	f := buildFixture(1)
 	for brand := uint64(0); brand < 4; brand++ {
-		out, _, err := starPlan(f, brand).Run(Options{})
+		out, _, err := run(t, EnvConfig{}, starPlan(f, brand), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestBufferSizesGiveIdenticalResults(t *testing.T) {
 	f := buildFixture(2)
 	var ref map[uint64]uint64
 	for _, bs := range []int{1, 64, 512, 2048} {
-		out, _, err := starPlan(f, 3).Run(Options{BufferSize: bs})
+		out, _, err := run(t, EnvConfig{}, starPlan(f, 3), Options{BufferSize: bs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +165,11 @@ func TestBufferSizesGiveIdenticalResults(t *testing.T) {
 
 func TestParallelGivesIdenticalResults(t *testing.T) {
 	f := buildFixture(3)
-	seq, _, err := starPlan(f, 5).Run(Options{})
+	seq, _, err := run(t, EnvConfig{}, starPlan(f, 5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := starPlan(f, 5).Run(Options{Workers: WorkersAuto})
+	par, _, err := run(t, EnvConfig{Workers: WorkersAuto}, starPlan(f, 5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSelectionResidualAndRange(t *testing.T) {
 			Fold:     FoldSum(0),
 		},
 	}
-	out, _, err := (&Plan{Root: join}).Run(Options{})
+	out, _, err := run(t, EnvConfig{}, &Plan{Root: join}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestSelectJoinEquivalentToSelectionPlusJoin(t *testing.T) {
 			Fold:     FoldSum(0),
 		},
 	}
-	composed, _, err := (&Plan{Root: sj}).Run(Options{})
+	composed, _, err := run(t, EnvConfig{}, &Plan{Root: sj}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	separate, _, err := starPlan(f, brand).Run(Options{})
+	separate, _, err := run(t, EnvConfig{}, starPlan(f, brand), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestComposedGroupKeyOutput(t *testing.T) {
 			Fold:     FoldSum(0),
 		},
 	}
-	out, _, err := (&Plan{Root: join}).Run(Options{})
+	out, _, err := run(t, EnvConfig{}, &Plan{Root: join}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestKeylessSingleGroupOutput(t *testing.T) {
 			Fold:     FoldSum(0, 1),
 		},
 	}
-	out, _, err := (&Plan{Root: sel}).Run(Options{})
+	out, _, err := run(t, EnvConfig{}, &Plan{Root: sel}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,11 +388,11 @@ func TestIntersectAndUnion(t *testing.T) {
 			KeyRefs: []Ref{{Input: 0, Attr: "custkey"}},
 		},
 	}
-	iOut, _, err := (&Plan{Root: inter}).Run(Options{})
+	iOut, _, err := run(t, EnvConfig{}, &Plan{Root: inter}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uOut, _, err := (&Plan{Root: union}).Run(Options{})
+	uOut, _, err := run(t, EnvConfig{}, &Plan{Root: union}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func toSet(xs []uint64) map[uint64]bool {
 
 func TestStatsCollection(t *testing.T) {
 	f := buildFixture(9)
-	out, stats, err := starPlan(f, 2).Run(Options{CollectStats: true})
+	out, stats, err := run(t, EnvConfig{}, starPlan(f, 2), Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}

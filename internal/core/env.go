@@ -5,14 +5,13 @@ import (
 	"qppt/internal/spill"
 )
 
-// An Env is the long-lived execution environment a plan runs in: the
-// shared worker pool, the cross-plan chunk recycler, and the spill manager
-// whose byte budget spans every concurrent plan. Plan.Run creates (and
-// tears down) an ephemeral Env per call — the historical one-shot mode —
-// while a server embeds one Env in a qppt.Engine and passes it to
-// Plan.RunCtx so the steady state the prefix-tree processing model builds
+// An Env is the execution environment every plan runs in: the shared
+// worker pool, the cross-plan chunk recycler, and the spill manager whose
+// byte budget spans every concurrent plan. Env.Run is the only way a plan
+// executes, so the steady state the prefix-tree processing model builds
 // up (warm chunk pools, a stable worker pool, one spill budget) carries
-// across queries instead of being re-created and re-collected per plan.
+// across queries instead of being re-created and re-collected per plan; a
+// server embeds one Env in a qppt.Engine.
 //
 // An Env is safe for concurrent use: any number of plans may run against
 // it at once. The scheduler bounds the *helper* goroutines across all of
@@ -25,51 +24,70 @@ type Env struct {
 	spill *spill.Manager
 }
 
-// EnvConfig parameterizes NewEnv. The zero value is a serial environment
-// with no recycler and no spill budget — equivalent to one-shot execution
-// with zero Options.
+// EnvConfig parameterizes NewEnv: the resources plans share, as opposed to
+// the per-query Options. The zero value is a serial environment with no
+// recycler and no spill budget.
 type EnvConfig struct {
-	// Workers sizes the shared worker pool (see Options.Workers; the same
-	// WorkersAuto sentinel applies). Plans run through this Env ignore
-	// Options.Workers — the pool is an environment property.
+	// Workers sizes the shared worker pool (scheduler.go). The same pool
+	// serves inter-operator parallelism (independent plan branches run
+	// concurrently) and intra-operator parallelism (operators split their
+	// scans into work-stealing key-range morsels, paper Section 7), so
+	// goroutine count is bounded by Workers no matter how many operators
+	// run at once. 0 or 1 = serial, the paper's evaluation mode;
+	// WorkersAuto sizes the pool to GOMAXPROCS.
+	//
+	// Results are schedule-independent: keys, per-key row multisets and
+	// folded aggregates are identical to serial execution. The one
+	// exception is the *order* of duplicate rows under a single key of a
+	// non-folding output, which depends on which worker claimed which
+	// morsel; consumers of plain outputs must not rely on intra-key row
+	// order when Workers > 1.
 	Workers int
-	// Recycle creates the session-scoped chunk recycler; RecycleCap
-	// bounds the bytes it may retain (0 = unbounded; see
-	// arena.Recycler.SetCap). Dropped intermediates' chunks park here and
-	// later plans' index allocations draw from the pool first.
+	// Recycle creates the chunk recycler; RecycleCap bounds the bytes it
+	// may retain (0 = unbounded; see arena.Recycler.SetCap). When the last
+	// consumer of an intermediate index finishes, the index's node chunks,
+	// leaf chunks and slab blocks are cleared and parked in a size-classed
+	// pool that later index allocations (including worker partials and
+	// thaws, in this plan or the next) draw from first — instead of
+	// cycling the same chunk shapes through the garbage collector once per
+	// operator. Results are identical either way.
 	Recycle    bool
 	RecycleCap int64
 	// MemBudget caps the resident bytes of intermediate indexes across
-	// every plan sharing this Env (0 = no spilling); SpillDir and
-	// MmapThaw configure the spill manager as in Options.
+	// every plan sharing this Env. When the plans exceed it, cold
+	// intermediates are frozen — their arena chunks written to temp files
+	// in one sequential pass — and restored on next access,
+	// least-recently-used first (package spill). 0 disables spilling;
+	// results are identical either way. Base indexes never spill: the
+	// budget governs what plans *add*.
 	MemBudget int64
-	SpillDir  string
-	MmapThaw  bool
+	// SpillDir is where frozen intermediates are written. Empty uses a
+	// private directory under the OS temp dir, removed by Close.
+	SpillDir string
+	// MmapThaw restores spilled intermediates by memory-mapping the
+	// spill file (privately) and adopting the mapped pages as the index
+	// arenas' chunks — the tree interior is never copied and untouched
+	// pages fault in lazily. Platforms or index kinds without mmap
+	// support silently fall back to the copying restore. Results are
+	// identical either way.
+	MmapThaw bool
 }
 
-// NewEnv builds a long-lived execution environment.
+// NewEnv builds an execution environment.
 func NewEnv(cfg EnvConfig) (*Env, error) {
-	env := &Env{sched: NewScheduler(Options{Workers: cfg.Workers}.poolWorkers())}
+	env := &Env{sched: NewScheduler(poolWorkers(cfg.Workers))}
 	if cfg.Recycle {
 		env.rec = arena.NewRecycler()
 		env.rec.SetCap(cfg.RecycleCap)
 	}
 	if cfg.MemBudget > 0 {
-		mgr, err := newSpillManager(cfg.MemBudget, cfg.SpillDir, cfg.MmapThaw)
+		mgr, err := spill.NewConfig(spill.Config{Budget: cfg.MemBudget, Dir: cfg.SpillDir, Mmap: cfg.MmapThaw})
 		if err != nil {
 			return nil, err
 		}
 		env.spill = mgr
 	}
 	return env, nil
-}
-
-// newSpillManager is the single place a spill manager is assembled from
-// budget knobs — NewEnv builds the environment-scoped manager through it
-// and RunCtx the plan-private one (a budget passed in Options against a
-// spill-less shared Env), so the two paths cannot drift apart.
-func newSpillManager(budget int64, dir string, mmap bool) (*spill.Manager, error) {
-	return spill.NewConfig(spill.Config{Budget: budget, Dir: dir, Mmap: mmap})
 }
 
 // Workers reports the shared pool size.
@@ -99,17 +117,4 @@ func (e *Env) Close() error {
 		return e.spill.Close()
 	}
 	return nil
-}
-
-// ephemeralEnv assembles the per-call environment Plan.Run historically
-// created: pool, recycler and spill manager live for one execution. The
-// plan-scoped recycler is uncapped — it dies with the plan.
-func ephemeralEnv(opts Options) (*Env, error) {
-	return NewEnv(EnvConfig{
-		Workers:   opts.Workers,
-		Recycle:   opts.Recycle,
-		MemBudget: opts.MemBudget,
-		SpillDir:  opts.SpillDir,
-		MmapThaw:  opts.MmapThaw,
-	})
 }

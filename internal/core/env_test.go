@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// TestRunCtxCancelMidScan cancels the context deterministically from
+// TestRunCancelMidScan cancels the context deterministically from
 // inside a selection's residual filter: the scan must stop within one
-// abort-poll window and RunCtx must report context.Canceled instead of a
+// abort-poll window and Env.Run must report context.Canceled instead of a
 // partial result.
-func TestRunCtxCancelMidScan(t *testing.T) {
+func TestRunCancelMidScan(t *testing.T) {
 	const nKeys = 200000
 	idx := NewIndex(IndexConfig{KeyBits: 32})
 	for k := uint64(0); k < nKeys; k++ {
@@ -39,9 +39,9 @@ func TestRunCtxCancelMidScan(t *testing.T) {
 			KeyRefs: []Ref{{Input: 0, Attr: "k"}},
 		},
 	}}
-	out, _, err := plan.RunCtx(ctx, nil, Options{})
+	out, _, err := newTestEnv(t, EnvConfig{}).Run(ctx, plan, Options{})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx returned err=%v out=%v, want context.Canceled", err, out)
+		t.Fatalf("Run returned err=%v out=%v, want context.Canceled", err, out)
 	}
 	// The abort poll runs every abortTickMask+1 fed combinations; the scan
 	// must not have continued much past the cancellation point.
@@ -50,10 +50,10 @@ func TestRunCtxCancelMidScan(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelParallel: the same deterministic cancellation under
-// morsel-driven execution — every worker must stop claiming and RunCtx
+// TestRunCancelParallel: the same deterministic cancellation under
+// morsel-driven execution — every worker must stop claiming and Env.Run
 // must unwind without deadlocking on the shared pool.
-func TestRunCtxCancelParallel(t *testing.T) {
+func TestRunCancelParallel(t *testing.T) {
 	const nKeys = 200000
 	idx := NewIndex(IndexConfig{KeyBits: 32})
 	for k := uint64(0); k < nKeys; k++ {
@@ -74,34 +74,30 @@ func TestRunCtxCancelParallel(t *testing.T) {
 			KeyRefs: []Ref{{Input: 0, Attr: "k"}},
 		},
 	}}
-	_, _, err := plan.RunCtx(ctx, nil, Options{Workers: 4, MorselsPerWorker: 4})
+	_, _, err := newTestEnv(t, EnvConfig{Workers: 4}).Run(ctx, plan, Options{MorselsPerWorker: 4})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel RunCtx returned %v, want context.Canceled", err)
+		t.Fatalf("parallel Run returned %v, want context.Canceled", err)
 	}
 }
 
 // TestEnvCrossPlanReuse: two identical plans run back-to-back against one
 // Env must produce bit-identical results, and the second plan's index
 // allocations must be served from the chunks the first plan dropped —
-// the cross-plan steady state the session-scoped recycler exists for.
+// the cross-plan steady state the Env recycler exists for.
 func TestEnvCrossPlanReuse(t *testing.T) {
 	f := buildFixture(21)
-	want, _, err := starPlan(f, 2).Run(Options{})
+	want, _, err := run(t, EnvConfig{}, starPlan(f, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRows := Extract(want).Rows
 
-	env, err := NewEnv(EnvConfig{Recycle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
+	env := newTestEnv(t, EnvConfig{Recycle: true})
 	var firstReuse int
 	for pass := 0; pass < 2; pass++ {
 		// NoFuse: cross-plan chunk reuse needs the plan to build (and drop)
 		// its intermediate index; fusion would stream it instead.
-		out, stats, err := starPlan(f, 2).RunCtx(context.Background(), env, Options{CollectStats: true, NoFuse: true})
+		out, stats, err := env.Run(context.Background(), starPlan(f, 2), Options{CollectStats: true, NoFuse: true})
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -120,8 +116,8 @@ func TestEnvCrossPlanReuse(t *testing.T) {
 	}
 }
 
-// TestEnvSharedSpillDetachesResult: under a shared (env-scoped) spill
-// manager, a plan's intermediates must leave the spill directory with the
+// TestEnvSharedSpillDetachesResult: under the Env's spill manager, a
+// plan's intermediates must leave the spill directory with the
 // plan and its result must stay fully usable — including after later
 // plans churn the budget and after Env.Close.
 func TestEnvSharedSpillDetachesResult(t *testing.T) {
@@ -131,13 +127,13 @@ func TestEnvSharedSpillDetachesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := buildFixture(22)
-	want, _, err := starPlan(f, 2).Run(Options{})
+	want, _, err := run(t, EnvConfig{}, starPlan(f, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRows := Extract(want).Rows
 
-	out, stats, err := starPlan(f, 2).RunCtx(context.Background(), env, Options{CollectStats: true})
+	out, stats, err := env.Run(context.Background(), starPlan(f, 2), Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +156,7 @@ func TestEnvSharedSpillDetachesResult(t *testing.T) {
 	}
 	// Churn the budget with another plan, then close the env; the first
 	// result must stay intact throughout.
-	if _, _, err := starPlan(f, 3).RunCtx(context.Background(), env, Options{}); err != nil {
+	if _, _, err := env.Run(context.Background(), starPlan(f, 3), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := env.Close(); err != nil {
@@ -168,22 +164,5 @@ func TestEnvSharedSpillDetachesResult(t *testing.T) {
 	}
 	if got := Extract(out).Rows; !reflect.DeepEqual(got, wantRows) {
 		t.Fatal("detached result changed after env churn and Close")
-	}
-}
-
-// TestRunDeprecatedWrapper: the historical one-shot entry point must keep
-// working unchanged on top of RunCtx.
-func TestRunDeprecatedWrapper(t *testing.T) {
-	f := buildFixture(23)
-	a, _, err := starPlan(f, 2).Run(Options{Recycle: true, CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := starPlan(f, 2).RunCtx(context.Background(), nil, Options{Recycle: true, CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(Extract(a).Rows, Extract(b).Rows) {
-		t.Fatal("Run and RunCtx(nil env) disagree")
 	}
 }

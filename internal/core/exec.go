@@ -13,64 +13,25 @@ import (
 	"qppt/internal/spill"
 )
 
-// Options tune plan execution; they are the knobs the paper's demonstrator
-// exposes (Appendix A) plus the morsel-driven parallelism configuration.
+// Options are what varies per query: the ablation/oracle switches of the
+// paper's demonstrator (Appendix A) plus statistics collection. The
+// resources a plan runs on — worker pool, chunk recycler, spill budget —
+// belong to the Env and are configured once, in EnvConfig.
 type Options struct {
 	// BufferSize is the joinbuffer/selectionbuffer size: how many
 	// combinations are buffered before a batched index operation is
 	// issued. 1 disables batching (scalar tuple-at-a-time); the
 	// demonstrator offers 1, 64, 512 and 2048.
 	BufferSize int
-	// Workers sizes the plan-wide shared worker pool (scheduler.go). The
-	// same pool serves inter-operator parallelism (independent plan
-	// branches run concurrently) and intra-operator parallelism
-	// (operators split their scans into work-stealing key-range morsels,
-	// paper Section 7), so goroutine count is bounded by Workers no
-	// matter how many operators run at once. 0 or 1 = serial, the
-	// paper's evaluation mode.
-	//
-	// Results are schedule-independent: keys, per-key row multisets and
-	// folded aggregates are identical to serial execution. The one
-	// exception is the *order* of duplicate rows under a single key of a
-	// non-folding output, which depends on which worker claimed which
-	// morsel; consumers of plain outputs must not rely on intra-key row
-	// order when Workers > 1.
-	Workers int
 	// MorselsPerWorker is the morsel fan-out factor: each parallel
 	// operator splits its key space into Workers × MorselsPerWorker
 	// morsels. More morsels resist skew better but leave more partial
 	// outputs to merge. Default DefaultMorselsPerWorker.
 	MorselsPerWorker int
-	// MemBudget caps the resident bytes of the plan's intermediate
-	// indexes. When the plan exceeds it, cold intermediates are frozen —
-	// their arena chunks written to temp files in one sequential pass —
-	// and restored on next access, least-recently-used first (package
-	// spill). 0 disables spilling; results are identical either way.
-	// Base indexes never spill: the budget governs what the plan *adds*.
-	MemBudget int64
-	// SpillDir is where frozen intermediates are written. Empty uses a
-	// private directory under the OS temp dir, removed when the plan
-	// finishes.
-	SpillDir string
-	// Recycle enables the plan-scoped chunk recycler: when the last
-	// consumer of an intermediate index finishes, the index's node
-	// chunks, leaf chunks and slab blocks are cleared and parked in a
-	// size-classed pool that later index allocations (including worker
-	// partials and thaws) draw from first — instead of cycling the same
-	// chunk shapes through the garbage collector once per operator.
-	// Results are identical either way.
-	Recycle bool
-	// MmapThaw restores spilled intermediates by memory-mapping the
-	// spill file (privately) and adopting the mapped pages as the index
-	// arenas' chunks — the tree interior is never copied and untouched
-	// pages fault in lazily. Platforms or index kinds without mmap
-	// support silently fall back to the copying restore. Results are
-	// identical either way.
-	MmapThaw bool
 	// CollectStats gathers per-operator execution statistics.
 	CollectStats bool
 	// AdmissionWait is how long the plan waited in an admission queue
-	// before RunCtx was entered. Execution ignores it; the queue-aware
+	// before Env.Run was entered. Execution ignores it; the queue-aware
 	// entry folds it into PlanStats so per-query statistics separate
 	// time-queued from time-executing (qppt.Engine sets it from its
 	// admission gate).
@@ -82,7 +43,7 @@ type Options struct {
 	// the producer's pipeline into the consumer's, and only the chain's
 	// top operator materializes an output index (fuse.go). Results are
 	// identical either way, up to the intra-key duplicate row order of
-	// non-folding outputs — the same caveat as Workers > 1.
+	// non-folding outputs — the same caveat as EnvConfig.Workers > 1.
 	NoFuse bool
 	// ProbeBatch is the probe-forward batch size inside fused chains: how
 	// many assembled combinations a fused link accumulates in its
@@ -95,13 +56,13 @@ type Options struct {
 	ProbeBatch int
 }
 
-// poolWorkers resolves Workers into the pool size the scheduler uses.
-// WorkersAuto (-1) sizes the pool to GOMAXPROCS.
-func (o Options) poolWorkers() int {
-	if o.Workers > 1 {
-		return o.Workers
+// poolWorkers resolves EnvConfig.Workers into the pool size the scheduler
+// uses. WorkersAuto (-1) sizes the pool to GOMAXPROCS.
+func poolWorkers(workers int) int {
+	if workers > 1 {
+		return workers
 	}
-	if o.Workers == WorkersAuto {
+	if workers == WorkersAuto {
 		return runtime.GOMAXPROCS(0)
 	}
 	return 1
@@ -123,15 +84,15 @@ type ExecContext struct {
 	ctx     context.Context // query context; nil means non-cancellable
 	opts    Options
 	sched   *Scheduler
-	rec     *arena.Recycler   // plan- or session-scoped chunk pool (nil without recycling)
+	rec     *arena.Recycler   // the Env's chunk pool (nil without recycling)
 	wrecs   []*arena.Recycler // worker-local child pools, indexed by pool worker (nil without parallel recycling)
-	spill   *spill.Manager    // plan/engine spill manager (nil without a memory budget)
+	spill   *spill.Manager    // the Env's spill manager (nil without a memory budget)
 	mu      sync.Mutex        // guards opStats under intra-operator parallelism
 	opStats *OperatorStats
 }
 
 // workerRec returns pool worker w's local chunk pool, falling back to the
-// shared plan pool when worker-local pools are not active. Partials built
+// shared Env pool when worker-local pools are not active. Partials built
 // from a worker-local pool recycle through it without touching the shared
 // pool's lock, keeping the worker's chunk traffic cache-warm.
 func (ec *ExecContext) workerRec(w int) *arena.Recycler {
@@ -172,10 +133,10 @@ func (ec *ExecContext) bufferSize() int {
 }
 
 // scheduler returns the plan's shared pool, creating a serial one for
-// contexts constructed outside Plan.Run (tests, ad-hoc operator calls).
+// contexts constructed outside Env.Run (tests, ad-hoc operator calls).
 func (ec *ExecContext) scheduler() *Scheduler {
 	if ec.sched == nil {
-		ec.sched = NewScheduler(ec.opts.poolWorkers())
+		ec.sched = NewScheduler(1)
 	}
 	return ec.sched
 }
@@ -295,7 +256,7 @@ type OperatorStats struct {
 	OutKeys  int
 	OutBytes int
 	// Spills/Restores count how often this operator's output index was
-	// frozen to disk and thawed back under Options.MemBudget.
+	// frozen to disk and thawed back under EnvConfig.MemBudget.
 	Spills   int
 	Restores int
 }
@@ -313,11 +274,11 @@ type PlanStats struct {
 	// MemBudget echoes the governing budget (0 = unlimited); the
 	// remaining fields aggregate the spill manager's activity:
 	// freeze/thaw event counts, the bytes they moved, and the peak
-	// tracked residency of the plan's intermediate indexes. Under a
-	// shared (engine-scoped) manager the counters are this plan's deltas
-	// — exact when the plan runs alone, approximate under concurrent
-	// plans — and PeakResident is how much the plan raised the engine's
-	// high-water mark (0 when it stayed under the prior peak).
+	// tracked residency of the plan's intermediate indexes. The manager
+	// is the Env's, so the counters are this plan's deltas — exact when
+	// the plan runs alone, approximate under concurrent plans — and
+	// PeakResident is how much the plan raised the Env's high-water mark
+	// (0 when it stayed under the prior peak).
 	MemBudget    int64
 	Spills       int
 	Restores     int
@@ -331,9 +292,9 @@ type PlanStats struct {
 	RestoreBytesRead int64
 	MmapRestores     int
 	PartialRestores  int
-	// ChunksRecycled/ChunksReused/RecycleSavedBytes aggregate the plan
-	// recycler's traffic under Options.Recycle: chunks parked in the
-	// pool, chunk allocations served from it, and the heap allocation
+	// ChunksRecycled/ChunksReused/RecycleSavedBytes are this plan's share
+	// of the Env recycler's traffic (EnvConfig.Recycle): chunks parked in
+	// the pool, chunk allocations served from it, and the heap allocation
 	// those reuses avoided.
 	ChunksRecycled    int
 	ChunksReused      int
@@ -421,77 +382,37 @@ func (ps *PlanStats) descents() (kernel, scalar int) {
 	return kernel, scalar
 }
 
-// A Plan is an executable QPPT operator DAG.
+// A Plan is an executable QPPT operator DAG; Env.Run executes it.
 type Plan struct {
 	Root Operator
 }
 
-// Run executes the plan in an ephemeral environment — a private worker
-// pool, recycler and spill manager that live for this one call — and
-// returns the final indexed table (the query result index, already grouped
-// and sorted by its key) plus statistics when requested.
-//
-// Deprecated: Run is the historical one-shot entry point, kept as a thin
-// wrapper. New callers use RunCtx, which adds cancellation and lets a
-// long-lived Env carry the worker pool, chunk pool and spill budget across
-// plans (see qppt.Engine).
-func (pl *Plan) Run(opts Options) (*IndexedTable, *PlanStats, error) {
-	return pl.RunCtx(context.Background(), nil, opts)
-}
-
-// RunCtx executes the plan and returns the final indexed table (the query
-// result index, already grouped and sorted by its key) plus statistics
-// when requested.
-//
-// env supplies the long-lived execution resources. A nil env runs the
-// plan one-shot: pool, recycler and spill manager are created from opts
-// and torn down with the call. A non-nil env shares its worker pool
-// across every plan using it, parks dropped intermediates' chunks in its
-// session recycler (opts.Workers and opts.Recycle are then ignored —
-// those are environment properties), and registers intermediates with its
-// shared spill manager (opts.MemBudget/SpillDir/MmapThaw are ignored when
-// the env carries a manager; a spill-less env honors opts.MemBudget with
-// a plan-private manager). The plan's result is detached from a shared
-// manager before returning, so it stays valid however long it outlives
-// the plan; a caller that is done with it hands its chunks back to the
-// pool with IndexedTable.Release.
+// Run executes the plan on the environment's resources and returns the
+// final indexed table (the query result index, already grouped and sorted
+// by its key) plus statistics when requested. It is the only way a plan
+// runs: the worker pool is shared with every other plan on the Env,
+// dropped intermediates' chunks park in its recycler, and intermediates
+// register with its spill manager. The plan's result is detached from the
+// spill manager before returning, so it stays valid however long it
+// outlives the plan (and the Env); a caller that is done with it hands its
+// chunks back to the pool with IndexedTable.Release.
 //
 // Cancelling ctx unwinds the plan promptly: morsel loops, merge tasks and
 // operator scans stop at the next batch boundary, waits on spill
 // freeze/thaw transitions return early, pins are released, and — once
-// every in-flight worker has drained — RunCtx returns ctx.Err() with no
+// every in-flight worker has drained — Run returns ctx.Err() with no
 // goroutines, pins or spill files left behind.
-func (pl *Plan) RunCtx(ctx context.Context, env *Env, opts Options) (*IndexedTable, *PlanStats, error) {
+func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable, *PlanStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	shared := env != nil
-	if !shared {
-		var err error
-		if env, err = ephemeralEnv(opts); err != nil {
-			return nil, nil, err
-		}
-		if env.spill != nil {
-			defer env.spill.Close() // removes spill files; the result is thawed first
-		}
 	}
 	ex := &executor{
 		ctx:   ctx,
 		opts:  opts,
 		sched: env.sched,
 		rec:   env.rec,
+		spill: env.spill,
 		memo:  make(map[Operator]*memoEntry),
-	}
-	ownSpill := env.spill == nil && shared && opts.MemBudget > 0
-	if ownSpill {
-		mgr, err := newSpillManager(opts.MemBudget, opts.SpillDir, opts.MmapThaw)
-		if err != nil {
-			return nil, nil, err
-		}
-		ex.spill = mgr
-		defer mgr.Close()
-	} else {
-		ex.spill = env.spill
 	}
 	if ex.rec != nil || ex.spill != nil || !opts.NoFuse {
 		// Consumer counting drives chunk recycling, the early deletion of
@@ -519,25 +440,23 @@ func (pl *Plan) RunCtx(ctx context.Context, env *Env, opts Options) (*IndexedTab
 			ex.wrecs[i] = ex.rec.Local()
 		}
 	}
+	// The manager and recycler accumulate across plans; statistics report
+	// this plan's activity as the counter delta (exact when the plan runs
+	// alone, approximate under concurrent plans).
 	var stats *PlanStats
 	var spill0 spill.Stats
 	var rec0 arena.RecyclerStats
 	if opts.CollectStats {
 		stats = &PlanStats{Workers: ex.sched.Workers(), MorselsPerWorker: 1,
-			MemBudget: opts.MemBudget, AdmissionWait: opts.AdmissionWait}
+			AdmissionWait: opts.AdmissionWait}
 		if ex.sched.parallel() {
 			stats.MorselsPerWorker = opts.morselsPerWorker()
 		}
-		if shared {
-			// Shared managers and recyclers accumulate across plans;
-			// report this plan's activity as the counter delta (exact when
-			// the plan runs alone, approximate under concurrent plans).
-			if ex.spill != nil && !ownSpill {
-				spill0 = ex.spill.Stats()
-				stats.MemBudget = ex.spill.Budget()
-			}
-			rec0 = ex.rec.Stats()
+		if ex.spill != nil {
+			spill0 = ex.spill.Stats()
+			stats.MemBudget = ex.spill.Budget()
 		}
+		rec0 = ex.rec.Stats()
 	}
 	t0 := time.Now()
 	out, err := ex.resolve(pl.Root, stats)
@@ -547,11 +466,11 @@ func (pl *Plan) RunCtx(ctx context.Context, env *Env, opts Options) (*IndexedTab
 	for _, wr := range ex.wrecs {
 		wr.Drain() // fold the worker-local pools back into the shared pool
 	}
-	if ex.spill != nil && shared && !ownSpill {
-		// The shared manager outlives this plan: whatever spill state the
-		// plan still owns must leave with it. The result is detached
-		// (thawed, materialized, its file deleted) so it stays valid
-		// indefinitely; on error every remaining handle is dropped.
+	if ex.spill != nil {
+		// The manager outlives this plan: whatever spill state the plan
+		// still owns must leave with it. The result is detached (thawed,
+		// materialized, its file deleted) so it stays valid indefinitely;
+		// on error every remaining handle is dropped.
 		if err == nil {
 			if h := ex.handleOf(out); h != nil {
 				err = h.Detach()
@@ -573,17 +492,6 @@ func (pl *Plan) RunCtx(ctx context.Context, env *Env, opts Options) (*IndexedTab
 	if err != nil {
 		return nil, nil, err
 	}
-	if ex.spill != nil && (!shared || ownSpill) {
-		// The result index must survive Close: thaw it and stop evicting
-		// it (the pin is never released — the manager is done). Close
-		// materializes any mmap-adopted chunks before unmapping.
-		if h := ex.handleOf(out); h != nil {
-			//qpptvet:ignore pinbalance intentionally permanent: the result index must outlive the manager (see comment above)
-			if err := h.PinCtx(ctx); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
 	if stats != nil {
 		if ex.spill != nil {
 			ms := ex.spill.Stats()
@@ -592,9 +500,9 @@ func (pl *Plan) RunCtx(ctx context.Context, env *Env, opts Options) (*IndexedTab
 			stats.RestoreBytesRead = ms.RestoreBytesRead - spill0.RestoreBytesRead
 			stats.MmapRestores = ms.MmapRestores - spill0.MmapRestores
 			stats.PartialRestores = ms.PartialRestores - spill0.PartialRestores
-			// Peak is a high-water mark; under a shared manager report how
-			// much this plan raised it (0 = stayed under the engine's
-			// prior peak), consistent with the sibling delta counters.
+			// Peak is a high-water mark: report how much this plan raised
+			// it (0 = stayed under the Env's prior peak), consistent with
+			// the sibling delta counters.
 			stats.PeakResident = ms.Peak - spill0.Peak
 			for _, ref := range ex.spillOps {
 				// Add (not assign): merge-partial freeze/thaw traffic is
@@ -629,10 +537,10 @@ func countUses(op Operator, uses map[Operator]int) {
 }
 
 // executor memoizes operator outputs so DAG-shaped plans run each operator
-// once, and resolves independent children concurrently on the plan's
-// shared worker pool. With a memory budget it also owns the plan's spill
-// manager: every non-base operator output is registered for LRU eviction,
-// and inputs are pinned resident around each operator run.
+// once, and resolves independent children concurrently on the Env's
+// shared worker pool. With a memory budget every non-base operator output
+// is registered with the Env's spill manager for LRU eviction, and inputs
+// are pinned resident around each operator run.
 type executor struct {
 	ctx   context.Context
 	opts  Options
@@ -640,8 +548,8 @@ type executor struct {
 	mu    sync.Mutex
 	memo  map[Operator]*memoEntry
 
-	// rec and uses implement plan-scoped chunk recycling (Options.Recycle):
-	// uses holds the remaining consumer count per operator output, and rec
+	// rec and uses implement chunk recycling (EnvConfig.Recycle): uses
+	// holds the remaining consumer count per operator output, and rec
 	// receives the chunks of outputs whose count reaches zero. wrecs are
 	// the worker-local child pools (one per pool worker) that front rec
 	// under parallel execution; they are drained back when the plan ends.
@@ -721,8 +629,8 @@ func (ex *executor) handleOf(t *IndexedTable) *spill.Handle {
 // releaseInput decrements an operator output's remaining-consumer count
 // and, at zero, drops the intermediate: its spill state (file, mapping)
 // is removed so the spill directory holds only snapshots a consumer may
-// still need, and — with Options.Recycle — its chunk storage is parked in
-// the plan pool. Base tables are never dropped; the plan root carries an
+// still need, and — with EnvConfig.Recycle — its chunk storage is parked in
+// the Env pool. Base tables are never dropped; the plan root carries an
 // extra use so the result survives. Drop precedes Recycle: Drop waits out
 // any in-flight freeze/thaw of the entry and releases the file mapping,
 // after which recycling only touches heap chunks (mapped ones are

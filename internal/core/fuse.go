@@ -78,7 +78,7 @@ func (ch *fuseChain) top() Operator { return ch.links[len(ch.links)-1] }
 func FusableEdges(root Operator) int {
 	uses := make(map[Operator]int)
 	countUses(root, uses)
-	uses[root]++ // the caller consumes the result, matching RunCtx
+	uses[root]++ // the caller consumes the result, matching Env.Run
 	n := 0
 	for _, ch := range buildChains(root, uses) {
 		n += len(ch.links) - 1

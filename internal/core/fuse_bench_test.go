@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 var benchKeys int
 
@@ -12,18 +15,21 @@ var benchKeys int
 func BenchmarkFusedChain(b *testing.B) {
 	f := buildFixture(21)
 	for _, cfg := range []struct {
-		name string
-		opts Options
+		name    string
+		workers int
+		opts    Options
 	}{
-		{"fused", Options{}},
-		{"materialized", Options{NoFuse: true}},
-		{"fused-w4", Options{Workers: 4}},
-		{"materialized-w4", Options{Workers: 4, NoFuse: true}},
+		{"fused", 1, Options{}},
+		{"materialized", 1, Options{NoFuse: true}},
+		{"fused-w4", 4, Options{}},
+		{"materialized-w4", 4, Options{NoFuse: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			env := newTestEnv(b, EnvConfig{Workers: cfg.workers})
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, _, err := starPlan(f, 2).Run(cfg.opts)
+				out, _, err := env.Run(context.Background(), starPlan(f, 2), cfg.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -42,19 +48,22 @@ func BenchmarkFusedChain(b *testing.B) {
 func BenchmarkBatchedProbe(b *testing.B) {
 	f := buildFixture(22)
 	for _, cfg := range []struct {
-		name string
-		opts Options
+		name    string
+		workers int
+		opts    Options
 	}{
-		{"batch1", Options{ProbeBatch: 1}},
-		{"batch256", Options{ProbeBatch: 256}},
-		{"batch512", Options{}},
-		{"batch1024", Options{ProbeBatch: 1024}},
-		{"batch512-w4", Options{Workers: 4}},
+		{"batch1", 1, Options{ProbeBatch: 1}},
+		{"batch256", 1, Options{ProbeBatch: 256}},
+		{"batch512", 1, Options{}},
+		{"batch1024", 1, Options{ProbeBatch: 1024}},
+		{"batch512-w4", 4, Options{}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			env := newTestEnv(b, EnvConfig{Workers: cfg.workers})
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, _, err := starPlan(f, 2).Run(cfg.opts)
+				out, _, err := env.Run(context.Background(), starPlan(f, 2), cfg.opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -118,28 +118,28 @@ func TestFusedMatchesMaterialized(t *testing.T) {
 			},
 		}}
 	}
-	want, _, err := mkPlan().Run(Options{NoFuse: true})
+	want, _, err := run(t, EnvConfig{}, mkPlan(), Options{NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRes := Extract(want)
-	for _, opt := range []Options{
+	for _, rc := range []runConfig{
 		{},
-		{Workers: 3},
-		{MemBudget: 1},
-		{Workers: 3, MemBudget: 1},
-		{Workers: 3, MemBudget: 1, MmapThaw: true, Recycle: true},
+		{env: EnvConfig{Workers: 3}},
+		{env: EnvConfig{MemBudget: 1}},
+		{env: EnvConfig{Workers: 3, MemBudget: 1}},
+		{env: EnvConfig{Workers: 3, MemBudget: 1, MmapThaw: true, Recycle: true}},
 	} {
-		opt.CollectStats = true
-		out, stats, err := mkPlan().Run(opt)
+		rc.opts.CollectStats = true
+		out, stats, err := run(t, rc.env, mkPlan(), rc.opts)
 		if err != nil {
-			t.Fatalf("%+v: %v", opt, err)
+			t.Fatalf("%+v: %v", rc, err)
 		}
 		if !reflect.DeepEqual(Extract(out).Rows, wantRes.Rows) {
-			t.Fatalf("%+v: fused result differs", opt)
+			t.Fatalf("%+v: fused result differs", rc)
 		}
 		if stats.FusedEdges != 1 {
-			t.Fatalf("%+v: FusedEdges = %d, want 1", opt, stats.FusedEdges)
+			t.Fatalf("%+v: FusedEdges = %d, want 1", rc, stats.FusedEdges)
 		}
 	}
 }
@@ -149,7 +149,7 @@ func TestFusedMatchesMaterialized(t *testing.T) {
 // materialized output, and the plan stats surface the skipped edge.
 func TestFusedStatsAttribution(t *testing.T) {
 	f := buildFixture(16)
-	out, stats, err := starPlan(f, 2).Run(Options{CollectStats: true})
+	out, stats, err := run(t, EnvConfig{}, starPlan(f, 2), Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestRangeStreamBatchEdges(t *testing.T) {
 	}
 	band := Between(2, 5)
 
-	want, _, err := mkPlan(nil, band).Run(Options{NoFuse: true})
+	want, _, err := run(t, EnvConfig{}, mkPlan(nil, band), Options{NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,29 +210,29 @@ func TestRangeStreamBatchEdges(t *testing.T) {
 	if len(wantRows) == 0 {
 		t.Fatal("band selects nothing — fixture changed?")
 	}
-	for _, opt := range []Options{
-		{},              // default batch ≫ 200 combinations: only finish flushes
-		{ProbeBatch: 3}, // many flushes, partial last batch
-		{ProbeBatch: 1}, // scalar forwarding
-		{ProbeBatch: 1024, Workers: 3, MorselsPerWorker: 3}, // batch spans every morsel's end
-		{ProbeBatch: 3, Workers: 3, MemBudget: 1},
+	for _, rc := range []runConfig{
+		{},                             // default batch ≫ 200 combinations: only finish flushes
+		{opts: Options{ProbeBatch: 3}}, // many flushes, partial last batch
+		{opts: Options{ProbeBatch: 1}}, // scalar forwarding
+		{EnvConfig{Workers: 3}, Options{ProbeBatch: 1024, MorselsPerWorker: 3}}, // batch spans every morsel's end
+		{EnvConfig{Workers: 3, MemBudget: 1}, Options{ProbeBatch: 3}},
 	} {
-		opt.CollectStats = true
-		out, stats, err := mkPlan(nil, band).Run(opt)
+		rc.opts.CollectStats = true
+		out, stats, err := run(t, rc.env, mkPlan(nil, band), rc.opts)
 		if err != nil {
-			t.Fatalf("%+v: %v", opt, err)
+			t.Fatalf("%+v: %v", rc, err)
 		}
 		if stats.FusedEdges != 1 {
-			t.Fatalf("%+v: FusedEdges = %d, want 1", opt, stats.FusedEdges)
+			t.Fatalf("%+v: FusedEdges = %d, want 1", rc, stats.FusedEdges)
 		}
 		if !reflect.DeepEqual(Extract(out).Rows, wantRows) {
-			t.Fatalf("%+v: fused σ→σ result differs", opt)
+			t.Fatalf("%+v: fused σ→σ result differs", rc)
 		}
 	}
 
 	// Empty stream: an empty (non-nil) inner predicate scans nothing; the
 	// chain must finish cleanly with zero batches and an empty output.
-	out, stats, err := mkPlan(KeyPred{}, band).Run(Options{CollectStats: true})
+	out, stats, err := run(t, EnvConfig{}, mkPlan(KeyPred{}, band), Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestBatchSortPaths(t *testing.T) {
 		{"wide-key", 48, 33}, // keys ≥ 2³²: comparator fallback
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, _, err := mkPlan(tc.keyBits, tc.shift).Run(Options{NoFuse: true})
+			want, _, err := run(t, EnvConfig{}, mkPlan(tc.keyBits, tc.shift), Options{NoFuse: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,21 +300,21 @@ func TestBatchSortPaths(t *testing.T) {
 			if len(wantRows) != nKeys {
 				t.Fatalf("oracle has %d groups, want %d", len(wantRows), nKeys)
 			}
-			for _, opt := range []Options{
+			for _, rc := range []runConfig{
 				{},
-				{ProbeBatch: 7},
-				{Workers: 3, MorselsPerWorker: 3},
+				{opts: Options{ProbeBatch: 7}},
+				{EnvConfig{Workers: 3}, Options{MorselsPerWorker: 3}},
 			} {
-				opt.CollectStats = true
-				out, stats, err := mkPlan(tc.keyBits, tc.shift).Run(opt)
+				rc.opts.CollectStats = true
+				out, stats, err := run(t, rc.env, mkPlan(tc.keyBits, tc.shift), rc.opts)
 				if err != nil {
-					t.Fatalf("%+v: %v", opt, err)
+					t.Fatalf("%+v: %v", rc, err)
 				}
 				if stats.FusedEdges != 1 {
-					t.Fatalf("%+v: FusedEdges = %d, want 1", opt, stats.FusedEdges)
+					t.Fatalf("%+v: FusedEdges = %d, want 1", rc, stats.FusedEdges)
 				}
 				if !reflect.DeepEqual(Extract(out).Rows, wantRows) {
-					t.Fatalf("%+v: sorted-batch result differs from materialized", opt)
+					t.Fatalf("%+v: sorted-batch result differs from materialized", rc)
 				}
 			}
 		})
@@ -357,7 +357,7 @@ func TestFusedChainCancellationDrainsPins(t *testing.T) {
 			ColExprs: []RowExpr{Attr(0, "custkey"), Attr(0, "qty")},
 		},
 	}
-	_, _, err := (&Plan{Root: outer}).RunCtx(qctx, nil, Options{MemBudget: 1})
+	_, _, err := newTestEnv(t, EnvConfig{MemBudget: 1}).Run(qctx, &Plan{Root: outer}, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled fused chain returned %v, want context.Canceled", err)
 	}

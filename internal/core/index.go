@@ -78,7 +78,7 @@ type IndexConfig struct {
 	// copy overhead (paper Section 2.2).
 	CompressKISS bool
 	// Recycler, if non-nil, routes the index's chunk storage through a
-	// plan-scoped chunk pool (see arena.Recycler): growth draws from it
+	// chunk pool (see arena.Recycler): growth draws from it
 	// and dropping the index parks the chunks there for the next one.
 	Recycler *arena.Recycler
 }

@@ -33,46 +33,46 @@ func TestRangeStreamConsumerBatchStats(t *testing.T) {
 		inner := &Selection{Input: &Base{Table: f.prodByBrand}, Out: outSpec("ident")}
 		return &Plan{Root: &Selection{Input: inner, Pred: KeyPred{{Lo: 2, Hi: 3}, {Lo: 8, Hi: 9}}, Out: outSpec("band")}}
 	}
-	for _, opt := range []Options{
-		{ProbeBatch: 16},
-		{ProbeBatch: 16, Workers: 3, MorselsPerWorker: 3},
+	for _, rc := range []runConfig{
+		{opts: Options{ProbeBatch: 16}},
+		{EnvConfig{Workers: 3}, Options{ProbeBatch: 16, MorselsPerWorker: 3}},
 	} {
-		opt.CollectStats = true
-		out, stats, err := mkPlan().Run(opt)
+		rc.opts.CollectStats = true
+		out, stats, err := run(t, rc.env, mkPlan(), rc.opts)
 		if err != nil {
-			t.Fatalf("%+v: %v", opt, err)
+			t.Fatalf("%+v: %v", rc, err)
 		}
 		producer, top := stats.Ops[0], stats.Ops[1]
 		if producer.FusedKind != "range-stream" {
-			t.Fatalf("%+v: producer kind %q, want range-stream", opt, producer.FusedKind)
+			t.Fatalf("%+v: producer kind %q, want range-stream", rc, producer.FusedKind)
 		}
 		if producer.ProbeBatches == 0 || producer.AvgBatchFill <= 0 {
-			t.Fatalf("%+v: producer batches=%d fill=%.1f, want both > 0", opt, producer.ProbeBatches, producer.AvgBatchFill)
+			t.Fatalf("%+v: producer batches=%d fill=%.1f, want both > 0", rc, producer.ProbeBatches, producer.AvgBatchFill)
 		}
 		if got := producer.SortedFlushes + producer.ArrivalFlushes; got != producer.ProbeBatches {
-			t.Fatalf("%+v: flush split %d+%d != %d batches", opt, producer.SortedFlushes, producer.ArrivalFlushes, producer.ProbeBatches)
+			t.Fatalf("%+v: flush split %d+%d != %d batches", rc, producer.SortedFlushes, producer.ArrivalFlushes, producer.ProbeBatches)
 		}
 		// The fix under test: the non-probing chain top reports the batch
 		// traffic it received, not zeros.
 		if top.ProbeBatches == 0 || top.AvgBatchFill <= 0 {
-			t.Fatalf("%+v: range-stream top batches=%d fill=%.1f, want both > 0", opt, top.ProbeBatches, top.AvgBatchFill)
+			t.Fatalf("%+v: range-stream top batches=%d fill=%.1f, want both > 0", rc, top.ProbeBatches, top.AvgBatchFill)
 		}
 		// A batch whose every key the filter drops is flushed by the
 		// producer but never handed over, so the top can receive fewer
 		// batches than the producer flushed — never more.
 		if top.ProbeBatches > producer.ProbeBatches {
-			t.Fatalf("%+v: top received %d batches, producer flushed only %d", opt, top.ProbeBatches, producer.ProbeBatches)
+			t.Fatalf("%+v: top received %d batches, producer flushed only %d", rc, top.ProbeBatches, producer.ProbeBatches)
 		}
 		// No residual and no fold in this plan, so the combinations that
 		// survive the batch predicate filter are exactly the output rows.
 		if top.StreamedIn != out.Rows() {
-			t.Fatalf("%+v: top StreamedIn=%d, output has %d rows", opt, top.StreamedIn, out.Rows())
+			t.Fatalf("%+v: top StreamedIn=%d, output has %d rows", rc, top.StreamedIn, out.Rows())
 		}
 		if top.StreamedIn >= producer.TuplesStreamed {
-			t.Fatalf("%+v: filter kept %d of %d streamed — predicate did not thin the stream", opt, top.StreamedIn, producer.TuplesStreamed)
+			t.Fatalf("%+v: filter kept %d of %d streamed — predicate did not thin the stream", rc, top.StreamedIn, producer.TuplesStreamed)
 		}
 		if s := stats.String(); !strings.Contains(s, "stream batches in") {
-			t.Fatalf("%+v: stats string misses the consumer batch line:\n%s", opt, s)
+			t.Fatalf("%+v: stats string misses the consumer batch line:\n%s", rc, s)
 		}
 	}
 }
@@ -106,23 +106,23 @@ func TestForwardFilterMatchesPredMatch(t *testing.T) {
 			inner := &Selection{Input: &Base{Table: f.prodByBrand}, Out: outSpec("ident")}
 			return &Plan{Root: &Selection{Input: inner, Pred: pred, Out: outSpec("band")}}
 		}
-		want, _, err := mkPlan().Run(Options{NoFuse: true})
+		want, _, err := run(t, EnvConfig{}, mkPlan(), Options{NoFuse: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantRows := Extract(want).Rows
-		for _, opt := range []Options{
+		for _, rc := range []runConfig{
 			{},
-			{ProbeBatch: 7}, // partial final batches, mask tail words
-			{ProbeBatch: 1}, // scalar predMatch path
-			{Workers: 3, MorselsPerWorker: 3},
+			{opts: Options{ProbeBatch: 7}}, // partial final batches, mask tail words
+			{opts: Options{ProbeBatch: 1}}, // scalar predMatch path
+			{EnvConfig{Workers: 3}, Options{MorselsPerWorker: 3}},
 		} {
-			out, _, err := mkPlan().Run(opt)
+			out, _, err := run(t, rc.env, mkPlan(), rc.opts)
 			if err != nil {
-				t.Fatalf("pred %d %+v: %v", pi, opt, err)
+				t.Fatalf("pred %d %+v: %v", pi, rc, err)
 			}
 			if !reflect.DeepEqual(Extract(out).Rows, wantRows) {
-				t.Fatalf("pred %d %+v: fused result differs from materialized", pi, opt)
+				t.Fatalf("pred %d %+v: fused result differs from materialized", pi, rc)
 			}
 		}
 	}
@@ -138,7 +138,7 @@ func TestKernelDescentStatsSplit(t *testing.T) {
 	}
 	f := buildFixture(20)
 	run := func() *PlanStats {
-		_, stats, err := starPlan(f, 2).Run(Options{CollectStats: true})
+		_, stats, err := run(t, EnvConfig{}, starPlan(f, 2), Options{CollectStats: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func BenchmarkMergePartials(b *testing.B) {
 		})
 		for _, workers := range []int{2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/parallel-w%d", cfg.name, workers), func(b *testing.B) {
-				ec := &ExecContext{opts: Options{Workers: workers}}
+				ec := &ExecContext{sched: NewScheduler(workers)}
 				for i := 0; i < b.N; i++ {
 					mergePartialsParallel(ec, spec, partials)
 				}

@@ -25,7 +25,7 @@ import (
 // subtree. Aggregating outputs merge exactly (the fold is applied again
 // on insert); plain outputs concatenate their duplicate rows.
 //
-// Operators opt in through Options.Workers > 1; the default (and the
+// Operators opt in through EnvConfig.Workers > 1; the default (and the
 // paper's evaluation mode) stays single-threaded.
 
 // partitionBounds splits the key space [lo, hi] into `parts` contiguous

@@ -123,12 +123,12 @@ func TestSyncScanMorselsCoverSyncScan(t *testing.T) {
 // operator output.
 func TestWorkersPreserveResults(t *testing.T) {
 	f := buildFixture(77)
-	ref, _, err := starPlan(f, 4).Run(Options{})
+	ref, _, err := run(t, EnvConfig{}, starPlan(f, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 8} {
-		got, stats, err := starPlan(f, 4).Run(Options{Workers: w, CollectStats: true})
+		got, stats, err := run(t, EnvConfig{Workers: w}, starPlan(f, 4), Options{CollectStats: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,11 +159,11 @@ func TestWorkersWithSelectJoin(t *testing.T) {
 			},
 		}
 	}
-	ref, _, err := (&Plan{Root: sj()}).Run(Options{})
+	ref, _, err := run(t, EnvConfig{}, &Plan{Root: sj()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := (&Plan{Root: sj()}).Run(Options{Workers: 4})
+	par, _, err := run(t, EnvConfig{Workers: 4}, &Plan{Root: sj()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestWorkersOnNonAggregatingSelection(t *testing.T) {
 			},
 		}
 	}
-	ref, _, err := (&Plan{Root: sel()}).Run(Options{})
+	ref, _, err := run(t, EnvConfig{}, &Plan{Root: sel()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := (&Plan{Root: sel()}).Run(Options{Workers: 5})
+	par, _, err := run(t, EnvConfig{Workers: 5}, &Plan{Root: sel()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestMorselsBalanceSkewedKeys(t *testing.T) {
 			},
 		}
 	}
-	ref, _, err := (&Plan{Root: sel()}).Run(Options{})
+	ref, _, err := run(t, EnvConfig{}, &Plan{Root: sel()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := (&Plan{Root: sel()}).Run(Options{Workers: 4, CollectStats: true})
+	got, stats, err := run(t, EnvConfig{Workers: 4}, &Plan{Root: sel()}, Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestMergePartialsParallelMatchesSerial(t *testing.T) {
 			partials = append(partials, NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx))
 		}
 		serial, _ := mergePartials(nil, spec, partials, nil)
-		ec := &ExecContext{opts: Options{Workers: 4}}
+		ec := &ExecContext{sched: NewScheduler(4)}
 		par, _ := mergePartialsParallel(ec, spec, partials)
 		if _, sharded := par.Idx.(*shardedIndex); !sharded {
 			t.Fatalf("folding=%v: parallel merge did not shard", folding)
@@ -348,7 +348,7 @@ func TestShardedIndexSemantics(t *testing.T) {
 		partials = append(partials, NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx))
 	}
 	plain, _ := mergePartials(nil, spec, partials, nil)
-	ec := &ExecContext{opts: Options{Workers: 3}}
+	ec := &ExecContext{sched: NewScheduler(3)}
 	sharded, _ := mergePartialsParallel(ec, spec, partials)
 	sh, ok := sharded.Idx.(*shardedIndex)
 	if !ok {

@@ -28,22 +28,20 @@ func TestRecycleMatchesBaseline(t *testing.T) {
 			},
 		}}
 	}
-	want, _, err := mkPlan().Run(Options{})
+	want, _, err := run(t, EnvConfig{}, mkPlan(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRes := Extract(want)
-	for _, opt := range []Options{
+	for _, opt := range []EnvConfig{
 		{Recycle: true},
 		{Recycle: true, Workers: 3},
 		{Recycle: true, Workers: 3, MemBudget: 1},
 		{Recycle: true, Workers: 3, MemBudget: 1, MmapThaw: true},
 	} {
-		opt.CollectStats = true
 		// The drop→reuse cycle needs the selection intermediate to be
 		// built and dropped; fusion would skip it entirely.
-		opt.NoFuse = true
-		out, stats, err := mkPlan().Run(opt)
+		out, stats, err := run(t, opt, mkPlan(), Options{CollectStats: true, NoFuse: true})
 		if err != nil {
 			t.Fatalf("%+v: %v", opt, err)
 		}
@@ -84,11 +82,11 @@ func TestRecycleDropsOnlyAfterLastConsumer(t *testing.T) {
 		},
 	}
 	plan := &Plan{Root: join}
-	want, _, err := (&Plan{Root: join}).Run(Options{})
+	want, _, err := run(t, EnvConfig{}, &Plan{Root: join}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := plan.Run(Options{Recycle: true, CollectStats: true})
+	got, stats, err := run(t, EnvConfig{Recycle: true}, plan, Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +158,11 @@ func TestPartialThawReadsLessForRangePredicates(t *testing.T) {
 	// Partial thaw needs the fat intermediate to exist: with fusion on,
 	// the single-consumer σ→σ edge streams and never materializes it, so
 	// this test runs the materialized path explicitly.
-	want, _, err := mkPlan(narrow).Run(Options{NoFuse: true})
+	want, _, err := run(t, EnvConfig{}, mkPlan(narrow), Options{NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := mkPlan(narrow).Run(Options{MemBudget: 1, CollectStats: true, NoFuse: true})
+	got, stats, err := run(t, EnvConfig{MemBudget: 1}, mkPlan(narrow), Options{CollectStats: true, NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +177,7 @@ func TestPartialThawReadsLessForRangePredicates(t *testing.T) {
 		t.Fatal("no restore bytes recorded")
 	}
 	// The same plan with an unrestricted selection thaws everything.
-	_, full, err := mkPlan(nil).Run(Options{MemBudget: 1, CollectStats: true, NoFuse: true})
+	_, full, err := run(t, EnvConfig{MemBudget: 1}, mkPlan(nil), Options{CollectStats: true, NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}

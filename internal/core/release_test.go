@@ -19,7 +19,7 @@ import (
 func TestResultRelease(t *testing.T) {
 	arenatest.CheckZeroHandouts(t)
 	f := buildFixture(21)
-	want, _, err := starPlan(f, 2).Run(Options{})
+	want, _, err := run(t, EnvConfig{}, starPlan(f, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestResultRelease(t *testing.T) {
 		}
 		var parked int
 		for run := 0; run < 3; run++ {
-			out, _, err := starPlan(f, 2).RunCtx(context.Background(), env, Options{})
+			out, _, err := env.Run(context.Background(), starPlan(f, 2), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestResultRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	base, _, err := (&Plan{Root: &Base{Table: f.custByKey}}).RunCtx(context.Background(), env, Options{})
+	base, _, err := env.Run(context.Background(), &Plan{Root: &Base{Table: f.custByKey}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestResultRelease(t *testing.T) {
 	if st := env.RecyclerStats(); st.Recycled != 0 {
 		t.Fatalf("releasing a base index parked %d chunks", st.Recycled)
 	}
-	if got, _, err := starPlan(f, 2).RunCtx(context.Background(), env, Options{}); err != nil || !reflect.DeepEqual(Extract(got).Rows, wantRows) {
+	if got, _, err := env.Run(context.Background(), starPlan(f, 2), Options{}); err != nil || !reflect.DeepEqual(Extract(got).Rows, wantRows) {
 		t.Fatalf("base index unusable after Release: err=%v", err)
 	}
 
@@ -87,7 +87,7 @@ func TestResultRelease(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	failed, _, err := starPlan(f, 2).RunCtx(ctx, env, Options{})
+	failed, _, err := env.Run(ctx, starPlan(f, 2), Options{})
 	if err == nil || failed != nil {
 		t.Fatalf("cancelled plan returned table=%v err=%v", failed, err)
 	}
@@ -130,7 +130,7 @@ func TestShardedReleaseAllocatesNothing(t *testing.T) {
 // capped at its own length so the rows cannot grow into each other.
 func TestProjectMatchesExtract(t *testing.T) {
 	f := buildFixture(22)
-	out, _, err := starPlan(f, 2).Run(Options{})
+	out, _, err := run(t, EnvConfig{}, starPlan(f, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

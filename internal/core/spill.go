@@ -12,8 +12,8 @@ import (
 // tables — caps the runnable scale factor). The index adapters forward the
 // trees' freeze/thaw chunk hooks — including the zero-copy mmap thaw and
 // the range-restricted partial thaw — and the executor registers every
-// non-base operator output with a plan-scoped spill.Manager when
-// Options.MemBudget is set.
+// non-base operator output with the Env's spill.Manager when
+// EnvConfig.MemBudget is set.
 
 func (p ptIndex) WriteSnapshot(w io.Writer) error { return p.t.WriteSnapshot(w) }
 func (p ptIndex) Release()                        { p.t.Release() }

@@ -59,7 +59,7 @@ func TestShardedIndexFreezeThaw(t *testing.T) {
 		}
 		partials = append(partials, NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx))
 	}
-	ec := &ExecContext{opts: Options{Workers: 3}}
+	ec := &ExecContext{sched: NewScheduler(3)}
 	merged, _ := mergePartialsParallel(ec, spec, partials)
 	sh, ok := merged.Idx.(*shardedIndex)
 	if !ok {
@@ -88,17 +88,16 @@ func TestShardedIndexFreezeThaw(t *testing.T) {
 // parallelism; the stats must record the traffic.
 func TestMemBudgetSpillsAndMatches(t *testing.T) {
 	f := buildFixture(3)
-	want, _, err := starPlan(f, 2).Run(Options{})
+	want, _, err := run(t, EnvConfig{}, starPlan(f, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRes := Extract(want)
 	for _, workers := range []int{1, 3} {
-		out, stats, err := starPlan(f, 2).Run(Options{
-			MemBudget:    1, // far below any intermediate: everything cold spills
-			Workers:      workers,
-			CollectStats: true,
-		})
+		out, stats, err := run(t, EnvConfig{
+			MemBudget: 1, // far below any intermediate: everything cold spills
+			Workers:   workers,
+		}, starPlan(f, 2), Options{CollectStats: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -136,7 +135,7 @@ func TestShardedThawRollsBackOnError(t *testing.T) {
 		}
 		partials = append(partials, NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx))
 	}
-	ec := &ExecContext{opts: Options{Workers: 3}}
+	ec := &ExecContext{sched: NewScheduler(3)}
 	merged, _ := mergePartialsParallel(ec, spec, partials)
 	sh, ok := merged.Idx.(*shardedIndex)
 	if !ok {

@@ -2,6 +2,7 @@ package spill
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -10,7 +11,8 @@ import (
 // plain number is bytes, and the suffixes K/M/G/T — optionally followed by
 // "B" or "iB", in any case, with optional whitespace before the suffix —
 // scale by powers of 1024. Examples: "268435456", "256MiB", "64mb",
-// "64 MiB", "1.5G". Negative sizes are rejected with a dedicated error.
+// "64 MiB", "1.5G". Negative sizes are rejected with a dedicated error, as
+// are NaN, infinities and sizes that do not fit in an int64.
 func ParseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToLower(s))
 	if t == "" {
@@ -39,7 +41,13 @@ func ParseBytes(s string) (int64, error) {
 	if v < 0 {
 		return 0, fmt.Errorf("spill: negative byte size %q", s)
 	}
-	return int64(v * float64(int64(1)<<shift)), nil
+	scaled := v * float64(int64(1)<<shift)
+	// float64(math.MaxInt64) rounds up to 2^63, the first value whose
+	// conversion overflows; NaN compares false against everything.
+	if math.IsNaN(scaled) || scaled >= float64(math.MaxInt64) {
+		return 0, fmt.Errorf("spill: byte size %q out of range", s)
+	}
+	return int64(scaled), nil
 }
 
 // FormatBytes renders n with the largest power-of-1024 unit that keeps

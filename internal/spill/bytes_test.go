@@ -43,6 +43,11 @@ func TestParseBytes(t *testing.T) {
 		{"-5", "negative"},
 		{"-1.5GiB", "negative"},
 		{"-0.5 mb", "negative"},
+		{"8388608T", "out of range"}, // 2^63: one past int64
+		{"1e30", "out of range"},
+		{"9223372036854775807", "out of range"}, // rounds to 2^63 as a float64
+		{"NaN", "out of range"},
+		{"inf", "out of range"},
 	}
 	for _, c := range bad {
 		_, err := ParseBytes(c.in)

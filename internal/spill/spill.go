@@ -1,5 +1,5 @@
-// Package spill implements the plan-scoped index spill manager (ROADMAP
-// "Index spilling").
+// Package spill implements the index spill manager (ROADMAP "Index
+// spilling").
 //
 // QPPT builds an intermediate prefix-tree index per operator, so the total
 // index footprint — not the base tables — is what caps the scale factor a
@@ -132,7 +132,10 @@ type Config struct {
 	Mmap bool
 }
 
-// A Manager owns the spill state of one plan execution.
+// A Manager owns the spill state of one execution environment (core.Env):
+// one byte budget and one spill directory shared by every plan running in
+// it, each plan registering its intermediates and dropping them when it
+// finishes.
 type Manager struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // broadcast whenever an entry leaves a transition state

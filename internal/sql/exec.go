@@ -179,7 +179,7 @@ func compileTest(c Cond, ti *catalog.TableInfo, off int) (func([]uint64) bool, e
 // result index (key fields in GROUP BY order, then aggregates) into
 // SELECT-item order, how to sort per ORDER BY, and how to decode cells.
 func (b *builder) finish(plan *core.Plan) (*Statement, error) {
-	s := &Statement{Plan: plan, opts: b.opt, nGroup: len(b.stmt.GroupBy)}
+	s := &Statement{Plan: plan, nGroup: len(b.stmt.GroupBy)}
 	groupPos := func(name string) int {
 		for i, g := range b.stmt.GroupBy {
 			if g.Name == name {
@@ -243,28 +243,14 @@ func (b *builder) finish(plan *core.Plan) (*Statement, error) {
 // aggregating, or feeds a consumer that needs indexed access.
 func (s *Statement) FusableEdges() int { return core.FusableEdges(s.Plan.Root) }
 
-// Run executes the statement one-shot on the options it was planned with:
-// the plan allocates a private worker pool of Options.Exec.Workers
-// goroutines (serial when unset) and, when requested via
-// Options.Exec.CollectStats, returns per-operator statistics including the
-// worker/morsel counts each operator executed with.
-func (s *Statement) Run() (*Rows, *core.PlanStats, error) {
-	return s.RunCtx(context.Background(), nil)
-}
-
-// RunCtx executes the statement with cancellation, against a long-lived
-// execution environment when env is non-nil (the environment's worker
-// pool, chunk recycler and spill budget then serve the query — see
-// core.Plan.RunCtx) and one-shot otherwise.
-func (s *Statement) RunCtx(ctx context.Context, env *core.Env) (*Rows, *core.PlanStats, error) {
-	return s.RunExec(ctx, env, s.opts.Exec)
-}
-
-// RunExec is RunCtx with the execution options overridden per run — the
-// hook engine sessions use to apply per-query knobs (statistics, buffer
-// size, morsel fan-out) to a statement prepared once.
-func (s *Statement) RunExec(ctx context.Context, env *core.Env, exec core.Options) (*Rows, *core.PlanStats, error) {
-	out, stats, err := s.Plan.RunCtx(ctx, env, exec)
+// Run executes the statement on env (see core.Env.Run: its worker pool,
+// chunk recycler and spill budget serve the query; ctx cancels it) with
+// the per-run execution options — a statement is planned once and run any
+// number of times — and, when requested via exec.CollectStats, returns
+// per-operator statistics including the worker/morsel counts each operator
+// executed with.
+func (s *Statement) Run(ctx context.Context, env *core.Env, exec core.Options) (*Rows, *core.PlanStats, error) {
+	out, stats, err := env.Run(ctx, s.Plan, exec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,16 +10,12 @@ import (
 )
 
 // Options carry the demonstrator's optimizer knobs into SQL planning.
+// They shape the plan only; how a statement executes is decided per run
+// (Statement.Run takes the core.Env and core.Options).
 type Options struct {
 	// UseSelectJoin fuses the most selective dimension selection into
 	// the star join (paper Section 4.3).
 	UseSelectJoin bool
-	// Exec carries execution options: joinbuffer size, statistics, and
-	// the morsel-driven parallelism knobs (Exec.Workers sizes the
-	// plan-wide shared worker pool, Exec.MorselsPerWorker the morsel
-	// fan-out; see core.Options). Compiled statements run every
-	// execution with these options.
-	Exec core.Options
 }
 
 // A Planner compiles parsed statements into QPPT plans against a catalog.
@@ -35,7 +31,6 @@ type Statement struct {
 	Plan *core.Plan
 	// Attrs are the output attribute names in SELECT-item order.
 	Attrs []string
-	opts  Options
 	// extraction state
 	nGroup    int
 	selOrder  []int                 // result column positions in SELECT order

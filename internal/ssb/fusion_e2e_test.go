@@ -1,6 +1,7 @@
 package ssb
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -17,37 +18,30 @@ import (
 // purely an execution strategy; it must be completely invisible in the
 // output.
 func TestFusionMatchesMaterialized(t *testing.T) {
-	ds := testDataset(t)
-	for _, qid := range QueryIDs {
-		for _, useSJ := range []bool{true, false} {
-			ref, _, err := ds.RunQPPT(qid, PlanOptions{
-				UseSelectJoin: useSJ,
-				Exec:          core.Options{NoFuse: true},
-			})
-			if err != nil {
-				t.Fatalf("Q%s materialized: %v", qid, err)
-			}
-			for _, exec := range []core.Options{
-				{},
-				{Workers: 3, MorselsPerWorker: 3},
-				{MemBudget: 1},
-				{Workers: 3, MorselsPerWorker: 3, MemBudget: 1},
-			} {
-				for _, probeBatch := range []int{0, 1} {
-					exec := exec
-					exec.ProbeBatch = probeBatch
-					fused, _, err := ds.RunQPPT(qid, PlanOptions{UseSelectJoin: useSJ, Exec: exec})
-					if err != nil {
-						t.Fatalf("Q%s fused (%+v): %v", qid, exec, err)
-					}
-					if !reflect.DeepEqual(ref.Rows, fused.Rows) {
-						t.Errorf("Q%s selectjoin=%v %+v: fused result differs (%d vs %d rows)",
-							qid, useSJ, exec, len(fused.Rows), len(ref.Rows))
-					}
-				}
-			}
+	runSuite(t, testDataset(t), suite{
+		shapes: bothShapes,
+		ref:    core.Options{NoFuse: true},
+		legs:   fusedLegs(),
+	})
+}
+
+// fusedLegs is the matrix fused execution must be invisible across: serial
+// and parallel, unbudgeted and spilling everything, batched (default) and
+// scalar probe forwarding.
+func fusedLegs() []runConfig {
+	var legs []runConfig
+	for _, rc := range []runConfig{
+		{},
+		{core.EnvConfig{Workers: 3}, core.Options{MorselsPerWorker: 3}},
+		{env: core.EnvConfig{MemBudget: 1}},
+		{core.EnvConfig{Workers: 3, MemBudget: 1}, core.Options{MorselsPerWorker: 3}},
+	} {
+		for _, probeBatch := range []int{0, 1} {
+			rc.exec.ProbeBatch = probeBatch
+			legs = append(legs, rc)
 		}
 	}
+	return legs
 }
 
 // TestRangeStreamFusionMatchesMaterialized covers the Selection/Having
@@ -90,7 +84,7 @@ func TestRangeStreamFusionMatchesMaterialized(t *testing.T) {
 			},
 		}}
 	}
-	ref, _, err := mkPlan().Run(core.Options{NoFuse: true})
+	ref, _, err := newTestEnv(t, core.EnvConfig{}).Run(context.Background(), mkPlan(), core.Options{NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,32 +92,23 @@ func TestRangeStreamFusionMatchesMaterialized(t *testing.T) {
 	if len(refRows) == 0 {
 		t.Fatal("empty reference result — the predicates select nothing")
 	}
-	for _, exec := range []core.Options{
-		{},
-		{Workers: 3, MorselsPerWorker: 3},
-		{MemBudget: 1},
-		{Workers: 3, MorselsPerWorker: 3, MemBudget: 1},
-	} {
-		for _, probeBatch := range []int{0, 1} {
-			exec := exec
-			exec.ProbeBatch = probeBatch
-			exec.CollectStats = true
-			out, stats, err := mkPlan().Run(exec)
-			if err != nil {
-				t.Fatalf("%+v: %v", exec, err)
-			}
-			if stats.FusedEdges != 1 {
-				t.Fatalf("%+v: FusedEdges = %d, want 1 (σ→σ range stream)", exec, stats.FusedEdges)
-			}
-			if got := stats.Ops[0].FusedKind; got != "range-stream" {
-				t.Fatalf("%+v: fused edge kind %q, want range-stream", exec, got)
-			}
-			if probeBatch == 0 && stats.Ops[0].ProbeBatches == 0 {
-				t.Fatalf("%+v: batched forwarding recorded no probe batches", exec)
-			}
-			if !reflect.DeepEqual(core.Extract(out).Rows, refRows) {
-				t.Fatalf("%+v: range-stream fused result differs", exec)
-			}
+	for _, leg := range fusedLegs() {
+		leg.exec.CollectStats = true
+		out, stats, err := newTestEnv(t, leg.env).Run(context.Background(), mkPlan(), leg.exec)
+		if err != nil {
+			t.Fatalf("%+v: %v", leg, err)
+		}
+		if stats.FusedEdges != 1 {
+			t.Fatalf("%+v: FusedEdges = %d, want 1 (σ→σ range stream)", leg, stats.FusedEdges)
+		}
+		if got := stats.Ops[0].FusedKind; got != "range-stream" {
+			t.Fatalf("%+v: fused edge kind %q, want range-stream", leg, got)
+		}
+		if leg.exec.ProbeBatch == 0 && stats.Ops[0].ProbeBatches == 0 {
+			t.Fatalf("%+v: batched forwarding recorded no probe batches", leg)
+		}
+		if !reflect.DeepEqual(core.Extract(out).Rows, refRows) {
+			t.Fatalf("%+v: range-stream fused result differs", leg)
 		}
 	}
 }
@@ -136,7 +121,7 @@ func TestFusionCoversDecomposedPlans(t *testing.T) {
 	ds := testDataset(t)
 	fusedQueries := 0
 	for _, qid := range QueryIDs {
-		_, stats, err := ds.RunQPPT(qid, PlanOptions{Exec: core.Options{CollectStats: true}})
+		_, stats, err := runQPPT(t, ds, qid, PlanOptions{}, runConfig{exec: core.Options{CollectStats: true}})
 		if err != nil {
 			t.Fatalf("Q%s: %v", qid, err)
 		}

@@ -21,37 +21,27 @@ func TestKernelMatchesScalarAndMaterialized(t *testing.T) {
 		t.Skip("kernels disabled in this configuration; the fallback is the only path")
 	}
 	ds := testDataset(t)
-	for _, qid := range QueryIDs {
-		ref, _, err := ds.RunQPPT(qid, PlanOptions{Exec: core.Options{NoFuse: true}})
-		if err != nil {
-			t.Fatalf("Q%s materialized: %v", qid, err)
-		}
-		for _, exec := range []core.Options{
+	runSuite(t, ds, suite{
+		shapes: []PlanOptions{{}},
+		ref:    core.Options{NoFuse: true},
+		legs: []runConfig{
 			{},
-			{Workers: 3, MorselsPerWorker: 3},
-			{MemBudget: 1},
-		} {
-			withKernel, _, err := ds.RunQPPT(qid, PlanOptions{Exec: exec})
-			if err != nil {
-				t.Fatalf("Q%s kernel (%+v): %v", qid, exec, err)
-			}
+			{core.EnvConfig{Workers: 3}, core.Options{MorselsPerWorker: 3}},
+			{env: core.EnvConfig{MemBudget: 1}},
+		},
+		// runSuite has compared the kernel run against the materialized
+		// reference; the scalar fallback must match the kernel run too.
+		check: func(t *testing.T, qid string, shape PlanOptions, leg runConfig, withKernel *QueryResult, _ *core.PlanStats) {
 			restore := kernel.ForceGeneric()
-			scalar, serr := func() (*QueryResult, error) {
-				r, _, e := ds.RunQPPT(qid, PlanOptions{Exec: exec})
-				return r, e
-			}()
+			scalar, _, err := runQPPT(t, ds, qid, shape, leg)
 			restore()
-			if serr != nil {
-				t.Fatalf("Q%s scalar (%+v): %v", qid, exec, serr)
+			if err != nil {
+				t.Fatalf("Q%s scalar (%+v): %v", qid, leg, err)
 			}
 			if !reflect.DeepEqual(withKernel.Rows, scalar.Rows) {
 				t.Errorf("Q%s %+v: kernel result differs from scalar fallback (%d vs %d rows)",
-					qid, exec, len(withKernel.Rows), len(scalar.Rows))
+					qid, leg, len(withKernel.Rows), len(scalar.Rows))
 			}
-			if !reflect.DeepEqual(withKernel.Rows, ref.Rows) {
-				t.Errorf("Q%s %+v: kernel result differs from materialized (%d vs %d rows)",
-					qid, exec, len(withKernel.Rows), len(ref.Rows))
-			}
-		}
-	}
+		},
+	})
 }

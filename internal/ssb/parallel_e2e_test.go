@@ -1,7 +1,6 @@
 package ssb
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,29 +14,13 @@ import (
 // key order, so the parallel schedule must be completely invisible in the
 // output.
 func TestMorselParallelMatchesSerial(t *testing.T) {
-	ds := testDataset(t)
-	for _, qid := range QueryIDs {
-		for _, useSJ := range []bool{true, false} {
-			serial, _, err := ds.RunQPPT(qid, PlanOptions{UseSelectJoin: useSJ})
-			if err != nil {
-				t.Fatalf("Q%s serial: %v", qid, err)
-			}
-			for _, workers := range []int{2, 4} {
-				opt := PlanOptions{
-					UseSelectJoin: useSJ,
-					Exec:          core.Options{Workers: workers, MorselsPerWorker: 3},
-				}
-				par, _, err := ds.RunQPPT(qid, opt)
-				if err != nil {
-					t.Fatalf("Q%s workers=%d: %v", qid, workers, err)
-				}
-				if !reflect.DeepEqual(serial.Rows, par.Rows) {
-					t.Errorf("Q%s selectjoin=%v workers=%d: parallel result differs (%d vs %d rows)",
-						qid, useSJ, workers, len(par.Rows), len(serial.Rows))
-				}
-			}
-		}
-	}
+	runSuite(t, testDataset(t), suite{
+		shapes: bothShapes,
+		legs: []runConfig{
+			{core.EnvConfig{Workers: 2}, core.Options{MorselsPerWorker: 3}},
+			{core.EnvConfig{Workers: 4}, core.Options{MorselsPerWorker: 3}},
+		},
+	})
 }
 
 // TestMorselStatsRecordConfiguration: the plan statistics must surface
@@ -48,9 +31,9 @@ func TestMorselStatsRecordConfiguration(t *testing.T) {
 	// NoFuse: the fan-out assertion needs the final join to drive its own
 	// morsels over the wide date-key space; fused, the whole chain is
 	// driven by the select-join's narrow selection envelope.
-	_, stats, err := ds.RunQPPT("2.3", PlanOptions{
-		UseSelectJoin: true,
-		Exec:          core.Options{Workers: 3, MorselsPerWorker: 5, CollectStats: true, NoFuse: true},
+	_, stats, err := runQPPT(t, ds, "2.3", PlanOptions{UseSelectJoin: true}, runConfig{
+		core.EnvConfig{Workers: 3},
+		core.Options{MorselsPerWorker: 5, CollectStats: true, NoFuse: true},
 	})
 	if err != nil {
 		t.Fatal(err)

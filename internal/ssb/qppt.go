@@ -10,8 +10,8 @@ import (
 
 // PlanOptions are the physical/logical plan knobs of the paper's
 // demonstrator (Appendix A): whether selections are integrated into join
-// operators, the maximum multi-way join arity, and the execution options
-// (joinbuffer size, parallel leaf selections, statistics).
+// operators and the maximum multi-way join arity. They shape the plan
+// only; RunQPPT takes the core.Env and core.Options it executes with.
 type PlanOptions struct {
 	// UseSelectJoin integrates dimension selections into the successive
 	// join operator where the plan allows it (paper Section 4.3).
@@ -25,16 +25,10 @@ type PlanOptions struct {
 	// record identifier, combined by the intersect set operator (paper
 	// Section 4.1). Honored by the Q1.x plans; implies no select-join.
 	DecomposeSelections bool
-	// Exec carries the execution options: joinbuffer size, statistics,
-	// and the morsel-driven parallelism knobs — Exec.Workers sizes the
-	// plan-wide shared worker pool that serves both concurrent plan
-	// branches and the operators' work-stealing key-range morsels,
-	// Exec.MorselsPerWorker the morsel fan-out (see core.Options).
-	Exec core.Options
 }
 
 // DefaultPlanOptions mirror the paper's preferred configuration: composed
-// select-joins on, unlimited join arity, default joinbuffer.
+// select-joins on, unlimited join arity.
 func DefaultPlanOptions() PlanOptions {
 	return PlanOptions{UseSelectJoin: true}
 }
@@ -85,24 +79,16 @@ func (ds *Dataset) BuildPlan(qid string, opt PlanOptions) (*core.Plan, error) {
 	return nil, fmt.Errorf("ssb: unknown query %q", qid)
 }
 
-// RunQPPT builds and executes the QPPT plan for a query one-shot,
-// returning the normalized result and, when requested, the per-operator
-// statistics.
-func (ds *Dataset) RunQPPT(qid string, opt PlanOptions) (*QueryResult, *core.PlanStats, error) {
-	return ds.RunQPPTCtx(context.Background(), qid, opt, nil)
-}
-
-// RunQPPTCtx is RunQPPT with cancellation and an optional long-lived
-// execution environment: with a non-nil env the query runs on the
-// environment's shared worker pool, recycles dropped intermediates into
-// its session chunk pool, and spills under its cross-plan memory budget
-// (see core.Plan.RunCtx).
-func (ds *Dataset) RunQPPTCtx(ctx context.Context, qid string, opt PlanOptions, env *core.Env) (*QueryResult, *core.PlanStats, error) {
+// RunQPPT builds the hand-written QPPT plan for a query and executes it
+// on env (see core.Env.Run) with the per-query execution options,
+// returning the normalized result and, when requested via
+// exec.CollectStats, the per-operator statistics.
+func (ds *Dataset) RunQPPT(ctx context.Context, env *core.Env, qid string, opt PlanOptions, exec core.Options) (*QueryResult, *core.PlanStats, error) {
 	plan, err := ds.BuildPlan(qid, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, stats, err := plan.RunCtx(ctx, env, opt.Exec)
+	out, stats, err := env.Run(ctx, plan, exec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,29 +1,10 @@
 package ssb
 
 import (
-	"reflect"
 	"testing"
 
 	"qppt/internal/core"
 )
-
-// peakIntermediateBytes reports the largest intermediate-index footprint a
-// query's plan builds, measured from an unbudgeted stats run.
-func peakIntermediateBytes(t *testing.T, ds *Dataset, qid string, opt PlanOptions) int {
-	t.Helper()
-	opt.Exec.CollectStats = true
-	_, stats, err := ds.RunQPPT(qid, opt)
-	if err != nil {
-		t.Fatalf("Q%s stats run: %v", qid, err)
-	}
-	peak := 0
-	for _, op := range stats.Ops {
-		if op.OutBytes > peak {
-			peak = op.OutBytes
-		}
-	}
-	return peak
-}
 
 // TestSpillBudgetMatchesUnbudgeted is the spilling acceptance test: every
 // SSB query runs under a memory budget smaller than the plan's peak
@@ -31,145 +12,82 @@ func peakIntermediateBytes(t *testing.T, ds *Dataset, qid string, opt PlanOption
 // indexes (nonzero counters in PlanStats), and produces rows bit-identical
 // to the unbudgeted run — spilling is a pure storage decision.
 func TestSpillBudgetMatchesUnbudgeted(t *testing.T) {
-	ds := testDataset(t)
-	for _, qid := range QueryIDs {
-		for _, useSJ := range []bool{true, false} {
-			plain, _, err := ds.RunQPPT(qid, PlanOptions{UseSelectJoin: useSJ})
-			if err != nil {
-				t.Fatalf("Q%s unbudgeted: %v", qid, err)
-			}
-			peak := peakIntermediateBytes(t, ds, qid, PlanOptions{UseSelectJoin: useSJ})
-			if peak == 0 {
-				t.Fatalf("Q%s: no intermediate footprint measured", qid)
-			}
-			budget := int64(peak) / 2
-			if budget == 0 {
-				budget = 1
-			}
-			opt := PlanOptions{
-				UseSelectJoin: useSJ,
-				Exec:          core.Options{MemBudget: budget, CollectStats: true},
-			}
-			budgeted, stats, err := ds.RunQPPT(qid, opt)
-			if err != nil {
-				t.Fatalf("Q%s budget=%d: %v", qid, budget, err)
-			}
-			if !reflect.DeepEqual(plain.Rows, budgeted.Rows) {
-				t.Errorf("Q%s selectjoin=%v budget=%d: budgeted result differs (%d vs %d rows)",
-					qid, useSJ, budget, len(budgeted.Rows), len(plain.Rows))
-			}
+	runSuite(t, testDataset(t), suite{
+		shapes: bothShapes,
+		legs:   []runConfig{{core.EnvConfig{MemBudget: halfPeak}, core.Options{CollectStats: true}}},
+		check: func(t *testing.T, qid string, shape PlanOptions, leg runConfig, _ *QueryResult, stats *core.PlanStats) {
+			budget := leg.env.MemBudget
 			if stats.Spills == 0 || stats.Restores == 0 {
-				t.Errorf("Q%s selectjoin=%v budget=%d (peak %d): spills=%d restores=%d, want both nonzero",
-					qid, useSJ, budget, peak, stats.Spills, stats.Restores)
+				t.Errorf("Q%s %+v budget=%d: spills=%d restores=%d, want both nonzero",
+					qid, shape, budget, stats.Spills, stats.Restores)
 			}
 			if stats.MemBudget != budget {
 				t.Errorf("Q%s: stats budget = %d, want %d", qid, stats.MemBudget, budget)
 			}
-		}
-	}
+		},
+	})
 }
 
 // Morsel-driven parallel execution under a budget: branches resolve (and
 // pin/unpin their inputs) concurrently, the merged sharded outputs spill
 // shard-by-shard, and the result must still be bit-identical.
 func TestSpillBudgetUnderParallelism(t *testing.T) {
-	ds := testDataset(t)
-	for _, qid := range []string{"1.1", "2.3", "3.1", "4.1"} {
-		plain, _, err := ds.RunQPPT(qid, PlanOptions{UseSelectJoin: true})
-		if err != nil {
-			t.Fatalf("Q%s serial: %v", qid, err)
-		}
-		opt := PlanOptions{
-			UseSelectJoin: true,
-			Exec: core.Options{
-				Workers:          3,
-				MorselsPerWorker: 3,
-				MemBudget:        1, // everything cold spills
-				CollectStats:     true,
-			},
-		}
-		par, stats, err := ds.RunQPPT(qid, opt)
-		if err != nil {
-			t.Fatalf("Q%s parallel budgeted: %v", qid, err)
-		}
-		if !reflect.DeepEqual(plain.Rows, par.Rows) {
-			t.Errorf("Q%s: parallel budgeted result differs", qid)
-		}
-		if stats.Spills == 0 || stats.Restores == 0 {
-			t.Errorf("Q%s: parallel run recorded spills=%d restores=%d", qid, stats.Spills, stats.Restores)
-		}
-	}
+	runSuite(t, testDataset(t), suite{
+		qids:   []string{"1.1", "2.3", "3.1", "4.1"},
+		shapes: []PlanOptions{{UseSelectJoin: true}},
+		legs: []runConfig{{
+			core.EnvConfig{Workers: 3, MemBudget: 1}, // everything cold spills
+			core.Options{MorselsPerWorker: 3, CollectStats: true},
+		}},
+		check: func(t *testing.T, qid string, _ PlanOptions, _ runConfig, _ *QueryResult, stats *core.PlanStats) {
+			if stats.Spills == 0 || stats.Restores == 0 {
+				t.Errorf("Q%s: parallel run recorded spills=%d restores=%d", qid, stats.Spills, stats.Restores)
+			}
+		},
+	})
 }
 
 // A budgeted run of the decomposed-selection plan shape (intersect/union
 // set operators over rid indexes) exercises spilling across the remaining
 // operator kinds.
 func TestSpillBudgetDecomposedSelections(t *testing.T) {
-	ds := testDataset(t)
-	plain, _, err := ds.RunQPPT("1.1", PlanOptions{DecomposeSelections: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgeted, stats, err := ds.RunQPPT("1.1", PlanOptions{
-		DecomposeSelections: true,
-		Exec:                core.Options{MemBudget: 1, CollectStats: true},
+	runSuite(t, testDataset(t), suite{
+		qids:   []string{"1.1"},
+		shapes: []PlanOptions{{DecomposeSelections: true}},
+		legs:   []runConfig{{core.EnvConfig{MemBudget: 1}, core.Options{CollectStats: true}}},
+		check: func(t *testing.T, _ string, _ PlanOptions, _ runConfig, _ *QueryResult, stats *core.PlanStats) {
+			if stats.Spills == 0 || stats.Restores == 0 {
+				t.Errorf("decomposed plan: spills=%d restores=%d", stats.Spills, stats.Restores)
+			}
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Rows, budgeted.Rows) {
-		t.Error("decomposed budgeted result differs")
-	}
-	if stats.Spills == 0 || stats.Restores == 0 {
-		t.Errorf("decomposed plan: spills=%d restores=%d", stats.Spills, stats.Restores)
-	}
 }
 
 // TestSpillRecycleMmapMatches is the memory-lifecycle acceptance test:
-// every SSB query runs with the plan-scoped chunk recycler AND the
-// zero-copy mmap restore enabled, serially and under morsel parallelism,
-// under a budget below the plan's peak intermediate footprint — and must
-// stay bit-identical to the plain run while the recycler and mmap
-// counters prove both mechanisms actually engaged.
+// every SSB query runs with the chunk recycler AND the zero-copy mmap
+// restore enabled, serially and under morsel parallelism, under a budget
+// below the plan's peak intermediate footprint — and must stay
+// bit-identical to the plain run while the recycler and mmap counters
+// prove both mechanisms actually engaged.
 func TestSpillRecycleMmapMatches(t *testing.T) {
-	ds := testDataset(t)
 	sawMmap, sawReuse := false, false
-	for _, qid := range QueryIDs {
-		plain, _, err := ds.RunQPPT(qid, PlanOptions{UseSelectJoin: true})
-		if err != nil {
-			t.Fatalf("Q%s plain: %v", qid, err)
+	leg := func(workers int) runConfig {
+		return runConfig{
+			core.EnvConfig{Workers: workers, MemBudget: halfPeak, MmapThaw: true, Recycle: true},
+			core.Options{CollectStats: true},
 		}
-		peak := peakIntermediateBytes(t, ds, qid, PlanOptions{UseSelectJoin: true})
-		budget := int64(peak) / 2
-		if budget == 0 {
-			budget = 1
-		}
-		for _, workers := range []int{1, 3} {
-			opt := PlanOptions{
-				UseSelectJoin: true,
-				Exec: core.Options{
-					Workers:      workers,
-					MemBudget:    budget,
-					MmapThaw:     true,
-					Recycle:      true,
-					CollectStats: true,
-				},
-			}
-			got, stats, err := ds.RunQPPT(qid, opt)
-			if err != nil {
-				t.Fatalf("Q%s workers=%d recycle+mmap: %v", qid, workers, err)
-			}
-			if !reflect.DeepEqual(plain.Rows, got.Rows) {
-				t.Errorf("Q%s workers=%d: recycle+mmap result differs (%d vs %d rows)",
-					qid, workers, len(got.Rows), len(plain.Rows))
-			}
+	}
+	runSuite(t, testDataset(t), suite{
+		shapes: []PlanOptions{{UseSelectJoin: true}},
+		legs:   []runConfig{leg(1), leg(3)},
+		check: func(t *testing.T, qid string, _ PlanOptions, leg runConfig, _ *QueryResult, stats *core.PlanStats) {
 			if stats.ChunksRecycled == 0 {
-				t.Errorf("Q%s workers=%d: recycler idle: %+v", qid, workers, stats)
+				t.Errorf("Q%s workers=%d: recycler idle: %+v", qid, leg.env.Workers, stats)
 			}
 			sawMmap = sawMmap || stats.MmapRestores > 0
 			sawReuse = sawReuse || stats.ChunksReused > 0
-		}
-	}
+		},
+	})
 	if !sawReuse {
 		t.Error("no query reused a recycled chunk")
 	}
@@ -181,33 +99,20 @@ func TestSpillRecycleMmapMatches(t *testing.T) {
 // The recycler alone (no budget, no spilling) must also be invisible in
 // the results — serially and in parallel, across plan shapes.
 func TestRecycleMatchesAcrossPlanShapes(t *testing.T) {
-	ds := testDataset(t)
-	for _, qid := range QueryIDs {
-		for _, useSJ := range []bool{true, false} {
-			plain, _, err := ds.RunQPPT(qid, PlanOptions{UseSelectJoin: useSJ})
-			if err != nil {
-				t.Fatalf("Q%s: %v", qid, err)
+	runSuite(t, testDataset(t), suite{
+		shapes: bothShapes,
+		legs: []runConfig{
+			{core.EnvConfig{Workers: 1, Recycle: true}, core.Options{CollectStats: true}},
+			{core.EnvConfig{Workers: 3, Recycle: true}, core.Options{CollectStats: true}},
+		},
+		check: func(t *testing.T, qid string, shape PlanOptions, leg runConfig, _ *QueryResult, stats *core.PlanStats) {
+			// Single-operator plans (a lone composed select-join over
+			// base tables) have no intermediate to drop; everywhere
+			// else the recycler must have seen traffic.
+			if len(stats.Ops) > 1 && stats.ChunksRecycled == 0 {
+				t.Errorf("Q%s %+v workers=%d: recycler idle across %d operators",
+					qid, shape, leg.env.Workers, len(stats.Ops))
 			}
-			for _, workers := range []int{1, 3} {
-				opt := PlanOptions{
-					UseSelectJoin: useSJ,
-					Exec:          core.Options{Workers: workers, Recycle: true, CollectStats: true},
-				}
-				got, stats, err := ds.RunQPPT(qid, opt)
-				if err != nil {
-					t.Fatalf("Q%s selectjoin=%v workers=%d recycle: %v", qid, useSJ, workers, err)
-				}
-				if !reflect.DeepEqual(plain.Rows, got.Rows) {
-					t.Errorf("Q%s selectjoin=%v workers=%d: recycled result differs", qid, useSJ, workers)
-				}
-				// Single-operator plans (a lone composed select-join over
-				// base tables) have no intermediate to drop; everywhere
-				// else the recycler must have seen traffic.
-				if len(stats.Ops) > 1 && stats.ChunksRecycled == 0 {
-					t.Errorf("Q%s selectjoin=%v workers=%d: recycler idle across %d operators",
-						qid, useSJ, workers, len(stats.Ops))
-				}
-			}
-		}
-	}
+		},
+	})
 }

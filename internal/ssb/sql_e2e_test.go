@@ -1,6 +1,7 @@
 package ssb
 
 import (
+	"context"
 	"testing"
 
 	"qppt/internal/core"
@@ -19,7 +20,7 @@ func TestSQLMatchesHandBuiltPlans(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Q%s (selectjoin=%v): plan: %v", qid, useSJ, err)
 			}
-			rows, _, err := stmt.Run()
+			rows, _, err := stmt.Run(context.Background(), newTestEnv(t, core.EnvConfig{}), core.Options{})
 			if err != nil {
 				t.Fatalf("Q%s (selectjoin=%v): run: %v", qid, useSJ, err)
 			}
@@ -59,14 +60,11 @@ func normalizeSQL(qid string, rows [][]uint64) [][]uint64 {
 func TestSQLStatsAndDecode(t *testing.T) {
 	ds := testDataset(t)
 	planner := sql.NewPlanner(ds.Cat)
-	stmt, err := planner.PlanSQL(SQLTexts["2.3"], sql.Options{
-		UseSelectJoin: true,
-		Exec:          core.Options{CollectStats: true},
-	})
+	stmt, err := planner.PlanSQL(SQLTexts["2.3"], sql.Options{UseSelectJoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, stats, err := stmt.Run()
+	rows, stats, err := stmt.Run(context.Background(), newTestEnv(t, core.EnvConfig{}), core.Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +113,7 @@ func TestSQLSingleTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := stmt.Run()
+	rows, _, err := stmt.Run(context.Background(), newTestEnv(t, core.EnvConfig{}), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +140,7 @@ func TestSQLGroupByFactColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := stmt.Run()
+	rows, _, err := stmt.Run(context.Background(), newTestEnv(t, core.EnvConfig{}), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 	for _, qid := range QueryIDs {
 		qid := qid
 		t.Run("Q"+qid, func(t *testing.T) {
-			qppt, _, err := ds.RunQPPT(qid, DefaultPlanOptions())
+			qppt, _, err := runQPPT(t, ds, qid, DefaultPlanOptions(), runConfig{})
 			if err != nil {
 				t.Fatalf("qppt: %v", err)
 			}
@@ -114,31 +114,35 @@ func head(rows [][]uint64) [][]uint64 {
 func TestPlanKnobsPreserveResults(t *testing.T) {
 	ds := testDataset(t)
 	for _, qid := range QueryIDs {
-		ref, _, err := ds.RunQPPT(qid, DefaultPlanOptions())
+		ref, _, err := runQPPT(t, ds, qid, DefaultPlanOptions(), runConfig{})
 		if err != nil {
 			t.Fatalf("Q%s: %v", qid, err)
 		}
-		variants := []PlanOptions{
-			{UseSelectJoin: false},
-			{UseSelectJoin: true, Exec: core.Options{BufferSize: 1}},
-			{UseSelectJoin: true, Exec: core.Options{BufferSize: 64}},
-			{UseSelectJoin: false, Exec: core.Options{BufferSize: 2048}},
-			{UseSelectJoin: true, Exec: core.Options{Workers: core.WorkersAuto}},
-			{UseSelectJoin: true, Exec: core.Options{Workers: 4}},
-			{UseSelectJoin: false, Exec: core.Options{Workers: 3}},
+		type variant struct {
+			plan PlanOptions
+			run  runConfig
+		}
+		variants := []variant{
+			{plan: PlanOptions{UseSelectJoin: false}},
+			{PlanOptions{UseSelectJoin: true}, runConfig{exec: core.Options{BufferSize: 1}}},
+			{PlanOptions{UseSelectJoin: true}, runConfig{exec: core.Options{BufferSize: 64}}},
+			{PlanOptions{UseSelectJoin: false}, runConfig{exec: core.Options{BufferSize: 2048}}},
+			{PlanOptions{UseSelectJoin: true}, runConfig{env: core.EnvConfig{Workers: core.WorkersAuto}}},
+			{PlanOptions{UseSelectJoin: true}, runConfig{env: core.EnvConfig{Workers: 4}}},
+			{PlanOptions{UseSelectJoin: false}, runConfig{env: core.EnvConfig{Workers: 3}}},
 		}
 		if qid == "4.1" {
 			for a := 2; a <= 5; a++ {
-				variants = append(variants, PlanOptions{JoinArity: a})
+				variants = append(variants, variant{plan: PlanOptions{JoinArity: a}})
 			}
 		}
 		if qid == "1.1" || qid == "1.2" || qid == "1.3" {
 			// Section 4.1: decomposed per-predicate selections combined by
 			// the intersect set operator must give the same answer.
-			variants = append(variants, PlanOptions{DecomposeSelections: true})
+			variants = append(variants, variant{plan: PlanOptions{DecomposeSelections: true}})
 		}
 		for vi, opt := range variants {
-			got, _, err := ds.RunQPPT(qid, opt)
+			got, _, err := runQPPT(t, ds, qid, opt.plan, opt.run)
 			if err != nil {
 				t.Fatalf("Q%s variant %d: %v", qid, vi, err)
 			}
@@ -155,7 +159,7 @@ func TestResultsNonTrivial(t *testing.T) {
 	// With the fixed seed these queries must produce data; a zero result
 	// would mean predicates or join paths are silently broken.
 	for _, qid := range []string{"1.1", "1.2", "2.1", "3.1", "3.2", "4.1", "4.2"} {
-		res, _, err := ds.RunQPPT(qid, DefaultPlanOptions())
+		res, _, err := runQPPT(t, ds, qid, DefaultPlanOptions(), runConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +179,7 @@ func TestResultsNonTrivial(t *testing.T) {
 
 func TestStatsReportOperators(t *testing.T) {
 	ds := testDataset(t)
-	_, stats, err := ds.RunQPPT("2.3", PlanOptions{UseSelectJoin: true, Exec: core.Options{CollectStats: true}})
+	_, stats, err := runQPPT(t, ds, "2.3", PlanOptions{UseSelectJoin: true}, runConfig{exec: core.Options{CollectStats: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +200,7 @@ func TestStatsReportOperators(t *testing.T) {
 
 func TestDecodeRow(t *testing.T) {
 	ds := testDataset(t)
-	res, _, err := ds.RunQPPT("2.1", DefaultPlanOptions())
+	res, _, err := runQPPT(t, ds, "2.1", DefaultPlanOptions(), runConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

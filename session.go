@@ -88,10 +88,7 @@ func (s *Session) Prepare(ctx context.Context, text string, opts ...QueryOption)
 	for _, o := range opts {
 		o(&q)
 	}
-	stmt, err := s.planner.PlanSQLCtx(ctx, text, sql.Options{
-		UseSelectJoin: !q.noSelectJoin,
-		Exec:          q.exec,
-	})
+	stmt, err := s.planner.PlanSQLCtx(ctx, text, sql.Options{UseSelectJoin: !q.noSelectJoin})
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +128,7 @@ func (st *Stmt) Run(ctx context.Context, opts ...QueryOption) (*sql.Rows, *core.
 	eng.queries.Add(1)
 	exec := q.exec
 	exec.AdmissionWait = wait
-	return st.stmt.RunExec(ctx, eng.env, exec)
+	return st.stmt.Run(ctx, eng.env, exec)
 }
 
 // queryConfig accumulates the per-query knobs QueryOptions set.
@@ -151,39 +148,10 @@ func WithStats() QueryOption {
 	return func(q *queryConfig) { q.exec.CollectStats = true }
 }
 
-// WithBufferSize overrides the joinbuffer/selectionbuffer size (1
-// disables batching).
-func WithBufferSize(n int) QueryOption {
-	return func(q *queryConfig) { q.exec.BufferSize = n }
-}
-
-// WithMorselsPerWorker overrides the morsel fan-out factor of parallel
-// operators.
-func WithMorselsPerWorker(n int) QueryOption {
-	return func(q *queryConfig) { q.exec.MorselsPerWorker = n }
-}
-
 // WithoutSelectJoin plans selections as separate operators instead of
 // fusing the most selective one into the successive join — the paper's
 // Figure 8 ablation, exposed for plan inspection. Only meaningful on
 // Prepare/Query (it is a planning decision, not an execution one).
 func WithoutSelectJoin() QueryOption {
 	return func(q *queryConfig) { q.noSelectJoin = true }
-}
-
-// WithoutFusion disables pipeline fusion for the query: every
-// single-consumer intermediate index is materialized, as in the paper's
-// decomposed-plan model. The result is identical either way; the
-// materialized plan reports per-operator index sizes where the fused one
-// reports streamed combination counts (OperatorStats.Fused).
-func WithoutFusion() QueryOption {
-	return func(q *queryConfig) { q.exec.NoFuse = true }
-}
-
-// WithProbeBatch overrides the probe-forward batch size inside fused
-// chains (1 = scalar combination-at-a-time forwarding, 0 = default). The
-// result is identical at any setting; larger batches amortize shared tree
-// descents across the batch's sorted keys.
-func WithProbeBatch(n int) QueryOption {
-	return func(q *queryConfig) { q.exec.ProbeBatch = n }
 }

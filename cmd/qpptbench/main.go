@@ -4,7 +4,7 @@
 //
 //	qpptbench -fig 3a|3b|7|8|9|joinbuffer|workers|kprime|compression|duplicates|batch|memlife|fusion|probe|kernel|all
 //	          [-sf 0.5] [-reps 3] [-sizes 1000000,4000000,16000000]
-//	          [-workers N] [-membudget 256MiB] [-mmapthaw]
+//	          [-workers N] [-membudget 256MiB]
 //	          [-norecycle] [-recyclecap 256MiB] [-nofuse] [-nokernel]
 //	          [-max-plans N] [-queue-depth D] [-stmtcache C]
 //	          [-benchjson BENCH_qppt.json] [-benchlabel PR-5]
@@ -26,9 +26,8 @@
 // that intermediate-index memory budget (index spilling enabled) and
 // records them with a membudget= config label — the spill-enabled
 // configuration of the perf trajectory. Accepts plain bytes or K/M/G
-// suffixes. -mmapthaw selects the zero-copy mmap restore and -norecycle
-// turns the chunk recycler off for the QPPT engine rows (both are
-// recorded in the config labels); -fig memlife runs the dedicated
+// suffixes. -norecycle turns the chunk recycler off for the QPPT engine
+// rows (recorded in the config labels); -fig memlife runs the dedicated
 // memory-lifecycle ablation (allocs, GC pause, thaw bytes read) across
 // those configurations; -fig fusion compares fused and materialized
 // execution of the suite on the decomposed plans (fused-edge counts,
@@ -78,7 +77,6 @@ type benchSnapshot struct {
 	Workers   int               `json:"workers"`
 	GoMaxP    int               `json:"gomaxprocs"`
 	MemBudget int64             `json:"membudget,omitempty"`
-	MmapThaw  bool              `json:"mmapthaw,omitempty"`
 	Queries   []bench.QueryTime `json:"queries,omitempty"`
 	// Layout is the retired arena-vs-pointer ablation; never written, read
 	// only to recognize a pre-history file that recorded nothing else.
@@ -159,7 +157,6 @@ func main() {
 	snap := benchSnapshot{
 		Label: *benchlabel, When: time.Now().UTC().Format(time.RFC3339),
 		SF: *sf, Workers: cfg.Workers, GoMaxP: runtime.GOMAXPROCS(0), MemBudget: budget,
-		MmapThaw: cfg.MmapThaw,
 	}
 
 	var sizes []int
@@ -218,9 +215,6 @@ func main() {
 			cfgLabel := fmt.Sprintf("membudget=%s", execFlags.MemBudget)
 			if cfg.DisableRecycle {
 				cfgLabel += ",norecycle"
-			}
-			if cfg.MmapThaw {
-				cfgLabel += ",mmapthaw"
 			}
 			spillEng, err := qppt.New(spillCfg)
 			if err != nil {
@@ -309,7 +303,7 @@ func main() {
 		fmt.Println()
 	}
 	if wants("memlife") {
-		fmt.Println("=== Ablation: plan memory lifecycle (recycler, mmap/partial thaw) over the SSB suite ===")
+		fmt.Println("=== Ablation: plan memory lifecycle (recycler, spilling) over the SSB suite ===")
 		rows, err := bench.AblationMemLifecycle(dataset(), *reps)
 		if err != nil {
 			fatal(err)

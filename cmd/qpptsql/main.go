@@ -5,7 +5,7 @@
 // Usage:
 //
 //	qpptsql [-sf 0.05] [-stats] [-no-select-join]
-//	        [-workers N] [-membudget 256MiB] [-mmapthaw]
+//	        [-workers N] [-membudget 256MiB]
 //	        [-norecycle] [-recyclecap 256MiB] [-nofuse] [-nokernel]
 //	        [-max-plans N] [-queue-depth D] [-stmtcache C]
 //	        [-listen :5477] [-serve :8080]
@@ -16,9 +16,8 @@
 // off, -recyclecap bounds it), and its spill budget
 // (-membudget spans concurrent statements; cold intermediates spill to
 // temp files and restore on access — results are identical, \stats and
-// \engine show the traffic). -mmapthaw restores spilled intermediates
-// zero-copy by adopting privately mapped spill-file pages. Byte flags
-// accept plain bytes or K/M/G suffixes (powers of 1024).
+// \engine show the traffic). Byte flags accept plain bytes or K/M/G
+// suffixes (powers of 1024).
 //
 // Meta commands inside the shell:
 //

@@ -52,11 +52,9 @@ type Config struct {
 	Workers int
 	// MemBudget caps the resident bytes of intermediate indexes across
 	// all concurrent plans; cold intermediates spill to SpillDir and thaw
-	// on access (0 = no spilling). MmapThaw selects the zero-copy restore
-	// path.
+	// on access (0 = no spilling).
 	MemBudget int64
 	SpillDir  string
-	MmapThaw  bool
 	// DisableRecycle turns the session chunk recycler off. By default the
 	// engine recycles: cross-plan chunk reuse is most of what a long-lived
 	// engine gains on steady query traffic. The switch exists as the
@@ -141,7 +139,6 @@ func New(cfg Config) (*Engine, error) {
 		RecycleCap: recycleCap,
 		MemBudget:  cfg.MemBudget,
 		SpillDir:   cfg.SpillDir,
-		MmapThaw:   cfg.MmapThaw,
 	})
 	if err != nil {
 		return nil, err

@@ -68,7 +68,7 @@ func TestEngineMatchesOneShot(t *testing.T) {
 		{"serial", qppt.Config{}},
 		{"serial+budget", qppt.Config{MemBudget: 1 << 20}},
 		{"parallel", qppt.Config{Workers: 4}},
-		{"parallel+budget", qppt.Config{Workers: 4, MemBudget: 1 << 20, MmapThaw: true}},
+		{"parallel+budget", qppt.Config{Workers: 4, MemBudget: 1 << 20}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -253,12 +253,11 @@ func TestEngineCancellation(t *testing.T) {
 
 // TestEngineCloseDrainsInFlight: Close must wait for queries that
 // already began — tearing down the shared spill state under a running
-// plan would fail it with I/O errors (or worse, unmap pages it reads).
-// The only legal outcomes for the racing query are success (it began
-// first) or ErrEngineClosed (Close won).
+// plan would fail it with I/O errors. The only legal outcomes for the
+// racing query are success (it began first) or ErrEngineClosed (Close won).
 func TestEngineCloseDrainsInFlight(t *testing.T) {
 	ds := engineDataset(t)
-	eng, err := qppt.New(qppt.Config{Workers: 2, MemBudget: 1 << 20, MmapThaw: true})
+	eng, err := qppt.New(qppt.Config{Workers: 2, MemBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,9 +49,9 @@ func (r Ref) IsLeaf() bool { return r&leafTag != 0 }
 // Index returns the arena index r points to, for either tag.
 func (r Ref) Index() uint32 { return uint32(r&^leafTag) - 1 }
 
-// maxElems is the arena capacity limit imposed by the compact pointer
+// MaxElems is the arena capacity limit imposed by the compact pointer
 // encoding (31 index bits, index+1 must not overflow into the tag).
-const maxElems = 1<<31 - 1
+const MaxElems = 1<<31 - 1
 
 // An Arena is a chunked slab of T with stable addresses: elements are
 // appended to fixed-capacity chunks and addressed by a dense uint32 index.
@@ -99,7 +99,7 @@ func (a *Arena[T]) grabChunk() []T {
 
 // Alloc appends v and returns its index.
 func (a *Arena[T]) Alloc(v T) uint32 {
-	if a.n >= maxElems {
+	if a.n >= MaxElems {
 		panic("arena: arena full (2^31-1 elements)")
 	}
 	c := a.n >> a.bits
@@ -113,6 +113,9 @@ func (a *Arena[T]) Alloc(v T) uint32 {
 
 // Len reports the number of elements allocated.
 func (a *Arena[T]) Len() int { return a.n }
+
+// ChunkLen reports the elements per chunk.
+func (a *Arena[T]) ChunkLen() int { return 1 << a.bits }
 
 // Bytes reports the element memory reserved by the arena. Chunks are
 // allocated at full capacity (Alloc's make([]T, 0, 1<<bits) commits the
@@ -170,14 +173,6 @@ type Slots struct {
 	n            int       // blocks ever allocated (excluding recycled)
 	free         []uint32  // recycled block ordinals
 	rec          *Recycler // optional chunk pool (SetRecycler)
-
-	// mappedN counts the leading chunks that alias an mmap-ed spill file
-	// (ReadChunksMapped). Mapped chunks are writable — the mapping is
-	// private, so stores copy pages instead of touching the file — but
-	// they are not heap memory: Reset/Detach must drop them without
-	// recycling, and Unmap copies them to the heap when the mapping has
-	// to outlive the arena's owner.
-	mappedN int
 }
 
 // slotsChunkTarget is the chunk allocation granularity in slots (256 KiB
@@ -218,22 +213,6 @@ func (s *Slots) grabChunk() []uint32 {
 	return make([]uint32, 0, s.chunkWords())
 }
 
-// Mapped reports whether any chunk currently aliases an mmap-ed spill
-// file (see ReadChunksMapped).
-func (s *Slots) Mapped() bool { return s.mappedN > 0 }
-
-// Unmap copies every mapped chunk to the heap, so the arena survives the
-// unmapping of the spill file it was thawed from. A no-op for arenas with
-// no mapped chunks.
-func (s *Slots) Unmap() {
-	for i := 0; i < s.mappedN; i++ {
-		c := make([]uint32, len(s.chunks[i]), s.chunkWords())
-		copy(c, s.chunks[i])
-		s.chunks[i] = c
-	}
-	s.mappedN = 0
-}
-
 // Block returns block ord as a slice of its slots. The slice aliases
 // arena memory and stays valid as the arena grows.
 func (s *Slots) Block(ord uint32) []uint32 {
@@ -250,7 +229,7 @@ func (s *Slots) Alloc() uint32 {
 		s.free = s.free[:k-1]
 		return ord
 	}
-	if s.n >= maxElems {
+	if s.n >= MaxElems {
 		panic("arena: slot arena full (2^31-1 blocks)")
 	}
 	c := s.n >> s.perChunkBits

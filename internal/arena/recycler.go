@@ -176,9 +176,7 @@ func classOf[T any](capElems int) chunkClass {
 // reuse. By the zero invariant (package comment) the caller guarantees
 // that c[len(c):cap(c)] is still zero, so the parked chunk is zero
 // throughout. The caller must not touch c afterwards; a later GetChunk may
-// hand it out again. Chunks that alias memory the caller does not own
-// outright — e.g. mmap-adopted spill pages — must never be put. A nil
-// recycler (or a zero-capacity chunk) is a no-op.
+// hand it out again. A nil recycler (or a zero-capacity chunk) is a no-op.
 func PutChunk[T any](r *Recycler, c []T) {
 	if r == nil || cap(c) == 0 {
 		return

@@ -9,7 +9,7 @@
 // list), so its owner serializes the elements itself and rebuilds them
 // index-for-index with Reset + Alloc on thaw.
 //
-// The word helpers reinterpret slices as raw bytes (unsafe.Slice) — spill
+// Writer and Reader reinterpret slices as raw bytes (unsafe.Slice) — spill
 // files live for one plan execution on the machine that wrote them, so
 // endianness and field layout never cross a process boundary.
 package arena
@@ -17,196 +17,177 @@ package arena
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"unsafe"
 )
 
-// WriteU64 writes one uint64 (spill-file scalar framing).
-func WriteU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
+// ErrCorruptSnapshot is the class of every error a thaw path returns for a
+// stream that is not a well-formed snapshot: a bad magic word, or a count
+// or length that contradicts the section lengths the format records. A
+// stream that merely ends early fails with io.ErrUnexpectedEOF instead.
+var ErrCorruptSnapshot = errors.New("corrupt snapshot")
+
+// Corruptf returns an ErrCorruptSnapshot carrying the formatted detail.
+func Corruptf(format string, a ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorruptSnapshot}, a...)...)
 }
 
-// ReadU64 reads one uint64 written by WriteU64.
-func ReadU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+// raw reinterprets p as its bytes.
+func raw[T uint32 | uint64](p []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p))), len(p)*int(unsafe.Sizeof(zero)))
+}
+
+// A Writer writes a snapshot's words and raw chunks to W, latching the
+// first error: once Err is set every call is a no-op, so a run of writes
+// checks Err once, at its end.
+type Writer struct {
+	W   io.Writer
+	Err error
+	buf [8]byte
+}
+
+func (w *Writer) bytes(b []byte) {
+	if w.Err == nil && len(b) > 0 {
+		_, w.Err = w.W.Write(b)
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// WriteU32s writes a []uint32 as raw bytes.
-func WriteU32s(w io.Writer, p []uint32) error {
-	if len(p) == 0 {
+// U64 writes one little-endian uint64 (scalar framing).
+func (w *Writer) U64(v uint64) {
+	binary.LittleEndian.PutUint64(w.buf[:], v)
+	w.bytes(w.buf[:])
+}
+
+// U32s writes p as raw bytes.
+func (w *Writer) U32s(p []uint32) { w.bytes(raw(p)) }
+
+// U64s writes p as raw bytes.
+func (w *Writer) U64s(p []uint64) { w.bytes(raw(p)) }
+
+// A Reader reads what a Writer wrote from R, latching the first error:
+// once Err is set every call is a no-op that yields zeros. Check Err
+// before a count read from R bounds a loop or sizes an allocation. A
+// stream that ends early — even between two words — is an
+// io.ErrUnexpectedEOF: a snapshot says how long it is.
+type Reader struct {
+	R   io.Reader
+	Err error
+	buf [8]byte
+}
+
+func (r *Reader) bytes(b []byte) {
+	if r.Err != nil || len(b) == 0 {
+		return
+	}
+	if _, r.Err = io.ReadFull(r.R, b); r.Err == io.EOF {
+		r.Err = io.ErrUnexpectedEOF
+	}
+}
+
+// U64 reads one uint64 written by Writer.U64.
+func (r *Reader) U64() uint64 {
+	if r.bytes(r.buf[:]); r.Err != nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(r.buf[:])
+}
+
+// U32s fills p with raw bytes written by Writer.U32s.
+func (r *Reader) U32s(p []uint32) { r.bytes(raw(p)) }
+
+// U64s fills p with raw bytes written by Writer.U64s.
+func (r *Reader) U64s(p []uint64) { r.bytes(raw(p)) }
+
+// U32sN reads n values into a new slice, n being a count taken from the
+// stream itself: the slice grows as the bytes arrive, so a corrupt count
+// can never allocate more than a small multiple of what the stream holds.
+func (r *Reader) U32sN(n uint64) []uint32 { return readGrow(r, n, (*Reader).U32s) }
+
+// U64sN is U32sN for uint64 values.
+func (r *Reader) U64sN(n uint64) []uint64 { return readGrow(r, n, (*Reader).U64s) }
+
+func readGrow[T uint32 | uint64](r *Reader, n uint64, read func(*Reader, []T)) []T {
+	if r.Err != nil {
 		return nil
 	}
-	_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&p[0])), len(p)*4))
-	return err
-}
-
-// ReadU32s fills p with raw bytes written by WriteU32s.
-func ReadU32s(r io.Reader, p []uint32) error {
-	if len(p) == 0 {
-		return nil
+	const step = 1 << 16
+	p := make([]T, min(n, step))
+	for got := 0; ; {
+		if read(r, p[got:]); r.Err != nil {
+			return nil
+		}
+		if uint64(len(p)) == n {
+			return p
+		}
+		got = len(p)
+		p = append(p, make([]T, min(n-uint64(got), uint64(got)))...)
 	}
-	_, err := io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(&p[0])), len(p)*4))
-	return err
-}
-
-// WriteU64s writes a []uint64 as raw bytes.
-func WriteU64s(w io.Writer, p []uint64) error {
-	if len(p) == 0 {
-		return nil
-	}
-	_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&p[0])), len(p)*8))
-	return err
-}
-
-// ReadU64s fills p with raw bytes written by WriteU64s.
-func ReadU64s(r io.Reader, p []uint64) error {
-	if len(p) == 0 {
-		return nil
-	}
-	_, err := io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(&p[0])), len(p)*8))
-	return err
 }
 
 // WriteChunks writes the arena's content — block count, free list, and
 // every chunk's slots — in one sequential pass. The chunk geometry is not
 // written: it is fixed at MakeSlots time and must match on ReadChunks.
-func (s *Slots) WriteChunks(w io.Writer) error {
-	if err := WriteU64(w, uint64(s.n)); err != nil {
-		return err
-	}
-	if err := WriteU64(w, uint64(len(s.free))); err != nil {
-		return err
-	}
-	if err := WriteU32s(w, s.free); err != nil {
-		return err
-	}
+func (s *Slots) WriteChunks(w *Writer) {
+	w.U64(uint64(s.n))
+	w.U64(uint64(len(s.free)))
+	w.U32s(s.free)
 	for _, c := range s.chunks {
-		if err := WriteU32s(w, c); err != nil {
-			return err
-		}
+		w.U32s(c)
 	}
-	return nil
 }
 
 // SnapshotLen reports the exact number of bytes WriteChunks will produce —
 // the freeze formats record it so a partial thaw can seek past an already
 // resident node section.
-func (s *Slots) SnapshotLen() int {
+func (s *Slots) SnapshotLen() uint64 {
 	words := 0
 	for _, c := range s.chunks {
 		words += len(c)
 	}
-	return 16 + 4*len(s.free) + 4*words
+	return uint64(16 + 4*len(s.free) + 4*words)
 }
 
 // Detach drops the chunk storage and free list; the caller must have
 // written the content out with WriteChunks first. With a recycler
-// configured, heap chunks are cleared and parked for reuse (mapped chunks
-// are simply dropped — their pages belong to the spill file mapping).
-// Until ReadChunks restores the chunks, only Bytes (now 0) and the
-// block/free counters remain meaningful.
+// configured the chunks are cleared and parked for reuse. Until ReadChunks
+// restores the chunks, only Bytes (now 0) and the block/free counters
+// remain meaningful.
 func (s *Slots) Detach() {
-	for i := s.mappedN; i < len(s.chunks); i++ {
-		PutChunk(s.rec, s.chunks[i])
+	for _, c := range s.chunks {
+		PutChunk(s.rec, c)
 	}
 	s.chunks = nil
 	s.free = nil
-	s.mappedN = 0
 }
 
-// ReadFrom rebuilds the chunks from a WriteChunks stream, byte-identical:
-// every block ordinal maps to the same slots as before the spill, so the
-// compact pointers held by other structures stay valid. The receiver must
-// have the same geometry as the writer (same MakeSlots block length).
-func (s *Slots) ReadChunks(r io.Reader) error {
-	n64, err := ReadU64(r)
-	if err != nil {
-		return err
+// ReadChunks rebuilds a detached arena from a WriteChunks stream of size
+// bytes, byte-identical: every block ordinal maps to the same slots as
+// before the spill, so the compact pointers held by other structures stay
+// valid. The receiver must have the same geometry as the writer (same
+// MakeSlots block length). The block and free counts must account for
+// exactly size bytes. On error the arena holds the chunks read so far;
+// Detach drops them.
+func (s *Slots) ReadChunks(r *Reader, size uint64) error {
+	n, nFree := r.U64(), r.U64()
+	if r.Err != nil {
+		return r.Err
 	}
-	nFree, err := ReadU64(r)
-	if err != nil {
-		return err
+	if n > MaxElems || nFree > n || size != 16+4*nFree+4*n<<s.blockBits {
+		return Corruptf("slot section of %d bytes claims %d blocks, %d free", size, n, nFree)
 	}
-	n := int(n64)
-	free := make([]uint32, nFree)
-	if err := ReadU32s(r, free); err != nil {
-		return err
+	s.free = r.U32sN(nFree)
+	perChunk := uint64(1) << s.perChunkBits // blocks per chunk
+	s.chunks = make([][]uint32, 0, min((n+perChunk-1)/perChunk, 64))
+	for got := uint64(0); got < n && r.Err == nil; got += perChunk {
+		c := s.grabChunk()[:min(perChunk, n-got)<<s.blockBits]
+		s.chunks = append(s.chunks, c)
+		r.U32s(c)
 	}
-	perChunk := 1 << s.perChunkBits // blocks per chunk
-	chunks := make([][]uint32, 0, (n+perChunk-1)/perChunk)
-	for got := 0; got < n; got += perChunk {
-		blocks := min(perChunk, n-got)
-		c := s.grabChunk()[:blocks<<s.blockBits]
-		if err := ReadU32s(r, c); err != nil {
-			return err
-		}
-		chunks = append(chunks, c)
-	}
-	s.n = n
-	s.free = free
-	s.chunks = chunks
-	s.mappedN = 0
-	return nil
-}
-
-// ReadChunksMapped is ReadChunks over an mmap-ed spill file: full chunks
-// are *adopted* — the arena's chunk slices alias the mapped pages, so no
-// copy happens and untouched pages are only faulted in when a scan reaches
-// them. The partially filled tail chunk is copied to the heap at full
-// capacity so later Alloc growth keeps the stable-address guarantee (an
-// adopted chunk has no spare capacity to append into). The mapping is
-// private, so block writes (Free's zeroing, in-place updates) trigger
-// page-level copy-on-write instead of touching the file.
-//
-// The caller owns the mapping and must keep it alive until the chunks are
-// dropped (Detach/Reset) or copied out (Unmap).
-func (s *Slots) ReadChunksMapped(r *MapReader) error {
-	n64, err := ReadU64(r)
-	if err != nil {
-		return err
-	}
-	nFree, err := ReadU64(r)
-	if err != nil {
-		return err
-	}
-	n := int(n64)
-	free := make([]uint32, nFree)
-	if err := ReadU32s(r, free); err != nil {
-		return err
-	}
-	perChunk := 1 << s.perChunkBits
-	chunks := make([][]uint32, 0, (n+perChunk-1)/perChunk)
-	mappedN := 0
-	adopting := true
-	for got := 0; got < n; got += perChunk {
-		blocks := min(perChunk, n-got)
-		words := blocks << s.blockBits
-		if adopting && blocks == perChunk {
-			if view, ok := r.U32View(words); ok {
-				chunks = append(chunks, view)
-				mappedN++
-				continue
-			}
-		}
-		adopting = false // mapped chunks must stay a prefix of s.chunks
-		c := s.grabChunk()[:words]
-		if err := ReadU32s(r, c); err != nil {
-			return err
-		}
-		chunks = append(chunks, c)
-	}
-	s.n = n
-	s.free = free
-	s.chunks = chunks
-	s.mappedN = mappedN
-	return nil
+	s.n = int(n)
+	return r.Err
 }
 
 // LeafChunkDir builds the per-chunk directory a partial thaw navigates
@@ -240,19 +221,24 @@ func LeafChunkDir[T any](a *Arena[T], size func(*T) uint64, liveKey func(*T) (ui
 	return dir
 }
 
-// ThawChunks is the chunk skip/restore loop of a partial thaw, shared by
-// both tree kinds. f must be positioned at the first chunk's serialized
-// data; dir is the LeafChunkDir directory; thawed tracks per-chunk
-// restore state across additive calls (ignored when skim is set — a
-// fully resident structure just seeks to the stream end). Chunks whose
-// key range intersects [lo, hi] and are not yet thawed are read in one
-// ReadFull and rebuilt element-by-element through restore; all others
-// are skipped with a seek. Returns the bytes actually read and whether
-// every chunk is now restored.
-func ThawChunks[T any](f io.ReadSeeker, a *Arena[T], n uint64, dir []uint64,
+// ThawChunks is the chunk skip/restore loop of a partial thaw. f must be
+// positioned at the first chunk's serialized data; dir is the LeafChunkDir
+// directory of a's elements, its byte lengths already checked against the
+// bytes f holds; thawed tracks per-chunk restore state across additive
+// calls (ignored when skim is set — a fully resident structure just seeks
+// to the stream end). Chunks whose key range intersects [lo, hi] and are
+// not yet thawed are read in one ReadFull and rebuilt element-by-element
+// through restore, which is told how many of the chunk's bytes are left
+// and reports how many it took; all other chunks are skipped with a seek.
+// Returns the bytes actually read and whether every chunk is now restored.
+func ThawChunks[T any](f io.ReadSeeker, a *Arena[T], dir []uint64,
 	thawed []bool, skim bool, lo, hi uint64,
-	restore func(r io.Reader, lf *T) error) (int64, bool, error) {
-	chunkSize := uint64(1) << a.bits
+	restore func(r *Reader, lf *T, left uint64) (uint64, error)) (int64, bool, error) {
+	chunkSize, n := uint64(1)<<a.bits, uint64(a.Len())
+	if nChunks := (n + chunkSize - 1) / chunkSize; uint64(len(dir)) != 3*nChunks ||
+		!skim && uint64(len(thawed)) != nChunks {
+		return 0, false, Corruptf("%d-word chunk directory for %d elements", len(dir), n)
+	}
 	var nRead int64
 	var buf []byte
 	full := true
@@ -276,57 +262,19 @@ func ThawChunks[T any](f io.ReadSeeker, a *Arena[T], n uint64, dir []uint64,
 			return nRead, false, err
 		}
 		nRead += int64(nb)
-		br := bytes.NewReader(buf)
-		base := ci * chunkSize
-		cnt := min(chunkSize, n-base)
-		for j := uint64(0); j < cnt; j++ {
-			if err := restore(br, a.At(uint32(base+j))); err != nil {
+		r := Reader{R: bytes.NewReader(buf)}
+		base := ci * chunkSize // < n: the directory has one entry per chunk of a
+		for j := uint64(0); j < min(chunkSize, n-base); j++ {
+			used, err := restore(&r, a.At(uint32(base+j)), nb)
+			if err != nil {
 				return nRead, false, err
 			}
+			nb -= used
+		}
+		if nb != 0 {
+			return nRead, false, Corruptf("chunk %d: %d bytes are not elements", ci, nb)
 		}
 		thawed[ci] = true
 	}
 	return nRead, full, nil
 }
-
-// A MapReader reads a freeze stream out of an mmap-ed spill file. It is a
-// plain io.Reader for the parts a thaw must rebuild (content leaves,
-// compressed nodes), and hands out zero-copy []uint32 views of the mapped
-// pages for the parts an arena can adopt verbatim. Copied reports how many
-// bytes went through the copying path — the bytes a zero-copy thaw
-// actually read, as opposed to mapped.
-type MapReader struct {
-	data   []byte
-	off    int
-	copied int64
-}
-
-// NewMapReader wraps a mapped spill file.
-func NewMapReader(data []byte) *MapReader { return &MapReader{data: data} }
-
-// Read implements io.Reader over the mapping, counting copied bytes.
-func (r *MapReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	r.copied += int64(n)
-	return n, nil
-}
-
-// U32View returns the next n uint32 values as a slice aliasing the mapped
-// pages, advancing the reader past them. ok is false — and the reader does
-// not advance — when the current offset is not 4-byte aligned or the
-// mapping is too short; callers then fall back to a copying read.
-func (r *MapReader) U32View(n int) ([]uint32, bool) {
-	if r.off%4 != 0 || r.off+4*n > len(r.data) {
-		return nil, false
-	}
-	v := unsafe.Slice((*uint32)(unsafe.Pointer(&r.data[r.off])), n)
-	r.off += 4 * n
-	return v, true
-}
-
-// Copied reports the bytes delivered through Read (the copying path).
-func (r *MapReader) Copied() int64 { return r.copied }

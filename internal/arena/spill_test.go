@@ -31,14 +31,19 @@ func TestSlotsSpillRoundTrip(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		if err := s.WriteChunks(&buf); err != nil {
-			t.Fatalf("blockLen %d: WriteChunks: %v", blockLen, err)
+		size := s.SnapshotLen()
+		w := Writer{W: &buf}
+		if s.WriteChunks(&w); w.Err != nil {
+			t.Fatalf("blockLen %d: WriteChunks: %v", blockLen, w.Err)
 		}
 		s.Detach()
 		if s.Bytes() != 0 {
 			t.Fatalf("blockLen %d: detached Bytes = %d, want 0", blockLen, s.Bytes())
 		}
-		if err := s.ReadChunks(&buf); err != nil {
+		if size != uint64(buf.Len()) {
+			t.Fatalf("blockLen %d: SnapshotLen = %d, wrote %d bytes", blockLen, size, buf.Len())
+		}
+		if err := s.ReadChunks(&Reader{R: &buf}, size); err != nil {
 			t.Fatalf("blockLen %d: ReadChunks: %v", blockLen, err)
 		}
 

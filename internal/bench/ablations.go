@@ -202,15 +202,12 @@ func memLifeSuite(ds *ssb.Dataset, env *core.Env, exec core.Options) (thawRead i
 
 // AblationMemLifecycle compares the plan memory-lifecycle configurations
 // on the whole SSB suite, one Env per configuration: the GC baseline, the
-// chunk recycler, and spilling with the copying, mmap (zero-copy), and
-// mmap+recycler restore paths. The spill rows run under a 1-byte budget —
+// chunk recycler, and spilling. The spill row runs under a 1-byte budget —
 // every cold intermediate spills and every re-read restores — because
-// that is the configuration that isolates the restore-path difference:
 // under a realistic budget the restore traffic depends on the scale
 // factor, and a budget above the peak shows nothing at all. The
 // interesting columns are allocations and GC pause (recycler) and thaw
-// bytes read (the mmap restore adopts the tree interior instead of
-// copying it).
+// bytes read (spilling).
 func AblationMemLifecycle(ds *ssb.Dataset, reps int) ([]MemLifeRow, error) {
 	cfgs := []struct {
 		name string
@@ -219,8 +216,6 @@ func AblationMemLifecycle(ds *ssb.Dataset, reps int) ([]MemLifeRow, error) {
 		{"baseline", core.EnvConfig{}},
 		{"recycle", core.EnvConfig{Recycle: true}},
 		{"spill-all", core.EnvConfig{MemBudget: 1}},
-		{"spill-all+mmap", core.EnvConfig{MemBudget: 1, MmapThaw: true}},
-		{"spill-all+mmap+recycle", core.EnvConfig{MemBudget: 1, MmapThaw: true, Recycle: true}},
 	}
 	// The lifecycle under measurement is allocate → spill → thaw →
 	// recycle of the intermediate indexes; fusion would skip building

@@ -1,6 +1,6 @@
 // Package cliflags is the single home of the engine flags both CLIs
 // (cmd/qpptbench, cmd/qpptsql) expose: worker pool size, memory budget,
-// chunk-pool cap, mmap thaw, the fusion/recycler/kernel oracle switches,
+// chunk-pool cap, the fusion/recycler/kernel oracle switches,
 // admission control and the statement cache. Register once, then resolve
 // the parsed values into a qppt.Config — future flags are added here and
 // appear in both commands with identical names, defaults and help texts.
@@ -21,7 +21,6 @@ type Exec struct {
 	MemBudget  string
 	RecycleCap string
 	NoRecycle  bool
-	MmapThaw   bool
 	NoFuse     bool
 	NoKernel   bool
 	MaxPlans   int
@@ -37,7 +36,6 @@ func Register(fs *flag.FlagSet) *Exec {
 	fs.StringVar(&e.MemBudget, "membudget", "", "intermediate-index memory budget (e.g. 256MiB); empty = unlimited, no spilling")
 	fs.BoolVar(&e.NoRecycle, "norecycle", false, "disable the engine's cross-plan chunk recycler (on by default)")
 	fs.StringVar(&e.RecycleCap, "recyclecap", "", "byte cap on the engine chunk pool (e.g. 256MiB); empty = engine default")
-	fs.BoolVar(&e.MmapThaw, "mmapthaw", false, "restore spilled intermediates via zero-copy mmap instead of copying")
 	fs.BoolVar(&e.NoFuse, "nofuse", false, "disable pipeline fusion: materialize every single-consumer intermediate index (fusion is on by default)")
 	fs.BoolVar(&e.NoKernel, "nokernel", false, "disable the SWAR batch kernels: route tree descents and range-stream predicates through the scalar fallback")
 	fs.IntVar(&e.MaxPlans, "max-plans", 0, "admission cap on concurrently executing plans (0 = unlimited, no admission control)")
@@ -83,7 +81,6 @@ func (e *Exec) EngineConfig() (qppt.Config, error) {
 	}
 	cfg := qppt.Config{
 		Workers:        e.Workers,
-		MmapThaw:       e.MmapThaw,
 		DisableRecycle: e.NoRecycle,
 		DisableFusion:  e.NoFuse,
 		MaxPlans:       e.MaxPlans,

@@ -38,7 +38,6 @@ func TestFlagsLandInConfig(t *testing.T) {
 		{[]string{"-membudget", "64MiB"}, func(c *qppt.Config) { c.MemBudget = 64 << 20 }},
 		{[]string{"-recyclecap", "1G"}, func(c *qppt.Config) { c.RecycleCap = 1 << 30 }},
 		{[]string{"-norecycle"}, func(c *qppt.Config) { c.DisableRecycle = true }},
-		{[]string{"-mmapthaw"}, func(c *qppt.Config) { c.MmapThaw = true }},
 		{[]string{"-nofuse"}, func(c *qppt.Config) { c.DisableFusion = true }},
 		{[]string{"-nokernel"}, func(*qppt.Config) {}}, // process-global, see TestNoKernel
 		{[]string{"-max-plans", "3"}, func(c *qppt.Config) { c.MaxPlans = 3 }},

@@ -64,13 +64,6 @@ type EnvConfig struct {
 	// SpillDir is where frozen intermediates are written. Empty uses a
 	// private directory under the OS temp dir, removed by Close.
 	SpillDir string
-	// MmapThaw restores spilled intermediates by memory-mapping the
-	// spill file (privately) and adopting the mapped pages as the index
-	// arenas' chunks — the tree interior is never copied and untouched
-	// pages fault in lazily. Platforms or index kinds without mmap
-	// support silently fall back to the copying restore. Results are
-	// identical either way.
-	MmapThaw bool
 }
 
 // NewEnv builds an execution environment.
@@ -81,7 +74,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		env.rec.SetCap(cfg.RecycleCap)
 	}
 	if cfg.MemBudget > 0 {
-		mgr, err := spill.NewConfig(spill.Config{Budget: cfg.MemBudget, Dir: cfg.SpillDir, Mmap: cfg.MmapThaw})
+		mgr, err := spill.NewConfig(spill.Config{Budget: cfg.MemBudget, Dir: cfg.SpillDir})
 		if err != nil {
 			return nil, err
 		}

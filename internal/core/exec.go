@@ -285,12 +285,10 @@ type PlanStats struct {
 	SpillBytes   int64
 	RestoreBytes int64
 	PeakResident int64
-	// RestoreBytesRead counts the spill-file bytes actually copied during
-	// restores (mmap-adopted pages and range-skipped chunks excluded);
-	// MmapRestores and PartialRestores count the zero-copy and
-	// range-restricted restore events.
+	// RestoreBytesRead counts the spill-file bytes actually read during
+	// restores (range-skipped chunks excluded); PartialRestores counts
+	// the range-restricted restore events.
 	RestoreBytesRead int64
-	MmapRestores     int
 	PartialRestores  int
 	// ChunksRecycled/ChunksReused/RecycleSavedBytes are this plan's share
 	// of the Env recycler's traffic (EnvConfig.Recycle): chunks parked in
@@ -322,9 +320,8 @@ func (ps *PlanStats) String() string {
 			spill.FormatBytes(ps.MemBudget), ps.Spills, spill.FormatBytes(ps.SpillBytes),
 			ps.Restores, spill.FormatBytes(ps.RestoreBytes), spill.FormatBytes(ps.RestoreBytesRead),
 			spill.FormatBytes(ps.PeakResident))
-		if ps.MmapRestores > 0 || ps.PartialRestores > 0 {
-			s += fmt.Sprintf("  %d mmap (zero-copy) restores, %d partial (range-restricted) restores\n",
-				ps.MmapRestores, ps.PartialRestores)
+		if ps.PartialRestores > 0 {
+			s += fmt.Sprintf("  %d partial (range-restricted) restores\n", ps.PartialRestores)
 		}
 	}
 	if ps.ChunksRecycled > 0 || ps.ChunksReused > 0 {
@@ -498,7 +495,6 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 			stats.Spills, stats.Restores = ms.Spills-spill0.Spills, ms.Restores-spill0.Restores
 			stats.SpillBytes, stats.RestoreBytes = ms.SpillBytes-spill0.SpillBytes, ms.RestoreBytes-spill0.RestoreBytes
 			stats.RestoreBytesRead = ms.RestoreBytesRead - spill0.RestoreBytesRead
-			stats.MmapRestores = ms.MmapRestores - spill0.MmapRestores
 			stats.PartialRestores = ms.PartialRestores - spill0.PartialRestores
 			// Peak is a high-water mark: report how much this plan raised
 			// it (0 = stayed under the Env's prior peak), consistent with

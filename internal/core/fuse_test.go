@@ -128,7 +128,7 @@ func TestFusedMatchesMaterialized(t *testing.T) {
 		{env: EnvConfig{Workers: 3}},
 		{env: EnvConfig{MemBudget: 1}},
 		{env: EnvConfig{Workers: 3, MemBudget: 1}},
-		{env: EnvConfig{Workers: 3, MemBudget: 1, MmapThaw: true, Recycle: true}},
+		{env: EnvConfig{Workers: 3, MemBudget: 1, Recycle: true}},
 	} {
 		rc.opts.CollectStats = true
 		out, stats, err := run(t, rc.env, mkPlan(), rc.opts)

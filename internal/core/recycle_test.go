@@ -37,7 +37,6 @@ func TestRecycleMatchesBaseline(t *testing.T) {
 		{Recycle: true},
 		{Recycle: true, Workers: 3},
 		{Recycle: true, Workers: 3, MemBudget: 1},
-		{Recycle: true, Workers: 3, MemBudget: 1, MmapThaw: true},
 	} {
 		// The drop→reuse cycle needs the selection intermediate to be
 		// built and dropped; fusion would skip it entirely.

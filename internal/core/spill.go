@@ -3,41 +3,31 @@ package core
 import (
 	"io"
 
-	"qppt/internal/arena"
 	"qppt/internal/spill"
 )
 
 // Spill support for intermediate indexes (paper motivation: QPPT builds an
 // index per operator, so total intermediate-index footprint — not the base
 // tables — caps the runnable scale factor). The index adapters forward the
-// trees' freeze/thaw chunk hooks — including the zero-copy mmap thaw and
-// the range-restricted partial thaw — and the executor registers every
-// non-base operator output with the Env's spill.Manager when
-// EnvConfig.MemBudget is set.
+// trees' freeze/thaw chunk hooks — including the range-restricted partial
+// thaw — and the executor registers every non-base operator output with
+// the Env's spill.Manager when EnvConfig.MemBudget is set.
 
 func (p ptIndex) WriteSnapshot(w io.Writer) error { return p.t.WriteSnapshot(w) }
 func (p ptIndex) Release()                        { p.t.Release() }
 func (p ptIndex) Thaw(r io.Reader) error          { return p.t.Thaw(r) }
-func (p ptIndex) ThawMapped(mr *arena.MapReader) error {
-	return p.t.ThawMapped(mr)
-}
 func (p ptIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
 	return p.t.ThawRange(f, lo, hi)
 }
-func (p ptIndex) Materialize() { p.t.Materialize() }
-func (p ptIndex) Recycle()     { p.t.Recycle() }
+func (p ptIndex) Recycle() { p.t.Recycle() }
 
 func (k kissIndex) WriteSnapshot(w io.Writer) error { return k.t.WriteSnapshot(w) }
 func (k kissIndex) Release()                        { k.t.Release() }
 func (k kissIndex) Thaw(r io.Reader) error          { return k.t.Thaw(r) }
-func (k kissIndex) ThawMapped(mr *arena.MapReader) error {
-	return k.t.ThawMapped(mr)
-}
 func (k kissIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
 	return k.t.ThawRange(f, lo, hi)
 }
-func (k kissIndex) Materialize() { k.t.Materialize() }
-func (k kissIndex) Recycle()     { k.t.Recycle() }
+func (k kissIndex) Recycle() { k.t.Recycle() }
 
 func (p ptIndex) Frozen() bool   { return p.t.Frozen() }
 func (k kissIndex) Frozen() bool { return k.t.Frozen() }
@@ -49,25 +39,10 @@ type chunkRecycler interface {
 }
 
 // frozenIndex reports whether an index's storage is currently detached
-// (spilled); the sharded rollback below uses it to find the shards a
-// failed multi-shard restore left resident.
+// (spilled); the sharded ThawRange uses it to tell a fresh restore from a
+// top-up.
 type frozenIndex interface {
 	Frozen() bool
-}
-
-// rollbackThaw releases every shard that is no longer frozen, returning
-// the sharded index to the fully frozen state the plain thaw paths
-// require. A multi-shard restore that fails midway leaves earlier shards
-// resident (and, under mmap, aliasing mapped pages); without the
-// rollback a later full Thaw would fail forever on the first shard's
-// "not frozen" guard — and the resident shard bytes would escape the
-// budget accounting.
-func (s *shardedIndex) rollbackThaw() {
-	for _, sh := range s.shards {
-		if fr, ok := sh.(frozenIndex); ok && !fr.Frozen() {
-			sh.(spill.Freezer).Release()
-		}
-	}
 }
 
 // WriteSnapshot writes every shard into one stream, in shard order; the
@@ -89,23 +64,14 @@ func (s *shardedIndex) Release() {
 	}
 }
 
+// Thaw restores the shards in stream order. A shard that fails has rolled
+// itself back to frozen (package freeze); releasing the ones restored
+// before it returns the whole index to the frozen state a retry requires,
+// and their bytes to the budget accounting.
 func (s *shardedIndex) Thaw(r io.Reader) error {
 	for _, sh := range s.shards {
 		if err := sh.(spill.Freezer).Thaw(r); err != nil {
-			s.rollbackThaw()
-			return err
-		}
-	}
-	return nil
-}
-
-// ThawMapped adopts each shard's chunks out of the shared mapped stream.
-// On error every shard is rolled back to frozen and no shard references
-// the mapping, so the caller may unmap it and retry any thaw path.
-func (s *shardedIndex) ThawMapped(mr *arena.MapReader) error {
-	for _, sh := range s.shards {
-		if err := sh.(spill.MappedThawer).ThawMapped(mr); err != nil {
-			s.rollbackThaw()
+			s.Release()
 			return err
 		}
 	}
@@ -135,20 +101,12 @@ func (s *shardedIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, e
 		full = full && shFull
 		if err != nil {
 			if fresh {
-				s.rollbackThaw()
+				s.Release()
 			}
 			return total, false, err
 		}
 	}
 	return total, full, nil
-}
-
-func (s *shardedIndex) Materialize() {
-	for _, sh := range s.shards {
-		if mz, ok := sh.(spill.Materializer); ok {
-			mz.Materialize()
-		}
-	}
 }
 
 func (s *shardedIndex) Recycle() {

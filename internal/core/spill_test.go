@@ -2,9 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
+	"slices"
 	"testing"
 
+	"qppt/internal/arena"
+	"qppt/internal/arena/arenatest"
 	"qppt/internal/duplist"
 )
 
@@ -154,15 +160,121 @@ func TestShardedThawRollsBackOnError(t *testing.T) {
 	if err := sh.Thaw(bytes.NewReader(snapshot[:len(snapshot)*2/3])); err == nil {
 		t.Fatal("truncated thaw did not fail")
 	}
-	// …and the rollback must leave every shard frozen again,
+	// …and the rollback must leave every shard frozen again, holding
+	// nothing — the shard the stream ended in included,
 	for _, shard := range sh.shards {
 		if !shard.(frozenIndex).Frozen() {
 			t.Fatal("shard left resident after failed multi-shard thaw")
 		}
+	}
+	if b := sh.Bytes(); b != 0 {
+		t.Fatalf("frozen shards still hold %d bytes after failed multi-shard thaw", b)
 	}
 	// …so a retry from the intact snapshot fully recovers.
 	if err := sh.Thaw(bytes.NewReader(snapshot)); err != nil {
 		t.Fatalf("retry thaw after rollback: %v", err)
 	}
 	assertSameTable(t, want, merged)
+}
+
+// snapshotCuts walks a stream of concatenated tree snapshots (package
+// freeze's format) and returns the offsets to truncate it at: every
+// structure's start, inside its magic, both ends and the middle of every
+// interior section, around the leaf directory, and inside its first and
+// last leaf.
+func snapshotCuts(b []byte) []int {
+	const kissMagic = 0x5150_5054_4B53_0002
+	u64 := func(off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
+	var cuts []int
+	for off := 0; off < len(b); {
+		units := []int{1, 4} // prefix tree: node slots, leaf free list
+		if binary.LittleEndian.Uint64(b[off:]) == kissMagic {
+			units = []int{1, 1, 1} // root pages, node slots, compressed nodes
+		}
+		cuts = append(cuts, off, off+4)
+		p := off + 8
+		for _, unit := range units {
+			size := u64(p) * unit
+			cuts = append(cuts, p, p+8, p+8+size/2)
+			p += 8 + size
+		}
+		nChunks := u64(p + 8)
+		leaves := p + 16 + 24*nChunks
+		off = leaves
+		for c := 0; c < nChunks; c++ {
+			off += u64(p + 32 + 24*c)
+		}
+		cuts = append(cuts, p, p+8, p+16, leaves, leaves+20, off-4)
+	}
+	slices.Sort(cuts)
+	return slices.Compact(cuts)
+}
+
+// A three-shard index — a prefix tree, a KISS-Tree and a compressed
+// KISS-Tree sharing one stream — cut at every framing boundary and inside
+// a leaf of every shard: each way back fails with io.ErrUnexpectedEOF,
+// leaves every shard frozen with zero bytes and every drawn chunk back in
+// the pool, and the intact stream then restores the index.
+func TestShardedThawTruncatedAnywhere(t *testing.T) {
+	arenatest.CheckZeroHandouts(t)
+	rec := arena.NewRecycler()
+	const bits = 24
+	var shards []Index
+	var los, his []uint64
+	for i, cfg := range []IndexConfig{{ForcePrefixTree: true}, {}, {CompressKISS: true}} {
+		cfg.KeyBits, cfg.PayloadWidth, cfg.Recycler = bits, 1, rec
+		idx := NewIndex(cfg)
+		lo := uint64(i) << 22
+		for k := uint64(0); k < 9000; k++ {
+			idx.Insert(lo+k*311%(1<<22), []uint64{k})
+		}
+		shards, los, his = append(shards, idx), append(los, lo), append(his, lo+1<<22-1)
+	}
+	sh := newShardedIndex(shards, los, his, bits)
+	collect := func() map[uint64][][]uint64 {
+		m := map[uint64][][]uint64{}
+		sh.Iterate(func(k uint64, vals *duplist.List) bool {
+			m[k] = vals.Rows()
+			return true
+		})
+		return m
+	}
+	want := collect()
+	var buf bytes.Buffer
+	if err := sh.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sh.Release()
+	snapshot := buf.Bytes()
+	pooled := rec.Stats().PooledBytes
+
+	for name, thaw := range map[string]func(b []byte) error{
+		"Thaw": func(b []byte) error { return sh.Thaw(bytes.NewReader(b)) },
+		"ThawRange": func(b []byte) error {
+			_, _, err := sh.ThawRange(bytes.NewReader(b), 0, keySpaceMax(bits))
+			return err
+		},
+	} {
+		for _, cut := range snapshotCuts(snapshot) {
+			if err := thaw(snapshot[:cut]); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s cut at %d of %d: error %v, want io.ErrUnexpectedEOF", name, cut, len(snapshot), err)
+			}
+			for i, shard := range sh.shards {
+				if !shard.(frozenIndex).Frozen() || shard.Bytes() != 0 {
+					t.Fatalf("%s cut at %d: shard %d left frozen=%v with %d bytes",
+						name, cut, i, shard.(frozenIndex).Frozen(), shard.Bytes())
+				}
+			}
+			if got := rec.Stats().PooledBytes; got != pooled {
+				t.Fatalf("%s cut at %d: pool holds %d bytes, %d before the failed thaw", name, cut, got, pooled)
+			}
+		}
+		if err := thaw(snapshot); err != nil {
+			t.Fatalf("%s of the intact stream: %v", name, err)
+		}
+		if !reflect.DeepEqual(collect(), want) {
+			t.Fatalf("%s: restored content differs", name)
+		}
+		sh.Release()
+	}
 }

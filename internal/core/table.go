@@ -95,8 +95,7 @@ type IndexedTable struct {
 // recycled like any other. Release is idempotent, and a no-op for anything
 // that is not a pool-backed operator output: catalog base indexes, runs
 // without a recycler, a nil table (a failed or cancelled plan has none).
-// Frozen trees and mmap-adopted chunks are skipped by the index kinds
-// themselves.
+// Frozen trees are skipped by the index kinds themselves.
 func (t *IndexedTable) Release() {
 	if t == nil || !t.pooled {
 		return

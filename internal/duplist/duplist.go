@@ -74,6 +74,11 @@ func Make(width int) List {
 	return List{width: width}
 }
 
+// MakeCounted returns an existence-only (width 0) list that already counts
+// n rows — what n Appends would build, without a loop a corrupt snapshot's
+// row count could stretch.
+func MakeCounted(n int) List { return List{n: n} }
+
 // Width reports the row width in uint64 words.
 func (l *List) Width() int { return l.width }
 

@@ -32,6 +32,7 @@ import (
 
 	"qppt/internal/arena"
 	"qppt/internal/duplist"
+	"qppt/internal/freeze"
 )
 
 const (
@@ -97,17 +98,10 @@ type Tree struct {
 	copies           int // RCU node copies performed (compression cost metric)
 	touchedRootPages int // root pages written at least once (memory metric)
 
-	// frozen marks a tree whose chunk storage is spilled (see spill.go);
-	// counters and bounds stay valid, everything else is on disk.
-	frozen bool
-	// partial marks a tree whose leaf payloads were only partially
-	// restored by ThawRange; thawedChunks records which leaf chunks are
-	// back. Only keys inside the thawed ranges may be queried.
-	partial      bool
-	thawedChunks []bool
-	// rootMapped marks root page chunks that alias an mmap-ed spill file
-	// (ThawMapped); they must not be recycled, only dropped or copied.
-	rootMapped bool
+	// State says whether the chunk storage is spilled (Frozen) or only
+	// partially back (Partial; see spill.go). Counters and bounds stay
+	// valid throughout.
+	freeze.State
 }
 
 // cnode is a bitmask-compressed second-level node: a 64-bit occupancy
@@ -117,13 +111,9 @@ type cnode struct {
 	entries []uint32
 }
 
-// A Leaf is a content node: the full key and the payload row list. The
-// list is embedded by value so that reaching the first payload row from a
-// leaf costs no extra pointer chase.
-type Leaf struct {
-	Key  uint64
-	Vals duplist.List
-}
+// A Leaf is a content node: the full key and the payload row list. Both
+// tree kinds share the type, and with it one freeze codec.
+type Leaf = freeze.Leaf
 
 const leafChunkBits = 13 // 8192 leaves (~512 KB) per chunk
 
@@ -499,12 +489,11 @@ func (t *Tree) Bytes() int {
 	for i := range t.cnodes {
 		b += len(t.cnodes[i].entries) * 4
 	}
-	b += t.leaves.Bytes()
-	if t.slab != nil {
-		b += t.slab.Bytes()
-	}
+	b += t.leaves.Bytes() + t.slab.Bytes()
 	// Root: the directory plus the chunks actually faulted in.
-	b += rootChunks * 8
+	if t.root != nil {
+		b += rootChunks * 8
+	}
 	for _, c := range t.root {
 		if c != nil {
 			b += len(c) * 4

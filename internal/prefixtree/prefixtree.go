@@ -39,6 +39,7 @@ import (
 
 	"qppt/internal/arena"
 	"qppt/internal/duplist"
+	"qppt/internal/freeze"
 )
 
 // Config parameterizes a Tree.
@@ -114,24 +115,15 @@ type Tree struct {
 	// of per-key objects.
 	slab *duplist.Slab
 
-	// frozen marks a tree whose chunk storage is spilled (see spill.go);
-	// counters and geometry stay valid, everything else is on disk.
-	frozen bool
-	// partial marks a tree whose leaf payloads were only partially
-	// restored by ThawRange; thawedChunks records which leaf chunks are
-	// back. Only keys inside the union of the thawed ranges may be
-	// queried — leaves of skipped chunks read as empty zero leaves.
-	partial      bool
-	thawedChunks []bool
+	// State says whether the chunk storage is spilled (Frozen) or only
+	// partially back (Partial; see spill.go). Counters and geometry stay
+	// valid throughout.
+	freeze.State
 }
 
-// A Leaf is a content node: the full key (required because dynamic
-// expansion loses path information) plus all payload rows for that key.
-// The row list is embedded by value to avoid a pointer chase per access.
-type Leaf struct {
-	Key  uint64
-	Vals duplist.List
-}
+// A Leaf is a content node: the full key plus all payload rows for that
+// key. Both tree kinds share the type, and with it one freeze codec.
+type Leaf = freeze.Leaf
 
 // New creates an empty tree. It returns an error for out-of-range
 // configuration values.
@@ -475,11 +467,7 @@ func (t *Tree) Max() (uint64, bool) {
 // estimate tracks what actually sits in the heap; a frozen (spilled) tree
 // reports only its residual in-memory state.
 func (t *Tree) Bytes() int {
-	b := t.nodes.Bytes() + t.leaves.Bytes()
-	if t.slab != nil {
-		b += t.slab.Bytes()
-	}
-	return b
+	return t.nodes.Bytes() + t.leaves.Bytes() + t.slab.Bytes()
 }
 
 // Nodes reports the number of live inner nodes, for memory accounting

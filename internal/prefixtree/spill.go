@@ -1,143 +1,53 @@
 package prefixtree
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 
 	"qppt/internal/arena"
-	"qppt/internal/duplist"
+	"qppt/internal/freeze"
 )
 
-// Freeze/Thaw: the tree's spill hooks (ROADMAP "Index spilling").
-//
-// Because every reference inside the tree is a compact pointer — an arena
-// index, not a machine address — the whole index is position-independent:
-// Freeze writes the node chunks verbatim and the content leaves (key +
-// payload rows, which embed Go slices and so cannot be dumped raw) in one
-// sequential pass, then detaches the chunk storage. Thaw reads the stream
-// back into freshly allocated chunks; node ordinals and leaf indices are
-// reproduced exactly, so the restored tree answers every query identically.
-//
-// The freeze format is self-indexing (format 2): it records the byte
-// length of the node section and a per-leaf-chunk directory of {min key,
-// max key, byte length}. That enables two cheaper restore paths next to
-// the plain copying Thaw:
-//
-//   - ThawMapped adopts the node chunks straight out of an mmap-ed spill
-//     file — zero copies for the tree interior; only the content leaves
-//     (whose duplicate lists embed Go slices) are rebuilt. The mapping is
-//     private, so later in-place writes copy pages instead of corrupting
-//     the file.
-//   - ThawRange restores only the leaf chunks whose key range intersects
-//     a consumer's range. Skipped leaves stay zero (empty) — harmless for
-//     range-restricted consumers, because a zero leaf carries no rows and
-//     the skipped chunks hold no key the consumer's range can reach.
-//     ThawRange is additive: calling it again restores further chunks in
-//     place, and a call spanning the full key space completes the tree.
-//
-// The cheap scalar state (key/row counters, geometry) stays in the Tree
-// struct across a freeze, so planners can keep consulting Keys()/Rows()
-// on a frozen index without touching the spill file.
+// Freeze/Thaw: the tree's spill hooks. The stream format, the two restore
+// paths (Thaw, ThawRange) and their failure rules live in package freeze;
+// the prefix tree contributes its magic word and two interior sections —
+// the node slot chunks, verbatim, and the leaf free list.
 
 // freezeMagic guards against thawing a stream produced by a different
 // structure (or a different format revision).
 const freezeMagic = 0x5150_5054_5054_0002 // "QPPT" + prefix-tree format 2
 
-// Frozen reports whether the tree's chunk storage is currently detached
-// (spilled). A frozen tree must not be queried or mutated until Thaw.
-func (t *Tree) Frozen() bool { return t.frozen }
-
-// Partial reports whether only part of the leaf payloads is resident
-// (see ThawRange). A partial tree must only be queried inside the union
-// of the thawed key ranges.
-func (t *Tree) Partial() bool { return t.partial }
-
-// leafSnapshotBytes reports the serialized size of one content leaf:
-// key + row count, plus the rows themselves for width > 0.
-func leafSnapshotBytes(lf *Leaf, width int) uint64 {
-	if width == 0 {
-		return 16
+func (t *Tree) codec() freeze.Codec {
+	return freeze.Codec{
+		State: &t.State, Magic: freezeMagic, Width: t.cfg.PayloadWidth,
+		Leaves: &t.leaves, Slab: t.slab,
+		Sections: []freeze.Section{{
+			Unit:  1,
+			Size:  t.nodes.SnapshotLen,
+			Write: t.nodes.WriteChunks,
+			Read:  t.nodes.ReadChunks,
+		}, {
+			Unit:  4,
+			Size:  func() uint64 { return 4 * uint64(len(t.freeLeaves)) },
+			Write: func(w *arena.Writer) { w.U32s(t.freeLeaves) },
+			Read: func(r *arena.Reader, size uint64) error {
+				t.freeLeaves = r.U32sN(size / 4)
+				return r.Err
+			},
+		}},
+		Release: t.Release,
 	}
-	return 16 + 8*uint64(width)*uint64(lf.Vals.Len())
 }
 
-// leafDir builds the per-leaf-chunk directory (arena.LeafChunkDir):
-// free-list leaves are zero and carry no rows, so only leaves with rows
-// contribute to the chunk key ranges.
-func (t *Tree) leafDir() []uint64 {
-	return arena.LeafChunkDir(&t.leaves,
-		func(lf *Leaf) uint64 { return leafSnapshotBytes(lf, t.cfg.PayloadWidth) },
-		func(lf *Leaf) (uint64, bool) { return lf.Key, lf.Vals.Len() > 0 })
-}
+// WriteSnapshot writes the tree's storage to w, leaving it attached.
+func (t *Tree) WriteSnapshot(w io.Writer) error { return t.codec().WriteSnapshot(w) }
 
-// WriteSnapshot writes the tree's storage to w in one sequential pass —
-// node chunks, leaf free list, the leaf-chunk directory, and every content
-// leaf. The storage stays attached and the tree fully usable; call Release
-// once the snapshot is safely persisted to actually detach it. Splitting
-// the two is what makes a failed spill harmless: on any write error
-// nothing has been dropped.
-//
-// WriteSnapshot and the thaw paths consume exactly their own bytes and
-// never read ahead, so several structures can share one stream (a sharded
-// index snapshots all its shards into one spill file). Callers provide
-// buffering; wrapping w or r here would steal the next structure's bytes
-// on Thaw.
-func (t *Tree) WriteSnapshot(w io.Writer) error {
-	if t.frozen || t.partial {
-		return fmt.Errorf("prefixtree: WriteSnapshot on a frozen or partially thawed tree")
-	}
-	if err := arena.WriteU64(w, freezeMagic); err != nil {
-		return err
-	}
-	if err := arena.WriteU64(w, uint64(t.nodes.SnapshotLen())); err != nil {
-		return err
-	}
-	if err := t.nodes.WriteChunks(w); err != nil {
-		return err
-	}
-	if err := arena.WriteU64(w, uint64(len(t.freeLeaves))); err != nil {
-		return err
-	}
-	if err := arena.WriteU32s(w, t.freeLeaves); err != nil {
-		return err
-	}
-	if err := arena.WriteU64(w, uint64(t.leaves.Len())); err != nil {
-		return err
-	}
-	dir := t.leafDir()
-	if err := arena.WriteU64(w, uint64(len(dir)/3)); err != nil {
-		return err
-	}
-	if err := arena.WriteU64s(w, dir); err != nil {
-		return err
-	}
-	werr := error(nil)
-	t.leaves.Scan(func(_ uint32, lf *Leaf) bool {
-		werr = writeLeaf(w, lf)
-		return werr == nil
-	})
-	return werr
-}
-
-// Release detaches the node arena, leaf arena and payload slab the last
-// WriteSnapshot captured. With a recycler configured the heap chunks are
-// parked for the next index instead of going to the garbage collector
-// (mmap-adopted chunks are simply dropped — their pages belong to the
-// spill file mapping). The tree keeps its counters and geometry but must
-// not be queried or mutated until thawed. Only call after the snapshot is
+// Release detaches the storage the last WriteSnapshot captured, parking
+// the chunks in the configured recycler. Only call once the snapshot is
 // safely persisted.
 func (t *Tree) Release() {
 	t.nodes.Detach()
-	t.leaves.Reset()
-	if t.slab != nil {
-		t.slab.Release()
-	}
-	t.slab = nil
 	t.freeLeaves = nil
-	t.partial = false
-	t.thawedChunks = nil
-	t.frozen = true
+	freeze.Release(&t.State, &t.leaves, t.slab)
 }
 
 // Recycle drops a resident tree's chunk storage into the configured
@@ -145,252 +55,18 @@ func (t *Tree) Release() {
 // an intermediate index is done. A frozen tree has nothing resident and
 // is left untouched. The tree is unusable afterwards.
 func (t *Tree) Recycle() {
-	if !t.frozen {
+	if !t.Frozen() {
 		t.Release()
 	}
 }
 
-// Materialize copies any mmap-adopted node chunks to the heap, so the
-// tree survives the unmapping of the spill file it was thawed from.
-func (t *Tree) Materialize() { t.nodes.Unmap() }
+// Freeze is WriteSnapshot + Release in one step.
+func (t *Tree) Freeze(w io.Writer) error { return t.codec().Freeze(w) }
 
-// Freeze is WriteSnapshot + Release in one step, for callers whose write
-// target cannot fail after the fact (e.g. an in-memory buffer).
-func (t *Tree) Freeze(w io.Writer) error {
-	if err := t.WriteSnapshot(w); err != nil {
-		return err
-	}
-	t.Release()
-	return nil
-}
+// Thaw restores the storage WriteSnapshot wrote.
+func (t *Tree) Thaw(r io.Reader) error { return t.codec().Thaw(r) }
 
-// Thaw restores the storage WriteSnapshot wrote: node chunks come back
-// verbatim, leaves are re-allocated index-for-index (so the compact
-// pointers inside the restored nodes stay valid), and payload rows are
-// rebuilt into a fresh slab.
-func (t *Tree) Thaw(r io.Reader) error { return t.thaw(r, nil) }
-
-// ThawMapped is Thaw over an mmap-ed spill file: the node chunks are
-// adopted as zero-copy views of the mapped pages (see
-// arena.Slots.ReadChunksMapped) and only the content leaves are rebuilt.
-// The caller owns the mapping and must keep it alive until the tree is
-// released, recycled, or Materialized. On error the tree stays frozen
-// and holds no reference into the mapping, so the caller may unmap it
-// and retry through any thaw path.
-func (t *Tree) ThawMapped(mr *arena.MapReader) error {
-	if err := t.thaw(mr, mr); err != nil {
-		// The failed thaw may have adopted node chunks from the mapping;
-		// drop them before the caller unmaps it (thaw flips the frozen
-		// flag only on success, so the tree reads as frozen already).
-		t.nodes.Detach()
-		return err
-	}
-	return nil
-}
-
-func (t *Tree) thaw(r io.Reader, mr *arena.MapReader) error {
-	if !t.frozen {
-		return fmt.Errorf("prefixtree: Thaw on a tree that is not frozen")
-	}
-	magic, err := arena.ReadU64(r)
-	if err != nil {
-		return err
-	}
-	if magic != freezeMagic {
-		return fmt.Errorf("prefixtree: bad freeze magic %#x", magic)
-	}
-	if _, err := arena.ReadU64(r); err != nil { // node section length
-		return err
-	}
-	if mr != nil {
-		err = t.nodes.ReadChunksMapped(mr)
-	} else {
-		err = t.nodes.ReadChunks(r)
-	}
-	if err != nil {
-		return err
-	}
-	nFree, err := arena.ReadU64(r)
-	if err != nil {
-		return err
-	}
-	t.freeLeaves = make([]uint32, nFree)
-	if err := arena.ReadU32s(r, t.freeLeaves); err != nil {
-		return err
-	}
-	nLeaves, err := arena.ReadU64(r)
-	if err != nil {
-		return err
-	}
-	nChunks, err := arena.ReadU64(r)
-	if err != nil {
-		return err
-	}
-	dir := make([]uint64, 3*nChunks)
-	if err := arena.ReadU64s(r, dir); err != nil {
-		return err
-	}
-	t.slab = duplist.NewSlabIn(t.cfg.Recycler)
-	t.leaves.Reset()
-	row := make([]uint64, t.cfg.PayloadWidth)
-	for i := uint64(0); i < nLeaves; i++ {
-		li := t.leaves.Alloc(Leaf{})
-		if err := readLeaf(r, t.leaf(li), t.cfg.PayloadWidth, t.slab, row); err != nil {
-			return err
-		}
-	}
-	t.frozen = false
-	t.partial = false
-	t.thawedChunks = nil
-	return nil
-}
-
-// ThawRange restores the tree far enough to serve queries inside
-// [lo, hi]: the tree interior (node chunks, free list) comes back in full,
-// but of the content leaves only the chunks whose key range intersects
-// [lo, hi] are read — the rest are skipped with a seek and their leaves
-// stay zero (empty). It returns the bytes actually read from f and
-// whether the tree is now fully restored.
-//
-// ThawRange is additive: on a partially thawed tree it seeks straight
-// past the already resident sections and restores only the missing chunks
-// the new range touches, in place. Other chunks are never touched, so
-// concurrent readers of previously thawed ranges stay valid. A call with
-// the full key span completes the tree.
+// ThawRange restores the tree far enough to serve queries inside [lo, hi].
 func (t *Tree) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
-	fresh := t.frozen
-	n, full, err := t.thawRange(f, lo, hi)
-	if err != nil && fresh && !t.frozen {
-		// A fresh partial thaw failed midway: roll the half-restored
-		// storage back so the tree reads as frozen again — the spill file
-		// is intact and a later pin can retry — and the manager's
-		// residency accounting stays consistent.
-		t.Release()
-	}
-	return n, full, err
-}
-
-func (t *Tree) thawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
-	// A fully resident tree (possible as one shard of a partially thawed
-	// sharded index) just skims its section: every chunk reads as thawed,
-	// so the loop seeks straight to the stream end.
-	skim := !t.frozen && !t.partial
-	fresh := t.frozen
-	var nRead int64
-	magic, err := arena.ReadU64(f)
-	if err != nil {
-		return nRead, false, err
-	}
-	if magic != freezeMagic {
-		return nRead, false, fmt.Errorf("prefixtree: bad freeze magic %#x", magic)
-	}
-	nodeBytes, err := arena.ReadU64(f)
-	if err != nil {
-		return nRead, false, err
-	}
-	nRead += 16
-	if fresh {
-		br := bufio.NewReaderSize(io.LimitReader(f, int64(nodeBytes)), 1<<18)
-		if err := t.nodes.ReadChunks(br); err != nil {
-			return nRead, false, err
-		}
-		nRead += int64(nodeBytes)
-	} else if _, err := f.Seek(int64(nodeBytes), io.SeekCurrent); err != nil {
-		return nRead, false, err
-	}
-	nFree, err := arena.ReadU64(f)
-	if err != nil {
-		return nRead, false, err
-	}
-	nRead += 8
-	if fresh {
-		t.freeLeaves = make([]uint32, nFree)
-		if err := arena.ReadU32s(f, t.freeLeaves); err != nil {
-			return nRead, false, err
-		}
-		nRead += 4 * int64(nFree)
-	} else if _, err := f.Seek(4*int64(nFree), io.SeekCurrent); err != nil {
-		return nRead, false, err
-	}
-	nLeaves, err := arena.ReadU64(f)
-	if err != nil {
-		return nRead, false, err
-	}
-	nChunks, err := arena.ReadU64(f)
-	if err != nil {
-		return nRead, false, err
-	}
-	dir := make([]uint64, 3*nChunks)
-	if err := arena.ReadU64s(f, dir); err != nil {
-		return nRead, false, err
-	}
-	nRead += 16 + 24*int64(nChunks)
-	if fresh {
-		t.slab = duplist.NewSlabIn(t.cfg.Recycler)
-		t.leaves.Reset()
-		for i := uint64(0); i < nLeaves; i++ {
-			t.leaves.Alloc(Leaf{})
-		}
-		t.thawedChunks = make([]bool, nChunks)
-		t.frozen = false
-		t.partial = true
-	}
-	row := make([]uint64, t.cfg.PayloadWidth)
-	n, full, err := arena.ThawChunks(f, &t.leaves, nLeaves, dir, t.thawedChunks, skim, lo, hi,
-		func(r io.Reader, lf *Leaf) error {
-			return readLeaf(r, lf, t.cfg.PayloadWidth, t.slab, row)
-		})
-	nRead += n
-	if err != nil {
-		return nRead, false, err
-	}
-	if full && !skim {
-		t.partial = false
-		t.thawedChunks = nil
-	}
-	return nRead, full, nil
-}
-
-// writeLeaf serializes one content leaf: key, row count, then the rows in
-// insertion order. Recycled leaf headers (on the free list) are zero
-// leaves and serialize as key 0 with no rows.
-func writeLeaf(w io.Writer, lf *Leaf) error {
-	if err := arena.WriteU64(w, lf.Key); err != nil {
-		return err
-	}
-	if err := arena.WriteU64(w, uint64(lf.Vals.Len())); err != nil {
-		return err
-	}
-	if lf.Vals.Width() == 0 {
-		return nil // existence-only rows carry no storage
-	}
-	werr := error(nil)
-	lf.Vals.Scan(func(row []uint64) bool {
-		werr = arena.WriteU64s(w, row)
-		return werr == nil
-	})
-	return werr
-}
-
-// readLeaf rebuilds one content leaf in place, drawing row storage from
-// slab. row is a caller-provided width-sized scratch buffer.
-func readLeaf(r io.Reader, lf *Leaf, width int, slab *duplist.Slab, row []uint64) error {
-	key, err := arena.ReadU64(r)
-	if err != nil {
-		return err
-	}
-	n, err := arena.ReadU64(r)
-	if err != nil {
-		return err
-	}
-	*lf = Leaf{Key: key, Vals: duplist.Make(width)}
-	for j := uint64(0); j < n; j++ {
-		if width > 0 {
-			if err := arena.ReadU64s(r, row); err != nil {
-				return err
-			}
-		}
-		lf.Vals.AppendIn(slab, row[:width])
-	}
-	return nil
+	return t.codec().ThawRange(f, lo, hi)
 }

@@ -22,14 +22,9 @@
 // spilling concurrently. Each entry's I/O itself stays one sequential
 // pass — the pattern the chunk layout is designed for.
 //
-// Three restore paths exist:
+// Two restore paths exist, chosen by the pin:
 //
-//   - the plain copying thaw (always available);
-//   - a zero-copy mmap thaw (Config.Mmap): the spill file is mapped
-//     privately and structures that implement MappedThawer adopt the
-//     mapped pages as their arena chunks, so the tree interior is never
-//     copied and untouched pages fault in lazily. Unsupported platforms
-//     and structures fall back to the copying path;
+//   - the plain copying thaw (Handle.Pin);
 //   - a partial thaw (Handle.PinRange): structures that implement
 //     RangeThawer restore only the leaf chunks a consumer's key range
 //     touches, using the per-chunk directory their freeze format records.
@@ -48,8 +43,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"qppt/internal/arena"
 )
 
 // A Freezer can snapshot its storage into a byte stream, detach it, and
@@ -72,20 +65,6 @@ type Freezer interface {
 	Thaw(r io.Reader) error
 }
 
-// A MappedThawer can additionally restore itself zero-copy from an
-// mmap-ed snapshot, adopting the mapped pages as its chunk storage.
-type MappedThawer interface {
-	Freezer
-	ThawMapped(r *arena.MapReader) error
-}
-
-// A Materializer can copy any mmap-adopted storage back to the heap, so
-// it survives the unmapping of its spill file (the manager materializes
-// still-pinned mapped entries at Close — e.g. the plan's result index).
-type Materializer interface {
-	Materialize()
-}
-
 // A RangeThawer can restore just enough state to serve queries inside a
 // key range, reading only the chunks that range touches. Calls are
 // additive; a call spanning the full key space completes the restore
@@ -104,15 +83,12 @@ type Stats struct {
 	// resident bytes they brought back.
 	Restores     int
 	RestoreBytes int64
-	// RestoreBytesRead counts the spill-file bytes actually *copied*
-	// during restores: the whole file on a plain thaw, only the rebuilt
-	// leaf sections on an mmap thaw (adopted pages fault lazily), and
-	// only the selected chunks on a partial thaw.
+	// RestoreBytesRead counts the spill-file bytes actually read during
+	// restores: the whole file on a plain thaw, only the interior and the
+	// selected chunks on a partial thaw.
 	RestoreBytesRead int64
-	// MmapRestores counts zero-copy (mmap-adopting) thaws;
 	// PartialRestores counts range-restricted thaw passes, including
 	// top-ups of an already partially resident entry.
-	MmapRestores    int
 	PartialRestores int
 	// Resident is the current tracked residency, Peak its high-water mark.
 	Resident int64
@@ -127,9 +103,6 @@ type Config struct {
 	// Dir is where spill files go; empty creates a private temp directory
 	// that Close removes.
 	Dir string
-	// Mmap selects the zero-copy restore path for structures that support
-	// it; ignored (with a copying fallback) where mmap is unavailable.
-	Mmap bool
 }
 
 // A Manager owns the spill state of one execution environment (core.Env):
@@ -142,7 +115,6 @@ type Manager struct {
 	dir    string
 	ownDir bool // dir was created by New and is removed by Close
 	budget int64
-	mmap   bool
 	clock  uint64
 	nextID int
 	all    []*Handle
@@ -167,7 +139,7 @@ func NewConfig(cfg Config) (*Manager, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
-	m := &Manager{dir: dir, ownDir: ownDir, budget: cfg.Budget, mmap: cfg.Mmap && mmapSupported}
+	m := &Manager{dir: dir, ownDir: ownDir, budget: cfg.Budget}
 	m.cond = sync.NewCond(&m.mu)
 	return m, nil
 }
@@ -201,7 +173,6 @@ type Handle struct {
 	failed    bool // freeze failed once; never retried, stays resident
 	dropped   bool // executor dropped the intermediate; file gone
 	fileValid bool // spill file holds a complete snapshot
-	mapping   []byte
 	// cov are the key intervals a partial entry is guaranteed to serve
 	// (each interval was one ThawRange argument; overlapping/adjacent
 	// intervals merged). Empty when fully resident or frozen.
@@ -391,14 +362,13 @@ func (h *Handle) Unpin() {
 	m.balanceLocked()
 }
 
-// Drop removes the entry from the managed set: its spill file is deleted,
-// any file mapping unmapped, and the handle forgotten by the manager (a
-// session-scoped manager outlives many plans; retaining every dead plan's
-// handles would grow without bound). The executor calls it when the last
-// consumer of an intermediate is done, *before* recycling the structure's
-// storage: Drop waits out any in-flight freeze/thaw and releases the
-// mapping, after which recycling only ever touches heap chunks (mapped
-// ones are skipped by the arenas). The handle's counters remain readable.
+// Drop removes the entry from the managed set: its spill file is deleted
+// and the handle forgotten by the manager (a session-scoped manager
+// outlives many plans; retaining every dead plan's handles would grow
+// without bound). The executor calls it when the last consumer of an
+// intermediate is done, *before* recycling the structure's storage: Drop
+// waits out any in-flight freeze/thaw. The handle's counters remain
+// readable.
 func (h *Handle) Drop() {
 	m := h.m
 	m.mu.Lock()
@@ -416,10 +386,6 @@ func (h *Handle) Drop() {
 	h.state = stFrozen // not resident; never thawable again (dropped)
 	h.partial = false
 	h.cov = nil
-	if h.mapping != nil {
-		munmapFile(h.mapping)
-		h.mapping = nil
-	}
 	if h.fileValid {
 		os.Remove(h.file)
 		h.fileValid = false
@@ -429,8 +395,7 @@ func (h *Handle) Drop() {
 
 // Detach permanently removes the entry from the managed set while leaving
 // its structure fully resident and self-contained: the structure is thawed
-// if frozen or partial, mmap-adopted chunks are materialized to the heap,
-// the mapping is unmapped and the spill file deleted. A plan running
+// if frozen or partial and the spill file deleted. A plan running
 // against a session-scoped manager detaches its *result* index this way —
 // the result must outlive the plan, but the manager must not keep
 // budgeting (or re-evicting) an index it can never see consumed again.
@@ -445,13 +410,6 @@ func (h *Handle) Detach() error {
 	h.pins--
 	if h.dropped {
 		return nil
-	}
-	if h.mapping != nil {
-		if mz, ok := h.obj.(Materializer); ok {
-			mz.Materialize()
-		}
-		munmapFile(h.mapping)
-		h.mapping = nil
 	}
 	if h.fileValid {
 		os.Remove(h.file)
@@ -507,9 +465,7 @@ func (m *Manager) Stats() Stats {
 
 // Close deletes all spill state. Frozen entries become unusable; callers
 // must Pin (thaw) anything they still need — typically the plan's result
-// index — before closing. Entries still backed by a file mapping are
-// materialized (their mapped chunks copied to the heap) before the
-// mapping is dropped, so a pinned result index stays valid after Close.
+// index — before closing.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -520,16 +476,6 @@ func (m *Manager) Close() error {
 	for _, h := range all {
 		for h.state == stFreezing || h.state == stThawing {
 			m.cond.Wait()
-		}
-		if h.dropped {
-			continue // left the set while we waited; Drop/Detach cleaned up
-		}
-		if h.mapping != nil {
-			if mz, ok := h.obj.(Materializer); ok && h.state == stResident {
-				mz.Materialize()
-			}
-			munmapFile(h.mapping)
-			h.mapping = nil
 		}
 	}
 	var firstErr error
@@ -612,11 +558,6 @@ func (m *Manager) freezeLocked(h *Handle) {
 	}
 	h.fileValid = true
 	h.obj.Release()
-	if h.mapping != nil {
-		// Release dropped the last references into the mapped pages.
-		munmapFile(h.mapping)
-		h.mapping = nil
-	}
 	h.state = stFrozen
 	h.partial = false
 	h.cov = nil
@@ -652,10 +593,10 @@ func writeSnapshotFile(path string, obj Freezer) error {
 	return nil
 }
 
-// thawLocked restores one entry from its spill file — fully, zero-copy
-// via mmap, or partially for a range-restricted consumer — with the
-// manager lock released around the I/O. The spill file stays on disk and
-// valid, so a later re-eviction of the (read-only) structure is free.
+// thawLocked restores one entry from its spill file — fully, or partially
+// for a range-restricted consumer — with the manager lock released around
+// the I/O. The spill file stays on disk and valid, so a later re-eviction
+// of the (read-only) structure is free.
 func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 	fromFrozen := h.state == stFrozen
 	wasBytes := h.bytes
@@ -667,49 +608,19 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 	m.mu.Unlock()
 
 	var (
-		err       error
 		bytesRead int64
 		full      = true
-		mapped    []byte
-		mmapped   bool
 	)
-	switch {
-	case ranged && asRangeThawer(h.obj) != nil:
-		rt := asRangeThawer(h.obj)
-		var f *os.File
-		if f, err = os.Open(h.file); err == nil {
+	f, err := os.Open(h.file)
+	if err == nil {
+		if rt, ok := h.obj.(RangeThawer); ok && ranged {
 			bytesRead, full, err = rt.ThawRange(f, lo, hi)
-			f.Close()
-		}
-	case m.mmap && asMappedThawer(h.obj) != nil:
-		mt := asMappedThawer(h.obj)
-		mapped, err = mmapSnapshot(h.file)
-		if err == nil {
-			mr := arena.NewMapReader(mapped)
-			if err = mt.ThawMapped(mr); err == nil {
-				bytesRead = mr.Copied()
-				mmapped = true
-			} else {
-				munmapFile(mapped)
-				mapped = nil
-			}
-		}
-		if err != nil {
-			// Fall back to the copying path rather than failing the pin.
-			err = copyThaw(h.file, h.obj)
-			if err == nil {
-				if fi, serr := os.Stat(h.file); serr == nil {
-					bytesRead = fi.Size()
-				}
-			}
-		}
-	default:
-		err = copyThaw(h.file, h.obj)
-		if err == nil {
-			if fi, serr := os.Stat(h.file); serr == nil {
+		} else if err = h.obj.Thaw(bufio.NewReaderSize(f, 1<<20)); err == nil {
+			if fi, serr := f.Stat(); serr == nil {
 				bytesRead = fi.Size()
 			}
 		}
+		f.Close()
 	}
 
 	m.mu.Lock()
@@ -729,12 +640,8 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 	} else {
 		h.addCov(lo, hi)
 	}
-	h.mapping = mapped
 	h.bytes = int64(h.size())
 	m.stats.RestoreBytesRead += bytesRead
-	if mmapped {
-		m.stats.MmapRestores++
-	}
 	if !full || !fromFrozen {
 		m.stats.PartialRestores++
 	}
@@ -748,51 +655,6 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 	}
 	m.cond.Broadcast()
 	return nil
-}
-
-// asRangeThawer and asMappedThawer fish the optional interfaces out of
-// the registered object.
-func asRangeThawer(obj Freezer) RangeThawer {
-	if rt, ok := obj.(RangeThawer); ok {
-		return rt
-	}
-	return nil
-}
-
-func asMappedThawer(obj Freezer) MappedThawer {
-	if mt, ok := obj.(MappedThawer); ok {
-		return mt
-	}
-	return nil
-}
-
-// copyThaw is the plain buffered restore.
-func copyThaw(path string, obj Freezer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	err = obj.Thaw(br)
-	f.Close()
-	return err
-}
-
-// mmapSnapshot maps the whole spill file privately.
-func mmapSnapshot(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() == 0 {
-		return nil, fmt.Errorf("spill: empty snapshot %s", path)
-	}
-	return mmapFile(f, fi.Size())
 }
 
 // sanitize keeps spill file names to a portable character set.

@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,6 +18,7 @@ import (
 // without dragging in a whole tree.
 type fakeIndex struct {
 	slots arena.Slots
+	size  uint64 // bytes of the last snapshot
 }
 
 func newFakeIndex(blocks int, seed uint32) *fakeIndex {
@@ -30,10 +32,17 @@ func newFakeIndex(blocks int, seed uint32) *fakeIndex {
 	return fi
 }
 
-func (f *fakeIndex) WriteSnapshot(w io.Writer) error { return f.slots.WriteChunks(w) }
-func (f *fakeIndex) Release()                        { f.slots.Detach() }
-func (f *fakeIndex) Thaw(r io.Reader) error          { return f.slots.ReadChunks(r) }
-func (f *fakeIndex) Bytes() int                      { return f.slots.Bytes() }
+func (f *fakeIndex) WriteSnapshot(out io.Writer) error {
+	f.size = f.slots.SnapshotLen()
+	w := arena.Writer{W: out}
+	f.slots.WriteChunks(&w)
+	return w.Err
+}
+func (f *fakeIndex) Release() { f.slots.Detach() }
+func (f *fakeIndex) Thaw(r io.Reader) error {
+	return f.slots.ReadChunks(&arena.Reader{R: r}, f.size)
+}
+func (f *fakeIndex) Bytes() int { return f.slots.Bytes() }
 
 func (f *fakeIndex) verify(t *testing.T, blocks int, seed uint32) {
 	t.Helper()
@@ -205,7 +214,7 @@ type failingIndex struct {
 
 func (f *failingIndex) WriteSnapshot(w io.Writer) error {
 	f.calls++
-	if err := f.slots.WriteChunks(w); err != nil {
+	if err := f.fakeIndex.WriteSnapshot(w); err != nil {
 		return err
 	}
 	return fmt.Errorf("synthetic write failure")
@@ -325,44 +334,73 @@ func TestManagerPinRangePartialThaw(t *testing.T) {
 	h.Unpin()
 }
 
-// With Config.Mmap the restore must adopt mapped pages (MmapRestores
-// counter, far fewer copied bytes than the file holds), stay re-evictable
-// without rewriting, and Close must materialize a still-pinned entry so
-// the caller's index survives the unmapping.
-func TestManagerMmapThawAndMaterialize(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("mmap unsupported on this platform")
-	}
-	m, err := NewConfig(Config{Budget: 1, Mmap: true})
+// A restore from a damaged spill file must fail with the codec's typed
+// error through the manager's wrap, leave the entry frozen and holding
+// nothing (no bytes escape the budget), and succeed once the file is
+// intact again. The restored entry stays re-evictable without rewriting,
+// and survives Close with a pin held.
+func TestManagerRestoreFailureAndRecovery(t *testing.T) {
+	m, err := New(1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Large enough that the node arena spans multiple *full* 256 KiB
-	// chunks — only full chunks can be adopted from the mapping.
-	const n = 200000
+	const n = 20000
 	tr := buildTree(n)
 	h := m.Register("idx", tr, tr.Bytes)
 	if !h.Frozen() {
 		t.Fatal("not frozen")
 	}
-	fi, err := os.Stat(h.file)
+	intact, err := os.ReadFile(h.file)
 	if err != nil {
+		t.Fatal(err)
+	}
+	badMagic := append([]byte{0xff}, intact[1:]...)
+	for _, tc := range []struct {
+		name   string
+		file   []byte
+		want   error
+		ranged bool
+	}{
+		{"truncated", intact[:len(intact)/2], io.ErrUnexpectedEOF, false},
+		{"truncated, range pin", intact[:len(intact)/2], io.ErrUnexpectedEOF, true},
+		{"bad magic", badMagic, arena.ErrCorruptSnapshot, false},
+		{"bad magic, range pin", badMagic, arena.ErrCorruptSnapshot, true},
+	} {
+		if err := os.WriteFile(h.file, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if tc.ranged {
+			err = h.PinRange(10, 20)
+		} else {
+			err = h.Pin()
+		}
+		if err == nil {
+			h.Unpin()
+		}
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: pin error %v, want %v", tc.name, err, tc.want)
+		}
+		if !h.Frozen() || !tr.Frozen() || tr.Bytes() != 0 {
+			t.Fatalf("%s: failed restore left frozen=%v/%v with %d bytes", tc.name, h.Frozen(), tr.Frozen(), tr.Bytes())
+		}
+		if st := m.Stats(); st.Resident != 0 || st.Restores != 0 {
+			t.Fatalf("%s: failed restore booked %+v", tc.name, st)
+		}
+	}
+	if err := os.WriteFile(h.file, intact, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Pin(); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.MmapRestores != 1 {
-		t.Fatalf("MmapRestores = %d", st.MmapRestores)
-	}
-	if st.RestoreBytesRead >= fi.Size() {
-		t.Fatalf("mmap restore copied %d of %d file bytes", st.RestoreBytesRead, fi.Size())
-	}
 	checkTreeRange(t, tr, 0, n-1)
 
 	// Unpin → refreeze (no rewrite needed: the file is still valid) →
 	// thaw again.
+	if err := os.Chmod(h.file, 0o444); err != nil {
+		t.Fatal(err)
+	}
 	h.Unpin()
 	if !h.Frozen() {
 		t.Fatal("unpinned entry not re-frozen under pressure")
@@ -371,9 +409,7 @@ func TestManagerMmapThawAndMaterialize(t *testing.T) {
 	if err := h.Pin(); err != nil {
 		t.Fatal(err)
 	}
-	checkTreeRange(t, tr, 0, n-1)
-
-	// Close with the pin held: the mapping goes away, the data must not.
+	// Close with the pin held: the spill file goes away, the data must not.
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -101,10 +101,9 @@ func TestEngineAllocBudget(t *testing.T) {
 // hand out checked for being zero over its full capacity: PutChunk clears
 // only the prefix an owner wrote, so a chunk that comes back dirty means
 // some owner wrote beyond the length it handed over. Serial, parallel
-// (worker-local pools, partial merges), under a spilling budget (freeze,
-// copying and partial thaw) and with mmap thaw (mapped pages must never be
-// pooled — the check would read unmapped memory). Results stay identical
-// to the recycler-less reference throughout.
+// (worker-local pools, partial merges) and under a spilling budget (freeze,
+// copying and partial thaw). Results stay identical to the recycler-less
+// reference throughout.
 func TestEngineZeroInvariant(t *testing.T) {
 	ds := engineDataset(t)
 	ref := oneShotResults(t, ds) // DisableRecycle: true
@@ -117,7 +116,6 @@ func TestEngineZeroInvariant(t *testing.T) {
 		{"serial", qppt.Config{}},
 		{"workers=2", qppt.Config{Workers: 2}},
 		{"budget", qppt.Config{Workers: 2, MemBudget: 1 << 20}},
-		{"budget+mmap", qppt.Config{Workers: 2, MemBudget: 1 << 20, MmapThaw: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := qppt.New(tc.cfg)

@@ -203,18 +203,6 @@ func BenchmarkAblationKISSCompression(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDuplicates compares Figure 4's segmented duplicates to
-// a naive linked list.
-func BenchmarkAblationDuplicates(b *testing.B) {
-	names := map[string]string{"segmented (Fig. 4)": "segmented", "linked list": "linked"}
-	for i := 0; i < b.N; i++ {
-		rows := bench.AblationDuplicates(1_000_000, 2, 3)
-		for _, r := range rows {
-			b.ReportMetric(r.ScanNs, names[r.Layout]+"-ns/row")
-		}
-	}
-}
-
 // BenchmarkAblationBatchSize sweeps the Section 2.3 batch size.
 func BenchmarkAblationBatchSize(b *testing.B) {
 	n := benchKeys()

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	qpptbench -fig 3a|3b|7|8|9|joinbuffer|workers|kprime|compression|duplicates|batch|memlife|fusion|probe|kernel|all
+//	qpptbench -fig 3a|3b|7|8|9|joinbuffer|workers|kprime|compression|batch|memlife|fusion|probe|kernel|all
 //	          [-sf 0.5] [-reps 3] [-sizes 1000000,4000000,16000000]
 //	          [-workers N] [-membudget 256MiB]
 //	          [-norecycle] [-recyclecap 256MiB] [-nofuse] [-nokernel]
@@ -129,7 +129,7 @@ func appendSnapshot(path string, snap benchSnapshot) error {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3a, 3b, 7, 8, 9, joinbuffer, workers, kprime, compression, duplicates, batch, memlife, fusion, probe, kernel, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3a, 3b, 7, 8, 9, joinbuffer, workers, kprime, compression, batch, memlife, fusion, probe, kernel, all")
 	sf := flag.Float64("sf", 0.5, "SSB scale factor for figures 7-9 (the paper uses 15)")
 	reps := flag.Int("reps", 3, "repetitions per query timing (best-of)")
 	sizesFlag := flag.String("sizes", "1000000,4000000,16000000", "index sizes for figure 3")
@@ -283,14 +283,6 @@ func main() {
 		for _, r := range bench.AblationKISSCompression(n) {
 			fmt.Printf("  %-6s compress=%-5v  insert %7.1f ns/key  %8.2f MB  RCU copies %d\n",
 				r.Dist, r.Compress, r.InsertNs, float64(r.Bytes)/1e6, r.RCUCopies)
-		}
-		fmt.Println()
-	}
-	if wants("duplicates") {
-		fmt.Println("=== Ablation: duplicate handling (Section 2.4, Figure 4) ===")
-		for _, r := range bench.AblationDuplicates(1000000, 2, 5) {
-			fmt.Printf("  %-20s scan %6.2f ns/row  %8.2f MB\n",
-				r.Layout, r.ScanNs, float64(r.Bytes)/1e6)
 		}
 		fmt.Println()
 	}

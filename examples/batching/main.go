@@ -64,23 +64,16 @@ func main() {
 	// ── Duplicate handling (Section 2.4, Figure 4) ──
 	const dups = 500_000
 	seg := duplist.New(2)
-	lnk := duplist.NewLinked(2)
 	row := []uint64{0, 0}
 	for i := 0; i < dups; i++ {
 		row[0] = uint64(i)
 		seg.Append(row)
-		lnk.Append(row)
 	}
 	t0 = time.Now()
 	seg.Scan(func(r []uint64) bool { sink += r[0]; return true })
 	segScan := time.Since(t0)
-	t0 = time.Now()
-	lnk.Scan(func(r []uint64) bool { sink += r[0]; return true })
-	lnkScan := time.Since(t0)
 
 	fmt.Printf("duplicate scan, %d rows of 16 B:\n", dups)
 	fmt.Printf("  doubling segments (Fig. 4): %6.2f ns/row, %5.2f MB, %d segments\n",
 		float64(segScan.Nanoseconds())/dups, float64(seg.Bytes())/1e6, seg.Segments())
-	fmt.Printf("  naive linked list:          %6.2f ns/row, %5.2f MB\n",
-		float64(lnkScan.Nanoseconds())/dups, float64(lnk.Bytes())/1e6)
 }

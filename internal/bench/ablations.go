@@ -8,7 +8,6 @@ import (
 	"runtime"
 
 	"qppt/internal/core"
-	"qppt/internal/duplist"
 	"qppt/internal/kernel"
 	"qppt/internal/kisstree"
 	"qppt/internal/prefixtree"
@@ -540,45 +539,6 @@ func AblationKernel(ds *ssb.Dataset, reps int) ([]KernelRow, error) {
 		})
 	}
 	return out, nil
-}
-
-// A DuplicateRow is one point of the duplicate-layout ablation (paper
-// Section 2.4, Figure 4): sequential doubling segments vs a naive per-row
-// linked list.
-type DuplicateRow struct {
-	Layout string
-	Dups   int
-	ScanNs float64 // per row
-	Bytes  int
-}
-
-// AblationDuplicates builds one key with n duplicate rows in both layouts
-// and measures the scan cost per row and the memory footprint. The
-// segmented layout scans sequential memory; the linked list chases one
-// pointer per row.
-func AblationDuplicates(n int, width int, scans int) []DuplicateRow {
-	row := make([]uint64, width)
-	seg := duplist.New(width)
-	lnk := duplist.NewLinked(width)
-	for i := 0; i < n; i++ {
-		row[0] = uint64(i)
-		seg.Append(row)
-		lnk.Append(row)
-	}
-	segNs := timePerKey(n*scans, func() {
-		for s := 0; s < scans; s++ {
-			seg.Scan(func(r []uint64) bool { sink += r[0]; return true })
-		}
-	})
-	lnkNs := timePerKey(n*scans, func() {
-		for s := 0; s < scans; s++ {
-			lnk.Scan(func(r []uint64) bool { sink += r[0]; return true })
-		}
-	})
-	return []DuplicateRow{
-		{Layout: "segmented (Fig. 4)", Dups: n, ScanNs: segNs, Bytes: seg.Bytes()},
-		{Layout: "linked list", Dups: n, ScanNs: lnkNs, Bytes: lnk.Bytes()},
-	}
 }
 
 // A BatchRow is one point of the batch-size sweep (paper Section 2.3).

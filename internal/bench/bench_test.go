@@ -138,10 +138,6 @@ func TestAblationHarness(t *testing.T) {
 			t.Error("uncompressed inserts reported RCU copies")
 		}
 	}
-	dup := AblationDuplicates(10000, 2, 2)
-	if len(dup) != 2 || dup[0].Bytes >= dup[1].Bytes {
-		t.Fatalf("duplicates ablation: %+v", dup)
-	}
 	if rows := AblationBatchSize(20000); len(rows) != 7 {
 		t.Fatalf("batch rows = %d", len(rows))
 	}

@@ -1,12 +1,15 @@
 // Package catalog manages tables, dictionaries, and base indexes for QPPT.
 //
-// The catalog is the bridge between the row-store storage layer and the
-// query processor: it loads relations (building order-preserving string
-// dictionaries on the way), tracks per-column key widths, and builds the
-// base indexes that QPPT plans start from — pure secondary indexes (payload
-// is just the record identifier) or partially clustered indexes whose
-// payload carries the join/selection/grouping attributes that successive
-// operators will need (paper Section 3).
+// The catalog holds the base data and hands the query processor its
+// starting points: it loads relations as encoded column arrays (building
+// order-preserving string dictionaries on the way), tracks per-column key
+// widths, and builds the base indexes that QPPT plans start from — pure
+// secondary indexes (payload is just the record identifier) or partially
+// clustered indexes whose payload carries the join/selection/grouping
+// attributes that successive operators will need (paper Section 3). QPPT
+// operators read and write nothing but indexes, so once a base index is
+// built the engine never looks at a base record again; the column arrays
+// stay only to build further indexes and to feed the baseline engines.
 package catalog
 
 import (
@@ -17,33 +20,31 @@ import (
 	"sync"
 
 	"qppt/internal/core"
-	"qppt/internal/storage"
 )
 
 // RIDCol is the reserved attribute name under which base indexes expose
 // the record identifier in their payloads.
 const RIDCol = "rid"
 
-// A Catalog owns the storage manager and all table metadata.
+// A Catalog owns the loaded tables.
 type Catalog struct {
-	mgr    *storage.Manager
 	tables map[string]*TableInfo
 }
 
-// New returns an empty catalog with a fresh storage manager.
+// New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{mgr: storage.NewManager(), tables: make(map[string]*TableInfo)}
+	return &Catalog{tables: make(map[string]*TableInfo)}
 }
 
-// Manager exposes the underlying storage manager (for transactional use).
-func (c *Catalog) Manager() *storage.Manager { return c.mgr }
-
-// TableInfo bundles a stored table with its dictionaries, column
-// statistics, and base indexes.
+// TableInfo bundles a loaded table — its encoded columns in schema order —
+// with its dictionaries, column statistics, and base indexes. A row's
+// record identifier is its position in the column arrays.
 type TableInfo struct {
-	Name   string
-	Table  *storage.Table
-	Schema *storage.Schema
+	Name string
+
+	cols [][]uint64     // encoded column arrays in schema order; never written after Load
+	pos  map[string]int // column name → position in cols
+	rows int
 
 	dicts   map[string]*Dict // per string column
 	colBits map[string]uint  // minimal key width per column
@@ -59,17 +60,21 @@ type TableInfo struct {
 // Table returns the metadata of a loaded table, or nil.
 func (c *Catalog) Table(name string) *TableInfo { return c.tables[name] }
 
-// ColumnData carries one column of load input: Ints for TypeInt columns,
-// Strs for TypeString columns (the other slice stays nil).
+// ColumnData carries one column of load input: Ints for integer columns,
+// Strs for string columns (the other slice stays nil).
 type ColumnData struct {
 	Name string
 	Ints []uint64
 	Strs []string
 }
 
-// Load creates a table and bulk-loads it. Column order defines the schema;
-// string columns get order-preserving dictionaries built from their values.
-// All columns must have the same length.
+// Load creates a table from its columns. Column order defines the schema;
+// string columns get order-preserving dictionaries built from their values
+// and are kept as dictionary codes. All columns must have the same length
+// and distinct names, and none may be called RIDCol.
+//
+// Load takes ownership of every ColumnData.Ints: the table keeps the slice
+// it was passed (no copy), so the caller must not write to it afterwards.
 func (c *Catalog) Load(name string, cols []ColumnData) (*TableInfo, error) {
 	if _, dup := c.tables[name]; dup {
 		return nil, fmt.Errorf("catalog: table %q already loaded", name)
@@ -77,41 +82,32 @@ func (c *Catalog) Load(name string, cols []ColumnData) (*TableInfo, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("catalog: table %q has no columns", name)
 	}
-	n := -1
-	schemaCols := make([]storage.Column, len(cols))
-	for i, col := range cols {
-		var cn int
-		if col.Strs != nil {
-			cn = len(col.Strs)
-			schemaCols[i] = storage.Column{Name: col.Name, Type: storage.TypeString}
-		} else {
-			cn = len(col.Ints)
-			schemaCols[i] = storage.Column{Name: col.Name, Type: storage.TypeInt}
-		}
-		if n == -1 {
-			n = cn
-		} else if cn != n {
-			return nil, fmt.Errorf("catalog: column %q has %d values, want %d", col.Name, cn, n)
-		}
-	}
-	schema, err := storage.NewSchema(schemaCols...)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := c.mgr.CreateTable(name, schema)
-	if err != nil {
-		return nil, err
-	}
 	ti := &TableInfo{
-		Name: name, Table: tbl, Schema: schema,
+		Name:    name,
+		cols:    make([][]uint64, len(cols)),
+		pos:     make(map[string]int, len(cols)),
 		dicts:   make(map[string]*Dict),
-		colBits: make(map[string]uint),
+		colBits: make(map[string]uint, len(cols)+1),
 		indexes: make(map[string]*core.IndexedTable),
 	}
-
-	// Encode columns: dictionary codes for strings, raw values for ints.
-	encoded := make([][]uint64, len(cols))
 	for i, col := range cols {
+		if col.Name == RIDCol {
+			return nil, fmt.Errorf("catalog: table %q: column name %q is reserved for the record identifier", name, RIDCol)
+		}
+		if _, dup := ti.pos[col.Name]; dup {
+			return nil, fmt.Errorf("catalog: table %q: duplicate column %q", name, col.Name)
+		}
+		cn := len(col.Ints)
+		if col.Strs != nil {
+			cn = len(col.Strs)
+		}
+		if i == 0 {
+			ti.rows = cn
+		} else if cn != ti.rows {
+			return nil, fmt.Errorf("catalog: column %q has %d values, want %d", col.Name, cn, ti.rows)
+		}
+		// Encode: dictionary codes for strings, the caller's values for ints.
+		enc := col.Ints
 		if col.Strs != nil {
 			b := NewDictBuilder()
 			for _, s := range col.Strs {
@@ -119,37 +115,29 @@ func (c *Catalog) Load(name string, cols []ColumnData) (*TableInfo, error) {
 			}
 			d := b.Build()
 			ti.dicts[col.Name] = d
-			enc := make([]uint64, n)
+			enc = make([]uint64, ti.rows)
 			for j, s := range col.Strs {
 				enc[j] = d.MustCode(s)
 			}
-			encoded[i] = enc
-		} else {
-			encoded[i] = col.Ints
 		}
 		var maxV uint64
-		for _, v := range encoded[i] {
-			if v > maxV {
-				maxV = v
-			}
+		for _, v := range enc {
+			maxV = max(maxV, v)
 		}
+		ti.cols[i], ti.pos[col.Name] = enc, i
 		ti.colBits[col.Name] = uint(max(bits.Len64(maxV), 1))
 	}
-
-	// Row-major bulk load (this is a row store).
-	rows := make([][]uint64, n)
-	flat := make([]uint64, n*len(cols))
-	for j := 0; j < n; j++ {
-		row := flat[j*len(cols) : (j+1)*len(cols)]
-		for i := range cols {
-			row[i] = encoded[i][j]
-		}
-		rows[j] = row
-	}
-	tbl.BulkLoad(rows)
-	ti.colBits[RIDCol] = uint(max(bits.Len64(uint64(n)), 1))
+	ti.colBits[RIDCol] = uint(max(bits.Len64(uint64(ti.rows)), 1))
 	c.tables[name] = ti
 	return ti, nil
+}
+
+// Col returns the schema position of the named column, or -1.
+func (ti *TableInfo) Col(name string) int {
+	if i, ok := ti.pos[name]; ok {
+		return i
+	}
+	return -1
 }
 
 // Dict returns the dictionary of a string column, or nil.
@@ -207,45 +195,44 @@ func (def IndexDef) IndexName(table string) string {
 	return name
 }
 
-// BuildIndex builds (or returns the cached) base index for def over the
-// current committed snapshot. The resulting indexed table's key spec uses
-// the minimal column widths, so narrow domains get KISS-Trees. Safe for
-// concurrent use: racing builders of the same index serialize on the
-// table's index lock and all but one get the cached result.
+// BuildIndex builds (or returns the cached) base index for def. The
+// resulting indexed table's key spec uses the minimal column widths, so
+// narrow domains get KISS-Trees. Safe for concurrent use: racing builders
+// of the same index serialize on the table's index lock and all but one get
+// the cached result.
 func (ti *TableInfo) BuildIndex(def IndexDef) (*core.IndexedTable, error) {
 	return ti.BuildIndexCtx(context.Background(), def)
 }
 
-// BuildIndexCtx is BuildIndex with cancellation: the build scans every
-// committed row of the table — the most expensive cold-start step a query
-// can trigger — and polls ctx between row batches, so a dead client stops
-// a full fact-table scan (and releases the index lock for the builders
-// waiting behind it).
+// BuildIndexCtx is BuildIndex with cancellation: the build reads every row
+// of the table — the most expensive cold-start step a query can trigger —
+// and polls ctx between row batches, so a dead client stops a full
+// fact-table pass (and releases the index lock for the builders waiting
+// behind it).
 func (ti *TableInfo) BuildIndexCtx(ctx context.Context, def IndexDef) (*core.IndexedTable, error) {
 	ti.idxMu.Lock()
 	defer ti.idxMu.Unlock()
-	return ti.buildIndexLocked(ctx, def)
-}
-
-func (ti *TableInfo) buildIndexLocked(ctx context.Context, def IndexDef) (*core.IndexedTable, error) {
 	name := def.IndexName(ti.Name)
 	if t, ok := ti.indexes[name]; ok {
 		return t, nil
 	}
-	keyPos := make([]int, len(def.KeyCols))
+	keyCols := make([][]uint64, len(def.KeyCols))
 	keyBits := make([]uint, len(def.KeyCols))
 	for i, kc := range def.KeyCols {
-		if keyPos[i] = ti.Schema.Col(kc); keyPos[i] < 0 {
+		p := ti.Col(kc)
+		if p < 0 {
 			return nil, fmt.Errorf("catalog: unknown key column %s.%s", ti.Name, kc)
 		}
-		keyBits[i] = ti.Bits(kc)
+		keyCols[i], keyBits[i] = ti.cols[p], ti.Bits(kc)
 	}
 	cols := append([]string{RIDCol}, def.Include...)
-	colPos := make([]int, len(def.Include))
+	incCols := make([][]uint64, len(def.Include))
 	for i, ic := range def.Include {
-		if colPos[i] = ti.Schema.Col(ic); colPos[i] < 0 {
+		p := ti.Col(ic)
+		if p < 0 {
 			return nil, fmt.Errorf("catalog: unknown include column %s.%s", ti.Name, ic)
 		}
+		incCols[i] = ti.cols[p]
 	}
 	ks := core.GroupKey(def.KeyCols, keyBits)
 	comp := ks.Composer()
@@ -254,29 +241,24 @@ func (ti *TableInfo) buildIndexLocked(ctx context.Context, def IndexDef) (*core.
 		PayloadWidth: len(cols),
 	})
 	row := make([]uint64, len(cols))
-	fields := make([]uint64, len(keyPos))
-	ts := tiNow(ti)
-	scanned := 0
-	ti.Table.ScanCommitted(ts, func(rid uint64, data []uint64) bool {
-		if scanned++; scanned&8191 == 0 && ctx.Err() != nil {
-			return false // cancelled mid-build; the partial index is dropped
+	fields := make([]uint64, len(keyCols))
+	for rid := 0; rid < ti.rows; rid++ {
+		if (rid+1)&8191 == 0 && ctx.Err() != nil {
+			break // cancelled mid-build; the partial index is dropped
 		}
-		var k uint64
-		if comp == nil {
-			k = data[keyPos[0]]
-		} else {
-			for i, p := range keyPos {
-				fields[i] = data[p]
+		k := keyCols[0][rid]
+		if comp != nil {
+			for i, c := range keyCols {
+				fields[i] = c[rid]
 			}
 			k = comp.Compose(fields...)
 		}
-		row[0] = rid
-		for i, p := range colPos {
-			row[i+1] = data[p]
+		row[0] = uint64(rid)
+		for i, c := range incCols {
+			row[i+1] = c[rid]
 		}
 		idx.Insert(k, row)
-		return true
-	})
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -301,56 +283,6 @@ func (ti *TableInfo) Index(name string) *core.IndexedTable {
 	return ti.indexes[name]
 }
 
-// RefreshIndexes rebuilds every built base index from the current
-// committed snapshot. Base indexes have to care for transactional
-// isolation (paper Section 3); this repository's OLAP lifecycle is
-// load → index → query, so after committed mutations the indexes are
-// refreshed wholesale rather than maintained incrementally. Plans built
-// before a refresh keep reading their old (consistent) index snapshots;
-// new plans see the new state.
-func (ti *TableInfo) RefreshIndexes() error {
-	ti.idxMu.Lock()
-	defer ti.idxMu.Unlock()
-	defs := make([]IndexDef, 0, len(ti.indexes))
-	for _, t := range ti.indexes {
-		def := IndexDef{KeyCols: t.Key.Attrs}
-		// Payload column 0 is always the rid; the rest are the includes.
-		def.Include = append(def.Include, t.Cols[1:]...)
-		defs = append(defs, def)
-	}
-	ti.indexes = make(map[string]*core.IndexedTable, len(defs))
-	// Column stats may have grown (new rows can widen a key domain).
-	ti.refreshColBits()
-	for _, def := range defs {
-		if _, err := ti.buildIndexLocked(context.Background(), def); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// refreshColBits recomputes the minimal key widths from the committed
-// data, so rebuilt indexes pick correct structures for grown domains.
-func (ti *TableInfo) refreshColBits() {
-	cols := ti.Schema.Cols()
-	maxes := make([]uint64, len(cols))
-	n := 0
-	//qpptvet:ignore ctxpoll bulk-load/DDL path: runs before the table is served, outside any query context
-	ti.Table.ScanCommitted(tiNow(ti), func(rid uint64, row []uint64) bool {
-		for i, v := range row {
-			if v > maxes[i] {
-				maxes[i] = v
-			}
-		}
-		n++
-		return true
-	})
-	for i, c := range cols {
-		ti.colBits[c.Name] = uint(max(bits.Len64(maxes[i]), 1))
-	}
-	ti.colBits[RIDCol] = uint(max(bits.Len64(uint64(ti.Table.NumRIDs())), 1))
-}
-
 // Indexes lists the canonical names of all built indexes.
 func (ti *TableInfo) Indexes() []string {
 	ti.idxMu.Lock()
@@ -362,38 +294,18 @@ func (ti *TableInfo) Indexes() []string {
 	return names
 }
 
-// tiNow reads the table at the newest committed snapshot. Base index
-// builds happen after bulk load, so "now" sees everything.
-func tiNow(ti *TableInfo) uint64 {
-	// The storage manager clock is monotone; bulk-loaded rows are visible
-	// from timestamp 1 on.
-	return ^uint64(0) >> 1 // any TS >= clock works for committed reads
-}
+// Rows reports the table cardinality.
+func (ti *TableInfo) Rows() int { return ti.rows }
 
-// Rows reports the table cardinality (committed rows).
-func (ti *TableInfo) Rows() int { return ti.Table.NumRIDs() }
-
-// Columns materializes the committed table as encoded column arrays (dict
-// codes for strings). Baseline engines load from here so that all engines
-// operate on identical encodings and results compare exactly.
+// Columns returns the table as encoded column arrays by name (dict codes
+// for strings). Baseline engines load from here so that all engines operate
+// on identical encodings and results compare exactly. The arrays are the
+// table's own — for an integer column, the slice Load was passed — and base
+// indexes are built from them: callers must treat them as read-only.
 func (ti *TableInfo) Columns() map[string][]uint64 {
-	n := ti.Rows()
-	cols := ti.Schema.Cols()
-	out := make(map[string][]uint64, len(cols))
-	arrays := make([][]uint64, len(cols))
-	for i, c := range cols {
-		arrays[i] = make([]uint64, 0, n)
-		out[c.Name] = nil // placeholder; set after the scan
-	}
-	//qpptvet:ignore ctxpoll baseline loader path: one-shot materialization at load time, outside any query context
-	ti.Table.ScanCommitted(tiNow(ti), func(rid uint64, row []uint64) bool {
-		for i := range cols {
-			arrays[i] = append(arrays[i], row[i])
-		}
-		return true
-	})
-	for i, c := range cols {
-		out[c.Name] = arrays[i]
+	out := make(map[string][]uint64, len(ti.pos))
+	for name, i := range ti.pos {
+		out[name] = ti.cols[i]
 	}
 	return out
 }

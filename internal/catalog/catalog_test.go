@@ -108,14 +108,34 @@ func TestLoadAndEncode(t *testing.T) {
 	if ti.Bits("partkey") != 4 || ti.Bits("brand") != 2 {
 		t.Fatalf("bits = %d/%d", ti.Bits("partkey"), ti.Bits("brand"))
 	}
-	if _, err := c.Load("parts", nil); err == nil {
-		t.Fatal("duplicate load accepted")
+	if ti.Col("brand") != 1 || ti.Col("nope") != -1 || ti.Col(RIDCol) != -1 {
+		t.Fatal("column positions broken")
 	}
-	if _, err := c.Load("bad", []ColumnData{
-		{Name: "a", Ints: []uint64{1}},
-		{Name: "b", Ints: []uint64{1, 2}},
-	}); err == nil {
-		t.Fatal("ragged load accepted")
+}
+
+// TestLoadRejects: every malformed load is an error and leaves no table
+// behind. A column called "rid" used to load and have its key width
+// overwritten by the RID's, so an index keyed on it panicked in checkKey.
+func TestLoadRejects(t *testing.T) {
+	c, _ := loadMini(t)
+	one := []uint64{1}
+	for _, tc := range []struct {
+		why, table string
+		cols       []ColumnData
+	}{
+		{"table loaded twice", "parts", []ColumnData{{Name: "a", Ints: one}}},
+		{"no columns", "bad", nil},
+		{"ragged columns", "bad", []ColumnData{{Name: "a", Ints: one}, {Name: "b", Ints: []uint64{1, 2}}}},
+		{"ragged string column", "bad", []ColumnData{{Name: "a", Ints: one}, {Name: "b", Strs: []string{"x", "y"}}}},
+		{"duplicate column name", "bad", []ColumnData{{Name: "a", Ints: one}, {Name: "a", Strs: []string{"x"}}}},
+		{"column named rid", "bad", []ColumnData{{Name: "a", Ints: one}, {Name: RIDCol, Ints: []uint64{1 << 40}}}},
+	} {
+		if _, err := c.Load(tc.table, tc.cols); err == nil {
+			t.Errorf("%s: load accepted", tc.why)
+		}
+	}
+	if c.Table("bad") != nil {
+		t.Error("a rejected load registered its table")
 	}
 }
 
@@ -211,92 +231,43 @@ func TestColumnsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRefreshIndexesAfterMVCCMutations(t *testing.T) {
-	c, ti := loadMini(t)
-	idx := ti.MustIndex([]string{"partkey"}, "brand", "size")
-	if idx.Rows() != 4 {
-		t.Fatalf("initial rows = %d", idx.Rows())
+// TestLoadKeepsColumns: the base table is the arrays it was loaded from.
+// Load of an integer table allocates per column, never per row; Columns
+// hands back the loaded slice itself, and the same encoded array on every
+// call for a string column.
+func TestLoadKeepsColumns(t *testing.T) {
+	const n = 20000
+	a, b := make([]uint64, n), make([]uint64, n)
+	for i := range a {
+		a[i], b[i] = uint64(i), uint64(i%7)
 	}
-
-	// Committed insert, update and delete through the MVCC layer.
-	tx := c.Manager().Begin()
-	tbl := ti.Table
-	if _, err := tx.Insert(tbl, []uint64{14, ti.Code("brand", "B#2"), 3}); err != nil {
-		t.Fatal(err)
+	var ti *TableInfo
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if ti, err = New().Load("t", []ColumnData{{Name: "a", Ints: a}, {Name: "b", Ints: b}}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("Load of 2 columns x %d rows made %.0f allocations, want O(columns)", n, allocs)
 	}
-	if err := tx.Update(tbl, 0, []uint64{10, ti.Code("brand", "B#3"), 7}); err != nil {
-		t.Fatal(err)
+	if cols := ti.Columns(); &cols["a"][0] != &a[0] || &cols["b"][0] != &b[0] {
+		t.Error("Columns copied an integer column instead of returning the loaded array")
 	}
-	if err := tx.Delete(tbl, 1); err != nil {
-		t.Fatal(err)
+	_, mini := loadMini(t)
+	if first, again := mini.Columns()["brand"], mini.Columns()["brand"]; &first[0] != &again[0] {
+		t.Error("Columns re-encoded a string column")
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	idx := ti.MustIndex([]string{"b"}, "a")
+	if idx.Rows() != n || idx.Keys() != 7 {
+		t.Fatalf("index over the kept columns has %d rows, %d keys", idx.Rows(), idx.Keys())
 	}
-
-	// The old index still serves the old snapshot (plans in flight keep a
-	// consistent view)...
-	if idx.Rows() != 4 {
-		t.Fatalf("old index changed: %d rows", idx.Rows())
-	}
-	// ...and a refresh rebuilds from the committed state: 4 − 1 + 1 rows.
-	if err := ti.RefreshIndexes(); err != nil {
-		t.Fatal(err)
-	}
-	fresh := ti.MustIndex([]string{"partkey"}, "brand", "size")
-	if fresh == idx {
-		t.Fatal("refresh returned the stale index")
-	}
-	if fresh.Rows() != 4 {
-		t.Fatalf("refreshed rows = %d, want 4", fresh.Rows())
-	}
-	if fresh.Idx.Lookup(14) == nil {
-		t.Error("inserted key missing after refresh")
-	}
-	if fresh.Idx.Lookup(11) != nil {
-		t.Error("deleted row still indexed")
-	}
-	vals := fresh.Idx.Lookup(10)
-	if vals == nil || vals.First()[1] != ti.Code("brand", "B#3") {
-		t.Error("update not reflected after refresh")
-	}
-	// An aborted transaction must not surface after a refresh.
-	tx2 := c.Manager().Begin()
-	if _, err := tx2.Insert(tbl, []uint64{99, ti.Code("brand", "B#1"), 1}); err != nil {
-		t.Fatal(err)
-	}
-	tx2.Abort()
-	if err := ti.RefreshIndexes(); err != nil {
-		t.Fatal(err)
-	}
-	if ti.MustIndex([]string{"partkey"}, "brand", "size").Idx.Lookup(99) != nil {
-		t.Error("aborted insert visible through refreshed index")
-	}
-}
-
-func TestRefreshWidensKeyDomain(t *testing.T) {
-	c, ti := loadMini(t)
-	if ti.Bits("partkey") != 4 {
-		t.Fatalf("initial partkey bits = %d", ti.Bits("partkey"))
-	}
-	tx := c.Manager().Begin()
-	if _, err := tx.Insert(ti.Table, []uint64{1 << 40, ti.Code("brand", "B#1"), 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ti.RefreshIndexes(); err != nil {
-		t.Fatal(err)
-	}
-	if ti.Bits("partkey") != 41 {
-		t.Fatalf("partkey bits after refresh = %d, want 41", ti.Bits("partkey"))
-	}
-	// The rebuilt index must hold the wide key (prefix tree, not KISS).
-	idx := ti.MustIndex([]string{"partkey"}, "brand", "size")
-	if idx.Idx.Lookup(1<<40) == nil {
-		t.Error("wide key not indexed after refresh")
-	}
+	idx.Idx.Lookup(3).Scan(func(row []uint64) bool {
+		if rid := row[0]; row[1] != a[rid] || b[rid] != 3 {
+			t.Fatalf("row %v under key 3 does not match the table at its rid", row)
+		}
+		return true
+	})
 }
 
 func TestIndexUsableInPlan(t *testing.T) {
@@ -332,7 +303,7 @@ func TestIndexUsableInPlan(t *testing.T) {
 // finishing a full table scan for a client that hung up.
 func TestBuildIndexCtxCancelled(t *testing.T) {
 	c := New()
-	const n = 30000 // enough rows to cross the build's ctx poll interval
+	const n = 100000 // a dozen ctx poll intervals
 	vals := make([]uint64, n)
 	for i := range vals {
 		vals[i] = uint64(i % 97)
@@ -346,6 +317,15 @@ func TestBuildIndexCtxCancelled(t *testing.T) {
 	if _, err := ti.BuildIndexCtx(ctx, IndexDef{KeyCols: []string{"v"}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build returned %v, want context.Canceled", err)
 	}
+	// A context cancelled while the build runs stops it mid-table: the
+	// build sees it at its next poll and never reaches the later ones.
+	polls := &pollCtx{Context: context.Background(), cancelAt: 2}
+	if _, err := ti.BuildIndexCtx(polls, IndexDef{KeyCols: []string{"v"}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("build cancelled at its second poll returned %v, want context.Canceled", err)
+	}
+	if full := n / 8192; polls.calls < 2 || polls.calls >= full {
+		t.Fatalf("cancelled build polled %d times; a build that ran to the end polls %d times", polls.calls, full)
+	}
 	// The aborted build must not have cached a partial index; a later
 	// build with a live context succeeds from scratch.
 	idx, err := ti.BuildIndexCtx(context.Background(), IndexDef{KeyCols: []string{"v"}})
@@ -355,6 +335,19 @@ func TestBuildIndexCtxCancelled(t *testing.T) {
 	if idx.Rows() != n {
 		t.Fatalf("rebuilt index has %d rows, want %d", idx.Rows(), n)
 	}
+}
+
+// pollCtx is a live context until its cancelAt-th Err call.
+type pollCtx struct {
+	context.Context
+	calls, cancelAt int
+}
+
+func (p *pollCtx) Err() error {
+	if p.calls++; p.calls >= p.cancelAt {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestCellEncoder: the three ways to render a cell — TableInfo.Decode,

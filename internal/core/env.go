@@ -74,7 +74,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		env.rec.SetCap(cfg.RecycleCap)
 	}
 	if cfg.MemBudget > 0 {
-		mgr, err := spill.NewConfig(spill.Config{Budget: cfg.MemBudget, Dir: cfg.SpillDir})
+		mgr, err := spill.New(cfg.MemBudget, cfg.SpillDir)
 		if err != nil {
 			return nil, err
 		}

@@ -19,7 +19,6 @@ func (p ptIndex) Thaw(r io.Reader) error          { return p.t.Thaw(r) }
 func (p ptIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
 	return p.t.ThawRange(f, lo, hi)
 }
-func (p ptIndex) Recycle() { p.t.Recycle() }
 
 func (k kissIndex) WriteSnapshot(w io.Writer) error { return k.t.WriteSnapshot(w) }
 func (k kissIndex) Release()                        { k.t.Release() }
@@ -27,16 +26,9 @@ func (k kissIndex) Thaw(r io.Reader) error          { return k.t.Thaw(r) }
 func (k kissIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
 	return k.t.ThawRange(f, lo, hi)
 }
-func (k kissIndex) Recycle() { k.t.Recycle() }
 
 func (p ptIndex) Frozen() bool   { return p.t.Frozen() }
 func (k kissIndex) Frozen() bool { return k.t.Frozen() }
-
-// chunkRecycler is implemented by every index kind whose chunk storage
-// can be dropped into the plan recycler when the last consumer is done.
-type chunkRecycler interface {
-	Recycle()
-}
 
 // frozenIndex reports whether an index's storage is currently detached
 // (spilled); the sharded ThawRange uses it to tell a fresh restore from a
@@ -107,14 +99,6 @@ func (s *shardedIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, e
 		}
 	}
 	return total, full, nil
-}
-
-func (s *shardedIndex) Recycle() {
-	for _, sh := range s.shards {
-		if rc, ok := sh.(chunkRecycler); ok {
-			rc.Recycle()
-		}
-	}
 }
 
 // freezerOf returns the index's spill hook, or nil for index kinds that

@@ -6,6 +6,7 @@ import (
 
 	"qppt/internal/arena"
 	"qppt/internal/key"
+	"qppt/internal/spill"
 )
 
 // A KeySpec declares what an indexed table is indexed on: one attribute, or
@@ -95,14 +96,14 @@ type IndexedTable struct {
 // recycled like any other. Release is idempotent, and a no-op for anything
 // that is not a pool-backed operator output: catalog base indexes, runs
 // without a recycler, a nil table (a failed or cancelled plan has none).
-// Frozen trees are skipped by the index kinds themselves.
+// A frozen (spilled) index holds no chunks, so releasing it does nothing.
 func (t *IndexedTable) Release() {
 	if t == nil || !t.pooled {
 		return
 	}
 	t.pooled = false
-	if rc, ok := t.Idx.(chunkRecycler); ok {
-		rc.Recycle()
+	if fz, ok := t.Idx.(spill.Freezer); ok {
+		fz.Release()
 	}
 }
 

@@ -158,39 +158,6 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
-func TestBytesGrowsSublinearlyVsLinked(t *testing.T) {
-	seq := New(1)
-	lnk := NewLinked(1)
-	for i := 0; i < 10000; i++ {
-		seq.Append([]uint64{uint64(i)})
-		lnk.Append([]uint64{uint64(i)})
-	}
-	if seq.Bytes() >= lnk.Bytes() {
-		t.Errorf("segmented list (%d B) not smaller than linked list (%d B)", seq.Bytes(), lnk.Bytes())
-	}
-}
-
-func TestLinkedListScanOrder(t *testing.T) {
-	l := NewLinked(2)
-	for i := 0; i < 500; i++ {
-		l.Append([]uint64{uint64(i), uint64(i + 1)})
-	}
-	if l.Len() != 500 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	i := 0
-	l.Scan(func(r []uint64) bool {
-		if r[0] != uint64(i) || r[1] != uint64(i+1) {
-			t.Fatalf("row %d = %v", i, r)
-		}
-		i++
-		return true
-	})
-	if i != 500 {
-		t.Fatalf("visited %d", i)
-	}
-}
-
 func TestPropertyScanMatchesOracle(t *testing.T) {
 	f := func(rows []uint16, width8 uint8) bool {
 		width := int(width8%4) + 1

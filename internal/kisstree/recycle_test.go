@@ -51,7 +51,7 @@ func TestKissRecycleKeepsChunksZero(t *testing.T) {
 					t.Fatalf("compress=%v round %d: key %#x lost", compress, round, k)
 				}
 			}
-			tr.Recycle()
+			tr.Release()
 		}
 		if st := rec.Stats(); st.Reused == 0 {
 			t.Fatalf("compress=%v: rounds never reused a chunk: %+v", compress, st)
@@ -72,7 +72,7 @@ func TestKissDropAllocatesNothing(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for _, tr := range trees {
-		tr.Recycle()
+		tr.Release()
 	}
 	runtime.ReadMemStats(&m1)
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(trees)); per > 1024 {

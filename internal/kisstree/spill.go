@@ -143,11 +143,13 @@ func (t *Tree) readCnodes(r *arena.Reader, size uint64) error {
 	return r.Err
 }
 
-// Release detaches the storage the last WriteSnapshot captured — root
-// directory, node arena, compressed nodes, then leaves and slab — parking
-// the chunks in the configured recycler. Only call once the snapshot is
-// safely persisted. It allocates nothing: a thaw draws a new directory
-// when (and only if) the tree comes back.
+// Release detaches the tree's chunk storage — root directory, node arena,
+// compressed nodes, then leaves and slab — parking the chunks in the
+// configured recycler: after a WriteSnapshot that is safely persisted (the
+// spill), or when the last consumer of an intermediate index is done (the
+// tree is unusable afterwards). A frozen tree has nothing resident, so a
+// second Release does nothing. It allocates nothing: a thaw draws a new
+// directory when (and only if) the tree comes back.
 func (t *Tree) Release() {
 	if rec := t.cfg.Recycler; rec != nil && t.root != nil {
 		// Root pages are written sparsely, so the tree zeroes the bucket
@@ -183,15 +185,6 @@ func (t *Tree) Release() {
 
 // WriteSnapshot writes the tree's storage to w, leaving it attached.
 func (t *Tree) WriteSnapshot(w io.Writer) error { return t.codec().WriteSnapshot(w) }
-
-// Recycle drops a resident tree's chunk storage into the configured
-// recycler (see Release); a frozen tree is left untouched. The tree is
-// unusable afterwards.
-func (t *Tree) Recycle() {
-	if !t.Frozen() {
-		t.Release()
-	}
-}
 
 // Freeze is WriteSnapshot + Release in one step.
 func (t *Tree) Freeze(w io.Writer) error { return t.codec().Freeze(w) }

@@ -4,7 +4,7 @@
 // The tracked resources and their teardown methods:
 //
 //	qppt.New / engine constructors  -> Engine.Close   (stops sessions, closes spill)
-//	spill.New / spill.NewConfig     -> Manager.Close  (removes spill files, frees budget)
+//	spill.New                       -> Manager.Close  (removes spill files, frees budget)
 //	duplist.NewSlab / NewSlabIn     -> Slab.Release   (returns chunks to the recycler)
 //	Recycler.Local()                -> Recycler.Drain (hands cached chunks back to the parent)
 //	wire.NewServer                  -> Server.Close   (closes listeners, drains live connections)

@@ -9,12 +9,6 @@ func New(budget int64, dir string) (*Manager, error) {
 	return &Manager{budget: budget}, nil
 }
 
-// NewConfig builds a manager from a Config.
-func NewConfig(cfg Config) (*Manager, error) { return &Manager{}, nil }
-
-// Config mirrors the manager configuration.
-type Config struct{ Budget int64 }
-
 // Close removes spill files and frees the budget.
 func (m *Manager) Close() error { return nil }
 

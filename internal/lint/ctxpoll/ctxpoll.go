@@ -1,5 +1,5 @@
-// Package ctxpoll checks that functions driving whole-index or table
-// scans in the executor packages poll for cancellation.
+// Package ctxpoll checks that functions driving whole-index scans in the
+// executor packages poll for cancellation.
 //
 // QPPT's cancellation contract (PR 5) is cooperative: streaming loops
 // poll the query context on a cadence — the established pattern is one
@@ -10,11 +10,10 @@
 // notices.
 //
 // Rule: in the packages listed in targetPkgs, a function whose body
-// (including its closures) drives a scan — Iterate / Range / Scan /
-// ScanCommitted on an index, tree, or table type, or a SyncScan /
-// SyncScanRange sweep — must contain a cancellation poll: a ctx.Err()
-// or <-ctx.Done() on a context.Context, a pipeline aborted() call, or an
-// ExecContext err() check.
+// (including its closures) drives a scan — Iterate / Range / Scan on an
+// index or tree type, or a SyncScan / SyncScanRange sweep — must contain a
+// cancellation poll: a ctx.Err() or <-ctx.Done() on a context.Context, a
+// pipeline aborted() call, or an ExecContext err() check.
 //
 // Exemptions, kept deliberately mechanical:
 //   - adapters that merely forward a visitor received as a function-typed
@@ -48,17 +47,14 @@ var targetPkgs = []string{"internal/core", "internal/catalog"}
 var scanRecvPkgs = []string{
 	"internal/core",
 	"internal/prefixtree",
-	"internal/prefixtree/ptrtree",
 	"internal/kisstree",
-	"internal/storage",
 	"internal/hashbase",
 }
 
 var scanMethods = map[string]bool{
-	"Iterate":       true,
-	"Range":         true,
-	"Scan":          true,
-	"ScanCommitted": true,
+	"Iterate": true,
+	"Range":   true,
+	"Scan":    true,
 }
 
 var scanFuncs = map[string]bool{

@@ -6,7 +6,6 @@ import (
 	"context"
 
 	"qppt/internal/prefixtree"
-	"qppt/internal/storage"
 )
 
 // ExecContext mirrors the executor's per-query context carrier.
@@ -58,16 +57,6 @@ func syncNoPoll(a, b *prefixtree.Tree) int {
 	return n
 }
 
-// Flagged: table scans from the storage layer.
-func tableNoPoll(t *storage.Table) int {
-	n := 0
-	t.ScanCommitted(func(row int) bool { // want `tableNoPoll drives t.ScanCommitted without a cancellation poll`
-		n += row
-		return true
-	})
-	return n
-}
-
 // Clean: polls ctx.Err() inside the visitor.
 func scanWithCtx(ctx context.Context, t *prefixtree.Tree) int {
 	n := 0
@@ -95,13 +84,13 @@ func scanWithAborted(p *pipeline, t *prefixtree.Tree) int {
 }
 
 // Clean: the ExecContext err() check counts.
-func scanWithEcErr(ec *ExecContext, t *storage.Table) int {
+func scanWithEcErr(ec *ExecContext, t *prefixtree.Tree) int {
 	n := 0
-	t.ScanCommitted(func(row int) bool {
+	t.Iterate(func(k string) bool {
 		if ec.err() != nil {
 			return false
 		}
-		n += row
+		n++
 		return true
 	})
 	return n

@@ -12,10 +12,9 @@
 //     for spilling, or recycled; consumers must keep index positions or
 //     copy payloads out instead.
 //
-//  2. Reading a Ref-typed local after a call to Reset / Detach / Recycle
-//     on an arena (or tree Recycle / slab Release / core.IndexedTable
-//     Release, which recycles the table's whole index) that can reach the
-//     read. The check is receiver-agnostic — any invalidation kills every
+//  2. Reading a Ref-typed local after a call to Reset / Detach on an
+//     arena (or tree Release / slab Release / core.IndexedTable Release,
+//     which releases the table's whole index) that can reach the read. The check is receiver-agnostic — any invalidation kills every
 //     live Ref in the function — because the Ref carries no link to its
 //     backing arena; a reassignment of the Ref revives it.
 //
@@ -33,7 +32,7 @@ import (
 // Analyzer is the refescape invariant checker.
 var Analyzer = &qlint.Analyzer{
 	Name: "refescape",
-	Doc:  "check that arena.Ref compact pointers are not stored in struct fields outside arena-owned packages or used after arena Reset/Detach/Recycle",
+	Doc:  "check that arena.Ref compact pointers are not stored in struct fields outside arena-owned packages or used after arena Reset/Detach/Release",
 	Run:  run,
 }
 
@@ -42,7 +41,6 @@ var Analyzer = &qlint.Analyzer{
 var ownedPkgs = []string{
 	"internal/arena",
 	"internal/prefixtree",
-	"internal/prefixtree/ptrtree",
 	"internal/kisstree",
 	"internal/duplist",
 }
@@ -89,13 +87,13 @@ func checkStores(pass *qlint.Pass) {
 				}
 				if sel, ok := lhs.(*ast.SelectorExpr); ok {
 					if s := pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-						pass.Reportf(n.Pos(), "arena.Ref stored in struct field %s outside the arena-owned packages; compact pointers dangle after Reset/Detach/Recycle — keep an index or copy the payload", qlint.ExprString(sel))
+						pass.Reportf(n.Pos(), "arena.Ref stored in struct field %s outside the arena-owned packages; compact pointers dangle after Reset/Detach/Release — keep an index or copy the payload", qlint.ExprString(sel))
 					}
 					continue
 				}
 				if id, ok := lhs.(*ast.Ident); ok {
 					if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && v.Parent() == pass.Pkg.Scope() {
-						pass.Reportf(n.Pos(), "arena.Ref stored in package-level variable %s; compact pointers dangle after Reset/Detach/Recycle", id.Name)
+						pass.Reportf(n.Pos(), "arena.Ref stored in package-level variable %s; compact pointers dangle after Reset/Detach/Release", id.Name)
 					}
 				}
 			}
@@ -113,7 +111,7 @@ func checkStores(pass *qlint.Pass) {
 					val = kv.Value
 				}
 				if isRef(pass.TypesInfo.Types[val].Type) {
-					pass.Reportf(val.Pos(), "arena.Ref stored in struct literal outside the arena-owned packages; compact pointers dangle after Reset/Detach/Recycle — keep an index or copy the payload")
+					pass.Reportf(val.Pos(), "arena.Ref stored in struct literal outside the arena-owned packages; compact pointers dangle after Reset/Detach/Release — keep an index or copy the payload")
 				}
 			}
 		}
@@ -134,12 +132,12 @@ func isInvalidator(pass *qlint.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "Reset", "Detach", "Recycle":
-		return qlint.FromPkg(tv.Type, "internal/arena") ||
-			qlint.FromPkg(tv.Type, "internal/prefixtree") ||
-			qlint.FromPkg(tv.Type, "internal/kisstree")
+	case "Reset", "Detach":
+		return qlint.FromPkg(tv.Type, "internal/arena")
 	case "Release":
 		return qlint.FromPkg(tv.Type, "internal/duplist") ||
+			qlint.FromPkg(tv.Type, "internal/prefixtree") ||
+			qlint.FromPkg(tv.Type, "internal/kisstree") ||
 			qlint.NamedFrom(tv.Type, "internal/core", "IndexedTable")
 	}
 	return false
@@ -201,7 +199,7 @@ func checkLiveness(pass *qlint.Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 				func(n ast.Node) bool { return readsVar(pass, n, v) },
 				func(n ast.Node) bool { return overwritesVar(pass, n, v) })
 			if found {
-				pass.Reportf(use.Pos(), "arena.Ref %s is read after %s — compact pointers do not survive arena Reset/Detach/Recycle", v.Name(), callLabel(inv))
+				pass.Reportf(use.Pos(), "arena.Ref %s is read after %s — compact pointers do not survive arena Reset/Detach/Release", v.Name(), callLabel(inv))
 			}
 		}
 	}

@@ -20,8 +20,3 @@ func (a *Arena) Alloc() Ref   { a.n++; return NodeRef(uint32(a.n)) }
 func (a *Arena) Reset()       { a.n = 0 }
 func (a *Arena) Detach()      {}
 func (a *Arena) At(r Ref) int { return int(r.Index()) }
-
-// Recycler is a stub chunk pool.
-type Recycler struct{}
-
-func (a *Arena) Recycle(rec *Recycler) {}

@@ -6,6 +6,7 @@ package refs
 import (
 	"qppt/internal/arena"
 	"qppt/internal/core"
+	"qppt/internal/prefixtree"
 )
 
 // holder is NOT an arena-owned type, so persisting a Ref in it dangles.
@@ -78,10 +79,11 @@ func freshAfterDetach(a *arena.Arena) int {
 	return a.At(r)
 }
 
-// Flagged: parameters count as live Refs too.
-func useParamAfterRecycle(a *arena.Arena, rec *arena.Recycler, r arena.Ref) int {
-	a.Recycle(rec)
-	return a.At(r) // want `arena.Ref r is read after a.Recycle\(\)`
+// Flagged: parameters count as live Refs too, and a tree's Release hands
+// its chunks to the recycler.
+func useParamAfterTreeRelease(a *arena.Arena, t *prefixtree.Tree, r arena.Ref) int {
+	t.Release()
+	return a.At(r) // want `arena.Ref r is read after t.Release\(\)`
 }
 
 // Flagged: releasing an indexed table recycles its index's chunks, which

@@ -5,15 +5,13 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"qppt/internal/prefixtree/ptrtree"
 )
 
 // Randomized differential test for the arena-backed compact-pointer
 // layout: identical Insert/InsertBatch/Lookup/Range/Iterate sequences are
-// driven against the arena tree, a map[uint64][][]uint64 reference model,
-// and the retained pointer-based baseline (package ptrtree). All three
-// must agree on every observable result across tree geometries.
+// driven against the arena tree and a map[uint64][][]uint64 reference
+// model. The two must agree on every observable result across tree
+// geometries.
 
 type refModel map[uint64][][]uint64
 
@@ -37,9 +35,7 @@ func TestDifferentialArenaVsModel(t *testing.T) {
 	for _, prefixLen := range []uint{1, 4, 8, 16} {
 		for _, keyBits := range []uint{8, 32, 64} {
 			cfg := Config{PrefixLen: prefixLen, KeyBits: keyBits, PayloadWidth: payloadWidth}
-			pcfg := ptrtree.Config{PrefixLen: prefixLen, KeyBits: keyBits, PayloadWidth: payloadWidth}
 			tr := MustNew(cfg)
-			base := ptrtree.MustNew(pcfg)
 			model := refModel{}
 			rng := rand.New(rand.NewSource(int64(prefixLen)<<8 | int64(keyBits)))
 			keyMask := ^uint64(0)
@@ -71,7 +67,6 @@ func TestDifferentialArenaVsModel(t *testing.T) {
 						k := randKey()
 						row := randRow(k)
 						tr.Insert(k, row)
-						base.Insert(k, row)
 						model.insert(k, row)
 					}
 				case 1:
@@ -83,7 +78,6 @@ func TestDifferentialArenaVsModel(t *testing.T) {
 						rows[i] = randRow(keys[i])
 					}
 					tr.InsertBatch(keys, rows)
-					base.InsertBatch(keys, rows)
 					for i, k := range keys {
 						model.insert(k, rows[i])
 					}
@@ -105,10 +99,6 @@ func TestDifferentialArenaVsModel(t *testing.T) {
 							t.Fatalf("k'=%d bits=%d: Delete(%#x) = %v, model %v",
 								prefixLen, keyBits, k, got, present)
 						}
-						if got := base.Delete(k); got != present {
-							t.Fatalf("k'=%d bits=%d: baseline Delete(%#x) = %v, model %v",
-								prefixLen, keyBits, k, got, present)
-						}
 						delete(model, k)
 					}
 				}
@@ -125,7 +115,6 @@ func TestDifferentialArenaVsModel(t *testing.T) {
 			}
 			for _, k := range final {
 				tr.Delete(k)
-				base.Delete(k)
 				delete(model, k)
 			}
 			if len(tr.freeLeaves) == 0 {
@@ -147,7 +136,6 @@ func TestDifferentialArenaVsModel(t *testing.T) {
 				}
 				row := randRow(k)
 				tr.Insert(k, row)
-				base.Insert(k, row)
 				model.insert(k, row)
 				inserted++
 			}
@@ -203,9 +191,9 @@ func TestDifferentialArenaVsModel(t *testing.T) {
 				}
 			})
 
-			// Iterate: full ordered walk must equal the model and the
-			// pointer baseline key-for-key, row-for-row.
-			var gotKeys, baseKeys []uint64
+			// Iterate: full ordered walk must equal the model key-for-key,
+			// row-for-row.
+			var gotKeys []uint64
 			tr.Iterate(func(lf *Leaf) bool {
 				gotKeys = append(gotKeys, lf.Key)
 				if !reflect.DeepEqual(lf.Vals.Rows(), model[lf.Key]) {
@@ -213,15 +201,8 @@ func TestDifferentialArenaVsModel(t *testing.T) {
 				}
 				return true
 			})
-			base.Iterate(func(lf *ptrtree.Leaf) bool {
-				baseKeys = append(baseKeys, lf.Key)
-				return true
-			})
 			if !reflect.DeepEqual(gotKeys, model.sortedKeys()) {
 				t.Fatalf("k'=%d bits=%d: Iterate order differs from model", prefixLen, keyBits)
-			}
-			if !reflect.DeepEqual(gotKeys, baseKeys) {
-				t.Fatalf("k'=%d bits=%d: arena and pointer layouts iterate differently", prefixLen, keyBits)
 			}
 
 			// Range: random windows, including empty and full ones.

@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"qppt/internal/kernel"
-	"qppt/internal/prefixtree/ptrtree"
 )
 
-// Layout benchmarks: the arena-backed compact-pointer tree against the
-// retained pointer baseline (package ptrtree), on the hot batched paths
-// the join operators drive. ReportAllocs makes the allocation story part
-// of the regression surface: batched lookups must stay allocation-free
-// (pooled scratch) and batched index builds must allocate chunks, not
-// per-key objects.
+// Layout benchmarks: the arena-backed compact-pointer tree on the hot
+// batched paths the join operators drive. ReportAllocs makes the
+// allocation story part of the regression surface: batched lookups must
+// stay allocation-free (pooled scratch) and batched index builds must
+// allocate chunks, not per-key objects. Each runs as the sub-benchmark
+// "arena", the name scripts/bench_regress.sh and its baseline match on.
 
 const benchTreeKeys = 1 << 17
 
@@ -45,18 +44,9 @@ func buildArena(keys []uint64, rows [][]uint64) *Tree {
 	return t
 }
 
-func buildPointer(keys []uint64, rows [][]uint64) *ptrtree.Tree {
-	t := ptrtree.MustNew(ptrtree.Config{PayloadWidth: 1})
-	for off := 0; off < len(keys); off += DefaultBatchSize {
-		end := min(off+DefaultBatchSize, len(keys))
-		t.InsertBatch(keys[off:end], rows[off:end])
-	}
-	return t
-}
-
 // BenchmarkInsertBatch builds a full index per iteration through the
 // batched insert path; bytes/op is the allocation cost of one index
-// build, the headline number of the layout ablation.
+// build.
 func BenchmarkInsertBatch(b *testing.B) {
 	keys := benchKeys(benchTreeKeys, 101)
 	rows := benchRows(keys)
@@ -66,17 +56,10 @@ func BenchmarkInsertBatch(b *testing.B) {
 			buildArena(keys, rows)
 		}
 	})
-	b.Run("pointer", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buildPointer(keys, rows)
-		}
-	})
 }
 
 // BenchmarkLookupBatch probes a pre-built index with batches of present
-// and absent keys; the arena layout must report 0 allocs/op (pooled job
-// scratch).
+// and absent keys; it must report 0 allocs/op (pooled job scratch).
 func BenchmarkLookupBatch(b *testing.B) {
 	keys := benchKeys(benchTreeKeys, 101)
 	rows := benchRows(keys)
@@ -91,21 +74,6 @@ func BenchmarkLookupBatch(b *testing.B) {
 			for off := 0; off < len(probes); off += DefaultBatchSize {
 				end := min(off+DefaultBatchSize, len(probes))
 				t.LookupBatch(probes[off:end], func(_ int, lf *Leaf) {
-					if lf != nil {
-						sink += lf.Key
-					}
-				})
-			}
-		}
-	})
-	b.Run("pointer", func(b *testing.B) {
-		t := buildPointer(keys, rows)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for off := 0; off < len(probes); off += DefaultBatchSize {
-				end := min(off+DefaultBatchSize, len(probes))
-				t.LookupBatch(probes[off:end], func(_ int, lf *ptrtree.Leaf) {
 					if lf != nil {
 						sink += lf.Key
 					}
@@ -132,16 +100,6 @@ func BenchmarkSyncScan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			matches = 0
 			SyncScan(ta, tb, func(la, lb *Leaf) bool { matches++; return true })
-		}
-	})
-	b.Run("pointer", func(b *testing.B) {
-		ta := buildPointer(left, benchRows(left))
-		tb := buildPointer(right, benchRows(right))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			matches = 0
-			ptrtree.SyncScan(ta, tb, func(la, lb *ptrtree.Leaf) bool { matches++; return true })
 		}
 	})
 	_ = matches

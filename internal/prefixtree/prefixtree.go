@@ -19,9 +19,7 @@
 // buckets into a cache line than the pointer layout (16 slots per line at
 // k′=4), keeps the garbage collector out of tree interiors (a million-node
 // tree is a handful of chunk allocations, not a million scannable
-// objects), and survives arena growth because chunks never move. The
-// pointer-based baseline is retained as package ptrtree for the layout
-// ablation.
+// objects), and survives arena growth because chunks never move.
 //
 // Duplicates — multiple payload rows per key — are stored in sequential
 // doubling segments (package duplist, paper Section 2.4) carved from a

@@ -42,7 +42,7 @@ func TestRecycleKeepsChunksZero(t *testing.T) {
 		if tr.Lookup(keys[len(keys)-1]) == nil {
 			t.Fatalf("round %d: key lost", round)
 		}
-		tr.Recycle()
+		tr.Release()
 	}
 	if st := rec.Stats(); st.Reused == 0 {
 		t.Fatalf("rounds never reused a chunk: %+v", st)
@@ -60,7 +60,7 @@ func TestDropAllocatesNothing(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for _, tr := range trees {
-		tr.Recycle()
+		tr.Release()
 	}
 	runtime.ReadMemStats(&m1)
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(trees)); per > 1024 {

@@ -41,23 +41,15 @@ func (t *Tree) codec() freeze.Codec {
 // WriteSnapshot writes the tree's storage to w, leaving it attached.
 func (t *Tree) WriteSnapshot(w io.Writer) error { return t.codec().WriteSnapshot(w) }
 
-// Release detaches the storage the last WriteSnapshot captured, parking
-// the chunks in the configured recycler. Only call once the snapshot is
-// safely persisted.
+// Release detaches the tree's chunk storage, parking the chunks in the
+// configured recycler: after a WriteSnapshot that is safely persisted (the
+// spill), or when the last consumer of an intermediate index is done (the
+// tree is unusable afterwards). A frozen tree has nothing resident, so a
+// second Release does nothing.
 func (t *Tree) Release() {
 	t.nodes.Detach()
 	t.freeLeaves = nil
 	freeze.Release(&t.State, &t.leaves, t.slab)
-}
-
-// Recycle drops a resident tree's chunk storage into the configured
-// recycler (see Release); the executor calls it when the last consumer of
-// an intermediate index is done. A frozen tree has nothing resident and
-// is left untouched. The tree is unusable afterwards.
-func (t *Tree) Recycle() {
-	if !t.Frozen() {
-		t.Release()
-	}
 }
 
 // Freeze is WriteSnapshot + Release in one step.

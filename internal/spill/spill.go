@@ -95,16 +95,6 @@ type Stats struct {
 	Peak     int64
 }
 
-// Config parameterizes a Manager.
-type Config struct {
-	// Budget caps the tracked resident bytes; <= 0 disables eviction (the
-	// manager still tracks residency and serves explicit freezes).
-	Budget int64
-	// Dir is where spill files go; empty creates a private temp directory
-	// that Close removes.
-	Dir string
-}
-
 // A Manager owns the spill state of one execution environment (core.Env):
 // one byte budget and one spill directory shared by every plan running in
 // it, each plan registering its intermediates and dropping them when it
@@ -121,15 +111,12 @@ type Manager struct {
 	stats  Stats
 }
 
-// New creates a manager enforcing the given byte budget, with spill files
-// in dir (empty = private temp directory). Shorthand for NewConfig.
+// New creates a manager. budget caps the tracked resident bytes; <= 0
+// disables eviction (the manager still tracks residency and serves explicit
+// freezes). dir is where spill files go; empty creates a private temp
+// directory that Close removes.
 func New(budget int64, dir string) (*Manager, error) {
-	return NewConfig(Config{Budget: budget, Dir: dir})
-}
-
-// NewConfig creates a manager from a full configuration.
-func NewConfig(cfg Config) (*Manager, error) {
-	dir, ownDir := cfg.Dir, false
+	ownDir := false
 	if dir == "" {
 		d, err := os.MkdirTemp("", "qppt-spill-*")
 		if err != nil {
@@ -139,7 +126,7 @@ func NewConfig(cfg Config) (*Manager, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
-	m := &Manager{dir: dir, ownDir: ownDir, budget: cfg.Budget}
+	m := &Manager{dir: dir, ownDir: ownDir, budget: budget}
 	m.cond = sync.NewCond(&m.mu)
 	return m, nil
 }

@@ -144,14 +144,14 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt, opt Options, recor
 			if !ok {
 				return "", fmt.Errorf("sql: table %q not in FROM", c.Table)
 			}
-			if ti.Schema.Col(c.Name) < 0 {
+			if ti.Col(c.Name) < 0 {
 				return "", fmt.Errorf("sql: no column %s.%s", c.Table, c.Name)
 			}
 			return c.Table, nil
 		}
 		owner := ""
 		for t, ti := range tis {
-			if ti.Schema.Col(c.Name) >= 0 {
+			if ti.Col(c.Name) >= 0 {
 				if owner != "" {
 					return "", fmt.Errorf("sql: column %q is ambiguous", c.Name)
 				}

@@ -8,10 +8,11 @@ import (
 	"qppt/internal/core"
 )
 
-// A Dataset is a fully loaded SSB instance: the catalog-backed row store
-// with its base indexes (for QPPT), plus the shared encoded column arrays
-// the two baseline engines scan. All three engines see the exact same
-// dictionary encodings, so query results are comparable bit for bit.
+// A Dataset is a fully loaded SSB instance: the catalog's tables with their
+// base indexes (for QPPT), and the same encoded column arrays handed to the
+// two baseline engines to scan — one copy, shared read-only. All three
+// engines see the exact same dictionary encodings, so query results are
+// comparable bit for bit.
 type Dataset struct {
 	SF float64
 
@@ -23,7 +24,8 @@ type Dataset struct {
 	Part      *catalog.TableInfo
 
 	// ColDB is the column-at-a-time engine's database; Raw holds the
-	// same column arrays for the vector engine's scans.
+	// same column arrays (the catalog's own, see TableInfo.Columns) for
+	// the vector engine's scans.
 	ColDB *colstore.DB
 	Raw   map[string]map[string][]uint64
 }

@@ -10,8 +10,8 @@
 #   REGEN=1 scripts/bench_regress.sh            # regenerate the checked-in baseline
 #
 # The benchmark set covers the engine's hot kernels: the parallel
-# partition-wise merge, batched prefix-tree/KISS lookup and insert (arena
-# and pointer layouts), the synchronous index scan, the fused-chain
+# partition-wise merge, batched prefix-tree/KISS lookup and insert, the
+# synchronous index scan, the fused-chain
 # plan execution (fused vs materialized, serial and parallel), and the
 # SWAR batch kernels (level-synchronous probe descent kernel vs scalar,
 # and the range-stream selection-vector path), and the serving tier's

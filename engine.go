@@ -216,8 +216,9 @@ func (s Stats) String() string {
 	}
 	out += "\n"
 	if sp := s.Spill; sp.Spills > 0 || sp.Restores > 0 || sp.Resident > 0 {
-		out += fmt.Sprintf("spill: %d spills (%s out), %d restores (%s in), resident %s (peak %s)\n",
-			sp.Spills, spill.FormatBytes(sp.SpillBytes), sp.Restores, spill.FormatBytes(sp.RestoreBytes),
+		out += fmt.Sprintf("spill: %d spills (%s out, %s written), %d restores (%s in), resident %s (peak %s)\n",
+			sp.Spills, spill.FormatBytes(sp.SpillBytes), spill.FormatBytes(sp.SpillBytesWritten),
+			sp.Restores, spill.FormatBytes(sp.RestoreBytes),
 			spill.FormatBytes(sp.Resident), spill.FormatBytes(sp.Peak))
 	}
 	if ad := s.Admission; ad.MaxPlans > 0 {

@@ -15,7 +15,7 @@
 package arena
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -127,6 +127,57 @@ func readGrow[T uint32 | uint64](r *Reader, n uint64, read func(*Reader, []T)) [
 	}
 }
 
+// A Source is a snapshot file open for a thaw, read through a buffer its
+// owner keeps from one thaw to the next (Reset). Framing words are served
+// from the buffer; a read at least as large as the buffer goes to the file
+// directly, so chunk payloads are copied once. One Source spans every
+// structure sharing the file: a buffer per structure would read ahead into
+// the next one's bytes.
+type Source struct {
+	f  io.ReadSeeker
+	br *bufio.Reader
+}
+
+// NewSource returns a Source reading f from its current position.
+func NewSource(f io.ReadSeeker) *Source {
+	return &Source{f: f, br: bufio.NewReaderSize(f, 1<<16)}
+}
+
+// Reset points s at another file (nil: none), keeping the buffer.
+func (s *Source) Reset(f io.ReadSeeker) {
+	s.f = f
+	s.br.Reset(f)
+}
+
+func (s *Source) Read(p []byte) (int, error) { return s.br.Read(p) }
+
+// Skip moves n bytes ahead: inside the buffer where it reaches, with a seek
+// where it does not.
+func (s *Source) Skip(n uint64) error {
+	if b := uint64(s.br.Buffered()); n > b {
+		_, err := s.f.Seek(int64(n-b), io.SeekCurrent)
+		s.br.Reset(s.f)
+		return err
+	}
+	_, err := s.br.Discard(int(n))
+	return err
+}
+
+// Remaining reports the bytes between the read position and the file's end.
+// The file is left where it was, so the buffered bytes stay valid.
+func (s *Source) Remaining() (uint64, error) {
+	pos, err := s.f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, err
+	}
+	end, err := s.f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, err
+	}
+	_, err = s.f.Seek(pos, io.SeekStart)
+	return uint64(max(end-pos, 0)) + uint64(s.br.Buffered()), err
+}
+
 // WriteChunks writes the arena's content — block count, free list, and
 // every chunk's slots — in one sequential pass. The chunk geometry is not
 // written: it is fixed at MakeSlots time and must match on ReadChunks.
@@ -221,17 +272,17 @@ func LeafChunkDir[T any](a *Arena[T], size func(*T) uint64, liveKey func(*T) (ui
 	return dir
 }
 
-// ThawChunks is the chunk skip/restore loop of a partial thaw. f must be
+// ThawChunks is the chunk skip/restore loop of a partial thaw. src must be
 // positioned at the first chunk's serialized data; dir is the LeafChunkDir
 // directory of a's elements, its byte lengths already checked against the
-// bytes f holds; thawed tracks per-chunk restore state across additive
-// calls (ignored when skim is set — a fully resident structure just seeks
+// bytes src holds; thawed tracks per-chunk restore state across additive
+// calls (ignored when skim is set — a fully resident structure just skips
 // to the stream end). Chunks whose key range intersects [lo, hi] and are
-// not yet thawed are read in one ReadFull and rebuilt element-by-element
-// through restore, which is told how many of the chunk's bytes are left
-// and reports how many it took; all other chunks are skipped with a seek.
-// Returns the bytes actually read and whether every chunk is now restored.
-func ThawChunks[T any](f io.ReadSeeker, a *Arena[T], dir []uint64,
+// not yet thawed are rebuilt element-by-element through restore, which is
+// told how many of the chunk's bytes are left and reports how many it took;
+// all other chunks are skipped. Returns the bytes actually read and whether
+// every chunk is now restored.
+func ThawChunks[T any](src *Source, a *Arena[T], dir []uint64,
 	thawed []bool, skim bool, lo, hi uint64,
 	restore func(r *Reader, lf *T, left uint64) (uint64, error)) (int64, bool, error) {
 	chunkSize, n := uint64(1)<<a.bits, uint64(a.Len())
@@ -240,7 +291,7 @@ func ThawChunks[T any](f io.ReadSeeker, a *Arena[T], dir []uint64,
 		return 0, false, Corruptf("%d-word chunk directory for %d elements", len(dir), n)
 	}
 	var nRead int64
-	var buf []byte
+	r := Reader{R: src}
 	full := true
 	for ci := uint64(0); ci*3 < uint64(len(dir)); ci++ {
 		minK, maxK, nb := dir[3*ci], dir[3*ci+1], dir[3*ci+2]
@@ -249,20 +300,12 @@ func ThawChunks[T any](f io.ReadSeeker, a *Arena[T], dir []uint64,
 		}
 		if skim || thawed[ci] || minK > hi || maxK < lo {
 			full = full && (skim || thawed[ci])
-			if _, err := f.Seek(int64(nb), io.SeekCurrent); err != nil {
+			if err := src.Skip(nb); err != nil {
 				return nRead, false, err
 			}
 			continue
 		}
-		if uint64(cap(buf)) < nb {
-			buf = make([]byte, nb)
-		}
-		buf = buf[:nb]
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return nRead, false, err
-		}
 		nRead += int64(nb)
-		r := Reader{R: bytes.NewReader(buf)}
 		base := ci * chunkSize // < n: the directory has one entry per chunk of a
 		for j := uint64(0); j < min(chunkSize, n-base); j++ {
 			used, err := restore(&r, a.At(uint32(base+j)), nb)

@@ -100,8 +100,8 @@ func (e *Env) SpillStats() spill.Stats {
 }
 
 // Close tears the environment down, deleting all spill state. Every plan
-// using the Env must have finished: results were detached from the spill
-// manager when their plans returned, so they stay valid after Close.
+// using the Env must have finished: results never entered the spill
+// manager, so they stay valid after Close.
 func (e *Env) Close() error {
 	if e == nil {
 		return nil

@@ -116,11 +116,11 @@ func TestEnvCrossPlanReuse(t *testing.T) {
 	}
 }
 
-// TestEnvSharedSpillDetachesResult: under the Env's spill manager, a
-// plan's intermediates must leave the spill directory with the
-// plan and its result must stay fully usable — including after later
-// plans churn the budget and after Env.Close.
-func TestEnvSharedSpillDetachesResult(t *testing.T) {
+// TestEnvSharedSpillKeepsResultOut: under the Env's spill manager, a
+// plan's intermediates must leave the spill directory with the plan, and
+// its result — which never enters the manager — must stay fully usable,
+// including after later plans churn the budget and after Env.Close.
+func TestEnvSharedSpillKeepsResultOut(t *testing.T) {
 	dir := t.TempDir()
 	env, err := NewEnv(EnvConfig{Recycle: true, MemBudget: 1, SpillDir: dir})
 	if err != nil {
@@ -133,16 +133,15 @@ func TestEnvSharedSpillDetachesResult(t *testing.T) {
 	}
 	wantRows := Extract(want).Rows
 
-	out, stats, err := env.Run(context.Background(), starPlan(f, 2), Options{CollectStats: true})
+	out, stats, err := env.Run(context.Background(), starPlan(f, 2), Options{CollectStats: true, NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Spills == 0 {
 		t.Fatalf("1-byte budget produced no spills: %+v", stats)
 	}
-	// Every spill file of the finished plan — intermediates and result —
-	// must be gone: dropped intermediates delete theirs, the detached
-	// result deletes its own.
+	// Every spill file of the finished plan must be gone: dropped
+	// intermediates delete theirs, the result never had one.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +162,6 @@ func TestEnvSharedSpillDetachesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := Extract(out).Rows; !reflect.DeepEqual(got, wantRows) {
-		t.Fatal("detached result changed after env churn and Close")
+		t.Fatal("result changed after env churn and Close")
 	}
 }

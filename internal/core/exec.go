@@ -285,6 +285,9 @@ type PlanStats struct {
 	SpillBytes   int64
 	RestoreBytes int64
 	PeakResident int64
+	// SpillBytesWritten counts the file bytes the freezes wrote, beside the
+	// resident bytes (SpillBytes) they released.
+	SpillBytesWritten int64
 	// RestoreBytesRead counts the spill-file bytes actually read during
 	// restores (range-skipped chunks excluded); PartialRestores counts
 	// the range-restricted restore events.
@@ -316,9 +319,9 @@ func (ps *PlanStats) String() string {
 		s += fmt.Sprintf("admission: queued %v before execution\n", ps.AdmissionWait.Round(time.Microsecond))
 	}
 	if ps.MemBudget > 0 {
-		s += fmt.Sprintf("membudget %s: %d spills (%s out), %d restores (%s in, %s read), peak resident %s\n",
+		s += fmt.Sprintf("membudget %s: %d spills (%s out, %s written), %d restores (%s in, %s read), peak resident %s\n",
 			spill.FormatBytes(ps.MemBudget), ps.Spills, spill.FormatBytes(ps.SpillBytes),
-			ps.Restores, spill.FormatBytes(ps.RestoreBytes), spill.FormatBytes(ps.RestoreBytesRead),
+			spill.FormatBytes(ps.SpillBytesWritten), ps.Restores, spill.FormatBytes(ps.RestoreBytes), spill.FormatBytes(ps.RestoreBytesRead),
 			spill.FormatBytes(ps.PeakResident))
 		if ps.PartialRestores > 0 {
 			s += fmt.Sprintf("  %d partial (range-restricted) restores\n", ps.PartialRestores)
@@ -389,10 +392,14 @@ type Plan struct {
 // by its key) plus statistics when requested. It is the only way a plan
 // runs: the worker pool is shared with every other plan on the Env,
 // dropped intermediates' chunks park in its recycler, and intermediates
-// register with its spill manager. The plan's result is detached from the
-// spill manager before returning, so it stays valid however long it
-// outlives the plan (and the Env); a caller that is done with it hands its
-// chunks back to the pool with IndexedTable.Release.
+// register with its spill manager. Under a memory budget, eviction happens
+// at operator boundaries and only for what a later operator reads: an
+// operator's inputs are pinned as one set, inputs whose last consumer just
+// ran are dropped before its output is registered (they never cost a
+// freeze), and the budget is balanced once per boundary. The plan's result
+// never enters the spill manager, so it is never spilled and stays valid
+// however long it outlives the plan (and the Env); a caller that is done
+// with it hands its chunks back to the pool with IndexedTable.Release.
 //
 // Cancelling ctx unwinds the plan promptly: morsel loops, merge tasks and
 // operator scans stop at the next batch boundary, waits on spill
@@ -405,6 +412,7 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 	}
 	ex := &executor{
 		ctx:   ctx,
+		root:  pl.Root,
 		opts:  opts,
 		sched: env.sched,
 		rec:   env.rec,
@@ -464,21 +472,12 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 		wr.Drain() // fold the worker-local pools back into the shared pool
 	}
 	if ex.spill != nil {
-		// The manager outlives this plan: whatever spill state the plan
-		// still owns must leave with it. The result is detached (thawed,
-		// materialized, its file deleted) so it stays valid indefinitely;
-		// on error every remaining handle is dropped.
-		if err == nil {
-			if h := ex.handleOf(out); h != nil {
-				err = h.Detach()
-			}
-		}
+		// The manager outlives this plan: what an aborted plan still owns
+		// must leave with it. (A finished plan has dropped every intermediate
+		// and never registered its result; Drop is idempotent.)
 		ex.mu.Lock()
 		leftover := make([]*spill.Handle, 0, len(ex.handles))
-		for t, h := range ex.handles {
-			if err == nil && t == out {
-				continue
-			}
+		for _, h := range ex.handles {
 			leftover = append(leftover, h)
 		}
 		ex.mu.Unlock()
@@ -494,6 +493,7 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 			ms := ex.spill.Stats()
 			stats.Spills, stats.Restores = ms.Spills-spill0.Spills, ms.Restores-spill0.Restores
 			stats.SpillBytes, stats.RestoreBytes = ms.SpillBytes-spill0.SpillBytes, ms.RestoreBytes-spill0.RestoreBytes
+			stats.SpillBytesWritten = ms.SpillBytesWritten - spill0.SpillBytesWritten
 			stats.RestoreBytesRead = ms.RestoreBytesRead - spill0.RestoreBytesRead
 			stats.PartialRestores = ms.PartialRestores - spill0.PartialRestores
 			// Peak is a high-water mark: report how much this plan raised
@@ -539,6 +539,7 @@ func countUses(op Operator, uses map[Operator]int) {
 // are pinned resident around each operator run.
 type executor struct {
 	ctx   context.Context
+	root  Operator // its output is the caller's: never registered, never dropped
 	opts  Options
 	sched *Scheduler
 	mu    sync.Mutex
@@ -683,68 +684,80 @@ type pinSet struct {
 	inputs []*IndexedTable
 }
 
-// pinInputs restores — and protects from eviction — every spilled input
-// the given operators are about to scan or probe. Operators that only
-// touch part of an input's key space (inputRanger) pin that range, so a
-// frozen input thaws only the chunks the scan will reach. Handles are
-// acquired in Seq order: an uncovered range top-up waits for an entry's
-// pins to drain, and ordered acquisition keeps those waits cycle-free
-// across concurrent branches. The returned handles stay pinned until the
-// caller unpins them; on error nothing stays pinned.
-func (ex *executor) pinInputs(sets []pinSet) ([]*spill.Handle, error) {
+// pinInputs is the operator prologue: it restores — and protects from
+// eviction — every spilled input the given operators are about to scan or
+// probe, as one set (spill.Manager.PinSet), so thawing one input never
+// evicts another the same operator reads. Operators that only touch part of
+// an input's key space (inputRanger) pin that range, so a frozen input thaws
+// only the chunks the scan will reach. The set is in Seq order: an uncovered
+// range top-up waits for an entry's pins to drain, and ordered acquisition
+// keeps those waits cycle-free across concurrent branches. The returned set
+// stays pinned until finishOp; on error nothing stays pinned.
+func (ex *executor) pinInputs(sets []pinSet) ([]spill.PinReq, error) {
 	if ex.spill == nil {
 		return nil, nil
 	}
-	type pinReq struct {
-		h      *spill.Handle
-		lo, hi uint64
-		ranged bool
-	}
-	byHandle := make(map[*spill.Handle]*pinReq)
-	var order []*pinReq
+	var set []spill.PinReq
 	for _, s := range sets {
 		rr, _ := s.op.(inputRanger)
+	inputs:
 		for i, in := range s.inputs {
 			h := ex.handleOf(in)
 			if h == nil {
 				continue // base table, unspillable kind, or fused placeholder
 			}
-			var lo, hi uint64
-			ranged := false
+			r := spill.PinReq{H: h}
 			if rr != nil {
-				lo, hi, ranged = rr.inputKeyRange(i)
+				r.Lo, r.Hi, r.Ranged = rr.inputKeyRange(i)
 			}
-			if r, ok := byHandle[h]; ok {
-				// One pin must serve every ordinal reading this
-				// intermediate; widen to full unless the ranges agree.
-				if !ranged || !r.ranged || r.lo != lo || r.hi != hi {
-					r.ranged = false
+			for j := range set {
+				if set[j].H == h {
+					// One pin must serve every ordinal reading this
+					// intermediate; widen to full unless the ranges agree.
+					if set[j] != r {
+						set[j].Ranged = false
+					}
+					continue inputs
 				}
-				continue
 			}
-			r := &pinReq{h: h, lo: lo, hi: hi, ranged: ranged}
-			byHandle[h] = r
-			order = append(order, r)
+			set = append(set, r)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return order[a].h.Seq() < order[b].h.Seq() })
-	var pinned []*spill.Handle
-	for _, r := range order {
-		var err error
-		if r.ranged {
-			err = r.h.PinRangeCtx(ex.ctx, r.lo, r.hi)
-		} else {
-			err = r.h.PinCtx(ex.ctx)
-		}
-		if err != nil {
-			for _, h := range pinned {
-				h.Unpin()
-			}
-			return nil, err
-		}
-		pinned = append(pinned, r.h)
+	sort.Slice(set, func(a, b int) bool { return set[a].H.Seq() < set[b].H.Seq() })
+	if err := ex.spill.PinSet(ex.ctx, set); err != nil {
+		return nil, err
 	}
-	return pinned, nil
+	return set, nil
+}
+
+// finishOp is the operator epilogue, shared by resolve and runChain: op ran
+// over inputs[i] = the output of children[i], with pinned still held. Order
+// is the point (package spill): inputs whose last consumer this was are
+// dropped first — no I/O, spill state deleted, chunks back in the pool —
+// then the rest are unpinned, then the output is registered and the budget
+// balanced once. Base tables stay out (the budget governs what the plan
+// adds), and so does the plan root: the caller owns it, and an entry nobody
+// pins again could only cost a freeze and the thaw that undoes it.
+func (ex *executor) finishOp(op Operator, e *memoEntry, pinned []spill.PinReq, children []Operator, inputs []*IndexedTable) {
+	if ex.uses != nil && e.err == nil {
+		for i, c := range children {
+			ex.releaseInput(c, inputs[i])
+		}
+	}
+	if ex.spill == nil {
+		return
+	}
+	ex.spill.UnpinSet(pinned)
+	if _, isBase := op.(*Base); isBase || op == ex.root || e.err != nil {
+		return
+	}
+	if fz := freezerOf(e.out.Idx); fz != nil {
+		h := ex.spill.Register(op.Label(), fz, e.out.Idx.Bytes)
+		ex.mu.Lock()
+		ex.doneOut[op] = e.out
+		ex.handles[e.out] = h
+		ex.mu.Unlock()
+	}
 }
 
 func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error) {
@@ -796,12 +809,6 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 			e.err = err
 			return
 		}
-		unpin := func() {
-			for _, h := range pinned {
-				h.Unpin()
-			}
-			pinned = nil
-		}
 		ec := &ExecContext{ctx: ex.ctx, opts: ex.opts, sched: ex.sched,
 			rec: ex.rec, wrecs: ex.wrecs, spill: ex.spill}
 		if stats != nil {
@@ -824,48 +831,23 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 			e.st.OutKeys = e.out.Keys()
 			e.st.OutBytes = e.out.Idx.Bytes()
 		}
-		unpin()
-		if ex.doneOut != nil && e.err == nil {
-			ex.mu.Lock()
-			ex.doneOut[op] = e.out
-			ex.mu.Unlock()
-		}
-		// Hand the fresh intermediate to the spill manager, which may
-		// evict it (or a colder sibling) right away to hold the budget.
-		// Base tables stay out: the budget governs what the plan adds.
-		if ex.spill != nil && e.err == nil {
-			if _, isBase := op.(*Base); !isBase {
-				if fz := freezerOf(e.out.Idx); fz != nil {
-					h := ex.spill.Register(op.Label(), fz, e.out.Idx.Bytes)
-					ex.mu.Lock()
-					ex.handles[e.out] = h
-					ex.mu.Unlock()
-				}
-			}
-		}
-		// Each input has served one more consumer; drop the ones no other
-		// operator will read — deleting their spill state and, with a
-		// recycler, returning their chunks to the pool the next index
-		// allocation draws from.
-		if ex.uses != nil && e.err == nil {
-			for i, c := range children {
-				ex.releaseInput(c, inputs[i])
-			}
-		}
+		ex.finishOp(op, e, pinned, children, inputs)
 	})
-	if e.err == nil && e.st != nil && stats != nil {
-		// Append post-order, exactly once per operator; a fused chain's
-		// non-top links precede the top.
+	if e.err == nil && stats != nil {
+		// Append post-order, exactly once per operator (two consumers of a
+		// shared operator may both arrive here); a fused chain's non-top
+		// links precede the top.
 		ex.mu.Lock()
-		for _, p := range e.pre {
-			stats.Ops = append(stats.Ops, *p)
-		}
-		e.pre = nil
-		st := *e.st
-		e.st = nil
-		stats.Ops = append(stats.Ops, st)
-		if h := ex.handles[e.out]; h != nil {
-			ex.spillOps = append(ex.spillOps, spillOpRef{h: h, op: len(stats.Ops) - 1})
+		if e.st != nil {
+			for _, p := range e.pre {
+				stats.Ops = append(stats.Ops, *p)
+			}
+			e.pre = nil
+			stats.Ops = append(stats.Ops, *e.st)
+			e.st = nil
+			if h := ex.handles[e.out]; h != nil {
+				ex.spillOps = append(ex.spillOps, spillOpRef{h: h, op: len(stats.Ops) - 1})
+			}
 		}
 		ex.mu.Unlock()
 	}

@@ -442,9 +442,9 @@ func bottomScan(op Operator, inputs []*IndexedTable) (scanFn, boundsFn, error) {
 
 // runChain executes one fused chain inside the top link's memo entry:
 // resolve the materialized inputs of every link, pin whatever of them is
-// spilled, run the chain as one morsel-driven stage, then register the
-// top output and release the consumed inputs — exactly what resolve does
-// around a single operator, widened to the whole chain.
+// spilled, run the chain as one morsel-driven stage, then finish the top
+// (finishOp) over the consumed inputs — exactly what resolve does around a
+// single operator, widened to the whole chain.
 func (ex *executor) runChain(ch *fuseChain, e *memoEntry, stats *PlanStats) {
 	n := len(ch.links)
 	childOf := make([][]Operator, n)
@@ -547,33 +547,15 @@ func (ex *executor) runChain(ch *fuseChain, e *memoEntry, stats *PlanStats) {
 		e.st.OutKeys = e.out.Keys()
 		e.st.OutBytes = e.out.Idx.Bytes()
 	}
-	for _, h := range pinned {
-		h.Unpin()
-	}
 	ex.mu.Lock()
 	ex.fusedEdges += n - 1
-	if ex.doneOut != nil && e.err == nil {
-		ex.doneOut[ch.top()] = e.out
-	}
 	ex.mu.Unlock()
-	if ex.spill != nil && e.err == nil {
-		if fz := freezerOf(e.out.Idx); fz != nil {
-			h := ex.spill.Register(ch.top().Label(), fz, e.out.Idx.Bytes)
-			ex.mu.Lock()
-			ex.handles[e.out] = h
-			ex.mu.Unlock()
-		}
+	children := make([]Operator, len(slots))
+	inputs := make([]*IndexedTable, len(slots))
+	for i, s := range slots {
+		children[i], inputs[i] = childOf[s.link][s.ord], inputsOf[s.link][s.ord]
 	}
-	if ex.uses != nil && e.err == nil {
-		for i := range ch.links {
-			for o, c := range childOf[i] {
-				if i > 0 && o == ch.ords[i] {
-					continue
-				}
-				ex.releaseInput(c, inputsOf[i][o])
-			}
-		}
-	}
+	ex.finishOp(ch.top(), e, pinned, children, inputs)
 }
 
 // driveChain runs the fused chain as one morsel-driven stage: per pool

@@ -3,6 +3,7 @@ package core
 import (
 	"io"
 
+	"qppt/internal/arena"
 	"qppt/internal/spill"
 )
 
@@ -16,15 +17,15 @@ import (
 func (p ptIndex) WriteSnapshot(w io.Writer) error { return p.t.WriteSnapshot(w) }
 func (p ptIndex) Release()                        { p.t.Release() }
 func (p ptIndex) Thaw(r io.Reader) error          { return p.t.Thaw(r) }
-func (p ptIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
-	return p.t.ThawRange(f, lo, hi)
+func (p ptIndex) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
+	return p.t.ThawRange(src, lo, hi)
 }
 
 func (k kissIndex) WriteSnapshot(w io.Writer) error { return k.t.WriteSnapshot(w) }
 func (k kissIndex) Release()                        { k.t.Release() }
 func (k kissIndex) Thaw(r io.Reader) error          { return k.t.Thaw(r) }
-func (k kissIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
-	return k.t.ThawRange(f, lo, hi)
+func (k kissIndex) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
+	return k.t.ThawRange(src, lo, hi)
 }
 
 func (p ptIndex) Frozen() bool   { return p.t.Frozen() }
@@ -77,7 +78,7 @@ func (s *shardedIndex) Thaw(r io.Reader) error {
 // fresh (fully frozen) restore rolls every shard back to frozen; on a
 // top-up the previously resident portions stay intact, matching the
 // manager's resident-on-error handling.
-func (s *shardedIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
+func (s *shardedIndex) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
 	fresh := true
 	for _, sh := range s.shards {
 		if fr, ok := sh.(frozenIndex); ok && !fr.Frozen() {
@@ -88,7 +89,7 @@ func (s *shardedIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, e
 	var total int64
 	full := true
 	for _, sh := range s.shards {
-		n, shFull, err := sh.(spill.RangeThawer).ThawRange(f, lo, hi)
+		n, shFull, err := sh.(spill.RangeThawer).ThawRange(src, lo, hi)
 		total += n
 		full = full && shFull
 		if err != nil {

@@ -35,9 +35,10 @@
 //
 // The codec consumes exactly its own bytes and never reads ahead, so
 // several structures can share one stream (a sharded index snapshots all
-// its shards into one spill file). Callers of WriteSnapshot and Thaw
-// provide buffering; wrapping w or r here would steal the next structure's
-// bytes.
+// its shards into one spill file). Callers provide the buffering — a
+// writer, a reader, or the arena.Source a ThawRange reads and skips through
+// — and reuse it across events; wrapping w or r here would steal the next
+// structure's bytes and cost an allocation per freeze or thaw.
 //
 // Every count a thaw takes from the stream is checked against the lengths
 // the format records before it sizes an allocation or bounds a loop;
@@ -47,7 +48,6 @@
 package freeze
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -186,20 +186,21 @@ func (c Codec) Thaw(r io.Reader) error {
 }
 
 // ThawRange restores the tree far enough to serve queries inside [lo, hi]
-// (see the package comment) and returns the bytes actually read from f and
-// whether the tree is now fully restored. A top-up never touches resident
-// chunks, so concurrent readers of previously thawed ranges stay valid.
-func (c Codec) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
-	return c.thaw(f, f, lo, hi)
+// (see the package comment) and returns the stream bytes it took from src
+// and whether the tree is now fully restored. A top-up never touches
+// resident chunks, so concurrent readers of previously thawed ranges stay
+// valid.
+func (c Codec) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
+	return c.thaw(src, src, lo, hi)
 }
 
-// thaw is the one restore: of everything from the caller-buffered stream
-// in (f == nil; nRead is not counted), or of what [lo, hi] needs from the
-// unbuffered file f == in.
-func (c Codec) thaw(in io.Reader, f io.ReadSeeker, lo, hi uint64) (nRead int64, full bool, err error) {
+// thaw is the one restore: of everything from the stream in (src == nil;
+// nRead is not counted), or of what [lo, hi] needs from the seekable
+// src == in.
+func (c Codec) thaw(in io.Reader, src *arena.Source, lo, hi uint64) (nRead int64, full bool, err error) {
 	fresh := c.frozen
 	// A fully resident tree (possible as one shard of a partially thawed
-	// sharded index) just skims its stream: nothing is read, every seek
+	// sharded index) just skims its stream: nothing is restored, every skip
 	// lands on the stream end.
 	skim := !c.frozen && !c.partial
 	if fresh {
@@ -228,17 +229,13 @@ func (c Codec) thaw(in io.Reader, f io.ReadSeeker, lo, hi uint64) (nRead int64, 
 		}
 		size := n * s.Unit
 		if !fresh {
-			// Already resident, possibly in use by readers: seek past.
-			if _, err := f.Seek(int64(size), io.SeekCurrent); err != nil {
+			// Already resident, possibly in use by readers: skip.
+			if err := src.Skip(size); err != nil {
 				return nRead, false, err
 			}
 			continue
 		}
-		sr := r
-		if f != nil {
-			sr = &arena.Reader{R: bufio.NewReaderSize(io.LimitReader(in, int64(size)), 1<<18)}
-		}
-		if err := s.Read(sr, size); err != nil {
+		if err := s.Read(r, size); err != nil {
 			return nRead, false, err
 		}
 		nRead += int64(size)
@@ -261,7 +258,7 @@ func (c Codec) thaw(in io.Reader, f io.ReadSeeker, lo, hi uint64) (nRead int64, 
 		return c.readLeaf(r, lf, row, left)
 	}
 
-	if f == nil {
+	if src == nil {
 		// The whole stream in order; the directory's byte lengths bound
 		// each chunk's row counts.
 		for ci := uint64(0); ci < nChunks; ci++ {
@@ -283,7 +280,7 @@ func (c Codec) thaw(in io.Reader, f io.ReadSeeker, lo, hi uint64) (nRead int64, 
 
 	// The leaves must fit the directory, and the directory the file,
 	// before either sizes an allocation.
-	avail, err := remaining(f)
+	avail, err := src.Remaining()
 	if err != nil {
 		return nRead, false, err
 	}
@@ -303,7 +300,7 @@ func (c Codec) thaw(in io.Reader, f io.ReadSeeker, lo, hi uint64) (nRead int64, 
 		}
 		c.thawed = make([]bool, nChunks)
 	}
-	n, full, err := arena.ThawChunks(f, c.Leaves, dir, c.thawed, skim, lo, hi, readLeaf)
+	n, full, err := arena.ThawChunks(src, c.Leaves, dir, c.thawed, skim, lo, hi, readLeaf)
 	nRead += n
 	if err != nil || skim {
 		return nRead, full, err
@@ -313,20 +310,6 @@ func (c Codec) thaw(in io.Reader, f io.ReadSeeker, lo, hi uint64) (nRead int64, 
 		c.thawed = nil
 	}
 	return nRead, full, nil
-}
-
-// remaining reports the bytes between f's position and its end.
-func remaining(f io.Seeker) (uint64, error) {
-	pos, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, err
-	}
-	end, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, err
-	}
-	_, err = f.Seek(pos, io.SeekStart)
-	return uint64(max(end-pos, 0)), err
 }
 
 // readLeaf rebuilds one content leaf in place, drawing row storage from

@@ -110,11 +110,11 @@ var thawModes = []struct {
 }{
 	{"Thaw", true, func(tr tree, b []byte) error { return tr.Thaw(bytes.NewReader(b)) }},
 	{"ThawRange/full", true, func(tr tree, b []byte) error {
-		_, _, err := tr.ThawRange(bytes.NewReader(b), 0, ^uint64(0))
+		_, _, err := tr.ThawRange(arena.NewSource(bytes.NewReader(b)), 0, ^uint64(0))
 		return err
 	}},
 	{"ThawRange/narrow", false, func(tr tree, b []byte) error {
-		_, _, err := tr.ThawRange(bytes.NewReader(b), 0, 1<<16)
+		_, _, err := tr.ThawRange(arena.NewSource(bytes.NewReader(b)), 0, 1<<16)
 		return err
 	}},
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"qppt/internal/arena"
 )
 
 // Freeze/Thaw must round-trip the KISS-Tree — root page directory, node
@@ -126,7 +128,7 @@ func TestKissThawRangePartialRestore(t *testing.T) {
 	fi, _ := f.Stat()
 
 	lo, hi := uint64(2000), uint64(3000)
-	nRead, full, err := tr.ThawRange(f, lo, hi)
+	nRead, full, err := tr.ThawRange(arena.NewSource(f), lo, hi)
 	if err != nil {
 		t.Fatalf("ThawRange: %v", err)
 	}
@@ -151,7 +153,7 @@ func TestKissThawRangePartialRestore(t *testing.T) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}
-	if _, full, err = tr.ThawRange(f, 0, ^uint64(0)); err != nil {
+	if _, full, err = tr.ThawRange(arena.NewSource(f), 0, ^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
 	if !full || tr.Partial() {

@@ -7,7 +7,9 @@
 // rest of the plan (and Manager.Close blocks on pinned handles). The
 // analyzer proves, per function body, that each pin reaches an Unpin on
 // the same receiver on all paths to a normal exit. `defer h.Unpin()` is
-// the preferred form and always satisfies the check.
+// the preferred form and always satisfies the check. Manager.PinSet pins a
+// whole set at once; what it holds is its set argument, released by
+// UnpinSet on the same expression.
 //
 // Heuristics (documented because suppressions must be auditable):
 //
@@ -57,7 +59,10 @@ func checkBody(pass *qlint.Pass, body *ast.BlockStmt) {
 		}
 		recv, method, ok := pass.CallOnType(call, "internal/spill", "Handle", pinMethods...)
 		if !ok {
-			return true
+			if _, method, ok = pass.CallOnType(call, "internal/spill", "Manager", "PinSet"); !ok || len(call.Args) != 2 {
+				return true
+			}
+			recv = call.Args[1] // the set, not the manager, is what stays pinned
 		}
 		if g == nil {
 			g = qlint.BuildFlow(body)
@@ -99,8 +104,8 @@ func checkPin(pass *qlint.Pass, g *qlint.FlowGraph, body *ast.BlockStmt, call *a
 	}
 	if !g.AllPathsReach(node, errVar, release) {
 		pass.Reportf(call.Pos(),
-			"%s on %s is not released on every return path; add `defer %s.Unpin()` after the pin succeeds, or unpin before each return",
-			method, recvKey, recvKey)
+			"%s on %s is not released on every return path; defer its Unpin (UnpinSet for a set) after the pin succeeds, or unpin before each return",
+			method, recvKey)
 	}
 }
 
@@ -126,10 +131,16 @@ func pinErrVar(node ast.Node, call *ast.CallExpr) string {
 
 func isUnpinOn(call *ast.CallExpr, recvKey string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Unpin" {
+	if !ok {
 		return false
 	}
-	return qlint.ExprString(sel.X) == recvKey
+	switch sel.Sel.Name {
+	case "Unpin":
+		return qlint.ExprString(sel.X) == recvKey
+	case "UnpinSet":
+		return len(call.Args) == 1 && qlint.ExprString(call.Args[0]) == recvKey
+	}
+	return false
 }
 
 func containsUnpinOn(body *ast.BlockStmt, recvKey string) bool {

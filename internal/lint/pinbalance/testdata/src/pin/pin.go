@@ -157,6 +157,29 @@ func deferredClosure(h *spill.Handle) error {
 	return work()
 }
 
+// Clean: a set pin released as a set.
+func setBalanced(m *spill.Manager, set []spill.PinReq) error {
+	if err := m.PinSet(context.Background(), set); err != nil {
+		return err
+	}
+	defer m.UnpinSet(set)
+	return work()
+}
+
+// Flagged: the set stays pinned when work fails; unpinning another set does
+// not release this one.
+func setLeak(m *spill.Manager, set, other []spill.PinReq) error {
+	if err := m.PinSet(context.Background(), set); err != nil { // want `PinSet on set is not released on every return path`
+		return err
+	}
+	if err := work(); err != nil {
+		m.UnpinSet(other)
+		return err
+	}
+	m.UnpinSet(set)
+	return nil
+}
+
 // Suppressed: an intentionally permanent pin with an auditable reason.
 func permanentPin(h *spill.Handle) error {
 	//qpptvet:ignore pinbalance the result pin is intentionally held until Close

@@ -14,7 +14,6 @@ func (h *Handle) PinRange(lo, hi uint64) error                         { h.pins+
 func (h *Handle) PinRangeCtx(ctx context.Context, lo, hi uint64) error { h.pins++; return nil }
 func (h *Handle) Unpin()                                               { h.pins-- }
 func (h *Handle) Drop()                                                {}
-func (h *Handle) Detach() error                                        { return nil }
 
 // Manager mirrors the lifecycle surface of the real spill.Manager.
 type Manager struct{}
@@ -23,3 +22,9 @@ func New(budget int64, dir string) (*Manager, error) { return &Manager{}, nil }
 
 func (m *Manager) Register(label string, obj any, size func() int) *Handle { return &Handle{} }
 func (m *Manager) Close() error                                            { return nil }
+
+// PinReq and PinSet/UnpinSet mirror the set pin.
+type PinReq struct{ H *Handle }
+
+func (m *Manager) PinSet(ctx context.Context, set []PinReq) error { return nil }
+func (m *Manager) UnpinSet(set []PinReq)                          {}

@@ -59,6 +59,6 @@ func (t *Tree) Freeze(w io.Writer) error { return t.codec().Freeze(w) }
 func (t *Tree) Thaw(r io.Reader) error { return t.codec().Thaw(r) }
 
 // ThawRange restores the tree far enough to serve queries inside [lo, hi].
-func (t *Tree) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
-	return t.codec().ThawRange(f, lo, hi)
+func (t *Tree) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
+	return t.codec().ThawRange(src, lo, hi)
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"qppt/internal/arena"
 )
 
 // Freeze must detach the tree's heap footprint and Thaw must restore an
@@ -192,7 +194,7 @@ func TestThawRangePartialRestore(t *testing.T) {
 	fi, _ := f.Stat()
 
 	lo, hi := uint64(1000), uint64(2000)
-	nRead, fullyThawed, err := tr.ThawRange(f, lo, hi)
+	nRead, fullyThawed, err := tr.ThawRange(arena.NewSource(f), lo, hi)
 	if err != nil {
 		t.Fatalf("ThawRange: %v", err)
 	}
@@ -221,7 +223,7 @@ func TestThawRangePartialRestore(t *testing.T) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tr.ThawRange(f, 30000, 31000); err != nil {
+	if _, _, err := tr.ThawRange(arena.NewSource(f), 30000, 31000); err != nil {
 		t.Fatalf("top-up ThawRange: %v", err)
 	}
 	got = 0
@@ -234,7 +236,7 @@ func TestThawRangePartialRestore(t *testing.T) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}
-	_, fullyThawed, err = tr.ThawRange(f, 0, ^uint64(0)>>32)
+	_, fullyThawed, err = tr.ThawRange(arena.NewSource(f), 0, ^uint64(0)>>32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,18 @@
 // operator reads it. Eviction is best-effort — when everything live is
 // pinned, the plan runs over budget rather than deadlocking.
 //
+// The rule the executor and the manager keep between them is that a freeze
+// writes only what a later operator will read back. The budget is balanced
+// at operator boundaries: once after an operator's whole input set is pinned
+// (PinSet — the set is exempt from eviction before its first member thaws,
+// so inputs never evict each other), and once after its output is
+// registered, by which time the inputs whose last consumer it was are
+// already dropped and the others unpinned (UnpinSet). Two things never
+// spill: an input past its last consumer, which leaves the budget by Drop
+// with no I/O, and the plan result, which is the caller's and is never
+// registered. A freeze or thaw allocates nothing per event — the manager
+// owns the I/O buffers and hands one to each transition.
+//
 // Freeze/Thaw I/O runs *outside* the manager lock: each entry carries its
 // own freezing/thawing state, and pins on an entry mid-transition wait on
 // a condition variable while other entries keep pinning, unpinning, and
@@ -42,7 +54,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+
+	"qppt/internal/arena"
 )
 
 // A Freezer can snapshot its storage into a byte stream, detach it, and
@@ -71,14 +86,18 @@ type Freezer interface {
 // (full == true).
 type RangeThawer interface {
 	Freezer
-	ThawRange(f io.ReadSeeker, lo, hi uint64) (bytesRead int64, full bool, err error)
+	ThawRange(src *arena.Source, lo, hi uint64) (bytesRead int64, full bool, err error)
 }
 
 // Stats aggregates the manager's activity for plan statistics.
 type Stats struct {
-	// Spills counts freeze events; SpillBytes the bytes they released.
-	Spills     int
-	SpillBytes int64
+	// Spills counts freeze events; SpillBytes the resident bytes they
+	// released; SpillBytesWritten the file bytes they wrote — less, because
+	// a file holds what a chunk uses, not what it reserves, and a clean
+	// entry is re-frozen without rewriting its file.
+	Spills            int
+	SpillBytes        int64
+	SpillBytesWritten int64
 	// Restores counts frozen→resident thaw events; RestoreBytes the
 	// resident bytes they brought back.
 	Restores     int
@@ -109,6 +128,34 @@ type Manager struct {
 	nextID int
 	all    []*Handle
 	stats  Stats
+	// bufs are the idle I/O buffers of freezes and thaws: a transition takes
+	// one (or makes one) before it drops the lock and hands it back after,
+	// so the set grows to the most transitions that ever ran at once.
+	bufs []*ioBuf
+}
+
+// An ioBuf buffers the framing words of one freeze or thaw; both sides pass
+// payloads of their own size or more straight through to the file.
+type ioBuf struct {
+	w *bufio.Writer
+	r *arena.Source
+}
+
+func (m *Manager) takeBufLocked() *ioBuf {
+	if n := len(m.bufs); n > 0 {
+		b := m.bufs[n-1]
+		m.bufs = m.bufs[:n-1]
+		return b
+	}
+	return &ioBuf{w: bufio.NewWriterSize(nil, 1<<16), r: arena.NewSource(nil)}
+}
+
+// putBufLocked takes b back with the transition's file and any error a
+// failed write latched in the writer cleared.
+func (m *Manager) putBufLocked(b *ioBuf) {
+	b.w.Reset(nil)
+	b.r.Reset(nil)
+	m.bufs = append(m.bufs, b)
 }
 
 // New creates a manager. budget caps the tracked resident bytes; <= 0
@@ -151,15 +198,16 @@ type Handle struct {
 	obj       Freezer
 	size      func() int // resident bytes when live
 	label     string
-	file      string
-	seq       int   // registration order; pin-ordering key for callers
-	bytes     int64 // tracked resident size
+	file      string // named at the first freeze
+	seq       int    // registration order; pin-ordering key for callers
+	bytes     int64  // tracked resident size
 	pins      int
 	state     entryState
 	partial   bool // resident, but only partially thawed (RangeThawer)
 	failed    bool // freeze failed once; never retried, stays resident
 	dropped   bool // executor dropped the intermediate; file gone
 	fileValid bool // spill file holds a complete snapshot
+	held      int  // PinSets that have named the entry but not pinned it yet
 	// cov are the key intervals a partial entry is guaranteed to serve
 	// (each interval was one ThawRange argument; overlapping/adjacent
 	// intervals merged). Empty when fully resident or frozen.
@@ -232,7 +280,6 @@ func (m *Manager) Register(label string, obj Freezer, size func() int) *Handle {
 	defer m.mu.Unlock()
 	h.lastUse = m.tick()
 	h.seq = m.nextID
-	h.file = filepath.Join(m.dir, fmt.Sprintf("%03d-%s.spill", m.nextID, sanitize(label)))
 	m.nextID++
 	m.all = append(m.all, h)
 	m.addResident(h.bytes)
@@ -272,11 +319,33 @@ func (h *Handle) PinRangeCtx(ctx context.Context, lo, hi uint64) error {
 // (see Handle.Seq).
 func (h *Handle) PinRange(lo, hi uint64) error { return h.pin(nil, lo, hi, true) }
 
+// pin is the set pin of one.
 func (h *Handle) pin(ctx context.Context, lo, hi uint64, ranged bool) error {
-	m := h.m
+	return h.m.pinSet(ctx, []PinReq{{H: h, Lo: lo, Hi: hi, Ranged: ranged}})
+}
+
+// A PinReq is one member of a PinSet: the handle, and the key range its
+// consumer will read when Ranged is set (the whole structure otherwise).
+type PinReq struct {
+	H      *Handle
+	Lo, Hi uint64
+	Ranged bool
+}
+
+// PinSet pins everything one operator is about to read — each member like
+// PinCtx or PinRangeCtx — as a unit: the whole set is exempt from eviction
+// before the first member thaws, and the budget is balanced once, after the
+// last. Pinning the members one by one would let each thaw evict a sibling
+// the next pin has to read straight back. The set must be in ascending Seq
+// order with no handle named twice. On error nothing stays pinned; on
+// success UnpinSet (or an Unpin per member) releases the set. A nil ctx
+// never cancels.
+func (m *Manager) PinSet(ctx context.Context, set []PinReq) error { return m.pinSet(ctx, set) }
+
+func (m *Manager) pinSet(ctx context.Context, set []PinReq) error {
 	if ctx != nil {
-		// A cancelled context must wake the cond waits below; the waiters
-		// themselves then notice ctx.Err() and bail out.
+		// A cancelled context must wake the cond waits in pinLocked; the
+		// waiters themselves then notice ctx.Err() and bail out.
 		stop := context.AfterFunc(ctx, func() {
 			m.mu.Lock()
 			m.cond.Broadcast()
@@ -284,14 +353,53 @@ func (h *Handle) pin(ctx context.Context, lo, hi uint64, ranged bool) error {
 		})
 		defer stop()
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, r := range set {
+		r.H.held++
+	}
+	var err error
+	pinned := 0
+	for _, r := range set {
+		if err = r.H.pinLocked(ctx, r.Lo, r.Hi, r.Ranged); err != nil {
+			break
+		}
+		pinned++
+	}
+	for _, r := range set {
+		r.H.held--
+	}
+	if err != nil {
+		for _, r := range set[:pinned] {
+			r.H.pins--
+		}
+		m.cond.Broadcast()
+	}
+	// The thaws may have pushed residency over budget; evict colder entries.
+	m.balanceLocked()
+	return err
+}
+
+// UnpinSet releases the pins of a PinSet without balancing the budget: the
+// operator that held them registers its output next, and that one balance
+// sees the inputs evictable and the output resident together.
+func (m *Manager) UnpinSet(set []PinReq) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, r := range set {
+		r.H.pins--
+	}
+	m.cond.Broadcast() // a range top-up may be waiting for the drain
+}
+
+func (h *Handle) pinLocked(ctx context.Context, lo, hi uint64, ranged bool) error {
+	m := h.m
 	ctxErr := func() error {
 		if ctx == nil {
 			return nil
 		}
 		return ctx.Err()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	h.lastUse = m.tick()
 	for {
 		for h.state == stFreezing || h.state == stThawing {
@@ -329,8 +437,6 @@ func (h *Handle) pin(ctx context.Context, lo, hi uint64, ranged bool) error {
 		break // fully resident, or partial with the range already covered
 	}
 	h.pins++
-	// The thaw may have pushed residency over budget; evict colder entries.
-	m.balanceLocked()
 	return nil
 }
 
@@ -378,36 +484,6 @@ func (h *Handle) Drop() {
 		h.fileValid = false
 	}
 	m.forgetLocked(h)
-}
-
-// Detach permanently removes the entry from the managed set while leaving
-// its structure fully resident and self-contained: the structure is thawed
-// if frozen or partial and the spill file deleted. A plan running
-// against a session-scoped manager detaches its *result* index this way —
-// the result must outlive the plan, but the manager must not keep
-// budgeting (or re-evicting) an index it can never see consumed again.
-func (h *Handle) Detach() error {
-	//qpptvet:ignore pinbalance balanced by the direct pins-- below, under m.mu where Unpin would deadlock
-	if err := h.Pin(); err != nil { // fully resident + transitions drained
-		return err
-	}
-	m := h.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h.pins--
-	if h.dropped {
-		return nil
-	}
-	if h.fileValid {
-		os.Remove(h.file)
-		h.fileValid = false
-	}
-	m.addResident(-h.bytes)
-	h.dropped = true // never evictable or thawable again; storage is the caller's
-	h.state = stResident
-	m.forgetLocked(h)
-	m.cond.Broadcast()
-	return nil
 }
 
 // forgetLocked removes a handle from the managed slice.
@@ -507,7 +583,7 @@ func (m *Manager) balanceLocked() {
 	for m.stats.Resident > m.budget {
 		var victim *Handle
 		for _, h := range m.all {
-			if h.state != stResident || h.failed || h.dropped || h.pins > 0 {
+			if h.state != stResident || h.failed || h.dropped || h.pins > 0 || h.held > 0 {
 				continue
 			}
 			if victim == nil || h.lastUse < victim.lastUse {
@@ -531,11 +607,19 @@ func (m *Manager) balanceLocked() {
 func (m *Manager) freezeLocked(h *Handle) {
 	h.bytes = int64(h.size()) // refresh: the index grew after registration
 	h.state = stFreezing
-	var err error
+	var (
+		written int64
+		err     error
+	)
 	if !h.fileValid {
+		if h.file == "" {
+			h.file = filepath.Join(m.dir, fmt.Sprintf("%03d-%s.spill", h.seq, sanitize(h.label)))
+		}
+		b := m.takeBufLocked()
 		m.mu.Unlock()
-		err = writeSnapshotFile(h.file, h.obj)
+		written, err = writeSnapshotFile(h.file, h.obj, b.w)
 		m.mu.Lock()
+		m.putBufLocked(b)
 	}
 	if err != nil {
 		h.failed = true // e.g. disk full: keep resident, stop retrying
@@ -551,33 +635,30 @@ func (m *Manager) freezeLocked(h *Handle) {
 	h.spills++
 	m.stats.Spills++
 	m.stats.SpillBytes += h.bytes
+	m.stats.SpillBytesWritten += written
 	m.addResident(-h.bytes)
 	m.cond.Broadcast()
 }
 
-// writeSnapshotFile writes one sequential snapshot of obj to path,
-// removing the file again on any error.
-func writeSnapshotFile(path string, obj Freezer) error {
+// writeSnapshotFile writes one sequential snapshot of obj to path through
+// bw and reports the file's size, removing the file again on any error.
+func writeSnapshotFile(path string, obj Freezer, bw *bufio.Writer) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := obj.WriteSnapshot(bw); err != nil {
-		f.Close()
+	bw.Reset(f)
+	if err = obj.WriteSnapshot(bw); err == nil {
+		err = bw.Flush()
+	}
+	size, _ := f.Seek(0, io.SeekCurrent) // statistics only
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(path)
-		return err
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return err
-	}
-	return nil
+	return size, err
 }
 
 // thawLocked restores one entry from its spill file — fully, or partially
@@ -592,6 +673,7 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 		ranged = true
 	}
 	h.state = stThawing
+	b := m.takeBufLocked()
 	m.mu.Unlock()
 
 	var (
@@ -600,9 +682,10 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 	)
 	f, err := os.Open(h.file)
 	if err == nil {
+		b.r.Reset(f)
 		if rt, ok := h.obj.(RangeThawer); ok && ranged {
-			bytesRead, full, err = rt.ThawRange(f, lo, hi)
-		} else if err = h.obj.Thaw(bufio.NewReaderSize(f, 1<<20)); err == nil {
+			bytesRead, full, err = rt.ThawRange(b.r, lo, hi)
+		} else if err = h.obj.Thaw(b.r); err == nil {
 			if fi, serr := f.Stat(); serr == nil {
 				bytesRead = fi.Size()
 			}
@@ -611,6 +694,7 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 	}
 
 	m.mu.Lock()
+	m.putBufLocked(b)
 	if err != nil {
 		if fromFrozen {
 			h.state = stFrozen
@@ -646,17 +730,12 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 
 // sanitize keeps spill file names to a portable character set.
 func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
+	s = strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
+			return r
 		}
-		if len(out) >= 48 {
-			break
-		}
-	}
-	return string(out)
+		return '_'
+	}, s)
+	return s[:min(len(s), 48)]
 }

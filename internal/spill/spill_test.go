@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -224,7 +225,8 @@ func (f *failingIndex) WriteSnapshot(w io.Writer) error {
 // manager may only detach storage after the snapshot is safely on disk —
 // and must not be retried in a hot loop.
 func TestFailedFreezeKeepsIndexResident(t *testing.T) {
-	m, err := New(1, "")
+	dir := filepath.Join(t.TempDir(), "spills")
+	m, err := New(1, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +254,154 @@ func TestFailedFreezeKeepsIndexResident(t *testing.T) {
 	}
 	fi.verify(t, 32, 500)
 	h.Unpin()
+
+	// The manager reuses its I/O buffers, and the failures above left one
+	// holding the bytes of a snapshot nobody kept. Neither that nor a freeze
+	// that cannot even create its file (the spill directory is gone) may
+	// reach the next freeze: once the directory is back, a new entry must
+	// freeze and come back bit-identical.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	lost := newFakeIndex(32, 700)
+	if hl := m.Register("nodir", lost, lost.Bytes); hl.Frozen() || lost.Bytes() == 0 {
+		t.Fatal("freeze without a spill directory did not keep the index resident")
+	}
+	lost.verify(t, 32, 700)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	next := newFakeIndex(32, 800)
+	hn := m.Register("next", next, next.Bytes)
+	if !hn.Frozen() || next.Bytes() != 0 {
+		t.Fatal("entry registered after the failures was not frozen")
+	}
+	if st, err := os.Stat(hn.file); err != nil {
+		t.Fatal(err)
+	} else if st.Size() != int64(next.size) {
+		t.Fatalf("spill file holds %d bytes, snapshot is %d: a reused buffer leaked into it", st.Size(), next.size)
+	}
+	if err := hn.Pin(); err != nil {
+		t.Fatal(err)
+	}
+	next.verify(t, 32, 800)
+	hn.Unpin()
+}
+
+// PinSet must treat an operator's inputs as a unit: with a budget that holds
+// one index, pinning two frozen ones thaws each exactly once — no member is
+// evicted to make room for a sibling — and runs over budget rather than
+// thrash; UnpinSet then leaves the eviction to the next balance. A failing
+// member leaves nothing pinned.
+func TestPinSetThawsEachMemberOnce(t *testing.T) {
+	const blocks = 64
+	a, b, c := newFakeIndex(blocks, 1000), newFakeIndex(blocks, 2000), newFakeIndex(blocks, 3000)
+	one := int64(a.Bytes())
+	m, err := New(one+one/2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ha := m.Register("a", a, a.Bytes)
+	hb := m.Register("b", b, b.Bytes) // freezes a
+	hc := m.Register("c", c, c.Bytes) // freezes b
+	if !ha.Frozen() || !hb.Frozen() || hc.Frozen() {
+		t.Fatal("set-up: a and b should be frozen, c resident")
+	}
+	set := []PinReq{{H: ha}, {H: hb}}
+	if err := m.PinSet(nil, set); err != nil {
+		t.Fatal(err)
+	}
+	a.verify(t, blocks, 1000)
+	b.verify(t, blocks, 2000)
+	if st := m.Stats(); st.Restores != 2 || st.Spills != 3 || !hc.Frozen() {
+		t.Fatalf("pinning {a, b}: %+v, c frozen=%v; want 2 restores, c evicted by the one balance", st, hc.Frozen())
+	}
+	m.UnpinSet(set)
+	if st := m.Stats(); st.Spills != 3 || ha.Frozen() || hb.Frozen() {
+		t.Fatalf("UnpinSet balanced: %+v", st)
+	}
+	hb.Drop()
+	if err := m.PinSet(nil, []PinReq{{H: ha}, {H: hb}}); err == nil {
+		t.Fatal("PinSet over a dropped member succeeded")
+	}
+	hd := m.Register("d", newFakeIndex(blocks, 4000), func() int { return int(one) })
+	if !ha.Frozen() || hd.Frozen() {
+		t.Fatal("a failed PinSet left its first member pinned")
+	}
+}
+
+// One freeze→thaw cycle allocates what names the file and frames the
+// stream, not the buffers the bytes go through: those are the manager's,
+// and the chunks come back from the recycler. (Each cycle used to make a
+// 1 MiB writer and a 1 MiB or per-section 256 KiB reader.)
+func TestSpillCycleAllocBudget(t *testing.T) {
+	// An entry that is never frozen costs its Handle: no file name is built
+	// for a file that is never written.
+	idle, err := New(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	fi := newFakeIndex(4, 1)
+	size := fi.Bytes
+	if n := testing.AllocsPerRun(100, func() { idle.Register("σ→never frozen", fi, size).Drop() }); n > 1 {
+		t.Errorf("Register → Drop of a never-frozen entry makes %v allocations, want the Handle alone", n)
+	}
+	for _, ranged := range []bool{false, true} {
+		m, err := New(1, "") // everything unpinned spills
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := arena.NewRecycler()
+		row := make([]uint64, 1)
+		cycle := func() {
+			tr := prefixtree.MustNew(prefixtree.Config{PrefixLen: 4, KeyBits: 32, PayloadWidth: 1, Recycler: rec})
+			for i := 0; i < 2000; i++ {
+				row[0] = uint64(i) * 3
+				tr.Insert(uint64(i), row)
+			}
+			h := m.Register("cycle", tr, tr.Bytes)
+			if !h.Frozen() {
+				t.Fatal("not frozen under a 1-byte budget")
+			}
+			var err error
+			if ranged {
+				err = h.PinRange(100, 200)
+			} else {
+				err = h.Pin()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTreeRange(t, tr, 100, 200)
+			h.Unpin()
+			h.Drop()
+			tr.Release()
+		}
+		cycle() // warm-up: the manager makes its buffers, the pool its chunks
+		const cycles = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&m1)
+		// About 2 KiB in practice: the tree header, the file name, two
+		// os.Files, the chunk directory.
+		const budget = 16 << 10
+		perCycle := (m1.TotalAlloc - m0.TotalAlloc) / cycles
+		t.Logf("ranged=%v: %d B per freeze→thaw cycle", ranged, perCycle)
+		if perCycle > budget {
+			t.Errorf("ranged=%v: one freeze→thaw cycle allocates %d B, budget %d", ranged, perCycle, budget)
+		}
+		if st := m.Stats(); st.Spills < cycles || st.Restores < cycles {
+			t.Fatalf("cycles did not spill and restore: %+v", st)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // buildTree returns a prefix tree of n sequential keys; *prefixtree.Tree
@@ -445,44 +595,7 @@ func TestHandleDrop(t *testing.T) {
 	}
 }
 
-// Detach must pull an entry out of the managed set with its structure
-// fully resident and its spill state gone — the shared-manager path for a
-// plan's result index.
-func TestHandleDetach(t *testing.T) {
-	m, err := New(1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	fi := newFakeIndex(64, 7)
-	h := m.Register("result", fi, fi.Bytes)
-	if !h.Frozen() {
-		t.Fatal("1-byte budget did not freeze the entry")
-	}
-	file := h.file
-	if err := h.Detach(); err != nil {
-		t.Fatal(err)
-	}
-	fi.verify(t, 64, 7) // thawed and usable without any pin
-	if _, err := os.Stat(file); !os.IsNotExist(err) {
-		t.Fatalf("spill file survived detach: %v", err)
-	}
-	if got := m.Stats().Resident; got != 0 {
-		t.Fatalf("detached entry still tracked: resident=%d", got)
-	}
-	// The manager no longer owns the entry: registering more load must
-	// not re-evict it (nothing to evict — it left the set), and Close
-	// must not touch its storage.
-	other := newFakeIndex(64, 9)
-	m.Register("other", other, other.Bytes)
-	fi.verify(t, 64, 7)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fi.verify(t, 64, 7)
-}
-
-// Dropped and detached handles must leave the managed slice — a
+// Dropped handles must leave the managed slice — a
 // session-lifetime manager would otherwise accumulate one dead handle per
 // intermediate per query forever.
 func TestDropForgetsHandle(t *testing.T) {
@@ -493,12 +606,7 @@ func TestDropForgetsHandle(t *testing.T) {
 	defer m.Close()
 	for i := 0; i < 10; i++ {
 		fi := newFakeIndex(4, uint32(i))
-		h := m.Register(fmt.Sprintf("e%d", i), fi, fi.Bytes)
-		if i%2 == 0 {
-			h.Drop()
-		} else if err := h.Detach(); err != nil {
-			t.Fatal(err)
-		}
+		m.Register(fmt.Sprintf("e%d", i), fi, fi.Bytes).Drop()
 	}
 	m.mu.Lock()
 	n := len(m.all)

@@ -6,20 +6,34 @@ import (
 	"qppt/internal/core"
 )
 
+// intermediates counts the operator outputs of a finished plan that a later
+// operator read back: every materialized output but the root's. Only those
+// ever enter the spill manager.
+func intermediates(stats *core.PlanStats) int {
+	n := -1
+	for _, op := range stats.Ops {
+		if !op.Fused {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSpillBudgetMatchesUnbudgeted is the spilling acceptance test: every
-// SSB query runs under a memory budget smaller than the plan's peak
-// intermediate-index footprint, actually spills and restores intermediate
-// indexes (nonzero counters in PlanStats), and produces rows bit-identical
-// to the unbudgeted run — spilling is a pure storage decision.
+// SSB query runs under a memory budget smaller than any one intermediate
+// index, spills and restores what a later operator reads back (nonzero
+// counters in PlanStats) — and nothing when the plan is a single operator,
+// whose output is the caller's — and produces rows bit-identical to the
+// unbudgeted run: spilling is a pure storage decision.
 func TestSpillBudgetMatchesUnbudgeted(t *testing.T) {
 	runSuite(t, testDataset(t), suite{
 		shapes: bothShapes,
 		legs:   []runConfig{{core.EnvConfig{MemBudget: halfPeak}, core.Options{CollectStats: true}}},
 		check: func(t *testing.T, qid string, shape PlanOptions, leg runConfig, _ *QueryResult, stats *core.PlanStats) {
 			budget := leg.env.MemBudget
-			if stats.Spills == 0 || stats.Restores == 0 {
-				t.Errorf("Q%s %+v budget=%d: spills=%d restores=%d, want both nonzero",
-					qid, shape, budget, stats.Spills, stats.Restores)
+			if want := intermediates(stats) > 0; (stats.Spills > 0) != want || (stats.Restores > 0) != want {
+				t.Errorf("Q%s %+v budget=%d: spills=%d restores=%d with %d intermediates",
+					qid, shape, budget, stats.Spills, stats.Restores, intermediates(stats))
 			}
 			if stats.MemBudget != budget {
 				t.Errorf("Q%s: stats budget = %d, want %d", qid, stats.MemBudget, budget)
@@ -40,7 +54,7 @@ func TestSpillBudgetUnderParallelism(t *testing.T) {
 			core.Options{MorselsPerWorker: 3, CollectStats: true},
 		}},
 		check: func(t *testing.T, qid string, _ PlanOptions, _ runConfig, _ *QueryResult, stats *core.PlanStats) {
-			if stats.Spills == 0 || stats.Restores == 0 {
+			if intermediates(stats) > 0 && (stats.Spills == 0 || stats.Restores == 0) {
 				t.Errorf("Q%s: parallel run recorded spills=%d restores=%d", qid, stats.Spills, stats.Restores)
 			}
 		},

@@ -7,7 +7,8 @@
 // chunks verbatim in one sequential pass; Arena[T] cannot be dumped
 // generically (T may embed Go pointers, e.g. a content leaf's duplicate
 // list), so its owner serializes the elements itself and rebuilds them
-// index-for-index with Reset + Alloc on thaw.
+// index-for-index with Reset + Alloc on thaw, checking them against the
+// per-chunk directory (LeafChunkDir) it wrote ahead of them.
 //
 // Writer and Reader reinterpret slices as raw bytes (unsafe.Slice) — spill
 // files live for one plan execution on the machine that wrote them, so
@@ -15,7 +16,6 @@
 package arena
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -127,57 +127,6 @@ func readGrow[T uint32 | uint64](r *Reader, n uint64, read func(*Reader, []T)) [
 	}
 }
 
-// A Source is a snapshot file open for a thaw, read through a buffer its
-// owner keeps from one thaw to the next (Reset). Framing words are served
-// from the buffer; a read at least as large as the buffer goes to the file
-// directly, so chunk payloads are copied once. One Source spans every
-// structure sharing the file: a buffer per structure would read ahead into
-// the next one's bytes.
-type Source struct {
-	f  io.ReadSeeker
-	br *bufio.Reader
-}
-
-// NewSource returns a Source reading f from its current position.
-func NewSource(f io.ReadSeeker) *Source {
-	return &Source{f: f, br: bufio.NewReaderSize(f, 1<<16)}
-}
-
-// Reset points s at another file (nil: none), keeping the buffer.
-func (s *Source) Reset(f io.ReadSeeker) {
-	s.f = f
-	s.br.Reset(f)
-}
-
-func (s *Source) Read(p []byte) (int, error) { return s.br.Read(p) }
-
-// Skip moves n bytes ahead: inside the buffer where it reaches, with a seek
-// where it does not.
-func (s *Source) Skip(n uint64) error {
-	if b := uint64(s.br.Buffered()); n > b {
-		_, err := s.f.Seek(int64(n-b), io.SeekCurrent)
-		s.br.Reset(s.f)
-		return err
-	}
-	_, err := s.br.Discard(int(n))
-	return err
-}
-
-// Remaining reports the bytes between the read position and the file's end.
-// The file is left where it was, so the buffered bytes stay valid.
-func (s *Source) Remaining() (uint64, error) {
-	pos, err := s.f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, err
-	}
-	end, err := s.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, err
-	}
-	_, err = s.f.Seek(pos, io.SeekStart)
-	return uint64(max(end-pos, 0)) + uint64(s.br.Buffered()), err
-}
-
 // WriteChunks writes the arena's content — block count, free list, and
 // every chunk's slots — in one sequential pass. The chunk geometry is not
 // written: it is fixed at MakeSlots time and must match on ReadChunks.
@@ -191,8 +140,8 @@ func (s *Slots) WriteChunks(w *Writer) {
 }
 
 // SnapshotLen reports the exact number of bytes WriteChunks will produce —
-// the freeze formats record it so a partial thaw can seek past an already
-// resident node section.
+// the freeze formats record it as the section's length prefix, which bounds
+// the counts a thaw reads from the section (ReadChunks).
 func (s *Slots) SnapshotLen() uint64 {
 	words := 0
 	for _, c := range s.chunks {
@@ -241,12 +190,14 @@ func (s *Slots) ReadChunks(r *Reader, size uint64) error {
 	return r.Err
 }
 
-// LeafChunkDir builds the per-chunk directory a partial thaw navigates
-// by: one {min key, max key, byte length} triple per arena chunk, where
-// min/max range over the live elements (liveKey reports ok == false for
-// recycled zero elements, which carry no data) and size reports each
-// element's serialized byte length. A chunk with no live elements gets
-// the empty sentinel min > max, so no key range ever selects it.
+// LeafChunkDir builds the per-chunk directory a thaw checks the elements
+// against: one {min key, max key, byte length} triple per arena chunk,
+// where min/max range over the live elements (liveKey reports ok == false
+// for recycled zero elements, which carry no data) and size reports each
+// element's serialized byte length. The lengths bound the counts a thaw
+// reads for each chunk, the keys bound each live element's key. A chunk
+// with no live elements gets the empty sentinel min > max, which no live
+// key satisfies.
 func LeafChunkDir[T any](a *Arena[T], size func(*T) uint64, liveKey func(*T) (uint64, bool)) []uint64 {
 	chunkSize := uint32(1) << a.bits
 	nChunks := (a.Len() + int(chunkSize) - 1) / int(chunkSize)
@@ -270,54 +221,4 @@ func LeafChunkDir[T any](a *Arena[T], size func(*T) uint64, liveKey func(*T) (ui
 		flush()
 	}
 	return dir
-}
-
-// ThawChunks is the chunk skip/restore loop of a partial thaw. src must be
-// positioned at the first chunk's serialized data; dir is the LeafChunkDir
-// directory of a's elements, its byte lengths already checked against the
-// bytes src holds; thawed tracks per-chunk restore state across additive
-// calls (ignored when skim is set — a fully resident structure just skips
-// to the stream end). Chunks whose key range intersects [lo, hi] and are
-// not yet thawed are rebuilt element-by-element through restore, which is
-// told how many of the chunk's bytes are left and reports how many it took;
-// all other chunks are skipped. Returns the bytes actually read and whether
-// every chunk is now restored.
-func ThawChunks[T any](src *Source, a *Arena[T], dir []uint64,
-	thawed []bool, skim bool, lo, hi uint64,
-	restore func(r *Reader, lf *T, left uint64) (uint64, error)) (int64, bool, error) {
-	chunkSize, n := uint64(1)<<a.bits, uint64(a.Len())
-	if nChunks := (n + chunkSize - 1) / chunkSize; uint64(len(dir)) != 3*nChunks ||
-		!skim && uint64(len(thawed)) != nChunks {
-		return 0, false, Corruptf("%d-word chunk directory for %d elements", len(dir), n)
-	}
-	var nRead int64
-	r := Reader{R: src}
-	full := true
-	for ci := uint64(0); ci*3 < uint64(len(dir)); ci++ {
-		minK, maxK, nb := dir[3*ci], dir[3*ci+1], dir[3*ci+2]
-		if !skim && !thawed[ci] && minK > maxK {
-			thawed[ci] = true // no live elements: zero is already right
-		}
-		if skim || thawed[ci] || minK > hi || maxK < lo {
-			full = full && (skim || thawed[ci])
-			if err := src.Skip(nb); err != nil {
-				return nRead, false, err
-			}
-			continue
-		}
-		nRead += int64(nb)
-		base := ci * chunkSize // < n: the directory has one entry per chunk of a
-		for j := uint64(0); j < min(chunkSize, n-base); j++ {
-			used, err := restore(&r, a.At(uint32(base+j)), nb)
-			if err != nil {
-				return nRead, false, err
-			}
-			nb -= used
-		}
-		if nb != 0 {
-			return nRead, false, Corruptf("chunk %d: %d bytes are not elements", ci, nb)
-		}
-		thawed[ci] = true
-	}
-	return nRead, full, nil
 }

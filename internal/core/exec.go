@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -288,11 +289,8 @@ type PlanStats struct {
 	// SpillBytesWritten counts the file bytes the freezes wrote, beside the
 	// resident bytes (SpillBytes) they released.
 	SpillBytesWritten int64
-	// RestoreBytesRead counts the spill-file bytes actually read during
-	// restores (range-skipped chunks excluded); PartialRestores counts
-	// the range-restricted restore events.
+	// RestoreBytesRead counts the spill-file bytes the restores read.
 	RestoreBytesRead int64
-	PartialRestores  int
 	// ChunksRecycled/ChunksReused/RecycleSavedBytes are this plan's share
 	// of the Env recycler's traffic (EnvConfig.Recycle): chunks parked in
 	// the pool, chunk allocations served from it, and the heap allocation
@@ -323,9 +321,6 @@ func (ps *PlanStats) String() string {
 			spill.FormatBytes(ps.MemBudget), ps.Spills, spill.FormatBytes(ps.SpillBytes),
 			spill.FormatBytes(ps.SpillBytesWritten), ps.Restores, spill.FormatBytes(ps.RestoreBytes), spill.FormatBytes(ps.RestoreBytesRead),
 			spill.FormatBytes(ps.PeakResident))
-		if ps.PartialRestores > 0 {
-			s += fmt.Sprintf("  %d partial (range-restricted) restores\n", ps.PartialRestores)
-		}
 	}
 	if ps.ChunksRecycled > 0 || ps.ChunksReused > 0 {
 		s += fmt.Sprintf("recycler: %d chunks parked, %d reused (%s of allocation avoided)\n",
@@ -495,7 +490,6 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 			stats.SpillBytes, stats.RestoreBytes = ms.SpillBytes-spill0.SpillBytes, ms.RestoreBytes-spill0.RestoreBytes
 			stats.SpillBytesWritten = ms.SpillBytesWritten - spill0.SpillBytesWritten
 			stats.RestoreBytesRead = ms.RestoreBytesRead - spill0.RestoreBytesRead
-			stats.PartialRestores = ms.PartialRestores - spill0.PartialRestores
 			// Peak is a high-water mark: report how much this plan raised
 			// it (0 = stayed under the Env's prior peak), consistent with
 			// the sibling delta counters.
@@ -677,53 +671,26 @@ func (ex *executor) entry(op Operator) *memoEntry {
 	return e
 }
 
-// A pinSet names one operator's resolved inputs for pinInputs; fused
-// chains pass one set per link.
-type pinSet struct {
-	op     Operator
-	inputs []*IndexedTable
-}
-
 // pinInputs is the operator prologue: it restores — and protects from
 // eviction — every spilled input the given operators are about to scan or
 // probe, as one set (spill.Manager.PinSet), so thawing one input never
-// evicts another the same operator reads. Operators that only touch part of
-// an input's key space (inputRanger) pin that range, so a frozen input thaws
-// only the chunks the scan will reach. The set is in Seq order: an uncovered
-// range top-up waits for an entry's pins to drain, and ordered acquisition
-// keeps those waits cycle-free across concurrent branches. The returned set
-// stays pinned until finishOp; on error nothing stays pinned.
-func (ex *executor) pinInputs(sets []pinSet) ([]spill.PinReq, error) {
+// evicts another the same operator reads. A fused chain passes one input
+// list per link; an intermediate read on several ordinals is pinned once.
+// The returned set stays pinned until finishOp; on error nothing stays
+// pinned.
+func (ex *executor) pinInputs(inputLists ...[]*IndexedTable) ([]*spill.Handle, error) {
 	if ex.spill == nil {
 		return nil, nil
 	}
-	var set []spill.PinReq
-	for _, s := range sets {
-		rr, _ := s.op.(inputRanger)
-	inputs:
-		for i, in := range s.inputs {
-			h := ex.handleOf(in)
-			if h == nil {
-				continue // base table, unspillable kind, or fused placeholder
+	var set []*spill.Handle
+	for _, inputs := range inputLists {
+		for _, in := range inputs {
+			// nil: base table, unspillable kind, or fused placeholder.
+			if h := ex.handleOf(in); h != nil && !slices.Contains(set, h) {
+				set = append(set, h)
 			}
-			r := spill.PinReq{H: h}
-			if rr != nil {
-				r.Lo, r.Hi, r.Ranged = rr.inputKeyRange(i)
-			}
-			for j := range set {
-				if set[j].H == h {
-					// One pin must serve every ordinal reading this
-					// intermediate; widen to full unless the ranges agree.
-					if set[j] != r {
-						set[j].Ranged = false
-					}
-					continue inputs
-				}
-			}
-			set = append(set, r)
 		}
 	}
-	sort.Slice(set, func(a, b int) bool { return set[a].H.Seq() < set[b].H.Seq() })
 	if err := ex.spill.PinSet(ex.ctx, set); err != nil {
 		return nil, err
 	}
@@ -738,7 +705,7 @@ func (ex *executor) pinInputs(sets []pinSet) ([]spill.PinReq, error) {
 // balanced once. Base tables stay out (the budget governs what the plan
 // adds), and so does the plan root: the caller owns it, and an entry nobody
 // pins again could only cost a freeze and the thaw that undoes it.
-func (ex *executor) finishOp(op Operator, e *memoEntry, pinned []spill.PinReq, children []Operator, inputs []*IndexedTable) {
+func (ex *executor) finishOp(op Operator, e *memoEntry, pinned []*spill.Handle, children []Operator, inputs []*IndexedTable) {
 	if ex.uses != nil && e.err == nil {
 		for i, c := range children {
 			ex.releaseInput(c, inputs[i])
@@ -804,7 +771,7 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 				inputs[i] = in
 			}
 		}
-		pinned, err := ex.pinInputs([]pinSet{{op: op, inputs: inputs}})
+		pinned, err := ex.pinInputs(inputs)
 		if err != nil {
 			e.err = err
 			return

@@ -494,11 +494,7 @@ func (ex *executor) runChain(ch *fuseChain, e *memoEntry, stats *PlanStats) {
 	for i := 1; i < n; i++ {
 		inputsOf[i][ch.ords[i]] = fuseSpec(ch.links[i-1]).ShapeOf()
 	}
-	sets := make([]pinSet, n)
-	for i, l := range ch.links {
-		sets[i] = pinSet{op: l, inputs: inputsOf[i]}
-	}
-	pinned, err := ex.pinInputs(sets)
+	pinned, err := ex.pinInputs(inputsOf...)
 	if err != nil {
 		e.err = err
 		return

@@ -19,16 +19,6 @@ type Operator interface {
 	run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error)
 }
 
-// inputRanger is implemented by operators whose execution only touches
-// part of an input's key space. The executor uses it to thaw a frozen
-// (spilled) input partially: only the chunks the declared range touches
-// come back from disk (spill.Handle.PinRange).
-type inputRanger interface {
-	// inputKeyRange reports the inclusive key interval the operator will
-	// query on input ordinal i; ok == false means the whole key space.
-	inputKeyRange(i int) (lo, hi uint64, ok bool)
-}
-
 // predEnvelope returns the inclusive hull of a selection predicate's
 // ranges; ok is false for a nil predicate (scan everything).
 func predEnvelope(pred KeyPred) (uint64, uint64, bool) {
@@ -92,15 +82,6 @@ func (s *Selection) CtxOf(input *IndexedTable, attr string) int {
 	return mustResolve(newCtxLayout(input), Ref{Input: 0, Attr: attr})
 }
 
-// inputKeyRange implements inputRanger: the scan only touches the
-// predicate's key ranges, so a spilled input thaws just their envelope.
-func (s *Selection) inputKeyRange(i int) (uint64, uint64, bool) {
-	if i != 0 {
-		return 0, 0, false
-	}
-	return predEnvelope(s.Pred)
-}
-
 // pipe builds the selection's combination pipeline over its input; the
 // caller attaches the sink (setSink to materialize, setForward to fuse).
 func (s *Selection) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, error) {
@@ -122,9 +103,8 @@ func (s *Selection) scan(inputs []*IndexedTable) scanFn {
 }
 
 // bounds returns the morsel interval: with a predicate, morsels partition
-// its envelope instead of the data bounds — the scan clips every morsel
-// to the predicate anyway, and a partially thawed input must not be asked
-// for Min/Max (its skipped leaves read as empty key-0 leaves).
+// its envelope instead of the data bounds, because the scan clips every
+// morsel to the predicate anyway.
 func (s *Selection) bounds(inputs []*IndexedTable) boundsFn {
 	in := inputs[0]
 	return func() (uint64, uint64, bool) {
@@ -358,15 +338,6 @@ func (sj *SelectJoin) Children() []Operator {
 	return ops
 }
 
-// inputKeyRange implements inputRanger for the selection input; the main
-// and assisting indexes are probed on arbitrary keys and need full pins.
-func (sj *SelectJoin) inputKeyRange(i int) (uint64, uint64, bool) {
-	if i != 0 {
-		return 0, 0, false
-	}
-	return predEnvelope(sj.Pred)
-}
-
 // pipe builds the select-join's probe pipeline: the main probe at stage
 // 0, assists after, with the selection residual at the pipeline entry and
 // the main residual between the main probe and the first assist.
@@ -403,8 +374,7 @@ func (sj *SelectJoin) scan(inputs []*IndexedTable) scanFn {
 }
 
 // bounds returns the selection scan's morsel interval. See
-// Selection.bounds: the predicate envelope stands in for the data bounds
-// so a partially thawed selection input is never asked for Min/Max.
+// Selection.bounds: the predicate envelope stands in for the data bounds.
 func (sj *SelectJoin) bounds(inputs []*IndexedTable) boundsFn {
 	sel := inputs[0]
 	return func() (uint64, uint64, bool) {

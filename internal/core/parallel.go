@@ -408,9 +408,7 @@ func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*Indexe
 	// any other intermediate: register them with the manager (all or
 	// nothing — an unfreezable index kind keeps every partial resident)
 	// so a large merge does not hold the full partial population resident.
-	// Each merge task then pins just its key range of every partial, in
-	// registration (Seq) order — ordered acquisition keeps the pin waits
-	// cycle-free across concurrent merge tasks and operator resolves.
+	// Each merge task then pins every partial for its range's merge.
 	var phs []*spill.Handle
 	if ec.spill != nil {
 		phs = make([]*spill.Handle, len(partials))
@@ -433,7 +431,7 @@ func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*Indexe
 		}
 		for i, h := range phs {
 			//qpptvet:ignore pinbalance loop pins are balanced by the Unpin loop after the merge and the phs[:i] cleanup on error
-			if err := h.PinRangeCtx(ec.ctx, los[r], his[r]); err != nil {
+			if err := h.PinCtx(ec.ctx); err != nil {
 				for _, ph := range phs[:i] {
 					ph.Unpin()
 				}

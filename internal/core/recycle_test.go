@@ -112,76 +112,3 @@ func TestFreezerOfUnspillableKind(t *testing.T) {
 		t.Fatal("sharded index over an unspillable shard reported as freezable")
 	}
 }
-
-// A range-restricted Selection over a frozen intermediate must thaw only
-// the chunks its predicate envelope touches: the partial-restore counter
-// moves and fewer spill-file bytes are read than a full restore of the
-// same plan shape needs.
-func TestPartialThawReadsLessForRangePredicates(t *testing.T) {
-	// A base table with enough distinct keys that its intermediate copy
-	// spans many leaf chunks (a KISS leaf chunk holds 8192 leaves).
-	const nKeys = 60000
-	baseIdx := NewIndex(IndexConfig{KeyBits: 32, PayloadWidth: 1})
-	for k := uint64(0); k < nKeys; k++ {
-		baseIdx.Insert(k, []uint64{k * 7})
-	}
-	base := NewIndexedTable("wide[k]", SimpleKey("k", 32), []string{"v"}, baseIdx)
-	// identity σ materializes the fat intermediate; the outer σ reads a
-	// narrow band out of it.
-	mkPlan := func(pred KeyPred) *Plan {
-		ident := &Selection{
-			Input: &Base{Table: base},
-			Pred:  Between(0, nKeys-1),
-			Out: OutputSpec{
-				Name:     "fat",
-				Key:      SimpleKey("k", 32),
-				KeyRefs:  []Ref{{Input: 0, Attr: "k"}},
-				Cols:     []string{"v"},
-				ColExprs: []RowExpr{Attr(0, "v")},
-			},
-		}
-		return &Plan{Root: &Selection{
-			Input: ident,
-			Pred:  pred,
-			Out: OutputSpec{
-				Name:     "band",
-				Key:      SimpleKey("k", 32),
-				KeyRefs:  []Ref{{Input: 0, Attr: "k"}},
-				Cols:     []string{"v"},
-				ColExprs: []RowExpr{Attr(0, "v")},
-			},
-		}}
-	}
-	narrow := Between(1000, 2000)
-
-	// Partial thaw needs the fat intermediate to exist: with fusion on,
-	// the single-consumer σ→σ edge streams and never materializes it, so
-	// this test runs the materialized path explicitly.
-	want, _, err := run(t, EnvConfig{}, mkPlan(narrow), Options{NoFuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := run(t, EnvConfig{MemBudget: 1}, mkPlan(narrow), Options{CollectStats: true, NoFuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(Extract(got).Rows, Extract(want).Rows) {
-		t.Fatal("partially thawed selection result differs")
-	}
-	if stats.PartialRestores == 0 {
-		t.Fatalf("no partial restore recorded: %+v", stats)
-	}
-	partialRead := stats.RestoreBytesRead
-	if partialRead == 0 {
-		t.Fatal("no restore bytes recorded")
-	}
-	// The same plan with an unrestricted selection thaws everything.
-	_, full, err := run(t, EnvConfig{MemBudget: 1}, mkPlan(nil), Options{CollectStats: true, NoFuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.RestoreBytesRead <= partialRead {
-		t.Fatalf("range-restricted thaw read %d bytes, full thaw %d — no savings",
-			partialRead, full.RestoreBytesRead)
-	}
-}

@@ -3,45 +3,28 @@ package core
 import (
 	"io"
 
-	"qppt/internal/arena"
 	"qppt/internal/spill"
 )
 
 // Spill support for intermediate indexes (paper motivation: QPPT builds an
 // index per operator, so total intermediate-index footprint — not the base
 // tables — caps the runnable scale factor). The index adapters forward the
-// trees' freeze/thaw chunk hooks — including the range-restricted partial
-// thaw — and the executor registers every non-base operator output with
-// the Env's spill.Manager when EnvConfig.MemBudget is set.
+// trees' freeze/thaw chunk hooks, and the executor registers every
+// non-base operator output with the Env's spill.Manager when
+// EnvConfig.MemBudget is set.
 
 func (p ptIndex) WriteSnapshot(w io.Writer) error { return p.t.WriteSnapshot(w) }
 func (p ptIndex) Release()                        { p.t.Release() }
 func (p ptIndex) Thaw(r io.Reader) error          { return p.t.Thaw(r) }
-func (p ptIndex) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
-	return p.t.ThawRange(src, lo, hi)
-}
 
 func (k kissIndex) WriteSnapshot(w io.Writer) error { return k.t.WriteSnapshot(w) }
 func (k kissIndex) Release()                        { k.t.Release() }
 func (k kissIndex) Thaw(r io.Reader) error          { return k.t.Thaw(r) }
-func (k kissIndex) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
-	return k.t.ThawRange(src, lo, hi)
-}
-
-func (p ptIndex) Frozen() bool   { return p.t.Frozen() }
-func (k kissIndex) Frozen() bool { return k.t.Frozen() }
-
-// frozenIndex reports whether an index's storage is currently detached
-// (spilled); the sharded ThawRange uses it to tell a fresh restore from a
-// top-up.
-type frozenIndex interface {
-	Frozen() bool
-}
 
 // WriteSnapshot writes every shard into one stream, in shard order; the
 // merge bounds, key ranges and counters stay resident. Because no shard
 // detaches until Release, an error midway through the stream leaves every
-// shard intact. The thaw paths restore the shards in the same order.
+// shard intact. Thaw restores the shards in the same order.
 func (s *shardedIndex) WriteSnapshot(w io.Writer) error {
 	for _, sh := range s.shards {
 		if err := sh.(spill.Freezer).WriteSnapshot(w); err != nil {
@@ -69,37 +52,6 @@ func (s *shardedIndex) Thaw(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// ThawRange forwards the consumer's range to every shard: a shard whose
-// key range misses [lo, hi] restores only its interior and skips all its
-// leaf chunks, so the range-restricted restore stays proportional to the
-// touched data however the merge sharded it. A mid-stream error on a
-// fresh (fully frozen) restore rolls every shard back to frozen; on a
-// top-up the previously resident portions stay intact, matching the
-// manager's resident-on-error handling.
-func (s *shardedIndex) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
-	fresh := true
-	for _, sh := range s.shards {
-		if fr, ok := sh.(frozenIndex); ok && !fr.Frozen() {
-			fresh = false
-			break
-		}
-	}
-	var total int64
-	full := true
-	for _, sh := range s.shards {
-		n, shFull, err := sh.(spill.RangeThawer).ThawRange(src, lo, hi)
-		total += n
-		full = full && shFull
-		if err != nil {
-			if fresh {
-				s.Release()
-			}
-			return total, false, err
-		}
-	}
-	return total, full, nil
 }
 
 // freezerOf returns the index's spill hook, or nil for index kinds that

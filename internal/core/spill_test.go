@@ -9,7 +9,9 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"qppt/internal/arena"
 	"qppt/internal/arena/arenatest"
@@ -127,6 +129,68 @@ func TestMemBudgetSpillsAndMatches(t *testing.T) {
 			t.Fatalf("workers=%d: per-op spill counts %d/%d don't add up to plan totals %d/%d",
 				workers, opSpills, opRestores, stats.Spills, stats.Restores)
 		}
+	}
+}
+
+// Under a budget the partition-wise merge registers the worker partials
+// with the spill manager and pins them for each merge range: a budget
+// below any partial freezes each on registration and thaws it for the
+// ranges that read it, the merging operator reports that traffic, and the
+// answer is the unbudgeted one.
+func TestBudgetedParallelMergeSpillsPartials(t *testing.T) {
+	const nKeys, groups = 100000, 2 * parallelMergeMinKeys
+	idx := NewIndex(IndexConfig{KeyBits: 32, PayloadWidth: 1})
+	for k := uint64(0); k < nKeys; k++ {
+		idx.Insert(k, []uint64{k % groups})
+	}
+	in := NewIndexedTable("t", SimpleKey("k", 32), []string{"g"}, idx)
+	sel := &Selection{
+		Input: &Base{Table: in},
+		Out: OutputSpec{
+			Name:     "Γ_g",
+			Key:      SimpleKey("g", 16),
+			KeyRefs:  []Ref{{Input: 0, Attr: "g"}},
+			Cols:     []string{"n"},
+			ColExprs: []RowExpr{Computed(func([]uint64) uint64 { return 1 })},
+			Fold:     FoldSum(0),
+		},
+	}
+	want, _, err := run(t, EnvConfig{}, &Plan{Root: sel}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Whoever scans key 0 waits until another worker scans the upper half,
+	// so at least two workers build partials however the pool is scheduled.
+	// The wait is bounded: a pool that never starts a second worker fails
+	// the Workers check below instead of hanging.
+	kOff := sel.CtxOf(in, "k")
+	late := make(chan struct{})
+	var once sync.Once
+	sel.Residual = func(ctx []uint64) bool {
+		switch k := ctx[kOff]; {
+		case k == 0:
+			select {
+			case <-late:
+			case <-time.After(10 * time.Second):
+			}
+		case k >= nKeys/2:
+			once.Do(func() { close(late) })
+		}
+		return true
+	}
+	got, stats, err := run(t, EnvConfig{Workers: 3, MemBudget: 1}, &Plan{Root: sel}, Options{CollectStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(Extract(got).Rows, Extract(want).Rows) {
+		t.Fatal("budgeted parallel merge changed the result")
+	}
+	op := stats.Ops[len(stats.Ops)-1]
+	if op.Workers < 2 {
+		t.Fatalf("the scan ran on %d worker: no partials to merge", op.Workers)
+	}
+	if op.Spills == 0 || op.Restores == 0 {
+		t.Fatalf("merging operator reports %d spills, %d restores; want both > 0", op.Spills, op.Restores)
 	}
 }
 
@@ -266,6 +330,17 @@ func TestSpillLiveness(t *testing.T) {
 	}
 }
 
+// frozen reports whether a tree-backed index's storage is detached.
+func frozen(idx Index) bool {
+	switch v := idx.(type) {
+	case ptIndex:
+		return v.t.Frozen()
+	case kissIndex:
+		return v.t.Frozen()
+	}
+	return false
+}
+
 // A multi-shard restore that fails midway must roll every shard back to
 // frozen, so a later thaw from the intact snapshot still succeeds — and
 // must never leave a mix of resident and frozen shards behind.
@@ -301,7 +376,7 @@ func TestShardedThawRollsBackOnError(t *testing.T) {
 	// …and the rollback must leave every shard frozen again, holding
 	// nothing — the shard the stream ended in included,
 	for _, shard := range sh.shards {
-		if !shard.(frozenIndex).Frozen() {
+		if !frozen(shard) {
 			t.Fatal("shard left resident after failed multi-shard thaw")
 		}
 	}
@@ -350,9 +425,9 @@ func snapshotCuts(b []byte) []int {
 
 // A three-shard index — a prefix tree, a KISS-Tree and a compressed
 // KISS-Tree sharing one stream — cut at every framing boundary and inside
-// a leaf of every shard: each way back fails with io.ErrUnexpectedEOF,
-// leaves every shard frozen with zero bytes and every drawn chunk back in
-// the pool, and the intact stream then restores the index.
+// a leaf of every shard: Thaw fails with io.ErrUnexpectedEOF, leaves every
+// shard frozen with zero bytes and every drawn chunk back in the pool, and
+// the intact stream then restores the index.
 func TestShardedThawTruncatedAnywhere(t *testing.T) {
 	arenatest.CheckZeroHandouts(t)
 	rec := arena.NewRecycler()
@@ -386,33 +461,23 @@ func TestShardedThawTruncatedAnywhere(t *testing.T) {
 	snapshot := buf.Bytes()
 	pooled := rec.Stats().PooledBytes
 
-	for name, thaw := range map[string]func(b []byte) error{
-		"Thaw": func(b []byte) error { return sh.Thaw(bytes.NewReader(b)) },
-		"ThawRange": func(b []byte) error {
-			_, _, err := sh.ThawRange(arena.NewSource(bytes.NewReader(b)), 0, keySpaceMax(bits))
-			return err
-		},
-	} {
-		for _, cut := range snapshotCuts(snapshot) {
-			if err := thaw(snapshot[:cut]); !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("%s cut at %d of %d: error %v, want io.ErrUnexpectedEOF", name, cut, len(snapshot), err)
-			}
-			for i, shard := range sh.shards {
-				if !shard.(frozenIndex).Frozen() || shard.Bytes() != 0 {
-					t.Fatalf("%s cut at %d: shard %d left frozen=%v with %d bytes",
-						name, cut, i, shard.(frozenIndex).Frozen(), shard.Bytes())
-				}
-			}
-			if got := rec.Stats().PooledBytes; got != pooled {
-				t.Fatalf("%s cut at %d: pool holds %d bytes, %d before the failed thaw", name, cut, got, pooled)
+	for _, cut := range snapshotCuts(snapshot) {
+		if err := sh.Thaw(bytes.NewReader(snapshot[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d of %d: error %v, want io.ErrUnexpectedEOF", cut, len(snapshot), err)
+		}
+		for i, shard := range sh.shards {
+			if !frozen(shard) || shard.Bytes() != 0 {
+				t.Fatalf("cut at %d: shard %d left frozen=%v with %d bytes", cut, i, frozen(shard), shard.Bytes())
 			}
 		}
-		if err := thaw(snapshot); err != nil {
-			t.Fatalf("%s of the intact stream: %v", name, err)
+		if got := rec.Stats().PooledBytes; got != pooled {
+			t.Fatalf("cut at %d: pool holds %d bytes, %d before the failed thaw", cut, got, pooled)
 		}
-		if !reflect.DeepEqual(collect(), want) {
-			t.Fatalf("%s: restored content differs", name)
-		}
-		sh.Release()
+	}
+	if err := sh.Thaw(bytes.NewReader(snapshot)); err != nil {
+		t.Fatalf("Thaw of the intact stream: %v", err)
+	}
+	if !reflect.DeepEqual(collect(), want) {
+		t.Fatal("restored content differs")
 	}
 }

@@ -19,7 +19,6 @@ type tree interface {
 	Frozen() bool
 	Freeze(w io.Writer) error
 	Thaw(r io.Reader) error
-	ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error)
 	Iterate(visit func(*freeze.Leaf) bool) bool
 	Release()
 }

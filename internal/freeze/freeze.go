@@ -22,29 +22,22 @@
 //	nChunks, nChunks × {min key, max key, byte length}
 //	nLeaves × {key, row count, rows}        a row is width words
 //
-// The length prefixes and the per-leaf-chunk directory
-// (arena.LeafChunkDir) make the stream self-indexing, which buys a second,
-// cheaper restore path next to the plain copying Thaw: ThawRange restores
-// the interior in full but only the leaf chunks whose key range intersects
-// a consumer's range. Skipped leaves stay zero (empty) — harmless for a
-// range-restricted consumer, because a zero leaf carries no rows and the
-// skipped chunks hold no key its range can reach. ThawRange is additive:
-// calling it again seeks past the resident sections and restores further
-// chunks in place, and a call spanning the full key space completes the
-// tree.
+// There is one way back: Thaw reads the whole stream in order. The length
+// prefixes and the per-leaf-chunk directory (arena.LeafChunkDir) are what
+// it checks the stream against: every count a thaw takes from the stream
+// is bounded by the lengths the format records before it sizes an
+// allocation or bounds a loop, and every live leaf's key must lie inside
+// its chunk's recorded {min key, max key}. Violations fail with
+// arena.ErrCorruptSnapshot, an early end of the stream with
+// io.ErrUnexpectedEOF. A thaw that fails leaves the tree frozen, holding
+// no storage.
 //
 // The codec consumes exactly its own bytes and never reads ahead, so
 // several structures can share one stream (a sharded index snapshots all
 // its shards into one spill file). Callers provide the buffering — a
-// writer, a reader, or the arena.Source a ThawRange reads and skips through
-// — and reuse it across events; wrapping w or r here would steal the next
-// structure's bytes and cost an allocation per freeze or thaw.
-//
-// Every count a thaw takes from the stream is checked against the lengths
-// the format records before it sizes an allocation or bounds a loop;
-// violations fail with arena.ErrCorruptSnapshot, an early end of the
-// stream with io.ErrUnexpectedEOF. A fresh thaw that fails leaves the tree
-// frozen, holding no storage; a failed top-up keeps what was resident.
+// writer or a reader — and reuse it across events; wrapping w or r here
+// would steal the next structure's bytes and cost an allocation per freeze
+// or thaw.
 package freeze
 
 import (
@@ -82,19 +75,12 @@ type Section struct {
 
 // State is the residency of a tree's chunk storage; the tree embeds it.
 type State struct {
-	frozen  bool
-	partial bool
-	thawed  []bool // per leaf chunk: restored by a ThawRange (while partial)
+	frozen bool
 }
 
 // Frozen reports whether the tree's chunk storage is currently detached
 // (spilled). A frozen tree must not be queried or mutated until thawed.
 func (s *State) Frozen() bool { return s.frozen }
-
-// Partial reports whether only part of the leaf payloads is resident (see
-// ThawRange). A partial tree must only be queried inside the union of the
-// thawed key ranges.
-func (s *State) Partial() bool { return s.partial }
 
 // A Codec freezes and thaws one tree. The tree builds it on demand from
 // its own fields; nothing in it outlives the call.
@@ -117,8 +103,8 @@ type Codec struct {
 // is what makes a failed spill harmless: on any write error nothing has
 // been dropped.
 func (c Codec) WriteSnapshot(out io.Writer) error {
-	if c.frozen || c.partial {
-		return fmt.Errorf("freeze: WriteSnapshot on a frozen or partially thawed tree")
+	if c.frozen {
+		return fmt.Errorf("freeze: WriteSnapshot on a frozen tree")
 	}
 	w := arena.Writer{W: out}
 	w.U64(c.Magic)
@@ -177,139 +163,68 @@ func (c Codec) Freeze(w io.Writer) error {
 // back verbatim, leaves are re-allocated index-for-index (so the compact
 // pointers inside the restored nodes stay valid), and payload rows are
 // rebuilt into the slab.
-func (c Codec) Thaw(r io.Reader) error {
+func (c Codec) Thaw(in io.Reader) (err error) {
 	if !c.frozen {
 		return fmt.Errorf("freeze: Thaw on a tree that is not frozen")
 	}
-	_, _, err := c.thaw(r, nil, 0, ^uint64(0))
-	return err
-}
-
-// ThawRange restores the tree far enough to serve queries inside [lo, hi]
-// (see the package comment) and returns the stream bytes it took from src
-// and whether the tree is now fully restored. A top-up never touches
-// resident chunks, so concurrent readers of previously thawed ranges stay
-// valid.
-func (c Codec) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
-	return c.thaw(src, src, lo, hi)
-}
-
-// thaw is the one restore: of everything from the stream in (src == nil;
-// nRead is not counted), or of what [lo, hi] needs from the seekable
-// src == in.
-func (c Codec) thaw(in io.Reader, src *arena.Source, lo, hi uint64) (nRead int64, full bool, err error) {
-	fresh := c.frozen
-	// A fully resident tree (possible as one shard of a partially thawed
-	// sharded index) just skims its stream: nothing is restored, every skip
-	// lands on the stream end.
-	skim := !c.frozen && !c.partial
-	if fresh {
-		defer func() {
-			if err != nil {
-				// Hand back whatever the failed pass attached: the tree reads
-				// as frozen with zero bytes again, so residency accounting
-				// stays right and a later pin can retry on the intact file.
-				c.Release()
-			}
-		}()
-	}
+	defer func() {
+		if err != nil {
+			// Hand back whatever the failed pass attached: the tree reads as
+			// frozen with zero bytes again, so residency accounting stays
+			// right and a later pin can retry on the intact file.
+			c.Release()
+		}
+	}()
 	r := &arena.Reader{R: in}
 	if magic := r.U64(); r.Err == nil && magic != c.Magic {
-		return 0, false, arena.Corruptf("freeze magic %#x, want %#x", magic, c.Magic)
+		return arena.Corruptf("freeze magic %#x, want %#x", magic, c.Magic)
 	}
-	nRead = 8
 	for i, s := range c.Sections {
 		n := r.U64()
 		if r.Err != nil {
-			return nRead, false, r.Err
+			return r.Err
 		}
-		nRead += 8
 		if n > math.MaxInt64/s.Unit {
-			return nRead, false, arena.Corruptf("section %d length prefix %d", i, n)
+			return arena.Corruptf("section %d length prefix %d", i, n)
 		}
-		size := n * s.Unit
-		if !fresh {
-			// Already resident, possibly in use by readers: skip.
-			if err := src.Skip(size); err != nil {
-				return nRead, false, err
-			}
-			continue
+		if err := s.Read(r, n*s.Unit); err != nil {
+			return err
 		}
-		if err := s.Read(r, size); err != nil {
-			return nRead, false, err
-		}
-		nRead += int64(size)
 	}
 	nLeaves, nChunks := r.U64(), r.U64()
 	if r.Err != nil {
-		return nRead, false, r.Err
+		return r.Err
 	}
 	chunkLen := uint64(c.Leaves.ChunkLen())
 	if nLeaves > arena.MaxElems || nChunks != (nLeaves+chunkLen-1)/chunkLen {
-		return nRead, false, arena.Corruptf("%d leaf chunks for %d leaves", nChunks, nLeaves)
+		return arena.Corruptf("%d leaf chunks for %d leaves", nChunks, nLeaves)
 	}
 	dir := r.U64sN(3 * nChunks)
 	if r.Err != nil {
-		return nRead, false, r.Err
+		return r.Err
 	}
-	nRead += 16 + 24*int64(nChunks)
+	// The directory's byte lengths bound each chunk's row counts, its key
+	// columns each live leaf's key.
 	row := make([]uint64, c.Width)
-	readLeaf := func(r *arena.Reader, lf *Leaf, left uint64) (uint64, error) {
-		return c.readLeaf(r, lf, row, left)
-	}
-
-	if src == nil {
-		// The whole stream in order; the directory's byte lengths bound
-		// each chunk's row counts.
-		for ci := uint64(0); ci < nChunks; ci++ {
-			left := dir[3*ci+2]
-			for j := ci * chunkLen; j < min(nLeaves, (ci+1)*chunkLen); j++ {
-				used, err := readLeaf(r, c.Leaves.At(c.Leaves.Alloc(Leaf{})), left)
-				if err != nil {
-					return nRead, false, err
-				}
-				left -= used
-			}
-			if left != 0 {
-				return nRead, false, arena.Corruptf("leaf chunk %d: %d bytes are not leaves", ci, left)
-			}
-		}
-		c.frozen = false
-		return nRead, true, nil
-	}
-
-	// The leaves must fit the directory, and the directory the file,
-	// before either sizes an allocation.
-	avail, err := src.Remaining()
-	if err != nil {
-		return nRead, false, err
-	}
-	var total uint64
 	for ci := uint64(0); ci < nChunks; ci++ {
-		nb := dir[3*ci+2]
-		if total += nb; nb > avail || total > avail {
-			return nRead, false, fmt.Errorf("leaf chunk %d of %d bytes: %w", ci, nb, io.ErrUnexpectedEOF)
+		minK, maxK, left := dir[3*ci], dir[3*ci+1], dir[3*ci+2]
+		for j := ci * chunkLen; j < min(nLeaves, (ci+1)*chunkLen); j++ {
+			lf := c.Leaves.At(c.Leaves.Alloc(Leaf{}))
+			used, err := c.readLeaf(r, lf, row, left)
+			if err != nil {
+				return err
+			}
+			if lf.Vals.Len() > 0 && (lf.Key < minK || lf.Key > maxK) {
+				return arena.Corruptf("leaf %d: key %d outside its chunk's [%d, %d]", j, lf.Key, minK, maxK)
+			}
+			left -= used
+		}
+		if left != 0 {
+			return arena.Corruptf("leaf chunk %d: %d bytes are not leaves", ci, left)
 		}
 	}
-	if 16*nLeaves > total || !fresh && nLeaves != uint64(c.Leaves.Len()) {
-		return nRead, false, arena.Corruptf("%d leaves in %d bytes", nLeaves, total)
-	}
-	if fresh {
-		for i := uint64(0); i < nLeaves; i++ {
-			c.Leaves.Alloc(Leaf{})
-		}
-		c.thawed = make([]bool, nChunks)
-	}
-	n, full, err := arena.ThawChunks(src, c.Leaves, dir, c.thawed, skim, lo, hi, readLeaf)
-	nRead += n
-	if err != nil || skim {
-		return nRead, full, err
-	}
-	c.frozen, c.partial = false, !full
-	if full {
-		c.thawed = nil
-	}
-	return nRead, full, nil
+	c.frozen = false
+	return nil
 }
 
 // readLeaf rebuilds one content leaf in place, drawing row storage from

@@ -100,25 +100,6 @@ func (fx fixture) cuts(b []byte) []int {
 	return slices.Compact(out)
 }
 
-// thawModes are the ways back from a stream: the plain Thaw, a ThawRange
-// that needs every leaf chunk, and one that needs the first few (whole:
-// the mode reads every byte of the stream).
-var thawModes = []struct {
-	name  string
-	whole bool
-	thaw  func(tr tree, b []byte) error
-}{
-	{"Thaw", true, func(tr tree, b []byte) error { return tr.Thaw(bytes.NewReader(b)) }},
-	{"ThawRange/full", true, func(tr tree, b []byte) error {
-		_, _, err := tr.ThawRange(arena.NewSource(bytes.NewReader(b)), 0, ^uint64(0))
-		return err
-	}},
-	{"ThawRange/narrow", false, func(tr tree, b []byte) error {
-		_, _, err := tr.ThawRange(arena.NewSource(bytes.NewReader(b)), 0, 1<<16)
-		return err
-	}},
-}
-
 // checkRolledBack asserts the one failure rule of a fresh thaw: the tree
 // is frozen again, holds nothing, and every chunk it drew from rec is back
 // (a stream that lies about its counts may have it draw, and hand back, a
@@ -134,34 +115,31 @@ func checkRolledBack(t testing.TB, what string, tr tree, rec *arena.Recycler, po
 }
 
 // A stream cut anywhere — at a section boundary, inside a section, inside
-// a leaf — fails every way back with io.ErrUnexpectedEOF, rolls the tree
-// back to frozen with its chunks in the pool, and the intact stream then
-// restores the full content.
+// a leaf — fails Thaw with io.ErrUnexpectedEOF, rolls the tree back to
+// frozen with its chunks in the pool, and the intact stream then restores
+// the full content.
 func TestTruncatedThawRollsBack(t *testing.T) {
 	arenatest.CheckZeroHandouts(t)
 	for _, fx := range fixtures {
 		rec := arena.NewRecycler()
 		tr, stream, want := fx.frozen(t, rec)
 		pooled := rec.Stats().PooledBytes
-		for _, mode := range thawModes {
-			for _, cut := range fx.cuts(stream) {
-				what := fmt.Sprintf("%s %s cut at %d of %d", fx.name, mode.name, cut, len(stream))
-				err := mode.thaw(tr, stream[:cut])
-				if !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Fatalf("%s: error %v, want io.ErrUnexpectedEOF", what, err)
-				}
-				checkRolledBack(t, what, tr, rec, pooled)
-				if got := rec.Stats().PooledBytes; got != pooled {
-					t.Fatalf("%s: pool grew from %d to %d bytes", what, pooled, got)
-				}
+		for _, cut := range fx.cuts(stream) {
+			what := fmt.Sprintf("%s cut at %d of %d", fx.name, cut, len(stream))
+			err := tr.Thaw(bytes.NewReader(stream[:cut]))
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s: error %v, want io.ErrUnexpectedEOF", what, err)
 			}
-			if err := mode.thaw(tr, stream); err != nil {
-				t.Fatalf("%s %s of the intact stream: %v", fx.name, mode.name, err)
+			checkRolledBack(t, what, tr, rec, pooled)
+			if got := rec.Stats().PooledBytes; got != pooled {
+				t.Fatalf("%s: pool grew from %d to %d bytes", what, pooled, got)
 			}
-			if mode.whole && !reflect.DeepEqual(content(tr), want) {
-				t.Fatalf("%s %s: restored content differs", fx.name, mode.name)
-			}
-			tr.Release()
+		}
+		if err := tr.Thaw(bytes.NewReader(stream)); err != nil {
+			t.Fatalf("%s: Thaw of the intact stream: %v", fx.name, err)
+		}
+		if !reflect.DeepEqual(content(tr), want) {
+			t.Fatalf("%s: restored content differs", fx.name)
 		}
 	}
 }
@@ -184,8 +162,9 @@ func (m mutant) apply(stream []byte) []byte {
 
 // inflated returns the count-inflated mutants of a stream: every length
 // prefix and every count behind one, the leaf and chunk counts, the first
-// directory entry's byte length and the first leaf's row count, each
-// overwritten with a small lie, a huge one and all ones.
+// directory entry's min key and byte length, and the first leaf's row
+// count, each overwritten with a small lie, a huge one and all ones. (A
+// min key raised above the chunk's smallest live key excludes that leaf.)
 func (fx fixture) inflated(b []byte) []mutant {
 	sections, leafCount, leaves := fx.layout(b)
 	var offs []int
@@ -195,7 +174,7 @@ func (fx fixture) inflated(b []byte) []mutant {
 			offs = append(offs, off+c)
 		}
 	}
-	offs = append(offs, leafCount, leafCount+8, leafCount+32)
+	offs = append(offs, leafCount, leafCount+8, leafCount+16, leafCount+32)
 	lies := func(off int, vs ...uint64) (out []mutant) {
 		for _, v := range vs {
 			out = append(out, mutant{uint32(off), binary.LittleEndian.AppendUint64(nil, v), ^uint32(0)})
@@ -214,35 +193,31 @@ func (fx fixture) inflated(b []byte) []mutant {
 	return append(out, lies(leaves+8, binary.LittleEndian.Uint64(b[leaves+8:])+1, 1<<40, ^uint64(0))...)
 }
 
-// checkHostile runs one damaged stream through every way back. A thaw may
-// succeed (not every byte is a count) unless the damage is a lie about a
-// count and the mode reads all of the stream; it never panics, never
-// allocates more than a small multiple of the stream, fails only with the
-// two typed errors, and a failure rolls back.
+// checkHostile thaws one damaged stream. The thaw may succeed (not every
+// byte is a count) unless the damage is a lie about a count; it never
+// panics, never allocates more than a small multiple of the stream, fails
+// only with the two typed errors, and a failure rolls back.
 func checkHostile(t testing.TB, fx fixture, tr tree, rec *arena.Recycler, b []byte, lie bool) {
 	t.Helper()
 	pooled := rec.Stats().PooledBytes
-	for _, mode := range thawModes {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		err := mode.thaw(tr, b)
-		runtime.ReadMemStats(&m1)
-		what := fmt.Sprintf("%s %s", fx.name, mode.name)
-		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(8*len(b)+8<<20); got > limit {
-			t.Fatalf("%s: allocated %d bytes for a %d-byte stream", what, got, len(b))
-		}
-		if err == nil {
-			if lie && mode.whole {
-				t.Fatalf("%s: thawed", what)
-			}
-			tr.Release()
-			continue
-		}
-		if !errors.Is(err, arena.ErrCorruptSnapshot) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("%s: untyped error %v", what, err)
-		}
-		checkRolledBack(t, what, tr, rec, pooled)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err := tr.Thaw(bytes.NewReader(b))
+	runtime.ReadMemStats(&m1)
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(8*len(b)+8<<20); got > limit {
+		t.Fatalf("%s: allocated %d bytes for a %d-byte stream", fx.name, got, len(b))
 	}
+	if err == nil {
+		if lie {
+			t.Fatalf("%s: thawed", fx.name)
+		}
+		tr.Release()
+		return
+	}
+	if !errors.Is(err, arena.ErrCorruptSnapshot) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("%s: untyped error %v", fx.name, err)
+	}
+	checkRolledBack(t, fx.name, tr, rec, pooled)
 }
 
 // Every inflated count must be caught: none of them describes the stream
@@ -268,7 +243,7 @@ var fuzzTrees struct {
 }
 
 // FuzzThaw damages a fixture's stream — kind picks the fixture, patch
-// lands at off, cut truncates — and thaws it every way back. The seed
+// lands at off, cut truncates — and thaws it. The seed
 // corpus under testdata holds, per tree kind, the intact stream, cuts and
 // inflated counts.
 func FuzzThaw(f *testing.F) {

@@ -8,9 +8,8 @@ import (
 	"qppt/internal/freeze"
 )
 
-// Freeze/Thaw: the KISS-Tree's spill hooks. The stream format, the two
-// restore paths (Thaw, ThawRange) and their failure rules live in package
-// freeze; the KISS-Tree contributes its magic word and three interior
+// Freeze/Thaw: the KISS-Tree's spill hooks. The stream format, the restore
+// and its failure rules live in package freeze; the KISS-Tree contributes its magic word and three interior
 // sections — the touched root pages and the second-level node chunks, both
 // verbatim, and the compressed nodes. Scalar state — key/row counters,
 // min/max bounds, the written root span, RCU-copy and root-page metrics —
@@ -191,8 +190,3 @@ func (t *Tree) Freeze(w io.Writer) error { return t.codec().Freeze(w) }
 
 // Thaw restores the storage WriteSnapshot wrote.
 func (t *Tree) Thaw(r io.Reader) error { return t.codec().Thaw(r) }
-
-// ThawRange restores the tree far enough to serve queries inside [lo, hi].
-func (t *Tree) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
-	return t.codec().ThawRange(src, lo, hi)
-}

@@ -1,15 +1,10 @@
 package kisstree
 
 import (
-	"bufio"
 	"bytes"
-	"io"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
-
-	"qppt/internal/arena"
 )
 
 // Freeze/Thaw must round-trip the KISS-Tree — root page directory, node
@@ -98,76 +93,5 @@ func TestKissFreezeThawRoundTrip(t *testing.T) {
 			t.Fatalf("compress=%v: second Thaw: %v", compress, err)
 		}
 		check("after second thaw")
-	}
-}
-
-// ThawRange must restore only the leaf chunks the key range touches and
-// answer in-range queries identically; a full-span call completes the
-// tree in place.
-func TestKissThawRangePartialRestore(t *testing.T) {
-	const n = 50000 // several 8192-leaf chunks
-	tr := MustNew(Config{PayloadWidth: 1})
-	for i := 0; i < n; i++ {
-		tr.Insert(uint64(i), []uint64{uint64(i) * 5})
-	}
-	f, err := os.CreateTemp(t.TempDir(), "kiss-*.spill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-	if err := tr.Freeze(bw); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	fi, _ := f.Stat()
-
-	lo, hi := uint64(2000), uint64(3000)
-	nRead, full, err := tr.ThawRange(arena.NewSource(f), lo, hi)
-	if err != nil {
-		t.Fatalf("ThawRange: %v", err)
-	}
-	if full || !tr.Partial() {
-		t.Fatal("narrow range did not leave the tree partial")
-	}
-	if nRead >= fi.Size()/2 {
-		t.Fatalf("partial thaw read %d of %d bytes", nRead, fi.Size())
-	}
-	got := 0
-	tr.Range(lo, hi, func(lf *Leaf) bool {
-		if lf.Vals.First()[0] != lf.Key*5 {
-			t.Fatalf("key %d wrong after partial thaw", lf.Key)
-		}
-		got++
-		return true
-	})
-	if got != int(hi-lo+1) {
-		t.Fatalf("partial Range visited %d keys, want %d", got, hi-lo+1)
-	}
-
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	if _, full, err = tr.ThawRange(arena.NewSource(f), 0, ^uint64(0)); err != nil {
-		t.Fatal(err)
-	}
-	if !full || tr.Partial() {
-		t.Fatal("full-span ThawRange left the tree partial")
-	}
-	count := 0
-	tr.Iterate(func(lf *Leaf) bool {
-		if lf.Vals.First()[0] != lf.Key*5 {
-			t.Fatalf("key %d wrong after completion", lf.Key)
-		}
-		count++
-		return true
-	})
-	if count != n {
-		t.Fatalf("completed tree has %d keys, want %d", count, n)
 	}
 }

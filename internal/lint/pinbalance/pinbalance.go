@@ -1,7 +1,7 @@
 // Package pinbalance checks that every spill.Handle pin is released on
 // every return path.
 //
-// A Pin / PinCtx / PinRange / PinRangeCtx call on a *spill.Handle keeps
+// A Pin / PinCtx call on a *spill.Handle keeps
 // the handle's index resident and blocks eviction until a matching Unpin;
 // a pin leaked on an error path wedges the spill manager's budget for the
 // rest of the plan (and Manager.Close blocks on pinned handles). The
@@ -37,11 +37,11 @@ import (
 // Analyzer is the pinbalance invariant checker.
 var Analyzer = &qlint.Analyzer{
 	Name: "pinbalance",
-	Doc:  "check that every spill.Handle Pin/PinCtx/PinRange/PinRangeCtx reaches an Unpin on all return paths (defer preferred)",
+	Doc:  "check that every spill.Handle Pin/PinCtx reaches an Unpin on all return paths (defer preferred)",
 	Run:  run,
 }
 
-var pinMethods = []string{"Pin", "PinCtx", "PinRange", "PinRangeCtx"}
+var pinMethods = []string{"Pin", "PinCtx"}
 
 func run(pass *qlint.Pass) error {
 	pass.EachFunc(true, func(name string, _ *ast.FuncType, body *ast.BlockStmt) {

@@ -43,9 +43,9 @@ func leakOnError(h *spill.Handle) error {
 	return nil
 }
 
-// Flagged: an unbalanced PinRange — the range pin is never released.
-func leakRange(h *spill.Handle, lo, hi uint64) error {
-	if err := h.PinRange(lo, hi); err != nil { // want `PinRange on h is not released on every return path`
+// Flagged: an unbalanced PinCtx — the pin is never released.
+func leakCtx(ctx context.Context, h *spill.Handle) error {
+	if err := h.PinCtx(ctx); err != nil { // want `PinCtx on h is not released on every return path`
 		return err
 	}
 	return work()
@@ -53,7 +53,7 @@ func leakRange(h *spill.Handle, lo, hi uint64) error {
 
 // Clean: released in both branches.
 func branches(h *spill.Handle, cond bool) error {
-	if err := h.PinRange(0, 10); err != nil {
+	if err := h.PinCtx(context.Background()); err != nil {
 		return err
 	}
 	if cond {
@@ -66,7 +66,7 @@ func branches(h *spill.Handle, cond bool) error {
 
 // Flagged: released in only one branch.
 func halfBranches(h *spill.Handle, cond bool) error {
-	if err := h.PinRange(0, 10); err != nil { // want `PinRange on h is not released on every return path`
+	if err := h.PinCtx(context.Background()); err != nil { // want `PinCtx on h is not released on every return path`
 		return err
 	}
 	if cond {
@@ -139,7 +139,7 @@ func closureBalanced(h *spill.Handle) func() error {
 type carrier struct{ h *spill.Handle }
 
 func selectorRecv(c *carrier) error {
-	if err := c.h.PinRange(1, 2); err != nil {
+	if err := c.h.PinCtx(context.Background()); err != nil {
 		return err
 	}
 	defer c.h.Unpin()
@@ -158,7 +158,7 @@ func deferredClosure(h *spill.Handle) error {
 }
 
 // Clean: a set pin released as a set.
-func setBalanced(m *spill.Manager, set []spill.PinReq) error {
+func setBalanced(m *spill.Manager, set []*spill.Handle) error {
 	if err := m.PinSet(context.Background(), set); err != nil {
 		return err
 	}
@@ -168,7 +168,7 @@ func setBalanced(m *spill.Manager, set []spill.PinReq) error {
 
 // Flagged: the set stays pinned when work fails; unpinning another set does
 // not release this one.
-func setLeak(m *spill.Manager, set, other []spill.PinReq) error {
+func setLeak(m *spill.Manager, set, other []*spill.Handle) error {
 	if err := m.PinSet(context.Background(), set); err != nil { // want `PinSet on set is not released on every return path`
 		return err
 	}

@@ -8,12 +8,10 @@ import "context"
 // Handle mirrors the pinning surface of the real spill.Handle.
 type Handle struct{ pins int }
 
-func (h *Handle) Pin() error                                           { h.pins++; return nil }
-func (h *Handle) PinCtx(ctx context.Context) error                     { h.pins++; return nil }
-func (h *Handle) PinRange(lo, hi uint64) error                         { h.pins++; return nil }
-func (h *Handle) PinRangeCtx(ctx context.Context, lo, hi uint64) error { h.pins++; return nil }
-func (h *Handle) Unpin()                                               { h.pins-- }
-func (h *Handle) Drop()                                                {}
+func (h *Handle) Pin() error                       { h.pins++; return nil }
+func (h *Handle) PinCtx(ctx context.Context) error { h.pins++; return nil }
+func (h *Handle) Unpin()                           { h.pins-- }
+func (h *Handle) Drop()                            {}
 
 // Manager mirrors the lifecycle surface of the real spill.Manager.
 type Manager struct{}
@@ -23,8 +21,6 @@ func New(budget int64, dir string) (*Manager, error) { return &Manager{}, nil }
 func (m *Manager) Register(label string, obj any, size func() int) *Handle { return &Handle{} }
 func (m *Manager) Close() error                                            { return nil }
 
-// PinReq and PinSet/UnpinSet mirror the set pin.
-type PinReq struct{ H *Handle }
-
-func (m *Manager) PinSet(ctx context.Context, set []PinReq) error { return nil }
-func (m *Manager) UnpinSet(set []PinReq)                          {}
+// PinSet/UnpinSet mirror the set pin.
+func (m *Manager) PinSet(ctx context.Context, set []*Handle) error { return nil }
+func (m *Manager) UnpinSet(set []*Handle)                          {}

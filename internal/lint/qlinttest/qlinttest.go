@@ -1,7 +1,7 @@
 // Package qlinttest runs a qlint analyzer over an analysistest-style
 // testdata tree and checks its diagnostics against `// want` comments:
 //
-//	h.PinRange(lo, hi) // want `pin is not released`
+//	h.Pin() // want `pin is not released`
 //
 // Each want comment holds one or more quoted or backquoted regular
 // expressions; every reported diagnostic on that line must match one of

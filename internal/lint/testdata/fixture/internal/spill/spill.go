@@ -8,7 +8,6 @@ type Handle struct{ pins int }
 
 func (h *Handle) Pin() error                       { h.pins++; return nil }
 func (h *Handle) PinCtx(ctx context.Context) error { h.pins++; return nil }
-func (h *Handle) PinRange(lo, hi uint64) error     { h.pins++; return nil }
 func (h *Handle) Unpin()                           { h.pins-- }
 
 // Manager is a stub spill manager.

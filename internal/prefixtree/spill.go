@@ -7,9 +7,8 @@ import (
 	"qppt/internal/freeze"
 )
 
-// Freeze/Thaw: the tree's spill hooks. The stream format, the two restore
-// paths (Thaw, ThawRange) and their failure rules live in package freeze;
-// the prefix tree contributes its magic word and two interior sections —
+// Freeze/Thaw: the tree's spill hooks. The stream format, the restore and
+// its failure rules live in package freeze; the prefix tree contributes its magic word and two interior sections —
 // the node slot chunks, verbatim, and the leaf free list.
 
 // freezeMagic guards against thawing a stream produced by a different
@@ -57,8 +56,3 @@ func (t *Tree) Freeze(w io.Writer) error { return t.codec().Freeze(w) }
 
 // Thaw restores the storage WriteSnapshot wrote.
 func (t *Tree) Thaw(r io.Reader) error { return t.codec().Thaw(r) }
-
-// ThawRange restores the tree far enough to serve queries inside [lo, hi].
-func (t *Tree) ThawRange(src *arena.Source, lo, hi uint64) (int64, bool, error) {
-	return t.codec().ThawRange(src, lo, hi)
-}

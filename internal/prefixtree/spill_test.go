@@ -1,15 +1,10 @@
 package prefixtree
 
 import (
-	"bufio"
 	"bytes"
-	"io"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
-
-	"qppt/internal/arena"
 )
 
 // Freeze must detach the tree's heap footprint and Thaw must restore an
@@ -151,105 +146,5 @@ func TestFreezeThawFoldingTree(t *testing.T) {
 		if lf == nil || lf.Vals.Len() != 1 || lf.Vals.First()[0] != sum {
 			t.Fatalf("key %d: folded row lost (leaf %v)", k, lf)
 		}
-	}
-}
-
-// freezeToFile freezes tr into a temp file and returns it rewound — the
-// ReadSeeker shape ThawRange consumes.
-func freezeToFile(t *testing.T, tr *Tree) *os.File {
-	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "freeze-*.spill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw := bufio.NewWriter(f)
-	if err := tr.Freeze(bw); err != nil {
-		t.Fatalf("Freeze: %v", err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
-// ThawRange must restore exactly the leaf chunks the key range touches:
-// in-range queries answer identically, the bytes read stay well below a
-// full thaw, and a follow-up top-up (and finally a full-span call)
-// completes the tree in place.
-func TestThawRangePartialRestore(t *testing.T) {
-	const n = 40000 // ~10 leaf chunks
-	tr := MustNew(Config{PrefixLen: 4, KeyBits: 32, PayloadWidth: 1})
-	for i := 0; i < n; i++ {
-		tr.Insert(uint64(i), []uint64{uint64(i) * 3})
-	}
-	full := MustNew(Config{PrefixLen: 4, KeyBits: 32, PayloadWidth: 1})
-	for i := 0; i < n; i++ {
-		full.Insert(uint64(i), []uint64{uint64(i) * 3})
-	}
-	f := freezeToFile(t, tr)
-	defer f.Close()
-	fi, _ := f.Stat()
-
-	lo, hi := uint64(1000), uint64(2000)
-	nRead, fullyThawed, err := tr.ThawRange(arena.NewSource(f), lo, hi)
-	if err != nil {
-		t.Fatalf("ThawRange: %v", err)
-	}
-	if fullyThawed {
-		t.Fatal("narrow range reported a full restore")
-	}
-	if !tr.Partial() {
-		t.Fatal("tree not marked partial")
-	}
-	if nRead >= fi.Size()/2 {
-		t.Fatalf("partial thaw read %d of %d file bytes", nRead, fi.Size())
-	}
-	got := 0
-	tr.Range(lo, hi, func(lf *Leaf) bool {
-		if lf.Vals.First()[0] != lf.Key*3 {
-			t.Fatalf("key %d: wrong payload after partial thaw", lf.Key)
-		}
-		got++
-		return true
-	})
-	if got != int(hi-lo+1) {
-		t.Fatalf("Range after partial thaw visited %d keys, want %d", got, hi-lo+1)
-	}
-
-	// Top-up with a second, disjoint range.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tr.ThawRange(arena.NewSource(f), 30000, 31000); err != nil {
-		t.Fatalf("top-up ThawRange: %v", err)
-	}
-	got = 0
-	tr.Range(30000, 31000, func(lf *Leaf) bool { got++; return lf.Vals.First()[0] == lf.Key*3 })
-	if got != 1001 {
-		t.Fatalf("top-up range visited %d keys", got)
-	}
-
-	// Full-span call completes the tree; it must then equal the original.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	_, fullyThawed, err = tr.ThawRange(arena.NewSource(f), 0, ^uint64(0)>>32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fullyThawed || tr.Partial() {
-		t.Fatal("full-span ThawRange left the tree partial")
-	}
-	same := true
-	tr.Iterate(func(lf *Leaf) bool {
-		w := full.Lookup(lf.Key)
-		same = w != nil && w.Vals.First()[0] == lf.Vals.First()[0]
-		return same
-	})
-	if !same || tr.Keys() != full.Keys() {
-		t.Fatal("completed tree differs from the never-frozen one")
 	}
 }

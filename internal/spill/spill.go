@@ -31,15 +31,11 @@
 // Freeze/Thaw I/O runs *outside* the manager lock: each entry carries its
 // own freezing/thawing state, and pins on an entry mid-transition wait on
 // a condition variable while other entries keep pinning, unpinning, and
-// spilling concurrently. Each entry's I/O itself stays one sequential
-// pass — the pattern the chunk layout is designed for.
-//
-// Two restore paths exist, chosen by the pin:
-//
-//   - the plain copying thaw (Handle.Pin);
-//   - a partial thaw (Handle.PinRange): structures that implement
-//     RangeThawer restore only the leaf chunks a consumer's key range
-//     touches, using the per-chunk directory their freeze format records.
+// spilling concurrently. A wait is only ever for a transition, which
+// finishes on its own, never for another pin; so pins may be taken in any
+// order. Each entry's I/O itself stays one sequential pass — the pattern
+// the chunk layout is designed for. There is one way back: a pin of a
+// frozen entry thaws the whole structure from its file.
 //
 // Registered structures are read-only after registration (operators build
 // an index once, then only scan and probe it); the manager exploits that
@@ -56,8 +52,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-
-	"qppt/internal/arena"
 )
 
 // A Freezer can snapshot its storage into a byte stream, detach it, and
@@ -80,15 +74,6 @@ type Freezer interface {
 	Thaw(r io.Reader) error
 }
 
-// A RangeThawer can restore just enough state to serve queries inside a
-// key range, reading only the chunks that range touches. Calls are
-// additive; a call spanning the full key space completes the restore
-// (full == true).
-type RangeThawer interface {
-	Freezer
-	ThawRange(src *arena.Source, lo, hi uint64) (bytesRead int64, full bool, err error)
-}
-
 // Stats aggregates the manager's activity for plan statistics.
 type Stats struct {
 	// Spills counts freeze events; SpillBytes the resident bytes they
@@ -102,13 +87,8 @@ type Stats struct {
 	// resident bytes they brought back.
 	Restores     int
 	RestoreBytes int64
-	// RestoreBytesRead counts the spill-file bytes actually read during
-	// restores: the whole file on a plain thaw, only the interior and the
-	// selected chunks on a partial thaw.
+	// RestoreBytesRead counts the spill-file bytes the restores read.
 	RestoreBytesRead int64
-	// PartialRestores counts range-restricted thaw passes, including
-	// top-ups of an already partially resident entry.
-	PartialRestores int
 	// Resident is the current tracked residency, Peak its high-water mark.
 	Resident int64
 	Peak     int64
@@ -135,10 +115,12 @@ type Manager struct {
 }
 
 // An ioBuf buffers the framing words of one freeze or thaw; both sides pass
-// payloads of their own size or more straight through to the file.
+// payloads of their own size or more straight through to the file. One
+// reader spans every structure sharing a file (a sharded index): a buffer
+// per structure would read ahead into the next one's bytes.
 type ioBuf struct {
 	w *bufio.Writer
-	r *arena.Source
+	r *bufio.Reader
 }
 
 func (m *Manager) takeBufLocked() *ioBuf {
@@ -147,7 +129,7 @@ func (m *Manager) takeBufLocked() *ioBuf {
 		m.bufs = m.bufs[:n-1]
 		return b
 	}
-	return &ioBuf{w: bufio.NewWriterSize(nil, 1<<16), r: arena.NewSource(nil)}
+	return &ioBuf{w: bufio.NewWriterSize(nil, 1<<16), r: bufio.NewReaderSize(nil, 1<<16)}
 }
 
 // putBufLocked takes b back with the transition's file and any error a
@@ -199,70 +181,17 @@ type Handle struct {
 	size      func() int // resident bytes when live
 	label     string
 	file      string // named at the first freeze
-	seq       int    // registration order; pin-ordering key for callers
+	seq       int    // registration order; numbers the spill file
 	bytes     int64  // tracked resident size
 	pins      int
 	state     entryState
-	partial   bool // resident, but only partially thawed (RangeThawer)
 	failed    bool // freeze failed once; never retried, stays resident
 	dropped   bool // executor dropped the intermediate; file gone
 	fileValid bool // spill file holds a complete snapshot
 	held      int  // PinSets that have named the entry but not pinned it yet
-	// cov are the key intervals a partial entry is guaranteed to serve
-	// (each interval was one ThawRange argument; overlapping/adjacent
-	// intervals merged). Empty when fully resident or frozen.
-	cov []keyIval
 
 	lastUse          uint64
 	spills, restores int
-}
-
-// keyIval is one inclusive thawed key interval.
-type keyIval struct{ lo, hi uint64 }
-
-// Seq reports the handle's registration ordinal. Callers that pin several
-// handles while other pins are outstanding should acquire them in
-// ascending Seq order: an uncovered range top-up waits for the entry's
-// pins to drain, and ordered acquisition keeps those waits cycle-free.
-func (h *Handle) Seq() int { return h.seq }
-
-// covered reports whether [lo, hi] lies inside one thawed interval.
-func (h *Handle) covered(lo, hi uint64) bool {
-	for _, iv := range h.cov {
-		if iv.lo <= lo && hi <= iv.hi {
-			return true
-		}
-	}
-	return false
-}
-
-// touches reports whether two inclusive intervals overlap or are
-// adjacent. Merging such intervals is exact for coverage: chunks were
-// restored for their union, which then is one gapless interval.
-func touches(a, b keyIval) bool {
-	if a.lo > b.hi { // b entirely below a (b.hi < ^0, so +1 is safe)
-		return b.hi+1 == a.lo
-	}
-	if b.lo > a.hi {
-		return a.hi+1 == b.lo
-	}
-	return true
-}
-
-// addCov records [lo, hi] as thawed, merging overlapping or adjacent
-// intervals.
-func (h *Handle) addCov(lo, hi uint64) {
-	merged := keyIval{lo, hi}
-	out := h.cov[:0]
-	for _, iv := range h.cov {
-		if touches(iv, merged) {
-			merged.lo = min(merged.lo, iv.lo)
-			merged.hi = max(merged.hi, iv.hi)
-			continue
-		}
-		out = append(out, iv)
-	}
-	h.cov = append(out, merged)
 }
 
 // Register adds a structure to the managed set and reclaims space
@@ -287,62 +216,28 @@ func (m *Manager) Register(label string, obj Freezer, size func() int) *Handle {
 	return h
 }
 
-// Pin makes the handle's structure fully resident (thawing it if frozen
-// or partially thawed) and protects it from eviction until the matching
-// Unpin. Pins nest.
-func (h *Handle) Pin() error { return h.pin(nil, 0, ^uint64(0), false) }
+// Pin makes the handle's structure resident (thawing it if frozen) and
+// protects it from eviction until the matching Unpin. Pins nest.
+func (h *Handle) Pin() error { return h.m.pinSet(nil, []*Handle{h}) }
 
 // PinCtx is Pin with cancellation: a wait for another entry's in-flight
-// freeze/thaw (or for pins to drain before a widening top-up) returns
-// ctx.Err() as soon as the context is cancelled, instead of blocking until
-// the transition completes. I/O already in flight for *this* call runs to
-// completion either way — the spill file stays consistent — but a
-// cancelled query stops queuing behind other entries' transitions.
-func (h *Handle) PinCtx(ctx context.Context) error { return h.pin(ctx, 0, ^uint64(0), false) }
-
-// PinRangeCtx is PinRange with cancellation, like PinCtx.
-func (h *Handle) PinRangeCtx(ctx context.Context, lo, hi uint64) error {
-	return h.pin(ctx, lo, hi, true)
-}
-
-// PinRange is Pin for a consumer that will only query keys in [lo, hi]:
-// if the structure is frozen and supports range thawing, only the chunks
-// that range touches are restored. The pin protects the entry like Pin.
-//
-// Later PinRange/Pin calls *from other consumers* widen the resident
-// portion in place — a widening top-up waits for the current pins to
-// drain first. For that reason a caller must NOT try to widen an entry
-// while still holding its own pin on it (the wait would be for itself):
-// release the pin before re-pinning with a wider range, or take a full
-// Pin up front. Re-pinning within the already covered range is always
-// fine. Callers pinning several handles should acquire them in Seq order
-// (see Handle.Seq).
-func (h *Handle) PinRange(lo, hi uint64) error { return h.pin(nil, lo, hi, true) }
-
-// pin is the set pin of one.
-func (h *Handle) pin(ctx context.Context, lo, hi uint64, ranged bool) error {
-	return h.m.pinSet(ctx, []PinReq{{H: h, Lo: lo, Hi: hi, Ranged: ranged}})
-}
-
-// A PinReq is one member of a PinSet: the handle, and the key range its
-// consumer will read when Ranged is set (the whole structure otherwise).
-type PinReq struct {
-	H      *Handle
-	Lo, Hi uint64
-	Ranged bool
-}
+// freeze/thaw returns ctx.Err() as soon as the context is cancelled,
+// instead of blocking until the transition completes. I/O already in
+// flight for *this* call runs to completion either way — the spill file
+// stays consistent — but a cancelled query stops queuing behind other
+// entries' transitions.
+func (h *Handle) PinCtx(ctx context.Context) error { return h.m.pinSet(ctx, []*Handle{h}) }
 
 // PinSet pins everything one operator is about to read — each member like
-// PinCtx or PinRangeCtx — as a unit: the whole set is exempt from eviction
-// before the first member thaws, and the budget is balanced once, after the
-// last. Pinning the members one by one would let each thaw evict a sibling
-// the next pin has to read straight back. The set must be in ascending Seq
-// order with no handle named twice. On error nothing stays pinned; on
-// success UnpinSet (or an Unpin per member) releases the set. A nil ctx
-// never cancels.
-func (m *Manager) PinSet(ctx context.Context, set []PinReq) error { return m.pinSet(ctx, set) }
+// PinCtx — as a unit: the whole set is exempt from eviction before the
+// first member thaws, and the budget is balanced once, after the last.
+// Pinning the members one by one would let each thaw evict a sibling the
+// next pin has to read straight back. No handle may be named twice. On
+// error nothing stays pinned; on success UnpinSet (or an Unpin per member)
+// releases the set. A nil ctx never cancels.
+func (m *Manager) PinSet(ctx context.Context, set []*Handle) error { return m.pinSet(ctx, set) }
 
-func (m *Manager) pinSet(ctx context.Context, set []PinReq) error {
+func (m *Manager) pinSet(ctx context.Context, set []*Handle) error {
 	if ctx != nil {
 		// A cancelled context must wake the cond waits in pinLocked; the
 		// waiters themselves then notice ctx.Err() and bail out.
@@ -355,25 +250,24 @@ func (m *Manager) pinSet(ctx context.Context, set []PinReq) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, r := range set {
-		r.H.held++
+	for _, h := range set {
+		h.held++
 	}
 	var err error
 	pinned := 0
-	for _, r := range set {
-		if err = r.H.pinLocked(ctx, r.Lo, r.Hi, r.Ranged); err != nil {
+	for _, h := range set {
+		if err = h.pinLocked(ctx); err != nil {
 			break
 		}
 		pinned++
 	}
-	for _, r := range set {
-		r.H.held--
+	for _, h := range set {
+		h.held--
 	}
 	if err != nil {
-		for _, r := range set[:pinned] {
-			r.H.pins--
+		for _, h := range set[:pinned] {
+			h.pins--
 		}
-		m.cond.Broadcast()
 	}
 	// The thaws may have pushed residency over budget; evict colder entries.
 	m.balanceLocked()
@@ -383,58 +277,35 @@ func (m *Manager) pinSet(ctx context.Context, set []PinReq) error {
 // UnpinSet releases the pins of a PinSet without balancing the budget: the
 // operator that held them registers its output next, and that one balance
 // sees the inputs evictable and the output resident together.
-func (m *Manager) UnpinSet(set []PinReq) {
+func (m *Manager) UnpinSet(set []*Handle) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, r := range set {
-		r.H.pins--
+	for _, h := range set {
+		h.pins--
 	}
-	m.cond.Broadcast() // a range top-up may be waiting for the drain
 }
 
-func (h *Handle) pinLocked(ctx context.Context, lo, hi uint64, ranged bool) error {
+// pinLocked waits out an in-flight freeze or thaw of the entry, thaws it if
+// it is frozen, and takes one pin.
+func (h *Handle) pinLocked(ctx context.Context) error {
 	m := h.m
-	ctxErr := func() error {
-		if ctx == nil {
-			return nil
+	h.lastUse = m.tick()
+	for h.state == stFreezing || h.state == stThawing {
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
 		}
+		m.cond.Wait()
+	}
+	if ctx != nil && ctx.Err() != nil {
 		return ctx.Err()
 	}
-	h.lastUse = m.tick()
-	for {
-		for h.state == stFreezing || h.state == stThawing {
-			if err := ctxErr(); err != nil {
-				return err
-			}
-			m.cond.Wait()
-		}
-		if err := ctxErr(); err != nil {
+	if h.dropped {
+		return fmt.Errorf("spill: pin %s: intermediate was dropped", h.label)
+	}
+	if h.state == stFrozen {
+		if err := m.thawLocked(h); err != nil {
 			return err
 		}
-		if h.dropped {
-			return fmt.Errorf("spill: pin %s: intermediate was dropped", h.label)
-		}
-		if h.state == stFrozen {
-			if err := m.thawLocked(h, lo, hi, ranged); err != nil {
-				return err
-			}
-			break
-		}
-		if h.partial && !(ranged && h.covered(lo, hi)) {
-			// The entry needs a wider restore. Topping up writes leaf
-			// chunks in place, so it must not run while readers hold
-			// pins: wait for them to drain. Callers pinning several
-			// handles acquire them in Seq order, keeping this cycle-free.
-			if h.pins > 0 {
-				m.cond.Wait()
-				continue
-			}
-			if err := m.thawLocked(h, lo, hi, ranged); err != nil {
-				return err
-			}
-			break
-		}
-		break // fully resident, or partial with the range already covered
 	}
 	h.pins++
 	return nil
@@ -448,9 +319,6 @@ func (h *Handle) Unpin() {
 	defer m.mu.Unlock()
 	if h.pins > 0 {
 		h.pins--
-	}
-	if h.pins == 0 {
-		m.cond.Broadcast() // a range top-up may be waiting for the drain
 	}
 	m.balanceLocked()
 }
@@ -477,8 +345,6 @@ func (h *Handle) Drop() {
 	}
 	h.dropped = true
 	h.state = stFrozen // not resident; never thawable again (dropped)
-	h.partial = false
-	h.cov = nil
 	if h.fileValid {
 		os.Remove(h.file)
 		h.fileValid = false
@@ -509,14 +375,6 @@ func (h *Handle) Frozen() bool {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
 	return h.state == stFrozen || h.state == stFreezing
-}
-
-// Partial reports whether the structure is resident only for part of its
-// key space (see PinRange).
-func (h *Handle) Partial() bool {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	return h.partial
 }
 
 // Stats returns a snapshot of the manager's counters.
@@ -630,8 +488,6 @@ func (m *Manager) freezeLocked(h *Handle) {
 	h.fileValid = true
 	h.obj.Release()
 	h.state = stFrozen
-	h.partial = false
-	h.cov = nil
 	h.spills++
 	m.stats.Spills++
 	m.stats.SpillBytes += h.bytes
@@ -661,31 +517,19 @@ func writeSnapshotFile(path string, obj Freezer, bw *bufio.Writer) (int64, error
 	return size, err
 }
 
-// thawLocked restores one entry from its spill file — fully, or partially
-// for a range-restricted consumer — with the manager lock released around
-// the I/O. The spill file stays on disk and valid, so a later re-eviction
-// of the (read-only) structure is free.
-func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
-	fromFrozen := h.state == stFrozen
-	wasBytes := h.bytes
-	if !fromFrozen {
-		// Partially resident: widening top-up via the range thaw path.
-		ranged = true
-	}
+// thawLocked restores one frozen entry from its spill file with the manager
+// lock released around the I/O. The spill file stays on disk and valid, so
+// a later re-eviction of the (read-only) structure is free.
+func (m *Manager) thawLocked(h *Handle) error {
 	h.state = stThawing
 	b := m.takeBufLocked()
 	m.mu.Unlock()
 
-	var (
-		bytesRead int64
-		full      = true
-	)
+	var bytesRead int64
 	f, err := os.Open(h.file)
 	if err == nil {
 		b.r.Reset(f)
-		if rt, ok := h.obj.(RangeThawer); ok && ranged {
-			bytesRead, full, err = rt.ThawRange(b.r, lo, hi)
-		} else if err = h.obj.Thaw(b.r); err == nil {
+		if err = h.obj.Thaw(b.r); err == nil {
 			if fi, serr := f.Stat(); serr == nil {
 				bytesRead = fi.Size()
 			}
@@ -696,34 +540,17 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 	m.mu.Lock()
 	m.putBufLocked(b)
 	if err != nil {
-		if fromFrozen {
-			h.state = stFrozen
-		} else {
-			h.state = stResident // top-up failed; previous portion intact
-		}
+		h.state = stFrozen
 		m.cond.Broadcast()
 		return fmt.Errorf("spill: restore %s: %w", h.label, err)
 	}
 	h.state = stResident
-	h.partial = !full
-	if full {
-		h.cov = nil
-	} else {
-		h.addCov(lo, hi)
-	}
 	h.bytes = int64(h.size())
+	h.restores++
+	m.stats.Restores++
+	m.stats.RestoreBytes += h.bytes
 	m.stats.RestoreBytesRead += bytesRead
-	if !full || !fromFrozen {
-		m.stats.PartialRestores++
-	}
-	if fromFrozen {
-		h.restores++
-		m.stats.Restores++
-		m.stats.RestoreBytes += h.bytes
-		m.addResident(h.bytes)
-	} else {
-		m.addResident(h.bytes - wasBytes)
-	}
+	m.addResident(h.bytes)
 	m.cond.Broadcast()
 	return nil
 }

@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -308,7 +309,7 @@ func TestPinSetThawsEachMemberOnce(t *testing.T) {
 	if !ha.Frozen() || !hb.Frozen() || hc.Frozen() {
 		t.Fatal("set-up: a and b should be frozen, c resident")
 	}
-	set := []PinReq{{H: ha}, {H: hb}}
+	set := []*Handle{ha, hb}
 	if err := m.PinSet(nil, set); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestPinSetThawsEachMemberOnce(t *testing.T) {
 		t.Fatalf("UnpinSet balanced: %+v", st)
 	}
 	hb.Drop()
-	if err := m.PinSet(nil, []PinReq{{H: ha}, {H: hb}}); err == nil {
+	if err := m.PinSet(nil, []*Handle{ha, hb}); err == nil {
 		t.Fatal("PinSet over a dropped member succeeded")
 	}
 	hd := m.Register("d", newFakeIndex(blocks, 4000), func() int { return int(one) })
@@ -348,7 +349,7 @@ func TestSpillCycleAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { idle.Register("σ→never frozen", fi, size).Drop() }); n > 1 {
 		t.Errorf("Register → Drop of a never-frozen entry makes %v allocations, want the Handle alone", n)
 	}
-	for _, ranged := range []bool{false, true} {
+	for _, viaCtx := range []bool{false, true} {
 		m, err := New(1, "") // everything unpinned spills
 		if err != nil {
 			t.Fatal(err)
@@ -366,8 +367,8 @@ func TestSpillCycleAllocBudget(t *testing.T) {
 				t.Fatal("not frozen under a 1-byte budget")
 			}
 			var err error
-			if ranged {
-				err = h.PinRange(100, 200)
+			if viaCtx {
+				err = h.PinCtx(context.Background())
 			} else {
 				err = h.Pin()
 			}
@@ -391,9 +392,9 @@ func TestSpillCycleAllocBudget(t *testing.T) {
 		// os.Files, the chunk directory.
 		const budget = 16 << 10
 		perCycle := (m1.TotalAlloc - m0.TotalAlloc) / cycles
-		t.Logf("ranged=%v: %d B per freeze→thaw cycle", ranged, perCycle)
+		t.Logf("viaCtx=%v: %d B per freeze→thaw cycle", viaCtx, perCycle)
 		if perCycle > budget {
-			t.Errorf("ranged=%v: one freeze→thaw cycle allocates %d B, budget %d", ranged, perCycle, budget)
+			t.Errorf("viaCtx=%v: one freeze→thaw cycle allocates %d B, budget %d", viaCtx, perCycle, budget)
 		}
 		if st := m.Stats(); st.Spills < cycles || st.Restores < cycles {
 			t.Fatalf("cycles did not spill and restore: %+v", st)
@@ -405,8 +406,8 @@ func TestSpillCycleAllocBudget(t *testing.T) {
 }
 
 // buildTree returns a prefix tree of n sequential keys; *prefixtree.Tree
-// implements Freezer, RangeThawer and MappedThawer directly, so the
-// manager-level restore paths can be tested against the real structure.
+// implements Freezer directly, so the manager-level restore path can be
+// tested against the real structure.
 func buildTree(n int) *prefixtree.Tree {
 	tr := prefixtree.MustNew(prefixtree.Config{PrefixLen: 4, KeyBits: 32, PayloadWidth: 1})
 	for i := 0; i < n; i++ {
@@ -428,60 +429,6 @@ func checkTreeRange(t *testing.T, tr *prefixtree.Tree, lo, hi uint64) {
 	if got != int(hi-lo+1) {
 		t.Fatalf("range [%d,%d] visited %d keys", lo, hi, got)
 	}
-}
-
-// PinRange on a frozen entry must restore only part of the structure
-// (partial counters move, plain restore counters behave like a thaw),
-// serve in-range queries, and a later full Pin must complete it in place.
-func TestManagerPinRangePartialThaw(t *testing.T) {
-	m, err := New(1, "") // everything unpinned spills
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	tr := buildTree(40000)
-	h := m.Register("sel", tr, tr.Bytes)
-	if !h.Frozen() {
-		t.Fatal("entry not frozen under 1-byte budget")
-	}
-	if err := h.PinRange(1000, 2000); err != nil {
-		t.Fatal(err)
-	}
-	if !h.Partial() || !tr.Partial() {
-		t.Fatal("narrow PinRange did not leave the entry partial")
-	}
-	checkTreeRange(t, tr, 1000, 2000)
-	st := m.Stats()
-	if st.PartialRestores == 0 || st.Restores != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	partialRead := st.RestoreBytesRead
-	if partialRead == 0 {
-		t.Fatal("no restore bytes recorded")
-	}
-
-	// A covered range re-pins without extra I/O, even while pinned.
-	if err := h.PinRange(1200, 1300); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Stats().RestoreBytesRead; got != partialRead {
-		t.Fatalf("covered PinRange read %d more bytes", got-partialRead)
-	}
-	h.Unpin()
-	h.Unpin()
-
-	// A full Pin tops the entry up in place.
-	if err := h.Pin(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Partial() || tr.Partial() {
-		t.Fatal("full Pin left the entry partial")
-	}
-	checkTreeRange(t, tr, 0, 39999)
-	if got := m.Stats().RestoreBytesRead; got <= partialRead {
-		t.Fatal("top-up read no further bytes")
-	}
-	h.Unpin()
 }
 
 // A restore from a damaged spill file must fail with the codec's typed
@@ -509,19 +456,19 @@ func TestManagerRestoreFailureAndRecovery(t *testing.T) {
 		name   string
 		file   []byte
 		want   error
-		ranged bool
+		viaCtx bool
 	}{
 		{"truncated", intact[:len(intact)/2], io.ErrUnexpectedEOF, false},
-		{"truncated, range pin", intact[:len(intact)/2], io.ErrUnexpectedEOF, true},
+		{"truncated, ctx pin", intact[:len(intact)/2], io.ErrUnexpectedEOF, true},
 		{"bad magic", badMagic, arena.ErrCorruptSnapshot, false},
-		{"bad magic, range pin", badMagic, arena.ErrCorruptSnapshot, true},
+		{"bad magic, ctx pin", badMagic, arena.ErrCorruptSnapshot, true},
 	} {
 		if err := os.WriteFile(h.file, tc.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var err error
-		if tc.ranged {
-			err = h.PinRange(10, 20)
+		if tc.viaCtx {
+			err = h.PinCtx(context.Background())
 		} else {
 			err = h.Pin()
 		}

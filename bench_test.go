@@ -1,90 +1,100 @@
-// Package qppt_test hosts the testing.B entry points that regenerate the
-// paper's figures, one benchmark family per table/figure:
+// Package qppt_test hosts the testing.B families that regenerate the
+// paper's figures, one family per figure or design-choice ablation:
 //
-//	go test -bench BenchmarkFigure3a -benchmem .   # Fig. 3(a) inserts
-//	go test -bench BenchmarkFigure3b -benchmem .   # Fig. 3(b) lookups
-//	go test -bench BenchmarkFigure7  -benchmem .   # Fig. 7  SSB queries × engines
-//	go test -bench BenchmarkFigure8  -benchmem .   # Fig. 8  select-join ablation
-//	go test -bench BenchmarkFigure9  -benchmem .   # Fig. 9  join-arity ablation
-//	go test -bench BenchmarkAblation -benchmem .   # design-choice ablations
+//	go test -run '^$' -bench Figure3a -benchmem .  # Fig. 3(a) inserts, ns/key
+//	go test -run '^$' -bench Figure3b -benchmem .  # Fig. 3(b) lookups, ns/key
+//	go test -run '^$' -bench Figure7  -benchmem .  # Fig. 7  SSB queries × engines
+//	go test -run '^$' -bench Figure8  -benchmem .  # Fig. 8  select-join on/off
+//	go test -run '^$' -bench Figure9  -benchmem .  # Fig. 9  join arity 2–5
+//	go test -run '^$' -bench Ablation -benchmem .  # joinbuffer, k′, compression, batch size
 //
-// Benchmarks default to laptop-scale inputs (QPPT_BENCH_SF and
-// QPPT_BENCH_KEYS environment variables scale them up); cmd/qpptbench
-// runs the full paper-scale sweeps and prints the figures as tables.
+// Inputs default to laptop scale; QPPT_BENCH_SF (SSB scale factor,
+// default 0.1) and QPPT_BENCH_KEYS (tree keys, default 1 000 000) scale
+// them. Absolute numbers differ from the paper (pure Go against C on a
+// 2012 Xeon); the families reproduce the shapes: orderings, approximate
+// factors and crossovers. The client-view benchmark is benchmark/.
 package qppt_test
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"qppt"
-	"qppt/internal/bench"
 	"qppt/internal/core"
+	"qppt/internal/hashbase"
+	"qppt/internal/kisstree"
+	"qppt/internal/prefixtree"
 	"qppt/internal/ssb"
 )
 
 var (
 	dsOnce sync.Once
 	dsSSB  *ssb.Dataset
+	dsErr  error
 )
 
-func benchSF() float64 {
-	if s := os.Getenv("QPPT_BENCH_SF"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			return v
-		}
+// benchSF is the SSB scale factor of the query figures.
+func benchSF(b *testing.B) float64 {
+	s := os.Getenv("QPPT_BENCH_SF")
+	if s == "" {
+		return 0.1
 	}
-	return 0.1
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v > 0) {
+		b.Fatalf("QPPT_BENCH_SF=%q: want a positive scale factor", s)
+	}
+	return v
 }
 
-func benchKeys() int {
-	if s := os.Getenv("QPPT_BENCH_KEYS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
+// benchKeys is the index size of the tree figures and ablations.
+func benchKeys(b *testing.B) int {
+	s := os.Getenv("QPPT_BENCH_KEYS")
+	if s == "" {
+		return 1_000_000
 	}
-	return 1_000_000
+	v, err := strconv.Atoi(s)
+	if err != nil || v <= 0 {
+		b.Fatalf("QPPT_BENCH_KEYS=%q: want a positive key count", s)
+	}
+	return v
 }
 
+// dataset loads the SSB instance once per process and runs every query
+// once per engine, so no timed loop pays a lazy base-index build.
 func dataset(b *testing.B) *ssb.Dataset {
 	b.Helper()
+	sf := benchSF(b)
 	dsOnce.Do(func() {
-		dsSSB = ssb.MustLoad(ssb.GenConfig{SF: benchSF(), Seed: 42})
-		if err := bench.WarmupQueries(dsSSB, benchEngine(b).Env()); err != nil {
-			panic(err)
+		eng, err := qppt.New(qppt.Config{})
+		if err != nil {
+			dsErr = err
+			return
 		}
+		defer eng.Close()
+		ds := ssb.MustLoad(ssb.GenConfig{SF: sf, Seed: 42})
+		for _, qid := range ssb.QueryIDs {
+			if _, _, dsErr = ds.RunQPPT(context.Background(), eng.Env(), qid, ssb.DefaultPlanOptions(), core.Options{}); dsErr != nil {
+				return
+			}
+			if _, dsErr = ds.RunColumn(qid); dsErr != nil {
+				return
+			}
+			if _, dsErr = ds.RunVector(qid); dsErr != nil {
+				return
+			}
+		}
+		dsSSB = ds
 	})
+	if dsErr != nil {
+		b.Fatal(dsErr)
+	}
 	return dsSSB
-}
-
-// BenchmarkFigure3a regenerates Figure 3(a): insert/update time per key.
-func BenchmarkFigure3a(b *testing.B) {
-	n := benchKeys()
-	for _, structure := range bench.Fig3Structures {
-		b.Run(fmt.Sprintf("%s/keys=%d", structure, n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows := bench.Figure3aOne(structure, n)
-				b.ReportMetric(rows, "ns/key")
-			}
-		})
-	}
-}
-
-// BenchmarkFigure3b regenerates Figure 3(b): lookup time per key.
-func BenchmarkFigure3b(b *testing.B) {
-	n := benchKeys()
-	for _, structure := range bench.Fig3Structures {
-		b.Run(fmt.Sprintf("%s/keys=%d", structure, n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows := bench.Figure3bOne(structure, n)
-				b.ReportMetric(rows, "ns/key")
-			}
-		})
-	}
 }
 
 // benchEngine is a default-configured engine, closed when the benchmark
@@ -98,17 +108,174 @@ func benchEngine(b *testing.B) *qppt.Engine {
 	return eng
 }
 
-// BenchmarkFigure7 regenerates Figure 7: every SSB query on every engine.
+// runQPPT runs one hand-built SSB plan b.N times.
+func runQPPT(b *testing.B, ds *ssb.Dataset, env *core.Env, qid string, plan ssb.PlanOptions, exec core.Options) {
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ds.RunQPPT(context.Background(), env, qid, plan, exec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// reportPerKey derives ns/key from the timed b.N loop, each iteration of
+// which touched n keys.
+func reportPerKey(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
+}
+
+// shuffledKeys is the paper's Figure 3 workload: the dense range [0, n)
+// in random order.
+func shuffledKeys(n int, seed int64) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return keys
+}
+
+// sink keeps lookup results live.
+var sink uint64
+
+// batchLookup probes t in batches of size bs; size 1 is the scalar
+// Lookup.
+func batchLookup(t *kisstree.Tree, probes []uint64, bs int) {
+	if bs == 1 {
+		for _, k := range probes {
+			if lf := t.Lookup(k); lf != nil {
+				sink += lf.Key
+			}
+		}
+		return
+	}
+	for off := 0; off < len(probes); off += bs {
+		t.LookupBatch(probes[off:min(off+bs, len(probes))], func(_ int, lf *kisstree.Leaf) {
+			if lf != nil {
+				sink += lf.Key
+			}
+		})
+	}
+}
+
+// A fig3Index is one series of Figure 3: build indexes the keys and
+// returns the lookup over the built index.
+type fig3Index struct {
+	name  string
+	build func(keys []uint64) (lookup func(probes []uint64))
+}
+
+// fig3Indexes lists the competitors of Figure 3 in plot order: the
+// paper's five series plus OPEN, a modern open-addressing table (GLib's
+// and Boost's 2012 tables were both node-based chained ones).
+var fig3Indexes = []fig3Index{
+	{"PT4", func(keys []uint64) func([]uint64) {
+		t := prefixtree.MustNew(prefixtree.Config{PrefixLen: 4, KeyBits: 32, PayloadWidth: 1})
+		row := []uint64{0}
+		for _, k := range keys {
+			row[0] = k
+			t.Insert(k, row)
+		}
+		return func(probes []uint64) {
+			for _, k := range probes {
+				if lf := t.Lookup(k); lf != nil {
+					sink += lf.Key
+				}
+			}
+		}
+	}},
+	{"GLIB", func(keys []uint64) func([]uint64) { return chained(hashbase.NewChainedMap(0), keys) }},
+	{"BOOST", func(keys []uint64) func([]uint64) { return chained(hashbase.NewBoostMap(0), keys) }},
+	{"OPEN", func(keys []uint64) func([]uint64) {
+		m := hashbase.NewOpenMap(0)
+		for _, k := range keys {
+			m.Insert(k, k)
+		}
+		return func(probes []uint64) {
+			for _, k := range probes {
+				if v, ok := m.Lookup(k); ok {
+					sink += v
+				}
+			}
+		}
+	}},
+	{"KISS", func(keys []uint64) func([]uint64) {
+		t := kisstree.MustNew(kisstree.Config{PayloadWidth: 1})
+		row := []uint64{0}
+		for _, k := range keys {
+			row[0] = k
+			t.Insert(k, row)
+		}
+		return func(probes []uint64) { batchLookup(t, probes, 1) }
+	}},
+	{"KISS Batched", func(keys []uint64) func([]uint64) {
+		const bs = prefixtree.DefaultBatchSize
+		t := kisstree.MustNew(kisstree.Config{PayloadWidth: 1})
+		rows := make([][]uint64, bs)
+		for off := 0; off < len(keys); off += bs {
+			end := min(off+bs, len(keys))
+			for i := off; i < end; i++ {
+				rows[i-off] = keys[i : i+1]
+			}
+			t.InsertBatch(keys[off:end], rows[:end-off])
+		}
+		return func(probes []uint64) { batchLookup(t, probes, bs) }
+	}},
+}
+
+// chained fills a chained hash table, GLIB or BOOST, and returns its
+// lookup.
+func chained(m *hashbase.ChainedMap, keys []uint64) func([]uint64) {
+	for _, k := range keys {
+		m.Insert(k, k)
+	}
+	return func(probes []uint64) {
+		for _, k := range probes {
+			if v, ok := m.Lookup(k); ok {
+				sink += v
+			}
+		}
+	}
+}
+
+// BenchmarkFigure3a regenerates Figure 3(a): insert time per key.
+func BenchmarkFigure3a(b *testing.B) {
+	n := benchKeys(b)
+	keys := shuffledKeys(n, 31)
+	for _, idx := range fig3Indexes {
+		b.Run(fmt.Sprintf("%s/keys=%d", idx.name, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				idx.build(keys)
+			}
+			reportPerKey(b, n)
+		})
+	}
+}
+
+// BenchmarkFigure3b regenerates Figure 3(b): lookup time per key, every
+// key of a pre-built index probed in random order.
+func BenchmarkFigure3b(b *testing.B) {
+	n := benchKeys(b)
+	keys, probes := shuffledKeys(n, 33), shuffledKeys(n, 35)
+	for _, idx := range fig3Indexes {
+		b.Run(fmt.Sprintf("%s/keys=%d", idx.name, n), func(b *testing.B) {
+			lookup := idx.build(keys)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lookup(probes)
+			}
+			reportPerKey(b, n)
+		})
+	}
+}
+
+// BenchmarkFigure7 regenerates Figure 7: every SSB query on QPPT and on
+// the vector-at-a-time and column-at-a-time baselines.
 func BenchmarkFigure7(b *testing.B) {
 	ds := dataset(b)
 	env := benchEngine(b).Env()
 	for _, qid := range ssb.QueryIDs {
 		b.Run("Q"+qid+"/qppt", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ds.RunQPPT(context.Background(), env, qid, ssb.DefaultPlanOptions(), core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			runQPPT(b, ds, env, qid, ssb.DefaultPlanOptions(), core.Options{})
 		})
 		b.Run("Q"+qid+"/vector", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -128,7 +295,9 @@ func BenchmarkFigure7(b *testing.B) {
 }
 
 // BenchmarkFigure8 regenerates Figure 8: Q1.1 with and without the
-// composed select-join-group operator.
+// composed select-join-group operator. The plan without it also reports
+// the share of its operator time spent in the lineorder selection (the
+// paper: ~95 %).
 func BenchmarkFigure8(b *testing.B) {
 	ds := dataset(b)
 	env := benchEngine(b).Env()
@@ -137,11 +306,28 @@ func BenchmarkFigure8(b *testing.B) {
 		sj   bool
 	}{{"with-select-join", true}, {"without-select-join", false}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ds.RunQPPT(context.Background(), env, "1.1", ssb.PlanOptions{UseSelectJoin: cfg.sj}, core.Options{}); err != nil {
-					b.Fatal(err)
+			plan := ssb.PlanOptions{UseSelectJoin: cfg.sj}
+			runQPPT(b, ds, env, "1.1", plan, core.Options{})
+			if cfg.sj {
+				return
+			}
+			b.StopTimer()
+			_, stats, err := ds.RunQPPT(context.Background(), env, "1.1", plan, core.Options{CollectStats: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sel, total time.Duration
+			found := false
+			for _, op := range stats.Ops {
+				total += op.Time
+				if op.Label == "σ→σ_lineorder" {
+					sel, found = op.Time, true
 				}
 			}
+			if !found || total == 0 {
+				b.Fatalf("no timed lineorder selection in %d operators", len(stats.Ops))
+			}
+			b.ReportMetric(float64(sel)/float64(total), "selection-share")
 		})
 	}
 }
@@ -152,64 +338,118 @@ func BenchmarkFigure9(b *testing.B) {
 	env := benchEngine(b).Env()
 	for arity := 2; arity <= 5; arity++ {
 		b.Run(fmt.Sprintf("%d-way", arity), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ds.RunQPPT(context.Background(), env, "4.1", ssb.PlanOptions{JoinArity: arity}, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			runQPPT(b, ds, env, "4.1", ssb.PlanOptions{JoinArity: arity}, core.Options{})
 		})
 	}
 }
 
-// BenchmarkAblationJoinBuffer sweeps the demonstrator's joinbuffer size.
+// BenchmarkAblationJoinBuffer sweeps the demonstrator's joinbuffer size
+// (Appendix A) on Q2.3: size 1 disables batching; too small and too
+// large both hurt.
 func BenchmarkAblationJoinBuffer(b *testing.B) {
 	ds := dataset(b)
 	env := benchEngine(b).Env()
 	for _, size := range []int{1, 64, 512, 2048} {
 		b.Run(fmt.Sprintf("buffer=%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				exec := core.Options{BufferSize: size}
-				if _, _, err := ds.RunQPPT(context.Background(), env, "2.3", ssb.PlanOptions{UseSelectJoin: true}, exec); err != nil {
-					b.Fatal(err)
-				}
-			}
+			runQPPT(b, ds, env, "2.3", ssb.PlanOptions{UseSelectJoin: true}, core.Options{BufferSize: size})
 		})
 	}
 }
 
-// BenchmarkAblationKPrime measures the Section 2.1 k' trade-off.
+// BenchmarkAblationKPrime measures the Section 2.1 k′ trade-off: a longer
+// prefix halves the tree depth but costs memory on sparse key sets.
+// Lookup cases also report the tree's bytes per key.
 func BenchmarkAblationKPrime(b *testing.B) {
-	n := benchKeys()
-	b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rows := bench.AblationKPrime(n)
-			for _, r := range rows {
-				b.ReportMetric(r.InsertNs, fmt.Sprintf("k%d-%s-ins-ns/key", r.KPrime, r.Dist))
+	n := benchKeys(b)
+	rng := rand.New(rand.NewSource(41))
+	sparse := make([]uint64, n)
+	for i := range sparse {
+		sparse[i] = uint64(rng.Uint32())
+	}
+	for _, dist := range []struct {
+		name string
+		keys []uint64
+	}{{"dense", shuffledKeys(n, 41)}, {"sparse", sparse}} {
+		for _, kp := range []uint{2, 4, 8} {
+			build := func() *prefixtree.Tree {
+				t := prefixtree.MustNew(prefixtree.Config{PrefixLen: kp, KeyBits: 32})
+				for _, k := range dist.keys {
+					t.Insert(k, nil)
+				}
+				return t
 			}
+			b.Run(fmt.Sprintf("%s/k=%d/insert", dist.name, kp), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					build()
+				}
+				reportPerKey(b, n)
+			})
+			b.Run(fmt.Sprintf("%s/k=%d/lookup", dist.name, kp), func(b *testing.B) {
+				t := build()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, k := range dist.keys {
+						if lf := t.Lookup(k); lf != nil {
+							sink += lf.Key
+						}
+					}
+				}
+				reportPerKey(b, n)
+				b.ReportMetric(float64(t.Bytes())/float64(t.Keys()), "bytes/key")
+			})
 		}
-	})
+	}
 }
 
-// BenchmarkAblationKISSCompression measures the Section 2.2 RCU trade-off.
+// BenchmarkAblationKISSCompression measures the Section 2.2 trade-off:
+// second-level node compression saves memory on sparse key sets but pays
+// an RCU copy for every new key on dense ones, which is why QPPT turns it
+// off for dense value ranges.
 func BenchmarkAblationKISSCompression(b *testing.B) {
-	n := benchKeys()
-	b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rows := bench.AblationKISSCompression(n)
-			for _, r := range rows {
-				b.ReportMetric(r.InsertNs, fmt.Sprintf("%s-compress=%v-ns/key", r.Dist, r.Compress))
-			}
+	n := benchKeys(b)
+	rng := rand.New(rand.NewSource(43))
+	sparse := make([]uint64, n)
+	for i := range sparse {
+		// One key per second-level node region: the uncompressed
+		// layout's worst case for memory, compression's best.
+		sparse[i] = uint64(rng.Uint32()) &^ 63
+	}
+	for _, dist := range []struct {
+		name string
+		keys []uint64
+	}{{"dense", shuffledKeys(n, 43)}, {"sparse", sparse}} {
+		for _, compress := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/compress=%v", dist.name, compress), func(b *testing.B) {
+				var t *kisstree.Tree
+				for i := 0; i < b.N; i++ {
+					t = kisstree.MustNew(kisstree.Config{Compress: compress})
+					for _, k := range dist.keys {
+						t.Insert(k, nil)
+					}
+				}
+				reportPerKey(b, n)
+				b.ReportMetric(float64(t.Bytes())/float64(n), "bytes/key")
+				b.ReportMetric(float64(t.RCUCopies()), "rcu-copies")
+			})
 		}
-	})
+	}
 }
 
-// BenchmarkAblationBatchSize sweeps the Section 2.3 batch size.
+// BenchmarkAblationBatchSize sweeps the Section 2.3 KISS-Tree batch
+// lookup size; batch size 1 is the scalar lookup.
 func BenchmarkAblationBatchSize(b *testing.B) {
-	n := benchKeys()
-	for i := 0; i < b.N; i++ {
-		rows := bench.AblationBatchSize(n)
-		for _, r := range rows {
-			b.ReportMetric(r.LookupNs, fmt.Sprintf("batch%d-ns/key", r.BatchSize))
-		}
+	n := benchKeys(b)
+	t := kisstree.MustNew(kisstree.Config{})
+	for _, k := range shuffledKeys(n, 47) {
+		t.Insert(k, nil)
+	}
+	probes := shuffledKeys(n, 49)
+	for _, bs := range []int{1, 16, 64, 256, 512, 1024, 4096} {
+		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				batchLookup(t, probes, bs)
+			}
+			reportPerKey(b, n)
+		})
 	}
 }

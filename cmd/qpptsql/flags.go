@@ -1,10 +1,4 @@
-// Package cliflags is the single home of the engine flags both CLIs
-// (cmd/qpptbench, cmd/qpptsql) expose: worker pool size, memory budget,
-// chunk-pool cap, the fusion/recycler/kernel oracle switches,
-// admission control and the statement cache. Register once, then resolve
-// the parsed values into a qppt.Config — future flags are added here and
-// appear in both commands with identical names, defaults and help texts.
-package cliflags
+package main
 
 import (
 	"errors"
@@ -15,8 +9,10 @@ import (
 	"qppt/internal/spill"
 )
 
-// Exec holds the shared engine flags after parsing.
-type Exec struct {
+// execFlags holds the engine flags after parsing: worker pool size,
+// memory budget, chunk-pool cap, the fusion/recycler/kernel oracle
+// switches, admission control and the statement cache.
+type execFlags struct {
 	Workers    int
 	MemBudget  string
 	RecycleCap string
@@ -28,10 +24,10 @@ type Exec struct {
 	StmtCache  int
 }
 
-// Register declares the shared flags on fs (use flag.CommandLine for the
+// register declares the engine flags on fs (use flag.CommandLine for the
 // process flag set). The returned struct is filled by fs.Parse.
-func Register(fs *flag.FlagSet) *Exec {
-	e := &Exec{}
+func register(fs *flag.FlagSet) *execFlags {
+	e := &execFlags{}
 	fs.IntVar(&e.Workers, "workers", 1, "shared worker pool size for morsel-driven parallel execution (1 = serial, -1 = GOMAXPROCS)")
 	fs.StringVar(&e.MemBudget, "membudget", "", "intermediate-index memory budget (e.g. 256MiB); empty = unlimited, no spilling")
 	fs.BoolVar(&e.NoRecycle, "norecycle", false, "disable the engine's cross-plan chunk recycler (on by default)")
@@ -44,38 +40,38 @@ func Register(fs *flag.FlagSet) *Exec {
 	return e
 }
 
-// Serve holds the serving-tier address flags (cmd/qpptsql).
-type Serve struct {
+// serveFlags holds the serving-tier addresses.
+type serveFlags struct {
 	Listen string
 	HTTP   string
 }
 
-// RegisterServe declares the serving-tier flags on fs: -listen runs the
+// registerServe declares the serving-tier flags on fs: -listen runs the
 // binary wire protocol, -serve the HTTP adapter layered over it. Both
 // may be given together; either replaces the interactive shell.
-func RegisterServe(fs *flag.FlagSet) *Serve {
-	s := &Serve{}
+func registerServe(fs *flag.FlagSet) *serveFlags {
+	s := &serveFlags{}
 	fs.StringVar(&s.Listen, "listen", "", "serve the QPPT wire protocol on this TCP address (e.g. :5477) instead of the interactive shell")
 	fs.StringVar(&s.HTTP, "serve", "", "serve HTTP queries on this address (e.g. :8080) as a thin adapter over the wire server")
 	return s
 }
 
-// Serving reports whether any serving-tier address was given.
-func (s *Serve) Serving() bool { return s.Listen != "" || s.HTTP != "" }
+// serving reports whether any serving-tier address was given.
+func (s *serveFlags) serving() bool { return s.Listen != "" || s.HTTP != "" }
 
-// ApplyRuntime applies the process-global knobs that live outside
+// applyRuntime applies the process-global knobs that live outside
 // qppt.Config — currently the batch-kernel dispatch switch. Call once
 // after flag parsing, before running queries.
-func (e *Exec) ApplyRuntime() {
+func (e *execFlags) applyRuntime() {
 	if e.NoKernel {
 		kernel.ForceGeneric()
 	}
 }
 
-// EngineConfig resolves the flags into the engine configuration. A flag
+// engineConfig resolves the flags into the engine configuration. A flag
 // combination the engine would silently ignore is an error here: the
 // command line is where a typo should surface.
-func (e *Exec) EngineConfig() (qppt.Config, error) {
+func (e *execFlags) engineConfig() (qppt.Config, error) {
 	if e.QueueDepth > 0 && e.MaxPlans == 0 {
 		return qppt.Config{}, errors.New("-queue-depth needs -max-plans")
 	}

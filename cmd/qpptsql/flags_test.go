@@ -1,4 +1,4 @@
-package cliflags
+package main
 
 import (
 	"flag"
@@ -14,12 +14,12 @@ import (
 	"qppt/internal/kernel"
 )
 
-// parse registers the shared flags on a fresh set and parses args.
-func parse(t *testing.T, args ...string) (*Exec, error) {
+// parse registers the engine flags on a fresh set and parses args.
+func parse(t *testing.T, args ...string) (*execFlags, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	e := Register(fs)
+	e := register(fs)
 	return e, fs.Parse(args)
 }
 
@@ -49,9 +49,9 @@ func TestFlagsLandInConfig(t *testing.T) {
 			t.Errorf("%v: parse: %v", tc.args, err)
 			continue
 		}
-		got, err := e.EngineConfig()
+		got, err := e.engineConfig()
 		if err != nil {
-			t.Errorf("%v: EngineConfig: %v", tc.args, err)
+			t.Errorf("%v: engineConfig: %v", tc.args, err)
 			continue
 		}
 		want := base
@@ -78,8 +78,8 @@ func TestEngineConfigRejects(t *testing.T) {
 			t.Errorf("%v: parse: %v", tc.args, err)
 			continue
 		}
-		if cfg, err := e.EngineConfig(); err == nil || !strings.Contains(err.Error(), tc.errLike) {
-			t.Errorf("%v: EngineConfig = %+v, %v; want an error mentioning %q", tc.args, cfg, err, tc.errLike)
+		if cfg, err := e.engineConfig(); err == nil || !strings.Contains(err.Error(), tc.errLike) {
+			t.Errorf("%v: engineConfig = %+v, %v; want an error mentioning %q", tc.args, cfg, err, tc.errLike)
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestNoKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ApplyRuntime()
+	e.applyRuntime()
 	if kernel.Enabled() {
 		t.Error("-nokernel left the batch kernels enabled")
 	}
@@ -137,12 +137,12 @@ func flagsIn(text string, own ...string) []string {
 	return names
 }
 
-// The three places that list the shared flags for a reader — README's
-// package table and the usage headers of both commands — must name
-// exactly the set Register declares.
+// The two places that list the engine flags for a reader — README's
+// package table and the command's usage header — must name exactly the
+// set register declares.
 func TestDocumentedFlagsMatchRegister(t *testing.T) {
-	shared := flagNames(func(fs *flag.FlagSet) { Register(fs) })
-	serve := flagNames(func(fs *flag.FlagSet) { RegisterServe(fs) })
+	engine := flagNames(func(fs *flag.FlagSet) { register(fs) })
+	serve := flagNames(func(fs *flag.FlagSet) { registerServe(fs) })
 
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -150,39 +150,32 @@ func TestDocumentedFlagsMatchRegister(t *testing.T) {
 	}
 	row := ""
 	for _, line := range strings.Split(string(readme), "\n") {
-		if strings.HasPrefix(line, "| `internal/cliflags`") {
+		if strings.HasPrefix(line, "| `cmd/qpptsql`") {
 			row = line
 		}
 	}
-	if got := flagsIn(row); !reflect.DeepEqual(got, shared) {
-		t.Errorf("README internal/cliflags row lists %v, Register declares %v", got, shared)
+	if got := flagsIn(row); !reflect.DeepEqual(got, engine) {
+		t.Errorf("README cmd/qpptsql row lists %v, register declares %v", got, engine)
 	}
 
-	for _, cmd := range []struct {
-		path string
-		own  []string
-	}{
-		{"../../cmd/qpptsql/main.go", append([]string{"sf", "stats", "no-select-join"}, serve...)},
-		{"../../cmd/qpptbench/main.go", []string{"fig", "sf", "reps", "sizes", "benchjson", "benchlabel"}},
-	} {
-		src, err := os.ReadFile(cmd.path)
-		if err != nil {
-			t.Fatal(err)
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The usage synopsis: the tab-indented comment lines after "Usage:".
+	_, after, _ := strings.Cut(string(src), "// Usage:\n")
+	var usage []string
+	for _, line := range strings.Split(after, "\n") {
+		if line == "//" && len(usage) == 0 {
+			continue
 		}
-		// The usage synopsis: the tab-indented comment lines after "Usage:".
-		_, after, _ := strings.Cut(string(src), "// Usage:\n")
-		var usage []string
-		for _, line := range strings.Split(after, "\n") {
-			if line == "//" && len(usage) == 0 {
-				continue
-			}
-			if !strings.HasPrefix(line, "//\t") {
-				break
-			}
-			usage = append(usage, line)
+		if !strings.HasPrefix(line, "//\t") {
+			break
 		}
-		if got := flagsIn(strings.Join(usage, "\n"), cmd.own...); !reflect.DeepEqual(got, shared) {
-			t.Errorf("%s usage header lists %v, Register declares %v", cmd.path, got, shared)
-		}
+		usage = append(usage, line)
+	}
+	own := append([]string{"sf", "stats", "no-select-join"}, serve...)
+	if got := flagsIn(strings.Join(usage, "\n"), own...); !reflect.DeepEqual(got, engine) {
+		t.Errorf("main.go usage header lists %v, register declares %v", got, engine)
 	}
 }

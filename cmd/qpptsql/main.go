@@ -50,12 +50,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
 
 	"qppt"
-	"qppt/internal/cliflags"
 	"qppt/internal/ssb"
 	"qppt/internal/wire"
 	"qppt/internal/wire/httpd"
@@ -65,12 +65,12 @@ func main() {
 	sf := flag.Float64("sf", 0.05, "SSB scale factor")
 	stats := flag.Bool("stats", false, "print per-operator statistics")
 	noSJ := flag.Bool("no-select-join", false, "disable composed select-join operators")
-	srvFlags := cliflags.RegisterServe(flag.CommandLine)
-	exec := cliflags.Register(flag.CommandLine)
+	srvFlags := registerServe(flag.CommandLine)
+	exec := register(flag.CommandLine)
 	flag.Parse()
-	exec.ApplyRuntime()
+	exec.applyRuntime()
 
-	cfg, err := exec.EngineConfig()
+	cfg, err := exec.engineConfig()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qpptsql:", err)
 		os.Exit(2)
@@ -88,7 +88,7 @@ func main() {
 	}
 	defer eng.Close()
 
-	if srvFlags.Serving() {
+	if srvFlags.serving() {
 		if err := serveWire(srvFlags, eng, ds, *noSJ); err != nil {
 			fmt.Fprintln(os.Stderr, "qpptsql:", err)
 			os.Exit(1)
@@ -98,13 +98,17 @@ func main() {
 
 	sess := eng.Session(ds.Cat)
 	fmt.Println(`type SQL ending with ';', \q to quit, \ssb <id> for benchmark queries, \engine for pool stats`)
-	repl(sess, ds, *stats, *noSJ)
+	if err := repl(os.Stdin, os.Stdout, sess, ds, *stats, *noSJ); err != nil {
+		fmt.Fprintln(os.Stderr, "qpptsql: reading input:", err)
+		eng.Close() // os.Exit skips the deferred Close
+		os.Exit(1)
+	}
 }
 
 // serveWire runs the serving tier: the wire-protocol listener and/or the
 // HTTP adapter, both over one wire.Server on the shared engine. It
 // returns when either listener fails (ErrServerClosed is clean).
-func serveWire(addrs *cliflags.Serve, eng *qppt.Engine, ds *ssb.Dataset, noSJ bool) error {
+func serveWire(addrs *serveFlags, eng *qppt.Engine, ds *ssb.Dataset, noSJ bool) error {
 	srv := wire.NewServer(eng, ds.Cat, queryOptions(false, noSJ)...)
 	defer srv.Close()
 	errc := make(chan error, 2)
@@ -122,17 +126,20 @@ func serveWire(addrs *cliflags.Serve, eng *qppt.Engine, ds *ssb.Dataset, noSJ bo
 	return nil
 }
 
-// repl drives the interactive shell over one engine session.
-func repl(sess *qppt.Session, ds *ssb.Dataset, stats, noSJ bool) {
+// repl drives the interactive shell over one engine session, reading
+// statements from in and writing results to out. It returns nil at \q or
+// the end of in, and the read error otherwise — a line longer than the
+// 1 MiB line buffer is bufio.ErrTooLong.
+func repl(in io.Reader, out io.Writer, sess *qppt.Session, ds *ssb.Dataset, stats, noSJ bool) error {
 	showStats := stats
-	scanner := bufio.NewScanner(os.Stdin)
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := func() {
 		if buf.Len() == 0 {
-			fmt.Print("qppt> ")
+			fmt.Fprint(out, "qppt> ")
 		} else {
-			fmt.Print("  ... ")
+			fmt.Fprint(out, "  ... ")
 		}
 	}
 	prompt()
@@ -140,43 +147,44 @@ func repl(sess *qppt.Session, ds *ssb.Dataset, stats, noSJ bool) {
 		line := strings.TrimSpace(scanner.Text())
 		switch {
 		case buf.Len() == 0 && line == `\q`:
-			return
+			return nil
 		case buf.Len() == 0 && line == `\tables`:
 			for _, t := range []string{"lineorder", "date", "customer", "supplier", "part"} {
-				fmt.Printf("  %-10s %9d rows\n", t, ds.Cat.Table(t).Rows())
+				fmt.Fprintf(out, "  %-10s %9d rows\n", t, ds.Cat.Table(t).Rows())
 			}
 			prompt()
 			continue
 		case buf.Len() == 0 && line == `\stats`:
 			showStats = !showStats
-			fmt.Printf("statistics %v\n", map[bool]string{true: "on", false: "off"}[showStats])
+			fmt.Fprintf(out, "statistics %v\n", map[bool]string{true: "on", false: "off"}[showStats])
 			prompt()
 			continue
 		case buf.Len() == 0 && line == `\engine`:
-			fmt.Print(sess.Engine().Stats())
+			fmt.Fprint(out, sess.Engine().Stats())
 			prompt()
 			continue
 		case buf.Len() == 0 && strings.HasPrefix(line, `\ssb `):
 			qid := strings.TrimSpace(strings.TrimPrefix(line, `\ssb `))
 			text, ok := ssb.SQLTexts[qid]
 			if !ok {
-				fmt.Printf("unknown SSB query %q (valid: %s)\n", qid, strings.Join(ssb.QueryIDs, " "))
+				fmt.Fprintf(out, "unknown SSB query %q (valid: %s)\n", qid, strings.Join(ssb.QueryIDs, " "))
 				prompt()
 				continue
 			}
-			fmt.Println(text)
-			run(sess, text, showStats, noSJ)
+			fmt.Fprintln(out, text)
+			run(out, sess, text, showStats, noSJ)
 			prompt()
 			continue
 		}
 		buf.WriteString(line)
 		buf.WriteByte(' ')
 		if strings.HasSuffix(line, ";") {
-			run(sess, buf.String(), showStats, noSJ)
+			run(out, sess, buf.String(), showStats, noSJ)
 			buf.Reset()
 		}
 		prompt()
 	}
+	return scanner.Err()
 }
 
 // queryOptions assembles the per-query options from the shell state.
@@ -191,26 +199,26 @@ func queryOptions(stats, noSJ bool) []qppt.QueryOption {
 	return opts
 }
 
-func run(sess *qppt.Session, text string, stats, noSJ bool) {
+func run(out io.Writer, sess *qppt.Session, text string, stats, noSJ bool) {
 	rows, planStats, err := sess.Query(context.Background(), text, queryOptions(stats, noSJ)...)
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(out, "error:", err)
 		return
 	}
-	fmt.Println(strings.Join(rows.Attrs, " | "))
+	fmt.Fprintln(out, strings.Join(rows.Attrs, " | "))
 	for i := range rows.Rows {
 		if i == 40 {
-			fmt.Printf("... %d more rows\n", len(rows.Rows)-40)
+			fmt.Fprintf(out, "... %d more rows\n", len(rows.Rows)-40)
 			break
 		}
 		cells := make([]string, len(rows.Attrs))
 		for c := range rows.Attrs {
 			cells[c] = rows.Decode(i, c)
 		}
-		fmt.Println(strings.Join(cells, " | "))
+		fmt.Fprintln(out, strings.Join(cells, " | "))
 	}
-	fmt.Printf("(%d rows)\n", len(rows.Rows))
+	fmt.Fprintf(out, "(%d rows)\n", len(rows.Rows))
 	if stats && planStats != nil {
-		fmt.Print(planStats)
+		fmt.Fprint(out, planStats)
 	}
 }

@@ -151,7 +151,7 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Env exposes the engine's execution environment for callers that drive
-// core.Env.Run (or ssb.RunQPPT, bench harnesses, tests) directly.
+// core.Env.Run (or ssb.RunQPPT, the figure benchmarks, tests) directly.
 func (e *Engine) Env() *core.Env { return e.env }
 
 // Workers reports the shared pool size.

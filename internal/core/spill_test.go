@@ -117,7 +117,7 @@ func TestMemBudgetSpillsAndMatches(t *testing.T) {
 		if stats.Spills == 0 || stats.Restores == 0 {
 			t.Fatalf("workers=%d: no spill traffic recorded: %+v", workers, stats)
 		}
-		if stats.SpillBytes == 0 || stats.RestoreBytes == 0 || stats.PeakResident == 0 {
+		if stats.SpillBytes == 0 || stats.RestoreBytes == 0 || stats.RestoreBytesRead == 0 || stats.PeakResident == 0 {
 			t.Fatalf("workers=%d: byte counters empty: %+v", workers, stats)
 		}
 		opSpills, opRestores := 0, 0

@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkRangeStreamKernel measures the fused range-stream predicate
 // path exactly as flushForward drives it per batch: clear the mask words,
 // one RangeMask pass per predicate range, one MaskSel compaction. The
-// scalar sub-benchmark forces the generic oracle so the regression gate
-// tracks both sides of the dispatch seam.
+// scalar sub-benchmark forces the generic oracle so both sides of the
+// dispatch seam are timed.
 func BenchmarkRangeStreamKernel(b *testing.B) {
 	keys := testKeys(512, 7, false)
 	mask := make([]uint64, MaskWords(len(keys)))

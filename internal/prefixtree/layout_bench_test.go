@@ -12,7 +12,7 @@ import (
 // allocation story part of the regression surface: batched lookups must
 // stay allocation-free (pooled scratch) and batched index builds must
 // allocate chunks, not per-key objects. Each runs as the sub-benchmark
-// "arena", the name scripts/bench_regress.sh and its baseline match on.
+// "arena".
 
 const benchTreeKeys = 1 << 17
 

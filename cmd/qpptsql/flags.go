@@ -10,14 +10,13 @@ import (
 )
 
 // execFlags holds the engine flags after parsing: worker pool size,
-// memory budget, chunk-pool cap, the fusion/recycler/kernel oracle
-// switches, admission control and the statement cache.
+// memory budget, chunk-pool cap, the recycler/kernel oracle switches,
+// admission control and the statement cache.
 type execFlags struct {
 	Workers    int
 	MemBudget  string
 	RecycleCap string
 	NoRecycle  bool
-	NoFuse     bool
 	NoKernel   bool
 	MaxPlans   int
 	QueueDepth int
@@ -32,8 +31,7 @@ func register(fs *flag.FlagSet) *execFlags {
 	fs.StringVar(&e.MemBudget, "membudget", "", "intermediate-index memory budget (e.g. 256MiB); empty = unlimited, no spilling")
 	fs.BoolVar(&e.NoRecycle, "norecycle", false, "disable the engine's cross-plan chunk recycler (on by default)")
 	fs.StringVar(&e.RecycleCap, "recyclecap", "", "byte cap on the engine chunk pool (e.g. 256MiB); empty = engine default")
-	fs.BoolVar(&e.NoFuse, "nofuse", false, "disable pipeline fusion: materialize every single-consumer intermediate index (fusion is on by default)")
-	fs.BoolVar(&e.NoKernel, "nokernel", false, "disable the SWAR batch kernels: route tree descents and range-stream predicates through the scalar fallback")
+	fs.BoolVar(&e.NoKernel, "nokernel", false, "disable the SWAR batch kernels: route tree descents through the scalar fallback")
 	fs.IntVar(&e.MaxPlans, "max-plans", 0, "admission cap on concurrently executing plans (0 = unlimited, no admission control)")
 	fs.IntVar(&e.QueueDepth, "queue-depth", 0, "per-session admission queue depth before queries are shed with ErrOverloaded (0 = default; needs -max-plans)")
 	fs.IntVar(&e.StmtCache, "stmtcache", 0, "per-connection prepared-statement cache capacity (0 = default, negative disables)")
@@ -78,7 +76,6 @@ func (e *execFlags) engineConfig() (qppt.Config, error) {
 	cfg := qppt.Config{
 		Workers:        e.Workers,
 		DisableRecycle: e.NoRecycle,
-		DisableFusion:  e.NoFuse,
 		MaxPlans:       e.MaxPlans,
 		QueueDepth:     e.QueueDepth,
 		StmtCache:      e.StmtCache,

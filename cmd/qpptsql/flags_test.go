@@ -38,7 +38,6 @@ func TestFlagsLandInConfig(t *testing.T) {
 		{[]string{"-membudget", "64MiB"}, func(c *qppt.Config) { c.MemBudget = 64 << 20 }},
 		{[]string{"-recyclecap", "1G"}, func(c *qppt.Config) { c.RecycleCap = 1 << 30 }},
 		{[]string{"-norecycle"}, func(c *qppt.Config) { c.DisableRecycle = true }},
-		{[]string{"-nofuse"}, func(c *qppt.Config) { c.DisableFusion = true }},
 		{[]string{"-nokernel"}, func(*qppt.Config) {}}, // process-global, see TestNoKernel
 		{[]string{"-max-plans", "3"}, func(c *qppt.Config) { c.MaxPlans = 3 }},
 		{[]string{"-max-plans", "3", "-queue-depth", "9"}, func(c *qppt.Config) { c.MaxPlans, c.QueueDepth = 3, 9 }},
@@ -84,10 +83,10 @@ func TestEngineConfigRejects(t *testing.T) {
 	}
 }
 
-// The flags of the removed one-shot mode and of the knobs that became
-// constants must be gone, not silently accepted.
+// The flags of the removed one-shot and fusion modes and of the knobs that
+// became constants must be gone, not silently accepted.
 func TestRemovedFlagsAreUndefined(t *testing.T) {
-	for _, args := range [][]string{{"-recycle"}, {"-buffer", "64"}, {"-morsels", "2"}, {"-probebatch", "1"}} {
+	for _, args := range [][]string{{"-recycle"}, {"-buffer", "64"}, {"-morsels", "2"}, {"-probebatch", "1"}, {"-nofuse"}} {
 		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: parse error %v, want \"flag provided but not defined\"", args, err)
 		}

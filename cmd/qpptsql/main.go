@@ -6,7 +6,7 @@
 //
 //	qpptsql [-sf 0.05] [-stats] [-no-select-join]
 //	        [-workers N] [-membudget 256MiB]
-//	        [-norecycle] [-recyclecap 256MiB] [-nofuse] [-nokernel]
+//	        [-norecycle] [-recyclecap 256MiB] [-nokernel]
 //	        [-max-plans N] [-queue-depth D] [-stmtcache C]
 //	        [-listen :5477] [-serve :8080]
 //

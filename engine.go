@@ -65,10 +65,7 @@ type Config struct {
 	// trim evictions in Stats. 0 means DefaultRecycleCap; negative means
 	// unbounded.
 	RecycleCap int64
-	// DisableFusion turns off pipeline fusion engine-wide: every
-	// single-consumer intermediate index is materialized as in the paper's
-	// decomposed-plan model. Results are identical either way; the
-	// materialized engine is the oracle fused execution is checked against.
+	// Deprecated: set by benchmark/check.go; nothing in the engine writes or reads it.
 	DisableFusion bool
 	// MaxPlans caps the plans executing concurrently: an admission gate
 	// in front of RunPlan/Stmt.Run queues later arrivals per session
@@ -334,10 +331,10 @@ func (e *Engine) RunPlan(ctx context.Context, plan *core.Plan, opts ...QueryOpti
 }
 
 // execOptions folds the engine defaults and the per-query overrides into
-// the core execution options for one run. Joinbuffer size, probe batch
-// and morsel fan-out run at the core defaults.
+// the core execution options for one run. Joinbuffer size and morsel
+// fan-out run at the core defaults.
 func (e *Engine) execOptions(opts []QueryOption) core.Options {
-	q := queryConfig{exec: core.Options{NoFuse: e.cfg.DisableFusion}}
+	var q queryConfig
 	for _, o := range opts {
 		o(&q)
 	}

@@ -210,7 +210,7 @@ func PutChunk[T any](r *Recycler, c []T) {
 // NewChunk returns a length-0 chunk of exactly capElems capacity, served
 // from the pool when a matching chunk is parked and freshly allocated
 // otherwise. It is the allocation entry point for recycler-backed scratch
-// buffers — e.g. the per-worker probe buffers of fused pipelines — whose
+// buffers — e.g. the per-worker insert buffers of pipeline sinks — whose
 // size class (element type × capacity) repeats across workers and plans:
 // give the buffer back with PutChunk when the stage finishes and the next
 // worker's NewChunk finds it. A nil recycler degrades to a plain make.

@@ -114,6 +114,30 @@ func starPlan(f *fixture, brand uint64) *Plan {
 	return &Plan{Root: join}
 }
 
+// sjPlan is starPlan composed (paper Section 4.3): the products selection
+// probes straight into the fact index, so the whole query is one operator
+// driven by the selection's point predicate.
+func sjPlan(f *fixture, brand uint64) *Plan {
+	return &Plan{Root: &SelectJoin{
+		SelInput:      &Base{Table: f.prodByBrand},
+		Pred:          Point(brand),
+		Main:          &Base{Table: f.factByProd},
+		ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
+		Assists: []Assist{{
+			Input:     &Base{Table: f.custByKey},
+			ProbeWith: Ref{Input: 1, Attr: "custkey"},
+		}},
+		Out: OutputSpec{
+			Name:     "Γ_region",
+			Key:      SimpleKey("region", 8),
+			KeyRefs:  []Ref{{Input: 2, Attr: "region"}},
+			Cols:     []string{"sum_qty"},
+			ColExprs: []RowExpr{Attr(1, "qty")},
+			Fold:     FoldSum(0),
+		},
+	}}
+}
+
 func resultAsMap(t *testing.T, res *Result) map[uint64]uint64 {
 	t.Helper()
 	m := map[uint64]uint64{}
@@ -228,26 +252,7 @@ func TestSelectionResidualAndRange(t *testing.T) {
 func TestSelectJoinEquivalentToSelectionPlusJoin(t *testing.T) {
 	f := buildFixture(5)
 	brand := uint64(7)
-	// Composed: select products on brand and join straight into fact.
-	sj := &SelectJoin{
-		SelInput:      &Base{Table: f.prodByBrand},
-		Pred:          Point(brand),
-		Main:          &Base{Table: f.factByProd},
-		ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
-		Assists: []Assist{{
-			Input:     &Base{Table: f.custByKey},
-			ProbeWith: Ref{Input: 1, Attr: "custkey"},
-		}},
-		Out: OutputSpec{
-			Name:     "Γ_region",
-			Key:      SimpleKey("region", 8),
-			KeyRefs:  []Ref{{Input: 2, Attr: "region"}},
-			Cols:     []string{"sum_qty"},
-			ColExprs: []RowExpr{Attr(1, "qty")},
-			Fold:     FoldSum(0),
-		},
-	}
-	composed, _, err := run(t, EnvConfig{}, &Plan{Root: sj}, Options{})
+	composed, _, err := run(t, EnvConfig{}, sjPlan(f, brand), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,6 +451,93 @@ func TestStatsCollection(t *testing.T) {
 	}
 	if stats.String() == "" {
 		t.Error("empty stats string")
+	}
+}
+
+// TestEveryOperatorMaterializes pins the paper's execution model: every
+// non-base operator builds its output index, so PlanStats.Ops holds one
+// row per such operator, in post-order, each with a non-empty output — for
+// a σ→σ cascade and a select-join feeding a join, serially and on two
+// workers.
+func TestEveryOperatorMaterializes(t *testing.T) {
+	f := buildFixture(23)
+	byBrand := func(name string) OutputSpec {
+		return OutputSpec{
+			Name:     name,
+			Key:      SimpleKey("brand", 8),
+			KeyRefs:  []Ref{{Input: 0, Attr: "brand"}},
+			Cols:     []string{"prodkey"},
+			ColExprs: []RowExpr{Attr(0, "prodkey")},
+		}
+	}
+	selSel := func() *Plan {
+		inner := &Selection{Input: &Base{Table: f.prodByBrand}, Out: byBrand("ident")}
+		return &Plan{Root: &Selection{Input: inner, Pred: Between(2, 5), Out: byBrand("band")}}
+	}
+	sjJoin := func() *Plan {
+		sj := &SelectJoin{
+			SelInput:      &Base{Table: f.prodByBrand},
+			Pred:          Point(2),
+			Main:          &Base{Table: f.factByProd},
+			ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
+			Out: OutputSpec{
+				Name:     "σ⋈_fact",
+				Key:      SimpleKey("custkey", 16),
+				KeyRefs:  []Ref{{Input: 1, Attr: "custkey"}},
+				Cols:     []string{"qty"},
+				ColExprs: []RowExpr{Attr(1, "qty")},
+			},
+		}
+		return &Plan{Root: &Join{
+			Left:  sj,
+			Right: &Base{Table: f.custByKey},
+			Out: OutputSpec{
+				Name:     "Γ_region",
+				Key:      SimpleKey("region", 8),
+				KeyRefs:  []Ref{{Input: 1, Attr: "region"}},
+				Cols:     []string{"sum_qty"},
+				ColExprs: []RowExpr{Attr(0, "qty")},
+				Fold:     FoldSum(0),
+			},
+		}}
+	}
+	var postOrder func(op Operator, labels []string) []string
+	postOrder = func(op Operator, labels []string) []string {
+		for _, c := range op.Children() {
+			labels = postOrder(c, labels)
+		}
+		if _, isBase := op.(*Base); !isBase {
+			labels = append(labels, op.Label())
+		}
+		return labels
+	}
+	for name, mkPlan := range map[string]func() *Plan{"σ→σ": selSel, "σ⋈→⋈": sjJoin} {
+		var serial [][]uint64
+		for _, workers := range []int{1, 2} {
+			plan := mkPlan()
+			out, stats, err := run(t, EnvConfig{Workers: workers}, plan, Options{CollectStats: true})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			want := postOrder(plan.Root, nil)
+			if len(stats.Ops) != len(want) {
+				t.Fatalf("%s workers=%d: %d operator rows, want %d (%v)", name, workers, len(stats.Ops), len(want), want)
+			}
+			for i, op := range stats.Ops {
+				if op.Label != want[i] {
+					t.Errorf("%s workers=%d: row %d is %q, want %q", name, workers, i, op.Label, want[i])
+				}
+				if op.OutKeys <= 0 || op.OutBytes <= 0 {
+					t.Errorf("%s workers=%d: %s built no output index (%d keys, %d B)", name, workers, op.Label, op.OutKeys, op.OutBytes)
+				}
+			}
+			rows := Extract(out).Rows
+			if workers == 1 {
+				serial = rows
+			} else if !reflect.DeepEqual(rows, serial) {
+				t.Errorf("%s: two workers changed the result", name)
+			}
+		}
 	}
 }
 

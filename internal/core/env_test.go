@@ -12,7 +12,10 @@ import (
 // TestRunCancelMidScan cancels the context deterministically from
 // inside a selection's residual filter: the scan must stop within one
 // abort-poll window and Env.Run must report context.Canceled instead of a
-// partial result.
+// partial result — for a lone selection, and for a σ→σ plan under a
+// 1-byte budget, cancelled while the outer selection holds its spilled
+// input pinned (newTestEnv's Close and spill-directory checks catch a pin
+// or file left behind).
 func TestRunCancelMidScan(t *testing.T) {
 	const nKeys = 200000
 	idx := NewIndex(IndexConfig{KeyBits: 32})
@@ -20,33 +23,49 @@ func TestRunCancelMidScan(t *testing.T) {
 		idx.Insert(k, nil)
 	}
 	base := NewIndexedTable("big[k]", SimpleKey("k", 32), nil, idx)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const cancelAt = 1000
-	seen := 0
-	plan := &Plan{Root: &Selection{
-		Input: &Base{Table: base},
-		Residual: func([]uint64) bool {
-			seen++
-			if seen == cancelAt {
-				cancel()
-			}
-			return true
-		},
-		Out: OutputSpec{
-			Name:    "out",
-			Key:     SimpleKey("k", 32),
-			KeyRefs: []Ref{{Input: 0, Attr: "k"}},
-		},
-	}}
-	out, _, err := newTestEnv(t, EnvConfig{}).Run(ctx, plan, Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run returned err=%v out=%v, want context.Canceled", err, out)
+	out := func(name string) OutputSpec {
+		return OutputSpec{Name: name, Key: SimpleKey("k", 32), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}
 	}
-	// The abort poll runs every abortTickMask+1 fed combinations; the scan
-	// must not have continued much past the cancellation point.
-	if limit := cancelAt + 2*(abortTickMask+1); seen > limit {
-		t.Errorf("scan visited %d rows after cancelling at %d (limit %d)", seen, cancelAt, limit)
+	for _, tc := range []struct {
+		name  string
+		env   EnvConfig
+		input func() Operator
+	}{
+		{"selection", EnvConfig{}, func() Operator { return &Base{Table: base} }},
+		{"σ→σ under a budget", EnvConfig{MemBudget: 1}, func() Operator {
+			return &Selection{Input: &Base{Table: base}, Out: out("inner")}
+		}},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		const cancelAt = 1000
+		seen := 0
+		plan := &Plan{Root: &Selection{
+			Input: tc.input(),
+			Residual: func([]uint64) bool {
+				seen++
+				if seen == cancelAt {
+					cancel()
+				}
+				return true
+			},
+			Out: out("out"),
+		}}
+		env := newTestEnv(t, tc.env)
+		res, _, err := env.Run(ctx, plan, Options{})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Run returned err=%v out=%v, want context.Canceled", tc.name, err, res)
+		}
+		if tc.env.MemBudget > 0 {
+			if st := env.spill.Stats(); st.Spills == 0 || st.Restores == 0 {
+				t.Errorf("%s: %d spills, %d restores: the outer selection never pinned a spilled input", tc.name, st.Spills, st.Restores)
+			}
+		}
+		// The abort poll runs every abortTickMask+1 fed combinations; the scan
+		// must not have continued much past the cancellation point.
+		if limit := cancelAt + 2*(abortTickMask+1); seen > limit {
+			t.Errorf("%s: scan visited %d rows after cancelling at %d (limit %d)", tc.name, seen, cancelAt, limit)
+		}
 	}
 }
 
@@ -95,9 +114,7 @@ func TestEnvCrossPlanReuse(t *testing.T) {
 	env := newTestEnv(t, EnvConfig{Recycle: true})
 	var firstReuse int
 	for pass := 0; pass < 2; pass++ {
-		// NoFuse: cross-plan chunk reuse needs the plan to build (and drop)
-		// its intermediate index; fusion would stream it instead.
-		out, stats, err := env.Run(context.Background(), starPlan(f, 2), Options{CollectStats: true, NoFuse: true})
+		out, stats, err := env.Run(context.Background(), starPlan(f, 2), Options{CollectStats: true})
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -133,7 +150,7 @@ func TestEnvSharedSpillKeepsResultOut(t *testing.T) {
 	}
 	wantRows := Extract(want).Rows
 
-	out, stats, err := env.Run(context.Background(), starPlan(f, 2), Options{CollectStats: true, NoFuse: true})
+	out, stats, err := env.Run(context.Background(), starPlan(f, 2), Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}

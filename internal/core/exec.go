@@ -37,24 +37,6 @@ type Options struct {
 	// time-queued from time-executing (qppt.Engine sets it from its
 	// admission gate).
 	AdmissionWait time.Duration
-	// NoFuse disables pipeline fusion. By default the executor detects
-	// single-consumer plan edges whose intermediate index would be built,
-	// scanned once by a streaming consumer and dropped, and executes each
-	// such operator chain as one stage: combinations flow straight from
-	// the producer's pipeline into the consumer's, and only the chain's
-	// top operator materializes an output index (fuse.go). Results are
-	// identical either way, up to the intra-key duplicate row order of
-	// non-folding outputs — the same caveat as EnvConfig.Workers > 1.
-	NoFuse bool
-	// ProbeBatch is the probe-forward batch size inside fused chains: how
-	// many assembled combinations a fused link accumulates in its
-	// recycler-backed probe buffer before handing them — key-sorted, so
-	// the consumer's batched index probes walk shared tree descents once —
-	// to the link above. 0 uses DefaultProbeBatch; 1 forwards scalar
-	// combination-at-a-time (the pre-batching behavior). Irrelevant under
-	// NoFuse. Results are identical at any setting, up to the intra-key
-	// duplicate row order of non-folding outputs (the Workers > 1 caveat).
-	ProbeBatch int
 }
 
 // poolWorkers resolves EnvConfig.Workers into the pool size the scheduler
@@ -148,31 +130,6 @@ func (ec *ExecContext) morselsPerWorker() int { return ec.opts.morselsPerWorker(
 // one; it matches the middle setting of the paper's demonstrator.
 const DefaultBufferSize = 512
 
-// DefaultProbeBatch is the probe-forward batch size inside fused chains
-// when Options does not set one. It matches DefaultBufferSize, so one
-// forwarded batch fills (at most) one joinbuffer flush in the consumer.
-const DefaultProbeBatch = 512
-
-// probeSortMinKeys is the smallest probe-target index (keys) for which a
-// fused link key-sorts its probe batches before forwarding. Below it the
-// consumer's tree is shallow enough that probes cost a descent of a level
-// or two regardless of order, and the per-batch sort is pure overhead;
-// above it sorted batches let LookupBatch/InsertBatch walk shared
-// descents once per distinct prefix.
-const probeSortMinKeys = 4096
-
-// probeBatch resolves Options.ProbeBatch: 0 = default, anything below 1 =
-// scalar forwarding.
-func (ec *ExecContext) probeBatch() int {
-	if ec.opts.ProbeBatch == 0 {
-		return DefaultProbeBatch
-	}
-	if ec.opts.ProbeBatch < 1 {
-		return 1
-	}
-	return ec.opts.ProbeBatch
-}
-
 // noteSink folds one worker pipeline's counters into the operator
 // statistics: each pipeline is one pool worker's partial, so the call also
 // counts the workers and morsels that actually executed.
@@ -182,17 +139,7 @@ func (ec *ExecContext) noteSink(p *pipeline) {
 	}
 	ec.mu.Lock()
 	ec.opStats.IndexTime += p.snk.insertTime
-	if p.snk.forward != nil || p.snk.forwardBatch != nil {
-		// A forwarding sink (fused edge) streams its combinations to the
-		// consumer instead of indexing them.
-		ec.opStats.TuplesStreamed += p.snk.inserted
-	} else {
-		ec.opStats.TuplesIndexed += p.snk.inserted
-	}
-	ec.opStats.ProbeBatches += p.snk.batches + p.fedBatches
-	ec.opStats.SortedFlushes += p.snk.sortedFlushes
-	ec.opStats.ArrivalFlushes += p.snk.arrivalFlushes
-	ec.opStats.StreamedIn += p.fedRows
+	ec.opStats.TuplesIndexed += p.snk.inserted
 	ec.opStats.ProbeLookups += p.lookups
 	ec.opStats.KernelDescents += p.kernelDescents
 	ec.opStats.ScalarDescents += p.scalarDescents
@@ -217,30 +164,12 @@ type OperatorStats struct {
 	// lookups issued through the joinbuffer.
 	TuplesIndexed int
 	ProbeLookups  int
-	// Fused marks an operator that ran as a non-top link of a fused
-	// chain: its output index was never built, and TuplesStreamed counts
-	// the combinations it streamed into its consumer instead. For such
-	// operators TuplesIndexed, IndexTime and the Out* fields are zero.
-	// FusedKind labels the kind of fused edge by its consumer: "probe"
-	// (Join/Intersect), "select-probe" (SelectJoin) or "range-stream"
-	// (Selection/Having).
-	Fused          bool
-	FusedKind      string
+	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
 	TuplesStreamed int
-	// ProbeBatches counts the probe batches this operator took part in
-	// over fused edges (0 under scalar forwarding, ProbeBatch <= 1): for
-	// a producer (Fused) the batches its forwarding sink handed out,
-	// split into SortedFlushes (delivered or verified key-sorted) and
-	// ArrivalFlushes (arrival order); for a non-probing chain top
-	// (range-stream / select-probe consumer) the batches it received,
-	// with StreamedIn counting the combinations that survived the batch
-	// predicate filter. AvgBatchFill is combinations per batch — how full
-	// the probe buffer ran against the configured ProbeBatch size.
-	ProbeBatches   int
-	SortedFlushes  int
-	ArrivalFlushes int
-	StreamedIn     int
-	AvgBatchFill   float64
+	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
+	ProbeBatches int
+	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
+	AvgBatchFill float64
 	// KernelDescents/ScalarDescents split this operator's batched
 	// assisting-index lookups by the descent strategy the trees picked:
 	// the word-parallel SWAR kernel vs the scalar job loop (small
@@ -298,9 +227,7 @@ type PlanStats struct {
 	ChunksRecycled    int
 	ChunksReused      int
 	RecycleSavedBytes int64
-	// FusedEdges counts the single-consumer plan edges executed as fused
-	// streams — each is one intermediate index the plan never built
-	// (0 under Options.NoFuse).
+	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
 	FusedEdges int
 	// AdmissionWait is how long the plan sat in the engine's admission
 	// queue before execution began (0 when the plan was admitted
@@ -326,38 +253,15 @@ func (ps *PlanStats) String() string {
 		s += fmt.Sprintf("recycler: %d chunks parked, %d reused (%s of allocation avoided)\n",
 			ps.ChunksRecycled, ps.ChunksReused, spill.FormatBytes(ps.RecycleSavedBytes))
 	}
-	if ps.FusedEdges > 0 {
-		s += fmt.Sprintf("fusion: %d intermediate indexes skipped\n", ps.FusedEdges)
-	}
 	if kd, sd := ps.descents(); kd > 0 || sd > 0 {
 		s += fmt.Sprintf("kernels: %d SWAR descents, %d scalar\n", kd, sd)
 	}
 	for _, op := range ps.Ops {
-		if op.Fused {
-			kind := op.FusedKind
-			if kind == "" {
-				kind = "stream"
-			}
-			s += fmt.Sprintf("  %-24s %10v  fused %s: %d combinations streamed",
-				op.Label+" ⇒", op.Time.Round(time.Microsecond), kind, op.TuplesStreamed)
-			if op.ProbeBatches > 0 {
-				s += fmt.Sprintf(" in %d batches (avg fill %.1f, %d sorted / %d arrival)",
-					op.ProbeBatches, op.AvgBatchFill, op.SortedFlushes, op.ArrivalFlushes)
-			}
-			s += "\n"
-			continue
-		}
 		s += fmt.Sprintf("  %-24s %10v (index %8v) out: %d rows, %d keys, %d B",
 			op.Label, op.Time.Round(time.Microsecond), op.IndexTime.Round(time.Microsecond),
 			op.OutRows, op.OutKeys, op.OutBytes)
 		if op.Workers > 1 {
 			s += fmt.Sprintf("  [%d workers, %d morsels]", op.Workers, op.Morsels)
-		}
-		if op.ProbeBatches > 0 {
-			// A non-probing chain top: batches received over the fused
-			// edge, combinations surviving the stream predicate.
-			s += fmt.Sprintf("  [%d stream batches in, %d kept, avg fill %.1f]",
-				op.ProbeBatches, op.StreamedIn, op.AvgBatchFill)
 		}
 		if op.Spills > 0 || op.Restores > 0 {
 			s += fmt.Sprintf("  [spilled ×%d, restored ×%d]", op.Spills, op.Restores)
@@ -414,18 +318,14 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 		spill: env.spill,
 		memo:  make(map[Operator]*memoEntry),
 	}
-	if ex.rec != nil || ex.spill != nil || !opts.NoFuse {
-		// Consumer counting drives chunk recycling, the early deletion of
-		// spill files, and fusion: an intermediate nobody will read again
-		// should neither sit in the chunk pool's way nor keep a snapshot
-		// on disk until the plan ends — and one that exactly one streaming
-		// consumer will read should not be built at all.
+	if ex.rec != nil || ex.spill != nil {
+		// Consumer counting drives chunk recycling and the early deletion
+		// of spill files: an intermediate nobody will read again should
+		// neither sit in the chunk pool's way nor keep a snapshot on disk
+		// until the plan ends.
 		ex.uses = make(map[Operator]int)
 		countUses(pl.Root, ex.uses)
 		ex.uses[pl.Root]++ // the caller consumes the result; never drop it
-	}
-	if !opts.NoFuse {
-		ex.chains = buildChains(pl.Root, ex.uses)
 	}
 	if ex.spill != nil {
 		ex.handles = make(map[*IndexedTable]*spill.Handle)
@@ -507,7 +407,6 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 			stats.ChunksRecycled, stats.ChunksReused = rs.Recycled-rec0.Recycled, rs.Reused-rec0.Reused
 			stats.RecycleSavedBytes = rs.SavedBytes - rec0.SavedBytes
 		}
-		stats.FusedEdges = ex.fusedEdges
 		stats.Total = time.Since(t0)
 	}
 	return out, stats, nil
@@ -547,11 +446,6 @@ type executor struct {
 	rec   *arena.Recycler
 	wrecs []*arena.Recycler
 	uses  map[Operator]int
-
-	// chains maps each fused chain's top operator to the chain (fuse.go);
-	// fusedEdges counts the edges executed as streams.
-	chains     map[Operator]*fuseChain
-	fusedEdges int
 
 	spill    *spill.Manager
 	handles  map[*IndexedTable]*spill.Handle // intermediate table → spill handle
@@ -654,10 +548,7 @@ type memoEntry struct {
 	once sync.Once
 	out  *IndexedTable
 	st   *OperatorStats
-	// pre holds the statistics of the fused (non-top) links of a chain
-	// resolved through this entry; they precede st in post-order.
-	pre []*OperatorStats
-	err error
+	err  error
 }
 
 func (ex *executor) entry(op Operator) *memoEntry {
@@ -672,23 +563,20 @@ func (ex *executor) entry(op Operator) *memoEntry {
 }
 
 // pinInputs is the operator prologue: it restores — and protects from
-// eviction — every spilled input the given operators are about to scan or
-// probe, as one set (spill.Manager.PinSet), so thawing one input never
-// evicts another the same operator reads. A fused chain passes one input
-// list per link; an intermediate read on several ordinals is pinned once.
-// The returned set stays pinned until finishOp; on error nothing stays
-// pinned.
-func (ex *executor) pinInputs(inputLists ...[]*IndexedTable) ([]*spill.Handle, error) {
+// eviction — every spilled input the operator is about to scan or probe,
+// as one set (spill.Manager.PinSet), so thawing one input never evicts
+// another the same operator reads. An intermediate read on several
+// ordinals is pinned once. The returned set stays pinned until finishOp;
+// on error nothing stays pinned.
+func (ex *executor) pinInputs(inputs []*IndexedTable) ([]*spill.Handle, error) {
 	if ex.spill == nil {
 		return nil, nil
 	}
 	var set []*spill.Handle
-	for _, inputs := range inputLists {
-		for _, in := range inputs {
-			// nil: base table, unspillable kind, or fused placeholder.
-			if h := ex.handleOf(in); h != nil && !slices.Contains(set, h) {
-				set = append(set, h)
-			}
+	for _, in := range inputs {
+		// nil: base table or unspillable kind.
+		if h := ex.handleOf(in); h != nil && !slices.Contains(set, h) {
+			set = append(set, h)
 		}
 	}
 	if err := ex.spill.PinSet(ex.ctx, set); err != nil {
@@ -697,8 +585,8 @@ func (ex *executor) pinInputs(inputLists ...[]*IndexedTable) ([]*spill.Handle, e
 	return set, nil
 }
 
-// finishOp is the operator epilogue, shared by resolve and runChain: op ran
-// over inputs[i] = the output of children[i], with pinned still held. Order
+// finishOp is the operator epilogue: op ran over inputs[i] = the output of
+// children[i], with pinned still held. Order
 // is the point (package spill): inputs whose last consumer this was are
 // dropped first — no I/O, spill state deleted, chunks back in the pool —
 // then the rest are unpinned, then the output is registered and the budget
@@ -732,12 +620,6 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 	e.once.Do(func() {
 		if err := ex.ctx.Err(); err != nil {
 			e.err = err // cancelled: don't start another operator
-			return
-		}
-		if ch := ex.chains[op]; ch != nil {
-			// op tops a fused chain: the chain runs as one stage inside
-			// this memo entry (fuse.go), bypassing the links below it.
-			ex.runChain(ch, e, stats)
 			return
 		}
 		children := op.Children()
@@ -802,14 +684,9 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 	})
 	if e.err == nil && stats != nil {
 		// Append post-order, exactly once per operator (two consumers of a
-		// shared operator may both arrive here); a fused chain's non-top
-		// links precede the top.
+		// shared operator may both arrive here).
 		ex.mu.Lock()
 		if e.st != nil {
-			for _, p := range e.pre {
-				stats.Ops = append(stats.Ops, *p)
-			}
-			e.pre = nil
 			stats.Ops = append(stats.Ops, *e.st)
 			e.st = nil
 			if h := ex.handles[e.out]; h != nil {

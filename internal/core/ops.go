@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"qppt/internal/arena"
 	"qppt/internal/duplist"
 )
 
@@ -82,53 +81,38 @@ func (s *Selection) CtxOf(input *IndexedTable, attr string) int {
 	return mustResolve(newCtxLayout(input), Ref{Input: 0, Attr: attr})
 }
 
-// pipe builds the selection's combination pipeline over its input; the
-// caller attaches the sink (setSink to materialize, setForward to fuse).
-func (s *Selection) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, error) {
-	p := newPipeline(ec, newCtxLayout(inputs[0]))
-	p.residual = s.Residual
-	return p, nil
+func (s *Selection) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
+	in := inputs[0]
+	pipe := func() (*pipeline, error) {
+		p := newPipeline(ec, newCtxLayout(in))
+		p.residual = s.Residual
+		return p, nil
+	}
+	return runMorsels(ec, &s.Out, predBounds(s.Pred, in), pipe, predScan(s.Pred, in))
 }
 
-// scan returns the morsel scan body over the resolved inputs.
-func (s *Selection) scan(inputs []*IndexedTable) scanFn {
-	in := inputs[0]
+// predScan returns the morsel scan body of a predicate scan over in: a
+// morsel scans the predicate's ranges clipped to its key interval.
+func predScan(pred KeyPred, in *IndexedTable) scanFn {
 	return func(p *pipeline, lo, hi uint64, whole bool) {
-		pred := s.Pred
+		ranges := pred
 		if !whole {
-			pred = intersectPred(pred, lo, hi)
+			ranges = intersectPred(pred, lo, hi)
 		}
-		feedScan(p, in, pred)
+		feedScan(p, in, ranges)
 	}
 }
 
-// bounds returns the morsel interval: with a predicate, morsels partition
-// its envelope instead of the data bounds, because the scan clips every
-// morsel to the predicate anyway.
-func (s *Selection) bounds(inputs []*IndexedTable) boundsFn {
-	in := inputs[0]
+// predBounds returns the morsel interval of a predicate scan over in: with
+// a predicate, morsels partition its envelope instead of the data bounds,
+// because the scan clips every morsel to the predicate anyway.
+func predBounds(pred KeyPred, in *IndexedTable) boundsFn {
 	return func() (uint64, uint64, bool) {
-		if lo, hi, ok := predEnvelope(s.Pred); ok {
+		if lo, hi, ok := predEnvelope(pred); ok {
 			return lo, hi, true
 		}
 		return idxBounds(in.Idx)
 	}
-}
-
-func (s *Selection) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
-	newPart := func(spec *OutputSpec, rec *arena.Recycler) (*pipeline, *IndexedTable, error) {
-		p, err := s.pipe(ec, inputs)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.rec = rec
-		out, err := p.setSink(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p, out, nil
-	}
-	return runMorsels(ec, &s.Out, s.bounds(inputs), newPart, s.scan(inputs))
 }
 
 // feedScan scans input 0's qualifying key ranges into the pipeline. A nil
@@ -206,7 +190,7 @@ func (j *Join) Children() []Operator {
 }
 
 // pipe builds the join's probe pipeline (assist stages only — the mains
-// are fed by the synchronous scan); the caller attaches the sink.
+// are fed by the synchronous scan).
 func (j *Join) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, error) {
 	layout := newCtxLayout(inputs...)
 	p := newPipeline(ec, layout)
@@ -260,26 +244,10 @@ func (j *Join) scan(inputs []*IndexedTable) scanFn {
 	}
 }
 
-// bounds returns the synchronous scan's morsel interval.
-func (j *Join) bounds(inputs []*IndexedTable) boundsFn {
-	left, right := inputs[0], inputs[1]
-	return func() (uint64, uint64, bool) { return syncScanBounds(left.Idx, right.Idx) }
-}
-
 func (j *Join) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
-	newPart := func(spec *OutputSpec, rec *arena.Recycler) (*pipeline, *IndexedTable, error) {
-		p, err := j.pipe(ec, inputs)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.rec = rec
-		out, err := p.setSink(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p, out, nil
-	}
-	return runMorsels(ec, &j.Out, j.bounds(inputs), newPart, j.scan(inputs))
+	bounds := func() (uint64, uint64, bool) { return syncScanBounds(inputs[0].Idx, inputs[1].Idx) }
+	pipe := func() (*pipeline, error) { return j.pipe(ec, inputs) }
+	return runMorsels(ec, &j.Out, bounds, pipe, j.scan(inputs))
 }
 
 func crossRight(layout ctxLayout, ctx []uint64, right *IndexedTable, rv *duplist.List, feed func([]uint64)) {
@@ -361,44 +329,10 @@ func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, 
 	return p, nil
 }
 
-// scan returns the morsel scan body over the selection input.
-func (sj *SelectJoin) scan(inputs []*IndexedTable) scanFn {
-	sel := inputs[0]
-	return func(p *pipeline, lo, hi uint64, whole bool) {
-		pred := sj.Pred
-		if !whole {
-			pred = intersectPred(pred, lo, hi)
-		}
-		feedScan(p, sel, pred)
-	}
-}
-
-// bounds returns the selection scan's morsel interval. See
-// Selection.bounds: the predicate envelope stands in for the data bounds.
-func (sj *SelectJoin) bounds(inputs []*IndexedTable) boundsFn {
-	sel := inputs[0]
-	return func() (uint64, uint64, bool) {
-		if lo, hi, ok := predEnvelope(sj.Pred); ok {
-			return lo, hi, true
-		}
-		return idxBounds(sel.Idx)
-	}
-}
-
 func (sj *SelectJoin) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
-	newPart := func(spec *OutputSpec, rec *arena.Recycler) (*pipeline, *IndexedTable, error) {
-		p, err := sj.pipe(ec, inputs)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.rec = rec
-		out, err := p.setSink(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p, out, nil
-	}
-	return runMorsels(ec, &sj.Out, sj.bounds(inputs), newPart, sj.scan(inputs))
+	sel := inputs[0]
+	pipe := func() (*pipeline, error) { return sj.pipe(ec, inputs) }
+	return runMorsels(ec, &sj.Out, predBounds(sj.Pred, sel), pipe, predScan(sj.Pred, sel))
 }
 
 // Intersect is the set intersection operator used when conjunctive
@@ -417,12 +351,9 @@ func (op *Intersect) Label() string { return "∩→" + op.Out.Name }
 // Children implements Operator.
 func (op *Intersect) Children() []Operator { return []Operator{op.A, op.B} }
 
-// asJoin returns the 2-way join the intersect physically is; the fused
-// execution path reuses the join's pipe and scan through it.
-func (op *Intersect) asJoin() *Join { return &Join{Out: op.Out} }
-
+// run executes the intersect as the 2-way join it physically is.
 func (op *Intersect) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
-	return op.asJoin().run(ec, inputs)
+	return (&Join{Out: op.Out}).run(ec, inputs)
 }
 
 // UnionDistinct is the distinct-union set operator (paper Section 4.1).

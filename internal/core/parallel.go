@@ -163,21 +163,26 @@ type scanFn = func(p *pipeline, lo, hi uint64, whole bool)
 type boundsFn = func() (uint64, uint64, bool)
 
 // runMorsels drives one operator's scan as work-stealing morsels on the
-// plan's shared pool. newPart builds a fresh pipeline + output table pair
-// (one per pool worker, created lazily when the worker claims its first
-// non-empty morsel) whose output index draws chunks from the given
-// recycler — each pool worker gets its worker-local pool so partials stay
-// cache-warm and uncontended; scan feeds the input keys in [lo, hi]
-// through the worker's pipeline. The per-worker partial outputs are then
-// combined with the parallel partition-wise merge. With a single worker
-// the lone partial is the output itself and execution degenerates to the
-// paper's single-threaded mode.
-func runMorsels(ec *ExecContext, spec *OutputSpec,
-	bounds boundsFn,
-	newPart func(spec *OutputSpec, rec *arena.Recycler) (*pipeline, *IndexedTable, error),
-	scan scanFn,
-) (*IndexedTable, error) {
+// plan's shared pool. pipe builds a fresh pipeline over the operator's
+// inputs; each pool worker gets one (created lazily when the worker claims
+// its first non-empty morsel) with a private output index drawing chunks
+// from its worker-local pool, so partials stay cache-warm and uncontended.
+// scan feeds the input keys in [lo, hi] through the worker's pipeline. The
+// per-worker partial outputs are then combined with the parallel
+// partition-wise merge. With a single worker the lone partial is the
+// output itself and execution degenerates to the paper's single-threaded
+// mode.
+func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() (*pipeline, error), scan scanFn) (*IndexedTable, error) {
 	sched := ec.scheduler()
+	newPart := func(spec *OutputSpec, rec *arena.Recycler) (*pipeline, *IndexedTable, error) {
+		p, err := pipe()
+		if err != nil {
+			return nil, nil, err
+		}
+		p.rec = rec
+		out, err := p.setSink(spec)
+		return p, out, err
+	}
 	empty := func() (*IndexedTable, error) {
 		p, out, err := newPart(spec, ec.rec)
 		if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"qppt/internal/arena"
@@ -102,9 +101,7 @@ type probeStage struct {
 
 // A sink materializes combinations into the output index: it assembles the
 // output key (composed if multi-attribute) and payload row, then issues
-// batched inserts. With forward set (a fused edge) the index is skipped
-// entirely: each assembled (key, row) pair streams straight into the
-// consumer operator's pipeline instead.
+// batched inserts.
 type sink struct {
 	out      Index
 	keyOffs  []int
@@ -112,54 +109,16 @@ type sink struct {
 	exprs    []compiledExpr
 	rowWidth int
 
-	// forward, when non-nil, receives every assembled combination in
-	// place of an index insert; row is only valid for the duration of the
-	// call. out is nil in this mode and flush is a no-op.
-	forward func(k uint64, row []uint64)
-	rowBuf  []uint64
-
-	// forwardBatch, when non-nil, replaces forward with batched delivery:
-	// assembled combinations accumulate in the recycler-backed probe
-	// buffer (fwKeys, plus fwRows at a flat rowWidth stride) and are
-	// handed over fwBatch at a time together with a key-sorted permutation
-	// — perm[j] indexes the j-th combination in key order, or perm is nil
-	// when arrival order already is key order — so the consumer's batched
-	// index probes walk shared tree descents once. batches counts the
-	// handoffs (OperatorStats.ProbeBatches).
-	forwardBatch   func(keys, rows []uint64, perm []uint32)
-	fwBatch        int
-	fwArrival      bool // deliver batches in arrival order, never sort
-	fwKeys         []uint64
-	fwRows         []uint64
-	fwPerm         []uint32
-	fwSort         []uint64 // key<<32|index packing scratch for 32-bit keys
-	batches        int
-	sortedFlushes  int // batches delivered (or verified) in key order
-	arrivalFlushes int // batches delivered in arrival order
-
-	// fwFiltered, when set, makes flushForward evaluate the consumer's
-	// key ranges (fwPredLo/fwPredHi, parallel arrays) over the whole
-	// buffered batch into the fwMask bitmask and compact the survivors by
-	// the fwSel selection vector before delivery — range-stream fusion's
-	// per-row predicate callback turned into two word-parallel passes.
-	// A filter with zero ranges drops everything (an empty KeyPred
-	// matches nothing), hence the flag rather than len()>0.
-	fwFiltered bool
-	fwPredLo   []uint64
-	fwPredHi   []uint64
-	fwMask     []uint64
-	fwSel      []uint32
-
-	// keys/rows/arena are the insert buffer of a materializing sink: up to
-	// bufSize assembled (key, row) pairs, the rows carved from arena. Like
-	// the probe buffers they come from the pipeline's chunk pool.
+	// keys/rows/arena are the insert buffer: up to bufSize assembled
+	// (key, row) pairs, the rows carved from arena, drawn from the
+	// pipeline's chunk pool.
 	keys      []uint64
 	rows      [][]uint64
 	arena     []uint64
 	fieldsBuf []uint64
 
 	// high is the most combinations any one flush found buffered: the
-	// written prefix of every buffer above, which is all release hands the
+	// written prefix of the insert buffer, which is all release hands the
 	// pool to clear.
 	high int
 
@@ -198,14 +157,6 @@ type pipeline struct {
 
 	kernelDescents int // probe-stage flushes taking the SWAR kernel descent
 	scalarDescents int // probe-stage flushes taking the scalar job loop
-
-	// fedBatches/fedRows count the probe batches this pipeline *received*
-	// over its fused input edge and the combinations surviving the batch
-	// filter — attributed by the forwarding closure when this pipeline is
-	// a non-probing chain top (range-stream / select-probe), whose sink
-	// otherwise reports no batch traffic at all.
-	fedBatches int
-	fedRows    int
 }
 
 // setFilter installs a combination filter at the entry of stage i.
@@ -266,10 +217,9 @@ func (p *pipeline) addProbe(input int, probeOff int) {
 	})
 }
 
-// compileSink compiles the output spec's key refs and column expressions
-// against the layout, without deciding where the assembled combinations
-// go (setSink materializes them; setForward streams them).
-func (p *pipeline) compileSink(spec *OutputSpec) (*sink, error) {
+// setSink compiles the output spec's key refs and column expressions
+// against the layout and creates the output index.
+func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 	if len(spec.KeyRefs) != len(spec.Key.Attrs) {
 		return nil, fmt.Errorf("core: output %q: %d key refs for %d key attrs", spec.Name, len(spec.KeyRefs), len(spec.Key.Attrs))
 	}
@@ -295,16 +245,6 @@ func (p *pipeline) compileSink(spec *OutputSpec) (*sink, error) {
 		}
 		s.exprs = append(s.exprs, compiledExpr{off: off})
 	}
-	return s, nil
-}
-
-// setSink compiles the output spec against the layout and creates the
-// output index.
-func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
-	s, err := p.compileSink(spec)
-	if err != nil {
-		return nil, err
-	}
 	s.out = newOutputIndex(spec, p.rec)
 	s.keys = arena.NewChunk[uint64](p.rec, p.bufSize)
 	s.rows = arena.NewChunk[[]uint64](p.rec, p.bufSize)
@@ -313,101 +253,20 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 	return newOutputTable(spec, s.out, p.rec), nil
 }
 
-// setForward compiles the output spec like setSink but skips the output
-// index: every combination the sink would have inserted is assembled
-// (key composed, payload row evaluated) and handed to fw — the fused
-// consumer's accept hook — instead. No arena chunks are allocated and
-// nothing is registered with the spill manager for this edge.
-func (p *pipeline) setForward(spec *OutputSpec, fw func(k uint64, row []uint64)) error {
-	s, err := p.compileSink(spec)
-	if err != nil {
-		return err
-	}
-	s.forward = fw
-	s.rowBuf = make([]uint64, 0, s.rowWidth)
-	p.snk = s
-	return nil
-}
-
-// setForwardBatch compiles the output spec like setForward but delivers
-// the assembled combinations in batches of (at most) batch combinations:
-// the fused producer's probe buffer. With sorted set, each batch is
-// key-sorted before delivery (unless it already arrives in key order);
-// otherwise batches go out in arrival order — the caller decides whether
-// the consumer can amortize sorted probes. The buffers come from the
-// pipeline's chunk recycler when one is active — per-worker probe
-// buffers then cycle through the pool instead of the heap — and go back
-// to it when the pipeline finishes.
-func (p *pipeline) setForwardBatch(spec *OutputSpec, batch int, sorted bool, fw func(keys, rows []uint64, perm []uint32)) error {
-	s, err := p.compileSink(spec)
-	if err != nil {
-		return err
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	s.forwardBatch = fw
-	s.fwBatch = batch
-	s.fwArrival = !sorted
-	s.fwKeys = arena.NewChunk[uint64](p.rec, batch)
-	if sorted {
-		s.fwPerm = arena.NewChunk[uint32](p.rec, batch)
-		s.fwSort = arena.NewChunk[uint64](p.rec, batch)
-	}
-	if s.rowWidth > 0 {
-		s.fwRows = arena.NewChunk[uint64](p.rec, batch*s.rowWidth)
-	}
-	p.snk = s
-	return nil
-}
-
-// setForwardFilter installs the consumer's key ranges on a batched
-// forwarding sink. flushForward then evaluates the predicate over each
-// buffered batch into a bitmask and compacts survivors by selection
-// vector, so the consumer's accept hook never sees a filtered-out
-// combination — this replaces range-stream fusion's per-row predMatch
-// callback. Must follow setForwardBatch on the same pipeline.
-func (p *pipeline) setForwardFilter(pred KeyPred) {
-	s := p.snk
-	if s == nil || s.forwardBatch == nil {
-		return
-	}
-	s.fwFiltered = true
-	for _, r := range pred {
-		if r.Hi < r.Lo {
-			continue // inverted range matches nothing
-		}
-		s.fwPredLo = append(s.fwPredLo, r.Lo)
-		s.fwPredHi = append(s.fwPredHi, r.Hi)
-	}
-	s.fwMask = arena.NewChunk[uint64](p.rec, kernel.MaskWords(s.fwBatch))
-	s.fwSel = arena.NewChunk[uint32](p.rec, s.fwBatch)
-}
-
-// release parks the sink's recycler-backed buffers — the insert buffer of
-// a materializing sink, the probe buffers of a batch-forwarding one — back
-// in the pipeline's chunk pool. The buffers are scratch, truncated and
-// refilled per flush, so each goes back at the high-water length any flush
-// left in it: that prefix is all the pool has to clear.
+// release parks the sink's recycler-backed insert buffer back in the
+// pipeline's chunk pool. The buffers are scratch, truncated and refilled
+// per flush, so each goes back at the high-water length any flush left in
+// it: that prefix is all the pool has to clear.
 func (p *pipeline) release() {
 	s := p.snk
 	n := s.high
 	putScratch(p.rec, s.keys, n)
 	putScratch(p.rec, s.rows, n)
 	putScratch(p.rec, s.arena, n*s.rowWidth)
-	putScratch(p.rec, s.fwKeys, n)
-	putScratch(p.rec, s.fwRows, n*s.rowWidth)
-	putScratch(p.rec, s.fwPerm, n)
-	putScratch(p.rec, s.fwSort, n)
-	putScratch(p.rec, s.fwMask, kernel.MaskWords(n))
-	putScratch(p.rec, s.fwSel, n)
 	s.keys, s.rows, s.arena = nil, nil, nil
-	s.fwKeys, s.fwPerm, s.fwSort, s.fwRows = nil, nil, nil, nil
-	s.fwMask, s.fwSel = nil, nil
 }
 
-// putScratch parks one scratch buffer at its high-water length n; nil
-// means this kind of sink never had the buffer.
+// putScratch parks one scratch buffer at its high-water length n.
 func putScratch[T any](rec *arena.Recycler, c []T, n int) {
 	if c != nil {
 		arena.PutChunk(rec, c[:n])
@@ -487,8 +346,6 @@ func (p *pipeline) flushStage(i int) {
 }
 
 // feed buffers one combination in the sink; flush materializes and inserts.
-// On a fused edge (forward set) the combination streams straight to the
-// consumer instead.
 func (s *sink) feed(ctx []uint64, bufSize int) {
 	var k uint64
 	switch len(s.keyOffs) {
@@ -505,34 +362,6 @@ func (s *sink) feed(ctx []uint64, bufSize int) {
 		}
 		k = s.comp.Compose(s.fieldsBuf...)
 	}
-	if s.forwardBatch != nil {
-		s.fwKeys = append(s.fwKeys, k)
-		for _, e := range s.exprs {
-			if e.fn != nil {
-				s.fwRows = append(s.fwRows, e.fn(ctx))
-			} else {
-				s.fwRows = append(s.fwRows, ctx[e.off])
-			}
-		}
-		s.inserted++
-		if len(s.fwKeys) >= s.fwBatch {
-			s.flushForward()
-		}
-		return
-	}
-	if s.forward != nil {
-		s.rowBuf = s.rowBuf[:0]
-		for _, e := range s.exprs {
-			if e.fn != nil {
-				s.rowBuf = append(s.rowBuf, e.fn(ctx))
-			} else {
-				s.rowBuf = append(s.rowBuf, ctx[e.off])
-			}
-		}
-		s.inserted++
-		s.forward(k, s.rowBuf)
-		return
-	}
 	start := len(s.arena)
 	for _, e := range s.exprs {
 		if e.fn != nil {
@@ -548,137 +377,9 @@ func (s *sink) feed(ctx []uint64, bufSize int) {
 	}
 }
 
-// flushForward hands the buffered probe batch to the consumer. A sorting
-// sink delivers in key order — equal keys keep their arrival order, so
-// the order is deterministic — which is what lets the consumer's
-// LookupBatch/InsertBatch amortize shared tree descents; an arrival-order
-// sink (fwArrival: the consumer cannot amortize sorted probes) skips all
-// of that. Either way a nil permutation tells the consumer to decode in
-// arrival order. Most sorting streams already arrive key-ordered (the
-// bottom scan is ordered and many links preserve its key), so the common
-// case pays one linear scan; unsorted batches of 32-bit keys sort packed
-// key<<32|index values, and only wider keys fall back to a comparator
-// sort through the permutation.
-func (s *sink) flushForward() {
-	n := len(s.fwKeys)
-	if n == 0 {
-		return
-	}
-	s.high = max(s.high, n)
-	// Batch accounting happens before the filter: AvgBatchFill keeps
-	// meaning "combinations assembled per handoff", whether or not the
-	// consumer's predicate then thins the batch.
-	s.batches++
-	if s.fwArrival {
-		s.arrivalFlushes++
-	} else {
-		s.sortedFlushes++
-	}
-	if s.fwFiltered {
-		n = s.filterForward(n)
-		if n == 0 {
-			s.fwKeys, s.fwRows = s.fwKeys[:0], s.fwRows[:0]
-			return
-		}
-	}
-	keys := s.fwKeys[:n]
-	rows := s.fwRows
-	if s.rowWidth > 0 {
-		rows = s.fwRows[:n*s.rowWidth]
-	}
-	if s.fwArrival {
-		s.forwardBatch(keys, rows, nil)
-		s.fwKeys, s.fwRows = s.fwKeys[:0], s.fwRows[:0]
-		return
-	}
-	sorted, orKeys := kernel.SortedOr(keys)
-	switch {
-	case sorted:
-		s.forwardBatch(keys, rows, nil)
-	case orKeys < 1<<32:
-		// 32-bit keys (dimension and composed keys in practice): pack
-		// key<<32|index and value-sort — far cheaper than a comparator
-		// sort chasing the key array through the permutation. The index in
-		// the low bits makes the order stable by construction.
-		s.fwSort = kernel.PackKeyIdx(s.fwSort, keys)
-		slices.Sort(s.fwSort)
-		for _, v := range s.fwSort {
-			s.fwPerm = append(s.fwPerm, uint32(v))
-		}
-		s.forwardBatch(keys, rows, s.fwPerm)
-		s.fwSort, s.fwPerm = s.fwSort[:0], s.fwPerm[:0]
-	default:
-		for i := 0; i < n; i++ {
-			s.fwPerm = append(s.fwPerm, uint32(i))
-		}
-		slices.SortFunc(s.fwPerm, func(a, b uint32) int {
-			if keys[a] != keys[b] {
-				if keys[a] < keys[b] {
-					return -1
-				}
-				return 1
-			}
-			return int(a) - int(b)
-		})
-		s.forwardBatch(keys, rows, s.fwPerm)
-		s.fwPerm = s.fwPerm[:0]
-	}
-	s.fwKeys, s.fwRows = s.fwKeys[:0], s.fwRows[:0]
-}
-
-// filterForward evaluates the installed key ranges over the buffered
-// batch and compacts the survivors in place; it returns the survivor
-// count. The batch envelope (one MinMax scan) short-circuits the two
-// common extremes — a batch entirely inside one range skips the mask
-// pass, a batch disjoint from every range drops without one. Otherwise
-// one branch-free RangeMask pass per range builds the survivor bitmask
-// and MaskSel turns it into an ascending selection vector, so the
-// in-place compaction (j <= sel[j] always) never overwrites unread rows.
-func (s *sink) filterForward(n int) int {
-	if len(s.fwPredLo) == 0 {
-		return 0 // empty predicate matches nothing
-	}
-	keys := s.fwKeys[:n]
-	blo, bhi := kernel.MinMax(keys)
-	overlap := false
-	for r := range s.fwPredLo {
-		lo, hi := s.fwPredLo[r], s.fwPredHi[r]
-		if blo >= lo && bhi <= hi {
-			return n // whole batch inside one range
-		}
-		if bhi >= lo && blo <= hi {
-			overlap = true
-		}
-	}
-	if !overlap {
-		return 0 // batch disjoint from every range
-	}
-	mask := s.fwMask[:kernel.MaskWords(n)]
-	clear(mask)
-	for r := range s.fwPredLo {
-		kernel.RangeMask(mask, keys, s.fwPredLo[r], s.fwPredHi[r])
-	}
-	s.fwSel = kernel.MaskSel(s.fwSel[:0], mask, n)
-	w := s.rowWidth
-	for j, idx := range s.fwSel {
-		i := int(idx)
-		s.fwKeys[j] = s.fwKeys[i]
-		if w > 0 && j != i {
-			copy(s.fwRows[j*w:(j+1)*w], s.fwRows[i*w:(i+1)*w])
-		}
-	}
-	return len(s.fwSel)
-}
-
-// flush issues the batched insert (materialization + indexing); a batched
-// forwarding sink drains its probe buffer instead, and a scalar
-// forwarding sink never buffers, so flush is a no-op for it.
+// flush issues the batched insert (materialization + indexing).
 func (s *sink) flush() {
-	if s.forwardBatch != nil {
-		s.flushForward()
-		return
-	}
-	if s.forward != nil || len(s.keys) == 0 {
+	if len(s.keys) == 0 {
 		return
 	}
 	s.high = max(s.high, len(s.keys))

@@ -38,9 +38,7 @@ func TestRecycleMatchesBaseline(t *testing.T) {
 		{Recycle: true, Workers: 3},
 		{Recycle: true, Workers: 3, MemBudget: 1},
 	} {
-		// The drop→reuse cycle needs the selection intermediate to be
-		// built and dropped; fusion would skip it entirely.
-		out, stats, err := run(t, opt, mkPlan(), Options{CollectStats: true, NoFuse: true})
+		out, stats, err := run(t, opt, mkPlan(), Options{CollectStats: true})
 		if err != nil {
 			t.Fatalf("%+v: %v", opt, err)
 		}

@@ -15,11 +15,14 @@ import (
 // draws them back, and the extracted rows — copies — are unaffected.
 // Release is idempotent, and does nothing for what is not a pool-backed
 // operator output: a base index handed through as the plan root, a run
-// without a recycler, the nil table of a failed plan.
+// without a recycler, the nil table of a failed plan. The plan is the
+// one-operator select-join, so the result is the only index each run
+// builds and the pool's steady state does not depend on how many workers
+// claimed a morsel.
 func TestResultRelease(t *testing.T) {
 	arenatest.CheckZeroHandouts(t)
 	f := buildFixture(21)
-	want, _, err := run(t, EnvConfig{}, starPlan(f, 2), Options{})
+	want, _, err := run(t, EnvConfig{}, sjPlan(f, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func TestResultRelease(t *testing.T) {
 		}
 		var parked int
 		for run := 0; run < 3; run++ {
-			out, _, err := env.Run(context.Background(), starPlan(f, 2), Options{})
+			out, _, err := env.Run(context.Background(), sjPlan(f, 2), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +79,7 @@ func TestResultRelease(t *testing.T) {
 	if st := env.RecyclerStats(); st.Recycled != 0 {
 		t.Fatalf("releasing a base index parked %d chunks", st.Recycled)
 	}
-	if got, _, err := env.Run(context.Background(), starPlan(f, 2), Options{}); err != nil || !reflect.DeepEqual(Extract(got).Rows, wantRows) {
+	if got, _, err := env.Run(context.Background(), sjPlan(f, 2), Options{}); err != nil || !reflect.DeepEqual(Extract(got).Rows, wantRows) {
 		t.Fatalf("base index unusable after Release: err=%v", err)
 	}
 
@@ -87,7 +90,7 @@ func TestResultRelease(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	failed, _, err := env.Run(ctx, starPlan(f, 2), Options{})
+	failed, _, err := env.Run(ctx, sjPlan(f, 2), Options{})
 	if err == nil || failed != nil {
 		t.Fatalf("cancelled plan returned table=%v err=%v", failed, err)
 	}

@@ -107,7 +107,7 @@ func TestMemBudgetSpillsAndMatches(t *testing.T) {
 		out, stats, err := run(t, EnvConfig{
 			MemBudget: 1, // far below any intermediate: everything cold spills
 			Workers:   workers,
-		}, starPlan(f, 2), Options{CollectStats: true, NoFuse: true}) // unfused: σ_products materializes
+		}, starPlan(f, 2), Options{CollectStats: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -479,5 +479,23 @@ func TestShardedThawTruncatedAnywhere(t *testing.T) {
 	}
 	if !reflect.DeepEqual(collect(), want) {
 		t.Fatal("restored content differs")
+	}
+}
+
+// frostOrder without a spill manager must be the identity permutation —
+// locality ordering only exists to prefer resident inputs over frozen
+// ones, and without a budget nothing is ever frozen.
+func TestFrostOrderIdentityWithoutSpill(t *testing.T) {
+	f := buildFixture(17)
+	ex := &executor{}
+	ops := []Operator{&Base{Table: f.custByKey}, &Base{Table: f.factByProd}, &Base{Table: f.prodByBrand}}
+	order := ex.frostOrder(ops)
+	if len(order) != len(ops) {
+		t.Fatalf("frostOrder returned %d indexes for %d ops", len(order), len(ops))
+	}
+	for i, o := range order {
+		if o != i {
+			t.Fatalf("frostOrder without spill = %v, want identity", order)
+		}
 	}
 }

@@ -45,10 +45,3 @@ func run(t testing.TB, cfg EnvConfig, pl *Plan, opts Options) (*IndexedTable, *P
 	t.Helper()
 	return newTestEnv(t, cfg).Run(context.Background(), pl, opts)
 }
-
-// A runConfig is one leg of a test matrix: the Env a plan runs in and the
-// per-query Options it runs with.
-type runConfig struct {
-	env  EnvConfig
-	opts Options
-}

@@ -1,7 +1,5 @@
 package kernel
 
-import "math/bits"
-
 // The generic variants are the oracle: the simplest possible loop per
 // primitive, kept deliberately boring so differential tests compare the
 // optimized SWAR code against something obviously correct. They are also
@@ -19,54 +17,4 @@ func rangeMaskGeneric(mask, keys []uint64, lo, hi uint64) {
 			mask[i>>6] |= 1 << uint(i&63)
 		}
 	}
-}
-
-func maskSelGeneric(sel []uint32, mask []uint64, n int) []uint32 {
-	for i := 0; i < n; i++ {
-		if mask[i>>6]&(1<<uint(i&63)) != 0 {
-			sel = append(sel, uint32(i))
-		}
-	}
-	return sel
-}
-
-func minMaxGeneric(keys []uint64) (lo, hi uint64) {
-	lo, hi = keys[0], keys[0]
-	for _, k := range keys[1:] {
-		if k < lo {
-			lo = k
-		}
-		if k > hi {
-			hi = k
-		}
-	}
-	return lo, hi
-}
-
-func sortedOrGeneric(keys []uint64) (sorted bool, or uint64) {
-	sorted = true
-	or = keys[0]
-	for i := 1; i < len(keys); i++ {
-		or |= keys[i]
-		if keys[i] < keys[i-1] {
-			sorted = false
-		}
-	}
-	return sorted, or
-}
-
-func packKeyIdxGeneric(dst, keys []uint64) []uint64 {
-	for i, k := range keys {
-		dst = append(dst, k<<32|uint64(i))
-	}
-	return dst
-}
-
-// popcountWords is shared by tests to sanity-check mask population.
-func popcountWords(mask []uint64) int {
-	n := 0
-	for _, w := range mask {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

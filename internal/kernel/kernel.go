@@ -1,9 +1,7 @@
 // Package kernel hosts the branch-free, word-parallel (SWAR-on-uint64)
-// batch primitives behind the batched pipeline's hot loops: key-fragment
-// extraction for the level-synchronous tree descent, range-predicate
-// bitmask evaluation and selection-vector compaction for range-stream
-// fusion, and the sortedness / min-max / packed-key scans used by the
-// forwarding sinks' packed sort path.
+// batch primitives: Frags extracts key fragments for the level-synchronous
+// batched descent of both tree kinds, and RangeMask evaluates a key-range
+// predicate over a batch into a bitmask.
 //
 // Dispatch contract: every exported entry point has two implementations —
 // an optimized SWAR variant (swar.go, unrolled, bounds-check hoisted) and
@@ -92,7 +90,8 @@ func Frags(dst, keys []uint64, shift uint, mask uint64) {
 // (unsigned wraparound trick: k-lo <= hi-lo). Callers clear mask before
 // the first range of a predicate; successive calls accumulate a union of
 // ranges. mask must hold MaskWords(len(keys)) words. Bits at positions
-// >= len(keys) are never set.
+// >= len(keys) are never set. No engine path calls it: its only caller is
+// benchmark/probes.go, which times it against the generic oracle.
 func RangeMask(mask, keys []uint64, lo, hi uint64) {
 	if hi < lo { // empty range matches nothing
 		return
@@ -102,55 +101,4 @@ func RangeMask(mask, keys []uint64, lo, hi uint64) {
 		return
 	}
 	rangeMaskGeneric(mask, keys, lo, hi)
-}
-
-// MaskSel appends to sel the index of every set bit in the first n bit
-// positions of mask (ascending) and returns the extended slice. Bits at
-// positions >= n must be clear — RangeMask guarantees that. Together with
-// RangeMask this turns a per-row predicate callback into one bitmask pass
-// plus one compaction pass.
-func MaskSel(sel []uint32, mask []uint64, n int) []uint32 {
-	if enabled.Load() {
-		return maskSelSWAR(sel, mask, n)
-	}
-	return maskSelGeneric(sel, mask, n)
-}
-
-// MinMax returns the smallest and largest key in the batch in one
-// multi-accumulator pass; (0, 0) for an empty batch. Used for batch
-// envelope short-circuits before a full RangeMask evaluation.
-func MinMax(keys []uint64) (lo, hi uint64) {
-	if len(keys) == 0 {
-		return 0, 0
-	}
-	if enabled.Load() {
-		return minMaxSWAR(keys)
-	}
-	return minMaxGeneric(keys)
-}
-
-// SortedOr reports whether keys is non-decreasing and the OR of all keys,
-// in a single fused pass — the forwarding sink's flush preamble (sorted
-// batches forward as-is; a small OR picks the packed 32-bit sort path).
-// An empty batch is sorted with OR 0.
-func SortedOr(keys []uint64) (sorted bool, or uint64) {
-	if len(keys) == 0 {
-		return true, 0
-	}
-	if enabled.Load() {
-		return sortedOrSWAR(keys)
-	}
-	return sortedOrGeneric(keys)
-}
-
-// PackKeyIdx appends keys[i]<<32|i for every i to dst and returns the
-// extended slice — the packed key+index words sorted by the forwarding
-// sink when all keys fit in 32 bits. Keys must be < 1<<32 and batches
-// must hold fewer than 1<<32 rows; both hold by construction (the caller
-// checks the OR of the batch, and batch sizes are small).
-func PackKeyIdx(dst, keys []uint64) []uint64 {
-	if enabled.Load() {
-		return packKeyIdxSWAR(dst, keys)
-	}
-	return packKeyIdxGeneric(dst, keys)
 }

@@ -1,7 +1,5 @@
 package kernel
 
-import "math/bits"
-
 // Optimized word-parallel variants. The shape is deliberately uniform:
 // full-slice reslices (k := keys[i:i+8:i+8]) hoist the bounds checks out
 // of the unrolled body, comparisons are rewritten as unsigned arithmetic
@@ -65,76 +63,4 @@ func rangeMaskSWAR(mask, keys []uint64, lo, hi uint64) {
 		}
 		mask[w] |= word
 	}
-}
-
-func maskSelSWAR(sel []uint32, mask []uint64, n int) []uint32 {
-	// Bits >= n are clear by the RangeMask contract, so every set bit is
-	// a survivor: peel them off lowest-first with TrailingZeros64.
-	for w := 0; w*64 < n; w++ {
-		m := mask[w]
-		base := uint32(w * 64)
-		for m != 0 {
-			sel = append(sel, base+uint32(bits.TrailingZeros64(m)))
-			m &= m - 1
-		}
-	}
-	return sel
-}
-
-func minMaxSWAR(keys []uint64) (lo, hi uint64) {
-	lo0, hi0 := keys[0], keys[0]
-	lo1, hi1 := lo0, hi0
-	lo2, hi2 := lo0, hi0
-	lo3, hi3 := lo0, hi0
-	i := 1
-	for ; i+4 <= len(keys); i += 4 {
-		k := keys[i : i+4 : i+4]
-		lo0, hi0 = min(lo0, k[0]), max(hi0, k[0])
-		lo1, hi1 = min(lo1, k[1]), max(hi1, k[1])
-		lo2, hi2 = min(lo2, k[2]), max(hi2, k[2])
-		lo3, hi3 = min(lo3, k[3]), max(hi3, k[3])
-	}
-	for ; i < len(keys); i++ {
-		lo0, hi0 = min(lo0, keys[i]), max(hi0, keys[i])
-	}
-	return min(min(lo0, lo1), min(lo2, lo3)), max(max(hi0, hi1), max(hi2, hi3))
-}
-
-func sortedOrSWAR(keys []uint64) (sorted bool, or uint64) {
-	or = keys[0]
-	var desc uint64
-	prev := keys[0]
-	i := 1
-	for ; i+4 <= len(keys); i += 4 {
-		k := keys[i : i+4 : i+4]
-		or |= k[0] | k[1] | k[2] | k[3]
-		desc |= b2u(k[0] < prev) | b2u(k[1] < k[0]) | b2u(k[2] < k[1]) | b2u(k[3] < k[2])
-		prev = k[3]
-	}
-	for ; i < len(keys); i++ {
-		or |= keys[i]
-		desc |= b2u(keys[i] < prev)
-		prev = keys[i]
-	}
-	return desc == 0, or
-}
-
-func packKeyIdxSWAR(dst, keys []uint64) []uint64 {
-	n := len(keys)
-	off := len(dst)
-	dst = append(dst, make([]uint64, n)...)
-	out := dst[off : off+n : off+n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		k := keys[i : i+4 : i+4]
-		o := out[i : i+4 : i+4]
-		o[0] = k[0]<<32 | uint64(i)
-		o[1] = k[1]<<32 | uint64(i+1)
-		o[2] = k[2]<<32 | uint64(i+2)
-		o[3] = k[3]<<32 | uint64(i+3)
-	}
-	for ; i < n; i++ {
-		out[i] = keys[i]<<32 | uint64(i)
-	}
-	return dst
 }

@@ -60,10 +60,10 @@ func (t *Tree) lookupBatchScalar(keys []uint64, visit func(i int, lf *Leaf)) {
 	}
 	pp := getPtrs(len(keys))
 	ptrs := *pp
-	// Level 1: all root accesses back to back. Key-sorted batches (the
-	// fused chains' probe buffers arrive sorted) place same-bucket keys
-	// next to each other; reusing the previous root access then walks
-	// each shared bucket descent once instead of once per key.
+	// Level 1: all root accesses back to back. Key-sorted batches place
+	// same-bucket keys next to each other; reusing the previous root
+	// access then walks each shared bucket descent once instead of once
+	// per key.
 	lastIdx, lastPtr, haveLast := uint32(0), uint32(0), false
 	for i, key := range keys {
 		idx := checkKey(key) >> leafBits

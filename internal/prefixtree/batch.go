@@ -79,10 +79,9 @@ func (t *Tree) lookupBatchScalar(keys []uint64, visit func(i int, lf *Leaf)) {
 	}
 	pending := len(jobs)
 	for level := 0; pending > 0; level++ {
-		// Key-sorted batches (the fused chains' probe buffers arrive
-		// sorted) place jobs that share a tree prefix next to each other;
-		// memoizing the last (node, fragment) slot read walks each shared
-		// descent once per level instead of once per job. The tree is not
+		// Key-sorted batches place jobs that share a tree prefix next to
+		// each other; memoizing the last (node, fragment) slot read walks
+		// each shared descent once per level instead of once per job. The tree is not
 		// mutated during a lookup, so the memo can never go stale; unsorted
 		// batches still resolve correctly, they just rarely hit the memo.
 		memoNode, memoFrag := jobDone, uint64(0)

@@ -159,7 +159,7 @@ func BenchmarkProbeKernel(b *testing.B) {
 	keys := benchKeys(1<<16, 107)
 	tr := buildArena(keys, benchRows(keys))
 	batch := append([]uint64(nil), keys[:DefaultBatchSize]...)
-	slices.Sort(batch) // fused chains deliver probe batches key-sorted
+	slices.Sort(batch)
 	run := func(b *testing.B) {
 		b.ReportAllocs()
 		var hits int

@@ -236,13 +236,6 @@ func (b *builder) finish(plan *core.Plan) (*Statement, error) {
 	return s, nil
 }
 
-// FusableEdges annotates the compiled plan with the number of
-// intermediate indexes pipeline fusion skips when the statement runs
-// with fusion on (core.Options.NoFuse unset). Zero means every edge of
-// this plan must materialize: each output is either multi-consumer,
-// aggregating, or feeds a consumer that needs indexed access.
-func (s *Statement) FusableEdges() int { return core.FusableEdges(s.Plan.Root) }
-
 // Run executes the statement on env (see core.Env.Run: its worker pool,
 // chunk recycler and spill budget serve the query; ctx cancels it) with
 // the per-run execution options — a statement is planned once and run any

@@ -55,6 +55,16 @@ func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sql: at offset %d: %s", p.cur().pos, fmt.Sprintf(format, args...))
 }
 
+// num parses a number literal. The lexer accepts any digit run, so a
+// literal above 2^64-1 is a parse error here.
+func (p *parser) num(t token) (uint64, error) {
+	v, err := strconv.ParseUint(t.text, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("sql: at offset %d: bad number %q", t.pos, t.text)
+	}
+	return v, nil
+}
+
 func (p *parser) parseSelect() (*SelectStmt, error) {
 	if _, err := p.expect(tokIdent, "select"); err != nil {
 		return nil, err
@@ -204,9 +214,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t := p.cur(); t.kind {
 	case tokNumber:
 		p.next()
-		v, err := strconv.ParseUint(t.text, 10, 64)
+		v, err := p.num(t)
 		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
+			return nil, err
 		}
 		return NumExpr{Val: v}, nil
 	case tokString:
@@ -285,9 +295,10 @@ func (p *parser) parseCond() (Cond, error) {
 		c := Cond{Kind: CondBetween, Col: left}
 		if lo.kind == tokString {
 			c.IsStr, c.LoStr, c.HiStr = true, lo.text, hi.text
-		} else {
-			c.LoNum = mustNum(lo.text)
-			c.HiNum = mustNum(hi.text)
+		} else if c.LoNum, err = p.num(lo); err != nil {
+			return Cond{}, err
+		} else if c.HiNum, err = p.num(hi); err != nil {
+			return Cond{}, err
 		}
 		return c, nil
 
@@ -303,7 +314,11 @@ func (p *parser) parseCond() (Cond, error) {
 				c.IsStr = true
 				c.StrSet = append(c.StrSet, t.text)
 			case p.accept(tokNumber, ""):
-				c.Set = append(c.Set, mustNum(t.text))
+				v, err := p.num(t)
+				if err != nil {
+					return Cond{}, err
+				}
+				c.Set = append(c.Set, v)
 			default:
 				return Cond{}, p.errf("expected literal in IN list")
 			}
@@ -330,7 +345,11 @@ func (p *parser) parseCond() (Cond, error) {
 		}
 		return Cond{Kind: CondCmp, Col: left, Op: "=", Str: rhs.text, IsStr: true}, nil
 	case p.accept(tokNumber, ""):
-		return Cond{Kind: CondCmp, Col: left, Op: opTok.text, Num: mustNum(rhs.text)}, nil
+		v, err := p.num(rhs)
+		if err != nil {
+			return Cond{}, err
+		}
+		return Cond{Kind: CondCmp, Col: left, Op: opTok.text, Num: v}, nil
 	case rhs.kind == tokIdent:
 		right, err := p.parseColumn()
 		if err != nil {
@@ -366,7 +385,11 @@ func (p *parser) parseOrChain() (Cond, error) {
 			c.IsStr = true
 			c.StrSet = append(c.StrSet, t.text)
 		case p.accept(tokNumber, ""):
-			c.Set = append(c.Set, mustNum(t.text))
+			v, err := p.num(t)
+			if err != nil {
+				return Cond{}, err
+			}
+			c.Set = append(c.Set, v)
 		default:
 			return Cond{}, p.errf("expected literal in OR chain")
 		}
@@ -374,12 +397,4 @@ func (p *parser) parseOrChain() (Cond, error) {
 			return c, nil
 		}
 	}
-}
-
-func mustNum(s string) uint64 {
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		panic("sql: lexer produced bad number " + s)
-	}
-	return v
 }

@@ -166,6 +166,11 @@ func TestParseErrors(t *testing.T) {
 		"select a from t where a between 1 and 'x'", // mixed types
 		"select a from t extra",                     // trailing tokens
 		"select a from t where a < 'x'",             // non-= string comparison
+		// Number literals above 2^64-1, in every condition form.
+		"select a from t where a = 99999999999999999999",
+		"select a from t where a between 1 and 18446744073709551616",
+		"select a from t where a in (1, 99999999999999999999)",
+		"select a from t where (a = 1 or a = 99999999999999999999)",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -197,8 +197,8 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt, opt Options, recor
 	// The fact table is the larger side of every join.
 	fact := ""
 	if len(joins) == 0 {
-		if len(stmt.Tables) != 1 {
-			return nil, fmt.Errorf("sql: multiple tables without join conditions")
+		if len(stmt.Tables) == 0 {
+			return nil, fmt.Errorf("sql: no table in FROM")
 		}
 		fact = stmt.Tables[0]
 	}
@@ -216,15 +216,17 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt, opt Options, recor
 		}
 		dims[dt] = &dimInfo{table: dt, ti: tis[dt], joinKey: dc.Name, fk: fc.Name}
 	}
+	// Every other FROM table must be a joined dimension: the plan has no
+	// operator for the cross product an unjoined table asks for.
+	for _, t := range stmt.Tables {
+		if t != fact && dims[t] == nil {
+			return nil, fmt.Errorf("sql: table %q is not joined (cross products are not supported)", t)
+		}
+	}
 	for t, cs := range restr {
-		if t == fact {
-			continue
+		if t != fact {
+			dims[t].conds = cs
 		}
-		d, ok := dims[t]
-		if !ok {
-			return nil, fmt.Errorf("sql: table %q restricted but not joined", t)
-		}
-		d.conds = cs
 	}
 
 	// Group-by attributes: assign carries to their dimensions (or fact).

@@ -10,12 +10,12 @@ import (
 
 // TestKernelMatchesScalarAndMaterialized is the acceptance gate for the
 // SWAR batch kernels: every SSB query, run with the kernels active
-// (default dispatch), forced through the scalar fallback
-// (kernel.ForceGeneric — the -nokernel / QPPT_KERNEL=off path), and
-// fully materialized (NoFuse), must produce bit-identical results —
-// serially, in parallel, and under a sub-peak memory budget that pushes
-// intermediates through the spill path. The kernels are an inner-loop
-// strategy; nothing about them may be visible in the output.
+// (default dispatch) and forced through the scalar fallback
+// (kernel.ForceGeneric — the -nokernel / QPPT_KERNEL=off path), must
+// produce the rows of the serial, unbudgeted reference run bit-identically
+// — serially, in parallel, and under a sub-peak memory budget that pushes
+// the materialized intermediates through the spill path. The kernels are
+// an inner-loop strategy; nothing about them may be visible in the output.
 func TestKernelMatchesScalarAndMaterialized(t *testing.T) {
 	if !kernel.Enabled() {
 		t.Skip("kernels disabled in this configuration; the fallback is the only path")
@@ -23,13 +23,12 @@ func TestKernelMatchesScalarAndMaterialized(t *testing.T) {
 	ds := testDataset(t)
 	runSuite(t, ds, suite{
 		shapes: []PlanOptions{{}},
-		ref:    core.Options{NoFuse: true},
 		legs: []runConfig{
 			{},
 			{core.EnvConfig{Workers: 3}, core.Options{MorselsPerWorker: 3}},
 			{env: core.EnvConfig{MemBudget: 1}},
 		},
-		// runSuite has compared the kernel run against the materialized
+		// runSuite has compared the kernel run against the serial
 		// reference; the scalar fallback must match the kernel run too.
 		check: func(t *testing.T, qid string, shape PlanOptions, leg runConfig, withKernel *QueryResult, _ *core.PlanStats) {
 			restore := kernel.ForceGeneric()

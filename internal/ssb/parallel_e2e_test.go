@@ -28,12 +28,9 @@ func TestMorselParallelMatchesSerial(t *testing.T) {
 // benchmark output records what it measured.
 func TestMorselStatsRecordConfiguration(t *testing.T) {
 	ds := testDataset(t)
-	// NoFuse: the fan-out assertion needs the final join to drive its own
-	// morsels over the wide date-key space; fused, the whole chain is
-	// driven by the select-join's narrow selection envelope.
 	_, stats, err := runQPPT(t, ds, "2.3", PlanOptions{UseSelectJoin: true}, runConfig{
 		core.EnvConfig{Workers: 3},
-		core.Options{MorselsPerWorker: 5, CollectStats: true, NoFuse: true},
+		core.Options{MorselsPerWorker: 5, CollectStats: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,17 +7,9 @@ import (
 )
 
 // intermediates counts the operator outputs of a finished plan that a later
-// operator read back: every materialized output but the root's. Only those
-// ever enter the spill manager.
-func intermediates(stats *core.PlanStats) int {
-	n := -1
-	for _, op := range stats.Ops {
-		if !op.Fused {
-			n++
-		}
-	}
-	return n
-}
+// operator read back: every output but the root's. Only those ever enter
+// the spill manager.
+func intermediates(stats *core.PlanStats) int { return len(stats.Ops) - 1 }
 
 // TestSpillBudgetMatchesUnbudgeted is the spilling acceptance test: every
 // SSB query runs under a memory budget smaller than any one intermediate

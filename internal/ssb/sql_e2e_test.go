@@ -2,6 +2,7 @@ package ssb
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"qppt/internal/core"
@@ -100,6 +101,27 @@ func TestSQLPlannerErrors(t *testing.T) {
 	for _, src := range bad {
 		if stmt, err := planner.PlanSQL(src, sql.Options{}); err == nil {
 			t.Errorf("accepted %q (plan: %v)", src, stmt.Attrs)
+		}
+	}
+}
+
+// TestSQLUnjoinedTableIsAnError: a FROM table no join condition reaches
+// asks for a cross product, which no QPPT operator builds. Planning must
+// refuse it — neither drop the table (an answer off by a factor of its
+// row count) nor look up its missing dimension (a panic).
+func TestSQLUnjoinedTableIsAnError(t *testing.T) {
+	planner := sql.NewPlanner(testDataset(t).Cat)
+	for _, src := range []string{
+		"select sum(lo_revenue) from lineorder, date, part where lo_orderdate = d_datekey group by p_brand1",
+		"select sum(lo_revenue) from lineorder, date, part where lo_orderdate = d_datekey",
+		"select sum(lo_revenue) from lineorder, date, part where lo_orderdate = d_datekey and p_brand1 = 'MFGR#2221'",
+		"select sum(lo_revenue) from lineorder, part",
+	} {
+		for _, useSJ := range []bool{true, false} {
+			stmt, err := planner.PlanSQL(src, sql.Options{UseSelectJoin: useSJ})
+			if err == nil || !strings.Contains(err.Error(), `table "part" is not joined (cross products are not supported)`) {
+				t.Errorf("%q (selectjoin=%v): planned=%v err=%v, want the not-joined error", src, useSJ, stmt != nil, err)
+			}
 		}
 	}
 }

@@ -80,15 +80,12 @@ func runQPPT(t testing.TB, ds *Dataset, qid string, opt PlanOptions, rc runConfi
 const halfPeak = -1
 
 // A suite is one end-to-end equivalence matrix over the SSB queries: for
-// every query and plan shape, each leg must reproduce the reference run's
-// rows bit-identically.
+// every query and plan shape, each leg must reproduce the rows of the
+// reference run — a serial, unbudgeted, non-recycling Env — bit-identically.
 type suite struct {
 	qids   []string // nil = all thirteen
 	shapes []PlanOptions
-	// ref are the options of the reference run, which executes in a
-	// serial, unbudgeted, non-recycling Env.
-	ref  core.Options
-	legs []runConfig
+	legs   []runConfig
 	// check, if set, makes the suite's extra assertions on one leg's run
 	// (halfPeak already resolved in leg).
 	check func(t *testing.T, qid string, shape PlanOptions, leg runConfig, got *QueryResult, stats *core.PlanStats)
@@ -103,9 +100,7 @@ func runSuite(t *testing.T, ds *Dataset, s suite) {
 	}
 	for _, qid := range qids {
 		for _, shape := range s.shapes {
-			refExec := s.ref
-			refExec.CollectStats = true
-			ref, refStats, err := runQPPT(t, ds, qid, shape, runConfig{exec: refExec})
+			ref, refStats, err := runQPPT(t, ds, qid, shape, runConfig{exec: core.Options{CollectStats: true}})
 			if err != nil {
 				t.Fatalf("Q%s %+v reference: %v", qid, shape, err)
 			}

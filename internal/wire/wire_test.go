@@ -262,6 +262,48 @@ func TestWirePrepareBindExecute(t *testing.T) {
 	assertNoLeakedGoroutines(t)
 }
 
+// TestWireHostileSQLIsBadRequest: texts that once panicked the planner —
+// a number literal above 2^64-1, a FROM table no join reaches — answer the
+// connection that sent them with ClassBadRequest, and the same connection
+// then answers SSB Q2.1 correctly: the server is still there.
+func TestWireHostileSQLIsBadRequest(t *testing.T) {
+	ds := wireDataset(t)
+	eng, err := qppt.New(qppt.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	want, _, err := eng.Session(ds.Cat).Query(context.Background(), ssb.SQLTexts["2.1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := wire.NewServer(eng, ds.Cat)
+	defer srv.Close()
+	cc, err := client.NewPipe(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+
+	for _, text := range []string{
+		"select sum(lo_revenue) from lineorder where lo_quantity = 99999999999999999999",
+		"select sum(lo_revenue) from lineorder, date, part where lo_orderdate = d_datekey group by p_brand1",
+	} {
+		var werr *wire.Error
+		if _, err := cc.Query(text); !errors.As(err, &werr) || werr.Class != wire.ClassBadRequest {
+			t.Fatalf("%q returned %v, want ClassBadRequest", text, err)
+		}
+	}
+	res, err := cc.Query(ssb.SQLTexts["2.1"])
+	if err != nil {
+		t.Fatalf("Q2.1 after the hostile texts: %v", err)
+	}
+	ref := &refResult{attrs: want.Attrs, rows: want.Rows}
+	if err := ref.check("2.1", res); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWireConcurrentClients: 8 concurrent TCP clients × two passes over
 // all 13 SSB queries against an admission-capped engine. Every result
 // must stay bit-identical under contention, the statement caches must

@@ -30,6 +30,7 @@ import (
 	"qppt/internal/hashbase"
 	"qppt/internal/kisstree"
 	"qppt/internal/prefixtree"
+	"qppt/internal/sql"
 	"qppt/internal/ssb"
 )
 
@@ -66,7 +67,8 @@ func benchKeys(b *testing.B) int {
 }
 
 // dataset loads the SSB instance once per process and runs every query
-// once per engine, so no timed loop pays a lazy base-index build.
+// once per engine, and every figures plan once, so no timed loop pays a
+// lazy base-index build.
 func dataset(b *testing.B) *ssb.Dataset {
 	b.Helper()
 	sf := benchSF(b)
@@ -78,16 +80,35 @@ func dataset(b *testing.B) *ssb.Dataset {
 		}
 		defer eng.Close()
 		ds := ssb.MustLoad(ssb.GenConfig{SF: sf, Seed: 42})
+		ctx, env := context.Background(), eng.Env()
+		planner := sql.NewPlanner(ds.Cat)
 		for _, qid := range ssb.QueryIDs {
-			if _, _, dsErr = ds.RunQPPT(context.Background(), eng.Env(), qid, ssb.DefaultPlanOptions(), core.Options{}); dsErr != nil {
+			stmt, err := planner.PlanSQL(ssb.SQLTexts[qid], sql.Options{UseSelectJoin: true})
+			if err == nil {
+				_, _, err = stmt.Run(ctx, env, core.Options{})
+			}
+			if err == nil {
+				_, err = ds.RunColumn(qid)
+			}
+			if err == nil {
+				_, err = ds.RunVector(qid)
+			}
+			if err != nil {
+				dsErr = fmt.Errorf("Q%s: %w", qid, err)
 				return
 			}
-			if _, dsErr = ds.RunColumn(qid); dsErr != nil {
+		}
+		plans := []*core.Plan{ds.Figure8Plan()}
+		for arity := 2; arity <= 4; arity++ {
+			plans = append(plans, ds.Figure9Plan(arity))
+		}
+		for _, plan := range plans {
+			out, _, err := env.Run(ctx, plan, core.Options{})
+			if err != nil {
+				dsErr = err
 				return
 			}
-			if _, dsErr = ds.RunVector(qid); dsErr != nil {
-				return
-			}
+			out.Release()
 		}
 		dsSSB = ds
 	})
@@ -98,7 +119,7 @@ func dataset(b *testing.B) *ssb.Dataset {
 }
 
 // benchEngine is a default-configured engine, closed when the benchmark
-// ends; the hand-built plans run on its Env.
+// ends; the query figures run on its Env.
 func benchEngine(b *testing.B) *qppt.Engine {
 	eng, err := qppt.New(qppt.Config{})
 	if err != nil {
@@ -108,12 +129,33 @@ func benchEngine(b *testing.B) *qppt.Engine {
 	return eng
 }
 
-// runQPPT runs one hand-built SSB plan b.N times.
-func runQPPT(b *testing.B, ds *ssb.Dataset, env *core.Env, qid string, plan ssb.PlanOptions, exec core.Options) {
+// statement plans an SSB text the way a client's query is planned; the
+// figures time its runs, not its planning.
+func statement(b *testing.B, ds *ssb.Dataset, qid string, selectJoin bool) *sql.Statement {
+	stmt, err := sql.NewPlanner(ds.Cat).PlanSQL(ssb.SQLTexts[qid], sql.Options{UseSelectJoin: selectJoin})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return stmt
+}
+
+// runStatement runs a planned statement b.N times.
+func runStatement(b *testing.B, env *core.Env, stmt *sql.Statement, exec core.Options) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ds.RunQPPT(context.Background(), env, qid, plan, exec); err != nil {
+		if _, _, err := stmt.Run(context.Background(), env, exec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// runPlan runs a hand-built figures plan b.N times.
+func runPlan(b *testing.B, env *core.Env, plan *core.Plan) {
+	for i := 0; i < b.N; i++ {
+		out, _, err := env.Run(context.Background(), plan, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Release()
 	}
 }
 
@@ -268,14 +310,15 @@ func BenchmarkFigure3b(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure7 regenerates Figure 7: every SSB query on QPPT and on
-// the vector-at-a-time and column-at-a-time baselines.
+// BenchmarkFigure7 regenerates Figure 7: every SSB query on QPPT — the
+// planner's plan, which is what a client runs — and on the
+// vector-at-a-time and column-at-a-time baselines.
 func BenchmarkFigure7(b *testing.B) {
 	ds := dataset(b)
 	env := benchEngine(b).Env()
 	for _, qid := range ssb.QueryIDs {
 		b.Run("Q"+qid+"/qppt", func(b *testing.B) {
-			runQPPT(b, ds, env, qid, ssb.DefaultPlanOptions(), core.Options{})
+			runStatement(b, env, statement(b, ds, qid, true), core.Options{})
 		})
 		b.Run("Q"+qid+"/vector", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -294,51 +337,54 @@ func BenchmarkFigure7(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure8 regenerates Figure 8: Q1.1 with and without the
-// composed select-join-group operator. The plan without it also reports
-// the share of its operator time spent in the lineorder selection (the
-// paper: ~95 %).
+// BenchmarkFigure8 regenerates Figure 8: Q1.1 with the composed
+// select-join-group operator (the planner's plan) and without it (the
+// hand-built ssb.Figure8Plan). The plan without it also reports the share
+// of its operator time spent in the lineorder selection (the paper:
+// ~95 %).
 func BenchmarkFigure8(b *testing.B) {
 	ds := dataset(b)
 	env := benchEngine(b).Env()
-	for _, cfg := range []struct {
-		name string
-		sj   bool
-	}{{"with-select-join", true}, {"without-select-join", false}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			plan := ssb.PlanOptions{UseSelectJoin: cfg.sj}
-			runQPPT(b, ds, env, "1.1", plan, core.Options{})
-			if cfg.sj {
-				return
+	b.Run("with-select-join", func(b *testing.B) {
+		runStatement(b, env, statement(b, ds, "1.1", true), core.Options{})
+	})
+	b.Run("without-select-join", func(b *testing.B) {
+		plan := ds.Figure8Plan()
+		runPlan(b, env, plan)
+		b.StopTimer()
+		out, stats, err := env.Run(context.Background(), plan, core.Options{CollectStats: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Release()
+		var sel, total time.Duration
+		found := false
+		for _, op := range stats.Ops {
+			total += op.Time
+			if op.Label == "σ→σ_lineorder" {
+				sel, found = op.Time, true
 			}
-			b.StopTimer()
-			_, stats, err := ds.RunQPPT(context.Background(), env, "1.1", plan, core.Options{CollectStats: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var sel, total time.Duration
-			found := false
-			for _, op := range stats.Ops {
-				total += op.Time
-				if op.Label == "σ→σ_lineorder" {
-					sel, found = op.Time, true
-				}
-			}
-			if !found || total == 0 {
-				b.Fatalf("no timed lineorder selection in %d operators", len(stats.Ops))
-			}
-			b.ReportMetric(float64(sel)/float64(total), "selection-share")
-		})
-	}
+		}
+		if !found || total == 0 {
+			b.Fatalf("no timed lineorder selection in %d operators", len(stats.Ops))
+		}
+		b.ReportMetric(float64(sel)/float64(total), "selection-share")
+	})
 }
 
-// BenchmarkFigure9 regenerates Figure 9: Q4.1 under join-arity caps.
+// BenchmarkFigure9 regenerates Figure 9: Q4.1 under join-arity caps. The
+// capped plans are hand-built (ssb.Figure9Plan); the uncapped 5-way star
+// join is the planner's plan without select-join.
 func BenchmarkFigure9(b *testing.B) {
 	ds := dataset(b)
 	env := benchEngine(b).Env()
 	for arity := 2; arity <= 5; arity++ {
 		b.Run(fmt.Sprintf("%d-way", arity), func(b *testing.B) {
-			runQPPT(b, ds, env, "4.1", ssb.PlanOptions{JoinArity: arity}, core.Options{})
+			if arity == 5 {
+				runStatement(b, env, statement(b, ds, "4.1", false), core.Options{})
+				return
+			}
+			runPlan(b, env, ds.Figure9Plan(arity))
 		})
 	}
 }
@@ -349,9 +395,10 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkAblationJoinBuffer(b *testing.B) {
 	ds := dataset(b)
 	env := benchEngine(b).Env()
+	stmt := statement(b, ds, "2.3", true)
 	for _, size := range []int{1, 64, 512, 2048} {
 		b.Run(fmt.Sprintf("buffer=%d", size), func(b *testing.B) {
-			runQPPT(b, ds, env, "2.3", ssb.PlanOptions{UseSelectJoin: true}, core.Options{BufferSize: size})
+			runStatement(b, env, stmt, core.Options{BufferSize: size})
 		})
 	}
 }

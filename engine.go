@@ -147,8 +147,9 @@ func New(cfg Config) (*Engine, error) {
 	return eng, nil
 }
 
-// Env exposes the engine's execution environment for callers that drive
-// core.Env.Run (or ssb.RunQPPT, the figure benchmarks, tests) directly.
+// Env exposes the engine's execution environment for callers that run
+// plans or planned statements on it directly (sql.Statement.Run,
+// core.Env.Run; the figure benchmarks, tests).
 func (e *Engine) Env() *core.Env { return e.env }
 
 // Workers reports the shared pool size.

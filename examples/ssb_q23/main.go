@@ -8,10 +8,10 @@
 //	  and p_brand1 = 'MFGR#2221' and s_region = 'EUROPE'
 //	group by d_year, p_brand1 order by d_year, p_brand1
 //
-// The demo mirrors the paper's demonstrator (Appendix A): it runs the
-// query under different optimizer settings — select-join on/off and
-// several joinbuffer sizes — and prints the per-operator execution
-// statistics (time, index vs materialization split, output sizes).
+// The demo mirrors the paper's demonstrator (Appendix A): it plans the
+// query's SQL text with the select-join on and off, runs it with several
+// joinbuffer sizes, and prints the per-operator execution statistics
+// (time, index vs materialization split, output sizes).
 //
 // Run with: go run ./examples/ssb_q23 [-sf 0.1]
 package main
@@ -21,9 +21,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"qppt"
 	"qppt/internal/core"
+	"qppt/internal/sql"
 	"qppt/internal/ssb"
 )
 
@@ -42,43 +44,47 @@ func main() {
 		log.Fatal(err)
 	}
 	defer eng.Close()
+	planner := sql.NewPlanner(ds.Cat)
 
 	configs := []struct {
 		name string
-		opt  ssb.PlanOptions
+		plan sql.Options
 		exec core.Options
 	}{
 		{"select-join ON, joinbuffer 512 (default)",
-			ssb.PlanOptions{UseSelectJoin: true}, core.Options{BufferSize: 512, CollectStats: true}},
+			sql.Options{UseSelectJoin: true}, core.Options{BufferSize: 512, CollectStats: true}},
 		{"select-join OFF (separate σ_part)",
-			ssb.PlanOptions{UseSelectJoin: false}, core.Options{BufferSize: 512, CollectStats: true}},
+			sql.Options{UseSelectJoin: false}, core.Options{BufferSize: 512, CollectStats: true}},
 		{"select-join ON, joinbuffer 1 (no batching)",
-			ssb.PlanOptions{UseSelectJoin: true}, core.Options{BufferSize: 1, CollectStats: true}},
+			sql.Options{UseSelectJoin: true}, core.Options{BufferSize: 1, CollectStats: true}},
 	}
 
-	var ref *ssb.QueryResult
+	var ref *sql.Rows
 	for _, cfg := range configs {
-		res, stats, err := ds.RunQPPT(context.Background(), eng.Env(), "2.3", cfg.opt, cfg.exec)
+		stmt, err := planner.PlanSQL(ssb.SQLTexts["2.3"], cfg.plan)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rows, stats, err := stmt.Run(context.Background(), eng.Env(), cfg.exec)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("── %s ──\n", cfg.name)
 		fmt.Print(stats)
 		if ref == nil {
-			ref = res
-		} else if !res.Equal(ref) {
+			ref = rows
+		} else if !slices.EqualFunc(rows.Rows, ref.Rows, slices.Equal) {
 			log.Fatal("optimizer settings changed the result!")
 		}
 		fmt.Println()
 	}
 
-	fmt.Printf("result (%d groups, already sorted by the output index key):\n", len(ref.Rows))
-	for i, row := range ref.Rows {
+	fmt.Printf("result (%d groups, ordered by d_year, p_brand1):\n", len(ref.Rows))
+	for i := range ref.Rows {
 		if i == 10 {
 			fmt.Printf("  ... %d more\n", len(ref.Rows)-10)
 			break
 		}
-		dec := ds.DecodeRow("2.3", row)
-		fmt.Printf("  d_year=%s p_brand1=%s revenue=%s\n", dec[0], dec[1], dec[2])
+		fmt.Printf("  d_year=%s p_brand1=%s revenue=%s\n", ref.Decode(i, 1), ref.Decode(i, 2), ref.Decode(i, 0))
 	}
 }

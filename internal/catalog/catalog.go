@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -180,19 +181,32 @@ type IndexDef struct {
 	// KeyCols are the indexed attributes, most significant first for
 	// composed (multidimensional) keys.
 	KeyCols []string
-	// Include are the payload attributes for partial clustering.
+	// Include are the payload attributes for partial clustering, in any
+	// order: the index carries them after the RID in sorted order.
 	Include []string
 }
 
 // IndexName derives the canonical name of an index. Two indexes on the
 // same key columns but with different clustered payloads are distinct
-// physical structures, so the Include list is part of the name.
+// physical structures, so the Include set is part of the name; its order
+// is not, so it is named (and laid out) sorted.
 func (def IndexDef) IndexName(table string) string {
 	name := table + "[" + strings.Join(def.KeyCols, ",") + "]"
 	if len(def.Include) > 0 {
-		name += "{" + strings.Join(def.Include, ",") + "}"
+		name += "{" + strings.Join(def.sortedInclude(), ",") + "}"
 	}
 	return name
+}
+
+// sortedInclude is Include in the order that names the index and lays out
+// its payload; it copies only when the caller's order differs.
+func (def IndexDef) sortedInclude() []string {
+	if slices.IsSorted(def.Include) {
+		return def.Include
+	}
+	sorted := slices.Clone(def.Include)
+	slices.Sort(sorted)
+	return sorted
 }
 
 // BuildIndex builds (or returns the cached) base index for def. The
@@ -216,6 +230,7 @@ func (ti *TableInfo) BuildIndexCtx(ctx context.Context, def IndexDef) (*core.Ind
 	if t, ok := ti.indexes[name]; ok {
 		return t, nil
 	}
+	def.Include = def.sortedInclude()
 	keyCols := make([][]uint64, len(def.KeyCols))
 	keyBits := make([]uint, len(def.KeyCols))
 	for i, kc := range def.KeyCols {
@@ -281,17 +296,6 @@ func (ti *TableInfo) Index(name string) *core.IndexedTable {
 	ti.idxMu.Lock()
 	defer ti.idxMu.Unlock()
 	return ti.indexes[name]
-}
-
-// Indexes lists the canonical names of all built indexes.
-func (ti *TableInfo) Indexes() []string {
-	ti.idxMu.Lock()
-	defer ti.idxMu.Unlock()
-	names := make([]string, 0, len(ti.indexes))
-	for n := range ti.indexes {
-		names = append(names, n)
-	}
-	return names
 }
 
 // Rows reports the table cardinality.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -184,6 +185,24 @@ func TestBuildPartiallyClusteredIndex(t *testing.T) {
 	row := vals.First()
 	if row[0] != 2 || row[1] != ti.Code("brand", "B#2") || row[2] != 7 {
 		t.Fatalf("payload = %v", row)
+	}
+}
+
+// TestIncludeOrderIsOneIndex: the Include list is a set. Two definitions
+// that differ only in its order are one index, built once, with its payload
+// in sorted order whichever definition built it.
+func TestIncludeOrderIsOneIndex(t *testing.T) {
+	_, ti := loadMini(t)
+	a := ti.MustIndex([]string{"partkey"}, "size", "brand")
+	if b := ti.MustIndex([]string{"partkey"}, "brand", "size"); b != a {
+		t.Fatal("reordered Include built a second copy of the index")
+	}
+	if !slices.Equal(a.Cols, []string{RIDCol, "brand", "size"}) {
+		t.Fatalf("payload = %v, want the RID then Include sorted", a.Cols)
+	}
+	if n1, n2 := (IndexDef{KeyCols: []string{"partkey"}, Include: []string{"size", "brand"}}).IndexName("parts"),
+		(IndexDef{KeyCols: []string{"partkey"}, Include: []string{"brand", "size"}}).IndexName("parts"); n1 != n2 {
+		t.Fatalf("names differ: %s vs %s", n1, n2)
 	}
 }
 

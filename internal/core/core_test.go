@@ -356,76 +356,6 @@ func TestKeylessSingleGroupOutput(t *testing.T) {
 	}
 }
 
-func TestIntersectAndUnion(t *testing.T) {
-	f := buildFixture(8)
-	// Decomposed conjunction/disjunction over rid-like keys: customers in
-	// region 1, customers in regions {1,2} via two selections.
-	selRegion := func(name string, regions ...uint64) *Selection {
-		return &Selection{
-			Input: &Base{Table: f.custByKey},
-			Pred:  nil,
-			Residual: func(regs map[uint64]bool) func(ctx []uint64) bool {
-				off := CtxOffsets([]*IndexedTable{f.custByKey}, Ref{Input: 0, Attr: "region"})[0]
-				return func(ctx []uint64) bool { return regs[ctx[off]] }
-			}(toSet(regions)),
-			Out: OutputSpec{
-				Name:    name,
-				Key:     SimpleKey("custkey", 16),
-				KeyRefs: []Ref{{Input: 0, Attr: "custkey"}},
-			},
-		}
-	}
-	inter := &Intersect{
-		A: selRegion("A", 1, 2),
-		B: selRegion("B", 2, 3),
-		Out: OutputSpec{
-			Name:    "A∩B",
-			Key:     SimpleKey("custkey", 16),
-			KeyRefs: []Ref{{Input: 0, Attr: "custkey"}},
-		},
-	}
-	union := &UnionDistinct{
-		A: selRegion("A", 1),
-		B: selRegion("B", 1, 3),
-		Out: OutputSpec{
-			Name:    "A∪B",
-			Key:     SimpleKey("custkey", 16),
-			KeyRefs: []Ref{{Input: 0, Attr: "custkey"}},
-		},
-	}
-	iOut, _, err := run(t, EnvConfig{}, &Plan{Root: inter}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uOut, _, err := run(t, EnvConfig{}, &Plan{Root: union}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantI, wantU := 0, 0
-	for _, reg := range f.cust {
-		if reg == 2 {
-			wantI++
-		}
-		if reg == 1 || reg == 3 {
-			wantU++
-		}
-	}
-	if iOut.Keys() != wantI {
-		t.Errorf("intersect keys = %d, want %d", iOut.Keys(), wantI)
-	}
-	if uOut.Keys() != wantU {
-		t.Errorf("union keys = %d, want %d", uOut.Keys(), wantU)
-	}
-}
-
-func toSet(xs []uint64) map[uint64]bool {
-	m := make(map[uint64]bool, len(xs))
-	for _, x := range xs {
-		m[x] = true
-	}
-	return m
-}
-
 func TestStatsCollection(t *testing.T) {
 	f := buildFixture(9)
 	out, stats, err := run(t, EnvConfig{}, starPlan(f, 2), Options{CollectStats: true})

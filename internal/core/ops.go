@@ -65,10 +65,6 @@ type Selection struct {
 	Out      OutputSpec
 }
 
-// Having is the logical HAVING operator; physically it is the same
-// operator as Selection (paper Section 4.1).
-type Having = Selection
-
 // Label implements Operator.
 func (s *Selection) Label() string { return "σ→" + s.Out.Name }
 
@@ -333,88 +329,6 @@ func (sj *SelectJoin) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTabl
 	sel := inputs[0]
 	pipe := func() (*pipeline, error) { return sj.pipe(ec, inputs) }
 	return runMorsels(ec, &sj.Out, predBounds(sj.Pred, sel), pipe, predScan(sj.Pred, sel))
-}
-
-// Intersect is the set intersection operator used when conjunctive
-// predicates are decomposed into separate selections over record-identifier
-// indexes (paper Section 4.1). Both inputs must be indexed on the same key
-// (typically the rid); matching keys emit the cross product of their rows,
-// exactly like a 2-way join — which is what the intersect physically is.
-type Intersect struct {
-	A, B Operator
-	Out  OutputSpec
-}
-
-// Label implements Operator.
-func (op *Intersect) Label() string { return "∩→" + op.Out.Name }
-
-// Children implements Operator.
-func (op *Intersect) Children() []Operator { return []Operator{op.A, op.B} }
-
-// run executes the intersect as the 2-way join it physically is.
-func (op *Intersect) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
-	return (&Join{Out: op.Out}).run(ec, inputs)
-}
-
-// UnionDistinct is the distinct-union set operator (paper Section 4.1).
-// Both inputs must share the key spec and payload layout; each key of
-// either input appears exactly once in the output, keeping the first row
-// encountered (rows under one key are duplicates by construction when the
-// inputs are rid-keyed selection results).
-type UnionDistinct struct {
-	A, B Operator
-	Out  OutputSpec
-}
-
-// Label implements Operator.
-func (op *UnionDistinct) Label() string { return "∪→" + op.Out.Name }
-
-// Children implements Operator.
-func (op *UnionDistinct) Children() []Operator { return []Operator{op.A, op.B} }
-
-func (op *UnionDistinct) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
-	a, b := inputs[0], inputs[1]
-	if len(a.Cols) != len(b.Cols) {
-		return nil, fmt.Errorf("core: union inputs have different payload widths")
-	}
-	spec := op.Out
-	if spec.Fold != nil {
-		return nil, fmt.Errorf("core: union output cannot fold")
-	}
-	spec.Fold = func(dst, src []uint64) {} // distinct: keep the first row per key
-	layout := newCtxLayout(a)
-	p := newPipeline(ec, layout)
-	out, err := p.setSink(&spec)
-	if err != nil {
-		return nil, err
-	}
-	for _, in := range []*IndexedTable{a, b} {
-		l := newCtxLayout(in)
-		comp := in.Key.Composer()
-		ctx := make([]uint64, l.width)
-		in.Idx.Iterate(func(k uint64, vals *duplist.List) bool {
-			if p.aborted() {
-				return false // query cancelled; the partial output is discarded
-			}
-			l.fillKey(ctx, 0, k, comp)
-			if len(in.Cols) == 0 {
-				p.snk.feed(ctx, p.bufSize)
-				return true
-			}
-			vals.Scan(func(row []uint64) bool {
-				l.fillRow(ctx, 0, row)
-				p.snk.feed(ctx, p.bufSize)
-				return true
-			})
-			return true
-		})
-	}
-	if err := ec.err(); err != nil {
-		return nil, err
-	}
-	p.finish()
-	ec.noteSink(p)
-	return out, nil
 }
 
 func mustResolve(l ctxLayout, r Ref) int {

@@ -12,11 +12,12 @@ import (
 func TestRecycleMatchesBaseline(t *testing.T) {
 	f := buildFixture(11)
 	// Three operator levels: the selection output drops when the join
-	// finishes, so the final HAVING's index allocations can draw from the
-	// pool — the cross-operator drop→reuse cycle the recycler exists for.
+	// finishes, so the final selection's index allocations can draw from
+	// the pool — the cross-operator drop→reuse cycle the recycler exists
+	// for.
 	mkPlan := func() *Plan {
 		join := starPlan(f, 2).Root
-		return &Plan{Root: &Having{
+		return &Plan{Root: &Selection{
 			Input: join,
 			Pred:  nil,
 			Out: OutputSpec{
@@ -67,11 +68,11 @@ func TestRecycleDropsOnlyAfterLastConsumer(t *testing.T) {
 			KeyRefs: []Ref{{Input: 0, Attr: "prodkey"}},
 		},
 	}
-	// Both join inputs read the same selection output (a self-intersect):
-	// every key survives, and the cross product squares the multiplicity.
-	join := &Intersect{
-		A: sel,
-		B: sel,
+	// Both join inputs read the same selection output (a self-join): every
+	// key survives, and the cross product squares the multiplicity.
+	join := &Join{
+		Left:  sel,
+		Right: sel,
 		Out: OutputSpec{
 			Name:    "both",
 			Key:     SimpleKey("prodkey", 16),

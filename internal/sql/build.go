@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"qppt/internal/catalog"
 	"qppt/internal/core"
@@ -56,11 +57,7 @@ func (b *builder) dimIndex(d *dimInfo) (*core.IndexedTable, Cond, []Cond, error)
 		keyCol = primary.Col.Name
 	}
 	delete(include, keyCol)
-	cols := make([]string, 0, len(include))
-	for c := range include {
-		cols = append(cols, c)
-	}
-	sortStrings(cols)
+	cols := sortedKeys(include)
 	def := catalog.IndexDef{KeyCols: []string{keyCol}, Include: cols}
 	if b.record != nil {
 		b.record(d.table, def)
@@ -121,11 +118,7 @@ func (b *builder) factIndex(main *dimInfo) (*core.IndexedTable, error) {
 		collectCols(e, include)
 	}
 	delete(include, main.fk)
-	cols := make([]string, 0, len(include))
-	for c := range include {
-		cols = append(cols, c)
-	}
-	sortStrings(cols)
+	cols := sortedKeys(include)
 	def := catalog.IndexDef{KeyCols: []string{main.fk}, Include: cols}
 	if b.record != nil {
 		b.record(b.factName, def)
@@ -263,11 +256,7 @@ func (b *builder) buildSingleTable() (*Statement, error) {
 		}
 	}
 	delete(include, keyCol)
-	cols := make([]string, 0, len(include))
-	for c := range include {
-		cols = append(cols, c)
-	}
-	sortStrings(cols)
+	cols := sortedKeys(include)
 	def := catalog.IndexDef{KeyCols: []string{keyCol}, Include: cols}
 	if b.record != nil {
 		b.record(b.factName, def)
@@ -387,10 +376,13 @@ func collectCols(e Expr, into map[string]bool) {
 	}
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// sortedKeys lists a set's members in sorted order, so that a plan and the
+// index definitions it records do not depend on map iteration order.
+func sortedKeys(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
 	}
+	slices.Sort(keys)
+	return keys
 }

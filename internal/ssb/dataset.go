@@ -5,14 +5,14 @@ import (
 
 	"qppt/internal/catalog"
 	"qppt/internal/colstore"
-	"qppt/internal/core"
 )
 
-// A Dataset is a fully loaded SSB instance: the catalog's tables with their
-// base indexes (for QPPT), and the same encoded column arrays handed to the
-// two baseline engines to scan — one copy, shared read-only. All three
-// engines see the exact same dictionary encodings, so query results are
-// comparable bit for bit.
+// A Dataset is a fully loaded SSB instance: the catalog's tables (QPPT
+// plans build the base indexes they read on first use, see
+// catalog.TableInfo.BuildIndexCtx), and the same encoded column arrays
+// handed to the two baseline engines to scan — one copy, shared read-only.
+// All three engines see the exact same dictionary encodings, so query
+// results are comparable bit for bit.
 type Dataset struct {
 	SF float64
 
@@ -50,9 +50,6 @@ func Load(cfg GenConfig) (*Dataset, error) {
 	ds.Customer = ds.Cat.Table("customer")
 	ds.Supplier = ds.Cat.Table("supplier")
 	ds.Part = ds.Cat.Table("part")
-	if err := ds.buildBaseIndexes(); err != nil {
-		return nil, err
-	}
 	return ds, nil
 }
 
@@ -63,53 +60,4 @@ func MustLoad(cfg GenConfig) *Dataset {
 		panic(err)
 	}
 	return ds
-}
-
-// buildBaseIndexes provisions the base indexes the thirteen query plans
-// start from (paper Section 3: "these indexes are either already present
-// or are created once and remain in the data pool for future queries").
-// All fact-table indexes are partially clustered so operators never fetch
-// records randomly during processing.
-func (ds *Dataset) buildBaseIndexes() error {
-	defs := []struct {
-		ti  *catalog.TableInfo
-		def catalog.IndexDef
-	}{
-		// Fact table, one clustered index per join/selection entry point.
-		{ds.Lineorder, catalog.IndexDef{KeyCols: []string{"lo_orderdate"},
-			Include: []string{"lo_quantity", "lo_discount", "lo_extendedprice"}}},
-		{ds.Lineorder, catalog.IndexDef{KeyCols: []string{"lo_partkey"},
-			Include: []string{"lo_suppkey", "lo_orderdate", "lo_revenue"}}},
-		{ds.Lineorder, catalog.IndexDef{KeyCols: []string{"lo_custkey"},
-			Include: []string{"lo_suppkey", "lo_partkey", "lo_orderdate", "lo_revenue", "lo_supplycost"}}},
-		// Multidimensional index for the decomposed Q1.x selection plans.
-		{ds.Lineorder, catalog.IndexDef{KeyCols: []string{"lo_discount", "lo_quantity"},
-			Include: []string{"lo_orderdate", "lo_extendedprice"}}},
-		// Dimension entry points: one index per selection attribute.
-		{ds.Date, catalog.IndexDef{KeyCols: []string{"d_datekey"}, Include: []string{"d_year"}}},
-		{ds.Date, catalog.IndexDef{KeyCols: []string{"d_year"}, Include: []string{"d_datekey", "d_weeknuminyear"}}},
-		{ds.Date, catalog.IndexDef{KeyCols: []string{"d_yearmonthnum"}, Include: []string{"d_datekey"}}},
-		{ds.Date, catalog.IndexDef{KeyCols: []string{"d_yearmonth"}, Include: []string{"d_datekey", "d_year"}}},
-		{ds.Customer, catalog.IndexDef{KeyCols: []string{"c_region"}, Include: []string{"c_custkey", "c_nation"}}},
-		{ds.Customer, catalog.IndexDef{KeyCols: []string{"c_nation"}, Include: []string{"c_custkey", "c_city"}}},
-		{ds.Customer, catalog.IndexDef{KeyCols: []string{"c_city"}, Include: []string{"c_custkey"}}},
-		{ds.Supplier, catalog.IndexDef{KeyCols: []string{"s_region"}, Include: []string{"s_suppkey"}}},
-		{ds.Supplier, catalog.IndexDef{KeyCols: []string{"s_nation"}, Include: []string{"s_suppkey", "s_city"}}},
-		{ds.Supplier, catalog.IndexDef{KeyCols: []string{"s_city"}, Include: []string{"s_suppkey"}}},
-		{ds.Part, catalog.IndexDef{KeyCols: []string{"p_brand1"}, Include: []string{"p_partkey"}}},
-		{ds.Part, catalog.IndexDef{KeyCols: []string{"p_category"}, Include: []string{"p_partkey", "p_brand1"}}},
-		{ds.Part, catalog.IndexDef{KeyCols: []string{"p_mfgr"}, Include: []string{"p_partkey", "p_brand1", "p_category"}}},
-		{ds.Part, catalog.IndexDef{KeyCols: []string{"p_partkey"}, Include: []string{"p_brand1"}}},
-	}
-	for _, d := range defs {
-		if _, err := d.ti.BuildIndex(d.def); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Index fetches a previously built base index as a plan input.
-func (ds *Dataset) Index(ti *catalog.TableInfo, keyCols []string, include ...string) *core.IndexedTable {
-	return ti.MustIndex(keyCols, include...)
 }

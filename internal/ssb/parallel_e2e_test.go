@@ -1,21 +1,24 @@
 package ssb
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"qppt/internal/core"
+	"qppt/internal/sql"
 )
 
 // TestMorselParallelMatchesSerial asserts bit-identical results between
-// serial and morsel-driven execution for every SSB query, across plan
-// shapes (with and without composed select-joins) and pool sizes. The
-// grouped aggregates fold associatively and the result index iterates in
-// key order, so the parallel schedule must be completely invisible in the
-// output.
+// serial and morsel-driven execution for every case — the SSB texts under
+// both planner shapes, the roll-ups and the figures.go plans — and pool
+// sizes. The grouped aggregates fold associatively and the result index
+// iterates in key order, so the parallel schedule must be completely
+// invisible in the output.
 func TestMorselParallelMatchesSerial(t *testing.T) {
-	runSuite(t, testDataset(t), suite{
-		shapes: bothShapes,
+	ds := testDataset(t)
+	runSuite(t, suite{
+		cases: allCases(t, ds),
 		legs: []runConfig{
 			{core.EnvConfig{Workers: 2}, core.Options{MorselsPerWorker: 3}},
 			{core.EnvConfig{Workers: 4}, core.Options{MorselsPerWorker: 3}},
@@ -25,13 +28,13 @@ func TestMorselParallelMatchesSerial(t *testing.T) {
 
 // TestMorselStatsRecordConfiguration: the plan statistics must surface
 // the pool configuration and the per-operator worker/morsel counts, so
-// benchmark output records what it measured.
+// benchmark output records what it measured. The roll-up's year range
+// spans many morsels.
 func TestMorselStatsRecordConfiguration(t *testing.T) {
 	ds := testDataset(t)
-	_, stats, err := runQPPT(t, ds, "2.3", PlanOptions{UseSelectJoin: true}, runConfig{
-		core.EnvConfig{Workers: 3},
-		core.Options{MorselsPerWorker: 5, CollectStats: true},
-	})
+	c := sqlCase(t, ds, "rollup1", "", rollups[0], sql.Options{UseSelectJoin: true})
+	_, stats, err := c.run(context.Background(), newTestEnv(t, core.EnvConfig{Workers: 3}),
+		core.Options{MorselsPerWorker: 5, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}

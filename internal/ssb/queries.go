@@ -76,19 +76,6 @@ func orderRows(rows [][]uint64, keys ...int) {
 	})
 }
 
-// project reorders row columns.
-func project(rows [][]uint64, cols ...int) [][]uint64 {
-	out := make([][]uint64, len(rows))
-	for i, r := range rows {
-		nr := make([]uint64, len(cols))
-		for j, c := range cols {
-			nr[j] = r[c]
-		}
-		out[i] = nr
-	}
-	return out
-}
-
 // pack packs small fields (each < 2^16) into one uint64 group key for the
 // baseline engines' hash aggregations.
 func pack(fields ...uint64) uint64 {
@@ -128,24 +115,4 @@ func querySchema(qid string) []string {
 		return []string{"d_year", "s_city", "p_brand1", "profit"}
 	}
 	panic(fmt.Sprintf("ssb: unknown query %q", qid))
-}
-
-// DecodeRow renders a normalized result row as strings using the dataset's
-// dictionaries (for human-readable output in tools and examples).
-func (ds *Dataset) DecodeRow(qid string, row []uint64) []string {
-	attrs := querySchema(qid)
-	out := make([]string, len(attrs))
-	for i, a := range attrs {
-		switch a {
-		case "p_brand1", "p_category":
-			out[i] = ds.Part.Decode(a, row[i])
-		case "c_nation", "c_city":
-			out[i] = ds.Customer.Decode(a, row[i])
-		case "s_nation", "s_city":
-			out[i] = ds.Supplier.Decode(a, row[i])
-		default:
-			out[i] = fmt.Sprintf("%d", row[i])
-		}
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qppt/internal/core"
+	"qppt/internal/sql"
 )
 
 // intermediates counts the operator outputs of a finished plan that a later
@@ -12,23 +13,24 @@ import (
 func intermediates(stats *core.PlanStats) int { return len(stats.Ops) - 1 }
 
 // TestSpillBudgetMatchesUnbudgeted is the spilling acceptance test: every
-// SSB query runs under a memory budget smaller than any one intermediate
-// index, spills and restores what a later operator reads back (nonzero
-// counters in PlanStats) — and nothing when the plan is a single operator,
-// whose output is the caller's — and produces rows bit-identical to the
+// case runs under a memory budget of half its largest operator output,
+// spills and restores what a later operator reads back (nonzero counters
+// in PlanStats) — and nothing when the plan is a single operator, whose
+// output is the caller's — and produces rows bit-identical to the
 // unbudgeted run: spilling is a pure storage decision.
 func TestSpillBudgetMatchesUnbudgeted(t *testing.T) {
-	runSuite(t, testDataset(t), suite{
-		shapes: bothShapes,
-		legs:   []runConfig{{core.EnvConfig{MemBudget: halfPeak}, core.Options{CollectStats: true}}},
-		check: func(t *testing.T, qid string, shape PlanOptions, leg runConfig, _ *QueryResult, stats *core.PlanStats) {
+	ds := testDataset(t)
+	runSuite(t, suite{
+		cases: allCases(t, ds),
+		legs:  []runConfig{{env: core.EnvConfig{MemBudget: halfPeak}}},
+		check: func(t *testing.T, c planCase, leg runConfig, _ [][]uint64, stats *core.PlanStats) {
 			budget := leg.env.MemBudget
 			if want := intermediates(stats) > 0; (stats.Spills > 0) != want || (stats.Restores > 0) != want {
-				t.Errorf("Q%s %+v budget=%d: spills=%d restores=%d with %d intermediates",
-					qid, shape, budget, stats.Spills, stats.Restores, intermediates(stats))
+				t.Errorf("%s budget=%d: spills=%d restores=%d with %d intermediates",
+					c.name, budget, stats.Spills, stats.Restores, intermediates(stats))
 			}
 			if stats.MemBudget != budget {
-				t.Errorf("Q%s: stats budget = %d, want %d", qid, stats.MemBudget, budget)
+				t.Errorf("%s: stats budget = %d, want %d", c.name, stats.MemBudget, budget)
 			}
 		},
 	})
@@ -38,56 +40,39 @@ func TestSpillBudgetMatchesUnbudgeted(t *testing.T) {
 // pin/unpin their inputs) concurrently, the merged sharded outputs spill
 // shard-by-shard, and the result must still be bit-identical.
 func TestSpillBudgetUnderParallelism(t *testing.T) {
-	runSuite(t, testDataset(t), suite{
-		qids:   []string{"1.1", "2.3", "3.1", "4.1"},
-		shapes: []PlanOptions{{UseSelectJoin: true}},
+	ds := testDataset(t)
+	cases := sqlCases(t, ds, sql.Options{UseSelectJoin: true}, "1.1", "2.3", "3.1", "4.1")
+	runSuite(t, suite{
+		cases: append(append(cases, rollupCases(t, ds)...), figureCases(ds)...),
 		legs: []runConfig{{
 			core.EnvConfig{Workers: 3, MemBudget: 1}, // everything cold spills
-			core.Options{MorselsPerWorker: 3, CollectStats: true},
+			core.Options{MorselsPerWorker: 3},
 		}},
-		check: func(t *testing.T, qid string, _ PlanOptions, _ runConfig, _ *QueryResult, stats *core.PlanStats) {
+		check: func(t *testing.T, c planCase, _ runConfig, _ [][]uint64, stats *core.PlanStats) {
 			if intermediates(stats) > 0 && (stats.Spills == 0 || stats.Restores == 0) {
-				t.Errorf("Q%s: parallel run recorded spills=%d restores=%d", qid, stats.Spills, stats.Restores)
-			}
-		},
-	})
-}
-
-// A budgeted run of the decomposed-selection plan shape (intersect/union
-// set operators over rid indexes) exercises spilling across the remaining
-// operator kinds.
-func TestSpillBudgetDecomposedSelections(t *testing.T) {
-	runSuite(t, testDataset(t), suite{
-		qids:   []string{"1.1"},
-		shapes: []PlanOptions{{DecomposeSelections: true}},
-		legs:   []runConfig{{core.EnvConfig{MemBudget: 1}, core.Options{CollectStats: true}}},
-		check: func(t *testing.T, _ string, _ PlanOptions, _ runConfig, _ *QueryResult, stats *core.PlanStats) {
-			if stats.Spills == 0 || stats.Restores == 0 {
-				t.Errorf("decomposed plan: spills=%d restores=%d", stats.Spills, stats.Restores)
+				t.Errorf("%s: parallel run recorded spills=%d restores=%d", c.name, stats.Spills, stats.Restores)
 			}
 		},
 	})
 }
 
 // TestSpillRecycleMatches is the memory-lifecycle acceptance test: every
-// SSB query runs with the chunk recycler enabled, serially and under
-// morsel parallelism, under a budget below the plan's peak intermediate
-// footprint — and must stay bit-identical to the plain run while the
-// recycler counters prove the pool actually engaged.
+// case runs with the chunk recycler enabled, serially and under morsel
+// parallelism, under a budget below the plan's peak operator footprint —
+// and must stay bit-identical to the plain run while the recycler counters
+// prove the pool actually engaged.
 func TestSpillRecycleMatches(t *testing.T) {
+	ds := testDataset(t)
 	sawReuse := false
 	leg := func(workers int) runConfig {
-		return runConfig{
-			core.EnvConfig{Workers: workers, MemBudget: halfPeak, Recycle: true},
-			core.Options{CollectStats: true},
-		}
+		return runConfig{env: core.EnvConfig{Workers: workers, MemBudget: halfPeak, Recycle: true}}
 	}
-	runSuite(t, testDataset(t), suite{
-		shapes: []PlanOptions{{UseSelectJoin: true}},
-		legs:   []runConfig{leg(1), leg(3)},
-		check: func(t *testing.T, qid string, _ PlanOptions, leg runConfig, _ *QueryResult, stats *core.PlanStats) {
+	runSuite(t, suite{
+		cases: allCases(t, ds),
+		legs:  []runConfig{leg(1), leg(3)},
+		check: func(t *testing.T, c planCase, leg runConfig, _ [][]uint64, stats *core.PlanStats) {
 			if stats.ChunksRecycled == 0 {
-				t.Errorf("Q%s workers=%d: recycler idle: %+v", qid, leg.env.Workers, stats)
+				t.Errorf("%s workers=%d: recycler idle: %+v", c.name, leg.env.Workers, stats)
 			}
 			sawReuse = sawReuse || stats.ChunksReused > 0
 		},
@@ -100,19 +85,20 @@ func TestSpillRecycleMatches(t *testing.T) {
 // The recycler alone (no budget, no spilling) must also be invisible in
 // the results — serially and in parallel, across plan shapes.
 func TestRecycleMatchesAcrossPlanShapes(t *testing.T) {
-	runSuite(t, testDataset(t), suite{
-		shapes: bothShapes,
+	ds := testDataset(t)
+	runSuite(t, suite{
+		cases: allCases(t, ds),
 		legs: []runConfig{
-			{core.EnvConfig{Workers: 1, Recycle: true}, core.Options{CollectStats: true}},
-			{core.EnvConfig{Workers: 3, Recycle: true}, core.Options{CollectStats: true}},
+			{env: core.EnvConfig{Workers: 1, Recycle: true}},
+			{env: core.EnvConfig{Workers: 3, Recycle: true}},
 		},
-		check: func(t *testing.T, qid string, shape PlanOptions, leg runConfig, _ *QueryResult, stats *core.PlanStats) {
-			// Single-operator plans (a lone composed select-join over
-			// base tables) have no intermediate to drop; everywhere
-			// else the recycler must have seen traffic.
+		check: func(t *testing.T, c planCase, leg runConfig, _ [][]uint64, stats *core.PlanStats) {
+			// Single-operator plans (a lone star operator over base
+			// tables) have no intermediate to drop; everywhere else the
+			// recycler must have seen traffic.
 			if len(stats.Ops) > 1 && stats.ChunksRecycled == 0 {
-				t.Errorf("Q%s %+v workers=%d: recycler idle across %d operators",
-					qid, shape, leg.env.Workers, len(stats.Ops))
+				t.Errorf("%s workers=%d: recycler idle across %d operators",
+					c.name, leg.env.Workers, len(stats.Ops))
 			}
 		},
 	})

@@ -1,10 +1,12 @@
 package ssb
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"qppt/internal/core"
+	"qppt/internal/sql"
 )
 
 // The dataset is loaded once per test binary: the generator and base index
@@ -71,17 +73,14 @@ func TestGeneratorDeterministic(t *testing.T) {
 
 // TestCrossEngineEquivalence is the repository's strongest correctness
 // check: every SSB query must return the identical normalized result on
-// the QPPT engine, the column-at-a-time engine, and the vector-at-a-time
-// engine.
+// the QPPT engine (the SQL text through lexer, parser, planner and
+// executor), the column-at-a-time engine, and the vector-at-a-time engine.
+// TestSQLMatchesHandBuiltPlans covers the planner's other plan shape.
 func TestCrossEngineEquivalence(t *testing.T) {
 	ds := testDataset(t)
 	for _, qid := range QueryIDs {
-		qid := qid
 		t.Run("Q"+qid, func(t *testing.T) {
-			qppt, _, err := runQPPT(t, ds, qid, DefaultPlanOptions(), runConfig{})
-			if err != nil {
-				t.Fatalf("qppt: %v", err)
-			}
+			qppt, _ := runSQL(t, ds, qid, sql.Options{UseSelectJoin: true}, runConfig{})
 			col, err := ds.RunColumn(qid)
 			if err != nil {
 				t.Fatalf("column: %v", err)
@@ -109,49 +108,19 @@ func head(rows [][]uint64) [][]uint64 {
 	return rows
 }
 
-// TestPlanKnobsPreserveResults: the demonstrator's optimizer knobs must
-// never change a query's result — only its speed.
+// TestPlanKnobsPreserveResults: the demonstrator's joinbuffer size
+// (Appendix A) must never change a query's result — only its speed. Size 1
+// disables batching.
 func TestPlanKnobsPreserveResults(t *testing.T) {
 	ds := testDataset(t)
-	for _, qid := range QueryIDs {
-		ref, _, err := runQPPT(t, ds, qid, DefaultPlanOptions(), runConfig{})
-		if err != nil {
-			t.Fatalf("Q%s: %v", qid, err)
-		}
-		type variant struct {
-			plan PlanOptions
-			run  runConfig
-		}
-		variants := []variant{
-			{plan: PlanOptions{UseSelectJoin: false}},
-			{PlanOptions{UseSelectJoin: true}, runConfig{exec: core.Options{BufferSize: 1}}},
-			{PlanOptions{UseSelectJoin: true}, runConfig{exec: core.Options{BufferSize: 64}}},
-			{PlanOptions{UseSelectJoin: false}, runConfig{exec: core.Options{BufferSize: 2048}}},
-			{PlanOptions{UseSelectJoin: true}, runConfig{env: core.EnvConfig{Workers: core.WorkersAuto}}},
-			{PlanOptions{UseSelectJoin: true}, runConfig{env: core.EnvConfig{Workers: 4}}},
-			{PlanOptions{UseSelectJoin: false}, runConfig{env: core.EnvConfig{Workers: 3}}},
-		}
-		if qid == "4.1" {
-			for a := 2; a <= 5; a++ {
-				variants = append(variants, variant{plan: PlanOptions{JoinArity: a}})
-			}
-		}
-		if qid == "1.1" || qid == "1.2" || qid == "1.3" {
-			// Section 4.1: decomposed per-predicate selections combined by
-			// the intersect set operator must give the same answer.
-			variants = append(variants, variant{plan: PlanOptions{DecomposeSelections: true}})
-		}
-		for vi, opt := range variants {
-			got, _, err := runQPPT(t, ds, qid, opt.plan, opt.run)
-			if err != nil {
-				t.Fatalf("Q%s variant %d: %v", qid, vi, err)
-			}
-			if !ref.Equal(got) {
-				t.Errorf("Q%s variant %d (%+v) changed the result: %d vs %d rows",
-					qid, vi, opt, len(got.Rows), len(ref.Rows))
-			}
-		}
-	}
+	runSuite(t, suite{
+		cases: allCases(t, ds),
+		legs: []runConfig{
+			{exec: core.Options{BufferSize: 1}},
+			{exec: core.Options{BufferSize: 64}},
+			{exec: core.Options{BufferSize: 2048}},
+		},
+	})
 }
 
 func TestResultsNonTrivial(t *testing.T) {
@@ -159,10 +128,7 @@ func TestResultsNonTrivial(t *testing.T) {
 	// With the fixed seed these queries must produce data; a zero result
 	// would mean predicates or join paths are silently broken.
 	for _, qid := range []string{"1.1", "1.2", "2.1", "3.1", "3.2", "4.1", "4.2"} {
-		res, _, err := runQPPT(t, ds, qid, DefaultPlanOptions(), runConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := runSQL(t, ds, qid, sql.Options{UseSelectJoin: true}, runConfig{})
 		if len(res.Rows) == 0 {
 			t.Errorf("Q%s returned no rows", qid)
 			continue
@@ -177,41 +143,33 @@ func TestResultsNonTrivial(t *testing.T) {
 	}
 }
 
+// TestStatsReportOperators: the stats name the planner's plan shapes.
+// Q2.3 with select-join is the paper's Figure 5 star: the supplier
+// selection materializes, and one composed select-join probes the part
+// selection's qualifying keys into lineorder-by-partkey, with the supplier
+// selection and the date index as assists. Q4.1 without select-join is one
+// 5-way star join over lineorder and the customer selection — Figure 9's
+// uncapped point.
 func TestStatsReportOperators(t *testing.T) {
 	ds := testDataset(t)
-	_, stats, err := runQPPT(t, ds, "2.3", PlanOptions{UseSelectJoin: true}, runConfig{exec: core.Options{CollectStats: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats == nil || len(stats.Ops) < 2 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	// The plan of Figure 5 with select-join: σ_supplier, the composed
-	// select-join, and the final join-group.
-	if len(stats.Ops) != 3 {
-		t.Errorf("Q2.3 w/ select-join has %d operators, want 3", len(stats.Ops))
-	}
-	for _, op := range stats.Ops {
-		if op.Time < 0 {
-			t.Errorf("operator %s has negative time", op.Label)
+	for _, tc := range []struct {
+		qid  string
+		opt  sql.Options
+		want []string
+	}{
+		{"2.3", sql.Options{UseSelectJoin: true}, []string{"σ→σ_supplier", "σ⋈4→Γ"}},
+		{"4.1", sql.Options{}, []string{"σ→σ_customer", "σ→σ_supplier", "σ→σ_part", "⋈5→Γ"}},
+	} {
+		_, stats := runSQL(t, ds, tc.qid, tc.opt, runConfig{exec: core.Options{CollectStats: true}})
+		var labels []string
+		for _, op := range stats.Ops {
+			labels = append(labels, op.Label)
+			if op.Time < 0 {
+				t.Errorf("operator %s has negative time", op.Label)
+			}
 		}
-	}
-}
-
-func TestDecodeRow(t *testing.T) {
-	ds := testDataset(t)
-	res, _, err := runQPPT(t, ds, "2.1", DefaultPlanOptions(), runConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Skip("no rows at this SF")
-	}
-	dec := ds.DecodeRow("2.1", res.Rows[0])
-	if len(dec) != 3 {
-		t.Fatalf("decoded = %v", dec)
-	}
-	if dec[1][:5] != "MFGR#" {
-		t.Errorf("brand decoded as %q", dec[1])
+		if !slices.Equal(labels, tc.want) {
+			t.Errorf("Q%s %+v ran %q, want %q", tc.qid, tc.opt, labels, tc.want)
+		}
 	}
 }

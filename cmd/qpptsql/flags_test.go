@@ -102,7 +102,7 @@ func TestNoKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.applyRuntime()
-	if kernel.Enabled() {
+	if kernel.Mode() != "generic" {
 		t.Error("-nokernel left the batch kernels enabled")
 	}
 }

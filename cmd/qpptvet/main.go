@@ -1,140 +1,53 @@
-// Command qpptvet runs QPPT's domain invariant analyzers (pinbalance,
-// refescape, ctxpoll, lockguard, closetrail — see internal/lint).
+// Command qpptvet runs QPPT's invariant analyzers (closetrail,
+// unreached — see internal/lint) over the whole module in one run:
 //
-// Standalone mode loads packages with the go tool and prints findings:
+//	go run ./cmd/qpptvet ./...
 //
-//	qpptvet ./...
-//	qpptvet -tests ./internal/core/ ./internal/catalog/
-//
-// Vet-tool mode speaks the go command's unitchecker protocol, so the
-// same binary plugs into the build cache and per-package scheduling:
-//
-//	go build -o bin/qpptvet ./cmd/qpptvet
-//	go vet -vettool=$(pwd)/bin/qpptvet ./...
-//
-// In both modes findings print as file:line:col: [analyzer] message and
-// a non-zero exit reports that findings exist. Suppress a finding with
-// an auditable comment on the flagged line or the line above:
+// It type-checks every non-test package of the module in the current
+// directory, and reads the benchmark module under it as a user of that
+// code. Findings print as file:line:col: [analyzer] message; exit status 1
+// reports that findings exist, 2 that the run itself failed. Suppress a
+// finding with an auditable comment on the flagged line or the line above:
 //
 //	//qpptvet:ignore <analyzer> <reason>
+//
+// An ignore without a reason, or one that covers no finding, is itself a
+// finding.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"qppt/internal/lint"
 	"qppt/internal/lint/qlint"
 )
 
 func main() {
-	args := os.Args[1:]
-	// The go command's vettool handshake probes capabilities before any
-	// package is vetted: -V=full identifies the tool for the build cache,
-	// -flags asks which analyzer flags it accepts (none).
-	for _, a := range args {
-		switch strings.TrimLeft(a, "-") {
-		case "V=full":
-			// The go command parses this line into the tool's build ID;
-			// the first field must match the executable name and a
-			// "devel" version would require a buildID= field, so report a
-			// plain version.
-			fmt.Printf("%s version 1\n", filepath.Base(os.Args[0]))
-			return
-		case "flags":
-			fmt.Println("[]")
-			return
-		}
+	if args := os.Args[1:]; len(args) > 1 || len(args) == 1 && args[0] != "./..." {
+		fmt.Fprintln(os.Stderr, "usage: qpptvet [./...]  (the whole module is one program)")
+		os.Exit(2)
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetTool(args[0]))
-	}
-	os.Exit(standalone(args))
+	os.Exit(vet())
 }
 
-// standalone loads the requested packages (default ./...) with the go
-// tool and runs the full suite. Exit 1 means findings, 2 means the run
-// itself failed.
-func standalone(args []string) int {
-	fs := flag.NewFlagSet("qpptvet", flag.ExitOnError)
-	tests := fs.Bool("tests", false, "also analyze in-package _test.go files")
-	dir := fs.String("C", "", "change to this directory before loading packages")
-	_ = fs.Parse(args)
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := qlint.Load(qlint.LoadOptions{Dir: *dir, Tests: *tests}, patterns...)
+func vet() int {
+	prog, err := qlint.Load(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qpptvet:", err)
 		return 2
 	}
-	found := 0
-	for _, pkg := range pkgs {
-		diags, err := qlint.Run(lint.Suite(), pkg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qpptvet:", err)
-			return 2
-		}
-		for _, d := range diags {
-			fmt.Println(d.String())
-			found++
-		}
-	}
-	if found > 0 {
-		fmt.Fprintf(os.Stderr, "qpptvet: %d finding(s)\n", found)
-		return 1
-	}
-	return 0
-}
-
-// vetTool handles one unitchecker-protocol invocation: the go command
-// passes a vet.cfg describing a single package. Dependency packages
-// arrive with VetxOnly set and only need their output file touched;
-// target packages are type-checked from source and analyzed.
-// Diagnostics go to stderr and exit status 2, which go vet relays.
-func vetTool(cfgPath string) int {
-	cfg, err := qlint.ReadVetConfig(cfgPath)
+	diags, err := qlint.Run(lint.Suite(), prog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qpptvet:", err)
+		return 2
+	}
+	for _, d := range diags {
+		fmt.Println(d)
+	}
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "qpptvet: %d finding(s)\n", len(diags))
 		return 1
-	}
-	if !cfg.VetxOnly {
-		pkg, err := qlint.LoadVetPackage(cfg)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return writeVetx(cfg)
-			}
-			fmt.Fprintln(os.Stderr, "qpptvet:", err)
-			return 1
-		}
-		diags, err := qlint.Run(lint.Suite(), pkg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qpptvet:", err)
-			return 1
-		}
-		if len(diags) > 0 {
-			for _, d := range diags {
-				fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
-			}
-			writeVetx(cfg)
-			return 2
-		}
-	}
-	return writeVetx(cfg)
-}
-
-// writeVetx creates the (empty — qpptvet exports no facts) output file
-// the go command expects for its cache.
-func writeVetx(cfg *qlint.VetConfig) int {
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "qpptvet:", err)
-			return 1
-		}
 	}
 	return 0
 }

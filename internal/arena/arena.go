@@ -157,8 +157,7 @@ func (a *Arena[T]) Scan(visit func(idx uint32, v *T) bool) bool {
 // Slots is a chunked arena of fixed-size blocks of uint32 slots — the node
 // storage of a compact-pointer tree. A block holds one tree node's slots
 // (the node fanout); blocks are addressed by a dense uint32 ordinal and,
-// like Arena chunks, never move once allocated. Freed blocks are zeroed
-// and recycled through a free list, so deletes do not grow the arena.
+// like Arena chunks, never move once allocated.
 //
 // The block length must be a power of two (it is a tree fanout), which
 // keeps the per-access ordinal→chunk arithmetic to two shifts and a mask —
@@ -170,8 +169,7 @@ type Slots struct {
 	blockBits    uint // log2 slots per block (the node fanout)
 	perChunkBits uint // log2 blocks per chunk
 	chunks       [][]uint32
-	n            int       // blocks ever allocated (excluding recycled)
-	free         []uint32  // recycled block ordinals
+	n            int       // blocks allocated
 	rec          *Recycler // optional chunk pool (SetRecycler)
 }
 
@@ -221,14 +219,8 @@ func (s *Slots) Block(ord uint32) []uint32 {
 	return s.chunks[c][off : off+1<<s.blockBits : off+1<<s.blockBits]
 }
 
-// Alloc returns the ordinal of a zeroed block, recycling freed blocks
-// before growing the arena.
+// Alloc returns the ordinal of a new zeroed block.
 func (s *Slots) Alloc() uint32 {
-	if k := len(s.free); k > 0 {
-		ord := s.free[k-1]
-		s.free = s.free[:k-1]
-		return ord
-	}
 	if s.n >= MaxElems {
 		panic("arena: slot arena full (2^31-1 blocks)")
 	}
@@ -241,33 +233,11 @@ func (s *Slots) Alloc() uint32 {
 	return uint32(s.n - 1)
 }
 
-// Free zeroes block ord and recycles it. The caller must not use the
-// block afterwards; a later Alloc may hand it out again.
-func (s *Slots) Free(ord uint32) {
-	blk := s.Block(ord)
-	for i := range blk {
-		blk[i] = 0
-	}
-	s.free = append(s.free, ord)
-}
-
-// Live reports the number of blocks currently allocated and not freed.
-func (s *Slots) Live() int { return s.n - len(s.free) }
-
-// Allocated reports the number of blocks ever carved from the chunks
-// (recycled blocks are not re-counted); with FreeBlocks it lets tests pin
-// that deletes recycle storage instead of growing the arena.
-func (s *Slots) Allocated() int { return s.n }
-
-// FreeBlocks reports the number of recycled blocks awaiting reuse.
-func (s *Slots) FreeBlocks() int { return len(s.free) }
-
 // Bytes reports the slot memory reserved by the arena: the full capacity
-// of every chunk, including recycled blocks awaiting reuse and the
-// unappended tail of the newest chunk. Alloc commits a whole chunk up
-// front (make([]uint32, 0, cap)), so counting only appended blocks would
-// under-report resident memory right after a chunk grows — and the spill
-// eviction policy keys off this number.
+// of every chunk, including the unappended tail of the newest chunk. Alloc
+// commits a whole chunk up front (make([]uint32, 0, cap)), so counting only
+// appended blocks would under-report resident memory right after a chunk
+// grows — and the spill eviction policy keys off this number.
 func (s *Slots) Bytes() int {
 	return (len(s.chunks) << (s.perChunkBits + s.blockBits)) * 4
 }

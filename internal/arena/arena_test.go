@@ -57,7 +57,7 @@ func TestArenaStableAddresses(t *testing.T) {
 	}
 }
 
-func TestSlotsAllocFreeRecycle(t *testing.T) {
+func TestSlotsAlloc(t *testing.T) {
 	for _, blockLen := range []int{2, 16, 64, 1 << 16} {
 		s := MakeSlots(blockLen)
 		a := s.Alloc()
@@ -78,20 +78,9 @@ func TestSlotsAllocFreeRecycle(t *testing.T) {
 		if got := s.Block(a); got[0] != 7 || got[blockLen-1] != 9 {
 			t.Fatalf("blockLen %d: block moved or lost data", blockLen)
 		}
-		if s.Live() != 102 {
-			t.Fatalf("blockLen %d: Live = %d, want 102", blockLen, s.Live())
-		}
-		s.Free(a)
-		if s.Live() != 101 {
-			t.Fatalf("blockLen %d: Live after free = %d", blockLen, s.Live())
-		}
-		c := s.Alloc() // must recycle a, zeroed
-		if c != a {
-			t.Fatalf("blockLen %d: freed block not recycled (got %d, want %d)", blockLen, c, a)
-		}
-		for i, v := range s.Block(c) {
+		for i, v := range s.Block(s.Alloc()) {
 			if v != 0 {
-				t.Fatalf("blockLen %d: recycled block slot %d = %d, not zeroed", blockLen, i, v)
+				t.Fatalf("blockLen %d: new block slot %d = %d, not zeroed", blockLen, i, v)
 			}
 		}
 		chunkWords := 1 << (s.perChunkBits + s.blockBits)
@@ -129,11 +118,6 @@ func TestSlotsBytesCountsReservedCapacity(t *testing.T) {
 	s.Alloc()
 	if s.Bytes() != 2*chunkBytes {
 		t.Fatalf("chunk+1 blocks: Bytes = %d, want %d", s.Bytes(), 2*chunkBytes)
-	}
-	// Freed blocks stay committed: recycling does not return chunk memory.
-	s.Free(0)
-	if s.Bytes() != 2*chunkBytes {
-		t.Fatalf("after Free: Bytes = %d, want %d", s.Bytes(), 2*chunkBytes)
 	}
 }
 

@@ -1,4 +1,6 @@
 // Package arenatest is test support for code that pools arena chunks.
+//
+//qpptvet:ignore unreached test support the chunk-pooling tests of several packages share
 package arenatest
 
 import (

@@ -265,6 +265,8 @@ var handoutCheck atomic.Pointer[func(elem string, dirtyAt int)]
 // check with its element type and the byte offset of the first non-zero
 // byte (-1 for a clean chunk). The returned func uninstalls the observer.
 // Production code never calls this.
+//
+//qpptvet:ignore unreached test support: arenatest and the arena tests install it
 func CheckHandouts(check func(elem string, dirtyAt int)) (restore func()) {
 	prev := handoutCheck.Swap(&check)
 	return func() { handoutCheck.Store(prev) }

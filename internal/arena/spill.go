@@ -101,39 +101,32 @@ func (r *Reader) U32s(p []uint32) { r.bytes(raw(p)) }
 // U64s fills p with raw bytes written by Writer.U64s.
 func (r *Reader) U64s(p []uint64) { r.bytes(raw(p)) }
 
-// U32sN reads n values into a new slice, n being a count taken from the
+// U64sN reads n values into a new slice, n being a count taken from the
 // stream itself: the slice grows as the bytes arrive, so a corrupt count
 // can never allocate more than a small multiple of what the stream holds.
-func (r *Reader) U32sN(n uint64) []uint32 { return readGrow(r, n, (*Reader).U32s) }
-
-// U64sN is U32sN for uint64 values.
-func (r *Reader) U64sN(n uint64) []uint64 { return readGrow(r, n, (*Reader).U64s) }
-
-func readGrow[T uint32 | uint64](r *Reader, n uint64, read func(*Reader, []T)) []T {
+func (r *Reader) U64sN(n uint64) []uint64 {
 	if r.Err != nil {
 		return nil
 	}
 	const step = 1 << 16
-	p := make([]T, min(n, step))
+	p := make([]uint64, min(n, step))
 	for got := 0; ; {
-		if read(r, p[got:]); r.Err != nil {
+		if r.U64s(p[got:]); r.Err != nil {
 			return nil
 		}
 		if uint64(len(p)) == n {
 			return p
 		}
 		got = len(p)
-		p = append(p, make([]T, min(n-uint64(got), uint64(got)))...)
+		p = append(p, make([]uint64, min(n-uint64(got), uint64(got)))...)
 	}
 }
 
-// WriteChunks writes the arena's content — block count, free list, and
-// every chunk's slots — in one sequential pass. The chunk geometry is not
-// written: it is fixed at MakeSlots time and must match on ReadChunks.
+// WriteChunks writes the arena's content — block count and every chunk's
+// slots — in one sequential pass. The chunk geometry is not written: it is
+// fixed at MakeSlots time and must match on ReadChunks.
 func (s *Slots) WriteChunks(w *Writer) {
 	w.U64(uint64(s.n))
-	w.U64(uint64(len(s.free)))
-	w.U32s(s.free)
 	for _, c := range s.chunks {
 		w.U32s(c)
 	}
@@ -147,38 +140,35 @@ func (s *Slots) SnapshotLen() uint64 {
 	for _, c := range s.chunks {
 		words += len(c)
 	}
-	return uint64(16 + 4*len(s.free) + 4*words)
+	return uint64(8 + 4*words)
 }
 
-// Detach drops the chunk storage and free list; the caller must have
-// written the content out with WriteChunks first. With a recycler
-// configured the chunks are cleared and parked for reuse. Until ReadChunks
-// restores the chunks, only Bytes (now 0) and the block/free counters
-// remain meaningful.
+// Detach drops the chunk storage; the caller must have written the content
+// out with WriteChunks first. With a recycler configured the chunks are
+// cleared and parked for reuse. Until ReadChunks restores the chunks, only
+// Bytes (now 0) and the block counter remain meaningful.
 func (s *Slots) Detach() {
 	for _, c := range s.chunks {
 		PutChunk(s.rec, c)
 	}
 	s.chunks = nil
-	s.free = nil
 }
 
 // ReadChunks rebuilds a detached arena from a WriteChunks stream of size
 // bytes, byte-identical: every block ordinal maps to the same slots as
 // before the spill, so the compact pointers held by other structures stay
 // valid. The receiver must have the same geometry as the writer (same
-// MakeSlots block length). The block and free counts must account for
-// exactly size bytes. On error the arena holds the chunks read so far;
+// MakeSlots block length). The block count must account for exactly size
+// bytes. On error the arena holds the chunks read so far;
 // Detach drops them.
 func (s *Slots) ReadChunks(r *Reader, size uint64) error {
-	n, nFree := r.U64(), r.U64()
+	n := r.U64()
 	if r.Err != nil {
 		return r.Err
 	}
-	if n > MaxElems || nFree > n || size != 16+4*nFree+4*n<<s.blockBits {
-		return Corruptf("slot section of %d bytes claims %d blocks, %d free", size, n, nFree)
+	if n > MaxElems || size != 8+4*n<<s.blockBits {
+		return Corruptf("slot section of %d bytes claims %d blocks", size, n)
 	}
-	s.free = r.U32sN(nFree)
 	perChunk := uint64(1) << s.perChunkBits // blocks per chunk
 	s.chunks = make([][]uint32, 0, min((n+perChunk-1)/perChunk, 64))
 	for got := uint64(0); got < n && r.Err == nil; got += perChunk {
@@ -192,13 +182,10 @@ func (s *Slots) ReadChunks(r *Reader, size uint64) error {
 
 // LeafChunkDir builds the per-chunk directory a thaw checks the elements
 // against: one {min key, max key, byte length} triple per arena chunk,
-// where min/max range over the live elements (liveKey reports ok == false
-// for recycled zero elements, which carry no data) and size reports each
+// where min/max range over the elements' keys and size reports each
 // element's serialized byte length. The lengths bound the counts a thaw
-// reads for each chunk, the keys bound each live element's key. A chunk
-// with no live elements gets the empty sentinel min > max, which no live
-// key satisfies.
-func LeafChunkDir[T any](a *Arena[T], size func(*T) uint64, liveKey func(*T) (uint64, bool)) []uint64 {
+// reads for each chunk, the keys bound each element's key.
+func LeafChunkDir[T any](a *Arena[T], size func(*T) uint64, key func(*T) uint64) []uint64 {
 	chunkSize := uint32(1) << a.bits
 	nChunks := (a.Len() + int(chunkSize) - 1) / int(chunkSize)
 	dir := make([]uint64, 0, 3*nChunks)
@@ -211,9 +198,8 @@ func LeafChunkDir[T any](a *Arena[T], size func(*T) uint64, liveKey func(*T) (ui
 		if idx > 0 && idx&(chunkSize-1) == 0 {
 			flush()
 		}
-		if k, ok := liveKey(lf); ok {
-			minK, maxK = min(minK, k), max(maxK, k)
-		}
+		k := key(lf)
+		minK, maxK = min(minK, k), max(maxK, k)
 		bytes += size(lf)
 		return true
 	})

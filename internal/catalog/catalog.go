@@ -291,13 +291,6 @@ func (ti *TableInfo) MustIndex(keyCols []string, include ...string) *core.Indexe
 	return t
 }
 
-// Index returns a previously built index by canonical name, or nil.
-func (ti *TableInfo) Index(name string) *core.IndexedTable {
-	ti.idxMu.Lock()
-	defer ti.idxMu.Unlock()
-	return ti.indexes[name]
-}
-
 // Rows reports the table cardinality.
 func (ti *TableInfo) Rows() int { return ti.rows }
 

@@ -48,15 +48,6 @@ func (b *DictBuilder) Build() *Dict {
 // Len reports the number of distinct strings.
 func (d *Dict) Len() int { return len(d.strs) }
 
-// Bits reports the key width needed for the code domain (at least 1).
-func (d *Dict) Bits() uint {
-	b := uint(1)
-	for 1<<b < uint64(len(d.strs)) {
-		b++
-	}
-	return b
-}
-
 // Code returns the code of s and whether s is in the dictionary.
 func (d *Dict) Code(s string) (uint64, bool) {
 	c, ok := d.codes[s]
@@ -137,19 +128,4 @@ func (d *Dict) FloorCode(s string) (uint64, bool) {
 		return 0, false
 	}
 	return uint64(i - 1), true
-}
-
-// PrefixRange returns the inclusive code range of strings with the given
-// prefix, and ok == false if no string has the prefix. Used for predicates
-// like p_category = 'MFGR#12' when matching brand prefixes.
-func (d *Dict) PrefixRange(prefix string) (lo, hi uint64, ok bool) {
-	i := sort.SearchStrings(d.strs, prefix)
-	j := i
-	for j < len(d.strs) && len(d.strs[j]) >= len(prefix) && d.strs[j][:len(prefix)] == prefix {
-		j++
-	}
-	if j == i {
-		return 0, 0, false
-	}
-	return uint64(i), uint64(j - 1), true
 }

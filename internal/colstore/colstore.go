@@ -23,7 +23,6 @@ import (
 // A Table is a set of equal-length columns.
 type Table struct {
 	name string
-	n    int
 	cols map[string][]uint64
 }
 
@@ -41,26 +40,21 @@ func (db *DB) AddTable(name string, cols map[string][]uint64) (*Table, error) {
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("colstore: table %q already exists", name)
 	}
-	t := &Table{name: name, cols: cols, n: -1}
+	n := -1
 	for cn, c := range cols {
-		if t.n == -1 {
-			t.n = len(c)
-		} else if len(c) != t.n {
-			return nil, fmt.Errorf("colstore: column %q length %d != %d", cn, len(c), t.n)
+		if n == -1 {
+			n = len(c)
+		} else if len(c) != n {
+			return nil, fmt.Errorf("colstore: column %q length %d != %d", cn, len(c), n)
 		}
 	}
-	if t.n == -1 {
-		t.n = 0
-	}
+	t := &Table{name: name, cols: cols}
 	db.tables[name] = t
 	return t, nil
 }
 
 // Table returns a table by name, or nil.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
-
-// Rows reports the table cardinality.
-func (t *Table) Rows() int { return t.n }
 
 // Col returns a column by name; it panics for unknown columns (queries are
 // static).
@@ -102,17 +96,6 @@ func RefineRange(col []uint64, cands []uint32, lo, hi uint64) []uint32 {
 	out := make([]uint32, 0)
 	for _, oid := range cands {
 		if v := col[oid]; v >= lo && v <= hi {
-			out = append(out, oid)
-		}
-	}
-	return out
-}
-
-// RefineIn filters a candidate list against a set membership predicate.
-func RefineIn(col []uint64, cands []uint32, set map[uint64]bool) []uint32 {
-	out := make([]uint32, 0)
-	for _, oid := range cands {
-		if set[col[oid]] {
 			out = append(out, oid)
 		}
 	}
@@ -188,26 +171,6 @@ func GroupSum(packedKeys, measure []uint64) map[uint64]uint64 {
 	out := make(map[uint64]uint64)
 	for i, k := range packedKeys {
 		out[k] += measure[i]
-	}
-	return out
-}
-
-// SumAll reduces a measure column to its total.
-func SumAll(measure []uint64) uint64 {
-	var s uint64
-	for _, v := range measure {
-		s += v
-	}
-	return s
-}
-
-// Gather is Fetch for oid lists over oid lists (two-level positional
-// reconstruction, e.g. reading a dimension attribute through a join index
-// whose build side was itself a selection).
-func Gather(oids []uint32, inner []uint32) []uint32 {
-	out := make([]uint32, len(oids))
-	for i, o := range oids {
-		out[i] = inner[o]
 	}
 	return out
 }

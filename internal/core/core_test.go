@@ -471,24 +471,6 @@ func TestEveryOperatorMaterializes(t *testing.T) {
 	}
 }
 
-func TestResultOrderBy(t *testing.T) {
-	r := &Result{
-		Attrs: []string{"a", "b"},
-		Rows:  [][]uint64{{1, 10}, {2, 30}, {3, 20}},
-	}
-	r.OrderBy(-2) // b descending
-	if r.Rows[0][1] != 30 || r.Rows[1][1] != 20 || r.Rows[2][1] != 10 {
-		t.Fatalf("descending sort wrong: %v", r.Rows)
-	}
-	r.OrderBy(0)
-	if r.Rows[0][0] != 1 || r.Rows[2][0] != 3 {
-		t.Fatalf("ascending sort wrong: %v", r.Rows)
-	}
-	if r.Col("b") != 1 || r.Col("zz") != -1 {
-		t.Fatal("Col lookup wrong")
-	}
-}
-
 func TestNewIndexStructureChoice(t *testing.T) {
 	if got := NewIndex(IndexConfig{KeyBits: 32}); got.KeyBits() != 32 {
 		t.Errorf("32-bit index reports %d key bits", got.KeyBits())

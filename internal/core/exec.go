@@ -702,8 +702,7 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 // one row per index key, the key fields first, the payload columns after.
 // Because the result index is a prefix tree, rows arrive already sorted by
 // the key fields (paper Section 3: "the resulting index ... is already
-// sorted"); OrderBy re-sorts only when the requested order involves
-// non-key columns such as aggregates.
+// sorted").
 type Result struct {
 	Attrs []string
 	Rows  [][]uint64
@@ -736,7 +735,6 @@ func Project(t *IndexedTable, sel []int) [][]uint64 {
 	comp := t.Key.Composer()
 	nk := len(t.Key.Attrs)
 	var fields []uint64
-	//qpptvet:ignore ctxpoll client-side materialization of a finished plan's result; there is no query context here
 	t.Idx.Iterate(func(k uint64, vals *duplist.List) bool {
 		if nk > 1 {
 			fields = comp.Split(k, fields[:0])
@@ -766,36 +764,4 @@ func Project(t *IndexedTable, sel []int) [][]uint64 {
 		return true
 	})
 	return rows
-}
-
-// OrderBy sorts the result rows by the given column positions; negative
-// positions sort that column descending (position -(i+1) means column i
-// descending).
-func (r *Result) OrderBy(cols ...int) {
-	sort.SliceStable(r.Rows, func(a, b int) bool {
-		ra, rb := r.Rows[a], r.Rows[b]
-		for _, c := range cols {
-			if c < 0 {
-				i := -c - 1
-				if ra[i] != rb[i] {
-					return ra[i] > rb[i]
-				}
-				continue
-			}
-			if ra[c] != rb[c] {
-				return ra[c] < rb[c]
-			}
-		}
-		return false
-	})
-}
-
-// Col returns the position of the named attribute in result rows, or -1.
-func (r *Result) Col(name string) int {
-	for i, a := range r.Attrs {
-		if a == name {
-			return i
-		}
-	}
-	return -1
 }

@@ -12,7 +12,7 @@ import (
 // the same plan under ForceGeneric reports only scalar ones, and the
 // plan-level stats line surfaces the split.
 func TestKernelDescentStatsSplit(t *testing.T) {
-	if !kernel.Enabled() {
+	if kernel.Mode() == "generic" {
 		t.Skip("kernels disabled in this configuration")
 	}
 	f := buildFixture(20)

@@ -8,9 +8,8 @@ import (
 
 // TestMergeRangeIntoCancelled: a merge range must poll the query context
 // on the abortTickMask cadence and stop folding rows once the query is
-// cancelled (regression for the qpptvet ctxpoll finding on
-// mergeRangeInto — merges used to run to completion into an output
-// nobody would read).
+// cancelled (regression: mergeRangeInto used to run merges to completion
+// into an output nobody would read).
 func TestMergeRangeIntoCancelled(t *testing.T) {
 	spec := &OutputSpec{Name: "m", Key: SimpleKey("k", 32), Cols: []string{"v"}}
 	const rows = 50000

@@ -60,7 +60,7 @@ type Selection struct {
 	// Pred is the index-key predicate (union of ranges).
 	Pred KeyPred
 	// Residual, if non-nil, additionally filters combinations; offsets
-	// into the context must be resolved with CtxOf.
+	// into the context are resolved with CtxOffsets.
 	Residual func(ctx []uint64) bool
 	Out      OutputSpec
 }
@@ -70,12 +70,6 @@ func (s *Selection) Label() string { return "σ→" + s.Out.Name }
 
 // Children implements Operator.
 func (s *Selection) Children() []Operator { return []Operator{s.Input} }
-
-// CtxOf resolves an attribute of the selection's input to its context
-// offset, for building Residual filters and computed expressions.
-func (s *Selection) CtxOf(input *IndexedTable, attr string) int {
-	return mustResolve(newCtxLayout(input), Ref{Input: 0, Attr: attr})
-}
 
 func (s *Selection) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
 	in := inputs[0]

@@ -333,13 +333,10 @@ func mergeRangeInto(ec *ExecContext, idx Index, spec *OutputSpec, partials []*In
 // for, drawing chunk storage from the plan recycler when one is active.
 func newOutputIndex(spec *OutputSpec, rec *arena.Recycler) Index {
 	return NewIndex(IndexConfig{
-		KeyBits:         spec.Key.TotalBits(),
-		PayloadWidth:    len(spec.Cols),
-		Fold:            spec.Fold,
-		ForcePrefixTree: spec.ForcePrefixTree,
-		CompressKISS:    spec.CompressKISS,
-		PrefixLen:       spec.PrefixLen,
-		Recycler:        rec,
+		KeyBits:      spec.Key.TotalBits(),
+		PayloadWidth: len(spec.Cols),
+		Fold:         spec.Fold,
+		Recycler:     rec,
 	})
 }
 
@@ -435,7 +432,6 @@ func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*Indexe
 			return err // cancelled: stop claiming merge ranges
 		}
 		for i, h := range phs {
-			//qpptvet:ignore pinbalance loop pins are balanced by the Unpin loop after the merge and the phs[:i] cleanup on error
 			if err := h.PinCtx(ec.ctx); err != nil {
 				for _, ph := range phs[:i] {
 					ph.Unpin()

@@ -163,7 +163,7 @@ func TestBudgetedParallelMergeSpillsPartials(t *testing.T) {
 	// so at least two workers build partials however the pool is scheduled.
 	// The wait is bounded: a pool that never starts a second worker fails
 	// the Workers check below instead of hanging.
-	kOff := sel.CtxOf(in, "k")
+	kOff := CtxOffsets([]*IndexedTable{in}, Ref{Input: 0, Attr: "k"})[0]
 	late := make(chan struct{})
 	var once sync.Once
 	sel.Residual = func(ctx []uint64) bool {
@@ -396,18 +396,18 @@ func TestShardedThawRollsBackOnError(t *testing.T) {
 // interior section, around the leaf directory, and inside its first and
 // last leaf.
 func snapshotCuts(b []byte) []int {
-	const kissMagic = 0x5150_5054_4B53_0002
+	const kissMagic = 0x5150_5054_4B53_0003
 	u64 := func(off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
 	var cuts []int
 	for off := 0; off < len(b); {
-		units := []int{1, 4} // prefix tree: node slots, leaf free list
+		sections := 1 // prefix tree: node slots
 		if binary.LittleEndian.Uint64(b[off:]) == kissMagic {
-			units = []int{1, 1, 1} // root pages, node slots, compressed nodes
+			sections = 3 // root pages, node slots, compressed nodes
 		}
 		cuts = append(cuts, off, off+4)
 		p := off + 8
-		for _, unit := range units {
-			size := u64(p) * unit
+		for range sections {
+			size := u64(p)
 			cuts = append(cuts, p, p+8, p+8+size/2)
 			p += 8 + size
 		}

@@ -142,21 +142,12 @@ func Shape(name string, ks KeySpec, cols []string) *IndexedTable {
 	return t
 }
 
-// ShapeOf returns the layout a spec's output table will have.
-func (o *OutputSpec) ShapeOf() *IndexedTable { return Shape(o.Name, o.Key, o.Cols) }
-
 // Col returns the payload position of the named attribute, or -1.
 func (t *IndexedTable) Col(name string) int {
 	if i, ok := t.byName[name]; ok {
 		return i
 	}
 	return -1
-}
-
-// HasAttr reports whether the attribute is available from this table,
-// either as a key field or as a payload column.
-func (t *IndexedTable) HasAttr(name string) bool {
-	return t.Col(name) >= 0 || t.Key.Field(name) >= 0
 }
 
 // Rows reports the number of tuples in the table.
@@ -183,8 +174,7 @@ type RowExpr struct {
 	// Ref is used when Fn is nil.
 	Ref Ref
 	// Fn computes the value from the flat combination context. Ctx
-	// offsets for Fn are resolved with the operator's CtxOf helper at
-	// plan-build time.
+	// offsets for Fn are resolved with CtxOffsets at plan-build time.
 	Fn func(ctx []uint64) uint64
 }
 
@@ -213,11 +203,6 @@ type OutputSpec struct {
 	ColExprs []RowExpr
 	// Fold, if non-nil, aggregates payload rows per output key.
 	Fold func(dst, src []uint64)
-	// ForcePrefixTree and CompressKISS tune the output index structure.
-	ForcePrefixTree bool
-	CompressKISS    bool
-	// PrefixLen overrides k′ for prefix-tree outputs.
-	PrefixLen uint
 }
 
 // FoldSum returns a fold function summing the payload positions in cols
@@ -245,16 +230,3 @@ func Point(k uint64) KeyPred { return KeyPred{{Lo: k, Hi: k}} }
 
 // Between returns a predicate matching [lo, hi].
 func Between(lo, hi uint64) KeyPred { return KeyPred{{Lo: lo, Hi: hi}} }
-
-// In returns a predicate matching any of the given keys.
-func In(keys ...uint64) KeyPred {
-	p := make(KeyPred, len(keys))
-	for i, k := range keys {
-		p[i] = KeyRange{Lo: k, Hi: k}
-	}
-	return p
-}
-
-// EverythingUpTo returns a predicate matching [0, hi] (e.g. quantity < 25
-// becomes EverythingUpTo(24) on an unsigned domain).
-func EverythingUpTo(hi uint64) KeyPred { return Between(0, hi) }

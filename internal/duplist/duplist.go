@@ -87,6 +87,8 @@ func (l *List) Len() int { return l.n }
 
 // First returns the first row stored for the key, or nil if the list is
 // empty. The returned slice aliases list memory; callers must not grow it.
+//
+//qpptvet:ignore unreached test support: tests across the storage and engine packages read a leaf's payload through it
 func (l *List) First() []uint64 {
 	if l.n == 0 {
 		return nil
@@ -120,15 +122,11 @@ func (l *List) AppendIn(slab *Slab, row []uint64) {
 	copy(dst, row)
 }
 
-// Aggregate folds row into the stored first row using fold, or stores it as
-// the first row if the list is empty. It is the insertion path used by
-// grouping/aggregating indexes: the list then always holds exactly one row.
-func (l *List) Aggregate(row []uint64, fold func(dst, src []uint64)) {
-	l.AggregateIn(nil, row, fold)
-}
-
-// AggregateIn is Aggregate drawing first-row memory from slab (nil slab =
-// per-list make, as with AppendIn).
+// AggregateIn folds row into the stored first row using fold, or stores it
+// as the first row if the list is empty, drawing first-row memory from slab
+// (nil slab = per-list make, as with AppendIn). It is the insertion path
+// used by grouping/aggregating indexes: the list then always holds exactly
+// one row.
 func (l *List) AggregateIn(slab *Slab, row []uint64, fold func(dst, src []uint64)) {
 	if len(row) != l.width {
 		panic("duplist: row width mismatch")
@@ -221,8 +219,9 @@ func (l *List) Scan(visit func(row []uint64) bool) bool {
 }
 
 // Rows returns all rows as a freshly allocated slice of freshly allocated
-// rows, in insertion order. Intended for tests and result extraction, not
-// for hot paths.
+// rows, in insertion order. Intended for tests, not for hot paths.
+//
+//qpptvet:ignore unreached test support: tests across the storage packages compare a leaf's rows through it
 func (l *List) Rows() [][]uint64 {
 	out := make([][]uint64, 0, l.n)
 	l.Scan(func(row []uint64) bool {

@@ -148,7 +148,7 @@ func TestAggregate(t *testing.T) {
 	l := New(2)
 	sum := func(dst, src []uint64) { dst[0] += src[0]; dst[1] += src[1] }
 	for i := 1; i <= 10; i++ {
-		l.Aggregate([]uint64{uint64(i), 1}, sum)
+		l.AggregateIn(nil, []uint64{uint64(i), 1}, sum)
 	}
 	if l.Len() != 1 {
 		t.Fatalf("aggregated list Len = %d, want 1", l.Len())

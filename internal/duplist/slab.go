@@ -41,12 +41,9 @@ const (
 	slabSegChunkBits = 9
 )
 
-// NewSlab returns an empty slab.
-func NewSlab() *Slab { return NewSlabIn(nil) }
-
 // NewSlabIn returns an empty slab drawing its blocks (and segment-header
 // chunks) from a plan-scoped recycler; Release parks them there again when
-// the owning index is dropped. A nil recycler is plain NewSlab.
+// the owning index is dropped. A nil recycler allocates plainly.
 func NewSlabIn(rec *arena.Recycler) *Slab {
 	s := &Slab{segs: arena.Make[segment](slabSegChunkBits), rec: rec}
 	s.segs.SetRecycler(rec)
@@ -108,9 +105,6 @@ func (s *Slab) Release() {
 func (s *Slab) newSegment(words int) *segment {
 	return s.segs.At(s.segs.Alloc(segment{data: s.alloc(words)}))
 }
-
-// Blocks reports the number of slab blocks allocated.
-func (s *Slab) Blocks() int { return len(s.blocks) }
 
 // Bytes reports the heap footprint of the slab: all blocks (including
 // unused tails) plus the segment-header arena.

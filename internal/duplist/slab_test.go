@@ -12,7 +12,7 @@ import (
 // like a make-backed one — same rows, same segment doubling schedule.
 func TestSlabListMatchesPlainList(t *testing.T) {
 	for _, width := range []int{0, 1, 2, 7} {
-		slab := NewSlab()
+		slab := NewSlabIn(nil)
 		a := Make(width)
 		b := Make(width)
 		row := make([]uint64, width)
@@ -40,7 +40,7 @@ func TestSlabListMatchesPlainList(t *testing.T) {
 // TestSlabSharedAcrossLists: many lists drawing from one slab stay
 // independent, and the slab block count stays far below the key count.
 func TestSlabSharedAcrossLists(t *testing.T) {
-	slab := NewSlab()
+	slab := NewSlabIn(nil)
 	defer slab.Release()
 	const keys = 5000
 	lists := make([]List, keys)
@@ -65,8 +65,8 @@ func TestSlabSharedAcrossLists(t *testing.T) {
 	}
 	// keys first rows + keys segments of 8 words each ≈ 45k words → a few
 	// dozen 8 KiW blocks, not one allocation per key.
-	if slab.Blocks() > keys/50 {
-		t.Fatalf("slab used %d blocks for %d keys — not slab-shaped", slab.Blocks(), keys)
+	if len(slab.blocks) > keys/50 {
+		t.Fatalf("slab used %d blocks for %d keys — not slab-shaped", len(slab.blocks), keys)
 	}
 	if slab.Bytes() == 0 {
 		t.Fatal("slab reports zero bytes")
@@ -76,7 +76,7 @@ func TestSlabSharedAcrossLists(t *testing.T) {
 // TestSlabAggregate: AggregateIn allocates the first row from the slab and
 // folds in place afterwards.
 func TestSlabAggregate(t *testing.T) {
-	slab := NewSlab()
+	slab := NewSlabIn(nil)
 	defer slab.Release()
 	l := Make(2)
 	fold := func(dst, src []uint64) { dst[0] += src[0]; dst[1] += src[1] }
@@ -89,15 +89,15 @@ func TestSlabAggregate(t *testing.T) {
 	if f := l.First(); f[0] != 55 || f[1] != 110 {
 		t.Fatalf("aggregate = %v, want [55 110]", f)
 	}
-	if slab.Blocks() != 1 {
-		t.Fatalf("aggregate-only list used %d blocks", slab.Blocks())
+	if len(slab.blocks) != 1 {
+		t.Fatalf("aggregate-only list used %d blocks", len(slab.blocks))
 	}
 }
 
 // TestSlabWideRows: rows wider than a slab block get dedicated blocks
 // instead of panicking or splitting.
 func TestSlabWideRows(t *testing.T) {
-	slab := NewSlab()
+	slab := NewSlabIn(nil)
 	defer slab.Release()
 	width := slabBlockWords + 3
 	l := Make(width)

@@ -13,11 +13,10 @@ import (
 // tree is what both tree kinds offer the codec tests.
 type tree interface {
 	Insert(key uint64, row []uint64)
-	Delete(key uint64) bool
 	Keys() int
 	Bytes() int
 	Frozen() bool
-	Freeze(w io.Writer) error
+	WriteSnapshot(w io.Writer) error
 	Thaw(r io.Reader) error
 	Iterate(visit func(*freeze.Leaf) bool) bool
 	Release()
@@ -32,22 +31,19 @@ type fixture struct {
 	new      func(rec *arena.Recycler) tree
 }
 
-// A section is the shape of one interior section: the bytes per unit of
-// its length prefix (freeze.Section.Unit) and the offsets behind the
-// prefix of the words that are counts or indexes, not content.
+// A section is the shape of one interior section: the offsets behind its
+// byte-length prefix of the words that are counts or indexes, not content.
 type section struct {
-	unit   uint64
 	counts []int
 }
 
 var (
-	slots = section{1, []int{8, 16}} // blocks, free blocks
-	// node slots, leaf free list
-	prefixSections = []section{slots, {4, nil}}
+	slots          = section{[]int{8}} // blocks
+	prefixSections = []section{slots}
 	// root pages (page count, first page's index), node slots, compressed
 	// nodes (node count; with Compress also the first node's entry count)
-	kissSections     = []section{{1, []int{8, 16}}, slots, {1, []int{8}}}
-	compressSections = []section{{1, []int{8, 16}}, slots, {1, []int{8, 24}}}
+	kissSections     = []section{{[]int{8, 16}}, slots, {[]int{8}}}
+	compressSections = []section{{[]int{8, 16}}, slots, {[]int{8, 24}}}
 )
 
 func sum(dst, src []uint64) {
@@ -85,13 +81,10 @@ var fixtures = []fixture{
 
 // build returns the fixture's tree with its fixed content: 9000 random
 // keys below 2^24 (several leaf chunks and KISS root pages), a second row
-// on every third key, 300 of them deleted again, and a far cluster that is
-// inserted and deleted whole — so the leaf and node free lists both carry
-// entries.
+// on every third key, and a far cluster of 200 keys above 2^31.
 func (fx fixture) build(rec *arena.Recycler) tree {
 	t := fx.new(rec)
 	rng := rand.New(rand.NewSource(42))
-	keys := make([]uint64, 9000)
 	row := make([]uint64, fx.width)
 	insert := func(k uint64) {
 		for j := range row {
@@ -99,21 +92,24 @@ func (fx fixture) build(rec *arena.Recycler) tree {
 		}
 		t.Insert(k, row)
 	}
-	for i := range keys {
-		keys[i] = uint64(rng.Int63n(1 << 24))
-		insert(keys[i])
+	for i := 0; i < 9000; i++ {
+		k := uint64(rng.Int63n(1 << 24))
+		insert(k)
 		if i%3 == 0 {
-			insert(keys[i])
+			insert(k)
 		}
 	}
 	for i := uint64(0); i < 200; i++ {
 		insert(1<<31 + i)
 	}
-	for _, k := range keys[:300] {
-		t.Delete(k)
-	}
-	for i := uint64(0); i < 200; i++ {
-		t.Delete(1<<31 + i)
-	}
 	return t
+}
+
+// freezeTo writes tr's snapshot to w and releases its storage.
+func freezeTo(tr tree, w io.Writer) error {
+	if err := tr.WriteSnapshot(w); err != nil {
+		return err
+	}
+	tr.Release()
+	return nil
 }

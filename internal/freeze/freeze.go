@@ -26,7 +26,7 @@
 // prefixes and the per-leaf-chunk directory (arena.LeafChunkDir) are what
 // it checks the stream against: every count a thaw takes from the stream
 // is bounded by the lengths the format records before it sizes an
-// allocation or bounds a loop, and every live leaf's key must lie inside
+// allocation or bounds a loop, and every leaf's key must lie inside
 // its chunk's recorded {min key, max key}. Violations fail with
 // arena.ErrCorruptSnapshot, an early end of the stream with
 // io.ErrUnexpectedEOF. A thaw that fails leaves the tree frozen, holding
@@ -60,11 +60,8 @@ type Leaf struct {
 // A Section describes one interior section of a tree kind: what sits
 // between the magic word and the leaves.
 type Section struct {
-	// Unit is the bytes per unit of the length prefix: 1 for a byte
-	// length, 4 for the prefix tree's leaf free list, whose prefix counts
-	// uint32 entries.
-	Unit uint64
-	// Size reports the payload's byte length, Write writes the payload.
+	// Size reports the payload's byte length — the section's length
+	// prefix — and Write writes the payload.
 	Size  func() uint64
 	Write func(w *arena.Writer)
 	// Read restores the payload from the next size bytes of r, of which it
@@ -80,6 +77,8 @@ type State struct {
 
 // Frozen reports whether the tree's chunk storage is currently detached
 // (spilled). A frozen tree must not be queried or mutated until thawed.
+//
+//qpptvet:ignore unreached test support: the freeze, spill, tree and core tests assert residency through it
 func (s *State) Frozen() bool { return s.frozen }
 
 // A Codec freezes and thaws one tree. The tree builds it on demand from
@@ -109,15 +108,13 @@ func (c Codec) WriteSnapshot(out io.Writer) error {
 	w := arena.Writer{W: out}
 	w.U64(c.Magic)
 	for _, s := range c.Sections {
-		w.U64(s.Size() / s.Unit)
+		w.U64(s.Size())
 		s.Write(&w)
 	}
-	// A leaf takes its key, its row count and its rows. Free-list leaves
-	// are zero and carry no rows, so only leaves with rows contribute to
-	// the chunk key ranges.
+	// A leaf takes its key, its row count and its rows.
 	dir := arena.LeafChunkDir(c.Leaves,
 		func(lf *Leaf) uint64 { return 16 + 8*uint64(c.Width)*uint64(lf.Vals.Len()) },
-		func(lf *Leaf) (uint64, bool) { return lf.Key, lf.Vals.Len() > 0 })
+		func(lf *Leaf) uint64 { return lf.Key })
 	w.U64(uint64(c.Leaves.Len()))
 	w.U64(uint64(len(dir) / 3))
 	w.U64s(dir)
@@ -179,15 +176,12 @@ func (c Codec) Thaw(in io.Reader) (err error) {
 	if magic := r.U64(); r.Err == nil && magic != c.Magic {
 		return arena.Corruptf("freeze magic %#x, want %#x", magic, c.Magic)
 	}
-	for i, s := range c.Sections {
+	for _, s := range c.Sections {
 		n := r.U64()
 		if r.Err != nil {
 			return r.Err
 		}
-		if n > math.MaxInt64/s.Unit {
-			return arena.Corruptf("section %d length prefix %d", i, n)
-		}
-		if err := s.Read(r, n*s.Unit); err != nil {
+		if err := s.Read(r, n); err != nil {
 			return err
 		}
 	}
@@ -204,7 +198,7 @@ func (c Codec) Thaw(in io.Reader) (err error) {
 		return r.Err
 	}
 	// The directory's byte lengths bound each chunk's row counts, its key
-	// columns each live leaf's key.
+	// columns each leaf's key.
 	row := make([]uint64, c.Width)
 	for ci := uint64(0); ci < nChunks; ci++ {
 		minK, maxK, left := dir[3*ci], dir[3*ci+1], dir[3*ci+2]
@@ -214,7 +208,7 @@ func (c Codec) Thaw(in io.Reader) (err error) {
 			if err != nil {
 				return err
 			}
-			if lf.Vals.Len() > 0 && (lf.Key < minK || lf.Key > maxK) {
+			if lf.Key < minK || lf.Key > maxK {
 				return arena.Corruptf("leaf %d: key %d outside its chunk's [%d, %d]", j, lf.Key, minK, maxK)
 			}
 			left -= used

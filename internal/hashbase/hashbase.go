@@ -30,6 +30,8 @@ var primes = []int{
 // after the bucket array. With prime bucket counts it models the GLib
 // GHashTable; with power-of-two bucket counts it models the
 // boost::unordered_map of the paper's era (also node-based chaining).
+//
+//qpptvet:ignore unreached a Figure 3 baseline: only the root bench_test.go times it
 type ChainedMap struct {
 	buckets []*chainEntry
 	primeIx int // -1 for power-of-two sizing
@@ -44,6 +46,8 @@ type chainEntry struct {
 
 // NewChainedMap returns a GLib-style prime-sized table pre-sized for
 // capHint entries.
+//
+//qpptvet:ignore unreached a Figure 3 baseline: only the root bench_test.go times it
 func NewChainedMap(capHint int) *ChainedMap {
 	ix := 0
 	for ix < len(primes)-1 && primes[ix]*3/4 < capHint {
@@ -54,6 +58,8 @@ func NewChainedMap(capHint int) *ChainedMap {
 
 // NewBoostMap returns a Boost-style power-of-two chained table pre-sized
 // for capHint entries.
+//
+//qpptvet:ignore unreached a Figure 3 baseline: only the root bench_test.go times it
 func NewBoostMap(capHint int) *ChainedMap {
 	capacity := 16
 	for capacity*3/4 < capHint {
@@ -114,6 +120,8 @@ func (m *ChainedMap) Lookup(key uint64) (uint64, bool) {
 // power-of-two capacity (the extra modern baseline): entries live inline in
 // one array, so successful lookups usually touch a single cache line but
 // the table must stay below ~87% load.
+//
+//qpptvet:ignore unreached a Figure 3 baseline: only the root bench_test.go times it
 type OpenMap struct {
 	keys []uint64
 	vals []uint64
@@ -123,6 +131,8 @@ type OpenMap struct {
 }
 
 // NewOpenMap returns a table pre-sized for capHint entries.
+//
+//qpptvet:ignore unreached a Figure 3 baseline: only the root bench_test.go times it
 func NewOpenMap(capHint int) *OpenMap {
 	capacity := 16
 	for capacity*7/8 < capHint {
@@ -225,9 +235,6 @@ func (m *MultiMap) Insert(key uint64, val uint32) {
 	m.entries = append(m.entries, mmEntry{key: key, next: m.heads[b], val: val})
 	m.heads[b] = int32(len(m.entries) - 1)
 }
-
-// Len reports the number of entries (not distinct keys).
-func (m *MultiMap) Len() int { return len(m.entries) }
 
 // ForEach visits every value stored under key, newest first.
 func (m *MultiMap) ForEach(key uint64, visit func(val uint32)) {

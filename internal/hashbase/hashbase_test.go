@@ -88,8 +88,8 @@ func TestMultiMap(t *testing.T) {
 	for i := uint32(0); i < 1000; i++ {
 		m.Insert(uint64(i%10), i)
 	}
-	if m.Len() != 1000 {
-		t.Fatalf("Len = %d", m.Len())
+	if len(m.entries) != 1000 {
+		t.Fatalf("%d entries", len(m.entries))
 	}
 	for k := uint64(0); k < 10; k++ {
 		var got []uint32

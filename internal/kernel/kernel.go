@@ -18,7 +18,7 @@
 // Both variants are bit-identical by contract (enforced by differential
 // tests and FuzzKernelVsScalar) and allocation-free on every entry point.
 // The package deliberately operates on plain slices only — no arena refs,
-// no unsafe — so qpptvet's refescape analyzer has nothing to track here.
+// no unsafe.
 package kernel
 
 import (
@@ -43,10 +43,6 @@ func init() {
 	}
 	enabled.Store(on)
 }
-
-// Enabled reports whether the SWAR variants are active. When false every
-// entry point runs the generic oracle.
-func Enabled() bool { return enabled.Load() }
 
 // Batched reports whether a batch of n keys should take the kernelized
 // (level-synchronous / selection-vector) path rather than the scalar one.

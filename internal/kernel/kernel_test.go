@@ -107,9 +107,9 @@ func TestRangeMaskInvertedRangeIsEmpty(t *testing.T) {
 }
 
 func TestForceGenericRestores(t *testing.T) {
-	wasEnabled := Enabled()
+	wasEnabled := enabled.Load()
 	restore := ForceGeneric()
-	if Enabled() {
+	if enabled.Load() {
 		t.Fatal("ForceGeneric left kernels enabled")
 	}
 	if Mode() != "generic" {
@@ -119,13 +119,13 @@ func TestForceGenericRestores(t *testing.T) {
 		t.Fatal("Batched reported true under ForceGeneric")
 	}
 	restore()
-	if Enabled() != wasEnabled {
+	if enabled.Load() != wasEnabled {
 		t.Fatal("restore did not reinstate prior dispatch state")
 	}
 }
 
 func TestBatchedThreshold(t *testing.T) {
-	if !Enabled() {
+	if !enabled.Load() {
 		t.Skip("kernels disabled in this configuration")
 	}
 	if Batched(MinBatch - 1) {

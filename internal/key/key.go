@@ -5,9 +5,8 @@
 // navigate on the big-endian binary representation of an unsigned integer
 // key, so any attribute that should be indexed must first be mapped to a
 // uint64 whose unsigned order equals the attribute's logical order. This
-// package provides those mappings for signed integers and for composed
-// (multi-attribute) keys such as the (year, brand1) group-by key of SSB
-// query 2.3. Strings are handled by the catalog's order-preserving
+// package provides that mapping for composed (multi-attribute) keys such as
+// the (year, brand1) group-by key of SSB query 2.3. Strings are handled by the catalog's order-preserving
 // dictionary, which yields dense uint64 codes that can be used here
 // directly.
 package key
@@ -17,18 +16,6 @@ import "fmt"
 // Key is an order-preserving 64-bit index key.
 type Key = uint64
 
-// FromInt64 maps a signed integer to a uint64 such that unsigned comparison
-// of the results matches signed comparison of the inputs (the sign bit is
-// flipped).
-func FromInt64(v int64) Key {
-	return uint64(v) ^ (1 << 63)
-}
-
-// ToInt64 inverts FromInt64.
-func ToInt64(k Key) int64 {
-	return int64(k ^ (1 << 63))
-}
-
 // A Composer packs several fixed-width fields into one order-preserving
 // composed key. Fields are declared most-significant first, so the composed
 // key sorts lexicographically by field order — exactly what a grouped and
@@ -37,7 +24,6 @@ func ToInt64(k Key) int64 {
 type Composer struct {
 	widths []uint // bits per field, most significant first
 	shifts []uint
-	total  uint
 }
 
 // NewComposer builds a Composer for the given field widths in bits. The
@@ -56,7 +42,7 @@ func NewComposer(widths ...uint) (*Composer, error) {
 	if total > 64 {
 		return nil, fmt.Errorf("key: composed width %d exceeds 64 bits", total)
 	}
-	c := &Composer{widths: widths, total: total}
+	c := &Composer{widths: widths}
 	c.shifts = make([]uint, len(widths))
 	shift := total
 	for i, w := range widths {
@@ -74,12 +60,6 @@ func MustComposer(widths ...uint) *Composer {
 	}
 	return c
 }
-
-// Bits reports the total width of the composed key in bits.
-func (c *Composer) Bits() uint { return c.total }
-
-// Fields reports the number of fields.
-func (c *Composer) Fields() int { return len(c.widths) }
 
 // Compose packs the fields into a single key. Each field value must fit in
 // its declared width; oversized values are masked (truncated) to the width,

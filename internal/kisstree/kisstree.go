@@ -155,12 +155,11 @@ func (t *Tree) Rows() int { return t.rows }
 // PayloadWidth reports the payload row width in uint64 words.
 func (t *Tree) PayloadWidth() int { return t.cfg.PayloadWidth }
 
-// Compressed reports whether second-level nodes use bitmask compression.
-func (t *Tree) Compressed() bool { return t.cfg.Compress }
-
 // RCUCopies reports how many second-level node copies compression has
 // caused; always 0 for uncompressed trees. Exposed for the compression
 // ablation benchmark.
+//
+//qpptvet:ignore unreached the KISS compression ablation in the root bench_test.go reports it
 func (t *Tree) RCUCopies() int { return t.copies }
 
 func checkKey(key uint64) uint32 {
@@ -322,9 +321,6 @@ func (t *Tree) Lookup(key uint64) *Leaf {
 	return t.leaves.At(lp - 1)
 }
 
-// Contains reports whether key is present.
-func (t *Tree) Contains(key uint64) bool { return t.Lookup(key) != nil }
-
 // Min returns the smallest key; ok is false if the tree is empty.
 func (t *Tree) Min() (uint64, bool) {
 	if t.keys == 0 {
@@ -415,69 +411,6 @@ func (t *Tree) iterateRange(lo, hi uint32, visit func(lf *Leaf) bool) bool {
 		}
 	}
 	return true
-}
-
-// Delete removes key and all its rows, reporting whether it was present.
-// If the deleted key was the current minimum or maximum, the boundary is
-// recomputed with a root scan over the used range — deletes are rare on
-// QPPT intermediate indexes, which are built once and then only read.
-func (t *Tree) Delete(key uint64) bool {
-	k := checkKey(key)
-	ptr := t.rootGet(k >> leafBits)
-	if ptr == 0 {
-		return false
-	}
-	slot := int(k & slotMask)
-	var removedRows int
-	if t.cfg.Compress {
-		cn := &t.cnodes[ptr-1]
-		bit := uint64(1) << slot
-		if cn.bitmap&bit == 0 {
-			return false
-		}
-		pos := bits.OnesCount64(cn.bitmap & (bit - 1))
-		removedRows = t.leaves.At(cn.entries[pos] - 1).Vals.Len()
-		entries := make([]uint32, len(cn.entries)-1)
-		copy(entries, cn.entries[:pos])
-		copy(entries[pos:], cn.entries[pos+1:])
-		cn.entries = entries
-		cn.bitmap &^= bit
-		t.copies++
-		if cn.bitmap == 0 {
-			t.rootSet(k>>leafBits, 0)
-		}
-	} else {
-		n := t.nodes.Block(ptr - 1)
-		lp := n[slot]
-		if lp == 0 {
-			return false
-		}
-		removedRows = t.leaves.At(lp - 1).Vals.Len()
-		n[slot] = 0
-	}
-	t.keys--
-	t.rows -= removedRows
-	if t.keys == 0 {
-		t.minKey, t.maxKey = ^uint32(0), 0
-	} else if k == t.minKey || k == t.maxKey {
-		t.recomputeBounds()
-	}
-	return true
-}
-
-func (t *Tree) recomputeBounds() {
-	lo, hi := t.minKey, t.maxKey
-	t.minKey, t.maxKey = ^uint32(0), 0
-	t.iterateRange(lo, hi, func(lf *Leaf) bool {
-		k := uint32(lf.Key)
-		if k < t.minKey {
-			t.minKey = k
-		}
-		if k > t.maxKey {
-			t.maxKey = k
-		}
-		return true
-	})
 }
 
 // Bytes estimates the *physically touched* heap footprint in bytes: the

@@ -117,7 +117,7 @@ func TestIterateOrderAndRange(t *testing.T) {
 	}
 }
 
-func TestMinMaxAndDelete(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	for _, cfg := range configs() {
 		tr := MustNew(cfg)
 		if _, ok := tr.Min(); ok {
@@ -132,29 +132,6 @@ func TestMinMaxAndDelete(t *testing.T) {
 		}
 		if mx, _ := tr.Max(); mx != 1<<31 {
 			t.Fatalf("Max = %d", mx)
-		}
-		if tr.Delete(12345) {
-			t.Fatal("deleted absent key")
-		}
-		if !tr.Delete(5) || tr.Lookup(5) != nil {
-			t.Fatal("delete of min failed")
-		}
-		if mn, _ := tr.Min(); mn != 100 {
-			t.Fatalf("Min after delete = %d", mn)
-		}
-		if !tr.Delete(1 << 31) {
-			t.Fatal("delete of max failed")
-		}
-		if mx, _ := tr.Max(); mx != 999999 {
-			t.Fatalf("Max after delete = %d", mx)
-		}
-		tr.Delete(100)
-		tr.Delete(999999)
-		if tr.Keys() != 0 {
-			t.Fatalf("Keys = %d after deleting all", tr.Keys())
-		}
-		if _, ok := tr.Min(); ok {
-			t.Fatal("Min ok on emptied tree")
 		}
 	}
 }
@@ -198,12 +175,9 @@ func TestPropertyOracle(t *testing.T) {
 			for _, op := range ops {
 				k := uint64(op % 100000)
 				if op%4 == 3 {
-					del := tr.Delete(k)
-					_, present := oracle[k]
-					if del != present {
+					if _, present := oracle[k]; (tr.Lookup(k) != nil) != present {
 						return false
 					}
-					delete(oracle, k)
 					continue
 				}
 				tr.Insert(k, []uint64{uint64(op)})

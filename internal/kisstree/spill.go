@@ -17,7 +17,7 @@ import (
 
 // kissFreezeMagic distinguishes KISS-Tree freeze streams from prefix-tree
 // ones (a sharded index freezes heterogeneous shards into one file).
-const kissFreezeMagic = 0x5150_5054_4B53_0002 // "QPPT" + KISS format 2
+const kissFreezeMagic = 0x5150_5054_4B53_0003 // "QPPT" + KISS format 3
 
 // rootPageBytes is one serialized root page: its directory index and its
 // buckets.
@@ -28,9 +28,9 @@ func (t *Tree) codec() freeze.Codec {
 		State: &t.State, Magic: kissFreezeMagic, Width: t.cfg.PayloadWidth,
 		Leaves: &t.leaves, Slab: t.slab,
 		Sections: []freeze.Section{
-			{Unit: 1, Size: t.rootSnapshotBytes, Write: t.writeRoot, Read: t.readRoot},
-			{Unit: 1, Size: t.nodes.SnapshotLen, Write: t.nodes.WriteChunks, Read: t.nodes.ReadChunks},
-			{Unit: 1, Size: t.cnodeSnapshotBytes, Write: t.writeCnodes, Read: t.readCnodes},
+			{Size: t.rootSnapshotBytes, Write: t.writeRoot, Read: t.readRoot},
+			{Size: t.nodes.SnapshotLen, Write: t.nodes.WriteChunks, Read: t.nodes.ReadChunks},
+			{Size: t.cnodeSnapshotBytes, Write: t.writeCnodes, Read: t.readCnodes},
 		},
 		Release: t.Release,
 	}
@@ -184,9 +184,6 @@ func (t *Tree) Release() {
 
 // WriteSnapshot writes the tree's storage to w, leaving it attached.
 func (t *Tree) WriteSnapshot(w io.Writer) error { return t.codec().WriteSnapshot(w) }
-
-// Freeze is WriteSnapshot + Release in one step.
-func (t *Tree) Freeze(w io.Writer) error { return t.codec().Freeze(w) }
 
 // Thaw restores the storage WriteSnapshot wrote.
 func (t *Tree) Thaw(r io.Reader) error { return t.codec().Thaw(r) }

@@ -5,25 +5,28 @@
 //
 //	qppt.New / engine constructors  -> Engine.Close   (stops sessions, closes spill)
 //	spill.New                       -> Manager.Close  (removes spill files, frees budget)
-//	duplist.NewSlab / NewSlabIn     -> Slab.Release   (returns chunks to the recycler)
+//	duplist.NewSlabIn               -> Slab.Release   (returns chunks to the recycler)
 //	Recycler.Local()                -> Recycler.Drain (hands cached chunks back to the parent)
 //	wire.NewServer                  -> Server.Close   (closes listeners, drains live connections)
-//	client.New / NewConn / NewPipe  -> Conn.Close     (sends Terminate, closes the socket)
+//	client.NewConn / NewPipe        -> Conn.Close     (sends Terminate, closes the socket)
 //
 // A leaked Manager keeps spill files on disk; a worker-local Recycler
 // that is never drained strands its chunk cache; a leaked wire Server
-// or client Conn pins its sessions and their statement caches. The analyzer proves,
-// per function body, that a constructor result bound to a local variable
+// or client Conn pins its sessions and their statement caches. No test
+// notices: drop the deferred Close of the HTTP adapter's per-request pipe
+// connection and every test still passes while each request strands a
+// server-side connection until shutdown. The analyzer proves, per
+// function body, that a constructor result bound to a local variable
 // reaches its teardown on all paths to a normal exit. `defer x.Close()`
 // is the preferred form and always satisfies the check.
 //
-// The same heuristics as pinbalance apply (documented there): textual
-// variable matching, error-branch exemption for `x, err := ...`
-// constructors, escape-as-ownership-transfer (returning the value or
-// storing it in a struct hands the obligation to the new owner),
-// terminal paths exempt, goto/labeled functions skipped. Results not
-// bound to a plain local (`ex.wrecs[i] = rec.Local()`) escape at birth
-// and are not tracked. Intentional exceptions carry
+// Heuristics (documented because suppressions must be auditable): textual
+// variable matching; the failure branch of an `x, err := ...`
+// constructor's own error check is exempt; escape is ownership transfer
+// (passing, returning or storing the value hands the obligation to the new
+// owner); paths ending in panic / t.Fatal / os.Exit are exempt; functions
+// using goto or labeled branches are skipped. Results not bound to a plain
+// local (`ex.wrecs[i] = rec.Local()`) escape at birth and are not tracked. Intentional exceptions carry
 // //qpptvet:ignore closetrail <reason> suppressions.
 package closetrail
 

@@ -8,5 +8,5 @@ import (
 )
 
 func TestCloseTrail(t *testing.T) {
-	qlinttest.Run(t, "testdata", closetrail.Analyzer, "trail")
+	qlinttest.Run(t, "testdata/src", closetrail.Analyzer)
 }

@@ -1,20 +1,16 @@
-// Package lint registers QPPT's domain invariant analyzers.
+// Package lint registers QPPT's invariant analyzers.
 //
-// Each analyzer encodes one invariant the type system cannot express —
-// pin balance on spill handles, arena reference escape, cancellation
-// poll cadence, lock-guarded field access, resource teardown trails.
-// They run together as cmd/qpptvet, either standalone or as a
-// `go vet -vettool` plugin; see the individual packages for the exact
-// rules and their documented heuristics.
+// Each analyzer encodes one invariant the type system and the tests do not
+// already enforce — resource teardown trails, and declarations nothing
+// shipped or measured reaches. They run together, over the whole program,
+// as cmd/qpptvet; see the individual packages for the exact rules and
+// their documented heuristics.
 package lint
 
 import (
 	"qppt/internal/lint/closetrail"
-	"qppt/internal/lint/ctxpoll"
-	"qppt/internal/lint/lockguard"
-	"qppt/internal/lint/pinbalance"
 	"qppt/internal/lint/qlint"
-	"qppt/internal/lint/refescape"
+	"qppt/internal/lint/unreached"
 )
 
 // Suite returns every registered analyzer, in stable order. Adding an
@@ -23,9 +19,6 @@ import (
 func Suite() []*qlint.Analyzer {
 	return []*qlint.Analyzer{
 		closetrail.Analyzer,
-		ctxpoll.Analyzer,
-		lockguard.Analyzer,
-		pinbalance.Analyzer,
-		refescape.Analyzer,
+		unreached.Analyzer,
 	}
 }

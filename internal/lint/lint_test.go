@@ -14,13 +14,13 @@ var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // TestRegistry: every analyzer in Suite() must be well-formed AND carry
 // its own analysistest-style unit tests — a package under internal/lint/
-// named after the analyzer, with a _test.go file and a testdata/src tree
+// named after the analyzer, with a _test.go file and a testdata/src module
 // containing want-comments. Registering an analyzer without tests fails
 // here, which fails CI.
 func TestRegistry(t *testing.T) {
 	suite := lint.Suite()
-	if len(suite) < 5 {
-		t.Fatalf("suite has %d analyzers, want at least 5", len(suite))
+	if len(suite) < 2 {
+		t.Fatalf("suite has %d analyzers, want at least 2", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite {

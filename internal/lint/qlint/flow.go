@@ -6,15 +6,10 @@ import (
 )
 
 // This file implements a small statement-level control-flow graph over a
-// single function body, with the two path queries the lifecycle analyzers
-// need:
-//
-//   - AllPathsReach: from a given statement, does every path to a normal
-//     function exit pass a node matching a predicate? (pinbalance,
-//     closetrail: the release must happen on all return paths)
-//   - AnyPathReaches: from a given statement, can execution reach a node
-//     matching a predicate? (refescape: a compact pointer read reachable
-//     after its backing arena was reset)
+// single function body, with the one path query closetrail needs:
+// AllPathsReach — from a given statement, does every path to a normal
+// function exit pass a node matching a predicate? (the teardown must happen
+// on all return paths)
 //
 // The graph is deliberately conservative and syntax-directed. Paths that
 // end in panic(...), os.Exit, t.Fatal and friends are not required to
@@ -45,7 +40,7 @@ type FlowGraph struct {
 	// approximation in the code's favor.
 	Defers []*ast.DeferStmt
 	// Unsupported is set when the body uses goto or labeled
-	// break/continue; path queries on an unsupported graph answer
+	// break/continue; AllPathsReach on an unsupported graph answers
 	// optimistically so analyzers stay silent instead of guessing.
 	Unsupported bool
 }
@@ -448,45 +443,6 @@ func (g *FlowGraph) AllPathsReach(from ast.Node, errVar string, match func(ast.N
 		return ok
 	}
 	return walk(blk, idx+1, errVar != "")
-}
-
-// AnyPathReaches reports whether a node matching match is reachable from
-// the statement `from` (exclusive) without first passing a node for which
-// kill returns true (kill may be nil). Unsupported graphs answer false.
-// The first reached matching node is returned for diagnostics.
-func (g *FlowGraph) AnyPathReaches(from ast.Node, match, kill func(ast.Node) bool) (ast.Node, bool) {
-	if g.Unsupported {
-		return nil, false
-	}
-	blk, idx := g.findNode(from)
-	if blk == nil {
-		return nil, false
-	}
-	seen := make(map[*flowBlock]bool)
-	var walk func(blk *flowBlock, idx int) (ast.Node, bool)
-	walk = func(blk *flowBlock, idx int) (ast.Node, bool) {
-		if idx == 0 {
-			if seen[blk] {
-				return nil, false
-			}
-			seen[blk] = true
-		}
-		for i := idx; i < len(blk.nodes); i++ {
-			if match(blk.nodes[i]) {
-				return blk.nodes[i], true
-			}
-			if kill != nil && kill(blk.nodes[i]) {
-				return nil, false
-			}
-		}
-		for _, succ := range blk.succs {
-			if n, ok := walk(succ, 0); ok {
-				return n, true
-			}
-		}
-		return nil, false
-	}
-	return walk(blk, idx+1)
 }
 
 // reassigns reports whether node assigns to a variable named name.

@@ -13,100 +13,105 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // A Package is one type-checked package ready for analysis.
 type Package struct {
 	Path  string
 	Dir   string
-	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 }
 
-// LoadOptions configure Load.
-type LoadOptions struct {
-	// Dir is the working directory for go list (the module to analyze).
-	// Empty means the current directory.
-	Dir string
-	// Tests includes each package's in-package _test.go files (external
-	// X_test packages are not analyzed).
-	Tests bool
+// A Program is what one run analyzes: every non-test package of one module,
+// and the packages of the benchmark module nested in it, which use the first
+// ones but are not analyzed themselves.
+type Program struct {
+	Fset     *token.FileSet
+	Packages []*Package // the module's packages, dependencies first
+	Root     *Package   // the package in the module's root directory, or nil
+	Readers  []*Package // the benchmark module's packages
+
+	sups suppressions // set by Run
 }
 
-type listedPkg struct {
-	ImportPath  string
-	Dir         string
-	Name        string
-	Export      string
-	GoFiles     []string
-	TestGoFiles []string
-	Standard    bool
-	DepOnly     bool
-	Error       *struct{ Err string }
-}
+// benchmarkDir is where, inside the analyzed module, the benchmark module
+// lives: its own go.mod, replacing the analyzed module with the source
+// beside it.
+const benchmarkDir = "benchmark"
 
-// Load lists patterns with the go tool and type-checks every matched
-// package from source; dependencies are imported from compiler export
-// data (`go list -export`), so loading works offline and without any
-// third-party packages.
-func Load(opts LoadOptions, patterns ...string) ([]*Package, error) {
-	pkgs, err := goList(opts.Dir, append([]string{"-export", "-deps"}, patterns...))
+// Load type-checks the module in dir ("" is the current directory) from
+// source, and then the benchmark module under it if there is one. A package
+// of the module is imported in its source-checked form, so one object stands
+// for each declaration across the program; everything else is imported from
+// compiler export data (`go list -export`), so loading works offline and
+// without any third-party packages.
+func Load(dir string) (*Program, error) {
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}
-	var targets []*listedPkg
-	for _, p := range pkgs {
-		if p.Error != nil && !p.DepOnly {
-			return nil, fmt.Errorf("qlint: go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
-			targets = append(targets, p)
-		}
-	}
-	if opts.Tests {
-		// The test dep graph can pull in packages (testing, os/exec, ...)
-		// absent from the plain graph; absorb their export data. The
-		// synthetic "pkg.test" / "pkg [pkg.test]" entries are skipped —
-		// in-package test files are parsed into the base package below.
-		testPkgs, err := goList(opts.Dir, append([]string{"-export", "-deps", "-test"}, patterns...))
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range testPkgs {
-			if strings.ContainsAny(p.ImportPath, " [") || strings.HasSuffix(p.ImportPath, ".test") {
-				continue
-			}
-			if p.Export != "" && exports[p.ImportPath] == "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
+	l := &loader{fset: token.NewFileSet(), exports: map[string]string{}, src: map[string]*types.Package{}}
+	l.gc = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := l.exports[path]
 		if !ok {
 			return nil, fmt.Errorf("qlint: no export data for %q", path)
 		}
 		return os.Open(f)
 	})
-	var out []*Package
-	for _, t := range targets {
-		files := t.GoFiles
-		if opts.Tests {
-			files = append(append([]string{}, files...), t.TestGoFiles...)
+	prog := &Program{Fset: l.fset}
+	if prog.Packages, err = l.load(abs); err != nil {
+		return nil, err
+	}
+	for _, p := range prog.Packages {
+		if p.Dir == abs {
+			prog.Root = p
 		}
-		pkg, err := checkPackage(fset, imp, t.ImportPath, t.Dir, files)
+	}
+	bench := filepath.Join(abs, benchmarkDir)
+	if _, err := os.Stat(filepath.Join(bench, "go.mod")); err == nil {
+		if prog.Readers, err = l.load(bench); err != nil {
+			return nil, err
+		}
+	}
+	return prog, nil
+}
+
+type loader struct {
+	fset    *token.FileSet
+	exports map[string]string         // import path -> export data file
+	gc      types.Importer            // export data, for everything else
+	src     map[string]*types.Package // packages checked from source
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if p := l.src[path]; p != nil {
+		return p, nil
+	}
+	return l.gc.Import(path)
+}
+
+// load lists the module in dir and type-checks its packages in dependency
+// order, so each one's imports are already checked when it is.
+func (l *loader) load(dir string) ([]*Package, error) {
+	listed, err := goList(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []*Package
+	for _, p := range listed {
+		if p.Export != "" && l.exports[p.ImportPath] == "" {
+			l.exports[p.ImportPath] = p.Export
+		}
+		if p.DepOnly || p.Standard {
+			continue
+		}
+		pkg, err := checkPackage(l.fset, l, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
 		}
+		l.src[p.ImportPath] = pkg.Types
 		out = append(out, pkg)
 	}
 	return out, nil
@@ -116,56 +121,52 @@ func Load(opts LoadOptions, patterns ...string) ([]*Package, error) {
 func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, fileNames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("qlint: %w", err)
 		}
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("qlint: typecheck %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
 }
 
-func goList(dir string, args []string) ([]*listedPkg, error) {
-	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,Name,Export,GoFiles,TestGoFiles,Standard,DepOnly,Error"}, args...)...)
+type listedPkg struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+}
+
+// goList runs `go list -export -deps ./...` in dir: every package of the
+// module there and everything they import, dependencies first.
+func goList(dir string) ([]*listedPkg, error) {
+	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly", "-export", "-deps", "./...")
 	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	outPipe, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("qlint: go list in %s: %w\n%s", dir, err, stderr.String())
 	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(outPipe)
 	var pkgs []*listedPkg
-	for {
+	for dec := json.NewDecoder(&stdout); ; {
 		p := new(listedPkg)
 		if err := dec.Decode(p); err == io.EOF {
-			break
+			return pkgs, nil
 		} else if err != nil {
-			_ = cmd.Wait()
 			return nil, fmt.Errorf("qlint: go list: %w", err)
 		}
 		pkgs = append(pkgs, p)
 	}
-	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("qlint: go list: %w\n%s", err, stderr.String())
-	}
-	return pkgs, nil
 }

@@ -1,12 +1,11 @@
 // Package qlint is a minimal, dependency-free analysis framework in the
-// shape of golang.org/x/tools/go/analysis, built for QPPT's domain
-// invariant checkers (cmd/qpptvet).
+// shape of golang.org/x/tools/go/analysis, built for QPPT's invariant
+// checkers (cmd/qpptvet).
 //
 // The vendored x/tools framework is deliberately not used: this module has
-// no third-party dependencies and the analyzers only need per-package
-// syntax + type information, which the standard library provides. The API
-// mirrors go/analysis closely (Analyzer, Pass, Diagnostic), so migrating
-// onto x/tools later is a mechanical change.
+// no third-party dependencies and the analyzers only need syntax + type
+// information, which the standard library provides. The API mirrors
+// go/analysis closely (Analyzer, Pass, Diagnostic).
 //
 // Suppressions: any diagnostic can be silenced with an auditable comment
 // on the flagged line or the line directly above it:
@@ -15,7 +14,8 @@
 //
 // The reason is mandatory — a bare ignore without justification does not
 // suppress anything (and itself raises a diagnostic), so every silenced
-// finding carries its audit trail in the source.
+// finding carries its audit trail in the source. An ignore that covers no
+// finding is reported too, so none outlives the code it excused.
 package qlint
 
 import (
@@ -36,15 +36,21 @@ type Analyzer struct {
 	// summary, the rest documents the exact rule and its heuristics.
 	Doc string
 
-	// Run performs the analysis on one package. Findings are delivered
-	// through pass.Report / pass.Reportf; the error return is for
-	// operational failures only (it aborts the whole run).
+	// Whole makes Run see the whole program once (Pass.Prog; Files, Pkg
+	// and TypesInfo unset) instead of each package in turn.
+	Whole bool
+
+	// Run performs the analysis. Findings are delivered through
+	// pass.Report / pass.Reportf; the error return is for operational
+	// failures only (it aborts the whole run).
 	Run func(pass *Pass) error
 }
 
-// A Pass provides one analyzer with one type-checked package.
+// A Pass provides one analyzer with the program and, unless the analyzer
+// is Whole, one of its packages.
 type Pass struct {
 	Analyzer  *Analyzer
+	Prog      *Program
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
@@ -78,25 +84,34 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(pos, fmt.Sprintf(format, args...))
 }
 
-// Run applies every analyzer to the package and returns the surviving
-// diagnostics (suppressed findings filtered out, bad suppression comments
-// reported), sorted by position.
-func Run(analyzers []*Analyzer, pkg *Package) ([]Diagnostic, error) {
+// Ignored reports whether a suppression for this analyzer covers pos, so a
+// finding reported there would be silenced.
+func (p *Pass) Ignored(pos token.Pos) bool {
+	return p.Prog.sups.match(p.Analyzer.Name, p.Fset.Position(pos)) != nil
+}
+
+// Run applies every analyzer to the program and returns the surviving
+// diagnostics — suppressed findings filtered out; malformed, unknown and
+// unused suppressions reported — sorted by position.
+func Run(analyzers []*Analyzer, prog *Program) ([]Diagnostic, error) {
+	prog.sups = collectSuppressions(prog)
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			diags:     &diags,
+		pass := Pass{Analyzer: a, Prog: prog, Fset: prog.Fset, diags: &diags}
+		if a.Whole {
+			if err := a.Run(&pass); err != nil {
+				return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
+			}
+			continue
 		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Path, a.Name, err)
+		for _, pkg := range prog.Packages {
+			pass.Files, pass.Pkg, pass.TypesInfo = pkg.Files, pkg.Types, pkg.Info
+			if err := a.Run(&pass); err != nil {
+				return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Path, a.Name, err)
+			}
 		}
 	}
-	diags = filterSuppressed(pkg, analyzers, diags)
+	diags = filterSuppressed(prog.sups, analyzers, diags)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -111,13 +126,6 @@ func Run(analyzers []*Analyzer, pkg *Package) ([]Diagnostic, error) {
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
 	return diags, nil
-}
-
-// Inspect walks every file of the pass in depth-first order.
-func (p *Pass) Inspect(visit func(ast.Node) bool) {
-	for _, f := range p.Files {
-		ast.Inspect(f, visit)
-	}
 }
 
 // EachFunc invokes fn for every function body in the package: named

@@ -8,9 +8,9 @@ import (
 
 // Analyzers identify QPPT types by package-path suffix rather than by the
 // exact module path, so the same analyzer fires on the real module
-// ("qppt/internal/spill"), on analysistest-style stubs under
-// testdata/src, and on the smoke-test fixture module — all of which end
-// in the same "internal/<pkg>" suffix.
+// ("qppt/internal/spill"), on the stub modules under testdata/src, and on
+// the smoke-test fixture module — all of which end in the same
+// "internal/<pkg>" suffix.
 
 // PathHasSuffix reports whether package path p is suffix or ends in
 // "/"+suffix.
@@ -33,19 +33,6 @@ func NamedFrom(t types.Type, pkgSuffix, name string) bool {
 	return PathHasSuffix(obj.Pkg().Path(), pkgSuffix)
 }
 
-// FromPkg reports whether t's named type (after unwrapping pointers,
-// slices and instantiation) is declared in a package whose path ends in
-// pkgSuffix.
-func FromPkg(t types.Type, pkgSuffix string) bool {
-	t = deref(t)
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	pkg := named.Obj().Pkg()
-	return pkg != nil && PathHasSuffix(pkg.Path(), pkgSuffix)
-}
-
 func deref(t types.Type) types.Type {
 	for {
 		switch u := t.(type) {
@@ -57,41 +44,6 @@ func deref(t types.Type) types.Type {
 			return t
 		}
 	}
-}
-
-// MethodCall matches a call expression of the form recv.name(...) and
-// returns the receiver expression. The receiver's type is checked by the
-// caller via the pass's type info.
-func MethodCall(call *ast.CallExpr, name string) (recv ast.Expr, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel || sel.Sel.Name != name {
-		return nil, false
-	}
-	return sel.X, true
-}
-
-// CallOnType reports whether call is recv.method(...) where recv's type
-// is pkgSuffix.typeName, returning the receiver expression.
-func (p *Pass) CallOnType(call *ast.CallExpr, pkgSuffix, typeName string, methods ...string) (ast.Expr, string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, "", false
-	}
-	found := false
-	for _, m := range methods {
-		if sel.Sel.Name == m {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, "", false
-	}
-	tv, ok := p.TypesInfo.Types[sel.X]
-	if !ok || !NamedFrom(tv.Type, pkgSuffix, typeName) {
-		return nil, "", false
-	}
-	return sel.X, sel.Sel.Name, true
 }
 
 // ExprString renders an expression in canonical source form, for

@@ -1,17 +1,20 @@
-// Package qlinttest runs a qlint analyzer over an analysistest-style
-// testdata tree and checks its diagnostics against `// want` comments:
+// Package qlinttest runs a qlint analyzer over a testdata module and checks
+// its diagnostics against `// want` comments:
 //
-//	h.Pin() // want `pin is not released`
+//	m, err := spill.New(0, dir) // want `does not reach m.Close`
 //
 // Each want comment holds one or more quoted or backquoted regular
 // expressions; every reported diagnostic on that line must match one of
 // them, every want must be matched, and lines without wants must stay
 // silent. This mirrors golang.org/x/tools/go/analysis/analysistest, which
 // this module deliberately avoids depending on.
+//
+//qpptvet:ignore unreached test support the analyzer tests share
 package qlinttest
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"regexp"
 	"strconv"
@@ -23,21 +26,20 @@ import (
 
 var wantRe = regexp.MustCompile("(?:\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`)")
 
-// Run loads each package path from root/src and applies the analyzer,
-// reporting any mismatch against the package's want comments.
-func Run(t *testing.T, root string, a *qlint.Analyzer, pkgPaths ...string) {
+// Run loads the module in dir (an analyzer's testdata/src, with the
+// benchmark module under it if there is one), applies the analyzer and
+// checks its findings against the want comments of every package.
+func Run(t *testing.T, dir string, a *qlint.Analyzer) {
 	t.Helper()
-	for _, path := range pkgPaths {
-		pkg, err := qlint.LoadTestdata(root, path)
-		if err != nil {
-			t.Fatalf("loading %s: %v", path, err)
-		}
-		diags, err := qlint.Run([]*qlint.Analyzer{a}, pkg)
-		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, path, err)
-		}
-		checkWants(t, pkg, path, diags)
+	prog, err := qlint.Load(dir)
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
 	}
+	diags, err := qlint.Run([]*qlint.Analyzer{a}, prog)
+	if err != nil {
+		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
+	}
+	checkWants(t, prog, diags)
 }
 
 type want struct {
@@ -46,10 +48,14 @@ type want struct {
 	used bool
 }
 
-func checkWants(t *testing.T, pkg *qlint.Package, path string, diags []qlint.Diagnostic) {
+func checkWants(t *testing.T, prog *qlint.Program, diags []qlint.Diagnostic) {
 	t.Helper()
 	wants := map[string][]*want{} // "file:line" -> wants
-	for _, f := range pkg.Files {
+	var files []*ast.File
+	for _, pkg := range prog.Packages {
+		files = append(files, pkg.Files...)
+	}
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := c.Text
@@ -57,7 +63,7 @@ func checkWants(t *testing.T, pkg *qlint.Package, path string, diags []qlint.Dia
 				if i < 0 {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
+				pos := prog.Fset.Position(c.Pos())
 				key := lineKey(pos)
 				for _, q := range wantRe.FindAllString(text[i+len("// want "):], -1) {
 					pat := q
@@ -88,7 +94,7 @@ func checkWants(t *testing.T, pkg *qlint.Package, path string, diags []qlint.Dia
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic in %s: [%s] %s", d.Pos, path, d.Analyzer, d.Message)
+			t.Errorf("%s: unexpected diagnostic: [%s] %s", d.Pos, d.Analyzer, d.Message)
 		}
 	}
 	for _, list := range wants {

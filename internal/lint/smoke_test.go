@@ -13,7 +13,8 @@ import (
 )
 
 // fixtureDir is the smoke-test module: a miniature shadow of the real
-// API surface with one deliberate violation per analyzer.
+// API surface with one deliberate violation per analyzer, and a benchmark
+// module of its own.
 const fixtureDir = "testdata/fixture"
 
 // expected maps each analyzer to a substring of the finding it must
@@ -21,37 +22,31 @@ const fixtureDir = "testdata/fixture"
 // load-bearing: an analyzer added to Suite() without fixture coverage
 // fails TestFixtureCoversEveryAnalyzer below.
 var expected = map[string]string{
-	"pinbalance": "Pin on h is not released on every return path",
-	"refescape":  "arena.Ref stored in struct field c.ref",
-	"ctxpoll":    "ScanAll drives t.Iterate without a cancellation poll",
-	"lockguard":  "ti.indexes is guarded by idxMu but accessed without holding it",
 	"closetrail": "spill.Manager created here does not reach m.Close()",
+	"unreached":  "func TestOnly is unreached",
 }
 
-// loadFixtureDiags runs the in-process suite over the fixture module.
-func loadFixtureDiags(t *testing.T) []qlint.Diagnostic {
+// vet runs the in-process suite over the module in dir.
+func vet(t *testing.T, dir string) []qlint.Diagnostic {
 	t.Helper()
-	pkgs, err := qlint.Load(qlint.LoadOptions{Dir: fixtureDir}, "./...")
+	prog, err := qlint.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var diags []qlint.Diagnostic
-	for _, pkg := range pkgs {
-		ds, err := qlint.Run(lint.Suite(), pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags = append(diags, ds...)
+	diags, err := qlint.Run(lint.Suite(), prog)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return diags
 }
 
 // TestFixtureCoversEveryAnalyzer: every registered analyzer must produce
-// its expected finding on the fixture module, and nothing else. A new
-// analyzer without a planted fixture violation — or an analyzer that
-// silently stops firing — fails here.
+// its expected finding on the fixture module, and nothing else — in
+// particular not for core.BenchOnly, which only the fixture's benchmark
+// module refers to. A new analyzer without a planted fixture violation —
+// or an analyzer that silently stops firing — fails here.
 func TestFixtureCoversEveryAnalyzer(t *testing.T) {
-	diags := loadFixtureDiags(t)
+	diags := vet(t, fixtureDir)
 	byAnalyzer := map[string][]string{}
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], d.Message)
@@ -82,63 +77,54 @@ func TestFixtureCoversEveryAnalyzer(t *testing.T) {
 	}
 }
 
-// buildQpptvet compiles the vet tool once per test binary.
-func buildQpptvet(t *testing.T) string {
+// qpptvet builds the command and runs it in dir, returning its output and
+// exit code.
+func qpptvet(t *testing.T, dir string) (string, int) {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "qpptvet")
-	cmd := exec.Command("go", "build", "-o", bin, "qppt/cmd/qpptvet")
-	cmd.Dir = ".." // internal/lint -> module root is two up; go build resolves by package path anyway
-	if out, err := cmd.CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", bin, "qppt/cmd/qpptvet").CombinedOutput(); err != nil {
 		t.Fatalf("building qpptvet: %v\n%s", err, out)
 	}
-	return bin
+	cmd := exec.Command(bin, "./...")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	code := 0
+	if err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatal(err)
+		}
+		code = ee.ExitCode()
+	}
+	return string(out), code
 }
 
-// TestGoVetVettoolEndToEnd drives the real go vet -vettool protocol over
-// the fixture module and asserts every analyzer's finding comes back
-// through the go command.
-func TestGoVetVettoolEndToEnd(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go tool not on PATH")
-	}
-	bin := buildQpptvet(t)
-	abs, err := filepath.Abs(fixtureDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = abs
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool exited 0 on the violation fixture; output:\n%s", out)
+// TestQpptvetEndToEnd drives the built binary over the fixture module: it
+// exits 1 and prints every analyzer's finding.
+func TestQpptvetEndToEnd(t *testing.T) {
+	out, code := qpptvet(t, fixtureDir)
+	if code != 1 {
+		t.Fatalf("qpptvet exited %d on the violation fixture, want 1; output:\n%s", code, out)
 	}
 	for name, want := range expected {
-		marker := fmt.Sprintf("[%s] ", name)
-		if !strings.Contains(string(out), marker) || !strings.Contains(string(out), want) {
-			t.Errorf("go vet output missing %s finding (%q):\n%s", name, want, out)
+		if !strings.Contains(out, fmt.Sprintf("[%s] ", name)) || !strings.Contains(out, want) {
+			t.Errorf("qpptvet output missing %s finding (%q):\n%s", name, want, out)
 		}
 	}
 }
 
-// TestStandaloneCleanModule: the standalone runner must exit 0 on a
-// clean package (the lint framework itself).
+// TestStandaloneCleanModule: the binary exits 0 on this module itself —
+// the whole-program run CI gates on, benchmark/ included as a root.
 func TestStandaloneCleanModule(t *testing.T) {
-	bin := buildQpptvet(t)
-	cmd := exec.Command(bin, "./internal/lint/qlint/")
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("qpptvet on a clean package: %v\n%s", err, out)
+	if out, code := qpptvet(t, "../.."); code != 0 {
+		t.Fatalf("qpptvet on the module exited %d:\n%s", code, out)
 	}
 }
 
-// TestSuppressionSilencesFinding: a qpptvet:ignore comment with a reason
-// silences the finding; stripping the reason brings it back. Exercised
-// through the real loader on a copy of the fixture.
-func TestSuppressionSilencesFinding(t *testing.T) {
+// patchFixture copies the fixture to a temporary module and replaces one
+// line of its core package.
+func patchFixture(t *testing.T, old, new string) string {
+	t.Helper()
 	dir := t.TempDir()
 	copyTree(t, fixtureDir, dir)
 	corePath := filepath.Join(dir, "internal/core/core.go")
@@ -146,29 +132,37 @@ func TestSuppressionSilencesFinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched := strings.Replace(string(src),
-		"\tm, err := spill.New(1<<20, \"/tmp/spill\")\n\tif err != nil {\n\t\treturn\n\t}\n\tm.Register(\"t\")",
-		"\t//qpptvet:ignore closetrail fixture exercises the suppression path\n\tm, err := spill.New(1<<20, \"/tmp/spill\")\n\tif err != nil {\n\t\treturn\n\t}\n\tm.Register(\"t\")", 1)
+	patched := strings.Replace(string(src), old, new, 1)
 	if patched == string(src) {
-		t.Fatal("fixture source changed; update the suppression patch")
+		t.Fatal("fixture source changed; update the patch")
 	}
 	if err := os.WriteFile(corePath, []byte(patched), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := qlint.Load(qlint.LoadOptions{Dir: dir}, "./internal/core/")
-	if err != nil {
-		t.Fatal(err)
+	return dir
+}
+
+// TestSuppressionSilencesFinding: a qpptvet:ignore comment with a reason
+// silences the finding it covers, and is then not reported itself.
+func TestSuppressionSilencesFinding(t *testing.T) {
+	dir := patchFixture(t, "func LeakManager() {\n\tm, err",
+		"func LeakManager() {\n\t//qpptvet:ignore closetrail fixture exercises the suppression path\n\tm, err")
+	for _, d := range vet(t, dir) {
+		if d.Analyzer != "unreached" {
+			t.Errorf("suppressed closetrail finding still reported: %s", d)
+		}
 	}
-	for _, pkg := range pkgs {
-		diags, err := qlint.Run(lint.Suite(), pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range diags {
-			if d.Analyzer == "closetrail" {
-				t.Errorf("suppressed closetrail finding still reported: %s", d)
-			}
-		}
+}
+
+// TestDanglingSuppressionIsReported: a well-formed ignore that covers no
+// finding of the whole run is itself a finding, so no suppression outlives
+// the code it excused.
+func TestDanglingSuppressionIsReported(t *testing.T) {
+	dir := patchFixture(t, "func UseManager() error {\n\tm, err",
+		"func UseManager() error {\n\t//qpptvet:ignore closetrail this manager is closed, so this excuses nothing\n\tm, err")
+	out, code := qpptvet(t, dir)
+	if code != 1 || !strings.Contains(out, "core.go:22:1: [qpptvet] qpptvet:ignore covers no finding") {
+		t.Fatalf("exit %d; want the unused ignore at core.go:22 reported:\n%s", code, out)
 	}
 }
 

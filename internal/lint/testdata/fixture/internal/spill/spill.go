@@ -1,15 +1,6 @@
 // Package spill shadows qppt/internal/spill for the qpptvet fixture.
 package spill
 
-import "context"
-
-// Handle is a stub spillable-entry handle.
-type Handle struct{ pins int }
-
-func (h *Handle) Pin() error                       { h.pins++; return nil }
-func (h *Handle) PinCtx(ctx context.Context) error { h.pins++; return nil }
-func (h *Handle) Unpin()                           { h.pins-- }
-
 // Manager is a stub spill manager.
 type Manager struct{ budget int64 }
 
@@ -22,4 +13,4 @@ func New(budget int64, dir string) (*Manager, error) {
 func (m *Manager) Close() error { return nil }
 
 // Register tracks a spillable entry.
-func (m *Manager) Register(name string) *Handle { return &Handle{} }
+func (m *Manager) Register(name string) {}

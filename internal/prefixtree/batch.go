@@ -20,6 +20,8 @@ import (
 // DefaultBatchSize is the batch size QPPT uses for joinbuffers and insert
 // buffers when the caller does not choose one; it matches the paper
 // demonstrator's middle setting.
+//
+//qpptvet:ignore unreached the root bench_test.go batches Figure 3's KISS Batched inserts by it
 const DefaultBatchSize = 512
 
 // lookupJob mirrors Algorithm 1's job structure, carrying arena indices

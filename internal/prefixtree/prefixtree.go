@@ -104,9 +104,8 @@ type Tree struct {
 	// nodes stores each inner node as one block of fanout tagged slots;
 	// leaves stores the content nodes. Both arenas have stable addresses,
 	// so *Leaf results stay valid while the tree grows.
-	nodes      arena.Slots
-	leaves     arena.Arena[Leaf]
-	freeLeaves []uint32 // recycled leaf indexes (from Delete)
+	nodes  arena.Slots
+	leaves arena.Arena[Leaf]
 
 	// slab feeds duplicate-segment and first-row storage for all of this
 	// tree's lists, so index construction allocates large blocks instead
@@ -191,16 +190,9 @@ func (t *Tree) checkKey(key uint64) {
 // leaf returns the address of leaf idx in the arena.
 func (t *Tree) leaf(idx uint32) *Leaf { return t.leaves.At(idx) }
 
-// newLeaf allocates a content node for key, recycling leaves freed by
-// Delete, and returns its arena index.
+// newLeaf allocates a content node for key and returns its arena index.
 func (t *Tree) newLeaf(key uint64) uint32 {
 	t.keys++
-	if k := len(t.freeLeaves); k > 0 {
-		li := t.freeLeaves[k-1]
-		t.freeLeaves = t.freeLeaves[:k-1]
-		*t.leaf(li) = Leaf{Key: key, Vals: duplist.Make(t.cfg.PayloadWidth)}
-		return li
-	}
 	return t.leaves.Alloc(Leaf{Key: key, Vals: duplist.Make(t.cfg.PayloadWidth)})
 }
 
@@ -280,60 +272,6 @@ func (t *Tree) Lookup(key uint64) *Leaf {
 
 // Contains reports whether key is present.
 func (t *Tree) Contains(key uint64) bool { return t.Lookup(key) != nil }
-
-// Delete removes key and all its rows, reporting whether it was present.
-// Emptied inner nodes along the path are unlinked and recycled so
-// iteration stays proportional to live content. The leaf header is
-// recycled too; its slab-backed payload segments are only reclaimed when
-// the whole tree is dropped — deletes are rare on QPPT intermediate
-// indexes, which are built once and then only read.
-func (t *Tree) Delete(key uint64) bool {
-	t.checkKey(key)
-	var path [65]uint32
-	n := rootNode
-	level := 0
-	for {
-		path[level] = n
-		r := arena.Ref(t.nodes.Block(n)[t.frag(key, level)])
-		if r.IsNil() {
-			return false
-		}
-		if !r.IsLeaf() {
-			n = r.Index()
-			level++
-			continue
-		}
-		li := r.Index()
-		lf := t.leaf(li)
-		if lf.Key != key {
-			return false
-		}
-		t.keys--
-		t.rows -= lf.Vals.Len()
-		*lf = Leaf{} // drop row storage references before recycling
-		t.freeLeaves = append(t.freeLeaves, li)
-		t.nodes.Block(n)[t.frag(key, level)] = uint32(arena.Nil)
-		break
-	}
-	// Unlink and recycle now-empty nodes bottom-up (the root always stays).
-	for l := level; l > 0; l-- {
-		if !t.emptyNode(path[l]) {
-			break
-		}
-		t.nodes.Block(path[l-1])[t.frag(key, l-1)] = uint32(arena.Nil)
-		t.nodes.Free(path[l])
-	}
-	return true
-}
-
-func (t *Tree) emptyNode(n uint32) bool {
-	for _, v := range t.nodes.Block(n) {
-		if v != uint32(arena.Nil) {
-			return false
-		}
-	}
-	return true
-}
 
 // Iterate visits every leaf in ascending key order. It stops early if visit
 // returns false and reports whether the scan ran to completion.
@@ -466,27 +404,4 @@ func (t *Tree) Max() (uint64, bool) {
 // reports only its residual in-memory state.
 func (t *Tree) Bytes() int {
 	return t.nodes.Bytes() + t.leaves.Bytes() + t.slab.Bytes()
-}
-
-// Nodes reports the number of live inner nodes, for memory accounting
-// tests.
-func (t *Tree) Nodes() int { return t.nodes.Live() }
-
-// MaxDepth returns the deepest leaf level currently present (root = level
-// 0). A freshly filled dense tree of n keys has depth ~ log2(n)/k′ thanks
-// to dynamic expansion.
-func (t *Tree) MaxDepth() int {
-	return t.maxDepth(rootNode, 0)
-}
-
-func (t *Tree) maxDepth(n uint32, level int) int {
-	d := level
-	for _, v := range t.nodes.Block(n) {
-		if r := arena.Ref(v); !r.IsNil() && !r.IsLeaf() {
-			if cd := t.maxDepth(r.Index(), level+1); cd > d {
-				d = cd
-			}
-		}
-	}
-	return d
 }

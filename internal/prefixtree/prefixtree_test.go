@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"qppt/internal/arena"
 )
 
 func newTree(t *testing.T, cfg Config) *Tree {
@@ -127,10 +129,10 @@ func TestNarrowKeyBits(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		tr.Insert(i*1234567%4294967296, nil)
 	}
-	if tr.MaxDepth() >= levels32(t, tr) {
+	if maxDepth(tr, rootNode, 0) >= levels32(t, tr) {
 		// 32-bit keys at k'=4 need at most 8 levels; dynamic expansion
 		// keeps actual depth lower for sparse data.
-		t.Logf("depth = %d", tr.MaxDepth())
+		t.Logf("depth = %d", maxDepth(tr, rootNode, 0))
 	}
 	func() {
 		defer func() {
@@ -142,34 +144,22 @@ func TestNarrowKeyBits(t *testing.T) {
 	}()
 }
 
+// maxDepth returns the deepest leaf level below node n (root = level 0).
+// A freshly filled dense tree of n keys has depth ~ log2(n)/k′ thanks to
+// dynamic expansion.
+func maxDepth(t *Tree, n uint32, level int) int {
+	d := level
+	for _, v := range t.nodes.Block(n) {
+		if r := arena.Ref(v); !r.IsNil() && !r.IsLeaf() {
+			d = max(d, maxDepth(t, r.Index(), level+1))
+		}
+	}
+	return d
+}
+
 func levels32(t *testing.T, tr *Tree) int {
 	t.Helper()
 	return int((tr.KeyBits() + tr.PrefixLen() - 1) / tr.PrefixLen())
-}
-
-func TestDelete(t *testing.T) {
-	tr := newTree(t, Config{PayloadWidth: 1})
-	keys := []uint64{1, 2, 0x1234, 0x1235, 0xFFFF0000, 9}
-	for _, k := range keys {
-		tr.Insert(k, []uint64{k})
-	}
-	if tr.Delete(12345) {
-		t.Error("deleted absent key")
-	}
-	for i, k := range keys {
-		if !tr.Delete(k) {
-			t.Fatalf("Delete(%#x) = false", k)
-		}
-		if tr.Lookup(k) != nil {
-			t.Fatalf("key %#x still present after delete", k)
-		}
-		if tr.Keys() != len(keys)-i-1 {
-			t.Fatalf("Keys = %d after %d deletes", tr.Keys(), i+1)
-		}
-	}
-	if tr.Nodes() != 1 {
-		t.Errorf("Nodes = %d after deleting all keys, want 1 (root)", tr.Nodes())
-	}
 }
 
 func TestRange(t *testing.T) {
@@ -256,12 +246,9 @@ func TestPropertyOracle(t *testing.T) {
 						oracle[k] = uint64(op)
 					}
 				case 2:
-					del := tr.Delete(k)
-					_, present := oracle[k]
-					if del != present {
+					if _, present := oracle[k]; (tr.Lookup(k) != nil) != present {
 						return false
 					}
-					delete(oracle, k)
 				}
 			}
 			if tr.Keys() != len(oracle) {
@@ -332,8 +319,8 @@ func TestBytesAndDepthTradeoffAcrossKPrime(t *testing.T) {
 		t4.Insert(k, nil)
 		t8.Insert(k, nil)
 	}
-	if t8.MaxDepth() >= t4.MaxDepth() {
-		t.Errorf("k'=8 depth %d not lower than k'=4 depth %d", t8.MaxDepth(), t4.MaxDepth())
+	if maxDepth(t8, rootNode, 0) >= maxDepth(t4, rootNode, 0) {
+		t.Errorf("k'=8 depth %d not lower than k'=4 depth %d", maxDepth(t8, rootNode, 0), maxDepth(t4, rootNode, 0))
 	}
 	if t8.Bytes() <= t4.Bytes() {
 		t.Errorf("k'=8 bytes %d not higher than k'=4 bytes %d on sparse keys", t8.Bytes(), t4.Bytes())

@@ -216,13 +216,10 @@ func (m *Manager) Register(label string, obj Freezer, size func() int) *Handle {
 	return h
 }
 
-// Pin makes the handle's structure resident (thawing it if frozen) and
-// protects it from eviction until the matching Unpin. Pins nest.
-func (h *Handle) Pin() error { return h.m.pinSet(nil, []*Handle{h}) }
-
-// PinCtx is Pin with cancellation: a wait for another entry's in-flight
-// freeze/thaw returns ctx.Err() as soon as the context is cancelled,
-// instead of blocking until the transition completes. I/O already in
+// PinCtx makes the handle's structure resident (thawing it if frozen) and
+// protects it from eviction until the matching Unpin; pins nest. A wait for
+// another entry's in-flight freeze/thaw returns ctx.Err() as soon as the
+// context is cancelled, instead of blocking until the transition completes. I/O already in
 // flight for *this* call runs to completion either way — the spill file
 // stays consistent — but a cancelled query stops queuing behind other
 // entries' transitions.
@@ -311,7 +308,7 @@ func (h *Handle) pinLocked(ctx context.Context) error {
 	return nil
 }
 
-// Unpin releases one Pin. The structure becomes evictable again once all
+// Unpin releases one pin. The structure becomes evictable again once all
 // pins are released.
 func (h *Handle) Unpin() {
 	m := h.m
@@ -385,7 +382,7 @@ func (m *Manager) Stats() Stats {
 }
 
 // Close deletes all spill state. Frozen entries become unusable; callers
-// must Pin (thaw) anything they still need — typically the plan's result
+// must pin (thaw) anything they still need — typically the plan's result
 // index — before closing.
 func (m *Manager) Close() error {
 	m.mu.Lock()

@@ -88,7 +88,7 @@ func TestManagerEvictsLRUAndRestores(t *testing.T) {
 
 	// Pinning the frozen entry must thaw it byte-identically and evict
 	// the other one instead.
-	if err := ha.Pin(); err != nil {
+	if err := ha.PinCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	a.verify(t, blocks, 1000)
@@ -192,7 +192,7 @@ func TestManagerConcurrentPinUnpin(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 40; r++ {
 				h := handles[(w*13+r)%n]
-				if err := h.Pin(); err != nil {
+				if err := h.PinCtx(context.Background()); err != nil {
 					t.Errorf("pin: %v", err)
 					return
 				}
@@ -250,7 +250,7 @@ func TestFailedFreezeKeepsIndexResident(t *testing.T) {
 	if fi.calls != 1 {
 		t.Fatalf("failed entry retried under later pressure (%d calls)", fi.calls)
 	}
-	if err := h.Pin(); err != nil { // resident: pin is a no-op thaw-wise
+	if err := h.PinCtx(context.Background()); err != nil { // resident: pin is a no-op thaw-wise
 		t.Fatal(err)
 	}
 	fi.verify(t, 32, 500)
@@ -282,7 +282,7 @@ func TestFailedFreezeKeepsIndexResident(t *testing.T) {
 	} else if st.Size() != int64(next.size) {
 		t.Fatalf("spill file holds %d bytes, snapshot is %d: a reused buffer leaked into it", st.Size(), next.size)
 	}
-	if err := hn.Pin(); err != nil {
+	if err := hn.PinCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	next.verify(t, 32, 800)
@@ -349,59 +349,51 @@ func TestSpillCycleAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { idle.Register("σ→never frozen", fi, size).Drop() }); n > 1 {
 		t.Errorf("Register → Drop of a never-frozen entry makes %v allocations, want the Handle alone", n)
 	}
-	for _, viaCtx := range []bool{false, true} {
-		m, err := New(1, "") // everything unpinned spills
-		if err != nil {
+	m, err := New(1, "") // everything unpinned spills
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := arena.NewRecycler()
+	row := make([]uint64, 1)
+	cycle := func() {
+		tr := prefixtree.MustNew(prefixtree.Config{PrefixLen: 4, KeyBits: 32, PayloadWidth: 1, Recycler: rec})
+		for i := 0; i < 2000; i++ {
+			row[0] = uint64(i) * 3
+			tr.Insert(uint64(i), row)
+		}
+		h := m.Register("cycle", tr, tr.Bytes)
+		if !h.Frozen() {
+			t.Fatal("not frozen under a 1-byte budget")
+		}
+		if err := h.PinCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		rec := arena.NewRecycler()
-		row := make([]uint64, 1)
-		cycle := func() {
-			tr := prefixtree.MustNew(prefixtree.Config{PrefixLen: 4, KeyBits: 32, PayloadWidth: 1, Recycler: rec})
-			for i := 0; i < 2000; i++ {
-				row[0] = uint64(i) * 3
-				tr.Insert(uint64(i), row)
-			}
-			h := m.Register("cycle", tr, tr.Bytes)
-			if !h.Frozen() {
-				t.Fatal("not frozen under a 1-byte budget")
-			}
-			var err error
-			if viaCtx {
-				err = h.PinCtx(context.Background())
-			} else {
-				err = h.Pin()
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkTreeRange(t, tr, 100, 200)
-			h.Unpin()
-			h.Drop()
-			tr.Release()
-		}
-		cycle() // warm-up: the manager makes its buffers, the pool its chunks
-		const cycles = 20
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < cycles; i++ {
-			cycle()
-		}
-		runtime.ReadMemStats(&m1)
-		// About 2 KiB in practice: the tree header, the file name, two
-		// os.Files, the chunk directory.
-		const budget = 16 << 10
-		perCycle := (m1.TotalAlloc - m0.TotalAlloc) / cycles
-		t.Logf("viaCtx=%v: %d B per freeze→thaw cycle", viaCtx, perCycle)
-		if perCycle > budget {
-			t.Errorf("viaCtx=%v: one freeze→thaw cycle allocates %d B, budget %d", viaCtx, perCycle, budget)
-		}
-		if st := m.Stats(); st.Spills < cycles || st.Restores < cycles {
-			t.Fatalf("cycles did not spill and restore: %+v", st)
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
+		checkTreeRange(t, tr, 100, 200)
+		h.Unpin()
+		h.Drop()
+		tr.Release()
+	}
+	cycle() // warm-up: the manager makes its buffers, the pool its chunks
+	const cycles = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&m1)
+	// About 2 KiB in practice: the tree header, the file name, two
+	// os.Files, the chunk directory.
+	const budget = 16 << 10
+	perCycle := (m1.TotalAlloc - m0.TotalAlloc) / cycles
+	t.Logf("%d B per freeze→thaw cycle", perCycle)
+	if perCycle > budget {
+		t.Errorf("one freeze→thaw cycle allocates %d B, budget %d", perCycle, budget)
+	}
+	if st := m.Stats(); st.Spills < cycles || st.Restores < cycles {
+		t.Fatalf("cycles did not spill and restore: %+v", st)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -453,25 +445,17 @@ func TestManagerRestoreFailureAndRecovery(t *testing.T) {
 	}
 	badMagic := append([]byte{0xff}, intact[1:]...)
 	for _, tc := range []struct {
-		name   string
-		file   []byte
-		want   error
-		viaCtx bool
+		name string
+		file []byte
+		want error
 	}{
-		{"truncated", intact[:len(intact)/2], io.ErrUnexpectedEOF, false},
-		{"truncated, ctx pin", intact[:len(intact)/2], io.ErrUnexpectedEOF, true},
-		{"bad magic", badMagic, arena.ErrCorruptSnapshot, false},
-		{"bad magic, ctx pin", badMagic, arena.ErrCorruptSnapshot, true},
+		{"truncated", intact[:len(intact)/2], io.ErrUnexpectedEOF},
+		{"bad magic", badMagic, arena.ErrCorruptSnapshot},
 	} {
 		if err := os.WriteFile(h.file, tc.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var err error
-		if tc.viaCtx {
-			err = h.PinCtx(context.Background())
-		} else {
-			err = h.Pin()
-		}
+		err := h.PinCtx(context.Background())
 		if err == nil {
 			h.Unpin()
 		}
@@ -488,7 +472,7 @@ func TestManagerRestoreFailureAndRecovery(t *testing.T) {
 	if err := os.WriteFile(h.file, intact, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Pin(); err != nil {
+	if err := h.PinCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	checkTreeRange(t, tr, 0, n-1)
@@ -502,8 +486,7 @@ func TestManagerRestoreFailureAndRecovery(t *testing.T) {
 	if !h.Frozen() {
 		t.Fatal("unpinned entry not re-frozen under pressure")
 	}
-	//qpptvet:ignore pinbalance the test deliberately closes the manager with this pin held
-	if err := h.Pin(); err != nil {
+	if err := h.PinCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Close with the pin held: the spill file goes away, the data must not.
@@ -534,7 +517,7 @@ func TestHandleDrop(t *testing.T) {
 	if _, err := os.Stat(file); !os.IsNotExist(err) {
 		t.Fatalf("spill file survived drop: %v", err)
 	}
-	if err := h.Pin(); err == nil {
+	if err := h.PinCtx(context.Background()); err == nil {
 		t.Fatal("pin on a dropped entry succeeded")
 	}
 	if s, _ := h.Counts(); s != 1 {

@@ -15,7 +15,6 @@ type builder struct {
 	p           *Planner
 	stmt        *SelectStmt
 	opt         Options
-	record      func(table string, def catalog.IndexDef) // index advisor hook
 	fact        *catalog.TableInfo
 	factName    string
 	dims        []*dimInfo // sorted most selective first
@@ -59,9 +58,6 @@ func (b *builder) dimIndex(d *dimInfo) (*core.IndexedTable, Cond, []Cond, error)
 	delete(include, keyCol)
 	cols := sortedKeys(include)
 	def := catalog.IndexDef{KeyCols: []string{keyCol}, Include: cols}
-	if b.record != nil {
-		b.record(d.table, def)
-	}
 	idx, err := d.ti.BuildIndexCtx(b.ctx, def)
 	if err != nil {
 		return nil, Cond{}, nil, err
@@ -120,9 +116,6 @@ func (b *builder) factIndex(main *dimInfo) (*core.IndexedTable, error) {
 	delete(include, main.fk)
 	cols := sortedKeys(include)
 	def := catalog.IndexDef{KeyCols: []string{main.fk}, Include: cols}
-	if b.record != nil {
-		b.record(b.factName, def)
-	}
 	return b.fact.BuildIndexCtx(b.ctx, def)
 }
 
@@ -258,9 +251,6 @@ func (b *builder) buildSingleTable() (*Statement, error) {
 	delete(include, keyCol)
 	cols := sortedKeys(include)
 	def := catalog.IndexDef{KeyCols: []string{keyCol}, Include: cols}
-	if b.record != nil {
-		b.record(b.factName, def)
-	}
 	idx, err := b.fact.BuildIndexCtx(b.ctx, def)
 	if err != nil {
 		return nil, err
@@ -377,7 +367,7 @@ func collectCols(e Expr, into map[string]bool) {
 }
 
 // sortedKeys lists a set's members in sorted order, so that a plan and the
-// index definitions it records do not depend on map iteration order.
+// index definitions it builds do not depend on map iteration order.
 func sortedKeys(set map[string]bool) []string {
 	keys := make([]string, 0, len(set))
 	for k := range set {

@@ -65,7 +65,7 @@ func (p *Planner) PlanSQLCtx(ctx context.Context, src string, opt Options) (*Sta
 	if err != nil {
 		return nil, err
 	}
-	return p.plan(ctx, stmt, opt, nil)
+	return p.plan(ctx, stmt, opt)
 }
 
 // dimInfo gathers everything the planner knows about one joined dimension.
@@ -82,54 +82,12 @@ type dimInfo struct {
 
 // Plan compiles a parsed statement.
 func (p *Planner) Plan(stmt *SelectStmt, opt Options) (*Statement, error) {
-	return p.plan(context.Background(), stmt, opt, nil)
+	return p.plan(context.Background(), stmt, opt)
 }
 
-// An IndexRecommendation names one base index a workload needs, with the
-// (0-based) workload statements that use it.
-type IndexRecommendation struct {
-	Table   string
-	Def     catalog.IndexDef
-	Queries []int
-}
-
-// Advise derives the base indexes a workload needs — the automatic index
-// selection of the paper's Section 7 future work. Planning each statement
-// also provisions the indexes in the catalog (they are cached), so Advise
-// doubles as a workload warm-up; the recommendations record which
-// statement needs which partially clustered index.
-func (p *Planner) Advise(stmts []string, opt Options) ([]IndexRecommendation, error) {
-	var recs []IndexRecommendation
-	seen := map[string]int{} // canonical name → recs position
-	for qi, src := range stmts {
-		stmt, err := Parse(src)
-		if err != nil {
-			return nil, fmt.Errorf("sql: statement %d: %w", qi, err)
-		}
-		_, err = p.plan(context.Background(), stmt, opt, func(table string, def catalog.IndexDef) {
-			name := def.IndexName(table)
-			at, ok := seen[name]
-			if !ok {
-				at = len(recs)
-				seen[name] = at
-				recs = append(recs, IndexRecommendation{Table: table, Def: def})
-			}
-			qs := recs[at].Queries
-			if len(qs) == 0 || qs[len(qs)-1] != qi {
-				recs[at].Queries = append(qs, qi)
-			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sql: statement %d: %w", qi, err)
-		}
-	}
-	return recs, nil
-}
-
-// plan compiles a parsed statement, reporting every base index it needs
-// through record (when non-nil). ctx cancels the base-index builds
+// plan compiles a parsed statement. ctx cancels the base-index builds
 // planning triggers.
-func (p *Planner) plan(ctx context.Context, stmt *SelectStmt, opt Options, record func(string, catalog.IndexDef)) (*Statement, error) {
+func (p *Planner) plan(ctx context.Context, stmt *SelectStmt, opt Options) (*Statement, error) {
 	tis := make(map[string]*catalog.TableInfo, len(stmt.Tables))
 	for _, t := range stmt.Tables {
 		ti := p.cat.Table(t)
@@ -292,7 +250,7 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt, opt Options, recor
 		}
 	}
 
-	b := &builder{ctx: ctx, p: p, stmt: stmt, opt: opt, record: record, fact: factTi, factName: fact,
+	b := &builder{ctx: ctx, p: p, stmt: stmt, opt: opt, fact: factTi, factName: fact,
 		dims: dimList, restr: restr, factCarries: factCarries,
 		groupOwner: groupOwner, aggNames: aggNames, aggExprs: aggExprs, tis: tis}
 	return b.build()

@@ -18,6 +18,8 @@ import (
 // lo_orderdate, and a 2-way join-group with the year's dates sums them.
 // The with-select-join side of the figure is the planner's plan of Q1.1;
 // both return Q1.1's answer.
+//
+//qpptvet:ignore unreached Figure 8 is defined on this plan shape; only the root bench_test.go and the ssb e2e suites run it
 func (ds *Dataset) Figure8Plan() *core.Plan {
 	const dLo, dHi, qLo, qHi = 1, 3, 0, 24 // lo_discount between 1 and 3, lo_quantity < 25
 	loMulti := ds.Lineorder.MustIndex([]string{"lo_discount", "lo_quantity"}, "lo_orderdate", "lo_extendedprice")
@@ -60,6 +62,8 @@ func (ds *Dataset) Figure8Plan() *core.Plan {
 // another 2-way join, which materializes an intermediate keyed on the next
 // join attribute. The uncapped 5-way join is the planner's plan of Q4.1
 // without select-join; every arity returns Q4.1's answer.
+//
+//qpptvet:ignore unreached Figure 9 is defined on these plan shapes; only the root bench_test.go and the ssb e2e suites run them
 func (ds *Dataset) Figure9Plan(arity int) *core.Plan {
 	loMain := ds.Lineorder.MustIndex([]string{"lo_custkey"},
 		"lo_suppkey", "lo_partkey", "lo_orderdate", "lo_revenue", "lo_supplycost")

@@ -18,7 +18,7 @@ import (
 // every materialized intermediate through the spill path. The kernels are
 // an inner-loop strategy; nothing about them may be visible in the output.
 func TestKernelMatchesScalarAndMaterialized(t *testing.T) {
-	if !kernel.Enabled() {
+	if kernel.Mode() == "generic" {
 		t.Skip("kernels disabled in this configuration; the fallback is the only path")
 	}
 	ds := testDataset(t)

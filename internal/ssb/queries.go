@@ -16,26 +16,6 @@ type QueryResult struct {
 	Rows  [][]uint64
 }
 
-// Equal reports whether two results are identical.
-func (r *QueryResult) Equal(o *QueryResult) bool {
-	if len(r.Attrs) != len(o.Attrs) || len(r.Rows) != len(o.Rows) {
-		return false
-	}
-	for i := range r.Attrs {
-		if r.Attrs[i] != o.Attrs[i] {
-			return false
-		}
-	}
-	for i := range r.Rows {
-		for c := range r.Rows[i] {
-			if r.Rows[i][c] != o.Rows[i][c] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // orderRows sorts rows by the given columns (negative = that column
 // descending, encoded as -(col+1)), breaking ties with all remaining
 // columns ascending to make the order total.

@@ -237,3 +237,23 @@ func runSuite(t *testing.T, s suite) {
 		t.Error("no intermediate other than a dimension selection spilled in any budgeted leg")
 	}
 }
+
+// Equal reports whether two results are identical.
+func (r *QueryResult) Equal(o *QueryResult) bool {
+	if len(r.Attrs) != len(o.Attrs) || len(r.Rows) != len(o.Rows) {
+		return false
+	}
+	for i := range r.Attrs {
+		if r.Attrs[i] != o.Attrs[i] {
+			return false
+		}
+	}
+	for i := range r.Rows {
+		for c := range r.Rows[i] {
+			if r.Rows[i][c] != o.Rows[i][c] {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -61,15 +61,6 @@ type Conn struct {
 	Version uint64
 }
 
-// New dials addr (TCP) and performs the protocol handshake.
-func New(addr string) (*Conn, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(nc)
-}
-
 // NewConn performs the handshake over an established connection, taking
 // ownership of nc.
 func NewConn(nc net.Conn) (*Conn, error) {
@@ -147,6 +138,8 @@ func (c *Conn) query(text string, flags byte) (*Result, error) {
 
 // Prepare plans and names a statement server-side, returning its output
 // attribute names.
+//
+//qpptvet:ignore unreached the statement driver the wire tests prove the server's Prepare/Bind/Execute/CloseStmt frames with
 func (c *Conn) Prepare(name, text string) ([]string, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
@@ -170,6 +163,8 @@ func (c *Conn) Prepare(name, text string) ([]string, error) {
 }
 
 // Bind points a portal at a prepared statement.
+//
+//qpptvet:ignore unreached the statement driver the wire tests prove the server's frames with
 func (c *Conn) Bind(portal, stmt string) error {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
@@ -183,18 +178,13 @@ func (c *Conn) Bind(portal, stmt string) error {
 }
 
 // Execute runs a bound portal and returns its raw result.
-func (c *Conn) Execute(portal string) (*Result, error) { return c.execute(portal, 0) }
-
-// ExecuteDecoded runs a bound portal with server-side decoding.
-func (c *Conn) ExecuteDecoded(portal string) (*Result, error) {
-	return c.execute(portal, wire.FlagDecode)
-}
-
-func (c *Conn) execute(portal string, flags byte) (*Result, error) {
+//
+//qpptvet:ignore unreached the statement driver the wire tests prove the server's frames with
+func (c *Conn) Execute(portal string) (*Result, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 	var pl wire.Payload
-	pl.U8(flags)
+	pl.U8(0)
 	pl.Str(portal)
 	if err := c.writeFrame(wire.FrameExecute, pl.Buf); err != nil {
 		return nil, err
@@ -203,6 +193,8 @@ func (c *Conn) execute(portal string, flags byte) (*Result, error) {
 }
 
 // CloseStmt forgets a prepared statement name server-side.
+//
+//qpptvet:ignore unreached the statement driver the wire tests prove the server's frames with
 func (c *Conn) CloseStmt(name string) error {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()

@@ -168,19 +168,6 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("qppt wire: %s: %s", e.Class, e.Msg) }
 
-// Is lets errors.Is match the engine's typed sentinels through a wire
-// round-trip: a ClassOverloaded error is qppt.ErrOverloaded to the
-// caller, a ClassUnavailable one qppt.ErrEngineClosed.
-func (e *Error) Is(target error) bool {
-	switch target {
-	case qppt.ErrOverloaded:
-		return e.Class == ClassOverloaded
-	case qppt.ErrEngineClosed:
-		return e.Class == ClassUnavailable
-	}
-	return false
-}
-
 // WriteFrame writes one frame: type byte, big-endian payload length,
 // payload.
 func WriteFrame(w io.Writer, t FrameType, payload []byte) error {

@@ -159,17 +159,6 @@ func (s *Server) untrack(c *srvConn) {
 	s.mu.Unlock()
 }
 
-// Addr returns the first active listener's address (tests bind :0 and
-// need the resolved port), or nil if none is listening.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for ln := range s.listeners {
-		return ln.Addr()
-	}
-	return nil
-}
-
 // Stats returns the engine's statistics snapshot — the serving tier's
 // observability surface (admission queue depths and waits, statement
 // cache traffic) without handing adapters the engine itself.

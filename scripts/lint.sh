@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Run the full local lint pass: gofmt, go vet, and the in-repo qpptvet
-# analyzer suite (internal/lint) through the real `go vet -vettool`
-# protocol — the same gate CI applies.
+# Run the full local lint pass over the whole module: gofmt, go vet, and
+# the in-repo qpptvet analyzer suite (internal/lint) — the same commands
+# CI runs.
 #
 # Usage:
-#   scripts/lint.sh                 # lint the whole module
-#   scripts/lint.sh ./internal/core # lint specific packages
+#   scripts/lint.sh
 #
 # Findings print as file:line:col: [analyzer] message. Silence a finding
 # only with an auditable reason on the flagged line or the line above:
@@ -13,18 +12,14 @@
 #   //qpptvet:ignore <analyzer> <reason>
 #
 # A bare ignore without a reason suppresses nothing and is itself
-# reported. See README "Static analysis" for the analyzer catalogue.
+# reported, and so is an ignore that covers no finding. See README
+# "Static analysis" for the analyzer catalogue.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-patterns=("$@")
-if [ ${#patterns[@]} -eq 0 ]; then
-  patterns=(./...)
-fi
-
 # gofmt: list offenders explicitly, skipping analyzer testdata trees
-# (their stub sources are inputs, not build targets — though they are
-# kept formatted too).
+# (their sources are inputs, not build targets — though they are kept
+# formatted too).
 unformatted=$(gofmt -l . | grep -v '/testdata/' || true)
 if [ -n "$unformatted" ]; then
   echo "gofmt: unformatted files:" >&2
@@ -33,12 +28,9 @@ if [ -n "$unformatted" ]; then
 fi
 
 echo "== go vet =="
-go vet "${patterns[@]}"
+go vet ./...
 
-echo "== qpptvet (domain invariants) =="
-bin=$(mktemp -d)/qpptvet
-trap 'rm -rf "$(dirname "$bin")"' EXIT
-go build -o "$bin" ./cmd/qpptvet
-go vet -vettool="$bin" "${patterns[@]}"
+echo "== qpptvet (invariant analyzers, whole program) =="
+go run ./cmd/qpptvet ./...
 
 echo "lint: clean"

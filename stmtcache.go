@@ -95,10 +95,3 @@ func (c *stmtCache) drop() {
 	c.ll.Init()
 	c.byText = make(map[string]*list.Element)
 }
-
-// len reports the number of cached statements (tests).
-func (c *stmtCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

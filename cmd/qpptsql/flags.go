@@ -5,19 +5,17 @@ import (
 	"flag"
 
 	"qppt"
-	"qppt/internal/kernel"
 	"qppt/internal/spill"
 )
 
 // execFlags holds the engine flags after parsing: worker pool size,
-// memory budget, chunk-pool cap, the recycler/kernel oracle switches,
-// admission control and the statement cache.
+// memory budget, chunk-pool cap, the recycler oracle switch, admission
+// control and the statement cache.
 type execFlags struct {
 	Workers    int
 	MemBudget  string
 	RecycleCap string
 	NoRecycle  bool
-	NoKernel   bool
 	MaxPlans   int
 	QueueDepth int
 	StmtCache  int
@@ -31,7 +29,6 @@ func register(fs *flag.FlagSet) *execFlags {
 	fs.StringVar(&e.MemBudget, "membudget", "", "intermediate-index memory budget (e.g. 256MiB); empty = unlimited, no spilling")
 	fs.BoolVar(&e.NoRecycle, "norecycle", false, "disable the engine's cross-plan chunk recycler (on by default)")
 	fs.StringVar(&e.RecycleCap, "recyclecap", "", "byte cap on the engine chunk pool (e.g. 256MiB); empty = engine default")
-	fs.BoolVar(&e.NoKernel, "nokernel", false, "disable the SWAR batch kernels: route tree descents through the scalar fallback")
 	fs.IntVar(&e.MaxPlans, "max-plans", 0, "admission cap on concurrently executing plans (0 = unlimited, no admission control)")
 	fs.IntVar(&e.QueueDepth, "queue-depth", 0, "per-session admission queue depth before queries are shed with ErrOverloaded (0 = default; needs -max-plans)")
 	fs.IntVar(&e.StmtCache, "stmtcache", 0, "per-connection prepared-statement cache capacity (0 = default, negative disables)")
@@ -56,15 +53,6 @@ func registerServe(fs *flag.FlagSet) *serveFlags {
 
 // serving reports whether any serving-tier address was given.
 func (s *serveFlags) serving() bool { return s.Listen != "" || s.HTTP != "" }
-
-// applyRuntime applies the process-global knobs that live outside
-// qppt.Config — currently the batch-kernel dispatch switch. Call once
-// after flag parsing, before running queries.
-func (e *execFlags) applyRuntime() {
-	if e.NoKernel {
-		kernel.ForceGeneric()
-	}
-}
 
 // engineConfig resolves the flags into the engine configuration. A flag
 // combination the engine would silently ignore is an error here: the

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"qppt"
-	"qppt/internal/kernel"
 )
 
 // parse registers the engine flags on a fresh set and parses args.
@@ -38,7 +37,6 @@ func TestFlagsLandInConfig(t *testing.T) {
 		{[]string{"-membudget", "64MiB"}, func(c *qppt.Config) { c.MemBudget = 64 << 20 }},
 		{[]string{"-recyclecap", "1G"}, func(c *qppt.Config) { c.RecycleCap = 1 << 30 }},
 		{[]string{"-norecycle"}, func(c *qppt.Config) { c.DisableRecycle = true }},
-		{[]string{"-nokernel"}, func(*qppt.Config) {}}, // process-global, see TestNoKernel
 		{[]string{"-max-plans", "3"}, func(c *qppt.Config) { c.MaxPlans = 3 }},
 		{[]string{"-max-plans", "3", "-queue-depth", "9"}, func(c *qppt.Config) { c.MaxPlans, c.QueueDepth = 3, 9 }},
 		{[]string{"-stmtcache", "-1"}, func(c *qppt.Config) { c.StmtCache = -1 }},
@@ -83,27 +81,20 @@ func TestEngineConfigRejects(t *testing.T) {
 	}
 }
 
-// The flags of the removed one-shot and fusion modes and of the knobs that
-// became constants must be gone, not silently accepted.
+// The flags of the removed one-shot, fusion and batch-kernel modes and of
+// the knobs that became constants must be gone, not silently accepted.
 func TestRemovedFlagsAreUndefined(t *testing.T) {
-	for _, args := range [][]string{{"-recycle"}, {"-buffer", "64"}, {"-morsels", "2"}, {"-probebatch", "1"}, {"-nofuse"}} {
+	for _, args := range [][]string{
+		{"-recycle"},
+		{"-buffer", "64"},
+		{"-morsels", "2"},
+		{"-probebatch", "1"},
+		{"-nofuse"},
+		{"-nokernel"},
+	} {
 		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: parse error %v, want \"flag provided but not defined\"", args, err)
 		}
-	}
-}
-
-func TestNoKernel(t *testing.T) {
-	restore := kernel.ForceGeneric() // capture the starting state...
-	restore()                        // ...and return to it
-	t.Cleanup(restore)
-	e, err := parse(t, "-nokernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.applyRuntime()
-	if kernel.Mode() != "generic" {
-		t.Error("-nokernel left the batch kernels enabled")
 	}
 }
 

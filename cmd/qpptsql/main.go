@@ -6,7 +6,7 @@
 //
 //	qpptsql [-sf 0.05] [-stats] [-no-select-join]
 //	        [-workers N] [-membudget 256MiB]
-//	        [-norecycle] [-recyclecap 256MiB] [-nokernel]
+//	        [-norecycle] [-recyclecap 256MiB]
 //	        [-max-plans N] [-queue-depth D] [-stmtcache C]
 //	        [-listen :5477] [-serve :8080]
 //
@@ -68,7 +68,6 @@ func main() {
 	srvFlags := registerServe(flag.CommandLine)
 	exec := register(flag.CommandLine)
 	flag.Parse()
-	exec.applyRuntime()
 
 	cfg, err := exec.engineConfig()
 	if err != nil {

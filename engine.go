@@ -31,7 +31,6 @@ import (
 	"qppt/internal/arena"
 	"qppt/internal/catalog"
 	"qppt/internal/core"
-	"qppt/internal/kernel"
 	"qppt/internal/spill"
 	"qppt/internal/sql"
 )
@@ -169,10 +168,6 @@ type Stats struct {
 	// Spill aggregates the shared spill manager's activity under
 	// Config.MemBudget (zero without a budget).
 	Spill spill.Stats
-	// Kernel names the active batch-kernel dispatch target ("swar-amd64",
-	// "swar", or "generic" when the fallback oracle is forced via
-	// -nokernel / QPPT_KERNEL=off / a purego build).
-	Kernel string
 	// Admission snapshots the admission gate: current/peak queue depth,
 	// cumulative queue wait time, admitted/rejected plans (zero without
 	// Config.MaxPlans).
@@ -190,7 +185,6 @@ func (e *Engine) Stats() Stats {
 		Workers:  e.env.Workers(),
 		Recycler: e.env.RecyclerStats(),
 		Spill:    e.env.SpillStats(),
-		Kernel:   kernel.Mode(),
 		StmtCache: StmtCacheStats{
 			Hits:    e.stmtHits.Load(),
 			Misses:  e.stmtMisses.Load(),
@@ -205,7 +199,7 @@ func (e *Engine) Stats() Stats {
 }
 
 func (s Stats) String() string {
-	out := fmt.Sprintf("engine: %d queries on %d workers (batch kernels: %s)\n", s.Queries, s.Workers, s.Kernel)
+	out := fmt.Sprintf("engine: %d queries on %d workers\n", s.Queries, s.Workers)
 	r := s.Recycler
 	out += fmt.Sprintf("recycler: %d chunks parked (%s pooled), %d reused (%s of allocation avoided)",
 		r.Recycled, spill.FormatBytes(r.PooledBytes), r.Reused, spill.FormatBytes(r.SavedBytes))

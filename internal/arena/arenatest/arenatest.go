@@ -1,6 +1,4 @@
 // Package arenatest is test support for code that pools arena chunks.
-//
-//qpptvet:ignore unreached test support the chunk-pooling tests of several packages share
 package arenatest
 
 import (
@@ -16,6 +14,8 @@ import (
 // dirty chunk means some owner wrote beyond the length it handed over.
 // Any test that adds or exercises a PutChunk call site should run under
 // it. The returned counter is the number of chunks checked so far.
+//
+//qpptvet:ignore unreached test support the chunk-pooling tests of several packages share
 func CheckZeroHandouts(t testing.TB) *atomic.Int64 {
 	t.Helper()
 	var handed, dirty atomic.Int64

@@ -1,6 +1,6 @@
 //go:build !race
 
-package kernel
+package arenatest
 
 // RaceEnabled reports whether the race detector is compiled in.
 //

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qppt/internal/duplist"
+	"qppt/internal/prefixtree"
 )
 
 // The test fixture is a miniature star schema:
@@ -481,14 +482,11 @@ func TestNewIndexStructureChoice(t *testing.T) {
 	if _, isPT := NewIndex(IndexConfig{KeyBits: 33}).(ptIndex); !isPT {
 		t.Error("wide keys did not pick the prefix tree")
 	}
-	if _, isPT := NewIndex(IndexConfig{KeyBits: 20, ForcePrefixTree: true}).(ptIndex); !isPT {
-		t.Error("ForcePrefixTree ignored")
-	}
 }
 
 func TestSyncScanMixedKinds(t *testing.T) {
-	a := NewIndex(IndexConfig{KeyBits: 20})                        // KISS
-	b := NewIndex(IndexConfig{KeyBits: 20, ForcePrefixTree: true}) // PT
+	a := NewIndex(IndexConfig{KeyBits: 20})                          // KISS
+	b := ptIndex{prefixtree.MustNew(prefixtree.Config{KeyBits: 20})} // PT
 	want := 0
 	for i := uint64(0); i < 3000; i += 3 {
 		a.Insert(i, nil)

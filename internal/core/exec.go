@@ -141,8 +141,6 @@ func (ec *ExecContext) noteSink(p *pipeline) {
 	ec.opStats.IndexTime += p.snk.insertTime
 	ec.opStats.TuplesIndexed += p.snk.inserted
 	ec.opStats.ProbeLookups += p.lookups
-	ec.opStats.KernelDescents += p.kernelDescents
-	ec.opStats.ScalarDescents += p.scalarDescents
 	ec.opStats.Workers++
 	ec.opStats.Morsels += p.morsels
 	ec.mu.Unlock()
@@ -170,11 +168,9 @@ type OperatorStats struct {
 	ProbeBatches int
 	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
 	AvgBatchFill float64
-	// KernelDescents/ScalarDescents split this operator's batched
-	// assisting-index lookups by the descent strategy the trees picked:
-	// the word-parallel SWAR kernel vs the scalar job loop (small
-	// batches, or kernels disabled via -nokernel / QPPT_KERNEL=off).
+	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
 	KernelDescents int
+	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
 	ScalarDescents int
 	// Workers is the number of pool workers that contributed a partial
 	// output; Morsels the number of key-range morsels they processed
@@ -253,9 +249,6 @@ func (ps *PlanStats) String() string {
 		s += fmt.Sprintf("recycler: %d chunks parked, %d reused (%s of allocation avoided)\n",
 			ps.ChunksRecycled, ps.ChunksReused, spill.FormatBytes(ps.RecycleSavedBytes))
 	}
-	if kd, sd := ps.descents(); kd > 0 || sd > 0 {
-		s += fmt.Sprintf("kernels: %d SWAR descents, %d scalar\n", kd, sd)
-	}
 	for _, op := range ps.Ops {
 		s += fmt.Sprintf("  %-24s %10v (index %8v) out: %d rows, %d keys, %d B",
 			op.Label, op.Time.Round(time.Microsecond), op.IndexTime.Round(time.Microsecond),
@@ -269,16 +262,6 @@ func (ps *PlanStats) String() string {
 		s += "\n"
 	}
 	return s
-}
-
-// descents sums the per-operator kernel/scalar descent split for the
-// plan-level stats line and the engine's serve-mode counters.
-func (ps *PlanStats) descents() (kernel, scalar int) {
-	for _, op := range ps.Ops {
-		kernel += op.KernelDescents
-		scalar += op.ScalarDescents
-	}
-	return kernel, scalar
 }
 
 // A Plan is an executable QPPT operator DAG; Env.Run executes it.

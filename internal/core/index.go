@@ -67,16 +67,6 @@ type IndexConfig struct {
 	PayloadWidth int
 	// Fold, if non-nil, makes the index aggregate rows per key.
 	Fold func(dst, src []uint64)
-	// PrefixLen overrides the prefix tree's k′ (default 4); ignored for
-	// KISS-Trees.
-	PrefixLen uint
-	// ForcePrefixTree disables the KISS-Tree choice even for narrow
-	// keys; used by benchmarks that compare the structures directly.
-	ForcePrefixTree bool
-	// CompressKISS enables bitmask compression of KISS second-level
-	// nodes. QPPT leaves this off for dense domains to avoid the RCU
-	// copy overhead (paper Section 2.2).
-	CompressKISS bool
 	// Recycler, if non-nil, routes the index's chunk storage through a
 	// chunk pool (see arena.Recycler): growth draws from it
 	// and dropping the index parks the chunks there for the next one.
@@ -84,22 +74,21 @@ type IndexConfig struct {
 }
 
 // NewIndex creates the index structure QPPT would pick for the given
-// configuration: a KISS-Tree for keys up to 32 bits, a generalized prefix
-// tree otherwise.
+// configuration: an uncompressed KISS-Tree for keys up to 32 bits (QPPT
+// leaves compression off to avoid the RCU copy overhead, paper Section
+// 2.2), a generalized prefix tree with the default k′ otherwise.
 func NewIndex(cfg IndexConfig) Index {
 	if cfg.KeyBits == 0 {
 		cfg.KeyBits = 64
 	}
-	if cfg.KeyBits <= kisstree.KeyBits && !cfg.ForcePrefixTree {
+	if cfg.KeyBits <= kisstree.KeyBits {
 		return kissIndex{kisstree.MustNew(kisstree.Config{
 			PayloadWidth: cfg.PayloadWidth,
 			Fold:         cfg.Fold,
-			Compress:     cfg.CompressKISS,
 			Recycler:     cfg.Recycler,
 		})}
 	}
 	return ptIndex{prefixtree.MustNew(prefixtree.Config{
-		PrefixLen:    cfg.PrefixLen,
 		KeyBits:      cfg.KeyBits,
 		PayloadWidth: cfg.PayloadWidth,
 		Fold:         cfg.Fold,

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"qppt/internal/duplist"
+	"qppt/internal/prefixtree"
 )
 
 func TestPartitionBounds(t *testing.T) {
@@ -76,14 +77,14 @@ func TestSyncScanMorselsCoverSyncScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	configs := []struct {
 		name string
-		a, b IndexConfig
+		a, b Index
 	}{
-		{"kiss-kiss", IndexConfig{KeyBits: 20}, IndexConfig{KeyBits: 20}},
-		{"pt-pt", IndexConfig{KeyBits: 40}, IndexConfig{KeyBits: 40}},
-		{"mixed", IndexConfig{KeyBits: 20}, IndexConfig{KeyBits: 20, ForcePrefixTree: true}},
+		{"kiss-kiss", NewIndex(IndexConfig{KeyBits: 20}), NewIndex(IndexConfig{KeyBits: 20})},
+		{"pt-pt", NewIndex(IndexConfig{KeyBits: 40}), NewIndex(IndexConfig{KeyBits: 40})},
+		{"mixed", NewIndex(IndexConfig{KeyBits: 20}), ptIndex{prefixtree.MustNew(prefixtree.Config{KeyBits: 20})}},
 	}
 	for _, cfg := range configs {
-		a, b := NewIndex(cfg.a), NewIndex(cfg.b)
+		a, b := cfg.a, cfg.b
 		for i := 0; i < 20000; i++ {
 			a.Insert(uint64(rng.Intn(50000)), nil)
 			b.Insert(uint64(rng.Intn(50000)), nil)

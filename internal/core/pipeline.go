@@ -7,7 +7,6 @@ import (
 
 	"qppt/internal/arena"
 	"qppt/internal/duplist"
-	"qppt/internal/kernel"
 	"qppt/internal/key"
 )
 
@@ -154,9 +153,6 @@ type pipeline struct {
 	bufSize int
 	lookups int // probe-stage lookups issued (stats)
 	morsels int // key-range morsels scanned through this pipeline (stats)
-
-	kernelDescents int // probe-stage flushes taking the SWAR kernel descent
-	scalarDescents int // probe-stage flushes taking the scalar job loop
 }
 
 // setFilter installs a combination filter at the entry of stage i.
@@ -315,13 +311,6 @@ func (p *pipeline) flushStage(i int) {
 	}
 	ctxs, keys := st.ctxs, st.keys
 	p.lookups += len(keys)
-	// Mirror the trees' dispatch decision so the stats split (kernel vs
-	// scalar descents) reflects which inner loop actually ran.
-	if kernel.Batched(len(keys)) {
-		p.kernelDescents++
-	} else {
-		p.scalarDescents++
-	}
 	st.table.Idx.LookupBatch(keys, func(j int, vals *duplist.List) {
 		if vals == nil {
 			return // key absent: combination removed from the cross product

@@ -16,6 +16,8 @@ import (
 	"qppt/internal/arena"
 	"qppt/internal/arena/arenatest"
 	"qppt/internal/duplist"
+	"qppt/internal/kisstree"
+	"qppt/internal/prefixtree"
 )
 
 // Regression: shard() used to return len(s.his) for a key above the last
@@ -235,6 +237,51 @@ func dimPlan(f *fixture, brand uint64, dims ...Operator) *SelectJoin {
 	return sj
 }
 
+// sharedPlan joins two select-joins (brands brand and brand+1) that both
+// probe the same dimension operator: an intermediate with two consumers.
+func sharedPlan(f *fixture, brand uint64, shared Operator) *Join {
+	return &Join{
+		Left:  dimPlan(f, brand, shared),
+		Right: dimPlan(f, brand+1, shared),
+		Out: OutputSpec{
+			Name:     "⋈_region",
+			Key:      SimpleKey("region", 8),
+			KeyRefs:  []Ref{{Input: 0, Attr: "region"}},
+			Cols:     []string{"a", "b"},
+			ColExprs: []RowExpr{Attr(0, "sum_qty"), Attr(1, "sum_qty")},
+		},
+	}
+}
+
+// TestSharedInputUnpinnedAfterEachConsumer: finishOp unpins an operator's
+// inputs once it has run. Under a one-byte budget the intermediate both
+// select-joins read is frozen again after its first consumer, so the second
+// consumer's pin restores it a second time. An input left pinned would stay
+// resident through the second consumer and be restored only once.
+func TestSharedInputUnpinnedAfterEachConsumer(t *testing.T) {
+	f := buildFixture(31)
+	shared := dimSel(f, "σ_shared")
+	pl := &Plan{Root: sharedPlan(f, 4, shared)}
+	want, _, err := run(t, EnvConfig{}, pl, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := run(t, EnvConfig{MemBudget: 1}, pl, Options{CollectStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(Extract(got).Rows, Extract(want).Rows) {
+		t.Fatal("budgeted result differs")
+	}
+	i := slices.IndexFunc(stats.Ops, func(op OperatorStats) bool { return op.Label == shared.Label() })
+	if i < 0 {
+		t.Fatalf("no operator row for %s:\n%s", shared.Label(), stats)
+	}
+	if r := stats.Ops[i].Restores; r < 2 {
+		t.Fatalf("%s restored ×%d, want ≥ 2 (once per consumer):\n%s", shared.Label(), r, stats)
+	}
+}
+
 // TestSpillLiveness pins the executor's eviction rule by counts, under a
 // budget that holds one intermediate but not two: an input leaves the
 // budget when its last consumer has run, before the operator's output
@@ -259,17 +306,7 @@ func TestSpillLiveness(t *testing.T) {
 		{"3 dimensions", 3, dimPlan(f, brand, dimSel(f, "σ_1"), dimSel(f, "σ_2"), dimSel(f, "σ_3"))},
 		// σ_shared feeds both select-joins; dropping it when the first has
 		// run would fail the second's pin.
-		{"2 consumers", -1, &Join{
-			Left:  dimPlan(f, brand, shared),
-			Right: dimPlan(f, brand+1, shared),
-			Out: OutputSpec{
-				Name:     "⋈_region",
-				Key:      SimpleKey("region", 8),
-				KeyRefs:  []Ref{{Input: 0, Attr: "region"}},
-				Cols:     []string{"a", "b"},
-				ColExprs: []RowExpr{Attr(0, "sum_qty"), Attr(1, "sum_qty")},
-			},
-		}},
+		{"2 consumers", -1, sharedPlan(f, brand, shared)},
 	}
 	// One intermediate's tracked size, to put the budget between one and two.
 	_, st, err := run(t, EnvConfig{}, &Plan{Root: plans[1].root}, Options{CollectStats: true})
@@ -434,9 +471,11 @@ func TestShardedThawTruncatedAnywhere(t *testing.T) {
 	const bits = 24
 	var shards []Index
 	var los, his []uint64
-	for i, cfg := range []IndexConfig{{ForcePrefixTree: true}, {}, {CompressKISS: true}} {
-		cfg.KeyBits, cfg.PayloadWidth, cfg.Recycler = bits, 1, rec
-		idx := NewIndex(cfg)
+	for i, idx := range []Index{
+		ptIndex{prefixtree.MustNew(prefixtree.Config{KeyBits: bits, PayloadWidth: 1, Recycler: rec})},
+		kissIndex{kisstree.MustNew(kisstree.Config{PayloadWidth: 1, Recycler: rec})},
+		kissIndex{kisstree.MustNew(kisstree.Config{PayloadWidth: 1, Compress: true, Recycler: rec})},
+	} {
 		lo := uint64(i) << 22
 		for k := uint64(0); k < 9000; k++ {
 			idx.Insert(lo+k*311%(1<<22), []uint64{k})

@@ -3,8 +3,7 @@
 package kernel
 
 // purego dispatch: the generic oracle is the default (QPPT_KERNEL=on can
-// still opt back into the portable SWAR variants at runtime). CI builds
-// and tests this configuration so the fallback path never rots.
+// still opt back into the portable SWAR variants at runtime).
 const (
 	defaultEnabled = false
 	dispatchMode   = "swar"

@@ -2,8 +2,8 @@ package kernel
 
 // The generic variants are the oracle: the simplest possible loop per
 // primitive, kept deliberately boring so differential tests compare the
-// optimized SWAR code against something obviously correct. They are also
-// the permanent fallback (purego builds, QPPT_KERNEL=off, ForceGeneric).
+// optimized SWAR code against something obviously correct, and what runs
+// under purego builds, QPPT_KERNEL=off and ForceGeneric.
 
 func fragsGeneric(dst, keys []uint64, shift uint, mask uint64) {
 	for i, k := range keys {

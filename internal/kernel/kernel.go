@@ -1,35 +1,28 @@
 // Package kernel hosts the branch-free, word-parallel (SWAR-on-uint64)
-// batch primitives: Frags extracts key fragments for the level-synchronous
-// batched descent of both tree kinds, and RangeMask evaluates a key-range
-// predicate over a batch into a bitmask.
+// batch primitives Frags (per-key fragment extraction) and RangeMask (a
+// key-range predicate over a batch as a bitmask).
+//
+// The package is benchmark-only: no engine package imports it.
+// benchmark/probes.go times its primitives and benchmark/main.go records
+// Mode; once the benchmark drops those probes, the package goes.
 //
 // Dispatch contract: every exported entry point has two implementations —
 // an optimized SWAR variant (swar.go, unrolled, bounds-check hoisted) and
-// a plain-loop generic variant (generic.go) that is the oracle in tests
-// and the permanent fallback. Which one runs is a process-global switch:
-//
-//   - the per-arch dispatch files (dispatch_*.go, selected by build tags)
-//     pick the default, so an arch-specific assembly variant can later
-//     drop in behind the same seam without touching call sites;
-//   - building with `-tags purego`, setting QPPT_KERNEL=off in the
-//     environment, or calling ForceGeneric routes everything through the
-//     generic oracle at runtime.
+// a plain-loop generic variant (generic.go) that is the oracle in tests.
+// Which one runs is a process-global switch: the per-arch dispatch files
+// (dispatch_*.go, selected by build tags) pick the default, and building
+// with `-tags purego`, setting QPPT_KERNEL=off in the environment, or
+// calling ForceGeneric routes everything through the generic oracle.
 //
 // Both variants are bit-identical by contract (enforced by differential
-// tests and FuzzKernelVsScalar) and allocation-free on every entry point.
-// The package deliberately operates on plain slices only — no arena refs,
-// no unsafe.
+// tests) and allocation-free on every entry point. The package operates on
+// plain slices only — no arena refs, no unsafe.
 package kernel
 
 import (
 	"os"
 	"sync/atomic"
 )
-
-// MinBatch is the smallest batch for which the word-parallel kernels are
-// worth their setup over the scalar per-key loop; callers gate batch-level
-// strategy choices on Batched rather than re-deriving a threshold.
-const MinBatch = 16
 
 var enabled atomic.Bool
 
@@ -44,12 +37,8 @@ func init() {
 	enabled.Store(on)
 }
 
-// Batched reports whether a batch of n keys should take the kernelized
-// (level-synchronous / selection-vector) path rather than the scalar one.
-func Batched(n int) bool { return n >= MinBatch && enabled.Load() }
-
 // Mode names the active dispatch target ("swar", "swar-amd64", ...) or
-// "generic" when the fallback oracle is forced; surfaced in engine stats.
+// "generic" when the fallback oracle is forced; benchmark records carry it.
 func Mode() string {
 	if enabled.Load() {
 		return dispatchMode
@@ -58,8 +47,8 @@ func Mode() string {
 }
 
 // ForceGeneric switches every entry point to the generic oracle and
-// returns a func restoring the previous state. Used by the scalar leg of
-// ablations, the -nokernel CLI flag, and differential tests.
+// returns a func restoring the previous state. Used by the benchmark's
+// generic probe leg and by tests.
 func ForceGeneric() (restore func()) {
 	prev := enabled.Swap(false)
 	return func() { enabled.Store(prev) }
@@ -69,10 +58,8 @@ func ForceGeneric() (restore func()) {
 func MaskWords(n int) int { return (n + 63) / 64 }
 
 // Frags extracts the per-key fragment (keys[i]>>shift)&mask for a whole
-// batch into dst, which must be at least len(keys) long. This is the
-// level-synchronous descent's fragment pass: one unrolled, bounds-check
-// hoisted sweep per tree level instead of a shift+mask inside the per-key
-// resolve loop.
+// batch into dst, which must be at least len(keys) long: one unrolled,
+// bounds-check hoisted sweep. Its only caller is benchmark/probes.go.
 func Frags(dst, keys []uint64, shift uint, mask uint64) {
 	if enabled.Load() {
 		fragsSWAR(dst, keys, shift, mask)

@@ -115,29 +115,14 @@ func TestForceGenericRestores(t *testing.T) {
 	if Mode() != "generic" {
 		t.Fatalf("Mode() = %q under ForceGeneric, want generic", Mode())
 	}
-	if Batched(1 << 10) {
-		t.Fatal("Batched reported true under ForceGeneric")
-	}
 	restore()
 	if enabled.Load() != wasEnabled {
 		t.Fatal("restore did not reinstate prior dispatch state")
 	}
 }
 
-func TestBatchedThreshold(t *testing.T) {
-	if !enabled.Load() {
-		t.Skip("kernels disabled in this configuration")
-	}
-	if Batched(MinBatch - 1) {
-		t.Fatalf("Batched(%d) = true below MinBatch", MinBatch-1)
-	}
-	if !Batched(MinBatch) {
-		t.Fatalf("Batched(%d) = false at MinBatch", MinBatch)
-	}
-}
-
-// Every kernel entry point must be allocation-free — they run once per
-// batch inside the probe hot loop. Mirrors TestLookupBatchAllocationFree.
+// Every kernel entry point must be allocation-free: the benchmark times
+// them per batch.
 func TestKernelEntryPointsAllocationFree(t *testing.T) {
 	keys := testKeys(512, 99, false)
 	dst := make([]uint64, len(keys))

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"qppt/internal/kernel"
+	"qppt/internal/arena/arenatest"
 )
 
 func kissBenchKeys(n int, seed int64) []uint64 {
@@ -57,14 +57,16 @@ func BenchmarkKissInsertBatch(b *testing.B) {
 	}
 }
 
-// TestKissBatchAllocationFree pins the pooled-scratch satellite for the
-// KISS-Tree: after warm-up, batched lookups allocate nothing.
-func TestKissBatchAllocationFree(t *testing.T) {
-	if kernel.RaceEnabled {
+// checkBatchAllocationFree builds a tree of 4096 random keys in cfg's node
+// layout and fails unless a warmed-up 512-key LookupBatch allocates
+// nothing.
+func checkBatchAllocationFree(t *testing.T, cfg Config, seed int64) {
+	t.Helper()
+	if arenatest.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
 	}
-	keys := kissBenchKeys(1<<12, 61)
-	tr := MustNew(Config{})
+	keys := kissBenchKeys(1<<12, seed)
+	tr := MustNew(cfg)
 	for _, k := range keys {
 		tr.Insert(k, nil)
 	}
@@ -78,7 +80,19 @@ func TestKissBatchAllocationFree(t *testing.T) {
 		})
 	})
 	if allocs != 0 {
-		t.Fatalf("LookupBatch allocates %.1f objects per batch, want 0", allocs)
+		t.Fatalf("compress=%v: LookupBatch allocates %.1f objects per batch, want 0", cfg.Compress, allocs)
 	}
 	_ = sink
+}
+
+// TestKissBatchAllocationFree pins the pooled-scratch satellite for the
+// KISS-Tree: after warm-up, batched lookups allocate nothing.
+func TestKissBatchAllocationFree(t *testing.T) {
+	checkBatchAllocationFree(t, Config{}, 61)
+}
+
+// TestKissKernelAllocationFree pins the same for the compressed node
+// layout. The name is kept from the SWAR descent it used to time.
+func TestKissKernelAllocationFree(t *testing.T) {
+	checkBatchAllocationFree(t, Config{Compress: true}, 73)
 }

@@ -348,22 +348,18 @@ func (t *Tree) Iterate(visit func(lf *Leaf) bool) bool {
 }
 
 // Range visits, in ascending key order, every leaf with lo <= key <= hi.
+// The bounds may lie outside the 32-bit key space: they are clipped to the
+// keys the tree holds before they are narrowed, so a bound past 2^32−1
+// matches nothing beyond the largest key.
 func (t *Tree) Range(lo, hi uint64, visit func(lf *Leaf) bool) bool {
-	if lo > hi || t.keys == 0 {
+	if t.keys == 0 {
 		return true
 	}
-	l := checkKey(lo)
-	h := checkKey(hi)
-	if l < t.minKey {
-		l = t.minKey
-	}
-	if h > t.maxKey {
-		h = t.maxKey
-	}
-	if l > h {
+	lo, hi = max(lo, uint64(t.minKey)), min(hi, uint64(t.maxKey))
+	if lo > hi {
 		return true
 	}
-	return t.iterateRange(l, h, visit)
+	return t.iterateRange(uint32(lo), uint32(hi), visit)
 }
 
 func (t *Tree) iterateRange(lo, hi uint32, visit func(lf *Leaf) bool) bool {

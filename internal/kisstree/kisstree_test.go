@@ -1,6 +1,7 @@
 package kisstree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -203,6 +204,29 @@ func TestPropertyOracle(t *testing.T) {
 	}
 }
 
+// checkBatch runs one LookupBatch and holds it to the per-key Lookup
+// oracle: one visit per key, in batch order, each with the leaf Lookup
+// returns for that key (nil for a miss) — the same hit set, the same leaf
+// identity and the same visit order.
+func checkBatch(t *testing.T, tr *Tree, batch []uint64, label string) {
+	t.Helper()
+	next := 0
+	tr.LookupBatch(batch, func(i int, lf *Leaf) {
+		if i != next {
+			t.Fatalf("%s: visit %d is batch[%d], want batch order", label, next, i)
+		}
+		next++
+		if want := tr.Lookup(batch[i]); lf != want {
+			t.Fatalf("%s: batch[%d]=%d resolved to %p, Lookup to %p", label, i, batch[i], lf, want)
+		}
+	})
+	if next != len(batch) {
+		t.Fatalf("%s: %d visits for %d keys", label, next, len(batch))
+	}
+}
+
+// TestLookupBatchMatchesScalar checks LookupBatch against per-key Lookup
+// on both node layouts over a dense 10k-key tree.
 func TestLookupBatchMatchesScalar(t *testing.T) {
 	for _, cfg := range configs() {
 		tr := MustNew(cfg)
@@ -215,12 +239,32 @@ func TestLookupBatchMatchesScalar(t *testing.T) {
 		for i := range batch {
 			batch[i] = uint64(rng.Uint32() % 400000)
 		}
-		tr.LookupBatch(batch, func(i int, lf *Leaf) {
-			scalar := tr.Lookup(batch[i])
-			if lf != scalar {
-				t.Fatalf("compress=%v: batch[%d]=%d mismatch", cfg.Compress, i, batch[i])
-			}
-		})
+		checkBatch(t, tr, batch, fmt.Sprintf("compress=%v", cfg.Compress))
+	}
+}
+
+// TestKissKernelMatchesScalar holds LookupBatch to per-key Lookup on both
+// node layouts over a sparse 32-bit tree, across hits, misses,
+// duplicates, and empty batches. The name is kept from the SWAR descent
+// it used to compare against the job loop; the shapes are unchanged.
+func TestKissKernelMatchesScalar(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		label := fmt.Sprintf("compress=%v", compress)
+		tr := MustNew(Config{Compress: compress})
+		rng := rand.New(rand.NewSource(71))
+		present := make([]uint64, 400)
+		for i := range present {
+			present[i] = uint64(rng.Uint32())
+		}
+		tr.InsertBatch(present, nil)
+		batch := append([]uint64(nil), present...) // hits
+		batch = append(batch, present[:64]...)     // duplicates
+		for i := 0; i < 300; i++ {                 // mostly misses
+			batch = append(batch, uint64(rng.Uint32()))
+		}
+		checkBatch(t, tr, batch, label+" mixed")
+		checkBatch(t, tr, batch[:0], label+" empty")
+		checkBatch(t, tr, batch[len(present):len(present)+64], label+" all-dup")
 	}
 }
 

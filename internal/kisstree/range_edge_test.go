@@ -51,6 +51,36 @@ func TestCompressedRangeEdgeCases(t *testing.T) {
 	}
 }
 
+// TestRangeBoundsBeyondKeySpace: a bound at or past 2^32 is a valid range
+// bound (an SQL literal on a 32-bit column), not a key to store. Range
+// visits exactly the leaves inside the range instead of panicking.
+func TestRangeBoundsBeyondKeySpace(t *testing.T) {
+	const top = uint64(1)<<32 - 1
+	keys := []uint64{0, 7, 1 << 31, top}
+	for _, compress := range []bool{true, false} {
+		tr := MustNew(Config{Compress: compress})
+		for _, k := range keys {
+			tr.Insert(k, nil)
+		}
+		cases := []struct {
+			lo, hi uint64
+			want   []uint64
+		}{
+			{1 << 32, 1 << 32, nil},                 // point just past the key space
+			{1 << 40, ^uint64(0), nil},              // both bounds far outside
+			{7, 1 << 32, []uint64{7, 1 << 31, top}}, // hi outside: clipped to the largest key
+			{0, ^uint64(0), keys},                   // everything
+			{top, 1 << 33, []uint64{top}},           // lo at the last key
+			{1 << 32, 7, nil},                       // inverted
+		}
+		for _, c := range cases {
+			if got := collectRange(tr, c.lo, c.hi); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("compress=%v: range [%#x,%#x] = %v, want %v", compress, c.lo, c.hi, got, c.want)
+			}
+		}
+	}
+}
+
 func TestCompressedRangeAcrossChunkBoundaries(t *testing.T) {
 	// A root chunk covers 2^16 root buckets = 2^22 keys. Plant keys just
 	// below, at, and just above the first chunk boundary, plus one far

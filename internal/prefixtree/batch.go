@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"qppt/internal/arena"
-	"qppt/internal/kernel"
 )
 
 // Batch processing (paper Section 2.3, Algorithm 1).
@@ -54,22 +53,12 @@ func getJobs(n int) *[]lookupJob {
 	return jp
 }
 
-// LookupBatch resolves all keys and calls visit(i, leaf) for each, where
-// leaf is nil for absent keys. The traversal is level-synchronous: every
-// pass advances every unfinished job by one tree level, so the node loads
-// within a pass are independent and their cache misses overlap. Batches
-// large enough to amortize the setup take the word-parallel kernel
-// descent (batch_kernel.go); the scalar job loop below stays the
-// fallback and the oracle.
+// LookupBatch resolves all keys and calls visit(i, leaf) for each, in
+// batch order, where leaf is nil for absent keys. The traversal is
+// level-synchronous: every pass advances every unfinished job by one tree
+// level, so the node loads within a pass are independent and their cache
+// misses overlap.
 func (t *Tree) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
-	if kernel.Batched(len(keys)) {
-		t.lookupBatchKernel(keys, visit)
-		return
-	}
-	t.lookupBatchScalar(keys, visit)
-}
-
-func (t *Tree) lookupBatchScalar(keys []uint64, visit func(i int, lf *Leaf)) {
 	if len(keys) == 0 {
 		return
 	}

@@ -2,9 +2,10 @@ package prefixtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
-	"qppt/internal/kernel"
+	"qppt/internal/arena/arenatest"
 )
 
 // Layout benchmarks: the arena-backed compact-pointer tree on the hot
@@ -108,15 +109,32 @@ func BenchmarkSyncScan(b *testing.B) {
 // TestLookupBatchAllocationFree pins the pooled-scratch satellite: after
 // warm-up, batched lookups on the arena tree allocate nothing.
 func TestLookupBatchAllocationFree(t *testing.T) {
-	if kernel.RaceEnabled {
+	if arenatest.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
 	}
 	keys := benchKeys(1<<12, 101)
-	tr := buildArena(keys, benchRows(keys))
-	tr.LookupBatch(keys[:DefaultBatchSize], func(int, *Leaf) {}) // warm the pool
+	checkBatchAllocationFree(t, buildArena(keys, benchRows(keys)), keys[:DefaultBatchSize])
+}
+
+// TestLookupBatchKernelAllocationFree pins the same for a sorted probe
+// batch, the order the join operators feed. The name is kept from the
+// SWAR descent it used to time.
+func TestLookupBatchKernelAllocationFree(t *testing.T) {
+	if arenatest.RaceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
+	}
+	keys := benchKeys(1<<12, 103)
+	batch := slices.Clone(keys[:DefaultBatchSize])
+	slices.Sort(batch)
+	checkBatchAllocationFree(t, buildArena(keys, benchRows(keys)), batch)
+}
+
+func checkBatchAllocationFree(t *testing.T, tr *Tree, batch []uint64) {
+	t.Helper()
+	tr.LookupBatch(batch, func(int, *Leaf) {}) // warm the pool
 	var sink uint64
 	allocs := testing.AllocsPerRun(20, func() {
-		tr.LookupBatch(keys[:DefaultBatchSize], func(_ int, lf *Leaf) {
+		tr.LookupBatch(batch, func(_ int, lf *Leaf) {
 			if lf != nil {
 				sink += lf.Key
 			}

@@ -262,11 +262,11 @@ func TestWirePrepareBindExecute(t *testing.T) {
 	assertNoLeakedGoroutines(t)
 }
 
-// TestWireHostileSQLIsBadRequest: texts that once panicked the planner —
-// a number literal above 2^64-1, a FROM table no join reaches — answer the
-// connection that sent them with ClassBadRequest, and the same connection
-// then answers SSB Q2.1 correctly: the server is still there.
-func TestWireHostileSQLIsBadRequest(t *testing.T) {
+// hostileThenQ21 sends each text on one in-process connection and hands
+// its answer to check, then requires the same connection to answer SSB
+// Q2.1 correctly: the server is still there.
+func hostileThenQ21(t *testing.T, texts []string, check func(text string, res *client.Result, err error)) {
+	t.Helper()
 	ds := wireDataset(t)
 	eng, err := qppt.New(qppt.Config{})
 	if err != nil {
@@ -285,14 +285,9 @@ func TestWireHostileSQLIsBadRequest(t *testing.T) {
 	}
 	defer cc.Close()
 
-	for _, text := range []string{
-		"select sum(lo_revenue) from lineorder where lo_quantity = 99999999999999999999",
-		"select sum(lo_revenue) from lineorder, date, part where lo_orderdate = d_datekey group by p_brand1",
-	} {
-		var werr *wire.Error
-		if _, err := cc.Query(text); !errors.As(err, &werr) || werr.Class != wire.ClassBadRequest {
-			t.Fatalf("%q returned %v, want ClassBadRequest", text, err)
-		}
+	for _, text := range texts {
+		res, err := cc.Query(text)
+		check(text, res, err)
 	}
 	res, err := cc.Query(ssb.SQLTexts["2.1"])
 	if err != nil {
@@ -302,6 +297,39 @@ func TestWireHostileSQLIsBadRequest(t *testing.T) {
 	if err := ref.check("2.1", res); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWireHostileSQLIsBadRequest: texts that once panicked the planner —
+// a number literal above 2^64-1, a FROM table no join reaches — answer the
+// connection that sent them with ClassBadRequest.
+func TestWireHostileSQLIsBadRequest(t *testing.T) {
+	hostileThenQ21(t, []string{
+		"select sum(lo_revenue) from lineorder where lo_quantity = 99999999999999999999",
+		"select sum(lo_revenue) from lineorder, date, part where lo_orderdate = d_datekey group by p_brand1",
+	}, func(text string, _ *client.Result, err error) {
+		var werr *wire.Error
+		if !errors.As(err, &werr) || werr.Class != wire.ClassBadRequest {
+			t.Fatalf("%q returned %v, want ClassBadRequest", text, err)
+		}
+	})
+}
+
+// TestWireEqualityBeyondKeySpace: an equality literal above 2^32−1 on a
+// column indexed by a KISS-Tree (32-bit keys) is a predicate no row
+// matches, not a key to check: each text answers 0 rows.
+func TestWireEqualityBeyondKeySpace(t *testing.T) {
+	hostileThenQ21(t, []string{
+		"select sum(lo_revenue) from lineorder where lo_quantity = 4294967296",
+		"select sum(lo_revenue) from lineorder where lo_orderdate = 4294967296",
+		"select sum(lo_revenue) from lineorder, date where lo_orderdate = d_datekey and d_year = 99999999999",
+	}, func(text string, res *client.Result, err error) {
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		if len(res.Rows) != 0 {
+			t.Fatalf("%q answered %d rows, want 0", text, len(res.Rows))
+		}
+	})
 }
 
 // TestWireConcurrentClients: 8 concurrent TCP clients × two passes over

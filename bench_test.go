@@ -6,7 +6,7 @@
 //	go test -run '^$' -bench Figure7  -benchmem .  # Fig. 7  SSB queries × engines
 //	go test -run '^$' -bench Figure8  -benchmem .  # Fig. 8  select-join on/off
 //	go test -run '^$' -bench Figure9  -benchmem .  # Fig. 9  join arity 2–5
-//	go test -run '^$' -bench Ablation -benchmem .  # joinbuffer, k′, compression, batch size
+//	go test -run '^$' -bench Ablation -benchmem .  # joinbuffer, k′, batch size
 //
 // Inputs default to laptop scale; QPPT_BENCH_SF (SSB scale factor,
 // default 0.1) and QPPT_BENCH_KEYS (tree keys, default 1 000 000) scale
@@ -447,40 +447,6 @@ func BenchmarkAblationKPrime(b *testing.B) {
 				}
 				reportPerKey(b, n)
 				b.ReportMetric(float64(t.Bytes())/float64(t.Keys()), "bytes/key")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationKISSCompression measures the Section 2.2 trade-off:
-// second-level node compression saves memory on sparse key sets but pays
-// an RCU copy for every new key on dense ones, which is why QPPT turns it
-// off for dense value ranges.
-func BenchmarkAblationKISSCompression(b *testing.B) {
-	n := benchKeys(b)
-	rng := rand.New(rand.NewSource(43))
-	sparse := make([]uint64, n)
-	for i := range sparse {
-		// One key per second-level node region: the uncompressed
-		// layout's worst case for memory, compression's best.
-		sparse[i] = uint64(rng.Uint32()) &^ 63
-	}
-	for _, dist := range []struct {
-		name string
-		keys []uint64
-	}{{"dense", shuffledKeys(n, 43)}, {"sparse", sparse}} {
-		for _, compress := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/compress=%v", dist.name, compress), func(b *testing.B) {
-				var t *kisstree.Tree
-				for i := 0; i < b.N; i++ {
-					t = kisstree.MustNew(kisstree.Config{Compress: compress})
-					for _, k := range dist.keys {
-						t.Insert(k, nil)
-					}
-				}
-				reportPerKey(b, n)
-				b.ReportMetric(float64(t.Bytes())/float64(n), "bytes/key")
-				b.ReportMetric(float64(t.RCUCopies()), "rcu-copies")
 			})
 		}
 	}

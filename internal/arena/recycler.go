@@ -50,8 +50,6 @@ import (
 // everywhere and disables recycling.
 type Recycler struct {
 	mu     sync.Mutex
-	parent *Recycler            // pool a worker-local child drains into (nil for root pools)
-	closed bool                 // set by Drain; later puts forward to the parent
 	boxes  map[chunkClass][]any // pooled chunks (boxed slices), by class
 	cap    int64                // max pooled bytes; 0 = unbounded
 	pooled int64                // bytes currently parked
@@ -86,58 +84,6 @@ type RecyclerStats struct {
 // NewRecycler returns an empty pool.
 func NewRecycler() *Recycler {
 	return &Recycler{boxes: make(map[chunkClass][]any)}
-}
-
-// Local returns a worker-local child pool fronting r: puts park in the
-// child without touching the parent's lock, and gets fall back to the
-// parent on a local miss. A worker that cycles partial indexes through
-// its own pool keeps its chunk traffic cache-warm and uncontended. The
-// child must be drained back into r with Drain when the worker's plan
-// stage finishes. A nil r yields a nil (disabled) child.
-func (r *Recycler) Local() *Recycler {
-	if r == nil {
-		return nil
-	}
-	return &Recycler{parent: r, boxes: make(map[chunkClass][]any)}
-}
-
-// Drain moves every chunk parked in a worker-local pool into its parent
-// (honoring the parent's SetCap trim policy), folds the local traffic
-// counters into the parent's, and closes the local pool: any straggler
-// put after Drain forwards to the parent directly. A nil or parentless
-// pool is a no-op.
-func (r *Recycler) Drain() {
-	if r == nil || r.parent == nil {
-		return
-	}
-	r.mu.Lock()
-	boxes := r.boxes
-	st := r.stats
-	r.boxes = make(map[chunkClass][]any)
-	r.pooled = 0
-	r.stats = RecyclerStats{}
-	r.closed = true
-	r.mu.Unlock()
-	p := r.parent
-	p.mu.Lock()
-	for k, pool := range boxes {
-		bytes := int64(k.cap) * int64(k.elem.Size())
-		for _, c := range pool {
-			if p.cap > 0 && p.pooled+bytes > p.cap {
-				p.stats.TrimEvicted++
-				p.stats.TrimEvictedBytes += bytes
-				continue
-			}
-			p.boxes[k] = append(p.boxes[k], c)
-			p.pooled += bytes
-		}
-	}
-	p.stats.Recycled += st.Recycled
-	p.stats.Reused += st.Reused
-	p.stats.SavedBytes += st.SavedBytes
-	p.stats.TrimEvicted += st.TrimEvicted
-	p.stats.TrimEvictedBytes += st.TrimEvictedBytes
-	p.mu.Unlock()
 }
 
 // SetCap bounds the bytes the pool may retain: a PutChunk that would push
@@ -186,13 +132,6 @@ func PutChunk[T any](r *Recycler, c []T) {
 	bytes := int64(cap(c)) * int64(unsafe.Sizeof(zero))
 	k := classOf[T](cap(c))
 	r.mu.Lock()
-	if r.closed {
-		// A drained worker-local pool: the chunk belongs to the parent now.
-		parent := r.parent
-		r.mu.Unlock()
-		PutChunk(parent, c)
-		return
-	}
 	if r.cap > 0 && r.pooled+bytes > r.cap {
 		// Trim policy: the pool is full — let the GC take this chunk and
 		// record that the cap, not the workload, decided so.
@@ -233,14 +172,6 @@ func GetChunk[T any](r *Recycler, capElems int) ([]T, bool) {
 	pool := r.boxes[k]
 	n := len(pool)
 	if n == 0 {
-		if r.parent != nil {
-			// Worker-local miss: fall back to the shared parent pool.
-			parent := r.parent
-			r.mu.Unlock()
-			c, ok := GetChunk[T](parent, capElems)
-			r.mu.Lock() // re-acquire for the deferred unlock
-			return c, ok
-		}
 		return nil, false
 	}
 	c := pool[n-1].([]T)

@@ -93,7 +93,7 @@ func TestRunCancelParallel(t *testing.T) {
 			KeyRefs: []Ref{{Input: 0, Attr: "k"}},
 		},
 	}}
-	_, _, err := newTestEnv(t, EnvConfig{Workers: 4}).Run(ctx, plan, Options{MorselsPerWorker: 4})
+	_, _, err := newTestEnv(t, EnvConfig{Workers: 4}).Run(ctx, plan, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel Run returned %v, want context.Canceled", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -24,11 +23,6 @@ type Options struct {
 	// issued. 1 disables batching (scalar tuple-at-a-time); the
 	// demonstrator offers 1, 64, 512 and 2048.
 	BufferSize int
-	// MorselsPerWorker is the morsel fan-out factor: each parallel
-	// operator splits its key space into Workers × MorselsPerWorker
-	// morsels. More morsels resist skew better but leave more partial
-	// outputs to merge. Default DefaultMorselsPerWorker.
-	MorselsPerWorker int
 	// CollectStats gathers per-operator execution statistics.
 	CollectStats bool
 	// AdmissionWait is how long the plan waited in an admission queue
@@ -54,35 +48,15 @@ func poolWorkers(workers int) int {
 // WorkersAuto sizes the worker pool to GOMAXPROCS.
 const WorkersAuto = -1
 
-// morselsPerWorker resolves the morsel fan-out factor.
-func (o Options) morselsPerWorker() int {
-	if o.MorselsPerWorker < 1 {
-		return DefaultMorselsPerWorker
-	}
-	return o.MorselsPerWorker
-}
-
 // ExecContext carries execution state for one operator invocation.
 type ExecContext struct {
 	ctx     context.Context // query context; nil means non-cancellable
 	opts    Options
 	sched   *Scheduler
-	rec     *arena.Recycler   // the Env's chunk pool (nil without recycling)
-	wrecs   []*arena.Recycler // worker-local child pools, indexed by pool worker (nil without parallel recycling)
-	spill   *spill.Manager    // the Env's spill manager (nil without a memory budget)
-	mu      sync.Mutex        // guards opStats under intra-operator parallelism
+	rec     *arena.Recycler // the Env's chunk pool (nil without recycling)
+	spill   *spill.Manager  // the Env's spill manager (nil without a memory budget)
+	mu      sync.Mutex      // guards opStats under intra-operator parallelism
 	opStats *OperatorStats
-}
-
-// workerRec returns pool worker w's local chunk pool, falling back to the
-// shared Env pool when worker-local pools are not active. Partials built
-// from a worker-local pool recycle through it without touching the shared
-// pool's lock, keeping the worker's chunk traffic cache-warm.
-func (ec *ExecContext) workerRec(w int) *arena.Recycler {
-	if w >= 0 && w < len(ec.wrecs) && ec.wrecs[w] != nil {
-		return ec.wrecs[w]
-	}
-	return ec.rec
 }
 
 // noteSpill folds freeze/thaw events of operator-owned transient state
@@ -123,8 +97,6 @@ func (ec *ExecContext) scheduler() *Scheduler {
 	}
 	return ec.sched
 }
-
-func (ec *ExecContext) morselsPerWorker() int { return ec.opts.morselsPerWorker() }
 
 // DefaultBufferSize is the joinbuffer size used when Options does not set
 // one; it matches the middle setting of the paper's demonstrator.
@@ -194,10 +166,8 @@ type OperatorStats struct {
 type PlanStats struct {
 	Ops   []OperatorStats
 	Total time.Duration
-	// Workers is the shared pool size; MorselsPerWorker the morsel
-	// fan-out factor (1/1 for serial execution).
-	Workers          int
-	MorselsPerWorker int
+	// Workers is the shared pool size (1 for serial execution).
+	Workers int
 	// MemBudget echoes the governing budget (0 = unlimited); the
 	// remaining fields aggregate the spill manager's activity:
 	// freeze/thaw event counts, the bytes they moved, and the peak
@@ -236,7 +206,7 @@ func (ps *PlanStats) String() string {
 	if ps == nil {
 		return "(no stats)"
 	}
-	s := fmt.Sprintf("total %v (pool: %d workers × %d morsels)\n", ps.Total, ps.Workers, ps.MorselsPerWorker)
+	s := fmt.Sprintf("total %v (pool: %d workers)\n", ps.Total, ps.Workers)
 	if ps.AdmissionWait > 0 {
 		s += fmt.Sprintf("admission: queued %v before execution\n", ps.AdmissionWait.Round(time.Microsecond))
 	}
@@ -313,16 +283,6 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 	}
 	if ex.spill != nil {
 		ex.handles = make(map[*IndexedTable]*spill.Handle)
-		ex.doneOut = make(map[Operator]*IndexedTable)
-	}
-	if ex.rec != nil && ex.sched.parallel() {
-		// Worker-local chunk pools: each pool worker recycles its partial
-		// indexes through a private child pool, drained back into the
-		// shared pool when the plan finishes.
-		ex.wrecs = make([]*arena.Recycler, ex.sched.Workers())
-		for i := range ex.wrecs {
-			ex.wrecs[i] = ex.rec.Local()
-		}
 	}
 	// The manager and recycler accumulate across plans; statistics report
 	// this plan's activity as the counter delta (exact when the plan runs
@@ -331,11 +291,7 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 	var spill0 spill.Stats
 	var rec0 arena.RecyclerStats
 	if opts.CollectStats {
-		stats = &PlanStats{Workers: ex.sched.Workers(), MorselsPerWorker: 1,
-			AdmissionWait: opts.AdmissionWait}
-		if ex.sched.parallel() {
-			stats.MorselsPerWorker = opts.morselsPerWorker()
-		}
+		stats = &PlanStats{Workers: ex.sched.Workers(), AdmissionWait: opts.AdmissionWait}
 		if ex.spill != nil {
 			spill0 = ex.spill.Stats()
 			stats.MemBudget = ex.spill.Budget()
@@ -346,9 +302,6 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 	out, err := ex.resolve(pl.Root, stats)
 	if err == nil {
 		err = ctx.Err() // a cancelled plan must not report success
-	}
-	for _, wr := range ex.wrecs {
-		wr.Drain() // fold the worker-local pools back into the shared pool
 	}
 	if ex.spill != nil {
 		// The manager outlives this plan: what an aborted plan still owns
@@ -424,57 +377,13 @@ type executor struct {
 
 	// rec and uses implement chunk recycling (EnvConfig.Recycle): uses
 	// holds the remaining consumer count per operator output, and rec
-	// receives the chunks of outputs whose count reaches zero. wrecs are
-	// the worker-local child pools (one per pool worker) that front rec
-	// under parallel execution; they are drained back when the plan ends.
-	rec   *arena.Recycler
-	wrecs []*arena.Recycler
-	uses  map[Operator]int
+	// receives the chunks of outputs whose count reaches zero.
+	rec  *arena.Recycler
+	uses map[Operator]int
 
 	spill    *spill.Manager
 	handles  map[*IndexedTable]*spill.Handle // intermediate table → spill handle
-	doneOut  map[Operator]*IndexedTable      // resolved outputs, for locality-aware task ordering
 	spillOps []spillOpRef
-}
-
-// frostScore counts how many of op's already-resolved inputs are frozen
-// on disk: the thaw cost a worker pays before op's subtree makes progress.
-func (ex *executor) frostScore(op Operator) int {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	n := 0
-	for _, c := range op.Children() {
-		t := ex.doneOut[c]
-		if t == nil {
-			continue
-		}
-		if h := ex.handles[t]; h != nil && h.Frozen() {
-			n++
-		}
-	}
-	return n
-}
-
-// frostOrder returns a stable task order for resolving the given subtrees
-// concurrently: subtrees whose already-resolved inputs are resident start
-// before ones that must first thaw frozen intermediates, so the pool works
-// on warm data while cold restores queue behind it (locality-aware
-// scheduling). Without a spill manager everything is resident and the
-// order is the identity.
-func (ex *executor) frostOrder(ops []Operator) []int {
-	order := make([]int, len(ops))
-	for i := range order {
-		order[i] = i
-	}
-	if ex.spill == nil || len(ops) < 2 {
-		return order
-	}
-	scores := make([]int, len(ops))
-	for i, c := range ops {
-		scores[i] = ex.frostScore(c)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
-	return order
 }
 
 // spillOpRef links a spill handle to its operator's slot in PlanStats.Ops
@@ -496,14 +405,12 @@ func (ex *executor) handleOf(t *IndexedTable) *spill.Handle {
 }
 
 // releaseInput decrements an operator output's remaining-consumer count
-// and, at zero, drops the intermediate: its spill state (file, mapping)
-// is removed so the spill directory holds only snapshots a consumer may
-// still need, and — with EnvConfig.Recycle — its chunk storage is parked in
-// the Env pool. Base tables are never dropped; the plan root carries an
-// extra use so the result survives. Drop precedes Recycle: Drop waits out
-// any in-flight freeze/thaw of the entry and releases the file mapping,
-// after which recycling only touches heap chunks (mapped ones are
-// skipped).
+// and, at zero, drops the intermediate: its spill file is removed so the
+// spill directory holds only snapshots a consumer may still need, and —
+// with EnvConfig.Recycle — its chunk storage is parked in the Env pool.
+// Base tables are never dropped; the plan root carries an extra use so the
+// result survives. Drop precedes Release: Drop waits out any in-flight
+// freeze/thaw of the entry, so Release never races one.
 func (ex *executor) releaseInput(op Operator, t *IndexedTable) {
 	if t == nil {
 		return
@@ -593,7 +500,6 @@ func (ex *executor) finishOp(op Operator, e *memoEntry, pinned []*spill.Handle, 
 	if fz := freezerOf(e.out.Idx); fz != nil {
 		h := ex.spill.Register(op.Label(), fz, e.out.Idx.Bytes)
 		ex.mu.Lock()
-		ex.doneOut[op] = e.out
 		ex.handles[e.out] = h
 		ex.mu.Unlock()
 	}
@@ -612,12 +518,10 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 			// Independent subtrees resolve concurrently on the shared
 			// pool; Fork runs on pool workers when they are idle and
 			// inline otherwise, so the goroutine count stays bounded by
-			// the pool size however deep the plan nests. Subtrees with
-			// resident inputs are issued before ones that must thaw.
+			// the pool size however deep the plan nests.
 			tasks := make([]func() error, len(children))
-			for t, oi := range ex.frostOrder(children) {
-				i, c := oi, children[oi]
-				tasks[t] = func() error {
+			for i, c := range children {
+				tasks[i] = func() error {
 					in, err := ex.resolve(c, stats)
 					inputs[i] = in
 					return err
@@ -643,7 +547,7 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 			return
 		}
 		ec := &ExecContext{ctx: ex.ctx, opts: ex.opts, sched: ex.sched,
-			rec: ex.rec, wrecs: ex.wrecs, spill: ex.spill}
+			rec: ex.rec, spill: ex.spill}
 		if stats != nil {
 			if _, isBase := op.(*Base); !isBase {
 				e.st = &OperatorStats{Label: op.Label()}

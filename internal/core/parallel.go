@@ -166,7 +166,7 @@ type boundsFn = func() (uint64, uint64, bool)
 // plan's shared pool. pipe builds a fresh pipeline over the operator's
 // inputs; each pool worker gets one (created lazily when the worker claims
 // its first non-empty morsel) with a private output index drawing chunks
-// from its worker-local pool, so partials stay cache-warm and uncontended.
+// from the Env's pool.
 // scan feeds the input keys in [lo, hi] through the worker's pipeline. The
 // per-worker partial outputs are then combined with the parallel
 // partition-wise merge. With a single worker the lone partial is the
@@ -174,17 +174,17 @@ type boundsFn = func() (uint64, uint64, bool)
 // mode.
 func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() (*pipeline, error), scan scanFn) (*IndexedTable, error) {
 	sched := ec.scheduler()
-	newPart := func(spec *OutputSpec, rec *arena.Recycler) (*pipeline, *IndexedTable, error) {
+	newPart := func(spec *OutputSpec) (*pipeline, *IndexedTable, error) {
 		p, err := pipe()
 		if err != nil {
 			return nil, nil, err
 		}
-		p.rec = rec
+		p.rec = ec.rec
 		out, err := p.setSink(spec)
 		return p, out, err
 	}
 	empty := func() (*IndexedTable, error) {
-		p, out, err := newPart(spec, ec.rec)
+		p, out, err := newPart(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +199,7 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 	workers := sched.Workers()
 	morsels := 1
 	if workers > 1 {
-		morsels = workers * ec.morselsPerWorker()
+		morsels = workers * morselsPerWorker
 	}
 	pipes := make([]*pipeline, workers)
 	outs := make([]*IndexedTable, workers)
@@ -215,7 +215,7 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 		if p == nil {
 			specCopy := *spec // private sink per worker partial
 			var err error
-			p, outs[w], err = newPart(&specCopy, ec.workerRec(w))
+			p, outs[w], err = newPart(&specCopy)
 			if err != nil {
 				return err
 			}

@@ -22,7 +22,7 @@ import (
 //     branches through Fork, which runs them on pool workers instead of
 //     fresh goroutines.
 //   - Intra-operator parallelism: operators split their scans into many
-//     small key-range *morsels* (MorselsPerWorker × Workers, aligned to
+//     small key-range *morsels* (morselsPerWorker × Workers, aligned to
 //     prefix-subtree boundaries by partitionBounds) and submit them through
 //     ForEachWorker. Idle workers steal the next unclaimed morsel, so a
 //     skewed key distribution — where a static split would leave one
@@ -34,12 +34,11 @@ import (
 // never blocks — when the pool is saturated, the submitting goroutine runs
 // the work inline — so nested Fork/ForEachWorker calls cannot deadlock.
 
-// DefaultMorselsPerWorker is the morsel fan-out factor used when Options
-// does not set one: each parallel operator splits its key space into
-// Workers × DefaultMorselsPerWorker morsels. More morsels mean finer work
-// stealing (better skew resistance) at the cost of more partial outputs to
-// merge.
-const DefaultMorselsPerWorker = 4
+// morselsPerWorker is the morsel fan-out factor: each parallel operator
+// splits its key space into Workers × morselsPerWorker morsels. More
+// morsels mean finer work stealing (better skew resistance) at the cost of
+// more per-morsel scan set-up.
+const morselsPerWorker = 4
 
 // A Scheduler owns a bounded budget of worker goroutines shared by every
 // operator of one plan execution (and, later, by every concurrent plan that

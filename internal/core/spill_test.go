@@ -433,13 +433,13 @@ func TestShardedThawRollsBackOnError(t *testing.T) {
 // interior section, around the leaf directory, and inside its first and
 // last leaf.
 func snapshotCuts(b []byte) []int {
-	const kissMagic = 0x5150_5054_4B53_0003
+	const kissMagic = 0x5150_5054_4B53_0004
 	u64 := func(off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
 	var cuts []int
 	for off := 0; off < len(b); {
 		sections := 1 // prefix tree: node slots
 		if binary.LittleEndian.Uint64(b[off:]) == kissMagic {
-			sections = 3 // root pages, node slots, compressed nodes
+			sections = 2 // root pages, node slots
 		}
 		cuts = append(cuts, off, off+4)
 		p := off + 8
@@ -460,8 +460,8 @@ func snapshotCuts(b []byte) []int {
 	return slices.Compact(cuts)
 }
 
-// A three-shard index — a prefix tree, a KISS-Tree and a compressed
-// KISS-Tree sharing one stream — cut at every framing boundary and inside
+// A two-shard index — a prefix tree and a KISS-Tree sharing one stream —
+// cut at every framing boundary and inside
 // a leaf of every shard: Thaw fails with io.ErrUnexpectedEOF, leaves every
 // shard frozen with zero bytes and every drawn chunk back in the pool, and
 // the intact stream then restores the index.
@@ -474,7 +474,6 @@ func TestShardedThawTruncatedAnywhere(t *testing.T) {
 	for i, idx := range []Index{
 		ptIndex{prefixtree.MustNew(prefixtree.Config{KeyBits: bits, PayloadWidth: 1, Recycler: rec})},
 		kissIndex{kisstree.MustNew(kisstree.Config{PayloadWidth: 1, Recycler: rec})},
-		kissIndex{kisstree.MustNew(kisstree.Config{PayloadWidth: 1, Compress: true, Recycler: rec})},
 	} {
 		lo := uint64(i) << 22
 		for k := uint64(0); k < 9000; k++ {
@@ -518,23 +517,5 @@ func TestShardedThawTruncatedAnywhere(t *testing.T) {
 	}
 	if !reflect.DeepEqual(collect(), want) {
 		t.Fatal("restored content differs")
-	}
-}
-
-// frostOrder without a spill manager must be the identity permutation —
-// locality ordering only exists to prefer resident inputs over frozen
-// ones, and without a budget nothing is ever frozen.
-func TestFrostOrderIdentityWithoutSpill(t *testing.T) {
-	f := buildFixture(17)
-	ex := &executor{}
-	ops := []Operator{&Base{Table: f.custByKey}, &Base{Table: f.factByProd}, &Base{Table: f.prodByBrand}}
-	order := ex.frostOrder(ops)
-	if len(order) != len(ops) {
-		t.Fatalf("frostOrder returned %d indexes for %d ops", len(order), len(ops))
-	}
-	for i, o := range order {
-		if o != i {
-			t.Fatalf("frostOrder without spill = %v, want identity", order)
-		}
 	}
 }

@@ -40,10 +40,8 @@ type section struct {
 var (
 	slots          = section{[]int{8}} // blocks
 	prefixSections = []section{slots}
-	// root pages (page count, first page's index), node slots, compressed
-	// nodes (node count; with Compress also the first node's entry count)
-	kissSections     = []section{{[]int{8, 16}}, slots, {[]int{8}}}
-	compressSections = []section{{[]int{8, 16}}, slots, {[]int{8, 24}}}
+	// root pages (page count, first page's index), node slots
+	kissSections = []section{{[]int{8, 16}}, slots}
 )
 
 func sum(dst, src []uint64) {
@@ -73,9 +71,6 @@ var fixtures = []fixture{
 	}},
 	{"kiss/w3", kissSections, 3, func(rec *arena.Recycler) tree {
 		return kisstree.MustNew(kisstree.Config{PayloadWidth: 3, Recycler: rec})
-	}},
-	{"kiss/compress", compressSections, 1, func(rec *arena.Recycler) tree {
-		return kisstree.MustNew(kisstree.Config{PayloadWidth: 1, Compress: true, Recycler: rec})
 	}},
 }
 

@@ -18,18 +18,17 @@ import (
 	"qppt/internal/freeze"
 )
 
-// goldenStreams pins the SHA-256 of every fixture's freeze stream (format
-// 3 of both tree kinds). A hash that moves is a format change: bump the
-// tree's magic.
+// goldenStreams pins the SHA-256 of every fixture's freeze stream
+// (prefix-tree format 3, KISS format 4). A hash that moves is a format
+// change: bump the tree's magic.
 var goldenStreams = map[string]string{
-	"prefix/w0":     "5a5997f33f6f1a35b8fcfc0eb44b18f12d5c98d9d82fb8529f249f3bac1ba6c8",
-	"prefix/w1":     "1d0acb9caa88c170b4ca6bb675a63b7a335f7eb2f143699be54c0a4743c52ad7",
-	"prefix/w3":     "8d07702781d03cbd373c57794029bfce77f83706036c89a5a3c74dd2dcde199a",
-	"prefix/fold":   "820c332687507d926800eceeb5503e9c7a7aa3a377eabb8e6f6c3f54e14017d9",
-	"kiss/w0":       "853d30b2e976a8aea952efa43b94892b16cce243b9c619351450c970fb3b5dcc",
-	"kiss/w1":       "775e87b3bd77305d449c1fde04a154aceef47717543f3df42a22663010490579",
-	"kiss/w3":       "67c19ad9813da5738fa90a6d53d0cd645a47b5c9110305268397bacc27d4bf4c",
-	"kiss/compress": "ead51b111fafb2ff1598a5cf4b8a603054526587f3b8aa8dbc4e7ad6022bf170",
+	"prefix/w0":   "5a5997f33f6f1a35b8fcfc0eb44b18f12d5c98d9d82fb8529f249f3bac1ba6c8",
+	"prefix/w1":   "1d0acb9caa88c170b4ca6bb675a63b7a335f7eb2f143699be54c0a4743c52ad7",
+	"prefix/w3":   "8d07702781d03cbd373c57794029bfce77f83706036c89a5a3c74dd2dcde199a",
+	"prefix/fold": "820c332687507d926800eceeb5503e9c7a7aa3a377eabb8e6f6c3f54e14017d9",
+	"kiss/w0":     "4766fec88266a0f5e30ebc912184a7a964860b49c2c4a7386b8de94577e04241",
+	"kiss/w1":     "284d530b8501f1a54952afacc9a94ab3faa42213c24e27b2932dfc6af2ca37d7",
+	"kiss/w3":     "db2e96cb80a1e73d8457323779583057e44a356306001bdc28b7112a8c84a82e",
 }
 
 func TestGoldenStreams(t *testing.T) {

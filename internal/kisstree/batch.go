@@ -1,15 +1,6 @@
 package kisstree
 
-import (
-	"math/bits"
-	"sync"
-)
-
-// onesBelow counts occupied slots below slot in a compressed node's bitmap,
-// i.e. the dense-array position of slot.
-func onesBelow(bm uint64, slot int) int {
-	return bits.OnesCount64(bm & (uint64(1)<<slot - 1))
-}
+import "sync"
 
 // Batch processing for the KISS-Tree (paper Sections 2.3 and 2.5, the
 // "KISS Batched" series of Figure 3).
@@ -61,25 +52,9 @@ func (t *Tree) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
 	}
 	// Level 2: all node-slot accesses back to back, reusing ptrs for the
 	// resulting compact leaf pointers.
-	if t.cfg.Compress {
-		for i, key := range keys {
-			ptr := ptrs[i]
-			if ptr == 0 {
-				continue
-			}
-			cn := &t.cnodes[ptr-1]
-			slot := int(uint32(key) & slotMask)
-			if cn.bitmap&(uint64(1)<<slot) == 0 {
-				ptrs[i] = 0
-				continue
-			}
-			ptrs[i] = cn.entries[onesBelow(cn.bitmap, slot)]
-		}
-	} else {
-		for i, key := range keys {
-			if ptr := ptrs[i]; ptr != 0 {
-				ptrs[i] = t.nodes.Block(ptr - 1)[uint32(key)&slotMask]
-			}
+	for i, key := range keys {
+		if ptr := ptrs[i]; ptr != 0 {
+			ptrs[i] = t.nodes.Block(ptr - 1)[uint32(key)&slotMask]
 		}
 	}
 	// Level 3: content accesses, independent across jobs.
@@ -96,16 +71,7 @@ func (t *Tree) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
 // lookupInNode resolves the second level and content access for one key,
 // given its root pointer. Shared by the synchronous index scan.
 func (t *Tree) lookupInNode(ptr uint32, k uint32) *Leaf {
-	slot := int(k & slotMask)
-	if t.cfg.Compress {
-		cn := &t.cnodes[ptr-1]
-		bit := uint64(1) << slot
-		if cn.bitmap&bit == 0 {
-			return nil
-		}
-		return t.leaves.At(cn.entries[onesBelow(cn.bitmap, slot)] - 1)
-	}
-	lp := t.nodes.Block(ptr - 1)[slot]
+	lp := t.nodes.Block(ptr - 1)[k&slotMask]
 	if lp == 0 {
 		return nil
 	}

@@ -57,16 +57,15 @@ func BenchmarkKissInsertBatch(b *testing.B) {
 	}
 }
 
-// checkBatchAllocationFree builds a tree of 4096 random keys in cfg's node
-// layout and fails unless a warmed-up 512-key LookupBatch allocates
-// nothing.
-func checkBatchAllocationFree(t *testing.T, cfg Config, seed int64) {
-	t.Helper()
+// TestKissBatchAllocationFree pins the pooled-scratch satellite for the
+// KISS-Tree: after warm-up, a 512-key LookupBatch over a tree of 4096
+// random keys allocates nothing.
+func TestKissBatchAllocationFree(t *testing.T) {
 	if arenatest.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
 	}
-	keys := kissBenchKeys(1<<12, seed)
-	tr := MustNew(cfg)
+	keys := kissBenchKeys(1<<12, 61)
+	tr := MustNew(Config{})
 	for _, k := range keys {
 		tr.Insert(k, nil)
 	}
@@ -80,19 +79,7 @@ func checkBatchAllocationFree(t *testing.T, cfg Config, seed int64) {
 		})
 	})
 	if allocs != 0 {
-		t.Fatalf("compress=%v: LookupBatch allocates %.1f objects per batch, want 0", cfg.Compress, allocs)
+		t.Fatalf("LookupBatch allocates %.1f objects per batch, want 0", allocs)
 	}
 	_ = sink
-}
-
-// TestKissBatchAllocationFree pins the pooled-scratch satellite for the
-// KISS-Tree: after warm-up, batched lookups allocate nothing.
-func TestKissBatchAllocationFree(t *testing.T) {
-	checkBatchAllocationFree(t, Config{}, 61)
-}
-
-// TestKissKernelAllocationFree pins the same for the compressed node
-// layout. The name is kept from the SWAR descent it used to time.
-func TestKissKernelAllocationFree(t *testing.T) {
-	checkBatchAllocationFree(t, Config{Compress: true}, 73)
 }

@@ -17,18 +17,15 @@
 // table in front of lazily faulted memory — at the cost of one extra
 // cache-resident load per root access.
 //
-// Second-level nodes exist in two layouts. The uncompressed layout is a
-// plain 64-slot array updated in place. The compressed layout (the
-// original KISS-Tree default) stores a 64-bit occupancy bitmap plus a dense
-// array of only the present slots; it saves memory and preserves locality,
-// but every insertion of a new key must copy the node RCU-style. QPPT
-// therefore disables compression for dense key domains (paper Section 2.2);
-// the Compress knob reproduces both behaviours and the copy overhead.
+// A second-level node is a plain 64-slot array updated in place. The
+// original KISS-Tree can also compress a node into a 64-bit occupancy
+// bitmap plus a dense array of the present slots, but every insertion of a
+// new key then copies the node RCU-style; QPPT deploys the tree without
+// compression (paper Section 2.2), and so does this package.
 package kisstree
 
 import (
 	"fmt"
-	"math/bits"
 
 	"qppt/internal/arena"
 	"qppt/internal/duplist"
@@ -60,10 +57,6 @@ type Config struct {
 	// Fold, if non-nil, makes insertion aggregate into the existing row
 	// for the key instead of appending a duplicate.
 	Fold func(dst, src []uint64)
-	// Compress selects bitmask-compressed second-level nodes, which save
-	// memory for sparse key ranges at the price of an RCU-style copy on
-	// every new-key insert.
-	Compress bool
 	// Recycler, if non-nil, routes the tree's chunk storage — root pages,
 	// node chunks, leaf chunks and slab blocks — through a plan-scoped
 	// chunk pool (see package arena): growth draws from it, and
@@ -77,12 +70,10 @@ type Tree struct {
 	cfg Config
 	// root is the virtual root: a chunk directory of compact pointers.
 	root [][]uint32
-	// nodes stores uncompressed second-level nodes in the shared chunked
-	// slot arena (package arena): one 64-slot block per node, addressed by
-	// block ordinal, stable as the arena grows.
+	// nodes stores the second-level nodes in the shared chunked slot arena
+	// (package arena): one 64-slot block per node, addressed by block
+	// ordinal, stable as the arena grows.
 	nodes arena.Slots
-	// cnodes are the compressed second-level nodes (bitmap + dense array).
-	cnodes []cnode
 	// leaves holds the content nodes; slot values are leaf index + 1.
 	leaves arena.Arena[Leaf]
 	// slab feeds duplicate-segment and first-row storage for all lists of
@@ -92,23 +83,13 @@ type Tree struct {
 	keys, rows     int
 	minKey, maxKey uint32
 	// rootLo/rootHi bound the root buckets rootSet ever wrote (lo > hi:
-	// none). Unlike minKey/maxKey the span never shrinks on Delete, so it
-	// is exactly what Release must zero to hand the root pages back clean.
-	rootLo, rootHi   uint32
-	copies           int // RCU node copies performed (compression cost metric)
-	touchedRootPages int // root pages written at least once (memory metric)
+	// none): exactly what Release must zero to hand the root pages back
+	// clean.
+	rootLo, rootHi uint32
 
-	// State says whether the chunk storage is spilled (Frozen) or only
-	// partially back (Partial; see spill.go). Counters and bounds stay
-	// valid throughout.
+	// State says whether the chunk storage is spilled (Frozen; see
+	// spill.go). Counters and bounds stay valid throughout.
 	freeze.State
-}
-
-// cnode is a bitmask-compressed second-level node: a 64-bit occupancy
-// bitmap plus a dense array of compact leaf pointers for the present slots.
-type cnode struct {
-	bitmap  uint64
-	entries []uint32
 }
 
 // A Leaf is a content node: the full key and the payload row list. Both
@@ -154,13 +135,6 @@ func (t *Tree) Rows() int { return t.rows }
 
 // PayloadWidth reports the payload row width in uint64 words.
 func (t *Tree) PayloadWidth() int { return t.cfg.PayloadWidth }
-
-// RCUCopies reports how many second-level node copies compression has
-// caused; always 0 for uncompressed trees. Exposed for the compression
-// ablation benchmark.
-//
-//qpptvet:ignore unreached the KISS compression ablation in the root bench_test.go reports it
-func (t *Tree) RCUCopies() int { return t.copies }
 
 func checkKey(key uint64) uint32 {
 	if key >= 1<<KeyBits {
@@ -239,12 +213,6 @@ func (t *Tree) leafPtrFor(k uint32) uint32 {
 	slot := int(k & slotMask)
 	ptr := t.rootGet(rootIdx)
 	if ptr == 0 {
-		t.touchedRootPages++ // approximation: one new bucket ~ page share
-	}
-	if t.cfg.Compress {
-		return t.leafPtrForCompressed(rootIdx, slot, k, ptr)
-	}
-	if ptr == 0 {
 		ptr = t.nodes.Alloc() + 1 // block ordinal + 1
 		t.rootSet(rootIdx, ptr)
 	}
@@ -253,34 +221,6 @@ func (t *Tree) leafPtrFor(k uint32) uint32 {
 		n[slot] = t.newLeaf(k)
 	}
 	return n[slot]
-}
-
-// leafPtrForCompressed is the RCU path: adding a slot to a compressed node
-// copies its dense entry array.
-func (t *Tree) leafPtrForCompressed(rootIdx uint32, slot int, k uint32, ptr uint32) uint32 {
-	bit := uint64(1) << slot
-	if ptr == 0 {
-		lp := t.newLeaf(k)
-		t.cnodes = append(t.cnodes, cnode{bitmap: bit, entries: []uint32{lp}})
-		t.rootSet(rootIdx, uint32(len(t.cnodes)))
-		return lp
-	}
-	cn := &t.cnodes[ptr-1]
-	pos := bits.OnesCount64(cn.bitmap & (bit - 1))
-	if cn.bitmap&bit != 0 {
-		return cn.entries[pos]
-	}
-	// New key in an existing node: copy the entry array (RCU update), then
-	// publish the new node. In the original system the copy is what allows
-	// lock-free readers; here it faithfully reproduces the copy cost.
-	entries := make([]uint32, len(cn.entries)+1)
-	copy(entries, cn.entries[:pos])
-	entries[pos] = t.newLeaf(k)
-	copy(entries[pos+1:], cn.entries[pos:])
-	cn.entries = entries
-	cn.bitmap |= bit
-	t.copies++
-	return entries[pos]
 }
 
 // newLeaf appends a fresh leaf for key k to the arena, returning its
@@ -304,17 +244,7 @@ func (t *Tree) Lookup(key uint64) *Leaf {
 	if ptr == 0 {
 		return nil
 	}
-	slot := int(k & slotMask)
-	if t.cfg.Compress {
-		cn := &t.cnodes[ptr-1]
-		bit := uint64(1) << slot
-		if cn.bitmap&bit == 0 {
-			return nil
-		}
-		pos := bits.OnesCount64(cn.bitmap & (bit - 1))
-		return t.leaves.At(cn.entries[pos] - 1)
-	}
-	lp := t.nodes.Block(ptr - 1)[slot]
+	lp := t.nodes.Block(ptr - 1)[k&slotMask]
 	if lp == 0 {
 		return nil
 	}
@@ -374,23 +304,6 @@ func (t *Tree) iterateRange(lo, hi uint32, visit func(lf *Leaf) bool) bool {
 			continue
 		}
 		base := uint64(rootIdx) << leafBits
-		if t.cfg.Compress {
-			cn := &t.cnodes[ptr-1]
-			bm := cn.bitmap
-			for bm != 0 {
-				slot := bits.TrailingZeros64(bm)
-				bm &= bm - 1
-				k := base | uint64(slot)
-				if k < uint64(lo) || k > uint64(hi) {
-					continue
-				}
-				pos := bits.OnesCount64(cn.bitmap & (uint64(1)<<slot - 1))
-				if !visit(t.leaves.At(cn.entries[pos] - 1)) {
-					return false
-				}
-			}
-			continue
-		}
 		n := t.nodes.Block(ptr - 1)
 		for slot := 0; slot < nodeSlots; slot++ {
 			lp := n[slot]
@@ -414,11 +327,7 @@ func (t *Tree) iterateRange(lo, hi uint32, visit func(lf *Leaf) bool) bool {
 // that were actually written (the untouched remainder of the 256 MB root
 // is virtual only).
 func (t *Tree) Bytes() int {
-	b := t.nodes.Bytes() + len(t.cnodes)*32
-	for i := range t.cnodes {
-		b += len(t.cnodes[i].entries) * 4
-	}
-	b += t.leaves.Bytes() + t.slab.Bytes()
+	b := t.nodes.Bytes() + t.leaves.Bytes() + t.slab.Bytes()
 	// Root: the directory plus the chunks actually faulted in.
 	if t.root != nil {
 		b += rootChunks * 8

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// Range/Iterate edge cases for the compressed-KISS layout (and, as a
-// cross-check, the uncompressed one): empty tree, single key, and bounds
-// straddling root-chunk boundaries, where the chunk-skipping fast path of
-// iterateRange must not jump over populated buckets.
+// Range/Iterate edge cases: empty tree, single key, and bounds straddling
+// root-chunk boundaries, where the chunk-skipping fast path of iterateRange
+// must not jump over populated buckets.
 
 func collectRange(t *Tree, lo, hi uint64) []uint64 {
 	var keys []uint64
@@ -20,33 +19,30 @@ func collectRange(t *Tree, lo, hi uint64) []uint64 {
 }
 
 func TestCompressedRangeEdgeCases(t *testing.T) {
-	for _, compress := range []bool{true, false} {
-		tr := MustNew(Config{Compress: compress})
+	tr := MustNew(Config{})
 
-		// Empty tree: nothing visits, scans complete.
-		if got := collectRange(tr, 0, ^uint64(0)>>32); got != nil {
-			t.Fatalf("compress=%v: empty tree range visited %v", compress, got)
-		}
-		if !tr.Iterate(func(*Leaf) bool { t.Fatal("empty Iterate visited"); return false }) {
-			t.Fatalf("compress=%v: empty Iterate did not complete", compress)
-		}
+	// Empty tree: nothing visits, scans complete.
+	if got := collectRange(tr, 0, ^uint64(0)>>32); got != nil {
+		t.Fatalf("empty tree range visited %v", got)
+	}
+	if !tr.Iterate(func(*Leaf) bool { t.Fatal("empty Iterate visited"); return false }) {
+		t.Fatal("empty Iterate did not complete")
+	}
 
-		// Single key: all window positions relative to it.
-		tr.Insert(1<<20, nil)
-		single := []struct {
-			lo, hi uint64
-			want   []uint64
-		}{
-			{0, 1<<32 - 1, []uint64{1 << 20}},
-			{1 << 20, 1 << 20, []uint64{1 << 20}},
-			{0, 1<<20 - 1, nil},
-			{1<<20 + 1, 1<<32 - 1, nil},
-		}
-		for _, c := range single {
-			if got := collectRange(tr, c.lo, c.hi); !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("compress=%v: single-key range [%#x,%#x] = %v, want %v",
-					compress, c.lo, c.hi, got, c.want)
-			}
+	// Single key: all window positions relative to it.
+	tr.Insert(1<<20, nil)
+	single := []struct {
+		lo, hi uint64
+		want   []uint64
+	}{
+		{0, 1<<32 - 1, []uint64{1 << 20}},
+		{1 << 20, 1 << 20, []uint64{1 << 20}},
+		{0, 1<<20 - 1, nil},
+		{1<<20 + 1, 1<<32 - 1, nil},
+	}
+	for _, c := range single {
+		if got := collectRange(tr, c.lo, c.hi); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("single-key range [%#x,%#x] = %v, want %v", c.lo, c.hi, got, c.want)
 		}
 	}
 }
@@ -57,26 +53,24 @@ func TestCompressedRangeEdgeCases(t *testing.T) {
 func TestRangeBoundsBeyondKeySpace(t *testing.T) {
 	const top = uint64(1)<<32 - 1
 	keys := []uint64{0, 7, 1 << 31, top}
-	for _, compress := range []bool{true, false} {
-		tr := MustNew(Config{Compress: compress})
-		for _, k := range keys {
-			tr.Insert(k, nil)
-		}
-		cases := []struct {
-			lo, hi uint64
-			want   []uint64
-		}{
-			{1 << 32, 1 << 32, nil},                 // point just past the key space
-			{1 << 40, ^uint64(0), nil},              // both bounds far outside
-			{7, 1 << 32, []uint64{7, 1 << 31, top}}, // hi outside: clipped to the largest key
-			{0, ^uint64(0), keys},                   // everything
-			{top, 1 << 33, []uint64{top}},           // lo at the last key
-			{1 << 32, 7, nil},                       // inverted
-		}
-		for _, c := range cases {
-			if got := collectRange(tr, c.lo, c.hi); !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("compress=%v: range [%#x,%#x] = %v, want %v", compress, c.lo, c.hi, got, c.want)
-			}
+	tr := MustNew(Config{})
+	for _, k := range keys {
+		tr.Insert(k, nil)
+	}
+	cases := []struct {
+		lo, hi uint64
+		want   []uint64
+	}{
+		{1 << 32, 1 << 32, nil},                 // point just past the key space
+		{1 << 40, ^uint64(0), nil},              // both bounds far outside
+		{7, 1 << 32, []uint64{7, 1 << 31, top}}, // hi outside: clipped to the largest key
+		{0, ^uint64(0), keys},                   // everything
+		{top, 1 << 33, []uint64{top}},           // lo at the last key
+		{1 << 32, 7, nil},                       // inverted
+	}
+	for _, c := range cases {
+		if got := collectRange(tr, c.lo, c.hi); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("range [%#x,%#x] = %v, want %v", c.lo, c.hi, got, c.want)
 		}
 	}
 }
@@ -92,39 +86,37 @@ func TestCompressedRangeAcrossChunkBoundaries(t *testing.T) {
 		chunkKeys, chunkKeys + 1, // first buckets of chunk 1
 		5 * chunkKeys, // chunk 5; chunks 2-4 untouched
 	}
-	for _, compress := range []bool{true, false} {
-		tr := MustNew(Config{Compress: compress})
-		for _, k := range keys {
-			tr.Insert(k, nil)
+	tr := MustNew(Config{})
+	for _, k := range keys {
+		tr.Insert(k, nil)
+	}
+	cases := []struct {
+		lo, hi uint64
+		want   []uint64
+	}{
+		// Straddle the chunk 0 / chunk 1 boundary.
+		{chunkKeys - 2, chunkKeys + 1, []uint64{chunkKeys - 2, chunkKeys - 1, chunkKeys, chunkKeys + 1}},
+		// Clip exactly at the boundary from both sides.
+		{0, chunkKeys - 1, []uint64{chunkKeys - 2, chunkKeys - 1}},
+		{chunkKeys, 2*chunkKeys - 1, []uint64{chunkKeys, chunkKeys + 1}},
+		// Window entirely inside untouched chunks.
+		{2 * chunkKeys, 4*chunkKeys - 1, nil},
+		// Window spanning the untouched gap to the far key.
+		{chunkKeys + 1, 5 * chunkKeys, []uint64{chunkKeys + 1, 5 * chunkKeys}},
+		// Everything.
+		{0, 1<<32 - 1, keys},
+	}
+	for _, c := range cases {
+		if got := collectRange(tr, c.lo, c.hi); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("range [%#x,%#x] = %v, want %v", c.lo, c.hi, got, c.want)
 		}
-		cases := []struct {
-			lo, hi uint64
-			want   []uint64
-		}{
-			// Straddle the chunk 0 / chunk 1 boundary.
-			{chunkKeys - 2, chunkKeys + 1, []uint64{chunkKeys - 2, chunkKeys - 1, chunkKeys, chunkKeys + 1}},
-			// Clip exactly at the boundary from both sides.
-			{0, chunkKeys - 1, []uint64{chunkKeys - 2, chunkKeys - 1}},
-			{chunkKeys, 2*chunkKeys - 1, []uint64{chunkKeys, chunkKeys + 1}},
-			// Window entirely inside untouched chunks.
-			{2 * chunkKeys, 4*chunkKeys - 1, nil},
-			// Window spanning the untouched gap to the far key.
-			{chunkKeys + 1, 5 * chunkKeys, []uint64{chunkKeys + 1, 5 * chunkKeys}},
-			// Everything.
-			{0, 1<<32 - 1, keys},
-		}
-		for _, c := range cases {
-			if got := collectRange(tr, c.lo, c.hi); !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("compress=%v: range [%#x,%#x] = %v, want %v", compress, c.lo, c.hi, got, c.want)
-			}
-		}
-		var all []uint64
-		tr.Iterate(func(lf *Leaf) bool {
-			all = append(all, lf.Key)
-			return true
-		})
-		if !reflect.DeepEqual(all, keys) {
-			t.Fatalf("compress=%v: Iterate = %v, want %v", compress, all, keys)
-		}
+	}
+	var all []uint64
+	tr.Iterate(func(lf *Leaf) bool {
+		all = append(all, lf.Key)
+		return true
+	})
+	if !reflect.DeepEqual(all, keys) {
+		t.Fatalf("Iterate = %v, want %v", all, keys)
 	}
 }

@@ -13,44 +13,41 @@ import (
 // A recycled tree clears only what it wrote — leaf and node chunks at
 // their used length, the slab's current block up to its offset, root pages
 // over the bucket span rootSet touched — and every chunk must still come
-// back all-zero, also through a freeze/thaw round trip, in both node
-// layouts.
+// back all-zero, also through a freeze/thaw round trip.
 func TestKissRecycleKeepsChunksZero(t *testing.T) {
 	arenatest.CheckZeroHandouts(t)
-	for _, compress := range []bool{false, true} {
-		rec := arena.NewRecycler()
-		rng := rand.New(rand.NewSource(11))
-		for round := 0; round < 6; round++ {
-			tr := MustNew(Config{PayloadWidth: 2, Compress: compress, Recycler: rec})
-			var keys []uint64
-			for i := 0; i < 3000; i++ {
-				// Two clusters in different root pages plus key 0.
-				k := uint64(rng.Intn(1 << 12))
-				if i%3 == 0 {
-					k = 1<<23 + uint64(rng.Intn(1<<12))
-				}
-				tr.Insert(k, []uint64{k, uint64(i)})
-				keys = append(keys, k)
+	rec := arena.NewRecycler()
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 6; round++ {
+		tr := MustNew(Config{PayloadWidth: 2, Recycler: rec})
+		var keys []uint64
+		for i := 0; i < 3000; i++ {
+			// Two clusters in different root pages plus key 0.
+			k := uint64(rng.Intn(1 << 12))
+			if i%3 == 0 {
+				k = 1<<23 + uint64(rng.Intn(1<<12))
 			}
-			if round%2 == 1 {
-				var buf bytes.Buffer
-				if err := tr.codec().Freeze(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.Thaw(&buf); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, k := range keys[:100] {
-				if tr.Lookup(k) == nil {
-					t.Fatalf("compress=%v round %d: key %#x lost", compress, round, k)
-				}
-			}
-			tr.Release()
+			tr.Insert(k, []uint64{k, uint64(i)})
+			keys = append(keys, k)
 		}
-		if st := rec.Stats(); st.Reused == 0 {
-			t.Fatalf("compress=%v: rounds never reused a chunk: %+v", compress, st)
+		if round%2 == 1 {
+			var buf bytes.Buffer
+			if err := tr.codec().Freeze(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Thaw(&buf); err != nil {
+				t.Fatal(err)
+			}
 		}
+		for _, k := range keys[:100] {
+			if tr.Lookup(k) == nil {
+				t.Fatalf("round %d: key %#x lost", round, k)
+			}
+		}
+		tr.Release()
+	}
+	if st := rec.Stats(); st.Reused == 0 {
+		t.Fatalf("rounds never reused a chunk: %+v", st)
 	}
 }
 

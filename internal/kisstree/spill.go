@@ -2,22 +2,21 @@ package kisstree
 
 import (
 	"io"
-	"math/bits"
 
 	"qppt/internal/arena"
 	"qppt/internal/freeze"
 )
 
 // Freeze/Thaw: the KISS-Tree's spill hooks. The stream format, the restore
-// and its failure rules live in package freeze; the KISS-Tree contributes its magic word and three interior
-// sections — the touched root pages and the second-level node chunks, both
-// verbatim, and the compressed nodes. Scalar state — key/row counters,
-// min/max bounds, the written root span, RCU-copy and root-page metrics —
-// stays in the Tree struct across a freeze.
+// and its failure rules live in package freeze; the KISS-Tree contributes
+// its magic word and two interior sections, both verbatim: the touched root
+// pages and the second-level node chunks. Scalar state — key/row counters,
+// min/max bounds and the written root span — stays in the Tree struct
+// across a freeze.
 
 // kissFreezeMagic distinguishes KISS-Tree freeze streams from prefix-tree
 // ones (a sharded index freezes heterogeneous shards into one file).
-const kissFreezeMagic = 0x5150_5054_4B53_0003 // "QPPT" + KISS format 3
+const kissFreezeMagic = 0x5150_5054_4B53_0004 // "QPPT" + KISS format 4
 
 // rootPageBytes is one serialized root page: its directory index and its
 // buckets.
@@ -30,7 +29,6 @@ func (t *Tree) codec() freeze.Codec {
 		Sections: []freeze.Section{
 			{Size: t.rootSnapshotBytes, Write: t.writeRoot, Read: t.readRoot},
 			{Size: t.nodes.SnapshotLen, Write: t.nodes.WriteChunks, Read: t.nodes.ReadChunks},
-			{Size: t.cnodeSnapshotBytes, Write: t.writeCnodes, Read: t.readCnodes},
 		},
 		Release: t.Release,
 	}
@@ -91,59 +89,8 @@ func (t *Tree) readRoot(r *arena.Reader, size uint64) error {
 	return r.Err
 }
 
-func (t *Tree) cnodeSnapshotBytes() uint64 {
-	n := uint64(8)
-	for i := range t.cnodes {
-		n += 16 + 4*uint64(len(t.cnodes[i].entries))
-	}
-	return n
-}
-
-// writeCnodes writes the compressed-node section: the node count, then
-// per node its bitmap, entry count and entries.
-func (t *Tree) writeCnodes(w *arena.Writer) {
-	w.U64(uint64(len(t.cnodes)))
-	for i := range t.cnodes {
-		w.U64(t.cnodes[i].bitmap)
-		w.U64(uint64(len(t.cnodes[i].entries)))
-		w.U32s(t.cnodes[i].entries)
-	}
-}
-
-// readCnodes restores the compressed-node section; a node has one entry
-// per bit of its bitmap.
-func (t *Tree) readCnodes(r *arena.Reader, size uint64) error {
-	nCN := r.U64()
-	if r.Err != nil {
-		return r.Err
-	}
-	if size < 8 || nCN > (size-8)/16 {
-		return arena.Corruptf("compressed-node section of %d bytes claims %d nodes", size, nCN)
-	}
-	left := size - 8
-	// Grown as the nodes arrive: size itself is only a claim on a stream.
-	t.cnodes = make([]cnode, 0, min(nCN, 1<<10))
-	for i := uint64(0); i < nCN; i++ {
-		bitmap, nEnt := r.U64(), r.U64()
-		if r.Err != nil {
-			return r.Err
-		}
-		if nEnt != uint64(bits.OnesCount64(bitmap)) || left < 16+4*nEnt {
-			return arena.Corruptf("compressed node %d: %d entries for bitmap %#x in %d bytes", i, nEnt, bitmap, left)
-		}
-		left -= 16 + 4*nEnt
-		entries := make([]uint32, nEnt)
-		r.U32s(entries)
-		t.cnodes = append(t.cnodes, cnode{bitmap: bitmap, entries: entries})
-	}
-	if left != 0 && r.Err == nil {
-		return arena.Corruptf("compressed-node section: %d bytes are not nodes", left)
-	}
-	return r.Err
-}
-
 // Release detaches the tree's chunk storage — root directory, node arena,
-// compressed nodes, then leaves and slab — parking the chunks in the
+// then leaves and slab — parking the chunks in the
 // configured recycler: after a WriteSnapshot that is safely persisted (the
 // spill), or when the last consumer of an intermediate index is done (the
 // tree is unusable afterwards). A frozen tree has nothing resident, so a
@@ -178,7 +125,6 @@ func (t *Tree) Release() {
 	}
 	t.root = nil
 	t.nodes.Detach()
-	t.cnodes = nil
 	freeze.Release(&t.State, &t.leaves, t.slab)
 }
 

@@ -6,8 +6,7 @@ import "math/bits"
 // Section 4.2): both root arrays are scanned in lockstep, restricted to
 // [max(a.min, b.min), min(a.max, b.max)] so dense keys never touch the full
 // 2^26-bucket roots, and second-level nodes are only visited for buckets
-// populated in both trees. For compressed nodes the slot intersection is a
-// single bitmap AND.
+// populated in both trees; their slot intersection is a single bitmap AND.
 //
 // Visit receives the matching leaves in ascending key order. SyncScan stops
 // early if visit returns false and reports whether it completed.
@@ -89,12 +88,8 @@ func syncNode(a, b *Tree, pa, pb uint32, base uint64, visit func(la, lb *Leaf) b
 	return true
 }
 
-// nodeBitmap returns the occupancy bitmap of a second-level node in either
-// layout.
+// nodeBitmap returns the occupancy bitmap of a second-level node.
 func nodeBitmap(t *Tree, ptr uint32) uint64 {
-	if t.cfg.Compress {
-		return t.cnodes[ptr-1].bitmap
-	}
 	n := t.nodes.Block(ptr - 1)
 	var bm uint64
 	for slot := 0; slot < nodeSlots; slot++ {

@@ -6,13 +6,11 @@
 //	qppt.New / engine constructors  -> Engine.Close   (stops sessions, closes spill)
 //	spill.New                       -> Manager.Close  (removes spill files, frees budget)
 //	duplist.NewSlabIn               -> Slab.Release   (returns chunks to the recycler)
-//	Recycler.Local()                -> Recycler.Drain (hands cached chunks back to the parent)
 //	wire.NewServer                  -> Server.Close   (closes listeners, drains live connections)
 //	client.NewConn / NewPipe        -> Conn.Close     (sends Terminate, closes the socket)
 //
-// A leaked Manager keeps spill files on disk; a worker-local Recycler
-// that is never drained strands its chunk cache; a leaked wire Server
-// or client Conn pins its sessions and their statement caches. No test
+// A leaked Manager keeps spill files on disk; a leaked wire Server or
+// client Conn pins its sessions and their statement caches. No test
 // notices: drop the deferred Close of the HTTP adapter's per-request pipe
 // connection and every test still passes while each request strands a
 // server-side connection until shutdown. The analyzer proves, per
@@ -26,7 +24,8 @@
 // (passing, returning or storing the value hands the obligation to the new
 // owner); paths ending in panic / t.Fatal / os.Exit are exempt; functions
 // using goto or labeled branches are skipped. Results not bound to a plain
-// local (`ex.wrecs[i] = rec.Local()`) escape at birth and are not tracked. Intentional exceptions carry
+// local (assigned to a field or a slice element) escape at birth and are
+// not tracked. Intentional exceptions carry
 // //qpptvet:ignore closetrail <reason> suppressions.
 package closetrail
 
@@ -41,7 +40,7 @@ import (
 // Analyzer is the closetrail invariant checker.
 var Analyzer = &qlint.Analyzer{
 	Name: "closetrail",
-	Doc:  "check that locally created Engine/spill.Manager/duplist.Slab/worker-local Recycler/wire.Server/client.Conn values reach Close/Release/Drain on every path",
+	Doc:  "check that locally created Engine/spill.Manager/duplist.Slab/wire.Server/client.Conn values reach Close/Release on every path",
 	Run:  run,
 }
 
@@ -57,7 +56,6 @@ var resources = []resource{
 	{"qppt", "Engine", "Close"},
 	{"internal/spill", "Manager", "Close"},
 	{"internal/duplist", "Slab", "Release"},
-	{"internal/arena", "Recycler", "Drain"},
 	{"internal/wire", "Server", "Close"},
 	{"internal/wire/client", "Conn", "Close"},
 }
@@ -97,13 +95,9 @@ func checkBody(pass *qlint.Pass, body *ast.BlockStmt) {
 }
 
 // acquires reports whether call creates a tracked resource: a NewXxx
-// constructor returning (a pointer to) a tracked type, or Local() on a
-// Recycler.
+// constructor returning (a pointer to) a tracked type.
 func acquires(pass *qlint.Pass, call *ast.CallExpr) (resource, bool) {
-	name := calleeName(call)
-	isCtor := strings.HasPrefix(name, "New")
-	isLocal := name == "Local"
-	if !isCtor && !isLocal {
+	if !strings.HasPrefix(calleeName(call), "New") {
 		return resource{}, false
 	}
 	tv, ok := pass.TypesInfo.Types[call]
@@ -118,12 +112,6 @@ func acquires(pass *qlint.Pass, call *ast.CallExpr) (resource, bool) {
 		t = tup.At(0).Type()
 	}
 	for _, res := range resources {
-		if res.typeName == "Recycler" && !isLocal {
-			continue // NewRecycler roots are long-lived; only Local() obligates Drain
-		}
-		if res.typeName != "Recycler" && !isCtor {
-			continue
-		}
 		if qlint.NamedFrom(t, res.pkgSuffix, res.typeName) {
 			return res, true
 		}

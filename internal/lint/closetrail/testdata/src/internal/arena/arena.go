@@ -2,13 +2,4 @@
 package arena
 
 // Recycler is a stub chunk pool.
-type Recycler struct{ parent *Recycler }
-
-// NewRecycler builds a root recycler (long-lived; no Drain obligation).
-func NewRecycler() *Recycler { return &Recycler{} }
-
-// Local derives a worker-local recycler; it must be drained back.
-func (r *Recycler) Local() *Recycler { return &Recycler{parent: r} }
-
-// Drain hands cached chunks back to the parent.
-func (r *Recycler) Drain() {}
+type Recycler struct{}

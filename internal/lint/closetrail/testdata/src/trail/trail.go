@@ -1,11 +1,10 @@
 // Package trail exercises the closetrail analyzer: locally created
-// Engine / spill.Manager / duplist.Slab / worker-local Recycler values
-// must reach Close/Release/Drain on every return path.
+// Engine / spill.Manager / duplist.Slab / wire.Server / client.Conn values
+// must reach Close/Release on every return path.
 package trail
 
 import (
 	"qppt"
-	"qppt/internal/arena"
 	"qppt/internal/duplist"
 	"qppt/internal/spill"
 	"qppt/internal/wire"
@@ -70,25 +69,6 @@ func slabDeferredClosure() {
 	s := duplist.NewSlabIn(nil)
 	defer func() { s.Release() }()
 	s.Push(1)
-}
-
-// Flagged: a worker-local recycler that is never drained strands its
-// chunk cache.
-func localNoDrain(root *arena.Recycler) {
-	lr := root.Local() // want `arena.Recycler created here does not reach lr.Drain\(\) on every return path`
-	_ = lr
-}
-
-// Clean: drained on the way out.
-func localDrained(root *arena.Recycler) {
-	lr := root.Local()
-	defer lr.Drain()
-	_ = duplist.NewSlabIn(lr)
-}
-
-// Clean: root recyclers are long-lived; only Local() obligates Drain.
-func rootRecycler() *arena.Recycler {
-	return arena.NewRecycler()
 }
 
 // Clean: ownership transfers with the return value.

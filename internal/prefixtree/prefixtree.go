@@ -112,9 +112,8 @@ type Tree struct {
 	// of per-key objects.
 	slab *duplist.Slab
 
-	// State says whether the chunk storage is spilled (Frozen) or only
-	// partially back (Partial; see spill.go). Counters and geometry stay
-	// valid throughout.
+	// State says whether the chunk storage is spilled (Frozen; see
+	// spill.go). Counters and geometry stay valid throughout.
 	freeze.State
 }
 

@@ -46,7 +46,7 @@ func TestSpillBudgetUnderParallelism(t *testing.T) {
 		cases: append(append(cases, rollupCases(t, ds)...), figureCases(ds)...),
 		legs: []runConfig{{
 			core.EnvConfig{Workers: 3, MemBudget: 1}, // everything cold spills
-			core.Options{MorselsPerWorker: 3},
+			core.Options{},
 		}},
 		check: func(t *testing.T, c planCase, _ runConfig, _ [][]uint64, stats *core.PlanStats) {
 			if intermediates(stats) > 0 && (stats.Spills == 0 || stats.Restores == 0) {

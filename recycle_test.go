@@ -151,9 +151,9 @@ func TestEngineStarAllocBudget(t *testing.T) {
 // hand out checked for being zero over its full capacity: PutChunk clears
 // only the prefix an owner wrote, so a chunk that comes back dirty means
 // some owner wrote beyond the length it handed over. Serial, parallel
-// (worker-local pools, partial merges) and under a spilling budget (freeze,
-// copying and partial thaw). Results stay identical to the recycler-less
-// reference throughout.
+// (worker partials drawing from the shared pool, partial merges) and under
+// a spilling budget (freeze and thaw). Results stay identical to the
+// recycler-less reference throughout.
 func TestEngineZeroInvariant(t *testing.T) {
 	ds := engineDataset(t)
 	ref := oneShotResults(t, ds) // DisableRecycle: true

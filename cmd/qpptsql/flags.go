@@ -35,6 +35,21 @@ func register(fs *flag.FlagSet) *execFlags {
 	return e
 }
 
+// shellFlags holds the command's own flags: the dataset's scale factor
+// and whether the shell starts with statistics on.
+type shellFlags struct {
+	SF    float64
+	Stats bool
+}
+
+// registerShell declares the command's own flags on fs.
+func registerShell(fs *flag.FlagSet) *shellFlags {
+	s := &shellFlags{}
+	fs.Float64Var(&s.SF, "sf", 0.05, "SSB scale factor")
+	fs.BoolVar(&s.Stats, "stats", false, "print per-operator statistics")
+	return s
+}
+
 // serveFlags holds the serving-tier addresses.
 type serveFlags struct {
 	Listen string

@@ -13,11 +13,14 @@ import (
 	"qppt"
 )
 
-// parse registers the engine flags on a fresh set and parses args.
+// parse registers every flag the command declares on a fresh set and
+// parses args; it returns the engine flags.
 func parse(t *testing.T, args ...string) (*execFlags, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
+	registerShell(fs)
+	registerServe(fs)
 	e := register(fs)
 	return e, fs.Parse(args)
 }
@@ -81,8 +84,9 @@ func TestEngineConfigRejects(t *testing.T) {
 	}
 }
 
-// The flags of the removed one-shot, fusion and batch-kernel modes and of
-// the knobs that became constants must be gone, not silently accepted.
+// The flags of the removed one-shot, fusion and batch-kernel modes, of the
+// planner's plain star-join shape and of the knobs that became constants
+// must be gone, not silently accepted.
 func TestRemovedFlagsAreUndefined(t *testing.T) {
 	for _, args := range [][]string{
 		{"-recycle"},
@@ -91,6 +95,7 @@ func TestRemovedFlagsAreUndefined(t *testing.T) {
 		{"-probebatch", "1"},
 		{"-nofuse"},
 		{"-nokernel"},
+		{"-no-select-join"},
 	} {
 		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: parse error %v, want \"flag provided but not defined\"", args, err)
@@ -164,7 +169,7 @@ func TestDocumentedFlagsMatchRegister(t *testing.T) {
 		}
 		usage = append(usage, line)
 	}
-	own := append([]string{"sf", "stats", "no-select-join"}, serve...)
+	own := append(flagNames(func(fs *flag.FlagSet) { registerShell(fs) }), serve...)
 	if got := flagsIn(strings.Join(usage, "\n"), own...); !reflect.DeepEqual(got, engine) {
 		t.Errorf("main.go usage header lists %v, register declares %v", got, engine)
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	qpptsql [-sf 0.05] [-stats] [-no-select-join]
+//	qpptsql [-sf 0.05] [-stats]
 //	        [-workers N] [-membudget 256MiB]
 //	        [-norecycle] [-recyclecap 256MiB]
 //	        [-max-plans N] [-queue-depth D] [-stmtcache C]
@@ -62,9 +62,7 @@ import (
 )
 
 func main() {
-	sf := flag.Float64("sf", 0.05, "SSB scale factor")
-	stats := flag.Bool("stats", false, "print per-operator statistics")
-	noSJ := flag.Bool("no-select-join", false, "disable composed select-join operators")
+	shell := registerShell(flag.CommandLine)
 	srvFlags := registerServe(flag.CommandLine)
 	exec := register(flag.CommandLine)
 	flag.Parse()
@@ -75,8 +73,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Printf("loading SSB at SF=%g...\n", *sf)
-	ds := ssb.MustLoad(ssb.GenConfig{SF: *sf, Seed: 42})
+	fmt.Printf("loading SSB at SF=%g...\n", shell.SF)
+	ds := ssb.MustLoad(ssb.GenConfig{SF: shell.SF, Seed: 42})
 	fmt.Printf("ready: lineorder=%d customer=%d supplier=%d part=%d date=%d rows\n",
 		ds.Lineorder.Rows(), ds.Customer.Rows(), ds.Supplier.Rows(), ds.Part.Rows(), ds.Date.Rows())
 
@@ -88,7 +86,7 @@ func main() {
 	defer eng.Close()
 
 	if srvFlags.serving() {
-		if err := serveWire(srvFlags, eng, ds, *noSJ); err != nil {
+		if err := serveWire(srvFlags, eng, ds); err != nil {
 			fmt.Fprintln(os.Stderr, "qpptsql:", err)
 			os.Exit(1)
 		}
@@ -97,7 +95,7 @@ func main() {
 
 	sess := eng.Session(ds.Cat)
 	fmt.Println(`type SQL ending with ';', \q to quit, \ssb <id> for benchmark queries, \engine for pool stats`)
-	if err := repl(os.Stdin, os.Stdout, sess, ds, *stats, *noSJ); err != nil {
+	if err := repl(os.Stdin, os.Stdout, sess, ds, shell.Stats); err != nil {
 		fmt.Fprintln(os.Stderr, "qpptsql: reading input:", err)
 		eng.Close() // os.Exit skips the deferred Close
 		os.Exit(1)
@@ -107,8 +105,8 @@ func main() {
 // serveWire runs the serving tier: the wire-protocol listener and/or the
 // HTTP adapter, both over one wire.Server on the shared engine. It
 // returns when either listener fails (ErrServerClosed is clean).
-func serveWire(addrs *serveFlags, eng *qppt.Engine, ds *ssb.Dataset, noSJ bool) error {
-	srv := wire.NewServer(eng, ds.Cat, queryOptions(false, noSJ)...)
+func serveWire(addrs *serveFlags, eng *qppt.Engine, ds *ssb.Dataset) error {
+	srv := wire.NewServer(eng, ds.Cat)
 	defer srv.Close()
 	errc := make(chan error, 2)
 	if addrs.Listen != "" {
@@ -129,7 +127,7 @@ func serveWire(addrs *serveFlags, eng *qppt.Engine, ds *ssb.Dataset, noSJ bool) 
 // statements from in and writing results to out. It returns nil at \q or
 // the end of in, and the read error otherwise — a line longer than the
 // 1 MiB line buffer is bufio.ErrTooLong.
-func repl(in io.Reader, out io.Writer, sess *qppt.Session, ds *ssb.Dataset, stats, noSJ bool) error {
+func repl(in io.Reader, out io.Writer, sess *qppt.Session, ds *ssb.Dataset, stats bool) error {
 	showStats := stats
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -171,14 +169,14 @@ func repl(in io.Reader, out io.Writer, sess *qppt.Session, ds *ssb.Dataset, stat
 				continue
 			}
 			fmt.Fprintln(out, text)
-			run(out, sess, text, showStats, noSJ)
+			run(out, sess, text, showStats)
 			prompt()
 			continue
 		}
 		buf.WriteString(line)
 		buf.WriteByte(' ')
 		if strings.HasSuffix(line, ";") {
-			run(out, sess, buf.String(), showStats, noSJ)
+			run(out, sess, buf.String(), showStats)
 			buf.Reset()
 		}
 		prompt()
@@ -186,20 +184,12 @@ func repl(in io.Reader, out io.Writer, sess *qppt.Session, ds *ssb.Dataset, stat
 	return scanner.Err()
 }
 
-// queryOptions assembles the per-query options from the shell state.
-func queryOptions(stats, noSJ bool) []qppt.QueryOption {
+func run(out io.Writer, sess *qppt.Session, text string, stats bool) {
 	var opts []qppt.QueryOption
 	if stats {
 		opts = append(opts, qppt.WithStats())
 	}
-	if noSJ {
-		opts = append(opts, qppt.WithoutSelectJoin())
-	}
-	return opts
-}
-
-func run(out io.Writer, sess *qppt.Session, text string, stats, noSJ bool) {
-	rows, planStats, err := sess.Query(context.Background(), text, queryOptions(stats, noSJ)...)
+	rows, planStats, err := sess.Query(context.Background(), text, opts...)
 	if err != nil {
 		fmt.Fprintln(out, "error:", err)
 		return

@@ -20,7 +20,7 @@ func TestReplEnd(t *testing.T) {
 		{"eof", "", nil},
 		{"line-too-long", strings.Repeat("x", 1<<20+1) + "\n", bufio.ErrTooLong},
 	} {
-		if err := repl(strings.NewReader(tc.in), io.Discard, nil, nil, false, false); !errors.Is(err, tc.want) {
+		if err := repl(strings.NewReader(tc.in), io.Discard, nil, nil, false); !errors.Is(err, tc.want) {
 			t.Errorf("%s: repl = %v, want %v", tc.name, err, tc.want)
 		}
 	}

@@ -320,18 +320,17 @@ func (e *Engine) RunPlan(ctx context.Context, plan *core.Plan, opts ...QueryOpti
 	}
 	defer release()
 	e.queries.Add(1)
-	exec := e.execOptions(opts)
+	exec := execOptions(opts)
 	exec.AdmissionWait = wait
 	return e.env.Run(ctx, plan, exec)
 }
 
-// execOptions folds the engine defaults and the per-query overrides into
-// the core execution options for one run. Joinbuffer size and morsel
-// fan-out run at the core defaults.
-func (e *Engine) execOptions(opts []QueryOption) core.Options {
-	var q queryConfig
+// execOptions folds the per-query options into the core execution options
+// for one run. Joinbuffer size and morsel fan-out run at the core defaults.
+func execOptions(opts []QueryOption) core.Options {
+	var exec core.Options
 	for _, o := range opts {
-		o(&q)
+		o(&exec)
 	}
-	return q.exec
+	return exec
 }

@@ -75,11 +75,11 @@ func main() {
 		st.Recycler.Reused)
 
 	// 4. Prepared statements pay planning once.
-	stmt, err := sess.Prepare(ctx, ssb.SQLTexts["2.3"], qppt.WithStats())
+	stmt, err := sess.Prepare(ctx, ssb.SQLTexts["2.3"])
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, stats, err := stmt.Run(ctx)
+	rows, stats, err := stmt.Run(ctx, qppt.WithStats())
 	if err != nil {
 		log.Fatal(err)
 	}

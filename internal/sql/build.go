@@ -7,6 +7,7 @@ import (
 
 	"qppt/internal/catalog"
 	"qppt/internal/core"
+	"qppt/internal/key"
 )
 
 // builder turns the analyzed statement into a physical QPPT plan.
@@ -14,7 +15,6 @@ type builder struct {
 	ctx         context.Context // cancels the base-index builds planning triggers
 	p           *Planner
 	stmt        *SelectStmt
-	opt         Options
 	fact        *catalog.TableInfo
 	factName    string
 	dims        []*dimInfo // sorted most selective first
@@ -119,7 +119,11 @@ func (b *builder) factIndex(main *dimInfo) (*core.IndexedTable, error) {
 	return b.fact.BuildIndexCtx(b.ctx, def)
 }
 
-// buildStar assembles the star-join plan.
+// buildStar assembles the star-join plan. A restricted main dimension
+// drives a composed select-join (paper Section 4.3): input 0 is the
+// dimension, input 1 the fact. An unrestricted one enters a star join as
+// its base index: input 0 is the fact, input 1 the dimension. Assists
+// follow at 2+i either way.
 func (b *builder) buildStar() (*Statement, error) {
 	main := b.dims[0]
 	factIdx, err := b.factIndex(main)
@@ -131,27 +135,15 @@ func (b *builder) buildStar() (*Statement, error) {
 		return nil, err
 	}
 
-	useSJ := b.opt.UseSelectJoin && len(main.conds) > 0
-	// Input ordinals: select-join → 0 = main dim, 1 = fact;
-	// star join → 0 = fact, 1 = main dim. Assists follow at 2+i.
-	factOrd, mainOrd := 1, 0
-	if !useSJ {
-		factOrd, mainOrd = 0, 1
+	selectJoin := len(main.conds) > 0
+	factOrd, mainOrd := 0, 1
+	// Shapes for offset resolution (inputs in ordinal order).
+	shapes := []*core.IndexedTable{factIdx, mainIdx}
+	if selectJoin {
+		factOrd, mainOrd = 1, 0
+		shapes = []*core.IndexedTable{mainIdx, factIdx}
 	}
 	main.ordinal = mainOrd
-
-	// Shapes for offset resolution (inputs in ordinal order).
-	var shapes []*core.IndexedTable
-	mainShape := mainIdx
-	if !useSJ && len(main.conds) > 0 {
-		// The main dim enters the join through its selection output.
-		mainShape = b.selShape(main)
-	}
-	if useSJ {
-		shapes = []*core.IndexedTable{mainIdx, factIdx}
-	} else {
-		shapes = []*core.IndexedTable{factIdx, mainShape}
-	}
 	var assists []core.Assist
 	for i, d := range b.dims[1:] {
 		d.ordinal = 2 + i
@@ -175,45 +167,33 @@ func (b *builder) buildStar() (*Statement, error) {
 		return nil, err
 	}
 
-	var root core.Operator
-	if useSJ {
-		pred, err := b.keyPred(main.ti, mainPrimary)
-		if err != nil {
-			return nil, err
-		}
-		dimRes, err := b.residual(mainResidual, main.ti, []*core.IndexedTable{mainIdx}, 0)
-		if err != nil {
-			return nil, err
-		}
-		root = &core.SelectJoin{
-			SelInput:      &core.Base{Table: mainIdx},
-			Pred:          pred,
-			Residual:      dimRes,
-			Main:          &core.Base{Table: factIdx},
-			ProbeMainWith: core.Ref{Input: 0, Attr: main.joinKey},
-			MainResidual:  factRes,
-			Assists:       assists,
-			Out:           *out,
-		}
-	} else {
-		var right core.Operator
-		if len(main.conds) > 0 {
-			right, err = b.dimOperator(main)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			right = &core.Base{Table: mainIdx}
-		}
-		root = &core.Join{
+	if !selectJoin {
+		return b.finish(&core.Plan{Root: &core.Join{
 			Left:     &core.Base{Table: factIdx},
-			Right:    right,
+			Right:    &core.Base{Table: mainIdx},
 			Residual: factRes,
 			Assists:  assists,
 			Out:      *out,
-		}
+		}})
 	}
-	return b.finish(&core.Plan{Root: root})
+	pred, err := b.keyPred(main.ti, mainPrimary)
+	if err != nil {
+		return nil, err
+	}
+	dimRes, err := b.residual(mainResidual, main.ti, []*core.IndexedTable{mainIdx}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return b.finish(&core.Plan{Root: &core.SelectJoin{
+		SelInput:      &core.Base{Table: mainIdx},
+		Pred:          pred,
+		Residual:      dimRes,
+		Main:          &core.Base{Table: factIdx},
+		ProbeMainWith: core.Ref{Input: 0, Attr: main.joinKey},
+		MainResidual:  factRes,
+		Assists:       assists,
+		Out:           *out,
+	}})
 }
 
 // buildSingleTable plans a query without joins: one selection (possibly
@@ -274,16 +254,12 @@ func (b *builder) buildSingleTable() (*Statement, error) {
 	return b.finish(&core.Plan{Root: root})
 }
 
-// selShape is the layout of a restricted dimension's selection output.
-func (b *builder) selShape(d *dimInfo) *core.IndexedTable {
-	return core.Shape("σ_"+d.table, core.SimpleKey(d.joinKey, d.ti.Bits(d.joinKey)), d.carries)
-}
-
 // assistShape is the layout under which an assist dimension appears in the
-// combination context.
+// combination context: its selection's output if restricted, its base
+// index otherwise.
 func (b *builder) assistShape(d *dimInfo) *core.IndexedTable {
 	if len(d.conds) > 0 {
-		return b.selShape(d)
+		return core.Shape("σ_"+d.table, core.SimpleKey(d.joinKey, d.ti.Bits(d.joinKey)), d.carries)
 	}
 	idx, _, _, err := b.dimIndex(d)
 	if err != nil {
@@ -310,6 +286,13 @@ func (b *builder) outputSpec(factOrd int, shapes []*core.IndexedTable) (*core.Ou
 		out.Key.Bits = append(out.Key.Bits, ti.Bits(g.Name))
 		out.KeyRefs = append(out.KeyRefs, core.Ref{Input: ord, Attr: g.Name})
 	}
+	if len(out.Key.Bits) > 1 {
+		// The result index composes its key from the GROUP BY columns,
+		// which must fit one 64-bit key together.
+		if _, err := key.NewComposer(out.Key.Bits...); err != nil {
+			return nil, fmt.Errorf("sql: GROUP BY key too wide: %v", err)
+		}
+	}
 	folds := make([]int, len(b.aggExprs))
 	for i, e := range b.aggExprs {
 		fn, err := compileExpr(e, factOrd, shapes)
@@ -320,9 +303,10 @@ func (b *builder) outputSpec(factOrd int, shapes []*core.IndexedTable) (*core.Ou
 		out.ColExprs = append(out.ColExprs, core.Computed(fn))
 		folds[i] = i
 	}
-	if len(b.aggExprs) > 0 {
-		out.Fold = core.FoldSum(folds...)
-	}
+	// Every statement aggregates or groups (a plain SELECT item must be
+	// grouped), so the result keeps one row per key; with no aggregate
+	// the fold sums nothing.
+	out.Fold = core.FoldSum(folds...)
 	return out, nil
 }
 

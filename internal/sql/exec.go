@@ -48,6 +48,9 @@ func (b *builder) keyPred(ti *catalog.TableInfo, c Cond) (core.KeyPred, error) {
 			return p, nil
 		}
 	}
+	if ti.Dict(col) != nil {
+		return nil, fmt.Errorf("sql: numeric predicate on string column %s", col)
+	}
 	switch c.Kind {
 	case CondCmp:
 		switch c.Op {
@@ -146,6 +149,9 @@ func compileTest(c Cond, ti *catalog.TableInfo, off int) (func([]uint64) bool, e
 			}
 			return func(ctx []uint64) bool { return set[ctx[off]] }, nil
 		}
+	}
+	if ti.Dict(c.Col.Name) != nil {
+		return nil, fmt.Errorf("sql: numeric predicate on string column %s", c.Col)
 	}
 	switch c.Kind {
 	case CondCmp:

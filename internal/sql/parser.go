@@ -308,19 +308,8 @@ func (p *parser) parseCond() (Cond, error) {
 		}
 		c := Cond{Kind: CondIn, Col: left}
 		for {
-			t := p.cur()
-			switch {
-			case p.accept(tokString, ""):
-				c.IsStr = true
-				c.StrSet = append(c.StrSet, t.text)
-			case p.accept(tokNumber, ""):
-				v, err := p.num(t)
-				if err != nil {
-					return Cond{}, err
-				}
-				c.Set = append(c.Set, v)
-			default:
-				return Cond{}, p.errf("expected literal in IN list")
+			if err := p.setLiteral(&c, "IN list"); err != nil {
+				return Cond{}, err
 			}
 			if !p.accept(tokSymbol, ",") {
 				break
@@ -379,22 +368,35 @@ func (p *parser) parseOrChain() (Cond, error) {
 		if _, err := p.expect(tokOp, "="); err != nil {
 			return Cond{}, err
 		}
-		t := p.cur()
-		switch {
-		case p.accept(tokString, ""):
-			c.IsStr = true
-			c.StrSet = append(c.StrSet, t.text)
-		case p.accept(tokNumber, ""):
-			v, err := p.num(t)
-			if err != nil {
-				return Cond{}, err
-			}
-			c.Set = append(c.Set, v)
-		default:
-			return Cond{}, p.errf("expected literal in OR chain")
+		if err := p.setLiteral(&c, "OR chain"); err != nil {
+			return Cond{}, err
 		}
 		if !p.accept(tokIdent, "or") {
 			return c, nil
 		}
 	}
+}
+
+// setLiteral parses one literal of an IN list or OR chain (what names
+// which) into c's set. The literals of one set are all strings or all
+// numbers, as BETWEEN's bounds are.
+func (p *parser) setLiteral(c *Cond, what string) error {
+	t := p.cur()
+	switch {
+	case p.accept(tokString, ""):
+		c.IsStr = true
+		c.StrSet = append(c.StrSet, t.text)
+	case p.accept(tokNumber, ""):
+		v, err := p.num(t)
+		if err != nil {
+			return err
+		}
+		c.Set = append(c.Set, v)
+	default:
+		return p.errf("expected literal in %s", what)
+	}
+	if len(c.Set) > 0 && len(c.StrSet) > 0 {
+		return fmt.Errorf("sql: at offset %d: %s mixes string and number literals", t.pos, what)
+	}
+	return nil
 }

@@ -164,6 +164,9 @@ func TestParseErrors(t *testing.T) {
 		"select a from t where a <> b",           // unsupported operator shape
 		"select a from t where (a = 1 or b = 2)", // OR over two columns
 		"select a from t where a between 1 and 'x'", // mixed types
+		"select a from t where a in ('x', 1)",       // mixed types
+		"select a from t where a in (1, 'x')",       // mixed types
+		"select a from t where (a = 'x' or a = 1)",  // mixed types
 		"select a from t extra",                     // trailing tokens
 		"select a from t where a < 'x'",             // non-= string comparison
 		// Number literals above 2^64-1, in every condition form.

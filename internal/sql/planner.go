@@ -9,12 +9,11 @@ import (
 	"qppt/internal/core"
 )
 
-// Options carry the demonstrator's optimizer knobs into SQL planning.
-// They shape the plan only; how a statement executes is decided per run
+// Options is Planner.Plan's ignored parameter: a plan depends on its SQL
+// text alone, and how a statement executes is decided per run
 // (Statement.Run takes the core.Env and core.Options).
 type Options struct {
-	// UseSelectJoin fuses the most selective dimension selection into
-	// the star join (paper Section 4.3).
+	// Deprecated: set by benchmark/trace.go; nothing in the planner reads it.
 	UseSelectJoin bool
 }
 
@@ -52,20 +51,20 @@ type Rows struct {
 func (r *Rows) Decode(row, col int) string { return r.Cells[col].String(r.Rows[row][col]) }
 
 // PlanSQL parses and plans a query in one step.
-func (p *Planner) PlanSQL(src string, opt Options) (*Statement, error) {
-	return p.PlanSQLCtx(context.Background(), src, opt)
+func (p *Planner) PlanSQL(src string) (*Statement, error) {
+	return p.PlanSQLCtx(context.Background(), src)
 }
 
 // PlanSQLCtx is PlanSQL with cancellation. Planning provisions the base
 // indexes the physical plan needs — full table scans on a cold catalog —
 // and a cancelled ctx aborts those builds instead of finishing them for
 // a client that already hung up.
-func (p *Planner) PlanSQLCtx(ctx context.Context, src string, opt Options) (*Statement, error) {
+func (p *Planner) PlanSQLCtx(ctx context.Context, src string) (*Statement, error) {
 	stmt, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return p.plan(ctx, stmt, opt)
+	return p.plan(ctx, stmt)
 }
 
 // dimInfo gathers everything the planner knows about one joined dimension.
@@ -80,19 +79,22 @@ type dimInfo struct {
 	ordinal int      // plan input ordinal, assigned late
 }
 
-// Plan compiles a parsed statement.
-func (p *Planner) Plan(stmt *SelectStmt, opt Options) (*Statement, error) {
-	return p.plan(context.Background(), stmt, opt)
+// Plan compiles a parsed statement. The Options are ignored.
+func (p *Planner) Plan(stmt *SelectStmt, _ Options) (*Statement, error) {
+	return p.plan(context.Background(), stmt)
 }
 
 // plan compiles a parsed statement. ctx cancels the base-index builds
 // planning triggers.
-func (p *Planner) plan(ctx context.Context, stmt *SelectStmt, opt Options) (*Statement, error) {
+func (p *Planner) plan(ctx context.Context, stmt *SelectStmt) (*Statement, error) {
 	tis := make(map[string]*catalog.TableInfo, len(stmt.Tables))
 	for _, t := range stmt.Tables {
 		ti := p.cat.Table(t)
 		if ti == nil {
 			return nil, fmt.Errorf("sql: unknown table %q", t)
+		}
+		if tis[t] != nil {
+			return nil, fmt.Errorf("sql: table %q listed twice in FROM", t)
 		}
 		tis[t] = ti
 	}
@@ -250,7 +252,7 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt, opt Options) (*Sta
 		}
 	}
 
-	b := &builder{ctx: ctx, p: p, stmt: stmt, opt: opt, fact: factTi, factName: fact,
+	b := &builder{ctx: ctx, p: p, stmt: stmt, fact: factTi, factName: fact,
 		dims: dimList, restr: restr, factCarries: factCarries,
 		groupOwner: groupOwner, aggNames: aggNames, aggExprs: aggExprs, tis: tis}
 	return b.build()

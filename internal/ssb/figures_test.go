@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qppt/internal/core"
-	"qppt/internal/sql"
 )
 
 // TestFigurePlansMatchPlanner: each hand-built figures.go plan returns the
@@ -14,7 +13,7 @@ import (
 func TestFigurePlansMatchPlanner(t *testing.T) {
 	ds := testDataset(t)
 	for _, fig := range figureCases(ds) {
-		want, _, err := sqlCase(t, ds, "Q"+fig.qid, fig.qid, SQLTexts[fig.qid], sql.Options{UseSelectJoin: true}).
+		want, _, err := sqlCase(t, ds, "Q"+fig.qid, fig.qid, SQLTexts[fig.qid]).
 			run(context.Background(), newTestEnv(t, core.EnvConfig{}), core.Options{})
 		if err != nil {
 			t.Fatalf("Q%s: %v", fig.qid, err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qppt/internal/core"
-	"qppt/internal/sql"
 )
 
 // TestMorselParallelMatchesSerial asserts bit-identical results between
@@ -34,7 +33,7 @@ func TestMorselParallelMatchesSerial(t *testing.T) {
 // all of them.
 func TestMorselStatsRecordConfiguration(t *testing.T) {
 	ds := testDataset(t)
-	c := sqlCase(t, ds, "rollup1", "", rollups[0], sql.Options{UseSelectJoin: true})
+	c := sqlCase(t, ds, "rollup1", "", rollups[0])
 	_, stats, err := c.run(context.Background(), newTestEnv(t, core.EnvConfig{Workers: 3}),
 		core.Options{CollectStats: true})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"qppt/internal/core"
-	"qppt/internal/sql"
 )
 
 // intermediates counts the operator outputs of a finished plan that a later
@@ -41,7 +40,7 @@ func TestSpillBudgetMatchesUnbudgeted(t *testing.T) {
 // shard-by-shard, and the result must still be bit-identical.
 func TestSpillBudgetUnderParallelism(t *testing.T) {
 	ds := testDataset(t)
-	cases := sqlCases(t, ds, sql.Options{UseSelectJoin: true}, "1.1", "2.3", "3.1", "4.1")
+	cases := sqlCases(t, ds, "1.1", "2.3", "3.1", "4.1")
 	runSuite(t, suite{
 		cases: append(append(cases, rollupCases(t, ds)...), figureCases(ds)...),
 		legs: []runConfig{{

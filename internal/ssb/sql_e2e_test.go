@@ -2,6 +2,7 @@ package ssb
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,9 +30,8 @@ func normalizeSQL(qid string, rows [][]uint64) [][]uint64 {
 	return rows
 }
 
-// TestSQLMatchesHandBuiltPlans: every SSB SQL text, planned with and
-// without select-joins, returns what the column engine's hand-built plan
-// for the same query returns.
+// TestSQLMatchesHandBuiltPlans: every SSB SQL text returns what the
+// column engine's hand-built plan for the same query returns.
 func TestSQLMatchesHandBuiltPlans(t *testing.T) {
 	ds := testDataset(t)
 	want := make(map[string]*QueryResult, len(QueryIDs))
@@ -42,13 +42,11 @@ func TestSQLMatchesHandBuiltPlans(t *testing.T) {
 		}
 		want[qid] = col
 	}
-	for _, useSJ := range []bool{true, false} {
-		for _, qid := range QueryIDs {
-			got, _ := runSQL(t, ds, qid, sql.Options{UseSelectJoin: useSJ}, runConfig{})
-			if !got.Equal(want[qid]) {
-				t.Errorf("Q%s (selectjoin=%v): SQL and column engine disagree: %d vs %d rows\nsql: %v\ncol: %v",
-					qid, useSJ, len(got.Rows), len(want[qid].Rows), head(got.Rows), head(want[qid].Rows))
-			}
+	for _, qid := range QueryIDs {
+		got, _ := runSQL(t, ds, qid, runConfig{})
+		if !got.Equal(want[qid]) {
+			t.Errorf("Q%s: SQL and column engine disagree: %d vs %d rows\nsql: %v\ncol: %v",
+				qid, len(got.Rows), len(want[qid].Rows), head(got.Rows), head(want[qid].Rows))
 		}
 	}
 }
@@ -56,7 +54,7 @@ func TestSQLMatchesHandBuiltPlans(t *testing.T) {
 func TestSQLStatsAndDecode(t *testing.T) {
 	ds := testDataset(t)
 	planner := sql.NewPlanner(ds.Cat)
-	stmt, err := planner.PlanSQL(SQLTexts["2.3"], sql.Options{UseSelectJoin: true})
+	stmt, err := planner.PlanSQL(SQLTexts["2.3"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestSQLPlannerErrors(t *testing.T) {
 		"select sum(lo_revenue) from lineorder, customer where lo_custkey = c_custkey order by lo_quantity", // order by non-output
 	}
 	for _, src := range bad {
-		if stmt, err := planner.PlanSQL(src, sql.Options{}); err == nil {
+		if stmt, err := planner.PlanSQL(src); err == nil {
 			t.Errorf("accepted %q (plan: %v)", src, stmt.Attrs)
 		}
 	}
@@ -112,11 +110,103 @@ func TestSQLUnjoinedTableIsAnError(t *testing.T) {
 		"select sum(lo_revenue) from lineorder, date, part where lo_orderdate = d_datekey and p_brand1 = 'MFGR#2221'",
 		"select sum(lo_revenue) from lineorder, part",
 	} {
-		for _, useSJ := range []bool{true, false} {
-			stmt, err := planner.PlanSQL(src, sql.Options{UseSelectJoin: useSJ})
-			if err == nil || !strings.Contains(err.Error(), `table "part" is not joined (cross products are not supported)`) {
-				t.Errorf("%q (selectjoin=%v): planned=%v err=%v, want the not-joined error", src, useSJ, stmt != nil, err)
-			}
+		stmt, err := planner.PlanSQL(src)
+		if err == nil || !strings.Contains(err.Error(), `table "part" is not joined (cross products are not supported)`) {
+			t.Errorf("%q: planned=%v err=%v, want the not-joined error", src, stmt != nil, err)
+		}
+	}
+}
+
+// TestSQLTableListedTwiceIsAnError: standard SQL rejects a FROM list that
+// names one table twice without aliases; planning must not answer as if
+// the table were listed once.
+func TestSQLTableListedTwiceIsAnError(t *testing.T) {
+	planner := sql.NewPlanner(testDataset(t).Cat)
+	for _, src := range []string{
+		"select sum(lo_revenue) from lineorder, customer, customer where lo_custkey = c_custkey and c_region = 'ASIA'",
+		"select sum(lo_revenue) from lineorder, customer, customer where lo_custkey = c_custkey",
+		"select sum(lo_revenue) from lineorder, lineorder",
+	} {
+		stmt, err := planner.PlanSQL(src)
+		if err == nil || !strings.Contains(err.Error(), "listed twice in FROM") {
+			t.Errorf("%q: planned=%v err=%v, want the listed-twice error", src, stmt != nil, err)
+		}
+	}
+}
+
+// TestSQLNumericLiteralOnStringColumn: a dictionary-encoded string column
+// compares against string literals only. A number there would compare
+// dictionary codes — c_region < 1 would select AFRICA — so it is an error
+// wherever the restriction lands: the key predicate of a selection, a
+// residual test, or a set of literals that mixes both kinds.
+func TestSQLNumericLiteralOnStringColumn(t *testing.T) {
+	planner := sql.NewPlanner(testDataset(t).Cat)
+	const star = "select sum(lo_revenue) from lineorder, customer where lo_custkey = c_custkey and "
+	for _, tc := range []struct{ where, errLike string }{
+		{"c_region < 1", "numeric predicate on string column c_region"},
+		{"c_region = 5", "numeric predicate on string column c_region"},
+		{"c_region between 0 and 2", "numeric predicate on string column c_region"},
+		{"c_region in (1, 2)", "numeric predicate on string column c_region"},
+		{"c_region = 'ASIA' and c_nation = 3", "numeric predicate on string column c_nation"},
+		{"c_region in ('ASIA', 5)", "IN list mixes string and number literals"},
+		{"(c_region = 'ASIA' or c_region = 5)", "OR chain mixes string and number literals"},
+		{"(c_region = 5 or c_region = 'ASIA')", "OR chain mixes string and number literals"},
+	} {
+		stmt, err := planner.PlanSQL(star + tc.where)
+		if err == nil || !strings.Contains(err.Error(), tc.errLike) {
+			t.Errorf("%q: planned=%v err=%v, want an error mentioning %q", tc.where, stmt != nil, err, tc.errLike)
+		}
+	}
+}
+
+// TestSQLGroupByWithoutAggregate: a GROUP BY with no aggregate returns one
+// row per group — the key columns of the same text with a sum added — not
+// one row per input row.
+func TestSQLGroupByWithoutAggregate(t *testing.T) {
+	ds := testDataset(t)
+	for _, tc := range []struct{ keys, from string }{
+		{"d_year", "lineorder, date where lo_orderdate = d_datekey"},
+		{"lo_quantity", "lineorder"},
+		{"c_nation", "lineorder, customer where lo_custkey = c_custkey and c_region = 'ASIA'"},
+		{"d_year, c_nation", "lineorder, customer, date where lo_custkey = c_custkey and lo_orderdate = d_datekey"},
+	} {
+		bare := "select " + tc.keys + " from " + tc.from + " group by " + tc.keys
+		summed := "select " + tc.keys + ", sum(lo_revenue) from " + tc.from + " group by " + tc.keys
+		got, _, err := sqlCase(t, ds, bare, "", bare).run(context.Background(), newTestEnv(t, core.EnvConfig{}), core.Options{})
+		if err != nil {
+			t.Fatalf("%q: %v", bare, err)
+		}
+		want, _, err := sqlCase(t, ds, summed, "", summed).run(context.Background(), newTestEnv(t, core.EnvConfig{}), core.Options{})
+		if err != nil {
+			t.Fatalf("%q: %v", summed, err)
+		}
+		for i := range want {
+			want[i] = want[i][:len(want[i])-1]
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: %d rows %v, want the %d groups %v", bare, len(got), head(got), len(want), head(want))
+		}
+	}
+}
+
+// TestSQLGroupByKeyTooWide: GROUP BY columns whose widths sum past 64 bits
+// cannot compose one result key. Planning must refuse them: a run would
+// panic building the result index, on a scheduler goroutine when the Env
+// has workers, where no caller's recover reaches it.
+func TestSQLGroupByKeyTooWide(t *testing.T) {
+	ds := testDataset(t)
+	for _, src := range []string{
+		"select sum(lo_revenue) from lineorder group by lo_revenue, lo_extendedprice, lo_supplycost, lo_orderdate",
+		"select lo_revenue, lo_extendedprice, lo_supplycost, lo_orderdate from lineorder, customer where lo_custkey = c_custkey and c_region = 'ASIA' group by lo_revenue, lo_extendedprice, lo_supplycost, lo_orderdate",
+	} {
+		stmt, err := sql.NewPlanner(ds.Cat).PlanSQL(src)
+		if err == nil {
+			_, _, err = stmt.Run(context.Background(), newTestEnv(t, core.EnvConfig{Workers: 2}), core.Options{})
+			t.Errorf("%q planned (run: %v), want a planning error", src, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "GROUP BY key too wide") {
+			t.Errorf("%q: %v, want the GROUP BY key error", src, err)
 		}
 	}
 }
@@ -125,8 +215,7 @@ func TestSQLSingleTable(t *testing.T) {
 	ds := testDataset(t)
 	planner := sql.NewPlanner(ds.Cat)
 	stmt, err := planner.PlanSQL(
-		`select sum(lo_revenue) as r from lineorder where lo_quantity < 10 and lo_discount = 5`,
-		sql.Options{})
+		`select sum(lo_revenue) as r from lineorder where lo_quantity < 10 and lo_discount = 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +241,7 @@ func TestSQLGroupByFactColumn(t *testing.T) {
 	stmt, err := planner.PlanSQL(
 		`select lo_discount, sum(lo_revenue) as r from lineorder, customer
 		 where lo_custkey = c_custkey and c_region = 'ASIA'
-		 group by lo_discount order by lo_discount`,
-		sql.Options{UseSelectJoin: true})
+		 group by lo_discount order by lo_discount`)
 	if err != nil {
 		t.Fatal(err)
 	}

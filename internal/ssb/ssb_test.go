@@ -1,12 +1,12 @@
 package ssb
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"testing"
 
 	"qppt/internal/core"
-	"qppt/internal/sql"
 )
 
 // The dataset is loaded once per test binary: the generator and base index
@@ -75,12 +75,11 @@ func TestGeneratorDeterministic(t *testing.T) {
 // check: every SSB query must return the identical normalized result on
 // the QPPT engine (the SQL text through lexer, parser, planner and
 // executor), the column-at-a-time engine, and the vector-at-a-time engine.
-// TestSQLMatchesHandBuiltPlans covers the planner's other plan shape.
 func TestCrossEngineEquivalence(t *testing.T) {
 	ds := testDataset(t)
 	for _, qid := range QueryIDs {
 		t.Run("Q"+qid, func(t *testing.T) {
-			qppt, _ := runSQL(t, ds, qid, sql.Options{UseSelectJoin: true}, runConfig{})
+			qppt, _ := runSQL(t, ds, qid, runConfig{})
 			col, err := ds.RunColumn(qid)
 			if err != nil {
 				t.Fatalf("column: %v", err)
@@ -128,7 +127,7 @@ func TestResultsNonTrivial(t *testing.T) {
 	// With the fixed seed these queries must produce data; a zero result
 	// would mean predicates or join paths are silently broken.
 	for _, qid := range []string{"1.1", "1.2", "2.1", "3.1", "3.2", "4.1", "4.2"} {
-		res, _ := runSQL(t, ds, qid, sql.Options{UseSelectJoin: true}, runConfig{})
+		res, _ := runSQL(t, ds, qid, runConfig{})
 		if len(res.Rows) == 0 {
 			t.Errorf("Q%s returned no rows", qid)
 			continue
@@ -143,24 +142,25 @@ func TestResultsNonTrivial(t *testing.T) {
 	}
 }
 
-// TestStatsReportOperators: the stats name the planner's plan shapes.
-// Q2.3 with select-join is the paper's Figure 5 star: the supplier
-// selection materializes, and one composed select-join probes the part
-// selection's qualifying keys into lineorder-by-partkey, with the supplier
-// selection and the date index as assists. Q4.1 without select-join is one
-// 5-way star join over lineorder and the customer selection — Figure 9's
-// uncapped point.
+// TestStatsReportOperators: the stats name the plan shapes. The planner's
+// Q2.3 is the paper's Figure 5 star: the supplier selection materializes,
+// and one composed select-join probes the part selection's qualifying
+// keys into lineorder-by-partkey, with the supplier selection and the date
+// index as assists. Figure 9's uncapped point is one 5-way star join over
+// lineorder and the customer selection.
 func TestStatsReportOperators(t *testing.T) {
 	ds := testDataset(t)
 	for _, tc := range []struct {
-		qid  string
-		opt  sql.Options
+		c    planCase
 		want []string
 	}{
-		{"2.3", sql.Options{UseSelectJoin: true}, []string{"σ→σ_supplier", "σ⋈4→Γ"}},
-		{"4.1", sql.Options{}, []string{"σ→σ_customer", "σ→σ_supplier", "σ→σ_part", "⋈5→Γ"}},
+		{sqlCase(t, ds, "Q2.3", "2.3", SQLTexts["2.3"]), []string{"σ→σ_supplier", "σ⋈4→Γ"}},
+		{planOf("fig9/5-way", "4.1", ds.Figure9Plan(5)), []string{"σ→σ_customer", "σ→σ_supplier", "σ→σ_part", "⋈5→Γ_year_nation"}},
 	} {
-		_, stats := runSQL(t, ds, tc.qid, tc.opt, runConfig{exec: core.Options{CollectStats: true}})
+		_, stats, err := tc.c.run(context.Background(), newTestEnv(t, core.EnvConfig{}), core.Options{CollectStats: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.c.name, err)
+		}
 		var labels []string
 		for _, op := range stats.Ops {
 			labels = append(labels, op.Label)
@@ -169,7 +169,7 @@ func TestStatsReportOperators(t *testing.T) {
 			}
 		}
 		if !slices.Equal(labels, tc.want) {
-			t.Errorf("Q%s %+v ran %q, want %q", tc.qid, tc.opt, labels, tc.want)
+			t.Errorf("%s ran %q, want %q", tc.c.name, labels, tc.want)
 		}
 	}
 }

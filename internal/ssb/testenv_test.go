@@ -71,17 +71,17 @@ type runConfig struct {
 }
 
 // A planCase is one plan the e2e suites run: a SQL text as the planner
-// plans it under one shape, or a hand-built figures.go plan. qid names the
+// plans it, or a hand-built figures.go plan. qid names the
 // SSB query whose answer it returns ("" for a roll-up).
 type planCase struct {
 	name, qid string
 	run       func(ctx context.Context, env *core.Env, exec core.Options) ([][]uint64, *core.PlanStats, error)
 }
 
-// sqlCase plans text under opt once; each run executes the statement.
-func sqlCase(t testing.TB, ds *Dataset, name, qid, text string, opt sql.Options) planCase {
+// sqlCase plans text once; each run executes the statement.
+func sqlCase(t testing.TB, ds *Dataset, name, qid, text string) planCase {
 	t.Helper()
-	stmt, err := sql.NewPlanner(ds.Cat).PlanSQL(text, opt)
+	stmt, err := sql.NewPlanner(ds.Cat).PlanSQL(text)
 	if err != nil {
 		t.Fatalf("%s: plan: %v", name, err)
 	}
@@ -107,18 +107,17 @@ func planOf(name, qid string, plan *core.Plan) planCase {
 	}}
 }
 
-// sqlCases plans the SSB texts of qids under opt.
-func sqlCases(t testing.TB, ds *Dataset, opt sql.Options, qids ...string) []planCase {
+// sqlCases plans the SSB texts of qids.
+func sqlCases(t testing.TB, ds *Dataset, qids ...string) []planCase {
 	var cs []planCase
 	for _, qid := range qids {
-		cs = append(cs, sqlCase(t, ds, fmt.Sprintf("Q%s/selectjoin=%v", qid, opt.UseSelectJoin), qid, SQLTexts[qid], opt))
+		cs = append(cs, sqlCase(t, ds, "Q"+qid, qid, SQLTexts[qid]))
 	}
 	return cs
 }
 
 // rollups restrict the fact table by a year range on its date key, like
-// benchmark/'s ssb-par texts. Planned with select-join, no SSB text's
-// operator fans out to a second worker (each is driven by a selection a few
+// benchmark/'s ssb-par texts. No SSB text's operator fans out to a second worker (each is driven by a selection a few
 // dictionary codes wide); these roll-ups' operators do.
 var rollups = []string{
 	"select lo_suppkey, sum(lo_revenue) as r from lineorder where lo_orderdate between 19930101 and 19951231 group by lo_suppkey order by lo_suppkey;",
@@ -129,7 +128,7 @@ var rollups = []string{
 func rollupCases(t testing.TB, ds *Dataset) []planCase {
 	var cs []planCase
 	for i, text := range rollups {
-		cs = append(cs, sqlCase(t, ds, fmt.Sprintf("rollup%d", i+1), "", text, sql.Options{UseSelectJoin: true}))
+		cs = append(cs, sqlCase(t, ds, fmt.Sprintf("rollup%d", i+1), "", text))
 	}
 	return cs
 }
@@ -138,24 +137,24 @@ func rollupCases(t testing.TB, ds *Dataset) []planCase {
 // an intermediate that is not a dimension selection.
 func figureCases(ds *Dataset) []planCase {
 	cs := []planCase{planOf("fig8/without-select-join", "1.1", ds.Figure8Plan())}
-	for arity := 2; arity <= 4; arity++ {
+	for arity := 2; arity <= 5; arity++ {
 		cs = append(cs, planOf(fmt.Sprintf("fig9/%d-way", arity), "4.1", ds.Figure9Plan(arity)))
 	}
 	return cs
 }
 
-// allCases is every suite's default matrix: the thirteen texts under both
-// planner shapes, the roll-ups and the figures.go plans.
+// allCases is every suite's default matrix: the thirteen texts, the
+// roll-ups and the figures.go plans.
 func allCases(t testing.TB, ds *Dataset) []planCase {
-	cs := append(sqlCases(t, ds, sql.Options{UseSelectJoin: true}, QueryIDs...), sqlCases(t, ds, sql.Options{}, QueryIDs...)...)
-	return append(append(cs, rollupCases(t, ds)...), figureCases(ds)...)
+	cs := append(sqlCases(t, ds, QueryIDs...), rollupCases(t, ds)...)
+	return append(cs, figureCases(ds)...)
 }
 
-// runSQL runs one SSB text under opt in a fresh leak-checked Env, its rows
+// runSQL runs one SSB text in a fresh leak-checked Env, its rows
 // normalized like the baseline engines' results.
-func runSQL(t testing.TB, ds *Dataset, qid string, opt sql.Options, rc runConfig) (*QueryResult, *core.PlanStats) {
+func runSQL(t testing.TB, ds *Dataset, qid string, rc runConfig) (*QueryResult, *core.PlanStats) {
 	t.Helper()
-	c := sqlCase(t, ds, "Q"+qid, qid, SQLTexts[qid], opt)
+	c := sqlCase(t, ds, "Q"+qid, qid, SQLTexts[qid])
 	rows, stats, err := c.run(context.Background(), newTestEnv(t, rc.env), rc.exec)
 	if err != nil {
 		t.Fatalf("Q%s: %v", qid, err)

@@ -209,7 +209,7 @@ func (c *srvConn) doQuery(p []byte) error {
 		c.inflight.Store(nil)
 		qcancel()
 	}()
-	stmt, err := c.sess.PrepareCached(qctx, text, c.srv.opts...)
+	stmt, err := c.sess.PrepareCached(qctx, text)
 	if err != nil {
 		return c.writeErr(Classify(err, ClassBadRequest), err.Error())
 	}
@@ -229,7 +229,7 @@ func (c *srvConn) doPrepare(p []byte) error {
 		c.inflight.Store(nil)
 		qcancel()
 	}()
-	stmt, err := c.sess.PrepareCached(qctx, text, c.srv.opts...)
+	stmt, err := c.sess.PrepareCached(qctx, text)
 	if err != nil {
 		return c.writeErr(Classify(err, ClassBadRequest), err.Error())
 	}

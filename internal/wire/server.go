@@ -17,7 +17,6 @@ import (
 type Server struct {
 	eng    *qppt.Engine
 	cat    *catalog.Catalog
-	opts   []qppt.QueryOption
 	banner string
 
 	mu        sync.Mutex
@@ -27,16 +26,12 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-// NewServer builds a server for the engine and catalog. The query
-// options become every connection's planning/run defaults (they must be
-// a fixed set — prepared statements cache against them, see
-// Session.PrepareCached). Call Close when done: it disconnects every
-// client and waits for their handlers to drain.
-func NewServer(eng *qppt.Engine, cat *catalog.Catalog, opts ...qppt.QueryOption) *Server {
+// NewServer builds a server for the engine and catalog. Call Close when
+// done: it disconnects every client and waits for their handlers to drain.
+func NewServer(eng *qppt.Engine, cat *catalog.Catalog) *Server {
 	return &Server{
 		eng:       eng,
 		cat:       cat,
-		opts:      opts,
 		banner:    "qppt",
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*srvConn]struct{}),

@@ -299,13 +299,15 @@ func hostileThenQ21(t *testing.T, texts []string, check func(text string, res *c
 	}
 }
 
-// TestWireHostileSQLIsBadRequest: texts that once panicked the planner —
-// a number literal above 2^64-1, a FROM table no join reaches — answer the
-// connection that sent them with ClassBadRequest.
+// TestWireHostileSQLIsBadRequest: texts that once panicked the planner or
+// a run — a number literal above 2^64-1, a FROM table no join reaches, a
+// GROUP BY key wider than 64 bits — answer the connection that sent them
+// with ClassBadRequest.
 func TestWireHostileSQLIsBadRequest(t *testing.T) {
 	hostileThenQ21(t, []string{
 		"select sum(lo_revenue) from lineorder where lo_quantity = 99999999999999999999",
 		"select sum(lo_revenue) from lineorder, date, part where lo_orderdate = d_datekey group by p_brand1",
+		"select sum(lo_revenue) from lineorder group by lo_revenue, lo_extendedprice, lo_supplycost, lo_orderdate",
 	}, func(text string, _ *client.Result, err error) {
 		var werr *wire.Error
 		if !errors.As(err, &werr) || werr.Class != wire.ClassBadRequest {

@@ -43,16 +43,15 @@ func (s *Session) Close() error {
 // planning happens once per distinct SQL text and repeats are served
 // from the LRU (an Engine.Stats statement-cache hit — the Bind fast path
 // of the wire protocol). Sessions without a cache (Engine.Session) plan
-// every call. The cache does not fingerprint opts; callers must pass the
-// same options for the same text, as a protocol connection does.
-func (s *Session) PrepareCached(ctx context.Context, text string, opts ...QueryOption) (*Stmt, error) {
+// every call.
+func (s *Session) PrepareCached(ctx context.Context, text string) (*Stmt, error) {
 	if s.cache == nil {
-		return s.Prepare(ctx, text, opts...)
+		return s.Prepare(ctx, text)
 	}
 	if st, ok := s.cache.lookup(text); ok {
 		return st, nil
 	}
-	st, err := s.Prepare(ctx, text, opts...)
+	st, err := s.Prepare(ctx, text)
 	if err != nil {
 		return nil, err
 	}
@@ -60,56 +59,50 @@ func (s *Session) PrepareCached(ctx context.Context, text string, opts ...QueryO
 	return st, nil
 }
 
-// Query parses, plans and executes one SQL statement. The returned rows
-// are materialized and fully owned by the caller; cancelling ctx unwinds
-// the execution promptly and returns ctx.Err().
+// Query parses, plans and executes one SQL statement with the given
+// options. The returned rows are materialized and fully owned by the
+// caller; cancelling ctx unwinds the execution promptly and returns
+// ctx.Err().
 func (s *Session) Query(ctx context.Context, text string, opts ...QueryOption) (*sql.Rows, *core.PlanStats, error) {
-	stmt, err := s.Prepare(ctx, text, opts...)
+	stmt, err := s.Prepare(ctx, text)
 	if err != nil {
 		return nil, nil, err
 	}
-	return stmt.Run(ctx)
+	return stmt.Run(ctx, opts...)
 }
 
 // Prepare parses and plans a statement for repeated execution. Planning
 // pins the physical plan — including the base indexes it provisions in
 // the catalog, which on a cold catalog means full table scans; ctx
-// cancels those builds too — so Stmt.Run pays only execution. Per-query
-// options given here become the statement's defaults; Run can override
-// them again.
-func (s *Session) Prepare(ctx context.Context, text string, opts ...QueryOption) (*Stmt, error) {
+// cancels those builds too — so Stmt.Run pays only execution. The plan
+// depends on the SQL text alone.
+func (s *Session) Prepare(ctx context.Context, text string) (*Stmt, error) {
 	if err := s.eng.checkOpen(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	q := queryConfig{exec: s.eng.execOptions(nil)}
-	for _, o := range opts {
-		o(&q)
-	}
-	stmt, err := s.planner.PlanSQLCtx(ctx, text, sql.Options{UseSelectJoin: !q.noSelectJoin})
+	stmt, err := s.planner.PlanSQLCtx(ctx, text)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{sess: s, stmt: stmt, base: q}, nil
+	return &Stmt{sess: s, stmt: stmt}, nil
 }
 
 // A Stmt is a prepared statement bound to its session's engine.
 type Stmt struct {
 	sess *Session
 	stmt *sql.Statement
-	base queryConfig
 }
 
 // Attrs returns the output attribute names in SELECT-item order.
 func (st *Stmt) Attrs() []string { return st.stmt.Attrs }
 
-// Run executes the prepared statement. Options passed here override the
-// statement's defaults for this run only. Under Config.MaxPlans the run
-// first passes the engine's admission gate in its session's fair queue;
-// a full queue fails fast with ErrOverloaded, and the queue wait is
-// reported as PlanStats.AdmissionWait.
+// Run executes the prepared statement with the given options. Under
+// Config.MaxPlans the run first passes the engine's admission gate in its
+// session's fair queue; a full queue fails fast with ErrOverloaded, and
+// the queue wait is reported as PlanStats.AdmissionWait.
 func (st *Stmt) Run(ctx context.Context, opts ...QueryOption) (*sql.Rows, *core.PlanStats, error) {
 	eng := st.sess.eng
 	if err := eng.begin(); err != nil {
@@ -121,37 +114,18 @@ func (st *Stmt) Run(ctx context.Context, opts ...QueryOption) (*sql.Rows, *core.
 		return nil, nil, err
 	}
 	defer release()
-	q := st.base
-	for _, o := range opts {
-		o(&q)
-	}
 	eng.queries.Add(1)
-	exec := q.exec
+	exec := execOptions(opts)
 	exec.AdmissionWait = wait
 	return st.stmt.Run(ctx, eng.env, exec)
 }
 
-// queryConfig accumulates the per-query knobs QueryOptions set.
-type queryConfig struct {
-	exec         core.Options
-	noSelectJoin bool
-}
-
-// A QueryOption overrides one execution knob for a single query (or, on
-// Prepare, for every run of the statement). Engine-level resources — the
-// worker pool, the chunk pool, the spill budget — are not per-query knobs
-// and have no options here.
-type QueryOption func(*queryConfig)
+// A QueryOption overrides one execution knob for a single run. Engine-level
+// resources — the worker pool, the chunk pool, the spill budget — are not
+// per-query knobs and have no options here, and no option changes a plan.
+type QueryOption func(*core.Options)
 
 // WithStats collects per-operator execution statistics for the query.
 func WithStats() QueryOption {
-	return func(q *queryConfig) { q.exec.CollectStats = true }
-}
-
-// WithoutSelectJoin plans selections as separate operators instead of
-// fusing the most selective one into the successive join — the paper's
-// Figure 8 ablation, exposed for plan inspection. Only meaningful on
-// Prepare/Query (it is a planning decision, not an execution one).
-func WithoutSelectJoin() QueryOption {
-	return func(q *queryConfig) { q.noSelectJoin = true }
+	return func(exec *core.Options) { exec.CollectStats = true }
 }

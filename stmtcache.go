@@ -24,9 +24,8 @@ type StmtCacheStats struct {
 
 // A stmtCache is one Conn's LRU of prepared statements, keyed by SQL
 // text. Counters aggregate on the owning engine so Engine.Stats reports
-// cache traffic across every Conn. The cache does not fingerprint query
-// options: a Conn prepares all its statements with one fixed option set
-// (the wire server's per-connection defaults), so the text is the key.
+// cache traffic across every Conn. A plan depends on its SQL text alone,
+// so the text is the key.
 type stmtCache struct {
 	eng *Engine
 	cap int

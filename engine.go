@@ -79,7 +79,7 @@ type Config struct {
 	// StmtCache is the per-Conn prepared-statement cache capacity:
 	// 0 = DefaultStmtCacheSize, negative = caching disabled. Sessions
 	// opened with Engine.Conn cache their planned statements in an LRU
-	// keyed by SQL text, so repeated Binds of the same text skip
+	// keyed by SQL text, so a repeated Query of the same text skips
 	// planning; Engine.Stats aggregates hit/miss/eviction counters.
 	StmtCache int
 }

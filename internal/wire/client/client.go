@@ -40,9 +40,9 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// A Conn is one client connection. Methods that run a request/response
-// cycle (Query, Prepare, Bind, Execute, CloseStmt) serialize against
-// each other; Cancel and Close may be called concurrently with them.
+// A Conn is one client connection. Query and QueryDecoded serialize
+// against each other; Cancel and Close may be called concurrently with
+// them.
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
@@ -110,9 +110,10 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
-// Cancel asks the server to abort the in-flight command; the command's
-// caller sees a ClassCancelled error. Safe from any goroutine; a Cancel
-// with nothing in flight is a no-op server-side.
+// Cancel asks the server to abort the last Query sent on the connection;
+// that Query's caller sees a ClassCancelled error. Safe from any
+// goroutine; a Cancel whose Query has already finished is a no-op
+// server-side.
 func (c *Conn) Cancel() error {
 	return c.writeFrame(wire.FrameCancel, nil)
 }
@@ -136,76 +137,6 @@ func (c *Conn) query(text string, flags byte) (*Result, error) {
 	return c.readResult()
 }
 
-// Prepare plans and names a statement server-side, returning its output
-// attribute names.
-//
-//qpptvet:ignore unreached the statement driver the wire tests prove the server's Prepare/Bind/Execute/CloseStmt frames with
-func (c *Conn) Prepare(name, text string) ([]string, error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	var pl wire.Payload
-	pl.Str(name)
-	pl.Str(text)
-	if err := c.writeFrame(wire.FramePrepare, pl.Buf); err != nil {
-		return nil, err
-	}
-	t, p, err := c.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	if t == wire.FrameErr {
-		return nil, decodeErr(p)
-	}
-	if t != wire.FramePrepareOK {
-		return nil, fmt.Errorf("qppt wire client: unexpected reply to Prepare (frame 0x%02x)", byte(t))
-	}
-	return readAttrs(wire.NewPayloadReader(p))
-}
-
-// Bind points a portal at a prepared statement.
-//
-//qpptvet:ignore unreached the statement driver the wire tests prove the server's frames with
-func (c *Conn) Bind(portal, stmt string) error {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	var pl wire.Payload
-	pl.Str(portal)
-	pl.Str(stmt)
-	if err := c.writeFrame(wire.FrameBind, pl.Buf); err != nil {
-		return err
-	}
-	return c.readAck(wire.FrameBindOK, "Bind")
-}
-
-// Execute runs a bound portal and returns its raw result.
-//
-//qpptvet:ignore unreached the statement driver the wire tests prove the server's frames with
-func (c *Conn) Execute(portal string) (*Result, error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	var pl wire.Payload
-	pl.U8(0)
-	pl.Str(portal)
-	if err := c.writeFrame(wire.FrameExecute, pl.Buf); err != nil {
-		return nil, err
-	}
-	return c.readResult()
-}
-
-// CloseStmt forgets a prepared statement name server-side.
-//
-//qpptvet:ignore unreached the statement driver the wire tests prove the server's frames with
-func (c *Conn) CloseStmt(name string) error {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	var pl wire.Payload
-	pl.Str(name)
-	if err := c.writeFrame(wire.FrameCloseStmt, pl.Buf); err != nil {
-		return err
-	}
-	return c.readAck(wire.FrameCloseOK, "CloseStmt")
-}
-
 func (c *Conn) writeFrame(t wire.FrameType, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -220,20 +151,6 @@ func (c *Conn) readFrame() (wire.FrameType, []byte, error) {
 		c.frame = p
 	}
 	return t, p, err
-}
-
-func (c *Conn) readAck(want wire.FrameType, op string) error {
-	t, p, err := c.readFrame()
-	if err != nil {
-		return err
-	}
-	if t == wire.FrameErr {
-		return decodeErr(p)
-	}
-	if t != want {
-		return fmt.Errorf("qppt wire client: unexpected reply to %s (frame 0x%02x)", op, byte(t))
-	}
-	return nil
 }
 
 // readResult consumes a query answer: RowHeader, row batches, Done — or

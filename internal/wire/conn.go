@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"qppt"
@@ -18,44 +17,30 @@ import (
 const handshakeTimeout = 10 * time.Second
 
 // srvConn is one client connection's server-side state: a qppt.Conn
-// (session + statement cache), the named prepared statements and
-// portals, and the cancellation plumbing. All command handling runs on
-// the serve loop goroutine; a dedicated read-loop goroutine feeds it
-// frames and intercepts Cancel out of band.
+// (session + statement cache) and the connection's lifetime. All command
+// handling runs on the serve loop goroutine; a dedicated read-loop
+// goroutine feeds it frames and intercepts Cancel out of band.
 type srvConn struct {
 	srv *Server
 	nc  net.Conn
 	out frameWriter
 
-	// ctx is the connection's lifetime: cancelled on client disconnect,
-	// protocol failure, or Server.Close, which aborts any in-flight plan.
-	ctx    context.Context
+	// cancel ends the connection's lifetime — on client disconnect,
+	// protocol failure, or Server.Close — which aborts any in-flight plan.
 	cancel context.CancelFunc
 
-	sess    *qppt.Conn
-	stmts   map[string]*qppt.Stmt
-	portals map[string]portal
-
-	// inflight is the cancel func of the currently executing command,
-	// armed by the serve loop and fired by the read loop on Cancel.
-	inflight atomic.Pointer[context.CancelFunc]
-}
-
-// portal is a bound, executable statement. It remembers which prepared
-// statement name it came from: closing that statement implicitly closes
-// the portal (Postgres semantics), and two statement names for the same
-// SQL text share one cached *qppt.Stmt, so the pointer alone could not
-// tell their portals apart.
-type portal struct {
-	stmt *qppt.Stmt
-	src  string
+	sess *qppt.Conn
 }
 
 // frame is one decoded client frame in flight from read loop to serve
-// loop.
+// loop. A Query carries the context it runs under, made by the read loop
+// before the hand-off so that a Cancel read right behind it has a command
+// to abort; the serve loop cancels it when the command ends.
 type frame struct {
-	t FrameType
-	p []byte
+	t      FrameType
+	p      []byte
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // serveConn runs one connection to completion: handshake, then the
@@ -63,14 +48,11 @@ type frame struct {
 func (s *Server) serveConn(nc net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &srvConn{
-		srv:     s,
-		nc:      nc,
-		out:     frameWriter{w: nc},
-		ctx:     ctx,
-		cancel:  cancel,
-		sess:    s.eng.Conn(s.cat),
-		stmts:   make(map[string]*qppt.Stmt),
-		portals: make(map[string]portal),
+		srv:    s,
+		nc:     nc,
+		out:    frameWriter{w: nc},
+		cancel: cancel,
+		sess:   s.eng.Conn(s.cat),
 	}
 	defer func() {
 		cancel()
@@ -92,23 +74,31 @@ func (s *Server) serveConn(nc net.Conn) {
 	frames := make(chan frame)
 	go func() {
 		defer cancel() // read failure = client gone: abort in-flight work
+		// cancelLast aborts the last Query read. Once that Query has
+		// finished it is a no-op — the benign race every cancel protocol
+		// has: a command that already finished has nothing to stop.
+		cancelLast := context.CancelFunc(func() {})
 		for {
 			t, p, err := ReadFrame(nc, MaxClientFrame)
 			if err != nil {
 				return
 			}
+			f := frame{t: t, p: p}
 			switch t {
 			case FrameCancel:
-				c.fireCancel()
+				cancelLast()
 				continue
 			case FrameTerminate:
 				// Graceful close. The deferred cancel also aborts anything
 				// still in flight — a client that terminates mid-query wants
 				// the query gone too.
 				return
+			case FrameQuery:
+				f.ctx, f.cancel = context.WithCancel(ctx)
+				cancelLast = f.cancel
 			}
 			select {
-			case frames <- frame{t, p}:
+			case frames <- f:
 			case <-ctx.Done():
 				return
 			}
@@ -125,15 +115,8 @@ func (s *Server) serveConn(nc net.Conn) {
 		var err error
 		switch f.t {
 		case FrameQuery:
-			err = c.doQuery(f.p)
-		case FramePrepare:
-			err = c.doPrepare(f.p)
-		case FrameBind:
-			err = c.doBind(f.p)
-		case FrameExecute:
-			err = c.doExecute(f.p)
-		case FrameCloseStmt:
-			err = c.doCloseStmt(f.p)
+			err = c.doQuery(f.ctx, f.p)
+			f.cancel()
 		default:
 			err = c.writeErr(ClassBadRequest, fmt.Sprintf("unexpected frame 0x%02x", byte(f.t)))
 		}
@@ -150,15 +133,6 @@ func (s *Server) serveConn(nc net.Conn) {
 func (c *srvConn) shutdown() {
 	c.cancel()
 	c.nc.Close()
-}
-
-// fireCancel aborts the in-flight command, if any. An idle Cancel is a
-// no-op — the same benign race every cancel protocol has: if the
-// command already finished, there is nothing to stop.
-func (c *srvConn) fireCancel() {
-	if f := c.inflight.Load(); f != nil {
-		(*f)()
-	}
 }
 
 // handshake reads Hello (bounded by handshakeTimeout) and answers
@@ -195,112 +169,20 @@ func (c *srvConn) handshake() error {
 	return c.out.flush()
 }
 
-// doQuery plans (through the statement cache) and runs one statement,
-// streaming the result.
-func (c *srvConn) doQuery(p []byte) error {
+// doQuery plans (through the statement cache) and runs one statement
+// under qctx and the engine's admission gate, streaming the result:
+// RowHeader, RowBatch* every RowBatchSize rows, Done. A failure becomes a
+// single Err frame with the class the engine's typed sentinels dictate.
+func (c *srvConn) doQuery(qctx context.Context, p []byte) error {
 	r := NewPayloadReader(p)
 	flags, text := r.U8(), r.Str()
 	if r.Err() != nil {
 		return c.writeErr(ClassBadRequest, "malformed Query frame")
 	}
-	qctx, qcancel := context.WithCancel(c.ctx)
-	c.inflight.Store(&qcancel)
-	defer func() {
-		c.inflight.Store(nil)
-		qcancel()
-	}()
 	stmt, err := c.sess.PrepareCached(qctx, text)
 	if err != nil {
 		return c.writeErr(Classify(err, ClassBadRequest), err.Error())
 	}
-	return c.run(qctx, stmt, flags)
-}
-
-// doPrepare plans and names a statement for later Bind/Execute.
-func (c *srvConn) doPrepare(p []byte) error {
-	r := NewPayloadReader(p)
-	name, text := r.Str(), r.Str()
-	if r.Err() != nil {
-		return c.writeErr(ClassBadRequest, "malformed Prepare frame")
-	}
-	qctx, qcancel := context.WithCancel(c.ctx)
-	c.inflight.Store(&qcancel)
-	defer func() {
-		c.inflight.Store(nil)
-		qcancel()
-	}()
-	stmt, err := c.sess.PrepareCached(qctx, text)
-	if err != nil {
-		return c.writeErr(Classify(err, ClassBadRequest), err.Error())
-	}
-	c.stmts[name] = stmt
-	c.out.begin(FramePrepareOK)
-	c.out.attrs(stmt.Attrs())
-	return c.out.end()
-}
-
-// doBind points a portal at a prepared statement. QPPT statements have
-// no parameters — Bind exists so drivers keep their prepare/bind/execute
-// shape and so Execute can address statements by short portal names.
-func (c *srvConn) doBind(p []byte) error {
-	r := NewPayloadReader(p)
-	portalName, name := r.Str(), r.Str()
-	if r.Err() != nil {
-		return c.writeErr(ClassBadRequest, "malformed Bind frame")
-	}
-	stmt, ok := c.stmts[name]
-	if !ok {
-		return c.writeErr(ClassBadRequest, fmt.Sprintf("unknown prepared statement %q", name))
-	}
-	c.portals[portalName] = portal{stmt: stmt, src: name}
-	c.out.begin(FrameBindOK)
-	return c.out.end()
-}
-
-// doExecute runs a bound portal, streaming the result.
-func (c *srvConn) doExecute(p []byte) error {
-	r := NewPayloadReader(p)
-	flags, portal := r.U8(), r.Str()
-	if r.Err() != nil {
-		return c.writeErr(ClassBadRequest, "malformed Execute frame")
-	}
-	pe, ok := c.portals[portal]
-	if !ok {
-		return c.writeErr(ClassBadRequest, fmt.Sprintf("unknown portal %q", portal))
-	}
-	qctx, qcancel := context.WithCancel(c.ctx)
-	c.inflight.Store(&qcancel)
-	defer func() {
-		c.inflight.Store(nil)
-		qcancel()
-	}()
-	return c.run(qctx, pe.stmt, flags)
-}
-
-// doCloseStmt forgets a prepared statement name and, as in the Postgres
-// protocol, implicitly closes every portal bound from it. The
-// engine-side plan is owned by the session statement cache either way.
-func (c *srvConn) doCloseStmt(p []byte) error {
-	r := NewPayloadReader(p)
-	name := r.Str()
-	if r.Err() != nil {
-		return c.writeErr(ClassBadRequest, "malformed CloseStmt frame")
-	}
-	delete(c.stmts, name)
-	for portalName, pe := range c.portals {
-		if pe.src == name {
-			delete(c.portals, portalName)
-		}
-	}
-	c.out.begin(FrameCloseOK)
-	return c.out.end()
-}
-
-// run executes a statement under the engine's admission gate and
-// streams the result: RowHeader, RowBatch* every RowBatchSize rows,
-// Done. Execution errors become a single Err frame with the class the
-// engine's typed sentinels dictate.
-func (c *srvConn) run(qctx context.Context, stmt *qppt.Stmt, flags byte) error {
 	t0 := time.Now()
 	rows, _, err := stmt.Run(qctx)
 	if err != nil {
@@ -349,19 +231,15 @@ func (fw *frameWriter) flush() error {
 	return err
 }
 
-func (fw *frameWriter) attrs(attrs []string) {
-	fw.Uvarint(uint64(len(attrs)))
-	for _, a := range attrs {
-		fw.Str(a)
-	}
-}
-
 // stream writes one answer: RowHeader, a row batch per RowBatchSize rows
 // (decoded through the result's cell encoders under FlagDecode, raw codes
 // otherwise), Done.
 func (fw *frameWriter) stream(rows *sql.Rows, flags byte, elapsed time.Duration) error {
 	fw.begin(FrameRowHeader)
-	fw.attrs(rows.Attrs)
+	fw.Uvarint(uint64(len(rows.Attrs)))
+	for _, a := range rows.Attrs {
+		fw.Str(a)
+	}
 	if err := fw.end(); err != nil {
 		return err
 	}

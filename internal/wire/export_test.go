@@ -15,7 +15,7 @@ type AnswerWriter struct{ fw frameWriter }
 func NewAnswerWriter(w io.Writer) *AnswerWriter { return &AnswerWriter{fw: frameWriter{w: w}} }
 
 // Answer streams one result and flushes, as the serve loop does at the
-// end of a Query or Execute.
+// end of a Query.
 func (a *AnswerWriter) Answer(rows *sql.Rows, flags byte, elapsed time.Duration) error {
 	if err := a.fw.stream(rows, flags, elapsed); err != nil {
 		return err

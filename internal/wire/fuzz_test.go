@@ -2,12 +2,17 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"runtime"
 	"testing"
 	"testing/iotest"
+	"time"
 
+	"qppt"
+	"qppt/internal/ssb"
 	"qppt/internal/wire"
 )
 
@@ -140,6 +145,62 @@ func FuzzReadFrame(f *testing.F) {
 			if n := r.Uvarint(); n <= uint64(r.Len()) {
 				r.Uvarints(make([]uint64, n))
 			}
+		}
+	})
+}
+
+// FuzzServeConn feeds the server arbitrary bytes as the client's side of a
+// connection, over one engine and server on a tiny SSB catalog. The bytes
+// go down a net.Pipe into Server.ServeConn while a goroutine drains the
+// answers, then the client end closes. Whatever arrived, the server does
+// not panic, ServeConn returns within 5 s, and once the server and engine
+// are closed no wire or execution goroutine is left.
+func FuzzServeConn(f *testing.F) {
+	ds := ssb.MustLoad(ssb.GenConfig{SF: 0.002, Seed: 1})
+	eng, err := qppt.New(qppt.Config{Workers: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := wire.NewServer(eng, ds.Cat)
+	f.Cleanup(func() {
+		srv.Close()
+		eng.Close()
+		assertNoLeakedGoroutines(f)
+	})
+
+	frame := func(t wire.FrameType, build func(*wire.Payload)) []byte {
+		var pl wire.Payload
+		if build != nil {
+			build(&pl)
+		}
+		var out bytes.Buffer
+		wire.WriteFrame(&out, t, pl.Buf)
+		return out.Bytes()
+	}
+	hello := frame(wire.FrameHello, func(pl *wire.Payload) { pl.Str(wire.Magic); pl.Uvarint(wire.Version) })
+	query := frame(wire.FrameQuery, func(pl *wire.Payload) { pl.U8(0); pl.Str(ssb.SQLTexts["2.1"]) })
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	f.Add(cat(hello, query))
+	f.Add(cat(hello, query, frame(wire.FrameCancel, nil)))
+	f.Add(cat(hello, frame(0x03, func(pl *wire.Payload) { pl.Str("s"); pl.Str(ssb.SQLTexts["2.1"]) })))
+	f.Add(frame(wire.FrameHello, func(pl *wire.Payload) { pl.Str("PGSQ"); pl.Uvarint(wire.Version) }))
+	f.Add(cat(hello, query[:len(query)/2]))
+	f.Add(cat(hello, binary.BigEndian.AppendUint32([]byte{byte(wire.FrameQuery)}, wire.MaxClientFrame+1)))
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		sc, cc := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.ServeConn(sc)
+		}()
+		go io.Copy(io.Discard, cc)
+		cc.Write(stream)
+		cc.Close()
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ServeConn still running 5 s after the client closed")
 		}
 	})
 }

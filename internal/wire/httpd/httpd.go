@@ -10,7 +10,9 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"mime"
 	"net/http"
+	"net/url"
 	"strings"
 
 	"qppt/internal/wire"
@@ -22,15 +24,23 @@ import (
 //	POST /query  (or GET with ?q=)  → {"attrs": [...], "rows": [[...]], "elapsed": "..."}
 //	GET  /stats                     → the engine statistics snapshot as JSON
 //
+// A /query body is the SQL text, or a form whose q field is; a body over
+// 1 MiB is answered 413.
+//
 // A client that disconnects mid-query cancels it through the wire
 // protocol's Cancel path and is reported as 499 server-side.
 func New(srv *wire.Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		text := r.FormValue("q")
-		if text == "" {
-			body, _ := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-			text = strings.TrimSpace(string(body))
+		text, err := queryText(w, r)
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
+			return
 		}
 		if text == "" {
 			http.Error(w, "missing query (q parameter or request body)", http.StatusBadRequest)
@@ -78,4 +88,28 @@ func New(srv *wire.Server) http.Handler {
 		json.NewEncoder(w).Encode(srv.Stats())
 	})
 	return mux
+}
+
+// maxBody bounds a /query request body.
+const maxBody = 1 << 20
+
+// queryText is the statement a /query request carries: q from the URL if
+// it is there, else the body — a form's q field, or the whole body as SQL
+// text (what `curl -d '<sql>'` sends, labelled as a form). A body that
+// does not arrive whole is an error, never a statement: cut short, it
+// could run as another one.
+func queryText(w http.ResponseWriter, r *http.Request) (string, error) {
+	if q := r.URL.Query().Get("q"); q != "" {
+		return q, nil
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		return "", err
+	}
+	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/x-www-form-urlencoded" {
+		if form, err := url.ParseQuery(string(body)); err == nil && form.Has("q") {
+			body = []byte(form.Get("q"))
+		}
+	}
+	return strings.TrimSpace(string(body)), nil
 }

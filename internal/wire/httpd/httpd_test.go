@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -70,6 +71,35 @@ func TestHTTPAdapter(t *testing.T) {
 		}
 	}
 
+	// A POST carries the text as the body — raw, raw under a form's content
+	// type (what curl -d sends), or as a form's q field — with the same rows.
+	post := func(contentType, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(hs.URL+"/query", contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(out)
+	}
+	for _, p := range []struct{ contentType, body string }{
+		{"text/plain", text},
+		{"application/x-www-form-urlencoded", text},
+		{"application/x-www-form-urlencoded", url.Values{"q": {text}}.Encode()},
+	} {
+		status, posted := post(p.contentType, p.body)
+		if status != http.StatusOK || !sameRows(t, posted, body) {
+			t.Errorf("POST %s %.30q returned %d %.200s, want the rows of the GET", p.contentType, p.body, status, posted)
+		}
+	}
+	// A body over the limit is refused whole: cut at the limit, this one
+	// would run without its last predicate and answer a wrong sum.
+	long := "select sum(lo_revenue) from lineorder where lo_quantity < 25" + strings.Repeat(" ", 1<<20) + "and lo_discount = 99"
+	if status, _ := post("text/plain", long); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-limit body returned %d, want 413", status)
+	}
+
 	// Error classes map through wire.Class.HTTPStatus — the only mapping.
 	if status, _ := get("SELECT broken FROM nowhere"); status != http.StatusBadRequest {
 		t.Errorf("bad SQL returned %d, want 400", status)
@@ -94,4 +124,19 @@ func TestHTTPAdapter(t *testing.T) {
 	if status, _ := get(text); status != http.StatusServiceUnavailable {
 		t.Errorf("query on closed engine returned %d, want 503", status)
 	}
+}
+
+// sameRows reports whether two /query answers hold the same attributes
+// and rows (elapsed times differ).
+func sameRows(t *testing.T, a, b string) bool {
+	t.Helper()
+	type answer struct {
+		Attrs []string   `json:"attrs"`
+		Rows  [][]string `json:"rows"`
+	}
+	var x, y answer
+	if json.Unmarshal([]byte(a), &x) != nil || json.Unmarshal([]byte(b), &y) != nil {
+		return false
+	}
+	return reflect.DeepEqual(x, y)
 }

@@ -9,21 +9,21 @@
 //	client → server                     server → client
 //	Hello     magic "QPPT", version     HelloOK      version, banner
 //	Query     flags, sql                RowHeader    attr names
-//	Prepare   name, sql                 RowBatch     uint64 cells (raw)
-//	Bind      portal, stmt name         RowBatchStr  string cells (decoded)
-//	Execute   flags, portal             Done         row count, elapsed ns
-//	Cancel    —  (out of band)          PrepareOK    attr names
-//	CloseStmt name                      BindOK / CloseOK
-//	Terminate —                         Err          class, message
+//	Cancel    —  (out of band)          RowBatch     uint64 cells (raw)
+//	Terminate —                         RowBatchStr  string cells (decoded)
+//	                                    Done         row count, elapsed ns
+//	                                    Err          class, message
 //
-// A Query (or Execute) answer is RowHeader, zero or more row batches
-// streamed RowBatchSize rows at a time, then Done — or a single Err
-// frame. Cancel is read out of band while a query executes and aborts it
-// through the engine's context path; the aborted command answers
-// Err/ClassCancelled. Err frames carry one of the five error classes
-// below, the protocol generalization of the HTTP serve mode's
-// 400/499/500/503 mapping (Class.HTTPStatus is the single place that
-// mapping lives).
+// Query is the one command that runs SQL. The byte values 0x03–0x05,
+// 0x07 and 0x82–0x84 are retired and are not reused.
+//
+// A Query answer is RowHeader, zero or more row batches streamed
+// RowBatchSize rows at a time, then Done — or a single Err frame. Cancel
+// is read out of band and aborts the last Query sent before it through
+// the engine's context path; the aborted Query answers Err/ClassCancelled.
+// Err frames carry one of the five error classes below, the protocol
+// generalization of the HTTP serve mode's 400/499/500/503 mapping
+// (Class.HTTPStatus is the single place that mapping lives).
 package wire
 
 import (
@@ -67,17 +67,10 @@ type FrameType byte
 const (
 	FrameHello     FrameType = 0x01
 	FrameQuery     FrameType = 0x02
-	FramePrepare   FrameType = 0x03
-	FrameBind      FrameType = 0x04
-	FrameExecute   FrameType = 0x05
 	FrameCancel    FrameType = 0x06
-	FrameCloseStmt FrameType = 0x07
 	FrameTerminate FrameType = 0x08
 
 	FrameHelloOK     FrameType = 0x81
-	FramePrepareOK   FrameType = 0x82
-	FrameBindOK      FrameType = 0x83
-	FrameCloseOK     FrameType = 0x84
 	FrameRowHeader   FrameType = 0x85
 	FrameRowBatch    FrameType = 0x86
 	FrameRowBatchStr FrameType = 0x87
@@ -85,7 +78,7 @@ const (
 	FrameErr         FrameType = 0x89
 )
 
-// FlagDecode on Query/Execute asks for RowBatchStr frames: cells decoded
+// FlagDecode on a Query asks for RowBatchStr frames: cells decoded
 // through the catalog dictionaries server-side instead of raw uint64
 // codes. Raw mode is the default — it is bit-identical to in-process
 // Session.Query results.
@@ -98,7 +91,7 @@ type Class byte
 
 const (
 	// ClassBadRequest: the statement is at fault (parse/plan errors,
-	// unknown prepared names, malformed frames). HTTP 400.
+	// malformed or unknown frames). HTTP 400.
 	ClassBadRequest Class = 1
 	// ClassCancelled: the client cancelled or disconnected mid-query.
 	// HTTP 499 (the nginx convention the serve mode already used).

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -73,7 +74,7 @@ func (r *refResult) check(qid string, res *client.Result) error {
 
 // assertNoLeakedGoroutines fails if wire/execution goroutines survive
 // the servers and engines a test closed.
-func assertNoLeakedGoroutines(t *testing.T) {
+func assertNoLeakedGoroutines(t testing.TB) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -175,128 +176,141 @@ func TestWireSSBBitIdentical(t *testing.T) {
 	assertNoLeakedGoroutines(t)
 }
 
-// TestWirePrepareBindExecute: the extended protocol — named statements,
-// portals, repeated execution through the statement cache — and its
-// error classes for unknown names.
-func TestWirePrepareBindExecute(t *testing.T) {
+// q21Server is an engine and a server over the package dataset, and the
+// in-process answer to SSB Q2.1 that the server's must match.
+func q21Server(t *testing.T) (*qppt.Engine, *wire.Server, *refResult) {
+	t.Helper()
 	ds := wireDataset(t)
 	eng, err := qppt.New(qppt.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	srv := wire.NewServer(eng, ds.Cat)
-	defer srv.Close()
-	cc, err := client.NewPipe(srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-
-	attrs, err := cc.Prepare("q21", ssb.SQLTexts["2.1"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cc.Bind("p", "q21"); err != nil {
-		t.Fatal(err)
-	}
-	first, err := cc.Execute("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first.Attrs, attrs) {
-		t.Fatalf("Execute attrs %v, want PrepareOK's %v", first.Attrs, attrs)
-	}
-	second, err := cc.Execute("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first.Rows, second.Rows) {
-		t.Fatal("repeated Execute of one portal returned different rows")
-	}
-
-	// A Query of the same text hits the per-connection statement cache.
-	if _, err := cc.Query(ssb.SQLTexts["2.1"]); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Stats().StmtCache; st.Hits == 0 {
-		t.Errorf("statement cache hits = 0 after re-preparing one text, want > 0 (stats %+v)", st)
-	}
-
-	// A second statement name for the same SQL shares the cached plan;
-	// its portals must survive closing the *other* name.
-	if _, err := cc.Prepare("q21b", ssb.SQLTexts["2.1"]); err != nil {
-		t.Fatal(err)
-	}
-	if err := cc.Bind("pb", "q21b"); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := cc.CloseStmt("q21"); err != nil {
-		t.Fatal(err)
-	}
-	var werr *wire.Error
-	if err := cc.Bind("p2", "q21"); !errors.As(err, &werr) || werr.Class != wire.ClassBadRequest {
-		t.Fatalf("Bind to a closed statement returned %v, want ClassBadRequest", err)
-	}
-	// Closing a statement implicitly closes its portals (Postgres
-	// semantics) — but only its own, not the same-text sibling's.
-	if _, err := cc.Execute("p"); !errors.As(err, &werr) || werr.Class != wire.ClassBadRequest {
-		t.Fatalf("Execute of a closed statement's portal returned %v, want ClassBadRequest", err)
-	}
-	if again, err := cc.Execute("pb"); err != nil {
-		t.Fatalf("Execute of the sibling statement's portal: %v", err)
-	} else if !reflect.DeepEqual(first.Rows, again.Rows) {
-		t.Fatal("sibling portal returned different rows after CloseStmt of the other name")
-	}
-	if _, err := cc.Execute("nope"); !errors.As(err, &werr) || werr.Class != wire.ClassBadRequest {
-		t.Fatalf("Execute of unknown portal returned %v, want ClassBadRequest", err)
-	}
-	if _, err := cc.Query("SELECT nonsense FROM nowhere"); !errors.As(err, &werr) || werr.Class != wire.ClassBadRequest {
-		t.Fatalf("bad SQL returned %v, want ClassBadRequest", err)
-	}
-
-	cc.Close()
-	srv.Close()
-	eng.Close()
-	assertNoLeakedGoroutines(t)
-}
-
-// hostileThenQ21 sends each text on one in-process connection and hands
-// its answer to check, then requires the same connection to answer SSB
-// Q2.1 correctly: the server is still there.
-func hostileThenQ21(t *testing.T, texts []string, check func(text string, res *client.Result, err error)) {
-	t.Helper()
-	ds := wireDataset(t)
-	eng, err := qppt.New(qppt.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	t.Cleanup(func() { eng.Close() })
 	want, _, err := eng.Session(ds.Cat).Query(context.Background(), ssb.SQLTexts["2.1"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := wire.NewServer(eng, ds.Cat)
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
+	return eng, srv, &refResult{attrs: want.Attrs, rows: want.Rows}
+}
+
+// checkQ21 requires cc to answer SSB Q2.1 correctly: the connection is
+// still there after whatever the test sent on it.
+func checkQ21(t *testing.T, cc *client.Conn, want *refResult) {
+	t.Helper()
+	res, err := cc.Query(ssb.SQLTexts["2.1"])
+	if err != nil {
+		t.Fatalf("Q2.1 afterwards: %v", err)
+	}
+	if err := want.check("2.1", res); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// hostileThenQ21 sends each text on one in-process connection and hands
+// its answer to check, then requires the same connection to answer SSB
+// Q2.1 correctly.
+func hostileThenQ21(t *testing.T, texts []string, check func(text string, res *client.Result, err error)) {
+	t.Helper()
+	_, srv, want := q21Server(t)
 	cc, err := client.NewPipe(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-
 	for _, text := range texts {
 		res, err := cc.Query(text)
 		check(text, res, err)
 	}
-	res, err := cc.Query(ssb.SQLTexts["2.1"])
+	checkQ21(t, cc, want)
+}
+
+// rawClient completes the handshake on nc and returns the client over it.
+// Between the client's calls, a test may write frames to nc and read the
+// answers off nc itself: the client has buffered nothing past HelloOK.
+func rawClient(t *testing.T, nc net.Conn) *client.Conn {
+	t.Helper()
+	cc, err := client.NewConn(nc)
 	if err != nil {
-		t.Fatalf("Q2.1 after the hostile texts: %v", err)
-	}
-	ref := &refResult{attrs: want.Attrs, rows: want.Rows}
-	if err := ref.check("2.1", res); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { cc.Close() })
+	return cc
+}
+
+// readErrClass reads one answer frame off nc; it must be an Err frame.
+func readErrClass(t *testing.T, nc net.Conn) wire.Class {
+	t.Helper()
+	ft, p, err := wire.ReadFrame(nc, wire.MaxServerFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ft != wire.FrameErr {
+		t.Fatalf("answer frame 0x%02x, want Err", byte(ft))
+	}
+	return wire.Class(wire.NewPayloadReader(p).U8())
+}
+
+// TestWireRetiredFrames: the retired command bytes (0x03–0x05, 0x07) are
+// frames the server does not know. Each one is answered
+// Err/ClassBadRequest, and the connection keeps answering.
+func TestWireRetiredFrames(t *testing.T) {
+	_, srv, want := q21Server(t)
+	sc, nc := net.Pipe()
+	go srv.ServeConn(sc)
+	cc := rawClient(t, nc)
+	for _, b := range []byte{0x03, 0x04, 0x05, 0x07} {
+		var pl wire.Payload
+		pl.Str("s")
+		pl.Str(ssb.SQLTexts["2.1"])
+		if err := wire.WriteFrame(nc, wire.FrameType(b), pl.Buf); err != nil {
+			t.Fatal(err)
+		}
+		if class := readErrClass(t, nc); class != wire.ClassBadRequest {
+			t.Fatalf("frame 0x%02x answered %v, want %v", b, class, wire.ClassBadRequest)
+		}
+	}
+	checkQ21(t, cc, want)
+}
+
+// TestWireCancelBehindQuery: a Cancel that reaches the server in the same
+// write as its Query aborts that Query, although the read loop sees the
+// Cancel right after handing the Query over, often before the serve loop
+// has started it.
+func TestWireCancelBehindQuery(t *testing.T) {
+	eng, srv, want := q21Server(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := rawClient(t, nc)
+
+	var pl wire.Payload
+	pl.U8(0)
+	pl.Str(ssb.SQLTexts["4.1"])
+	var pair bytes.Buffer
+	wire.WriteFrame(&pair, wire.FrameQuery, pl.Buf)
+	wire.WriteFrame(&pair, wire.FrameCancel, nil)
+	for i := 0; i < 20; i++ {
+		if _, err := nc.Write(pair.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if class := readErrClass(t, nc); class != wire.ClassCancelled {
+			t.Fatalf("pair %d answered %v, want %v", i, class, wire.ClassCancelled)
+		}
+	}
+	checkQ21(t, cc, want)
+
+	cc.Close()
+	srv.Close()
+	eng.Close()
+	assertNoLeakedGoroutines(t)
 }
 
 // TestWireHostileSQLIsBadRequest: texts that once panicked the planner or

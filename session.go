@@ -41,8 +41,8 @@ func (s *Session) Close() error {
 
 // PrepareCached is Prepare through the session's statement cache:
 // planning happens once per distinct SQL text and repeats are served
-// from the LRU (an Engine.Stats statement-cache hit — the Bind fast path
-// of the wire protocol). Sessions without a cache (Engine.Session) plan
+// from the LRU (an Engine.Stats statement-cache hit — how a wire Query
+// of a text the connection has run before skips planning). Sessions without a cache (Engine.Session) plan
 // every call.
 func (s *Session) PrepareCached(ctx context.Context, text string) (*Stmt, error) {
 	if s.cache == nil {

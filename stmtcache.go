@@ -12,8 +12,8 @@ import (
 const DefaultStmtCacheSize = 64
 
 // StmtCacheStats aggregates every Conn's prepared-statement cache
-// traffic in Engine.Stats. Hits are Binds/Queries that skipped planning
-// entirely; Evicted counts LRU evictions under the per-Conn capacity;
+// traffic in Engine.Stats. Hits are PrepareCached calls (a wire Query
+// each) that skipped planning entirely; Evicted counts LRU evictions under the per-Conn capacity;
 // Cached is the number of statements currently held across all Conns.
 type StmtCacheStats struct {
 	Hits    int64

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 
 	"qppt"
@@ -9,16 +8,11 @@ import (
 )
 
 // execFlags holds the engine flags after parsing: worker pool size,
-// memory budget, chunk-pool cap, the recycler oracle switch, admission
-// control and the statement cache.
+// memory budget and admission control.
 type execFlags struct {
-	Workers    int
-	MemBudget  string
-	RecycleCap string
-	NoRecycle  bool
-	MaxPlans   int
-	QueueDepth int
-	StmtCache  int
+	Workers   int
+	MemBudget string
+	MaxPlans  int
 }
 
 // register declares the engine flags on fs (use flag.CommandLine for the
@@ -27,11 +21,7 @@ func register(fs *flag.FlagSet) *execFlags {
 	e := &execFlags{}
 	fs.IntVar(&e.Workers, "workers", 1, "shared worker pool size for morsel-driven parallel execution (1 = serial, -1 = GOMAXPROCS)")
 	fs.StringVar(&e.MemBudget, "membudget", "", "intermediate-index memory budget (e.g. 256MiB); empty = unlimited, no spilling")
-	fs.BoolVar(&e.NoRecycle, "norecycle", false, "disable the engine's cross-plan chunk recycler (on by default)")
-	fs.StringVar(&e.RecycleCap, "recyclecap", "", "byte cap on the engine chunk pool (e.g. 256MiB); empty = engine default")
 	fs.IntVar(&e.MaxPlans, "max-plans", 0, "admission cap on concurrently executing plans (0 = unlimited, no admission control)")
-	fs.IntVar(&e.QueueDepth, "queue-depth", 0, "per-session admission queue depth before queries are shed with ErrOverloaded (0 = default; needs -max-plans)")
-	fs.IntVar(&e.StmtCache, "stmtcache", 0, "per-connection prepared-statement cache capacity (0 = default, negative disables)")
 	return e
 }
 
@@ -69,28 +59,14 @@ func registerServe(fs *flag.FlagSet) *serveFlags {
 // serving reports whether any serving-tier address was given.
 func (s *serveFlags) serving() bool { return s.Listen != "" || s.HTTP != "" }
 
-// engineConfig resolves the flags into the engine configuration. A flag
-// combination the engine would silently ignore is an error here: the
-// command line is where a typo should surface.
+// engineConfig resolves the flags into the engine configuration. A byte
+// size the engine would misread is an error here: the command line is
+// where a typo should surface.
 func (e *execFlags) engineConfig() (qppt.Config, error) {
-	if e.QueueDepth > 0 && e.MaxPlans == 0 {
-		return qppt.Config{}, errors.New("-queue-depth needs -max-plans")
-	}
-	cfg := qppt.Config{
-		Workers:        e.Workers,
-		DisableRecycle: e.NoRecycle,
-		MaxPlans:       e.MaxPlans,
-		QueueDepth:     e.QueueDepth,
-		StmtCache:      e.StmtCache,
-	}
-	var err error
+	cfg := qppt.Config{Workers: e.Workers, MaxPlans: e.MaxPlans}
 	if e.MemBudget != "" {
+		var err error
 		if cfg.MemBudget, err = spill.ParseBytes(e.MemBudget); err != nil {
-			return qppt.Config{}, err
-		}
-	}
-	if e.RecycleCap != "" {
-		if cfg.RecycleCap, err = spill.ParseBytes(e.RecycleCap); err != nil {
 			return qppt.Config{}, err
 		}
 	}

@@ -38,11 +38,7 @@ func TestFlagsLandInConfig(t *testing.T) {
 		{[]string{"-workers", "6"}, func(c *qppt.Config) { c.Workers = 6 }},
 		{[]string{"-workers", "-1"}, func(c *qppt.Config) { c.Workers = -1 }},
 		{[]string{"-membudget", "64MiB"}, func(c *qppt.Config) { c.MemBudget = 64 << 20 }},
-		{[]string{"-recyclecap", "1G"}, func(c *qppt.Config) { c.RecycleCap = 1 << 30 }},
-		{[]string{"-norecycle"}, func(c *qppt.Config) { c.DisableRecycle = true }},
 		{[]string{"-max-plans", "3"}, func(c *qppt.Config) { c.MaxPlans = 3 }},
-		{[]string{"-max-plans", "3", "-queue-depth", "9"}, func(c *qppt.Config) { c.MaxPlans, c.QueueDepth = 3, 9 }},
-		{[]string{"-stmtcache", "-1"}, func(c *qppt.Config) { c.StmtCache = -1 }},
 	} {
 		e, err := parse(t, tc.args...)
 		if err != nil {
@@ -62,16 +58,14 @@ func TestFlagsLandInConfig(t *testing.T) {
 	}
 }
 
-// Flag values the engine would silently ignore or misread are errors.
+// Byte sizes the engine would misread are errors.
 func TestEngineConfigRejects(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
 		errLike string
 	}{
-		{[]string{"-queue-depth", "4"}, "needs -max-plans"},
 		{[]string{"-membudget", "lots"}, "bad byte size"},
 		{[]string{"-membudget", "8388608T"}, "out of range"},
-		{[]string{"-recyclecap", "NaN"}, "out of range"},
 	} {
 		e, err := parse(t, tc.args...)
 		if err != nil {
@@ -96,6 +90,10 @@ func TestRemovedFlagsAreUndefined(t *testing.T) {
 		{"-nofuse"},
 		{"-nokernel"},
 		{"-no-select-join"},
+		{"-norecycle"},
+		{"-recyclecap", "1G"},
+		{"-queue-depth", "9"},
+		{"-stmtcache", "-1"},
 	} {
 		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: parse error %v, want \"flag provided but not defined\"", args, err)

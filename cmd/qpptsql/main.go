@@ -5,18 +5,15 @@
 // Usage:
 //
 //	qpptsql [-sf 0.05] [-stats]
-//	        [-workers N] [-membudget 256MiB]
-//	        [-norecycle] [-recyclecap 256MiB]
-//	        [-max-plans N] [-queue-depth D] [-stmtcache C]
+//	        [-workers N] [-membudget 256MiB] [-max-plans N]
 //	        [-listen :5477] [-serve :8080]
 //
 // One Engine lives for the whole process: every statement shares its
-// worker pool, its session chunk pool (on by default — dropped
-// intermediates' chunks stay warm *across* queries; -norecycle turns it
-// off, -recyclecap bounds it), and its spill budget
+// worker pool, its session chunk pool (dropped intermediates' chunks stay
+// warm *across* queries, up to a fixed 256 MiB), and its spill budget
 // (-membudget spans concurrent statements; cold intermediates spill to
 // temp files and restore on access — results are identical, \stats and
-// \engine show the traffic). Byte flags accept plain bytes or K/M/G
+// \engine show the traffic). -membudget accepts plain bytes or K/M/G
 // suffixes (powers of 1024).
 //
 // Meta commands inside the shell:
@@ -32,8 +29,9 @@
 // -listen serves the QPPT binary wire protocol (see internal/wire):
 // per-connection sessions with prepared-statement caches, streamed
 // row-batch results, out-of-band cancellation, and typed error classes.
-// -max-plans/-queue-depth put the engine's admission gate in front of
-// every query so overload answers ErrOverloaded instead of piling up.
+// -max-plans puts the engine's admission gate in front of every query
+// (at most 16 queued plans per session) so overload answers ErrOverloaded
+// instead of piling up.
 //
 // -serve starts the HTTP adapter — a thin layer over the same wire
 // server (each request is one in-process wire connection): GET or POST

@@ -35,15 +35,8 @@ import (
 	"qppt/internal/sql"
 )
 
-// DefaultRecycleCap bounds the session chunk pool when Config.RecycleCap
-// is zero: enough to carry the steady-state chunk population of a heavy
-// analytical suite, small enough that one freak plan cannot pin its peak
-// footprint for the engine's lifetime.
-const DefaultRecycleCap = 256 << 20
-
 // Config parameterizes an Engine. The zero value is a serial engine with
-// cross-plan chunk recycling (capped at DefaultRecycleCap) and no memory
-// budget.
+// cross-plan chunk recycling and no memory budget.
 type Config struct {
 	// Workers sizes the shared worker pool every plan draws from
 	// (core.WorkersAuto sizes it to GOMAXPROCS; 0 or 1 is serial). The
@@ -54,44 +47,25 @@ type Config struct {
 	// on access (0 = no spilling).
 	MemBudget int64
 	SpillDir  string
-	// DisableRecycle turns the session chunk recycler off. By default the
-	// engine recycles: cross-plan chunk reuse is most of what a long-lived
-	// engine gains on steady query traffic. The switch exists as the
-	// reference the zero-invariant and equivalence tests compare against.
-	DisableRecycle bool
-	// RecycleCap bounds the bytes the session chunk pool may retain;
-	// chunks beyond it go to the garbage collector and are counted as
-	// trim evictions in Stats. 0 means DefaultRecycleCap; negative means
-	// unbounded.
-	RecycleCap int64
 	// Deprecated: set by benchmark/check.go; nothing in the engine writes or reads it.
 	DisableFusion bool
 	// MaxPlans caps the plans executing concurrently: an admission gate
 	// in front of RunPlan/Stmt.Run queues later arrivals per session
 	// (round-robin across sessions, FIFO within) and answers
-	// ErrOverloaded once a session's queue is QueueDepth deep — the
-	// serving tier's backpressure. 0 disables admission control (the
-	// historical unbounded behavior for embedded use).
+	// ErrOverloaded once a session's queue is admission.DefaultQueueDepth
+	// deep — the serving tier's backpressure. 0 disables admission
+	// control (the historical unbounded behavior for embedded use).
 	MaxPlans int
-	// QueueDepth bounds each session's admission queue
-	// (0 = admission.DefaultQueueDepth; meaningful only with MaxPlans).
-	QueueDepth int
-	// StmtCache is the per-Conn prepared-statement cache capacity:
-	// 0 = DefaultStmtCacheSize, negative = caching disabled. Sessions
-	// opened with Engine.Conn cache their planned statements in an LRU
-	// keyed by SQL text, so a repeated Query of the same text skips
-	// planning; Engine.Stats aggregates hit/miss/eviction counters.
-	StmtCache int
 }
 
 // ErrEngineClosed is returned by every query entry point after Close.
 var ErrEngineClosed = errors.New("qppt: engine is closed")
 
 // ErrOverloaded is returned by query entry points when the caller's
-// admission queue is full (Config.MaxPlans/QueueDepth): the engine is
-// shedding load instead of buffering unboundedly. Servers surface it as
-// a typed overload answer (wire.ClassOverloaded, HTTP 503); clients
-// should back off and retry.
+// admission queue is full (Config.MaxPlans): the engine is shedding load
+// instead of buffering unboundedly. Servers surface it as a typed overload
+// answer (wire.ClassOverloaded, HTTP 503); clients should back off and
+// retry.
 var ErrOverloaded = admission.ErrOverloaded
 
 // An Engine is a long-lived query engine: one worker pool, one session
@@ -101,7 +75,6 @@ var ErrOverloaded = admission.ErrOverloaded
 // before tearing down the shared spill state), later ones fail with
 // ErrEngineClosed.
 type Engine struct {
-	cfg     Config
 	env     *core.Env
 	queries atomic.Int64
 	// gate is the admission controller (nil without Config.MaxPlans).
@@ -122,26 +95,17 @@ type Engine struct {
 
 // New builds an Engine from the configuration.
 func New(cfg Config) (*Engine, error) {
-	recycleCap := cfg.RecycleCap
-	switch {
-	case recycleCap == 0:
-		recycleCap = DefaultRecycleCap
-	case recycleCap < 0:
-		recycleCap = 0 // unbounded
-	}
 	env, err := core.NewEnv(core.EnvConfig{
-		Workers:    cfg.Workers,
-		Recycle:    !cfg.DisableRecycle,
-		RecycleCap: recycleCap,
-		MemBudget:  cfg.MemBudget,
-		SpillDir:   cfg.SpillDir,
+		Workers:   cfg.Workers,
+		MemBudget: cfg.MemBudget,
+		SpillDir:  cfg.SpillDir,
 	})
 	if err != nil {
 		return nil, err
 	}
-	eng := &Engine{cfg: cfg, env: env}
+	eng := &Engine{env: env}
 	if cfg.MaxPlans > 0 {
-		eng.gate = admission.New(admission.Config{MaxPlans: cfg.MaxPlans, QueueDepth: cfg.QueueDepth})
+		eng.gate = admission.New(admission.Config{MaxPlans: cfg.MaxPlans})
 	}
 	return eng, nil
 }
@@ -163,7 +127,7 @@ type Stats struct {
 	Workers int
 	// Recycler aggregates the session chunk pool's traffic — Reused and
 	// SavedBytes are the cross-plan reuse the engine exists for;
-	// TrimEvicted counts chunks the RecycleCap turned away.
+	// TrimEvicted counts chunks the pool's byte cap turned away.
 	Recycler arena.RecyclerStats
 	// Spill aggregates the shared spill manager's activity under
 	// Config.MemBudget (zero without a budget).
@@ -296,11 +260,11 @@ func (e *Engine) Session(cat *catalog.Catalog) *Session {
 // Conn opens a session with a per-connection prepared-statement cache —
 // the handle a server gives each client connection. PrepareCached plans
 // each distinct SQL text once and serves repeats from an LRU of
-// Config.StmtCache statements; Close releases the cache. Everything
+// DefaultStmtCacheSize statements; Close releases the cache. Everything
 // else behaves exactly like Session.
 func (e *Engine) Conn(cat *catalog.Catalog) *Conn {
 	s := e.Session(cat)
-	s.cache = newStmtCache(e, e.cfg.StmtCache)
+	s.cache = newStmtCache(e)
 	return s
 }
 

@@ -30,20 +30,19 @@ func engineDataset(t testing.TB) *ssb.Dataset {
 	return engDS
 }
 
-// oneShotResults runs every SSB query through a throwaway statement per
-// query — the historical one-shot mode — as the reference the engine
-// paths must reproduce bit-identically.
+// oneShotResults runs every SSB query on its own fresh Engine — the
+// historical one-shot mode, with a chunk pool nothing has used before —
+// as the reference the engine paths must reproduce bit-identically.
 func oneShotResults(t *testing.T, ds *ssb.Dataset) map[string][][]uint64 {
 	t.Helper()
 	ref := make(map[string][][]uint64, len(ssb.QueryIDs))
-	eng, err := qppt.New(qppt.Config{DisableRecycle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	sess := eng.Session(ds.Cat)
 	for _, qid := range ssb.QueryIDs {
-		rows, _, err := sess.Query(context.Background(), ssb.SQLTexts[qid])
+		eng, err := qppt.New(qppt.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _, err := eng.Session(ds.Cat).Query(context.Background(), ssb.SQLTexts[qid])
+		eng.Close()
 		if err != nil {
 			t.Fatalf("Q%s one-shot: %v", qid, err)
 		}

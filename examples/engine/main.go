@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("loading SSB at SF=%g...\n\n", *sf)
 	ds := ssb.MustLoad(ssb.GenConfig{SF: *sf, Seed: 42})
 
-	// 1. One Engine for the whole process. Recycling is on by default —
+	// 1. One Engine for the whole process. Recycling is always on —
 	// cross-plan chunk reuse is most of what a long-lived engine gains —
 	// and a memory budget makes cold intermediates spill instead of
 	// growing the heap without bound.

@@ -8,13 +8,13 @@
 // starve every other one. The gate bounds both failure modes:
 //
 //   - At most MaxPlans plans execute concurrently. Later arrivals queue.
-//   - Each session owns a FIFO queue bounded at QueueDepth, and the gate
-//     as a whole holds at most MaxPlans×QueueDepth waiters — so queue
-//     memory stays bounded even when every query arrives on its own
-//     session (one connection = one session in the wire server). Past
-//     either bound, Acquire fails fast with ErrOverloaded — backpressure
-//     the caller can surface as a typed protocol frame — instead of
-//     queueing unbounded memory.
+//   - Each session owns a FIFO queue bounded at DefaultQueueDepth, and
+//     the gate as a whole holds at most MaxPlans×DefaultQueueDepth
+//     waiters — so queue memory stays bounded even when every query
+//     arrives on its own session (one connection = one session in the
+//     wire server). Past either bound, Acquire fails fast with
+//     ErrOverloaded — backpressure the caller can surface as a typed
+//     protocol frame — instead of queueing unbounded memory.
 //   - Freed slots are granted round-robin across the sessions that have
 //     waiters, FIFO within each session, so a session issuing hundreds
 //     of plans cannot starve one issuing a single plan.
@@ -37,10 +37,10 @@ import (
 // and the honest answer is "try again later", not more buffering.
 var ErrOverloaded = errors.New("admission: session queue full, server overloaded")
 
-// DefaultQueueDepth bounds each session's wait queue when Config leaves
-// QueueDepth zero: deep enough to ride out a burst the executing plans
-// will absorb in a few slots' time, shallow enough that a stalled engine
-// rejects instead of accumulating an unbounded backlog.
+// DefaultQueueDepth bounds each session's wait queue: deep enough to ride
+// out a burst the executing plans will absorb in a few slots' time,
+// shallow enough that a stalled engine rejects instead of accumulating an
+// unbounded backlog.
 const DefaultQueueDepth = 16
 
 // Config parameterizes a Gate.
@@ -49,10 +49,6 @@ type Config struct {
 	// Values below 1 are treated as 1 — a gate that admits nothing would
 	// deadlock every caller.
 	MaxPlans int
-	// QueueDepth bounds each session's FIFO of waiting plans
-	// (0 = DefaultQueueDepth). MaxPlans×QueueDepth bounds the total
-	// waiters across all sessions.
-	QueueDepth int
 }
 
 // A waiter is one queued Acquire. The gate hands it a slot by setting
@@ -72,8 +68,7 @@ type sessQ struct {
 
 // A Gate is the admission controller. It is safe for concurrent use.
 type Gate struct {
-	maxPlans   int
-	queueDepth int
+	maxPlans int
 
 	mu       sync.Mutex
 	running  int
@@ -98,13 +93,9 @@ func New(cfg Config) *Gate {
 	if cfg.MaxPlans < 1 {
 		cfg.MaxPlans = 1
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	return &Gate{
-		maxPlans:   cfg.MaxPlans,
-		queueDepth: cfg.QueueDepth,
-		sessions:   make(map[uint64]*sessQ),
+		maxPlans: cfg.MaxPlans,
+		sessions: make(map[uint64]*sessQ),
 	}
 }
 
@@ -123,7 +114,7 @@ func (g *Gate) Acquire(ctx context.Context, session uint64) error {
 		return nil
 	}
 	sq := g.sessions[session]
-	if (sq != nil && len(sq.waiters) >= g.queueDepth) || g.queued >= g.maxPlans*g.queueDepth {
+	if (sq != nil && len(sq.waiters) >= DefaultQueueDepth) || g.queued >= g.maxPlans*DefaultQueueDepth {
 		g.rejected++
 		g.mu.Unlock()
 		return ErrOverloaded
@@ -220,7 +211,8 @@ func (g *Gate) releaseLocked() {
 
 // Stats is a point-in-time snapshot of the gate's counters.
 type Stats struct {
-	// MaxPlans/QueueDepth echo the configuration.
+	// MaxPlans echoes the configuration, QueueDepth the fixed
+	// per-session bound (DefaultQueueDepth).
 	MaxPlans   int
 	QueueDepth int
 	// Running is the number of plans currently admitted; Queued the
@@ -243,7 +235,7 @@ func (g *Gate) Stats() Stats {
 	defer g.mu.Unlock()
 	return Stats{
 		MaxPlans:   g.maxPlans,
-		QueueDepth: g.queueDepth,
+		QueueDepth: DefaultQueueDepth,
 		Running:    g.running,
 		Queued:     g.queued,
 		PeakQueued: g.peakQueued,

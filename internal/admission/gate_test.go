@@ -45,7 +45,7 @@ func TestGateFastPath(t *testing.T) {
 // round-robin across sessions, FIFO within each: A1 B1 C1 A2 B2 C2 A3
 // B3 C3 — not the session-batched arrival order.
 func TestGateRoundRobinFairness(t *testing.T) {
-	g := New(Config{MaxPlans: 1, QueueDepth: 16})
+	g := New(Config{MaxPlans: 1})
 	if err := g.Acquire(context.Background(), 99); err != nil { // occupy the only slot
 		t.Fatal(err)
 	}
@@ -93,10 +93,10 @@ func TestGateRoundRobinFairness(t *testing.T) {
 	}
 }
 
-// TestGateOverload: a session past its queue depth is rejected with
-// ErrOverloaded — fast, without queueing.
+// TestGateOverload: a session past DefaultQueueDepth queued plans is
+// rejected with ErrOverloaded — fast, without queueing.
 func TestGateOverload(t *testing.T) {
-	g := New(Config{MaxPlans: 2, QueueDepth: 2}) // global bound 4 stays clear
+	g := New(Config{MaxPlans: 2}) // global bound 2×DefaultQueueDepth stays clear
 	if err := g.Acquire(context.Background(), 6); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestGateOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultQueueDepth; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -117,7 +117,7 @@ func TestGateOverload(t *testing.T) {
 		waitQueued(t, g, i+1)
 	}
 	if err := g.Acquire(context.Background(), 7); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("third queued acquire returned %v, want ErrOverloaded", err)
+		t.Fatalf("acquire past the session's queue depth returned %v, want ErrOverloaded", err)
 	}
 	// A different session still has queue room: the bound is per session.
 	done := make(chan error, 1)
@@ -128,7 +128,7 @@ func TestGateOverload(t *testing.T) {
 		}
 		done <- err
 	}()
-	waitQueued(t, g, 3)
+	waitQueued(t, g, DefaultQueueDepth+1)
 	g.Release()
 	wg.Wait()
 	if err := <-done; err != nil {
@@ -139,17 +139,17 @@ func TestGateOverload(t *testing.T) {
 	}
 }
 
-// TestGateGlobalBound: total waiters are bounded at MaxPlans×QueueDepth
+// TestGateGlobalBound: total waiters are bounded at MaxPlans×DefaultQueueDepth
 // even when every waiter arrives on its own session — the wire server's
 // shape, where one connection is one session with at most one query in
 // flight, so the per-session bound alone could never shed load.
 func TestGateGlobalBound(t *testing.T) {
-	g := New(Config{MaxPlans: 1, QueueDepth: 2}) // global bound: 2 waiters
+	g := New(Config{MaxPlans: 1}) // global bound: DefaultQueueDepth waiters
 	if err := g.Acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultQueueDepth; i++ {
 		wg.Add(1)
 		go func(sess uint64) {
 			defer wg.Done()
@@ -161,7 +161,7 @@ func TestGateGlobalBound(t *testing.T) {
 		}(uint64(2 + i))
 		waitQueued(t, g, i+1)
 	}
-	if err := g.Acquire(context.Background(), 9); !errors.Is(err, ErrOverloaded) {
+	if err := g.Acquire(context.Background(), 1000); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("acquire past the global bound returned %v, want ErrOverloaded", err)
 	}
 	g.Release()
@@ -201,7 +201,7 @@ func TestGateCancelWhileQueued(t *testing.T) {
 // interleaving, slots must neither leak nor double-free (the gate keeps
 // admitting at full capacity afterwards).
 func TestGateCancelGrantRace(t *testing.T) {
-	g := New(Config{MaxPlans: 2, QueueDepth: 64})
+	g := New(Config{MaxPlans: 2})
 	for round := 0; round < 200; round++ {
 		if err := g.Acquire(context.Background(), 1); err != nil {
 			t.Fatal(err)
@@ -235,7 +235,7 @@ func TestGateCancelGrantRace(t *testing.T) {
 // every admit is eventually served.
 func TestGateConcurrencyBound(t *testing.T) {
 	const maxPlans = 3
-	g := New(Config{MaxPlans: maxPlans, QueueDepth: 1000})
+	g := New(Config{MaxPlans: maxPlans})
 	var running, peak atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < 16; c++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qppt/internal/duplist"
@@ -385,6 +386,23 @@ func TestStatsCollection(t *testing.T) {
 	}
 }
 
+// TestPlanStatsStringShowsMorselFanOut: which worker claims a morsel is
+// scheduling luck, so an operator whose morsels one worker took alone
+// must still print its fan-out; a serial operator prints no bracket.
+func TestPlanStatsStringShowsMorselFanOut(t *testing.T) {
+	ps := &PlanStats{Workers: 3, Ops: []OperatorStats{
+		{Label: "fanned", Workers: 1, Morsels: 12},
+		{Label: "serial", Workers: 1, Morsels: 1},
+	}}
+	s := ps.String()
+	if !strings.Contains(s, "[1 workers, 12 morsels]") {
+		t.Errorf("fan-out missing from stats string:\n%s", s)
+	}
+	if strings.Count(s, "morsels]") != 1 {
+		t.Errorf("serial operator printed a morsel bracket:\n%s", s)
+	}
+}
+
 // TestEveryOperatorMaterializes pins the paper's execution model: every
 // non-base operator builds its output index, so PlanStats.Ops holds one
 // row per such operator, in post-order, each with a non-empty output — for
@@ -498,7 +516,11 @@ func TestSyncScanMixedKinds(t *testing.T) {
 		want++
 	}
 	got := 0
-	SyncScan(a, b, func(k uint64, va, vb *duplist.List) bool {
+	lo, hi, ok := syncScanBounds(a, b)
+	if !ok {
+		t.Fatal("no common key interval")
+	}
+	syncScanKeyRange(a, b, lo, hi, func(k uint64, va, vb *duplist.List) bool {
 		if k%15 != 0 {
 			t.Fatalf("phantom match %d", k)
 		}

@@ -26,7 +26,7 @@ type Env struct {
 
 // EnvConfig parameterizes NewEnv: the resources plans share, as opposed to
 // the per-query Options. The zero value is a serial environment with no
-// recycler and no spill budget.
+// spill budget.
 type EnvConfig struct {
 	// Workers sizes the shared worker pool (scheduler.go). The same pool
 	// serves inter-operator parallelism (independent plan branches run
@@ -43,16 +43,6 @@ type EnvConfig struct {
 	// morsel; consumers of plain outputs must not rely on intra-key row
 	// order when Workers > 1.
 	Workers int
-	// Recycle creates the chunk recycler; RecycleCap bounds the bytes it
-	// may retain (0 = unbounded; see arena.Recycler.SetCap). When the last
-	// consumer of an intermediate index finishes, the index's node chunks,
-	// leaf chunks and slab blocks are cleared and parked in a size-classed
-	// pool that later index allocations (including worker partials and
-	// thaws, in this plan or the next) draw from first — instead of
-	// cycling the same chunk shapes through the garbage collector once per
-	// operator. Results are identical either way.
-	Recycle    bool
-	RecycleCap int64
 	// MemBudget caps the resident bytes of intermediate indexes across
 	// every plan sharing this Env. When the plans exceed it, cold
 	// intermediates are frozen — their arena chunks written to temp files
@@ -66,13 +56,23 @@ type EnvConfig struct {
 	SpillDir string
 }
 
-// NewEnv builds an execution environment.
+// recycleCap bounds the bytes an Env's chunk pool may retain: enough to
+// carry the steady-state chunk population of a heavy analytical suite,
+// small enough that one freak plan cannot pin its peak footprint for the
+// Env's lifetime. Chunks beyond it go to the garbage collector and are
+// counted as trim evictions.
+const recycleCap = 256 << 20
+
+// NewEnv builds an execution environment. Every Env has a chunk recycler:
+// when the last consumer of an intermediate index finishes, the index's
+// node chunks, leaf chunks and slab blocks are cleared and parked in a
+// size-classed pool that later index allocations (including worker
+// partials and thaws, in this plan or the next) draw from first — instead
+// of cycling the same chunk shapes through the garbage collector once per
+// operator.
 func NewEnv(cfg EnvConfig) (*Env, error) {
-	env := &Env{sched: NewScheduler(poolWorkers(cfg.Workers))}
-	if cfg.Recycle {
-		env.rec = arena.NewRecycler()
-		env.rec.SetCap(cfg.RecycleCap)
-	}
+	env := &Env{sched: NewScheduler(poolWorkers(cfg.Workers)), rec: arena.NewRecycler()}
+	env.rec.SetCap(recycleCap)
 	if cfg.MemBudget > 0 {
 		mgr, err := spill.New(cfg.MemBudget, cfg.SpillDir)
 		if err != nil {
@@ -86,8 +86,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 // Workers reports the shared pool size.
 func (e *Env) Workers() int { return e.sched.Workers() }
 
-// RecyclerStats snapshots the session recycler's counters (zero without a
-// recycler).
+// RecyclerStats snapshots the session recycler's counters.
 func (e *Env) RecyclerStats() arena.RecyclerStats { return e.rec.Stats() }
 
 // SpillStats snapshots the shared spill manager's counters (zero without

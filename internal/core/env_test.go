@@ -105,21 +105,16 @@ func TestRunCancelParallel(t *testing.T) {
 // the cross-plan steady state the Env recycler exists for.
 func TestEnvCrossPlanReuse(t *testing.T) {
 	f := buildFixture(21)
-	want, _, err := run(t, EnvConfig{}, starPlan(f, 2), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := Extract(want).Rows
-
-	env := newTestEnv(t, EnvConfig{Recycle: true})
+	want := f.oracleGroupSum(map[uint64]bool{2: true}, 0, ^uint64(0))
+	env := newTestEnv(t, EnvConfig{})
 	var firstReuse int
 	for pass := 0; pass < 2; pass++ {
 		out, stats, err := env.Run(context.Background(), starPlan(f, 2), Options{CollectStats: true})
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
-		if !reflect.DeepEqual(Extract(out).Rows, wantRows) {
-			t.Fatalf("pass %d: env-run result differs", pass)
+		if !reflect.DeepEqual(resultAsMap(t, Extract(out)), want) {
+			t.Fatalf("pass %d: env-run result differs from the oracle", pass)
 		}
 		if pass == 0 {
 			firstReuse = stats.ChunksReused
@@ -139,7 +134,7 @@ func TestEnvCrossPlanReuse(t *testing.T) {
 // including after later plans churn the budget and after Env.Close.
 func TestEnvSharedSpillKeepsResultOut(t *testing.T) {
 	dir := t.TempDir()
-	env, err := NewEnv(EnvConfig{Recycle: true, MemBudget: 1, SpillDir: dir})
+	env, err := NewEnv(EnvConfig{MemBudget: 1, SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ type ExecContext struct {
 	ctx     context.Context // query context; nil means non-cancellable
 	opts    Options
 	sched   *Scheduler
-	rec     *arena.Recycler // the Env's chunk pool (nil without recycling)
+	rec     *arena.Recycler // the Env's chunk pool
 	spill   *spill.Manager  // the Env's spill manager (nil without a memory budget)
 	mu      sync.Mutex      // guards opStats under intra-operator parallelism
 	opStats *OperatorStats
@@ -188,9 +188,9 @@ type PlanStats struct {
 	// RestoreBytesRead counts the spill-file bytes the restores read.
 	RestoreBytesRead int64
 	// ChunksRecycled/ChunksReused/RecycleSavedBytes are this plan's share
-	// of the Env recycler's traffic (EnvConfig.Recycle): chunks parked in
-	// the pool, chunk allocations served from it, and the heap allocation
-	// those reuses avoided.
+	// of the Env recycler's traffic: chunks parked in the pool, chunk
+	// allocations served from it, and the heap allocation those reuses
+	// avoided.
 	ChunksRecycled    int
 	ChunksReused      int
 	RecycleSavedBytes int64
@@ -224,7 +224,9 @@ func (ps *PlanStats) String() string {
 		s += fmt.Sprintf("  %-24s %10v (index %8v) out: %d rows, %d keys, %d B",
 			op.Label, op.Time.Round(time.Microsecond), op.IndexTime.Round(time.Microsecond),
 			op.OutRows, op.OutKeys, op.OutBytes)
-		if op.Workers > 1 {
+		if op.Morsels > 1 {
+			// Which worker claims a morsel is scheduling luck; the fan-out
+			// is not, so it prints even when one worker took every morsel.
 			s += fmt.Sprintf("  [%d workers, %d morsels]", op.Workers, op.Morsels)
 		}
 		if op.Spills > 0 || op.Restores > 0 {
@@ -271,16 +273,14 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 		rec:   env.rec,
 		spill: env.spill,
 		memo:  make(map[Operator]*memoEntry),
+		uses:  make(map[Operator]int),
 	}
-	if ex.rec != nil || ex.spill != nil {
-		// Consumer counting drives chunk recycling and the early deletion
-		// of spill files: an intermediate nobody will read again should
-		// neither sit in the chunk pool's way nor keep a snapshot on disk
-		// until the plan ends.
-		ex.uses = make(map[Operator]int)
-		countUses(pl.Root, ex.uses)
-		ex.uses[pl.Root]++ // the caller consumes the result; never drop it
-	}
+	// Consumer counting drives chunk recycling and the early deletion of
+	// spill files: an intermediate nobody will read again should neither
+	// sit in the chunk pool's way nor keep a snapshot on disk until the
+	// plan ends.
+	countUses(pl.Root, ex.uses)
+	ex.uses[pl.Root]++ // the caller consumes the result; never drop it
 	if ex.spill != nil {
 		ex.handles = make(map[*IndexedTable]*spill.Handle)
 	}
@@ -339,11 +339,9 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 				stats.Ops[ref.op].Restores += r
 			}
 		}
-		if ex.rec != nil {
-			rs := ex.rec.Stats()
-			stats.ChunksRecycled, stats.ChunksReused = rs.Recycled-rec0.Recycled, rs.Reused-rec0.Reused
-			stats.RecycleSavedBytes = rs.SavedBytes - rec0.SavedBytes
-		}
+		rs := ex.rec.Stats()
+		stats.ChunksRecycled, stats.ChunksReused = rs.Recycled-rec0.Recycled, rs.Reused-rec0.Reused
+		stats.RecycleSavedBytes = rs.SavedBytes - rec0.SavedBytes
 		stats.Total = time.Since(t0)
 	}
 	return out, stats, nil
@@ -375,9 +373,9 @@ type executor struct {
 	mu    sync.Mutex
 	memo  map[Operator]*memoEntry
 
-	// rec and uses implement chunk recycling (EnvConfig.Recycle): uses
-	// holds the remaining consumer count per operator output, and rec
-	// receives the chunks of outputs whose count reaches zero.
+	// rec and uses implement chunk recycling: uses holds the remaining
+	// consumer count per operator output, and rec receives the chunks of
+	// outputs whose count reaches zero.
 	rec  *arena.Recycler
 	uses map[Operator]int
 
@@ -406,8 +404,8 @@ func (ex *executor) handleOf(t *IndexedTable) *spill.Handle {
 
 // releaseInput decrements an operator output's remaining-consumer count
 // and, at zero, drops the intermediate: its spill file is removed so the
-// spill directory holds only snapshots a consumer may still need, and —
-// with EnvConfig.Recycle — its chunk storage is parked in the Env pool.
+// spill directory holds only snapshots a consumer may still need, and its
+// chunk storage is parked in the Env pool.
 // Base tables are never dropped; the plan root carries an extra use so the
 // result survives. Drop precedes Release: Drop waits out any in-flight
 // freeze/thaw of the entry, so Release never races one.
@@ -485,7 +483,7 @@ func (ex *executor) pinInputs(inputs []*IndexedTable) ([]*spill.Handle, error) {
 // adds), and so does the plan root: the caller owns it, and an entry nobody
 // pins again could only cost a freeze and the thaw that undoes it.
 func (ex *executor) finishOp(op Operator, e *memoEntry, pinned []*spill.Handle, children []Operator, inputs []*IndexedTable) {
-	if ex.uses != nil && e.err == nil {
+	if e.err == nil {
 		for i, c := range children {
 			ex.releaseInput(c, inputs[i])
 		}
@@ -516,19 +514,15 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 		inputs := make([]*IndexedTable, len(children))
 		if ex.sched.parallel() && len(children) > 1 {
 			// Independent subtrees resolve concurrently on the shared
-			// pool; Fork runs on pool workers when they are idle and
-			// inline otherwise, so the goroutine count stays bounded by
-			// the pool size however deep the plan nests.
-			tasks := make([]func() error, len(children))
-			for i, c := range children {
-				tasks[i] = func() error {
-					in, err := ex.resolve(c, stats)
-					inputs[i] = in
-					return err
-				}
-			}
-			if err := ex.sched.Fork(tasks...); err != nil {
-				e.err = err
+			// pool, one child per morsel: they run on pool workers when
+			// those are idle and inline otherwise, so the goroutine count
+			// stays bounded by the pool size however deep the plan nests.
+			e.err = ex.sched.ForEachWorker(len(children), func(_, i int) error {
+				in, err := ex.resolve(children[i], stats)
+				inputs[i] = in
+				return err
+			})
+			if e.err != nil {
 				return
 			}
 		} else {

@@ -171,43 +171,3 @@ func (k kissIndex) Iterate(visit func(key uint64, vals *duplist.List) bool) bool
 func (k kissIndex) Range(lo, hi uint64, visit func(key uint64, vals *duplist.List) bool) bool {
 	return k.t.Range(lo, hi, func(lf *kisstree.Leaf) bool { return visit(lf.Key, &lf.Vals) })
 }
-
-// SyncScan runs the synchronous index scan over two indexes, visiting every
-// key present in both along with both payload lists, in ascending key
-// order. When both indexes are the same tree kind with the same geometry
-// the native skip-scan kernels are used; otherwise (mixed kinds or
-// differing prefix lengths) it falls back to iterating the smaller index
-// and probing the larger one — the same asymmetry the select-join exploits.
-func SyncScan(a, b Index, visit func(key uint64, va, vb *duplist.List) bool) bool {
-	switch ai := a.(type) {
-	case ptIndex:
-		if bi, ok := b.(ptIndex); ok && ai.t.PrefixLen() == bi.t.PrefixLen() && ai.t.KeyBits() == bi.t.KeyBits() {
-			return prefixtree.SyncScan(ai.t, bi.t, func(la, lb *prefixtree.Leaf) bool {
-				return visit(la.Key, &la.Vals, &lb.Vals)
-			})
-		}
-	case kissIndex:
-		if bi, ok := b.(kissIndex); ok {
-			return kisstree.SyncScan(ai.t, bi.t, func(la, lb *kisstree.Leaf) bool {
-				return visit(la.Key, &la.Vals, &lb.Vals)
-			})
-		}
-	}
-	// Fallback: iterate the smaller index, probe the larger.
-	small, large := a, b
-	swapped := false
-	if b.Keys() < a.Keys() {
-		small, large = b, a
-		swapped = true
-	}
-	return small.Iterate(func(key uint64, vs *duplist.List) bool {
-		vl := large.Lookup(key)
-		if vl == nil {
-			return true
-		}
-		if swapped {
-			return visit(key, vl, vs)
-		}
-		return visit(key, vs, vl)
-	})
-}

@@ -199,7 +199,7 @@ func (j *Join) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, error) 
 // two main inputs, cross-producting matching content nodes.
 func (j *Join) scan(inputs []*IndexedTable) scanFn {
 	left, right := inputs[0], inputs[1]
-	return func(p *pipeline, lo, hi uint64, whole bool) {
+	return func(p *pipeline, lo, hi uint64, _ bool) {
 		lComp, rComp := left.Key.Composer(), right.Key.Composer()
 		ctx := make([]uint64, p.layout.width)
 		visit := func(k uint64, lv, rv *duplist.List) bool {
@@ -222,11 +222,7 @@ func (j *Join) scan(inputs []*IndexedTable) scanFn {
 			})
 			return true
 		}
-		if whole {
-			SyncScan(left.Idx, right.Idx, visit)
-		} else {
-			syncScanKeyRange(left.Idx, right.Idx, lo, hi, visit)
-		}
+		syncScanKeyRange(left.Idx, right.Idx, lo, hi, visit)
 	}
 }
 

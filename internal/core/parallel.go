@@ -82,26 +82,28 @@ func intersectPred(pred KeyPred, lo, hi uint64) KeyPred {
 	return out
 }
 
-// syncScanKeyRange runs the synchronous index scan restricted to keys in
-// [lo, hi], using the native skip-scan kernels where the index kinds allow
-// them and the iterate-small/probe-large fallback otherwise.
+// syncScanKeyRange runs the synchronous index scan over two indexes,
+// visiting every key in [lo, hi] present in both along with both payload
+// lists, in ascending key order. When both indexes are the same tree kind
+// with the same geometry the native skip-scan kernels are used; otherwise
+// (mixed kinds or differing prefix lengths) it range-scans the smaller
+// index and probes the larger one — the same asymmetry the select-join
+// exploits. A serial scan passes syncScanBounds, a morsel its partition.
 func syncScanKeyRange(a, b Index, lo, hi uint64, visit func(key uint64, va, vb *duplist.List) bool) bool {
 	switch ai := a.(type) {
 	case ptIndex:
 		if bi, isPT := b.(ptIndex); isPT && ai.t.PrefixLen() == bi.t.PrefixLen() && ai.t.KeyBits() == bi.t.KeyBits() {
-			return prefixtree.SyncScanRange(ai.t, bi.t, lo, hi, func(la, lb *prefixtree.Leaf) bool {
+			return prefixtree.SyncScan(ai.t, bi.t, lo, hi, func(la, lb *prefixtree.Leaf) bool {
 				return visit(la.Key, &la.Vals, &lb.Vals)
 			})
 		}
 	case kissIndex:
 		if bi, isKiss := b.(kissIndex); isKiss {
-			return kisstree.SyncScanRange(ai.t, bi.t, lo, hi, func(la, lb *kisstree.Leaf) bool {
+			return kisstree.SyncScan(ai.t, bi.t, lo, hi, func(la, lb *kisstree.Leaf) bool {
 				return visit(la.Key, &la.Vals, &lb.Vals)
 			})
 		}
 	}
-	// Mixed kinds: range-scan the smaller index's partition, probe the
-	// larger one.
 	small, large := a, b
 	swapped := false
 	if b.Keys() < a.Keys() {

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Options.Recycle must be a pure storage decision: results bit-identical,
-// the plan stats recording chunks parked and reused — the drop→reuse
-// round trip across operators — serially, under morsel parallelism, and
-// combined with a spill budget.
+// Recycling must be a pure storage decision: results match the brute-force
+// oracle, and the plan stats record chunks parked and reused — the
+// drop→reuse round trip across operators — serially, under morsel
+// parallelism, and combined with a spill budget.
 func TestRecycleMatchesBaseline(t *testing.T) {
 	f := buildFixture(11)
 	// Three operator levels: the selection output drops when the join
@@ -29,22 +29,18 @@ func TestRecycleMatchesBaseline(t *testing.T) {
 			},
 		}}
 	}
-	want, _, err := run(t, EnvConfig{}, mkPlan(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes := Extract(want)
+	want := f.oracleGroupSum(map[uint64]bool{2: true}, 0, ^uint64(0))
 	for _, opt := range []EnvConfig{
-		{Recycle: true},
-		{Recycle: true, Workers: 3},
-		{Recycle: true, Workers: 3, MemBudget: 1},
+		{},
+		{Workers: 3},
+		{Workers: 3, MemBudget: 1},
 	} {
 		out, stats, err := run(t, opt, mkPlan(), Options{CollectStats: true})
 		if err != nil {
 			t.Fatalf("%+v: %v", opt, err)
 		}
-		if !reflect.DeepEqual(Extract(out).Rows, wantRes.Rows) {
-			t.Fatalf("%+v: recycled result differs", opt)
+		if got := resultAsMap(t, Extract(out)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: recycled result %v, oracle %v", opt, got, want)
 		}
 		if stats.ChunksRecycled == 0 {
 			t.Fatalf("%+v: no chunks parked: %+v", opt, stats)
@@ -79,17 +75,19 @@ func TestRecycleDropsOnlyAfterLastConsumer(t *testing.T) {
 			KeyRefs: []Ref{{Input: 0, Attr: "prodkey"}},
 		},
 	}
-	plan := &Plan{Root: join}
-	want, _, err := run(t, EnvConfig{}, &Plan{Root: join}, Options{})
+	// Brute force: each product key once, since 1×1 = 1.
+	var want [][]uint64
+	for p := uint64(0); p < nProd; p++ {
+		if f.prod[p] <= 10 {
+			want = append(want, []uint64{p})
+		}
+	}
+	got, stats, err := run(t, EnvConfig{}, &Plan{Root: join}, Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := run(t, EnvConfig{Recycle: true}, plan, Options{CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(Extract(got).Rows, Extract(want).Rows) {
-		t.Fatal("shared-intermediate recycled result differs")
+	if rows := Extract(got).Rows; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("shared-intermediate result %v, oracle %v", rows, want)
 	}
 	if stats.ChunksRecycled == 0 {
 		t.Fatalf("selection output never recycled: %+v", stats)

@@ -14,8 +14,8 @@ import (
 // so: Release parks its chunks in the session pool, the next plan's result
 // draws them back, and the extracted rows — copies — are unaffected.
 // Release is idempotent, and does nothing for what is not a pool-backed
-// operator output: a base index handed through as the plan root, a run
-// without a recycler, the nil table of a failed plan. The plan is the
+// operator output: a base index handed through as the plan root, the nil
+// table of a failed plan. The plan is the
 // one-operator select-join, so the result is the only index each run
 // builds and the pool's steady state does not depend on how many workers
 // claimed a morsel.
@@ -29,7 +29,7 @@ func TestResultRelease(t *testing.T) {
 	wantRows := Extract(want).Rows
 
 	for _, workers := range []int{1, 3} {
-		env, err := NewEnv(EnvConfig{Recycle: true, Workers: workers})
+		env, err := NewEnv(EnvConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestResultRelease(t *testing.T) {
 	}
 
 	// A base index as the plan root: Release must leave it alone.
-	env, err := NewEnv(EnvConfig{Recycle: true})
+	env, err := NewEnv(EnvConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,7 @@ func TestResultRelease(t *testing.T) {
 		t.Fatalf("base index unusable after Release: err=%v", err)
 	}
 
-	// No recycler, and no table at all.
-	want.Release()
-	if !reflect.DeepEqual(Extract(want).Rows, wantRows) {
-		t.Fatal("Release without a recycler touched the index")
-	}
+	// No table at all.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	failed, _, err := env.Run(ctx, sjPlan(f, 2), Options{})

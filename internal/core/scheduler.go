@@ -19,8 +19,8 @@ import (
 // The Scheduler replaces both mechanisms with one coordinated pool:
 //
 //   - Inter-operator parallelism: the executor resolves independent plan
-//     branches through Fork, which runs them on pool workers instead of
-//     fresh goroutines.
+//     branches through ForEachWorker, one branch per morsel, so they run
+//     on pool workers instead of fresh goroutines.
 //   - Intra-operator parallelism: operators split their scans into many
 //     small key-range *morsels* (morselsPerWorker × Workers, aligned to
 //     prefix-subtree boundaries by partitionBounds) and submit them through
@@ -32,7 +32,7 @@ import (
 // goroutines ever execute concurrently (the caller's goroutine counts as
 // one; at most Workers−1 helpers exist at any instant). Submitting work
 // never blocks — when the pool is saturated, the submitting goroutine runs
-// the work inline — so nested Fork/ForEachWorker calls cannot deadlock.
+// the work inline — so nested ForEachWorker calls cannot deadlock.
 
 // morselsPerWorker is the morsel fan-out factor: each parallel operator
 // splits its key space into Workers × morselsPerWorker morsels. More
@@ -86,49 +86,6 @@ func (s *Scheduler) acquire() bool {
 }
 
 func (s *Scheduler) release() { s.tokens <- struct{}{} }
-
-// Fork runs the tasks concurrently on the pool and returns the first
-// error. The calling goroutine always participates: tasks that cannot get
-// a pool worker run inline, so Fork never blocks waiting for capacity and
-// nests safely (a task may Fork or ForEachWorker again).
-func (s *Scheduler) Fork(tasks ...func() error) error {
-	switch len(tasks) {
-	case 0:
-		return nil
-	case 1:
-		return tasks[0]()
-	}
-	errs := make([]error, len(tasks))
-	spawned := make([]bool, len(tasks))
-	var wg sync.WaitGroup
-	if s.parallel() {
-		for i := 1; i < len(tasks); i++ {
-			if !s.acquire() {
-				break // saturated: the remainder runs inline below
-			}
-			spawned[i] = true
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer s.release()
-				errs[i] = tasks[i]()
-			}(i)
-		}
-	}
-	errs[0] = tasks[0]()
-	for i := 1; i < len(tasks); i++ {
-		if !spawned[i] {
-			errs[i] = tasks[i]()
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // ForEachWorker processes n morsels on the pool. Up to Workers loops run
 // concurrently; each loop claims the next unclaimed morsel from a shared

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// TestSchedulerBoundsConcurrency: however deeply Fork and ForEachWorker
-// nest, the number of concurrently executing bodies must never exceed the
-// pool size — the property that replaces the seed's Workers ×
+// TestSchedulerBoundsConcurrency: however deeply ForEachWorker loops nest,
+// the number of concurrently executing bodies must never exceed the pool
+// size — the property that replaces the seed's Workers ×
 // concurrent-operators goroutine blowup.
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	const workers = 4
@@ -27,15 +27,16 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		cur.Add(-1)
 	}
-	// Three "plan branches", each running a morsel loop — the shape of a
-	// star-join plan with three dimension selections.
-	branch := func() error {
+	// Three "plan branches" resolved by an outer loop, each running a
+	// morsel loop — the shape of a star-join plan with three dimension
+	// selections.
+	branch := func(_, _ int) error {
 		return s.ForEachWorker(32, func(_, _ int) error {
 			body()
 			return nil
 		})
 	}
-	if err := s.Fork(branch, branch, branch); err != nil {
+	if err := s.ForEachWorker(3, branch); err != nil {
 		t.Fatal(err)
 	}
 	if got := peak.Load(); got > workers {
@@ -118,12 +119,15 @@ func TestForEachWorkerStealsFromStragglers(t *testing.T) {
 func TestSchedulerErrorPropagation(t *testing.T) {
 	s := NewScheduler(3)
 	boom := errors.New("boom")
-	if err := s.Fork(
-		func() error { return nil },
-		func() error { return boom },
-		func() error { return nil },
-	); !errors.Is(err, boom) {
-		t.Fatalf("Fork error = %v, want boom", err)
+	// The error of one plan branch among three surfaces, with or without
+	// nesting.
+	if err := s.ForEachWorker(3, func(_, i int) error {
+		if i == 1 {
+			return boom
+		}
+		return s.ForEachWorker(8, func(_, _ int) error { return nil })
+	}); !errors.Is(err, boom) {
+		t.Fatalf("branch error = %v, want boom", err)
 	}
 	var ran atomic.Int64
 	err := s.ForEachWorker(1000, func(_, m int) error {
@@ -141,10 +145,11 @@ func TestSchedulerErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestForkSaturatedPoolRunsInline: once the pool has no free workers,
-// Fork must still make progress on the calling goroutine instead of
-// blocking — the property that makes nested parallelism deadlock-free.
-func TestForkSaturatedPoolRunsInline(t *testing.T) {
+// TestForEachWorkerSaturatedPoolRunsInline: once the pool has no free
+// workers, ForEachWorker must still make progress on the calling goroutine
+// instead of blocking — the property that makes nested parallelism
+// deadlock-free.
+func TestForEachWorkerSaturatedPoolRunsInline(t *testing.T) {
 	s := NewScheduler(2)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -160,12 +165,14 @@ func TestForkSaturatedPoolRunsInline(t *testing.T) {
 		s.release()
 	}()
 	done := make(chan error, 1)
+	var inline atomic.Int64
 	go func() {
-		done <- s.Fork(
-			func() error { return nil },
-			func() error { return nil },
-			func() error { return nil },
-		)
+		done <- s.ForEachWorker(3, func(w, _ int) error {
+			if w == 0 {
+				inline.Add(1)
+			}
+			return nil
+		})
 	}()
 	select {
 	case err := <-done:
@@ -173,7 +180,10 @@ func TestForkSaturatedPoolRunsInline(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Fork blocked on a saturated pool")
+		t.Fatal("ForEachWorker blocked on a saturated pool")
+	}
+	if n := inline.Load(); n != 3 {
+		t.Fatalf("calling goroutine ran %d of 3 morsels on a saturated pool", n)
 	}
 	close(release)
 	wg.Wait()

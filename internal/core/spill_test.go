@@ -322,7 +322,7 @@ func TestSpillLiveness(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			env := newTestEnv(t, EnvConfig{Workers: workers, Recycle: true, MemBudget: budget, SpillDir: dir})
+			env := newTestEnv(t, EnvConfig{Workers: workers, MemBudget: budget, SpillDir: dir})
 			var pooled int64
 			for round := 0; round < 2; round++ {
 				out, stats, err := env.Run(context.Background(), pl, Options{CollectStats: true})

@@ -94,8 +94,8 @@ type IndexedTable struct {
 // last consumer finishes, and whoever ran the plan does the same for the
 // result once the rows are extracted, so a query's result index is
 // recycled like any other. Release is idempotent, and a no-op for anything
-// that is not a pool-backed operator output: catalog base indexes, runs
-// without a recycler, a nil table (a failed or cancelled plan has none).
+// that is not a pool-backed operator output: catalog base indexes, a nil
+// table (a failed or cancelled plan has none).
 // A frozen (spilled) index holds no chunks, so releasing it does nothing.
 func (t *IndexedTable) Release() {
 	if t == nil || !t.pooled {

@@ -243,6 +243,9 @@ func TestInsertBatchMatchesScalar(t *testing.T) {
 	})
 }
 
+// TestSyncScanIntersection: over the whole key space and over a bounded
+// range, SyncScan visits exactly the common keys inside the bounds, in
+// ascending order.
 func TestSyncScanIntersection(t *testing.T) {
 	a, b := MustNew(Config{}), MustNew(Config{})
 	sa, sb := map[uint64]bool{}, map[uint64]bool{}
@@ -253,27 +256,30 @@ func TestSyncScanIntersection(t *testing.T) {
 		b.Insert(kb, nil)
 		sa[ka], sb[kb] = true, true
 	}
-	want := 0
-	for k := range sa {
-		if sb[k] {
-			want++
+	for _, r := range [][2]uint64{{0, ^uint64(0)}, {2000, 5999}} {
+		lo, hi := r[0], r[1]
+		want := 0
+		for k := range sa {
+			if sb[k] && k >= lo && k <= hi {
+				want++
+			}
 		}
-	}
-	got := 0
-	prev, first := uint64(0), true
-	SyncScan(a, b, func(la, lb *Leaf) bool {
-		if la.Key != lb.Key || !sa[la.Key] || !sb[la.Key] {
-			t.Fatal("bad intersection element")
+		got := 0
+		prev, first := uint64(0), true
+		SyncScan(a, b, lo, hi, func(la, lb *Leaf) bool {
+			if la.Key != lb.Key || !sa[la.Key] || !sb[la.Key] || la.Key < lo || la.Key > hi {
+				t.Fatalf("[%d, %d]: bad intersection element %d", lo, hi, la.Key)
+			}
+			if !first && la.Key <= prev {
+				t.Fatalf("[%d, %d]: intersection out of order", lo, hi)
+			}
+			prev, first = la.Key, false
+			got++
+			return true
+		})
+		if got != want {
+			t.Fatalf("[%d, %d]: intersection size %d, want %d", lo, hi, got, want)
 		}
-		if !first && la.Key <= prev {
-			t.Fatal("intersection out of order")
-		}
-		prev, first = la.Key, false
-		got++
-		return true
-	})
-	if got != want {
-		t.Fatalf("intersection size %d, want %d", got, want)
 	}
 }
 
@@ -283,7 +289,7 @@ func TestSyncScanDisjointRootRanges(t *testing.T) {
 		a.Insert(i, nil)
 		b.Insert(i+1<<30, nil)
 	}
-	SyncScan(a, b, func(la, lb *Leaf) bool {
+	SyncScan(a, b, 0, ^uint64(0), func(la, lb *Leaf) bool {
 		t.Fatal("visited key in disjoint trees")
 		return false
 	})
@@ -292,7 +298,7 @@ func TestSyncScanDisjointRootRanges(t *testing.T) {
 func TestSyncScanEmpty(t *testing.T) {
 	a, b := MustNew(Config{}), MustNew(Config{})
 	a.Insert(1, nil)
-	if !SyncScan(a, b, func(*Leaf, *Leaf) bool { t.Fatal("visit"); return false }) {
+	if !SyncScan(a, b, 0, ^uint64(0), func(*Leaf, *Leaf) bool { t.Fatal("visit"); return false }) {
 		t.Fatal("scan of empty reported early stop")
 	}
 }

@@ -3,23 +3,28 @@ package kisstree
 import "math/bits"
 
 // SyncScan is the synchronous index scan over two KISS-Trees (paper
-// Section 4.2): both root arrays are scanned in lockstep, restricted to
-// [max(a.min, b.min), min(a.max, b.max)] so dense keys never touch the full
-// 2^26-bucket roots, and second-level nodes are only visited for buckets
-// populated in both trees; their slot intersection is a single bitmap AND.
+// Section 4.2), restricted to keys in [lo, hi]: both root arrays are
+// scanned in lockstep, clipped further to [max(a.min, b.min),
+// min(a.max, b.max)] so dense keys never touch the full 2^26-bucket roots,
+// and second-level nodes are only visited for buckets populated in both
+// trees; their slot intersection is a single bitmap AND.
 //
-// Visit receives the matching leaves in ascending key order. SyncScan stops
-// early if visit returns false and reports whether it completed.
-func SyncScan(a, b *Tree, visit func(la, lb *Leaf) bool) bool {
-	if a.keys == 0 || b.keys == 0 {
+// The bounds are the partitioning primitive for intra-operator parallelism
+// (paper Section 7): partition boundaries align with root buckets, so
+// concurrent workers on disjoint ranges never touch the same second-level
+// node. Visit receives the matching leaves in ascending key order.
+// SyncScan stops early if visit returns false and reports whether it
+// completed.
+func SyncScan(a, b *Tree, lo, hi uint64, visit func(la, lb *Leaf) bool) bool {
+	if lo > hi || a.keys == 0 || b.keys == 0 {
 		return true
 	}
-	lo := max(a.minKey, b.minKey)
-	hi := min(a.maxKey, b.maxKey)
-	if lo > hi {
+	l := max(lo, uint64(max(a.minKey, b.minKey)))
+	h := min(hi, uint64(min(a.maxKey, b.maxKey)))
+	if l > h {
 		return true
 	}
-	for rootIdx := lo >> leafBits; rootIdx <= hi>>leafBits; rootIdx++ {
+	for rootIdx := uint32(l) >> leafBits; rootIdx <= uint32(h)>>leafBits; rootIdx++ {
 		if a.root[rootIdx>>rootChunkBits] == nil || b.root[rootIdx>>rootChunkBits] == nil {
 			// A whole 2^16-bucket chunk is untouched in one tree: skip it.
 			rootIdx |= rootChunkMask
@@ -29,39 +34,10 @@ func SyncScan(a, b *Tree, visit func(la, lb *Leaf) bool) bool {
 		if pa == 0 || pb == 0 {
 			continue // bucket unused in at least one index: skip
 		}
-		if !syncNode(a, b, pa, pb, uint64(rootIdx)<<leafBits, visit) {
-			return false
-		}
-	}
-	return true
-}
-
-// SyncScanRange is SyncScan restricted to keys in [lo, hi] — the
-// partitioning primitive for intra-operator parallelism (paper Section 7).
-// Partition boundaries align with root buckets, so concurrent workers on
-// disjoint ranges never touch the same second-level node.
-func SyncScanRange(a, b *Tree, lo, hi uint64, visit func(la, lb *Leaf) bool) bool {
-	if lo > hi || a.keys == 0 || b.keys == 0 {
-		return true
-	}
-	l := max(uint32(lo), max(a.minKey, b.minKey))
-	h := min(uint32(hi), min(a.maxKey, b.maxKey))
-	if l > h {
-		return true
-	}
-	for rootIdx := l >> leafBits; rootIdx <= h>>leafBits; rootIdx++ {
-		if a.root[rootIdx>>rootChunkBits] == nil || b.root[rootIdx>>rootChunkBits] == nil {
-			rootIdx |= rootChunkMask
-			continue
-		}
-		pa, pb := a.rootGet(rootIdx), b.rootGet(rootIdx)
-		if pa == 0 || pb == 0 {
-			continue
-		}
 		base := uint64(rootIdx) << leafBits
 		if !syncNode(a, b, pa, pb, base, func(la, lb *Leaf) bool {
-			if la.Key < uint64(l) || la.Key > uint64(h) {
-				return true // edge bucket: clip to the partition
+			if la.Key < l || la.Key > h {
+				return true // edge bucket: clip to the range
 			}
 			return visit(la, lb)
 		}) {

@@ -100,7 +100,7 @@ func BenchmarkSyncScan(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			matches = 0
-			SyncScan(ta, tb, func(la, lb *Leaf) bool { matches++; return true })
+			SyncScan(ta, tb, 0, ta.keyMax(), func(la, lb *Leaf) bool { matches++; return true })
 		}
 	})
 	_ = matches

@@ -16,20 +16,9 @@ import "qppt/internal/arena"
 // line (k′=4) instead of 4 — the skip decisions that dominate a sparse
 // scan touch a quarter of the memory they used to.
 
-// SyncScan visits, in ascending key order, every key present in both a and
-// b, passing both leaves. The trees must agree on PrefixLen and KeyBits so
-// their fragment grids line up; SyncScan panics otherwise, since silently
-// joining misaligned trees would drop matches. It stops early if visit
-// returns false and reports whether the scan ran to completion.
-func SyncScan(a, b *Tree, visit func(la, lb *Leaf) bool) bool {
-	if a.cfg.PrefixLen != b.cfg.PrefixLen || a.cfg.KeyBits != b.cfg.KeyBits {
-		panic("prefixtree: SyncScan on trees with different geometry")
-	}
-	return syncNodes(a, b, rootNode, rootNode, 0, visit)
-}
-
 // syncNodes scans two nodes that sit at the same depth (level) in their
-// respective trees. na/nb are node ordinals in their owning tree's arena.
+// respective trees, unbounded: SyncScan's walk of the interior fragments
+// of its range. na/nb are node ordinals in their owning tree's arena.
 func syncNodes(a, b *Tree, na, nb uint32, level int, visit func(la, lb *Leaf) bool) bool {
 	ba, bb := a.nodes.Block(na), b.nodes.Block(nb)
 	for f := 0; f < a.fanout; f++ {
@@ -68,14 +57,21 @@ func syncNodes(a, b *Tree, na, nb uint32, level int, visit func(la, lb *Leaf) bo
 	return true
 }
 
-// SyncScanRange is SyncScan restricted to keys in [lo, hi]. It is the
-// partitioning primitive for intra-operator parallelism (paper Section 7):
-// the unbalanced tree splits deterministically into disjoint key-range
-// subtrees, so concurrent workers can scan disjoint ranges of the same
-// tree pair without coordination.
-func SyncScanRange(a, b *Tree, lo, hi uint64, visit func(la, lb *Leaf) bool) bool {
+// SyncScan visits, in ascending key order, every key in [lo, hi] present
+// in both a and b, passing both leaves. The trees must agree on PrefixLen
+// and KeyBits so their fragment grids line up; SyncScan panics otherwise,
+// since silently joining misaligned trees would drop matches. It stops
+// early if visit returns false and reports whether the scan ran to
+// completion.
+//
+// The bounds are the partitioning primitive for intra-operator
+// parallelism (paper Section 7): the unbalanced tree splits
+// deterministically into disjoint key-range subtrees, so concurrent
+// workers can scan disjoint ranges of the same tree pair without
+// coordination. A serial scan passes the pair's common key interval.
+func SyncScan(a, b *Tree, lo, hi uint64, visit func(la, lb *Leaf) bool) bool {
 	if a.cfg.PrefixLen != b.cfg.PrefixLen || a.cfg.KeyBits != b.cfg.KeyBits {
-		panic("prefixtree: SyncScanRange on trees with different geometry")
+		panic("prefixtree: SyncScan on trees with different geometry")
 	}
 	if lo > hi {
 		return true

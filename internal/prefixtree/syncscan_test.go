@@ -16,7 +16,7 @@ func TestSyncScanSmall(t *testing.T) {
 		b.Insert(k, nil)
 	}
 	var got []uint64
-	SyncScan(a, b, func(la, lb *Leaf) bool {
+	SyncScan(a, b, 0, a.keyMax(), func(la, lb *Leaf) bool {
 		if la.Key != lb.Key {
 			t.Fatalf("mismatched leaves: %d vs %d", la.Key, lb.Key)
 		}
@@ -47,7 +47,7 @@ func TestSyncScanAsymmetricDepths(t *testing.T) {
 	a.Insert(0xF000_0000_0000_0000, nil)
 	a.Insert(0xF000_0000_0000_0001, nil) // now a is deep where b is shallow
 	var got []uint64
-	SyncScan(a, b, func(la, lb *Leaf) bool {
+	SyncScan(a, b, 0, a.keyMax(), func(la, lb *Leaf) bool {
 		got = append(got, la.Key)
 		return true
 	})
@@ -63,7 +63,7 @@ func TestSyncScanGeometryMismatchPanics(t *testing.T) {
 			t.Error("no panic on geometry mismatch")
 		}
 	}()
-	SyncScan(MustNew(Config{PrefixLen: 4}), MustNew(Config{PrefixLen: 8}), nil)
+	SyncScan(MustNew(Config{PrefixLen: 4}), MustNew(Config{PrefixLen: 8}), 0, 0, nil)
 }
 
 func TestSyncScanEarlyStop(t *testing.T) {
@@ -74,7 +74,7 @@ func TestSyncScanEarlyStop(t *testing.T) {
 		b.Insert(i, nil)
 	}
 	n := 0
-	if SyncScan(a, b, func(la, lb *Leaf) bool { n++; return n < 10 }) {
+	if SyncScan(a, b, 0, a.keyMax(), func(la, lb *Leaf) bool { n++; return n < 10 }) {
 		t.Error("early-stopped scan reported completion")
 	}
 	if n != 10 {
@@ -82,6 +82,9 @@ func TestSyncScanEarlyStop(t *testing.T) {
 	}
 }
 
+// TestPropertySyncScanIsSetIntersection: over random key sets and random
+// bounds [lo, hi], SyncScan visits exactly the common keys inside the
+// bounds, in ascending order.
 func TestPropertySyncScanIsSetIntersection(t *testing.T) {
 	for _, cfg := range []Config{
 		{PrefixLen: 4, KeyBits: 32},
@@ -89,7 +92,8 @@ func TestPropertySyncScanIsSetIntersection(t *testing.T) {
 		{PrefixLen: 2, KeyBits: 16},
 	} {
 		cfg := cfg
-		f := func(ka, kb []uint16) bool {
+		f := func(ka, kb []uint16, lo16, hi16 uint16) bool {
+			lo, hi := uint64(min(lo16, hi16)), uint64(max(lo16, hi16))
 			a, b := MustNew(cfg), MustNew(cfg)
 			sa, sb := map[uint64]bool{}, map[uint64]bool{}
 			for _, k := range ka {
@@ -102,14 +106,14 @@ func TestPropertySyncScanIsSetIntersection(t *testing.T) {
 			}
 			want := 0
 			for k := range sa {
-				if sb[k] {
+				if sb[k] && k >= lo && k <= hi {
 					want++
 				}
 			}
 			got := 0
 			prev, first := uint64(0), true
-			ok := SyncScan(a, b, func(la, lb *Leaf) bool {
-				if la.Key != lb.Key || !sa[la.Key] || !sb[la.Key] {
+			ok := SyncScan(a, b, lo, hi, func(la, lb *Leaf) bool {
+				if la.Key != lb.Key || !sa[la.Key] || !sb[la.Key] || la.Key < lo || la.Key > hi {
 					return false
 				}
 				if !first && la.Key <= prev {
@@ -138,7 +142,7 @@ func TestSyncScanSkipsSubtrees(t *testing.T) {
 		a.Insert(i, nil)         // low region
 		b.Insert(i+(1<<40), nil) // high region
 	}
-	SyncScan(a, b, func(la, lb *Leaf) bool {
+	SyncScan(a, b, 0, a.keyMax(), func(la, lb *Leaf) bool {
 		t.Fatalf("visited key %d in disjoint trees", la.Key)
 		return false
 	})

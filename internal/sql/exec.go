@@ -255,7 +255,7 @@ func (s *Statement) Run(ctx context.Context, env *core.Env, exec core.Options) (
 	}
 	// The rows are copied out in SELECT order in one walk; the result index
 	// is dead after it and goes back to the chunk pool like every
-	// intermediate (a no-op without a recycler).
+	// intermediate.
 	rows := core.Project(out, s.selOrder)
 	out.Release()
 	if len(s.orderSpec) > 0 {

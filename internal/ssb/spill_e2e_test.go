@@ -56,15 +56,14 @@ func TestSpillBudgetUnderParallelism(t *testing.T) {
 }
 
 // TestSpillRecycleMatches is the memory-lifecycle acceptance test: every
-// case runs with the chunk recycler enabled, serially and under morsel
-// parallelism, under a budget below the plan's peak operator footprint —
-// and must stay bit-identical to the plain run while the recycler counters
-// prove the pool actually engaged.
+// case runs serially and under morsel parallelism, under a budget below
+// the plan's peak operator footprint — and must stay bit-identical to the
+// plain run while the recycler counters prove the pool actually engaged.
 func TestSpillRecycleMatches(t *testing.T) {
 	ds := testDataset(t)
 	sawReuse := false
 	leg := func(workers int) runConfig {
-		return runConfig{env: core.EnvConfig{Workers: workers, MemBudget: halfPeak, Recycle: true}}
+		return runConfig{env: core.EnvConfig{Workers: workers, MemBudget: halfPeak}}
 	}
 	runSuite(t, suite{
 		cases: allCases(t, ds),
@@ -81,15 +80,15 @@ func TestSpillRecycleMatches(t *testing.T) {
 	}
 }
 
-// The recycler alone (no budget, no spilling) must also be invisible in
-// the results — serially and in parallel, across plan shapes.
+// Without a budget the recycler must carry traffic across plan shapes,
+// serially and in parallel, with results unchanged.
 func TestRecycleMatchesAcrossPlanShapes(t *testing.T) {
 	ds := testDataset(t)
 	runSuite(t, suite{
 		cases: allCases(t, ds),
 		legs: []runConfig{
-			{env: core.EnvConfig{Workers: 1, Recycle: true}},
-			{env: core.EnvConfig{Workers: 3, Recycle: true}},
+			{env: core.EnvConfig{Workers: 1}},
+			{env: core.EnvConfig{Workers: 3}},
 		},
 		check: func(t *testing.T, c planCase, leg runConfig, _ [][]uint64, stats *core.PlanStats) {
 			// Single-operator plans (a lone star operator over base

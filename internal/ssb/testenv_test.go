@@ -177,7 +177,8 @@ const halfPeak = -1
 
 // A suite is one end-to-end equivalence matrix: for every case, each leg
 // must reproduce the rows of the reference run — a serial, unbudgeted,
-// non-recycling Env — bit-identically. A suite with a leg of Workers > 1
+// fresh Env whose chunk pool no earlier plan filled — bit-identically.
+// (TestCrossEngineEquivalence holds such runs to the baseline engines.) A suite with a leg of Workers > 1
 // must see some operator run on more than one worker, and a suite with a
 // budgeted leg must see an intermediate other than a dimension selection
 // spill, or the matrix did not test what it names.

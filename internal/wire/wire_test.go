@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"qppt"
+	"qppt/internal/admission"
 	"qppt/internal/ssb"
 	"qppt/internal/wire"
 	"qppt/internal/wire/client"
@@ -533,7 +534,8 @@ func TestWireDisconnectAborts(t *testing.T) {
 	assertNoLeakedGoroutines(t)
 }
 
-// TestWireOverload: 4× the admission cap of simultaneous clients. The
+// TestWireOverload: 4× the admission capacity of simultaneous clients
+// (one running plan plus admission.DefaultQueueDepth queued ones). The
 // gate must shed the excess with honest ClassOverloaded answers (which
 // errors.Is-match qppt.ErrOverloaded through the wire), record queue
 // waits for the clients it delays, never hang, and keep serving
@@ -545,7 +547,7 @@ func TestWireDisconnectAborts(t *testing.T) {
 func TestWireOverload(t *testing.T) {
 	ds := wireDataset(t)
 	spillDir := t.TempDir()
-	eng, err := qppt.New(qppt.Config{Workers: 2, MaxPlans: 1, QueueDepth: 1,
+	eng, err := qppt.New(qppt.Config{Workers: 2, MaxPlans: 1,
 		MemBudget: 1 << 20, SpillDir: spillDir})
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +556,10 @@ func TestWireOverload(t *testing.T) {
 	srv := wire.NewServer(eng, ds.Cat)
 	defer srv.Close()
 
-	const storm = 8 // 4× the single-waiter capacity (1 running + 1 queued)
+	// Every connection is its own session with one query in flight, so
+	// the gate's global bound (MaxPlans × DefaultQueueDepth waiters) is
+	// the one that sheds.
+	const storm = 4 * (1 + admission.DefaultQueueDepth)
 	conns := make([]*client.Conn, storm)
 	for i := range conns {
 		if conns[i], err = client.NewPipe(srv); err != nil {
@@ -571,7 +576,7 @@ func TestWireOverload(t *testing.T) {
 		}
 	}
 
-	// Barrier-fire all 8 at once; bounded retries absorb the (unlikely)
+	// Barrier-fire the storm at once; bounded retries absorb the (unlikely)
 	// round where the scheduler never overlaps two executions.
 	ok, shed := 0, 0
 	for round := 0; round < 50 && (ok == 0 || shed == 0); round++ {

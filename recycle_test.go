@@ -153,10 +153,10 @@ func TestEngineStarAllocBudget(t *testing.T) {
 // some owner wrote beyond the length it handed over. Serial, parallel
 // (worker partials drawing from the shared pool, partial merges) and under
 // a spilling budget (freeze and thaw). Results stay identical to the
-// recycler-less reference throughout.
+// one-fresh-engine-per-query reference throughout.
 func TestEngineZeroInvariant(t *testing.T) {
 	ds := engineDataset(t)
-	ref := oneShotResults(t, ds) // DisableRecycle: true
+	ref := oneShotResults(t, ds)
 
 	handed := arenatest.CheckZeroHandouts(t)
 	for _, tc := range []struct {
@@ -187,7 +187,7 @@ func TestEngineZeroInvariant(t *testing.T) {
 						t.Fatalf("pass %d Q%s: %v", pass, qid, err)
 					}
 					if !reflect.DeepEqual(rows.Rows, ref[qid]) {
-						t.Errorf("pass %d Q%s: result differs from the recycler-less reference", pass, qid)
+						t.Errorf("pass %d Q%s: result differs from the one-shot reference", pass, qid)
 					}
 				}
 			}

@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// DefaultStmtCacheSize is the per-Conn prepared-statement cache capacity
-// when Config.StmtCache is zero: comfortably more than any workload's
-// distinct statement population (the SSB suite has 13) while bounding a
-// client that generates unbounded distinct SQL texts.
+// DefaultStmtCacheSize is the per-Conn prepared-statement cache capacity:
+// comfortably more than any workload's distinct statement population (the
+// SSB suite has 13) while bounding a client that generates unbounded
+// distinct SQL texts.
 const DefaultStmtCacheSize = 64
 
 // StmtCacheStats aggregates every Conn's prepared-statement cache
@@ -28,7 +28,6 @@ type StmtCacheStats struct {
 // so the text is the key.
 type stmtCache struct {
 	eng *Engine
-	cap int
 
 	mu     sync.Mutex
 	ll     *list.List // front = most recently used
@@ -41,14 +40,8 @@ type stmtEntry struct {
 	stmt *Stmt
 }
 
-func newStmtCache(eng *Engine, capacity int) *stmtCache {
-	if capacity == 0 {
-		capacity = DefaultStmtCacheSize
-	}
-	if capacity < 0 {
-		return nil // caching disabled
-	}
-	return &stmtCache{eng: eng, cap: capacity, ll: list.New(), byText: make(map[string]*list.Element)}
+func newStmtCache(eng *Engine) *stmtCache {
+	return &stmtCache{eng: eng, ll: list.New(), byText: make(map[string]*list.Element)}
 }
 
 // lookup returns the cached statement for the text, promoting it to
@@ -76,7 +69,7 @@ func (c *stmtCache) add(text string, stmt *Stmt) {
 	}
 	c.byText[text] = c.ll.PushFront(&stmtEntry{text: text, stmt: stmt})
 	c.eng.stmtCached.Add(1)
-	for c.ll.Len() > c.cap {
+	for c.ll.Len() > DefaultStmtCacheSize {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.byText, last.Value.(*stmtEntry).text)

@@ -11,17 +11,23 @@ import (
 )
 
 // TestConnStmtCache: Engine.Conn sessions cache prepared statements in
-// an LRU with engine-wide hit/miss/eviction counters; plain Sessions
-// never cache.
+// an LRU of DefaultStmtCacheSize entries with engine-wide
+// hit/miss/eviction counters; plain Sessions never cache.
 func TestConnStmtCache(t *testing.T) {
 	ds := engineDataset(t)
-	eng, err := qppt.New(qppt.Config{Workers: 2, StmtCache: 2})
+	eng, err := qppt.New(qppt.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	conn := eng.Conn(ds.Cat)
 	ctx := context.Background()
+	prepare := func(text string) {
+		t.Helper()
+		if _, err := conn.PrepareCached(ctx, text); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	a, err := conn.PrepareCached(ctx, ssb.SQLTexts["1.1"])
 	if err != nil {
@@ -39,27 +45,28 @@ func TestConnStmtCache(t *testing.T) {
 		t.Errorf("after one repeat: stats %+v, want 1 hit / 1 miss / 1 cached", st)
 	}
 
-	// Capacity 2: a third distinct text evicts the least recently used.
-	if _, err := conn.PrepareCached(ctx, ssb.SQLTexts["2.1"]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.PrepareCached(ctx, ssb.SQLTexts["3.1"]); err != nil {
-		t.Fatal(err)
-	}
-	st = eng.Stats().StmtCache
-	if st.Evicted != 1 || st.Cached != 2 {
-		t.Errorf("after overflow: stats %+v, want 1 evicted / 2 cached", st)
-	}
-	// 1.1 was evicted (LRU); re-preparing it is a miss, 3.1 stays a hit.
-	if _, err := conn.PrepareCached(ctx, ssb.SQLTexts["3.1"]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.PrepareCached(ctx, ssb.SQLTexts["1.1"]); err != nil {
-		t.Fatal(err)
+	// Fill the cache to capacity: nothing is evicted yet.
+	const size = qppt.DefaultStmtCacheSize
+	texts := pointTexts(ds, size)
+	for _, text := range texts[:size-1] {
+		prepare(text)
 	}
 	st = eng.Stats().StmtCache
-	if st.Hits != 2 || st.Misses != 4 || st.Evicted != 2 {
-		t.Errorf("after LRU churn: stats %+v, want 2 hits / 4 misses / 2 evicted", st)
+	if st.Evicted != 0 || st.Cached != size {
+		t.Errorf("at capacity: stats %+v, want 0 evicted / %d cached", st, size)
+	}
+	// One distinct text more evicts the least recently used: 1.1.
+	prepare(texts[size-1])
+	st = eng.Stats().StmtCache
+	if st.Evicted != 1 || st.Cached != size {
+		t.Errorf("after overflow: stats %+v, want 1 evicted / %d cached", st, size)
+	}
+	// Re-preparing 1.1 is a miss, the newest text stays a hit.
+	prepare(texts[size-1])
+	prepare(ssb.SQLTexts["1.1"])
+	st = eng.Stats().StmtCache
+	if st.Hits != 2 || st.Misses != size+2 || st.Evicted != 2 {
+		t.Errorf("after LRU churn: stats %+v, want 2 hits / %d misses / 2 evicted", st, size+2)
 	}
 
 	// Cached statements stay runnable and correct.

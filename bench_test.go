@@ -310,9 +310,11 @@ func BenchmarkFigure3b(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure7 regenerates Figure 7: every SSB query on QPPT — the
-// planner's plan, which is what a client runs — and on the
-// vector-at-a-time and column-at-a-time baselines.
+// BenchmarkFigure7 regenerates Figure 7: every SSB query's SQL text on
+// QPPT — the planner's plan, which is what a client runs — and on the
+// vector-at-a-time and column-at-a-time baselines, which compile the same
+// text (without the planner) and probe its dimensions most selective
+// first.
 func BenchmarkFigure7(b *testing.B) {
 	ds := dataset(b)
 	env := benchEngine(b).Env()

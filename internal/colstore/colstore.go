@@ -10,61 +10,12 @@
 // re-fetched positionally through the join's oid lists, so the
 // materialization volume grows with the number of join columns.
 //
-// Queries are composed from these primitives in package ssb, mirroring how
-// a MonetDB query plan would chain BAT operators.
+// Package ssb composes these primitives into a plan for any SQL text of the
+// planner's star subset, mirroring how a MonetDB query plan would chain BAT
+// operators.
 package colstore
 
-import (
-	"fmt"
-
-	"qppt/internal/hashbase"
-)
-
-// A Table is a set of equal-length columns.
-type Table struct {
-	name string
-	cols map[string][]uint64
-}
-
-// A DB is a named collection of column tables.
-type DB struct {
-	tables map[string]*Table
-}
-
-// NewDB returns an empty column store.
-func NewDB() *DB { return &DB{tables: make(map[string]*Table)} }
-
-// AddTable registers a table from its columns; all columns must have equal
-// length.
-func (db *DB) AddTable(name string, cols map[string][]uint64) (*Table, error) {
-	if _, dup := db.tables[name]; dup {
-		return nil, fmt.Errorf("colstore: table %q already exists", name)
-	}
-	n := -1
-	for cn, c := range cols {
-		if n == -1 {
-			n = len(c)
-		} else if len(c) != n {
-			return nil, fmt.Errorf("colstore: column %q length %d != %d", cn, len(c), n)
-		}
-	}
-	t := &Table{name: name, cols: cols}
-	db.tables[name] = t
-	return t, nil
-}
-
-// Table returns a table by name, or nil.
-func (db *DB) Table(name string) *Table { return db.tables[name] }
-
-// Col returns a column by name; it panics for unknown columns (queries are
-// static).
-func (t *Table) Col(name string) []uint64 {
-	c, ok := t.cols[name]
-	if !ok {
-		panic(fmt.Sprintf("colstore: unknown column %s.%s", t.name, name))
-	}
-	return c
-}
+import "qppt/internal/hashbase"
 
 // SelectRange scans a full column and materializes the oid list of values
 // in [lo, hi].
@@ -102,10 +53,22 @@ func RefineRange(col []uint64, cands []uint32, lo, hi uint64) []uint32 {
 	return out
 }
 
+// RefineIn filters an existing candidate list to the values in set.
+func RefineIn(col []uint64, cands []uint32, set map[uint64]bool) []uint32 {
+	out := make([]uint32, 0)
+	for _, oid := range cands {
+		if set[col[oid]] {
+			out = append(out, oid)
+		}
+	}
+	return out
+}
+
 // Fetch materializes col[oid] for every oid — the tuple-reconstruction
-// primitive. Every surviving attribute of every join pays one Fetch.
-func Fetch(col []uint64, oids []uint32) []uint64 {
-	out := make([]uint64, len(oids))
+// primitive. Every surviving attribute of every join pays one Fetch, and
+// so does the oid list itself.
+func Fetch[T any](col []T, oids []uint32) []T {
+	out := make([]T, len(oids))
 	for i, oid := range oids {
 		out[i] = col[oid]
 	}
@@ -133,44 +96,34 @@ func BuildJoin(col []uint64, oids []uint32) *hashbase.MultiMap {
 
 // ProbeJoin probes every probeKeys value (a fully materialized key column,
 // typically the output of a Fetch) against the build side, materializing
-// matching oid pairs.
-func ProbeJoin(probeKeys []uint64, probeOids []uint32, build *hashbase.MultiMap) (pOut, bOut []uint32) {
+// one (probe position, build oid) pair per match. Like the Select/Refine
+// primitives it returns non-nil slices.
+func ProbeJoin(probeKeys []uint64, build *hashbase.MultiMap) (pos, bOut []uint32) {
+	pos, bOut = []uint32{}, []uint32{}
 	for i, k := range probeKeys {
-		p := uint32(i)
-		if probeOids != nil {
-			p = probeOids[i]
-		}
 		build.ForEach(k, func(b uint32) {
-			pOut = append(pOut, p)
+			pos = append(pos, uint32(i))
 			bOut = append(bOut, b)
 		})
 	}
-	return pOut, bOut
+	return pos, bOut
 }
 
-// SemiJoin keeps the probe positions whose key exists in the build side —
-// the column form of an existence (dimension filter) join.
-func SemiJoin(probeKeys []uint64, probeOids []uint32, build *hashbase.MultiMap) []uint32 {
-	var out []uint32
-	for i, k := range probeKeys {
-		if build.Contains(k) {
-			if probeOids != nil {
-				out = append(out, probeOids[i])
-			} else {
-				out = append(out, uint32(i))
-			}
-		}
-	}
-	return out
-}
-
-// GroupSum aggregates measure by the packed group keys, returning a
-// hash-ordered materialized group table. Packing multi-column group keys
-// is the caller's job (queries know their domains).
-func GroupSum(packedKeys, measure []uint64) map[uint64]uint64 {
-	out := make(map[uint64]uint64)
+// GroupSum sums each measure column by the packed group keys, returning a
+// hash-ordered materialized group table: one sum per measure for every
+// distinct key (none when there is no measure). Packing multi-column group
+// keys is the caller's job.
+func GroupSum(packedKeys []uint64, measures [][]uint64) map[uint64][]uint64 {
+	out := make(map[uint64][]uint64)
 	for i, k := range packedKeys {
-		out[k] += measure[i]
+		sums, ok := out[k]
+		if !ok {
+			sums = make([]uint64, len(measures))
+			out[k] = sums
+		}
+		for m, col := range measures {
+			sums[m] += col[i]
+		}
 	}
 	return out
 }

@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-func TestAddTableValidation(t *testing.T) {
-	db := NewDB()
-	if _, err := db.AddTable("t", map[string][]uint64{"a": {1, 2}, "b": {1}}); err == nil {
-		t.Fatal("ragged table accepted")
-	}
-	if _, err := db.AddTable("t", map[string][]uint64{"a": {1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddTable("t", nil); err == nil {
-		t.Fatal("duplicate table accepted")
-	}
-	if db.Table("t") == nil || db.Table("zz") != nil {
-		t.Fatal("table lookup broken")
-	}
-}
-
 func TestSelectAndRefine(t *testing.T) {
 	col := []uint64{5, 1, 9, 3, 7, 3, 0}
 	got := SelectRange(col, 3, 7)
@@ -37,6 +21,10 @@ func TestSelectAndRefine(t *testing.T) {
 	got = SelectIn(col, map[uint64]bool{9: true, 0: true})
 	if !reflect.DeepEqual(got, []uint32{2, 6}) {
 		t.Fatalf("SelectIn = %v", got)
+	}
+	got = RefineIn(other, []uint32{0, 3, 6}, map[uint64]bool{1: true})
+	if !reflect.DeepEqual(got, []uint32{0, 6}) {
+		t.Fatalf("RefineIn = %v", got)
 	}
 }
 
@@ -58,7 +46,7 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 		probe[i] = uint64(rng.Intn(150))
 	}
 	ht := BuildJoin(build, nil)
-	pOut, bOut := ProbeJoin(probe, nil, ht)
+	pOut, bOut := ProbeJoin(probe, ht)
 	type pair struct{ p, b uint32 }
 	got := map[pair]bool{}
 	for i := range pOut {
@@ -81,9 +69,9 @@ func TestJoinWithBuildSelection(t *testing.T) {
 	build := []uint64{7, 8, 7, 9}
 	oids := []uint32{0, 2} // only the two 7s
 	ht := BuildJoin(build, oids)
-	p, b := ProbeJoin([]uint64{7, 9}, []uint32{100, 200}, ht)
-	if len(p) != 2 || p[0] != 100 || p[1] != 100 {
-		t.Fatalf("probe oids = %v", p)
+	p, b := ProbeJoin([]uint64{7, 9}, ht)
+	if len(p) != 2 || p[0] != 0 || p[1] != 0 {
+		t.Fatalf("probe positions = %v", p)
 	}
 	seen := map[uint32]bool{}
 	for _, x := range b {
@@ -92,26 +80,20 @@ func TestJoinWithBuildSelection(t *testing.T) {
 	if !seen[0] || !seen[2] || len(seen) != 2 {
 		t.Fatalf("build oids = %v", b)
 	}
-}
-
-func TestSemiJoin(t *testing.T) {
-	ht := BuildJoin([]uint64{1, 2, 3}, nil)
-	got := SemiJoin([]uint64{0, 2, 2, 5, 3}, nil, ht)
-	if !reflect.DeepEqual(got, []uint32{1, 2, 4}) {
-		t.Fatalf("SemiJoin = %v", got)
-	}
-	got = SemiJoin([]uint64{0, 2}, []uint32{10, 20}, ht)
-	if !reflect.DeepEqual(got, []uint32{20}) {
-		t.Fatalf("SemiJoin with oids = %v", got)
+	if p, b := ProbeJoin([]uint64{9}, ht); p == nil || b == nil || len(p)+len(b) != 0 {
+		t.Fatalf("no match = %v, %v, want empty non-nil slices", p, b)
 	}
 }
 
 func TestGroupSum(t *testing.T) {
 	keys := []uint64{1, 2, 1, 3, 2, 1}
 	meas := []uint64{10, 20, 30, 40, 50, 60}
-	got := GroupSum(keys, meas)
-	want := map[uint64]uint64{1: 100, 2: 70, 3: 40}
+	got := GroupSum(keys, [][]uint64{meas, keys})
+	want := map[uint64][]uint64{1: {100, 3}, 2: {70, 4}, 3: {40, 3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("GroupSum = %v", got)
+	}
+	if got := GroupSum(keys, nil); len(got) != 3 || len(got[2]) != 0 {
+		t.Fatalf("GroupSum without measures = %v, want the 3 keys", got)
 	}
 }

@@ -140,6 +140,9 @@ func sjPlan(f *fixture, brand uint64) *Plan {
 	}}
 }
 
+// Between returns a predicate matching [lo, hi].
+func Between(lo, hi uint64) KeyPred { return KeyPred{{Lo: lo, Hi: hi}} }
+
 func resultAsMap(t *testing.T, res *Result) map[uint64]uint64 {
 	t.Helper()
 	m := map[uint64]uint64{}

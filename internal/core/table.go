@@ -227,6 +227,3 @@ type KeyPred []KeyRange
 
 // Point returns a predicate matching exactly k.
 func Point(k uint64) KeyPred { return KeyPred{{Lo: k, Hi: k}} }
-
-// Between returns a predicate matching [lo, hi].
-func Between(lo, hi uint64) KeyPred { return KeyPred{{Lo: lo, Hi: hi}} }

@@ -9,106 +9,89 @@ import (
 	"qppt/internal/core"
 )
 
-// keyPred converts a restriction on an index key column into the
-// selection operator's union-of-ranges predicate. String literals go
-// through the order-preserving dictionary; literals missing from the
-// dictionary yield an empty predicate (they cannot match loaded data).
+// keyPred converts a restriction on a column into a union of key ranges:
+// a selection's predicate on its index key, or a residual test. String
+// literals go through the order-preserving dictionary; literals missing
+// from the dictionary, and numbers past the column's key width, match
+// nothing (they cannot match loaded data).
 func (b *builder) keyPred(ti *catalog.TableInfo, c Cond) (core.KeyPred, error) {
-	nothing := core.KeyPred{{Lo: 1, Hi: 0}}
 	col := c.Col.Name
-	maxKey := uint64(1)<<ti.Bits(col) - 1
-	if c.IsStr {
-		d := ti.Dict(col)
-		if d == nil {
-			return nil, fmt.Errorf("sql: string predicate on numeric column %s", col)
-		}
-		switch c.Kind {
-		case CondCmp:
-			if code, ok := d.Code(c.Str); ok {
-				return core.Point(code), nil
-			}
-			return nothing, nil
-		case CondBetween:
-			lo, okL := d.CeilCode(c.LoStr)
-			hi, okH := d.FloorCode(c.HiStr)
-			if !okL || !okH || lo > hi {
-				return nothing, nil
-			}
-			return core.Between(lo, hi), nil
-		case CondIn:
-			var p core.KeyPred
-			for _, s := range c.StrSet {
-				if code, ok := d.Code(s); ok {
-					p = append(p, core.KeyRange{Lo: code, Hi: code})
-				}
-			}
-			if len(p) == 0 {
-				return nothing, nil
-			}
-			return p, nil
-		}
+	d, maxKey := ti.Dict(col), uint64(1)<<ti.Bits(col)-1
+	if c.IsStr && d == nil {
+		return nil, fmt.Errorf("sql: string predicate on numeric column %s", col)
 	}
-	if ti.Dict(col) != nil {
+	if !c.IsStr && d != nil {
 		return nil, fmt.Errorf("sql: numeric predicate on string column %s", col)
 	}
-	switch c.Kind {
-	case CondCmp:
-		switch c.Op {
-		case "=":
-			return core.Point(c.Num), nil
-		case "<":
-			if c.Num == 0 {
-				return nothing, nil
-			}
-			return core.Between(0, min(c.Num-1, maxKey)), nil
-		case "<=":
-			return core.Between(0, min(c.Num, maxKey)), nil
-		case ">":
-			if c.Num >= maxKey {
-				return nothing, nil
-			}
-			return core.Between(c.Num+1, maxKey), nil
-		case ">=":
-			if c.Num > maxKey {
-				return nothing, nil
-			}
-			return core.Between(c.Num, maxKey), nil
+	var p core.KeyPred
+	add := func(lo, hi uint64) {
+		if hi = min(hi, maxKey); lo <= hi {
+			p = append(p, core.KeyRange{Lo: lo, Hi: hi})
 		}
-	case CondBetween:
-		if c.LoNum > maxKey || c.LoNum > c.HiNum {
-			return nothing, nil
-		}
-		return core.Between(c.LoNum, min(c.HiNum, maxKey)), nil
-	case CondIn:
-		var p core.KeyPred
-		for _, v := range c.Set {
-			if v <= maxKey {
-				p = append(p, core.KeyRange{Lo: v, Hi: v})
-			}
-		}
-		if len(p) == 0 {
-			return nothing, nil
-		}
-		return p, nil
 	}
-	return nil, fmt.Errorf("sql: unsupported predicate on %s", col)
+	switch {
+	case c.Kind == CondBetween && c.IsStr:
+		lo, okL := d.CeilCode(c.LoStr)
+		hi, okH := d.FloorCode(c.HiStr)
+		if okL && okH {
+			add(lo, hi)
+		}
+	case c.Kind == CondBetween:
+		add(c.LoNum, c.HiNum)
+	case c.Kind == CondIn:
+		for _, v := range c.Set {
+			add(v, v)
+		}
+		for _, s := range c.StrSet {
+			if v, ok := d.Code(s); ok {
+				add(v, v)
+			}
+		}
+	case c.Kind != CondCmp:
+		return nil, fmt.Errorf("sql: unsupported predicate on %s", col)
+	case c.IsStr: // the parser compares strings by = only
+		if v, ok := d.Code(c.Str); ok {
+			add(v, v)
+		}
+	case c.Op == "=":
+		add(c.Num, c.Num)
+	case c.Op == "<":
+		if c.Num > 0 {
+			add(0, c.Num-1)
+		}
+	case c.Op == "<=":
+		add(0, c.Num)
+	case c.Op == ">":
+		if c.Num < maxKey {
+			add(c.Num+1, maxKey)
+		}
+	case c.Op == ">=":
+		add(c.Num, maxKey)
+	default:
+		return nil, fmt.Errorf("sql: unsupported predicate on %s", col)
+	}
+	if len(p) == 0 {
+		return core.KeyPred{{Lo: 1, Hi: 0}}, nil // nothing matches
+	}
+	return p, nil
 }
 
-// residual compiles non-primary restrictions into a combination filter.
-// shapes are the plan inputs up to and including the restricted one; ord
-// is the restricted input's ordinal.
+// residual compiles non-primary restrictions into a combination filter:
+// each restriction's keyPred, tested on its value in the combination
+// context. shapes are the plan inputs up to and including the restricted
+// one; ord is the restricted input's ordinal.
 func (b *builder) residual(conds []Cond, ti *catalog.TableInfo, shapes []*core.IndexedTable, ord int) (func([]uint64) bool, error) {
 	if len(conds) == 0 {
 		return nil, nil
 	}
 	var tests []func([]uint64) bool
 	for _, c := range conds {
-		off := core.CtxOffsets(shapes, core.Ref{Input: ord, Attr: c.Col.Name})[0]
-		test, err := compileTest(c, ti, off)
+		pred, err := b.keyPred(ti, c)
 		if err != nil {
 			return nil, err
 		}
-		tests = append(tests, test)
+		off := core.CtxOffsets(shapes, core.Ref{Input: ord, Attr: c.Col.Name})[0]
+		tests = append(tests, predTest(pred, off))
 	}
 	return func(ctx []uint64) bool {
 		for _, t := range tests {
@@ -120,65 +103,19 @@ func (b *builder) residual(conds []Cond, ti *catalog.TableInfo, shapes []*core.I
 	}, nil
 }
 
-func compileTest(c Cond, ti *catalog.TableInfo, off int) (func([]uint64) bool, error) {
-	if c.IsStr {
-		d := ti.Dict(c.Col.Name)
-		if d == nil {
-			return nil, fmt.Errorf("sql: string predicate on numeric column %s", c.Col)
-		}
-		switch c.Kind {
-		case CondCmp:
-			code, ok := d.Code(c.Str)
-			if !ok {
-				return func([]uint64) bool { return false }, nil
-			}
-			return func(ctx []uint64) bool { return ctx[off] == code }, nil
-		case CondBetween:
-			lo, okL := d.CeilCode(c.LoStr)
-			hi, okH := d.FloorCode(c.HiStr)
-			if !okL || !okH || lo > hi {
-				return func([]uint64) bool { return false }, nil
-			}
-			return func(ctx []uint64) bool { return ctx[off] >= lo && ctx[off] <= hi }, nil
-		case CondIn:
-			set := map[uint64]bool{}
-			for _, s := range c.StrSet {
-				if code, ok := d.Code(s); ok {
-					set[code] = true
-				}
-			}
-			return func(ctx []uint64) bool { return set[ctx[off]] }, nil
-		}
+// predTest tests a key predicate on the context value at off. A single
+// range is two compares: a residual runs once per fact row. Several ranges
+// are an IN list's points and become a set.
+func predTest(p core.KeyPred, off int) func([]uint64) bool {
+	if len(p) == 1 {
+		lo, hi := p[0].Lo, p[0].Hi
+		return func(ctx []uint64) bool { return ctx[off] >= lo && ctx[off] <= hi }
 	}
-	if ti.Dict(c.Col.Name) != nil {
-		return nil, fmt.Errorf("sql: numeric predicate on string column %s", c.Col)
+	set := make(map[uint64]bool, len(p))
+	for _, r := range p {
+		set[r.Lo] = true
 	}
-	switch c.Kind {
-	case CondCmp:
-		n := c.Num
-		switch c.Op {
-		case "=":
-			return func(ctx []uint64) bool { return ctx[off] == n }, nil
-		case "<":
-			return func(ctx []uint64) bool { return ctx[off] < n }, nil
-		case "<=":
-			return func(ctx []uint64) bool { return ctx[off] <= n }, nil
-		case ">":
-			return func(ctx []uint64) bool { return ctx[off] > n }, nil
-		case ">=":
-			return func(ctx []uint64) bool { return ctx[off] >= n }, nil
-		}
-	case CondBetween:
-		lo, hi := c.LoNum, c.HiNum
-		return func(ctx []uint64) bool { return ctx[off] >= lo && ctx[off] <= hi }, nil
-	case CondIn:
-		set := map[uint64]bool{}
-		for _, v := range c.Set {
-			set[v] = true
-		}
-		return func(ctx []uint64) bool { return set[ctx[off]] }, nil
-	}
-	return nil, fmt.Errorf("sql: unsupported residual predicate on %s", c.Col)
+	return func(ctx []uint64) bool { return set[ctx[off]] }
 }
 
 // finish assembles the Statement's extraction metadata: how to map the

@@ -2,6 +2,7 @@ package sql_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"qppt/internal/core"
@@ -10,16 +11,22 @@ import (
 )
 
 // FuzzPlanSQL feeds arbitrary text through the SQL front end — lexer,
-// parser and planner — against a tiny SSB catalog, and runs every
-// statement that plans once on an Env of two workers. Whatever the text,
-// planning must return exactly one of a statement or an error, and a run
-// must return rows or an error: a server plans and runs every text a
+// parser and planner — against a small SSB catalog, runs every statement
+// that plans once on an Env of two workers, and checks its answer against
+// the column-at-a-time baseline (ssb.Dataset.RunColumnSQL), which reads
+// the same text with the parser and the catalog's dictionaries alone.
+// Whatever the text, planning must return exactly one of a statement or an
+// error, a run must return rows or an error, and the baseline must answer
+// or return an error, never panic: a server plans and runs every text a
 // client sends, and a panic on a scheduler goroutine ends the process
-// whatever the caller recovers. The seed corpus (testdata/fuzz/FuzzPlanSQL)
-// holds the 13 SSB texts and the texts that once panicked the parser, the
-// planner or a run.
+// whatever the caller recovers. Whenever both the engine and the baseline
+// answer, the answers must be the same attributes and the same multiset of
+// rows. The seed corpus (testdata/fuzz/FuzzPlanSQL) holds the 13 SSB
+// texts, texts that once panicked the parser, the planner or a run, and
+// texts beyond SSB's shapes that the two engines must agree on.
 func FuzzPlanSQL(f *testing.F) {
-	planner := sql.NewPlanner(ssb.MustLoad(ssb.GenConfig{SF: 0.002, Seed: 1}).Cat)
+	ds := ssb.MustLoad(ssb.GenConfig{SF: 0.01, Seed: 1})
+	planner := sql.NewPlanner(ds.Cat)
 	env, err := core.NewEnv(core.EnvConfig{Workers: 2})
 	if err != nil {
 		f.Fatal(err)
@@ -30,6 +37,10 @@ func FuzzPlanSQL(f *testing.F) {
 		}
 	})
 	f.Fuzz(func(t *testing.T, src string) {
+		want, baseErr := ds.RunColumnSQL(src)
+		if (want == nil) == (baseErr == nil) {
+			t.Fatalf("RunColumnSQL(%q) = %v, %v: want a result or an error", src, want, baseErr)
+		}
 		stmt, err := planner.PlanSQL(src)
 		if (stmt == nil) == (err == nil) {
 			t.Fatalf("PlanSQL(%q) = %v, %v: want a statement or an error", src, stmt, err)
@@ -41,5 +52,23 @@ func FuzzPlanSQL(f *testing.F) {
 		if (rows == nil) == (err == nil) {
 			t.Fatalf("Run(%q) = %v, %v: want rows or an error", src, rows, err)
 		}
+		if rows == nil || want == nil {
+			return
+		}
+		got, exp := sorted(rows.Rows), sorted(want.Rows)
+		if !slices.Equal(rows.Attrs, want.Attrs) || !slices.EqualFunc(got, exp, slices.Equal) {
+			t.Fatalf("%q:\nengine   %v %d rows %v\nbaseline %v %d rows %v",
+				src, rows.Attrs, len(got), head(got), want.Attrs, len(exp), head(exp))
+		}
 	})
 }
+
+// sorted returns a sorted copy of rows, so that answers compare as
+// multisets whatever order ties come in.
+func sorted(rows [][]uint64) [][]uint64 {
+	out := slices.Clone(rows)
+	slices.SortFunc(out, slices.Compare[[]uint64])
+	return out
+}
+
+func head(rows [][]uint64) [][]uint64 { return rows[:min(len(rows), 5)] }

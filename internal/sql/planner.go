@@ -174,6 +174,9 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt) (*Statement, error
 		} else if fact != ft {
 			return nil, fmt.Errorf("sql: queries must join a single fact table (%s vs %s)", fact, ft)
 		}
+		if dims[dt] != nil {
+			return nil, fmt.Errorf("sql: table %q is joined twice (one join per dimension)", dt)
+		}
 		dims[dt] = &dimInfo{table: dt, ti: tis[dt], joinKey: dc.Name, fk: fc.Name}
 	}
 	// Every other FROM table must be a joined dimension: the plan has no

@@ -4,299 +4,117 @@ import (
 	"fmt"
 
 	"qppt/internal/colstore"
-	"qppt/internal/hashbase"
+	"qppt/internal/sql"
 )
 
-// RunColumn executes a query on the column-at-a-time baseline engine,
+// RunColumn runs SSB query qid's SQL text (SQLTexts) on the
+// column-at-a-time baseline engine.
+func (ds *Dataset) RunColumn(qid string) (*QueryResult, error) {
+	text, ok := SQLTexts[qid]
+	if !ok {
+		return nil, fmt.Errorf("ssb: unknown query %q", qid)
+	}
+	return ds.RunColumnSQL(text)
+}
+
+// RunColumnSQL runs a SQL text on the column-at-a-time baseline engine,
 // mirroring the BAT-operator chains a MonetDB plan would run: every step
 // fully materializes oid lists or reconstructed columns before the next
-// step starts. The per-attribute Fetch calls are the tuple-reconstruction
-// cost the paper's Figure 7 attributes the column model.
-func (ds *Dataset) RunColumn(qid string) (*QueryResult, error) {
-	lo := ds.ColDB.Table("lineorder")
-	date := ds.ColDB.Table("date")
-	cust := ds.ColDB.Table("customer")
-	supp := ds.ColDB.Table("supplier")
-	part := ds.ColDB.Table("part")
-	qr := &QueryResult{Attrs: querySchema(qid)}
-
-	// dimLookup pairs a unique-key dimension hash table with an optional
-	// carried attribute column.
-	type dimLookup struct {
-		m    *hashbase.MultiMap
-		attr []uint64 // indexed by dimension oid; nil = existence only
+// step starts. The fact predicates select first; then each dimension, most
+// selective first, selects, builds a hash table and is probed with the
+// surviving fact rows' foreign keys, and every column that survives the
+// join is re-fetched through its positions — the tuple-reconstruction cost
+// the paper's Figure 7 attributes to the column model. A text outside the
+// planner's star subset is an error.
+func (ds *Dataset) RunColumnSQL(text string) (*QueryResult, error) {
+	st, err := ds.compile(text)
+	if err != nil {
+		return nil, err
 	}
-	makeDim := func(keyCol []uint64, oids []uint32, attr []uint64) dimLookup {
-		return dimLookup{m: colstore.BuildJoin(keyCol, oids), attr: attr}
+	fact := ds.Raw[st.fact]
+	var oids []uint32 // surviving fact rows; nil = all of them
+	for _, p := range st.factPreds {
+		oids = selectOids(fact[p.col], oids, p)
 	}
-	first := func(m *hashbase.MultiMap, k uint64) (uint32, bool) {
-		var oid uint32
-		found := false
-		m.ForEach(k, func(v uint32) {
-			if !found {
-				oid, found = v, true
-			}
-		})
-		return oid, found
+	fetch := func(col []uint64) []uint64 {
+		if oids == nil {
+			return col
+		}
+		return colstore.Fetch(col, oids)
 	}
-
-	switch qid {
-	case "1.1", "1.2", "1.3":
+	fields := make([][]uint64, len(st.groups)) // GROUP BY columns aligned with oids
+	for _, d := range st.dims {
+		dt := ds.Raw[d.table]
 		var doids []uint32
-		var dLo, dHi, qLo, qHi uint64
-		switch qid {
-		case "1.1":
-			doids = colstore.SelectRange(date.Col("d_year"), 1993, 1993)
-			dLo, dHi, qLo, qHi = 1, 3, 0, 24
-		case "1.2":
-			doids = colstore.SelectRange(date.Col("d_yearmonthnum"), 199401, 199401)
-			dLo, dHi, qLo, qHi = 4, 6, 26, 35
-		case "1.3":
-			doids = colstore.SelectRange(date.Col("d_year"), 1994, 1994)
-			doids = colstore.RefineRange(date.Col("d_weeknuminyear"), doids, 6, 6)
-			dLo, dHi, qLo, qHi = 5, 7, 26, 35
+		for _, p := range d.preds {
+			doids = selectOids(dt[p.col], doids, p)
 		}
-		dateSet := colstore.BuildJoin(date.Col("d_datekey"), doids)
-		loids := colstore.SelectRange(lo.Col("lo_discount"), dLo, dHi)
-		loids = colstore.RefineRange(lo.Col("lo_quantity"), loids, qLo, qHi)
-		odates := colstore.Fetch(lo.Col("lo_orderdate"), loids)
-		loids = colstore.SemiJoin(odates, loids, dateSet)
-		ext := colstore.Fetch(lo.Col("lo_extendedprice"), loids)
-		disc := colstore.Fetch(lo.Col("lo_discount"), loids)
-		var revenue uint64
-		for i := range ext {
-			revenue += ext[i] * disc[i]
-		}
-		qr.Rows = [][]uint64{{revenue}}
-		return qr, nil
-
-	case "2.1", "2.2", "2.3":
-		var poids []uint32
-		switch qid {
-		case "2.1":
-			if c, ok := ds.Part.Dict("p_category").Code("MFGR#12"); ok {
-				poids = colstore.SelectRange(part.Col("p_category"), c, c)
-			}
-		case "2.2":
-			d := ds.Part.Dict("p_brand1")
-			if lo2, ok1 := d.CeilCode("MFGR#2221"); ok1 {
-				if hi2, ok2 := d.FloorCode("MFGR#2228"); ok2 && lo2 <= hi2 {
-					poids = colstore.SelectRange(part.Col("p_brand1"), lo2, hi2)
-				}
-			}
-		case "2.3":
-			if c, ok := ds.Part.Dict("p_brand1").Code("MFGR#2221"); ok {
-				poids = colstore.SelectRange(part.Col("p_brand1"), c, c)
+		pos, match := colstore.ProbeJoin(fetch(fact[d.fk]), colstore.BuildJoin(dt[d.key], doids))
+		for i, g := range st.groups {
+			if fields[i] != nil {
+				fields[i] = colstore.Fetch(fields[i], pos)
+			} else if g.table == d.table {
+				fields[i] = colstore.Fetch(dt[g.col], match)
 			}
 		}
-		regionName := map[string]string{"2.1": "AMERICA", "2.2": "ASIA", "2.3": "EUROPE"}[qid]
-		var soids []uint32
-		if c, ok := ds.Supplier.Dict("s_region").Code(regionName); ok {
-			soids = colstore.SelectRange(supp.Col("s_region"), c, c)
+		if oids != nil {
+			pos = colstore.Fetch(oids, pos)
 		}
-		partDim := makeDim(part.Col("p_partkey"), poids, part.Col("p_brand1"))
-		suppDim := makeDim(supp.Col("s_suppkey"), soids, nil)
-		dateDim := makeDim(date.Col("d_datekey"), nil, date.Col("d_year"))
-
-		// Probe lineorder by partkey, then reconstruct and filter.
-		pOut, bOut := colstore.ProbeJoin(lo.Col("lo_partkey"), nil, partDim.m)
-		suppKeys := colstore.Fetch(lo.Col("lo_suppkey"), pOut)
-		var keepLo []uint32
-		var keepBrand []uint64
-		for i, sk := range suppKeys {
-			if suppDim.m.Contains(sk) {
-				keepLo = append(keepLo, pOut[i])
-				keepBrand = append(keepBrand, partDim.attr[bOut[i]])
-			}
-		}
-		odates := colstore.Fetch(lo.Col("lo_orderdate"), keepLo)
-		revs := colstore.Fetch(lo.Col("lo_revenue"), keepLo)
-		packed := make([]uint64, 0, len(keepLo))
-		meas := make([]uint64, 0, len(keepLo))
-		for i := range keepLo {
-			doid, ok := first(dateDim.m, odates[i])
-			if !ok {
-				continue
-			}
-			packed = append(packed, pack(dateDim.attr[doid], keepBrand[i]))
-			meas = append(meas, revs[i])
-		}
-		groups := colstore.GroupSum(packed, meas)
-		for k, v := range groups {
-			f := unpack(k, 2)
-			qr.Rows = append(qr.Rows, []uint64{f[0], f[1], v})
-		}
-		orderRows(qr.Rows, 0, 1)
-		return qr, nil
-
-	case "3.1", "3.2", "3.3", "3.4":
-		var coids, soids, doids []uint32
-		var cAttr, sAttr []uint64
-		switch qid {
-		case "3.1":
-			if c, ok := ds.Customer.Dict("c_region").Code("ASIA"); ok {
-				coids = colstore.SelectRange(cust.Col("c_region"), c, c)
-			}
-			if c, ok := ds.Supplier.Dict("s_region").Code("ASIA"); ok {
-				soids = colstore.SelectRange(supp.Col("s_region"), c, c)
-			}
-			cAttr, sAttr = cust.Col("c_nation"), supp.Col("s_nation")
-		case "3.2":
-			if c, ok := ds.Customer.Dict("c_nation").Code("UNITED STATES"); ok {
-				coids = colstore.SelectRange(cust.Col("c_nation"), c, c)
-			}
-			if c, ok := ds.Supplier.Dict("s_nation").Code("UNITED STATES"); ok {
-				soids = colstore.SelectRange(supp.Col("s_nation"), c, c)
-			}
-			cAttr, sAttr = cust.Col("c_city"), supp.Col("s_city")
-		case "3.3", "3.4":
-			cities := map[uint64]bool{}
-			for _, s := range []string{"UNITED KI1", "UNITED KI5"} {
-				if c, ok := ds.Customer.Dict("c_city").Code(s); ok {
-					cities[c] = true
-				}
-			}
-			coids = colstore.SelectIn(cust.Col("c_city"), cities)
-			scities := map[uint64]bool{}
-			for _, s := range []string{"UNITED KI1", "UNITED KI5"} {
-				if c, ok := ds.Supplier.Dict("s_city").Code(s); ok {
-					scities[c] = true
-				}
-			}
-			soids = colstore.SelectIn(supp.Col("s_city"), scities)
-			cAttr, sAttr = cust.Col("c_city"), supp.Col("s_city")
-		}
-		if qid == "3.4" {
-			if c, ok := ds.Date.Dict("d_yearmonth").Code("Dec1997"); ok {
-				doids = colstore.SelectRange(date.Col("d_yearmonth"), c, c)
-			}
-		} else {
-			doids = colstore.SelectRange(date.Col("d_year"), 1992, 1997)
-		}
-		custDim := makeDim(cust.Col("c_custkey"), coids, cAttr)
-		suppDim := makeDim(supp.Col("s_suppkey"), soids, sAttr)
-		dateDim := makeDim(date.Col("d_datekey"), doids, date.Col("d_year"))
-
-		pOut, bOut := colstore.ProbeJoin(lo.Col("lo_custkey"), nil, custDim.m)
-		suppKeys := colstore.Fetch(lo.Col("lo_suppkey"), pOut)
-		odates := colstore.Fetch(lo.Col("lo_orderdate"), pOut)
-		revs := colstore.Fetch(lo.Col("lo_revenue"), pOut)
-		packed := make([]uint64, 0, len(pOut))
-		meas := make([]uint64, 0, len(pOut))
-		for i := range pOut {
-			soid, ok := first(suppDim.m, suppKeys[i])
-			if !ok {
-				continue
-			}
-			doid, ok := first(dateDim.m, odates[i])
-			if !ok {
-				continue
-			}
-			packed = append(packed, pack(custDim.attr[bOut[i]], suppDim.attr[soid], dateDim.attr[doid]))
-			meas = append(meas, revs[i])
-		}
-		groups := colstore.GroupSum(packed, meas)
-		for k, v := range groups {
-			f := unpack(k, 3)
-			qr.Rows = append(qr.Rows, []uint64{f[0], f[1], f[2], v})
-		}
-		orderRows(qr.Rows, 2, -4)
-		return qr, nil
-
-	case "4.1", "4.2", "4.3":
-		var coids, soids, poids, doids []uint32
-		if c, ok := ds.Customer.Dict("c_region").Code("AMERICA"); ok {
-			coids = colstore.SelectRange(cust.Col("c_region"), c, c)
-		}
-		switch qid {
-		case "4.1", "4.2":
-			if c, ok := ds.Supplier.Dict("s_region").Code("AMERICA"); ok {
-				soids = colstore.SelectRange(supp.Col("s_region"), c, c)
-			}
-			mfgrs := map[uint64]bool{}
-			for _, s := range []string{"MFGR#1", "MFGR#2"} {
-				if c, ok := ds.Part.Dict("p_mfgr").Code(s); ok {
-					mfgrs[c] = true
-				}
-			}
-			poids = colstore.SelectIn(part.Col("p_mfgr"), mfgrs)
-		case "4.3":
-			if c, ok := ds.Supplier.Dict("s_nation").Code("UNITED STATES"); ok {
-				soids = colstore.SelectRange(supp.Col("s_nation"), c, c)
-			}
-			poids = nil // all parts (needed for p_brand1)
-		}
-		if qid == "4.1" {
-			doids = nil // all years
-		} else {
-			doids = colstore.SelectRange(date.Col("d_year"), 1997, 1998)
-		}
-
-		var cAttr, sAttr, pAttr []uint64
-		switch qid {
-		case "4.1":
-			cAttr = cust.Col("c_nation")
-		case "4.2":
-			sAttr = supp.Col("s_nation")
-			pAttr = part.Col("p_category")
-		case "4.3":
-			sAttr = supp.Col("s_city")
-			pAttr = part.Col("p_brand1")
-		}
-		custDim := makeDim(cust.Col("c_custkey"), coids, cAttr)
-		suppDim := makeDim(supp.Col("s_suppkey"), soids, sAttr)
-		partDim := makeDim(part.Col("p_partkey"), poids, pAttr)
-		dateDim := makeDim(date.Col("d_datekey"), doids, date.Col("d_year"))
-
-		pOut, bOut := colstore.ProbeJoin(lo.Col("lo_custkey"), nil, custDim.m)
-		suppKeys := colstore.Fetch(lo.Col("lo_suppkey"), pOut)
-		partKeys := colstore.Fetch(lo.Col("lo_partkey"), pOut)
-		odates := colstore.Fetch(lo.Col("lo_orderdate"), pOut)
-		revs := colstore.Fetch(lo.Col("lo_revenue"), pOut)
-		costs := colstore.Fetch(lo.Col("lo_supplycost"), pOut)
-		packed := make([]uint64, 0, len(pOut))
-		meas := make([]uint64, 0, len(pOut))
-		for i := range pOut {
-			soid, ok := first(suppDim.m, suppKeys[i])
-			if !ok {
-				continue
-			}
-			poid, ok := first(partDim.m, partKeys[i])
-			if !ok {
-				continue
-			}
-			doid, ok := first(dateDim.m, odates[i])
-			if !ok {
-				continue
-			}
-			var k uint64
-			switch qid {
-			case "4.1":
-				k = pack(dateDim.attr[doid], custDim.attr[bOut[i]])
-			case "4.2":
-				k = pack(dateDim.attr[doid], suppDim.attr[soid], partDim.attr[poid])
-			case "4.3":
-				k = pack(dateDim.attr[doid], suppDim.attr[soid], partDim.attr[poid])
-			}
-			packed = append(packed, k)
-			meas = append(meas, revs[i]-costs[i])
-		}
-		groups := colstore.GroupSum(packed, meas)
-		n := 2
-		if qid != "4.1" {
-			n = 3
-		}
-		for k, v := range groups {
-			f := unpack(k, n)
-			row := append(f, v)
-			qr.Rows = append(qr.Rows, row)
-		}
-		if qid == "4.1" {
-			orderRows(qr.Rows, 0, 1)
-		} else {
-			orderRows(qr.Rows, 0, 1, 2)
-		}
-		return qr, nil
+		oids = pos
 	}
-	return nil, fmt.Errorf("ssb: unknown query %q", qid)
+	n := ds.Cat.Table(st.fact).Rows()
+	if oids != nil {
+		n = len(oids)
+	}
+	keys := make([]uint64, n)
+	for i, g := range st.groups {
+		if g.table == st.fact {
+			fields[i] = fetch(fact[g.col])
+		}
+		for r, v := range fields[i] {
+			keys[r] = pack(keys[r], g, v)
+		}
+	}
+	var eval func(e sql.Expr) []uint64
+	eval = func(e sql.Expr) []uint64 {
+		if x, ok := e.(sql.ColExpr); ok {
+			return fetch(fact[x.Col.Name])
+		}
+		out := make([]uint64, n)
+		switch x := e.(type) {
+		case sql.NumExpr:
+			for i := range out {
+				out[i] = x.Val
+			}
+		case sql.BinExpr:
+			l, r := eval(x.L), eval(x.R)
+			for i := range out {
+				out[i] = apply(x.Op, l[i], r[i])
+			}
+		}
+		return out
+	}
+	measures := make([][]uint64, len(st.aggs))
+	for i, e := range st.aggs {
+		measures[i] = eval(e)
+	}
+	var rows [][]uint64
+	for k, sums := range colstore.GroupSum(keys, measures) {
+		rows = append(rows, st.row(k, sums))
+	}
+	return st.result(rows), nil
+}
+
+// selectOids applies one predicate to a column: a Select over the whole
+// column when cands is nil, a Refine of the candidates otherwise.
+func selectOids(col []uint64, cands []uint32, p pred) []uint32 {
+	switch {
+	case cands == nil && p.in != nil:
+		return colstore.SelectIn(col, p.in)
+	case cands == nil:
+		return colstore.SelectRange(col, p.lo, p.hi)
+	case p.in != nil:
+		return colstore.RefineIn(col, cands, p.in)
+	}
+	return colstore.RefineRange(col, cands, p.lo, p.hi)
 }

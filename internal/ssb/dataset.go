@@ -4,15 +4,15 @@ import (
 	"fmt"
 
 	"qppt/internal/catalog"
-	"qppt/internal/colstore"
 )
 
 // A Dataset is a fully loaded SSB instance: the catalog's tables (QPPT
 // plans build the base indexes they read on first use, see
-// catalog.TableInfo.BuildIndexCtx), and the same encoded column arrays
-// handed to the two baseline engines to scan — one copy, shared read-only.
-// All three engines see the exact same dictionary encodings, so query
-// results are comparable bit for bit.
+// catalog.TableInfo.BuildIndexCtx), and the same encoded column arrays,
+// which the column-at-a-time and vector-at-a-time baseline engines scan —
+// one copy, shared read-only. The baselines run the same SQL texts
+// (SQLTexts, or any text of the planner's star subset via RunColumnSQL) and
+// see the same dictionary encodings, so results compare bit for bit.
 type Dataset struct {
 	SF float64
 
@@ -23,27 +23,21 @@ type Dataset struct {
 	Supplier  *catalog.TableInfo
 	Part      *catalog.TableInfo
 
-	// ColDB is the column-at-a-time engine's database; Raw holds the
-	// same column arrays (the catalog's own, see TableInfo.Columns) for
-	// the vector engine's scans.
-	ColDB *colstore.DB
-	Raw   map[string]map[string][]uint64
+	// Raw holds every table's columns by name (the catalog's own arrays,
+	// see TableInfo.Columns).
+	Raw map[string]map[string][]uint64
 }
 
 // Load generates and loads an SSB instance at the given scale factor.
 func Load(cfg GenConfig) (*Dataset, error) {
 	data := Generate(cfg)
-	ds := &Dataset{SF: data.SF, Cat: catalog.New(), ColDB: colstore.NewDB(), Raw: map[string]map[string][]uint64{}}
+	ds := &Dataset{SF: data.SF, Cat: catalog.New(), Raw: map[string]map[string][]uint64{}}
 	for name, cols := range data.Tables {
 		ti, err := ds.Cat.Load(name, cols)
 		if err != nil {
 			return nil, fmt.Errorf("ssb: loading %s: %w", name, err)
 		}
-		arrays := ti.Columns()
-		if _, err := ds.ColDB.AddTable(name, arrays); err != nil {
-			return nil, err
-		}
-		ds.Raw[name] = arrays
+		ds.Raw[name] = ti.Columns()
 	}
 	ds.Lineorder = ds.Cat.Table("lineorder")
 	ds.Date = ds.Cat.Table("date")

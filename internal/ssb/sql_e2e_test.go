@@ -10,47 +10,6 @@ import (
 	"qppt/internal/sql"
 )
 
-// normalizeSQL reorders SQL result rows (SELECT-item order) into the
-// shared normalized layout, in place, and applies the full-tiebreak
-// ordering.
-func normalizeSQL(qid string, rows [][]uint64) [][]uint64 {
-	switch qid {
-	case "2.1", "2.2", "2.3":
-		for i, r := range rows {
-			rows[i] = []uint64{r[1], r[2], r[0]} // [sum, year, brand] → [year, brand, sum]
-		}
-		orderRows(rows, 0, 1)
-	case "3.1", "3.2", "3.3", "3.4":
-		orderRows(rows, 2, -4)
-	case "4.1":
-		orderRows(rows, 0, 1)
-	case "4.2", "4.3":
-		orderRows(rows, 0, 1, 2)
-	}
-	return rows
-}
-
-// TestSQLMatchesHandBuiltPlans: every SSB SQL text returns what the
-// column engine's hand-built plan for the same query returns.
-func TestSQLMatchesHandBuiltPlans(t *testing.T) {
-	ds := testDataset(t)
-	want := make(map[string]*QueryResult, len(QueryIDs))
-	for _, qid := range QueryIDs {
-		col, err := ds.RunColumn(qid)
-		if err != nil {
-			t.Fatalf("Q%s: column: %v", qid, err)
-		}
-		want[qid] = col
-	}
-	for _, qid := range QueryIDs {
-		got, _ := runSQL(t, ds, qid, runConfig{})
-		if !got.Equal(want[qid]) {
-			t.Errorf("Q%s: SQL and column engine disagree: %d vs %d rows\nsql: %v\ncol: %v",
-				qid, len(got.Rows), len(want[qid].Rows), head(got.Rows), head(want[qid].Rows))
-		}
-	}
-}
-
 func TestSQLStatsAndDecode(t *testing.T) {
 	ds := testDataset(t)
 	planner := sql.NewPlanner(ds.Cat)
@@ -85,11 +44,12 @@ func TestSQLPlannerErrors(t *testing.T) {
 	planner := sql.NewPlanner(ds.Cat)
 	bad := []string{
 		"select sum(lo_revenue) from nosuch",
-		"select sum(lo_revenue) from lineorder, customer",                                                   // no join condition
-		"select sum(c_custkey) from lineorder, customer where lo_custkey = c_custkey",                       // non-fact aggregate
-		"select lo_quantity from lineorder, customer where lo_custkey = c_custkey",                          // ungrouped column
-		"select sum(lo_revenue) from lineorder, customer where lo_custkey = c_custkey and p_brand1 = 'X'",   // unknown column
-		"select sum(lo_revenue) from lineorder, customer where lo_custkey = c_custkey order by lo_quantity", // order by non-output
+		"select sum(lo_revenue) from lineorder, customer",                                                         // no join condition
+		"select sum(c_custkey) from lineorder, customer where lo_custkey = c_custkey",                             // non-fact aggregate
+		"select lo_quantity from lineorder, customer where lo_custkey = c_custkey",                                // ungrouped column
+		"select sum(lo_revenue) from lineorder, customer where lo_custkey = c_custkey and p_brand1 = 'X'",         // unknown column
+		"select sum(lo_revenue) from lineorder, customer where lo_custkey = c_custkey order by lo_quantity",       // order by non-output
+		"select sum(lo_revenue) from lineorder, customer where lo_custkey = c_custkey and lo_suppkey = c_custkey", // two joins to one dimension
 	}
 	for _, src := range bad {
 		if stmt, err := planner.PlanSQL(src); err == nil {

@@ -150,16 +150,24 @@ func allCases(t testing.TB, ds *Dataset) []planCase {
 	return append(cs, figureCases(ds)...)
 }
 
-// runSQL runs one SSB text in a fresh leak-checked Env, its rows
-// normalized like the baseline engines' results.
-func runSQL(t testing.TB, ds *Dataset, qid string, rc runConfig) (*QueryResult, *core.PlanStats) {
+// runSQL runs one SSB text in a fresh leak-checked Env. Its rows come back
+// ordered as the baseline engines order theirs: by the text's ORDER BY,
+// ties broken by the remaining columns.
+func runSQL(t testing.TB, ds *Dataset, qid string) *QueryResult {
 	t.Helper()
-	c := sqlCase(t, ds, "Q"+qid, qid, SQLTexts[qid])
-	rows, stats, err := c.run(context.Background(), newTestEnv(t, rc.env), rc.exec)
+	stmt, err := sql.NewPlanner(ds.Cat).PlanSQL(SQLTexts[qid])
+	if err != nil {
+		t.Fatalf("Q%s: plan: %v", qid, err)
+	}
+	rows, _, err := stmt.Run(context.Background(), newTestEnv(t, core.EnvConfig{}), core.Options{})
 	if err != nil {
 		t.Fatalf("Q%s: %v", qid, err)
 	}
-	return &QueryResult{Attrs: querySchema(qid), Rows: normalizeSQL(qid, rows)}, stats
+	st, err := ds.compile(SQLTexts[qid])
+	if err != nil {
+		t.Fatalf("Q%s: %v", qid, err)
+	}
+	return &QueryResult{Attrs: rows.Attrs, Rows: st.result(rows.Rows).Rows}
 }
 
 // isDimSelection reports whether an operator label is a dimension selection

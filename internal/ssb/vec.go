@@ -2,279 +2,99 @@ package ssb
 
 import (
 	"fmt"
+	"slices"
 
-	"qppt/internal/catalog"
+	"qppt/internal/sql"
 	"qppt/internal/vecstore"
 )
 
-// RunVector executes a query on the vector-at-a-time baseline engine: a
-// volcano tree of vectorized operators — selections over dimension scans
-// feeding hash-join builds, the fact scan streaming through the probe
-// sides, a packed-key hash aggregation on top.
+// RunVector runs SSB query qid's SQL text (SQLTexts) on the
+// vector-at-a-time baseline engine: a volcano tree of vectorized operators
+// — the fact scan under its selections, streaming through one hash join
+// per dimension, most selective first (built from a selection over the
+// dimension's scan; a semi join when the dimension carries no GROUP BY
+// column, which SSB's unique dimension keys make exact), then the
+// aggregate expressions and the packed group key as computed columns under
+// one hash aggregation.
 func (ds *Dataset) RunVector(qid string) (*QueryResult, error) {
-	lo := ds.Raw["lineorder"]
-	date := ds.Raw["date"]
-	cust := ds.Raw["customer"]
-	supp := ds.Raw["supplier"]
-	part := ds.Raw["part"]
-	qr := &QueryResult{Attrs: querySchema(qid)}
-
-	at := func(op vecstore.Op, name string) int {
-		for i, c := range op.Schema() {
-			if c == name {
-				return i
-			}
-		}
-		panic(fmt.Sprintf("ssb: column %q not in schema %v", name, op.Schema()))
+	text, ok := SQLTexts[qid]
+	if !ok {
+		return nil, fmt.Errorf("ssb: unknown query %q", qid)
 	}
-	eqSel := func(child vecstore.Op, col string, val uint64, ok bool) vecstore.Op {
-		i := at(child, col)
-		if !ok {
-			return &vecstore.Select{Child: child, Pred: func(*vecstore.Batch, int) bool { return false }}
-		}
-		return &vecstore.Select{Child: child, Pred: func(b *vecstore.Batch, r int) bool { return b.Cols[i][r] == val }}
+	st, err := ds.compile(text)
+	if err != nil {
+		return nil, err
 	}
-	rangeSel := func(child vecstore.Op, col string, lo2, hi2 uint64) vecstore.Op {
-		i := at(child, col)
-		return &vecstore.Select{Child: child, Pred: func(b *vecstore.Batch, r int) bool {
-			return b.Cols[i][r] >= lo2 && b.Cols[i][r] <= hi2
-		}}
+	op := scan(ds.Raw[st.fact], st.factCols, st.factPreds)
+	for _, d := range st.dims {
+		op = &vecstore.HashJoin{
+			Build: scan(ds.Raw[d.table], append([]string{d.key}, d.carries...), d.preds), BuildKey: d.key,
+			BuildPayload: d.carries, Semi: len(d.carries) == 0,
+			Probe: op, ProbeKey: d.fk,
+		}
 	}
-	inSel := func(child vecstore.Op, col string, set map[uint64]bool) vecstore.Op {
-		i := at(child, col)
-		return &vecstore.Select{Child: child, Pred: func(b *vecstore.Batch, r int) bool { return set[b.Cols[i][r]] }}
+	sums := make([]string, len(st.aggs))
+	for i, e := range st.aggs {
+		sums[i] = fmt.Sprintf("sum_%d", i)
+		op = &vecstore.Map{Child: op, Name: sums[i], Fn: vecExpr(e, op.Schema())}
 	}
-	codes := func(d *catalog.Dict, vals ...string) map[uint64]bool {
-		set := map[uint64]bool{}
-		for _, s := range vals {
-			if c, ok := d.Code(s); ok {
-				set[c] = true
-			}
-		}
-		return set
+	at := make([]int, len(st.groups))
+	for i, g := range st.groups {
+		at[i] = slices.Index(op.Schema(), g.col)
 	}
-
-	switch qid {
-	case "1.1", "1.2", "1.3":
-		var dateSel vecstore.Op
-		var dLo, dHi, qLo, qHi uint64
-		switch qid {
-		case "1.1":
-			dateSel = rangeSel(vecstore.NewScan(date, "d_datekey", "d_year"), "d_year", 1993, 1993)
-			dLo, dHi, qLo, qHi = 1, 3, 0, 24
-		case "1.2":
-			dateSel = rangeSel(vecstore.NewScan(date, "d_datekey", "d_yearmonthnum"), "d_yearmonthnum", 199401, 199401)
-			dLo, dHi, qLo, qHi = 4, 6, 26, 35
-		case "1.3":
-			dateSel = rangeSel(rangeSel(
-				vecstore.NewScan(date, "d_datekey", "d_year", "d_weeknuminyear"),
-				"d_year", 1994, 1994), "d_weeknuminyear", 6, 6)
-			dLo, dHi, qLo, qHi = 5, 7, 26, 35
+	op = &vecstore.Map{Child: op, Name: "group", Fn: func(b *vecstore.Batch, r int) uint64 {
+		var k uint64
+		for i, g := range st.groups {
+			k = pack(k, g, b.Cols[at[i]][r])
 		}
-		lineSel := rangeSel(rangeSel(
-			vecstore.NewScan(lo, "lo_orderdate", "lo_quantity", "lo_discount", "lo_extendedprice"),
-			"lo_discount", dLo, dHi), "lo_quantity", qLo, qHi)
-		join := &vecstore.HashJoin{
-			Build: dateSel, BuildKey: "d_datekey",
-			Probe: lineSel, ProbeKey: "lo_orderdate", Semi: true,
-		}
-		di, ei := at(join, "lo_discount"), at(join, "lo_extendedprice")
-		rev := &vecstore.Map{Child: join, Name: "rev",
-			Fn: func(b *vecstore.Batch, r int) uint64 { return b.Cols[ei][r] * b.Cols[di][r] }}
-		one := &vecstore.Map{Child: rev, Name: "one",
-			Fn: func(*vecstore.Batch, int) uint64 { return 0 }}
-		agg := &vecstore.HashAgg{Child: one, GroupCol: "one", SumCols: []string{"rev"}}
-		rows := vecstore.Collect(agg)
-		if len(rows) == 0 {
-			qr.Rows = [][]uint64{{0}}
-		} else {
-			qr.Rows = [][]uint64{{rows[0][1]}}
-		}
-		return qr, nil
-
-	case "2.1", "2.2", "2.3":
-		var partSel vecstore.Op
-		switch qid {
-		case "2.1":
-			c, ok := ds.Part.Dict("p_category").Code("MFGR#12")
-			partSel = eqSel(vecstore.NewScan(part, "p_partkey", "p_brand1", "p_category"), "p_category", c, ok)
-		case "2.2":
-			d := ds.Part.Dict("p_brand1")
-			lo2, ok1 := d.CeilCode("MFGR#2221")
-			hi2, ok2 := d.FloorCode("MFGR#2228")
-			if !ok1 || !ok2 || lo2 > hi2 {
-				lo2, hi2 = 1, 0
-			}
-			partSel = rangeSel(vecstore.NewScan(part, "p_partkey", "p_brand1"), "p_brand1", lo2, hi2)
-		case "2.3":
-			c, ok := ds.Part.Dict("p_brand1").Code("MFGR#2221")
-			partSel = eqSel(vecstore.NewScan(part, "p_partkey", "p_brand1"), "p_brand1", c, ok)
-		}
-		regionName := map[string]string{"2.1": "AMERICA", "2.2": "ASIA", "2.3": "EUROPE"}[qid]
-		rc, rok := ds.Supplier.Dict("s_region").Code(regionName)
-		suppSel := eqSel(vecstore.NewScan(supp, "s_suppkey", "s_region"), "s_region", rc, rok)
-
-		j1 := &vecstore.HashJoin{
-			Build: suppSel, BuildKey: "s_suppkey", Semi: true,
-			Probe:    vecstore.NewScan(lo, "lo_partkey", "lo_suppkey", "lo_orderdate", "lo_revenue"),
-			ProbeKey: "lo_suppkey",
-		}
-		j2 := &vecstore.HashJoin{
-			Build: partSel, BuildKey: "p_partkey", BuildPayload: []string{"p_brand1"},
-			Probe: j1, ProbeKey: "lo_partkey",
-		}
-		j3 := &vecstore.HashJoin{
-			Build: vecstore.NewScan(date, "d_datekey", "d_year"), BuildKey: "d_datekey",
-			BuildPayload: []string{"d_year"},
-			Probe:        j2, ProbeKey: "lo_orderdate",
-		}
-		yi, bi := at(j3, "d_year"), at(j3, "p_brand1")
-		keyed := &vecstore.Map{Child: j3, Name: "gk",
-			Fn: func(b *vecstore.Batch, r int) uint64 { return pack(b.Cols[yi][r], b.Cols[bi][r]) }}
-		agg := &vecstore.HashAgg{Child: keyed, GroupCol: "gk", SumCols: []string{"lo_revenue"}}
-		for _, row := range vecstore.Collect(agg) {
-			f := unpack(row[0], 2)
-			qr.Rows = append(qr.Rows, []uint64{f[0], f[1], row[1]})
-		}
-		orderRows(qr.Rows, 0, 1)
-		return qr, nil
-
-	case "3.1", "3.2", "3.3", "3.4":
-		var custSel, suppSel, dateSel vecstore.Op
-		var cAttr, sAttr string
-		switch qid {
-		case "3.1":
-			c, ok := ds.Customer.Dict("c_region").Code("ASIA")
-			custSel = eqSel(vecstore.NewScan(cust, "c_custkey", "c_nation", "c_region"), "c_region", c, ok)
-			s, sok := ds.Supplier.Dict("s_region").Code("ASIA")
-			suppSel = eqSel(vecstore.NewScan(supp, "s_suppkey", "s_nation", "s_region"), "s_region", s, sok)
-			cAttr, sAttr = "c_nation", "s_nation"
-		case "3.2":
-			c, ok := ds.Customer.Dict("c_nation").Code("UNITED STATES")
-			custSel = eqSel(vecstore.NewScan(cust, "c_custkey", "c_city", "c_nation"), "c_nation", c, ok)
-			s, sok := ds.Supplier.Dict("s_nation").Code("UNITED STATES")
-			suppSel = eqSel(vecstore.NewScan(supp, "s_suppkey", "s_city", "s_nation"), "s_nation", s, sok)
-			cAttr, sAttr = "c_city", "s_city"
-		case "3.3", "3.4":
-			custSel = inSel(vecstore.NewScan(cust, "c_custkey", "c_city"), "c_city",
-				codes(ds.Customer.Dict("c_city"), "UNITED KI1", "UNITED KI5"))
-			suppSel = inSel(vecstore.NewScan(supp, "s_suppkey", "s_city"), "s_city",
-				codes(ds.Supplier.Dict("s_city"), "UNITED KI1", "UNITED KI5"))
-			cAttr, sAttr = "c_city", "s_city"
-		}
-		if qid == "3.4" {
-			c, ok := ds.Date.Dict("d_yearmonth").Code("Dec1997")
-			dateSel = eqSel(vecstore.NewScan(date, "d_datekey", "d_year", "d_yearmonth"), "d_yearmonth", c, ok)
-		} else {
-			dateSel = rangeSel(vecstore.NewScan(date, "d_datekey", "d_year"), "d_year", 1992, 1997)
-		}
-		j1 := &vecstore.HashJoin{
-			Build: custSel, BuildKey: "c_custkey", BuildPayload: []string{cAttr},
-			Probe:    vecstore.NewScan(lo, "lo_custkey", "lo_suppkey", "lo_orderdate", "lo_revenue"),
-			ProbeKey: "lo_custkey",
-		}
-		j2 := &vecstore.HashJoin{
-			Build: suppSel, BuildKey: "s_suppkey", BuildPayload: []string{sAttr},
-			Probe: j1, ProbeKey: "lo_suppkey",
-		}
-		j3 := &vecstore.HashJoin{
-			Build: dateSel, BuildKey: "d_datekey", BuildPayload: []string{"d_year"},
-			Probe: j2, ProbeKey: "lo_orderdate",
-		}
-		ci, si, yi := at(j3, cAttr), at(j3, sAttr), at(j3, "d_year")
-		keyed := &vecstore.Map{Child: j3, Name: "gk",
-			Fn: func(b *vecstore.Batch, r int) uint64 {
-				return pack(b.Cols[ci][r], b.Cols[si][r], b.Cols[yi][r])
-			}}
-		agg := &vecstore.HashAgg{Child: keyed, GroupCol: "gk", SumCols: []string{"lo_revenue"}}
-		for _, row := range vecstore.Collect(agg) {
-			f := unpack(row[0], 3)
-			qr.Rows = append(qr.Rows, []uint64{f[0], f[1], f[2], row[1]})
-		}
-		orderRows(qr.Rows, 2, -4)
-		return qr, nil
-
-	case "4.1", "4.2", "4.3":
-		c, cok := ds.Customer.Dict("c_region").Code("AMERICA")
-		custSel := eqSel(vecstore.NewScan(cust, "c_custkey", "c_nation", "c_region"), "c_region", c, cok)
-		var suppSel, partSel, dateSel vecstore.Op
-		switch qid {
-		case "4.1", "4.2":
-			s, sok := ds.Supplier.Dict("s_region").Code("AMERICA")
-			suppSel = eqSel(vecstore.NewScan(supp, "s_suppkey", "s_nation", "s_region"), "s_region", s, sok)
-			partSel = inSel(vecstore.NewScan(part, "p_partkey", "p_category", "p_brand1", "p_mfgr"), "p_mfgr",
-				codes(ds.Part.Dict("p_mfgr"), "MFGR#1", "MFGR#2"))
-		case "4.3":
-			s, sok := ds.Supplier.Dict("s_nation").Code("UNITED STATES")
-			suppSel = eqSel(vecstore.NewScan(supp, "s_suppkey", "s_city", "s_nation"), "s_nation", s, sok)
-			partSel = vecstore.NewScan(part, "p_partkey", "p_brand1")
-		}
-		if qid == "4.1" {
-			dateSel = vecstore.NewScan(date, "d_datekey", "d_year")
-		} else {
-			dateSel = rangeSel(vecstore.NewScan(date, "d_datekey", "d_year"), "d_year", 1997, 1998)
-		}
-		var sPay, pPay []string
-		switch qid {
-		case "4.2":
-			sPay, pPay = []string{"s_nation"}, []string{"p_category"}
-		case "4.3":
-			sPay, pPay = []string{"s_city"}, []string{"p_brand1"}
-		}
-		j1 := &vecstore.HashJoin{
-			Build: custSel, BuildKey: "c_custkey", BuildPayload: []string{"c_nation"},
-			Probe: vecstore.NewScan(lo, "lo_custkey", "lo_suppkey", "lo_partkey",
-				"lo_orderdate", "lo_revenue", "lo_supplycost"),
-			ProbeKey: "lo_custkey",
-		}
-		j2 := &vecstore.HashJoin{
-			Build: suppSel, BuildKey: "s_suppkey", BuildPayload: sPay,
-			Probe: j1, ProbeKey: "lo_suppkey", Semi: qid == "4.1",
-		}
-		j3 := &vecstore.HashJoin{
-			Build: partSel, BuildKey: "p_partkey", BuildPayload: pPay,
-			Probe: j2, ProbeKey: "lo_partkey", Semi: qid == "4.1",
-		}
-		j4 := &vecstore.HashJoin{
-			Build: dateSel, BuildKey: "d_datekey", BuildPayload: []string{"d_year"},
-			Probe: j3, ProbeKey: "lo_orderdate",
-		}
-		ri, ki := at(j4, "lo_revenue"), at(j4, "lo_supplycost")
-		profit := &vecstore.Map{Child: j4, Name: "profit",
-			Fn: func(b *vecstore.Batch, r int) uint64 { return b.Cols[ri][r] - b.Cols[ki][r] }}
-		yi := at(profit, "d_year")
-		var keyFn func(b *vecstore.Batch, r int) uint64
-		var nFields int
-		switch qid {
-		case "4.1":
-			ni := at(profit, "c_nation")
-			keyFn = func(b *vecstore.Batch, r int) uint64 { return pack(b.Cols[yi][r], b.Cols[ni][r]) }
-			nFields = 2
-		case "4.2":
-			ni, pi := at(profit, "s_nation"), at(profit, "p_category")
-			keyFn = func(b *vecstore.Batch, r int) uint64 {
-				return pack(b.Cols[yi][r], b.Cols[ni][r], b.Cols[pi][r])
-			}
-			nFields = 3
-		case "4.3":
-			ni, pi := at(profit, "s_city"), at(profit, "p_brand1")
-			keyFn = func(b *vecstore.Batch, r int) uint64 {
-				return pack(b.Cols[yi][r], b.Cols[ni][r], b.Cols[pi][r])
-			}
-			nFields = 3
-		}
-		keyed := &vecstore.Map{Child: profit, Name: "gk", Fn: keyFn}
-		agg := &vecstore.HashAgg{Child: keyed, GroupCol: "gk", SumCols: []string{"profit"}}
-		for _, row := range vecstore.Collect(agg) {
-			f := unpack(row[0], nFields)
-			qr.Rows = append(qr.Rows, append(f, row[1]))
-		}
-		if nFields == 2 {
-			orderRows(qr.Rows, 0, 1)
-		} else {
-			orderRows(qr.Rows, 0, 1, 2)
-		}
-		return qr, nil
+		return k
+	}}
+	var rows [][]uint64
+	for _, r := range vecstore.Collect(&vecstore.HashAgg{Child: op, GroupCol: "group", SumCols: sums}) {
+		rows = append(rows, st.row(r[0], r[1:]))
 	}
-	return nil, fmt.Errorf("ssb: unknown query %q", qid)
+	return st.result(rows), nil
+}
+
+// scan reads cols and the predicates' columns of a table, one Select per
+// predicate on top.
+func scan(table map[string][]uint64, cols []string, preds []pred) vecstore.Op {
+	for _, p := range preds {
+		cols = append(cols, p.col)
+	}
+	var op vecstore.Op = vecstore.NewScan(table, uniq(cols)...)
+	for _, p := range preds {
+		i, lo, hi := slices.Index(op.Schema(), p.col), p.lo, p.hi
+		match := func(b *vecstore.Batch, r int) bool { return b.Cols[i][r] >= lo && b.Cols[i][r] <= hi }
+		if p.in != nil {
+			match = func(b *vecstore.Batch, r int) bool { return p.in[b.Cols[i][r]] }
+		}
+		op = &vecstore.Select{Child: op, Pred: match}
+	}
+	return op
+}
+
+// vecExpr compiles an aggregate expression over a batch of schema.
+func vecExpr(e sql.Expr, schema []string) func(*vecstore.Batch, int) uint64 {
+	switch x := e.(type) {
+	case sql.ColExpr:
+		i := slices.Index(schema, x.Col.Name)
+		return func(b *vecstore.Batch, r int) uint64 { return b.Cols[i][r] }
+	case sql.BinExpr:
+		l, rt := vecExpr(x.L, schema), vecExpr(x.R, schema)
+		return func(b *vecstore.Batch, r int) uint64 { return apply(x.Op, l(b, r), rt(b, r)) }
+	}
+	v := e.(sql.NumExpr).Val
+	return func(*vecstore.Batch, int) uint64 { return v }
+}
+
+// uniq drops repeated names, keeping first occurrences.
+func uniq(names []string) []string {
+	var out []string
+	for _, n := range names {
+		if !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out
 }

@@ -194,11 +194,11 @@ type HashJoin struct {
 	payload  [][]uint64 // build payload values, indexed by build row id
 	probeBuf *Batch
 	probeKey int
-	// resume state for fan-out
-	resumeRow  int
-	matchBuf   []uint32
-	pendingB   []uint32
-	pendingRow int
+	// The probe row being joined, its matches, and how many of them are
+	// emitted: a match list can span output vectors.
+	row     int
+	matches []uint32
+	emitted int
 }
 
 // Open implements Op.
@@ -227,8 +227,7 @@ func (j *HashJoin) Open() {
 	j.probeBuf = newBatch(len(j.Probe.Schema()))
 	j.probeBuf.N = 0
 	j.probeKey = colIdx(j.Probe.Schema(), j.ProbeKey)
-	j.resumeRow = 0
-	j.pendingB = nil
+	j.row, j.matches, j.emitted = 0, j.matches[:0], 0
 }
 
 // Schema implements Op.
@@ -242,76 +241,42 @@ func (j *HashJoin) Schema() []string {
 
 // Next implements Op.
 func (j *HashJoin) Next(out *Batch) bool {
+	in, row, matches, emitted := j.probeBuf, j.row, j.matches, j.emitted
+	collect := func(b uint32) { matches = append(matches, b) }
 	n := 0
-	emit := func(row int, b uint32) {
-		for c := range j.probeBuf.Cols {
-			out.Cols[c][n] = j.probeBuf.Cols[c][row]
+	for n < VectorSize {
+		if emitted == len(matches) {
+			// Advance to the next probe row, pulling a probe vector when
+			// this one is used up, and collect its matches.
+			if row++; row >= in.N {
+				if !j.Probe.Next(in) {
+					break
+				}
+				row = 0
+			}
+			k := in.Cols[j.probeKey][row]
+			matches, emitted = matches[:0], 0
+			if !j.Semi {
+				j.ht.ForEach(k, collect)
+			} else if j.ht.Contains(k) {
+				matches = append(matches, 0)
+			}
+			continue
+		}
+		for c, col := range in.Cols {
+			out.Cols[c][n] = col[row]
 		}
 		if !j.Semi {
-			base := len(j.probeBuf.Cols)
-			for c, v := range j.payload[b] {
-				out.Cols[base+c][n] = v
+			for c, v := range j.payload[matches[emitted]] {
+				out.Cols[len(in.Cols)+c][n] = v
 			}
 		}
+		emitted++
 		n++
 	}
-	for {
-		// Drain pending fan-out from the previous call.
-		for j.pendingB != nil {
-			emit(j.pendingRow, j.pendingB[0])
-			j.pendingB = j.pendingB[1:]
-			if len(j.pendingB) == 0 {
-				j.pendingB = nil
-				j.resumeRow = j.pendingRow + 1
-			}
-			if n == VectorSize {
-				out.N = n
-				return true
-			}
-		}
-		if j.resumeRow >= j.probeBuf.N {
-			if !j.Probe.Next(j.probeBuf) {
-				if n > 0 {
-					out.N = n
-					return true
-				}
-				return false
-			}
-			j.resumeRow = 0
-		}
-		for row := j.resumeRow; row < j.probeBuf.N; row++ {
-			k := j.probeBuf.Cols[j.probeKey][row]
-			if j.Semi {
-				if j.ht.Contains(k) {
-					emit(row, 0)
-					if n == VectorSize {
-						j.resumeRow = row + 1
-						out.N = n
-						return true
-					}
-				}
-				continue
-			}
-			j.matchBuf = j.matchBuf[:0]
-			j.ht.ForEach(k, func(b uint32) { j.matchBuf = append(j.matchBuf, b) })
-			for mi, b := range j.matchBuf {
-				emit(row, b)
-				if n == VectorSize {
-					if mi+1 < len(j.matchBuf) {
-						// Pause mid-row: keep the unemitted matches in an
-						// owned buffer (matchBuf is reused per probe row).
-						j.pendingB = append([]uint32(nil), j.matchBuf[mi+1:]...)
-						j.pendingRow = row
-					} else {
-						j.resumeRow = row + 1
-					}
-					out.N = n
-					return true
-				}
-			}
-		}
-		j.resumeRow = j.probeBuf.N
-	}
+	j.row, j.matches, j.emitted = row, matches, emitted
+	out.N = n
+	return n > 0
 }
 
 // HashAgg is the blocking vectorized hash aggregation: it drains its child

@@ -113,6 +113,7 @@ func (ec *ExecContext) noteSink(p *pipeline) {
 	ec.opStats.IndexTime += p.snk.insertTime
 	ec.opStats.TuplesIndexed += p.snk.inserted
 	ec.opStats.ProbeLookups += p.lookups
+	ec.opStats.ProbeFiltered += p.filtered
 	ec.opStats.Workers++
 	ec.opStats.Morsels += p.morsels
 	ec.mu.Unlock()
@@ -132,9 +133,13 @@ type OperatorStats struct {
 	// TuplesIndexed counts rows inserted into the output index (before
 	// aggregation folds them); ProbeLookups counts the index lookups
 	// issued through the joinbuffer: every assist's, and a select-join's
-	// main probe too.
+	// main probe too. ProbeFiltered counts the probe keys a late stage's
+	// key filter dropped without a lookup; ProbeLookups + ProbeFiltered is
+	// every probe key that reached a stage, which is what ProbeLookups
+	// counted before stages had key filters.
 	TuplesIndexed int
 	ProbeLookups  int
+	ProbeFiltered int
 	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
 	TuplesStreamed int
 	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
@@ -224,6 +229,9 @@ func (ps *PlanStats) String() string {
 		s += fmt.Sprintf("  %-24s %10v (index %8v) out: %d rows, %d keys, %d B",
 			op.Label, op.Time.Round(time.Microsecond), op.IndexTime.Round(time.Microsecond),
 			op.OutRows, op.OutKeys, op.OutBytes)
+		if op.ProbeLookups > 0 || op.ProbeFiltered > 0 {
+			s += fmt.Sprintf("  probes %d, filtered %d", op.ProbeLookups, op.ProbeFiltered)
+		}
 		if op.Morsels > 1 {
 			// Which worker claims a morsel is scheduling luck; the fan-out
 			// is not, so it prints even when one worker took every morsel.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"qppt/internal/arena"
 	"qppt/internal/duplist"
 	"qppt/internal/kisstree"
@@ -166,38 +168,46 @@ type boundsFn = func() (uint64, uint64, bool)
 
 // runMorsels drives one operator's scan as work-stealing morsels on the
 // plan's shared pool. pipe builds a fresh pipeline over the operator's
-// inputs; each pool worker gets one (created lazily when the worker claims
-// its first non-empty morsel) with a private output index drawing chunks
-// from the Env's pool.
+// inputs; each pool worker gets one (taken when the worker claims its
+// first non-empty morsel) with a private output index drawing chunks from
+// the Env's pool.
 // scan feeds the input keys in [lo, hi] through the worker's pipeline. The
 // per-worker partial outputs are then combined with the parallel
 // partition-wise merge. With a single worker the lone partial is the
 // output itself and execution degenerates to the paper's single-threaded
 // mode.
+//
+// The first pipeline is built before any morsel runs, and with it the key
+// filters of the late probe stages: every other worker's pipeline shares
+// them read-only, and their words go back to the pool when the operator
+// returns. The first worker to claim a non-empty morsel takes that
+// pipeline; when no morsel is non-empty, it makes the empty output.
 func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() (*pipeline, error), scan scanFn) (*IndexedTable, error) {
 	sched := ec.scheduler()
-	newPart := func(spec *OutputSpec) (*pipeline, *IndexedTable, error) {
+	newPart := func() (*pipeline, *IndexedTable, error) {
 		p, err := pipe()
 		if err != nil {
 			return nil, nil, err
 		}
-		p.rec = ec.rec
 		out, err := p.setSink(spec)
 		return p, out, err
 	}
+	first, firstOut, err := newPart()
+	if err != nil {
+		return nil, err
+	}
 	empty := func() (*IndexedTable, error) {
-		p, out, err := newPart(spec)
-		if err != nil {
-			return nil, err
-		}
-		p.finish()
-		ec.noteSink(p)
-		return out, nil
+		first.finish()
+		ec.noteSink(first)
+		return firstOut, nil
 	}
 	lo, hi, ok := bounds()
 	if !ok {
 		return empty()
 	}
+	first.buildKeyFilters()
+	defer first.parkKeyFilters()
+	var firstTaken atomic.Bool
 	workers := sched.Workers()
 	morsels := 1
 	if workers > 1 {
@@ -205,7 +215,7 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 	}
 	pipes := make([]*pipeline, workers)
 	outs := make([]*IndexedTable, workers)
-	err := sched.ForEachWorker(morsels, func(w, m int) error {
+	err = sched.ForEachWorker(morsels, func(w, m int) error {
 		if err := ec.err(); err != nil {
 			return err // cancelled: stop claiming morsels
 		}
@@ -215,13 +225,16 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 		}
 		p := pipes[w]
 		if p == nil {
-			specCopy := *spec // private sink per worker partial
-			var err error
-			p, outs[w], err = newPart(&specCopy)
-			if err != nil {
-				return err
+			p = first
+			out := firstOut
+			if firstTaken.Swap(true) {
+				var err error
+				if p, out, err = newPart(); err != nil {
+					return err
+				}
+				p.shareKeyFilters(first)
 			}
-			pipes[w] = p
+			pipes[w], outs[w] = p, out
 		}
 		scan(p, mLo, mHi, morsels == 1)
 		if err := ec.err(); err != nil {

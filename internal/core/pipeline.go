@@ -28,16 +28,20 @@ import (
 // pipeline's flat slot chunk, and a stage's queue is a selection vector of
 // slot numbers plus the probe keys. A probe hit with one row writes the
 // stage's segment where the combination already sits and queues the same
-// slot for the next stage; a miss simply leaves it out. Only a hit with
+// slot for the next stage; a lookup miss leaves it out. Only a hit with
 // several rows (a fan-out) needs more slots. When the next stage probes
-// with a column of the fanning-out rows and has no filter at its entry —
-// every assist of a star join, which probes with a foreign key of the fact
-// row — the next stage queues just (parent slot, row, key) and copies the
-// parent and the row into a slot of its own only for a probe hit (late
-// materialization). Stage s owns slots [s·bufSize, (s+1)·bufSize): the
-// entry copies base combinations into stage 0's, and stage s−1's hits take
-// stage s's. A full region is reclaimed by draining the stages from s on,
-// which moves every combination that still references it into the sink.
+// with a column of the fanning-out rows and has no residual at its entry —
+// the first assist of a star join, which probes with a foreign key of the
+// fact row — the next stage is late: it queues just (parent slot, row, key)
+// and copies the parent and the row into a slot of its own only for a probe
+// hit (late materialization). A late stage whose index has holes tests each
+// key against an exact bitmap of the index's keys (keyFilter) before it
+// queues it, so a key the index lacks costs one bit test, never a queue
+// entry, a descent or a visit. Stage s owns slots [s·bufSize,
+// (s+1)·bufSize): the entry copies base combinations into stage 0's, and
+// stage s−1's hits take stage s's. A full region is reclaimed by draining
+// the stages from s on, which moves every combination that still
+// references it into the sink.
 //
 // Every stage handles its queue in arrival order and emits a combination's
 // rows in list order, so the sink sees the nested-loop order at every
@@ -118,6 +122,10 @@ type probeStage struct {
 	late      bool
 	lateCol   int
 	prevInput int
+	// filter, if set, holds the keys of a late stage's index: a key it
+	// lacks is dropped before it is queued. Every worker pipeline of one
+	// operator execution shares it read-only.
+	filter *keyFilter
 
 	// The joinbuffer: the selection vector of queued combination slots,
 	// their probe keys and, on a late stage, the previous stage's row each
@@ -186,6 +194,7 @@ type pipeline struct {
 	snk          *sink
 	bufSize      int
 	lookups      int // probe-stage lookups issued (stats)
+	filtered     int // probe keys a stage's key filter dropped without a lookup (stats)
 	morsels      int // key-range morsels scanned through this pipeline (stats)
 
 	// slots holds every combination in flight, layout.width words each:
@@ -315,6 +324,75 @@ func (p *pipeline) initJoinbuffer() {
 	}
 }
 
+// A keyFilter is the exact key set of an index as a bitmap over [lo, lo+n):
+// bit d of words is set when lo+d is a key. An empty index gets n = 0,
+// which rejects every key.
+type keyFilter struct {
+	lo, n uint64
+	words []uint64
+}
+
+// has reports whether k is a key of the filtered index.
+func (f *keyFilter) has(k uint64) bool {
+	d := k - f.lo // a key below lo wraps past n
+	return d < f.n && f.words[d>>6]&(1<<(d&63)) != 0
+}
+
+// newKeyFilter returns the key filter of idx, its words drawn from rec, or
+// nil when it would not pay. The rule reads the index, not a knob: a
+// filter is built only when the index has a hole (Keys < Max−Min+1) and
+// its bitmap is no larger than the index (Bytes); an empty index gets one
+// that rejects every key. Only late stages ask: a bitmap at every stage
+// entry, over big or hole-free indexes, cost more to build than it saved.
+func newKeyFilter(rec *arena.Recycler, idx Index) *keyFilter {
+	lo, hi, ok := idxBounds(idx)
+	if !ok {
+		return &keyFilter{}
+	}
+	span := hi - lo // the index spans span+1 keys; +1 could overflow
+	if uint64(idx.Keys()) > span || span>>6 >= uint64(idx.Bytes()/8) {
+		return nil
+	}
+	n := int(span>>6) + 1
+	words := arena.NewChunk[uint64](rec, n)[:n]
+	idx.Iterate(func(k uint64, _ *duplist.List) bool {
+		d := k - lo
+		words[d>>6] |= 1 << (d & 63)
+		return true
+	})
+	return &keyFilter{lo: lo, n: span + 1, words: words}
+}
+
+// buildKeyFilters gives each late stage its key filter. runMorsels calls it
+// once per operator execution, on the first pipeline, before any morsel
+// runs; shareKeyFilters hands the filters to the other workers' pipelines
+// and parkKeyFilters returns their words once every pipeline is done.
+func (p *pipeline) buildKeyFilters() {
+	for _, st := range p.stages {
+		if st.late {
+			st.filter = newKeyFilter(p.rec, st.table.Idx)
+		}
+	}
+}
+
+// shareKeyFilters points p's stages at the filters of from, a pipeline of
+// the same operator execution.
+func (p *pipeline) shareKeyFilters(from *pipeline) {
+	for s, st := range p.stages {
+		st.filter = from.stages[s].filter
+	}
+}
+
+// parkKeyFilters returns the filters' words to the chunk pool.
+func (p *pipeline) parkKeyFilters() {
+	for _, st := range p.stages {
+		if st.filter != nil {
+			putScratch(p.rec, st.filter.words, len(st.filter.words))
+			st.filter = nil
+		}
+	}
+}
+
 // release parks the recycler-backed buffers — the sink's insert buffer,
 // the slot chunk and the stage queues — back in the pipeline's chunk pool.
 // The buffers are scratch, truncated and refilled per flush, so each goes
@@ -411,6 +489,10 @@ func (p *pipeline) push(i int, t int32) {
 // when the buffer is full.
 func (p *pipeline) queue(i int, t int32, row []uint64, k uint64) {
 	st := p.stages[i]
+	if st.filter != nil && !st.filter.has(k) {
+		p.filtered++
+		return
+	}
 	st.sel = append(st.sel, t)
 	st.keys = append(st.keys, k)
 	if st.late {
@@ -488,13 +570,19 @@ func (p *pipeline) hit(s, j int, vals *duplist.List) {
 		}
 		p.fillHead(st, p.slot(parent), lateRow, k)
 		// The rows are queued a run at a time, with no call per row, so
-		// the loads of consecutive fact rows overlap.
+		// the loads of consecutive fact rows overlap. A key the next
+		// stage's filter lacks is dropped here.
 		next := p.stages[s+1]
-		col, w := next.lateCol, vals.Width()
+		col, w, f := next.lateCol, vals.Width(), next.filter
 		vals.Runs(func(run []uint64) bool {
 			for ; len(run) > 0; run = run[w:] {
+				k := run[col]
+				if f != nil && !f.has(k) {
+					p.filtered++
+					continue
+				}
 				next.sel = append(next.sel, parent)
-				next.keys = append(next.keys, run[col])
+				next.keys = append(next.keys, k)
 				next.rows = append(next.rows, run[:w:w])
 				if len(next.keys) == p.bufSize {
 					p.flushStage(s + 1)

@@ -12,9 +12,11 @@ import (
 
 // FuzzPlanSQL feeds arbitrary text through the SQL front end — lexer,
 // parser and planner — against a small SSB catalog, runs every statement
-// that plans once on an Env of two workers, and checks its answer against
-// the column-at-a-time baseline (ssb.Dataset.RunColumnSQL), which reads
-// the same text with the parser and the catalog's dictionaries alone.
+// that plans on three Envs — one worker, two workers, and two workers under
+// a one-byte memory budget, which spills every intermediate and thaws it
+// for its consumer — and checks each answer against the column-at-a-time
+// baseline (ssb.Dataset.RunColumnSQL), which reads the same text with the
+// parser and the catalog's dictionaries alone.
 // Whatever the text, planning must return exactly one of a statement or an
 // error, a run must return rows or an error, and the baseline must answer
 // or return an error, never panic: a server plans and runs every text a
@@ -27,15 +29,24 @@ import (
 func FuzzPlanSQL(f *testing.F) {
 	ds := ssb.MustLoad(ssb.GenConfig{SF: 0.01, Seed: 1})
 	planner := sql.NewPlanner(ds.Cat)
-	env, err := core.NewEnv(core.EnvConfig{Workers: 2})
-	if err != nil {
-		f.Fatal(err)
+	cfgs := []core.EnvConfig{
+		{Workers: 1},
+		{Workers: 2},
+		{Workers: 2, MemBudget: 1},
 	}
-	f.Cleanup(func() {
-		if err := env.Close(); err != nil {
-			f.Errorf("env.Close: %v", err)
+	envs := make([]*core.Env, len(cfgs))
+	for i, cfg := range cfgs {
+		env, err := core.NewEnv(cfg)
+		if err != nil {
+			f.Fatal(err)
 		}
-	})
+		envs[i] = env
+		f.Cleanup(func() {
+			if err := env.Close(); err != nil {
+				f.Errorf("env.Close (%+v): %v", cfg, err)
+			}
+		})
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		want, baseErr := ds.RunColumnSQL(src)
 		if (want == nil) == (baseErr == nil) {
@@ -48,17 +59,19 @@ func FuzzPlanSQL(f *testing.F) {
 		if stmt == nil {
 			return
 		}
-		rows, _, err := stmt.Run(context.Background(), env, core.Options{})
-		if (rows == nil) == (err == nil) {
-			t.Fatalf("Run(%q) = %v, %v: want rows or an error", src, rows, err)
-		}
-		if rows == nil || want == nil {
-			return
-		}
-		got, exp := sorted(rows.Rows), sorted(want.Rows)
-		if !slices.Equal(rows.Attrs, want.Attrs) || !slices.EqualFunc(got, exp, slices.Equal) {
-			t.Fatalf("%q:\nengine   %v %d rows %v\nbaseline %v %d rows %v",
-				src, rows.Attrs, len(got), head(got), want.Attrs, len(exp), head(exp))
+		for i, env := range envs {
+			rows, _, err := stmt.Run(context.Background(), env, core.Options{})
+			if (rows == nil) == (err == nil) {
+				t.Fatalf("%+v: Run(%q) = %v, %v: want rows or an error", cfgs[i], src, rows, err)
+			}
+			if rows == nil || want == nil {
+				continue
+			}
+			got, exp := sorted(rows.Rows), sorted(want.Rows)
+			if !slices.Equal(rows.Attrs, want.Attrs) || !slices.EqualFunc(got, exp, slices.Equal) {
+				t.Fatalf("%+v: %q:\nengine   %v %d rows %v\nbaseline %v %d rows %v",
+					cfgs[i], src, rows.Attrs, len(got), head(got), want.Attrs, len(exp), head(exp))
+			}
 		}
 	})
 }

@@ -220,9 +220,14 @@ func (ti *TableInfo) BuildIndex(def IndexDef) (*core.IndexedTable, error) {
 
 // BuildIndexCtx is BuildIndex with cancellation: the build reads every row
 // of the table — the most expensive cold-start step a query can trigger —
-// and polls ctx between row batches, so a dead client stops a full
-// fact-table pass (and releases the index lock for the builders waiting
-// behind it).
+// and polls ctx every 8192 rows of each pass, so a dead client stops a
+// full fact-table pass (and releases the index lock for the builders
+// waiting behind it). A definition with no key column, or with key columns
+// wider than 64 bits together, is an error.
+//
+// The index is bulk-loaded, not filled row by row: sortRows sorts the
+// payload rows on their key into one flat array, and the index adopts each
+// key's rows as one contiguous run of it (core.NewSortedIndex).
 func (ti *TableInfo) BuildIndexCtx(ctx context.Context, def IndexDef) (*core.IndexedTable, error) {
 	ti.idxMu.Lock()
 	defer ti.idxMu.Unlock()
@@ -230,15 +235,23 @@ func (ti *TableInfo) BuildIndexCtx(ctx context.Context, def IndexDef) (*core.Ind
 	if t, ok := ti.indexes[name]; ok {
 		return t, nil
 	}
+	if len(def.KeyCols) == 0 {
+		return nil, fmt.Errorf("catalog: index %s has no key column", name)
+	}
 	def.Include = def.sortedInclude()
 	keyCols := make([][]uint64, len(def.KeyCols))
 	keyBits := make([]uint, len(def.KeyCols))
+	var totalBits uint
 	for i, kc := range def.KeyCols {
 		p := ti.Col(kc)
 		if p < 0 {
 			return nil, fmt.Errorf("catalog: unknown key column %s.%s", ti.Name, kc)
 		}
 		keyCols[i], keyBits[i] = ti.cols[p], ti.Bits(kc)
+		totalBits += keyBits[i]
+	}
+	if totalBits > 64 {
+		return nil, fmt.Errorf("catalog: index %s: key columns are %d bits wide together, over 64", name, totalBits)
 	}
 	cols := append([]string{RIDCol}, def.Include...)
 	incCols := make([][]uint64, len(def.Include))
@@ -250,33 +263,18 @@ func (ti *TableInfo) BuildIndexCtx(ctx context.Context, def IndexDef) (*core.Ind
 		incCols[i] = ti.cols[p]
 	}
 	ks := core.GroupKey(def.KeyCols, keyBits)
-	comp := ks.Composer()
-	idx := core.NewIndex(core.IndexConfig{
-		KeyBits:      ks.TotalBits(),
-		PayloadWidth: len(cols),
-	})
-	row := make([]uint64, len(cols))
-	fields := make([]uint64, len(keyCols))
-	for rid := 0; rid < ti.rows; rid++ {
-		if (rid+1)&8191 == 0 && ctx.Err() != nil {
-			break // cancelled mid-build; the partial index is dropped
-		}
-		k := keyCols[0][rid]
-		if comp != nil {
-			for i, c := range keyCols {
-				fields[i] = c[rid]
-			}
-			k = comp.Compose(fields...)
-		}
-		row[0] = uint64(rid)
-		for i, c := range incCols {
-			row[i+1] = c[rid]
-		}
-		idx.Insert(k, row)
+	keys, err := composeKeys(ctx, keyCols, ks.Composer())
+	if err != nil {
+		return nil, err // cancelled mid-build; nothing is cached
 	}
-	if err := ctx.Err(); err != nil {
+	runKeys, ends, rows, err := sortRows(ctx, keys, incCols)
+	if err != nil {
 		return nil, err
 	}
+	idx := core.NewSortedIndex(core.IndexConfig{
+		KeyBits:      ks.TotalBits(),
+		PayloadWidth: len(cols),
+	}, runKeys, ends, rows)
 	t := core.NewIndexedTable(name, ks, cols, idx)
 	ti.indexes[name] = t
 	return t, nil

@@ -96,6 +96,30 @@ func NewIndex(cfg IndexConfig) Index {
 	})}
 }
 
+// NewSortedIndex builds the index NewIndex picks for cfg from payload rows
+// already sorted by key, w = cfg.PayloadWidth ≥ 1 words each: keys ascend
+// strictly, and key i owns rows ends[i-1] (0 for the first key) up to
+// ends[i]. Each key's rows are one contiguous run, and the index adopts
+// every run in place instead of copying it, so the caller must not write
+// rows afterwards. It is the bulk load of a base index; cfg.Fold must be
+// nil.
+func NewSortedIndex(cfg IndexConfig, keys []uint64, ends []int, rows []uint64) Index {
+	idx := NewIndex(cfg)
+	var insertRun func(key uint64, run []uint64)
+	switch t := idx.(type) {
+	case kissIndex:
+		insertRun = t.t.InsertRun
+	case ptIndex:
+		insertRun = t.t.InsertRun
+	}
+	w, start := cfg.PayloadWidth, 0
+	for i, k := range keys {
+		insertRun(k, rows[start*w:ends[i]*w])
+		start = ends[i]
+	}
+	return idx
+}
+
 // ptIndex adapts *prefixtree.Tree to Index.
 type ptIndex struct{ t *prefixtree.Tree }
 

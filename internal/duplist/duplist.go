@@ -22,6 +22,12 @@
 // allocator owned by the tree that embeds the lists — so a whole
 // intermediate index allocates a handful of slabs instead of one object
 // per key, and frees them wholesale when the index is dropped.
+//
+// A base index is not filled by insertion: it is bulk-loaded from rows
+// sorted by key, so each key's rows are one contiguous run of an array the
+// index owns, and its list is a Slab.View of that run — the inline first
+// row plus one segment over the rest — while the doubling segments above
+// stay for the indexes built by insertion (intermediates).
 package duplist
 
 const (

@@ -31,6 +31,7 @@ type Slab struct {
 	off    int                  // words used in cur
 	segs   arena.Arena[segment] // segment headers, chunked like the data
 	rec    *arena.Recycler      // optional plan-scoped block pool
+	viewed int                  // words of the runs View adopted
 }
 
 const (
@@ -83,10 +84,11 @@ func (s *Slab) alloc(n int) []uint64 {
 // anymore: Release is meant for the moment the owning index is dropped or
 // frozen. Without a recycler it merely drops the references for the
 // garbage collector. Oversized blocks (wider than a row of slabBlockWords)
-// are never pooled. The current block goes back at the length carved from
-// it — nothing beyond off was ever written (arena's zero invariant), so a
-// slab that held one row clears one row; earlier blocks are full but for a
-// tail too small for the request that closed them.
+// and the runs View adopted are never pooled. The current block goes back
+// at the length carved from it — nothing beyond off was ever written
+// (arena's zero invariant), so a slab that held one row clears one row;
+// earlier blocks are full but for a tail too small for the request that
+// closed them.
 func (s *Slab) Release() {
 	for _, b := range s.blocks {
 		if cap(b) != slabBlockWords {
@@ -97,7 +99,7 @@ func (s *Slab) Release() {
 		}
 		arena.PutChunk(s.rec, b)
 	}
-	s.blocks, s.cur, s.off = nil, nil, 0
+	s.blocks, s.cur, s.off, s.viewed = nil, nil, 0, 0
 	s.segs.Reset()
 }
 
@@ -106,10 +108,30 @@ func (s *Slab) newSegment(words int) *segment {
 	return s.segs.At(s.segs.Alloc(segment{data: s.alloc(words)}))
 }
 
+// View returns a list over the rows stored back to back in run, which
+// must hold at least one row of width words: the first row inline and the
+// rest as one segment, both aliasing run. The slab adopts run as storage
+// it accounts for — Bytes counts it and Release drops it — but never
+// writes it, pools it or reuses it: a later AppendIn grows a new segment.
+// The caller must not write run afterwards.
+func (s *Slab) View(run []uint64, width int) List {
+	if width <= 0 || len(run) < width || len(run)%width != 0 {
+		panic("duplist: a view needs whole rows of a positive width")
+	}
+	n := len(run)
+	l := List{first: run[:width:width], n: n / width, width: width}
+	if n > width {
+		seg := s.segs.At(s.segs.Alloc(segment{used: n - width, data: run[width:n:n]}))
+		l.head, l.tail = seg, seg
+	}
+	s.viewed += n
+	return l
+}
+
 // Bytes reports the heap footprint of the slab: all blocks (including
-// unused tails) plus the segment-header arena.
+// unused tails), the runs it views and the segment-header arena.
 func (s *Slab) Bytes() int {
-	b := 0
+	b := s.viewed * wordBytes
 	for _, blk := range s.blocks {
 		b += len(blk) * wordBytes
 	}

@@ -189,6 +189,20 @@ func (t *Tree) Insert(key uint64, row []uint64) {
 	t.addRow(lf, row)
 }
 
+// InsertRun adds a new key whose payload rows are run, stored back to back
+// in an array the caller hands over: the leaf's list views run in place
+// (duplist.Slab.View) instead of copying it. It is how a base index is
+// bulk-loaded from rows sorted by key; a key already present is a caller
+// bug and panics, because sorted input never repeats a key.
+func (t *Tree) InsertRun(key uint64, run []uint64) {
+	lf := t.leafFor(checkKey(key))
+	if lf.Vals.Len() != 0 {
+		panic(fmt.Sprintf("kisstree: InsertRun of key %#x, which is already present", key))
+	}
+	lf.Vals = t.slab.View(run, t.cfg.PayloadWidth)
+	t.rows += lf.Vals.Len()
+}
+
 func (t *Tree) addRow(lf *Leaf, row []uint64) {
 	if t.cfg.Fold != nil {
 		was := lf.Vals.Len()

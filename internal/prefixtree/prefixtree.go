@@ -203,6 +203,21 @@ func (t *Tree) Insert(key uint64, row []uint64) {
 	t.addRow(lf, row)
 }
 
+// InsertRun adds a new key whose payload rows are run, stored back to back
+// in an array the caller hands over: the leaf's list views run in place
+// (duplist.Slab.View) instead of copying it. It is how a base index is
+// bulk-loaded from rows sorted by key; a key already present is a caller
+// bug and panics, because sorted input never repeats a key.
+func (t *Tree) InsertRun(key uint64, run []uint64) {
+	t.checkKey(key)
+	lf := t.leafFor(key)
+	if lf.Vals.Len() != 0 {
+		panic(fmt.Sprintf("prefixtree: InsertRun of key %#x, which is already present", key))
+	}
+	lf.Vals = t.slab.View(run, t.cfg.PayloadWidth)
+	t.rows += lf.Vals.Len()
+}
+
 // addRow appends or folds row into lf, maintaining the row count. Storage
 // comes from the tree's slab.
 func (t *Tree) addRow(lf *Leaf, row []uint64) {

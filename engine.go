@@ -234,8 +234,8 @@ func (e *Engine) end() { e.inflight.Done() }
 // admit passes one plan through the admission gate for the session,
 // blocking in the session's fair queue at the concurrency cap. It
 // returns the release the caller must invoke when the plan finishes,
-// plus how long the plan queued (folded into PlanStats as
-// AdmissionWait). Without a gate it is free.
+// plus how long the plan queued (set as the run's
+// PlanStats.AdmissionWait). Without a gate it is free.
 func (e *Engine) admit(ctx context.Context, session uint64) (release func(), wait time.Duration, err error) {
 	if e.gate == nil {
 		return func() {}, 0, nil
@@ -284,9 +284,11 @@ func (e *Engine) RunPlan(ctx context.Context, plan *core.Plan, opts ...QueryOpti
 	}
 	defer release()
 	e.queries.Add(1)
-	exec := execOptions(opts)
-	exec.AdmissionWait = wait
-	return e.env.Run(ctx, plan, exec)
+	out, stats, err := e.env.Run(ctx, plan, execOptions(opts))
+	if stats != nil {
+		stats.AdmissionWait = wait
+	}
+	return out, stats, err
 }
 
 // execOptions folds the per-query options into the core execution options

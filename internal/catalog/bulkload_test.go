@@ -11,7 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
-	"qppt/internal/duplist"
+	"qppt/internal/core"
 )
 
 // bulkTable loads a table of n rows: key columns k0 and k1 drawn by the
@@ -87,7 +87,8 @@ func TestBuildIndexBulkLoad(t *testing.T) {
 			}
 			slices.Sort(wantKeys)
 			var gotKeys []uint64
-			idx.Idx.Iterate(func(k uint64, vals *duplist.List) bool {
+			idx.Idx.Iterate(func(lf *core.Leaf) bool {
+				k, vals := lf.Key, &lf.Vals
 				gotKeys = append(gotKeys, k)
 				if got := vals.Rows(); !reflect.DeepEqual(got, want[k]) {
 					t.Fatalf("key %d holds %v, want %v", k, got, want[k])

@@ -11,7 +11,6 @@ import (
 	"testing/quick"
 
 	"qppt/internal/core"
-	"qppt/internal/duplist"
 )
 
 func TestDictOrderPreserving(t *testing.T) {
@@ -143,12 +142,12 @@ func TestBuildSecondaryIndex(t *testing.T) {
 		t.Fatalf("secondary payload = %v", idx.Cols)
 	}
 	// brand B#2 (code 1) has rids 0 and 2.
-	vals := idx.Idx.Lookup(1)
-	if vals == nil || vals.Len() != 2 {
+	lf := idx.Idx.Lookup(1)
+	if lf == nil || lf.Vals.Len() != 2 {
 		t.Fatal("duplicate key lost rows")
 	}
 	rids := map[uint64]bool{}
-	vals.Scan(func(row []uint64) bool { rids[row[0]] = true; return true })
+	lf.Vals.Scan(func(row []uint64) bool { rids[row[0]] = true; return true })
 	if !rids[0] || !rids[2] {
 		t.Fatalf("rids = %v", rids)
 	}
@@ -165,11 +164,11 @@ func TestBuildPartiallyClusteredIndex(t *testing.T) {
 	if len(idx.Cols) != 3 || idx.Cols[1] != "brand" || idx.Cols[2] != "size" {
 		t.Fatalf("cols = %v", idx.Cols)
 	}
-	vals := idx.Idx.Lookup(12)
-	if vals == nil || vals.Len() != 1 {
+	lf := idx.Idx.Lookup(12)
+	if lf == nil || lf.Vals.Len() != 1 {
 		t.Fatal("partkey 12 not found")
 	}
-	row := vals.First()
+	row := lf.Vals.First()
 	if row[0] != 2 || row[1] != ti.Code("brand", "B#2") || row[2] != 7 {
 		t.Fatalf("payload = %v", row)
 	}
@@ -203,8 +202,8 @@ func TestBuildComposedKeyIndex(t *testing.T) {
 	type bs struct{ b, s uint64 }
 	var got []bs
 	comp := idx.Key.Composer()
-	idx.Idx.Iterate(func(k uint64, vals *duplist.List) bool {
-		got = append(got, bs{comp.Field(k, 0), comp.Field(k, 1)})
+	idx.Idx.Iterate(func(lf *core.Leaf) bool {
+		got = append(got, bs{comp.Field(lf.Key, 0), comp.Field(lf.Key, 1)})
 		return true
 	})
 	if len(got) != 3 {
@@ -268,7 +267,7 @@ func TestLoadKeepsColumns(t *testing.T) {
 	if idx.Rows() != n || idx.Keys() != 7 {
 		t.Fatalf("index over the kept columns has %d rows, %d keys", idx.Rows(), idx.Keys())
 	}
-	idx.Idx.Lookup(3).Scan(func(row []uint64) bool {
+	idx.Idx.Lookup(3).Vals.Scan(func(row []uint64) bool {
 		if rid := row[0]; row[1] != a[rid] || b[rid] != 3 {
 			t.Fatalf("row %v under key 3 does not match the table at its rid", row)
 		}

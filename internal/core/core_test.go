@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"qppt/internal/duplist"
+	"qppt/internal/kisstree"
 	"qppt/internal/prefixtree"
 )
 
@@ -577,17 +577,17 @@ func TestNewIndexStructureChoice(t *testing.T) {
 	if got := NewIndex(IndexConfig{KeyBits: 32}); got.KeyBits() != 32 {
 		t.Errorf("32-bit index reports %d key bits", got.KeyBits())
 	}
-	if _, isKiss := NewIndex(IndexConfig{KeyBits: 20}).(kissIndex); !isKiss {
+	if _, isKiss := NewIndex(IndexConfig{KeyBits: 20}).(*kisstree.Tree); !isKiss {
 		t.Error("narrow keys did not pick the KISS-Tree")
 	}
-	if _, isPT := NewIndex(IndexConfig{KeyBits: 33}).(ptIndex); !isPT {
+	if _, isPT := NewIndex(IndexConfig{KeyBits: 33}).(*prefixtree.Tree); !isPT {
 		t.Error("wide keys did not pick the prefix tree")
 	}
 }
 
 func TestSyncScanMixedKinds(t *testing.T) {
-	a := NewIndex(IndexConfig{KeyBits: 20})                          // KISS
-	b := ptIndex{prefixtree.MustNew(prefixtree.Config{KeyBits: 20})} // PT
+	a := NewIndex(IndexConfig{KeyBits: 20})                 // KISS
+	b := prefixtree.MustNew(prefixtree.Config{KeyBits: 20}) // PT
 	want := 0
 	for i := uint64(0); i < 3000; i += 3 {
 		a.Insert(i, nil)
@@ -603,9 +603,9 @@ func TestSyncScanMixedKinds(t *testing.T) {
 	if !ok {
 		t.Fatal("no common key interval")
 	}
-	syncScanKeyRange(a, b, lo, hi, func(k uint64, va, vb *duplist.List) bool {
-		if k%15 != 0 {
-			t.Fatalf("phantom match %d", k)
+	syncScanKeyRange(a, b, lo, hi, func(la, lb *Leaf) bool {
+		if la.Key%15 != 0 || lb.Key != la.Key {
+			t.Fatalf("phantom match %d/%d", la.Key, lb.Key)
 		}
 		got++
 		return true

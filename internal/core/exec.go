@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"qppt/internal/arena"
-	"qppt/internal/duplist"
 	"qppt/internal/spill"
 )
 
@@ -25,12 +24,6 @@ type Options struct {
 	BufferSize int
 	// CollectStats gathers per-operator execution statistics.
 	CollectStats bool
-	// AdmissionWait is how long the plan waited in an admission queue
-	// before Env.Run was entered. Execution ignores it; the queue-aware
-	// entry folds it into PlanStats so per-query statistics separate
-	// time-queued from time-executing (qppt.Engine sets it from its
-	// admission gate).
-	AdmissionWait time.Duration
 }
 
 // poolWorkers resolves EnvConfig.Workers into the pool size the scheduler
@@ -201,9 +194,11 @@ type PlanStats struct {
 	RecycleSavedBytes int64
 	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
 	FusedEdges int
-	// AdmissionWait is how long the plan sat in the engine's admission
-	// queue before execution began (0 when the plan was admitted
-	// immediately or no gate is configured). Total does not include it.
+	// AdmissionWait is how long the plan spent passing the engine's
+	// admission gate before execution began: its queue time, or the
+	// microseconds an uncontended admission takes (0 when no gate is
+	// configured). Total does not include it. Env.Run leaves it 0;
+	// qppt.Engine sets it on the stats a run returns.
 	AdmissionWait time.Duration
 }
 
@@ -299,7 +294,7 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 	var spill0 spill.Stats
 	var rec0 arena.RecyclerStats
 	if opts.CollectStats {
-		stats = &PlanStats{Workers: ex.sched.Workers(), AdmissionWait: opts.AdmissionWait}
+		stats = &PlanStats{Workers: ex.sched.Workers()}
 		if ex.spill != nil {
 			spill0 = ex.spill.Stats()
 			stats.MemBudget = ex.spill.Budget()
@@ -400,7 +395,7 @@ type spillOpRef struct {
 }
 
 // handleOf returns the spill handle of a registered intermediate, nil for
-// base tables and unspillable index kinds.
+// base tables and the plan root.
 func (ex *executor) handleOf(t *IndexedTable) *spill.Handle {
 	if ex.spill == nil || t == nil {
 		return nil
@@ -471,7 +466,7 @@ func (ex *executor) pinInputs(inputs []*IndexedTable) ([]*spill.Handle, error) {
 	}
 	var set []*spill.Handle
 	for _, in := range inputs {
-		// nil: base table or unspillable kind.
+		// nil: a base table.
 		if h := ex.handleOf(in); h != nil && !slices.Contains(set, h) {
 			set = append(set, h)
 		}
@@ -503,12 +498,10 @@ func (ex *executor) finishOp(op Operator, e *memoEntry, pinned []*spill.Handle, 
 	if _, isBase := op.(*Base); isBase || op == ex.root || e.err != nil {
 		return
 	}
-	if fz := freezerOf(e.out.Idx); fz != nil {
-		h := ex.spill.Register(op.Label(), fz, e.out.Idx.Bytes)
-		ex.mu.Lock()
-		ex.handles[e.out] = h
-		ex.mu.Unlock()
-	}
+	h := ex.spill.Register(op.Label(), e.out.Idx, e.out.Idx.Bytes)
+	ex.mu.Lock()
+	ex.handles[e.out] = h
+	ex.mu.Unlock()
 }
 
 func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error) {
@@ -625,9 +618,9 @@ func Project(t *IndexedTable, sel []int) [][]uint64 {
 	comp := t.Key.Composer()
 	nk := len(t.Key.Attrs)
 	var fields []uint64
-	t.Idx.Iterate(func(k uint64, vals *duplist.List) bool {
+	t.Idx.Iterate(func(lf *Leaf) bool {
 		if nk > 1 {
-			fields = comp.Split(k, fields[:0])
+			fields = comp.Split(lf.Key, fields[:0])
 		}
 		emit := func(payload []uint64) bool {
 			start := len(flat)
@@ -636,7 +629,7 @@ func Project(t *IndexedTable, sel []int) [][]uint64 {
 				case c >= nk:
 					flat = append(flat, payload[c-nk])
 				case nk == 1:
-					flat = append(flat, k)
+					flat = append(flat, lf.Key)
 				default:
 					flat = append(flat, fields[c])
 				}
@@ -645,12 +638,12 @@ func Project(t *IndexedTable, sel []int) [][]uint64 {
 			return true
 		}
 		if len(t.Cols) == 0 {
-			for i := 0; i < vals.Len(); i++ {
+			for i := 0; i < lf.Vals.Len(); i++ {
 				emit(nil)
 			}
 			return true
 		}
-		vals.Scan(emit)
+		lf.Vals.Scan(emit)
 		return true
 	})
 	return rows

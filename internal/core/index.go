@@ -17,16 +17,24 @@ package core
 
 import (
 	"qppt/internal/arena"
-	"qppt/internal/duplist"
+	"qppt/internal/freeze"
 	"qppt/internal/kisstree"
 	"qppt/internal/prefixtree"
+	"qppt/internal/spill"
 )
+
+// Leaf is the content node both tree kinds share: a full key and the
+// duplicate list of its payload rows. Operators read lf.Key and &lf.Vals
+// straight from the leaf an index hands them.
+type Leaf = freeze.Leaf
 
 // Index is the common surface of the two prefix-tree index structures QPPT
 // deploys: the generalized prefix tree (arbitrary key width) and the
 // KISS-Tree (32-bit keys). QPPT decides per intermediate index which
 // structure to use, at plan time, based on the key width (paper
-// Section 2.2); NewIndex encodes that decision.
+// Section 2.2); NewIndex encodes that decision. *prefixtree.Tree,
+// *kisstree.Tree and the sharded index over them implement it directly,
+// spill hooks included, so every index can be frozen under a budget.
 type Index interface {
 	// Insert adds one payload row under key (aggregating if the index
 	// was created with a fold function).
@@ -34,15 +42,16 @@ type Index interface {
 	// InsertBatch adds many rows at once, level-synchronously (paper
 	// Section 2.3). rows may be nil for width-0 indexes.
 	InsertBatch(keys []uint64, rows [][]uint64)
-	// Lookup returns the payload rows stored under key, or nil.
-	Lookup(key uint64) *duplist.List
-	// LookupBatch resolves many keys level-synchronously; vals is nil
-	// for absent keys.
-	LookupBatch(keys []uint64, visit func(i int, vals *duplist.List))
-	// Iterate visits all keys in ascending order.
-	Iterate(visit func(key uint64, vals *duplist.List) bool) bool
-	// Range visits all keys in [lo, hi] in ascending order.
-	Range(lo, hi uint64, visit func(key uint64, vals *duplist.List) bool) bool
+	// Lookup returns the leaf of key, or nil. A key outside the index's
+	// key width is a miss.
+	Lookup(key uint64) *Leaf
+	// LookupBatch resolves many keys level-synchronously; lf is nil for
+	// absent keys.
+	LookupBatch(keys []uint64, visit func(i int, lf *Leaf))
+	// Iterate visits all leaves in ascending key order.
+	Iterate(visit func(lf *Leaf) bool) bool
+	// Range visits all leaves with keys in [lo, hi] in ascending order.
+	Range(lo, hi uint64, visit func(lf *Leaf) bool) bool
 	// Keys reports the number of distinct keys.
 	Keys() int
 	// Rows reports the total number of payload rows.
@@ -56,7 +65,14 @@ type Index interface {
 	// Min and Max report the key bounds (ok == false when empty).
 	Min() (uint64, bool)
 	Max() (uint64, bool)
+	spill.Freezer
 }
+
+var (
+	_ Index = (*prefixtree.Tree)(nil)
+	_ Index = (*kisstree.Tree)(nil)
+	_ Index = (*shardedIndex)(nil)
+)
 
 // IndexConfig parameterizes NewIndex.
 type IndexConfig struct {
@@ -82,18 +98,18 @@ func NewIndex(cfg IndexConfig) Index {
 		cfg.KeyBits = 64
 	}
 	if cfg.KeyBits <= kisstree.KeyBits {
-		return kissIndex{kisstree.MustNew(kisstree.Config{
+		return kisstree.MustNew(kisstree.Config{
 			PayloadWidth: cfg.PayloadWidth,
 			Fold:         cfg.Fold,
 			Recycler:     cfg.Recycler,
-		})}
+		})
 	}
-	return ptIndex{prefixtree.MustNew(prefixtree.Config{
+	return prefixtree.MustNew(prefixtree.Config{
 		KeyBits:      cfg.KeyBits,
 		PayloadWidth: cfg.PayloadWidth,
 		Fold:         cfg.Fold,
 		Recycler:     cfg.Recycler,
-	})}
+	})
 }
 
 // NewSortedIndex builds the index NewIndex picks for cfg from payload rows
@@ -105,93 +121,11 @@ func NewIndex(cfg IndexConfig) Index {
 // nil.
 func NewSortedIndex(cfg IndexConfig, keys []uint64, ends []int, rows []uint64) Index {
 	idx := NewIndex(cfg)
-	var insertRun func(key uint64, run []uint64)
-	switch t := idx.(type) {
-	case kissIndex:
-		insertRun = t.t.InsertRun
-	case ptIndex:
-		insertRun = t.t.InsertRun
-	}
+	t := idx.(interface{ InsertRun(uint64, []uint64) }) // either tree kind
 	w, start := cfg.PayloadWidth, 0
 	for i, k := range keys {
-		insertRun(k, rows[start*w:ends[i]*w])
+		t.InsertRun(k, rows[start*w:ends[i]*w])
 		start = ends[i]
 	}
 	return idx
-}
-
-// ptIndex adapts *prefixtree.Tree to Index.
-type ptIndex struct{ t *prefixtree.Tree }
-
-func (p ptIndex) Insert(key uint64, row []uint64)            { p.t.Insert(key, row) }
-func (p ptIndex) InsertBatch(keys []uint64, rows [][]uint64) { p.t.InsertBatch(keys, rows) }
-func (p ptIndex) Keys() int                                  { return p.t.Keys() }
-func (p ptIndex) Rows() int                                  { return p.t.Rows() }
-func (p ptIndex) PayloadWidth() int                          { return p.t.PayloadWidth() }
-func (p ptIndex) KeyBits() uint                              { return p.t.KeyBits() }
-func (p ptIndex) Bytes() int                                 { return p.t.Bytes() }
-func (p ptIndex) Min() (uint64, bool)                        { return p.t.Min() }
-func (p ptIndex) Max() (uint64, bool)                        { return p.t.Max() }
-
-func (p ptIndex) Lookup(key uint64) *duplist.List {
-	if lf := p.t.Lookup(key); lf != nil {
-		return &lf.Vals
-	}
-	return nil
-}
-
-func (p ptIndex) LookupBatch(keys []uint64, visit func(i int, vals *duplist.List)) {
-	p.t.LookupBatch(keys, func(i int, lf *prefixtree.Leaf) {
-		if lf != nil {
-			visit(i, &lf.Vals)
-		} else {
-			visit(i, nil)
-		}
-	})
-}
-
-func (p ptIndex) Iterate(visit func(key uint64, vals *duplist.List) bool) bool {
-	return p.t.Iterate(func(lf *prefixtree.Leaf) bool { return visit(lf.Key, &lf.Vals) })
-}
-
-func (p ptIndex) Range(lo, hi uint64, visit func(key uint64, vals *duplist.List) bool) bool {
-	return p.t.Range(lo, hi, func(lf *prefixtree.Leaf) bool { return visit(lf.Key, &lf.Vals) })
-}
-
-// kissIndex adapts *kisstree.Tree to Index.
-type kissIndex struct{ t *kisstree.Tree }
-
-func (k kissIndex) Insert(key uint64, row []uint64)            { k.t.Insert(key, row) }
-func (k kissIndex) InsertBatch(keys []uint64, rows [][]uint64) { k.t.InsertBatch(keys, rows) }
-func (k kissIndex) Keys() int                                  { return k.t.Keys() }
-func (k kissIndex) Rows() int                                  { return k.t.Rows() }
-func (k kissIndex) PayloadWidth() int                          { return k.t.PayloadWidth() }
-func (k kissIndex) KeyBits() uint                              { return kisstree.KeyBits }
-func (k kissIndex) Bytes() int                                 { return k.t.Bytes() }
-func (k kissIndex) Min() (uint64, bool)                        { return k.t.Min() }
-func (k kissIndex) Max() (uint64, bool)                        { return k.t.Max() }
-
-func (k kissIndex) Lookup(key uint64) *duplist.List {
-	if lf := k.t.Lookup(key); lf != nil {
-		return &lf.Vals
-	}
-	return nil
-}
-
-func (k kissIndex) LookupBatch(keys []uint64, visit func(i int, vals *duplist.List)) {
-	k.t.LookupBatch(keys, func(i int, lf *kisstree.Leaf) {
-		if lf != nil {
-			visit(i, &lf.Vals)
-		} else {
-			visit(i, nil)
-		}
-	})
-}
-
-func (k kissIndex) Iterate(visit func(key uint64, vals *duplist.List) bool) bool {
-	return k.t.Iterate(func(lf *kisstree.Leaf) bool { return visit(lf.Key, &lf.Vals) })
-}
-
-func (k kissIndex) Range(lo, hi uint64, visit func(key uint64, vals *duplist.List) bool) bool {
-	return k.t.Range(lo, hi, func(lf *kisstree.Leaf) bool { return visit(lf.Key, &lf.Vals) })
 }

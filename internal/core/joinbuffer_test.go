@@ -35,7 +35,7 @@ func (tb *jbTable) attr(a string) int {
 func (tb *jbTable) indexed(name string) *IndexedTable {
 	var idx Index
 	if tb.pt {
-		idx = ptIndex{prefixtree.MustNew(prefixtree.Config{KeyBits: 16, PayloadWidth: len(tb.cols)})}
+		idx = prefixtree.MustNew(prefixtree.Config{KeyBits: 16, PayloadWidth: len(tb.cols)})
 	} else {
 		idx = NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: len(tb.cols)})
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"qppt/internal/duplist"
-)
+import "fmt"
 
 // An Operator is one node of a QPPT execution plan. Operators form a DAG;
 // each produces exactly one intermediate indexed table, already indexed on
@@ -111,18 +107,18 @@ func predBounds(pred KeyPred, in *IndexedTable) boundsFn {
 func feedScan(p *pipeline, in *IndexedTable, pred KeyPred) {
 	comp := in.Key.Composer()
 	ctx := make([]uint64, p.layout.width)
-	scan := func(k uint64, vals *duplist.List) bool {
+	scan := func(lf *Leaf) bool {
 		if p.aborted() {
 			return false // query cancelled; the partial output is discarded
 		}
-		p.layout.fillKey(ctx, 0, k, comp)
+		p.layout.fillKey(ctx, 0, lf.Key, comp)
 		if len(in.Cols) == 0 {
-			for n := 0; n < vals.Len(); n++ {
+			for n := 0; n < lf.Vals.Len(); n++ {
 				p.feed(ctx)
 			}
 			return true
 		}
-		vals.Scan(func(row []uint64) bool {
+		lf.Vals.Scan(func(row []uint64) bool {
 			p.layout.fillRow(ctx, 0, row)
 			p.feed(ctx)
 			return true
@@ -202,22 +198,22 @@ func (j *Join) scan(inputs []*IndexedTable) scanFn {
 	return func(p *pipeline, lo, hi uint64, _ bool) {
 		lComp, rComp := left.Key.Composer(), right.Key.Composer()
 		ctx := make([]uint64, p.layout.width)
-		visit := func(k uint64, lv, rv *duplist.List) bool {
+		visit := func(ll, rl *Leaf) bool {
 			if p.aborted() {
 				return false // query cancelled; the partial output is discarded
 			}
-			p.layout.fillKey(ctx, 0, k, lComp)
-			p.layout.fillKey(ctx, 1, k, rComp)
+			p.layout.fillKey(ctx, 0, ll.Key, lComp)
+			p.layout.fillKey(ctx, 1, ll.Key, rComp)
 			// Cross product of the matching content nodes, nested-loop style.
 			if len(left.Cols) == 0 {
-				for n := 0; n < lv.Len(); n++ {
-					crossRight(p.layout, ctx, right, rv, p.feed)
+				for n := 0; n < ll.Vals.Len(); n++ {
+					crossRight(p.layout, ctx, right, rl, p.feed)
 				}
 				return true
 			}
-			lv.Scan(func(lrow []uint64) bool {
+			ll.Vals.Scan(func(lrow []uint64) bool {
 				p.layout.fillRow(ctx, 0, lrow)
-				crossRight(p.layout, ctx, right, rv, p.feed)
+				crossRight(p.layout, ctx, right, rl, p.feed)
 				return true
 			})
 			return true
@@ -232,14 +228,14 @@ func (j *Join) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, erro
 	return runMorsels(ec, &j.Out, bounds, pipe, j.scan(inputs))
 }
 
-func crossRight(layout ctxLayout, ctx []uint64, right *IndexedTable, rv *duplist.List, feed func([]uint64)) {
+func crossRight(layout ctxLayout, ctx []uint64, right *IndexedTable, rl *Leaf, feed func([]uint64)) {
 	if len(right.Cols) == 0 {
-		for n := 0; n < rv.Len(); n++ {
+		for n := 0; n < rl.Vals.Len(); n++ {
 			feed(ctx)
 		}
 		return
 	}
-	rv.Scan(func(rrow []uint64) bool {
+	rl.Vals.Scan(func(rrow []uint64) bool {
 		layout.fillRow(ctx, 1, rrow)
 		feed(ctx)
 		return true

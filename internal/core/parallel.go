@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"qppt/internal/arena"
-	"qppt/internal/duplist"
 	"qppt/internal/kisstree"
 	"qppt/internal/prefixtree"
 	"qppt/internal/spill"
@@ -85,42 +84,32 @@ func intersectPred(pred KeyPred, lo, hi uint64) KeyPred {
 }
 
 // syncScanKeyRange runs the synchronous index scan over two indexes,
-// visiting every key in [lo, hi] present in both along with both payload
-// lists, in ascending key order. When both indexes are the same tree kind
+// visiting the leaves of every key in [lo, hi] present in both, in
+// ascending key order. When both indexes are the same tree kind
 // with the same geometry the native skip-scan kernels are used; otherwise
 // (mixed kinds or differing prefix lengths) it range-scans the smaller
 // index and probes the larger one — the same asymmetry the select-join
 // exploits. A serial scan passes syncScanBounds, a morsel its partition.
-func syncScanKeyRange(a, b Index, lo, hi uint64, visit func(key uint64, va, vb *duplist.List) bool) bool {
+func syncScanKeyRange(a, b Index, lo, hi uint64, visit func(la, lb *Leaf) bool) bool {
 	switch ai := a.(type) {
-	case ptIndex:
-		if bi, isPT := b.(ptIndex); isPT && ai.t.PrefixLen() == bi.t.PrefixLen() && ai.t.KeyBits() == bi.t.KeyBits() {
-			return prefixtree.SyncScan(ai.t, bi.t, lo, hi, func(la, lb *prefixtree.Leaf) bool {
-				return visit(la.Key, &la.Vals, &lb.Vals)
-			})
+	case *prefixtree.Tree:
+		if bi, isPT := b.(*prefixtree.Tree); isPT && ai.PrefixLen() == bi.PrefixLen() && ai.KeyBits() == bi.KeyBits() {
+			return prefixtree.SyncScan(ai, bi, lo, hi, visit)
 		}
-	case kissIndex:
-		if bi, isKiss := b.(kissIndex); isKiss {
-			return kisstree.SyncScan(ai.t, bi.t, lo, hi, func(la, lb *kisstree.Leaf) bool {
-				return visit(la.Key, &la.Vals, &lb.Vals)
-			})
+	case *kisstree.Tree:
+		if bi, isKiss := b.(*kisstree.Tree); isKiss {
+			return kisstree.SyncScan(ai, bi, lo, hi, visit)
 		}
 	}
-	small, large := a, b
-	swapped := false
 	if b.Keys() < a.Keys() {
-		small, large = b, a
-		swapped = true
+		return b.Range(lo, hi, func(lb *Leaf) bool {
+			la := a.Lookup(lb.Key)
+			return la == nil || visit(la, lb)
+		})
 	}
-	return small.Range(lo, hi, func(key uint64, vs *duplist.List) bool {
-		vl := large.Lookup(key)
-		if vl == nil {
-			return true
-		}
-		if swapped {
-			return visit(key, vl, vs)
-		}
-		return visit(key, vs, vl)
+	return a.Range(lo, hi, func(la *Leaf) bool {
+		lb := b.Lookup(la.Key)
+		return lb == nil || visit(la, lb)
 	})
 }
 
@@ -312,21 +301,21 @@ func mergeRangeInto(ec *ExecContext, idx Index, spec *OutputSpec, partials []*In
 		if cancelled {
 			break
 		}
-		p.Idx.Range(lo, hi, func(k uint64, vals *duplist.List) bool {
+		p.Idx.Range(lo, hi, func(lf *Leaf) bool {
 			if poll() {
 				return false
 			}
 			if len(spec.Cols) == 0 {
-				for n := 0; n < vals.Len(); n++ {
-					keys = append(keys, k)
+				for n := 0; n < lf.Vals.Len(); n++ {
+					keys = append(keys, lf.Key)
 					if len(keys) == cap(keys) {
 						flush()
 					}
 				}
 				return true
 			}
-			vals.Scan(func(row []uint64) bool {
-				keys = append(keys, k)
+			lf.Vals.Scan(func(row []uint64) bool {
+				keys = append(keys, lf.Key)
 				rows = append(rows, row)
 				if len(keys) == cap(keys) {
 					flush()
@@ -422,23 +411,14 @@ func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*Indexe
 		return mergePartials(ec, spec, partials, ec.rec)
 	}
 	// Under a memory budget the worker partials are spillable state like
-	// any other intermediate: register them with the manager (all or
-	// nothing — an unfreezable index kind keeps every partial resident)
-	// so a large merge does not hold the full partial population resident.
-	// Each merge task then pins every partial for its range's merge.
+	// any other intermediate: register them with the manager so a large
+	// merge does not hold the full partial population resident. Each
+	// merge task then pins every partial for its range's merge.
 	var phs []*spill.Handle
 	if ec.spill != nil {
 		phs = make([]*spill.Handle, len(partials))
 		for i, p := range partials {
-			fz := freezerOf(p.Idx)
-			if fz == nil {
-				for _, h := range phs[:i] {
-					h.Drop()
-				}
-				phs = nil
-				break
-			}
-			phs[i] = ec.spill.Register("partial:"+spec.Name, fz, p.Idx.Bytes)
+			phs[i] = ec.spill.Register("partial:"+spec.Name, p.Idx, p.Idx.Bytes)
 		}
 	}
 	shards := make([]Index, len(los))

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"qppt/internal/duplist"
 	"qppt/internal/prefixtree"
 )
 
@@ -82,7 +81,7 @@ func TestSyncScanMorselsCoverSyncScan(t *testing.T) {
 	}{
 		{"kiss-kiss", NewIndex(IndexConfig{KeyBits: 20}), NewIndex(IndexConfig{KeyBits: 20})},
 		{"pt-pt", NewIndex(IndexConfig{KeyBits: 40}), NewIndex(IndexConfig{KeyBits: 40})},
-		{"mixed", NewIndex(IndexConfig{KeyBits: 20}), ptIndex{prefixtree.MustNew(prefixtree.Config{KeyBits: 20})}},
+		{"mixed", NewIndex(IndexConfig{KeyBits: 20}), prefixtree.MustNew(prefixtree.Config{KeyBits: 20})},
 	}
 	for _, cfg := range configs {
 		a, b := cfg.a, cfg.b
@@ -91,9 +90,9 @@ func TestSyncScanMorselsCoverSyncScan(t *testing.T) {
 			b.Insert(uint64(rng.Intn(50000)), nil)
 		}
 		want := map[uint64]bool{}
-		a.Iterate(func(k uint64, _ *duplist.List) bool {
-			if b.Lookup(k) != nil {
-				want[k] = true
+		a.Iterate(func(lf *Leaf) bool {
+			if b.Lookup(lf.Key) != nil {
+				want[lf.Key] = true
 			}
 			return true
 		})
@@ -108,7 +107,8 @@ func TestSyncScanMorselsCoverSyncScan(t *testing.T) {
 				if !ok {
 					continue
 				}
-				syncScanKeyRange(a, b, pLo, pHi, func(k uint64, _, _ *duplist.List) bool {
+				syncScanKeyRange(a, b, pLo, pHi, func(la, _ *Leaf) bool {
+					k := la.Key
 					if got[k] {
 						t.Fatalf("%s parts=%d: key %d visited twice", cfg.name, parts, k)
 					}
@@ -205,9 +205,9 @@ func TestWorkersOnNonAggregatingSelection(t *testing.T) {
 	}
 	count := func(t2 *IndexedTable) map[[2]uint64]int {
 		m := map[[2]uint64]int{}
-		t2.Idx.Iterate(func(k uint64, vals *duplist.List) bool {
-			vals.Scan(func(row []uint64) bool {
-				m[[2]uint64{k, row[0]}]++
+		t2.Idx.Iterate(func(lf *Leaf) bool {
+			lf.Vals.Scan(func(row []uint64) bool {
+				m[[2]uint64{lf.Key, row[0]}]++
 				return true
 			})
 			return true
@@ -313,10 +313,11 @@ func assertSameTable(t *testing.T, a, b *IndexedTable) {
 	collect := func(tb *IndexedTable) ([]uint64, map[uint64]map[[2]uint64]int) {
 		var order []uint64
 		rows := map[uint64]map[[2]uint64]int{}
-		tb.Idx.Iterate(func(k uint64, vals *duplist.List) bool {
+		tb.Idx.Iterate(func(lf *Leaf) bool {
+			k := lf.Key
 			order = append(order, k)
 			m := map[[2]uint64]int{}
-			vals.Scan(func(row []uint64) bool {
+			lf.Vals.Scan(func(row []uint64) bool {
 				var cell [2]uint64
 				copy(cell[:], row)
 				m[cell]++
@@ -375,8 +376,8 @@ func TestShardedIndexSemantics(t *testing.T) {
 		probes = append(probes, uint64(rng.Intn(1<<30)))
 	}
 	hits := 0
-	plain.Idx.Iterate(func(k uint64, _ *duplist.List) bool {
-		probes = append(probes, k)
+	plain.Idx.Iterate(func(lf *Leaf) bool {
+		probes = append(probes, lf.Key)
 		hits++
 		return hits < 2000
 	})
@@ -385,20 +386,20 @@ func TestShardedIndexSemantics(t *testing.T) {
 		if (a == nil) != (b == nil) {
 			t.Fatalf("Lookup(%d) presence differs", k)
 		}
-		if a != nil && a.Len() != b.Len() {
+		if a != nil && a.Vals.Len() != b.Vals.Len() {
 			t.Fatalf("Lookup(%d) multiplicity differs", k)
 		}
 	}
 	got := map[int]int{}
-	sh.LookupBatch(probes, func(i int, vals *duplist.List) {
-		if vals != nil {
-			got[i] = vals.Len()
+	sh.LookupBatch(probes, func(i int, lf *Leaf) {
+		if lf != nil {
+			got[i] = lf.Vals.Len()
 		}
 	})
 	want := map[int]int{}
-	plain.Idx.LookupBatch(probes, func(i int, vals *duplist.List) {
-		if vals != nil {
-			want[i] = vals.Len()
+	plain.Idx.LookupBatch(probes, func(i int, lf *Leaf) {
+		if lf != nil {
+			want[i] = lf.Vals.Len()
 		}
 	})
 	if !reflect.DeepEqual(got, want) {
@@ -410,12 +411,12 @@ func TestShardedIndexSemantics(t *testing.T) {
 		lo := uint64(rng.Intn(1 << 30))
 		hi := lo + uint64(rng.Intn(1<<28))
 		var a, b []uint64
-		plain.Idx.Range(lo, min(hi, keySpaceMax(32)), func(k uint64, _ *duplist.List) bool {
-			a = append(a, k)
+		plain.Idx.Range(lo, min(hi, keySpaceMax(32)), func(lf *Leaf) bool {
+			a = append(a, lf.Key)
 			return true
 		})
-		sh.Range(lo, min(hi, keySpaceMax(32)), func(k uint64, _ *duplist.List) bool {
-			b = append(b, k)
+		sh.Range(lo, min(hi, keySpaceMax(32)), func(lf *Leaf) bool {
+			b = append(b, lf.Key)
 			return true
 		})
 		if !reflect.DeepEqual(a, b) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"qppt/internal/arena"
-	"qppt/internal/duplist"
 	"qppt/internal/key"
 )
 
@@ -136,8 +135,8 @@ type probeStage struct {
 	keys  []uint64
 	rows  [][]uint64
 	high  int
-	used  int                             // slots of this stage's region handed out
-	visit func(j int, vals *duplist.List) // the LookupBatch visitor, built once
+	used  int                   // slots of this stage's region handed out
+	visit func(j int, lf *Leaf) // the LookupBatch visitor, built once
 }
 
 // A sink materializes combinations into the output index: it assembles the
@@ -259,7 +258,7 @@ func (p *pipeline) addProbe(input int, probeOff int) {
 		probeOff: probeOff,
 		comp:     p.layout.inputs[input].Key.Composer(),
 	}
-	st.visit = func(j int, vals *duplist.List) { p.hit(s, j, vals) }
+	st.visit = func(j int, lf *Leaf) { p.hit(s, j, lf) }
 	p.stages = append(p.stages, st)
 }
 
@@ -355,8 +354,8 @@ func newKeyFilter(rec *arena.Recycler, idx Index) *keyFilter {
 	}
 	n := int(span>>6) + 1
 	words := arena.NewChunk[uint64](rec, n)[:n]
-	idx.Iterate(func(k uint64, _ *duplist.List) bool {
-		d := k - lo
+	idx.Iterate(func(lf *Leaf) bool {
+		d := lf.Key - lo
 		words[d>>6] |= 1 << (d & 63)
 		return true
 	})
@@ -522,18 +521,18 @@ func (p *pipeline) flushStage(s int) {
 	}
 }
 
-// hit extends entry j of stage s's joinbuffer with the rows vals holds for
-// its key (nil: a miss, which drops the combination) and passes the results
-// on in row order. Slot r is the entry's combination. A late entry still
-// has to take the previous stage's row and shares r with its siblings, so
-// it is copied before it is written — unless the next stop is the sink,
-// which copies each combination out right away.
-func (p *pipeline) hit(s, j int, vals *duplist.List) {
-	if vals == nil {
+// hit extends entry j of stage s's joinbuffer with the rows of lf, the
+// leaf of its key (nil: a miss, which drops the combination), and passes
+// the results on in row order. Slot r is the entry's combination. A late
+// entry still has to take the previous stage's row and shares r with its
+// siblings, so it is copied before it is written — unless the next stop
+// is the sink, which copies each combination out right away.
+func (p *pipeline) hit(s, j int, lf *Leaf) {
+	if lf == nil {
 		return
 	}
 	st := p.stages[s]
-	r, k := st.sel[j], st.keys[j]
+	r, k, vals := st.sel[j], lf.Key, &lf.Vals
 	var lateRow []uint64
 	if st.late {
 		lateRow = st.rows[j]

@@ -93,19 +93,3 @@ func TestRecycleDropsOnlyAfterLastConsumer(t *testing.T) {
 		t.Fatalf("selection output never recycled: %+v", stats)
 	}
 }
-
-// An index kind that cannot freeze must simply never be registered with
-// the spill manager (stay resident); freezerOf is the gate.
-func TestFreezerOfUnspillableKind(t *testing.T) {
-	plain := struct{ Index }{NewIndex(IndexConfig{KeyBits: 16})}
-	if freezerOf(plain) != nil {
-		t.Fatal("wrapper without spill hooks reported as freezable")
-	}
-	if freezerOf(NewIndex(IndexConfig{KeyBits: 16})) == nil {
-		t.Fatal("prefix-tree index kind not freezable")
-	}
-	sh := newShardedIndex([]Index{plain}, []uint64{0}, []uint64{^uint64(0)}, 64)
-	if freezerOf(sh) != nil {
-		t.Fatal("sharded index over an unspillable shard reported as freezable")
-	}
-}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"qppt/internal/duplist"
-)
+import "sort"
 
 // A shardedIndex presents several disjoint-key-range sub-indexes as one
 // Index. It is the output shape of the parallel partition-wise merge
@@ -59,13 +55,13 @@ func (s *shardedIndex) InsertBatch(keys []uint64, rows [][]uint64) {
 	}
 }
 
-func (s *shardedIndex) Lookup(key uint64) *duplist.List {
+func (s *shardedIndex) Lookup(key uint64) *Leaf {
 	return s.shards[s.shard(key)].Lookup(key)
 }
 
 // LookupBatch groups the probe keys by shard so the per-shard batches keep
 // the level-synchronized lookup kernels effective.
-func (s *shardedIndex) LookupBatch(keys []uint64, visit func(i int, vals *duplist.List)) {
+func (s *shardedIndex) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
 	if len(keys) == 0 {
 		return
 	}
@@ -81,13 +77,13 @@ func (s *shardedIndex) LookupBatch(keys []uint64, visit func(i int, vals *duplis
 			continue
 		}
 		pos := subPos[si]
-		s.shards[si].LookupBatch(sk, func(j int, vals *duplist.List) {
-			visit(pos[j], vals)
+		s.shards[si].LookupBatch(sk, func(j int, lf *Leaf) {
+			visit(pos[j], lf)
 		})
 	}
 }
 
-func (s *shardedIndex) Iterate(visit func(key uint64, vals *duplist.List) bool) bool {
+func (s *shardedIndex) Iterate(visit func(lf *Leaf) bool) bool {
 	for _, sh := range s.shards {
 		if !sh.Iterate(visit) {
 			return false
@@ -96,7 +92,7 @@ func (s *shardedIndex) Iterate(visit func(key uint64, vals *duplist.List) bool) 
 	return true
 }
 
-func (s *shardedIndex) Range(lo, hi uint64, visit func(key uint64, vals *duplist.List) bool) bool {
+func (s *shardedIndex) Range(lo, hi uint64, visit func(lf *Leaf) bool) bool {
 	if lo > hi {
 		return true
 	}

@@ -1,25 +1,13 @@
 package core
 
-import (
-	"io"
-
-	"qppt/internal/spill"
-)
+import "io"
 
 // Spill support for intermediate indexes (paper motivation: QPPT builds an
 // index per operator, so total intermediate-index footprint — not the base
-// tables — caps the runnable scale factor). The index adapters forward the
-// trees' freeze/thaw chunk hooks, and the executor registers every
-// non-base operator output with the Env's spill.Manager when
-// EnvConfig.MemBudget is set.
-
-func (p ptIndex) WriteSnapshot(w io.Writer) error { return p.t.WriteSnapshot(w) }
-func (p ptIndex) Release()                        { p.t.Release() }
-func (p ptIndex) Thaw(r io.Reader) error          { return p.t.Thaw(r) }
-
-func (k kissIndex) WriteSnapshot(w io.Writer) error { return k.t.WriteSnapshot(w) }
-func (k kissIndex) Release()                        { k.t.Release() }
-func (k kissIndex) Thaw(r io.Reader) error          { return k.t.Thaw(r) }
+// tables — caps the runnable scale factor). Every Index is a spill.Freezer:
+// the trees carry their own freeze/thaw chunk hooks, and the sharded index
+// below chains its shards'. The executor registers every non-base operator
+// output with the Env's spill.Manager when EnvConfig.MemBudget is set.
 
 // WriteSnapshot writes every shard into one stream, in shard order; the
 // merge bounds, key ranges and counters stay resident. Because no shard
@@ -27,7 +15,7 @@ func (k kissIndex) Thaw(r io.Reader) error          { return k.t.Thaw(r) }
 // shard intact. Thaw restores the shards in the same order.
 func (s *shardedIndex) WriteSnapshot(w io.Writer) error {
 	for _, sh := range s.shards {
-		if err := sh.(spill.Freezer).WriteSnapshot(w); err != nil {
+		if err := sh.WriteSnapshot(w); err != nil {
 			return err
 		}
 	}
@@ -36,7 +24,7 @@ func (s *shardedIndex) WriteSnapshot(w io.Writer) error {
 
 func (s *shardedIndex) Release() {
 	for _, sh := range s.shards {
-		sh.(spill.Freezer).Release()
+		sh.Release()
 	}
 }
 
@@ -46,28 +34,10 @@ func (s *shardedIndex) Release() {
 // and their bytes to the budget accounting.
 func (s *shardedIndex) Thaw(r io.Reader) error {
 	for _, sh := range s.shards {
-		if err := sh.(spill.Freezer).Thaw(r); err != nil {
+		if err := sh.Thaw(r); err != nil {
 			s.Release()
 			return err
 		}
-	}
-	return nil
-}
-
-// freezerOf returns the index's spill hook, or nil for index kinds that
-// cannot detach their storage (none of the built-in kinds today; the
-// check keeps custom Index implementations safely resident).
-func freezerOf(idx Index) spill.Freezer {
-	switch v := idx.(type) {
-	case *shardedIndex:
-		for _, sh := range v.shards {
-			if freezerOf(sh) == nil {
-				return nil
-			}
-		}
-		return v
-	case spill.Freezer:
-		return v
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 
 	"qppt/internal/arena"
 	"qppt/internal/arena/arenatest"
-	"qppt/internal/duplist"
 	"qppt/internal/kisstree"
 	"qppt/internal/prefixtree"
 )
@@ -24,38 +23,45 @@ import (
 // shard's bound, so Insert/Lookup panicked with index-out-of-range. The
 // last shard's range is documented as extended to the key-space maximum;
 // keys at and beyond it must clamp there and behave like any other key.
+// Both shard kinds: KISS-Tree shards accept any 32-bit key, prefix-tree
+// shards must answer a probe past their key width as a miss.
 func TestShardedIndexClampRouting(t *testing.T) {
-	const bits = uint(16)
-	max := keySpaceMax(bits)
-	mk := func() Index { return NewIndex(IndexConfig{KeyBits: bits, PayloadWidth: 1}) }
-	a, b := mk(), mk()
-	a.Insert(5, []uint64{50})
-	b.Insert(max, []uint64{99})
-	s := newShardedIndex([]Index{a, b}, []uint64{0, 0x8000}, []uint64{0x7fff, max}, bits)
+	for _, bits := range []uint{16, 40} {
+		max := keySpaceMax(bits)
+		mk := func() Index { return NewIndex(IndexConfig{KeyBits: bits, PayloadWidth: 1}) }
+		a, b := mk(), mk()
+		a.Insert(5, []uint64{50})
+		b.Insert(max, []uint64{99})
+		s := newShardedIndex([]Index{a, b}, []uint64{0, max/2 + 1}, []uint64{max / 2, max}, bits)
 
-	// At the key-space maximum: owned by the last shard.
-	if v := s.Lookup(max); v == nil || v.First()[0] != 99 {
-		t.Fatalf("Lookup(max) = %v, want the stored row", v)
-	}
-	// Beyond it (e.g. a probe attribute wider than the index key): must
-	// clamp to the last shard and read as a miss — no panic.
-	if v := s.Lookup(max + 1); v != nil {
-		t.Fatalf("Lookup(max+1) = %v, want nil", v)
-	}
-	got := map[int]uint64{}
-	s.LookupBatch([]uint64{5, max, max + 12345}, func(i int, vals *duplist.List) {
-		if vals != nil {
-			got[i] = vals.First()[0]
+		// At the key-space maximum: owned by the last shard.
+		if lf := s.Lookup(max); lf == nil || lf.Vals.First()[0] != 99 {
+			t.Fatalf("%d bits: Lookup(max) = %v, want the stored row", bits, lf)
 		}
-	})
-	if !reflect.DeepEqual(got, map[int]uint64{0: 50, 1: 99}) {
-		t.Fatalf("LookupBatch beyond max = %v", got)
-	}
-	// Inserts beyond the bound clamp into the last shard and stay findable
-	// (the KISS shard accepts any 32-bit key; routing must not panic).
-	s.Insert(max+2, []uint64{7})
-	if v := s.Lookup(max + 2); v == nil || v.First()[0] != 7 {
-		t.Fatal("Insert beyond max not routed to the last shard")
+		// Beyond it (e.g. a probe attribute wider than the index key): must
+		// clamp to the last shard and read as a miss — no panic.
+		if lf := s.Lookup(max + 1); lf != nil {
+			t.Fatalf("%d bits: Lookup(max+1) = %v, want nil", bits, lf)
+		}
+		got := map[int]uint64{}
+		s.LookupBatch([]uint64{5, max, max + 12345}, func(i int, lf *Leaf) {
+			if lf != nil {
+				got[i] = lf.Vals.First()[0]
+			}
+		})
+		if !reflect.DeepEqual(got, map[int]uint64{0: 50, 1: 99}) {
+			t.Fatalf("%d bits: LookupBatch beyond max = %v", bits, got)
+		}
+		if bits > kisstree.KeyBits {
+			continue // a prefix-tree shard rejects a key past its width
+		}
+		// Inserts beyond the bound clamp into the last shard and stay
+		// findable (the KISS shard accepts any 32-bit key; routing must
+		// not panic).
+		s.Insert(max+2, []uint64{7})
+		if lf := s.Lookup(max + 2); lf == nil || lf.Vals.First()[0] != 7 {
+			t.Fatalf("%d bits: Insert beyond max not routed to the last shard", bits)
+		}
 	}
 }
 
@@ -79,19 +85,14 @@ func TestShardedIndexFreezeThaw(t *testing.T) {
 	}
 	plain, _ := mergePartials(nil, spec, partials, nil)
 
-	fz := freezerOf(merged.Idx)
-	if fz == nil {
-		t.Fatal("sharded index over arena shards not spillable")
-	}
 	var buf bytes.Buffer
-	if err := fz.WriteSnapshot(&buf); err != nil {
+	if err := sh.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	fz.Release()
-	if err := fz.Thaw(&buf); err != nil {
+	sh.Release()
+	if err := sh.Thaw(&buf); err != nil {
 		t.Fatalf("Thaw: %v", err)
 	}
-	_ = sh
 	assertSameTable(t, plain, merged)
 }
 
@@ -370,10 +371,10 @@ func TestSpillLiveness(t *testing.T) {
 // frozen reports whether a tree-backed index's storage is detached.
 func frozen(idx Index) bool {
 	switch v := idx.(type) {
-	case ptIndex:
-		return v.t.Frozen()
-	case kissIndex:
-		return v.t.Frozen()
+	case *prefixtree.Tree:
+		return v.Frozen()
+	case *kisstree.Tree:
+		return v.Frozen()
 	}
 	return false
 }
@@ -472,8 +473,8 @@ func TestShardedThawTruncatedAnywhere(t *testing.T) {
 	var shards []Index
 	var los, his []uint64
 	for i, idx := range []Index{
-		ptIndex{prefixtree.MustNew(prefixtree.Config{KeyBits: bits, PayloadWidth: 1, Recycler: rec})},
-		kissIndex{kisstree.MustNew(kisstree.Config{PayloadWidth: 1, Recycler: rec})},
+		prefixtree.MustNew(prefixtree.Config{KeyBits: bits, PayloadWidth: 1, Recycler: rec}),
+		kisstree.MustNew(kisstree.Config{PayloadWidth: 1, Recycler: rec}),
 	} {
 		lo := uint64(i) << 22
 		for k := uint64(0); k < 9000; k++ {
@@ -484,8 +485,8 @@ func TestShardedThawTruncatedAnywhere(t *testing.T) {
 	sh := newShardedIndex(shards, los, his, bits)
 	collect := func() map[uint64][][]uint64 {
 		m := map[uint64][][]uint64{}
-		sh.Iterate(func(k uint64, vals *duplist.List) bool {
-			m[k] = vals.Rows()
+		sh.Iterate(func(lf *Leaf) bool {
+			m[lf.Key] = lf.Vals.Rows()
 			return true
 		})
 		return m

@@ -6,7 +6,6 @@ import (
 
 	"qppt/internal/arena"
 	"qppt/internal/key"
-	"qppt/internal/spill"
 )
 
 // A KeySpec declares what an indexed table is indexed on: one attribute, or
@@ -95,16 +94,15 @@ type IndexedTable struct {
 // result once the rows are extracted, so a query's result index is
 // recycled like any other. Release is idempotent, and a no-op for anything
 // that is not a pool-backed operator output: catalog base indexes, a nil
-// table (a failed or cancelled plan has none).
-// A frozen (spilled) index holds no chunks, so releasing it does nothing.
+// table (a failed or cancelled plan has none). Otherwise it calls the
+// index's own spill.Freezer Release, which every Index has; a frozen
+// (spilled) index holds no chunks, so releasing it does nothing.
 func (t *IndexedTable) Release() {
 	if t == nil || !t.pooled {
 		return
 	}
 	t.pooled = false
-	if fz, ok := t.Idx.(spill.Freezer); ok {
-		fz.Release()
-	}
+	t.Idx.Release()
 }
 
 // newOutputTable wraps an operator's output index built against rec (nil:

@@ -31,7 +31,8 @@ func getPtrs(n int) *[]uint32 {
 }
 
 // LookupBatch resolves all keys and calls visit(i, leaf) for each, in
-// batch order, where leaf is nil for absent keys.
+// batch order, where leaf is nil for absent keys; a key past 32 bits is
+// absent.
 func (t *Tree) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
 	if len(keys) == 0 {
 		return
@@ -44,7 +45,11 @@ func (t *Tree) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
 	// per key.
 	lastIdx, lastPtr, haveLast := uint32(0), uint32(0), false
 	for i, key := range keys {
-		idx := checkKey(key) >> leafBits
+		if wide(key) {
+			ptrs[i] = 0
+			continue
+		}
+		idx := uint32(key) >> leafBits
 		if !haveLast || idx != lastIdx {
 			lastIdx, lastPtr, haveLast = idx, t.rootGet(idx), true
 		}

@@ -136,12 +136,21 @@ func (t *Tree) Rows() int { return t.rows }
 // PayloadWidth reports the payload row width in uint64 words.
 func (t *Tree) PayloadWidth() int { return t.cfg.PayloadWidth }
 
+// KeyBits reports the key width in bits, the constant KeyBits.
+func (t *Tree) KeyBits() uint { return KeyBits }
+
+// checkKey narrows an inserted key to 32 bits and panics on a wider one,
+// which no KISS-Tree can store. The read paths answer such a key as a
+// miss instead (wide).
 func checkKey(key uint64) uint32 {
-	if key >= 1<<KeyBits {
+	if wide(key) {
 		panic(fmt.Sprintf("kisstree: key %#x exceeds 32 bits", key))
 	}
 	return uint32(key)
 }
+
+// wide reports whether key lies outside the 32-bit key space.
+func wide(key uint64) bool { return key >= 1<<KeyBits }
 
 // rootGet reads a root bucket through the page directory; untouched
 // chunks read as empty.
@@ -251,9 +260,13 @@ func (t *Tree) newLeaf(k uint32) uint32 {
 	return lp
 }
 
-// Lookup returns the leaf for key, or nil if absent.
+// Lookup returns the leaf for key, or nil if absent. A key past 32 bits
+// is absent.
 func (t *Tree) Lookup(key uint64) *Leaf {
-	k := checkKey(key)
+	if wide(key) {
+		return nil
+	}
+	k := uint32(key)
 	ptr := t.rootGet(k >> leafBits)
 	if ptr == 0 {
 		return nil

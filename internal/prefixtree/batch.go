@@ -54,21 +54,24 @@ func getJobs(n int) *[]lookupJob {
 }
 
 // LookupBatch resolves all keys and calls visit(i, leaf) for each, in
-// batch order, where leaf is nil for absent keys. The traversal is
-// level-synchronous: every pass advances every unfinished job by one tree
-// level, so the node loads within a pass are independent and their cache
-// misses overlap.
+// batch order, where leaf is nil for absent keys (a key wider than KeyBits
+// among them). The traversal is level-synchronous: every pass advances
+// every unfinished job by one tree level, so the node loads within a pass
+// are independent and their cache misses overlap.
 func (t *Tree) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
 	if len(keys) == 0 {
 		return
 	}
 	jp := getJobs(len(keys))
 	jobs := *jp
-	for i, k := range keys {
-		t.checkKey(k)
-		jobs[i] = lookupJob{key: k, node: rootNode}
-	}
 	pending := len(jobs)
+	for i, k := range keys {
+		jobs[i] = lookupJob{key: k, node: rootNode}
+		if t.wide(k) {
+			jobs[i].node = jobDone
+			pending--
+		}
+	}
 	for level := 0; pending > 0; level++ {
 		// Key-sorted batches place jobs that share a tree prefix next to
 		// each other; memoizing the last (node, fragment) slot read walks

@@ -178,13 +178,18 @@ func (t *Tree) KeyBits() uint { return t.cfg.KeyBits }
 // PrefixLen reports k′.
 func (t *Tree) PrefixLen() uint { return t.cfg.PrefixLen }
 
-// checkKey panics if key has bits outside the configured key width; such a
-// key can never be stored or found and always indicates a caller bug.
+// checkKey panics if an inserted key has bits outside the configured key
+// width; such a key can never be stored and always indicates a caller bug.
+// The read paths answer it as a miss instead (wide): a probe key may be
+// wider than the probed index.
 func (t *Tree) checkKey(key uint64) {
-	if t.cfg.KeyBits < 64 && key>>t.cfg.KeyBits != 0 {
+	if t.wide(key) {
 		panic(fmt.Sprintf("prefixtree: key %#x exceeds %d key bits", key, t.cfg.KeyBits))
 	}
 }
+
+// wide reports whether key has bits outside the configured key width.
+func (t *Tree) wide(key uint64) bool { return t.cfg.KeyBits < 64 && key>>t.cfg.KeyBits != 0 }
 
 // leaf returns the address of leaf idx in the arena.
 func (t *Tree) leaf(idx uint32) *Leaf { return t.leaves.At(idx) }
@@ -264,9 +269,12 @@ func (t *Tree) leafFor(key uint64) *Leaf {
 	}
 }
 
-// Lookup returns the leaf for key, or nil if the key is absent.
+// Lookup returns the leaf for key, or nil if the key is absent. A key
+// wider than KeyBits is absent.
 func (t *Tree) Lookup(key uint64) *Leaf {
-	t.checkKey(key)
+	if t.wide(key) {
+		return nil
+	}
 	n := rootNode
 	for level := 0; ; level++ {
 		r := arena.Ref(t.nodes.Block(n)[t.frag(key, level)])
@@ -312,11 +320,12 @@ func (t *Tree) iterate(n uint32, visit func(lf *Leaf) bool) bool {
 }
 
 // Range visits, in ascending key order, every leaf with lo <= key <= hi.
-// It stops early if visit returns false and reports whether the scan ran to
+// The bounds may lie outside the key width: hi is clipped to the largest
+// representable key, so a bound past it matches nothing beyond. It stops
+// early if visit returns false and reports whether the scan ran to
 // completion.
 func (t *Tree) Range(lo, hi uint64, visit func(lf *Leaf) bool) bool {
-	t.checkKey(lo)
-	t.checkKey(hi)
+	hi = min(hi, t.keyMax())
 	if lo > hi {
 		return true
 	}

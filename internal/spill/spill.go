@@ -55,8 +55,9 @@ import (
 )
 
 // A Freezer can snapshot its storage into a byte stream, detach it, and
-// restore it later. Both QPPT tree kinds (and the sharded index over
-// them) implement it via their arena chunk export.
+// restore it later. core.Index embeds it, so every index the engine
+// builds can spill: both QPPT tree kinds implement it via their arena
+// chunk export, and the sharded index over them chains its shards'.
 //
 // Snapshot and Release are split so the manager can sequence them safely
 // around file I/O: Release is called only after the snapshot is flushed

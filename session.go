@@ -115,9 +115,11 @@ func (st *Stmt) Run(ctx context.Context, opts ...QueryOption) (*sql.Rows, *core.
 	}
 	defer release()
 	eng.queries.Add(1)
-	exec := execOptions(opts)
-	exec.AdmissionWait = wait
-	return st.stmt.Run(ctx, eng.env, exec)
+	rows, stats, err := st.stmt.Run(ctx, eng.env, execOptions(opts))
+	if stats != nil {
+		stats.AdmissionWait = wait
+	}
+	return rows, stats, err
 }
 
 // A QueryOption overrides one execution knob for a single run. Engine-level

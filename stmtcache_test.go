@@ -5,8 +5,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"qppt"
+	"qppt/internal/core"
 	"qppt/internal/ssb"
 )
 
@@ -150,6 +152,77 @@ func TestEngineAdmission(t *testing.T) {
 	}
 	if s := st.String(); s == "" {
 		t.Error("Stats.String() empty")
+	}
+}
+
+// TestEngineAdmissionWait: PlanStats.AdmissionWait is the time a run
+// spent at the gate. Under MaxPlans 1 a hand-built plan holds the gate —
+// its residual blocks until the test lets go — while a prepared statement
+// queues behind it; the gate stays held for hold after the statement
+// queued, so that run reports at least hold. A run admitted at once
+// reports less (the time the uncontended Acquire took, not 0: the gate
+// does not tell its caller whether it queued).
+func TestEngineAdmissionWait(t *testing.T) {
+	const hold = 20 * time.Millisecond
+	ds := engineDataset(t)
+	eng, err := qppt.New(qppt.Config{Workers: 1, MaxPlans: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	stmt, err := eng.Session(ds.Cat).Prepare(ctx, ssb.SQLTexts["1.1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := stmt.Run(ctx, qppt.WithStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.AdmissionWait >= hold {
+		t.Errorf("a run that did not queue reports AdmissionWait %v", stats.AdmissionWait)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	holder := &core.Selection{
+		Input: &core.Base{Table: ds.Date.MustIndex([]string{"d_year"})},
+		Residual: func([]uint64) bool {
+			once.Do(func() { close(entered); <-release })
+			return true
+		},
+		Out: core.OutputSpec{Name: "held"},
+	}
+	held := make(chan error, 1)
+	go func() {
+		out, _, err := eng.RunPlan(ctx, &core.Plan{Root: holder})
+		out.Release()
+		held <- err
+	}()
+	<-entered
+	type result struct {
+		stats *core.PlanStats
+		err   error
+	}
+	queued := make(chan result, 1)
+	go func() {
+		_, stats, err := stmt.Run(ctx, qppt.WithStats())
+		queued <- result{stats, err}
+	}()
+	for eng.Stats().Admission.Queued == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(hold)
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	r := <-queued
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.stats.AdmissionWait < hold {
+		t.Errorf("a run that queued %v behind a held gate reports AdmissionWait %v", hold, r.stats.AdmissionWait)
 	}
 }
 

@@ -126,10 +126,11 @@ type OperatorStats struct {
 	// TuplesIndexed counts rows inserted into the output index (before
 	// aggregation folds them); ProbeLookups counts the index lookups
 	// issued through the joinbuffer: every assist's, and a select-join's
-	// main probe too. ProbeFiltered counts the probe keys a late stage's
-	// key filter dropped without a lookup; ProbeLookups + ProbeFiltered is
-	// every probe key that reached a stage, which is what ProbeLookups
-	// counted before stages had key filters.
+	// main probe too. ProbeFiltered counts the probe keys, or fan-out rows,
+	// a key filter dropped without a lookup, each once, at the first
+	// filter that drops it: a select-join tests every assist's filter on
+	// each fact row its main probe yields, in assist order, and an assist
+	// that only filters is never looked up at all.
 	TuplesIndexed int
 	ProbeLookups  int
 	ProbeFiltered int

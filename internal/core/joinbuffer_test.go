@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"qppt/internal/prefixtree"
@@ -22,6 +23,15 @@ type jbTable struct {
 	cols []string
 	rows [][]uint64
 	pt   bool // index in a prefix tree instead of a KISS-Tree
+	wide bool // a 40-bit key instead of a 16-bit one
+}
+
+// bits returns the width of the table's key.
+func (tb *jbTable) bits() uint {
+	if tb.wide {
+		return 40
+	}
+	return 16
 }
 
 // attr returns the position of attribute a in a row.
@@ -35,14 +45,14 @@ func (tb *jbTable) attr(a string) int {
 func (tb *jbTable) indexed(name string) *IndexedTable {
 	var idx Index
 	if tb.pt {
-		idx = prefixtree.MustNew(prefixtree.Config{KeyBits: 16, PayloadWidth: len(tb.cols)})
+		idx = prefixtree.MustNew(prefixtree.Config{KeyBits: tb.bits(), PayloadWidth: len(tb.cols)})
 	} else {
-		idx = NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: len(tb.cols)})
+		idx = NewIndex(IndexConfig{KeyBits: tb.bits(), PayloadWidth: len(tb.cols)})
 	}
 	for _, r := range tb.rows {
 		idx.Insert(r[0], r[1:])
 	}
-	return NewIndexedTable(name, SimpleKey("k", 16), tb.cols, idx)
+	return NewIndexedTable(name, SimpleKey("k", tb.bits()), tb.cols, idx)
 }
 
 // lookup returns the rows under key k in insertion order.
@@ -66,23 +76,34 @@ func (tb *jbTable) scan() [][]uint64 {
 // jbCase is one star-join operator over jbTables. A select-join scans
 // input 0 under pred and probes input 1 (the fact side) with mainWith; a
 // join synchronously scans inputs 0 (the fact side) and 1. Assist i is
-// input 2+i, probed with probes[i]. A residual keeps combinations whose
-// residual attribute is even, right after the main match.
+// input 2+i, probed with probes[i]; with selAssists it is a selection's
+// output over the table's index, an intermediate, instead of the base
+// index itself. A residual keeps combinations whose residual attribute is
+// even, right after the main match.
 type jbCase struct {
-	join     bool
-	tables   []*jbTable
-	pred     KeyPred
-	mainWith Ref
-	probes   []Ref
-	residual *Ref
-	outKey   Ref
+	join       bool
+	tables     []*jbTable
+	pred       KeyPred
+	mainWith   Ref
+	probes     []Ref
+	residual   *Ref
+	outKey     Ref
+	selAssists bool
+	bases      []*IndexedTable // the tables' indexes, built once per case
+}
+
+// inputs returns the tables' base indexes, the same ones on every call.
+func (c *jbCase) inputs() []*IndexedTable {
+	if c.bases == nil {
+		for i, tb := range c.tables {
+			c.bases = append(c.bases, tb.indexed(fmt.Sprintf("t%d", i)))
+		}
+	}
+	return c.bases
 }
 
 func (c *jbCase) plan() *Plan {
-	inputs := make([]*IndexedTable, len(c.tables))
-	for i, tb := range c.tables {
-		inputs[i] = tb.indexed(fmt.Sprintf("t%d", i))
-	}
+	inputs := c.inputs()
 	out := OutputSpec{Name: "out", Key: SimpleKey("out", 16), KeyRefs: []Ref{c.outKey}}
 	for i, tb := range c.tables {
 		for _, a := range append([]string{"k"}, tb.cols...) {
@@ -97,7 +118,16 @@ func (c *jbCase) plan() *Plan {
 	}
 	var assists []Assist
 	for i, r := range c.probes {
-		assists = append(assists, Assist{Input: &Base{Table: inputs[2+i]}, ProbeWith: r})
+		var in Operator = &Base{Table: inputs[2+i]}
+		if c.selAssists {
+			t := inputs[2+i]
+			o := OutputSpec{Name: "σ" + t.Name, Key: t.Key, KeyRefs: []Ref{{Input: 0, Attr: "k"}}, Cols: t.Cols}
+			for _, col := range t.Cols {
+				o.ColExprs = append(o.ColExprs, Attr(0, col))
+			}
+			in = &Selection{Input: in, Out: o}
+		}
+		assists = append(assists, Assist{Input: in, ProbeWith: r})
 	}
 	if c.join {
 		return &Plan{Root: &Join{
@@ -187,24 +217,30 @@ type jbShape struct {
 }
 
 // jbAssist is one assist: up to rows rows per key, width payload columns,
-// probed with column c0 of the previous assist instead of a fact column.
-// set picks which keys the assist holds.
+// probed with column c0 of the previous assist (fromPrev) or its key
+// (byPrevKey) instead of a fact column. set picks which keys the assist
+// holds.
 type jbAssist struct {
 	rows, width int
 	fromPrev    bool
+	byPrevKey   bool
 	set         keySet
 }
 
 // A keySet picks the keys of an assist. A sparse assist holds keys of a
 // narrow sub-range with holes, so its probe keys fall below its Min, above
-// its Max and into its holes — the three ways a late stage's key filter
-// rejects a key; an empty assist rejects every key.
+// its Max and into its holes — the three ways a key filter rejects a key;
+// an empty assist rejects every key. A full assist holds every key of a
+// sub-range, with no hole; a far one is dense but also holds a key far past
+// every probe key, so its bitmap would be larger than its index.
 type keySet int
 
 const (
 	denseSet keySet = iota
 	sparseSet
 	emptySet
+	fullSet
+	farSet
 )
 
 // randTable fills a table with up to maxRows rows per key (a key is absent
@@ -242,17 +278,41 @@ func sparseTable(rng *rand.Rand, keys, maxRows int, cols ...string) *jbTable {
 	for k := lo + 2; k < lo+w-1; k++ {
 		present[k] = rng.Intn(2) == 0
 	}
-	tb.rows = slices.DeleteFunc(tb.rows, func(r []uint64) bool { return !present[r[0]] })
-	for _, k := range []uint64{lo, lo + w - 1} {
+	confine(rng, tb, keys, func(k uint64) bool { return present[k] }, lo, lo+w-1)
+	return tb
+}
+
+// confine keeps the rows of tb whose key keep accepts and gives each key of
+// need that has none a row, its columns drawn from the key space.
+func confine(rng *rand.Rand, tb *jbTable, keys int, keep func(k uint64) bool, need ...uint64) {
+	tb.rows = slices.DeleteFunc(tb.rows, func(r []uint64) bool { return !keep(r[0]) })
+	for _, k := range need {
 		if tb.lookup(k) == nil {
 			row := []uint64{k}
-			for range cols {
+			for range tb.cols {
 				row = append(row, uint64(rng.Intn(keys)))
 			}
 			tb.rows = append(tb.rows, row)
 		}
 	}
-	return tb
+}
+
+// fillHoles confines tb to the keys [keys/4, 3·keys/4) and gives each of
+// them a row: the index has no hole.
+func fillHoles(rng *rand.Rand, tb *jbTable, keys int) {
+	lo, hi := uint64(keys/4), uint64(3*keys/4)
+	var need []uint64
+	for k := lo; k < hi; k++ {
+		need = append(need, k)
+	}
+	confine(rng, tb, keys, func(k uint64) bool { return k >= lo && k < hi }, need...)
+}
+
+// addFarKey widens tb's key to 40 bits and adds a row at key 2^39, which no
+// probe reaches: a bitmap over its keys would be larger than its index.
+func addFarKey(rng *rand.Rand, tb *jbTable, keys int) {
+	tb.wide = true
+	confine(rng, tb, keys, func(uint64) bool { return true }, 1<<39)
 }
 
 func (sh jbShape) build(rng *rand.Rand) *jbCase {
@@ -277,10 +337,19 @@ func (sh jbShape) build(rng *rand.Rand) *jbCase {
 			c.tables = append(c.tables, sparseTable(rng, sh.keys, a.rows, cols...))
 		case emptySet:
 			c.tables = append(c.tables, &jbTable{cols: cols, pt: rng.Intn(3) == 0})
+		case fullSet:
+			c.tables = append(c.tables, randTable(rng, sh.keys, a.rows, cols...))
+			fillHoles(rng, c.tables[len(c.tables)-1], sh.keys)
+		case farSet:
+			c.tables = append(c.tables, randTable(rng, sh.keys, a.rows, cols...))
+			addFarKey(rng, c.tables[len(c.tables)-1], sh.keys)
 		}
 		probe := Ref{Input: factOrd, Attr: fmt.Sprintf("c%d", rng.Intn(3))}
 		if a.fromPrev && i > 0 && sh.assists[i-1].width > 0 {
 			probe = Ref{Input: 2 + i - 1, Attr: "c0"}
+		}
+		if a.byPrevKey && i > 0 {
+			probe = Ref{Input: 2 + i - 1, Attr: "k"}
 		}
 		c.probes = append(c.probes, probe)
 	}
@@ -293,18 +362,19 @@ func (sh jbShape) build(rng *rand.Rand) *jbCase {
 
 // runJB runs the case's plan and returns its output rows in Extract order.
 func runJB(t testing.TB, c *jbCase, workers, bufSize int) [][]uint64 {
-	rows, _ := runJBStats(t, c, workers, bufSize)
+	rows, _ := runJBStats(t, c, EnvConfig{Workers: workers}, bufSize)
 	return rows
 }
 
-// runJBStats is runJB that also returns the operator's statistics.
-func runJBStats(t testing.TB, c *jbCase, workers, bufSize int) ([][]uint64, OperatorStats) {
+// runJBStats is runJB in an Env built from cfg that also returns the star
+// join's statistics.
+func runJBStats(t testing.TB, c *jbCase, cfg EnvConfig, bufSize int) ([][]uint64, OperatorStats) {
 	t.Helper()
-	out, stats, err := newTestEnv(t, EnvConfig{Workers: workers}).Run(context.Background(), c.plan(), Options{BufferSize: bufSize, CollectStats: true})
+	out, stats, err := newTestEnv(t, cfg).Run(context.Background(), c.plan(), Options{BufferSize: bufSize, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Extract(out).Rows, stats.Ops[0]
+	return Extract(out).Rows, stats.Ops[len(stats.Ops)-1]
 }
 
 // sameRows reports whether got equals want row for row (both may be empty).
@@ -346,7 +416,7 @@ func TestJoinbufferPreservesArrivalOrder(t *testing.T) {
 				t.Fatalf("the fixture produces only %d rows", len(want))
 			}
 			for _, bs := range []int{1, 2, 3, 64, 512} {
-				got, st := runJBStats(t, c, 1, bs)
+				got, st := runJBStats(t, c, EnvConfig{Workers: 1}, bs)
 				if !sameRows(got, want) {
 					t.Fatalf("BufferSize %d: %d rows differ from the %d-row nested-loop reference", bs, len(got), len(want))
 				}
@@ -404,7 +474,7 @@ func TestJoinbufferEmptyLateStage(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		for _, bs := range []int{1, 3, 512} {
-			rows, st := runJBStats(t, c, workers, bs)
+			rows, st := runJBStats(t, c, EnvConfig{Workers: workers}, bs)
 			if len(rows) != 0 {
 				t.Fatalf("Workers %d BufferSize %d: %d rows from an empty assist", workers, bs, len(rows))
 			}
@@ -415,32 +485,221 @@ func TestJoinbufferEmptyLateStage(t *testing.T) {
 	}
 }
 
+// left returns the assists a select-join's pipeline leaves out as
+// filter-only, as decided over the case's base indexes.
+func (c *jbCase) left(t *testing.T) []int {
+	t.Helper()
+	p, err := c.plan().Root.(*SelectJoin).pipe(&ExecContext{}, c.inputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.buildKeyFilters()
+	defer p.parkKeyFilters()
+	kept := map[int]bool{}
+	for _, st := range p.stages {
+		kept[st.input] = true
+	}
+	var left []int
+	for i := range c.probes {
+		if !kept[2+i] {
+			left = append(left, i)
+		}
+	}
+	return left
+}
+
+// TestFanOutFilters holds select-joins whose assists are tested at the main
+// probe's fan-out to the nested-loop reference — order included on one
+// worker, as a multiset on two — at buffer sizes 1, 7 and 512, with the
+// assists as base indexes (their filters kept with the table) and as
+// intermediates (built per execution from the pool), with and without a
+// one-byte memory budget, which spills every intermediate. An assist with
+// no column and one row per key leaves the pipeline, whether or not its
+// index has a hole, and a later assist probed with its key probes with its
+// probe key instead; one with duplicate keys, or whose bitmap would be
+// larger than its index, keeps its stage.
+func TestFanOutFilters(t *testing.T) {
+	only := jbAssist{rows: 1}
+	cases := []struct {
+		name  string
+		shape jbShape
+		left  []int
+	}{
+		{"two filter-only assists, then a carrying one", jbShape{mainRows: 6, assists: []jbAssist{only, only, {rows: 3, width: 1}}}, []int{0, 1}},
+		{"zero-column assist with duplicate keys", jbShape{mainRows: 4, assists: []jbAssist{{rows: 3}, only, {rows: 1, width: 2}}}, []int{1}},
+		{"filter-only assist with no hole", jbShape{mainRows: 5, assists: []jbAssist{{rows: 1, set: fullSet}, {rows: 2, width: 1}}}, []int{0}},
+		{"filter-only assist whose bitmap outgrows its index", jbShape{mainRows: 5, assists: []jbAssist{{rows: 1, set: farSet}, only}}, []int{1}},
+		{"fact residual and a filter-only assist", jbShape{mainRows: 6, residual: true, assists: []jbAssist{only, {rows: 2, width: 1}}}, []int{0}},
+		{"assist probed with a filter-only assist's key", jbShape{mainRows: 6, assists: []jbAssist{only, {rows: 2, width: 1, byPrevKey: true}}}, []int{0}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.shape.keys = 64
+			c := tc.shape.build(rand.New(rand.NewSource(int64(i + 1))))
+			if got := c.left(t); !slices.Equal(got, tc.left) {
+				t.Fatalf("assists %v leave the pipeline, want %v", got, tc.left)
+			}
+			want := c.want()
+			if len(want) < 100 {
+				t.Fatalf("the fixture produces only %d rows", len(want))
+			}
+			sorted := slices.Clone(want)
+			slices.SortFunc(sorted, slices.Compare)
+			for _, sel := range []bool{false, true} {
+				c.selAssists = sel
+				for _, budget := range []int64{0, 1} {
+					for _, workers := range []int{1, 2} {
+						for _, bs := range []int{1, 7, 512} {
+							got, _ := runJBStats(t, c, EnvConfig{Workers: workers, MemBudget: budget}, bs)
+							exp := want
+							if workers > 1 {
+								slices.SortFunc(got, slices.Compare)
+								exp = sorted
+							}
+							if !sameRows(got, exp) {
+								t.Fatalf("intermediate assists %v, MemBudget %d, Workers %d, BufferSize %d: %d rows differ from the %d-row reference",
+									sel, budget, workers, bs, len(got), len(exp))
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFanOutFilterCounts pins the probe counts of a select-join with two
+// filter-only assists and a sparse carrying one. Every fact row the main
+// probe yields is tested against the three filters in assist order: the
+// first that lacks its key drops it, counted once as filtered, and a row
+// that passes all three is looked up in the carrying assist alone. The
+// main probe looks up each selected row. Four plans that start at once over
+// the same fresh base indexes build each filter once, and every later plan
+// over them, with another predicate too, reuses it.
+func TestFanOutFilterCounts(t *testing.T) {
+	sh := jbShape{mainRows: 6, keys: 64, assists: []jbAssist{{rows: 1, set: sparseSet}, {rows: 1}, {rows: 2, width: 1, set: sparseSet}}}
+	c := sh.build(rand.New(rand.NewSource(11)))
+	want := c.want()
+	slices.SortFunc(want, slices.Compare)
+	env := newTestEnv(t, EnvConfig{Workers: 2})
+	var wg sync.WaitGroup
+	for range 4 {
+		pl := c.plan()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, _, err := env.Run(context.Background(), pl, Options{BufferSize: 7})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got := Extract(out).Rows
+			slices.SortFunc(got, slices.Compare)
+			if !sameRows(got, want) {
+				t.Errorf("a concurrent plan: %d rows differ from the %d-row reference", len(got), len(want))
+			}
+		}()
+	}
+	wg.Wait()
+	var filters []*keyFilter
+	for _, in := range c.inputs()[2:] {
+		if in.filter == nil {
+			t.Fatalf("%s: no key filter kept with the base index", in.Name)
+		}
+		filters = append(filters, in.filter)
+	}
+	lookups, filtered := 0, 0
+	for _, s := range c.tables[0].scan() {
+		if s[0] < c.pred[0].Lo || s[0] > c.pred[0].Hi {
+			continue
+		}
+		lookups++
+		for _, m := range c.tables[1].lookup(s[c.tables[0].attr(c.mainWith.Attr)]) {
+			pass := true
+			for i, r := range c.probes {
+				if pass = c.tables[2+i].lookup(m[c.tables[1].attr(r.Attr)]) != nil; !pass {
+					break
+				}
+			}
+			if pass {
+				lookups++
+			} else {
+				filtered++
+			}
+		}
+	}
+	if filtered == 0 || lookups == 0 {
+		t.Fatalf("fixture: %d lookups, %d filtered", lookups, filtered)
+	}
+	for _, workers := range []int{1, 2} {
+		for _, bs := range []int{1, 7, 512} {
+			rows, st := runJBStats(t, c, EnvConfig{Workers: workers}, bs)
+			if len(rows) == 0 {
+				t.Fatal("the fixture produces no row")
+			}
+			if st.ProbeLookups != lookups || st.ProbeFiltered != filtered {
+				t.Errorf("Workers %d BufferSize %d: probes %d, filtered %d; want %d, %d",
+					workers, bs, st.ProbeLookups, st.ProbeFiltered, lookups, filtered)
+			}
+		}
+	}
+	other := *c
+	other.pred = Between(0, c.pred[0].Hi/2)
+	runJB(t, &other, 2, 7)
+	for i, in := range c.inputs()[2:] {
+		if in.filter != filters[i] {
+			t.Errorf("%s: a later plan built its key filter again", in.Name)
+		}
+	}
+}
+
 // FuzzJoinbuffer checks random star joins — tables with 0–3 rows per key,
-// payload widths 0–2, 1–3 assists, dense, sparse or empty, an optional
-// residual, buffer sizes 1–8 — against the nested-loop reference, order
-// included. A sparse or empty first assist of a select-join is a late
-// stage with a key filter.
+// payload widths 0–2, 1–3 assists, dense, sparse, empty, hole-free or with
+// a far key, as base indexes or intermediates, an optional residual, buffer
+// sizes 1–8 — against the nested-loop reference, order included. A sparse
+// or empty first assist of a select-join is a late stage with a key filter;
+// a zero-column assist with one row per key (rows 1, width 0) that probes
+// with a fact column leaves a select-join's pipeline.
 func FuzzJoinbuffer(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(0x0b), uint8(2))
 	f.Add(int64(3), uint8(0x1c), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, shape, buf uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		sh := jbShape{join: shape&1 != 0, mainRows: 3, residual: shape&8 != 0, keys: 12}
-		for i := 0; i < 1+int(shape>>1)%3; i++ {
-			a := jbAssist{rows: 1 + rng.Intn(3), width: rng.Intn(3), fromPrev: rng.Intn(2) == 0}
-			switch rng.Intn(6) {
-			case 0, 1:
-				a.set = sparseSet
-			case 2:
-				a.set = emptySet
-			}
-			sh.assists = append(sh.assists, a)
-		}
-		c := sh.build(rng)
+		c := fuzzCase(seed, shape)
 		bs := 1 + int(buf%8)
 		if got, want := runJB(t, c, 1, bs), c.want(); !sameRows(got, want) {
 			t.Fatalf("BufferSize %d: got %d rows %v, want %d rows %v", bs, len(got), got, len(want), want)
 		}
 	})
+}
+
+// fuzzCase draws FuzzJoinbuffer's case from its seed and shape.
+func fuzzCase(seed int64, shape uint8) *jbCase {
+	rng := rand.New(rand.NewSource(seed))
+	sh := jbShape{join: shape&1 != 0, mainRows: 3, residual: shape&8 != 0, keys: 12}
+	for i := 0; i < 1+int(shape>>1)%3; i++ {
+		a := jbAssist{rows: 1 + rng.Intn(3), width: rng.Intn(3), fromPrev: rng.Intn(2) == 0}
+		switch rng.Intn(6) {
+		case 0, 1:
+			a.set = sparseSet
+		case 2:
+			a.set = emptySet
+		}
+		sh.assists = append(sh.assists, a)
+	}
+	c := sh.build(rng)
+	// Drawn after the case, so a seed keeps the case it had before these
+	// draws: a dense assist may lose its holes or gain a far key.
+	for i, a := range sh.assists {
+		if a.set == denseSet {
+			switch rng.Intn(4) {
+			case 0:
+				fillHoles(rng, c.tables[2+i], sh.keys)
+			case 1:
+				addFarKey(rng, c.tables[2+i], sh.keys)
+			}
+		}
+	}
+	c.selAssists = rng.Intn(2) == 0
+	return c
 }

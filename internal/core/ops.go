@@ -304,6 +304,7 @@ func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, 
 	}
 	p.residual = sj.Residual
 	p.mainResidual = sj.MainResidual
+	p.star = true
 	return p, nil
 }
 

@@ -156,32 +156,32 @@ type scanFn = func(p *pipeline, lo, hi uint64, whole bool)
 type boundsFn = func() (uint64, uint64, bool)
 
 // runMorsels drives one operator's scan as work-stealing morsels on the
-// plan's shared pool. pipe builds a fresh pipeline over the operator's
-// inputs; each pool worker gets one (taken when the worker claims its
-// first non-empty morsel) with a private output index drawing chunks from
-// the Env's pool.
-// scan feeds the input keys in [lo, hi] through the worker's pipeline. The
-// per-worker partial outputs are then combined with the parallel
-// partition-wise merge. With a single worker the lone partial is the
-// output itself and execution degenerates to the paper's single-threaded
-// mode.
+// plan's shared pool. pipe builds the operator's pipeline; each pool worker
+// gets one (taken when the worker claims its first non-empty morsel) with a
+// private output index drawing chunks from the Env's pool. scan feeds the
+// input keys in [lo, hi] through the worker's pipeline. The per-worker
+// partial outputs are then combined with the parallel partition-wise
+// merge. With a single worker the lone partial is the output itself and
+// execution degenerates to the paper's single-threaded mode.
 //
 // The first pipeline is built before any morsel runs, and with it the key
-// filters of the late probe stages: every other worker's pipeline shares
-// them read-only, and their words go back to the pool when the operator
-// returns. The first worker to claim a non-empty morsel takes that
-// pipeline; when no morsel is non-empty, it makes the empty output.
+// filters and the stages that leave (buildKeyFilters): every other worker's
+// pipeline is a clone that shares them read-only, and the pooled bitmaps go
+// back to the pool when the operator returns. The first worker to claim a
+// non-empty morsel takes that pipeline; when no morsel is non-empty, it
+// makes the empty output.
 func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() (*pipeline, error), scan scanFn) (*IndexedTable, error) {
 	sched := ec.scheduler()
-	newPart := func() (*pipeline, *IndexedTable, error) {
-		p, err := pipe()
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := p.setSink(spec)
-		return p, out, err
+	first, err := pipe()
+	if err != nil {
+		return nil, err
 	}
-	first, firstOut, err := newPart()
+	lo, hi, ok := bounds()
+	if ok {
+		first.buildKeyFilters()
+		defer first.parkKeyFilters()
+	}
+	firstOut, err := first.setSink(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -190,12 +190,9 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 		ec.noteSink(first)
 		return firstOut, nil
 	}
-	lo, hi, ok := bounds()
 	if !ok {
 		return empty()
 	}
-	first.buildKeyFilters()
-	defer first.parkKeyFilters()
 	var firstTaken atomic.Bool
 	workers := sched.Workers()
 	morsels := 1
@@ -217,11 +214,11 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 			p = first
 			out := firstOut
 			if firstTaken.Swap(true) {
+				p = first.clone()
 				var err error
-				if p, out, err = newPart(); err != nil {
+				if out, err = p.setSink(spec); err != nil {
 					return err
 				}
-				p.shareKeyFilters(first)
 			}
 			pipes[w], outs[w] = p, out
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qppt/internal/arena"
+	"qppt/internal/duplist"
 	"qppt/internal/key"
 )
 
@@ -33,14 +34,22 @@ import (
 // the first assist of a star join, which probes with a foreign key of the
 // fact row — the next stage is late: it queues just (parent slot, row, key)
 // and copies the parent and the row into a slot of its own only for a probe
-// hit (late materialization). A late stage whose index has holes tests each
-// key against an exact bitmap of the index's keys (keyFilter) before it
-// queues it, so a key the index lacks costs one bit test, never a queue
-// entry, a descent or a visit. Stage s owns slots [s·bufSize,
+// hit (late materialization). Stage s owns slots [s·bufSize,
 // (s+1)·bufSize): the entry copies base combinations into stage 0's, and
 // stage s−1's hits take stage s's. A full region is reclaimed by draining
 // the stages from s on, which moves every combination that still
 // references it into the sink.
+//
+// Filters at the fan-out: a key filter (keyFilter, an exact bitmap of an
+// index's keys) is tested on the rows of the stage whose column holds the
+// probe key, before a row is queued, copied or fed, so a key the probed
+// index lacks costs one bit test, never a queue entry, a descent or a
+// visit. In a select-join every assist that probes with a column of the
+// fact rows — stage 0's, the main probe's — is tested there, in assist
+// order; elsewhere only a late stage is, on its previous stage's rows. An
+// assist that carries no column and holds one row per key needs nothing
+// but that test: it leaves the pipeline, and the sink writes its key, the
+// probe key, into the combination.
 //
 // Every stage handles its queue in arrival order and emits a combination's
 // rows in list order, so the sink sees the nested-loop order at every
@@ -121,10 +130,11 @@ type probeStage struct {
 	late      bool
 	lateCol   int
 	prevInput int
-	// filter, if set, holds the keys of a late stage's index: a key it
-	// lacks is dropped before it is queued. Every worker pipeline of one
-	// operator execution shares it read-only.
-	filter *keyFilter
+	// fan holds the key filters of later stages that probe with columns of
+	// this stage's rows: a row one of them rejects is dropped before it
+	// goes on. Every worker pipeline of one operator execution shares it
+	// read-only.
+	fan []fanTest
 
 	// The joinbuffer: the selection vector of queued combination slots,
 	// their probe keys and, on a late stage, the previous stage's row each
@@ -139,6 +149,17 @@ type probeStage struct {
 	visit func(j int, lf *Leaf) // the LookupBatch visitor, built once
 }
 
+// A fanTest drops a row whose column col is not a key of a later stage's
+// index.
+type fanTest struct {
+	col int
+	f   *keyFilter
+}
+
+// A keyFill copies the probe key at ctx offset src into a left-out stage's
+// key segment at dst.
+type keyFill struct{ dst, src int }
+
 // A sink materializes combinations into the output index: it assembles the
 // output key (composed if multi-attribute) and payload row, then issues
 // batched inserts.
@@ -148,6 +169,9 @@ type sink struct {
 	comp     *key.Composer
 	exprs    []compiledExpr
 	rowWidth int
+	// fills write the keys of the stages that left the pipeline, before
+	// anything reads the combination.
+	fills []keyFill
 
 	// keys/rows/arena are the insert buffer: up to bufSize assembled
 	// (key, row) pairs, the rows carved from arena, drawn from the
@@ -190,11 +214,18 @@ type pipeline struct {
 	residual     func(ctx []uint64) bool
 	mainResidual func(ctx []uint64) bool
 	stages       []*probeStage
-	snk          *sink
-	bufSize      int
-	lookups      int // probe-stage lookups issued (stats)
-	filtered     int // probe keys a stage's key filter dropped without a lookup (stats)
-	morsels      int // key-range morsels scanned through this pipeline (stats)
+	// star is set on a select-join: stage 0 is the main probe, and its
+	// rows are the fact rows every assist's filter is tested on.
+	star bool
+	// fills are the sink's, decided with the filters and shared like
+	// them; owned are the filter bitmaps drawn from the pool.
+	fills    []keyFill
+	owned    [][]uint64
+	snk      *sink
+	bufSize  int
+	lookups  int // probe-stage lookups issued (stats)
+	filtered int // probe keys or fan-out rows a key filter dropped without a lookup (stats)
+	morsels  int // key-range morsels scanned through this pipeline (stats)
 
 	// slots holds every combination in flight, layout.width words each:
 	// stage s owns slots [s·bufSize, (s+1)·bufSize). slotHigh is the
@@ -251,15 +282,24 @@ func (p *pipeline) aborted() bool {
 // addProbe appends a probe stage for input `input`, probing with the
 // attribute at ctx offset probeOff.
 func (p *pipeline) addProbe(input int, probeOff int) {
-	s := len(p.stages)
-	st := &probeStage{
+	p.stages = append(p.stages, &probeStage{
 		table:    p.layout.inputs[input],
 		input:    input,
 		probeOff: probeOff,
 		comp:     p.layout.inputs[input].Key.Composer(),
+	})
+}
+
+// clone returns a pipeline for another worker of the same operator
+// execution: p's layout, residuals, stages and filters, with buffers of its
+// own once setSink lays them out.
+func (p *pipeline) clone() *pipeline {
+	q := &pipeline{layout: p.layout, qctx: p.qctx, rec: p.rec, bufSize: p.bufSize,
+		residual: p.residual, mainResidual: p.mainResidual, star: p.star, fills: p.fills}
+	for _, st := range p.stages {
+		q.stages = append(q.stages, &probeStage{table: st.table, input: st.input, probeOff: st.probeOff, comp: st.comp, fan: st.fan})
 	}
-	st.visit = func(j int, lf *Leaf) { p.hit(s, j, lf) }
-	p.stages = append(p.stages, st)
+	return q
 }
 
 // setSink compiles the output spec's key refs and column expressions
@@ -271,7 +311,7 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 	if len(spec.ColExprs) != len(spec.Cols) {
 		return nil, fmt.Errorf("core: output %q: %d col exprs for %d cols", spec.Name, len(spec.ColExprs), len(spec.Cols))
 	}
-	s := &sink{rowWidth: len(spec.Cols), comp: spec.Key.Composer()}
+	s := &sink{rowWidth: len(spec.Cols), comp: spec.Key.Composer(), fills: p.fills}
 	for _, r := range spec.KeyRefs {
 		off, err := p.layout.resolve(r)
 		if err != nil {
@@ -301,7 +341,7 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 
 // initJoinbuffer draws the slot chunk and every stage's queue from the
 // pool and decides which stages take late entries. It runs once the
-// residuals are in place.
+// residuals are in place and the stages are final.
 func (p *pipeline) initJoinbuffer() {
 	if len(p.stages) == 0 {
 		return
@@ -309,18 +349,29 @@ func (p *pipeline) initJoinbuffer() {
 	p.slots = arena.NewChunk[uint64](p.rec, len(p.stages)*p.bufSize*p.layout.width)
 	p.slots = p.slots[:cap(p.slots)]
 	for s, st := range p.stages {
+		st.visit = func(j int, lf *Leaf) { p.hit(s, j, lf) }
 		st.sel = arena.NewChunk[int32](p.rec, p.bufSize)
 		st.keys = arena.NewChunk[uint64](p.rec, p.bufSize)
-		if s == 0 || p.filter(s) != nil {
-			continue
-		}
-		prev := p.stages[s-1]
-		col := st.probeOff - p.layout.colOff(prev.input, 0)
-		if col >= 0 && col < len(prev.table.Cols) {
-			st.late, st.lateCol, st.prevInput = true, col, prev.input
+		if col, ok := p.lateCol(s); ok {
+			st.late, st.lateCol, st.prevInput = true, col, p.stages[s-1].input
 			st.rows = arena.NewChunk[[]uint64](p.rec, p.bufSize)
 		}
 	}
+}
+
+// lateCol reports whether stage s is late: it probes with column col of
+// stage s−1's rows, and no filter sits at its entry.
+func (p *pipeline) lateCol(s int) (col int, ok bool) {
+	if s == 0 || p.filter(s) != nil {
+		return 0, false
+	}
+	return p.stages[s].probesCol(p.layout, p.stages[s-1])
+}
+
+// probesCol reports whether st probes with column col of from's rows.
+func (st *probeStage) probesCol(l ctxLayout, from *probeStage) (col int, ok bool) {
+	col = st.probeOff - l.colOff(from.input, 0)
+	return col, col >= 0 && col < len(from.table.Cols)
 }
 
 // A keyFilter is the exact key set of an index as a bitmap over [lo, lo+n):
@@ -338,18 +389,16 @@ func (f *keyFilter) has(k uint64) bool {
 }
 
 // newKeyFilter returns the key filter of idx, its words drawn from rec, or
-// nil when it would not pay. The rule reads the index, not a knob: a
-// filter is built only when the index has a hole (Keys < Max−Min+1) and
-// its bitmap is no larger than the index (Bytes); an empty index gets one
-// that rejects every key. Only late stages ask: a bitmap at every stage
-// entry, over big or hole-free indexes, cost more to build than it saved.
-func newKeyFilter(rec *arena.Recycler, idx Index) *keyFilter {
+// nil when its bitmap would be larger than the index (Bytes) or, with
+// holey set, when the index has no hole (Keys = Max−Min+1). An empty index
+// gets one that rejects every key.
+func newKeyFilter(rec *arena.Recycler, idx Index, holey bool) *keyFilter {
 	lo, hi, ok := idxBounds(idx)
 	if !ok {
 		return &keyFilter{}
 	}
 	span := hi - lo // the index spans span+1 keys; +1 could overflow
-	if uint64(idx.Keys()) > span || span>>6 >= uint64(idx.Bytes()/8) {
+	if holey && uint64(idx.Keys()) > span || span>>6 >= uint64(idx.Bytes()/8) {
 		return nil
 	}
 	n := int(span>>6) + 1
@@ -362,34 +411,96 @@ func newKeyFilter(rec *arena.Recycler, idx Index) *keyFilter {
 	return &keyFilter{lo: lo, n: span + 1, words: words}
 }
 
-// buildKeyFilters gives each late stage its key filter. runMorsels calls it
-// once per operator execution, on the first pipeline, before any morsel
-// runs; shareKeyFilters hands the filters to the other workers' pipelines
-// and parkKeyFilters returns their words once every pipeline is done.
+// keyFilter returns the key filter of t's index under newKeyFilter's rule.
+// A base index never changes, so its filter is built once, on the heap,
+// and kept with the table; an operator output's is drawn from the pool,
+// and parkKeyFilters returns it.
+func (p *pipeline) keyFilter(t *IndexedTable, holey bool) *keyFilter {
+	if t.pooled {
+		f := newKeyFilter(p.rec, t.Idx, holey)
+		if f != nil {
+			p.owned = append(p.owned, f.words)
+		}
+		return f
+	}
+	t.filterOnce.Do(func() { t.filter = newKeyFilter(nil, t.Idx, false) })
+	f := t.filter
+	if holey && f != nil && f.n != 0 && uint64(t.Keys()) == f.n {
+		return nil
+	}
+	return f
+}
+
+// buildKeyFilters decides which key filter is tested where, and which
+// stages leave the pipeline. runMorsels calls it once per operator
+// execution, on the first pipeline, before any morsel runs and before the
+// joinbuffer is laid out; the other workers' pipelines are clones that
+// share the decision, and parkKeyFilters returns the pooled bitmaps once
+// every pipeline is done.
+//
+// The rule reads the indexes, not a knob. In a select-join, an assist that
+// probes with a fact column is tested on stage 0's rows. It is filter-only,
+// and leaves, when its table carries no column, has a one-attribute key
+// and one row per key, and its bitmap is no larger than its index: the
+// test then decides everything its lookup would. Any other stage probed
+// with a column of the previous stage's rows (a late stage) is tested on
+// those rows. Either way a filter is tested only when its bitmap is no
+// larger than the index and, unless the stage is filter-only, the index
+// has a hole: over big or hole-free indexes a bitmap cost more than it
+// saved.
 func (p *pipeline) buildKeyFilters() {
-	for _, st := range p.stages {
-		if st.late {
-			st.filter = newKeyFilter(p.rec, st.table.Idx)
+	fanOut := func(st *probeStage) (int, bool) {
+		if !p.star || st == p.stages[0] {
+			return 0, false
 		}
+		return st.probesCol(p.layout, p.stages[0])
 	}
-}
-
-// shareKeyFilters points p's stages at the filters of from, a pipeline of
-// the same operator execution.
-func (p *pipeline) shareKeyFilters(from *pipeline) {
+	if p.star {
+		fact, kept := p.stages[0], p.stages[:1]
+		for _, st := range p.stages[1:] {
+			for _, fl := range p.fills {
+				if st.probeOff == fl.dst { // the key of a stage that left is its probe key
+					st.probeOff = fl.src
+				}
+			}
+			col, ok := fanOut(st)
+			if !ok {
+				kept = append(kept, st)
+				continue
+			}
+			t := st.table
+			only := len(t.Cols) == 0 && len(t.Key.Attrs) == 1 && t.Rows() == t.Keys()
+			f := p.keyFilter(t, !only)
+			if f != nil {
+				fact.fan = append(fact.fan, fanTest{col: col, f: f})
+			}
+			if only && f != nil {
+				p.fills = append(p.fills, keyFill{dst: p.layout.keyOff(st.input, 0), src: st.probeOff})
+				continue
+			}
+			kept = append(kept, st)
+		}
+		p.stages = kept
+	}
 	for s, st := range p.stages {
-		st.filter = from.stages[s].filter
+		if _, ok := fanOut(st); ok {
+			continue
+		}
+		if col, ok := p.lateCol(s); ok {
+			if f := p.keyFilter(st.table, true); f != nil {
+				prev := p.stages[s-1]
+				prev.fan = append(prev.fan, fanTest{col: col, f: f})
+			}
+		}
 	}
 }
 
-// parkKeyFilters returns the filters' words to the chunk pool.
+// parkKeyFilters returns the pooled filters' words to the chunk pool.
 func (p *pipeline) parkKeyFilters() {
-	for _, st := range p.stages {
-		if st.filter != nil {
-			putScratch(p.rec, st.filter.words, len(st.filter.words))
-			st.filter = nil
-		}
+	for _, w := range p.owned {
+		putScratch(p.rec, w, len(w))
 	}
+	p.owned = nil
 }
 
 // release parks the recycler-backed buffers — the sink's insert buffer,
@@ -488,10 +599,6 @@ func (p *pipeline) push(i int, t int32) {
 // when the buffer is full.
 func (p *pipeline) queue(i int, t int32, row []uint64, k uint64) {
 	st := p.stages[i]
-	if st.filter != nil && !st.filter.has(k) {
-		p.filtered++
-		return
-	}
 	st.sel = append(st.sel, t)
 	st.keys = append(st.keys, k)
 	if st.late {
@@ -542,7 +649,7 @@ func (p *pipeline) hit(s, j int, lf *Leaf) {
 		ctx := p.slot(r)
 		p.fillHead(st, ctx, lateRow, k)
 		f := p.filter(s + 1)
-		vals.Scan(func(row []uint64) bool {
+		p.scanRows(vals, st.fan, func(row []uint64) bool {
 			p.layout.fillRow(ctx, st.input, row)
 			if f == nil || f(ctx) {
 				p.snk.feed(ctx, p.bufSize)
@@ -550,6 +657,9 @@ func (p *pipeline) hit(s, j int, lf *Leaf) {
 			return true
 		})
 	case vals.Len() == 1:
+		if st.fan != nil && !p.pass(st.fan, vals.First()) {
+			return
+		}
 		t := r
 		if lateRow != nil {
 			t = p.copySlot(s+1, r)
@@ -569,19 +679,16 @@ func (p *pipeline) hit(s, j int, lf *Leaf) {
 		}
 		p.fillHead(st, p.slot(parent), lateRow, k)
 		// The rows are queued a run at a time, with no call per row, so
-		// the loads of consecutive fact rows overlap. A key the next
-		// stage's filter lacks is dropped here.
+		// the loads of consecutive fact rows overlap.
 		next := p.stages[s+1]
-		col, w, f := next.lateCol, vals.Width(), next.filter
+		col, w, fan := next.lateCol, vals.Width(), st.fan
 		vals.Runs(func(run []uint64) bool {
 			for ; len(run) > 0; run = run[w:] {
-				k := run[col]
-				if f != nil && !f.has(k) {
-					p.filtered++
+				if fan != nil && !p.pass(fan, run) {
 					continue
 				}
 				next.sel = append(next.sel, parent)
-				next.keys = append(next.keys, k)
+				next.keys = append(next.keys, run[col])
 				next.rows = append(next.rows, run[:w:w])
 				if len(next.keys) == p.bufSize {
 					p.flushStage(s + 1)
@@ -593,7 +700,7 @@ func (p *pipeline) hit(s, j int, lf *Leaf) {
 		// A fan-out: the first row of an in-place entry takes r itself,
 		// every other row a copy of it.
 		first := lateRow == nil
-		vals.Scan(func(row []uint64) bool {
+		p.scanRows(vals, st.fan, func(row []uint64) bool {
 			t := r
 			if !first {
 				t = p.copySlot(s+1, r)
@@ -606,6 +713,28 @@ func (p *pipeline) hit(s, j int, lf *Leaf) {
 			return true
 		})
 	}
+}
+
+// scanRows visits the rows of vals in list order, only those every filter
+// of fan passes when there is one.
+func (p *pipeline) scanRows(vals *duplist.List, fan []fanTest, visit func(row []uint64) bool) {
+	if fan == nil {
+		vals.Scan(visit)
+		return
+	}
+	vals.Scan(func(row []uint64) bool { return !p.pass(fan, row) || visit(row) })
+}
+
+// pass tests row against fan's filters in order; the first that lacks the
+// row's probe key drops it, and counts it filtered.
+func (p *pipeline) pass(fan []fanTest, row []uint64) bool {
+	for _, t := range fan {
+		if !t.f.has(row[t.col]) {
+			p.filtered++
+			return false
+		}
+	}
+	return true
 }
 
 // fillHead writes stage st's key k into ctx, after the previous stage's row
@@ -627,6 +756,9 @@ func (p *pipeline) copySlot(s int, r int32) int32 {
 
 // feed buffers one combination in the sink; flush materializes and inserts.
 func (s *sink) feed(ctx []uint64, bufSize int) {
+	for _, f := range s.fills {
+		ctx[f.dst] = ctx[f.src]
+	}
 	var k uint64
 	switch len(s.keyOffs) {
 	case 0:

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"qppt/internal/arena"
 	"qppt/internal/key"
@@ -85,6 +86,10 @@ type IndexedTable struct {
 	// pooled marks an operator output whose index draws its chunks from a
 	// recycler; it is what arms Release. Base indexes never set it.
 	pooled bool
+	// filter is a base index's key filter (nil: its bitmap would be larger
+	// than the index), built once, when a probe stage first asks.
+	filterOnce sync.Once
+	filter     *keyFilter
 }
 
 // Release returns the table's index storage to the chunk pool it was built
@@ -114,7 +119,8 @@ func newOutputTable(spec *OutputSpec, idx Index, rec *arena.Recycler) *IndexedTa
 }
 
 // NewIndexedTable wraps an index with its attribute layout. The payload
-// width of idx must match len(cols).
+// width of idx must match len(cols). The index must not change afterwards:
+// a probe stage keeps a base index's key filter with the table.
 func NewIndexedTable(name string, ks KeySpec, cols []string, idx Index) *IndexedTable {
 	if idx.PayloadWidth() != len(cols) {
 		panic(fmt.Sprintf("core: index payload width %d != %d columns", idx.PayloadWidth(), len(cols)))

@@ -1,8 +1,10 @@
 package sql
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"qppt/internal/catalog"
@@ -73,7 +75,18 @@ func (b *builder) keyPred(ti *catalog.TableInfo, c Cond) (core.KeyPred, error) {
 	if len(p) == 0 {
 		return core.KeyPred{{Lo: 1, Hi: 0}}, nil // nothing matches
 	}
-	return p, nil
+	// A scan reads every range, so a value listed twice must not make two.
+	slices.SortFunc(p, func(a, b core.KeyRange) int { return cmp.Compare(a.Lo, b.Lo) })
+	merged := p[:1]
+	for _, r := range p[1:] {
+		last := &merged[len(merged)-1]
+		if r.Lo <= last.Hi || r.Lo-1 == last.Hi {
+			last.Hi = max(last.Hi, r.Hi)
+			continue
+		}
+		merged = append(merged, r)
+	}
+	return merged, nil
 }
 
 // residual compiles non-primary restrictions into a combination filter:
@@ -105,17 +118,25 @@ func (b *builder) residual(conds []Cond, ti *catalog.TableInfo, shapes []*core.I
 
 // predTest tests a key predicate on the context value at off. A single
 // range is two compares: a residual runs once per fact row. Several ranges
-// are an IN list's points and become a set.
+// (an IN list's values, adjacent ones merged) are searched in their sorted
+// order.
 func predTest(p core.KeyPred, off int) func([]uint64) bool {
 	if len(p) == 1 {
 		lo, hi := p[0].Lo, p[0].Hi
 		return func(ctx []uint64) bool { return ctx[off] >= lo && ctx[off] <= hi }
 	}
-	set := make(map[uint64]bool, len(p))
-	for _, r := range p {
-		set[r.Lo] = true
+	return func(ctx []uint64) bool {
+		_, in := slices.BinarySearchFunc(p, ctx[off], func(r core.KeyRange, v uint64) int {
+			switch {
+			case r.Hi < v:
+				return -1
+			case r.Lo > v:
+				return 1
+			}
+			return 0
+		})
+		return in
 	}
-	return func(ctx []uint64) bool { return set[ctx[off]] }
 }
 
 // finish assembles the Statement's extraction metadata: how to map the

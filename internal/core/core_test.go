@@ -584,33 +584,3 @@ func TestNewIndexStructureChoice(t *testing.T) {
 		t.Error("wide keys did not pick the prefix tree")
 	}
 }
-
-func TestSyncScanMixedKinds(t *testing.T) {
-	a := NewIndex(IndexConfig{KeyBits: 20})                 // KISS
-	b := prefixtree.MustNew(prefixtree.Config{KeyBits: 20}) // PT
-	want := 0
-	for i := uint64(0); i < 3000; i += 3 {
-		a.Insert(i, nil)
-	}
-	for i := uint64(0); i < 3000; i += 5 {
-		b.Insert(i, nil)
-	}
-	for i := uint64(0); i < 3000; i += 15 {
-		want++
-	}
-	got := 0
-	lo, hi, ok := syncScanBounds(a, b)
-	if !ok {
-		t.Fatal("no common key interval")
-	}
-	syncScanKeyRange(a, b, lo, hi, func(la, lb *Leaf) bool {
-		if la.Key%15 != 0 || lb.Key != la.Key {
-			t.Fatalf("phantom match %d/%d", la.Key, lb.Key)
-		}
-		got++
-		return true
-	})
-	if got != want {
-		t.Fatalf("mixed-kind sync scan found %d, want %d", got, want)
-	}
-}

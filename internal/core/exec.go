@@ -638,12 +638,6 @@ func Project(t *IndexedTable, sel []int) [][]uint64 {
 			rows = append(rows, flat[start:len(flat):len(flat)])
 			return true
 		}
-		if len(t.Cols) == 0 {
-			for i := 0; i < lf.Vals.Len(); i++ {
-				emit(nil)
-			}
-			return true
-		}
 		lf.Vals.Scan(emit)
 		return true
 	})

@@ -9,10 +9,11 @@
 // number of "next calls" between operators is thereby reduced to exactly
 // one: passing the output index handle.
 //
-// The package provides the selection/having operator, the set operators
-// (intersect, distinct union), the 2-way join-group, the composed
-// multi-way/star join, and the composed select-join, all built on the
-// synchronous index scan and on batched (buffered) index operations.
+// The package provides the selection/having operator, the composed
+// multi-way/star join (with no assists the 2-way join-group) and the
+// composed select-join. A join reads its two main inputs with the
+// synchronous index scan, and every probe stage batches its lookups
+// through the joinbuffer.
 package core
 
 import (

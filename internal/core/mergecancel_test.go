@@ -25,7 +25,7 @@ func TestMergeRangeIntoCancelled(t *testing.T) {
 	ec := &ExecContext{ctx: ctx}
 
 	out := newOutputIndex(spec, nil)
-	if err := mergeRangeInto(ec, out, spec, partials, 0, span); !errors.Is(err, context.Canceled) {
+	if err := mergeRangeInto(ec, out, partials, 0, span); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled merge returned %v, want context.Canceled", err)
 	}
 	if got := out.Keys(); got >= rows {
@@ -39,7 +39,7 @@ func TestMergeRangeIntoCancelled(t *testing.T) {
 
 	// A nil ExecContext stays non-cancellable and merges everything.
 	out2 := newOutputIndex(spec, nil)
-	if err := mergeRangeInto(nil, out2, spec, partials, 0, span); err != nil {
+	if err := mergeRangeInto(nil, out2, partials, 0, span); err != nil {
 		t.Fatalf("nil-ec merge returned %v", err)
 	}
 	if got := out2.Keys(); got != rows {

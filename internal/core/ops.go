@@ -112,12 +112,6 @@ func feedScan(p *pipeline, in *IndexedTable, pred KeyPred) {
 			return false // query cancelled; the partial output is discarded
 		}
 		p.layout.fillKey(ctx, 0, lf.Key, comp)
-		if len(in.Cols) == 0 {
-			for n := 0; n < lf.Vals.Len(); n++ {
-				p.feed(ctx)
-			}
-			return true
-		}
 		lf.Vals.Scan(func(row []uint64) bool {
 			p.layout.fillRow(ctx, 0, row)
 			p.feed(ctx)
@@ -147,8 +141,11 @@ type Assist struct {
 
 // Join is the n-ary multi-way/star join operator (paper Section 4.2), and
 // with no assists the plain 2-way join. The two main inputs must be
-// indexed on the join key; they are joined with the synchronous index scan,
-// matching content nodes produce the cross product of their tuples, and
+// indexed on the join key; they are joined with the synchronous index scan
+// (syncScanKeyRange: the input with fewer keys is range-scanned and each
+// of its keys looked up in the other, in ascending key order, one key
+// range per morsel), matching content nodes produce the cross product of
+// their tuples, and
 // each assisting index then filters/extends the combinations. The output
 // is built with grouping/aggregation as a side effect when Out.Fold is set
 // (the join-group of the paper's plans).
@@ -205,15 +202,9 @@ func (j *Join) scan(inputs []*IndexedTable) scanFn {
 			p.layout.fillKey(ctx, 0, ll.Key, lComp)
 			p.layout.fillKey(ctx, 1, ll.Key, rComp)
 			// Cross product of the matching content nodes, nested-loop style.
-			if len(left.Cols) == 0 {
-				for n := 0; n < ll.Vals.Len(); n++ {
-					crossRight(p.layout, ctx, right, rl, p.feed)
-				}
-				return true
-			}
 			ll.Vals.Scan(func(lrow []uint64) bool {
 				p.layout.fillRow(ctx, 0, lrow)
-				crossRight(p.layout, ctx, right, rl, p.feed)
+				crossRight(p.layout, ctx, rl, p.feed)
 				return true
 			})
 			return true
@@ -228,13 +219,7 @@ func (j *Join) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, erro
 	return runMorsels(ec, &j.Out, bounds, pipe, j.scan(inputs))
 }
 
-func crossRight(layout ctxLayout, ctx []uint64, right *IndexedTable, rl *Leaf, feed func([]uint64)) {
-	if len(right.Cols) == 0 {
-		for n := 0; n < rl.Vals.Len(); n++ {
-			feed(ctx)
-		}
-		return
-	}
+func crossRight(layout ctxLayout, ctx []uint64, rl *Leaf, feed func([]uint64)) {
 	rl.Vals.Scan(func(rrow []uint64) bool {
 		layout.fillRow(ctx, 1, rrow)
 		feed(ctx)

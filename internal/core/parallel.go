@@ -4,8 +4,6 @@ import (
 	"sync/atomic"
 
 	"qppt/internal/arena"
-	"qppt/internal/kisstree"
-	"qppt/internal/prefixtree"
 	"qppt/internal/spill"
 )
 
@@ -83,24 +81,16 @@ func intersectPred(pred KeyPred, lo, hi uint64) KeyPred {
 	return out
 }
 
-// syncScanKeyRange runs the synchronous index scan over two indexes,
-// visiting the leaves of every key in [lo, hi] present in both, in
-// ascending key order. When both indexes are the same tree kind
-// with the same geometry the native skip-scan kernels are used; otherwise
-// (mixed kinds or differing prefix lengths) it range-scans the smaller
-// index and probes the larger one — the same asymmetry the select-join
-// exploits. A serial scan passes syncScanBounds, a morsel its partition.
+// syncScanKeyRange is the synchronous index scan (paper Section 4.2):
+// it visits the leaves of every key in [lo, hi] present in both indexes,
+// in ascending key order, by range-scanning the index with fewer keys and
+// looking each of its keys up in the other — the asymmetry the select-join
+// exploits. The paper walks both tries in lockstep instead; this one scan
+// serves every pair of tree kinds and key widths and measured as fast on
+// the joins this repository runs (README, "The synchronous index scan").
+// A serial scan passes syncScanBounds, a morsel its partition. It stops
+// early if visit returns false and reports whether it ran to completion.
 func syncScanKeyRange(a, b Index, lo, hi uint64, visit func(la, lb *Leaf) bool) bool {
-	switch ai := a.(type) {
-	case *prefixtree.Tree:
-		if bi, isPT := b.(*prefixtree.Tree); isPT && ai.PrefixLen() == bi.PrefixLen() && ai.KeyBits() == bi.KeyBits() {
-			return prefixtree.SyncScan(ai, bi, lo, hi, visit)
-		}
-	case *kisstree.Tree:
-		if bi, isKiss := b.(*kisstree.Tree); isKiss {
-			return kisstree.SyncScan(ai, bi, lo, hi, visit)
-		}
-	}
 	if b.Keys() < a.Keys() {
 		return b.Range(lo, hi, func(lb *Leaf) bool {
 			la := a.Lookup(lb.Key)
@@ -269,7 +259,7 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 // entries) and returns the cancellation error — a large merge range must
 // not keep folding rows into an output nobody will read. ec may be nil
 // (non-cancellable).
-func mergeRangeInto(ec *ExecContext, idx Index, spec *OutputSpec, partials []*IndexedTable, lo, hi uint64) error {
+func mergeRangeInto(ec *ExecContext, idx Index, partials []*IndexedTable, lo, hi uint64) error {
 	keys := make([]uint64, 0, DefaultBufferSize)
 	rows := make([][]uint64, 0, DefaultBufferSize)
 	ticks, cancelled := 0, false
@@ -287,11 +277,7 @@ func mergeRangeInto(ec *ExecContext, idx Index, spec *OutputSpec, partials []*In
 		if len(keys) == 0 {
 			return
 		}
-		if len(spec.Cols) == 0 {
-			idx.InsertBatch(keys, nil)
-		} else {
-			idx.InsertBatch(keys, rows)
-		}
+		idx.InsertBatch(keys, rows)
 		keys, rows = keys[:0], rows[:0]
 	}
 	for _, p := range partials {
@@ -301,15 +287,6 @@ func mergeRangeInto(ec *ExecContext, idx Index, spec *OutputSpec, partials []*In
 		p.Idx.Range(lo, hi, func(lf *Leaf) bool {
 			if poll() {
 				return false
-			}
-			if len(spec.Cols) == 0 {
-				for n := 0; n < lf.Vals.Len(); n++ {
-					keys = append(keys, lf.Key)
-					if len(keys) == cap(keys) {
-						flush()
-					}
-				}
-				return true
 			}
 			lf.Vals.Scan(func(row []uint64) bool {
 				keys = append(keys, lf.Key)
@@ -347,7 +324,7 @@ func newOutputIndex(spec *OutputSpec, rec *arena.Recycler) Index {
 // (non-cancellable); a cancelled merge returns the context's error.
 func mergePartials(ec *ExecContext, spec *OutputSpec, partials []*IndexedTable, rec *arena.Recycler) (*IndexedTable, error) {
 	idx := newOutputIndex(spec, rec)
-	if err := mergeRangeInto(ec, idx, spec, partials, 0, keySpaceMax(spec.Key.TotalBits())); err != nil {
+	if err := mergeRangeInto(ec, idx, partials, 0, keySpaceMax(spec.Key.TotalBits())); err != nil {
 		return nil, err
 	}
 	return newOutputTable(spec, idx, rec), nil
@@ -432,7 +409,7 @@ func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*Indexe
 			}
 		}
 		idx := newOutputIndex(spec, ec.rec)
-		mergeErr := mergeRangeInto(ec, idx, spec, partials, los[r], his[r])
+		mergeErr := mergeRangeInto(ec, idx, partials, los[r], his[r])
 		for _, h := range phs {
 			h.Unpin()
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -69,57 +70,141 @@ func TestIntersectPred(t *testing.T) {
 	}
 }
 
-// TestSyncScanMorselsCoverSyncScan: the union over all key-range morsels
-// must visit exactly the keys present in both indexes — by brute force,
-// iterating one and looking each key up in the other — for all index
-// kinds; the property the Join operator's morsel split relies on.
+// TestSyncScanMorselsCoverSyncScan: over every pairing of index kinds
+// and shapes a Join meets, the union over all key-range morsels of a
+// window visits exactly the keys present in both indexes inside it —
+// checked by brute force, iterating one index and looking each key up in
+// the other — once each, in ascending order, passing each index's own
+// leaf; the property the Join operator's morsel split relies on. The
+// windows are the Join's bounds, a random one inside them, the whole
+// 64-bit key space and the keys past both indexes' width. A visit that
+// returns false stops the scan.
 func TestSyncScanMorselsCoverSyncScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	configs := []struct {
-		name string
-		a, b Index
-	}{
-		{"kiss-kiss", NewIndex(IndexConfig{KeyBits: 20}), NewIndex(IndexConfig{KeyBits: 20})},
-		{"pt-pt", NewIndex(IndexConfig{KeyBits: 40}), NewIndex(IndexConfig{KeyBits: 40})},
-		{"mixed", NewIndex(IndexConfig{KeyBits: 20}), prefixtree.MustNew(prefixtree.Config{KeyBits: 20})},
+	random := func(n, span int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(span))
+		}
+		return keys
 	}
-	for _, cfg := range configs {
-		a, b := cfg.a, cfg.b
-		for i := 0; i < 20000; i++ {
-			a.Insert(uint64(rng.Intn(50000)), nil)
-			b.Insert(uint64(rng.Intn(50000)), nil)
+	steps := func(from, to, step uint64) []uint64 {
+		var keys []uint64
+		for k := from; k < to; k += step {
+			keys = append(keys, k)
 		}
-		want := map[uint64]bool{}
-		a.Iterate(func(lf *Leaf) bool {
-			if b.Lookup(lf.Key) != nil {
-				want[lf.Key] = true
+		return keys
+	}
+	kiss := func() Index { return NewIndex(IndexConfig{KeyBits: 20}) }
+	pt := func(prefixLen, keyBits uint) Index {
+		return prefixtree.MustNew(prefixtree.Config{PrefixLen: prefixLen, KeyBits: keyBits})
+	}
+	// chunks puts keys step apart into each listed 2^22-key span, the keys
+	// under one 2^16-bucket chunk of a KISS-Tree's root.
+	chunks := func(step uint64, cs ...uint64) []uint64 {
+		var keys []uint64
+		for _, c := range cs {
+			keys = append(keys, steps(c<<22, c<<22+7000, step)...)
+		}
+		return keys
+	}
+	const top = ^uint64(0)
+	cases := []struct {
+		name   string
+		a, b   Index
+		ka, kb []uint64
+	}{
+		{"kiss-kiss", kiss(), kiss(), random(20000, 50000), random(20000, 50000)},
+		{"pt-pt", pt(0, 40), pt(0, 40), random(20000, 50000), random(20000, 50000)},
+		{"pt-small", pt(0, 64), pt(0, 64), []uint64{1, 5, 100, 1 << 20, 1 << 40}, []uint64{5, 100, 7, 1 << 40, 1 << 41}},
+		{"pt-early-stop", pt(0, 64), pt(0, 64), steps(0, 100, 1), steps(0, 100, 1)},
+		{"mixed", kiss(), pt(0, 20), random(20000, 50000), random(20000, 50000)},
+		{"mixed-multiples", kiss(), pt(0, 20), steps(0, 3000, 3), steps(0, 3000, 5)},
+		{"pt-prefix-lengths", pt(4, 64), pt(8, 64), random(5000, 1<<14), random(5000, 1<<14)},
+		{"pt-key-widths", pt(4, 32), pt(6, 64), random(5000, 1<<14), random(5000, 1<<14)},
+		// Dynamic expansion: a content node high up in one tree where the
+		// other grew a subtree under the same fragment path, both ways.
+		{"pt-asymmetric-depths", pt(0, 64), pt(0, 64),
+			[]uint64{0x1000, 0xF000_0000_0000_0000, 0xF000_0000_0000_0001},
+			append(steps(0x1000, 0x1040, 1), 0xF000_0000_0000_0000)},
+		{"pt-near-2^64", pt(0, 64), pt(0, 64), append(steps(top-3000, top, 3), top), append(steps(top-3000, top, 5), top)},
+		{"pt-disjoint-subtrees", pt(0, 64), pt(0, 64), steps(0, 10000, 1), steps(1<<40, 1<<40+10000, 1)},
+		{"kiss-disjoint-root-chunks", kiss(), kiss(), chunks(7, 0, 2, 4), chunks(5, 1, 2, 3)},
+		{"kiss-empty-side", kiss(), kiss(), random(1000, 5000), nil},
+		{"pt-empty-side", pt(0, 40), pt(0, 40), nil, random(1000, 5000)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := c.a, c.b
+			for _, k := range c.ka {
+				a.Insert(k, nil)
 			}
-			return true
-		})
-		lo, hi, okB := syncScanBounds(a, b)
-		if !okB {
-			t.Fatalf("%s: no scan bounds", cfg.name)
-		}
-		for _, parts := range []int{1, 2, 3, 7} {
-			got := map[uint64]bool{}
-			for p := 0; p < parts; p++ {
-				pLo, pHi, ok := partitionBounds(lo, hi, p, parts)
-				if !ok {
-					continue
+			for _, k := range c.kb {
+				b.Insert(k, nil)
+			}
+			var common []uint64
+			a.Iterate(func(lf *Leaf) bool {
+				if b.Lookup(lf.Key) != nil {
+					common = append(common, lf.Key)
 				}
-				syncScanKeyRange(a, b, pLo, pHi, func(la, _ *Leaf) bool {
-					k := la.Key
-					if got[k] {
-						t.Fatalf("%s parts=%d: key %d visited twice", cfg.name, parts, k)
+				return true
+			})
+			type window struct{ lo, hi uint64 }
+			windows := []window{{0, top}}
+			if bits := max(a.KeyBits(), b.KeyBits()); bits < 64 {
+				windows = append(windows, window{keySpaceMax(bits) + 1, top})
+			}
+			lo, hi, ok := syncScanBounds(a, b)
+			if ok {
+				l := lo + uint64(rng.Int63n(int64(min(hi-lo, 1<<62)/2+1)))
+				windows = append(windows, window{lo, hi}, window{l, l + (hi-l)/2})
+			}
+			for _, w := range windows {
+				var want []uint64
+				for _, k := range common {
+					if k >= w.lo && k <= w.hi {
+						want = append(want, k)
 					}
-					got[k] = true
-					return true
-				})
+				}
+				for _, parts := range []int{1, 2, 3, 7} {
+					var got []uint64
+					for p := 0; p < parts; p++ {
+						pLo, pHi, ok := partitionBounds(w.lo, w.hi, p, parts)
+						if !ok {
+							continue
+						}
+						done := syncScanKeyRange(a, b, pLo, pHi, func(la, lb *Leaf) bool {
+							if la != a.Lookup(la.Key) || lb != b.Lookup(la.Key) {
+								t.Fatalf("[%#x, %#x] parts=%d: key %#x: leaves not a's and b's own", w.lo, w.hi, parts, la.Key)
+							}
+							got = append(got, la.Key)
+							return true
+						})
+						if !done {
+							t.Fatalf("[%#x, %#x] parts=%d: a complete scan reported an early stop", w.lo, w.hi, parts)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("[%#x, %#x] parts=%d: visited %d keys %#x, want %d keys in ascending order",
+							w.lo, w.hi, parts, len(got), got[:min(len(got), 8)], len(want))
+					}
+				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s parts=%d: %d keys, want %d", cfg.name, parts, len(got), len(want))
+			if len(common) < 2 {
+				return
 			}
-		}
+			stop := len(common) / 2
+			var got []uint64
+			if syncScanKeyRange(a, b, 0, top, func(la, _ *Leaf) bool {
+				got = append(got, la.Key)
+				return len(got) < stop
+			}) {
+				t.Fatal("a stopped scan reported completion")
+			}
+			if !slices.Equal(got, common[:stop]) {
+				t.Fatalf("stopped scan visited %#x, want %#x", got, common[:stop])
+			}
+		})
 	}
 }
 
@@ -273,23 +358,31 @@ func TestMorselsBalanceSkewedKeys(t *testing.T) {
 
 // TestMergePartialsParallelMatchesSerial: the partition-wise parallel
 // merge must produce exactly the table the sequential re-insert produces,
-// for folding and plain outputs alike.
+// for folding and plain outputs alike, and for plain outputs of no column,
+// whose duplicate lists are only a row count.
 func TestMergePartialsParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
-	for _, folding := range []bool{true, false} {
+	for _, c := range []struct {
+		name string
+		cols []string
+		fold func(dst, src []uint64)
+	}{
+		{"folding", []string{"v"}, FoldSum(0)},
+		{"plain", []string{"v"}, nil},
+		{"plain-width-0", nil, nil},
+	} {
 		spec := &OutputSpec{
 			Name: "m",
 			Key:  SimpleKey("k", 40), // prefix tree
-			Cols: []string{"v"},
-		}
-		if folding {
-			spec.Fold = FoldSum(0)
+			Cols: c.cols,
+			Fold: c.fold,
 		}
 		var partials []*IndexedTable
 		for p := 0; p < 5; p++ {
 			idx := newOutputIndex(spec, nil)
 			for i := 0; i < 9000; i++ {
-				idx.Insert(uint64(rng.Intn(1<<22)), []uint64{uint64(rng.Intn(10))})
+				row := []uint64{uint64(rng.Intn(10))}
+				idx.Insert(uint64(rng.Intn(1<<22)), row[:len(c.cols)])
 			}
 			partials = append(partials, NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx))
 		}
@@ -297,7 +390,10 @@ func TestMergePartialsParallelMatchesSerial(t *testing.T) {
 		ec := &ExecContext{sched: NewScheduler(4)}
 		par, _ := mergePartialsParallel(ec, spec, partials)
 		if _, sharded := par.Idx.(*shardedIndex); !sharded {
-			t.Fatalf("folding=%v: parallel merge did not shard", folding)
+			t.Fatalf("%s: parallel merge did not shard", c.name)
+		}
+		if want := 5 * 9000; c.fold == nil && par.Rows() != want {
+			t.Fatalf("%s: merged %d rows, want %d", c.name, par.Rows(), want)
 		}
 		assertSameTable(t, serial, par)
 	}

@@ -73,16 +73,6 @@ func (t *Tree) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
 	ptrPool.Put(pp)
 }
 
-// lookupInNode resolves the second level and content access for one key,
-// given its root pointer. Shared by the synchronous index scan.
-func (t *Tree) lookupInNode(ptr uint32, k uint32) *Leaf {
-	lp := t.nodes.Block(ptr - 1)[k&slotMask]
-	if lp == 0 {
-		return nil
-	}
-	return t.leaves.At(lp - 1)
-}
-
 // InsertBatch inserts rows[i] under keys[i] for all i. rows may be nil for
 // width-0 trees; otherwise len(rows) must equal len(keys).
 func (t *Tree) InsertBatch(keys []uint64, rows [][]uint64) {

@@ -295,8 +295,8 @@ func (t *Tree) Max() (uint64, bool) {
 }
 
 // Iterate visits every leaf in ascending key order, restricted to the root
-// range actually in use (the min/max trick from the synchronous scan). It
-// stops early if visit returns false and reports whether it completed.
+// range actually in use (between the minimum and maximum key). It stops
+// early if visit returns false and reports whether it completed.
 func (t *Tree) Iterate(visit func(lf *Leaf) bool) bool {
 	if t.keys == 0 {
 		return true

@@ -242,63 +242,3 @@ func TestInsertBatchMatchesScalar(t *testing.T) {
 		return true
 	})
 }
-
-// TestSyncScanIntersection: over the whole key space and over a bounded
-// range, SyncScan visits exactly the common keys inside the bounds, in
-// ascending order.
-func TestSyncScanIntersection(t *testing.T) {
-	a, b := MustNew(Config{}), MustNew(Config{})
-	sa, sb := map[uint64]bool{}, map[uint64]bool{}
-	rng := rand.New(rand.NewSource(37))
-	for i := 0; i < 5000; i++ {
-		ka, kb := uint64(rng.Uint32()%8000), uint64(rng.Uint32()%8000)
-		a.Insert(ka, nil)
-		b.Insert(kb, nil)
-		sa[ka], sb[kb] = true, true
-	}
-	for _, r := range [][2]uint64{{0, ^uint64(0)}, {2000, 5999}} {
-		lo, hi := r[0], r[1]
-		want := 0
-		for k := range sa {
-			if sb[k] && k >= lo && k <= hi {
-				want++
-			}
-		}
-		got := 0
-		prev, first := uint64(0), true
-		SyncScan(a, b, lo, hi, func(la, lb *Leaf) bool {
-			if la.Key != lb.Key || !sa[la.Key] || !sb[la.Key] || la.Key < lo || la.Key > hi {
-				t.Fatalf("[%d, %d]: bad intersection element %d", lo, hi, la.Key)
-			}
-			if !first && la.Key <= prev {
-				t.Fatalf("[%d, %d]: intersection out of order", lo, hi)
-			}
-			prev, first = la.Key, false
-			got++
-			return true
-		})
-		if got != want {
-			t.Fatalf("[%d, %d]: intersection size %d, want %d", lo, hi, got, want)
-		}
-	}
-}
-
-func TestSyncScanDisjointRootRanges(t *testing.T) {
-	a, b := MustNew(Config{}), MustNew(Config{})
-	for i := uint64(0); i < 1000; i++ {
-		a.Insert(i, nil)
-		b.Insert(i+1<<30, nil)
-	}
-	SyncScan(a, b, 0, ^uint64(0), func(la, lb *Leaf) bool {
-		t.Fatal("visited key in disjoint trees")
-		return false
-	})
-}
-
-func TestSyncScanEmpty(t *testing.T) {
-	a, b := MustNew(Config{}), MustNew(Config{})
-	a.Insert(1, nil)
-	if !SyncScan(a, b, 0, ^uint64(0), func(*Leaf, *Leaf) bool { t.Fatal("visit"); return false }) {
-		t.Fatal("scan of empty reported early stop")
-	}
-}

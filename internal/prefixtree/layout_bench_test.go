@@ -85,27 +85,6 @@ func BenchmarkLookupBatch(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkSyncScan joins two half-overlapping indexes with the
-// synchronous index scan — the skip-heavy kernel whose bucket walks the
-// compact layout accelerates.
-func BenchmarkSyncScan(b *testing.B) {
-	left := benchKeys(benchTreeKeys, 101)
-	right := append(append([]uint64{}, left[:benchTreeKeys/2]...),
-		benchKeys(benchTreeKeys/2, 107)...)
-	var matches int
-	b.Run("arena", func(b *testing.B) {
-		ta := buildArena(left, benchRows(left))
-		tb := buildArena(right, benchRows(right))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			matches = 0
-			SyncScan(ta, tb, 0, ta.keyMax(), func(la, lb *Leaf) bool { matches++; return true })
-		}
-	})
-	_ = matches
-}
-
 // TestLookupBatchAllocationFree pins the pooled-scratch satellite: after
 // warm-up, batched lookups on the arena tree allocate nothing.
 func TestLookupBatchAllocationFree(t *testing.T) {

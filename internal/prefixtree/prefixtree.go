@@ -175,9 +175,6 @@ func (t *Tree) PayloadWidth() int { return t.cfg.PayloadWidth }
 // KeyBits reports the configured key width in bits.
 func (t *Tree) KeyBits() uint { return t.cfg.KeyBits }
 
-// PrefixLen reports k′.
-func (t *Tree) PrefixLen() uint { return t.cfg.PrefixLen }
-
 // checkKey panics if an inserted key has bits outside the configured key
 // width; such a key can never be stored and always indicates a caller bug.
 // The read paths answer it as a miss instead (wide): a probe key may be

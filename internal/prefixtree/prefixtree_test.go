@@ -29,8 +29,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("negative PayloadWidth accepted")
 	}
 	tr := newTree(t, Config{})
-	if tr.PrefixLen() != 4 || tr.KeyBits() != 64 {
-		t.Errorf("defaults: k'=%d bits=%d, want 4/64", tr.PrefixLen(), tr.KeyBits())
+	if tr.cfg.PrefixLen != 4 || tr.KeyBits() != 64 {
+		t.Errorf("defaults: k'=%d bits=%d, want 4/64", tr.cfg.PrefixLen, tr.KeyBits())
 	}
 }
 
@@ -159,7 +159,7 @@ func maxDepth(t *Tree, n uint32, level int) int {
 
 func levels32(t *testing.T, tr *Tree) int {
 	t.Helper()
-	return int((tr.KeyBits() + tr.PrefixLen() - 1) / tr.PrefixLen())
+	return int((tr.KeyBits() + tr.cfg.PrefixLen - 1) / tr.cfg.PrefixLen)
 }
 
 func TestRange(t *testing.T) {

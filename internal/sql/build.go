@@ -273,18 +273,23 @@ func (b *builder) outputSpec(factOrd int, shapes []*core.IndexedTable) (*core.Ou
 	out := &core.OutputSpec{Name: "Γ"}
 	for i, g := range b.stmt.GroupBy {
 		owner := b.groupOwner[i]
-		ord := factOrd
+		ref := core.Ref{Input: factOrd, Attr: g.Name}
 		ti := b.fact
-		if owner != b.factName {
-			for _, d := range b.dims {
-				if d.table == owner {
-					ord, ti = d.ordinal, d.ti
-				}
+		for _, d := range b.dims {
+			if d.table != owner {
+				continue
+			}
+			ti = d.ti
+			if g.Name == d.joinKey {
+				// Equal to the fact's foreign key under the join predicate.
+				ref.Attr = d.fk
+			} else {
+				ref.Input = d.ordinal
 			}
 		}
 		out.Key.Attrs = append(out.Key.Attrs, g.Name)
 		out.Key.Bits = append(out.Key.Bits, ti.Bits(g.Name))
-		out.KeyRefs = append(out.KeyRefs, core.Ref{Input: ord, Attr: g.Name})
+		out.KeyRefs = append(out.KeyRefs, ref)
 	}
 	if len(out.Key.Bits) > 1 {
 		// The result index composes its key from the GROUP BY columns,

@@ -202,9 +202,12 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt) (*Statement, error
 			return nil, err
 		}
 		groupOwner[i] = t
-		if t == fact {
+		switch {
+		case t == fact:
 			factCarries = append(factCarries, g.Name)
-		} else {
+		case g.Name != dims[t].joinKey:
+			// A dimension's join key is read from the fact's foreign key
+			// (outputSpec), so the dimension need not carry it.
 			dims[t].carries = append(dims[t].carries, g.Name)
 		}
 	}

@@ -121,9 +121,11 @@ func (b *builder) factIndex(main *dimInfo) (*core.IndexedTable, error) {
 
 // buildStar assembles the star-join plan. A restricted main dimension
 // drives a composed select-join (paper Section 4.3): input 0 is the
-// dimension, input 1 the fact. An unrestricted one enters a star join as
-// its base index: input 0 is the fact, input 1 the dimension. Assists
-// follow at 2+i either way.
+// dimension, input 1 the fact. The main dimension is the most selective,
+// so it is unrestricted only when no dimension has a restriction, on
+// itself or on the fact's foreign key to it (plan moves those onto the
+// join key); it then enters a star join as its base index: input 0 is the
+// fact, input 1 the dimension. Assists follow at 2+i either way.
 func (b *builder) buildStar() (*Statement, error) {
 	main := b.dims[0]
 	factIdx, err := b.factIndex(main)

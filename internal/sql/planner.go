@@ -73,6 +73,8 @@ type dimInfo struct {
 	ti      *catalog.TableInfo
 	joinKey string // dimension-side join column
 	fk      string // fact-side join column
+	// conds are the dimension's restrictions in WHERE order, then the
+	// fact's restrictions on fk, moved onto joinKey.
 	conds   []Cond
 	carries []string // group-by attributes read from this dimension
 	est     float64  // selectivity estimate (lower = more selective)
@@ -191,9 +193,31 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt) (*Statement, error
 			dims[t].conds = cs
 		}
 	}
+	// A fact restriction on a joined foreign key restricts the dimension's
+	// join key too (lo_orderdate = d_datekey ∧ lo_orderdate ∈ R ⇒
+	// d_datekey ∈ R), so it moves onto every dimension joined on that key:
+	// a restricted dimension probes only its qualifying keys. Codes of two
+	// dictionaries are not comparable, so a coded column keeps its
+	// restriction.
+	factTi := tis[fact]
+	kept := restr[fact][:0]
+	for _, c := range restr[fact] {
+		moved := false
+		for _, d := range dims { // each gets its own copy: the order does not matter
+			if d.fk == c.Col.Name && !c.IsStr && factTi.Dict(d.fk) == nil && d.ti.Dict(d.joinKey) == nil {
+				dc := c
+				dc.Col = Column{Table: d.table, Name: d.joinKey}
+				d.conds = append(d.conds, dc)
+				moved = true
+			}
+		}
+		if !moved {
+			kept = append(kept, c)
+		}
+	}
+	restr[fact] = kept
 
 	// Group-by attributes: assign carries to their dimensions (or fact).
-	factTi := tis[fact]
 	var factCarries []string
 	groupOwner := make([]string, len(stmt.GroupBy))
 	for i, g := range stmt.GroupBy {
@@ -265,7 +289,8 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt) (*Statement, error
 }
 
 // estimate guesses a dimension restriction's selectivity from dictionary
-// domain sizes (lower is more selective; unrestricted dimensions get 1).
+// domain sizes (lower is more selective). A dimension with no restriction,
+// on itself or on the fact's foreign key to it, gets 1.
 func estimate(d *dimInfo) float64 {
 	if len(d.conds) == 0 {
 		return 1

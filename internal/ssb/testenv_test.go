@@ -118,7 +118,9 @@ func sqlCases(t testing.TB, ds *Dataset, qids ...string) []planCase {
 
 // rollups restrict the fact table by a year range on its date key, like
 // benchmark/'s ssb-par texts. No SSB text's operator fans out to a second worker (each is driven by a selection a few
-// dictionary codes wide); these roll-ups' operators do.
+// dictionary codes wide); these roll-ups' operators do. rollup2's range is
+// on the date join's foreign key, so the planner moves it onto d_datekey
+// and rollup2 is a select-join over the two years' 730 dates.
 var rollups = []string{
 	"select lo_suppkey, sum(lo_revenue) as r from lineorder where lo_orderdate between 19930101 and 19951231 group by lo_suppkey order by lo_suppkey;",
 	"select d_yearmonthnum, sum(lo_revenue) as r from lineorder, `date` where lo_orderdate = d_datekey and lo_orderdate between 19940101 and 19951231 group by d_yearmonthnum order by d_yearmonthnum;",

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -23,6 +24,7 @@ const handshakeTimeout = 10 * time.Second
 type srvConn struct {
 	srv *Server
 	nc  net.Conn
+	in  *bufio.Reader // nc's bytes: a Cancel behind its Query is seen with it
 	out frameWriter
 
 	// cancel ends the connection's lifetime — on client disconnect,
@@ -50,6 +52,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	c := &srvConn{
 		srv:    s,
 		nc:     nc,
+		in:     bufio.NewReader(nc),
 		out:    frameWriter{w: nc},
 		cancel: cancel,
 		sess:   s.eng.Conn(s.cat),
@@ -79,7 +82,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		// has: a command that already finished has nothing to stop.
 		cancelLast := context.CancelFunc(func() {})
 		for {
-			t, p, err := ReadFrame(nc, MaxClientFrame)
+			t, p, err := ReadFrame(c.in, MaxClientFrame)
 			if err != nil {
 				return
 			}
@@ -96,6 +99,12 @@ func (s *Server) serveConn(nc net.Conn) {
 			case FrameQuery:
 				f.ctx, f.cancel = context.WithCancel(ctx)
 				cancelLast = f.cancel
+				// A Cancel that came in with its Query aborts it before
+				// the hand-off: read after it, it races a serve loop that
+				// may already have answered.
+				if c.cancelBuffered() {
+					f.cancel()
+				}
 			}
 			select {
 			case frames <- f:
@@ -135,11 +144,26 @@ func (c *srvConn) shutdown() {
 	c.nc.Close()
 }
 
+// cancelBuffered consumes the next frame if it is a Cancel already whole
+// in the read buffer, and reports whether it did. It never reads nc.
+func (c *srvConn) cancelBuffered() bool {
+	if c.in.Buffered() < 5 {
+		return false
+	}
+	hdr, _ := c.in.Peek(5)
+	n := int(binary.BigEndian.Uint32(hdr[1:]))
+	if FrameType(hdr[0]) != FrameCancel || n > c.in.Buffered()-5 {
+		return false
+	}
+	c.in.Discard(5 + n)
+	return true
+}
+
 // handshake reads Hello (bounded by handshakeTimeout) and answers
 // HelloOK with the negotiated version and banner.
 func (c *srvConn) handshake() error {
 	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	t, p, err := ReadFrame(c.nc, MaxClientFrame)
+	t, p, err := ReadFrame(c.in, MaxClientFrame)
 	if err != nil {
 		return err
 	}

@@ -276,9 +276,9 @@ func TestWireRetiredFrames(t *testing.T) {
 }
 
 // TestWireCancelBehindQuery: a Cancel that reaches the server in the same
-// write as its Query aborts that Query, although the read loop sees the
-// Cancel right after handing the Query over, often before the serve loop
-// has started it.
+// write as its Query aborts that Query, however fast the serve loop would
+// answer it: the read loop finds the Cancel buffered behind the Query and
+// cancels the Query before handing it over.
 func TestWireCancelBehindQuery(t *testing.T) {
 	eng, srv, want := q21Server(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

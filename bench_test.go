@@ -250,7 +250,7 @@ var fig3Indexes = []fig3Index{
 		return func(probes []uint64) { batchLookup(t, probes, 1) }
 	}},
 	{"KISS Batched", func(keys []uint64) func([]uint64) {
-		const bs = prefixtree.DefaultBatchSize
+		const bs = core.DefaultBufferSize
 		t := kisstree.MustNew(kisstree.Config{PayloadWidth: 1})
 		rows := make([][]uint64, bs)
 		for off := 0; off < len(keys); off += bs {
@@ -376,8 +376,8 @@ func BenchmarkFigure8(b *testing.B) {
 
 // BenchmarkFigure9 regenerates Figure 9: Q4.1 under join-arity caps 2–5.
 // Every arity is a hand-built plan (ssb.Figure9Plan); the uncapped 5-way
-// point is one star join of lineorder and the customer selection with the
-// supplier and part selections and the date index as assists.
+// point is one star join, the customer selection driving lineorder, with
+// the supplier and part selections and the date index as assists.
 func BenchmarkFigure9(b *testing.B) {
 	ds := dataset(b)
 	env := benchEngine(b).Env()

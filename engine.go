@@ -240,11 +240,11 @@ func (e *Engine) admit(ctx context.Context, session uint64) (release func(), wai
 	if e.gate == nil {
 		return func() {}, 0, nil
 	}
-	t0 := time.Now()
-	if err := e.gate.Acquire(ctx, session); err != nil {
+	wait, err = e.gate.Admit(ctx, session)
+	if err != nil {
 		return nil, 0, err
 	}
-	return e.gate.Release, time.Since(t0), nil
+	return e.gate.Release, wait, nil
 }
 
 // Session opens a session against a catalog: the handle queries and

@@ -12,14 +12,14 @@
 //     the gate as a whole holds at most MaxPlans×DefaultQueueDepth
 //     waiters — so queue memory stays bounded even when every query
 //     arrives on its own session (one connection = one session in the
-//     wire server). Past either bound, Acquire fails fast with
+//     wire server). Past either bound, Admit fails fast with
 //     ErrOverloaded — backpressure the caller can surface as a typed
 //     protocol frame — instead of queueing unbounded memory.
 //   - Freed slots are granted round-robin across the sessions that have
 //     waiters, FIFO within each session, so a session issuing hundreds
 //     of plans cannot starve one issuing a single plan.
 //
-// Cancelling the Acquire context while queued abandons the wait; a grant
+// Cancelling the Admit context while queued abandons the wait; a grant
 // that races the cancellation is re-donated to the next waiter, so slots
 // never leak. The gate is small and allocation-light on the admit fast
 // path (one mutex, no goroutines of its own).
@@ -32,7 +32,7 @@ import (
 	"time"
 )
 
-// ErrOverloaded is returned by Acquire when the caller's session queue is
+// ErrOverloaded is returned by Admit when the caller's session queue is
 // full: the server is past both its concurrency cap and its queue bound,
 // and the honest answer is "try again later", not more buffering.
 var ErrOverloaded = errors.New("admission: session queue full, server overloaded")
@@ -51,12 +51,14 @@ type Config struct {
 	MaxPlans int
 }
 
-// A waiter is one queued Acquire. The gate hands it a slot by setting
-// granted and closing ready; a cancelled waiter is spliced out of its
-// session queue, so the ring only ever holds live waiters.
+// A waiter is one queued Admit. The gate hands it a slot by setting
+// granted and wait, its queue time, and closing ready; a cancelled waiter
+// is spliced out of its session queue, so the ring only ever holds live
+// waiters.
 type waiter struct {
 	ready    chan struct{}
 	enqueued time.Time
+	wait     time.Duration
 	granted  bool
 }
 
@@ -99,25 +101,32 @@ func New(cfg Config) *Gate {
 	}
 }
 
-// Acquire admits one plan for the session, blocking in the session's
-// FIFO queue while the gate is at its concurrency cap. It returns nil
-// when the plan may run (the caller must Release exactly once),
-// ErrOverloaded when the session's queue is full, or ctx.Err() when the
-// context is cancelled while queued.
+// Acquire is Admit without the queue time.
 func (g *Gate) Acquire(ctx context.Context, session uint64) error {
+	_, err := g.Admit(ctx, session)
+	return err
+}
+
+// Admit admits one plan for the session, blocking in the session's FIFO
+// queue while the gate is at its concurrency cap. It returns how long the
+// plan queued — 0 when a slot was free on arrival — and a nil error when
+// the plan may run (the caller must Release exactly once), ErrOverloaded
+// when the session's queue is full, or ctx.Err() when the context is
+// cancelled while queued.
+func (g *Gate) Admit(ctx context.Context, session uint64) (time.Duration, error) {
 	g.mu.Lock()
 	if g.running < g.maxPlans && len(g.ring) == 0 {
 		// Fast path: a free slot and nobody queued ahead of us.
 		g.running++
 		g.admitted++
 		g.mu.Unlock()
-		return nil
+		return 0, nil
 	}
 	sq := g.sessions[session]
 	if (sq != nil && len(sq.waiters) >= DefaultQueueDepth) || g.queued >= g.maxPlans*DefaultQueueDepth {
 		g.rejected++
 		g.mu.Unlock()
-		return ErrOverloaded
+		return 0, ErrOverloaded
 	}
 	if sq == nil {
 		sq = &sessQ{id: session}
@@ -136,7 +145,7 @@ func (g *Gate) Acquire(ctx context.Context, session uint64) error {
 
 	select {
 	case <-w.ready:
-		return nil
+		return w.wait, nil
 	case <-ctx.Done():
 		g.mu.Lock()
 		if w.granted {
@@ -144,11 +153,11 @@ func (g *Gate) Acquire(ctx context.Context, session uint64) error {
 			// use. Donate it onward under the same lock.
 			g.releaseLocked()
 			g.mu.Unlock()
-			return ctx.Err()
+			return 0, ctx.Err()
 		}
 		g.abandonLocked(sq, w)
 		g.mu.Unlock()
-		return ctx.Err()
+		return 0, ctx.Err()
 	}
 }
 
@@ -202,10 +211,11 @@ func (g *Gate) releaseLocked() {
 		delete(g.sessions, sq.id)
 	}
 	w.granted = true
+	w.wait = time.Since(w.enqueued)
 	g.queued--
 	g.admitted++
 	g.waited++
-	g.waitTime += time.Since(w.enqueued)
+	g.waitTime += w.wait
 	close(w.ready)
 }
 
@@ -220,7 +230,7 @@ type Stats struct {
 	Running    int
 	Queued     int
 	PeakQueued int
-	// Admitted counts every successful Acquire; Waited the subset that
+	// Admitted counts every successful Admit; Waited the subset that
 	// queued first, with WaitTime their cumulative queue time. Rejected
 	// counts ErrOverloaded answers.
 	Admitted int64

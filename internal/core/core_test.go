@@ -84,8 +84,9 @@ func (f *fixture) oracleGroupSum(brands map[uint64]bool, qlo, qhi uint64) map[ui
 	return out
 }
 
-// starPlan builds: σ_products(brand=17) → ⋈(fact, σ_out) assisted by
-// customers, grouped by region with sum(qty).
+// starPlan builds: σ_products(brand=17) → ⋈(σ_out, fact) assisted by
+// customers, grouped by region with sum(qty). The selection's output, one
+// row per product key, drives the join.
 func starPlan(f *fixture, brand uint64) *Plan {
 	sel := &Selection{
 		Input: &Base{Table: f.prodByBrand},
@@ -98,19 +99,20 @@ func starPlan(f *fixture, brand uint64) *Plan {
 			ColExprs: nil,
 		},
 	}
-	join := &Join{
-		Left:  &Base{Table: f.factByProd},
-		Right: sel,
+	join := &SelectJoin{
+		SelInput:      sel,
+		Main:          &Base{Table: f.factByProd},
+		ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
 		Assists: []Assist{{
 			Input:     &Base{Table: f.custByKey},
-			ProbeWith: Ref{Input: 0, Attr: "custkey"},
+			ProbeWith: Ref{Input: 1, Attr: "custkey"},
 		}},
 		Out: OutputSpec{
 			Name:     "Γ_region",
 			Key:      SimpleKey("region", 8),
 			KeyRefs:  []Ref{{Input: 2, Attr: "region"}},
 			Cols:     []string{"sum_qty"},
-			ColExprs: []RowExpr{Attr(0, "qty")},
+			ColExprs: []RowExpr{Attr(1, "qty")},
 			Fold:     FoldSum(0),
 		},
 	}
@@ -227,15 +229,16 @@ func TestSelectionResidualAndRange(t *testing.T) {
 			ColExprs: []RowExpr{Attr(0, "qty")},
 		},
 	}
-	join := &Join{
-		Left:  sel,
-		Right: &Base{Table: f.custByKey},
+	join := &SelectJoin{
+		SelInput:      &Base{Table: f.custByKey},
+		Main:          sel,
+		ProbeMainWith: Ref{Input: 0, Attr: "custkey"},
 		Out: OutputSpec{
 			Name:     "Γ_region",
 			Key:      SimpleKey("region", 8),
-			KeyRefs:  []Ref{{Input: 1, Attr: "region"}},
+			KeyRefs:  []Ref{{Input: 0, Attr: "region"}},
 			Cols:     []string{"sum_qty"},
-			ColExprs: []RowExpr{Attr(0, "qty")},
+			ColExprs: []RowExpr{Attr(1, "qty")},
 			Fold:     FoldSum(0),
 		},
 	}
@@ -290,19 +293,20 @@ func TestComposedGroupKeyOutput(t *testing.T) {
 			ColExprs: []RowExpr{Attr(0, "brand")},
 		},
 	}
-	join := &Join{
-		Left:  &Base{Table: f.factByProd},
-		Right: sel,
+	join := &SelectJoin{
+		SelInput:      sel,
+		Main:          &Base{Table: f.factByProd},
+		ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
 		Assists: []Assist{{
 			Input:     &Base{Table: f.custByKey},
-			ProbeWith: Ref{Input: 0, Attr: "custkey"},
+			ProbeWith: Ref{Input: 1, Attr: "custkey"},
 		}},
 		Out: OutputSpec{
 			Name:     "Γ_region_brand",
 			Key:      GroupKey([]string{"region", "brand"}, []uint{8, 8}),
-			KeyRefs:  []Ref{{Input: 2, Attr: "region"}, {Input: 1, Attr: "brand"}},
+			KeyRefs:  []Ref{{Input: 2, Attr: "region"}, {Input: 0, Attr: "brand"}},
 			Cols:     []string{"sum_qty"},
-			ColExprs: []RowExpr{Attr(0, "qty")},
+			ColExprs: []RowExpr{Attr(1, "qty")},
 			Fold:     FoldSum(0),
 		},
 	}
@@ -379,16 +383,22 @@ func TestStatsCollection(t *testing.T) {
 	if join.OutKeys != out.Keys() || join.OutRows != out.Rows() {
 		t.Errorf("join stats out %d/%d, table %d/%d", join.OutKeys, join.OutRows, out.Keys(), out.Rows())
 	}
-	// Every fact row the main match yields reaches the customer assist
-	// once, as a lookup or as a filtered key.
-	combos := 0
+	// The main probe looks up each selected product once, and every fact
+	// row it yields reaches the customer assist once, as a lookup or as a
+	// filtered key.
+	prods, combos := 0, 0
+	for _, b := range f.prod {
+		if b == 2 {
+			prods++
+		}
+	}
 	for _, r := range f.fact {
 		if f.prod[r[1]] == 2 {
 			combos++
 		}
 	}
-	if join.ProbeLookups == 0 || join.ProbeLookups+join.ProbeFiltered != combos {
-		t.Errorf("join probes %d + filtered %d, want %d fact rows in all", join.ProbeLookups, join.ProbeFiltered, combos)
+	if combos == 0 || join.ProbeLookups+join.ProbeFiltered != prods+combos {
+		t.Errorf("join probes %d + filtered %d, want %d products and %d fact rows in all", join.ProbeLookups, join.ProbeFiltered, prods, combos)
 	}
 	if join.Time <= 0 || join.IndexTime < 0 || join.MaterializeTime < 0 {
 		t.Errorf("implausible times: %+v", join)
@@ -520,15 +530,16 @@ func TestEveryOperatorMaterializes(t *testing.T) {
 				ColExprs: []RowExpr{Attr(1, "qty")},
 			},
 		}
-		return &Plan{Root: &Join{
-			Left:  sj,
-			Right: &Base{Table: f.custByKey},
+		return &Plan{Root: &SelectJoin{
+			SelInput:      &Base{Table: f.custByKey},
+			Main:          sj,
+			ProbeMainWith: Ref{Input: 0, Attr: "custkey"},
 			Out: OutputSpec{
 				Name:     "Γ_region",
 				Key:      SimpleKey("region", 8),
-				KeyRefs:  []Ref{{Input: 1, Attr: "region"}},
+				KeyRefs:  []Ref{{Input: 0, Attr: "region"}},
 				Cols:     []string{"sum_qty"},
-				ColExprs: []RowExpr{Attr(0, "qty")},
+				ColExprs: []RowExpr{Attr(1, "qty")},
 				Fold:     FoldSum(0),
 			},
 		}}

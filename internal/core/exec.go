@@ -195,10 +195,9 @@ type PlanStats struct {
 	RecycleSavedBytes int64
 	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
 	FusedEdges int
-	// AdmissionWait is how long the plan spent passing the engine's
-	// admission gate before execution began: its queue time, or the
-	// microseconds an uncontended admission takes (0 when no gate is
-	// configured). Total does not include it. Env.Run leaves it 0;
+	// AdmissionWait is how long the plan queued at the engine's admission
+	// gate before execution began: 0 when a slot was free on arrival or no
+	// gate is configured. Total does not include it. Env.Run leaves it 0;
 	// qppt.Engine sets it on the stats a run returns.
 	AdmissionWait time.Duration
 }

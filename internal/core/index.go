@@ -9,11 +9,11 @@
 // number of "next calls" between operators is thereby reduced to exactly
 // one: passing the output index handle.
 //
-// The package provides the selection/having operator, the composed
-// multi-way/star join (with no assists the 2-way join-group) and the
-// composed select-join. A join reads its two main inputs with the
-// synchronous index scan, and every probe stage batches its lookups
-// through the joinbuffer.
+// The package provides two operators: the selection/having operator and
+// the composed select-join, which is also the multi-way/star join and,
+// with no predicate and no assists, the 2-way join-group. A join of two
+// key-indexed inputs is the select-join of the whole driving index, and
+// every probe stage batches its lookups through the joinbuffer.
 package core
 
 import (

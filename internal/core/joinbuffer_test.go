@@ -73,15 +73,13 @@ func (tb *jbTable) scan() [][]uint64 {
 	return rows
 }
 
-// jbCase is one star-join operator over jbTables. A select-join scans
-// input 0 under pred and probes input 1 (the fact side) with mainWith; a
-// join synchronously scans inputs 0 (the fact side) and 1. Assist i is
-// input 2+i, probed with probes[i]; with selAssists it is a selection's
-// output over the table's index, an intermediate, instead of the base
-// index itself. A residual keeps combinations whose residual attribute is
-// even, right after the main match.
+// jbCase is one select-join over jbTables: it scans input 0 under pred (all
+// of it when pred is nil) and probes input 1, the fact side, with mainWith.
+// Assist i is input 2+i, probed with probes[i]; with selAssists it is a
+// selection's output over the table's index, an intermediate, instead of
+// the base index itself. A residual keeps combinations whose residual
+// attribute is even, right after the main match.
 type jbCase struct {
-	join       bool
 	tables     []*jbTable
 	pred       KeyPred
 	mainWith   Ref
@@ -129,17 +127,17 @@ func (c *jbCase) plan() *Plan {
 		}
 		assists = append(assists, Assist{Input: in, ProbeWith: r})
 	}
-	if c.join {
-		return &Plan{Root: &Join{
-			Left: &Base{Table: inputs[0]}, Right: &Base{Table: inputs[1]},
-			Assists: assists, Residual: residual, Out: out,
-		}}
-	}
 	return &Plan{Root: &SelectJoin{
 		SelInput: &Base{Table: inputs[0]}, Pred: c.pred,
 		Main: &Base{Table: inputs[1]}, ProbeMainWith: c.mainWith, MainResidual: residual,
 		Assists: assists, Out: out,
 	}}
+}
+
+// selected reports whether the row s of input 0 passes the case's
+// predicate.
+func (c *jbCase) selected(s []uint64) bool {
+	return c.pred == nil || s[0] >= c.pred[0].Lo && s[0] <= c.pred[0].Hi
 }
 
 // want evaluates the case as nested loops over the raw rows and returns the
@@ -168,24 +166,14 @@ func (c *jbCase) want() [][]uint64 {
 			assist(0)
 		}
 	}
-	if c.join {
-		for _, l := range c.tables[0].scan() {
-			combo[0] = l
-			for _, r := range c.tables[1].lookup(l[0]) {
-				combo[1] = r
-				matched()
-			}
+	for _, s := range c.tables[0].scan() {
+		if !c.selected(s) {
+			continue
 		}
-	} else {
-		for _, s := range c.tables[0].scan() {
-			if s[0] < c.pred[0].Lo || s[0] > c.pred[0].Hi {
-				continue
-			}
-			combo[0] = s
-			for _, m := range c.tables[1].lookup(val(c.mainWith)) {
-				combo[1] = m
-				matched()
-			}
+		combo[0] = s
+		for _, m := range c.tables[1].lookup(val(c.mainWith)) {
+			combo[1] = m
+			matched()
 		}
 	}
 	slices.SortStableFunc(out, func(a, b []uint64) int { return int(a[0]) - int(b[0]) })
@@ -197,7 +185,7 @@ func (c *jbCase) want() [][]uint64 {
 func (c *jbCase) firstProbes() []uint64 {
 	var keys []uint64
 	for _, s := range c.tables[0].scan() {
-		if s[0] < c.pred[0].Lo || s[0] > c.pred[0].Hi {
+		if !c.selected(s) {
 			continue
 		}
 		for _, m := range c.tables[1].lookup(s[c.tables[0].attr(c.mainWith.Attr)]) {
@@ -207,10 +195,12 @@ func (c *jbCase) firstProbes() []uint64 {
 	return keys
 }
 
-// jbShape picks a case's shape; the rows come from the random source.
+// jbShape picks a case's shape; the rows come from the random source. A
+// join is the select-join with no predicate whose driver, input 0, holds up
+// to 3 rows per key and probes the fact side with its key.
 type jbShape struct {
 	join     bool
-	mainRows int // max rows per key of the fact side (input 1 of a select-join)
+	mainRows int // max rows per key of the fact side, input 1
 	assists  []jbAssist
 	residual bool
 	keys     int // key space of every table
@@ -318,13 +308,8 @@ func addFarKey(rng *rand.Rand, tb *jbTable, keys int) {
 func (sh jbShape) build(rng *rand.Rand) *jbCase {
 	fact := randTable(rng, sh.keys, sh.mainRows, "c0", "c1", "c2")
 	other := randTable(rng, sh.keys, 3, "c0")
-	c := &jbCase{join: sh.join}
-	factOrd := 1
-	if sh.join {
-		factOrd = 0
-		c.tables = []*jbTable{fact, other}
-	} else {
-		c.tables = []*jbTable{other, fact}
+	c := &jbCase{tables: []*jbTable{other, fact}, mainWith: Ref{Input: 0, Attr: "k"}}
+	if !sh.join {
 		c.pred = Between(uint64(rng.Intn(sh.keys/4)), uint64(sh.keys))
 		c.mainWith = Ref{Input: 0, Attr: "c0"}
 	}
@@ -344,7 +329,7 @@ func (sh jbShape) build(rng *rand.Rand) *jbCase {
 			c.tables = append(c.tables, randTable(rng, sh.keys, a.rows, cols...))
 			addFarKey(rng, c.tables[len(c.tables)-1], sh.keys)
 		}
-		probe := Ref{Input: factOrd, Attr: fmt.Sprintf("c%d", rng.Intn(3))}
+		probe := Ref{Input: 1, Attr: fmt.Sprintf("c%d", rng.Intn(3))}
 		if a.fromPrev && i > 0 && sh.assists[i-1].width > 0 {
 			probe = Ref{Input: 2 + i - 1, Attr: "c0"}
 		}
@@ -354,9 +339,9 @@ func (sh jbShape) build(rng *rand.Rand) *jbCase {
 		c.probes = append(c.probes, probe)
 	}
 	if sh.residual {
-		c.residual = &Ref{Input: factOrd, Attr: "c1"}
+		c.residual = &Ref{Input: 1, Attr: "c1"}
 	}
-	c.outKey = Ref{Input: factOrd, Attr: "c2"}
+	c.outKey = Ref{Input: 1, Attr: "c2"}
 	return c
 }
 
@@ -407,7 +392,7 @@ func TestJoinbufferPreservesArrivalOrder(t *testing.T) {
 			c := tc.shape.build(rand.New(rand.NewSource(int64(i + 1))))
 			// A select-join's sparse first assist must filter probe keys:
 			// some below its Min, one just past its Max, some in its holes.
-			filtered := !tc.shape.join && tc.shape.assists[0].set == sparseSet
+			filtered := tc.shape.assists[0].set == sparseSet
 			if filtered {
 				checkFilteredProbes(t, c.tables[2], c.firstProbes())
 			}
@@ -465,7 +450,7 @@ func TestJoinbufferEmptyLateStage(t *testing.T) {
 	// The main probe's hits are what the empty stage would have probed.
 	fanned := 0
 	for _, s := range c.tables[0].scan() {
-		if s[0] >= c.pred[0].Lo && s[0] <= c.pred[0].Hi {
+		if c.selected(s) {
 			fanned += len(c.tables[1].lookup(s[c.tables[0].attr(c.mainWith.Attr)]))
 		}
 	}
@@ -610,7 +595,7 @@ func TestFanOutFilterCounts(t *testing.T) {
 	}
 	lookups, filtered := 0, 0
 	for _, s := range c.tables[0].scan() {
-		if s[0] < c.pred[0].Lo || s[0] > c.pred[0].Hi {
+		if !c.selected(s) {
 			continue
 		}
 		lookups++
@@ -653,13 +638,14 @@ func TestFanOutFilterCounts(t *testing.T) {
 	}
 }
 
-// FuzzJoinbuffer checks random star joins — tables with 0–3 rows per key,
-// payload widths 0–2, 1–3 assists, dense, sparse, empty, hole-free or with
-// a far key, as base indexes or intermediates, an optional residual, buffer
-// sizes 1–8 — against the nested-loop reference, order included. A sparse
-// or empty first assist of a select-join is a late stage with a key filter;
-// a zero-column assist with one row per key (rows 1, width 0) that probes
-// with a fact column leaves a select-join's pipeline.
+// FuzzJoinbuffer checks random star joins — select-joins, and joins with
+// no predicate whose driver has several rows per key; tables with 0–3 rows
+// per key, payload widths 0–2, 1–3 assists, dense, sparse, empty,
+// hole-free or with a far key, as base indexes or intermediates, an
+// optional residual, buffer sizes 1–8 — against the nested-loop reference,
+// order included. A sparse or empty first assist is a late stage with a
+// key filter; a zero-column assist with one row per key (rows 1, width 0)
+// that probes with a fact column leaves the pipeline.
 func FuzzJoinbuffer(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(0x0b), uint8(2))

@@ -135,111 +135,27 @@ func feedScan(p *pipeline, in *IndexedTable, pred KeyPred) {
 type Assist struct {
 	Input Operator
 	// ProbeWith locates the probe key among the earlier inputs. Input
-	// ordinals: 0 = left main, 1 = right main, 2+i = assist i.
+	// ordinals: 0 = the driving input, 1 = the main input, 2+i = assist i.
 	ProbeWith Ref
 }
 
-// Join is the n-ary multi-way/star join operator (paper Section 4.2), and
-// with no assists the plain 2-way join. The two main inputs must be
-// indexed on the join key; they are joined with the synchronous index scan
-// (syncScanKeyRange: the input with fewer keys is range-scanned and each
-// of its keys looked up in the other, in ascending key order, one key
-// range per morsel), matching content nodes produce the cross product of
-// their tuples, and
-// each assisting index then filters/extends the combinations. The output
-// is built with grouping/aggregation as a side effect when Out.Fold is set
-// (the join-group of the paper's plans).
-type Join struct {
-	Left, Right Operator
-	Assists     []Assist
-	// Residual, if non-nil, filters combinations right after the main
-	// match, before any assist probes.
-	Residual func(ctx []uint64) bool
-	Out      OutputSpec
-}
-
-// Label implements Operator.
-func (j *Join) Label() string {
-	return fmt.Sprintf("⋈%d→%s", 2+len(j.Assists), j.Out.Name)
-}
-
-// Children implements Operator.
-func (j *Join) Children() []Operator {
-	ops := []Operator{j.Left, j.Right}
-	for _, a := range j.Assists {
-		ops = append(ops, a.Input)
-	}
-	return ops
-}
-
-// pipe builds the join's probe pipeline (assist stages only — the mains
-// are fed by the synchronous scan).
-func (j *Join) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, error) {
-	layout := newCtxLayout(inputs...)
-	p := newPipeline(ec, layout)
-	for i, a := range j.Assists {
-		off, err := layout.resolve(a.ProbeWith)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s assist %d: %w", j.Label(), i, err)
-		}
-		p.addProbe(2+i, off)
-	}
-	p.residual = j.Residual
-	return p, nil
-}
-
-// scan returns the morsel scan body: the synchronous index scan over the
-// two main inputs, cross-producting matching content nodes.
-func (j *Join) scan(inputs []*IndexedTable) scanFn {
-	left, right := inputs[0], inputs[1]
-	return func(p *pipeline, lo, hi uint64, _ bool) {
-		lComp, rComp := left.Key.Composer(), right.Key.Composer()
-		ctx := make([]uint64, p.layout.width)
-		visit := func(ll, rl *Leaf) bool {
-			if p.aborted() {
-				return false // query cancelled; the partial output is discarded
-			}
-			p.layout.fillKey(ctx, 0, ll.Key, lComp)
-			p.layout.fillKey(ctx, 1, ll.Key, rComp)
-			// Cross product of the matching content nodes, nested-loop style.
-			ll.Vals.Scan(func(lrow []uint64) bool {
-				p.layout.fillRow(ctx, 0, lrow)
-				crossRight(p.layout, ctx, rl, p.feed)
-				return true
-			})
-			return true
-		}
-		syncScanKeyRange(left.Idx, right.Idx, lo, hi, visit)
-	}
-}
-
-func (j *Join) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
-	bounds := func() (uint64, uint64, bool) { return syncScanBounds(inputs[0].Idx, inputs[1].Idx) }
-	pipe := func() (*pipeline, error) { return j.pipe(ec, inputs) }
-	return runMorsels(ec, &j.Out, bounds, pipe, j.scan(inputs))
-}
-
-func crossRight(layout ctxLayout, ctx []uint64, rl *Leaf, feed func([]uint64)) {
-	rl.Vals.Scan(func(rrow []uint64) bool {
-		layout.fillRow(ctx, 1, rrow)
-		feed(ctx)
-		return true
-	})
-}
-
-// SelectJoin is the composed heterogeneous operator (paper Section 4.3): a
-// selection whose qualifying tuples are not materialized into an
-// intermediate index but directly probed into the successive join. The
-// synchronous index scan is not applicable — the selection input is sorted
-// on the selection predicate, not the join key — but the prefix trees' high
-// point-read performance (batched through the selectionbuffer) makes the
-// composition profitable whenever the selection alone would materialize a
-// large intermediate result.
+// SelectJoin is QPPT's one join operator, the composed select-join (paper
+// Section 4.3): it scans SelInput's qualifying key ranges, all of SelInput
+// when Pred is nil, and probes each qualifying tuple's ProbeMainWith value
+// straight into Main through the joinbuffer, with no intermediate index
+// between them. The assists then filter and extend the combinations (the
+// n-ary star join), and the output is built with grouping/aggregation as
+// a side effect when Out.Fold is set (the join-group). With a nil Pred it
+// is the join of two inputs indexed on the join key (Section 4.2), which
+// the paper runs as a lockstep walk of both tries, the synchronous index
+// scan; here the driving index's keys are looked up in the other input
+// instead, with the same batched lookups and fan-out filters as any
+// select-join.
 type SelectJoin struct {
-	// SelInput is the selection's input (input ordinal 0).
+	// SelInput is the selection's input, the driving input (ordinal 0).
 	SelInput Operator
 	// Pred and Residual are the selection predicate on SelInput's key
-	// and payloads.
+	// and payloads; a nil Pred scans all of SelInput.
 	Pred     KeyPred
 	Residual func(ctx []uint64) bool
 	// Main is the join's other main input (ordinal 1), probed on
@@ -255,9 +171,14 @@ type SelectJoin struct {
 	Out     OutputSpec
 }
 
-// Label implements Operator.
+// Label implements Operator: ⋈n→out for a join of the whole driving
+// input, σ⋈n→out when a selection restricts it.
 func (sj *SelectJoin) Label() string {
-	return fmt.Sprintf("σ⋈%d→%s", 2+len(sj.Assists), sj.Out.Name)
+	op := "σ⋈"
+	if sj.Pred == nil && sj.Residual == nil {
+		op = "⋈"
+	}
+	return fmt.Sprintf("%s%d→%s", op, 2+len(sj.Assists), sj.Out.Name)
 }
 
 // Children implements Operator.
@@ -289,7 +210,6 @@ func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, 
 	}
 	p.residual = sj.Residual
 	p.mainResidual = sj.MainResidual
-	p.star = true
 	return p, nil
 }
 

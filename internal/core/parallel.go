@@ -81,45 +81,6 @@ func intersectPred(pred KeyPred, lo, hi uint64) KeyPred {
 	return out
 }
 
-// syncScanKeyRange is the synchronous index scan (paper Section 4.2):
-// it visits the leaves of every key in [lo, hi] present in both indexes,
-// in ascending key order, by range-scanning the index with fewer keys and
-// looking each of its keys up in the other — the asymmetry the select-join
-// exploits. The paper walks both tries in lockstep instead; this one scan
-// serves every pair of tree kinds and key widths and measured as fast on
-// the joins this repository runs (README, "The synchronous index scan").
-// A serial scan passes syncScanBounds, a morsel its partition. It stops
-// early if visit returns false and reports whether it ran to completion.
-func syncScanKeyRange(a, b Index, lo, hi uint64, visit func(la, lb *Leaf) bool) bool {
-	if b.Keys() < a.Keys() {
-		return b.Range(lo, hi, func(lb *Leaf) bool {
-			la := a.Lookup(lb.Key)
-			return la == nil || visit(la, lb)
-		})
-	}
-	return a.Range(lo, hi, func(la *Leaf) bool {
-		lb := b.Lookup(la.Key)
-		return lb == nil || visit(la, lb)
-	})
-}
-
-// syncScanBounds reports the key interval both indexes can contribute to,
-// ok == false when either index is empty or the intervals are disjoint.
-func syncScanBounds(a, b Index) (uint64, uint64, bool) {
-	aLo, aOK := a.Min()
-	bLo, bOK := b.Min()
-	if !aOK || !bOK {
-		return 0, 0, false
-	}
-	aHi, _ := a.Max()
-	bHi, _ := b.Max()
-	lo, hi := max(aLo, bLo), min(aHi, bHi)
-	if lo > hi {
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
 // idxBounds reports an index's key interval, ok == false when empty.
 func idxBounds(idx Index) (uint64, uint64, bool) {
 	lo, ok := idx.Min()

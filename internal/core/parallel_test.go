@@ -70,15 +70,17 @@ func TestIntersectPred(t *testing.T) {
 	}
 }
 
-// TestSyncScanMorselsCoverSyncScan: over every pairing of index kinds
-// and shapes a Join meets, the union over all key-range morsels of a
-// window visits exactly the keys present in both indexes inside it —
-// checked by brute force, iterating one index and looking each key up in
-// the other — once each, in ascending order, passing each index's own
-// leaf; the property the Join operator's morsel split relies on. The
-// windows are the Join's bounds, a random one inside them, the whole
-// 64-bit key space and the keys past both indexes' width. A visit that
-// returns false stops the scan.
+// TestSyncScanMorselsCoverSyncScan: the synchronous index scan (paper
+// Section 4.2) is the select-join of the whole driving index. Over every
+// pairing of index kinds and shapes a join meets, a SelectJoin of two
+// key-indexed inputs outputs, for every key present in both inside its
+// window, the cross product of the driver's rows and the main input's,
+// driver rows outer — checked against a brute-force reference, in key
+// order. Each shape runs both ways round (each index as the driver), at
+// Workers 1, 2 and 3, with Pred nil and with each window as Pred: both
+// indexes' key bounds, a random window inside them, the whole 64-bit key
+// space, the keys past a KISS-Tree's 32 bits and the keys past both
+// indexes' width.
 func TestSyncScanMorselsCoverSyncScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	random := func(n, span int) []uint64 {
@@ -95,9 +97,9 @@ func TestSyncScanMorselsCoverSyncScan(t *testing.T) {
 		}
 		return keys
 	}
-	kiss := func() Index { return NewIndex(IndexConfig{KeyBits: 20}) }
+	kiss := func() Index { return NewIndex(IndexConfig{KeyBits: 20, PayloadWidth: 1}) }
 	pt := func(prefixLen, keyBits uint) Index {
-		return prefixtree.MustNew(prefixtree.Config{PrefixLen: prefixLen, KeyBits: keyBits})
+		return prefixtree.MustNew(prefixtree.Config{PrefixLen: prefixLen, KeyBits: keyBits, PayloadWidth: 1})
 	}
 	// chunks puts keys step apart into each listed 2^22-key span, the keys
 	// under one 2^16-bucket chunk of a KISS-Tree's root.
@@ -135,74 +137,77 @@ func TestSyncScanMorselsCoverSyncScan(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			a, b := c.a, c.b
-			for _, k := range c.ka {
-				a.Insert(k, nil)
+			// Row i of a side is [i]: its insertion ordinal under its key.
+			ordinals := func(idx Index, keys []uint64) map[uint64][]uint64 {
+				m := map[uint64][]uint64{}
+				for i, k := range keys {
+					idx.Insert(k, []uint64{uint64(i)})
+					m[k] = append(m[k], uint64(i))
+				}
+				return m
 			}
-			for _, k := range c.kb {
-				b.Insert(k, nil)
-			}
+			aRows, bRows := ordinals(c.a, c.ka), ordinals(c.b, c.kb)
 			var common []uint64
-			a.Iterate(func(lf *Leaf) bool {
-				if b.Lookup(lf.Key) != nil {
-					common = append(common, lf.Key)
+			for k := range aRows {
+				if bRows[k] != nil {
+					common = append(common, k)
 				}
-				return true
-			})
-			type window struct{ lo, hi uint64 }
-			windows := []window{{0, top}}
-			if bits := max(a.KeyBits(), b.KeyBits()); bits < 64 {
-				windows = append(windows, window{keySpaceMax(bits) + 1, top})
 			}
-			lo, hi, ok := syncScanBounds(a, b)
-			if ok {
+			slices.Sort(common)
+			a := NewIndexedTable("a", SimpleKey("k", c.a.KeyBits()), []string{"a"}, c.a)
+			b := NewIndexedTable("b", SimpleKey("k", c.b.KeyBits()), []string{"b"}, c.b)
+
+			preds := []KeyPred{nil, {{Lo: 0, Hi: top}}, {{Lo: 1 << 32, Hi: top}}}
+			if bits := max(c.a.KeyBits(), c.b.KeyBits()); bits < 64 {
+				preds = append(preds, KeyPred{{Lo: keySpaceMax(bits) + 1, Hi: top}})
+			}
+			aLo, aHi, aOK := idxBounds(c.a)
+			bLo, bHi, bOK := idxBounds(c.b)
+			if lo, hi := max(aLo, bLo), min(aHi, bHi); aOK && bOK && lo <= hi {
 				l := lo + uint64(rng.Int63n(int64(min(hi-lo, 1<<62)/2+1)))
-				windows = append(windows, window{lo, hi}, window{l, l + (hi-l)/2})
+				preds = append(preds, KeyPred{{Lo: lo, Hi: hi}}, KeyPred{{Lo: l, Hi: l + (hi-l)/2}})
 			}
-			for _, w := range windows {
-				var want []uint64
-				for _, k := range common {
-					if k >= w.lo && k <= w.hi {
-						want = append(want, k)
-					}
+			for _, aDrives := range []bool{true, false} {
+				drv, main := a, b
+				cols := []RowExpr{Attr(0, "a"), Attr(1, "b")}
+				if !aDrives {
+					drv, main = b, a
+					cols = []RowExpr{Attr(1, "a"), Attr(0, "b")}
 				}
-				for _, parts := range []int{1, 2, 3, 7} {
-					var got []uint64
-					for p := 0; p < parts; p++ {
-						pLo, pHi, ok := partitionBounds(w.lo, w.hi, p, parts)
-						if !ok {
+				for _, pred := range preds {
+					var want [][]uint64
+					for _, k := range common {
+						if pred != nil && (k < pred[0].Lo || k > pred[0].Hi) {
 							continue
 						}
-						done := syncScanKeyRange(a, b, pLo, pHi, func(la, lb *Leaf) bool {
-							if la != a.Lookup(la.Key) || lb != b.Lookup(la.Key) {
-								t.Fatalf("[%#x, %#x] parts=%d: key %#x: leaves not a's and b's own", w.lo, w.hi, parts, la.Key)
+						for _, ai := range aRows[k] {
+							for _, bi := range bRows[k] {
+								want = append(want, []uint64{k, ai, bi})
 							}
-							got = append(got, la.Key)
-							return true
-						})
-						if !done {
-							t.Fatalf("[%#x, %#x] parts=%d: a complete scan reported an early stop", w.lo, w.hi, parts)
+						}
+						if !aDrives { // b's rows are the outer loop
+							n := len(aRows[k]) * len(bRows[k])
+							rows := want[len(want)-n:]
+							slices.SortStableFunc(rows, func(x, y []uint64) int { return int(x[2]) - int(y[2]) })
 						}
 					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("[%#x, %#x] parts=%d: visited %d keys %#x, want %d keys in ascending order",
-							w.lo, w.hi, parts, len(got), got[:min(len(got), 8)], len(want))
+					for _, workers := range []int{1, 2, 3} {
+						plan := &Plan{Root: &SelectJoin{
+							SelInput: &Base{Table: drv}, Pred: pred,
+							Main: &Base{Table: main}, ProbeMainWith: Ref{Input: 0, Attr: "k"},
+							Out: OutputSpec{Name: "out", Key: SimpleKey("k", 64), KeyRefs: []Ref{{Input: 0, Attr: "k"}},
+								Cols: []string{"a", "b"}, ColExprs: cols},
+						}}
+						out, _, err := run(t, EnvConfig{Workers: workers}, plan, Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := Extract(out).Rows; !sameRows(got, want) {
+							t.Fatalf("driver a %v, Pred %#x, Workers %d: %d rows %#x, want %d rows in key order",
+								aDrives, pred, workers, len(got), got[:min(len(got), 4)], len(want))
+						}
 					}
 				}
-			}
-			if len(common) < 2 {
-				return
-			}
-			stop := len(common) / 2
-			var got []uint64
-			if syncScanKeyRange(a, b, 0, top, func(la, _ *Leaf) bool {
-				got = append(got, la.Key)
-				return len(got) < stop
-			}) {
-				t.Fatal("a stopped scan reported completion")
-			}
-			if !slices.Equal(got, common[:stop]) {
-				t.Fatalf("stopped scan visited %#x, want %#x", got, common[:stop])
 			}
 		})
 	}

@@ -44,9 +44,9 @@ import (
 // index's keys) is tested on the rows of the stage whose column holds the
 // probe key, before a row is queued, copied or fed, so a key the probed
 // index lacks costs one bit test, never a queue entry, a descent or a
-// visit. In a select-join every assist that probes with a column of the
-// fact rows — stage 0's, the main probe's — is tested there, in assist
-// order; elsewhere only a late stage is, on its previous stage's rows. An
+// visit. Every assist that probes with a column of the fact rows — stage
+// 0's, the main probe's — is tested there, in assist order; any other
+// stage only when it is late, on its previous stage's rows. An
 // assist that carries no column and holds one row per key needs nothing
 // but that test: it leaves the pipeline, and the sink writes its key, the
 // probe key, into the combination.
@@ -213,10 +213,9 @@ type pipeline struct {
 	// input's attributes available.
 	residual     func(ctx []uint64) bool
 	mainResidual func(ctx []uint64) bool
-	stages       []*probeStage
-	// star is set on a select-join: stage 0 is the main probe, and its
+	// stages are the probe stages: stage 0 is the main probe, and its
 	// rows are the fact rows every assist's filter is tested on.
-	star bool
+	stages []*probeStage
 	// fills are the sink's, decided with the filters and shared like
 	// them; owned are the filter bitmaps drawn from the pool.
 	fills    []keyFill
@@ -295,7 +294,7 @@ func (p *pipeline) addProbe(input int, probeOff int) {
 // own once setSink lays them out.
 func (p *pipeline) clone() *pipeline {
 	q := &pipeline{layout: p.layout, qctx: p.qctx, rec: p.rec, bufSize: p.bufSize,
-		residual: p.residual, mainResidual: p.mainResidual, star: p.star, fills: p.fills}
+		residual: p.residual, mainResidual: p.mainResidual, fills: p.fills}
 	for _, st := range p.stages {
 		q.stages = append(q.stages, &probeStage{table: st.table, input: st.input, probeOff: st.probeOff, comp: st.comp, fan: st.fan})
 	}
@@ -438,52 +437,48 @@ func (p *pipeline) keyFilter(t *IndexedTable, holey bool) *keyFilter {
 // share the decision, and parkKeyFilters returns the pooled bitmaps once
 // every pipeline is done.
 //
-// The rule reads the indexes, not a knob. In a select-join, an assist that
-// probes with a fact column is tested on stage 0's rows. It is filter-only,
-// and leaves, when its table carries no column, has a one-attribute key
-// and one row per key, and its bitmap is no larger than its index: the
-// test then decides everything its lookup would. Any other stage probed
-// with a column of the previous stage's rows (a late stage) is tested on
-// those rows. Either way a filter is tested only when its bitmap is no
-// larger than the index and, unless the stage is filter-only, the index
-// has a hole: over big or hole-free indexes a bitmap cost more than it
-// saved.
+// The rule reads the indexes, not a knob. An assist that probes with a
+// fact column is tested on stage 0's rows, the main probe's. It is
+// filter-only, and leaves, when its table carries no column, has a
+// one-attribute key and one row per key, and its bitmap is no larger than
+// its index: the test then decides everything its lookup would. Any other
+// stage probed with a column of the previous stage's rows (a late stage)
+// is tested on those rows. Either way a filter is tested only when its
+// bitmap is no larger than the index and, unless the stage is
+// filter-only, the index has a hole: over big or hole-free indexes a
+// bitmap cost more than it saved.
 func (p *pipeline) buildKeyFilters() {
-	fanOut := func(st *probeStage) (int, bool) {
-		if !p.star || st == p.stages[0] {
-			return 0, false
-		}
-		return st.probesCol(p.layout, p.stages[0])
+	if len(p.stages) == 0 {
+		return
 	}
-	if p.star {
-		fact, kept := p.stages[0], p.stages[:1]
-		for _, st := range p.stages[1:] {
-			for _, fl := range p.fills {
-				if st.probeOff == fl.dst { // the key of a stage that left is its probe key
-					st.probeOff = fl.src
-				}
+	fact, kept := p.stages[0], p.stages[:1]
+	for _, st := range p.stages[1:] {
+		for _, fl := range p.fills {
+			if st.probeOff == fl.dst { // the key of a stage that left is its probe key
+				st.probeOff = fl.src
 			}
-			col, ok := fanOut(st)
-			if !ok {
-				kept = append(kept, st)
-				continue
-			}
-			t := st.table
-			only := len(t.Cols) == 0 && len(t.Key.Attrs) == 1 && t.Rows() == t.Keys()
-			f := p.keyFilter(t, !only)
-			if f != nil {
-				fact.fan = append(fact.fan, fanTest{col: col, f: f})
-			}
-			if only && f != nil {
-				p.fills = append(p.fills, keyFill{dst: p.layout.keyOff(st.input, 0), src: st.probeOff})
-				continue
-			}
+		}
+		col, ok := st.probesCol(p.layout, fact)
+		if !ok {
 			kept = append(kept, st)
+			continue
 		}
-		p.stages = kept
+		t := st.table
+		only := len(t.Cols) == 0 && len(t.Key.Attrs) == 1 && t.Rows() == t.Keys()
+		f := p.keyFilter(t, !only)
+		if f != nil {
+			fact.fan = append(fact.fan, fanTest{col: col, f: f})
+		}
+		if only && f != nil {
+			p.fills = append(p.fills, keyFill{dst: p.layout.keyOff(st.input, 0), src: st.probeOff})
+			continue
+		}
+		kept = append(kept, st)
 	}
-	for s, st := range p.stages {
-		if _, ok := fanOut(st); ok {
+	p.stages = kept
+	for s := 1; s < len(p.stages); s++ {
+		st := p.stages[s]
+		if _, ok := st.probesCol(p.layout, fact); ok {
 			continue
 		}
 		if col, ok := p.lateCol(s); ok {

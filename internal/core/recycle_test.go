@@ -66,9 +66,10 @@ func TestRecycleDropsOnlyAfterLastConsumer(t *testing.T) {
 	}
 	// Both join inputs read the same selection output (a self-join): every
 	// key survives, and the cross product squares the multiplicity.
-	join := &Join{
-		Left:  sel,
-		Right: sel,
+	join := &SelectJoin{
+		SelInput:      sel,
+		Main:          sel,
+		ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
 		Out: OutputSpec{
 			Name:    "both",
 			Key:     SimpleKey("prodkey", 16),

@@ -240,10 +240,11 @@ func dimPlan(f *fixture, brand uint64, dims ...Operator) *SelectJoin {
 
 // sharedPlan joins two select-joins (brands brand and brand+1) that both
 // probe the same dimension operator: an intermediate with two consumers.
-func sharedPlan(f *fixture, brand uint64, shared Operator) *Join {
-	return &Join{
-		Left:  dimPlan(f, brand, shared),
-		Right: dimPlan(f, brand+1, shared),
+func sharedPlan(f *fixture, brand uint64, shared Operator) *SelectJoin {
+	return &SelectJoin{
+		SelInput:      dimPlan(f, brand, shared),
+		Main:          dimPlan(f, brand+1, shared),
+		ProbeMainWith: Ref{Input: 0, Attr: "region"},
 		Out: OutputSpec{
 			Name:     "⋈_region",
 			Key:      SimpleKey("region", 8),

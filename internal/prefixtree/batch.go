@@ -16,13 +16,6 @@ import (
 // memory-level parallelism). QPPT uses this for the join operators'
 // joinbuffers and for buffered intermediate-index inserts.
 
-// DefaultBatchSize is the batch size QPPT uses for joinbuffers and insert
-// buffers when the caller does not choose one; it matches the paper
-// demonstrator's middle setting.
-//
-//qpptvet:ignore unreached the root bench_test.go batches Figure 3's KISS Batched inserts by it
-const DefaultBatchSize = 512
-
 // lookupJob mirrors Algorithm 1's job structure, carrying arena indices
 // instead of pointers: the key, the ordinal of the current node on the
 // path (jobDone once finished), and the resolved leaf index + 1 (0 while

@@ -66,7 +66,7 @@ func TestDifferentialArenaVsModel(t *testing.T) {
 						model.insert(k, row)
 					}
 				case 1:
-					n := 1 + rng.Intn(600) // cross the DefaultBatchSize boundary
+					n := 1 + rng.Intn(600) // cross the testBatchSize boundary
 					keys := make([]uint64, n)
 					rows := make([][]uint64, n)
 					for i := range keys {

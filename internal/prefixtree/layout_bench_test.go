@@ -17,6 +17,10 @@ import (
 
 const benchTreeKeys = 1 << 17
 
+// testBatchSize is the batch the tests and benchmarks insert and look up
+// keys by: the paper demonstrator's middle setting.
+const testBatchSize = 512
+
 func benchKeys(n int, seed int64) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]uint64, n)
@@ -38,8 +42,8 @@ func benchRows(keys []uint64) [][]uint64 {
 
 func buildArena(keys []uint64, rows [][]uint64) *Tree {
 	t := MustNew(Config{PayloadWidth: 1})
-	for off := 0; off < len(keys); off += DefaultBatchSize {
-		end := min(off+DefaultBatchSize, len(keys))
+	for off := 0; off < len(keys); off += testBatchSize {
+		end := min(off+testBatchSize, len(keys))
 		t.InsertBatch(keys[off:end], rows[off:end])
 	}
 	return t
@@ -72,8 +76,8 @@ func BenchmarkLookupBatch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for off := 0; off < len(probes); off += DefaultBatchSize {
-				end := min(off+DefaultBatchSize, len(probes))
+			for off := 0; off < len(probes); off += testBatchSize {
+				end := min(off+testBatchSize, len(probes))
 				t.LookupBatch(probes[off:end], func(_ int, lf *Leaf) {
 					if lf != nil {
 						sink += lf.Key
@@ -92,7 +96,7 @@ func TestLookupBatchAllocationFree(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
 	}
 	keys := benchKeys(1<<12, 101)
-	checkBatchAllocationFree(t, buildArena(keys, benchRows(keys)), keys[:DefaultBatchSize])
+	checkBatchAllocationFree(t, buildArena(keys, benchRows(keys)), keys[:testBatchSize])
 }
 
 // TestLookupBatchKernelAllocationFree pins the same for a sorted probe
@@ -103,7 +107,7 @@ func TestLookupBatchKernelAllocationFree(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
 	}
 	keys := benchKeys(1<<12, 103)
-	batch := slices.Clone(keys[:DefaultBatchSize])
+	batch := slices.Clone(keys[:testBatchSize])
 	slices.Sort(batch)
 	checkBatchAllocationFree(t, buildArena(keys, benchRows(keys)), batch)
 }

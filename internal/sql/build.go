@@ -119,13 +119,12 @@ func (b *builder) factIndex(main *dimInfo) (*core.IndexedTable, error) {
 	return b.fact.BuildIndexCtx(b.ctx, def)
 }
 
-// buildStar assembles the star-join plan. A restricted main dimension
-// drives a composed select-join (paper Section 4.3): input 0 is the
-// dimension, input 1 the fact. The main dimension is the most selective,
-// so it is unrestricted only when no dimension has a restriction, on
-// itself or on the fact's foreign key to it (plan moves those onto the
-// join key); it then enters a star join as its base index: input 0 is the
-// fact, input 1 the dimension. Assists follow at 2+i either way.
+// buildStar assembles the star-join plan, a composed select-join (paper
+// Section 4.3): input 0 is the main dimension, the most selective, input 1
+// the fact, and the assists follow at 2+i. The main dimension is
+// unrestricted only when no dimension has a restriction, on itself or on
+// the fact's foreign key to it (plan moves those onto the join key); it
+// then drives the join with no predicate, over its whole base index.
 func (b *builder) buildStar() (*Statement, error) {
 	main := b.dims[0]
 	factIdx, err := b.factIndex(main)
@@ -137,15 +136,9 @@ func (b *builder) buildStar() (*Statement, error) {
 		return nil, err
 	}
 
-	selectJoin := len(main.conds) > 0
-	factOrd, mainOrd := 0, 1
 	// Shapes for offset resolution (inputs in ordinal order).
-	shapes := []*core.IndexedTable{factIdx, mainIdx}
-	if selectJoin {
-		factOrd, mainOrd = 1, 0
-		shapes = []*core.IndexedTable{mainIdx, factIdx}
-	}
-	main.ordinal = mainOrd
+	shapes := []*core.IndexedTable{mainIdx, factIdx}
+	main.ordinal = 0
 	var assists []core.Assist
 	for i, d := range b.dims[1:] {
 		d.ordinal = 2 + i
@@ -155,32 +148,24 @@ func (b *builder) buildStar() (*Statement, error) {
 		}
 		assists = append(assists, core.Assist{
 			Input:     op,
-			ProbeWith: core.Ref{Input: factOrd, Attr: d.fk},
+			ProbeWith: core.Ref{Input: 1, Attr: d.fk},
 		})
 		shapes = append(shapes, b.assistShape(d))
 	}
 
-	out, err := b.outputSpec(factOrd, shapes)
+	out, err := b.outputSpec(1, shapes)
 	if err != nil {
 		return nil, err
 	}
-	factRes, err := b.residual(b.restr[b.factName], b.fact, shapes[:factOrd+1], factOrd)
+	factRes, err := b.residual(b.restr[b.factName], b.fact, shapes[:2], 1)
 	if err != nil {
 		return nil, err
 	}
-
-	if !selectJoin {
-		return b.finish(&core.Plan{Root: &core.Join{
-			Left:     &core.Base{Table: factIdx},
-			Right:    &core.Base{Table: mainIdx},
-			Residual: factRes,
-			Assists:  assists,
-			Out:      *out,
-		}})
-	}
-	pred, err := b.keyPred(main.ti, mainPrimary)
-	if err != nil {
-		return nil, err
+	var pred core.KeyPred
+	if len(main.conds) > 0 {
+		if pred, err = b.keyPred(main.ti, mainPrimary); err != nil {
+			return nil, err
+		}
 	}
 	dimRes, err := b.residual(mainResidual, main.ti, []*core.IndexedTable{mainIdx}, 0)
 	if err != nil {

@@ -149,14 +149,72 @@ func describe(op core.Operator) string {
 		for _, a := range o.Assists {
 			s += fmt.Sprint(a.ProbeWith)
 		}
-	case *core.Join:
-		s += fmt.Sprint(o.Residual != nil)
-		for _, a := range o.Assists {
-			s += fmt.Sprint(a.ProbeWith)
-		}
 	}
 	for _, c := range op.Children() {
 		s += "(" + describe(c) + ")"
 	}
 	return s
+}
+
+// Star texts with no restriction on any dimension, direct or through a
+// foreign key: the main dimension drives the select-join over its whole
+// base index.
+const (
+	rollupYear       = "select d_year, sum(lo_revenue) as r from lineorder, `date` where lo_orderdate = d_datekey group by d_year;"
+	rollupYearNation = "select d_year, c_nation, sum(lo_revenue) as r from lineorder, `date`, customer " +
+		"where lo_orderdate = d_datekey and lo_custkey = c_custkey group by d_year, c_nation;"
+	groupByMainKey = "select d_datekey, sum(lo_revenue) as r from lineorder, `date` where lo_orderdate = d_datekey group by d_datekey;"
+)
+
+// TestEveryStarTextPlansSelectJoin: the planner builds one star shape.
+// Every text that joins a dimension, restricted or not, plans a
+// *core.SelectJoin with the main dimension as input 0; an unrestricted one
+// has no predicate and prints as a join. Each answers what the column
+// baseline answers, on 1 and 2 workers.
+func TestEveryStarTextPlansSelectJoin(t *testing.T) {
+	ds := ssb.MustLoad(ssb.GenConfig{SF: 0.01, Seed: 1})
+	planner := sql.NewPlanner(ds.Cat)
+	var envs []*core.Env
+	for _, workers := range []int{1, 2} {
+		env, err := core.NewEnv(core.EnvConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		envs = append(envs, env)
+	}
+	texts := map[string]bool{rollupYear: false, rollupYearNation: false, groupByMainKey: false}
+	for _, text := range ssb.SQLTexts {
+		texts[text] = true
+	}
+	for text, restricted := range texts {
+		stmt, err := planner.PlanSQL(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		sj, ok := stmt.Plan.Root.(*core.SelectJoin)
+		if !ok {
+			t.Fatalf("%s: planned %s, want a select-join", text, describe(stmt.Plan.Root))
+		}
+		if label := sj.Label(); (sj.Pred != nil) != restricted || strings.HasPrefix(label, "σ") != restricted {
+			t.Errorf("%s: predicate %v, label %s; want a predicate %t", text, sj.Pred, label, restricted)
+		}
+		want, err := ds.RunColumnSQL(text)
+		if err != nil {
+			t.Fatalf("%s: baseline: %v", text, err)
+		}
+		if len(want.Rows) == 0 && !restricted { // Q3.4 finds no row at SF 0.01
+			t.Fatalf("%s: fixture: the baseline answers no rows", text)
+		}
+		for i, env := range envs {
+			rows, _, err := stmt.Run(context.Background(), env, core.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			if !slices.Equal(rows.Attrs, want.Attrs) || !slices.EqualFunc(rows.Rows, want.Rows, slices.Equal) {
+				t.Fatalf("%s on %d workers:\nengine   %v %d rows %v\nbaseline %v %d rows %v", text, i+1,
+					rows.Attrs, len(rows.Rows), head(rows.Rows), want.Attrs, len(want.Rows), head(want.Rows))
+			}
+		}
+	}
 }

@@ -10,13 +10,16 @@ import (
 // Every SSB query is planned from its SQL text (SQLTexts through
 // sql.Planner). The two plans here are the exception: Figures 8 and 9
 // measure plan shapes the planner does not build — a fact selection
-// materialized before its join, and star joins that probe every dimension
-// instead of driving the join from the most selective one.
+// materialized before its join, and joins capped below the query's arity,
+// chained through materialized intermediates. Every join is a
+// core.SelectJoin: the input with unique join keys drives it, with no
+// predicate when it is joined whole, and its keys are looked up in the
+// other input.
 
 // Figure8Plan is Q1.1 without the composed select-join (Figure 8, "w/o
 // Select-Join"): a selection over the multidimensional (lo_discount,
 // lo_quantity) index materializes the qualifying lineorder rows keyed on
-// lo_orderdate, and a 2-way join-group with the year's dates sums them.
+// lo_orderdate, and a 2-way join-group driven by the year's dates sums them.
 // The with-select-join side of the figure is the planner's plan of Q1.1;
 // both return Q1.1's answer.
 //
@@ -45,25 +48,27 @@ func (ds *Dataset) Figure8Plan() *core.Plan {
 		},
 	}
 	selDate := dimSelection(ds.Date, ds.Date.MustIndex([]string{"d_year"}, "d_datekey"), core.Point(1993), "d_datekey", "")
-	return &core.Plan{Root: &core.Join{
-		Left:  selLine,
-		Right: selDate,
+	return &core.Plan{Root: &core.SelectJoin{
+		SelInput:      selDate,
+		Main:          selLine,
+		ProbeMainWith: core.Ref{Input: 0, Attr: "d_datekey"},
 		Out: core.OutputSpec{
 			Name:     "Γ_revenue",
 			Key:      core.KeySpec{},
 			Cols:     []string{"revenue"},
-			ColExprs: []core.RowExpr{core.Attr(0, "part_rev")},
+			ColExprs: []core.RowExpr{core.Attr(1, "part_rev")},
 			Fold:     core.FoldSum(0),
 		},
 	}}
 }
 
 // Figure9Plan is Q4.1 with every composed join capped at arity 2, 3, 4 or
-// 5 (Figure 9's sweep). At arity 5 one star join of lineorder with the
-// customer selection probes the supplier and part selections and the date
+// 5 (Figure 9's sweep). At arity 5 one star join, the customer selection
+// driving lineorder, probes the supplier and part selections and the date
 // index as assists and groups directly. Each cap below it chains another
-// 2-way join, which materializes an intermediate keyed on the next join
-// attribute. Every arity returns Q4.1's answer.
+// 2-way join, driven by the next dimension, which materializes an
+// intermediate keyed on the next join attribute. Every arity returns
+// Q4.1's answer.
 //
 //qpptvet:ignore unreached Figure 9 is defined on these plan shapes; only the root bench_test.go and the ssb e2e suites run them
 func (ds *Dataset) Figure9Plan(arity int) *core.Plan {
@@ -78,23 +83,35 @@ func (ds *Dataset) Figure9Plan(arity int) *core.Plan {
 	dateIdx := &core.Base{Table: ds.Date.MustIndex([]string{"d_datekey"}, "d_year")}
 	odBits := ds.Lineorder.Bits("lo_orderdate")
 
-	// Lineorder is input 0 of the first join at every arity.
-	offs := core.CtxOffsets([]*core.IndexedTable{loMain},
-		core.Ref{Input: 0, Attr: "lo_revenue"},
-		core.Ref{Input: 0, Attr: "lo_supplycost"})
+	// The customer selection drives the first join at every arity, and
+	// lineorder is its input 1.
+	custShape := core.Shape(selCust.Out.Name, selCust.Out.Key, selCust.Out.Cols)
+	offs := core.CtxOffsets([]*core.IndexedTable{custShape, loMain},
+		core.Ref{Input: 1, Attr: "lo_revenue"},
+		core.Ref{Input: 1, Attr: "lo_supplycost"})
 	rOff, scOff := offs[0], offs[1]
 	profit := core.Computed(func(ctx []uint64) uint64 { return ctx[rOff] - ctx[scOff] })
 
-	// partJoin joins an intermediate keyed on lo_partkey with the part
-	// selection, producing an index keyed on lo_orderdate.
-	partJoin := func(left core.Operator) *core.Join {
-		return &core.Join{
-			Left: left, Right: selPart,
+	// custJoin is the first join: the customer selection drives lineorder,
+	// which the assists probe.
+	custJoin := func(assists []core.Assist, out core.OutputSpec) *core.SelectJoin {
+		return &core.SelectJoin{
+			SelInput: selCust, Main: &core.Base{Table: loMain},
+			ProbeMainWith: core.Ref{Input: 0, Attr: "c_custkey"},
+			Assists:       assists, Out: out,
+		}
+	}
+	// partJoin joins an intermediate keyed on lo_partkey, driven by the
+	// part selection, producing an index keyed on lo_orderdate.
+	partJoin := func(main core.Operator) *core.SelectJoin {
+		return &core.SelectJoin{
+			SelInput: selPart, Main: main,
+			ProbeMainWith: core.Ref{Input: 0, Attr: "p_partkey"},
 			Out: core.OutputSpec{
 				Name: "⋈_orderdate", Key: core.SimpleKey("lo_orderdate", odBits),
-				KeyRefs:  []core.Ref{{Input: 0, Attr: "lo_orderdate"}},
+				KeyRefs:  []core.Ref{{Input: 1, Attr: "lo_orderdate"}},
 				Cols:     []string{"c_nation", "profit"},
-				ColExprs: []core.RowExpr{core.Attr(0, "c_nation"), core.Attr(0, "profit")},
+				ColExprs: []core.RowExpr{core.Attr(1, "c_nation"), core.Attr(1, "profit")},
 			},
 		}
 	}
@@ -115,67 +132,54 @@ func (ds *Dataset) Figure9Plan(arity int) *core.Plan {
 	var byDate core.Operator // keyed on lo_orderdate, carrying c_nation and profit
 	switch arity {
 	case 5: // the uncapped 5-way star join groups directly
-		return &core.Plan{Root: &core.Join{
-			Left: &core.Base{Table: loMain}, Right: selCust,
-			Assists: []core.Assist{
-				{Input: selSupp, ProbeWith: core.Ref{Input: 0, Attr: "lo_suppkey"}},
-				{Input: selPart, ProbeWith: core.Ref{Input: 0, Attr: "lo_partkey"}},
-				{Input: dateIdx, ProbeWith: core.Ref{Input: 0, Attr: "lo_orderdate"}},
-			},
-			Out: yearNation(core.Ref{Input: 4, Attr: "d_year"}, core.Ref{Input: 1, Attr: "c_nation"}, profit),
-		}}
+		return &core.Plan{Root: custJoin([]core.Assist{
+			{Input: selSupp, ProbeWith: core.Ref{Input: 1, Attr: "lo_suppkey"}},
+			{Input: selPart, ProbeWith: core.Ref{Input: 1, Attr: "lo_partkey"}},
+			{Input: dateIdx, ProbeWith: core.Ref{Input: 1, Attr: "lo_orderdate"}},
+		}, yearNation(core.Ref{Input: 4, Attr: "d_year"}, core.Ref{Input: 0, Attr: "c_nation"}, profit))}
 	case 4: // 4-way star join, then the 2-way join-group with date
-		byDate = &core.Join{
-			Left: &core.Base{Table: loMain}, Right: selCust,
-			Assists: []core.Assist{
-				{Input: selSupp, ProbeWith: core.Ref{Input: 0, Attr: "lo_suppkey"}},
-				{Input: selPart, ProbeWith: core.Ref{Input: 0, Attr: "lo_partkey"}},
-			},
-			Out: core.OutputSpec{
-				Name: "⋈4_orderdate", Key: core.SimpleKey("lo_orderdate", odBits),
-				KeyRefs:  []core.Ref{{Input: 0, Attr: "lo_orderdate"}},
-				Cols:     []string{"c_nation", "profit"},
-				ColExprs: []core.RowExpr{core.Attr(1, "c_nation"), profit},
-			},
-		}
-	case 3: // 3-way star join, 2-way with part, 2-way join-group with date
-		byDate = partJoin(&core.Join{
-			Left: &core.Base{Table: loMain}, Right: selCust,
-			Assists: []core.Assist{
-				{Input: selSupp, ProbeWith: core.Ref{Input: 0, Attr: "lo_suppkey"}},
-			},
-			Out: core.OutputSpec{
-				Name: "⋈3_partkey", Key: core.SimpleKey("lo_partkey", ds.Lineorder.Bits("lo_partkey")),
-				KeyRefs:  []core.Ref{{Input: 0, Attr: "lo_partkey"}},
-				Cols:     []string{"lo_orderdate", "c_nation", "profit"},
-				ColExprs: []core.RowExpr{core.Attr(0, "lo_orderdate"), core.Attr(1, "c_nation"), profit},
-			},
+		byDate = custJoin([]core.Assist{
+			{Input: selSupp, ProbeWith: core.Ref{Input: 1, Attr: "lo_suppkey"}},
+			{Input: selPart, ProbeWith: core.Ref{Input: 1, Attr: "lo_partkey"}},
+		}, core.OutputSpec{
+			Name: "⋈4_orderdate", Key: core.SimpleKey("lo_orderdate", odBits),
+			KeyRefs:  []core.Ref{{Input: 1, Attr: "lo_orderdate"}},
+			Cols:     []string{"c_nation", "profit"},
+			ColExprs: []core.RowExpr{core.Attr(0, "c_nation"), profit},
 		})
+	case 3: // 3-way star join, 2-way with part, 2-way join-group with date
+		byDate = partJoin(custJoin([]core.Assist{
+			{Input: selSupp, ProbeWith: core.Ref{Input: 1, Attr: "lo_suppkey"}},
+		}, core.OutputSpec{
+			Name: "⋈3_partkey", Key: core.SimpleKey("lo_partkey", ds.Lineorder.Bits("lo_partkey")),
+			KeyRefs:  []core.Ref{{Input: 1, Attr: "lo_partkey"}},
+			Cols:     []string{"lo_orderdate", "c_nation", "profit"},
+			ColExprs: []core.RowExpr{core.Attr(1, "lo_orderdate"), core.Attr(0, "c_nation"), profit},
+		}))
 	case 2: // a chain of 2-way joins only
-		bySupp := &core.Join{
-			Left: &core.Base{Table: loMain}, Right: selCust,
-			Out: core.OutputSpec{
-				Name: "⋈2_suppkey", Key: core.SimpleKey("lo_suppkey", ds.Lineorder.Bits("lo_suppkey")),
-				KeyRefs:  []core.Ref{{Input: 0, Attr: "lo_suppkey"}},
-				Cols:     []string{"lo_partkey", "lo_orderdate", "c_nation", "profit"},
-				ColExprs: []core.RowExpr{core.Attr(0, "lo_partkey"), core.Attr(0, "lo_orderdate"), core.Attr(1, "c_nation"), profit},
-			},
-		}
-		byDate = partJoin(&core.Join{
-			Left: bySupp, Right: selSupp,
+		bySupp := custJoin(nil, core.OutputSpec{
+			Name: "⋈2_suppkey", Key: core.SimpleKey("lo_suppkey", ds.Lineorder.Bits("lo_suppkey")),
+			KeyRefs:  []core.Ref{{Input: 1, Attr: "lo_suppkey"}},
+			Cols:     []string{"lo_partkey", "lo_orderdate", "c_nation", "profit"},
+			ColExprs: []core.RowExpr{core.Attr(1, "lo_partkey"), core.Attr(1, "lo_orderdate"), core.Attr(0, "c_nation"), profit},
+		})
+		byDate = partJoin(&core.SelectJoin{
+			SelInput: selSupp, Main: bySupp,
+			ProbeMainWith: core.Ref{Input: 0, Attr: "s_suppkey"},
 			Out: core.OutputSpec{
 				Name: "⋈2_partkey", Key: core.SimpleKey("lo_partkey", ds.Lineorder.Bits("lo_partkey")),
-				KeyRefs:  []core.Ref{{Input: 0, Attr: "lo_partkey"}},
+				KeyRefs:  []core.Ref{{Input: 1, Attr: "lo_partkey"}},
 				Cols:     []string{"lo_orderdate", "c_nation", "profit"},
-				ColExprs: []core.RowExpr{core.Attr(0, "lo_orderdate"), core.Attr(0, "c_nation"), core.Attr(0, "profit")},
+				ColExprs: []core.RowExpr{core.Attr(1, "lo_orderdate"), core.Attr(1, "c_nation"), core.Attr(1, "profit")},
 			},
 		})
 	default:
 		panic(fmt.Sprintf("ssb: Figure 9 caps the join arity at 2, 3, 4 or 5, not %d", arity))
 	}
-	return &core.Plan{Root: &core.Join{
-		Left: byDate, Right: dateIdx,
-		Out: yearNation(core.Ref{Input: 1, Attr: "d_year"}, core.Ref{Input: 0, Attr: "c_nation"}, core.Attr(0, "profit")),
+	return &core.Plan{Root: &core.SelectJoin{
+		SelInput: dateIdx, Main: byDate,
+		ProbeMainWith: core.Ref{Input: 0, Attr: "d_datekey"},
+		Out:           yearNation(core.Ref{Input: 0, Attr: "d_year"}, core.Ref{Input: 1, Attr: "c_nation"}, core.Attr(1, "profit")),
 	}}
 }
 

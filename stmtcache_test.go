@@ -3,6 +3,7 @@ package qppt_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -160,8 +161,7 @@ func TestEngineAdmission(t *testing.T) {
 // its residual blocks until the test lets go — while a prepared statement
 // queues behind it; the gate stays held for hold after the statement
 // queued, so that run reports at least hold. A run admitted at once
-// reports less (the time the uncontended Acquire took, not 0: the gate
-// does not tell its caller whether it queued).
+// reports exactly 0, and its stats print no admission line.
 func TestEngineAdmissionWait(t *testing.T) {
 	const hold = 20 * time.Millisecond
 	ds := engineDataset(t)
@@ -179,8 +179,11 @@ func TestEngineAdmissionWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.AdmissionWait >= hold {
+	if stats.AdmissionWait != 0 {
 		t.Errorf("a run that did not queue reports AdmissionWait %v", stats.AdmissionWait)
+	}
+	if s := stats.String(); strings.Contains(s, "admission:") {
+		t.Errorf("a run that did not queue prints an admission line:\n%s", s)
 	}
 
 	entered, release := make(chan struct{}), make(chan struct{})

@@ -105,7 +105,7 @@ func starPlan(f *fixture, brand uint64) *Plan {
 		ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
 		Assists: []Assist{{
 			Input:     &Base{Table: f.custByKey},
-			ProbeWith: Ref{Input: 1, Attr: "custkey"},
+			ProbeWith: "custkey",
 		}},
 		Out: OutputSpec{
 			Name:     "Γ_region",
@@ -130,7 +130,7 @@ func sjPlan(f *fixture, brand uint64) *Plan {
 		ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
 		Assists: []Assist{{
 			Input:     &Base{Table: f.custByKey},
-			ProbeWith: Ref{Input: 1, Attr: "custkey"},
+			ProbeWith: "custkey",
 		}},
 		Out: OutputSpec{
 			Name:     "Γ_region",
@@ -278,6 +278,45 @@ func TestSelectJoinEquivalentToSelectionPlusJoin(t *testing.T) {
 	}
 }
 
+// TestAssistProbesFactColumn: an assist probes with a payload column of the
+// main input, and any other name fails the run with an error that names
+// the assist — the main input's key attribute, an attribute of the driving
+// input, an unknown name. The plan has intermediates on both sides of the
+// join, and runs on 1 and 2 workers, with and without a one-byte memory
+// budget; the Env is left with no spill file and no running helper.
+func TestAssistProbesFactColumn(t *testing.T) {
+	f := buildFixture(8)
+	products := &Selection{Input: &Base{Table: f.prodByBrand}, Out: OutputSpec{
+		Name: "σ_products", Key: SimpleKey("prodkey", 16), KeyRefs: []Ref{{Input: 0, Attr: "prodkey"}},
+		Cols: []string{"brand"}, ColExprs: []RowExpr{Attr(0, "brand")},
+	}}
+	customers := &Selection{Input: &Base{Table: f.custByKey}, Pred: Between(0, nCust/2), Out: OutputSpec{
+		Name: "σ_customers", Key: SimpleKey("custkey", 16), KeyRefs: []Ref{{Input: 0, Attr: "custkey"}},
+		Cols: []string{"region"}, ColExprs: []RowExpr{Attr(0, "region")},
+	}}
+	for _, name := range []string{"prodkey", "brand", "nosuch"} {
+		pl := &Plan{Root: &SelectJoin{
+			SelInput:      products,
+			Main:          &Base{Table: f.factByProd},
+			ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
+			Assists:       []Assist{{Input: &Base{Table: f.custByKey}, ProbeWith: "custkey"}, {Input: customers, ProbeWith: name}},
+			Out: OutputSpec{
+				Name: "Γ_region", Key: SimpleKey("region", 8), KeyRefs: []Ref{{Input: 3, Attr: "region"}},
+				Cols: []string{"sum_qty"}, ColExprs: []RowExpr{Attr(1, "qty")}, Fold: FoldSum(0),
+			},
+		}}
+		for _, workers := range []int{1, 2} {
+			for _, budget := range []int64{0, 1} {
+				_, _, err := run(t, EnvConfig{Workers: workers, MemBudget: budget}, pl, Options{})
+				if err == nil || !strings.Contains(err.Error(), "assist 1 (σ→σ_customers)") || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+					t.Errorf("ProbeWith %q, Workers %d, MemBudget %d: error %v, want one naming assist 1 (σ→σ_customers) and %q",
+						name, workers, budget, err, name)
+				}
+			}
+		}
+	}
+}
+
 func TestComposedGroupKeyOutput(t *testing.T) {
 	f := buildFixture(6)
 	// Group by (region, brand): a composed output key, checking both the
@@ -299,7 +338,7 @@ func TestComposedGroupKeyOutput(t *testing.T) {
 		ProbeMainWith: Ref{Input: 0, Attr: "prodkey"},
 		Assists: []Assist{{
 			Input:     &Base{Table: f.custByKey},
-			ProbeWith: Ref{Input: 1, Attr: "custkey"},
+			ProbeWith: "custkey",
 		}},
 		Out: OutputSpec{
 			Name:     "Γ_region_brand",

@@ -12,8 +12,11 @@
 // The package provides two operators: the selection/having operator and
 // the composed select-join, which is also the multi-way/star join and,
 // with no predicate and no assists, the 2-way join-group. A join of two
-// key-indexed inputs is the select-join of the whole driving index, and
-// every probe stage batches its lookups through the joinbuffer.
+// key-indexed inputs is the select-join of the whole driving index. The
+// join has one shape, the star: its main input is the fact side, and
+// every assist probes with a foreign key of the fact rows, a payload
+// column of the main input. Every probe stage batches its lookups through
+// the joinbuffer.
 package core
 
 import (

@@ -129,28 +129,30 @@ func feedScan(p *pipeline, in *IndexedTable, pred KeyPred) {
 }
 
 // An Assist attaches one assisting index to a composed join (paper
-// Section 4.2): for every combination, ProbeWith's value is looked up in
-// the assisting index (through the joinbuffer); misses drop the
-// combination, hits extend it with the assisting rows.
+// Section 4.2): every fact row the main probe yields looks up its
+// ProbeWith value in the assisting index (through the joinbuffer); misses
+// drop the combination, hits extend it with the assisting rows.
 type Assist struct {
 	Input Operator
-	// ProbeWith locates the probe key among the earlier inputs. Input
-	// ordinals: 0 = the driving input, 1 = the main input, 2+i = assist i.
-	ProbeWith Ref
+	// ProbeWith names the foreign key: a payload column of the main input
+	// (ordinal 1). Any other name, a key attribute of the main input
+	// included, is a plan error.
+	ProbeWith string
 }
 
 // SelectJoin is QPPT's one join operator, the composed select-join (paper
 // Section 4.3): it scans SelInput's qualifying key ranges, all of SelInput
 // when Pred is nil, and probes each qualifying tuple's ProbeMainWith value
 // straight into Main through the joinbuffer, with no intermediate index
-// between them. The assists then filter and extend the combinations (the
-// n-ary star join), and the output is built with grouping/aggregation as
-// a side effect when Out.Fold is set (the join-group). With a nil Pred it
-// is the join of two inputs indexed on the join key (Section 4.2), which
-// the paper runs as a lockstep walk of both tries, the synchronous index
-// scan; here the driving index's keys are looked up in the other input
-// instead, with the same batched lookups and fan-out filters as any
-// select-join.
+// between them. Main is the fact side of a star join: each fact row the
+// main probe yields is looked up in every assist by the foreign key its
+// ProbeWith names, so the assists filter and extend the combinations (the
+// n-ary star join), and the output is built with grouping/aggregation as a
+// side effect when Out.Fold is set (the join-group). With a nil Pred it is
+// the join of two inputs indexed on the join key (Section 4.2), which the
+// paper runs as a lockstep walk of both tries, the synchronous index scan;
+// here the driving index's keys are looked up in the other input instead,
+// with the same batched lookups and fan-out filters as any select-join.
 type SelectJoin struct {
 	// SelInput is the selection's input, the driving input (ordinal 0).
 	SelInput Operator
@@ -166,7 +168,8 @@ type SelectJoin struct {
 	// main probe — i.e. as soon as Main's attributes are available but
 	// before any assisting index is touched.
 	MainResidual func(ctx []uint64) bool
-	// Assists are additional star-join inputs (ordinals 2+i).
+	// Assists are additional star-join inputs (ordinals 2+i), each probed
+	// with a foreign key of Main's rows.
 	Assists []Assist
 	Out     OutputSpec
 }
@@ -192,7 +195,7 @@ func (sj *SelectJoin) Children() []Operator {
 
 // pipe builds the select-join's probe pipeline: the main probe at stage
 // 0, assists after, with the selection residual at the pipeline entry and
-// the main residual between the main probe and the first assist.
+// the main residual on each fact row the main probe yields.
 func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, error) {
 	layout := newCtxLayout(inputs...)
 	p := newPipeline(ec, layout)
@@ -200,13 +203,15 @@ func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, 
 	if err != nil {
 		return nil, fmt.Errorf("core: %s main probe: %w", sj.Label(), err)
 	}
-	p.addProbe(1, mainOff)
+	p.addProbe(1, -1, mainOff)
+	fact := inputs[1]
 	for i, a := range sj.Assists {
-		off, err := layout.resolve(a.ProbeWith)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s assist %d: %w", sj.Label(), i, err)
+		col := fact.Col(a.ProbeWith)
+		if col < 0 {
+			return nil, fmt.Errorf("core: %s assist %d (%s): %q is not a payload column of the main input %s",
+				sj.Label(), i, a.Input.Label(), a.ProbeWith, fact.Name)
 		}
-		p.addProbe(2+i, off)
+		p.addProbe(2+i, col, layout.colOff(1, col))
 	}
 	p.residual = sj.Residual
 	p.mainResidual = sj.MainResidual

@@ -6,17 +6,18 @@ import (
 	"time"
 
 	"qppt/internal/arena"
-	"qppt/internal/duplist"
 	"qppt/internal/key"
 )
 
-// The combination-context pipeline is the shared execution kernel of all
-// composed operators (paper Section 4). A *combination* is one candidate
-// output tuple: the values of the current main-index match plus the payload
-// rows of every assisting index probed so far, laid out as one flat context
-// (ctxLayout). Combinations flow through a sequence of probe stages (one per
-// probed index) into the sink, which materializes the output key and payload
-// row and inserts them into the output index.
+// The combination-context pipeline is the shared execution kernel of both
+// operators (paper Section 4). A *combination* is one candidate output
+// tuple: the driving tuple, the fact row the main probe found for it and
+// the payload rows of every assisting index probed so far, laid out as one
+// flat context (ctxLayout). Combinations flow through the probe stages —
+// stage 0 the main probe into the fact input, then one per assist — into
+// the sink, which materializes the output key and payload row and inserts
+// them into the output index. A selection has no stage: its combinations
+// go straight to the sink.
 //
 // Every stage works on batches: probe stages issue batched index lookups
 // through the joinbuffer/selectionbuffer, and the sink issues batched index
@@ -24,32 +25,31 @@ import (
 // tuple-at-a-time processing, which is exactly the knob the paper's
 // demonstrator exposes.
 //
-// The joinbuffer is copy-free. A combination lives in one slot of the
-// pipeline's flat slot chunk, and a stage's queue is a selection vector of
-// slot numbers plus the probe keys. A probe hit with one row writes the
-// stage's segment where the combination already sits and queues the same
-// slot for the next stage; a lookup miss leaves it out. Only a hit with
-// several rows (a fan-out) needs more slots. When the next stage probes
-// with a column of the fanning-out rows and has no residual at its entry —
-// the first assist of a star join, which probes with a foreign key of the
-// fact row — the next stage is late: it queues just (parent slot, row, key)
-// and copies the parent and the row into a slot of its own only for a probe
-// hit (late materialization). Stage s owns slots [s·bufSize,
-// (s+1)·bufSize): the entry copies base combinations into stage 0's, and
-// stage s−1's hits take stage s's. A full region is reclaimed by draining
-// the stages from s on, which moves every combination that still
-// references it into the sink.
+// The pipeline runs one shape, the star join: every assist probes with a
+// foreign key of the fact rows, a payload column of input 1, and
+// SelectJoin.pipe rejects any other probe. The joinbuffer is copy-free. A
+// combination lives in one slot of the pipeline's flat slot chunk, and a
+// stage's queue is a selection vector of slot numbers plus the probe keys.
+// The main probe's hit fans out to the fact rows, all in the slot of the
+// driving tuple: a row that passes the fan filters and the main residual
+// is queued at stage 1, the late stage, as just (parent slot, row, key),
+// and the parent and the row are copied into a slot of their own only for
+// a probe hit (late materialization). A later stage's hit writes its
+// segment where the combination already sits and queues the same slot
+// onward; only its second and later rows take new slots. A miss leaves the
+// combination out. The slot chunk is cut into regions of bufSize slots:
+// the entries of stages 0 and 1 hold slots of region 0, those of any later
+// stage s slots of region s−1. A full region is reclaimed by draining the
+// stages from the one that takes its slots on, which moves every
+// combination that still references it into the sink.
 //
 // Filters at the fan-out: a key filter (keyFilter, an exact bitmap of an
-// index's keys) is tested on the rows of the stage whose column holds the
-// probe key, before a row is queued, copied or fed, so a key the probed
-// index lacks costs one bit test, never a queue entry, a descent or a
-// visit. Every assist that probes with a column of the fact rows — stage
-// 0's, the main probe's — is tested there, in assist order; any other
-// stage only when it is late, on its previous stage's rows. An
-// assist that carries no column and holds one row per key needs nothing
-// but that test: it leaves the pipeline, and the sink writes its key, the
-// probe key, into the combination.
+// index's keys) of an assist is tested on each fact row, in assist order,
+// before the row is queued or fed, so a key an assist lacks costs one bit
+// test, never a queue entry, a descent or a copy. An assist that carries
+// no column and holds one row per key needs nothing but that test: it
+// leaves the pipeline, and the sink writes its key, the probe key, into
+// the combination.
 //
 // Every stage handles its queue in arrival order and emits a combination's
 // rows in list order, so the sink sees the nested-loop order at every
@@ -114,42 +114,29 @@ func (l ctxLayout) fillRow(ctx []uint64, i int, row []uint64) {
 }
 
 // A probeStage joins one probed index into the combination (paper Section
-// 4.2): the probe key is read from the context, looked up in the index
-// (batched through the joinbuffer), and each returned row extends the
-// combination; a miss removes the combination.
+// 4.2): the probe key is read from the context (on stage 1, from the fact
+// row), looked up in the index (batched through the joinbuffer), and each
+// returned row extends the combination; a miss removes the combination.
 type probeStage struct {
 	table    *IndexedTable
 	input    int // this stage's input ordinal in the layout
+	col      int // an assist's probe column of the fact rows; -1 on the main probe
 	probeOff int // ctx offset holding the probe key
 	comp     *key.Composer
 
-	// late is set when the probe key is column lateCol of the previous
-	// stage's rows (input prevInput) and no filter sits at this stage's
-	// entry: a fan-out of the previous stage then queues its rows here
-	// unmaterialized.
-	late      bool
-	lateCol   int
-	prevInput int
-	// fan holds the key filters of later stages that probe with columns of
-	// this stage's rows: a row one of them rejects is dropped before it
-	// goes on. Every worker pipeline of one operator execution shares it
-	// read-only.
-	fan []fanTest
-
 	// The joinbuffer: the selection vector of queued combination slots,
-	// their probe keys and, on a late stage, the previous stage's row each
-	// entry still has to take (nil when its slot already holds it). All
-	// three are pool chunks of bufSize; high is the longest queue any
-	// flush found, the prefix release hands back.
+	// their probe keys and, on stage 1, the fact row each entry still has
+	// to take. All three are pool chunks of bufSize; high is the longest
+	// queue any flush found, the prefix release hands back.
 	sel   []int32
 	keys  []uint64
 	rows  [][]uint64
 	high  int
-	used  int                   // slots of this stage's region handed out
+	used  int                   // slots handed out for this stage's entries
 	visit func(j int, lf *Leaf) // the LookupBatch visitor, built once
 }
 
-// A fanTest drops a row whose column col is not a key of a later stage's
+// A fanTest drops a fact row whose column col is not a key of an assist's
 // index.
 type fanTest struct {
 	col int
@@ -208,18 +195,18 @@ type pipeline struct {
 	stopped bool            // latched once qctx is cancelled
 	rec     *arena.Recycler // plan chunk pool for the output index
 	// residual, if set, drops base combinations before stage 0;
-	// mainResidual drops combinations entering stage 1 (the sink when
-	// there is no stage 1), right after the probe that makes the main
-	// input's attributes available.
+	// mainResidual drops the fact rows the main probe yields, after the
+	// fan filters, before they are queued at stage 1 or fed to the sink.
 	residual     func(ctx []uint64) bool
 	mainResidual func(ctx []uint64) bool
 	// stages are the probe stages: stage 0 is the main probe, and its
-	// rows are the fact rows every assist's filter is tested on.
+	// rows are the fact rows every assist probes with.
 	stages []*probeStage
-	// fills are the sink's, decided with the filters and shared like
-	// them; owned are the filter bitmaps drawn from the pool.
+	// fan holds the key filters tested on each fact row, fills the sink's
+	// key fills of the assists that left; both are decided once per
+	// operator execution and shared read-only by every worker pipeline.
+	fan      []fanTest
 	fills    []keyFill
-	owned    [][]uint64
 	snk      *sink
 	bufSize  int
 	lookups  int // probe-stage lookups issued (stats)
@@ -231,15 +218,6 @@ type pipeline struct {
 	// written prefix in slots, the part release hands the pool to clear.
 	slots    []uint64
 	slotHigh int
-}
-
-// filter returns the combination filter at the entry of stage i ≥ 1 (i ==
-// len(stages): the sink), or nil.
-func (p *pipeline) filter(i int) func(ctx []uint64) bool {
-	if i == 1 {
-		return p.mainResidual
-	}
-	return nil
 }
 
 func newPipeline(ec *ExecContext, layout ctxLayout) *pipeline {
@@ -279,11 +257,12 @@ func (p *pipeline) aborted() bool {
 }
 
 // addProbe appends a probe stage for input `input`, probing with the
-// attribute at ctx offset probeOff.
-func (p *pipeline) addProbe(input int, probeOff int) {
+// attribute at ctx offset probeOff, column col of the fact rows.
+func (p *pipeline) addProbe(input, col, probeOff int) {
 	p.stages = append(p.stages, &probeStage{
 		table:    p.layout.inputs[input],
 		input:    input,
+		col:      col,
 		probeOff: probeOff,
 		comp:     p.layout.inputs[input].Key.Composer(),
 	})
@@ -294,9 +273,9 @@ func (p *pipeline) addProbe(input int, probeOff int) {
 // own once setSink lays them out.
 func (p *pipeline) clone() *pipeline {
 	q := &pipeline{layout: p.layout, qctx: p.qctx, rec: p.rec, bufSize: p.bufSize,
-		residual: p.residual, mainResidual: p.mainResidual, fills: p.fills}
+		residual: p.residual, mainResidual: p.mainResidual, fan: p.fan, fills: p.fills}
 	for _, st := range p.stages {
-		q.stages = append(q.stages, &probeStage{table: st.table, input: st.input, probeOff: st.probeOff, comp: st.comp, fan: st.fan})
+		q.stages = append(q.stages, &probeStage{table: st.table, input: st.input, col: st.col, probeOff: st.probeOff, comp: st.comp})
 	}
 	return q
 }
@@ -339,46 +318,30 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 }
 
 // initJoinbuffer draws the slot chunk and every stage's queue from the
-// pool and decides which stages take late entries. It runs once the
-// residuals are in place and the stages are final.
+// pool. It runs once the stages are final.
 func (p *pipeline) initJoinbuffer() {
 	if len(p.stages) == 0 {
 		return
 	}
-	p.slots = arena.NewChunk[uint64](p.rec, len(p.stages)*p.bufSize*p.layout.width)
+	p.slots = arena.NewChunk[uint64](p.rec, max(len(p.stages)-1, 1)*p.bufSize*p.layout.width)
 	p.slots = p.slots[:cap(p.slots)]
 	for s, st := range p.stages {
 		st.visit = func(j int, lf *Leaf) { p.hit(s, j, lf) }
 		st.sel = arena.NewChunk[int32](p.rec, p.bufSize)
 		st.keys = arena.NewChunk[uint64](p.rec, p.bufSize)
-		if col, ok := p.lateCol(s); ok {
-			st.late, st.lateCol, st.prevInput = true, col, p.stages[s-1].input
+		if s == 1 {
 			st.rows = arena.NewChunk[[]uint64](p.rec, p.bufSize)
 		}
 	}
-}
-
-// lateCol reports whether stage s is late: it probes with column col of
-// stage s−1's rows, and no filter sits at its entry.
-func (p *pipeline) lateCol(s int) (col int, ok bool) {
-	if s == 0 || p.filter(s) != nil {
-		return 0, false
-	}
-	return p.stages[s].probesCol(p.layout, p.stages[s-1])
-}
-
-// probesCol reports whether st probes with column col of from's rows.
-func (st *probeStage) probesCol(l ctxLayout, from *probeStage) (col int, ok bool) {
-	col = st.probeOff - l.colOff(from.input, 0)
-	return col, col >= 0 && col < len(from.table.Cols)
 }
 
 // A keyFilter is the exact key set of an index as a bitmap over [lo, lo+n):
 // bit d of words is set when lo+d is a key. An empty index gets n = 0,
 // which rejects every key.
 type keyFilter struct {
-	lo, n uint64
-	words []uint64
+	lo, n  uint64
+	words  []uint64
+	pooled bool // words came from the pool, and parkKeyFilters returns them
 }
 
 // has reports whether k is a key of the filtered index.
@@ -407,7 +370,7 @@ func newKeyFilter(rec *arena.Recycler, idx Index, holey bool) *keyFilter {
 		words[d>>6] |= 1 << (d & 63)
 		return true
 	})
-	return &keyFilter{lo: lo, n: span + 1, words: words}
+	return &keyFilter{lo: lo, n: span + 1, words: words, pooled: rec != nil}
 }
 
 // keyFilter returns the key filter of t's index under newKeyFilter's rule.
@@ -416,11 +379,7 @@ func newKeyFilter(rec *arena.Recycler, idx Index, holey bool) *keyFilter {
 // and parkKeyFilters returns it.
 func (p *pipeline) keyFilter(t *IndexedTable, holey bool) *keyFilter {
 	if t.pooled {
-		f := newKeyFilter(p.rec, t.Idx, holey)
-		if f != nil {
-			p.owned = append(p.owned, f.words)
-		}
-		return f
+		return newKeyFilter(p.rec, t.Idx, holey)
 	}
 	t.filterOnce.Do(func() { t.filter = newKeyFilter(nil, t.Idx, false) })
 	f := t.filter
@@ -430,44 +389,32 @@ func (p *pipeline) keyFilter(t *IndexedTable, holey bool) *keyFilter {
 	return f
 }
 
-// buildKeyFilters decides which key filter is tested where, and which
-// stages leave the pipeline. runMorsels calls it once per operator
-// execution, on the first pipeline, before any morsel runs and before the
-// joinbuffer is laid out; the other workers' pipelines are clones that
-// share the decision, and parkKeyFilters returns the pooled bitmaps once
-// every pipeline is done.
+// buildKeyFilters decides which key filters are tested on the fact rows,
+// and which assists leave the pipeline. runMorsels calls it once per
+// operator execution, on the first pipeline, before any morsel runs and
+// before the joinbuffer is laid out; the other workers' pipelines are
+// clones that share the decision, and parkKeyFilters returns the pooled
+// bitmaps once every pipeline is done.
 //
-// The rule reads the indexes, not a knob. An assist that probes with a
-// fact column is tested on stage 0's rows, the main probe's. It is
-// filter-only, and leaves, when its table carries no column, has a
-// one-attribute key and one row per key, and its bitmap is no larger than
-// its index: the test then decides everything its lookup would. Any other
-// stage probed with a column of the previous stage's rows (a late stage)
-// is tested on those rows. Either way a filter is tested only when its
-// bitmap is no larger than the index and, unless the stage is
-// filter-only, the index has a hole: over big or hole-free indexes a
-// bitmap cost more than it saved.
+// The rule reads the indexes, not a knob. Every assist probes with a fact
+// column, and its filter is tested on each fact row the main probe yields,
+// in assist order. It is filter-only, and leaves, when its table carries
+// no column, has a one-attribute key and one row per key, and its bitmap
+// is no larger than its index: the test then decides everything its
+// lookup would. A filter is tested only when its bitmap is no larger than
+// the index and, unless the assist is filter-only, the index has a hole:
+// over big or hole-free indexes a bitmap cost more than it saved.
 func (p *pipeline) buildKeyFilters() {
 	if len(p.stages) == 0 {
 		return
 	}
-	fact, kept := p.stages[0], p.stages[:1]
+	kept := p.stages[:1]
 	for _, st := range p.stages[1:] {
-		for _, fl := range p.fills {
-			if st.probeOff == fl.dst { // the key of a stage that left is its probe key
-				st.probeOff = fl.src
-			}
-		}
-		col, ok := st.probesCol(p.layout, fact)
-		if !ok {
-			kept = append(kept, st)
-			continue
-		}
 		t := st.table
 		only := len(t.Cols) == 0 && len(t.Key.Attrs) == 1 && t.Rows() == t.Keys()
 		f := p.keyFilter(t, !only)
 		if f != nil {
-			fact.fan = append(fact.fan, fanTest{col: col, f: f})
+			p.fan = append(p.fan, fanTest{col: st.col, f: f})
 		}
 		if only && f != nil {
 			p.fills = append(p.fills, keyFill{dst: p.layout.keyOff(st.input, 0), src: st.probeOff})
@@ -476,26 +423,15 @@ func (p *pipeline) buildKeyFilters() {
 		kept = append(kept, st)
 	}
 	p.stages = kept
-	for s := 1; s < len(p.stages); s++ {
-		st := p.stages[s]
-		if _, ok := st.probesCol(p.layout, fact); ok {
-			continue
-		}
-		if col, ok := p.lateCol(s); ok {
-			if f := p.keyFilter(st.table, true); f != nil {
-				prev := p.stages[s-1]
-				prev.fan = append(prev.fan, fanTest{col: col, f: f})
-			}
-		}
-	}
 }
 
 // parkKeyFilters returns the pooled filters' words to the chunk pool.
 func (p *pipeline) parkKeyFilters() {
-	for _, w := range p.owned {
-		putScratch(p.rec, w, len(w))
+	for _, t := range p.fan {
+		if t.f.pooled {
+			putScratch(p.rec, t.f.words, len(t.f.words))
+		}
 	}
-	p.owned = nil
 }
 
 // release parks the recycler-backed buffers — the sink's insert buffer,
@@ -541,7 +477,7 @@ func (p *pipeline) feed(ctx []uint64) {
 	}
 	t := p.newSlot(0)
 	copy(p.slot(t), ctx)
-	p.queue(0, t, nil, ctx[p.stages[0].probeOff])
+	p.queue(0, t)
 }
 
 // slot returns the combination stored in slot r.
@@ -551,16 +487,16 @@ func (p *pipeline) slot(r int32) []uint64 {
 	return p.slots[off : off+w : off+w]
 }
 
-// newSlot hands out a free slot of stage s's region. A full region is
-// reclaimed first: draining the stages from s on moves every combination
-// that references it into the sink.
+// newSlot hands out a free slot for an entry of stage s ≠ 1, from region
+// max(s−1, 0). A full region is reclaimed first: draining the stages from
+// s on moves every combination that references it into the sink.
 func (p *pipeline) newSlot(s int) int32 {
 	st := p.stages[s]
 	if st.used == p.bufSize {
 		p.drain(s)
 		st.used = 0
 	}
-	r := s*p.bufSize + st.used
+	r := max(s-1, 0)*p.bufSize + st.used
 	st.used++
 	p.slotHigh = max(p.slotHigh, r+1)
 	return int32(r)
@@ -574,31 +510,12 @@ func (p *pipeline) drain(s int) {
 	}
 }
 
-// push passes the combination in slot t through the filter at stage i's
-// entry and queues it there, or feeds the sink when i is past the last
-// stage.
-func (p *pipeline) push(i int, t int32) {
-	ctx := p.slot(t)
-	if f := p.filter(i); f != nil && !f(ctx) {
-		return
-	}
-	if i == len(p.stages) {
-		p.snk.feed(ctx, p.bufSize)
-		return
-	}
-	p.queue(i, t, nil, ctx[p.stages[i].probeOff])
-}
-
-// queue appends one entry to stage i's joinbuffer — slot t, probe key k
-// and, for a late entry, the previous stage's row — and flushes the stage
-// when the buffer is full.
-func (p *pipeline) queue(i int, t int32, row []uint64, k uint64) {
+// queue appends slot t to stage i's joinbuffer, with the probe key its
+// combination holds, and flushes the stage when the buffer is full.
+func (p *pipeline) queue(i int, t int32) {
 	st := p.stages[i]
 	st.sel = append(st.sel, t)
-	st.keys = append(st.keys, k)
-	if st.late {
-		st.rows = append(st.rows, row)
-	}
+	st.keys = append(st.keys, p.slot(t)[st.probeOff])
 	if len(st.keys) == p.bufSize {
 		p.flushStage(i)
 	}
@@ -617,113 +534,101 @@ func (p *pipeline) flushStage(s int) {
 	st.high = max(st.high, n)
 	p.lookups += n
 	st.table.Idx.LookupBatch(st.keys, st.visit)
-	st.sel, st.keys = st.sel[:0], st.keys[:0]
-	if st.late {
-		st.rows = st.rows[:0]
-	}
+	st.sel, st.keys, st.rows = st.sel[:0], st.keys[:0], st.rows[:0]
 }
 
 // hit extends entry j of stage s's joinbuffer with the rows of lf, the
 // leaf of its key (nil: a miss, which drops the combination), and passes
-// the results on in row order. Slot r is the entry's combination. A late
-// entry still has to take the previous stage's row and shares r with its
-// siblings, so it is copied before it is written — unless the next stop
-// is the sink, which copies each combination out right away.
+// the results on in row order. Slot r is the entry's combination. A
+// stage-1 entry still has to take its fact row and shares r with its
+// siblings, so each of its rows writes a copy of r; a later stage's entry
+// owns r, and its first row takes r itself. Rows bound for the sink are
+// all written in r: the sink copies each combination out right away.
 func (p *pipeline) hit(s, j int, lf *Leaf) {
 	if lf == nil {
 		return
 	}
-	st := p.stages[s]
-	r, k, vals := st.sel[j], lf.Key, &lf.Vals
-	var lateRow []uint64
-	if st.late {
-		lateRow = st.rows[j]
-	}
-	switch {
-	case s == len(p.stages)-1:
-		ctx := p.slot(r)
-		p.fillHead(st, ctx, lateRow, k)
-		f := p.filter(s + 1)
-		p.scanRows(vals, st.fan, func(row []uint64) bool {
-			p.layout.fillRow(ctx, st.input, row)
-			if f == nil || f(ctx) {
-				p.snk.feed(ctx, p.bufSize)
-			}
-			return true
-		})
-	case vals.Len() == 1:
-		if st.fan != nil && !p.pass(st.fan, vals.First()) {
-			return
-		}
-		t := r
-		if lateRow != nil {
-			t = p.copySlot(s+1, r)
-		}
-		ctx := p.slot(t)
-		p.fillHead(st, ctx, lateRow, k)
-		p.layout.fillRow(ctx, st.input, vals.First())
-		p.push(s+1, t)
-	case p.stages[s+1].late:
-		// Late materialization: the next stage probes with a column of
-		// these rows, so it queues each row with the key it needs and
-		// copies only its hits. The parent slot carries everything up to
-		// this stage's key.
-		parent := r
-		if lateRow != nil {
-			parent = p.copySlot(s+1, r)
-		}
-		p.fillHead(st, p.slot(parent), lateRow, k)
-		// The rows are queued a run at a time, with no call per row, so
-		// the loads of consecutive fact rows overlap.
-		next := p.stages[s+1]
-		col, w, fan := next.lateCol, vals.Width(), st.fan
-		vals.Runs(func(run []uint64) bool {
-			for ; len(run) > 0; run = run[w:] {
-				if fan != nil && !p.pass(fan, run) {
-					continue
-				}
-				next.sel = append(next.sel, parent)
-				next.keys = append(next.keys, run[col])
-				next.rows = append(next.rows, run[:w:w])
-				if len(next.keys) == p.bufSize {
-					p.flushStage(s + 1)
-				}
-			}
-			return true
-		})
-	default:
-		// A fan-out: the first row of an in-place entry takes r itself,
-		// every other row a copy of it.
-		first := lateRow == nil
-		p.scanRows(vals, st.fan, func(row []uint64) bool {
-			t := r
-			if !first {
-				t = p.copySlot(s+1, r)
-			}
-			first = false
-			ctx := p.slot(t)
-			p.fillHead(st, ctx, lateRow, k)
-			p.layout.fillRow(ctx, st.input, row)
-			p.push(s+1, t)
-			return true
-		})
-	}
-}
-
-// scanRows visits the rows of vals in list order, only those every filter
-// of fan passes when there is one.
-func (p *pipeline) scanRows(vals *duplist.List, fan []fanTest, visit func(row []uint64) bool) {
-	if fan == nil {
-		vals.Scan(visit)
+	if s == 0 {
+		p.fanOut(j, lf)
 		return
 	}
-	vals.Scan(func(row []uint64) bool { return !p.pass(fan, row) || visit(row) })
+	st := p.stages[s]
+	r, k := st.sel[j], lf.Key
+	last, own := s == len(p.stages)-1, s > 1
+	lf.Vals.Scan(func(row []uint64) bool {
+		t := r
+		if !last && !own {
+			t = p.copySlot(s+1, r)
+		}
+		own = false
+		ctx := p.slot(t)
+		if s == 1 {
+			p.layout.fillRow(ctx, 1, st.rows[j])
+		}
+		p.layout.fillKey(ctx, st.input, k, st.comp)
+		p.layout.fillRow(ctx, st.input, row)
+		if last {
+			p.snk.feed(ctx, p.bufSize)
+		} else {
+			p.queue(s+1, t)
+		}
+		return true
+	})
 }
 
-// pass tests row against fan's filters in order; the first that lacks the
-// row's probe key drops it, and counts it filtered.
-func (p *pipeline) pass(fan []fanTest, row []uint64) bool {
-	for _, t := range fan {
+// fanOut passes the fact rows of lf, the main probe's hit for stage 0's
+// entry j, on in list order. Each row is written in the entry's slot,
+// which all of them share, and tested there against the fan filters and
+// the main residual; then the sink copies it out, or stage 1 queues it
+// with its probe key and copies it in only for a hit.
+func (p *pipeline) fanOut(j int, lf *Leaf) {
+	main := p.stages[0]
+	r := main.sel[j]
+	ctx := p.slot(r)
+	p.layout.fillKey(ctx, 1, lf.Key, main.comp)
+	if len(p.stages) == 1 {
+		lf.Vals.Scan(func(row []uint64) bool {
+			if p.pass(row) {
+				p.layout.fillRow(ctx, 1, row)
+				if p.mainResidual == nil || p.mainResidual(ctx) {
+					p.snk.feed(ctx, p.bufSize)
+				}
+			}
+			return true
+		})
+		return
+	}
+	// The rows are queued a run at a time, with no call per row, so the
+	// loads of consecutive fact rows overlap. A fact row is at least one
+	// column wide: stage 1 probes with one.
+	next, w := p.stages[1], lf.Vals.Width()
+	lf.Vals.Runs(func(run []uint64) bool {
+		for ; len(run) > 0; run = run[w:] {
+			row := run[:w:w]
+			if !p.pass(row) {
+				continue
+			}
+			if p.mainResidual != nil {
+				p.layout.fillRow(ctx, 1, row)
+				if !p.mainResidual(ctx) {
+					continue
+				}
+			}
+			next.sel = append(next.sel, r)
+			next.keys = append(next.keys, row[next.col])
+			next.rows = append(next.rows, row)
+			if len(next.keys) == p.bufSize {
+				p.flushStage(1)
+			}
+		}
+		return true
+	})
+}
+
+// pass tests a fact row against the fan filters in order; the first that
+// lacks the row's probe key drops it, and counts it filtered.
+func (p *pipeline) pass(row []uint64) bool {
+	for _, t := range p.fan {
 		if !t.f.has(row[t.col]) {
 			p.filtered++
 			return false
@@ -732,17 +637,8 @@ func (p *pipeline) pass(fan []fanTest, row []uint64) bool {
 	return true
 }
 
-// fillHead writes stage st's key k into ctx, after the previous stage's row
-// when the entry is late.
-func (p *pipeline) fillHead(st *probeStage, ctx, lateRow []uint64, k uint64) {
-	if lateRow != nil {
-		p.layout.fillRow(ctx, st.prevInput, lateRow)
-	}
-	p.layout.fillKey(ctx, st.input, k, st.comp)
-}
-
-// copySlot copies the combination in slot r into a new slot of stage s's
-// region.
+// copySlot copies the combination in slot r into a new slot for an entry
+// of stage s.
 func (p *pipeline) copySlot(s int, r int32) int32 {
 	t := p.newSlot(s)
 	copy(p.slot(t), p.slot(r))

@@ -233,7 +233,7 @@ func dimPlan(f *fixture, brand uint64, dims ...Operator) *SelectJoin {
 		},
 	}
 	for _, d := range dims {
-		sj.Assists = append(sj.Assists, Assist{Input: d, ProbeWith: Ref{Input: 1, Attr: "custkey"}})
+		sj.Assists = append(sj.Assists, Assist{Input: d, ProbeWith: "custkey"})
 	}
 	return sj
 }

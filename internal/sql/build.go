@@ -33,55 +33,56 @@ func (b *builder) build() (*Statement, error) {
 	return b.buildStar()
 }
 
-// dimIndex picks the base index for a dimension: keyed on the primary
-// restriction column (first in WHERE order) or on the join key when the
-// dimension is unrestricted, partially clustered with everything the plan
-// reads from it.
+// selIndex builds the base index a selection over ti scans: keyed on the
+// first of conds (WHERE order), the primary restriction, or on fallback
+// when conds is empty, and partially clustered with include and the
+// columns of the later conds, the residual restrictions.
+func (b *builder) selIndex(ti *catalog.TableInfo, conds []Cond, fallback string, include map[string]bool) (*core.IndexedTable, Cond, []Cond, error) {
+	var primary Cond
+	var residual []Cond
+	keyCol := fallback
+	if len(conds) > 0 {
+		primary, residual = conds[0], conds[1:]
+		keyCol = primary.Col.Name
+	}
+	for _, c := range residual {
+		include[c.Col.Name] = true
+	}
+	delete(include, keyCol)
+	def := catalog.IndexDef{KeyCols: []string{keyCol}, Include: sortedKeys(include)}
+	idx, err := ti.BuildIndexCtx(b.ctx, def)
+	return idx, primary, residual, err
+}
+
+// dimIndex picks the base index for a dimension: keyed on its primary
+// restriction or, when the dimension is unrestricted, on the join key,
+// partially clustered with everything the plan reads from it.
 func (b *builder) dimIndex(d *dimInfo) (*core.IndexedTable, Cond, []Cond, error) {
 	include := map[string]bool{d.joinKey: true}
 	for _, c := range d.carries {
 		include[c] = true
 	}
-	var primary Cond
-	var residual []Cond
-	if len(d.conds) > 0 {
-		primary = d.conds[0]
-		residual = d.conds[1:]
-		for _, c := range residual {
-			include[c.Col.Name] = true
-		}
-	}
-	keyCol := d.joinKey
-	if len(d.conds) > 0 {
-		keyCol = primary.Col.Name
-	}
-	delete(include, keyCol)
-	cols := sortedKeys(include)
-	def := catalog.IndexDef{KeyCols: []string{keyCol}, Include: cols}
-	idx, err := d.ti.BuildIndexCtx(b.ctx, def)
-	if err != nil {
-		return nil, Cond{}, nil, err
-	}
-	return idx, primary, residual, nil
+	return b.selIndex(d.ti, d.conds, d.joinKey, include)
 }
 
-// dimOperator builds the plan operator for a non-main dimension: a
-// Selection for restricted dimensions, the base index directly otherwise.
-func (b *builder) dimOperator(d *dimInfo) (core.Operator, error) {
+// dimOperator builds the plan operator for a non-main dimension, and the
+// shape under which it appears in the combination context: a Selection
+// and its output for a restricted dimension, the base index otherwise.
+func (b *builder) dimOperator(d *dimInfo) (core.Operator, *core.IndexedTable, error) {
 	idx, primary, residual, err := b.dimIndex(d)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(d.conds) == 0 {
-		return &core.Base{Table: idx}, nil
+		return &core.Base{Table: idx}, idx, nil
 	}
 	pred, err := b.keyPred(d.ti, primary)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res, err := b.residual(residual, d.ti, []*core.IndexedTable{idx}, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := core.OutputSpec{
 		Name:    "σ_" + d.table,
@@ -92,18 +93,16 @@ func (b *builder) dimOperator(d *dimInfo) (core.Operator, error) {
 		out.Cols = append(out.Cols, c)
 		out.ColExprs = append(out.ColExprs, core.Attr(0, c))
 	}
-	return &core.Selection{Input: &core.Base{Table: idx}, Pred: pred, Residual: res, Out: out}, nil
+	sel := &core.Selection{Input: &core.Base{Table: idx}, Pred: pred, Residual: res, Out: out}
+	return sel, core.Shape(out.Name, out.Key, d.carries), nil
 }
 
 // factIndex builds the fact base index keyed on the main dimension's
-// foreign key with every attribute the plan reads clustered in.
+// foreign key with every attribute the plan reads clustered in. An assist
+// probes with a payload column, so the foreign key of every other
+// dimension is one, even when it is the main dimension's too.
 func (b *builder) factIndex(main *dimInfo) (*core.IndexedTable, error) {
 	include := map[string]bool{}
-	for _, d := range b.dims {
-		if d != main {
-			include[d.fk] = true
-		}
-	}
 	for _, c := range b.restr[b.factName] {
 		include[c.Col.Name] = true
 	}
@@ -114,8 +113,12 @@ func (b *builder) factIndex(main *dimInfo) (*core.IndexedTable, error) {
 		collectCols(e, include)
 	}
 	delete(include, main.fk)
-	cols := sortedKeys(include)
-	def := catalog.IndexDef{KeyCols: []string{main.fk}, Include: cols}
+	for _, d := range b.dims {
+		if d != main {
+			include[d.fk] = true
+		}
+	}
+	def := catalog.IndexDef{KeyCols: []string{main.fk}, Include: sortedKeys(include)}
 	return b.fact.BuildIndexCtx(b.ctx, def)
 }
 
@@ -142,15 +145,12 @@ func (b *builder) buildStar() (*Statement, error) {
 	var assists []core.Assist
 	for i, d := range b.dims[1:] {
 		d.ordinal = 2 + i
-		op, err := b.dimOperator(d)
+		op, shape, err := b.dimOperator(d)
 		if err != nil {
 			return nil, err
 		}
-		assists = append(assists, core.Assist{
-			Input:     op,
-			ProbeWith: core.Ref{Input: 1, Attr: d.fk},
-		})
-		shapes = append(shapes, b.assistShape(d))
+		assists = append(assists, core.Assist{Input: op, ProbeWith: d.fk})
+		shapes = append(shapes, shape)
 	}
 
 	out, err := b.outputSpec(1, shapes)
@@ -194,31 +194,17 @@ func (b *builder) buildSingleTable() (*Statement, error) {
 	for _, e := range b.aggExprs {
 		collectCols(e, include)
 	}
-	var primary Cond
-	var residual []Cond
-	keyCol := ""
-	if len(conds) > 0 {
-		primary, residual = conds[0], conds[1:]
-		keyCol = primary.Col.Name
-		for _, c := range residual {
-			include[c.Col.Name] = true
-		}
-	} else {
+	fallback := ""
+	if len(conds) == 0 {
 		// Unrestricted: scan any index; use the alphabetically first
 		// needed column as the key so plans are deterministic.
-		for c := range include {
-			if keyCol == "" || c < keyCol {
-				keyCol = c
-			}
-		}
-		if keyCol == "" {
+		cols := sortedKeys(include)
+		if len(cols) == 0 {
 			return nil, fmt.Errorf("sql: empty query")
 		}
+		fallback = cols[0]
 	}
-	delete(include, keyCol)
-	cols := sortedKeys(include)
-	def := catalog.IndexDef{KeyCols: []string{keyCol}, Include: cols}
-	idx, err := b.fact.BuildIndexCtx(b.ctx, def)
+	idx, primary, residual, err := b.selIndex(b.fact, conds, fallback, include)
 	if err != nil {
 		return nil, err
 	}
@@ -239,20 +225,6 @@ func (b *builder) buildSingleTable() (*Statement, error) {
 	}
 	root := &core.Selection{Input: &core.Base{Table: idx}, Pred: pred, Residual: res, Out: *out}
 	return b.finish(&core.Plan{Root: root})
-}
-
-// assistShape is the layout under which an assist dimension appears in the
-// combination context: its selection's output if restricted, its base
-// index otherwise.
-func (b *builder) assistShape(d *dimInfo) *core.IndexedTable {
-	if len(d.conds) > 0 {
-		return core.Shape("σ_"+d.table, core.SimpleKey(d.joinKey, d.ti.Bits(d.joinKey)), d.carries)
-	}
-	idx, _, _, err := b.dimIndex(d)
-	if err != nil {
-		panic(err) // already built successfully in dimOperator
-	}
-	return idx
 }
 
 // outputSpec assembles the aggregating output index description.

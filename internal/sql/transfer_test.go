@@ -119,8 +119,6 @@ func TestFactRestrictionOnForeignKeyRestrictsDimension(t *testing.T) {
 
 	// Two dimensions on one foreign key: the restriction goes to both, and
 	// the plan does not depend on map order.
-	const twoDims = "select sum(lo_revenue) as r from lineorder, customer, supplier " +
-		"where lo_custkey = c_custkey and lo_custkey = s_suppkey and lo_custkey < 40;"
 	stmt, _ = check(twoDims)
 	plan := describe(stmt.Plan.Root)
 	if !strings.HasPrefix(plan, "σ⋈") {
@@ -156,6 +154,10 @@ func describe(op core.Operator) string {
 	return s
 }
 
+// twoDims joins two dimensions on one foreign key of the fact.
+const twoDims = "select sum(lo_revenue) as r from lineorder, customer, supplier " +
+	"where lo_custkey = c_custkey and lo_custkey = s_suppkey and lo_custkey < 40;"
+
 // Star texts with no restriction on any dimension, direct or through a
 // foreign key: the main dimension drives the select-join over its whole
 // base index.
@@ -169,8 +171,10 @@ const (
 // TestEveryStarTextPlansSelectJoin: the planner builds one star shape.
 // Every text that joins a dimension, restricted or not, plans a
 // *core.SelectJoin with the main dimension as input 0; an unrestricted one
-// has no predicate and prints as a join. Each answers what the column
-// baseline answers, on 1 and 2 workers.
+// has no predicate and prints as a join. Every assist probes with a
+// payload column of the fact index, also where two dimensions join on one
+// foreign key, the main dimension's. Each answers what the column baseline
+// answers, on 1 and 2 workers.
 func TestEveryStarTextPlansSelectJoin(t *testing.T) {
 	ds := ssb.MustLoad(ssb.GenConfig{SF: 0.01, Seed: 1})
 	planner := sql.NewPlanner(ds.Cat)
@@ -183,7 +187,7 @@ func TestEveryStarTextPlansSelectJoin(t *testing.T) {
 		defer env.Close()
 		envs = append(envs, env)
 	}
-	texts := map[string]bool{rollupYear: false, rollupYearNation: false, groupByMainKey: false}
+	texts := map[string]bool{rollupYear: false, rollupYearNation: false, groupByMainKey: false, twoDims: true}
 	for _, text := range ssb.SQLTexts {
 		texts[text] = true
 	}
@@ -198,6 +202,12 @@ func TestEveryStarTextPlansSelectJoin(t *testing.T) {
 		}
 		if label := sj.Label(); (sj.Pred != nil) != restricted || strings.HasPrefix(label, "σ") != restricted {
 			t.Errorf("%s: predicate %v, label %s; want a predicate %t", text, sj.Pred, label, restricted)
+		}
+		fact := sj.Main.(*core.Base).Table
+		for i, a := range sj.Assists {
+			if fact.Col(a.ProbeWith) < 0 {
+				t.Errorf("%s: assist %d probes with %q, not a payload column of %s", text, i, a.ProbeWith, fact.Name)
+			}
 		}
 		want, err := ds.RunColumnSQL(text)
 		if err != nil {

@@ -133,14 +133,14 @@ func (ds *Dataset) Figure9Plan(arity int) *core.Plan {
 	switch arity {
 	case 5: // the uncapped 5-way star join groups directly
 		return &core.Plan{Root: custJoin([]core.Assist{
-			{Input: selSupp, ProbeWith: core.Ref{Input: 1, Attr: "lo_suppkey"}},
-			{Input: selPart, ProbeWith: core.Ref{Input: 1, Attr: "lo_partkey"}},
-			{Input: dateIdx, ProbeWith: core.Ref{Input: 1, Attr: "lo_orderdate"}},
+			{Input: selSupp, ProbeWith: "lo_suppkey"},
+			{Input: selPart, ProbeWith: "lo_partkey"},
+			{Input: dateIdx, ProbeWith: "lo_orderdate"},
 		}, yearNation(core.Ref{Input: 4, Attr: "d_year"}, core.Ref{Input: 0, Attr: "c_nation"}, profit))}
 	case 4: // 4-way star join, then the 2-way join-group with date
 		byDate = custJoin([]core.Assist{
-			{Input: selSupp, ProbeWith: core.Ref{Input: 1, Attr: "lo_suppkey"}},
-			{Input: selPart, ProbeWith: core.Ref{Input: 1, Attr: "lo_partkey"}},
+			{Input: selSupp, ProbeWith: "lo_suppkey"},
+			{Input: selPart, ProbeWith: "lo_partkey"},
 		}, core.OutputSpec{
 			Name: "⋈4_orderdate", Key: core.SimpleKey("lo_orderdate", odBits),
 			KeyRefs:  []core.Ref{{Input: 1, Attr: "lo_orderdate"}},
@@ -149,7 +149,7 @@ func (ds *Dataset) Figure9Plan(arity int) *core.Plan {
 		})
 	case 3: // 3-way star join, 2-way with part, 2-way join-group with date
 		byDate = partJoin(custJoin([]core.Assist{
-			{Input: selSupp, ProbeWith: core.Ref{Input: 1, Attr: "lo_suppkey"}},
+			{Input: selSupp, ProbeWith: "lo_suppkey"},
 		}, core.OutputSpec{
 			Name: "⋈3_partkey", Key: core.SimpleKey("lo_partkey", ds.Lineorder.Bits("lo_partkey")),
 			KeyRefs:  []core.Ref{{Input: 1, Attr: "lo_partkey"}},

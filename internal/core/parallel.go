@@ -110,10 +110,14 @@ type boundsFn = func() (uint64, uint64, bool)
 // plan's shared pool. pipe builds the operator's pipeline; each pool worker
 // gets one (taken when the worker claims its first non-empty morsel) with a
 // private output index drawing chunks from the Env's pool. scan feeds the
-// input keys in [lo, hi] through the worker's pipeline. The per-worker
-// partial outputs are then combined with the parallel partition-wise
-// merge. With a single worker the lone partial is the output itself and
-// execution degenerates to the paper's single-threaded mode.
+// input keys in [lo, hi] through the worker's pipeline, and the morsel
+// then drains every probe stage and the sink: a stage flushes on its own
+// only at bufSize keys, so a morsel of fewer driving keys would otherwise
+// leave its probes, fan-out and inserts to a serial pass after the
+// parallel region. The per-worker partial outputs are then combined with
+// the parallel partition-wise merge. With a single worker the lone
+// partial is the output itself and execution degenerates to the paper's
+// single-threaded mode.
 //
 // The first pipeline is built before any morsel runs, and with it the key
 // filters and the stages that leave (buildKeyFilters): every other worker's
@@ -137,7 +141,7 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 		return nil, err
 	}
 	empty := func() (*IndexedTable, error) {
-		first.finish()
+		first.release()
 		ec.noteSink(first)
 		return firstOut, nil
 	}
@@ -177,6 +181,11 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 		if err := ec.err(); err != nil {
 			return err // the scan itself may have been aborted mid-morsel
 		}
+		// The morsel finishes its own work: the probes its keys queued, the
+		// fan-out and the sink inserts run here, on the worker that claimed
+		// it, not after the parallel region.
+		p.drain(0)
+		p.snk.flush()
 		p.morsels++
 		return nil
 	})
@@ -188,7 +197,7 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 		if p == nil {
 			continue
 		}
-		p.finish()
+		p.release()
 		ec.noteSink(p)
 		partials = append(partials, outs[w])
 	}

@@ -4,8 +4,11 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"qppt/internal/prefixtree"
 )
@@ -534,5 +537,78 @@ func TestShardedIndexSemantics(t *testing.T) {
 	}
 	if sh.Lookup(keySpaceMax(32)) == nil {
 		t.Fatal("post-merge insert at key-space edge not found")
+	}
+}
+
+// rendezvousIndex is an Index whose LookupBatch waits, up to a timeout,
+// until two goroutines are inside it at once; after one timeout it stops
+// waiting.
+type rendezvousIndex struct {
+	Index
+	inside  atomic.Int32
+	met     chan struct{}
+	meet    sync.Once
+	timeout time.Duration
+	missed  atomic.Bool
+}
+
+func (r *rendezvousIndex) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
+	if r.inside.Add(1) >= 2 {
+		r.meet.Do(func() { close(r.met) })
+	}
+	if !r.missed.Load() {
+		select {
+		case <-r.met:
+		case <-time.After(r.timeout):
+			r.missed.Store(true)
+		}
+	}
+	r.Index.LookupBatch(keys, visit)
+	r.inside.Add(-1)
+}
+
+// TestMorselFinishesItsProbes: a select-join whose 8 morsels each hold
+// fewer driving keys than the joinbuffer flushes at runs its main probes
+// inside the morsels, on both workers of the pool. The main input only
+// answers once two lookups are in flight at once, so a select-join that
+// leaves its probes to a serial pass after the parallel region waits out
+// the timeout.
+func TestMorselFinishesItsProbes(t *testing.T) {
+	const keys = 80 // 10 driving keys per morsel, under DefaultBufferSize
+	drive := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: 1})
+	fact := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: 1})
+	var want uint64
+	for k := uint64(0); k < keys; k++ {
+		drive.Insert(k, []uint64{k})
+		for r := uint64(0); r < 3; r++ {
+			fact.Insert(k, []uint64{k + r})
+			want += k + r
+		}
+	}
+	main := &rendezvousIndex{Index: fact, met: make(chan struct{}), timeout: 5 * time.Second}
+	sj := &SelectJoin{
+		SelInput:      &Base{Table: NewIndexedTable("drive", SimpleKey("k", 16), []string{"v"}, drive)},
+		Main:          &Base{Table: NewIndexedTable("fact", SimpleKey("k", 16), []string{"x"}, main)},
+		ProbeMainWith: Ref{Input: 0, Attr: "k"},
+		Out: OutputSpec{
+			Name:     "Γ",
+			Cols:     []string{"sum_x"},
+			ColExprs: []RowExpr{Attr(1, "x")},
+			Fold:     FoldSum(0),
+		},
+	}
+	out, stats, err := run(t, EnvConfig{Workers: 2}, &Plan{Root: sj}, Options{CollectStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if main.missed.Load() {
+		t.Error("no two main probes ran at once: the morsels left their probes to one goroutine")
+	}
+	op := stats.Ops[len(stats.Ops)-1]
+	if op.Morsels != 2*morselsPerWorker || op.Workers != 2 {
+		t.Errorf("[%d workers, %d morsels], want [2 workers, %d morsels]", op.Workers, op.Morsels, 2*morselsPerWorker)
+	}
+	if res := Extract(out); len(res.Rows) != 1 || res.Rows[0][0] != want {
+		t.Errorf("result %v, want one row summing to %d", res.Rows, want)
 	}
 }

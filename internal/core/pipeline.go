@@ -696,11 +696,3 @@ func (s *sink) flush() {
 	s.inserted += len(s.keys)
 	s.keys, s.rows, s.arena = s.keys[:0], s.rows[:0], s.arena[:0]
 }
-
-// finish drains every buffer in stage order and gives the pooled buffers
-// back; the pipeline is done afterwards.
-func (p *pipeline) finish() {
-	p.drain(0)
-	p.snk.flush()
-	p.release()
-}

@@ -49,10 +49,14 @@ import (
 // value is not ready; create with NewRecycler. A nil *Recycler is accepted
 // everywhere and disables recycling.
 type Recycler struct {
-	mu     sync.Mutex
-	boxes  map[chunkClass][]any // pooled chunks (boxed slices), by class
-	cap    int64                // max pooled bytes; 0 = unbounded
-	pooled int64                // bytes currently parked
+	mu sync.Mutex
+	// boxes holds the parked chunks by class, each as the address of its
+	// backing array: the class fixes the element type and capacity, so the
+	// address is all GetChunk needs, and parking one allocates nothing
+	// (a slice boxed into an interface would cost a heap header per put).
+	boxes  map[chunkClass][]unsafe.Pointer
+	cap    int64 // max pooled bytes; 0 = unbounded
+	pooled int64 // bytes currently parked
 	stats  RecyclerStats
 }
 
@@ -83,7 +87,7 @@ type RecyclerStats struct {
 
 // NewRecycler returns an empty pool.
 func NewRecycler() *Recycler {
-	return &Recycler{boxes: make(map[chunkClass][]any)}
+	return &Recycler{boxes: make(map[chunkClass][]unsafe.Pointer)}
 }
 
 // SetCap bounds the bytes the pool may retain: a PutChunk that would push
@@ -140,7 +144,7 @@ func PutChunk[T any](r *Recycler, c []T) {
 		r.mu.Unlock()
 		return
 	}
-	r.boxes[k] = append(r.boxes[k], c[:0])
+	r.boxes[k] = append(r.boxes[k], unsafe.Pointer(unsafe.SliceData(c)))
 	r.stats.Recycled++
 	r.pooled += bytes
 	r.mu.Unlock()
@@ -174,7 +178,7 @@ func GetChunk[T any](r *Recycler, capElems int) ([]T, bool) {
 	if n == 0 {
 		return nil, false
 	}
-	c := pool[n-1].([]T)
+	c := unsafe.Slice((*T)(pool[n-1]), capElems)[:0]
 	pool[n-1] = nil
 	r.boxes[k] = pool[:n-1]
 	if chk := handoutCheck.Load(); chk != nil {

@@ -47,8 +47,9 @@ type TableInfo struct {
 	pos  map[string]int // column name → position in cols
 	rows int
 
-	dicts   map[string]*Dict // per string column
-	colBits map[string]uint  // minimal key width per column
+	dicts   map[string]*Dict         // per string column
+	colBits map[string]uint          // minimal key width per column
+	colSpan map[string]core.KeyRange // smallest and largest value per column
 
 	// idxMu guards the index cache: concurrent sessions plan against the
 	// same catalog, and the first plan to need a base index builds it.
@@ -89,6 +90,7 @@ func (c *Catalog) Load(name string, cols []ColumnData) (*TableInfo, error) {
 		pos:     make(map[string]int, len(cols)),
 		dicts:   make(map[string]*Dict),
 		colBits: make(map[string]uint, len(cols)+1),
+		colSpan: make(map[string]core.KeyRange, len(cols)+1),
 		indexes: make(map[string]*core.IndexedTable),
 	}
 	for i, col := range cols {
@@ -121,14 +123,19 @@ func (c *Catalog) Load(name string, cols []ColumnData) (*TableInfo, error) {
 				enc[j] = d.MustCode(s)
 			}
 		}
-		var maxV uint64
+		var span core.KeyRange
+		if len(enc) > 0 {
+			span = core.KeyRange{Lo: enc[0], Hi: enc[0]}
+		}
 		for _, v := range enc {
-			maxV = max(maxV, v)
+			span.Lo, span.Hi = min(span.Lo, v), max(span.Hi, v)
 		}
 		ti.cols[i], ti.pos[col.Name] = enc, i
-		ti.colBits[col.Name] = uint(max(bits.Len64(maxV), 1))
+		ti.colBits[col.Name] = uint(max(bits.Len64(span.Hi), 1))
+		ti.colSpan[col.Name] = span
 	}
 	ti.colBits[RIDCol] = uint(max(bits.Len64(uint64(ti.rows)), 1))
+	ti.colSpan[RIDCol] = core.KeyRange{Hi: uint64(max(ti.rows-1, 0))}
 	c.tables[name] = ti
 	return ti, nil
 }
@@ -170,6 +177,16 @@ func (ti *TableInfo) Bits(col string) uint {
 		panic(fmt.Sprintf("catalog: unknown column %s.%s", ti.Name, col))
 	}
 	return b
+}
+
+// Span reports the smallest and largest value of a column (RIDCol for the
+// record identifier); an empty table's columns span [0, 0].
+func (ti *TableInfo) Span(col string) core.KeyRange {
+	r, ok := ti.colSpan[col]
+	if !ok {
+		panic(fmt.Sprintf("catalog: unknown column %s.%s", ti.Name, col))
+	}
+	return r
 }
 
 // An IndexDef describes a base index to build. With Include attributes the
@@ -278,6 +295,26 @@ func (ti *TableInfo) BuildIndexCtx(ctx context.Context, def IndexDef) (*core.Ind
 	t := core.NewIndexedTable(name, ks, cols, idx)
 	ti.indexes[name] = t
 	return t, nil
+}
+
+// Covering returns the first of the table's built base indexes, in name
+// order, whose key and payload hold every column of cols, or nil when none
+// does.
+func (ti *TableInfo) Covering(cols []string) *core.IndexedTable {
+	ti.idxMu.Lock()
+	defer ti.idxMu.Unlock()
+	names := make([]string, 0, len(ti.indexes))
+	for name := range ti.indexes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		t := ti.indexes[name]
+		if !slices.ContainsFunc(cols, func(c string) bool { return t.Key.Field(c) < 0 && t.Col(c) < 0 }) {
+			return t
+		}
+	}
+	return nil
 }
 
 // MustIndex is BuildIndex that panics on error, for static plans.

@@ -109,6 +109,9 @@ func (ec *ExecContext) noteSink(p *pipeline) {
 	ec.opStats.ProbeFiltered += p.filtered
 	ec.opStats.Workers++
 	ec.opStats.Morsels += p.morsels
+	if d := p.snk.dense; d != nil {
+		ec.opStats.Slots = d.slots
+	}
 	ec.mu.Unlock()
 }
 
@@ -149,6 +152,9 @@ type OperatorStats struct {
 	// (1/1 for serial execution).
 	Workers int
 	Morsels int
+	// Slots is the size of the flat array a folding output with a small
+	// key domain aggregates in, per worker (0: the output index folds).
+	Slots int
 	// OutRows/OutKeys/OutBytes describe the output indexed table.
 	OutRows  int
 	OutKeys  int
@@ -231,6 +237,9 @@ func (ps *PlanStats) String() string {
 			// Which worker claims a morsel is scheduling luck; the fan-out
 			// is not, so it prints even when one worker took every morsel.
 			s += fmt.Sprintf("  [%d workers, %d morsels]", op.Workers, op.Morsels)
+		}
+		if op.Slots > 0 {
+			s += fmt.Sprintf("  [%d slots]", op.Slots)
 		}
 		if op.Spills > 0 || op.Restores > 0 {
 			s += fmt.Sprintf("  [spilled ×%d, restored ×%d]", op.Spills, op.Restores)

@@ -192,19 +192,32 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 	if err != nil {
 		return nil, err
 	}
-	var partials []*IndexedTable
+	live, partials := pipes[:0], outs[:0] // compacted in place: w ≥ len(live)
 	for w, p := range pipes {
-		if p == nil {
-			continue
+		if p != nil {
+			live = append(live, p)
+			partials = append(partials, outs[w])
 		}
-		p.release()
-		ec.noteSink(p)
-		partials = append(partials, outs[w])
 	}
-	switch len(partials) {
-	case 0:
+	if len(live) == 0 {
 		return empty()
-	case 1:
+	}
+	defer func() {
+		for _, p := range live {
+			p.release()
+			ec.noteSink(p)
+		}
+	}()
+	// Dense arrays merge slot by slot, unless a key outside the domain
+	// went to some worker's tree: then every array joins its tree, and the
+	// trees merge.
+	if len(live) > 1 && live[0].snk.dense != nil && !fellBack(live) {
+		return mergeDense(ec, spec, live, partials)
+	}
+	for _, p := range live {
+		p.snk.emitDense()
+	}
+	if len(partials) == 1 {
 		// One worker claimed every non-empty morsel: its partial already is
 		// the complete output.
 		return partials[0], nil
@@ -222,17 +235,32 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 	return out, nil
 }
 
+// fellBack reports whether a worker's sink inserted a row into its tree.
+func fellBack(live []*pipeline) bool {
+	for _, p := range live {
+		if p.snk.out.Rows() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // mergeRangeInto folds the [lo, hi] slice of every partial into idx, in
 // partial order. Aggregating outputs merge exactly because the fold is
 // applied again on insert; plain outputs concatenate their duplicate rows.
 // The merge polls ec on the abortTickMask cadence (one check per 1024
 // entries) and returns the cancellation error — a large merge range must
 // not keep folding rows into an output nobody will read. ec may be nil
-// (non-cancellable).
+// (non-cancellable). The batch buffers come from ec's chunk pool and go
+// back at the longest batch, the prefix the pool clears.
 func mergeRangeInto(ec *ExecContext, idx Index, partials []*IndexedTable, lo, hi uint64) error {
-	keys := make([]uint64, 0, DefaultBufferSize)
-	rows := make([][]uint64, 0, DefaultBufferSize)
-	ticks, cancelled := 0, false
+	var rec *arena.Recycler
+	if ec != nil {
+		rec = ec.rec
+	}
+	keys := arena.NewChunk[uint64](rec, DefaultBufferSize)
+	rows := arena.NewChunk[[]uint64](rec, DefaultBufferSize)
+	ticks, cancelled, high := 0, false, 0
 	poll := func() bool { // reports whether the merge must stop
 		ticks++
 		if ticks&abortTickMask != 0 {
@@ -247,6 +275,7 @@ func mergeRangeInto(ec *ExecContext, idx Index, partials []*IndexedTable, lo, hi
 		if len(keys) == 0 {
 			return
 		}
+		high = max(high, len(keys))
 		idx.InsertBatch(keys, rows)
 		keys, rows = keys[:0], rows[:0]
 	}
@@ -271,6 +300,8 @@ func mergeRangeInto(ec *ExecContext, idx Index, partials []*IndexedTable, lo, hi
 		flush() // rows alias partial memory; flush before moving on
 	}
 	flush()
+	putScratch(rec, keys, high)
+	putScratch(rec, rows, high)
 	if cancelled {
 		return ec.err()
 	}

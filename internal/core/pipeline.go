@@ -149,7 +149,10 @@ type keyFill struct{ dst, src int }
 
 // A sink materializes combinations into the output index: it assembles the
 // output key (composed if multi-attribute) and payload row, then issues
-// batched inserts.
+// batched inserts. A folding output with a small key domain folds each
+// row into its dense array instead (dense.go), and only a key outside
+// that domain takes the insert buffer; the array reaches the output index
+// once the operator's workers are done.
 type sink struct {
 	out      Index
 	keyOffs  []int
@@ -172,6 +175,8 @@ type sink struct {
 	// written prefix of the insert buffer, which is all release hands the
 	// pool to clear.
 	high int
+
+	dense *denseFold // nil: the output folds into its index
 
 	insertTime time.Duration
 	inserted   int
@@ -309,6 +314,9 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 		s.exprs = append(s.exprs, compiledExpr{off: off})
 	}
 	s.out = newOutputIndex(spec, p.rec)
+	if n := denseSlots(spec); n > 0 {
+		s.dense = newDenseFold(spec, n, p.rec)
+	}
 	s.keys = arena.NewChunk[uint64](p.rec, p.bufSize)
 	s.rows = arena.NewChunk[[]uint64](p.rec, p.bufSize)
 	s.arena = arena.NewChunk[uint64](p.rec, p.bufSize*s.rowWidth)
@@ -446,6 +454,9 @@ func (p *pipeline) release() {
 	putScratch(p.rec, s.rows, n)
 	putScratch(p.rec, s.arena, n*s.rowWidth)
 	s.keys, s.rows, s.arena = nil, nil, nil
+	if s.dense != nil {
+		s.dense.release(p.rec)
+	}
 	putScratch(p.rec, p.slots, p.slotHigh*p.layout.width)
 	p.slots = nil
 	for _, st := range p.stages {
@@ -645,10 +656,24 @@ func (p *pipeline) copySlot(s int, r int32) int32 {
 	return t
 }
 
-// feed buffers one combination in the sink; flush materializes and inserts.
+// feed folds one combination into the dense array, or buffers it in the
+// sink; flush materializes and inserts.
 func (s *sink) feed(ctx []uint64, bufSize int) {
 	for _, f := range s.fills {
 		ctx[f.dst] = ctx[f.src]
+	}
+	if d := s.dense; d != nil {
+		if slot, ok := d.slot(ctx, s.keyOffs); ok {
+			s.inserted++
+			if row, fresh := d.claim(slot); fresh {
+				s.eval(row, ctx)
+			} else if s.rowWidth > 0 {
+				src := d.row(-1)
+				s.eval(src, ctx)
+				d.spec.Fold(row, src)
+			}
+			return
+		}
 	}
 	var k uint64
 	switch len(s.keyOffs) {
@@ -666,17 +691,23 @@ func (s *sink) feed(ctx []uint64, bufSize int) {
 		k = s.comp.Compose(s.fieldsBuf...)
 	}
 	start := len(s.arena)
-	for _, e := range s.exprs {
-		if e.fn != nil {
-			s.arena = append(s.arena, e.fn(ctx))
-		} else {
-			s.arena = append(s.arena, ctx[e.off])
-		}
-	}
+	s.arena = s.arena[:start+s.rowWidth]
+	s.eval(s.arena[start:], ctx)
 	s.keys = append(s.keys, k)
 	s.rows = append(s.rows, s.arena[start:len(s.arena):len(s.arena)])
 	if len(s.keys) >= bufSize {
 		s.flush()
+	}
+}
+
+// eval writes the payload row of the combination ctx into dst.
+func (s *sink) eval(dst, ctx []uint64) {
+	for i, e := range s.exprs {
+		if e.fn != nil {
+			dst[i] = e.fn(ctx)
+		} else {
+			dst[i] = ctx[e.off]
+		}
 	}
 }
 
@@ -695,4 +726,15 @@ func (s *sink) flush() {
 	s.insertTime += time.Since(t0)
 	s.inserted += len(s.keys)
 	s.keys, s.rows, s.arena = s.keys[:0], s.rows[:0], s.arena[:0]
+}
+
+// emitDense inserts the dense array's rows into the output index, which
+// makes the index this worker's whole partial output.
+func (s *sink) emitDense() {
+	if s.dense == nil || s.dense.top == 0 {
+		return
+	}
+	t0 := time.Now()
+	s.high = max(s.high, s.dense.emit(s.out, 0, s.dense.top, s.keys, s.rows))
+	s.insertTime += time.Since(t0)
 }

@@ -207,6 +207,12 @@ type OutputSpec struct {
 	ColExprs []RowExpr
 	// Fold, if non-nil, aggregates payload rows per output key.
 	Fold func(dst, src []uint64)
+	// Domain, if it holds one range per Key attribute, bounds each
+	// attribute's values. A folding output whose domain spans few keys
+	// (denseSlots) aggregates in a flat array before it fills the output
+	// index; a keyless folding output always does, in one slot. A value
+	// outside its range still lands in the output, through the index.
+	Domain []KeyRange
 }
 
 // FoldSum returns a fold function summing the payload positions in cols

@@ -184,7 +184,10 @@ func (b *builder) buildStar() (*Statement, error) {
 }
 
 // buildSingleTable plans a query without joins: one selection (possibly
-// grouping) over the fact table.
+// grouping) over the fact table. An unrestricted one scans every row of
+// whichever index holds its columns, so it reuses the first built index of
+// the table that does (TableInfo.Covering) and builds one only when none
+// does, keyed on the alphabetically first column it reads.
 func (b *builder) buildSingleTable() (*Statement, error) {
 	conds := b.restr[b.factName]
 	include := map[string]bool{}
@@ -194,19 +197,22 @@ func (b *builder) buildSingleTable() (*Statement, error) {
 	for _, e := range b.aggExprs {
 		collectCols(e, include)
 	}
+	var idx *core.IndexedTable
 	fallback := ""
 	if len(conds) == 0 {
-		// Unrestricted: scan any index; use the alphabetically first
-		// needed column as the key so plans are deterministic.
 		cols := sortedKeys(include)
 		if len(cols) == 0 {
 			return nil, fmt.Errorf("sql: empty query")
 		}
-		fallback = cols[0]
+		idx, fallback = b.fact.Covering(cols), cols[0]
 	}
-	idx, primary, residual, err := b.selIndex(b.fact, conds, fallback, include)
-	if err != nil {
-		return nil, err
+	var primary Cond
+	var residual []Cond
+	if idx == nil {
+		var err error
+		if idx, primary, residual, err = b.selIndex(b.fact, conds, fallback, include); err != nil {
+			return nil, err
+		}
 	}
 	shapes := []*core.IndexedTable{idx}
 	out, err := b.outputSpec(0, shapes)
@@ -249,6 +255,10 @@ func (b *builder) outputSpec(factOrd int, shapes []*core.IndexedTable) (*core.Ou
 		out.Key.Attrs = append(out.Key.Attrs, g.Name)
 		out.Key.Bits = append(out.Key.Bits, ti.Bits(g.Name))
 		out.KeyRefs = append(out.KeyRefs, ref)
+		// The owner's values bound the attribute's (a foreign key read
+		// for a join key joins only the dimension's), so a small
+		// domain folds in a flat array.
+		out.Domain = append(out.Domain, ti.Span(g.Name))
 	}
 	if len(out.Key.Bits) > 1 {
 		// The result index composes its key from the GROUP BY columns,

@@ -182,11 +182,7 @@ func (d *denseFold) emit(idx Index, from, to int, keys []uint64, rows [][]uint64
 // release parks the array's chunks at their written length.
 func (d *denseFold) release(rec *arena.Recycler) {
 	putScratch(rec, d.present, (d.top+63)/64)
-	if d.top > 0 {
-		putScratch(rec, d.vals, (d.top+1)*d.width)
-	} else {
-		putScratch(rec, d.vals, 0)
-	}
+	putScratch(rec, d.vals, (d.top+1)*d.width)
 	d.vals, d.present = nil, nil
 }
 
@@ -214,11 +210,7 @@ func mergeDense(ec *ExecContext, spec *OutputSpec, live []*pipeline, partials []
 		for _, p := range live[1:] {
 			acc.absorb(p.snk.dense, 0, top)
 		}
-		if err := ec.err(); err != nil {
-			return nil, err
-		}
-		s := live[0].snk
-		s.high = max(s.high, acc.emit(s.out, 0, top, s.keys, s.rows))
+		live[0].snk.emitDense()
 		for _, p := range partials[1:] {
 			p.Release()
 		}

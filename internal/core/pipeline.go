@@ -16,14 +16,17 @@ import (
 // flat context (ctxLayout). Combinations flow through the probe stages —
 // stage 0 the main probe into the fact input, then one per assist — into
 // the sink, which materializes the output key and payload row and inserts
-// them into the output index. A selection has no stage: its combinations
-// go straight to the sink.
+// them into the output index, or, for a folding output with a small key
+// domain, folds the row into its slot of a flat array (dense.go). A
+// selection has no stage: its combinations go straight to the sink.
 //
 // Every stage works on batches: probe stages issue batched index lookups
 // through the joinbuffer/selectionbuffer, and the sink issues batched index
 // inserts (paper Sections 2.3 and 4.2). Buffer size 1 degenerates to scalar
 // tuple-at-a-time processing, which is exactly the knob the paper's
-// demonstrator exposes.
+// demonstrator exposes. A stage flushes when its buffer fills, and every
+// morsel ends by draining all stages and the sink (runMorsels), so a
+// morsel's probes and inserts run on the worker that scanned it.
 //
 // The pipeline runs one shape, the star join: every assist probes with a
 // foreign key of the fact rows, a payload column of input 1, and
@@ -731,7 +734,7 @@ func (s *sink) flush() {
 // emitDense inserts the dense array's rows into the output index, which
 // makes the index this worker's whole partial output.
 func (s *sink) emitDense() {
-	if s.dense == nil || s.dense.top == 0 {
+	if s.dense == nil {
 		return
 	}
 	t0 := time.Now()

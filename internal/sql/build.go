@@ -255,9 +255,10 @@ func (b *builder) outputSpec(factOrd int, shapes []*core.IndexedTable) (*core.Ou
 		out.Key.Attrs = append(out.Key.Attrs, g.Name)
 		out.Key.Bits = append(out.Key.Bits, ti.Bits(g.Name))
 		out.KeyRefs = append(out.KeyRefs, ref)
-		// The owner's values bound the attribute's (a foreign key read
-		// for a join key joins only the dimension's), so a small
-		// domain folds in a flat array.
+		// The owning table's span bounds the attribute's values: a
+		// foreign key read for a dimension's join key passes the join
+		// only with the dimension's keys. A small domain lets the output
+		// fold in a flat array.
 		out.Domain = append(out.Domain, ti.Span(g.Name))
 	}
 	if len(out.Key.Bits) > 1 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 
 	"qppt/internal/arena"
@@ -51,7 +52,10 @@ func denseSlots(spec *OutputSpec) int {
 // vals holds width words per slot behind one scratch row, the row a second
 // fold into a slot is computed in; present has bit s set once slot s holds
 // a row. Both are pool chunks, and top, one past the highest slot written,
-// bounds what release hands back to be cleared.
+// bounds what release hands back to be cleared. Neither counts against
+// EnvConfig.MemBudget, like the sink's insert buffer: a worker's array
+// holds at most (denseCap + 1) × width words and denseCap bits, about
+// 512 KiB per payload column and 8 KiB.
 type denseFold struct {
 	spec    *OutputSpec
 	slots   int
@@ -74,17 +78,18 @@ func newDenseFold(spec *OutputSpec, n int, rec *arena.Recycler) *denseFold {
 }
 
 // slot returns the slot of the key whose attributes sit at ctx offsets
-// offs, ok == false when an attribute lies outside its domain.
-func (d *denseFold) slot(ctx []uint64, offs []int) (int, bool) {
+// offs. A value outside its Domain range is a planning error.
+func (d *denseFold) slot(ctx []uint64, offs []int) int {
 	s := uint64(0)
 	for i, r := range d.spec.Domain {
 		v, span := ctx[offs[i]]-r.Lo, r.Hi-r.Lo+1
 		if v >= span {
-			return 0, false
+			panic(fmt.Sprintf("core: output %q: %s = %d lies outside its Domain [%d, %d]",
+				d.spec.Name, d.spec.Key.Attrs[i], ctx[offs[i]], r.Lo, r.Hi))
 		}
 		s = s*span + v
 	}
-	return int(s), true
+	return int(s)
 }
 
 // key returns the composed output key of slot s.
@@ -107,54 +112,43 @@ func (d *denseFold) row(s int) []uint64 {
 	return d.vals[off : off+d.width : off+d.width]
 }
 
-// has reports whether slot s holds a row.
-func (d *denseFold) has(s int) bool { return d.present[s>>6]&(1<<(s&63)) != 0 }
-
-// claim marks slot s present and returns its row, ok == false when the
+// claim marks slot s present and returns its row, fresh == false when the
 // slot already held one.
-func (d *denseFold) claim(s int) ([]uint64, bool) {
-	if d.has(s) {
-		return d.row(s), false
+func (d *denseFold) claim(s int) (row []uint64, fresh bool) {
+	row = d.row(s)
+	if w, bit := s>>6, uint64(1)<<(s&63); d.present[w]&bit == 0 {
+		d.present[w] |= bit
+		d.keys++
+		d.top = max(d.top, s+1)
+		return row, true
 	}
-	d.present[s>>6] |= 1 << (s & 63)
-	d.keys++
-	d.top = max(d.top, s+1)
-	return d.row(s), true
+	return row, false
 }
 
-// absorb folds src's slots in [from, to) into d, in place; from is a
-// multiple of 64, so merge tasks over disjoint ranges so aligned never
-// share a word of d.present. It leaves d.top and d.keys alone: the merge
-// sets the one and never reads the other.
-func (d *denseFold) absorb(src *denseFold, from, to int) {
-	src.each(from, to, func(s int) {
-		if d.has(s) {
-			d.spec.Fold(d.row(s), src.row(s))
-			return
+// absorb folds src's rows into d, slot by slot.
+func (d *denseFold) absorb(src *denseFold) {
+	src.each(func(s int) {
+		if row, fresh := d.claim(s); fresh {
+			copy(row, src.row(s))
+		} else if d.width > 0 {
+			d.spec.Fold(row, src.row(s))
 		}
-		d.present[s>>6] |= 1 << (s & 63)
-		copy(d.row(s), src.row(s))
 	})
 }
 
-// each visits the present slots in [from, to) in ascending order; from is
-// a multiple of 64.
-func (d *denseFold) each(from, to int, visit func(s int)) {
-	for w := from >> 6; w<<6 < to; w++ {
+// each visits the present slots in ascending order.
+func (d *denseFold) each(visit func(s int)) {
+	for w := 0; w<<6 < d.top; w++ {
 		for word := d.present[w]; word != 0; word &= word - 1 {
-			s := w<<6 + bits.TrailingZeros64(word)
-			if s >= to {
-				return
-			}
-			visit(s)
+			visit(w<<6 + bits.TrailingZeros64(word))
 		}
 	}
 }
 
-// emit inserts the present slots in [from, to) into idx in ascending key
-// order, batched through keys and rows (both of capacity ≥ 1), and
-// returns the longest batch, the written prefix of the two buffers.
-func (d *denseFold) emit(idx Index, from, to int, keys []uint64, rows [][]uint64) int {
+// emit inserts the present slots into idx in ascending key order, batched
+// through keys and rows (both of capacity ≥ 1), and returns the longest
+// batch, the written prefix of the two buffers.
+func (d *denseFold) emit(idx Index, keys []uint64, rows [][]uint64) int {
 	keys, rows = keys[:0], rows[:0]
 	high := 0
 	flush := func() {
@@ -166,7 +160,7 @@ func (d *denseFold) emit(idx Index, from, to int, keys []uint64, rows [][]uint64
 		}
 		keys, rows = keys[:0], rows[:0]
 	}
-	d.each(from, to, func(s int) {
+	d.each(func(s int) {
 		keys = append(keys, d.key(s))
 		rows = append(rows, d.row(s))
 		if len(keys) == cap(keys) {
@@ -184,73 +178,4 @@ func (d *denseFold) release(rec *arena.Recycler) {
 	putScratch(rec, d.present, (d.top+63)/64)
 	putScratch(rec, d.vals, (d.top+1)*d.width)
 	d.vals, d.present = nil, nil
-}
-
-// mergeDense merges the dense folds of the worker pipelines live, whose
-// output trees hold nothing, into one output, and returns it. It folds
-// every array into the first, slot by slot in pipeline order, as the tree
-// merge folds the partials in order. Below parallelMergeMinKeys present
-// keys, or on a serial pool, that runs in one pass and the first
-// pipeline's output index takes the result; otherwise each of the pool's
-// merge tasks folds and emits one range of slots, aligned to 64, into a
-// shard of a range-sharded output index, as the tree merge does by key
-// range.
-func mergeDense(ec *ExecContext, spec *OutputSpec, live []*pipeline, partials []*IndexedTable) (*IndexedTable, error) {
-	sched := ec.scheduler()
-	acc := live[0].snk.dense
-	total := 0
-	for _, p := range live {
-		total += p.snk.dense.keys
-		acc.top = max(acc.top, p.snk.dense.top)
-	}
-	top := acc.top
-	words := (top + 63) / 64
-	parts := sched.Workers() * 2
-	if !sched.parallel() || total < parallelMergeMinKeys || words < parts {
-		for _, p := range live[1:] {
-			acc.absorb(p.snk.dense, 0, top)
-		}
-		live[0].snk.emitDense()
-		for _, p := range partials[1:] {
-			p.Release()
-		}
-		return partials[0], nil
-	}
-	shards := make([]Index, parts)
-	los := make([]uint64, parts)
-	his := make([]uint64, parts)
-	err := sched.ForEachWorker(parts, func(_, r int) error {
-		if err := ec.err(); err != nil {
-			return err // cancelled: stop claiming merge ranges
-		}
-		wLo, wHi, _ := partitionBounds(0, uint64(words-1), r, parts)
-		from, to := int(wLo)*64, min(int(wHi+1)*64, top)
-		for _, p := range live[1:] {
-			acc.absorb(p.snk.dense, from, to)
-		}
-		idx := newOutputIndex(spec, ec.rec)
-		keys := arena.NewChunk[uint64](ec.rec, DefaultBufferSize)
-		rows := arena.NewChunk[[]uint64](ec.rec, DefaultBufferSize)
-		n := acc.emit(idx, from, to, keys, rows)
-		putScratch(ec.rec, keys, n)
-		putScratch(ec.rec, rows, n)
-		shards[r], los[r] = idx, acc.key(from)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The shards own copies of the rows; the partials' trees never held
-	// any. Shard r routes the keys from its first slot's up to the next
-	// shard's first, and the edge shards the rest of the key space.
-	for _, p := range partials {
-		p.Release()
-	}
-	los[0] = 0
-	for r := range his[:parts-1] {
-		his[r] = los[r+1] - 1
-	}
-	his[parts-1] = keySpaceMax(spec.Key.TotalBits())
-	sh := newShardedIndex(shards, los, his, spec.Key.TotalBits())
-	return newOutputTable(spec, sh, ec.rec), nil
 }

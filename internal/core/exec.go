@@ -122,7 +122,9 @@ type OperatorStats struct {
 	Label string
 	// Time is the operator's total execution time; MaterializeTime is
 	// the portion spent producing combinations (Time − IndexTime), and
-	// IndexTime the portion spent inserting into the output index.
+	// IndexTime the portion spent inserting into the output index. On a
+	// dense fold it times only the index fill from the arrays: the
+	// per-row fold is not timed, and counts as materialization.
 	Time            time.Duration
 	MaterializeTime time.Duration
 	IndexTime       time.Duration

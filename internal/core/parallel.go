@@ -208,14 +208,17 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 			ec.noteSink(p)
 		}
 	}()
-	// Dense arrays merge slot by slot, unless a key outside the domain
-	// went to some worker's tree: then every array joins its tree, and the
-	// trees merge.
-	if len(live) > 1 && live[0].snk.dense != nil && !fellBack(live) {
-		return mergeDense(ec, spec, live, partials)
-	}
-	for _, p := range live {
-		p.snk.emitDense()
+	if acc := live[0].snk.dense; acc != nil {
+		// Dense arrays fold slot by slot into the first, in pipeline
+		// order, as the tree merge folds the partials; the first
+		// pipeline's index then takes the result. The other partials'
+		// trees never held a row.
+		for i, p := range live[1:] {
+			acc.absorb(p.snk.dense)
+			partials[i+1].Release()
+		}
+		live[0].snk.emitDense()
+		return partials[0], nil
 	}
 	if len(partials) == 1 {
 		// One worker claimed every non-empty morsel: its partial already is
@@ -233,16 +236,6 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 		p.Release()
 	}
 	return out, nil
-}
-
-// fellBack reports whether a worker's sink inserted a row into its tree.
-func fellBack(live []*pipeline) bool {
-	for _, p := range live {
-		if p.snk.out.Rows() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // mergeRangeInto folds the [lo, hi] slice of every partial into idx, in

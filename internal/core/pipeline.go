@@ -153,9 +153,9 @@ type keyFill struct{ dst, src int }
 // A sink materializes combinations into the output index: it assembles the
 // output key (composed if multi-attribute) and payload row, then issues
 // batched inserts. A folding output with a small key domain folds each
-// row into its dense array instead (dense.go), and only a key outside
-// that domain takes the insert buffer; the array reaches the output index
-// once the operator's workers are done.
+// row straight into its dense array instead (dense.go), untimed: a clock
+// read per row would cost more than the fold. The array reaches the
+// output index, timed, once the operator's workers are done.
 type sink struct {
 	out      Index
 	keyOffs  []int
@@ -666,17 +666,15 @@ func (s *sink) feed(ctx []uint64, bufSize int) {
 		ctx[f.dst] = ctx[f.src]
 	}
 	if d := s.dense; d != nil {
-		if slot, ok := d.slot(ctx, s.keyOffs); ok {
-			s.inserted++
-			if row, fresh := d.claim(slot); fresh {
-				s.eval(row, ctx)
-			} else if s.rowWidth > 0 {
-				src := d.row(-1)
-				s.eval(src, ctx)
-				d.spec.Fold(row, src)
-			}
-			return
+		s.inserted++
+		if row, fresh := d.claim(d.slot(ctx, s.keyOffs)); fresh {
+			s.eval(row, ctx)
+		} else if s.rowWidth > 0 {
+			src := d.row(-1)
+			s.eval(src, ctx)
+			d.spec.Fold(row, src)
 		}
+		return
 	}
 	var k uint64
 	switch len(s.keyOffs) {
@@ -738,6 +736,6 @@ func (s *sink) emitDense() {
 		return
 	}
 	t0 := time.Now()
-	s.high = max(s.high, s.dense.emit(s.out, 0, s.dense.top, s.keys, s.rows))
+	s.high = max(s.high, s.dense.emit(s.out, s.keys, s.rows))
 	s.insertTime += time.Since(t0)
 }

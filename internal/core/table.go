@@ -208,10 +208,13 @@ type OutputSpec struct {
 	// Fold, if non-nil, aggregates payload rows per output key.
 	Fold func(dst, src []uint64)
 	// Domain, if it holds one range per Key attribute, bounds each
-	// attribute's values. A folding output whose domain spans few keys
-	// (denseSlots) aggregates in a flat array before it fills the output
-	// index; a keyless folding output always does, in one slot. A value
-	// outside its range still lands in the output, through the index.
+	// attribute's values: a value outside its range is a planning error,
+	// and a dense fold panics on it. A folding output whose domain spans
+	// few keys (denseSlots) aggregates in a flat array before it fills
+	// the output index; a keyless folding output always does, in one
+	// slot. The arrays are not counted against EnvConfig.MemBudget: a
+	// worker's holds 8 B per payload column and one bit per slot, for at
+	// most denseCap (2^16) slots: 512 KiB per column and 8 KiB.
 	Domain []KeyRange
 }
 

@@ -63,7 +63,6 @@ type denseFold struct {
 	vals    []uint64
 	present []uint64
 	top     int
-	keys    int // slots present
 }
 
 // newDenseFold draws the array of a dense fold of spec with n slots.
@@ -118,7 +117,6 @@ func (d *denseFold) claim(s int) (row []uint64, fresh bool) {
 	row = d.row(s)
 	if w, bit := s>>6, uint64(1)<<(s&63); d.present[w]&bit == 0 {
 		d.present[w] |= bit
-		d.keys++
 		d.top = max(d.top, s+1)
 		return row, true
 	}

@@ -115,7 +115,8 @@ type boundsFn = func() (uint64, uint64, bool)
 // only at bufSize keys, so a morsel of fewer driving keys would otherwise
 // leave its probes, fan-out and inserts to a serial pass after the
 // parallel region. The per-worker partial outputs are then combined with
-// the parallel partition-wise merge. With a single worker the lone
+// the parallel partition-wise merge, or, for a dense fold, the workers'
+// arrays fold into the first's. With a single worker the lone
 // partial is the output itself and execution degenerates to the paper's
 // single-threaded mode.
 //

@@ -107,6 +107,7 @@ func (ec *ExecContext) noteSink(p *pipeline) {
 	ec.opStats.TuplesIndexed += p.snk.inserted
 	ec.opStats.ProbeLookups += p.lookups
 	ec.opStats.ProbeFiltered += p.filtered
+	ec.opStats.ResidualDropped += p.dropped
 	ec.opStats.Workers++
 	ec.opStats.Morsels += p.morsels
 	if d := p.snk.dense; d != nil {
@@ -135,10 +136,12 @@ type OperatorStats struct {
 	// a key filter dropped without a lookup, each once, at the first
 	// filter that drops it: a select-join tests every assist's filter on
 	// each fact row its main probe yields, in assist order, and an assist
-	// that only filters is never looked up at all.
-	TuplesIndexed int
-	ProbeLookups  int
-	ProbeFiltered int
+	// that only filters is never looked up at all. ResidualDropped counts
+	// the fact rows a select-join's MainPreds drop after the filters.
+	TuplesIndexed   int
+	ProbeLookups    int
+	ProbeFiltered   int
+	ResidualDropped int
 	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
 	TuplesStreamed int
 	// Deprecated: read by benchmark/trace.go; nothing in the engine writes or reads it.
@@ -234,6 +237,9 @@ func (ps *PlanStats) String() string {
 			op.OutRows, op.OutKeys, op.OutBytes)
 		if op.ProbeLookups > 0 || op.ProbeFiltered > 0 {
 			s += fmt.Sprintf("  probes %d, filtered %d", op.ProbeLookups, op.ProbeFiltered)
+		}
+		if op.ResidualDropped > 0 {
+			s += fmt.Sprintf(", residual %d", op.ResidualDropped)
 		}
 		if op.Morsels > 1 {
 			// Which worker claims a morsel is scheduling luck; the fan-out

@@ -1,0 +1,269 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"qppt/internal/arena/arenatest"
+)
+
+// has reports whether k is a key of the filtered index: the scalar test
+// the fan-out kernel's branch-free narrowing must agree with.
+func (f *keyFilter) has(k uint64) bool {
+	d := k - f.lo // a key below lo wraps past n
+	return d < f.n && f.words[d>>6]&(1<<(d&63)) != 0
+}
+
+// fanFact builds a fact base index keyed on k with the columns c0, c1
+// (probe keys in [0, 128)) and c2 (values for range predicates, 0 and
+// 2^64−1 among them). Key i holds 1 + runs[i] rows, bulk-loaded, so its
+// list is the inline first row and then one run of runs[i] rows.
+func fanFact(rng *rand.Rand, runs []int) *IndexedTable {
+	extremes := []uint64{0, 1, 5, 6, 1<<64 - 3, 1<<64 - 2, 1<<64 - 1}
+	var keys []uint64
+	var ends []int
+	var rows []uint64
+	for i, n := range runs {
+		keys = append(keys, uint64(i+1))
+		for r := 0; r <= n; r++ {
+			c2 := rng.Uint64()
+			if rng.Intn(2) == 0 {
+				c2 = extremes[rng.Intn(len(extremes))]
+			}
+			rows = append(rows, uint64(rng.Intn(128)), uint64(rng.Intn(128)), c2)
+		}
+		ends = append(ends, len(rows)/3)
+	}
+	idx := NewSortedIndex(IndexConfig{KeyBits: 16, PayloadWidth: 3}, keys, ends, rows)
+	return NewIndexedTable("fact", SimpleKey("k", 16), []string{"c0", "c1", "c2"}, idx)
+}
+
+// keyTable returns a table keyed on k holding the given keys, one row
+// each, with one column v = 7k when carry is set and none otherwise.
+func keyTable(name string, keys []uint64, carry bool) *IndexedTable {
+	var cols []string
+	if carry {
+		cols = []string{"v"}
+	}
+	idx := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: len(cols)})
+	for _, k := range keys {
+		row := []uint64{7 * k}
+		idx.Insert(k, row[:len(cols)])
+	}
+	return NewIndexedTable(name, SimpleKey("k", 16), cols, idx)
+}
+
+// TestFanOutKernel holds the fan-out's batch kernel to a scalar reference
+// built on keyFilter.has and KeyPred.Has: the rows that reach the output,
+// their order, and the counts of rows the fan filters (ProbeFiltered) and
+// the fact predicates (ResidualDropped) drop. The fact's runs are 0, 1,
+// V−1, V, V+1 and 3V+1 rows long (V = fanVec); 0–3 filter-only assists
+// hold sparse keys (probe keys fall below their lo, which wraps, and at
+// lo+n), keys with holes over two bitmap words (probe keys past them read
+// a masked-off bit of word 0), or none (n = 0); a trailing assist that
+// carries a column and misses no key makes the survivors queue at stage 1
+// instead of going straight to the sink. The predicates are ranges at 0
+// and at 2^64−1, an IN list, and one on the fact key. Every plan runs in
+// one of two Envs, so each pooled selection vector is handed out again
+// and must come back zero.
+func TestFanOutKernel(t *testing.T) {
+	arenatest.CheckZeroHandouts(t)
+	const V = fanVec
+	rng := rand.New(rand.NewSource(1))
+	runs := []int{0, 1, V - 1, V, V + 1, 3*V + 1}
+	fact := fanFact(rng, runs)
+	var driverKeys, all, sparse, holey []uint64
+	for k := uint64(0); k < 128; k++ {
+		all = append(all, k)
+		if k >= 16 && k < 80 && (k%2 == 0 || k == 79) {
+			sparse = append(sparse, k) // lo 16, n 64: a probe key of 80 is lo+n
+		}
+		if k < 100 && k%3 != 0 {
+			holey = append(holey, k)
+		}
+	}
+	for i := range runs {
+		driverKeys = append(driverKeys, uint64(i+1))
+	}
+	driver := keyTable("drv", driverKeys, false)
+	tables := map[string]*IndexedTable{
+		"sparse": keyTable("sparse", sparse, false),
+		"holey":  keyTable("holey", holey, false),
+		"empty":  keyTable("empty", nil, false),
+	}
+	refFilters := map[string]*keyFilter{}
+	for name, tb := range tables {
+		refFilters[name] = newKeyFilter(nil, tb.Idx, false)
+	}
+	carrier := keyTable("carry", all, true)
+	type assist struct{ table, probe string }
+	filterSets := [][]assist{
+		nil,
+		{{"sparse", "c0"}},
+		{{"holey", "c1"}, {"sparse", "c0"}},
+		{{"sparse", "c0"}, {"holey", "c1"}, {"empty", "c0"}},
+	}
+	predSets := [][]AttrPred{
+		nil,
+		{{Attr: "c2", Pred: KeyPred{{Lo: 0, Hi: 5}}}},
+		{{Attr: "c2", Pred: KeyPred{{Lo: 1<<64 - 3, Hi: 1<<64 - 1}}}},
+		{{Attr: "c0", Pred: KeyPred{{Lo: 3, Hi: 3}, {Lo: 9, Hi: 11}, {Lo: 40, Hi: 40}}}},
+		{{Attr: "k", Pred: KeyPred{{Lo: 2, Hi: 2}, {Lo: 4, Hi: 5}}}, {Attr: "c2", Pred: KeyPred{{Lo: 0, Hi: 1 << 63}}}},
+		{{Attr: "c1", Pred: KeyPred{{Lo: 1, Hi: 0}}}}, // matches nothing
+	}
+	bad := &SelectJoin{SelInput: &Base{Table: driver}, Main: &Base{Table: fact}, ProbeMainWith: Ref{Input: 0, Attr: "k"},
+		MainPreds: []AttrPred{{Attr: "nope", Pred: Point(1)}}, Out: OutputSpec{Name: "out", Key: SimpleKey("out", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}}
+	envs := []*Env{newTestEnv(t, EnvConfig{Workers: 1}), newTestEnv(t, EnvConfig{Workers: 2})}
+	if _, _, err := envs[0].Run(context.Background(), &Plan{Root: bad}, Options{}); err == nil {
+		t.Fatal("a main predicate on an attribute the fact lacks planned")
+	}
+	for _, filters := range filterSets {
+		for _, carry := range []bool{false, true} {
+			for pi, preds := range predSets {
+				name := fmt.Sprintf("filters %v, carry %v, preds %d", filters, carry, pi)
+				inputs := []*IndexedTable{driver, fact}
+				var assists []Assist
+				for _, a := range filters {
+					inputs = append(inputs, tables[a.table])
+					assists = append(assists, Assist{Input: &Base{Table: tables[a.table]}, ProbeWith: a.probe})
+				}
+				if carry {
+					inputs = append(inputs, carrier)
+					assists = append(assists, Assist{Input: &Base{Table: carrier}, ProbeWith: "c1"})
+				}
+				out := OutputSpec{Name: "out", Key: SimpleKey("out", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}
+				for _, c := range []string{"k", "c0", "c1", "c2"} {
+					out.Cols = append(out.Cols, c)
+					out.ColExprs = append(out.ColExprs, Attr(1, c))
+				}
+				if carry {
+					out.Cols = append(out.Cols, "v")
+					out.ColExprs = append(out.ColExprs, Attr(len(inputs)-1, "v"))
+				}
+				plan := &Plan{Root: &SelectJoin{
+					SelInput: &Base{Table: driver}, Main: &Base{Table: fact},
+					ProbeMainWith: Ref{Input: 0, Attr: "k"}, MainPreds: preds, Assists: assists, Out: out,
+				}}
+
+				// The reference: every fact row of every driver key, in
+				// list order, through the key predicates, then the
+				// filters in assist order, then the column predicates.
+				var want [][]uint64
+				filtered, dropped := 0, 0
+				for _, k := range driverKeys {
+					lf := fact.Idx.Lookup(k)
+					keyOK := true
+					for _, p := range preds {
+						if p.Attr == "k" && !p.Pred.Has(k) {
+							keyOK = false
+						}
+					}
+					lf.Vals.Scan(func(row []uint64) bool {
+						if !keyOK {
+							dropped++
+							return true
+						}
+						for _, a := range filters {
+							if !refFilters[a.table].has(row[fact.Col(a.probe)]) {
+								filtered++
+								return true
+							}
+						}
+						for _, p := range preds {
+							if c := fact.Col(p.Attr); c >= 0 && !p.Pred.Has(row[c]) {
+								dropped++
+								return true
+							}
+						}
+						r := append([]uint64{k, k}, row...)
+						if carry {
+							r = append(r, 7*row[1])
+						}
+						want = append(want, r)
+						return true
+					})
+				}
+				if pi == 0 && len(filters) < 2 && len(want) < V {
+					t.Fatalf("%s: the fixture passes only %d rows", name, len(want))
+				}
+				for w, env := range envs {
+					workers := w + 1
+					for _, bs := range []int{1, 7, 512} {
+						res, stats, err := env.Run(context.Background(), plan, Options{BufferSize: bs, CollectStats: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, exp := Extract(res).Rows, want
+						if workers > 1 {
+							slices.SortFunc(got, slices.Compare)
+							exp = slices.Clone(want)
+							slices.SortFunc(exp, slices.Compare)
+						}
+						if !sameRows(got, exp) {
+							t.Fatalf("%s, Workers %d, BufferSize %d: %d rows differ from the %d-row reference", name, workers, bs, len(got), len(exp))
+						}
+						st := stats.Ops[len(stats.Ops)-1]
+						if st.ProbeFiltered != filtered || st.ResidualDropped != dropped {
+							t.Fatalf("%s, Workers %d, BufferSize %d: filtered %d, residual %d; want %d, %d",
+								name, workers, bs, st.ProbeFiltered, st.ResidualDropped, filtered, dropped)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFanOut times the fan-out over one synthetic fact leaf of 240 000
+// rows, probed once: each row passes 0, 1 or 3 key filters of filter-only
+// assists that hold every other key, with or without a range predicate on
+// a column that half the rows pass, and every survivor folds into one
+// group. It reports ns per fact row.
+func BenchmarkFanOut(b *testing.B) {
+	const rows = 240_000
+	rng := rand.New(rand.NewSource(1))
+	cols := []string{"c0", "c1", "c2", "c3", "rev"}
+	data := make([]uint64, 0, rows*len(cols))
+	for range rows {
+		data = append(data, uint64(rng.Intn(64)), uint64(rng.Intn(64)), uint64(rng.Intn(64)), uint64(rng.Intn(100)), uint64(rng.Intn(1000)))
+	}
+	fact := NewIndexedTable("fact", SimpleKey("k", 16), cols,
+		NewSortedIndex(IndexConfig{KeyBits: 16, PayloadWidth: len(cols)}, []uint64{1}, []int{rows}, data))
+	driver := keyTable("drv", []uint64{1}, false)
+	var evens []uint64
+	for k := uint64(0); k < 64; k += 2 {
+		evens = append(evens, k)
+	}
+	dim := keyTable("dim", evens, false)
+	env := newTestEnv(b, EnvConfig{Workers: 1})
+	for _, filters := range []int{0, 1, 3} {
+		for _, pred := range []bool{false, true} {
+			b.Run(fmt.Sprintf("filters=%d/range=%v", filters, pred), func(b *testing.B) {
+				sj := &SelectJoin{
+					SelInput: &Base{Table: driver}, Main: &Base{Table: fact}, ProbeMainWith: Ref{Input: 0, Attr: "k"},
+					Out: OutputSpec{Name: "out", Key: SimpleKey("g", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}},
+						Cols: []string{"rev"}, ColExprs: []RowExpr{Attr(1, "rev")}, Fold: FoldSum(0), Domain: []KeyRange{{Lo: 0, Hi: 1}}},
+				}
+				for i := range filters {
+					sj.Assists = append(sj.Assists, Assist{Input: &Base{Table: dim}, ProbeWith: cols[i]})
+				}
+				if pred {
+					sj.MainPreds = []AttrPred{{Attr: "c3", Pred: KeyPred{{Lo: 0, Hi: 49}}}}
+				}
+				plan := &Plan{Root: sj}
+				b.ResetTimer()
+				for range b.N {
+					out, _, err := env.Run(context.Background(), plan, Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					out.Release()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
+	}
+}

@@ -20,10 +20,11 @@ import (
 
 // jbTable is one operator input: rows in insertion order, each [k, c0, …].
 type jbTable struct {
-	cols []string
-	rows [][]uint64
-	pt   bool // index in a prefix tree instead of a KISS-Tree
-	wide bool // a 40-bit key instead of a 16-bit one
+	cols   []string
+	rows   [][]uint64
+	pt     bool // index in a prefix tree instead of a KISS-Tree
+	wide   bool // a 40-bit key instead of a 16-bit one
+	sorted bool // bulk-loaded as a base index is: a key's rows are one run
 }
 
 // bits returns the width of the table's key.
@@ -44,6 +45,21 @@ func (tb *jbTable) attr(a string) int {
 
 func (tb *jbTable) indexed(name string) *IndexedTable {
 	var idx Index
+	if tb.sorted {
+		var keys []uint64
+		var ends []int
+		var rows []uint64
+		for _, r := range tb.scan() {
+			if len(keys) == 0 || keys[len(keys)-1] != r[0] {
+				keys = append(keys, r[0])
+				ends = append(ends, 0)
+			}
+			rows = append(rows, r[1:]...)
+			ends[len(ends)-1] = len(rows) / len(tb.cols)
+		}
+		idx = NewSortedIndex(IndexConfig{KeyBits: tb.bits(), PayloadWidth: len(tb.cols)}, keys, ends, rows)
+		return NewIndexedTable(name, SimpleKey("k", tb.bits()), tb.cols, idx)
+	}
 	if tb.pt {
 		idx = prefixtree.MustNew(prefixtree.Config{KeyBits: tb.bits(), PayloadWidth: len(tb.cols)})
 	} else {
@@ -77,11 +93,12 @@ func (tb *jbTable) scan() [][]uint64 {
 // of it when pred is nil) and probes input 1, the fact side, with mainWith.
 // Assist i is input 2+i, probed with the fact column probes[i]; with
 // selAssists it is a selection's output over the table's index, an
-// intermediate, instead of the base index itself. A residual keeps
-// combinations whose residual attribute is even, right after the main
-// match.
+// intermediate, instead of the base index itself. A residual keeps the
+// fact rows whose residual attribute is even, right after the main match:
+// a main predicate that lists the even values of the key space.
 type jbCase struct {
 	tables     []*jbTable
+	keys       int // key space of every table
 	pred       KeyPred
 	mainWith   Ref
 	probes     []string
@@ -110,10 +127,13 @@ func (c *jbCase) plan() *Plan {
 			out.ColExprs = append(out.ColExprs, Attr(i, a))
 		}
 	}
-	var residual func([]uint64) bool
+	var preds []AttrPred
 	if c.residual != nil {
-		off := CtxOffsets(inputs, *c.residual)[0]
-		residual = func(ctx []uint64) bool { return ctx[off]%2 == 0 }
+		var evens KeyPred
+		for v := 0; v < c.keys; v += 2 {
+			evens = append(evens, KeyRange{Lo: uint64(v), Hi: uint64(v)})
+		}
+		preds = []AttrPred{{Attr: c.residual.Attr, Pred: evens}}
 	}
 	var assists []Assist
 	for i, r := range c.probes {
@@ -130,7 +150,7 @@ func (c *jbCase) plan() *Plan {
 	}
 	return &Plan{Root: &SelectJoin{
 		SelInput: &Base{Table: inputs[0]}, Pred: c.pred,
-		Main: &Base{Table: inputs[1]}, ProbeMainWith: c.mainWith, MainResidual: residual,
+		Main: &Base{Table: inputs[1]}, ProbeMainWith: c.mainWith, MainPreds: preds,
 		Assists: assists, Out: out,
 	}}
 }
@@ -308,7 +328,7 @@ func addFarKey(rng *rand.Rand, tb *jbTable, keys int) {
 func (sh jbShape) build(rng *rand.Rand) *jbCase {
 	fact := randTable(rng, sh.keys, sh.mainRows, "c0", "c1", "c2")
 	other := randTable(rng, sh.keys, 3, "c0")
-	c := &jbCase{tables: []*jbTable{other, fact}, mainWith: Ref{Input: 0, Attr: "k"}}
+	c := &jbCase{tables: []*jbTable{other, fact}, keys: sh.keys, mainWith: Ref{Input: 0, Attr: "k"}}
 	if !sh.join {
 		c.pred = Between(uint64(rng.Intn(sh.keys/4)), uint64(sh.keys))
 		c.mainWith = Ref{Input: 0, Attr: "c0"}
@@ -640,10 +660,12 @@ func TestFanOutFilterCounts(t *testing.T) {
 
 // FuzzJoinbuffer checks random star joins — select-joins, and joins with
 // no predicate whose driver has several rows per key; tables with 0–3 rows
-// per key, payload widths 0–2, 1–3 assists, dense, sparse, empty,
-// hole-free or with a far key, as base indexes or intermediates, an
-// optional residual, buffer sizes 1–8 — against the nested-loop reference,
-// order included. A sparse or empty first assist is a late stage with a
+// per key, and at times one fact key with up to 3·fanVec more in a
+// bulk-loaded fact index, so that its run crosses selection-vector
+// boundaries; payload widths 0–2, 1–3
+// assists, dense, sparse, empty, hole-free or with a far key, as base
+// indexes or intermediates, an optional fact predicate, buffer sizes 1–8 —
+// against the nested-loop reference, order included. A sparse or empty first assist is a late stage with a
 // key filter; a zero-column assist with one row per key (rows 1, width 0)
 // that probes with a fact column leaves the pipeline.
 func FuzzJoinbuffer(f *testing.F) {
@@ -690,5 +712,17 @@ func fuzzCase(seed int64, shape uint8) *jbCase {
 		}
 	}
 	c.selAssists = rng.Intn(2) == 0
+	if rng.Intn(2) == 0 {
+		fact := c.tables[1]
+		fact.sorted = true
+		k := uint64(rng.Intn(sh.keys))
+		for n := rng.Intn(3*fanVec + 1); n > 0; n-- {
+			row := []uint64{k}
+			for range fact.cols {
+				row = append(row, uint64(rng.Intn(sh.keys)))
+			}
+			fact.rows = append(fact.rows, row)
+		}
+	}
 	return c
 }

@@ -140,6 +140,13 @@ type Assist struct {
 	ProbeWith string
 }
 
+// An AttrPred restricts one attribute, a payload column or a key
+// attribute of an operator input, to a union of key ranges.
+type AttrPred struct {
+	Attr string
+	Pred KeyPred
+}
+
 // SelectJoin is QPPT's one join operator, the composed select-join (paper
 // Section 4.3): it scans SelInput's qualifying key ranges, all of SelInput
 // when Pred is nil, and probes each qualifying tuple's ProbeMainWith value
@@ -164,10 +171,11 @@ type SelectJoin struct {
 	// ProbeMainWith (an attribute of input 0).
 	Main          Operator
 	ProbeMainWith Ref
-	// MainResidual, if non-nil, filters combinations right after the
-	// main probe — i.e. as soon as Main's attributes are available but
-	// before any assisting index is touched.
-	MainResidual func(ctx []uint64) bool
+	// MainPreds restrict the fact rows the main probe yields before any
+	// assisting index is touched: each keeps the rows whose attribute of
+	// Main lies in its KeyPred. A payload column is tested on each row
+	// after the assists' key filters, a key attribute once per hit.
+	MainPreds []AttrPred
 	// Assists are additional star-join inputs (ordinals 2+i), each probed
 	// with a foreign key of Main's rows.
 	Assists []Assist
@@ -195,7 +203,7 @@ func (sj *SelectJoin) Children() []Operator {
 
 // pipe builds the select-join's probe pipeline: the main probe at stage
 // 0, assists after, with the selection residual at the pipeline entry and
-// the main residual on each fact row the main probe yields.
+// the fact predicates at the fan-out.
 func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, error) {
 	layout := newCtxLayout(inputs...)
 	p := newPipeline(ec, layout)
@@ -213,8 +221,16 @@ func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, 
 		}
 		p.addProbe(2+i, col, layout.colOff(1, col))
 	}
+	for _, mp := range sj.MainPreds {
+		if c := fact.Col(mp.Attr); c >= 0 {
+			p.spec().rowPreds = append(p.spec().rowPreds, factTest{c, mp.Pred})
+		} else if f := fact.Key.Field(mp.Attr); f >= 0 {
+			p.spec().keyPreds = append(p.spec().keyPreds, factTest{layout.keyOff(1, f), mp.Pred})
+		} else {
+			return nil, fmt.Errorf("core: %s: main predicate on %q, not an attribute of the main input %s", sj.Label(), mp.Attr, fact.Name)
+		}
+	}
 	p.residual = sj.Residual
-	p.mainResidual = sj.MainResidual
 	return p, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"qppt/internal/arena"
@@ -34,7 +35,7 @@ import (
 // combination lives in one slot of the pipeline's flat slot chunk, and a
 // stage's queue is a selection vector of slot numbers plus the probe keys.
 // The main probe's hit fans out to the fact rows, all in the slot of the
-// driving tuple: a row that passes the fan filters and the main residual
+// driving tuple: a row that passes the fan filters and the fact predicates
 // is queued at stage 1, the late stage, as just (parent slot, row, key),
 // and the parent and the row are copied into a slot of their own only for
 // a probe hit (late materialization). A later stage's hit writes its
@@ -48,11 +49,16 @@ import (
 //
 // Filters at the fan-out: a key filter (keyFilter, an exact bitmap of an
 // index's keys) of an assist is tested on each fact row, in assist order,
-// before the row is queued or fed, so a key an assist lacks costs one bit
-// test, never a queue entry, a descent or a copy. An assist that carries
-// no column and holds one row per key needs nothing but that test: it
-// leaves the pipeline, and the sink writes its key, the probe key, into
-// the combination.
+// and then each fact predicate (SelectJoin.MainPreds), before the row is
+// queued or fed, so a key an assist lacks costs one bit test, never a
+// queue entry, a descent or a copy. The tests run as a batch kernel: over
+// at most fanVec rows of a run at a time, each narrows a selection vector
+// of row numbers branch-free (MonetDB/X100's selection vectors, Ross's
+// branch-free selection), and only the survivors are queued or written,
+// in run order. A predicate on the fact key is tested once per main-probe
+// hit instead. An assist that carries no column and holds one row per key
+// needs nothing but its filter: it leaves the pipeline, and the sink
+// writes its key, the probe key, into the combination.
 //
 // Every stage handles its queue in arrival order and emits a combination's
 // rows in list order, so the sink sees the nested-loop order at every
@@ -146,9 +152,35 @@ type fanTest struct {
 	f   *keyFilter
 }
 
+// A factTest drops a fact row whose value at col, a column of the row (or
+// for a predicate on the fact key, an offset of the combination), lies
+// outside pred.
+type factTest struct {
+	col  int
+	pred KeyPred
+}
+
 // A keyFill copies the probe key at ctx offset src into a left-out stage's
 // key segment at dst.
 type keyFill struct{ dst, src int }
+
+// A fanSpec holds the fan-out's tests, the assists' key filters in assist
+// order and the fact predicates on a column and on the fact key, and the
+// sink's key fills of the assists that left. It is decided once per
+// operator execution and shared read-only by every worker pipeline.
+type fanSpec struct {
+	filters            []fanTest
+	rowPreds, keyPreds []factTest
+	fills              []keyFill
+}
+
+// spec returns p's fanSpec, made on first use.
+func (p *pipeline) spec() *fanSpec {
+	if p.fan == nil {
+		p.fan = &fanSpec{}
+	}
+	return p.fan
+}
 
 // A sink materializes combinations into the output index: it assembles the
 // output key (composed if multi-attribute) and payload row, then issues
@@ -202,23 +234,23 @@ type pipeline struct {
 	ticks   int             // feed counter driving the periodic ctx poll
 	stopped bool            // latched once qctx is cancelled
 	rec     *arena.Recycler // plan chunk pool for the output index
-	// residual, if set, drops base combinations before stage 0;
-	// mainResidual drops the fact rows the main probe yields, after the
-	// fan filters, before they are queued at stage 1 or fed to the sink.
-	residual     func(ctx []uint64) bool
-	mainResidual func(ctx []uint64) bool
+	// residual, if set, drops base combinations before stage 0.
+	residual func(ctx []uint64) bool
 	// stages are the probe stages: stage 0 is the main probe, and its
 	// rows are the fact rows every assist probes with.
 	stages []*probeStage
-	// fan holds the key filters tested on each fact row, fills the sink's
-	// key fills of the assists that left; both are decided once per
-	// operator execution and shared read-only by every worker pipeline.
-	fan      []fanTest
-	fills    []keyFill
+	// fan is what the fan-out tests, nil when it tests nothing and no
+	// assist left.
+	fan *fanSpec
+	// vec is the fan-out's selection vector, a pool chunk of fanVec row
+	// numbers, nil when no fan filter or row predicate narrows; its length
+	// is the most rows any narrowing wrote, the prefix release clears.
+	vec      []int32
 	snk      *sink
 	bufSize  int
 	lookups  int // probe-stage lookups issued (stats)
 	filtered int // probe keys or fan-out rows a key filter dropped without a lookup (stats)
+	dropped  int // fact rows a fact predicate dropped (stats)
 	morsels  int // key-range morsels scanned through this pipeline (stats)
 
 	// slots holds every combination in flight, layout.width words each:
@@ -280,8 +312,7 @@ func (p *pipeline) addProbe(input, col, probeOff int) {
 // execution: p's layout, residuals, stages and filters, with buffers of its
 // own once setSink lays them out.
 func (p *pipeline) clone() *pipeline {
-	q := &pipeline{layout: p.layout, qctx: p.qctx, rec: p.rec, bufSize: p.bufSize,
-		residual: p.residual, mainResidual: p.mainResidual, fan: p.fan, fills: p.fills}
+	q := &pipeline{layout: p.layout, qctx: p.qctx, rec: p.rec, bufSize: p.bufSize, residual: p.residual, fan: p.fan}
 	for _, st := range p.stages {
 		q.stages = append(q.stages, &probeStage{table: st.table, input: st.input, col: st.col, probeOff: st.probeOff, comp: st.comp})
 	}
@@ -297,7 +328,10 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 	if len(spec.ColExprs) != len(spec.Cols) {
 		return nil, fmt.Errorf("core: output %q: %d col exprs for %d cols", spec.Name, len(spec.ColExprs), len(spec.Cols))
 	}
-	s := &sink{rowWidth: len(spec.Cols), comp: spec.Key.Composer(), fills: p.fills}
+	s := &sink{rowWidth: len(spec.Cols), comp: spec.Key.Composer()}
+	if p.fan != nil {
+		s.fills = p.fan.fills
+	}
 	for _, r := range spec.KeyRefs {
 		off, err := p.layout.resolve(r)
 		if err != nil {
@@ -328,11 +362,15 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 	return newOutputTable(spec, s.out, p.rec), nil
 }
 
-// initJoinbuffer draws the slot chunk and every stage's queue from the
-// pool. It runs once the stages are final.
+// initJoinbuffer draws the slot chunk, every stage's queue and, when
+// anything narrows the fan-out, its selection vector from the pool. It
+// runs once the stages and filters are final.
 func (p *pipeline) initJoinbuffer() {
 	if len(p.stages) == 0 {
 		return
+	}
+	if f := p.fan; f != nil && len(f.filters)+len(f.rowPreds) > 0 {
+		p.vec = arena.NewChunk[int32](p.rec, fanVec)
 	}
 	p.slots = arena.NewChunk[uint64](p.rec, max(len(p.stages)-1, 1)*p.bufSize*p.layout.width)
 	p.slots = p.slots[:cap(p.slots)]
@@ -353,12 +391,6 @@ type keyFilter struct {
 	lo, n  uint64
 	words  []uint64
 	pooled bool // words came from the pool, and parkKeyFilters returns them
-}
-
-// has reports whether k is a key of the filtered index.
-func (f *keyFilter) has(k uint64) bool {
-	d := k - f.lo // a key below lo wraps past n
-	return d < f.n && f.words[d>>6]&(1<<(d&63)) != 0
 }
 
 // newKeyFilter returns the key filter of idx, its words drawn from rec, or
@@ -425,10 +457,10 @@ func (p *pipeline) buildKeyFilters() {
 		only := len(t.Cols) == 0 && len(t.Key.Attrs) == 1 && t.Rows() == t.Keys()
 		f := p.keyFilter(t, !only)
 		if f != nil {
-			p.fan = append(p.fan, fanTest{col: st.col, f: f})
+			p.spec().filters = append(p.spec().filters, fanTest{col: st.col, f: f})
 		}
 		if only && f != nil {
-			p.fills = append(p.fills, keyFill{dst: p.layout.keyOff(st.input, 0), src: st.probeOff})
+			p.spec().fills = append(p.spec().fills, keyFill{dst: p.layout.keyOff(st.input, 0), src: st.probeOff})
 			continue
 		}
 		kept = append(kept, st)
@@ -438,7 +470,10 @@ func (p *pipeline) buildKeyFilters() {
 
 // parkKeyFilters returns the pooled filters' words to the chunk pool.
 func (p *pipeline) parkKeyFilters() {
-	for _, t := range p.fan {
+	if p.fan == nil {
+		return
+	}
+	for _, t := range p.fan.filters {
 		if t.f.pooled {
 			putScratch(p.rec, t.f.words, len(t.f.words))
 		}
@@ -446,7 +481,8 @@ func (p *pipeline) parkKeyFilters() {
 }
 
 // release parks the recycler-backed buffers — the sink's insert buffer,
-// the slot chunk and the stage queues — back in the pipeline's chunk pool.
+// the slot chunk, the stage queues and the selection vector — back in the
+// pipeline's chunk pool.
 // The buffers are scratch, truncated and refilled per flush, so each goes
 // back at the high-water length any flush left in it: that prefix is all
 // the pool has to clear.
@@ -461,7 +497,8 @@ func (p *pipeline) release() {
 		s.dense.release(p.rec)
 	}
 	putScratch(p.rec, p.slots, p.slotHigh*p.layout.width)
-	p.slots = nil
+	putScratch(p.rec, p.vec, len(p.vec))
+	p.slots, p.vec = nil, nil
 	for _, st := range p.stages {
 		putScratch(p.rec, st.sel, st.high)
 		putScratch(p.rec, st.keys, st.high)
@@ -590,65 +627,144 @@ func (p *pipeline) hit(s, j int, lf *Leaf) {
 	})
 }
 
+// fanVec is V, the most fact rows of a run the fan-out narrows at once:
+// the length of its selection vector.
+const fanVec = 1024
+
 // fanOut passes the fact rows of lf, the main probe's hit for stage 0's
-// entry j, on in list order. Each row is written in the entry's slot,
-// which all of them share, and tested there against the fan filters and
-// the main residual; then the sink copies it out, or stage 1 queues it
-// with its probe key and copies it in only for a hit.
+// entry j, on in list order. A row that passes the fan filters and the
+// fact predicates is queued at stage 1 with its probe key, copied into a
+// slot only for a hit, or, with no stage left, written in the entry's slot,
+// which all rows share, and fed to the sink, which copies it out.
 func (p *pipeline) fanOut(j int, lf *Leaf) {
 	main := p.stages[0]
 	r := main.sel[j]
 	ctx := p.slot(r)
 	p.layout.fillKey(ctx, 1, lf.Key, main.comp)
-	if len(p.stages) == 1 {
-		lf.Vals.Scan(func(row []uint64) bool {
-			if p.pass(row) {
-				p.layout.fillRow(ctx, 1, row)
-				if p.mainResidual == nil || p.mainResidual(ctx) {
-					p.snk.feed(ctx, p.bufSize)
-				}
+	if f := p.fan; f != nil {
+		for _, t := range f.keyPreds {
+			if !t.pred.Has(ctx[t.col]) {
+				p.dropped += lf.Vals.Len()
+				return
 			}
-			return true
-		})
+		}
+	}
+	w := lf.Vals.Width()
+	if w == 0 {
+		// The rows store no column to test or probe with: replay their
+		// count into the sink.
+		for n := lf.Vals.Len(); n > 0; n-- {
+			p.snk.feed(ctx, p.bufSize)
+		}
 		return
 	}
-	// The rows are queued a run at a time, with no call per row, so the
-	// loads of consecutive fact rows overlap. A fact row is at least one
-	// column wide: stage 1 probes with one.
-	next, w := p.stages[1], lf.Vals.Width()
+	var next *probeStage
+	if len(p.stages) > 1 {
+		next = p.stages[1]
+	}
+	// The survivors are passed on in a loop with no call per row, so the
+	// loads of consecutive fact rows overlap.
 	lf.Vals.Runs(func(run []uint64) bool {
-		for ; len(run) > 0; run = run[w:] {
-			row := run[:w:w]
-			if !p.pass(row) {
-				continue
+		for len(run) > 0 {
+			rows := run[:min(len(run), fanVec*w)]
+			run = run[len(rows):]
+			var sel []int32
+			n := len(rows) / w
+			if p.vec != nil {
+				sel = p.narrow(rows, w)
+				n = len(sel)
 			}
-			if p.mainResidual != nil {
-				p.layout.fillRow(ctx, 1, row)
-				if !p.mainResidual(ctx) {
+			for x := 0; x < n; x++ {
+				o := x * w
+				if sel != nil {
+					o = int(sel[x]) * w
+				}
+				row := rows[o : o+w : o+w]
+				if next == nil {
+					p.layout.fillRow(ctx, 1, row)
+					p.snk.feed(ctx, p.bufSize)
 					continue
 				}
-			}
-			next.sel = append(next.sel, r)
-			next.keys = append(next.keys, row[next.col])
-			next.rows = append(next.rows, row)
-			if len(next.keys) == p.bufSize {
-				p.flushStage(1)
+				next.sel = append(next.sel, r)
+				next.keys = append(next.keys, row[next.col])
+				next.rows = append(next.rows, row)
+				if len(next.keys) == p.bufSize {
+					p.flushStage(1)
+				}
 			}
 		}
 		return true
 	})
 }
 
-// pass tests a fact row against the fan filters in order; the first that
-// lacks the row's probe key drops it, and counts it filtered.
-func (p *pipeline) pass(row []uint64) bool {
-	for _, t := range p.fan {
-		if !t.f.has(row[t.col]) {
-			p.filtered++
-			return false
-		}
+// narrow returns the numbers of the rows (w words each, at most fanVec)
+// that pass every fan filter, in assist order, and then every row
+// predicate: each test compacts the selection vector in place, keeping
+// the order. A row the first failing fan filter drops counts filtered, one
+// a predicate drops, dropped.
+func (p *pipeline) narrow(rows []uint64, w int) []int32 {
+	n := len(rows) / w
+	if n > len(p.vec) {
+		p.vec = p.vec[:n]
 	}
-	return true
+	sel := p.vec[:n]
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	for _, t := range p.fan.filters {
+		k := t.f.narrow(sel, rows, w, t.col)
+		p.filtered += len(sel) - k
+		sel = sel[:k]
+	}
+	for i := range p.fan.rowPreds {
+		k := p.fan.rowPreds[i].narrow(sel, rows, w)
+		p.dropped += len(sel) - k
+		sel = sel[:k]
+	}
+	return sel
+}
+
+// narrow keeps the entries of sel whose row has a key of the filtered
+// index in column col, and returns how many it kept. Every entry is
+// written, and the cursor advances by the test's bit: no branch depends
+// on the key.
+func (f *keyFilter) narrow(sel []int32, rows []uint64, w, col int) int {
+	if f.n == 0 {
+		return 0
+	}
+	lo, n, words := f.lo, f.n, f.words
+	k := 0
+	for _, i := range sel {
+		d := rows[int(i)*w+col] - lo // a key below lo wraps past n
+		_, in := bits.Sub64(d, n, 0) // 1 when d < n
+		in = -in                     // all ones when d < n: d indexes the bitmap
+		sel[k] = i
+		k += int(words[d>>6&in] >> (d & 63) & in & 1)
+	}
+	return k
+}
+
+// narrow keeps the entries of sel whose row passes the test, as
+// keyFilter.narrow does, and returns how many it kept: one range is one
+// unsigned compare, v−lo ≤ hi−lo; several ranges are searched.
+func (t *factTest) narrow(sel []int32, rows []uint64, w int) int {
+	k := 0
+	if len(t.pred) != 1 || t.pred[0].Lo > t.pred[0].Hi {
+		for _, i := range sel {
+			sel[k] = i
+			if t.pred.Has(rows[int(i)*w+t.col]) {
+				k++
+			}
+		}
+		return k
+	}
+	lo, span := t.pred[0].Lo, t.pred[0].Hi-t.pred[0].Lo
+	for _, i := range sel {
+		_, out := bits.Sub64(span, rows[int(i)*w+t.col]-lo, 0) // 1 when v−lo > span
+		sel[k] = i
+		k += int(out ^ 1)
+	}
+	return k
 }
 
 // copySlot copies the combination in slot r into a new slot for an entry

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -240,3 +241,19 @@ type KeyPred []KeyRange
 
 // Point returns a predicate matching exactly k.
 func Point(k uint64) KeyPred { return KeyPred{{Lo: k, Hi: k}} }
+
+// Has reports whether v lies in one of the ranges, searched in their
+// sorted order. An empty predicate, or one range with Lo > Hi, has no
+// value.
+func (p KeyPred) Has(v uint64) bool {
+	_, in := slices.BinarySearchFunc(p, v, func(r KeyRange, v uint64) int {
+		switch {
+		case r.Hi < v:
+			return -1
+		case r.Lo > v:
+			return 1
+		}
+		return 0
+	})
+	return in
+}

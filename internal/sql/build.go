@@ -80,7 +80,7 @@ func (b *builder) dimOperator(d *dimInfo) (core.Operator, *core.IndexedTable, er
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := b.residual(residual, d.ti, []*core.IndexedTable{idx}, 0)
+	res, err := b.residual(residual, d.ti, idx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -157,9 +157,13 @@ func (b *builder) buildStar() (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	factRes, err := b.residual(b.restr[b.factName], b.fact, shapes[:2], 1)
-	if err != nil {
-		return nil, err
+	var factPreds []core.AttrPred
+	for _, c := range b.restr[b.factName] {
+		pred, err := b.keyPred(b.fact, c)
+		if err != nil {
+			return nil, err
+		}
+		factPreds = append(factPreds, core.AttrPred{Attr: c.Col.Name, Pred: pred})
 	}
 	var pred core.KeyPred
 	if len(main.conds) > 0 {
@@ -167,7 +171,7 @@ func (b *builder) buildStar() (*Statement, error) {
 			return nil, err
 		}
 	}
-	dimRes, err := b.residual(mainResidual, main.ti, []*core.IndexedTable{mainIdx}, 0)
+	dimRes, err := b.residual(mainResidual, main.ti, mainIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +181,7 @@ func (b *builder) buildStar() (*Statement, error) {
 		Residual:      dimRes,
 		Main:          &core.Base{Table: factIdx},
 		ProbeMainWith: core.Ref{Input: 0, Attr: main.joinKey},
-		MainResidual:  factRes,
+		MainPreds:     factPreds,
 		Assists:       assists,
 		Out:           *out,
 	}})
@@ -225,7 +229,7 @@ func (b *builder) buildSingleTable() (*Statement, error) {
 			return nil, err
 		}
 	}
-	res, err := b.residual(residual, b.fact, shapes, 0)
+	res, err := b.residual(residual, b.fact, idx)
 	if err != nil {
 		return nil, err
 	}

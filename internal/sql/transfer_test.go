@@ -72,8 +72,8 @@ func TestFactRestrictionOnForeignKeyRestrictsDimension(t *testing.T) {
 		if !ok {
 			t.Fatalf("%d: root is %s, want a select-join", y, stmt.Plan.Root.Label())
 		}
-		if want := (core.KeyPred{{Lo: y*10000 + 101, Hi: y*10000 + 1231}}); !slices.Equal(sj.Pred, want) || sj.MainResidual != nil {
-			t.Errorf("%d: select-join predicate %v, main residual set %t; want %v and none", y, sj.Pred, sj.MainResidual != nil, want)
+		if want := (core.KeyPred{{Lo: y*10000 + 101, Hi: y*10000 + 1231}}); !slices.Equal(sj.Pred, want) || len(sj.MainPreds) != 0 {
+			t.Errorf("%d: select-join predicate %v, main predicates %v; want %v and none", y, sj.Pred, sj.MainPreds, want)
 		}
 		days := 0
 		for _, v := range years {
@@ -113,8 +113,8 @@ func TestFactRestrictionOnForeignKeyRestrictsDimension(t *testing.T) {
 	// An assist: the customer region is the more selective restriction,
 	// so the date range filters the fan-out instead of driving it.
 	stmt, _ := check(asia + "lo_orderdate between 19930101 and 19931231 group by c_nation;")
-	if sj, ok := stmt.Plan.Root.(*core.SelectJoin); !ok || len(sj.Assists) != 1 || sj.MainResidual != nil {
-		t.Errorf("assist text planned %s, want a select-join with one assist and no main residual", describe(stmt.Plan.Root))
+	if sj, ok := stmt.Plan.Root.(*core.SelectJoin); !ok || len(sj.Assists) != 1 || len(sj.MainPreds) != 0 {
+		t.Errorf("assist text planned %s, want a select-join with one assist and no main predicate", describe(stmt.Plan.Root))
 	}
 
 	// Two dimensions on one foreign key: the restriction goes to both, and
@@ -143,7 +143,7 @@ func describe(op core.Operator) string {
 	case *core.Selection:
 		s += fmt.Sprint(o.Pred, o.Residual != nil)
 	case *core.SelectJoin:
-		s += fmt.Sprint(o.Pred, o.Residual != nil, o.ProbeMainWith, o.MainResidual != nil)
+		s += fmt.Sprint(o.Pred, o.Residual != nil, o.ProbeMainWith, o.MainPreds)
 		for _, a := range o.Assists {
 			s += fmt.Sprint(a.ProbeWith)
 		}

@@ -518,6 +518,40 @@ func TestProbeFilteredCounts(t *testing.T) {
 	}
 }
 
+// PlanStats.Ops lists operators in one post-order, children in input order
+// and a shared operator once, however the pool schedules the plan: at two
+// workers the independent branches below (two select-joins, each over its
+// own dimension selection and one they share) resolve concurrently and
+// finish in any order, yet every run lists the labels of the serial run.
+func TestPlanStatsOpsOrderIsDeterministic(t *testing.T) {
+	f := buildFixture(3)
+	shared := dimSel(f, "shared")
+	left, right := dimPlan(f, 1, dimSel(f, "a"), shared), dimPlan(f, 2, shared, dimSel(f, "b"))
+	left.Out.Name, right.Out.Name = "Γ_a", "Γ_b"
+	root := sharedPlan(f, 1, shared)
+	root.SelInput, root.Main = left, right
+	labels := func(workers int) []string {
+		_, stats, err := run(t, EnvConfig{Workers: workers}, &Plan{Root: root}, Options{CollectStats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ls []string
+		for _, op := range stats.Ops {
+			ls = append(ls, op.Label)
+		}
+		return ls
+	}
+	want := []string{"σ→a", "σ→shared", "σ⋈4→Γ_a", "σ→b", "σ⋈4→Γ_b", "⋈2→⋈_region"}
+	if got := labels(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("serial Ops labels %q, want %q", got, want)
+	}
+	for i := range 20 {
+		if got := labels(2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d at 2 workers: Ops labels %q, want %q", i, got, want)
+		}
+	}
+}
+
 // TestPlanStatsStringShowsMorselFanOut: which worker claims a morsel is
 // scheduling luck, so an operator whose morsels one worker took alone
 // must still print its fan-out; a serial operator prints no bracket.

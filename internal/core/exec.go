@@ -47,27 +47,13 @@ type ExecContext struct {
 	opts    Options
 	sched   *Scheduler
 	rec     *arena.Recycler // the Env's chunk pool
-	spill   *spill.Manager  // the Env's spill manager (nil without a memory budget)
 	mu      sync.Mutex      // guards opStats under intra-operator parallelism
 	opStats *OperatorStats
 }
 
-// noteSpill folds freeze/thaw events of operator-owned transient state
-// (the registered worker partials of a large merge) into the operator
-// statistics.
-func (ec *ExecContext) noteSpill(spills, restores int) {
-	if ec.opStats == nil || (spills == 0 && restores == 0) {
-		return
-	}
-	ec.mu.Lock()
-	ec.opStats.Spills += spills
-	ec.opStats.Restores += restores
-	ec.mu.Unlock()
-}
-
 // err reports the query context's cancellation state (nil when the
-// context cannot be cancelled). Morsel bodies and merge tasks poll it so
-// a cancelled query stops claiming work promptly.
+// context cannot be cancelled). Morsel bodies and the partial fold poll it
+// so a cancelled query stops claiming work promptly.
 func (ec *ExecContext) err() error {
 	if ec.ctx == nil {
 		return nil
@@ -171,8 +157,10 @@ type OperatorStats struct {
 }
 
 // PlanStats aggregates the statistics of one plan execution in
-// post-order (children before parents), plus the parallelism
-// configuration the plan ran with, so benchmark output records it.
+// post-order (children before parents, children in input order, an
+// operator two parents share once), whatever order the operators ran in,
+// plus the parallelism configuration the plan ran with, so benchmark
+// output records it.
 type PlanStats struct {
 	Ops   []OperatorStats
 	Total time.Duration
@@ -276,7 +264,7 @@ type Plan struct {
 // however long it outlives the plan (and the Env); a caller that is done
 // with it hands its chunks back to the pool with IndexedTable.Release.
 //
-// Cancelling ctx unwinds the plan promptly: morsel loops, merge tasks and
+// Cancelling ctx unwinds the plan promptly: morsel loops, partial folds and
 // operator scans stop at the next batch boundary, waits on spill
 // freeze/thaw transitions return early, pins are released, and — once
 // every in-flight worker has drained — Run returns ctx.Err() with no
@@ -311,7 +299,9 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 	var spill0 spill.Stats
 	var rec0 arena.RecyclerStats
 	if opts.CollectStats {
-		stats = &PlanStats{Workers: ex.sched.Workers()}
+		ex.slots = make(map[Operator]int)
+		statSlots(pl.Root, ex.slots)
+		stats = &PlanStats{Workers: ex.sched.Workers(), Ops: make([]OperatorStats, len(ex.slots))}
 		if ex.spill != nil {
 			spill0 = ex.spill.Stats()
 			stats.MemBudget = ex.spill.Budget()
@@ -352,11 +342,7 @@ func (env *Env) Run(ctx context.Context, pl *Plan, opts Options) (*IndexedTable,
 			// the sibling delta counters.
 			stats.PeakResident = ms.Peak - spill0.Peak
 			for _, ref := range ex.spillOps {
-				// Add (not assign): merge-partial freeze/thaw traffic is
-				// already folded in through noteSpill.
-				s, r := ref.h.Counts()
-				stats.Ops[ref.op].Spills += s
-				stats.Ops[ref.op].Restores += r
+				ref.st.Spills, ref.st.Restores = ref.h.Counts()
 			}
 		}
 		rs := ex.rec.Stats()
@@ -380,6 +366,23 @@ func countUses(op Operator, uses map[Operator]int) {
 	}
 }
 
+// statSlots gives every non-base operator of the plan its slot in
+// PlanStats.Ops, in post-order: children in input order, an operator two
+// parents share once. Slots are fixed before anything runs, so sibling
+// branches that finish in any order under intra-plan parallelism still
+// list their statistics in one order.
+func statSlots(op Operator, slots map[Operator]int) {
+	if _, seen := slots[op]; seen {
+		return
+	}
+	for _, c := range op.Children() {
+		statSlots(c, slots)
+	}
+	if _, isBase := op.(*Base); !isBase {
+		slots[op] = len(slots)
+	}
+}
+
 // executor memoizes operator outputs so DAG-shaped plans run each operator
 // once, and resolves independent children concurrently on the Env's
 // shared worker pool. With a memory budget every non-base operator output
@@ -399,6 +402,8 @@ type executor struct {
 	rec  *arena.Recycler
 	uses map[Operator]int
 
+	slots map[Operator]int // operator → its PlanStats.Ops index (stats only)
+
 	spill    *spill.Manager
 	handles  map[*IndexedTable]*spill.Handle // intermediate table → spill handle
 	spillOps []spillOpRef
@@ -408,7 +413,7 @@ type executor struct {
 // so the freeze/thaw counts can be filled in when the plan finishes.
 type spillOpRef struct {
 	h  *spill.Handle
-	op int
+	st *OperatorStats
 }
 
 // handleOf returns the spill handle of a registered intermediate, nil for
@@ -518,6 +523,9 @@ func (ex *executor) finishOp(op Operator, e *memoEntry, pinned []*spill.Handle, 
 	h := ex.spill.Register(op.Label(), e.out.Idx, e.out.Idx.Bytes)
 	ex.mu.Lock()
 	ex.handles[e.out] = h
+	if e.st != nil {
+		ex.spillOps = append(ex.spillOps, spillOpRef{h: h, st: e.st})
+	}
 	ex.mu.Unlock()
 }
 
@@ -558,13 +566,11 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 			e.err = err
 			return
 		}
-		ec := &ExecContext{ctx: ex.ctx, opts: ex.opts, sched: ex.sched,
-			rec: ex.rec, spill: ex.spill}
-		if stats != nil {
-			if _, isBase := op.(*Base); !isBase {
-				e.st = &OperatorStats{Label: op.Label()}
-				ec.opStats = e.st
-			}
+		ec := &ExecContext{ctx: ex.ctx, opts: ex.opts, sched: ex.sched, rec: ex.rec}
+		if slot, ok := ex.slots[op]; ok {
+			e.st = &stats.Ops[slot]
+			e.st.Label = op.Label()
+			ec.opStats = e.st
 		}
 		t0 := time.Now()
 		e.out, e.err = op.run(ec, inputs)
@@ -582,19 +588,6 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 		}
 		ex.finishOp(op, e, pinned, children, inputs)
 	})
-	if e.err == nil && stats != nil {
-		// Append post-order, exactly once per operator (two consumers of a
-		// shared operator may both arrive here).
-		ex.mu.Lock()
-		if e.st != nil {
-			stats.Ops = append(stats.Ops, *e.st)
-			e.st = nil
-			if h := ex.handles[e.out]; h != nil {
-				ex.spillOps = append(ex.spillOps, spillOpRef{h: h, op: len(stats.Ops) - 1})
-			}
-		}
-		ex.mu.Unlock()
-	}
 	return e.out, e.err
 }
 

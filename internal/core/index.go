@@ -36,9 +36,8 @@ type Leaf = freeze.Leaf
 // deploys: the generalized prefix tree (arbitrary key width) and the
 // KISS-Tree (32-bit keys). QPPT decides per intermediate index which
 // structure to use, at plan time, based on the key width (paper
-// Section 2.2); NewIndex encodes that decision. *prefixtree.Tree,
-// *kisstree.Tree and the sharded index over them implement it directly,
-// spill hooks included, so every index can be frozen under a budget.
+// Section 2.2); NewIndex encodes that decision. *prefixtree.Tree and
+// *kisstree.Tree implement it directly, spill hooks included, so every index can be frozen under a budget.
 type Index interface {
 	// Insert adds one payload row under key (aggregating if the index
 	// was created with a fold function).
@@ -75,7 +74,6 @@ type Index interface {
 var (
 	_ Index = (*prefixtree.Tree)(nil)
 	_ Index = (*kisstree.Tree)(nil)
-	_ Index = (*shardedIndex)(nil)
 )
 
 // IndexConfig parameterizes NewIndex.

@@ -6,16 +6,13 @@ import (
 	"testing"
 )
 
-// BenchmarkMergePartials compares the sequential re-insert merge against
-// the parallel partition-wise merge that morsel-driven execution uses,
-// across worker counts and both index structures (KISS for narrow keys,
-// prefix tree for wide ones). The partition-wise merge should show a
-// clear speedup at ≥ 4 workers.
+// BenchmarkMergePartials times the fold that ends a parallel operator: the
+// later worker partials' rows re-inserted into the first worker's output
+// (foldInto), for 2 and 4 partials and both index structures (KISS for
+// narrow keys, prefix tree for wide ones). Only the fold is timed; the
+// first partial is rebuilt outside the timer before every fold.
 func BenchmarkMergePartials(b *testing.B) {
-	const (
-		nPartials      = 8
-		rowsPerPartial = 120000
-	)
+	const rowsPerPartial = 120000
 	for _, cfg := range []struct {
 		name string
 		bits uint
@@ -30,28 +27,34 @@ func BenchmarkMergePartials(b *testing.B) {
 			Fold: FoldSum(0),
 		}
 		rng := rand.New(rand.NewSource(101))
-		partials := make([]*IndexedTable, nPartials)
-		for p := range partials {
-			idx := newOutputIndex(spec, nil)
-			keys := make([]uint64, rowsPerPartial)
-			rows := make([][]uint64, rowsPerPartial)
-			for i := range keys {
-				keys[i] = uint64(rng.Int63()) & keySpaceMax(cfg.bits)
-				rows[i] = []uint64{uint64(i % 97)}
+		keys := make([][]uint64, 4)
+		rows := make([][][]uint64, 4)
+		for p := range keys {
+			keys[p] = make([]uint64, rowsPerPartial)
+			rows[p] = make([][]uint64, rowsPerPartial)
+			for i := range keys[p] {
+				keys[p][i] = uint64(rng.Int63()) & keySpaceMax(cfg.bits)
+				rows[p][i] = []uint64{uint64(i % 97)}
 			}
-			idx.InsertBatch(keys, rows)
-			partials[p] = NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx)
 		}
-		b.Run(cfg.name+"/serial", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mergePartials(nil, spec, partials, nil)
+		build := func(p int) *IndexedTable {
+			idx := newOutputIndex(spec, nil)
+			idx.InsertBatch(keys[p], rows[p])
+			return NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx)
+		}
+		for _, n := range []int{2, 4} {
+			later := make([]*IndexedTable, n-1)
+			for p := range later {
+				later[p] = build(p + 1)
 			}
-		})
-		for _, workers := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/parallel-w%d", cfg.name, workers), func(b *testing.B) {
-				ec := &ExecContext{sched: NewScheduler(workers)}
+			b.Run(fmt.Sprintf("%s/partials-%d", cfg.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					mergePartialsParallel(ec, spec, partials)
+					b.StopTimer()
+					first := build(0)
+					b.StartTimer()
+					if err := foldInto(nil, first.Idx, later); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"qppt/internal/arena"
-	"qppt/internal/spill"
 )
 
 // Intra-operator parallelism (paper Section 7).
@@ -17,12 +16,12 @@ import (
 // Execution is morsel-driven (see scheduler.go): the operator's input key
 // space is split into many small morsels that idle pool workers steal.
 // Each pool worker scans its morsels into a private partial output index,
-// and the partials are combined by a parallel partition-wise merge: the
-// *output* key space is split into disjoint ranges and all partials are
-// merged per range concurrently — safe because a key's position in the
-// prefix tree is deterministic, so disjoint output ranges never share a
-// subtree. Aggregating outputs merge exactly (the fold is applied again
-// on insert); plain outputs concatenate their duplicate rows.
+// so no two workers ever write one tree. When the scan is done, the later
+// workers' partials fold into the first worker's output, one after another
+// (foldInto): aggregating outputs fold exactly (the fold is applied again
+// on insert), and plain outputs append their duplicate rows in pipeline
+// order. Morsel-driven parallelism needs the morsels and that fold, not a
+// partitioned output layout.
 //
 // Operators opt in through EnvConfig.Workers > 1; the default (and the
 // paper's evaluation mode) stays single-threaded.
@@ -30,8 +29,7 @@ import (
 // partitionBounds splits the key space [lo, hi] into `parts` contiguous
 // chunks and returns the bounds of chunk `part` (0-based). The split is by
 // key *space*, matching the subtree partitioning of an unbalanced trie:
-// chunk boundaries align with subtree boundaries, never with data. The
-// same function produces both the scan morsels and the merge partitions.
+// chunk boundaries align with subtree boundaries, never with data.
 func partitionBounds(lo, hi uint64, part, parts int) (uint64, uint64, bool) {
 	if lo > hi || parts <= 0 || part >= parts {
 		return 0, 0, false
@@ -114,9 +112,9 @@ type boundsFn = func() (uint64, uint64, bool)
 // then drains every probe stage and the sink: a stage flushes on its own
 // only at bufSize keys, so a morsel of fewer driving keys would otherwise
 // leave its probes, fan-out and inserts to a serial pass after the
-// parallel region. The per-worker partial outputs are then combined with
-// the parallel partition-wise merge, or, for a dense fold, the workers'
-// arrays fold into the first's. With a single worker the lone
+// parallel region. The later workers' partial outputs then fold into the
+// first's, in pipeline order: their trees' rows through foldInto, or, for
+// a dense fold, their arrays slot by slot. With a single worker the lone
 // partial is the output itself and execution degenerates to the paper's
 // single-threaded mode.
 //
@@ -210,44 +208,37 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 		}
 	}()
 	if acc := live[0].snk.dense; acc != nil {
-		// Dense arrays fold slot by slot into the first, in pipeline
-		// order, as the tree merge folds the partials; the first
-		// pipeline's index then takes the result. The other partials'
-		// trees never held a row.
-		for i, p := range live[1:] {
+		// Dense arrays fold slot by slot into the first, in pipeline order;
+		// the first pipeline's index then takes the result. The other
+		// partials' trees never held a row.
+		for _, p := range live[1:] {
 			acc.absorb(p.snk.dense)
-			partials[i+1].Release()
 		}
 		live[0].snk.emitDense()
-		return partials[0], nil
+	} else if len(partials) > 1 {
+		err = foldInto(ec, partials[0].Idx, partials[1:])
 	}
-	if len(partials) == 1 {
-		// One worker claimed every non-empty morsel: its partial already is
-		// the complete output.
-		return partials[0], nil
+	// The later partials are dead once folded; their chunks feed the next
+	// allocations instead of the GC.
+	for _, p := range partials[1:] {
+		p.Release()
 	}
-	out, err := mergePartialsParallel(ec, spec, partials)
 	if err != nil {
 		return nil, err
 	}
-	// The per-worker partials are dead the moment the merge re-inserted
-	// their rows (the output owns copies); with a recycler their chunks
-	// immediately feed the next allocations instead of the GC.
-	for _, p := range partials {
-		p.Release()
-	}
-	return out, nil
+	return partials[0], nil
 }
 
-// mergeRangeInto folds the [lo, hi] slice of every partial into idx, in
-// partial order. Aggregating outputs merge exactly because the fold is
-// applied again on insert; plain outputs concatenate their duplicate rows.
-// The merge polls ec on the abortTickMask cadence (one check per 1024
-// entries) and returns the cancellation error — a large merge range must
-// not keep folding rows into an output nobody will read. ec may be nil
+// foldInto re-inserts every row of partials into idx, one partial after
+// another in key order. Aggregating outputs fold exactly because the fold
+// is applied again on insert; plain outputs append each key's duplicate
+// rows behind the ones idx holds, so a key's rows keep pipeline order. The
+// fold polls ec on the abortTickMask cadence (one check per 1024 entries)
+// and returns the cancellation error: a large partial must not keep
+// folding rows into an output nobody will read. ec may be nil
 // (non-cancellable). The batch buffers come from ec's chunk pool and go
 // back at the longest batch, the prefix the pool clears.
-func mergeRangeInto(ec *ExecContext, idx Index, partials []*IndexedTable, lo, hi uint64) error {
+func foldInto(ec *ExecContext, idx Index, partials []*IndexedTable) error {
 	var rec *arena.Recycler
 	if ec != nil {
 		rec = ec.rec
@@ -255,7 +246,7 @@ func mergeRangeInto(ec *ExecContext, idx Index, partials []*IndexedTable, lo, hi
 	keys := arena.NewChunk[uint64](rec, DefaultBufferSize)
 	rows := arena.NewChunk[[]uint64](rec, DefaultBufferSize)
 	ticks, cancelled, high := 0, false, 0
-	poll := func() bool { // reports whether the merge must stop
+	poll := func() bool { // reports whether the fold must stop
 		ticks++
 		if ticks&abortTickMask != 0 {
 			return cancelled
@@ -277,7 +268,7 @@ func mergeRangeInto(ec *ExecContext, idx Index, partials []*IndexedTable, lo, hi
 		if cancelled {
 			break
 		}
-		p.Idx.Range(lo, hi, func(lf *Leaf) bool {
+		p.Idx.Iterate(func(lf *Leaf) bool {
 			if poll() {
 				return false
 			}
@@ -293,7 +284,6 @@ func mergeRangeInto(ec *ExecContext, idx Index, partials []*IndexedTable, lo, hi
 		})
 		flush() // rows alias partial memory; flush before moving on
 	}
-	flush()
 	putScratch(rec, keys, high)
 	putScratch(rec, rows, high)
 	if cancelled {
@@ -311,127 +301,4 @@ func newOutputIndex(spec *OutputSpec, rec *arena.Recycler) Index {
 		Fold:         spec.Fold,
 		Recycler:     rec,
 	})
-}
-
-// mergePartials is the sequential merge baseline: it folds per-worker
-// partial outputs into one final output index by re-insertion, scanning
-// the partials one after another over the full key space. ec may be nil
-// (non-cancellable); a cancelled merge returns the context's error.
-func mergePartials(ec *ExecContext, spec *OutputSpec, partials []*IndexedTable, rec *arena.Recycler) (*IndexedTable, error) {
-	idx := newOutputIndex(spec, rec)
-	if err := mergeRangeInto(ec, idx, partials, 0, keySpaceMax(spec.Key.TotalBits())); err != nil {
-		return nil, err
-	}
-	return newOutputTable(spec, idx, rec), nil
-}
-
-// parallelMergeMinKeys gates the parallel merge: below this many output
-// rows the sequential re-insert wins on setup cost.
-const parallelMergeMinKeys = 4096
-
-// mergePartialsParallel is the parallel partition-wise merge: it splits
-// the output key space into disjoint ranges (one per merge task, aligned
-// to prefix-subtree boundaries like the scan morsels) and merges all
-// partials per range concurrently on the shared pool, producing a
-// range-sharded output index. Disjoint output ranges never touch the same
-// subtree, so the per-range merge tasks need no synchronization. The only
-// error a merge task can return is the query context's cancellation.
-func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*IndexedTable) (*IndexedTable, error) {
-	sched := ec.scheduler()
-	total := 0
-	for _, p := range partials {
-		total += p.Idx.Rows()
-	}
-	if !sched.parallel() || total < parallelMergeMinKeys {
-		return mergePartials(ec, spec, partials, ec.rec)
-	}
-	var lo, hi uint64
-	any := false
-	for _, p := range partials {
-		l, ok := p.Idx.Min()
-		if !ok {
-			continue
-		}
-		h, _ := p.Idx.Max()
-		if !any || l < lo {
-			lo = l
-		}
-		if !any || h > hi {
-			hi = h
-		}
-		any = true
-	}
-	if !any {
-		return mergePartials(ec, spec, partials, ec.rec)
-	}
-	// Two ranges per worker give the claiming loops room to balance ranges
-	// of uneven density without fragmenting the output into many shards.
-	parts := sched.Workers() * 2
-	var los, his []uint64
-	for r := 0; r < parts; r++ {
-		rLo, rHi, ok := partitionBounds(lo, hi, r, parts)
-		if !ok {
-			continue
-		}
-		los = append(los, rLo)
-		his = append(his, rHi)
-	}
-	if len(los) < 2 {
-		return mergePartials(ec, spec, partials, ec.rec)
-	}
-	// Under a memory budget the worker partials are spillable state like
-	// any other intermediate: register them with the manager so a large
-	// merge does not hold the full partial population resident. Each
-	// merge task then pins every partial for its range's merge.
-	var phs []*spill.Handle
-	if ec.spill != nil {
-		phs = make([]*spill.Handle, len(partials))
-		for i, p := range partials {
-			phs[i] = ec.spill.Register("partial:"+spec.Name, p.Idx, p.Idx.Bytes)
-		}
-	}
-	shards := make([]Index, len(los))
-	err := sched.ForEachWorker(len(shards), func(_, r int) error {
-		if err := ec.err(); err != nil {
-			return err // cancelled: stop claiming merge ranges
-		}
-		for i, h := range phs {
-			if err := h.PinCtx(ec.ctx); err != nil {
-				for _, ph := range phs[:i] {
-					ph.Unpin()
-				}
-				return err
-			}
-		}
-		idx := newOutputIndex(spec, ec.rec)
-		mergeErr := mergeRangeInto(ec, idx, partials, los[r], his[r])
-		for _, h := range phs {
-			h.Unpin()
-		}
-		if mergeErr != nil {
-			return mergeErr
-		}
-		shards[r] = idx
-		return nil
-	})
-	if phs != nil {
-		// The partials die with this merge; fold their freeze/thaw
-		// traffic into the operator's statistics before dropping them.
-		spills, restores := 0, 0
-		for _, h := range phs {
-			s, r := h.Counts()
-			spills, restores = spills+s, restores+r
-			h.Drop()
-		}
-		ec.noteSpill(spills, restores)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Extend the edge shards so the sharded index routes the full key
-	// space, not just the observed interval.
-	los[0] = 0
-	his[len(his)-1] = keySpaceMax(spec.Key.TotalBits())
-	sh := newShardedIndex(shards, los, his, spec.Key.TotalBits())
-	return newOutputTable(spec, sh, ec.rec), nil
 }

@@ -364,180 +364,65 @@ func TestMorselsBalanceSkewedKeys(t *testing.T) {
 	}
 }
 
-// TestMergePartialsParallelMatchesSerial: the partition-wise parallel
-// merge must produce exactly the table the sequential re-insert produces,
-// for folding and plain outputs alike, and for plain outputs of no column,
-// whose duplicate lists are only a row count.
-func TestMergePartialsParallelMatchesSerial(t *testing.T) {
+// TestPartialFoldKeepsRowOrder: folding the later worker partials into the
+// first gives the table that one index gets from every partial's rows
+// inserted in partial order: the same keys in the same order and, per key,
+// the same row sequence. Folding, plain and width-0 outputs, a KISS key and
+// a prefix-tree key, 1–5 partials, some of them empty (the first included).
+func TestPartialFoldKeepsRowOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
-	for _, c := range []struct {
-		name string
-		cols []string
-		fold func(dst, src []uint64)
-	}{
-		{"folding", []string{"v"}, FoldSum(0)},
-		{"plain", []string{"v"}, nil},
-		{"plain-width-0", nil, nil},
-	} {
-		spec := &OutputSpec{
-			Name: "m",
-			Key:  SimpleKey("k", 40), // prefix tree
-			Cols: c.cols,
-			Fold: c.fold,
-		}
-		var partials []*IndexedTable
-		for p := 0; p < 5; p++ {
-			idx := newOutputIndex(spec, nil)
-			for i := 0; i < 9000; i++ {
-				row := []uint64{uint64(rng.Intn(10))}
-				idx.Insert(uint64(rng.Intn(1<<22)), row[:len(c.cols)])
+	for _, bits := range []uint{24, 40} {
+		for _, c := range []struct {
+			name string
+			cols []string
+			fold func(dst, src []uint64)
+		}{
+			{"folding", []string{"v"}, FoldSum(0)},
+			{"plain", []string{"v"}, nil},
+			{"plain-width-0", nil, nil},
+		} {
+			spec := &OutputSpec{Name: "m", Key: SimpleKey("k", bits), Cols: c.cols, Fold: c.fold}
+			for n := 1; n <= 5; n++ {
+				want := newOutputIndex(spec, nil)
+				partials := make([]*IndexedTable, n)
+				for p := range partials {
+					idx := newOutputIndex(spec, nil)
+					if (p+n)%3 != 0 {
+						for range 3000 {
+							k := uint64(rng.Intn(2048)) << (bits - 11)
+							row := []uint64{uint64(rng.Intn(1000))}[:len(c.cols)]
+							idx.Insert(k, row)
+							want.Insert(k, row)
+						}
+					}
+					partials[p] = NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx)
+				}
+				got := partials[0].Idx
+				if err := foldInto(nil, got, partials[1:]); err != nil {
+					t.Fatal(err)
+				}
+				if g, w := rowSequence(got), rowSequence(want); !slices.Equal(g, w) {
+					t.Fatalf("%d bits, %s, %d partials: folded table differs from the in-order insert (%d vs %d words)",
+						bits, c.name, n, len(g), len(w))
+				}
 			}
-			partials = append(partials, NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx))
 		}
-		serial, _ := mergePartials(nil, spec, partials, nil)
-		ec := &ExecContext{sched: NewScheduler(4)}
-		par, _ := mergePartialsParallel(ec, spec, partials)
-		if _, sharded := par.Idx.(*shardedIndex); !sharded {
-			t.Fatalf("%s: parallel merge did not shard", c.name)
-		}
-		if want := 5 * 9000; c.fold == nil && par.Rows() != want {
-			t.Fatalf("%s: merged %d rows, want %d", c.name, par.Rows(), want)
-		}
-		assertSameTable(t, serial, par)
 	}
 }
 
-// assertSameTable checks two indexed tables hold the same keys in the same
-// ascending order with the same per-key row multisets.
-func assertSameTable(t *testing.T, a, b *IndexedTable) {
-	t.Helper()
-	if a.Rows() != b.Rows() || a.Keys() != b.Keys() {
-		t.Fatalf("rows/keys: %d/%d vs %d/%d", a.Rows(), a.Keys(), b.Rows(), b.Keys())
-	}
-	collect := func(tb *IndexedTable) ([]uint64, map[uint64]map[[2]uint64]int) {
-		var order []uint64
-		rows := map[uint64]map[[2]uint64]int{}
-		tb.Idx.Iterate(func(lf *Leaf) bool {
-			k := lf.Key
-			order = append(order, k)
-			m := map[[2]uint64]int{}
-			lf.Vals.Scan(func(row []uint64) bool {
-				var cell [2]uint64
-				copy(cell[:], row)
-				m[cell]++
-				return true
-			})
-			rows[k] = m
+// rowSequence flattens an index in key order: each key, its row count and
+// its rows in duplicate-list order.
+func rowSequence(idx Index) []uint64 {
+	var seq []uint64
+	idx.Iterate(func(lf *Leaf) bool {
+		seq = append(seq, lf.Key, uint64(lf.Vals.Len()))
+		lf.Vals.Scan(func(row []uint64) bool {
+			seq = append(seq, row...)
 			return true
 		})
-		return order, rows
-	}
-	aOrder, aRows := collect(a)
-	bOrder, bRows := collect(b)
-	if !reflect.DeepEqual(aOrder, bOrder) {
-		t.Fatal("key iteration order differs")
-	}
-	if !reflect.DeepEqual(aRows, bRows) {
-		t.Fatal("per-key row multisets differ")
-	}
-}
-
-// TestShardedIndexSemantics: the sharded index a parallel merge produces
-// must behave exactly like the equivalent plain index for every Index
-// operation downstream operators use.
-func TestShardedIndexSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	spec := &OutputSpec{Name: "s", Key: SimpleKey("k", 32), Cols: []string{"v"}}
-	var partials []*IndexedTable
-	for p := 0; p < 3; p++ {
-		idx := newOutputIndex(spec, nil)
-		for i := 0; i < 6000; i++ {
-			idx.Insert(uint64(rng.Intn(1<<30)), []uint64{uint64(i)})
-		}
-		partials = append(partials, NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx))
-	}
-	plain, _ := mergePartials(nil, spec, partials, nil)
-	ec := &ExecContext{sched: NewScheduler(3)}
-	sharded, _ := mergePartialsParallel(ec, spec, partials)
-	sh, ok := sharded.Idx.(*shardedIndex)
-	if !ok {
-		t.Fatal("parallel merge did not shard")
-	}
-
-	if pm, _ := plain.Idx.Min(); func() uint64 { m, _ := sh.Min(); return m }() != pm {
-		t.Fatal("Min differs")
-	}
-	if pm, _ := plain.Idx.Max(); func() uint64 { m, _ := sh.Max(); return m }() != pm {
-		t.Fatal("Max differs")
-	}
-	if sh.PayloadWidth() != plain.Idx.PayloadWidth() {
-		t.Fatal("PayloadWidth differs")
-	}
-
-	// Point lookups and batch lookups, hits and misses.
-	probes := make([]uint64, 0, 6000)
-	for i := 0; i < 4000; i++ {
-		probes = append(probes, uint64(rng.Intn(1<<30)))
-	}
-	hits := 0
-	plain.Idx.Iterate(func(lf *Leaf) bool {
-		probes = append(probes, lf.Key)
-		hits++
-		return hits < 2000
+		return true
 	})
-	for _, k := range probes {
-		a, b := plain.Idx.Lookup(k), sh.Lookup(k)
-		if (a == nil) != (b == nil) {
-			t.Fatalf("Lookup(%d) presence differs", k)
-		}
-		if a != nil && a.Vals.Len() != b.Vals.Len() {
-			t.Fatalf("Lookup(%d) multiplicity differs", k)
-		}
-	}
-	got := map[int]int{}
-	sh.LookupBatch(probes, func(i int, lf *Leaf) {
-		if lf != nil {
-			got[i] = lf.Vals.Len()
-		}
-	})
-	want := map[int]int{}
-	plain.Idx.LookupBatch(probes, func(i int, lf *Leaf) {
-		if lf != nil {
-			want[i] = lf.Vals.Len()
-		}
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("LookupBatch results differ")
-	}
-
-	// Range scans, including ones spanning shard boundaries.
-	for trial := 0; trial < 50; trial++ {
-		lo := uint64(rng.Intn(1 << 30))
-		hi := lo + uint64(rng.Intn(1<<28))
-		var a, b []uint64
-		plain.Idx.Range(lo, min(hi, keySpaceMax(32)), func(lf *Leaf) bool {
-			a = append(a, lf.Key)
-			return true
-		})
-		sh.Range(lo, min(hi, keySpaceMax(32)), func(lf *Leaf) bool {
-			b = append(b, lf.Key)
-			return true
-		})
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("Range(%d,%d) differs: %d vs %d keys", lo, hi, len(a), len(b))
-		}
-	}
-
-	// Inserting after the merge routes to the owning shard.
-	preKeys := sh.Keys()
-	sh.Insert(0, []uint64{7})
-	sh.Insert(keySpaceMax(32), []uint64{8})
-	if sh.Keys() < preKeys+1 {
-		t.Fatal("post-merge inserts lost")
-	}
-	if sh.Lookup(keySpaceMax(32)) == nil {
-		t.Fatal("post-merge insert at key-space edge not found")
-	}
+	return seq
 }
 
 // rendezvousIndex is an Index whose LookupBatch waits, up to a timeout,

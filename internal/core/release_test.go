@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 
-	"qppt/internal/arena"
 	"qppt/internal/arena/arenatest"
 )
 
@@ -91,37 +89,6 @@ func TestResultRelease(t *testing.T) {
 		t.Fatalf("cancelled plan returned table=%v err=%v", failed, err)
 	}
 	failed.Release()
-}
-
-// A sharded result (the parallel partition-wise merge's output) releases
-// shard by shard, and dropping it allocates nothing beyond the pool's
-// bookkeeping.
-func TestShardedReleaseAllocatesNothing(t *testing.T) {
-	rec := arena.NewRecycler()
-	spec := &OutputSpec{Name: "sh", Key: SimpleKey("k", 32), Cols: []string{"v"}}
-	tables := make([]*IndexedTable, 8)
-	for i := range tables {
-		shards := make([]Index, 4)
-		for s := range shards {
-			shards[s] = newOutputIndex(spec, rec)
-			shards[s].Insert(uint64(s)<<20, []uint64{1})
-		}
-		sh := newShardedIndex(shards, []uint64{0, 1 << 20, 2 << 20, 3 << 20},
-			[]uint64{1<<20 - 1, 2<<20 - 1, 3<<20 - 1, keySpaceMax(32)}, 32)
-		tables[i] = newOutputTable(spec, sh, rec)
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for _, tb := range tables {
-		tb.Release()
-	}
-	runtime.ReadMemStats(&m1)
-	if per := (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(tables)); per > 4096 {
-		t.Errorf("dropping a 4-shard index allocates %d B; it should allocate (next to) nothing", per)
-	}
-	if st := rec.Stats(); st.Recycled < 4*5*len(tables) {
-		t.Errorf("released shards parked %d chunks", st.Recycled)
-	}
 }
 
 // Project carves rows in the caller's column order from one backing array

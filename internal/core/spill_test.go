@@ -1,11 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
-	"io"
 	"os"
 	"reflect"
 	"slices"
@@ -13,88 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"qppt/internal/arena"
 	"qppt/internal/arena/arenatest"
-	"qppt/internal/kisstree"
-	"qppt/internal/prefixtree"
 )
-
-// Regression: shard() used to return len(s.his) for a key above the last
-// shard's bound, so Insert/Lookup panicked with index-out-of-range. The
-// last shard's range is documented as extended to the key-space maximum;
-// keys at and beyond it must clamp there and behave like any other key.
-// Both shard kinds: KISS-Tree shards accept any 32-bit key, prefix-tree
-// shards must answer a probe past their key width as a miss.
-func TestShardedIndexClampRouting(t *testing.T) {
-	for _, bits := range []uint{16, 40} {
-		max := keySpaceMax(bits)
-		mk := func() Index { return NewIndex(IndexConfig{KeyBits: bits, PayloadWidth: 1}) }
-		a, b := mk(), mk()
-		a.Insert(5, []uint64{50})
-		b.Insert(max, []uint64{99})
-		s := newShardedIndex([]Index{a, b}, []uint64{0, max/2 + 1}, []uint64{max / 2, max}, bits)
-
-		// At the key-space maximum: owned by the last shard.
-		if lf := s.Lookup(max); lf == nil || lf.Vals.First()[0] != 99 {
-			t.Fatalf("%d bits: Lookup(max) = %v, want the stored row", bits, lf)
-		}
-		// Beyond it (e.g. a probe attribute wider than the index key): must
-		// clamp to the last shard and read as a miss — no panic.
-		if lf := s.Lookup(max + 1); lf != nil {
-			t.Fatalf("%d bits: Lookup(max+1) = %v, want nil", bits, lf)
-		}
-		got := map[int]uint64{}
-		s.LookupBatch([]uint64{5, max, max + 12345}, func(i int, lf *Leaf) {
-			if lf != nil {
-				got[i] = lf.Vals.First()[0]
-			}
-		})
-		if !reflect.DeepEqual(got, map[int]uint64{0: 50, 1: 99}) {
-			t.Fatalf("%d bits: LookupBatch beyond max = %v", bits, got)
-		}
-		if bits > kisstree.KeyBits {
-			continue // a prefix-tree shard rejects a key past its width
-		}
-		// Inserts beyond the bound clamp into the last shard and stay
-		// findable (the KISS shard accepts any 32-bit key; routing must
-		// not panic).
-		s.Insert(max+2, []uint64{7})
-		if lf := s.Lookup(max + 2); lf == nil || lf.Vals.First()[0] != 7 {
-			t.Fatalf("%d bits: Insert beyond max not routed to the last shard", bits)
-		}
-	}
-}
-
-// The sharded index a parallel merge produces must survive a freeze/thaw
-// cycle shard-for-shard.
-func TestShardedIndexFreezeThaw(t *testing.T) {
-	spec := &OutputSpec{Name: "s", Key: SimpleKey("k", 32), Cols: []string{"v"}}
-	var partials []*IndexedTable
-	for p := 0; p < 3; p++ {
-		idx := newOutputIndex(spec, nil)
-		for i := 0; i < 6000; i++ {
-			idx.Insert(uint64(i*7+p), []uint64{uint64(i)})
-		}
-		partials = append(partials, NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx))
-	}
-	ec := &ExecContext{sched: NewScheduler(3)}
-	merged, _ := mergePartialsParallel(ec, spec, partials)
-	sh, ok := merged.Idx.(*shardedIndex)
-	if !ok {
-		t.Fatal("parallel merge did not shard")
-	}
-	plain, _ := mergePartials(nil, spec, partials, nil)
-
-	var buf bytes.Buffer
-	if err := sh.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	sh.Release()
-	if err := sh.Thaw(&buf); err != nil {
-		t.Fatalf("Thaw: %v", err)
-	}
-	assertSameTable(t, plain, merged)
-}
 
 // A plan run under a memory budget must spill (and restore) intermediates
 // yet produce bit-identical results, serially and with morsel
@@ -135,13 +51,12 @@ func TestMemBudgetSpillsAndMatches(t *testing.T) {
 	}
 }
 
-// Under a budget the partition-wise merge registers the worker partials
-// with the spill manager and pins them for each merge range: a budget
-// below any partial freezes each on registration and thaws it for the
-// ranges that read it, the merging operator reports that traffic, and the
-// answer is the unbudgeted one.
-func TestBudgetedParallelMergeSpillsPartials(t *testing.T) {
-	const nKeys, groups = 100000, 2 * parallelMergeMinKeys
+// Under a budget below any index, an operator whose scan ran on several
+// workers folds their partials into the first worker's output and gives
+// the unbudgeted answer. The partials are the operator's own and never
+// enter the spill manager.
+func TestBudgetedParallelFold(t *testing.T) {
+	const nKeys, groups = 100000, 8192
 	idx := NewIndex(IndexConfig{KeyBits: 32, PayloadWidth: 1})
 	for k := uint64(0); k < nKeys; k++ {
 		idx.Insert(k, []uint64{k % groups})
@@ -186,14 +101,10 @@ func TestBudgetedParallelMergeSpillsPartials(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(Extract(got).Rows, Extract(want).Rows) {
-		t.Fatal("budgeted parallel merge changed the result")
+		t.Fatal("budgeted parallel fold changed the result")
 	}
-	op := stats.Ops[len(stats.Ops)-1]
-	if op.Workers < 2 {
-		t.Fatalf("the scan ran on %d worker: no partials to merge", op.Workers)
-	}
-	if op.Spills == 0 || op.Restores == 0 {
-		t.Fatalf("merging operator reports %d spills, %d restores; want both > 0", op.Spills, op.Restores)
+	if op := stats.Ops[len(stats.Ops)-1]; op.Workers < 2 {
+		t.Fatalf("the scan ran on %d worker: no partials to fold", op.Workers)
 	}
 }
 
@@ -366,158 +277,5 @@ func TestSpillLiveness(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// frozen reports whether a tree-backed index's storage is detached.
-func frozen(idx Index) bool {
-	switch v := idx.(type) {
-	case *prefixtree.Tree:
-		return v.Frozen()
-	case *kisstree.Tree:
-		return v.Frozen()
-	}
-	return false
-}
-
-// A multi-shard restore that fails midway must roll every shard back to
-// frozen, so a later thaw from the intact snapshot still succeeds — and
-// must never leave a mix of resident and frozen shards behind.
-func TestShardedThawRollsBackOnError(t *testing.T) {
-	spec := &OutputSpec{Name: "s", Key: SimpleKey("k", 32), Cols: []string{"v"}}
-	var partials []*IndexedTable
-	for p := 0; p < 3; p++ {
-		idx := newOutputIndex(spec, nil)
-		for i := 0; i < 6000; i++ {
-			idx.Insert(uint64(i*7+p), []uint64{uint64(i)})
-		}
-		partials = append(partials, NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx))
-	}
-	ec := &ExecContext{sched: NewScheduler(3)}
-	merged, _ := mergePartialsParallel(ec, spec, partials)
-	sh, ok := merged.Idx.(*shardedIndex)
-	if !ok {
-		t.Fatal("parallel merge did not shard")
-	}
-	want, _ := mergePartials(nil, spec, partials, nil)
-
-	var buf bytes.Buffer
-	if err := sh.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sh.Release()
-	snapshot := buf.Bytes()
-
-	// A truncated stream fails partway through the shard sequence…
-	if err := sh.Thaw(bytes.NewReader(snapshot[:len(snapshot)*2/3])); err == nil {
-		t.Fatal("truncated thaw did not fail")
-	}
-	// …and the rollback must leave every shard frozen again, holding
-	// nothing — the shard the stream ended in included,
-	for _, shard := range sh.shards {
-		if !frozen(shard) {
-			t.Fatal("shard left resident after failed multi-shard thaw")
-		}
-	}
-	if b := sh.Bytes(); b != 0 {
-		t.Fatalf("frozen shards still hold %d bytes after failed multi-shard thaw", b)
-	}
-	// …so a retry from the intact snapshot fully recovers.
-	if err := sh.Thaw(bytes.NewReader(snapshot)); err != nil {
-		t.Fatalf("retry thaw after rollback: %v", err)
-	}
-	assertSameTable(t, want, merged)
-}
-
-// snapshotCuts walks a stream of concatenated tree snapshots (package
-// freeze's format) and returns the offsets to truncate it at: every
-// structure's start, inside its magic, both ends and the middle of every
-// interior section, around the leaf directory, and inside its first and
-// last leaf.
-func snapshotCuts(b []byte) []int {
-	const kissMagic = 0x5150_5054_4B53_0004
-	u64 := func(off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
-	var cuts []int
-	for off := 0; off < len(b); {
-		sections := 1 // prefix tree: node slots
-		if binary.LittleEndian.Uint64(b[off:]) == kissMagic {
-			sections = 2 // root pages, node slots
-		}
-		cuts = append(cuts, off, off+4)
-		p := off + 8
-		for range sections {
-			size := u64(p)
-			cuts = append(cuts, p, p+8, p+8+size/2)
-			p += 8 + size
-		}
-		nChunks := u64(p + 8)
-		leaves := p + 16 + 24*nChunks
-		off = leaves
-		for c := 0; c < nChunks; c++ {
-			off += u64(p + 32 + 24*c)
-		}
-		cuts = append(cuts, p, p+8, p+16, leaves, leaves+20, off-4)
-	}
-	slices.Sort(cuts)
-	return slices.Compact(cuts)
-}
-
-// A two-shard index — a prefix tree and a KISS-Tree sharing one stream —
-// cut at every framing boundary and inside
-// a leaf of every shard: Thaw fails with io.ErrUnexpectedEOF, leaves every
-// shard frozen with zero bytes and every drawn chunk back in the pool, and
-// the intact stream then restores the index.
-func TestShardedThawTruncatedAnywhere(t *testing.T) {
-	arenatest.CheckZeroHandouts(t)
-	rec := arena.NewRecycler()
-	const bits = 24
-	var shards []Index
-	var los, his []uint64
-	for i, idx := range []Index{
-		prefixtree.MustNew(prefixtree.Config{KeyBits: bits, PayloadWidth: 1, Recycler: rec}),
-		kisstree.MustNew(kisstree.Config{PayloadWidth: 1, Recycler: rec}),
-	} {
-		lo := uint64(i) << 22
-		for k := uint64(0); k < 9000; k++ {
-			idx.Insert(lo+k*311%(1<<22), []uint64{k})
-		}
-		shards, los, his = append(shards, idx), append(los, lo), append(his, lo+1<<22-1)
-	}
-	sh := newShardedIndex(shards, los, his, bits)
-	collect := func() map[uint64][][]uint64 {
-		m := map[uint64][][]uint64{}
-		sh.Iterate(func(lf *Leaf) bool {
-			m[lf.Key] = lf.Vals.Rows()
-			return true
-		})
-		return m
-	}
-	want := collect()
-	var buf bytes.Buffer
-	if err := sh.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sh.Release()
-	snapshot := buf.Bytes()
-	pooled := rec.Stats().PooledBytes
-
-	for _, cut := range snapshotCuts(snapshot) {
-		if err := sh.Thaw(bytes.NewReader(snapshot[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut at %d of %d: error %v, want io.ErrUnexpectedEOF", cut, len(snapshot), err)
-		}
-		for i, shard := range sh.shards {
-			if !frozen(shard) || shard.Bytes() != 0 {
-				t.Fatalf("cut at %d: shard %d left frozen=%v with %d bytes", cut, i, frozen(shard), shard.Bytes())
-			}
-		}
-		if got := rec.Stats().PooledBytes; got != pooled {
-			t.Fatalf("cut at %d: pool holds %d bytes, %d before the failed thaw", cut, got, pooled)
-		}
-	}
-	if err := sh.Thaw(bytes.NewReader(snapshot)); err != nil {
-		t.Fatalf("Thaw of the intact stream: %v", err)
-	}
-	if !reflect.DeepEqual(collect(), want) {
-		t.Fatal("restored content differs")
 	}
 }

@@ -16,14 +16,14 @@ import "qppt/internal/arena"
 //
 //   - each pool worker builds a private partial index — its own tree, its
 //     own slab — so scan/probe parallelism never shares a slab;
-//   - the parallel partition-wise merge gives every merge range its own
-//     output shard (again: own tree, own slab) and re-inserts rows on the
-//     worker that owns that shard;
+//   - once the workers are done, the later partials' rows are re-inserted
+//     into the first worker's tree on the one goroutine that runs the
+//     operator, so its slab still has one writer;
 //   - the spill manager freezes/thaws an index only while no operator has
 //     it pinned, so no writer is active.
 //
-// Concurrent readers of a quiesced slab are safe (the merge's range scans
-// rely on that). Anyone building indexes outside core must keep one
+// Concurrent readers of a quiesced slab are safe (an operator's workers
+// probe and scan its inputs that way). Anyone building indexes outside core must keep one
 // writer per slab the same way.
 type Slab struct {
 	blocks [][]uint64

@@ -32,12 +32,10 @@
 // io.ErrUnexpectedEOF. A thaw that fails leaves the tree frozen, holding
 // no storage.
 //
-// The codec consumes exactly its own bytes and never reads ahead, so
-// several structures can share one stream (a sharded index snapshots all
-// its shards into one spill file). Callers provide the buffering — a
-// writer or a reader — and reuse it across events; wrapping w or r here
-// would steal the next structure's bytes and cost an allocation per freeze
-// or thaw.
+// The codec consumes exactly its own bytes and never reads ahead. Callers
+// provide the buffering — a writer or a reader — and reuse it across
+// events; wrapping w or r here would cost an allocation per freeze or
+// thaw.
 package freeze
 
 import (

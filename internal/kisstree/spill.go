@@ -15,7 +15,7 @@ import (
 // across a freeze.
 
 // kissFreezeMagic distinguishes KISS-Tree freeze streams from prefix-tree
-// ones (a sharded index freezes heterogeneous shards into one file).
+// ones.
 const kissFreezeMagic = 0x5150_5054_4B53_0004 // "QPPT" + KISS format 4
 
 // rootPageBytes is one serialized root page: its directory index and its

@@ -57,12 +57,12 @@ import (
 // A Freezer can snapshot its storage into a byte stream, detach it, and
 // restore it later. core.Index embeds it, so every index the engine
 // builds can spill: both QPPT tree kinds implement it via their arena
-// chunk export, and the sharded index over them chains its shards'.
+// chunk export.
 //
 // Snapshot and Release are split so the manager can sequence them safely
 // around file I/O: Release is called only after the snapshot is flushed
 // and closed on disk. If writing fails at any point — including a
-// buffered flush, or midway through a multi-shard stream — nothing has
+// buffered flush, or midway through the stream — nothing has
 // been detached and the structure simply stays resident.
 type Freezer interface {
 	// WriteSnapshot serializes the structure's storage to w, leaving the
@@ -116,9 +116,7 @@ type Manager struct {
 }
 
 // An ioBuf buffers the framing words of one freeze or thaw; both sides pass
-// payloads of their own size or more straight through to the file. One
-// reader spans every structure sharing a file (a sharded index): a buffer
-// per structure would read ahead into the next one's bytes.
+// payloads of their own size or more straight through to the file.
 type ioBuf struct {
 	w *bufio.Writer
 	r *bufio.Reader
@@ -217,25 +215,21 @@ func (m *Manager) Register(label string, obj Freezer, size func() int) *Handle {
 	return h
 }
 
-// PinCtx makes the handle's structure resident (thawing it if frozen) and
-// protects it from eviction until the matching Unpin; pins nest. A wait for
-// another entry's in-flight freeze/thaw returns ctx.Err() as soon as the
-// context is cancelled, instead of blocking until the transition completes. I/O already in
-// flight for *this* call runs to completion either way — the spill file
-// stays consistent — but a cancelled query stops queuing behind other
-// entries' transitions.
-func (h *Handle) PinCtx(ctx context.Context) error { return h.m.pinSet(ctx, []*Handle{h}) }
-
-// PinSet pins everything one operator is about to read — each member like
-// PinCtx — as a unit: the whole set is exempt from eviction before the
-// first member thaws, and the budget is balanced once, after the last.
-// Pinning the members one by one would let each thaw evict a sibling the
-// next pin has to read straight back. No handle may be named twice. On
-// error nothing stays pinned; on success UnpinSet (or an Unpin per member)
-// releases the set. A nil ctx never cancels.
-func (m *Manager) PinSet(ctx context.Context, set []*Handle) error { return m.pinSet(ctx, set) }
-
-func (m *Manager) pinSet(ctx context.Context, set []*Handle) error {
+// PinSet pins everything one operator is about to read as a unit: each
+// member's structure is made resident (thawed if frozen) and protected
+// from eviction until UnpinSet, the whole set is exempt from eviction
+// before the first member thaws, and the budget is balanced once, after
+// the last. Pins nest. Pinning the members one by one would let each thaw
+// evict a sibling the next pin has to read straight back. No handle may be
+// named twice. On error nothing stays pinned.
+//
+// A wait for another entry's in-flight freeze/thaw returns ctx.Err() as
+// soon as the context is cancelled, instead of blocking until the
+// transition completes. I/O already in flight for *this* call runs to
+// completion either way — the spill file stays consistent — but a
+// cancelled query stops queuing behind other entries' transitions. A nil
+// ctx never cancels.
+func (m *Manager) PinSet(ctx context.Context, set []*Handle) error {
 	if ctx != nil {
 		// A cancelled context must wake the cond waits in pinLocked; the
 		// waiters themselves then notice ctx.Err() and bail out.
@@ -307,18 +301,6 @@ func (h *Handle) pinLocked(ctx context.Context) error {
 	}
 	h.pins++
 	return nil
-}
-
-// Unpin releases one pin. The structure becomes evictable again once all
-// pins are released.
-func (h *Handle) Unpin() {
-	m := h.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h.pins > 0 {
-		h.pins--
-	}
-	m.balanceLocked()
 }
 
 // Drop removes the entry from the managed set: its spill file is deleted

@@ -58,6 +58,18 @@ func (f *fakeIndex) verify(t *testing.T, blocks int, seed uint32) {
 	}
 }
 
+// pin and unpin take and release one handle's pin: a PinSet of one, and
+// an UnpinSet of one followed by the budget balance that the executor's
+// next Register runs.
+func pin(h *Handle) error { return h.m.PinSet(context.Background(), []*Handle{h}) }
+
+func unpin(h *Handle) {
+	h.m.UnpinSet([]*Handle{h})
+	h.m.mu.Lock()
+	h.m.balanceLocked()
+	h.m.mu.Unlock()
+}
+
 func TestManagerEvictsLRUAndRestores(t *testing.T) {
 	const blocks = 64 // 64 blocks × 16 slots × 4 B = 4 KiB < one chunk ⇒ Bytes = 256 KiB
 	a := newFakeIndex(blocks, 1000)
@@ -88,7 +100,7 @@ func TestManagerEvictsLRUAndRestores(t *testing.T) {
 
 	// Pinning the frozen entry must thaw it byte-identically and evict
 	// the other one instead.
-	if err := ha.PinCtx(context.Background()); err != nil {
+	if err := pin(ha); err != nil {
 		t.Fatal(err)
 	}
 	a.verify(t, blocks, 1000)
@@ -101,7 +113,7 @@ func TestManagerEvictsLRUAndRestores(t *testing.T) {
 	if ha.Frozen() {
 		t.Fatal("pinned entry was evicted")
 	}
-	ha.Unpin()
+	unpin(ha)
 
 	st := m.Stats()
 	if st.Spills < 2 || st.Restores != 1 {
@@ -192,12 +204,12 @@ func TestManagerConcurrentPinUnpin(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 40; r++ {
 				h := handles[(w*13+r)%n]
-				if err := h.PinCtx(context.Background()); err != nil {
+				if err := pin(h); err != nil {
 					t.Errorf("pin: %v", err)
 					return
 				}
 				idxs[(w*13+r)%n].verify(t, 16, uint32(100*((w*13+r)%n)))
-				h.Unpin()
+				unpin(h)
 			}
 		}(w)
 	}
@@ -250,11 +262,11 @@ func TestFailedFreezeKeepsIndexResident(t *testing.T) {
 	if fi.calls != 1 {
 		t.Fatalf("failed entry retried under later pressure (%d calls)", fi.calls)
 	}
-	if err := h.PinCtx(context.Background()); err != nil { // resident: pin is a no-op thaw-wise
+	if err := pin(h); err != nil { // resident: pin is a no-op thaw-wise
 		t.Fatal(err)
 	}
 	fi.verify(t, 32, 500)
-	h.Unpin()
+	unpin(h)
 
 	// The manager reuses its I/O buffers, and the failures above left one
 	// holding the bytes of a snapshot nobody kept. Neither that nor a freeze
@@ -282,11 +294,11 @@ func TestFailedFreezeKeepsIndexResident(t *testing.T) {
 	} else if st.Size() != int64(next.size) {
 		t.Fatalf("spill file holds %d bytes, snapshot is %d: a reused buffer leaked into it", st.Size(), next.size)
 	}
-	if err := hn.PinCtx(context.Background()); err != nil {
+	if err := pin(hn); err != nil {
 		t.Fatal(err)
 	}
 	next.verify(t, 32, 800)
-	hn.Unpin()
+	unpin(hn)
 }
 
 // PinSet must treat an operator's inputs as a unit: with a budget that holds
@@ -365,11 +377,11 @@ func TestSpillCycleAllocBudget(t *testing.T) {
 		if !h.Frozen() {
 			t.Fatal("not frozen under a 1-byte budget")
 		}
-		if err := h.PinCtx(context.Background()); err != nil {
+		if err := pin(h); err != nil {
 			t.Fatal(err)
 		}
 		checkTreeRange(t, tr, 100, 200)
-		h.Unpin()
+		unpin(h)
 		h.Drop()
 		tr.Release()
 	}
@@ -455,9 +467,9 @@ func TestManagerRestoreFailureAndRecovery(t *testing.T) {
 		if err := os.WriteFile(h.file, tc.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := h.PinCtx(context.Background())
+		err := pin(h)
 		if err == nil {
-			h.Unpin()
+			unpin(h)
 		}
 		if !errors.Is(err, tc.want) {
 			t.Fatalf("%s: pin error %v, want %v", tc.name, err, tc.want)
@@ -472,7 +484,7 @@ func TestManagerRestoreFailureAndRecovery(t *testing.T) {
 	if err := os.WriteFile(h.file, intact, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.PinCtx(context.Background()); err != nil {
+	if err := pin(h); err != nil {
 		t.Fatal(err)
 	}
 	checkTreeRange(t, tr, 0, n-1)
@@ -482,11 +494,11 @@ func TestManagerRestoreFailureAndRecovery(t *testing.T) {
 	if err := os.Chmod(h.file, 0o444); err != nil {
 		t.Fatal(err)
 	}
-	h.Unpin()
+	unpin(h)
 	if !h.Frozen() {
 		t.Fatal("unpinned entry not re-frozen under pressure")
 	}
-	if err := h.PinCtx(context.Background()); err != nil {
+	if err := pin(h); err != nil {
 		t.Fatal(err)
 	}
 	// Close with the pin held: the spill file goes away, the data must not.
@@ -517,7 +529,7 @@ func TestHandleDrop(t *testing.T) {
 	if _, err := os.Stat(file); !os.IsNotExist(err) {
 		t.Fatalf("spill file survived drop: %v", err)
 	}
-	if err := h.PinCtx(context.Background()); err == nil {
+	if err := pin(h); err == nil {
 		t.Fatal("pin on a dropped entry succeeded")
 	}
 	if s, _ := h.Counts(); s != 1 {

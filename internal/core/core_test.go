@@ -212,15 +212,14 @@ func TestParallelGivesIdenticalResults(t *testing.T) {
 
 func TestSelectionResidualAndRange(t *testing.T) {
 	f := buildFixture(4)
-	// Select fact rows with qty in [10, 20] via residual on a full scan,
-	// output keyed on custkey with qty payload, then aggregate per region
-	// through a join with customers.
+	// Select fact rows with qty in [10, 20] via a payload predicate on a
+	// full scan, output keyed on custkey with qty payload, then aggregate
+	// per region through a join with customers.
 	factShape := f.factByProd
-	qtyOff := CtxOffsets([]*IndexedTable{factShape}, Ref{Input: 0, Attr: "qty"})[0]
 	sel := &Selection{
-		Input:    &Base{Table: factShape},
-		Pred:     nil, // full scan
-		Residual: func(ctx []uint64) bool { return ctx[qtyOff] >= 10 && ctx[qtyOff] <= 20 },
+		Input: &Base{Table: factShape},
+		Pred:  nil, // full scan
+		Preds: []AttrPred{{Ref: Ref{Input: 0, Attr: "qty"}, Pred: Between(10, 20)}},
 		Out: OutputSpec{
 			Name:     "σ_fact",
 			Key:      SimpleKey("custkey", 16),

@@ -169,10 +169,12 @@ func TestDenseFoldMergesWorkers(t *testing.T) {
 	tb := newDenseTable(rng, 60000, doms)
 	want := tb.want(1, 1)
 	env := newTestEnv(t, EnvConfig{Workers: 2})
+	v := CtxOffsets([]*IndexedTable{tb.t}, Ref{Input: 0, Attr: "v"})[0]
 	for run := 0; run < 2; run++ {
 		var calls atomic.Int32
 		met := make(chan struct{})
-		both := func([]uint64) bool {
+		spec := tb.spec(doms[:1], 1, true)
+		spec.ColExprs[0] = Computed(func(ctx []uint64) uint64 { // sum(v), the hook first
 			switch calls.Add(1) {
 			case 1:
 				select {
@@ -182,9 +184,9 @@ func TestDenseFoldMergesWorkers(t *testing.T) {
 			case 2:
 				close(met)
 			}
-			return true
-		}
-		plan := &Plan{Root: &Selection{Input: &Base{Table: tb.t}, Residual: both, Out: tb.spec(doms[:1], 1, true)}}
+			return ctx[v]
+		})
+		plan := &Plan{Root: &Selection{Input: &Base{Table: tb.t}, Out: spec}}
 		out, stats, err := env.Run(context.Background(), plan, Options{CollectStats: true})
 		if err != nil {
 			t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRunCancelMidScan cancels the context deterministically from
-// inside a selection's residual filter: the scan must stop within one
-// abort-poll window and Env.Run must report context.Canceled instead of a
+// inside a selection's computed output column: the scan must stop within
+// one abort-poll window and Env.Run must report context.Canceled instead of a
 // partial result — for a lone selection, and for a σ→σ plan under a
 // 1-byte budget, cancelled while the outer selection holds its spilled
 // input pinned (newTestEnv's Close and spill-directory checks catch a pin
@@ -39,17 +39,15 @@ func TestRunCancelMidScan(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const cancelAt = 1000
 		seen := 0
-		plan := &Plan{Root: &Selection{
-			Input: tc.input(),
-			Residual: func([]uint64) bool {
-				seen++
-				if seen == cancelAt {
-					cancel()
-				}
-				return true
-			},
-			Out: out("out"),
-		}}
+		spec := out("out")
+		spec.Cols, spec.ColExprs = []string{"hook"}, []RowExpr{Computed(func([]uint64) uint64 {
+			seen++
+			if seen == cancelAt {
+				cancel()
+			}
+			return 0
+		})}
+		plan := &Plan{Root: &Selection{Input: tc.input(), Out: spec}}
 		env := newTestEnv(t, tc.env)
 		res, _, err := env.Run(ctx, plan, Options{})
 		cancel()
@@ -83,14 +81,15 @@ func TestRunCancelParallel(t *testing.T) {
 	defer cancel()
 	plan := &Plan{Root: &Selection{
 		Input: &Base{Table: base},
-		Residual: func([]uint64) bool {
-			cancel() // idempotent; the first combination cancels the query
-			return true
-		},
 		Out: OutputSpec{
 			Name:    "out",
 			Key:     SimpleKey("k", 32),
 			KeyRefs: []Ref{{Input: 0, Attr: "k"}},
+			Cols:    []string{"c"},
+			ColExprs: []RowExpr{Computed(func([]uint64) uint64 {
+				cancel() // idempotent; the first combination cancels the query
+				return 0
+			})},
 		},
 	}}
 	_, _, err := newTestEnv(t, EnvConfig{Workers: 4}).Run(ctx, plan, Options{})

@@ -45,7 +45,7 @@ const WorkersAuto = -1
 type ExecContext struct {
 	ctx     context.Context // query context; nil means non-cancellable
 	opts    Options
-	sched   *Scheduler
+	sched   *Scheduler      // the plan's shared pool; nil runs serially
 	rec     *arena.Recycler // the Env's chunk pool
 	mu      sync.Mutex      // guards opStats under intra-operator parallelism
 	opStats *OperatorStats
@@ -66,15 +66,6 @@ func (ec *ExecContext) bufferSize() int {
 		return DefaultBufferSize
 	}
 	return ec.opts.BufferSize
-}
-
-// scheduler returns the plan's shared pool, creating a serial one for
-// contexts constructed outside Env.Run (tests, ad-hoc operator calls).
-func (ec *ExecContext) scheduler() *Scheduler {
-	if ec.sched == nil {
-		ec.sched = NewScheduler(1)
-	}
-	return ec.sched
 }
 
 // DefaultBufferSize is the joinbuffer size used when Options does not set
@@ -123,7 +114,9 @@ type OperatorStats struct {
 	// filter that drops it: a select-join tests every assist's filter on
 	// each fact row its main probe yields, in assist order, and an assist
 	// that only filters is never looked up at all. ResidualDropped counts
-	// the fact rows a select-join's MainPreds drop after the filters.
+	// the rows the operator's Preds drop: the scanned tuples a selection's
+	// drop, and the fact rows a select-join's fact predicates drop after
+	// the filters.
 	TuplesIndexed   int
 	ProbeLookups    int
 	ProbeFiltered   int

@@ -17,28 +17,59 @@ func (f *keyFilter) has(k uint64) bool {
 	return d < f.n && f.words[d>>6]&(1<<(d&63)) != 0
 }
 
-// fanFact builds a fact base index keyed on k with the columns c0, c1
-// (probe keys in [0, 128)) and c2 (values for range predicates, 0 and
-// 2^64−1 among them). Key i holds 1 + runs[i] rows, bulk-loaded, so its
-// list is the inline first row and then one run of runs[i] rows.
-func fanFact(rng *rand.Rand, runs []int) *IndexedTable {
-	extremes := []uint64{0, 1, 5, 6, 1<<64 - 3, 1<<64 - 2, 1<<64 - 1}
+// fanExtremes are values at both ends of the key space, which range
+// predicates near 0 and 2^64−1 must place exactly.
+var fanExtremes = []uint64{0, 1, 5, 6, 1<<64 - 3, 1<<64 - 2, 1<<64 - 1}
+
+// fanTable builds a base index keyed on k with the given columns. Key i+1
+// holds 1 + runs[i] rows, bulk-loaded, so its list is the inline first row
+// and then one run of runs[i] rows; row(i, j) is row j of key i+1.
+func fanTable(name string, cols []string, runs []int, row func(i, j int) []uint64) *IndexedTable {
 	var keys []uint64
 	var ends []int
 	var rows []uint64
 	for i, n := range runs {
 		keys = append(keys, uint64(i+1))
-		for r := 0; r <= n; r++ {
-			c2 := rng.Uint64()
-			if rng.Intn(2) == 0 {
-				c2 = extremes[rng.Intn(len(extremes))]
-			}
-			rows = append(rows, uint64(rng.Intn(128)), uint64(rng.Intn(128)), c2)
+		for j := 0; j <= n; j++ {
+			rows = append(rows, row(i, j)...)
 		}
-		ends = append(ends, len(rows)/3)
+		ends = append(ends, len(rows)/len(cols))
 	}
-	idx := NewSortedIndex(IndexConfig{KeyBits: 16, PayloadWidth: 3}, keys, ends, rows)
-	return NewIndexedTable("fact", SimpleKey("k", 16), []string{"c0", "c1", "c2"}, idx)
+	idx := NewSortedIndex(IndexConfig{KeyBits: 16, PayloadWidth: len(cols)}, keys, ends, rows)
+	return NewIndexedTable(name, SimpleKey("k", 16), cols, idx)
+}
+
+// fanValue draws a value for range predicates: random, or one of
+// fanExtremes.
+func fanValue(rng *rand.Rand) uint64 {
+	if rng.Intn(2) == 0 {
+		return fanExtremes[rng.Intn(len(fanExtremes))]
+	}
+	return rng.Uint64()
+}
+
+// fanFact builds a fact base index keyed on k with the columns c0, c1
+// (probe keys in [0, 128)) and c2 (values for range predicates, 0 and
+// 2^64−1 among them), its runs as fanTable's.
+func fanFact(rng *rand.Rand, runs []int) *IndexedTable {
+	return fanTable("fact", []string{"c0", "c1", "c2"}, runs, func(int, int) []uint64 {
+		return []uint64{uint64(rng.Intn(128)), uint64(rng.Intn(128)), fanValue(rng)}
+	})
+}
+
+// fanDriver builds the driving base index keyed on k with the columns m,
+// the fact key a row probes (key i+1's first row probes fact key i+1, the
+// others 0, a miss, or fact key 1 or 2, one and two rows), d (values for
+// range predicates, as fanFact's c2) and e (values in [0, 16) for an IN
+// list), its runs as fanTable's.
+func fanDriver(rng *rand.Rand, runs []int) *IndexedTable {
+	return fanTable("drv", []string{"m", "d", "e"}, runs, func(i, j int) []uint64 {
+		m := uint64(rng.Intn(3))
+		if j == 0 {
+			m = uint64(i + 1)
+		}
+		return []uint64{m, fanValue(rng), uint64(rng.Intn(16))}
+	})
 }
 
 // keyTable returns a table keyed on k holding the given keys, one row
@@ -56,26 +87,31 @@ func keyTable(name string, keys []uint64, carry bool) *IndexedTable {
 	return NewIndexedTable(name, SimpleKey("k", 16), cols, idx)
 }
 
-// TestFanOutKernel holds the fan-out's batch kernel to a scalar reference
-// built on keyFilter.has and KeyPred.Has: the rows that reach the output,
-// their order, and the counts of rows the fan filters (ProbeFiltered) and
-// the fact predicates (ResidualDropped) drop. The fact's runs are 0, 1,
-// V−1, V, V+1 and 3V+1 rows long (V = fanVec); 0–3 filter-only assists
-// hold sparse keys (probe keys fall below their lo, which wraps, and at
-// lo+n), keys with holes over two bitmap words (probe keys past them read
-// a masked-off bit of word 0), or none (n = 0); a trailing assist that
+// TestFanOutKernel holds the selection-vector kernel, at the fan-out and
+// at the scan, to a scalar reference built on keyFilter.has and
+// KeyPred.Has: the rows that reach the output, their order, and the counts
+// of rows the fan filters (ProbeFiltered) and the predicates
+// (ResidualDropped) drop. The driver's and the fact's runs are 0, 1, V−1,
+// V, V+1 and 3V+1 rows long (V = fanVec); 0–3 filter-only assists hold
+// sparse keys (probe keys fall below their lo, which wraps, and at lo+n),
+// keys with holes over two bitmap words (probe keys past them read a
+// masked-off bit of word 0), or none (n = 0); a trailing assist that
 // carries a column and misses no key makes the survivors queue at stage 1
-// instead of going straight to the sink. The predicates are ranges at 0
-// and at 2^64−1, an IN list, and one on the fact key. Every plan runs in
-// one of two Envs, so each pooled selection vector is handed out again
-// and must come back zero.
+// instead of going straight to the sink. The fact predicates are ranges at
+// 0 and at 2^64−1, an IN list, and one on the fact key; the scan's are a
+// range on a payload column, an IN list, and one on the driver's key with
+// a range at 2^64−1. Every plan runs in one of two Envs, so each pooled
+// selection vector is handed out again and must come back zero. A
+// predicate on an input past the fact, or on an attribute its input
+// lacks, fails the plan.
 func TestFanOutKernel(t *testing.T) {
 	arenatest.CheckZeroHandouts(t)
 	const V = fanVec
 	rng := rand.New(rand.NewSource(1))
 	runs := []int{0, 1, V - 1, V, V + 1, 3*V + 1}
 	fact := fanFact(rng, runs)
-	var driverKeys, all, sparse, holey []uint64
+	driver := fanDriver(rng, runs)
+	var all, sparse, holey []uint64
 	for k := uint64(0); k < 128; k++ {
 		all = append(all, k)
 		if k >= 16 && k < 80 && (k%2 == 0 || k == 79) {
@@ -85,10 +121,6 @@ func TestFanOutKernel(t *testing.T) {
 			holey = append(holey, k)
 		}
 	}
-	for i := range runs {
-		driverKeys = append(driverKeys, uint64(i+1))
-	}
-	driver := keyTable("drv", driverKeys, false)
 	tables := map[string]*IndexedTable{
 		"sparse": keyTable("sparse", sparse, false),
 		"holey":  keyTable("holey", holey, false),
@@ -106,109 +138,151 @@ func TestFanOutKernel(t *testing.T) {
 		{{"holey", "c1"}, {"sparse", "c0"}},
 		{{"sparse", "c0"}, {"holey", "c1"}, {"empty", "c0"}},
 	}
+	on := func(input int, attr string, pred KeyPred) AttrPred {
+		return AttrPred{Ref: Ref{Input: input, Attr: attr}, Pred: pred}
+	}
 	predSets := [][]AttrPred{
 		nil,
-		{{Attr: "c2", Pred: KeyPred{{Lo: 0, Hi: 5}}}},
-		{{Attr: "c2", Pred: KeyPred{{Lo: 1<<64 - 3, Hi: 1<<64 - 1}}}},
-		{{Attr: "c0", Pred: KeyPred{{Lo: 3, Hi: 3}, {Lo: 9, Hi: 11}, {Lo: 40, Hi: 40}}}},
-		{{Attr: "k", Pred: KeyPred{{Lo: 2, Hi: 2}, {Lo: 4, Hi: 5}}}, {Attr: "c2", Pred: KeyPred{{Lo: 0, Hi: 1 << 63}}}},
-		{{Attr: "c1", Pred: KeyPred{{Lo: 1, Hi: 0}}}}, // matches nothing
+		{on(1, "c2", KeyPred{{Lo: 0, Hi: 5}})},
+		{on(1, "c2", KeyPred{{Lo: 1<<64 - 3, Hi: 1<<64 - 1}})},
+		{on(1, "c0", KeyPred{{Lo: 3, Hi: 3}, {Lo: 9, Hi: 11}, {Lo: 40, Hi: 40}})},
+		{on(1, "k", KeyPred{{Lo: 2, Hi: 2}, {Lo: 4, Hi: 5}}), on(1, "c2", KeyPred{{Lo: 0, Hi: 1 << 63}})},
+		{on(1, "c1", KeyPred{{Lo: 1, Hi: 0}})}, // matches nothing
 	}
-	bad := &SelectJoin{SelInput: &Base{Table: driver}, Main: &Base{Table: fact}, ProbeMainWith: Ref{Input: 0, Attr: "k"},
-		MainPreds: []AttrPred{{Attr: "nope", Pred: Point(1)}}, Out: OutputSpec{Name: "out", Key: SimpleKey("out", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}}
+	scanSets := [][]AttrPred{
+		nil,
+		{on(0, "d", KeyPred{{Lo: 0, Hi: 1 << 63}})},
+		{on(0, "e", KeyPred{{Lo: 3, Hi: 3}, {Lo: 5, Hi: 7}, {Lo: 11, Hi: 11}})},
+		{on(0, "k", KeyPred{{Lo: 2, Hi: 2}, {Lo: 4, Hi: 6}}), on(0, "d", KeyPred{{Lo: 1<<64 - 3, Hi: 1<<64 - 1}})},
+	}
 	envs := []*Env{newTestEnv(t, EnvConfig{Workers: 1}), newTestEnv(t, EnvConfig{Workers: 2})}
-	if _, _, err := envs[0].Run(context.Background(), &Plan{Root: bad}, Options{}); err == nil {
-		t.Fatal("a main predicate on an attribute the fact lacks planned")
+	for _, bad := range []AttrPred{on(1, "nope", Point(1)), on(2, "k", Point(1)), on(0, "c0", Point(1))} {
+		sj := &SelectJoin{SelInput: &Base{Table: driver}, Main: &Base{Table: fact}, ProbeMainWith: Ref{Input: 0, Attr: "m"},
+			Preds: []AttrPred{bad}, Assists: []Assist{{Input: &Base{Table: carrier}, ProbeWith: "c1"}},
+			Out: OutputSpec{Name: "out", Key: SimpleKey("out", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}}
+		if _, _, err := envs[0].Run(context.Background(), &Plan{Root: sj}, Options{}); err == nil {
+			t.Fatalf("a predicate on input %d's %q planned", bad.Ref.Input, bad.Ref.Attr)
+		}
+	}
+	// passes reports whether the row or key value v of input passes every
+	// predicate of preds on attr.
+	passes := func(preds []AttrPred, input int, attr string, v uint64) bool {
+		for _, p := range preds {
+			if p.Ref == (Ref{Input: input, Attr: attr}) && !p.Pred.Has(v) {
+				return false
+			}
+		}
+		return true
 	}
 	for _, filters := range filterSets {
 		for _, carry := range []bool{false, true} {
-			for pi, preds := range predSets {
-				name := fmt.Sprintf("filters %v, carry %v, preds %d", filters, carry, pi)
-				inputs := []*IndexedTable{driver, fact}
-				var assists []Assist
-				for _, a := range filters {
-					inputs = append(inputs, tables[a.table])
-					assists = append(assists, Assist{Input: &Base{Table: tables[a.table]}, ProbeWith: a.probe})
-				}
-				if carry {
-					inputs = append(inputs, carrier)
-					assists = append(assists, Assist{Input: &Base{Table: carrier}, ProbeWith: "c1"})
-				}
-				out := OutputSpec{Name: "out", Key: SimpleKey("out", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}
-				for _, c := range []string{"k", "c0", "c1", "c2"} {
-					out.Cols = append(out.Cols, c)
-					out.ColExprs = append(out.ColExprs, Attr(1, c))
-				}
-				if carry {
-					out.Cols = append(out.Cols, "v")
-					out.ColExprs = append(out.ColExprs, Attr(len(inputs)-1, "v"))
-				}
-				plan := &Plan{Root: &SelectJoin{
-					SelInput: &Base{Table: driver}, Main: &Base{Table: fact},
-					ProbeMainWith: Ref{Input: 0, Attr: "k"}, MainPreds: preds, Assists: assists, Out: out,
-				}}
-
-				// The reference: every fact row of every driver key, in
-				// list order, through the key predicates, then the
-				// filters in assist order, then the column predicates.
-				var want [][]uint64
-				filtered, dropped := 0, 0
-				for _, k := range driverKeys {
-					lf := fact.Idx.Lookup(k)
-					keyOK := true
-					for _, p := range preds {
-						if p.Attr == "k" && !p.Pred.Has(k) {
-							keyOK = false
+			for pi, factSet := range predSets {
+				for si, scanSet := range scanSets {
+					name := fmt.Sprintf("filters %v, carry %v, preds %d, scan preds %d", filters, carry, pi, si)
+					inputs := []*IndexedTable{driver, fact}
+					var assists []Assist
+					for _, a := range filters {
+						inputs = append(inputs, tables[a.table])
+						assists = append(assists, Assist{Input: &Base{Table: tables[a.table]}, ProbeWith: a.probe})
+					}
+					if carry {
+						inputs = append(inputs, carrier)
+						assists = append(assists, Assist{Input: &Base{Table: carrier}, ProbeWith: "c1"})
+					}
+					out := OutputSpec{Name: "out", Key: SimpleKey("out", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}
+					for i, cols := range [][]string{driver.Cols, {"k", "c0", "c1", "c2"}} {
+						for _, c := range cols {
+							out.Cols = append(out.Cols, c)
+							out.ColExprs = append(out.ColExprs, Attr(i, c))
 						}
 					}
-					lf.Vals.Scan(func(row []uint64) bool {
-						if !keyOK {
-							dropped++
+					if carry {
+						out.Cols = append(out.Cols, "v")
+						out.ColExprs = append(out.ColExprs, Attr(len(inputs)-1, "v"))
+					}
+					plan := &Plan{Root: &SelectJoin{
+						SelInput: &Base{Table: driver}, Main: &Base{Table: fact},
+						ProbeMainWith: Ref{Input: 0, Attr: "m"}, Preds: append(slices.Clone(scanSet), factSet...), Assists: assists, Out: out,
+					}}
+
+					// The reference: every driver row, in key and list
+					// order, through the scan's key predicates and then
+					// its column predicates; every fact row of the key it
+					// probes, in list order, through the key predicates,
+					// then the filters in assist order, then the column
+					// predicates.
+					var want [][]uint64
+					filtered, dropped := 0, 0
+					driver.Idx.Iterate(func(dl *Leaf) bool {
+						if !passes(scanSet, 0, "k", dl.Key) {
+							dropped += dl.Vals.Len()
 							return true
 						}
-						for _, a := range filters {
-							if !refFilters[a.table].has(row[fact.Col(a.probe)]) {
-								filtered++
+						dl.Vals.Scan(func(d []uint64) bool {
+							for c, col := range driver.Cols {
+								if !passes(scanSet, 0, col, d[c]) {
+									dropped++
+									return true
+								}
+							}
+							lf := fact.Idx.Lookup(d[0])
+							if lf == nil {
 								return true
 							}
-						}
-						for _, p := range preds {
-							if c := fact.Col(p.Attr); c >= 0 && !p.Pred.Has(row[c]) {
-								dropped++
+							keyOK := passes(factSet, 1, "k", lf.Key)
+							lf.Vals.Scan(func(row []uint64) bool {
+								if !keyOK {
+									dropped++
+									return true
+								}
+								for _, a := range filters {
+									if !refFilters[a.table].has(row[fact.Col(a.probe)]) {
+										filtered++
+										return true
+									}
+								}
+								for c, col := range fact.Cols {
+									if !passes(factSet, 1, col, row[c]) {
+										dropped++
+										return true
+									}
+								}
+								r := append(append([]uint64{dl.Key}, d...), lf.Key)
+								r = append(r, row...)
+								if carry {
+									r = append(r, 7*row[1])
+								}
+								want = append(want, r)
 								return true
-							}
-						}
-						r := append([]uint64{k, k}, row...)
-						if carry {
-							r = append(r, 7*row[1])
-						}
-						want = append(want, r)
+							})
+							return true
+						})
 						return true
 					})
-				}
-				if pi == 0 && len(filters) < 2 && len(want) < V {
-					t.Fatalf("%s: the fixture passes only %d rows", name, len(want))
-				}
-				for w, env := range envs {
-					workers := w + 1
-					for _, bs := range []int{1, 7, 512} {
-						res, stats, err := env.Run(context.Background(), plan, Options{BufferSize: bs, CollectStats: true})
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, exp := Extract(res).Rows, want
-						if workers > 1 {
-							slices.SortFunc(got, slices.Compare)
-							exp = slices.Clone(want)
-							slices.SortFunc(exp, slices.Compare)
-						}
-						if !sameRows(got, exp) {
-							t.Fatalf("%s, Workers %d, BufferSize %d: %d rows differ from the %d-row reference", name, workers, bs, len(got), len(exp))
-						}
-						st := stats.Ops[len(stats.Ops)-1]
-						if st.ProbeFiltered != filtered || st.ResidualDropped != dropped {
-							t.Fatalf("%s, Workers %d, BufferSize %d: filtered %d, residual %d; want %d, %d",
-								name, workers, bs, st.ProbeFiltered, st.ResidualDropped, filtered, dropped)
+					if pi == 0 && si == 0 && len(filters) < 2 && len(want) < V {
+						t.Fatalf("%s: the fixture passes only %d rows", name, len(want))
+					}
+					for w, env := range envs {
+						workers := w + 1
+						for _, bs := range []int{1, 7, 512} {
+							res, stats, err := env.Run(context.Background(), plan, Options{BufferSize: bs, CollectStats: true})
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, exp := Extract(res).Rows, want
+							if workers > 1 {
+								slices.SortFunc(got, slices.Compare)
+								exp = slices.Clone(want)
+								slices.SortFunc(exp, slices.Compare)
+							}
+							if !sameRows(got, exp) {
+								t.Fatalf("%s, Workers %d, BufferSize %d: %d rows differ from the %d-row reference", name, workers, bs, len(got), len(exp))
+							}
+							st := stats.Ops[len(stats.Ops)-1]
+							if st.ProbeFiltered != filtered || st.ResidualDropped != dropped {
+								t.Fatalf("%s, Workers %d, BufferSize %d: filtered %d, residual %d; want %d, %d",
+									name, workers, bs, st.ProbeFiltered, st.ResidualDropped, filtered, dropped)
+							}
 						}
 					}
 				}
@@ -251,7 +325,7 @@ func BenchmarkFanOut(b *testing.B) {
 					sj.Assists = append(sj.Assists, Assist{Input: &Base{Table: dim}, ProbeWith: cols[i]})
 				}
 				if pred {
-					sj.MainPreds = []AttrPred{{Attr: "c3", Pred: KeyPred{{Lo: 0, Hi: 49}}}}
+					sj.Preds = []AttrPred{{Ref: Ref{Input: 1, Attr: "c3"}, Pred: KeyPred{{Lo: 0, Hi: 49}}}}
 				}
 				plan := &Plan{Root: sj}
 				b.ResetTimer()

@@ -133,7 +133,7 @@ func (c *jbCase) plan() *Plan {
 		for v := 0; v < c.keys; v += 2 {
 			evens = append(evens, KeyRange{Lo: uint64(v), Hi: uint64(v)})
 		}
-		preds = []AttrPred{{Attr: c.residual.Attr, Pred: evens}}
+		preds = []AttrPred{{Ref: *c.residual, Pred: evens}}
 	}
 	var assists []Assist
 	for i, r := range c.probes {
@@ -150,7 +150,7 @@ func (c *jbCase) plan() *Plan {
 	}
 	return &Plan{Root: &SelectJoin{
 		SelInput: &Base{Table: inputs[0]}, Pred: c.pred,
-		Main: &Base{Table: inputs[1]}, ProbeMainWith: c.mainWith, MainPreds: preds,
+		Main: &Base{Table: inputs[1]}, ProbeMainWith: c.mainWith, Preds: preds,
 		Assists: assists, Out: out,
 	}}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // An Operator is one node of a QPPT execution plan. Operators form a DAG;
 // each produces exactly one intermediate indexed table, already indexed on
@@ -49,16 +52,17 @@ func (b *Base) run(*ExecContext, []*IndexedTable) (*IndexedTable, error) {
 // the qualifying key ranges of its input index and inserts the qualifying
 // tuples into a new index on the key requested by the successive operator.
 // Conjunctions over several attributes either run against a
-// multidimensional (composed-key) input index, or use the Residual filter
-// on payload attributes.
+// multidimensional (composed-key) input index, or restrict the other
+// attributes with Preds.
 type Selection struct {
 	Input Operator
 	// Pred is the index-key predicate (union of ranges).
 	Pred KeyPred
-	// Residual, if non-nil, additionally filters combinations; offsets
-	// into the context are resolved with CtxOffsets.
-	Residual func(ctx []uint64) bool
-	Out      OutputSpec
+	// Preds restrict the scanned tuples further, each to the ones whose
+	// attribute of the input (ordinal 0) lies in its KeyPred: a key
+	// attribute is tested once per key, a payload column on each row.
+	Preds []AttrPred
+	Out   OutputSpec
 }
 
 // Label implements Operator.
@@ -71,8 +75,7 @@ func (s *Selection) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable,
 	in := inputs[0]
 	pipe := func() (*pipeline, error) {
 		p := newPipeline(ec, newCtxLayout(in))
-		p.residual = s.Residual
-		return p, nil
+		return p, p.addPreds(s, s.Preds)
 	}
 	return runMorsels(ec, &s.Out, predBounds(s.Pred, in), pipe, predScan(s.Pred, in))
 }
@@ -103,18 +106,43 @@ func predBounds(pred KeyPred, in *IndexedTable) boundsFn {
 
 // feedScan scans input 0's qualifying key ranges into the pipeline. A nil
 // predicate scans everything through the plain iterator (the serial fast
-// path); morsel scans pass their pre-clipped ranges.
+// path); morsel scans pass their pre-clipped ranges. The scan's predicates
+// on a key attribute are tested once per key; those on a payload column
+// narrow the scan's own selection vector over at most fanVec rows of a run
+// at a time, and only the survivors are fed. The vector is not the
+// fan-out's: feeding a survivor can flush stage 0, whose fan-out rewrites
+// p.vec.
 func feedScan(p *pipeline, in *IndexedTable, pred KeyPred) {
 	comp := in.Key.Composer()
 	ctx := make([]uint64, p.layout.width)
 	scan := func(lf *Leaf) bool {
-		if p.aborted() {
+		if p.poll.aborted() {
 			return false // query cancelled; the partial output is discarded
 		}
 		p.layout.fillKey(ctx, 0, lf.Key, comp)
-		lf.Vals.Scan(func(row []uint64) bool {
-			p.layout.fillRow(ctx, 0, row)
-			p.feed(ctx)
+		if !p.scan.keep(ctx) {
+			p.dropped += lf.Vals.Len()
+			return true
+		}
+		if p.scanVec == nil {
+			lf.Vals.Scan(func(row []uint64) bool {
+				p.layout.fillRow(ctx, 0, row)
+				p.feed(ctx)
+				return true
+			})
+			return true
+		}
+		w := lf.Vals.Width()
+		lf.Vals.Runs(func(run []uint64) bool {
+			for len(run) > 0 {
+				rows := run[:min(len(run), fanVec*w)]
+				run = run[len(rows):]
+				for _, i := range p.narrow(&p.scanVec, rows, w, nil, p.scan.rows()) {
+					o := int(i) * w
+					p.layout.fillRow(ctx, 0, rows[o:o+w])
+					p.feed(ctx)
+				}
+			}
 			return true
 		})
 		return true
@@ -140,10 +168,12 @@ type Assist struct {
 	ProbeWith string
 }
 
-// An AttrPred restricts one attribute, a payload column or a key
-// attribute of an operator input, to a union of key ranges.
+// An AttrPred restricts one attribute of an operator input, a payload
+// column or a key attribute, to a union of key ranges. The scanned input
+// (ordinal 0) and a select-join's main input (ordinal 1) take predicates;
+// any other input is a plan error.
 type AttrPred struct {
-	Attr string
+	Ref  Ref
 	Pred KeyPred
 }
 
@@ -163,19 +193,19 @@ type AttrPred struct {
 type SelectJoin struct {
 	// SelInput is the selection's input, the driving input (ordinal 0).
 	SelInput Operator
-	// Pred and Residual are the selection predicate on SelInput's key
-	// and payloads; a nil Pred scans all of SelInput.
-	Pred     KeyPred
-	Residual func(ctx []uint64) bool
+	// Pred is the selection predicate on SelInput's key; a nil Pred
+	// scans all of SelInput.
+	Pred KeyPred
 	// Main is the join's other main input (ordinal 1), probed on
 	// ProbeMainWith (an attribute of input 0).
 	Main          Operator
 	ProbeMainWith Ref
-	// MainPreds restrict the fact rows the main probe yields before any
-	// assisting index is touched: each keeps the rows whose attribute of
-	// Main lies in its KeyPred. A payload column is tested on each row
-	// after the assists' key filters, a key attribute once per hit.
-	MainPreds []AttrPred
+	// Preds restrict SelInput's tuples, as a Selection's do, and the fact
+	// rows the main probe yields before any assisting index is touched:
+	// each keeps the rows whose attribute of its input lies in its
+	// KeyPred. On Main, a payload column is tested on each row after the
+	// assists' key filters, a key attribute once per hit.
+	Preds []AttrPred
 	// Assists are additional star-join inputs (ordinals 2+i), each probed
 	// with a foreign key of Main's rows.
 	Assists []Assist
@@ -185,9 +215,9 @@ type SelectJoin struct {
 // Label implements Operator: ⋈n→out for a join of the whole driving
 // input, σ⋈n→out when a selection restricts it.
 func (sj *SelectJoin) Label() string {
-	op := "σ⋈"
-	if sj.Pred == nil && sj.Residual == nil {
-		op = "⋈"
+	op := "⋈"
+	if sj.Pred != nil || slices.ContainsFunc(sj.Preds, func(p AttrPred) bool { return p.Ref.Input == 0 }) {
+		op = "σ⋈"
 	}
 	return fmt.Sprintf("%s%d→%s", op, 2+len(sj.Assists), sj.Out.Name)
 }
@@ -202,8 +232,8 @@ func (sj *SelectJoin) Children() []Operator {
 }
 
 // pipe builds the select-join's probe pipeline: the main probe at stage
-// 0, assists after, with the selection residual at the pipeline entry and
-// the fact predicates at the fan-out.
+// 0, assists after, with the selection's predicates at the scan and the
+// fact predicates at the fan-out.
 func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, error) {
 	layout := newCtxLayout(inputs...)
 	p := newPipeline(ec, layout)
@@ -221,17 +251,7 @@ func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, 
 		}
 		p.addProbe(2+i, col, layout.colOff(1, col))
 	}
-	for _, mp := range sj.MainPreds {
-		if c := fact.Col(mp.Attr); c >= 0 {
-			p.spec().rowPreds = append(p.spec().rowPreds, factTest{c, mp.Pred})
-		} else if f := fact.Key.Field(mp.Attr); f >= 0 {
-			p.spec().keyPreds = append(p.spec().keyPreds, factTest{layout.keyOff(1, f), mp.Pred})
-		} else {
-			return nil, fmt.Errorf("core: %s: main predicate on %q, not an attribute of the main input %s", sj.Label(), mp.Attr, fact.Name)
-		}
-	}
-	p.residual = sj.Residual
-	return p, nil
+	return p, p.addPreds(sj, sj.Preds)
 }
 
 func (sj *SelectJoin) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
@@ -250,8 +270,8 @@ func mustResolve(l ctxLayout, r Ref) int {
 
 // CtxOffsets resolves attribute references against the context layout an
 // operator with the given inputs will use; plan builders use it to compile
-// Residual filters and Computed expressions. The inputs must be the
-// operator's input tables in ordinal order.
+// Computed expressions. The inputs must be the operator's input tables in
+// ordinal order.
 func CtxOffsets(inputs []*IndexedTable, refs ...Ref) []int {
 	l := newCtxLayout(inputs...)
 	offs := make([]int, len(refs))

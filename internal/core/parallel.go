@@ -125,7 +125,7 @@ type boundsFn = func() (uint64, uint64, bool)
 // non-empty morsel takes that pipeline; when no morsel is non-empty, it
 // makes the empty output.
 func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() (*pipeline, error), scan scanFn) (*IndexedTable, error) {
-	sched := ec.scheduler()
+	sched := ec.sched
 	first, err := pipe()
 	if err != nil {
 		return nil, err
@@ -240,22 +240,13 @@ func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() 
 // back at the longest batch, the prefix the pool clears.
 func foldInto(ec *ExecContext, idx Index, partials []*IndexedTable) error {
 	var rec *arena.Recycler
+	var poll abortPoll
 	if ec != nil {
-		rec = ec.rec
+		rec, poll.ctx = ec.rec, ec.ctx
 	}
 	keys := arena.NewChunk[uint64](rec, DefaultBufferSize)
 	rows := arena.NewChunk[[]uint64](rec, DefaultBufferSize)
-	ticks, cancelled, high := 0, false, 0
-	poll := func() bool { // reports whether the fold must stop
-		ticks++
-		if ticks&abortTickMask != 0 {
-			return cancelled
-		}
-		if ec != nil && ec.err() != nil {
-			cancelled = true
-		}
-		return cancelled
-	}
+	high := 0
 	flush := func() {
 		if len(keys) == 0 {
 			return
@@ -265,11 +256,11 @@ func foldInto(ec *ExecContext, idx Index, partials []*IndexedTable) error {
 		keys, rows = keys[:0], rows[:0]
 	}
 	for _, p := range partials {
-		if cancelled {
+		if poll.stopped {
 			break
 		}
 		p.Idx.Iterate(func(lf *Leaf) bool {
-			if poll() {
+			if poll.aborted() {
 				return false
 			}
 			lf.Vals.Scan(func(row []uint64) bool {
@@ -286,7 +277,7 @@ func foldInto(ec *ExecContext, idx Index, partials []*IndexedTable) error {
 	}
 	putScratch(rec, keys, high)
 	putScratch(rec, rows, high)
-	if cancelled {
+	if poll.stopped {
 		return ec.err()
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"qppt/internal/arena"
@@ -49,16 +50,18 @@ import (
 //
 // Filters at the fan-out: a key filter (keyFilter, an exact bitmap of an
 // index's keys) of an assist is tested on each fact row, in assist order,
-// and then each fact predicate (SelectJoin.MainPreds), before the row is
+// and then each fact predicate (an AttrPred on input 1), before the row is
 // queued or fed, so a key an assist lacks costs one bit test, never a
-// queue entry, a descent or a copy. The tests run as a batch kernel: over
-// at most fanVec rows of a run at a time, each narrows a selection vector
-// of row numbers branch-free (MonetDB/X100's selection vectors, Ross's
-// branch-free selection), and only the survivors are queued or written,
-// in run order. A predicate on the fact key is tested once per main-probe
-// hit instead. An assist that carries no column and holds one row per key
-// needs nothing but its filter: it leaves the pipeline, and the sink
-// writes its key, the probe key, into the combination.
+// queue entry, a descent or a copy. The tests run as a batch kernel
+// (narrow): over at most fanVec rows of a run at a time, each narrows a
+// selection vector of row numbers branch-free (MonetDB/X100's selection
+// vectors, Ross's branch-free selection), and only the survivors are
+// queued or written, in run order. A predicate on the fact key is tested
+// once per main-probe hit instead. The scan tests the predicates on input
+// 0 the same way, with a selection vector of its own, before it feeds a
+// tuple (feedScan). An assist that carries no column and holds one row
+// per key needs nothing but its filter: it leaves the pipeline, and the
+// sink writes its key, the probe key, into the combination.
 //
 // Every stage handles its queue in arrival order and emits a combination's
 // rows in list order, so the sink sees the nested-loop order at every
@@ -152,12 +155,34 @@ type fanTest struct {
 	f   *keyFilter
 }
 
-// A factTest drops a fact row whose value at col, a column of the row (or
-// for a predicate on the fact key, an offset of the combination), lies
+// An attrTest drops a row whose value at col, a column of the row (or for
+// a predicate on a key attribute, an offset of the combination), lies
 // outside pred.
-type factTest struct {
+type attrTest struct {
 	col  int
 	pred KeyPred
+}
+
+// A predSet holds an operator's predicates on one input, resolved: the
+// first keys tests are on a key attribute and read the combination, once
+// per key; the rest are on a payload column and narrow each run's rows.
+type predSet struct {
+	tests []attrTest
+	keys  int
+}
+
+// rows returns the tests on a payload column.
+func (s *predSet) rows() []attrTest { return s.tests[s.keys:] }
+
+// keep reports whether the key fields in ctx pass every test on a key
+// attribute.
+func (s *predSet) keep(ctx []uint64) bool {
+	for _, t := range s.tests[:s.keys] {
+		if !t.pred.Has(ctx[t.col]) {
+			return false
+		}
+	}
+	return true
 }
 
 // A keyFill copies the probe key at ctx offset src into a left-out stage's
@@ -169,9 +194,9 @@ type keyFill struct{ dst, src int }
 // sink's key fills of the assists that left. It is decided once per
 // operator execution and shared read-only by every worker pipeline.
 type fanSpec struct {
-	filters            []fanTest
-	rowPreds, keyPreds []factTest
-	fills              []keyFill
+	filters []fanTest
+	preds   predSet
+	fills   []keyFill
 }
 
 // spec returns p's fanSpec, made on first use.
@@ -229,13 +254,14 @@ type compiledExpr struct {
 // morsels processed — is folded into the operator statistics per worker
 // by ExecContext.noteSink.
 type pipeline struct {
-	layout  ctxLayout
-	qctx    context.Context // query context; scans poll it for cancellation
-	ticks   int             // feed counter driving the periodic ctx poll
-	stopped bool            // latched once qctx is cancelled
-	rec     *arena.Recycler // plan chunk pool for the output index
-	// residual, if set, drops base combinations before stage 0.
-	residual func(ctx []uint64) bool
+	layout ctxLayout
+	poll   abortPoll       // the query context, polled per scanned key
+	rec    *arena.Recycler // plan chunk pool for the output index
+	// scan holds the predicates on input 0; scanVec is the selection
+	// vector its tests on a payload column narrow, a pool chunk of fanVec
+	// row numbers, nil without them.
+	scan    predSet
+	scanVec []int32
 	// stages are the probe stages: stage 0 is the main probe, and its
 	// rows are the fact rows every assist probes with.
 	stages []*probeStage
@@ -250,7 +276,7 @@ type pipeline struct {
 	bufSize  int
 	lookups  int // probe-stage lookups issued (stats)
 	filtered int // probe keys or fan-out rows a key filter dropped without a lookup (stats)
-	dropped  int // fact rows a fact predicate dropped (stats)
+	dropped  int // rows a predicate dropped (stats)
 	morsels  int // key-range morsels scanned through this pipeline (stats)
 
 	// slots holds every combination in flight, layout.width words each:
@@ -261,39 +287,59 @@ type pipeline struct {
 }
 
 func newPipeline(ec *ExecContext, layout ctxLayout) *pipeline {
-	bufSize := ec.bufferSize()
-	if bufSize < 1 {
-		bufSize = 1
-	}
-	return &pipeline{layout: layout, qctx: ec.ctx, bufSize: bufSize, rec: ec.rec}
+	return &pipeline{layout: layout, poll: abortPoll{ctx: ec.ctx}, bufSize: ec.bufferSize(), rec: ec.rec}
 }
 
 // abortTickMask throttles the cancellation poll to one ctx.Err() call per
-// 1024 fed combinations — cheap against the index work per combination,
-// frequent enough that even a serial whole-input scan unwinds within a
-// fraction of a millisecond of cancellation.
+// 1024 ticks — cheap against the index work per tick, frequent enough that
+// even a serial whole-input scan unwinds within a fraction of a
+// millisecond of cancellation.
 const abortTickMask = 1<<10 - 1
 
-// aborted polls the query context (throttled) and latches its
-// cancellation; scan loops call it per visited key or fed combination and
-// stop early once it reports true. The produced partial output is
-// discarded by the caller — runMorsels re-checks the context after every
-// morsel and surfaces ctx.Err().
-func (p *pipeline) aborted() bool {
-	if p.stopped {
-		return true
+// An abortPoll polls a query context (nil: not cancellable) on the
+// abortTickMask cadence and latches its cancellation.
+type abortPoll struct {
+	ctx     context.Context
+	ticks   int
+	stopped bool
+}
+
+// aborted ticks the poll and reports whether the query is cancelled; scan
+// and fold loops call it per visited key and stop early once it reports
+// true. The partial output is discarded by the caller — runMorsels
+// re-checks the context after every morsel and surfaces ctx.Err().
+func (a *abortPoll) aborted() bool {
+	if !a.stopped && a.ctx != nil {
+		a.ticks++
+		a.stopped = a.ticks&abortTickMask == 0 && a.ctx.Err() != nil
 	}
-	if p.qctx == nil {
-		return false
+	return a.stopped
+}
+
+// addPreds resolves an operator's predicates against the layout: those on
+// input 0 go to the scan, those on input 1 to the fan-out. A predicate on
+// any other input, or on an attribute its input lacks, is a plan error.
+func (p *pipeline) addPreds(op Operator, preds []AttrPred) error {
+	for _, ap := range preds {
+		r := ap.Ref
+		if r.Input < 0 || r.Input > 1 || r.Input >= len(p.layout.inputs) {
+			return fmt.Errorf("core: %s: predicate on input %d: only the scanned input and a select-join's main input take predicates", op.Label(), r.Input)
+		}
+		in := p.layout.inputs[r.Input]
+		set := &p.scan
+		if r.Input == 1 {
+			set = &p.spec().preds
+		}
+		if c := in.Col(r.Attr); c >= 0 {
+			set.tests = append(set.tests, attrTest{c, ap.Pred})
+		} else if f := in.Key.Field(r.Attr); f >= 0 {
+			set.tests = slices.Insert(set.tests, set.keys, attrTest{p.layout.keyOff(r.Input, f), ap.Pred})
+			set.keys++
+		} else {
+			return fmt.Errorf("core: %s: predicate on %q, not an attribute of input %d (%s)", op.Label(), r.Attr, r.Input, in.Name)
+		}
 	}
-	p.ticks++
-	if p.ticks&abortTickMask != 0 {
-		return false
-	}
-	if p.qctx.Err() != nil {
-		p.stopped = true
-	}
-	return p.stopped
+	return nil
 }
 
 // addProbe appends a probe stage for input `input`, probing with the
@@ -309,10 +355,10 @@ func (p *pipeline) addProbe(input, col, probeOff int) {
 }
 
 // clone returns a pipeline for another worker of the same operator
-// execution: p's layout, residuals, stages and filters, with buffers of its
-// own once setSink lays them out.
+// execution: p's layout, predicates, stages and filters, with buffers of
+// its own once setSink lays them out.
 func (p *pipeline) clone() *pipeline {
-	q := &pipeline{layout: p.layout, qctx: p.qctx, rec: p.rec, bufSize: p.bufSize, residual: p.residual, fan: p.fan}
+	q := &pipeline{layout: p.layout, poll: abortPoll{ctx: p.poll.ctx}, rec: p.rec, bufSize: p.bufSize, scan: p.scan, fan: p.fan}
 	for _, st := range p.stages {
 		q.stages = append(q.stages, &probeStage{table: st.table, input: st.input, col: st.col, probeOff: st.probeOff, comp: st.comp})
 	}
@@ -362,14 +408,18 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 	return newOutputTable(spec, s.out, p.rec), nil
 }
 
-// initJoinbuffer draws the slot chunk, every stage's queue and, when
+// initJoinbuffer draws the scan's selection vector when a predicate
+// narrows the scan, and the slot chunk, every stage's queue and, when
 // anything narrows the fan-out, its selection vector from the pool. It
 // runs once the stages and filters are final.
 func (p *pipeline) initJoinbuffer() {
+	if len(p.scan.rows()) > 0 {
+		p.scanVec = arena.NewChunk[int32](p.rec, fanVec)
+	}
 	if len(p.stages) == 0 {
 		return
 	}
-	if f := p.fan; f != nil && len(f.filters)+len(f.rowPreds) > 0 {
+	if f := p.fan; f != nil && len(f.filters)+len(f.preds.rows()) > 0 {
 		p.vec = arena.NewChunk[int32](p.rec, fanVec)
 	}
 	p.slots = arena.NewChunk[uint64](p.rec, max(len(p.stages)-1, 1)*p.bufSize*p.layout.width)
@@ -481,7 +531,7 @@ func (p *pipeline) parkKeyFilters() {
 }
 
 // release parks the recycler-backed buffers — the sink's insert buffer,
-// the slot chunk, the stage queues and the selection vector — back in the
+// the slot chunk, the stage queues and the selection vectors — back in the
 // pipeline's chunk pool.
 // The buffers are scratch, truncated and refilled per flush, so each goes
 // back at the high-water length any flush left in it: that prefix is all
@@ -498,7 +548,8 @@ func (p *pipeline) release() {
 	}
 	putScratch(p.rec, p.slots, p.slotHigh*p.layout.width)
 	putScratch(p.rec, p.vec, len(p.vec))
-	p.slots, p.vec = nil, nil
+	putScratch(p.rec, p.scanVec, len(p.scanVec))
+	p.slots, p.vec, p.scanVec = nil, nil, nil
 	for _, st := range p.stages {
 		putScratch(p.rec, st.sel, st.high)
 		putScratch(p.rec, st.keys, st.high)
@@ -514,14 +565,11 @@ func putScratch[T any](rec *arena.Recycler, c []T, n int) {
 	}
 }
 
-// feed pushes a completed base combination into the pipeline: past the
-// residual, it is copied into a stage 0 slot — the one copy every
-// combination pays — or straight into the sink when the operator probes
-// nothing. Callers may reuse ctx.
+// feed pushes a completed base combination into the pipeline: it is
+// copied into a stage 0 slot — the one copy every combination pays — or
+// straight into the sink when the operator probes nothing. Callers may
+// reuse ctx.
 func (p *pipeline) feed(ctx []uint64) {
-	if p.residual != nil && !p.residual(ctx) {
-		return
-	}
 	if len(p.stages) == 0 {
 		p.snk.feed(ctx, p.bufSize)
 		return
@@ -641,13 +689,9 @@ func (p *pipeline) fanOut(j int, lf *Leaf) {
 	r := main.sel[j]
 	ctx := p.slot(r)
 	p.layout.fillKey(ctx, 1, lf.Key, main.comp)
-	if f := p.fan; f != nil {
-		for _, t := range f.keyPreds {
-			if !t.pred.Has(ctx[t.col]) {
-				p.dropped += lf.Vals.Len()
-				return
-			}
-		}
+	if f := p.fan; f != nil && !f.preds.keep(ctx) {
+		p.dropped += lf.Vals.Len()
+		return
 	}
 	w := lf.Vals.Width()
 	if w == 0 {
@@ -671,7 +715,7 @@ func (p *pipeline) fanOut(j int, lf *Leaf) {
 			var sel []int32
 			n := len(rows) / w
 			if p.vec != nil {
-				sel = p.narrow(rows, w)
+				sel = p.narrow(&p.vec, rows, w, p.fan.filters, p.fan.preds.rows())
 				n = len(sel)
 			}
 			for x := 0; x < n; x++ {
@@ -698,26 +742,27 @@ func (p *pipeline) fanOut(j int, lf *Leaf) {
 }
 
 // narrow returns the numbers of the rows (w words each, at most fanVec)
-// that pass every fan filter, in assist order, and then every row
-// predicate: each test compacts the selection vector in place, keeping
-// the order. A row the first failing fan filter drops counts filtered, one
-// a predicate drops, dropped.
-func (p *pipeline) narrow(rows []uint64, w int) []int32 {
+// that pass every filter, in order, and then every row predicate, written
+// into *vec, a pool chunk of fanVec entries whose length is the most rows
+// any narrowing wrote: each test compacts the selection vector in place,
+// keeping the order. A row the first failing filter drops counts
+// filtered, one a predicate drops, dropped.
+func (p *pipeline) narrow(vec *[]int32, rows []uint64, w int, filters []fanTest, preds []attrTest) []int32 {
 	n := len(rows) / w
-	if n > len(p.vec) {
-		p.vec = p.vec[:n]
+	if n > len(*vec) {
+		*vec = (*vec)[:n]
 	}
-	sel := p.vec[:n]
+	sel := (*vec)[:n]
 	for i := range sel {
 		sel[i] = int32(i)
 	}
-	for _, t := range p.fan.filters {
+	for _, t := range filters {
 		k := t.f.narrow(sel, rows, w, t.col)
 		p.filtered += len(sel) - k
 		sel = sel[:k]
 	}
-	for i := range p.fan.rowPreds {
-		k := p.fan.rowPreds[i].narrow(sel, rows, w)
+	for i := range preds {
+		k := preds[i].narrow(sel, rows, w)
 		p.dropped += len(sel) - k
 		sel = sel[:k]
 	}
@@ -747,7 +792,7 @@ func (f *keyFilter) narrow(sel []int32, rows []uint64, w, col int) int {
 // narrow keeps the entries of sel whose row passes the test, as
 // keyFilter.narrow does, and returns how many it kept: one range is one
 // unsigned compare, v−lo ≤ hi−lo; several ranges are searched.
-func (t *factTest) narrow(sel []int32, rows []uint64, w int) int {
+func (t *attrTest) narrow(sel []int32, rows []uint64, w int) int {
 	k := 0
 	if len(t.pred) != 1 || t.pred[0].Lo > t.pred[0].Hi {
 		for _, i := range sel {

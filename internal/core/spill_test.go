@@ -84,7 +84,7 @@ func TestBudgetedParallelFold(t *testing.T) {
 	kOff := CtxOffsets([]*IndexedTable{in}, Ref{Input: 0, Attr: "k"})[0]
 	late := make(chan struct{})
 	var once sync.Once
-	sel.Residual = func(ctx []uint64) bool {
+	sel.Out.ColExprs = []RowExpr{Computed(func(ctx []uint64) uint64 {
 		switch k := ctx[kOff]; {
 		case k == 0:
 			select {
@@ -94,8 +94,8 @@ func TestBudgetedParallelFold(t *testing.T) {
 		case k >= nKeys/2:
 			once.Do(func() { close(late) })
 		}
-		return true
-	}
+		return 1
+	})}
 	got, stats, err := run(t, EnvConfig{Workers: 3, MemBudget: 1}, &Plan{Root: sel}, Options{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)

@@ -33,31 +33,52 @@ func (b *builder) build() (*Statement, error) {
 	return b.buildStar()
 }
 
-// selIndex builds the base index a selection over ti scans: keyed on the
-// first of conds (WHERE order), the primary restriction, or on fallback
-// when conds is empty, and partially clustered with include and the
-// columns of the later conds, the residual restrictions.
-func (b *builder) selIndex(ti *catalog.TableInfo, conds []Cond, fallback string, include map[string]bool) (*core.IndexedTable, Cond, []Cond, error) {
-	var primary Cond
-	var residual []Cond
+// selIndex builds the base index a selection over ti scans and the
+// selection's restrictions on it: keyed on the first of conds (WHERE
+// order), the primary restriction, which becomes the scan's key
+// predicate, or on fallback when conds is empty, and partially clustered
+// with include and the columns of the later conds, which become the
+// predicates on the scanned input.
+func (b *builder) selIndex(ti *catalog.TableInfo, conds []Cond, fallback string, include map[string]bool) (*core.IndexedTable, core.KeyPred, []core.AttrPred, error) {
 	keyCol := fallback
 	if len(conds) > 0 {
-		primary, residual = conds[0], conds[1:]
-		keyCol = primary.Col.Name
-	}
-	for _, c := range residual {
-		include[c.Col.Name] = true
+		keyCol = conds[0].Col.Name
+		for _, c := range conds[1:] {
+			include[c.Col.Name] = true
+		}
 	}
 	delete(include, keyCol)
 	def := catalog.IndexDef{KeyCols: []string{keyCol}, Include: sortedKeys(include)}
 	idx, err := ti.BuildIndexCtx(b.ctx, def)
-	return idx, primary, residual, err
+	if err != nil || len(conds) == 0 {
+		return idx, nil, nil, err
+	}
+	pred, err := b.keyPred(ti, conds[0])
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	preds, err := b.preds(nil, ti, 0, conds[1:])
+	return idx, pred, preds, err
+}
+
+// preds appends to dst the predicates that conds, restrictions on ti's
+// columns, put on the plan input of ordinal input.
+func (b *builder) preds(dst []core.AttrPred, ti *catalog.TableInfo, input int, conds []Cond) ([]core.AttrPred, error) {
+	preds := slices.Grow(dst, len(conds))
+	for _, c := range conds {
+		pred, err := b.keyPred(ti, c)
+		if err != nil {
+			return nil, err
+		}
+		preds = append(preds, core.AttrPred{Ref: core.Ref{Input: input, Attr: c.Col.Name}, Pred: pred})
+	}
+	return preds, nil
 }
 
 // dimIndex picks the base index for a dimension: keyed on its primary
 // restriction or, when the dimension is unrestricted, on the join key,
 // partially clustered with everything the plan reads from it.
-func (b *builder) dimIndex(d *dimInfo) (*core.IndexedTable, Cond, []Cond, error) {
+func (b *builder) dimIndex(d *dimInfo) (*core.IndexedTable, core.KeyPred, []core.AttrPred, error) {
 	include := map[string]bool{d.joinKey: true}
 	for _, c := range d.carries {
 		include[c] = true
@@ -69,20 +90,12 @@ func (b *builder) dimIndex(d *dimInfo) (*core.IndexedTable, Cond, []Cond, error)
 // shape under which it appears in the combination context: a Selection
 // and its output for a restricted dimension, the base index otherwise.
 func (b *builder) dimOperator(d *dimInfo) (core.Operator, *core.IndexedTable, error) {
-	idx, primary, residual, err := b.dimIndex(d)
+	idx, pred, preds, err := b.dimIndex(d)
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(d.conds) == 0 {
 		return &core.Base{Table: idx}, idx, nil
-	}
-	pred, err := b.keyPred(d.ti, primary)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := b.residual(residual, d.ti, idx)
-	if err != nil {
-		return nil, nil, err
 	}
 	out := core.OutputSpec{
 		Name:    "σ_" + d.table,
@@ -93,7 +106,7 @@ func (b *builder) dimOperator(d *dimInfo) (core.Operator, *core.IndexedTable, er
 		out.Cols = append(out.Cols, c)
 		out.ColExprs = append(out.ColExprs, core.Attr(0, c))
 	}
-	sel := &core.Selection{Input: &core.Base{Table: idx}, Pred: pred, Residual: res, Out: out}
+	sel := &core.Selection{Input: &core.Base{Table: idx}, Pred: pred, Preds: preds, Out: out}
 	return sel, core.Shape(out.Name, out.Key, d.carries), nil
 }
 
@@ -134,7 +147,7 @@ func (b *builder) buildStar() (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	mainIdx, mainPrimary, mainResidual, err := b.dimIndex(main)
+	mainIdx, pred, preds, err := b.dimIndex(main)
 	if err != nil {
 		return nil, err
 	}
@@ -157,31 +170,15 @@ func (b *builder) buildStar() (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	var factPreds []core.AttrPred
-	for _, c := range b.restr[b.factName] {
-		pred, err := b.keyPred(b.fact, c)
-		if err != nil {
-			return nil, err
-		}
-		factPreds = append(factPreds, core.AttrPred{Attr: c.Col.Name, Pred: pred})
-	}
-	var pred core.KeyPred
-	if len(main.conds) > 0 {
-		if pred, err = b.keyPred(main.ti, mainPrimary); err != nil {
-			return nil, err
-		}
-	}
-	dimRes, err := b.residual(mainResidual, main.ti, mainIdx)
-	if err != nil {
+	if preds, err = b.preds(preds, b.fact, 1, b.restr[b.factName]); err != nil {
 		return nil, err
 	}
 	return b.finish(&core.Plan{Root: &core.SelectJoin{
 		SelInput:      &core.Base{Table: mainIdx},
 		Pred:          pred,
-		Residual:      dimRes,
 		Main:          &core.Base{Table: factIdx},
 		ProbeMainWith: core.Ref{Input: 0, Attr: main.joinKey},
-		MainPreds:     factPreds,
+		Preds:         preds,
 		Assists:       assists,
 		Out:           *out,
 	}})
@@ -202,6 +199,8 @@ func (b *builder) buildSingleTable() (*Statement, error) {
 		collectCols(e, include)
 	}
 	var idx *core.IndexedTable
+	var pred core.KeyPred
+	var preds []core.AttrPred
 	fallback := ""
 	if len(conds) == 0 {
 		cols := sortedKeys(include)
@@ -210,30 +209,17 @@ func (b *builder) buildSingleTable() (*Statement, error) {
 		}
 		idx, fallback = b.fact.Covering(cols), cols[0]
 	}
-	var primary Cond
-	var residual []Cond
 	if idx == nil {
 		var err error
-		if idx, primary, residual, err = b.selIndex(b.fact, conds, fallback, include); err != nil {
+		if idx, pred, preds, err = b.selIndex(b.fact, conds, fallback, include); err != nil {
 			return nil, err
 		}
 	}
-	shapes := []*core.IndexedTable{idx}
-	out, err := b.outputSpec(0, shapes)
+	out, err := b.outputSpec(0, []*core.IndexedTable{idx})
 	if err != nil {
 		return nil, err
 	}
-	var pred core.KeyPred
-	if len(conds) > 0 {
-		if pred, err = b.keyPred(b.fact, primary); err != nil {
-			return nil, err
-		}
-	}
-	res, err := b.residual(residual, b.fact, idx)
-	if err != nil {
-		return nil, err
-	}
-	root := &core.Selection{Input: &core.Base{Table: idx}, Pred: pred, Residual: res, Out: *out}
+	root := &core.Selection{Input: &core.Base{Table: idx}, Pred: pred, Preds: preds, Out: *out}
 	return b.finish(&core.Plan{Root: root})
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // keyPred converts a restriction on a column into a union of key ranges:
-// a selection's predicate on its index key, a residual test, or a
-// select-join's fact predicate (core.AttrPred). String
+// a scan's predicate on its index key, or an operator's predicate on
+// another attribute (core.AttrPred). String
 // literals go through the order-preserving dictionary; literals missing
 // from the dictionary, and numbers past the column's key width, match
 // nothing (they cannot match loaded data).
@@ -88,43 +88,6 @@ func (b *builder) keyPred(ti *catalog.TableInfo, c Cond) (core.KeyPred, error) {
 		merged = append(merged, r)
 	}
 	return merged, nil
-}
-
-// residual compiles non-primary restrictions into a combination filter:
-// each restriction's keyPred, tested on its value in the combination
-// context of an operator whose input 0 is in, the restricted table's.
-func (b *builder) residual(conds []Cond, ti *catalog.TableInfo, in *core.IndexedTable) (func([]uint64) bool, error) {
-	if len(conds) == 0 {
-		return nil, nil
-	}
-	var tests []func([]uint64) bool
-	for _, c := range conds {
-		pred, err := b.keyPred(ti, c)
-		if err != nil {
-			return nil, err
-		}
-		off := core.CtxOffsets([]*core.IndexedTable{in}, core.Ref{Input: 0, Attr: c.Col.Name})[0]
-		tests = append(tests, predTest(pred, off))
-	}
-	return func(ctx []uint64) bool {
-		for _, t := range tests {
-			if !t(ctx) {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
-// predTest tests a key predicate on the context value at off. A single
-// range is two compares. Several ranges (an IN list's values, adjacent
-// ones merged) are searched in their sorted order.
-func predTest(p core.KeyPred, off int) func([]uint64) bool {
-	if len(p) == 1 {
-		lo, hi := p[0].Lo, p[0].Hi
-		return func(ctx []uint64) bool { return ctx[off] >= lo && ctx[off] <= hi }
-	}
-	return func(ctx []uint64) bool { return p.Has(ctx[off]) }
 }
 
 // finish assembles the Statement's extraction metadata: how to map the

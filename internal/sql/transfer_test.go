@@ -72,8 +72,8 @@ func TestFactRestrictionOnForeignKeyRestrictsDimension(t *testing.T) {
 		if !ok {
 			t.Fatalf("%d: root is %s, want a select-join", y, stmt.Plan.Root.Label())
 		}
-		if want := (core.KeyPred{{Lo: y*10000 + 101, Hi: y*10000 + 1231}}); !slices.Equal(sj.Pred, want) || len(sj.MainPreds) != 0 {
-			t.Errorf("%d: select-join predicate %v, main predicates %v; want %v and none", y, sj.Pred, sj.MainPreds, want)
+		if want := (core.KeyPred{{Lo: y*10000 + 101, Hi: y*10000 + 1231}}); !slices.Equal(sj.Pred, want) || len(factPreds(sj)) != 0 {
+			t.Errorf("%d: select-join predicate %v, main predicates %v; want %v and none", y, sj.Pred, factPreds(sj), want)
 		}
 		days := 0
 		for _, v := range years {
@@ -113,7 +113,7 @@ func TestFactRestrictionOnForeignKeyRestrictsDimension(t *testing.T) {
 	// An assist: the customer region is the more selective restriction,
 	// so the date range filters the fan-out instead of driving it.
 	stmt, _ := check(asia + "lo_orderdate between 19930101 and 19931231 group by c_nation;")
-	if sj, ok := stmt.Plan.Root.(*core.SelectJoin); !ok || len(sj.Assists) != 1 || len(sj.MainPreds) != 0 {
+	if sj, ok := stmt.Plan.Root.(*core.SelectJoin); !ok || len(sj.Assists) != 1 || len(factPreds(sj)) != 0 {
 		t.Errorf("assist text planned %s, want a select-join with one assist and no main predicate", describe(stmt.Plan.Root))
 	}
 
@@ -141,9 +141,9 @@ func describe(op core.Operator) string {
 	s := op.Label()
 	switch o := op.(type) {
 	case *core.Selection:
-		s += fmt.Sprint(o.Pred, o.Residual != nil)
+		s += fmt.Sprint(o.Pred, o.Preds)
 	case *core.SelectJoin:
-		s += fmt.Sprint(o.Pred, o.Residual != nil, o.ProbeMainWith, o.MainPreds)
+		s += fmt.Sprint(o.Pred, o.ProbeMainWith, o.Preds)
 		for _, a := range o.Assists {
 			s += fmt.Sprint(a.ProbeWith)
 		}
@@ -152,6 +152,18 @@ func describe(op core.Operator) string {
 		s += "(" + describe(c) + ")"
 	}
 	return s
+}
+
+// factPreds returns a select-join's predicates on its main input, the
+// fact.
+func factPreds(sj *core.SelectJoin) []core.AttrPred {
+	var preds []core.AttrPred
+	for _, p := range sj.Preds {
+		if p.Ref.Input == 1 {
+			preds = append(preds, p)
+		}
+	}
+	return preds
 }
 
 // twoDims joins two dimensions on one foreign key of the fact.

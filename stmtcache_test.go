@@ -158,7 +158,7 @@ func TestEngineAdmission(t *testing.T) {
 
 // TestEngineAdmissionWait: PlanStats.AdmissionWait is the time a run
 // spent at the gate. Under MaxPlans 1 a hand-built plan holds the gate —
-// its residual blocks until the test lets go — while a prepared statement
+// its computed column blocks until the test lets go — while a prepared statement
 // queues behind it; the gate stays held for hold after the statement
 // queued, so that run reports at least hold. A run admitted at once
 // reports exactly 0, and its stats print no admission line.
@@ -190,11 +190,10 @@ func TestEngineAdmissionWait(t *testing.T) {
 	var once sync.Once
 	holder := &core.Selection{
 		Input: &core.Base{Table: ds.Date.MustIndex([]string{"d_year"})},
-		Residual: func([]uint64) bool {
+		Out: core.OutputSpec{Name: "held", Cols: []string{"h"}, ColExprs: []core.RowExpr{core.Computed(func([]uint64) uint64 {
 			once.Do(func() { close(entered); <-release })
-			return true
-		},
-		Out: core.OutputSpec{Name: "held"},
+			return 0
+		})}},
 	}
 	held := make(chan error, 1)
 	go func() {

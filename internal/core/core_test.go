@@ -421,9 +421,10 @@ func TestStatsCollection(t *testing.T) {
 	if join.OutKeys != out.Keys() || join.OutRows != out.Rows() {
 		t.Errorf("join stats out %d/%d, table %d/%d", join.OutKeys, join.OutRows, out.Keys(), out.Rows())
 	}
-	// The main probe looks up each selected product once, and every fact
-	// row it yields reaches the customer assist once, as a lookup or as a
-	// filtered key.
+	// The main probe looks up each selected product once. The customer
+	// index has one row per key, so the assist is read by position, never
+	// looked up: every fact row the main probe yields is either filtered
+	// or indexed.
 	prods, combos := 0, 0
 	for _, b := range f.prod {
 		if b == 2 {
@@ -435,8 +436,8 @@ func TestStatsCollection(t *testing.T) {
 			combos++
 		}
 	}
-	if combos == 0 || join.ProbeLookups+join.ProbeFiltered != prods+combos {
-		t.Errorf("join probes %d + filtered %d, want %d products and %d fact rows in all", join.ProbeLookups, join.ProbeFiltered, prods, combos)
+	if combos == 0 || join.ProbeLookups != prods || join.ProbeFiltered+join.TuplesIndexed != combos {
+		t.Errorf("join probes %d, filtered %d + indexed %d; want %d products and %d fact rows", join.ProbeLookups, join.ProbeFiltered, join.TuplesIndexed, prods, combos)
 	}
 	if join.Time <= 0 || join.IndexTime < 0 || join.MaterializeTime < 0 {
 		t.Errorf("implausible times: %+v", join)
@@ -446,27 +447,19 @@ func TestStatsCollection(t *testing.T) {
 	}
 }
 
-// TestProbeFilteredCounts pins the probe counts of a select-join whose
-// first assist, a late stage, is a sparse customer index — every third
-// customer of [90, 390], so fact rows' customers fall below its Min, above
-// its Max and into its holes. Each fact row the main probe yields is
-// looked up in the assist when its customer is there and filtered
-// otherwise; the main probe looks up each selected product. Over the dense
-// customer index no key is filtered: a stage index without a hole gets no
-// filter.
+// TestProbeFilteredCounts pins the probe counts of a select-join over a
+// sparse customer index — every third customer of [90, 390], so fact
+// rows' customers fall below its Min, above its Max and into its holes.
+// The main probe looks up each selected product. Each fact row it yields
+// is filtered when its customer is absent; otherwise, with one row per
+// customer, the assist is read by position and never looked up, and with
+// two rows per customer its probe stage looks the customer up. Over the
+// dense customer index no key is filtered, and no customer looked up.
 func TestProbeFilteredCounts(t *testing.T) {
 	f := buildFixture(9)
 	const brand = 2
 	inSparse := func(c uint64) bool { return c >= 90 && c <= 390 && (c-90)%3 == 0 }
-	idx := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: 1})
-	for c := uint64(0); c < nCust; c++ {
-		if inSparse(c) {
-			idx.Insert(c, []uint64{f.cust[c]})
-		}
-	}
-	sparse := NewIndexedTable("customers[custkey]", SimpleKey("custkey", 16), []string{"region"}, idx)
 	prods, hits, misses := 0, 0, 0
-	want := map[uint64]uint64{}
 	for _, b := range f.prod {
 		if b == brand {
 			prods++
@@ -478,7 +471,6 @@ func TestProbeFilteredCounts(t *testing.T) {
 		}
 		if inSparse(r[0]) {
 			hits++
-			want[f.cust[r[0]]] += r[2]
 		} else {
 			misses++
 		}
@@ -486,32 +478,54 @@ func TestProbeFilteredCounts(t *testing.T) {
 	if hits == 0 || misses == 0 {
 		t.Fatalf("fixture: %d hits, %d misses", hits, misses)
 	}
-	for _, workers := range []int{1, 2} {
-		for _, bs := range []int{1, 7, 512} {
-			pl := sjPlan(f, brand)
-			pl.Root.(*SelectJoin).Assists[0].Input = &Base{Table: sparse}
-			out, stats, err := run(t, EnvConfig{Workers: workers}, pl, Options{BufferSize: bs, CollectStats: true})
-			if err != nil {
-				t.Fatal(err)
+	for _, dup := range []int{1, 2} {
+		idx := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: 1})
+		for c := uint64(0); c < nCust; c++ {
+			for j := 0; j < dup && inSparse(c); j++ {
+				idx.Insert(c, []uint64{f.cust[c]})
 			}
-			if got := resultAsMap(t, Extract(out)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Workers %d BufferSize %d: got %v, want %v", workers, bs, got, want)
+		}
+		sparse := NewIndexedTable("customers[custkey]", SimpleKey("custkey", 16), []string{"region"}, idx)
+		want := map[uint64]uint64{}
+		for _, r := range f.fact {
+			if f.prod[r[1]] == brand && inSparse(r[0]) {
+				want[f.cust[r[0]]] += uint64(dup) * r[2]
 			}
-			op := stats.Ops[0]
-			if op.ProbeLookups != prods+hits || op.ProbeFiltered != misses {
-				t.Errorf("Workers %d BufferSize %d: probes %d, filtered %d; want %d, %d",
-					workers, bs, op.ProbeLookups, op.ProbeFiltered, prods+hits, misses)
-			}
-			if s := stats.String(); !strings.Contains(s, fmt.Sprintf("probes %d, filtered %d", prods+hits, misses)) {
-				t.Errorf("stats string lacks the probe counts:\n%s", s)
-			}
-			_, dense, err := run(t, EnvConfig{Workers: workers}, sjPlan(f, brand), Options{BufferSize: bs, CollectStats: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if op := dense.Ops[0]; op.ProbeLookups != prods+hits+misses || op.ProbeFiltered != 0 {
-				t.Errorf("dense assist, Workers %d BufferSize %d: probes %d, filtered %d; want %d, 0",
-					workers, bs, op.ProbeLookups, op.ProbeFiltered, prods+hits+misses)
+		}
+		probes := prods
+		if dup > 1 {
+			probes += hits
+		}
+		for _, workers := range []int{1, 2} {
+			for _, bs := range []int{1, 7, 512} {
+				pl := sjPlan(f, brand)
+				pl.Root.(*SelectJoin).Assists[0].Input = &Base{Table: sparse}
+				out, stats, err := run(t, EnvConfig{Workers: workers}, pl, Options{BufferSize: bs, CollectStats: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := resultAsMap(t, Extract(out)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d rows per customer, Workers %d BufferSize %d: got %v, want %v", dup, workers, bs, got, want)
+				}
+				op := stats.Ops[0]
+				if op.ProbeLookups != probes || op.ProbeFiltered != misses {
+					t.Errorf("%d rows per customer, Workers %d BufferSize %d: probes %d, filtered %d; want %d, %d",
+						dup, workers, bs, op.ProbeLookups, op.ProbeFiltered, probes, misses)
+				}
+				if s := stats.String(); !strings.Contains(s, fmt.Sprintf("probes %d, filtered %d", probes, misses)) {
+					t.Errorf("stats string lacks the probe counts:\n%s", s)
+				}
+				if dup > 1 {
+					continue
+				}
+				_, dense, err := run(t, EnvConfig{Workers: workers}, sjPlan(f, brand), Options{BufferSize: bs, CollectStats: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if op := dense.Ops[0]; op.ProbeLookups != prods || op.ProbeFiltered != 0 {
+					t.Errorf("dense assist, Workers %d BufferSize %d: probes %d, filtered %d; want %d, 0",
+						workers, bs, op.ProbeLookups, op.ProbeFiltered, prods)
+				}
 			}
 		}
 	}

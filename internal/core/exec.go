@@ -113,10 +113,10 @@ type OperatorStats struct {
 	// a key filter dropped without a lookup, each once, at the first
 	// filter that drops it: a select-join tests every assist's filter on
 	// each fact row its main probe yields, in assist order, and an assist
-	// that only filters is never looked up at all. ResidualDropped counts
-	// the rows the operator's Preds drop: the scanned tuples a selection's
-	// drop, and the fact rows a select-join's fact predicates drop after
-	// the filters.
+	// read by position (one row per key) is never looked up at all.
+	// ResidualDropped counts the rows the operator's Preds drop: the
+	// scanned tuples a selection's drop, and the fact rows a select-join's
+	// fact predicates drop after the filters.
 	TuplesIndexed   int
 	ProbeLookups    int
 	ProbeFiltered   int

@@ -72,38 +72,63 @@ func fanDriver(rng *rand.Rand, runs []int) *IndexedTable {
 	})
 }
 
-// keyTable returns a table keyed on k holding the given keys, one row
-// each, with one column v = 7k when carry is set and none otherwise.
-func keyTable(name string, keys []uint64, carry bool) *IndexedTable {
+// keyTable returns a table keyed on k holding the given keys, rows rows
+// each, with w columns v0, v1, …: row j of key k holds gatherValue(k, c)+j
+// in column c.
+func keyTable(name string, keys []uint64, rows, w int) *IndexedTable {
 	var cols []string
-	if carry {
-		cols = []string{"v"}
+	for c := range w {
+		cols = append(cols, fmt.Sprintf("v%d", c))
 	}
-	idx := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: len(cols)})
+	idx := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: w})
 	for _, k := range keys {
-		row := []uint64{7 * k}
-		idx.Insert(k, row[:len(cols)])
+		for j := range rows {
+			row := make([]uint64, w)
+			for c := range row {
+				row[c] = gatherValue(k, c) + uint64(j)
+			}
+			idx.Insert(k, row)
+		}
 	}
 	return NewIndexedTable(name, SimpleKey("k", 16), cols, idx)
 }
 
+// gatherValue is the value of column c at key k of a keyTable: distinct
+// per key and column, so a row read at the wrong position shows.
+func gatherValue(k uint64, c int) uint64 { return k<<8 | uint64(c)<<4 | 1 }
+
+// A carryKind is what follows TestFanOutKernel's filter-only assists:
+// assists that carry columns, as base indexes or, pooled, as selection
+// outputs over them, each probed with a fact column.
+type carryKind struct {
+	name   string
+	tables []*IndexedTable
+	probes []string
+	pooled bool
+}
+
 // TestFanOutKernel holds the selection-vector kernel, at the fan-out and
 // at the scan, to a scalar reference built on keyFilter.has and
-// KeyPred.Has: the rows that reach the output, their order, and the counts
-// of rows the fan filters (ProbeFiltered) and the predicates
-// (ResidualDropped) drop. The driver's and the fact's runs are 0, 1, V−1,
-// V, V+1 and 3V+1 rows long (V = fanVec); 0–3 filter-only assists hold
-// sparse keys (probe keys fall below their lo, which wraps, and at lo+n),
-// keys with holes over two bitmap words (probe keys past them read a
-// masked-off bit of word 0), or none (n = 0); a trailing assist that
-// carries a column and misses no key makes the survivors queue at stage 1
-// instead of going straight to the sink. The fact predicates are ranges at
-// 0 and at 2^64−1, an IN list, and one on the fact key; the scan's are a
-// range on a payload column, an IN list, and one on the driver's key with
-// a range at 2^64−1. Every plan runs in one of two Envs, so each pooled
-// selection vector is handed out again and must come back zero. A
-// predicate on an input past the fact, or on an attribute its input
-// lacks, fails the plan.
+// KeyPred.Has: the rows that reach the output, their order, the counts of
+// rows the fan filters (ProbeFiltered) and the predicates
+// (ResidualDropped) drop, and the lookups issued. The driver's and the
+// fact's runs are 0, 1, V−1, V, V+1 and 3V+1 rows long (V = fanVec); 0–3
+// filter-only assists hold sparse keys (probe keys fall below their lo,
+// which wraps, and at lo+n), keys with holes over two bitmap words (probe
+// keys past them read a masked-off bit of word 0), or none (n = 0). Then
+// come assists that carry columns: none; one with two rows per key, which
+// keeps its probe stage, so the survivors queue at stage 1 instead of
+// going straight to the sink; three gathered assists of widths 1–3, as
+// base indexes or pooled, whose spans start and end at a key, so fact
+// keys fall below lo and past lo+n−1; or an empty gathered assist. A
+// gathered assist's row is checked against a lookup of its index, and
+// the select-join looks up nothing but its driving keys. The fact
+// predicates are ranges at 0 and at 2^64−1, an IN list, and one on the
+// fact key; the scan's are a range on a payload column, an IN list, and
+// one on the driver's key with a range at 2^64−1. Every plan runs in one
+// of two Envs, so each pooled selection vector and value array is handed
+// out again and must come back zero. A predicate on an input past the
+// fact, or on an attribute its input lacks, fails the plan.
 func TestFanOutKernel(t *testing.T) {
 	arenatest.CheckZeroHandouts(t)
 	const V = fanVec
@@ -111,7 +136,7 @@ func TestFanOutKernel(t *testing.T) {
 	runs := []int{0, 1, V - 1, V, V + 1, 3*V + 1}
 	fact := fanFact(rng, runs)
 	driver := fanDriver(rng, runs)
-	var all, sparse, holey []uint64
+	var all, sparse, holey, wide, narrow []uint64
 	for k := uint64(0); k < 128; k++ {
 		all = append(all, k)
 		if k >= 16 && k < 80 && (k%2 == 0 || k == 79) {
@@ -120,17 +145,31 @@ func TestFanOutKernel(t *testing.T) {
 		if k < 100 && k%3 != 0 {
 			holey = append(holey, k)
 		}
+		if k >= 5 && k <= 120 && (k%4 != 2 || k == 120) {
+			wide = append(wide, k)
+		}
+		if k >= 30 && k <= 60 {
+			narrow = append(narrow, k)
+		}
 	}
 	tables := map[string]*IndexedTable{
-		"sparse": keyTable("sparse", sparse, false),
-		"holey":  keyTable("holey", holey, false),
-		"empty":  keyTable("empty", nil, false),
+		"sparse": keyTable("sparse", sparse, 1, 0),
+		"holey":  keyTable("holey", holey, 1, 0),
+		"empty":  keyTable("empty", nil, 1, 0),
 	}
 	refFilters := map[string]*keyFilter{}
 	for name, tb := range tables {
-		refFilters[name] = newKeyFilter(nil, tb.Idx, false)
+		refFilters[name] = newKeyFilter(nil, tb)
 	}
-	carrier := keyTable("carry", all, true)
+	gathered := []*IndexedTable{keyTable("g1", wide, 1, 1), keyTable("g2", narrow, 1, 2), keyTable("g3", wide, 1, 3)}
+	gatherProbes := []string{"c0", "c1", "c1"}
+	carries := []carryKind{
+		{name: "none"},
+		{name: "two rows per key", tables: []*IndexedTable{keyTable("dup", all, 2, 1)}, probes: []string{"c1"}},
+		{name: "gathered", tables: gathered, probes: gatherProbes},
+		{name: "gathered, pooled", tables: gathered, probes: gatherProbes, pooled: true},
+		{name: "empty gathered", tables: []*IndexedTable{gathered[0], keyTable("g0", nil, 1, 2)}, probes: []string{"c0", "c1"}, pooled: true},
+	}
 	type assist struct{ table, probe string }
 	filterSets := [][]assist{
 		nil,
@@ -158,7 +197,7 @@ func TestFanOutKernel(t *testing.T) {
 	envs := []*Env{newTestEnv(t, EnvConfig{Workers: 1}), newTestEnv(t, EnvConfig{Workers: 2})}
 	for _, bad := range []AttrPred{on(1, "nope", Point(1)), on(2, "k", Point(1)), on(0, "c0", Point(1))} {
 		sj := &SelectJoin{SelInput: &Base{Table: driver}, Main: &Base{Table: fact}, ProbeMainWith: Ref{Input: 0, Attr: "m"},
-			Preds: []AttrPred{bad}, Assists: []Assist{{Input: &Base{Table: carrier}, ProbeWith: "c1"}},
+			Preds: []AttrPred{bad}, Assists: []Assist{{Input: &Base{Table: gathered[0]}, ProbeWith: "c1"}},
 			Out: OutputSpec{Name: "out", Key: SimpleKey("out", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}}
 		if _, _, err := envs[0].Run(context.Background(), &Plan{Root: sj}, Options{}); err == nil {
 			t.Fatalf("a predicate on input %d's %q planned", bad.Ref.Input, bad.Ref.Attr)
@@ -175,19 +214,15 @@ func TestFanOutKernel(t *testing.T) {
 		return true
 	}
 	for _, filters := range filterSets {
-		for _, carry := range []bool{false, true} {
+		for _, carry := range carries {
 			for pi, factSet := range predSets {
 				for si, scanSet := range scanSets {
-					name := fmt.Sprintf("filters %v, carry %v, preds %d, scan preds %d", filters, carry, pi, si)
+					name := fmt.Sprintf("filters %v, carry %s, preds %d, scan preds %d", filters, carry.name, pi, si)
 					inputs := []*IndexedTable{driver, fact}
 					var assists []Assist
 					for _, a := range filters {
 						inputs = append(inputs, tables[a.table])
 						assists = append(assists, Assist{Input: &Base{Table: tables[a.table]}, ProbeWith: a.probe})
-					}
-					if carry {
-						inputs = append(inputs, carrier)
-						assists = append(assists, Assist{Input: &Base{Table: carrier}, ProbeWith: "c1"})
 					}
 					out := OutputSpec{Name: "out", Key: SimpleKey("out", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}
 					for i, cols := range [][]string{driver.Cols, {"k", "c0", "c1", "c2"}} {
@@ -196,9 +231,21 @@ func TestFanOutKernel(t *testing.T) {
 							out.ColExprs = append(out.ColExprs, Attr(i, c))
 						}
 					}
-					if carry {
-						out.Cols = append(out.Cols, "v")
-						out.ColExprs = append(out.ColExprs, Attr(len(inputs)-1, "v"))
+					for i, tb := range carry.tables {
+						var in Operator = &Base{Table: tb}
+						if carry.pooled {
+							o := OutputSpec{Name: "σ" + tb.Name, Key: tb.Key, KeyRefs: []Ref{{Input: 0, Attr: "k"}}, Cols: tb.Cols}
+							for _, c := range tb.Cols {
+								o.ColExprs = append(o.ColExprs, Attr(0, c))
+							}
+							in = &Selection{Input: in, Out: o}
+						}
+						assists = append(assists, Assist{Input: in, ProbeWith: carry.probes[i]})
+						for _, c := range append([]string{"k"}, tb.Cols...) {
+							out.Cols = append(out.Cols, fmt.Sprintf("%s.%s", tb.Name, c))
+							out.ColExprs = append(out.ColExprs, Attr(len(inputs), c))
+						}
+						inputs = append(inputs, tb)
 					}
 					plan := &Plan{Root: &SelectJoin{
 						SelInput: &Base{Table: driver}, Main: &Base{Table: fact},
@@ -207,12 +254,15 @@ func TestFanOutKernel(t *testing.T) {
 
 					// The reference: every driver row, in key and list
 					// order, through the scan's key predicates and then
-					// its column predicates; every fact row of the key it
-					// probes, in list order, through the key predicates,
-					// then the filters in assist order, then the column
-					// predicates.
+					// its column predicates, looked up in the fact; every
+					// fact row of the key it probes, in list order,
+					// through the key predicates, then the filters and
+					// the gathered assists in assist order, then the
+					// column predicates, and then, with two rows per key,
+					// looked up in the carrying assist.
 					var want [][]uint64
-					filtered, dropped := 0, 0
+					filtered, dropped, lookups := 0, 0, 0
+					probed := len(carry.tables) == 1 && carry.tables[0].Name == "dup"
 					driver.Idx.Iterate(func(dl *Leaf) bool {
 						if !passes(scanSet, 0, "k", dl.Key) {
 							dropped += dl.Vals.Len()
@@ -225,6 +275,7 @@ func TestFanOutKernel(t *testing.T) {
 									return true
 								}
 							}
+							lookups++
 							lf := fact.Idx.Lookup(d[0])
 							if lf == nil {
 								return true
@@ -241,16 +292,36 @@ func TestFanOutKernel(t *testing.T) {
 										return true
 									}
 								}
+								r := append(append([]uint64{dl.Key}, d...), lf.Key)
+								r = append(r, row...)
+								var carried [][]uint64
+								for i, tb := range carry.tables {
+									k := row[fact.Col(carry.probes[i])]
+									cl := tb.Idx.Lookup(k)
+									if cl == nil {
+										filtered++
+										return true
+									}
+									cl.Vals.Scan(func(v []uint64) bool {
+										carried = append(carried, append([]uint64{k}, v...))
+										return true
+									})
+								}
 								for c, col := range fact.Cols {
 									if !passes(factSet, 1, col, row[c]) {
 										dropped++
 										return true
 									}
 								}
-								r := append(append([]uint64{dl.Key}, d...), lf.Key)
-								r = append(r, row...)
-								if carry {
-									r = append(r, 7*row[1])
+								if probed {
+									lookups++
+									for _, c := range carried {
+										want = append(want, append(slices.Clone(r), c...))
+									}
+									return true
+								}
+								for _, c := range carried {
+									r = append(r, c...)
 								}
 								want = append(want, r)
 								return true
@@ -259,7 +330,7 @@ func TestFanOutKernel(t *testing.T) {
 						})
 						return true
 					})
-					if pi == 0 && si == 0 && len(filters) < 2 && len(want) < V {
+					if pi == 0 && si == 0 && len(filters) < 2 && carry.name != "empty gathered" && len(want) < V {
 						t.Fatalf("%s: the fixture passes only %d rows", name, len(want))
 					}
 					for w, env := range envs {
@@ -279,9 +350,9 @@ func TestFanOutKernel(t *testing.T) {
 								t.Fatalf("%s, Workers %d, BufferSize %d: %d rows differ from the %d-row reference", name, workers, bs, len(got), len(exp))
 							}
 							st := stats.Ops[len(stats.Ops)-1]
-							if st.ProbeFiltered != filtered || st.ResidualDropped != dropped {
-								t.Fatalf("%s, Workers %d, BufferSize %d: filtered %d, residual %d; want %d, %d",
-									name, workers, bs, st.ProbeFiltered, st.ResidualDropped, filtered, dropped)
+							if st.ProbeFiltered != filtered || st.ResidualDropped != dropped || st.ProbeLookups != lookups {
+								t.Fatalf("%s, Workers %d, BufferSize %d: filtered %d, residual %d, probes %d; want %d, %d, %d",
+									name, workers, bs, st.ProbeFiltered, st.ResidualDropped, st.ProbeLookups, filtered, dropped, lookups)
 							}
 						}
 					}
@@ -306,12 +377,12 @@ func BenchmarkFanOut(b *testing.B) {
 	}
 	fact := NewIndexedTable("fact", SimpleKey("k", 16), cols,
 		NewSortedIndex(IndexConfig{KeyBits: 16, PayloadWidth: len(cols)}, []uint64{1}, []int{rows}, data))
-	driver := keyTable("drv", []uint64{1}, false)
+	driver := keyTable("drv", []uint64{1}, 1, 0)
 	var evens []uint64
 	for k := uint64(0); k < 64; k += 2 {
 		evens = append(evens, k)
 	}
-	dim := keyTable("dim", evens, false)
+	dim := keyTable("dim", evens, 1, 0)
 	env := newTestEnv(b, EnvConfig{Workers: 1})
 	for _, filters := range []int{0, 1, 3} {
 		for _, pred := range []bool{false, true} {

@@ -25,6 +25,7 @@ type jbTable struct {
 	pt     bool // index in a prefix tree instead of a KISS-Tree
 	wide   bool // a 40-bit key instead of a 16-bit one
 	sorted bool // bulk-loaded as a base index is: a key's rows are one run
+	tight  bool // its index reports a footprint one word short of its value arrays
 }
 
 // bits returns the width of the table's key.
@@ -58,18 +59,29 @@ func (tb *jbTable) indexed(name string) *IndexedTable {
 			ends[len(ends)-1] = len(rows) / len(tb.cols)
 		}
 		idx = NewSortedIndex(IndexConfig{KeyBits: tb.bits(), PayloadWidth: len(tb.cols)}, keys, ends, rows)
-		return NewIndexedTable(name, SimpleKey("k", tb.bits()), tb.cols, idx)
-	}
-	if tb.pt {
-		idx = prefixtree.MustNew(prefixtree.Config{KeyBits: tb.bits(), PayloadWidth: len(tb.cols)})
 	} else {
-		idx = NewIndex(IndexConfig{KeyBits: tb.bits(), PayloadWidth: len(tb.cols)})
+		if tb.pt {
+			idx = prefixtree.MustNew(prefixtree.Config{KeyBits: tb.bits(), PayloadWidth: len(tb.cols)})
+		} else {
+			idx = NewIndex(IndexConfig{KeyBits: tb.bits(), PayloadWidth: len(tb.cols)})
+		}
+		for _, r := range tb.rows {
+			idx.Insert(r[0], r[1:])
+		}
 	}
-	for _, r := range tb.rows {
-		idx.Insert(r[0], r[1:])
+	if lo, hi, ok := idxBounds(idx); ok && tb.tight {
+		idx = sizedIndex{idx, 8 * (int(hi-lo+1)*len(tb.cols) - 1)}
 	}
 	return NewIndexedTable(name, SimpleKey("k", tb.bits()), tb.cols, idx)
 }
+
+// sizedIndex is an index that reports a footprint of bytes.
+type sizedIndex struct {
+	Index
+	bytes int
+}
+
+func (s sizedIndex) Bytes() int { return s.bytes }
 
 // lookup returns the rows under key k in insertion order.
 func (tb *jbTable) lookup(k uint64) [][]uint64 {
@@ -234,6 +246,7 @@ type jbShape struct {
 type jbAssist struct {
 	rows, width int
 	sameFK      bool
+	tight       bool // its value arrays are one word past the size rule
 	set         keySet
 }
 
@@ -349,6 +362,7 @@ func (sh jbShape) build(rng *rand.Rand) *jbCase {
 			c.tables = append(c.tables, randTable(rng, sh.keys, a.rows, cols...))
 			addFarKey(rng, c.tables[len(c.tables)-1], sh.keys)
 		}
+		c.tables[len(c.tables)-1].tight = a.tight
 		probe := fmt.Sprintf("c%d", rng.Intn(3))
 		if a.sameFK && i > 0 {
 			probe = c.probes[i-1]
@@ -403,6 +417,9 @@ func TestJoinbufferPreservesArrivalOrder(t *testing.T) {
 		// A main residual is tested on each fact row before it is queued,
 		// so the first assist stays late and keeps its filter.
 		{"main residual and a filtered late stage", jbShape{mainRows: 6, keys: 128, residual: true, assists: []jbAssist{{rows: 3, width: 1, set: sparseSet}, {rows: 2, width: 2}}}},
+		// Assists with duplicate keys keep their probe stages: a middle
+		// stage's hit owns its slot and queues it onward.
+		{"three probed stages", jbShape{mainRows: 4, assists: []jbAssist{{rows: 3, width: 1}, {rows: 3, width: 2}, {rows: 2, width: 1}}}},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -490,8 +507,8 @@ func TestJoinbufferEmptyLateStage(t *testing.T) {
 	}
 }
 
-// left returns the assists a select-join's pipeline leaves out as
-// filter-only, as decided over the case's base indexes.
+// left returns the assists a select-join's pipeline reads by position, as
+// decided over the case's base indexes.
 func (c *jbCase) left(t *testing.T) []int {
 	t.Helper()
 	p, err := c.plan().Root.(*SelectJoin).pipe(&ExecContext{}, c.inputs())
@@ -519,10 +536,10 @@ func (c *jbCase) left(t *testing.T) []int {
 // assists as base indexes (their filters kept with the table) and as
 // intermediates (built per execution from the pool), with and without a
 // one-byte memory budget, which spills every intermediate. An assist with
-// no column and one row per key leaves the pipeline, whether or not its
-// index has a hole, also when a later assist probes with the same foreign
-// key; one with duplicate keys, or whose bitmap would be larger than its
-// index, keeps its stage.
+// one row per key leaves the pipeline, whether or not its index has a hole
+// and whether or not it carries columns, also when a later assist probes
+// with the same foreign key; one with duplicate keys, whose bitmap would be
+// larger than its index, or whose value arrays would be, keeps its stage.
 func TestFanOutFilters(t *testing.T) {
 	only := jbAssist{rows: 1}
 	cases := []struct {
@@ -531,7 +548,9 @@ func TestFanOutFilters(t *testing.T) {
 		left  []int
 	}{
 		{"two filter-only assists, then a carrying one", jbShape{mainRows: 6, assists: []jbAssist{only, only, {rows: 3, width: 1}}}, []int{0, 1}},
-		{"zero-column assist with duplicate keys", jbShape{mainRows: 4, assists: []jbAssist{{rows: 3}, only, {rows: 1, width: 2}}}, []int{1}},
+		{"zero-column assist with duplicate keys", jbShape{mainRows: 4, assists: []jbAssist{{rows: 3}, only, {rows: 1, width: 2}}}, []int{1, 2}},
+		{"carrying assist with duplicate keys", jbShape{mainRows: 4, assists: []jbAssist{{rows: 3, width: 2}, {rows: 1, width: 1}}}, []int{1}},
+		{"carrying assist whose arrays outgrow its index", jbShape{mainRows: 4, assists: []jbAssist{{rows: 1, width: 2, tight: true}, {rows: 1, width: 2}}}, []int{1}},
 		{"filter-only assist with no hole", jbShape{mainRows: 5, assists: []jbAssist{{rows: 1, set: fullSet}, {rows: 2, width: 1}}}, []int{0}},
 		{"filter-only assist whose bitmap outgrows its index", jbShape{mainRows: 5, assists: []jbAssist{{rows: 1, set: farSet}, only}}, []int{1}},
 		{"fact residual and a filter-only assist", jbShape{mainRows: 6, residual: true, assists: []jbAssist{only, {rows: 2, width: 1}}}, []int{0}},
@@ -574,15 +593,17 @@ func TestFanOutFilters(t *testing.T) {
 }
 
 // TestFanOutFilterCounts pins the probe counts of a select-join with two
-// filter-only assists and a sparse carrying one. Every fact row the main
-// probe yields is tested against the three filters in assist order: the
-// first that lacks its key drops it, counted once as filtered, and a row
-// that passes all three is looked up in the carrying assist alone. The
-// main probe looks up each selected row. Four plans that start at once over
-// the same fresh base indexes build each filter once, and every later plan
-// over them, with another predicate too, reuses it.
+// filter-only assists, a gathered one that carries two columns and a
+// sparse one with duplicate keys. Every fact row the main probe yields is
+// tested against the four filters in assist order: the first that lacks
+// its key drops it, counted once as filtered, and a row that passes all
+// four is looked up in the last assist alone. The main probe looks up
+// each selected row. Four plans that start at once over the same fresh
+// base indexes build each filter, and the gathered assist's value arrays,
+// once, and every later plan over them, with another predicate too,
+// reuses them.
 func TestFanOutFilterCounts(t *testing.T) {
-	sh := jbShape{mainRows: 6, keys: 64, assists: []jbAssist{{rows: 1, set: sparseSet}, {rows: 1}, {rows: 2, width: 1, set: sparseSet}}}
+	sh := jbShape{mainRows: 6, keys: 64, assists: []jbAssist{{rows: 1, set: sparseSet}, {rows: 1}, {rows: 1, width: 2}, {rows: 2, width: 1, set: sparseSet}}}
 	c := sh.build(rand.New(rand.NewSource(11)))
 	want := c.want()
 	slices.SortFunc(want, slices.Compare)
@@ -612,6 +633,9 @@ func TestFanOutFilterCounts(t *testing.T) {
 			t.Fatalf("%s: no key filter kept with the base index", in.Name)
 		}
 		filters = append(filters, in.filter)
+	}
+	if f := filters[2]; !f.gather || len(f.vals) != int(f.n)*2 {
+		t.Fatalf("%s: no value arrays kept with the base index", c.inputs()[4].Name)
 	}
 	lookups, filtered := 0, 0
 	for _, s := range c.tables[0].scan() {
@@ -653,7 +677,7 @@ func TestFanOutFilterCounts(t *testing.T) {
 	runJB(t, &other, 2, 7)
 	for i, in := range c.inputs()[2:] {
 		if in.filter != filters[i] {
-			t.Errorf("%s: a later plan built its key filter again", in.Name)
+			t.Errorf("%s: a later plan built its key filter or value arrays again", in.Name)
 		}
 	}
 }
@@ -665,9 +689,10 @@ func TestFanOutFilterCounts(t *testing.T) {
 // boundaries; payload widths 0–2, 1–3
 // assists, dense, sparse, empty, hole-free or with a far key, as base
 // indexes or intermediates, an optional fact predicate, buffer sizes 1–8 —
-// against the nested-loop reference, order included. A sparse or empty first assist is a late stage with a
-// key filter; a zero-column assist with one row per key (rows 1, width 0)
-// that probes with a fact column leaves the pipeline.
+// against the nested-loop reference, order included. An assist with one
+// row per key (rows 1) is read by position and leaves the pipeline, its
+// value arrays drawn from the pool when it is an intermediate; a sparse or
+// empty one with duplicate keys is a probe stage with a key filter.
 func FuzzJoinbuffer(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(0x0b), uint8(2))

@@ -106,54 +106,56 @@ func predBounds(pred KeyPred, in *IndexedTable) boundsFn {
 
 // feedScan scans input 0's qualifying key ranges into the pipeline. A nil
 // predicate scans everything through the plain iterator (the serial fast
-// path); morsel scans pass their pre-clipped ranges. The scan's predicates
-// on a key attribute are tested once per key; those on a payload column
-// narrow the scan's own selection vector over at most fanVec rows of a run
-// at a time, and only the survivors are fed. The vector is not the
-// fan-out's: feeding a survivor can flush stage 0, whose fan-out rewrites
-// p.vec.
+// path); morsel scans pass their pre-clipped ranges. Every leaf goes to
+// the pipeline's scan visitor (pipeline.scanLeaf), built once.
 func feedScan(p *pipeline, in *IndexedTable, pred KeyPred) {
-	comp := in.Key.Composer()
-	ctx := make([]uint64, p.layout.width)
-	scan := func(lf *Leaf) bool {
-		if p.poll.aborted() {
-			return false // query cancelled; the partial output is discarded
-		}
-		p.layout.fillKey(ctx, 0, lf.Key, comp)
-		if !p.scan.keep(ctx) {
-			p.dropped += lf.Vals.Len()
-			return true
-		}
-		if p.scanVec == nil {
-			lf.Vals.Scan(func(row []uint64) bool {
-				p.layout.fillRow(ctx, 0, row)
-				p.feed(ctx)
-				return true
-			})
-			return true
-		}
-		w := lf.Vals.Width()
-		lf.Vals.Runs(func(run []uint64) bool {
-			for len(run) > 0 {
-				rows := run[:min(len(run), fanVec*w)]
-				run = run[len(rows):]
-				for _, i := range p.narrow(&p.scanVec, rows, w, nil, p.scan.rows()) {
-					o := int(i) * w
-					p.layout.fillRow(ctx, 0, rows[o:o+w])
-					p.feed(ctx)
-				}
-			}
+	if pred == nil {
+		in.Idx.Iterate(p.leaf)
+		return
+	}
+	for _, r := range pred {
+		in.Idx.Range(r.Lo, r.Hi, p.leaf)
+	}
+}
+
+// scanLeaf feeds the tuples of lf, a leaf of input 0, into the pipeline.
+// The scan's predicates on a key attribute are tested once per key; those
+// on a payload column narrow the scan's own selection vector over at most
+// fanVec rows of a run at a time, and only the survivors are fed. The
+// vector is not the fan-out's: feeding a survivor can flush stage 0, whose
+// fan-out rewrites p.vec.
+func (p *pipeline) scanLeaf(lf *Leaf) bool {
+	if p.poll.aborted() {
+		return false // query cancelled; the partial output is discarded
+	}
+	ctx := p.scanCtx
+	p.layout.fillKey(ctx, 0, lf.Key, p.scanComp)
+	if !p.scan.keep(ctx) {
+		p.dropped += lf.Vals.Len()
+		return true
+	}
+	if p.scanVec == nil {
+		lf.Vals.Scan(func(row []uint64) bool {
+			p.layout.fillRow(ctx, 0, row)
+			p.feed(ctx)
 			return true
 		})
 		return true
 	}
-	if pred == nil {
-		in.Idx.Iterate(scan)
-		return
-	}
-	for _, r := range pred {
-		in.Idx.Range(r.Lo, r.Hi, scan)
-	}
+	w := lf.Vals.Width()
+	lf.Vals.Runs(func(run []uint64) bool {
+		for len(run) > 0 {
+			rows := run[:min(len(run), fanVec*w)]
+			run = run[len(rows):]
+			for _, i := range p.narrow(&p.scanVec, rows, w, nil, p.scan.rows()) {
+				o := int(i) * w
+				p.layout.fillRow(ctx, 0, rows[o:o+w])
+				p.feed(ctx)
+			}
+		}
+		return true
+	})
+	return true
 }
 
 // An Assist attaches one assisting index to a composed join (paper

@@ -120,8 +120,8 @@ type boundsFn = func() (uint64, uint64, bool)
 //
 // The first pipeline is built before any morsel runs, and with it the key
 // filters and the stages that leave (buildKeyFilters): every other worker's
-// pipeline is a clone that shares them read-only, and the pooled bitmaps go
-// back to the pool when the operator returns. The first worker to claim a
+// pipeline is a clone that shares them read-only, and the pooled bitmaps and
+// value arrays go back to the pool when the operator returns. The first worker to claim a
 // non-empty morsel takes that pipeline; when no morsel is non-empty, it
 // makes the empty output.
 func runMorsels(ec *ExecContext, spec *OutputSpec, bounds boundsFn, pipe func() (*pipeline, error), scan scanFn) (*IndexedTable, error) {

@@ -59,9 +59,17 @@ import (
 // queued or written, in run order. A predicate on the fact key is tested
 // once per main-probe hit instead. The scan tests the predicates on input
 // 0 the same way, with a selection vector of its own, before it feeds a
-// tuple (feedScan). An assist that carries no column and holds one row
-// per key needs nothing but its filter: it leaves the pipeline, and the
-// sink writes its key, the probe key, into the combination.
+// tuple (feedScan).
+//
+// Gathered assists: an assist with a one-attribute key and one row per key
+// whose bitmap and value arrays, one word per key of its span and carried
+// column, are no larger than its index needs no probe: its filter decides
+// what a lookup would, so it leaves the pipeline, and the sink writes the
+// probe key into the assist's key and copies its carried columns from the
+// arrays at probe key − lo (the invisible join of Abadi, Madden and
+// Hachem, "Column-Stores vs. Row-Stores", SIGMOD 2008). An assist that
+// carries nothing is the case of no arrays. The probe stages serve the
+// assists with duplicate keys or spans too sparse for arrays.
 //
 // Every stage handles its queue in arrival order and emits a combination's
 // rows in list order, so the sink sees the nested-loop order at every
@@ -185,9 +193,13 @@ func (s *predSet) keep(ctx []uint64) bool {
 	return true
 }
 
-// A keyFill copies the probe key at ctx offset src into a left-out stage's
-// key segment at dst.
-type keyFill struct{ dst, src int }
+// A keyFill writes the segment of an assist that left the pipeline: the
+// probe key at ctx offset src into its key at dst, and the row f holds at
+// that key into its columns after it.
+type keyFill struct {
+	dst, src int
+	f        *keyFilter
+}
 
 // A fanSpec holds the fan-out's tests, the assists' key filters in assist
 // order and the fact predicates on a column and on the fact key, and the
@@ -259,9 +271,13 @@ type pipeline struct {
 	rec    *arena.Recycler // plan chunk pool for the output index
 	// scan holds the predicates on input 0; scanVec is the selection
 	// vector its tests on a payload column narrow, a pool chunk of fanVec
-	// row numbers, nil without them.
-	scan    predSet
-	scanVec []int32
+	// row numbers, nil without them; scanCtx is the combination the scan
+	// fills, a pool chunk; leaf is the scan's visitor, built once.
+	scan     predSet
+	scanVec  []int32
+	scanCtx  []uint64
+	scanComp *key.Composer
+	leaf     func(lf *Leaf) bool
 	// stages are the probe stages: stage 0 is the main probe, and its
 	// rows are the fact rows every assist probes with.
 	stages []*probeStage
@@ -408,14 +424,17 @@ func (p *pipeline) setSink(spec *OutputSpec) (*IndexedTable, error) {
 	return newOutputTable(spec, s.out, p.rec), nil
 }
 
-// initJoinbuffer draws the scan's selection vector when a predicate
-// narrows the scan, and the slot chunk, every stage's queue and, when
-// anything narrows the fan-out, its selection vector from the pool. It
-// runs once the stages and filters are final.
+// initJoinbuffer draws the scan's combination, its selection vector when
+// a predicate narrows the scan, and the slot chunk, every stage's queue
+// and, when anything narrows the fan-out, its selection vector from the
+// pool. It runs once the stages and filters are final.
 func (p *pipeline) initJoinbuffer() {
 	if len(p.scan.rows()) > 0 {
 		p.scanVec = arena.NewChunk[int32](p.rec, fanVec)
 	}
+	p.scanCtx = arena.NewChunk[uint64](p.rec, p.layout.width)[:p.layout.width]
+	p.scanComp = p.layout.inputs[0].Key.Composer()
+	p.leaf = p.scanLeaf
 	if len(p.stages) == 0 {
 		return
 	}
@@ -436,50 +455,65 @@ func (p *pipeline) initJoinbuffer() {
 
 // A keyFilter is the exact key set of an index as a bitmap over [lo, lo+n):
 // bit d of words is set when lo+d is a key. An empty index gets n = 0,
-// which rejects every key.
+// which rejects every key. A filter that gathers also holds the index's
+// payload rows by position over the same span, w words per key: the row
+// of key lo+d is vals[d·w : d·w+w].
 type keyFilter struct {
 	lo, n  uint64
 	words  []uint64
-	pooled bool // words came from the pool, and parkKeyFilters returns them
+	gather bool // the index is read by position: its assist leaves the pipeline
+	w      int
+	vals   []uint64
+	pooled bool // words and vals came from the pool, and parkKeyFilters returns them
 }
 
-// newKeyFilter returns the key filter of idx, its words drawn from rec, or
-// nil when its bitmap would be larger than the index (Bytes) or, with
-// holey set, when the index has no hole (Keys = Max−Min+1). An empty index
-// gets one that rejects every key.
-func newKeyFilter(rec *arena.Recycler, idx Index, holey bool) *keyFilter {
+// newKeyFilter returns the key filter of t's index, its words and arrays
+// drawn from rec, or nil when its bitmap would be larger than the index
+// (Bytes). It gathers when t has a one-attribute key and one row per key
+// and its arrays, n·w words, are no larger than the index either;
+// otherwise it is nil also when the index has no hole (Keys = Max−Min+1).
+// An empty index gets one that rejects every key.
+func newKeyFilter(rec *arena.Recycler, t *IndexedTable) *keyFilter {
+	idx, w := t.Idx, len(t.Cols)
+	unique := len(t.Key.Attrs) == 1 && t.Rows() == t.Keys()
 	lo, hi, ok := idxBounds(idx)
 	if !ok {
-		return &keyFilter{}
+		return &keyFilter{gather: unique, w: w}
 	}
-	span := hi - lo // the index spans span+1 keys; +1 could overflow
-	if holey && uint64(idx.Keys()) > span || span>>6 >= uint64(idx.Bytes()/8) {
+	span, size := hi-lo, uint64(idx.Bytes()/8) // the index spans span+1 keys (+1 could overflow) in size words
+	if span>>6 >= size {
+		return nil
+	}
+	gather := unique && (span+1)*uint64(w) <= size
+	if !gather && uint64(idx.Keys()) > span {
 		return nil
 	}
 	n := int(span>>6) + 1
-	words := arena.NewChunk[uint64](rec, n)[:n]
+	f := &keyFilter{lo: lo, n: span + 1, words: arena.NewChunk[uint64](rec, n)[:n], gather: gather, w: w, pooled: rec != nil}
+	if gather && w > 0 {
+		f.vals = arena.NewChunk[uint64](rec, int(f.n)*w)[:int(f.n)*w]
+	}
 	idx.Iterate(func(lf *Leaf) bool {
 		d := lf.Key - lo
-		words[d>>6] |= 1 << (d & 63)
+		f.words[d>>6] |= 1 << (d & 63)
+		if f.vals != nil {
+			lf.Vals.Scan(func(row []uint64) bool { copy(f.vals[int(d)*w:], row); return false })
+		}
 		return true
 	})
-	return &keyFilter{lo: lo, n: span + 1, words: words, pooled: rec != nil}
+	return f
 }
 
-// keyFilter returns the key filter of t's index under newKeyFilter's rule.
-// A base index never changes, so its filter is built once, on the heap,
-// and kept with the table; an operator output's is drawn from the pool,
-// and parkKeyFilters returns it.
-func (p *pipeline) keyFilter(t *IndexedTable, holey bool) *keyFilter {
+// keyFilter returns the key filter of t under newKeyFilter's rule. A base
+// index never changes, so its filter is built once, on the heap, and kept
+// with the table; an operator output's is drawn from the pool, and
+// parkKeyFilters returns it.
+func (p *pipeline) keyFilter(t *IndexedTable) *keyFilter {
 	if t.pooled {
-		return newKeyFilter(p.rec, t.Idx, holey)
+		return newKeyFilter(p.rec, t)
 	}
-	t.filterOnce.Do(func() { t.filter = newKeyFilter(nil, t.Idx, false) })
-	f := t.filter
-	if holey && f != nil && f.n != 0 && uint64(t.Keys()) == f.n {
-		return nil
-	}
-	return f
+	t.filterOnce.Do(func() { t.filter = newKeyFilter(nil, t) })
+	return t.filter
 }
 
 // buildKeyFilters decides which key filters are tested on the fact rows,
@@ -487,30 +521,27 @@ func (p *pipeline) keyFilter(t *IndexedTable, holey bool) *keyFilter {
 // operator execution, on the first pipeline, before any morsel runs and
 // before the joinbuffer is laid out; the other workers' pipelines are
 // clones that share the decision, and parkKeyFilters returns the pooled
-// bitmaps once every pipeline is done.
+// bitmaps and arrays once every pipeline is done.
 //
-// The rule reads the indexes, not a knob. Every assist probes with a fact
-// column, and its filter is tested on each fact row the main probe yields,
-// in assist order. It is filter-only, and leaves, when its table carries
-// no column, has a one-attribute key and one row per key, and its bitmap
-// is no larger than its index: the test then decides everything its
-// lookup would. A filter is tested only when its bitmap is no larger than
-// the index and, unless the assist is filter-only, the index has a hole:
-// over big or hole-free indexes a bitmap cost more than it saved.
+// The rule reads the indexes, not a knob (newKeyFilter). Every assist
+// probes with a fact column, and its filter is tested on each fact row
+// the main probe yields, in assist order. An assist whose filter gathers
+// leaves: the test decides everything its lookup would, and the sink
+// reads the assist's row by position (keyFill). Any other assist keeps
+// its probe stage, and its filter, when it has one, only spares the
+// lookups of keys in the index's holes.
 func (p *pipeline) buildKeyFilters() {
 	if len(p.stages) == 0 {
 		return
 	}
 	kept := p.stages[:1]
 	for _, st := range p.stages[1:] {
-		t := st.table
-		only := len(t.Cols) == 0 && len(t.Key.Attrs) == 1 && t.Rows() == t.Keys()
-		f := p.keyFilter(t, !only)
+		f := p.keyFilter(st.table)
 		if f != nil {
 			p.spec().filters = append(p.spec().filters, fanTest{col: st.col, f: f})
 		}
-		if only && f != nil {
-			p.spec().fills = append(p.spec().fills, keyFill{dst: p.layout.keyOff(st.input, 0), src: st.probeOff})
+		if f != nil && f.gather {
+			p.spec().fills = append(p.spec().fills, keyFill{dst: p.layout.keyOff(st.input, 0), src: st.probeOff, f: f})
 			continue
 		}
 		kept = append(kept, st)
@@ -518,7 +549,8 @@ func (p *pipeline) buildKeyFilters() {
 	p.stages = kept
 }
 
-// parkKeyFilters returns the pooled filters' words to the chunk pool.
+// parkKeyFilters returns the pooled filters' words and arrays to the chunk
+// pool.
 func (p *pipeline) parkKeyFilters() {
 	if p.fan == nil {
 		return
@@ -526,6 +558,7 @@ func (p *pipeline) parkKeyFilters() {
 	for _, t := range p.fan.filters {
 		if t.f.pooled {
 			putScratch(p.rec, t.f.words, len(t.f.words))
+			putScratch(p.rec, t.f.vals, len(t.f.vals))
 		}
 	}
 }
@@ -549,7 +582,8 @@ func (p *pipeline) release() {
 	putScratch(p.rec, p.slots, p.slotHigh*p.layout.width)
 	putScratch(p.rec, p.vec, len(p.vec))
 	putScratch(p.rec, p.scanVec, len(p.scanVec))
-	p.slots, p.vec, p.scanVec = nil, nil, nil
+	putScratch(p.rec, p.scanCtx, len(p.scanCtx))
+	p.slots, p.vec, p.scanVec, p.scanCtx = nil, nil, nil, nil
 	for _, st := range p.stages {
 		putScratch(p.rec, st.sel, st.high)
 		putScratch(p.rec, st.keys, st.high)
@@ -823,8 +857,15 @@ func (p *pipeline) copySlot(s int, r int32) int32 {
 // feed folds one combination into the dense array, or buffers it in the
 // sink; flush materializes and inserts.
 func (s *sink) feed(ctx []uint64, bufSize int) {
-	for _, f := range s.fills {
-		ctx[f.dst] = ctx[f.src]
+	for _, g := range s.fills {
+		k := ctx[g.src]
+		ctx[g.dst] = k
+		// A plain loop: copy would call memmove for one or two words.
+		f, w := g.f, g.f.w
+		row, dst := f.vals[int(k-f.lo)*w:][:w], ctx[g.dst+1:][:w]
+		for i := range row {
+			dst[i] = row[i]
+		}
 	}
 	if d := s.dense; d != nil {
 		s.inserted++

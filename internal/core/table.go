@@ -87,8 +87,9 @@ type IndexedTable struct {
 	// pooled marks an operator output whose index draws its chunks from a
 	// recycler; it is what arms Release. Base indexes never set it.
 	pooled bool
-	// filter is a base index's key filter (nil: its bitmap would be larger
-	// than the index), built once, when a probe stage first asks.
+	// filter is a base index's key filter, with its value arrays when it
+	// gathers (nil: newKeyFilter's rule gives none), built once, when a
+	// select-join first asks.
 	filterOnce sync.Once
 	filter     *keyFilter
 }

@@ -38,7 +38,8 @@ func (b *builder) build() (*Statement, error) {
 // order), the primary restriction, which becomes the scan's key
 // predicate, or on fallback when conds is empty, and partially clustered
 // with include and the columns of the later conds, which become the
-// predicates on the scanned input.
+// predicates on the scanned input. A later cond on the key column narrows
+// the key predicate instead.
 func (b *builder) selIndex(ti *catalog.TableInfo, conds []Cond, fallback string, include map[string]bool) (*core.IndexedTable, core.KeyPred, []core.AttrPred, error) {
 	keyCol := fallback
 	if len(conds) > 0 {
@@ -58,7 +59,39 @@ func (b *builder) selIndex(ti *catalog.TableInfo, conds []Cond, fallback string,
 		return nil, nil, nil, err
 	}
 	preds, err := b.preds(nil, ti, 0, conds[1:])
-	return idx, pred, preds, err
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rest := preds[:0]
+	for _, p := range preds {
+		if p.Ref.Attr == keyCol {
+			pred = intersectPreds(pred, p.Pred)
+		} else {
+			rest = append(rest, p)
+		}
+	}
+	return idx, pred, rest, nil
+}
+
+// intersectPreds returns the values both a and b, sorted unions of
+// disjoint ranges, hold, in the same form; "nothing matches" is one empty
+// range, as keyPred writes it.
+func intersectPreds(a, b core.KeyPred) core.KeyPred {
+	var out core.KeyPred
+	for len(a) > 0 && len(b) > 0 {
+		if lo, hi := max(a[0].Lo, b[0].Lo), min(a[0].Hi, b[0].Hi); lo <= hi {
+			out = append(out, core.KeyRange{Lo: lo, Hi: hi})
+		}
+		if a[0].Hi < b[0].Hi {
+			a = a[1:]
+		} else {
+			b = b[1:]
+		}
+	}
+	if len(out) == 0 {
+		return core.KeyPred{{Lo: 1, Hi: 0}}
+	}
+	return out
 }
 
 // preds appends to dst the predicates that conds, restrictions on ti's

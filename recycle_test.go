@@ -99,8 +99,8 @@ func TestEngineAllocBudget(t *testing.T) {
 
 // TestEngineStarAllocBudget pins what a cached star join costs once the
 // engine is warm: the joinbuffer's slots and queues, like the sink's insert
-// buffer, come from the chunk pool, so a run allocates its headers, the
-// per-morsel scan context and the result rows, not a combination buffer.
+// buffer and the scan's combination, come from the chunk pool, so a run
+// allocates its headers and the result rows, not a combination buffer.
 // Before the joinbuffer drew on the pool, Q2.3, Q3.4 and Q4.3 allocated
 // about 169, 199 and 417 KB per run at this scale.
 func TestEngineStarAllocBudget(t *testing.T) {

@@ -105,6 +105,7 @@ type carryKind struct {
 	tables []*IndexedTable
 	probes []string
 	pooled bool
+	probed bool // the assist has duplicate keys and keeps its probe stage
 }
 
 // TestFanOutKernel holds the selection-vector kernel, at the fan-out and
@@ -165,7 +166,7 @@ func TestFanOutKernel(t *testing.T) {
 	gatherProbes := []string{"c0", "c1", "c1"}
 	carries := []carryKind{
 		{name: "none"},
-		{name: "two rows per key", tables: []*IndexedTable{keyTable("dup", all, 2, 1)}, probes: []string{"c1"}},
+		{name: "two rows per key", tables: []*IndexedTable{keyTable("dup", all, 2, 1)}, probes: []string{"c1"}, probed: true},
 		{name: "gathered", tables: gathered, probes: gatherProbes},
 		{name: "gathered, pooled", tables: gathered, probes: gatherProbes, pooled: true},
 		{name: "empty gathered", tables: []*IndexedTable{gathered[0], keyTable("g0", nil, 1, 2)}, probes: []string{"c0", "c1"}, pooled: true},
@@ -262,7 +263,6 @@ func TestFanOutKernel(t *testing.T) {
 					// looked up in the carrying assist.
 					var want [][]uint64
 					filtered, dropped, lookups := 0, 0, 0
-					probed := len(carry.tables) == 1 && carry.tables[0].Name == "dup"
 					driver.Idx.Iterate(func(dl *Leaf) bool {
 						if !passes(scanSet, 0, "k", dl.Key) {
 							dropped += dl.Vals.Len()
@@ -313,7 +313,7 @@ func TestFanOutKernel(t *testing.T) {
 										return true
 									}
 								}
-								if probed {
+								if carry.probed {
 									lookups++
 									for _, c := range carried {
 										want = append(want, append(slices.Clone(r), c...))
